@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -438,7 +437,7 @@ func run(o runOpts) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: core.NewREST(ctl)}
+	srv := core.NewREST(ctl).Server()
 	go func() {
 		// Session contexts expire after their TTL (§3.1); the sweeper
 		// stops with the root context.

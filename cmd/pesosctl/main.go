@@ -42,7 +42,6 @@ import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -279,7 +278,7 @@ func showTrace(httpCl *http.Client, server, id string) {
 		fatal(fmt.Errorf("HTTP %d: %s", resp.StatusCode, body))
 	}
 	var d obs.TraceDump
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+	if err := client.ReadJSON(resp, &d); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("trace %s  (%s total)\n%s", d.ID, time.Duration(d.DurationUs)*time.Microsecond, obs.FormatTree(&d))
@@ -300,7 +299,7 @@ func clusterStatus(httpCl *http.Client, server string) {
 		WrongShard uint64            `json:"wrongShard"`
 		Shard      *core.ShardStatus `json:"shard"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := client.ReadJSON(resp, &st); err != nil {
 		fatal(err)
 	}
 	if st.Shard == nil {
@@ -363,7 +362,7 @@ func clusterHealth(httpCl *http.Client, server string) {
 		DriveHealth  []core.DriveHealth  `json:"driveHealth"`
 		Sweeper      *core.SweeperStatus `json:"sweeper"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := client.ReadJSON(resp, &st); err != nil {
 		fatal(err)
 	}
 	fmt.Println("drives:")

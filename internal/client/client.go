@@ -384,24 +384,44 @@ func (c *Client) do(req *http.Request, out any) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return decodeError(resp)
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return ReadJSON(resp, out)
 }
 
+// maxDrain bounds what ReadJSON reads past the decoded value to reach
+// the end of a reply: beyond it, a new connection costs less than the
+// bytes.
+const maxDrain = 256 << 10
+
+// ReadJSON consumes a JSON reply: it decodes the body into out (nil
+// skips decoding), reads what remains to EOF and closes it. The read to
+// EOF is what keeps the connection: a json.Decoder stops at the end of
+// the value, short of a chunked reply's terminating chunk, and net/http
+// discards a connection whose body was closed unfinished — the next
+// request then pays a TLS handshake. A reply with more than maxDrain
+// left over is closed where it stands.
+func ReadJSON(resp *http.Response, out any) error {
+	defer resp.Body.Close()
+	var err error
+	if out != nil {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	// A drain that fails or falls short costs the connection, nothing
+	// else: Close below then discards it.
+	io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
+	return err
+}
+
+// decodeError consumes a non-200 reply into the error it stands for.
 func decodeError(resp *http.Response) error {
 	// v1 bodies are {"error": "message"}; v2 bodies are
 	// {"error": {"code": ..., "message": ...}}. Sniff the shape.
 	var e struct {
 		Error json.RawMessage `json:"error"`
 	}
-	json.NewDecoder(resp.Body).Decode(&e)
+	ReadJSON(resp, &e) // an undecodable body leaves the status to speak
 	apiErr := &APIError{Status: resp.StatusCode}
 	if len(e.Error) > 0 {
 		var wire struct {

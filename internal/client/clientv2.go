@@ -99,9 +99,8 @@ func (c *Client) doOpResult(req *http.Request) (OpResult, error) {
 	if err != nil {
 		return OpResult{}, err
 	}
-	defer resp.Body.Close()
 	var out OpResult
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := ReadJSON(resp, &out); err != nil {
 		return OpResult{}, fmt.Errorf("pesos client: HTTP %d with undecodable body: %w", resp.StatusCode, err)
 	}
 	return out, nil
@@ -109,9 +108,10 @@ func (c *Client) doOpResult(req *http.Request) (OpResult, error) {
 
 // GetStream opens an object for reading through /v2. The returned
 // reader streams the payload (chunked objects included); the caller
-// must Close it. An integrity failure mid-object surfaces as a read
-// error before EOF — the server aborts the connection rather than
-// completing a corrupt transfer.
+// must Close it, and keeps the connection for the next request only by
+// reading it to EOF first. An integrity failure mid-object surfaces as
+// a read error before EOF — the server aborts the connection rather
+// than completing a corrupt transfer.
 func (c *Client) GetStream(ctx context.Context, key string, opts GetOptions) (io.ReadCloser, *ObjectMeta, error) {
 	q := url.Values{}
 	if opts.HasVersion {
@@ -126,7 +126,6 @@ func (c *Client) GetStream(ctx context.Context, key string, opts GetOptions) (io
 		return nil, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
 		return nil, nil, decodeError(resp)
 	}
 	ver, _ := strconv.ParseInt(resp.Header.Get("X-Pesos-Version"), 10, 64)

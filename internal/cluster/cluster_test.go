@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"math"
 	mrand "math/rand"
+	"net/http"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/store"
 )
@@ -230,5 +233,29 @@ func TestRangeHelpers(t *testing.T) {
 	}
 	if !core.RangesContain(sub, 120) || !core.RangesContain(sub, 450) {
 		t.Fatal("kept points lost")
+	}
+}
+
+// TestIsWrongShardErr: a redirect is recognised both ways a controller
+// says it — the v2 body's taxonomy code, and a v1 route's bare 421
+// ({"error": "message"}, no code), which Router.Get receives.
+func TestIsWrongShardErr(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"v2 code", &client.APIError{Status: http.StatusMisdirectedRequest, Code: string(core.CodeWrongShard), Msg: "key not owned"}, true},
+		{"v1 bare 421", &client.APIError{Status: http.StatusMisdirectedRequest, Msg: "pesos: key not owned by this shard"}, true},
+		{"wrapped v1 421", fmt.Errorf("get: %w", &client.APIError{Status: http.StatusMisdirectedRequest}), true},
+		{"not found", &client.APIError{Status: http.StatusNotFound, Code: string(core.CodeNotFound)}, false},
+		{"denied", fmt.Errorf("%w: no", client.ErrDenied), false},
+		{"transport", errors.New("connection refused"), false},
+		{"nil", nil, false},
+	}
+	for _, c := range cases {
+		if got := isWrongShardErr(c.err); got != c.want {
+			t.Errorf("%s: isWrongShardErr = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/enclave/attest"
 )
 
@@ -137,14 +138,14 @@ func (h *HTTPLeases) Leases(ctx context.Context) ([]attest.Lease, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		client.ReadJSON(resp, nil)
 		return nil, fmt.Errorf("cluster: list leases: %s", resp.Status)
 	}
 	var out struct {
 		Leases []attest.Lease `json:"leases"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := client.ReadJSON(resp, &out); err != nil {
 		return nil, err
 	}
 	return out.Leases, nil

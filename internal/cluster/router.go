@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -208,10 +209,13 @@ func (r *Router) clientFor(s *Shard) (*client.Client, error) {
 	return cl, nil
 }
 
-// isWrongShardErr classifies a transport-level error as a redirect.
+// isWrongShardErr classifies a transport-level error as a redirect: by
+// the v2 taxonomy code, or by status 421 alone, which is all a v1 route
+// (Get goes through one) says — its error body carries no code.
 func isWrongShardErr(err error) bool {
 	var apiErr *client.APIError
-	return errors.As(err, &apiErr) && apiErr.Code == string(core.CodeWrongShard)
+	return errors.As(err, &apiErr) &&
+		(apiErr.Code == string(core.CodeWrongShard) || apiErr.Status == http.StatusMisdirectedRequest)
 }
 
 // resultWrongShard classifies a per-op result as a redirect.

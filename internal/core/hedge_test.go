@@ -306,7 +306,12 @@ func TestDeadReplicaLosesPrimarySlot(t *testing.T) {
 	h.kill(dead)
 	// Pin the dead drive into the primary slot: feed it artificially
 	// fast samples so EWMA ordering alone would keep trying it first.
-	for i := 0; i < 8; i++ {
+	// Enough of them to bury its one real sample (the Put's metadata
+	// probe) whatever that measured: 0.8^64 of a slow first round trip
+	// is still far below the healthy replica's estimate, where 0.8^8 of
+	// one six times slower than the healthy replica's was not, and the
+	// dead drive was then never tried at all.
+	for i := 0; i < 64; i++ {
 		h.ctl.drives[dead].observe(time.Nanosecond)
 	}
 

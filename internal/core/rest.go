@@ -1,14 +1,17 @@
 package core
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/authority"
@@ -59,6 +62,43 @@ func NewREST(ctl *Controller) *RESTServer {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.registerV2()
 	return s
+}
+
+// Server returns the HTTP server every deployment serves the REST
+// interface with (the daemon and the in-process testbed alike): the
+// handler plus a per-connection identity slot, so the client
+// fingerprint is derived from the peer certificate once per TLS
+// connection rather than once per request.
+func (s *RESTServer) Server() *http.Server {
+	return &http.Server{
+		Handler: s,
+		ConnContext: func(ctx context.Context, _ net.Conn) context.Context {
+			return context.WithValue(ctx, connIdentityKey{}, new(connIdentity))
+		},
+	}
+}
+
+// connIdentity holds one connection's client fingerprint. It lives and
+// dies with the connection's context; a peer certificate cannot change
+// within a connection, so neither can what is derived from it.
+type connIdentity struct {
+	once sync.Once
+	fp   string
+	err  error
+}
+
+type connIdentityKey struct{}
+
+// peerFingerprint returns the fingerprint of the request's client
+// certificate, through the connection's identity slot when the server
+// came from Server.
+func peerFingerprint(r *http.Request) (string, error) {
+	ci, _ := r.Context().Value(connIdentityKey{}).(*connIdentity)
+	if ci == nil {
+		return tlsutil.CertFingerprint(r.TLS.PeerCertificates[0])
+	}
+	ci.once.Do(func() { ci.fp, ci.err = tlsutil.CertFingerprint(r.TLS.PeerCertificates[0]) })
+	return ci.fp, ci.err
 }
 
 // ServeHTTP implements http.Handler.
@@ -167,7 +207,7 @@ func (s *RESTServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // session authenticates the request and returns its session context.
 func (s *RESTServer) session(r *http.Request) (*Session, error) {
 	if r.TLS != nil && len(r.TLS.PeerCertificates) > 0 {
-		fp, err := tlsutil.CertFingerprint(r.TLS.PeerCertificates[0])
+		fp, err := peerFingerprint(r)
 		if err != nil {
 			return nil, err
 		}

@@ -61,13 +61,13 @@ type Drive struct {
 	storeMu sync.Mutex
 
 	mu       sync.RWMutex
-	accounts map[string]wire.ACL
+	accounts map[string]*account
 	// p2pAccount, when configured, is the drive-to-drive trust account
 	// for device-to-device copies. It lives OUTSIDE the replaceable
 	// account table: a controller takeover (SetSecurity) locks out
 	// every user but must not break P2P pushes from peer drives, which
 	// is what live shard handoff between controllers rides on.
-	p2pAccount *wire.ACL
+	p2pAccount *account
 	erasePIN   []byte
 	locked     bool
 
@@ -79,6 +79,31 @@ type Drive struct {
 	// faults holds the active fault-injection state; nil (the steady
 	// state) costs one atomic load per request.
 	faults atomic.Pointer[faultState]
+}
+
+// account is one installed user: its ACL plus keyed HMAC states, so
+// authenticating a request costs no key schedule. Requests are handled
+// concurrently, hence a pool rather than one state.
+type account struct {
+	wire.ACL
+	macs sync.Pool // of *wire.MAC keyed with ACL.Key
+}
+
+// newAccount copies acl's key: the caller's slice may be a frame.
+func newAccount(acl wire.ACL) *account {
+	acl.Key = append([]byte(nil), acl.Key...)
+	return &account{ACL: acl}
+}
+
+// verify checks req's HMAC under the account key.
+func (a *account) verify(req *wire.Message) bool {
+	mac, _ := a.macs.Get().(*wire.MAC)
+	if mac == nil {
+		mac = wire.NewMAC(a.Key)
+	}
+	ok := mac.Verify(req)
+	a.macs.Put(mac)
+	return ok
 }
 
 // P2PTarget is the destination interface for device-to-device copies.
@@ -116,12 +141,12 @@ func NewDrive(cfg Config) *Drive {
 		name:  cfg.Name,
 		store: newSkipList(),
 		media: cfg.Media,
-		accounts: map[string]wire.ACL{
-			DefaultAdminIdentity: {
+		accounts: map[string]*account{
+			DefaultAdminIdentity: newAccount(wire.ACL{
 				Identity: DefaultAdminIdentity,
-				Key:      append([]byte(nil), DefaultAdminKey...),
+				Key:      DefaultAdminKey,
 				Perms:    wire.PermAll,
-			},
+			}),
 		},
 		erasePIN: cfg.ErasePIN,
 		p2pDial:  cfg.P2PDial,
@@ -133,9 +158,7 @@ func NewDrive(cfg Config) *Drive {
 		if cfg.P2PAccount.Identity == "" || len(cfg.P2PAccount.Key) < 8 {
 			panic("kinetic: P2PAccount needs an identity and a >= 8 byte key")
 		}
-		acct := *cfg.P2PAccount
-		acct.Key = append([]byte(nil), cfg.P2PAccount.Key...)
-		d.p2pAccount = &acct
+		d.p2pAccount = newAccount(*cfg.P2PAccount)
 	}
 	return d
 }
@@ -170,11 +193,11 @@ func (d *Drive) Accounts() []string {
 
 // lookupAccount returns the account for identity. The P2P trust
 // account resolves independently of the replaceable table.
-func (d *Drive) lookupAccount(identity string) (wire.ACL, bool) {
+func (d *Drive) lookupAccount(identity string) (*account, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.p2pAccount != nil && identity == d.p2pAccount.Identity {
-		return *d.p2pAccount, true
+		return d.p2pAccount, true
 	}
 	a, ok := d.accounts[identity]
 	return a, ok
@@ -221,14 +244,14 @@ func (d *Drive) Handle(req *wire.Message) *wire.Message {
 		return resp
 	}
 
-	acct, ok := d.lookupAccount(req.User)
+	user, ok := d.lookupAccount(req.User)
 	if !ok {
 		d.stats.Rejected.Add(1)
 		resp.Status = wire.StatusNoSuchUser
 		resp.StatusMsg = fmt.Sprintf("unknown identity %q", req.User)
 		return resp
 	}
-	if !req.Verify(acct.Key) {
+	if !user.verify(req) {
 		d.stats.Rejected.Add(1)
 		resp.Status = wire.StatusHMACFailure
 		resp.StatusMsg = "message authentication failed"
@@ -240,6 +263,7 @@ func (d *Drive) Handle(req *wire.Message) *wire.Message {
 		return resp
 	}
 
+	acct := user.ACL
 	switch req.Type {
 	case wire.TGet:
 		d.handleGet(acct, req, resp)
@@ -351,6 +375,15 @@ func (d *Drive) handlePut(acct wire.ACL, req, resp *wire.Message) {
 		return
 	}
 	d.waitMedia(writeKind(req.Sync), len(req.Value))
+	if n := req.FrameSize(); n > 0 && 2*len(req.Value) >= n {
+		// The value is the bulk of the frame this request owns: keep
+		// the frame instead of copying a chunk-sized value out of it.
+		// The record pins at most twice its size; a small value (and
+		// any batch sub-operation, which shares its frame with
+		// neighbours) is copied so it never pins more.
+		d.store.put(req.Key, req.Value, req.NewVersion)
+		return
+	}
 	d.store.put(cloneKey(req.Key), cloneKey(req.Value), cloneKey(req.NewVersion))
 }
 
@@ -605,13 +638,9 @@ func (d *Drive) handleSecurity(acct wire.ACL, req, resp *wire.Message) {
 		}
 	}
 	d.mu.Lock()
-	d.accounts = make(map[string]wire.ACL, len(req.ACLs))
+	d.accounts = make(map[string]*account, len(req.ACLs))
 	for _, a := range req.ACLs {
-		d.accounts[a.Identity] = wire.ACL{
-			Identity: a.Identity,
-			Key:      append([]byte(nil), a.Key...),
-			Perms:    a.Perms,
-		}
+		d.accounts[a.Identity] = newAccount(a)
 	}
 	if len(req.Pin) > 0 {
 		d.erasePIN = append([]byte(nil), req.Pin...)

@@ -1,6 +1,7 @@
 package kinetic
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"testing"
@@ -298,5 +299,73 @@ func TestP2PAccountSurvivesTakeover(t *testing.T) {
 	sec.Sign(p2pKey)
 	if resp = d.Handle(sec); resp.Status != wire.StatusNotAuthorized {
 		t.Fatalf("p2p account changed security: %v", resp.Status)
+	}
+}
+
+// received puts m on the wire the way the controller does and reads it
+// back the way the drive server does, so it owns its frame.
+func received(t *testing.T, m *wire.Message) *wire.Message {
+	t.Helper()
+	m.User = DefaultAdminIdentity
+	var frame bytes.Buffer
+	if err := wire.NewEncoder().WriteFrame(&frame, m, DefaultAdminKey); err != nil {
+		t.Fatal(err)
+	}
+	got := new(wire.Message)
+	if err := wire.ReadFrame(bufio.NewReader(&frame), got); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestPutAdoptsOnlyBulkValues: a received PUT whose value is most of
+// its frame is stored without another copy; a small value in a large
+// frame, every batch sub-operation, and any request that did not come
+// off the wire are copied, so a stored record never pins much more than
+// itself and never shares memory with a caller's buffer.
+func TestPutAdoptsOnlyBulkValues(t *testing.T) {
+	d := NewDrive(Config{Name: "t0"})
+	shares := func(key, sent []byte) bool {
+		stored, _, ok := d.store.get(key)
+		if !ok || !bytes.Equal(stored, sent) {
+			t.Fatalf("key %q: stored %d bytes, sent %d", key, len(stored), len(sent))
+		}
+		return &stored[0] == &sent[0]
+	}
+	handle := func(req *wire.Message) {
+		t.Helper()
+		if resp := d.Handle(req); resp.Status != wire.StatusOK {
+			t.Fatalf("%v: %v %s", req.Type, resp.Status, resp.StatusMsg)
+		}
+	}
+
+	chunk := received(t, &wire.Message{Type: wire.TPut, Key: []byte("chunk"), Value: bytes.Repeat([]byte{7}, 1<<20), NewVersion: []byte{1}, Force: true})
+	handle(chunk)
+	if !shares([]byte("chunk"), chunk.Value) {
+		t.Error("1 MiB value was copied out of the frame it fills")
+	}
+
+	longKey := bytes.Repeat([]byte("k"), 2000)
+	small := received(t, &wire.Message{Type: wire.TPut, Key: longKey, Value: []byte("tiny"), NewVersion: []byte{1}, Force: true})
+	handle(small)
+	if shares(longKey, small.Value) {
+		t.Error("a 4-byte value pins a 2 KB frame")
+	}
+
+	batch := received(t, &wire.Message{Type: wire.TBatch, Batch: []wire.BatchOp{
+		{Op: wire.BatchPut, Key: []byte("big"), Value: bytes.Repeat([]byte{9}, 64<<10), NewVersion: []byte{1}, Force: true},
+		{Op: wire.BatchPut, Key: []byte("meta"), Value: []byte("m"), NewVersion: []byte{1}, Force: true},
+	}, GroupSizes: []uint32{1, 1}})
+	handle(batch)
+	for _, op := range batch.Batch {
+		if shares(op.Key, op.Value) {
+			t.Errorf("batch sub-operation %q shares its batch's frame", op.Key)
+		}
+	}
+
+	local := signedReq(&wire.Message{Type: wire.TPut, Key: []byte("local"), Value: bytes.Repeat([]byte{3}, 1<<20), NewVersion: []byte{1}, Force: true})
+	handle(local)
+	if shares([]byte("local"), local.Value) {
+		t.Error("drive kept a slice of an in-process caller's buffer")
 	}
 }

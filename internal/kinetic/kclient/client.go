@@ -95,7 +95,7 @@ type Client struct {
 	conn    net.Conn
 	w       *bufio.Writer
 	enc     *wire.Encoder
-	pending map[uint64]chan *wire.Message
+	pending map[uint64]call
 	closed  bool
 	// dialing, when non-nil, gates a reconnect in flight: exactly one
 	// caller dials (outside the client mutex), everyone else waits on
@@ -106,6 +106,14 @@ type Client struct {
 	dialing *dialGate
 
 	seq atomic.Uint64
+}
+
+// call is one request awaiting its response, tied to the connection it
+// went out on: when that connection dies the call fails, and calls
+// already riding a replacement connection do not.
+type call struct {
+	conn net.Conn
+	ch   chan *wire.Message
 }
 
 // dialGate is one reconnect attempt: closed when the dial resolves,
@@ -128,7 +136,7 @@ func Dial(ctx context.Context, dial Dialer, creds Credentials) (*Client, error) 
 		conn:    conn,
 		w:       bufio.NewWriterSize(conn, 64<<10),
 		enc:     wire.NewEncoder(),
-		pending: make(map[uint64]chan *wire.Message),
+		pending: make(map[uint64]call),
 	}
 	go c.readLoop(conn)
 	return c, nil
@@ -152,27 +160,35 @@ func (c *Client) readLoop(conn net.Conn) {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.Seq]
+		p, ok := c.pending[resp.Seq]
 		delete(c.pending, resp.Seq)
 		c.mu.Unlock()
 		if ok {
-			ch <- resp
+			p.ch <- resp
 		}
 	}
 }
 
-// failAll unblocks every pending call after a connection failure. It
-// only clears the client's connection if it is still the failed one —
-// a racing reconnect may already have installed a fresh connection.
+// failAll unblocks every call pending on a failed connection and closes
+// it (a frame that does not decode leaves the stream unusable even
+// though the transport is up). Calls on a replacement connection a
+// racing reconnect already installed are left alone, as is the
+// client's connection unless it is still the failed one.
 func (c *Client) failAll(failed net.Conn) {
+	failed.Close()
 	c.mu.Lock()
-	pending := c.pending
-	c.pending = make(map[uint64]chan *wire.Message)
+	var lost []chan *wire.Message
+	for seq, p := range c.pending {
+		if p.conn == failed {
+			delete(c.pending, seq)
+			lost = append(lost, p.ch)
+		}
+	}
 	if c.conn == failed {
 		c.conn = nil
 	}
 	c.mu.Unlock()
-	for _, ch := range pending {
+	for _, ch := range lost {
 		close(ch)
 	}
 }
@@ -256,7 +272,7 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Message) (*wire.Messag
 		c.enc = wire.NewEncoder()
 	}
 	ch := make(chan *wire.Message, 1)
-	c.pending[req.Seq] = ch
+	c.pending[req.Seq] = call{conn: c.conn, ch: ch}
 	err := c.enc.WriteFrame(c.w, req, c.creds.Key)
 	if err == nil {
 		err = c.w.Flush()
@@ -278,7 +294,7 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Message) (*wire.Messag
 		if !ok {
 			return nil, errors.New("kinetic: connection lost")
 		}
-		if resp.ServiceUs != 0 {
+		if resp.ServiceUs != 0 && obs.Recording(ctx) {
 			// Attribute the drive's own service time (media wait
 			// included) under the current span; the remainder of the
 			// round trip is network and queueing.

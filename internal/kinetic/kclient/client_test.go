@@ -399,3 +399,27 @@ func TestReconnectChurn(t *testing.T) {
 		t.Fatalf("client did not recover after churn: %v", err)
 	}
 }
+
+// TestUnsendableReplyFailsTheCall: a reply the drive cannot frame (a
+// range listing past the frame limit) must not strand its caller on a
+// connection that still looks alive. The drive drops the connection;
+// the call fails at once, and the client redials for the next one.
+func TestUnsendableReplyFailsTheCall(t *testing.T) {
+	_, cl := startDrive(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pad := bytes.Repeat([]byte("k"), 3000)
+	for i := 0; i < 800; i++ { // 800 keys x 3 KB: a 2.4 MB listing
+		key := append([]byte(fmt.Sprintf("%04d/", i)), pad...)
+		if err := cl.Put(ctx, key, []byte("v"), nil, []byte("1"), true); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	_, err := cl.GetKeyRange(ctx, []byte("0"), []byte("9"), true, false, 800)
+	if err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("over-size listing: %v, want a prompt transport error", err)
+	}
+	if keys, err := cl.GetKeyRange(ctx, []byte("0"), []byte("9"), true, false, 10); err != nil || len(keys) != 10 {
+		t.Fatalf("after the dropped connection: %d keys, %v", len(keys), err)
+	}
+}

@@ -75,6 +75,10 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriterSize(conn, 64<<10)
+	// One encoder per connection, under the write lock: replies are
+	// marshalled into its reused buffer and a value goes out from the
+	// store's slice.
+	enc := wire.NewEncoder()
 	var wmu sync.Mutex
 	for {
 		var req wire.Message
@@ -101,10 +105,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			wmu.Lock()
 			defer wmu.Unlock()
-			if err := wire.WriteFrame(w, resp); err != nil {
-				return
+			err := enc.WriteUnsigned(w, resp)
+			if err == nil {
+				err = w.Flush()
 			}
-			w.Flush()
+			if err != nil {
+				// A reply that cannot be sent (an over-size range
+				// listing, a broken pipe) must not leave its caller
+				// waiting on a connection that looks alive, and the
+				// buffered writer refuses everything after an error
+				// anyway: drop the connection, which fails every call
+				// pending on it.
+				conn.Close()
+			}
 		}(req)
 	}
 }

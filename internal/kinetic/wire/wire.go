@@ -26,7 +26,9 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"maps"
 	"math"
+	"slices"
 )
 
 // MaxMessageSize bounds a single frame (1 MB object + headroom),
@@ -80,24 +82,26 @@ func (t MessageType) Response() MessageType {
 // IsRequest reports whether t is a request type.
 func (t MessageType) IsRequest() bool { return t >= TGet && t%2 == 0 }
 
+// typeNames indexes the diagnostic name of every message type.
+var typeNames = [...]string{
+	TGet: "GET", TGetResponse: "GET_RESPONSE",
+	TPut: "PUT", TPutResponse: "PUT_RESPONSE",
+	TDelete: "DELETE", TDeleteResponse: "DELETE_RESPONSE",
+	TGetKeyRange: "GETKEYRANGE", TGetKeyRangeResp: "GETKEYRANGE_RESPONSE",
+	TSecurity: "SECURITY", TSecurityResponse: "SECURITY_RESPONSE",
+	TErase: "ERASE", TEraseResponse: "ERASE_RESPONSE",
+	TNoop: "NOOP", TNoopResponse: "NOOP_RESPONSE",
+	TFlush: "FLUSH", TFlushResponse: "FLUSH_RESPONSE",
+	TP2PPush: "P2PPUSH", TP2PPushResponse: "P2PPUSH_RESPONSE",
+	TGetLog: "GETLOG", TGetLogResponse: "GETLOG_RESPONSE",
+	TGetVersion: "GETVERSION", TGetVersionResp: "GETVERSION_RESPONSE",
+	TBatch: "BATCH", TBatchResp: "BATCH_RESPONSE",
+}
+
 // String implements fmt.Stringer for diagnostics.
 func (t MessageType) String() string {
-	names := map[MessageType]string{
-		TGet: "GET", TGetResponse: "GET_RESPONSE",
-		TPut: "PUT", TPutResponse: "PUT_RESPONSE",
-		TDelete: "DELETE", TDeleteResponse: "DELETE_RESPONSE",
-		TGetKeyRange: "GETKEYRANGE", TGetKeyRangeResp: "GETKEYRANGE_RESPONSE",
-		TSecurity: "SECURITY", TSecurityResponse: "SECURITY_RESPONSE",
-		TErase: "ERASE", TEraseResponse: "ERASE_RESPONSE",
-		TNoop: "NOOP", TNoopResponse: "NOOP_RESPONSE",
-		TFlush: "FLUSH", TFlushResponse: "FLUSH_RESPONSE",
-		TP2PPush: "P2PPUSH", TP2PPushResponse: "P2PPUSH_RESPONSE",
-		TGetLog: "GETLOG", TGetLogResponse: "GETLOG_RESPONSE",
-		TGetVersion: "GETVERSION", TGetVersionResp: "GETVERSION_RESPONSE",
-		TBatch: "BATCH", TBatchResp: "BATCH_RESPONSE",
-	}
-	if s, ok := names[t]; ok {
-		return s
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("MessageType(%d)", uint8(t))
 }
@@ -288,7 +292,21 @@ type Message struct {
 	ServiceUs uint32
 
 	HMAC []byte // authentication tag, set by Sign
+
+	// frame is the frame body a message decoded by ReadFrame owns:
+	// every byte field above aliases it, and Verify authenticates it
+	// as received. nil for messages built in memory or decoded by
+	// Unmarshal. macOff is the offset of the fHMAC field inside frame,
+	// or -1 when the frame breaks the framing rule (exactly one fHMAC,
+	// as the final field, nothing after it).
+	frame  []byte
+	macOff int
 }
+
+// FrameSize is the size of the frame body m was decoded from by
+// ReadFrame, 0 for any other message. A holder that retains one of
+// m's byte fields retains that many bytes with it.
+func (m *Message) FrameSize() int { return len(m.frame) }
 
 // Field tags for the TLV encoding.
 const (
@@ -335,6 +353,16 @@ func (m *Message) Marshal() []byte {
 // marshalBody encodes every field except the HMAC; this is the exact
 // byte string the HMAC is computed over.
 func (m *Message) marshalBody(buf []byte) []byte {
+	buf = m.marshalHead(buf)
+	buf = append(buf, m.Value...)
+	return m.marshalTail(buf)
+}
+
+// marshalHead encodes the fields ahead of the value, ending with the
+// value field's tag and length when there is a value: head | Value |
+// tail is the message body, which lets the Encoder put a large value
+// on the wire without copying it.
+func (m *Message) marshalHead(buf []byte) []byte {
 	buf = appendField(buf, fType, []byte{byte(m.Type)})
 	var seq [8]byte
 	binary.BigEndian.PutUint64(seq[:], m.Seq)
@@ -352,8 +380,14 @@ func (m *Message) marshalBody(buf []byte) []byte {
 		buf = appendField(buf, fKey, m.Key)
 	}
 	if len(m.Value) > 0 {
-		buf = appendField(buf, fValue, m.Value)
+		buf = append(buf, fValue)
+		buf = binary.AppendUvarint(buf, uint64(len(m.Value)))
 	}
+	return buf
+}
+
+// marshalTail encodes the fields that follow the value.
+func (m *Message) marshalTail(buf []byte) []byte {
 	if len(m.DBVersion) > 0 {
 		buf = appendField(buf, fDBVersion, m.DBVersion)
 	}
@@ -395,10 +429,14 @@ func (m *Message) marshalBody(buf []byte) []byte {
 	if m.Peer != "" {
 		buf = appendField(buf, fPeer, []byte(m.Peer))
 	}
-	for k, v := range m.Log {
-		entry := appendField(nil, 1, []byte(k))
-		entry = appendField(entry, 2, []byte(v))
-		buf = appendField(buf, fLogEntry, entry)
+	if len(m.Log) > 0 {
+		// Sorted so a message has one encoding, which is what an HMAC
+		// or a golden frame is taken over.
+		for _, k := range slices.Sorted(maps.Keys(m.Log)) {
+			entry := appendField(nil, 1, []byte(k))
+			entry = appendField(entry, 2, []byte(m.Log[k]))
+			buf = appendField(buf, fLogEntry, entry)
+		}
 	}
 	for _, op := range m.Batch {
 		// Encoded in place: the nested entry's size is computed up
@@ -436,15 +474,66 @@ func (m *Message) marshalBody(buf []byte) []byte {
 	return buf
 }
 
-// Unmarshal decodes data into m, replacing all fields.
-func (m *Message) Unmarshal(data []byte) error {
+// Unmarshal decodes data into m, replacing all fields. Byte fields are
+// copied out of data, which stays the caller's.
+func (m *Message) Unmarshal(data []byte) error { return m.decode(data, false) }
+
+// decode parses data into m. With alias set m takes ownership of data:
+// byte fields are sub-slices of it, capacity-limited so appending to
+// one can never reach a sibling, and Verify authenticates data as
+// received.
+func (m *Message) decode(data []byte, alias bool) error {
 	*m = Message{}
-	for len(data) > 0 {
-		tag, val, rest, err := readField(data)
+	own := cloneBytes
+	if alias {
+		own = aliasBytes
+	}
+	// Size the repeated fields first so each costs one allocation
+	// rather than an append growth series.
+	var nKeys, nACLs, nBatch, nSizes, nStatus int
+	for rest := data; len(rest) > 0; {
+		tag, _, r, err := readField(rest)
 		if err != nil {
 			return err
 		}
-		data = rest
+		rest = r
+		switch tag {
+		case fKeysEntry:
+			nKeys++
+		case fACLEntry:
+			nACLs++
+		case fBatchEntry:
+			nBatch++
+		case fGroupSize:
+			nSizes++
+		case fGroupStatus:
+			nStatus++
+		}
+	}
+	if nKeys > 0 {
+		m.Keys = make([][]byte, 0, nKeys)
+	}
+	if nACLs > 0 {
+		m.ACLs = make([]ACL, 0, nACLs)
+	}
+	if nBatch > 0 {
+		m.Batch = make([]BatchOp, 0, nBatch)
+	}
+	if nSizes > 0 {
+		m.GroupSizes = make([]uint32, 0, nSizes)
+	}
+	if nStatus > 0 {
+		m.GroupStatus = make([]BatchGroupStatus, 0, nStatus)
+	}
+
+	macs, macOff := 0, 0 // fHMAC fields seen, offset of the latest
+	for rest := data; len(rest) > 0; {
+		off := len(data) - len(rest)
+		tag, val, r, err := readField(rest)
+		if err != nil {
+			return err
+		}
+		rest = r
 		switch tag {
 		case fType:
 			if len(val) != 1 {
@@ -466,13 +555,13 @@ func (m *Message) Unmarshal(data []byte) error {
 		case fStatusMsg:
 			m.StatusMsg = string(val)
 		case fKey:
-			m.Key = cloneBytes(val)
+			m.Key = own(val)
 		case fValue:
-			m.Value = cloneBytes(val)
+			m.Value = own(val)
 		case fDBVersion:
-			m.DBVersion = cloneBytes(val)
+			m.DBVersion = own(val)
 		case fNewVersion:
-			m.NewVersion = cloneBytes(val)
+			m.NewVersion = own(val)
 		case fForce:
 			m.Force = len(val) == 1 && val[0] == 1
 		case fSync:
@@ -481,9 +570,9 @@ func (m *Message) Unmarshal(data []byte) error {
 			}
 			m.Sync = SyncMode(val[0])
 		case fStartKey:
-			m.StartKey = cloneBytes(val)
+			m.StartKey = own(val)
 		case fEndKey:
-			m.EndKey = cloneBytes(val)
+			m.EndKey = own(val)
 		case fMaxReturned:
 			if len(val) != 4 {
 				return errors.New("wire: bad maxReturned field")
@@ -494,15 +583,15 @@ func (m *Message) Unmarshal(data []byte) error {
 		case fKeyInclusive:
 			m.KeyInclusive = len(val) == 1 && val[0] == 1
 		case fKeysEntry:
-			m.Keys = append(m.Keys, cloneBytes(val))
+			m.Keys = append(m.Keys, own(val))
 		case fACLEntry:
-			acl, err := unmarshalACL(val)
+			acl, err := unmarshalACL(val, own)
 			if err != nil {
 				return err
 			}
 			m.ACLs = append(m.ACLs, acl)
 		case fPin:
-			m.Pin = cloneBytes(val)
+			m.Pin = own(val)
 		case fPeer:
 			m.Peer = string(val)
 		case fLogEntry:
@@ -515,7 +604,7 @@ func (m *Message) Unmarshal(data []byte) error {
 			}
 			m.Log[k] = v
 		case fBatchEntry:
-			op, err := unmarshalBatchOp(val)
+			op, err := unmarshalBatchOp(val, own)
 			if err != nil {
 				return err
 			}
@@ -548,76 +637,146 @@ func (m *Message) Unmarshal(data []byte) error {
 			}
 			m.ServiceUs = binary.BigEndian.Uint32(val)
 		case fHMAC:
-			m.HMAC = cloneBytes(val)
+			m.HMAC = own(val)
+			macs++
+			macOff = off
 		default:
 			// Unknown fields are skipped for forward compatibility.
+		}
+	}
+	if alias {
+		m.frame = data
+		m.macOff = -1
+		if macs == 1 && macOff+fieldSize(len(m.HMAC)) == len(data) {
+			m.macOff = macOff
 		}
 	}
 	return nil
 }
 
 // Sign computes and installs the HMAC over the message body using key.
+// A message that was received stops standing for its frame: from here
+// on it verifies as the fields it now carries.
 func (m *Message) Sign(key []byte) {
 	mac := hmac.New(sha256.New, key)
 	mac.Write(m.marshalBody(nil))
 	m.HMAC = mac.Sum(nil)
+	m.frame = nil
 }
 
 // Verify reports whether the message HMAC is valid under key.
-func (m *Message) Verify(key []byte) bool {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(m.marshalBody(nil))
-	return hmac.Equal(mac.Sum(nil), m.HMAC)
+func (m *Message) Verify(key []byte) bool { return NewMAC(key).Verify(m) }
+
+// MAC is HMAC-SHA256 state keyed once and reused across messages: the
+// two SHA-256 key schedules of hmac.New are paid per credential, not
+// per message. A MAC is not safe for concurrent use.
+type MAC struct {
+	h   hash.Hash
+	sum []byte
+}
+
+// NewMAC returns reusable HMAC state for key.
+func NewMAC(key []byte) *MAC {
+	return &MAC{h: hmac.New(sha256.New, key), sum: make([]byte, 0, sha256.Size)}
+}
+
+// Verify reports whether m's HMAC is valid under the MAC's key. A
+// message decoded by ReadFrame is authenticated as the bytes that
+// arrived — everything ahead of the fHMAC field, unknown fields
+// included — and fails unless that field is the last thing in the
+// frame; any other message is authenticated by re-marshalling its
+// fields.
+func (a *MAC) Verify(m *Message) bool {
+	a.h.Reset()
+	switch {
+	case m.frame == nil:
+		a.h.Write(m.marshalBody(nil))
+	case m.macOff < 0:
+		return false
+	default:
+		a.h.Write(m.frame[:m.macOff])
+	}
+	a.sum = a.h.Sum(a.sum[:0])
+	return hmac.Equal(a.sum, m.HMAC)
 }
 
 // Encoder signs and frames messages for one connection, reusing the
-// HMAC state, the marshal buffer and the tag buffer across messages.
-// The per-message Sign+WriteFrame pair marshals the body twice and
-// allocates a fresh HMAC state (two SHA-256 key schedules) per
-// message; on the controller's hot path that allocation dominates the
-// per-request CPU outside crypto itself. An Encoder marshals once,
-// re-keys only when the credential key actually changes, and emits
-// byte-identical frames to Sign+WriteFrame.
+// HMAC state and the marshal buffer across messages. The per-message
+// Sign+WriteFrame pair marshals the body twice and allocates a fresh
+// HMAC state (two SHA-256 key schedules) per message; on the
+// controller's hot path that allocation dominates the per-request CPU
+// outside crypto itself. An Encoder marshals once, never copies the
+// message value — it goes from the caller's slice to the MAC and to the
+// writer — re-keys only when the credential key actually changes, and
+// emits byte-identical frames to Sign+WriteFrame.
 //
 // An Encoder is not safe for concurrent use; callers serialize on
 // their connection write lock, which is exactly the scope the reused
 // buffers need.
 type Encoder struct {
 	key []byte
-	mac hash.Hash
+	mac *MAC
 	buf []byte
-	sum []byte
 }
 
 // NewEncoder returns an empty Encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
+// frameHeaderLen is the magic byte plus the body length.
+const frameHeaderLen = 5
+
 // WriteFrame signs m under key and writes the framed message to w,
 // equivalent to m.Sign(key) followed by WriteFrame(w, m) but without
-// the double marshal or per-message allocations. m.HMAC is left
-// untouched.
+// the double marshal, the value copy or per-message allocations.
+// m.HMAC is left untouched.
 func (e *Encoder) WriteFrame(w io.Writer, m *Message, key []byte) error {
-	body := m.marshalBody(e.buf[:0])
 	if e.mac == nil || !bytes.Equal(e.key, key) {
 		e.key = append(e.key[:0], key...)
-		e.mac = hmac.New(sha256.New, key)
-	} else {
-		e.mac.Reset()
+		e.mac = NewMAC(key)
 	}
-	e.mac.Write(body)
-	e.sum = e.mac.Sum(e.sum[:0])
-	body = appendField(body, fHMAC, e.sum)
-	e.buf = body[:0] // keep the grown capacity for the next message
-	if len(body) > MaxMessageSize {
-		return fmt.Errorf("wire: message too large: %d bytes", len(body))
+	return e.write(w, m, e.mac)
+}
+
+// WriteUnsigned writes the framed message to w without an HMAC field —
+// how a drive answers — equivalent to WriteFrame(w, m) for a message
+// whose HMAC is unset.
+func (e *Encoder) WriteUnsigned(w io.Writer, m *Message) error {
+	return e.write(w, m, nil)
+}
+
+// write frames m as header+head | value | tail+HMAC: the marshalled
+// pieces share the reused buffer and the value is MACed and written
+// from where it lies.
+func (e *Encoder) write(w io.Writer, m *Message, mac *MAC) error {
+	buf := append(e.buf[:0], Magic, 0, 0, 0, 0)
+	buf = m.marshalHead(buf)
+	split := len(buf)
+	buf = m.marshalTail(buf)
+	if mac != nil {
+		mac.h.Reset()
+		mac.h.Write(buf[frameHeaderLen:split])
+		mac.h.Write(m.Value)
+		mac.h.Write(buf[split:])
+		mac.sum = mac.h.Sum(mac.sum[:0])
+		buf = appendField(buf, fHMAC, mac.sum)
 	}
-	var hdr [5]byte
-	hdr[0] = Magic
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	e.buf = buf[:0] // keep the grown capacity for the next message
+	n := len(buf) - frameHeaderLen + len(m.Value)
+	if n > MaxMessageSize {
+		return fmt.Errorf("wire: message too large: %d bytes", n)
+	}
+	binary.BigEndian.PutUint32(buf[1:], uint32(n))
+	if len(m.Value) == 0 {
+		_, err := w.Write(buf)
 		return err
 	}
-	_, err := w.Write(body)
+	if _, err := w.Write(buf[:split]); err != nil {
+		return err
+	}
+	if _, err := w.Write(m.Value); err != nil {
+		return err
+	}
+	_, err := w.Write(buf[split:])
 	return err
 }
 
@@ -627,7 +786,7 @@ func WriteFrame(w io.Writer, m *Message) error {
 	if len(body) > MaxMessageSize {
 		return fmt.Errorf("wire: message too large: %d bytes", len(body))
 	}
-	var hdr [5]byte
+	var hdr [frameHeaderLen]byte
 	hdr[0] = Magic
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -637,10 +796,16 @@ func WriteFrame(w io.Writer, m *Message) error {
 	return err
 }
 
-// ReadFrame reads one framed message from r.
+// ReadFrame reads one framed message from r. The frame body is the one
+// allocation the message's bytes cost: m owns it and its byte fields
+// (batch sub-operations and ACL keys included) alias it, so whoever
+// retains a field retains the frame — see FrameSize.
 func ReadFrame(r *bufio.Reader, m *Message) error {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(frameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return err
 	}
 	if hdr[0] != Magic {
@@ -650,11 +815,12 @@ func ReadFrame(r *bufio.Reader, m *Message) error {
 	if n > MaxMessageSize {
 		return fmt.Errorf("wire: frame too large: %d bytes", n)
 	}
+	r.Discard(frameHeaderLen) // cannot fail: Peek buffered these bytes
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return err
 	}
-	return m.Unmarshal(body)
+	return m.decode(body, true)
 }
 
 func marshalACL(a ACL) []byte {
@@ -666,7 +832,7 @@ func marshalACL(a ACL) []byte {
 	return buf
 }
 
-func unmarshalACL(data []byte) (ACL, error) {
+func unmarshalACL(data []byte, own func([]byte) []byte) (ACL, error) {
 	var a ACL
 	for len(data) > 0 {
 		tag, val, rest, err := readField(data)
@@ -678,7 +844,7 @@ func unmarshalACL(data []byte) (ACL, error) {
 		case 1:
 			a.Identity = string(val)
 		case 2:
-			a.Key = cloneBytes(val)
+			a.Key = own(val)
 		case 3:
 			if len(val) != 2 {
 				return a, errors.New("wire: bad ACL perms")
@@ -753,7 +919,7 @@ func appendBatchOpBody(buf []byte, op BatchOp) []byte {
 	return buf
 }
 
-func unmarshalBatchOp(data []byte) (BatchOp, error) {
+func unmarshalBatchOp(data []byte, own func([]byte) []byte) (BatchOp, error) {
 	var op BatchOp
 	for len(data) > 0 {
 		tag, val, rest, err := readField(data)
@@ -768,13 +934,13 @@ func unmarshalBatchOp(data []byte) (BatchOp, error) {
 			}
 			op.Op = BatchOpKind(val[0])
 		case bKey:
-			op.Key = cloneBytes(val)
+			op.Key = own(val)
 		case bValue:
-			op.Value = cloneBytes(val)
+			op.Value = own(val)
 		case bDBVersion:
-			op.DBVersion = cloneBytes(val)
+			op.DBVersion = own(val)
 		case bNewVersion:
-			op.NewVersion = cloneBytes(val)
+			op.NewVersion = own(val)
 		case bForce:
 			op.Force = len(val) == 1 && val[0] == 1
 		}
@@ -881,6 +1047,16 @@ func readField(data []byte) (tag uint8, val, rest []byte, err error) {
 		return 0, nil, nil, errors.New("wire: truncated field value")
 	}
 	return tag, data[start : start+int(n)], data[start+int(n):], nil
+}
+
+// aliasBytes is cloneBytes without the copy: b with its capacity cut to
+// its length, so an append reallocates instead of overwriting what
+// follows b in the frame.
+func aliasBytes(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
 }
 
 func cloneBytes(b []byte) []byte {

@@ -316,6 +316,14 @@ func RecordSpan(ctx context.Context, name string, start time.Time, dur time.Dura
 	sc.trace.recordSpan(sc.span, name, start.Sub(sc.trace.base), dur, attrs)
 }
 
+// Recording reports whether ctx carries an open span, i.e. whether a
+// RecordSpan on it would be kept. Hot paths check it before building
+// span attributes.
+func Recording(ctx context.Context) bool {
+	_, ok := ctx.Value(spanCtxKey).(spanCtx)
+	return ok
+}
+
 // TraceID returns the trace id visible in ctx: the active span's
 // trace if one is open, else an id installed by WithTraceID, else 0.
 // This is what the drive client stamps into wire messages and the

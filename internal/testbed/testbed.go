@@ -446,7 +446,7 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 	c.REST = core.NewREST(c.Controller)
 	c.restLn = netx.NewListener(name)
 	srvCfg := tlsutil.ServerConfig(c.serverID, e.CA.Pool())
-	c.httpSrv = &http.Server{Handler: c.REST}
+	c.httpSrv = c.REST.Server()
 	go c.httpSrv.Serve(tls.NewListener(restLnAdapter{c.restLn}, srvCfg))
 	return c, nil
 }
