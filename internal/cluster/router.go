@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -86,6 +87,9 @@ type RouterStats struct {
 	// plus redirect-driven retries) — the router's total extra load on
 	// the cluster beyond first-attempt traffic.
 	Retries obs.Counter
+	// ListTopUps counts second fetches from a shard within one listing
+	// page: its share ran out before the merged page was full.
+	ListTopUps obs.Counter
 }
 
 // register exposes the stats words on a registry.
@@ -95,6 +99,7 @@ func (st *RouterStats) register(r *obs.Registry) {
 	r.RegisterCounter("pesos_router_max_redirects_per_op", "Worst redirect count any single operation needed.", &st.MaxRedirectsPerOp)
 	r.RegisterCounter("pesos_router_retargets_total", "Connection failures that triggered a map refresh and retry.", &st.Retargets)
 	r.RegisterCounter("pesos_router_retries_total", "Operation re-dispatches of any kind.", &st.Retries)
+	r.RegisterCounter("pesos_router_list_topups_total", "Second fetches from a shard within one listing page.", &st.ListTopUps)
 }
 
 // Router routes the v2 API across the shards of a cluster.
@@ -793,112 +798,189 @@ func buildCursors(m *ShardMap, opts client.ListOptions, tok *routerToken, forceB
 	return out
 }
 
-// listOnce fetches and merges one candidate page; retry reports an
-// epoch-torn fetch.
-func (r *Router) listOnce(ctx context.Context, m *ShardMap, opts client.ListOptions, limit int, cursors map[int]routerCursor) (*client.ListPage, bool, error) {
-	type shardPage struct {
-		id   int
-		page *client.ListPage
-		err  error
+// shardList is one shard's part of a page being assembled: the entries
+// fetched so far from its cursor, and where the shard resumes.
+type shardList struct {
+	shard   *Shard
+	cur     routerCursor // resume position past the last fetched entry
+	want    int          // entries the next fetch asks for
+	entries []client.ListEntry
+	more    bool // the shard holds entries past those fetched
+}
+
+// last is the greatest key fetched; only meaningful while more.
+func (l *shardList) last() string { return string(l.entries[len(l.entries)-1].Key) }
+
+// shardShare is how many entries to ask one of several shards for: its
+// expected part of a limit-entry page — keys hash uniformly, so the
+// shard's fraction of the hash space the active shards own — plus
+// √limit of slack, which is at least two standard deviations of that
+// part, so a second fetch is the exception. Tiny pages ask for limit
+// outright: the slack would exceed the saving.
+func shardShare(limit int, width, total uint64) int {
+	if limit <= 3 || width >= total {
+		return limit
 	}
+	expected := (uint64(limit)*width + total - 1) / total
+	return min(limit, int(expected)+int(math.Ceil(math.Sqrt(float64(limit)))))
+}
+
+// fetchShardPages fetches the next want entries of every list, in
+// parallel, and appends them; retry reports an epoch-torn fetch.
+func (r *Router) fetchShardPages(ctx context.Context, m *ShardMap, opts client.ListOptions, lists []*shardList) (retry bool, err error) {
+	pages := make([]*client.ListPage, len(lists))
+	errs := make([]error, len(lists))
 	var wg sync.WaitGroup
-	ch := make(chan shardPage, len(m.Shards))
-	active := 0
-	for i := range m.Shards {
-		s := &m.Shards[i]
-		cur := cursors[s.ID]
-		if cur.Done {
-			continue
-		}
-		active++
+	for i, l := range lists {
 		wg.Add(1)
-		go func(s *Shard, cur routerCursor) {
+		go func(i int, l *shardList) {
 			defer wg.Done()
-			cl, err := r.clientFor(s)
+			cl, err := r.clientFor(l.shard)
 			if err != nil {
-				ch <- shardPage{s.ID, nil, err}
+				errs[i] = err
 				return
 			}
-			lopts := client.ListOptions{Prefix: opts.Prefix, Limit: limit, Certs: opts.Certs}
-			if cur.Token != "" {
-				lopts.Token = cur.Token
+			lopts := client.ListOptions{Prefix: opts.Prefix, Limit: l.want, Certs: opts.Certs}
+			if l.cur.Token != "" {
+				lopts.Token = l.cur.Token
 			} else {
-				lopts.Start = string(cur.Start)
+				lopts.Start = string(l.cur.Start)
 			}
-			page, err := cl.List(ctx, lopts)
-			ch <- shardPage{s.ID, page, err}
-		}(s, cur)
+			pages[i], errs[i] = cl.List(ctx, lopts)
+		}(i, l)
 	}
 	wg.Wait()
-	close(ch)
-
-	pages := make(map[int]*client.ListPage, active)
-	for sp := range ch {
-		if sp.err != nil {
+	for i, l := range lists {
+		if err := errs[i]; err != nil {
 			// A shard that never answered may have just failed over:
 			// surface as a retry so List refreshes the map and re-fetches
 			// from the boundary (bounded by listEpochWait).
-			if isRetriableTransport(sp.err) {
+			if isRetriableTransport(err) {
 				r.stats.Retargets.Add(1)
-				return nil, true, nil
+				return true, nil
 			}
-			return nil, false, sp.err
+			return false, err
 		}
-		if sp.page.ShardEpoch != 0 && sp.page.ShardEpoch != m.Epoch {
-			return nil, true, nil
+		page := pages[i]
+		if page.ShardEpoch != 0 && page.ShardEpoch != m.Epoch {
+			return true, nil
 		}
-		pages[sp.id] = sp.page
+		if l.entries == nil {
+			l.entries = page.Entries
+		} else {
+			l.entries = append(l.entries, page.Entries...)
+		}
+		l.more = page.NextToken != ""
+		if l.more {
+			if len(l.entries) == 0 {
+				return false, fmt.Errorf("cluster: shard %d continued a listing it returned nothing of", l.shard.ID)
+			}
+			l.cur = routerCursor{Token: page.NextToken}
+		}
+	}
+	return false, nil
+}
+
+// listOnce assembles one page; retry reports an epoch-torn fetch. Each
+// active shard is asked for its share of the page, not a full page. The
+// merge may only emit keys up to the horizon — the smallest last-key
+// among shards that hold more — because past it a shard's unfetched
+// entries could sort first; when that leaves the page short, only the
+// shards bounding the horizon are asked again, for what is missing.
+func (r *Router) listOnce(ctx context.Context, m *ShardMap, opts client.ListOptions, limit int, cursors map[int]routerCursor) (*client.ListPage, bool, error) {
+	var lists []*shardList
+	var total uint64
+	for i := range m.Shards {
+		if s := &m.Shards[i]; !cursors[s.ID].Done {
+			lists = append(lists, &shardList{shard: s, cur: cursors[s.ID]})
+			total += hashWidth(s)
+		}
+	}
+	for _, l := range lists {
+		l.want = shardShare(limit, hashWidth(l.shard), total)
 	}
 
-	// Merge the sorted per-shard pages and cut at the limit.
-	type tagged struct {
-		e  client.ListEntry
-		id int
-	}
-	var all []tagged
-	for id, p := range pages {
-		for _, e := range p.Entries {
-			all = append(all, tagged{e, id})
+	var horizon string
+	bounded := false
+	for pending := lists; len(pending) > 0; {
+		retry, err := r.fetchShardPages(ctx, m, opts, pending)
+		if retry || err != nil {
+			return nil, retry, err
+		}
+		bounded = false
+		for _, l := range lists {
+			if l.more && (!bounded || l.last() < horizon) {
+				horizon, bounded = l.last(), true
+			}
+		}
+		if !bounded {
+			break
+		}
+		within := 0
+		for _, l := range lists {
+			within += sort.Search(len(l.entries), func(i int) bool { return string(l.entries[i].Key) > horizon })
+		}
+		pending = nil
+		if within < limit {
+			for _, l := range lists {
+				if l.more && l.last() == horizon {
+					l.want = limit - within
+					pending = append(pending, l)
+				}
+			}
+			r.stats.ListTopUps.Add(uint64(len(pending)))
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].e.Key < all[j].e.Key })
-	n := min(limit, len(all))
-	out := &client.ListPage{ShardEpoch: m.Epoch}
-	for _, t := range all[:n] {
-		out.Entries = append(out.Entries, t.e)
+
+	// Merge the sorted per-shard lists up to the horizon, cut at the limit.
+	fetched := 0
+	for _, l := range lists {
+		fetched += len(l.entries)
+	}
+	out := &client.ListPage{ShardEpoch: m.Epoch, Entries: make([]client.ListEntry, 0, min(limit, fetched))}
+	pos := make([]int, len(lists))
+	for len(out.Entries) < limit {
+		best := -1
+		for i, l := range lists {
+			if pos[i] < len(l.entries) && (best < 0 || l.entries[pos[i]].Key < lists[best].entries[pos[best]].Key) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		e := lists[best].entries[pos[best]]
+		if bounded && string(e.Key) > horizon {
+			break
+		}
+		out.Entries = append(out.Entries, e)
+		pos[best]++
 	}
 	var boundary []byte
-	if n > 0 {
-		boundary = []byte(all[n-1].e.Key)
+	if n := len(out.Entries); n > 0 {
+		boundary = []byte(out.Entries[n-1].Key)
 	}
 
-	// Per-shard next cursors: server token when the fetched page was
-	// consumed whole, boundary restart when it was cut, done when the
-	// shard is exhausted.
+	// Per-shard next cursors: the shard's own token when everything
+	// fetched from it was emitted, boundary restart when it was cut,
+	// done when the shard is exhausted.
 	next := &routerToken{Epoch: m.Epoch, Boundary: boundary, Cursors: make(map[string]routerCursor)}
-	allDone := true
 	for i := range m.Shards {
-		id := m.Shards[i].ID
-		cur, p := cursors[id], pages[id]
-		var nc routerCursor
+		next.Cursors[strconv.Itoa(m.Shards[i].ID)] = routerCursor{Done: true}
+	}
+	allDone := true
+	for i, l := range lists {
+		nc := routerCursor{Done: true}
 		switch {
-		case cur.Done:
-			nc = routerCursor{Done: true}
-		case p == nil:
-			nc = cur // not fetched this round (unreachable today)
-		case len(p.Entries) == 0 || string(p.Entries[len(p.Entries)-1].Key) <= string(boundary):
-			if p.NextToken == "" {
-				nc = routerCursor{Done: true}
-			} else {
-				nc = routerCursor{Token: p.NextToken}
-			}
-		default:
+		case pos[i] < len(l.entries):
 			nc = routerCursor{Start: []byte(successorKey(boundary))}
+		case l.more:
+			nc = l.cur
 		}
 		if !nc.Done {
 			allDone = false
 		}
-		next.Cursors[strconv.Itoa(id)] = nc
+		next.Cursors[strconv.Itoa(l.shard.ID)] = nc
 	}
 	if !allDone {
 		token, err := encodeRouterToken(next)
@@ -908,6 +990,15 @@ func (r *Router) listOnce(ctx context.Context, m *ShardMap, opts client.ListOpti
 		out.NextToken = token
 	}
 	return out, false, nil
+}
+
+// hashWidth is the number of hash points a shard owns.
+func hashWidth(s *Shard) uint64 {
+	var w uint64
+	for _, r := range s.Ranges {
+		w += uint64(r.End - r.Start)
+	}
+	return w
 }
 
 // ListAll drains the cluster-wide listing from the given position.

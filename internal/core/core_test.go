@@ -448,3 +448,40 @@ func TestObjectSizeLimit(t *testing.T) {
 		t.Fatalf("oversized object: %v", err)
 	}
 }
+
+// TestFetchMetaBindsRecordToKey: a drive answering m/k1 with m/k2's
+// record must not hand k1's policy check k2's policy. The mis-keyed
+// copy counts as corrupt — the next replica stands in — and with no
+// honest replica the read fails rather than trusting the record.
+func TestFetchMetaBindsRecordToKey(t *testing.T) {
+	h := newHarness(t, 2, func(c *Config) { c.Replicas = 2 })
+	owner, other := h.ctl.Session("aa"), h.ctl.Session("bb")
+	ctx := context.Background()
+	private, err := h.ctl.PutPolicy(ctx, "read :- sessionKeyIs(k'aa')\nupdate :- sessionKeyIs(k'aa')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.Put(ctx, "k1", []byte("classified"), PutOptions{PolicyID: private}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Put(ctx, "k2", []byte("anyone's"), PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	k2 := driveMetaBytes(t, h, 0, "k2")
+
+	plantMeta(t, h, 0, "k1", k2)
+	for i := 0; i < 20; i++ { // whichever replica the read engine asks first
+		m, err := h.ctl.fetchMeta(ctx, "k1")
+		if err != nil || m.Key != "k1" || m.PolicyID != private {
+			t.Fatalf("read %d with one mis-keyed replica: %+v, %v", i, m, err)
+		}
+		h.ctl.metaCache.Clear()
+		if _, _, err := other.Get(ctx, "k1", GetOptions{}); !errors.Is(err, ErrDenied) {
+			t.Fatalf("read %d: k1 served to a reader its policy denies: %v", i, err)
+		}
+	}
+	plantMeta(t, h, 1, "k1", k2)
+	if m, err := h.ctl.fetchMeta(ctx, "k1"); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("every replica mis-keyed: %+v, %v; want store.ErrCorrupt", m, err)
+	}
+}

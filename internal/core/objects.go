@@ -371,8 +371,10 @@ func (c *Controller) loadMeta(ctx context.Context, key string) (*store.Meta, err
 	return m, err
 }
 
-// fetchMeta reads key's metadata off the drives. A malformed copy on
-// one replica fails over instead of failing the read.
+// fetchMeta reads key's metadata off the drives. A copy that is
+// malformed, or is another object's record served under this key — whose
+// PolicyID the policy check would then trust — fails over to the next
+// replica instead of failing the read.
 func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, error) {
 	placement := c.placement(key)
 	m, err := readReplicas(ctx, c, placement, func(ctx context.Context, p *drivePool) (*store.Meta, error) {
@@ -385,7 +387,11 @@ func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, er
 		if err != nil {
 			return nil, err
 		}
-		return store.UnmarshalMeta(val)
+		m, err := store.UnmarshalMeta(val)
+		if err == nil && m.Key != key {
+			return nil, store.ErrCorrupt
+		}
+		return m, err
 	})
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
@@ -492,15 +498,30 @@ func (c *Controller) checkPolicy(ctx context.Context, op lang.Perm, sessionKey, 
 }
 
 // policyEval carries one caller's policy-evaluation context across the
-// keys of a scan page, batch or transaction commit: the last resolved
-// residual and a reusable request, so a page of objects sharing one
-// policy (the 1:M case, §3) resolves it once. It belongs to a single
-// session and a single goroutine; it is NOT safe for concurrent use.
+// keys of a scan page, batch or transaction commit: the residuals
+// resolved so far and a reusable request, so a page of objects sharing
+// a few policies (the 1:M case, §3) resolves each once — interleaved
+// policies included. It belongs to a single session and a single
+// goroutine; it is NOT safe for concurrent use.
 type policyEval struct {
+	resolved []resolvedResidual
+	req      policy.Request // scratch, reused across keys
+}
+
+type resolvedResidual struct {
 	op       lang.Perm
 	policyID string
 	res      *policy.Residual
-	req      policy.Request // scratch, reused across keys
+}
+
+// maxPageResiduals bounds the linear search of policyEval.resolved; a
+// page with more distinct policies falls back to the residual cache.
+const maxPageResiduals = 8
+
+func (pe *policyEval) remember(op lang.Perm, policyID string, res *policy.Residual) {
+	if pe != nil && len(pe.resolved) < maxPageResiduals {
+		pe.resolved = append(pe.resolved, resolvedResidual{op, policyID, res})
+	}
 }
 
 // checkPolicyCtx is checkPolicy with an optional page context. pe may
@@ -594,21 +615,23 @@ func (c *Controller) checkPolicyCtx(ctx context.Context, pe *policyEval, op lang
 }
 
 // residualFor resolves the partial evaluation of (policy, op, session).
-// Resolution order: the caller's page context (adjacent keys sharing a
+// Resolution order: the caller's page context (earlier keys sharing the
 // policy), the EPC-charged residual cache, then a fresh PartialEval of
 // the loaded program. reused reports whether a pre-computed residual
 // served the check.
 func (c *Controller) residualFor(ctx context.Context, pe *policyEval, op lang.Perm, sessionKey, policyID string) (res *policy.Residual, reused bool, err error) {
-	if pe != nil && pe.res != nil && pe.policyID == policyID && pe.op == op {
-		return pe.res, true, nil
+	if pe != nil {
+		for i := range pe.resolved {
+			if r := &pe.resolved[i]; r.policyID == policyID && r.op == op {
+				return r.res, true, nil
+			}
+		}
 	}
 	var rkey string
 	if c.residualCache != nil {
 		rkey = decisionKey(policyID, op, sessionKey)
 		if r, ok := c.residualCache.Get(rkey); ok {
-			if pe != nil {
-				pe.policyID, pe.op, pe.res = policyID, op, r
-			}
+			pe.remember(op, policyID, r)
 			return r, true, nil
 		}
 	}
@@ -620,19 +643,19 @@ func (c *Controller) residualFor(ctx context.Context, pe *policyEval, op lang.Pe
 	if rkey != "" {
 		c.residualCache.Put(rkey, r)
 	}
-	if pe != nil {
-		pe.policyID, pe.op, pe.res = policyID, op, r
-	}
+	pe.remember(op, policyID, r)
 	return r, false, nil
 }
 
 // buildPolicyRequest fills a policy request, reusing the page
 // context's scratch request when one is supplied.
 func buildPolicyRequest(pe *policyEval, op lang.Perm, key, sessionKey string, nextVersion *int64, certs []*authority.Certificate, now time.Time) *policy.Request {
-	req := &policy.Request{}
+	var req *policy.Request
 	if pe != nil {
 		pe.req = policy.Request{}
 		req = &pe.req
+	} else {
+		req = &policy.Request{}
 	}
 	req.Op = op
 	req.ObjectID = key

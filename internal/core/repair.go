@@ -134,12 +134,12 @@ func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int
 		next := int64(0)
 		for {
 			c.chargeDriveIO(0)
-			dks, err := cl.GetKeyRange(ctx, store.ObjectKey(key, next), end, true, false, driveRangeCap)
-			if err != nil || len(dks) == 0 {
+			kr, err := cl.Range(ctx, store.ObjectKey(key, next), end, true, false, 0, false)
+			if err != nil || len(kr.Keys) == 0 {
 				break
 			}
 			last := int64(-1)
-			for _, dk := range dks {
+			for _, dk := range kr.Keys {
 				if _, v, err := store.VersionFromObjectKey(dk); err == nil {
 					if v <= maxVer {
 						seen[v] = true
@@ -147,7 +147,7 @@ func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int
 					last = v
 				}
 			}
-			if len(dks) < driveRangeCap || last < 0 || last >= maxVer {
+			if !kr.Truncated || last < 0 || last >= maxVer {
 				break
 			}
 			next = last + 1

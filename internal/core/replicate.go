@@ -470,29 +470,26 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, meta
 	return nil
 }
 
-// rangeAll drains a drive key range past the drive's per-response cap
-// (Kinetic drives return at most 800 keys per GetKeyRange), looping
-// with an exclusive-start continuation until the range is exhausted.
+// rangeAll drains a drive key range past the drive's per-response cap,
+// looping with an exclusive-start continuation while the drive marks
+// its reply truncated. Keys only: the ranges drained here hold object
+// and chunk records.
 func (c *Controller) rangeAll(ctx context.Context, cl *kclient.Client, start, end []byte) ([][]byte, error) {
 	var out [][]byte
 	inclusive := true
 	for {
 		c.chargeDriveIO(0)
-		keys, err := cl.GetKeyRange(ctx, start, end, inclusive, false, 0)
+		kr, err := cl.Range(ctx, start, end, inclusive, false, 0, false)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, keys...)
-		if len(keys) < driveRangeCap {
+		out = append(out, kr.Keys...)
+		if !kr.Truncated || len(kr.Keys) == 0 {
 			return out, nil
 		}
-		start, inclusive = keys[len(keys)-1], false
+		start, inclusive = kr.Keys[len(kr.Keys)-1], false
 	}
 }
-
-// driveRangeCap mirrors the drive-side GetKeyRange response cap; a
-// response this full may have been truncated.
-const driveRangeCap = 800
 
 // lockStripes acquires the per-key mutation stripes for a set of keys
 // in deterministic order (deduplicated, sorted) so multi-key commits

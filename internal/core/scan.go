@@ -19,11 +19,10 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/authority"
+	"repro/internal/kinetic/kclient"
 	"repro/internal/policy/lang"
 	"repro/internal/store"
 )
@@ -84,9 +83,12 @@ func (s *Session) Scan(ctx context.Context, opts ScanOptions) (*ScanPage, error)
 	return s.ctl.scanObjects(ctx, s.clientKey, opts)
 }
 
-// scanObjects serves one page. Per merged key the newest metadata is
-// fetched cache-first (the same loader as point reads, so hot listings
-// ride the key cache) and the object's policy decides visibility.
+// scanObjects serves one page. Every drive's range reply carries each
+// metadata record beside its key, so the page is decided from what the
+// drives reported — no per-key read, and the key cache is neither
+// consulted nor filled: a listing cannot evict the working set of point
+// reads. Per examined key the newest readable replica copy is decoded
+// and the object's policy decides visibility.
 func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts ScanOptions) (*ScanPage, error) {
 	if strings.ContainsRune(opts.Prefix, 0) || strings.ContainsRune(opts.Start, 0) {
 		return nil, fmt.Errorf("%w: scan bounds must not contain NUL", ErrInvalidArgument)
@@ -118,7 +120,7 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 	// epoch even if a handoff commits mid-scan.
 	shardEpoch, ownedRanges, sharded := c.shardSnapshot()
 
-	page := &ScanPage{Entries: []ScanEntry{}, ShardEpoch: shardEpoch}
+	page := &ScanPage{Entries: make([]ScanEntry, 0, limit), ShardEpoch: shardEpoch}
 	cursor := store.MetaKey(lower)
 	var filtered uint64
 	defer func() {
@@ -131,43 +133,52 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 		c.stats.Scans.Inc()
 		c.stats.ScanFiltered.Add(filtered)
 	}()
+	// One policyEval for the whole page: the resolved residual and
+	// request scratch are reused across every key sharing a policy, so
+	// the filter loop pays zero policy compilation or cache lookups past
+	// the first key per policy.
+	pe := &policyEval{}
+	var metas [2]store.Meta // decode slots, reused across the page's keys
+	// The drives' replies go back for reuse once the page is built:
+	// everything the page keeps of them has been copied out by then.
+	var rounds []*scanMerge
+	defer func() {
+		for _, r := range rounds {
+			for _, l := range r.lists {
+				l.Release()
+			}
+		}
+	}()
 	for {
-		merged, advance, exhausted, err := c.scanRound(ctx, cursor, inclusive, rangeEnd, limit+1)
+		round, err := c.scanRound(ctx, cursor, inclusive, rangeEnd, limit+1)
 		if err != nil {
 			return nil, err
 		}
-		if len(merged) == 0 && exhausted {
-			return page, nil
-		}
-		// Cheap filters first — the drive range's inclusive end can
-		// admit the first key past the prefix, and sharded controllers
-		// list only keys they own under the page's epoch snapshot
-		// (anything else is migration residue the router gets from its
-		// owner) — so residue never costs a metadata prefetch.
-		candidates := merged[:0]
-		for _, key := range merged {
+		rounds = append(rounds, round)
+		for {
+			dk, mask, copies, ok := round.next()
+			if !ok {
+				break
+			}
+			// Cheap filters first — the drive range's inclusive end can
+			// admit the first key past the prefix, and sharded controllers
+			// list only keys they own under the page's epoch snapshot
+			// (anything else is migration residue the router gets from its
+			// owner) — so residue never costs a decode.
+			key := string(dk[2:]) // strip the metadata namespace prefix
 			if !strings.HasPrefix(key, opts.Prefix) {
 				continue
 			}
 			if sharded && !RangesContain(ownedRanges, store.ShardHash(key)) {
 				continue
 			}
-			candidates = append(candidates, key)
-		}
-		// Warm the key cache for the whole candidate batch in parallel
-		// (bounded), so the serial filter loop below pays cache hits
-		// instead of one replica round trip per key.
-		c.prefetchMetas(ctx, candidates)
-		// One policyEval for the whole page: the resolved residual and
-		// request scratch are reused across every candidate sharing a
-		// policy, so the filter loop pays zero policy compilation or
-		// cache lookups past the first key per policy.
-		pe := &policyEval{}
-		for _, key := range candidates {
-			meta, err := c.loadMeta(ctx, key)
-			if errors.Is(err, ErrNotFound) {
-				continue // deleted since the drives reported it
+			// Placement sanity: a key reported only by drives outside its
+			// placement is a stale artifact (e.g. of a drive-set change),
+			// not a live object.
+			if round.maskable && mask&c.placementMask(key) == 0 {
+				continue
 			}
+			meta, err := newestMeta(key, copies, &metas)
 			if err != nil {
 				return nil, err
 			}
@@ -183,134 +194,181 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 				Class: meta.StorageClass(),
 			})
 			if len(page.Entries) == limit {
-				// More candidates may remain (in this round or on the
-				// drives): hand back a resume token positioned on the
-				// last *returned* key. Denied keys past it are
-				// re-examined — and re-suppressed — next page, so no
-				// page boundary ever leaks one.
+				// More keys may remain (in this round or on the drives):
+				// hand back a resume token positioned on the last
+				// *returned* key. Denied keys past it are re-examined —
+				// and re-suppressed — next page, so no page boundary ever
+				// leaks one.
 				page.NextToken = c.sealScanToken(opts.Prefix, key)
 				return page, nil
 			}
 		}
-		if exhausted {
-			return page, nil
+		if round.horizon == nil {
+			return page, nil // no drive was cut: the range is exhausted
 		}
 		// Resume past the completeness horizon: every key at or below
 		// it has been merged and examined this round (even ones the
 		// placement filter dropped, which is what keeps the cursor
 		// advancing over stale artifacts).
-		cursor, inclusive = advance, false
+		cursor, inclusive = round.horizon, false
 	}
 }
 
-// scanRound asks every drive for its next batch of metadata keys in
-// [cursor, rangeEnd] and merges them. Because each drive truncates its
-// response independently, merged keys are only trustworthy up to the
-// smallest last-key among truncated drives (the completeness horizon);
-// keys beyond it are dropped and re-fetched next round. advance is the
-// horizon — the drive key up to which this round is complete — for the
-// caller's cursor. Up to Replicas-1 drive failures are tolerated:
-// every object then still has a surviving replica reporting it.
-func (c *Controller) scanRound(ctx context.Context, cursor []byte, inclusive bool, rangeEnd []byte, want int) (keys []string, advance []byte, exhausted bool, err error) {
-	fetch := want
-	if fetch > driveRangeCap {
-		fetch = driveRangeCap
+// newestMeta decodes the replica copies of key's metadata record and
+// returns the newest that is well-formed and names key — a drive
+// answering one key with another object's record must not hand the
+// policy check that object's policy. Byte-equal copies, the healthy
+// case, are decoded once, into slots the page reuses. With no readable
+// copy the page fails: an entry that cannot be policy-checked is never
+// listed, and dropping it silently would hide an object from a reader
+// entitled to it.
+func newestMeta(key string, copies [][]byte, slots *[2]store.Meta) (*store.Meta, error) {
+	best, spare := &slots[0], &slots[1]
+	var bestRaw []byte
+	found := false
+	for _, raw := range copies {
+		if found && bytes.Equal(raw, bestRaw) {
+			continue
+		}
+		m := best
+		if found {
+			m = spare
+		}
+		m.Key = key // Unmarshal keeps a key it finds already there
+		if err := m.Unmarshal(raw); err != nil || m.Key != key {
+			continue
+		}
+		if found && m.Version <= best.Version {
+			continue
+		}
+		if found {
+			best, spare = spare, best
+		}
+		found, bestRaw = true, raw
 	}
-	type driveKeys struct {
-		di        int
-		keys      [][]byte
-		truncated bool
-		err       error
+	if !found {
+		return nil, fmt.Errorf("core: scan: no readable metadata copy of %q: %w", key, store.ErrCorrupt)
 	}
-	results := make([]driveKeys, len(c.drives))
-	err = c.fanout(allDrives(len(c.drives)), func(di int) error {
-		cl := c.drives[di].pick()
+	return best, nil
+}
+
+// scanMerge is one fan-out of a listing: every drive's next batch of
+// metadata records in [cursor, rangeEnd], each sorted by key, consumed
+// as one merged stream by next. Because each drive cuts its reply
+// independently, the stream is only trustworthy up to the smallest
+// last-key among truncated drives (the completeness horizon, nil when
+// no reply was cut); keys beyond it are left for the next round.
+type scanMerge struct {
+	lists   []driveRange
+	horizon []byte
+	copies  [][]byte // next's result, reused across calls
+	// maskable: the placement-sanity filter uses drive bitmasks; past 64
+	// drives it is skipped (1<<65 would silently drop live keys) — the
+	// merge and the metadata binding still keep the listing correct.
+	maskable bool
+}
+
+// driveRange is one drive's reply and the merge's position in it.
+type driveRange struct {
+	di int
+	kclient.KeyRange
+	pos int
+}
+
+// scanRound asks every drive for up to want metadata records from
+// cursor on. Up to Replicas-1 drive failures are tolerated: every
+// object then still has a surviving replica reporting it. A reply that
+// is not strictly ascending inside the asked range counts as a failure
+// — the merge relies on the order, the cursor on the range.
+func (c *Controller) scanRound(ctx context.Context, cursor []byte, inclusive bool, rangeEnd []byte, want int) (*scanMerge, error) {
+	lists := make([]driveRange, len(c.drives))
+	errs := make([]error, len(c.drives))
+	err := c.fanout(allDrives(len(c.drives)), func(di int) error {
 		c.chargeDriveIO(0)
-		ks, err := cl.GetKeyRange(ctx, cursor, rangeEnd, inclusive, false, fetch)
-		results[di] = driveKeys{di: di, keys: ks, truncated: len(ks) >= fetch, err: err}
+		kr, err := c.drives[di].pick().Range(ctx, cursor, rangeEnd, inclusive, false, want, true)
+		if err == nil {
+			err = checkRange(kr, cursor, inclusive, rangeEnd)
+		}
+		moved := 0
+		for i, k := range kr.Keys {
+			moved += len(k) + len(kr.Values[i])
+		}
+		c.cost.MoveBytes(moved)
+		lists[di], errs[di] = driveRange{di: di, KeyRange: kr}, err
 		return nil
 	})
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
 
+	round := &scanMerge{lists: lists[:0], maskable: len(c.drives) <= 64}
 	failures := 0
 	var lastErr error
-	var horizon []byte // smallest last-key among truncated drives
-	// The placement-sanity filter uses drive bitmasks; past 64 drives
-	// it is skipped (1<<65 would silently drop live keys) — dedup and
-	// the metadata load still keep the listing correct.
-	maskable := len(c.drives) <= 64
-	reporters := make(map[string]uint64)
-	for _, r := range results {
-		if r.err != nil {
+	for di, l := range lists {
+		if errs[di] != nil {
 			failures++
-			lastErr = r.err
+			lastErr = errs[di]
 			continue
 		}
-		if r.truncated {
-			last := r.keys[len(r.keys)-1]
-			if horizon == nil || bytes.Compare(last, horizon) < 0 {
-				horizon = last
+		if l.Truncated {
+			if last := l.Keys[len(l.Keys)-1]; round.horizon == nil || bytes.Compare(last, round.horizon) < 0 {
+				round.horizon = last
 			}
 		}
-		for _, dk := range r.keys {
-			if len(dk) < 2 {
-				continue
-			}
-			if maskable {
-				reporters[string(dk)] |= 1 << uint(r.di)
-			} else {
-				reporters[string(dk)] = 1
-			}
-		}
+		round.lists = append(round.lists, l)
 	}
 	if failures > 0 && failures >= c.cfg.Replicas {
-		return nil, nil, false, fmt.Errorf("core: scan cannot guarantee coverage, %d drives failed: %w", failures, lastErr)
+		return nil, fmt.Errorf("core: scan cannot guarantee coverage, %d drives failed: %w", failures, lastErr)
 	}
-	for dk, mask := range reporters {
-		if horizon != nil && bytes.Compare([]byte(dk), horizon) > 0 {
-			delete(reporters, dk) // beyond the completeness horizon
-			continue
-		}
-		key := dk[2:] // strip the metadata namespace prefix
-		// Placement sanity: a key reported only by drives outside its
-		// placement is a stale artifact (e.g. of a drive-set change),
-		// not a live object.
-		if maskable && mask&c.placementMask(key) == 0 {
-			delete(reporters, dk)
-		}
-	}
-	keys = make([]string, 0, len(reporters))
-	for dk := range reporters {
-		keys = append(keys, dk[2:])
-	}
-	sort.Strings(keys)
-	return keys, horizon, horizon == nil, nil
+	return round, nil
 }
 
-// prefetchMetas loads candidate keys' metadata concurrently (bounded),
-// errors ignored — the caller's serial loop re-loads from cache and
-// handles failures per key.
-func (c *Controller) prefetchMetas(ctx context.Context, keys []string) {
-	if len(keys) < 2 {
-		return
-	}
-	sem := make(chan struct{}, batchParallelism(len(keys)))
-	var wg sync.WaitGroup
-	for _, key := range keys {
-		if _, ok := c.metaCache.Get(key); ok {
-			continue
+// checkRange verifies a range reply is strictly ascending, inside the
+// asked range (start itself only when inclusive), and not marked cut
+// without a last key to resume from.
+func checkRange(kr kclient.KeyRange, start []byte, inclusive bool, end []byte) error {
+	prev := start
+	for i, k := range kr.Keys {
+		if cmp := bytes.Compare(k, prev); cmp < 0 || (cmp == 0 && !(i == 0 && inclusive)) {
+			return fmt.Errorf("core: drive range reply out of order at key %d", i)
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(key string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			_, _ = c.loadMeta(ctx, key)
-		}(key)
+		prev = k
 	}
-	wg.Wait()
+	if len(kr.Keys) == 0 && kr.Truncated {
+		return errors.New("core: drive range reply truncated to nothing")
+	}
+	if len(kr.Keys) > 0 && bytes.Compare(prev, end) > 0 {
+		return errors.New("core: drive range reply past the asked range")
+	}
+	return nil
+}
+
+// next pops the smallest drive key at or below the horizon that the
+// merge has not yet produced, with the bitmask of the drives reporting
+// it and each one's copy of its value (valid until the next call).
+func (r *scanMerge) next() (dk []byte, mask uint64, copies [][]byte, ok bool) {
+	for i := range r.lists {
+		l := &r.lists[i]
+		if l.pos < len(l.Keys) && (!ok || bytes.Compare(l.Keys[l.pos], dk) < 0) {
+			dk, ok = l.Keys[l.pos], true
+		}
+	}
+	if !ok || (r.horizon != nil && bytes.Compare(dk, r.horizon) > 0) {
+		return nil, 0, nil, false
+	}
+	copies = r.copies[:0]
+	for i := range r.lists {
+		l := &r.lists[i]
+		if l.pos < len(l.Keys) && bytes.Equal(l.Keys[l.pos], dk) {
+			if r.maskable {
+				mask |= 1 << uint(l.di)
+			}
+			copies = append(copies, l.Values[l.pos])
+			l.pos++
+		}
+	}
+	r.copies = copies
+	return dk, mask, copies, true
 }
 
 // placementMask is the drive bitmask of a key's placement (dead-drive

@@ -237,18 +237,19 @@ func (c *Controller) sweepKeysAfter(ctx context.Context, cursor string, limit in
 		}
 		consulted++
 		c.chargeDriveIO(0)
-		dks, err := p.pick().GetKeyRange(ctx, start, end, true, false, limit)
+		kr, err := p.pick().Range(ctx, start, end, true, false, limit, false)
 		if err != nil {
 			failures++
 			lastErr = err
 			continue
 		}
+		dks := kr.Keys
 		for _, dk := range dks {
 			if len(dk) >= 2 {
 				seen[string(dk[2:])] = true
 			}
 		}
-		if len(dks) == limit {
+		if kr.Truncated && len(dks) > 0 {
 			// This drive has more keys beyond the window; the
 			// guaranteed-covered prefix ends at the smallest such
 			// boundary across drives.

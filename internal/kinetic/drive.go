@@ -599,22 +599,62 @@ func (d *Drive) handleGroupedBatch(acct wire.ACL, req, resp *wire.Message) {
 	}
 }
 
+// Range reply bounds. rangeKeyCap is the Kinetic cap on keys per
+// response. rangeReplyBudget bounds a reply's key and value bytes,
+// leaving the other half of wire.MaxMessageSize to field headers and
+// to a first entry that is itself a near-frame-size record: a reply
+// over either bound is cut and marked Truncated, so a range over 1 MiB
+// object records is a short reply, never a frame that cannot be sent.
+const (
+	rangeKeyCap      = 800
+	rangeReplyBudget = wire.MaxMessageSize / 2
+)
+
+// handleRange serves the store's own key and value slices: both are
+// immutable once stored (put replaces the slice, never writes into it).
 func (d *Drive) handleRange(acct wire.ACL, req, resp *wire.Message) {
-	if !permitted(acct, wire.PermRange, resp) {
+	// Values are a bulk read: they need the permission a GET needs.
+	if !permitted(acct, wire.PermRange, resp) || (req.WithValues && !permitted(acct, wire.PermRead, resp)) {
 		d.stats.Rejected.Add(1)
 		return
 	}
 	d.stats.Ranges.Add(1)
 	max := int(req.MaxReturned)
-	if max <= 0 || max > 800 {
-		max = 800 // Kinetic caps range responses
+	if max <= 0 || max > rangeKeyCap {
+		max = rangeKeyCap
 	}
-	d.waitMedia(OpScan, 0)
-	d.store.scan(req.StartKey, req.EndKey, req.KeyInclusive, req.Reverse, max,
-		func(key, _, _ []byte) bool {
-			resp.Keys = append(resp.Keys, cloneKey(key))
+	// Presized for a listing's page; an uncapped drain grows by append.
+	resp.Keys = make([][]byte, 0, min(max, 128))
+	if req.WithValues {
+		resp.Values = make([][]byte, 0, cap(resp.Keys))
+	}
+	size := 0 // key bytes, plus value bytes when values go out
+	// One entry past max tells a reply that was cut from one that ends
+	// where the range does.
+	d.store.scan(req.StartKey, req.EndKey, req.KeyInclusive, req.Reverse, max+1,
+		func(key, value, _ []byte) bool {
+			n := len(key)
+			if req.WithValues {
+				n += len(value)
+			}
+			// The first entry always goes out, so a caller resuming
+			// past it makes progress; whatever was put fits a frame.
+			if len(resp.Keys) == max || (len(resp.Keys) > 0 && size+n > rangeReplyBudget) {
+				resp.Truncated = true
+				return false
+			}
+			size += n
+			resp.Keys = append(resp.Keys, key)
+			if req.WithValues {
+				resp.Values = append(resp.Values, value)
+			}
 			return true
 		})
+	// A keys-only range is an index walk; values are read off the media.
+	if !req.WithValues {
+		size = 0
+	}
+	d.waitMedia(OpScan, size)
 }
 
 // handleSecurity replaces the entire account table, exactly the

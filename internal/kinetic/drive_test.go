@@ -169,6 +169,162 @@ func TestDriveRange(t *testing.T) {
 	}
 }
 
+// TestDriveRangeWithValues: a values range carries each key's stored
+// value beside it (the store's own bytes, not copies), marks a reply it
+// cut — by the key cap or by the reply byte budget — and nothing else,
+// in both directions.
+func TestDriveRangeWithValues(t *testing.T) {
+	d := NewDrive(Config{})
+	for i := 0; i < 20; i++ {
+		d.Handle(signedReq(&wire.Message{
+			Type: wire.TPut, Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte(fmt.Sprintf("value-%02d", i)), Force: true,
+		}))
+	}
+	ask := func(m wire.Message) *wire.Message {
+		t.Helper()
+		m.Type = wire.TGetKeyRange
+		resp := d.Handle(signedReq(&m))
+		if resp.Status != wire.StatusOK {
+			t.Fatalf("range %+v: %v %s", m, resp.Status, resp.StatusMsg)
+		}
+		return resp
+	}
+	for _, c := range []struct {
+		name        string
+		req         wire.Message
+		first, last string
+		n           int
+		truncated   bool
+	}{
+		{"whole range", wire.Message{StartKey: []byte("k05"), EndKey: []byte("k10"), KeyInclusive: true, MaxReturned: 100}, "k05", "k10", 6, false},
+		{"exclusive start", wire.Message{StartKey: []byte("k05"), EndKey: []byte("k10"), MaxReturned: 100}, "k06", "k10", 5, false},
+		{"exactly max", wire.Message{StartKey: []byte("k05"), EndKey: []byte("k10"), KeyInclusive: true, MaxReturned: 6}, "k05", "k10", 6, false},
+		{"cut by max", wire.Message{StartKey: []byte("k05"), EndKey: []byte("k10"), KeyInclusive: true, MaxReturned: 5}, "k05", "k09", 5, true},
+		{"open end", wire.Message{StartKey: []byte("k18"), KeyInclusive: true}, "k18", "k19", 2, false},
+		{"reverse", wire.Message{StartKey: []byte("k05"), EndKey: []byte("k10"), KeyInclusive: true, Reverse: true, MaxReturned: 100}, "k10", "k05", 6, false},
+		{"reverse cut", wire.Message{StartKey: []byte("k05"), EndKey: []byte("k10"), KeyInclusive: true, Reverse: true, MaxReturned: 2}, "k10", "k09", 2, true},
+	} {
+		for _, withValues := range []bool{false, true} {
+			c.req.WithValues = withValues
+			resp := ask(c.req)
+			if len(resp.Keys) != c.n || string(resp.Keys[0]) != c.first || string(resp.Keys[c.n-1]) != c.last || resp.Truncated != c.truncated {
+				t.Errorf("%s (values %t): %d keys %q..%q truncated %t, want %d %q..%q %t", c.name, withValues,
+					len(resp.Keys), resp.Keys[0], resp.Keys[len(resp.Keys)-1], resp.Truncated, c.n, c.first, c.last, c.truncated)
+			}
+			if !withValues {
+				if resp.Values != nil {
+					t.Errorf("%s: keys-only range returned values", c.name)
+				}
+				continue
+			}
+			if len(resp.Values) != len(resp.Keys) {
+				t.Fatalf("%s: %d values for %d keys", c.name, len(resp.Values), len(resp.Keys))
+			}
+			for i, k := range resp.Keys {
+				if want := "value-" + string(k[1:]); string(resp.Values[i]) != want {
+					t.Errorf("%s: %q carries %q, want %q", c.name, k, resp.Values[i], want)
+				}
+			}
+		}
+	}
+
+	// Served from the store, not cloned.
+	stored, _, _ := d.store.get([]byte("k07"))
+	resp := ask(wire.Message{StartKey: []byte("k07"), EndKey: []byte("k07"), KeyInclusive: true, WithValues: true})
+	if &resp.Values[0][0] != &stored[0] {
+		t.Error("range value is a copy of the stored value")
+	}
+}
+
+// TestDriveRangeReplyBudget: records far larger than metadata — a range
+// over object records — are cut by bytes long before the key cap, the
+// reply always fits a frame, always carries at least one entry, and a
+// caller resuming past the last key drains the range.
+func TestDriveRangeReplyBudget(t *testing.T) {
+	d := NewDrive(Config{})
+	const n, size = 12, 300 << 10 // 3.5 MiB in all, 1.7x a frame
+	for i := 0; i < n; i++ {
+		if err := d.P2PPut([]byte(fmt.Sprintf("o%02d", i)), bytes.Repeat([]byte{byte(i)}, size), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One record over the budget on its own still goes out, alone.
+	if err := d.P2PPut([]byte("o99"), make([]byte, rangeReplyBudget+1), nil); err != nil {
+		t.Fatal(err)
+	}
+	enc := wire.NewEncoder()
+	start, inclusive, got, replies := []byte("o"), true, 0, 0
+	for {
+		resp := d.Handle(signedReq(&wire.Message{Type: wire.TGetKeyRange, StartKey: start, KeyInclusive: inclusive, WithValues: true}))
+		if resp.Status != wire.StatusOK || len(resp.Keys) == 0 {
+			t.Fatalf("reply %d: %v, %d keys", replies, resp.Status, len(resp.Keys))
+		}
+		var frame bytes.Buffer
+		if err := enc.WriteUnsigned(&frame, resp); err != nil {
+			t.Fatalf("reply %d cannot be framed: %v", replies, err)
+		}
+		for i, k := range resp.Keys {
+			if want := fmt.Sprintf("o%02d", got+i); string(k) != want && string(k) != "o99" {
+				t.Fatalf("reply %d: key %q, want %q", replies, k, want)
+			}
+		}
+		got += len(resp.Keys)
+		replies++
+		if !resp.Truncated {
+			break
+		}
+		start, inclusive = resp.Keys[len(resp.Keys)-1], false
+	}
+	if got != n+1 || replies < 4 {
+		t.Fatalf("drained %d records in %d replies, want %d in at least 4", got, replies, n+1)
+	}
+	// Keys alone are a fraction of the budget: one reply, not cut.
+	resp := d.Handle(signedReq(&wire.Message{Type: wire.TGetKeyRange, StartKey: []byte("o"), KeyInclusive: true}))
+	if len(resp.Keys) != n+1 || resp.Truncated {
+		t.Fatalf("keys-only: %d keys, truncated %t", len(resp.Keys), resp.Truncated)
+	}
+}
+
+// TestDriveRangeValuesNeedRead: values are a bulk read. An account that
+// may list but not read gets keys and is refused values; one that may
+// read but not list is refused both.
+func TestDriveRangeValuesNeedRead(t *testing.T) {
+	d := NewDrive(Config{})
+	d.Handle(signedReq(&wire.Message{Type: wire.TPut, Key: []byte("k"), Value: []byte("secret"), Force: true}))
+	resp := d.Handle(signedReq(&wire.Message{Type: wire.TSecurity, ACLs: []wire.ACL{
+		{Identity: "lister", Key: []byte("listersecret"), Perms: wire.PermRange},
+		{Identity: "reader", Key: []byte("readersecret"), Perms: wire.PermRead},
+		{Identity: "both", Key: []byte("bothsecret123"), Perms: wire.PermRange | wire.PermRead},
+	}}))
+	if resp.Status != wire.StatusOK {
+		t.Fatalf("security: %v %s", resp.Status, resp.StatusMsg)
+	}
+	for _, c := range []struct {
+		user, key  string
+		withValues bool
+		want       wire.StatusCode
+	}{
+		{"lister", "listersecret", false, wire.StatusOK},
+		{"lister", "listersecret", true, wire.StatusNotAuthorized},
+		{"reader", "readersecret", false, wire.StatusNotAuthorized},
+		{"reader", "readersecret", true, wire.StatusNotAuthorized},
+		{"both", "bothsecret123", true, wire.StatusOK},
+	} {
+		req := &wire.Message{Type: wire.TGetKeyRange, StartKey: []byte("a"), EndKey: []byte("z"), WithValues: c.withValues, User: c.user}
+		req.Sign([]byte(c.key))
+		resp := d.Handle(req)
+		if resp.Status != c.want {
+			t.Errorf("%s, values %t: %v, want %v", c.user, c.withValues, resp.Status, c.want)
+		}
+		if resp.Status != wire.StatusOK && (len(resp.Keys) > 0 || len(resp.Values) > 0) {
+			t.Errorf("%s, values %t: refused reply carries %d keys, %d values", c.user, c.withValues, len(resp.Keys), len(resp.Values))
+		}
+	}
+	if got := d.Stats().Rejected.Load(); got != 3 {
+		t.Errorf("rejected counter = %d, want 3", got)
+	}
+}
+
 func TestDriveEraseWithPIN(t *testing.T) {
 	d := NewDrive(Config{ErasePIN: []byte("1234")})
 	d.Handle(signedReq(&wire.Message{Type: wire.TPut, Key: []byte("k"), Value: []byte("v"), Force: true}))

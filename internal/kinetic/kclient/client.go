@@ -151,10 +151,14 @@ func (c *Client) SetCredentials(creds Credentials) {
 	c.mu.Unlock()
 }
 
+// replies recycles reply messages whose consumer has released them (see
+// KeyRange.Release); every other reply is left to the collector.
+var replies = sync.Pool{New: func() any { return new(wire.Message) }}
+
 func (c *Client) readLoop(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		resp := new(wire.Message)
+		resp := replies.Get().(*wire.Message)
 		if err := wire.ReadFrame(r, resp); err != nil {
 			c.failAll(conn)
 			return
@@ -440,20 +444,57 @@ func (c *Client) Delete(ctx context.Context, key, dbVersion []byte, force bool) 
 	return statusToError(resp)
 }
 
-// GetKeyRange lists up to max keys in [start, end]; empty end means to
-// the last key. startInclusive includes start itself.
-func (c *Client) GetKeyRange(ctx context.Context, start, end []byte, startInclusive, reverse bool, max int) ([][]byte, error) {
+// KeyRange is a drive's reply to one range request.
+type KeyRange struct {
+	Keys [][]byte
+	// Values is parallel to Keys when values were asked for, else nil.
+	Values [][]byte
+	// Truncated reports that the drive cut the reply (its key cap or
+	// its reply byte budget): the range holds more keys past the last
+	// one returned.
+	Truncated bool
+
+	reply *wire.Message
+}
+
+// Release hands the reply's buffers back for a later reply to reuse.
+// Optional — an unreleased KeyRange is ordinary garbage — but after it
+// no key or value of kr may be used.
+func (kr KeyRange) Release() {
+	if kr.reply != nil {
+		kr.reply.Recycle()
+		replies.Put(kr.reply)
+	}
+}
+
+// Range lists up to max entries in [start, end]; empty end means to the
+// last key. startInclusive includes start itself. withValues asks for
+// each key's value beside it, which costs the account PermRead on top of
+// PermRange and the reply the values' bytes — for metadata-sized records,
+// not for draining a range of 1 MiB object records.
+func (c *Client) Range(ctx context.Context, start, end []byte, startInclusive, reverse bool, max int, withValues bool) (KeyRange, error) {
 	resp, err := c.roundTrip(ctx, &wire.Message{
 		Type: wire.TGetKeyRange, StartKey: start, EndKey: end,
 		KeyInclusive: startInclusive, Reverse: reverse, MaxReturned: uint32(max),
+		WithValues: withValues,
 	})
 	if err != nil {
-		return nil, err
+		return KeyRange{}, err
 	}
 	if err := statusToError(resp); err != nil {
-		return nil, err
+		return KeyRange{}, err
 	}
-	return resp.Keys, nil
+	if withValues && len(resp.Values) != len(resp.Keys) {
+		return KeyRange{}, fmt.Errorf("kinetic: range answered %d values for %d keys", len(resp.Values), len(resp.Keys))
+	}
+	return KeyRange{Keys: resp.Keys, Values: resp.Values, Truncated: resp.Truncated, reply: resp}, nil
+}
+
+// GetKeyRange is the keys-only Range for callers that do not follow a
+// truncated reply.
+func (c *Client) GetKeyRange(ctx context.Context, start, end []byte, startInclusive, reverse bool, max int) ([][]byte, error) {
+	r, err := c.Range(ctx, start, end, startInclusive, reverse, max, false)
+	return r.Keys, err
 }
 
 // GetVersion fetches only the stored version of key.

@@ -401,10 +401,33 @@ func TestReconnectChurn(t *testing.T) {
 }
 
 // TestUnsendableReplyFailsTheCall: a reply the drive cannot frame (a
-// range listing past the frame limit) must not strand its caller on a
-// connection that still looks alive. The drive drops the connection;
-// the call fails at once, and the client redials for the next one.
+// record past the frame limit, here installed behind the wire's back)
+// must not strand its caller on a connection that still looks alive.
+// The drive drops the connection; the call fails at once, and the
+// client redials for the next one.
 func TestUnsendableReplyFailsTheCall(t *testing.T) {
+	drive, cl := startDrive(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := drive.P2PPut([]byte("big"), make([]byte, wire.MaxMessageSize+1), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Put(ctx, []byte("small"), []byte("v"), nil, []byte("1"), true); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := cl.Get(ctx, []byte("big"))
+	if err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("over-size reply: %v, want a prompt transport error", err)
+	}
+	if v, _, err := cl.Get(ctx, []byte("small")); err != nil || string(v) != "v" {
+		t.Fatalf("after the dropped connection: %q, %v", v, err)
+	}
+}
+
+// TestOversizeRangeIsTruncated: a listing past the frame limit — the
+// reply that used to be unsendable — comes back cut and marked, and the
+// caller drains the range by resuming past the last key.
+func TestOversizeRangeIsTruncated(t *testing.T) {
 	_, cl := startDrive(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -415,11 +438,21 @@ func TestUnsendableReplyFailsTheCall(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	_, err := cl.GetKeyRange(ctx, []byte("0"), []byte("9"), true, false, 800)
-	if err == nil || errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("over-size listing: %v, want a prompt transport error", err)
+	got, rounds := 0, 0
+	start, inclusive := []byte("0"), true
+	for {
+		kr, err := cl.Range(ctx, start, []byte("9"), inclusive, false, 800, rounds%2 == 1)
+		if err != nil {
+			t.Fatalf("round %d: %v", rounds, err)
+		}
+		got += len(kr.Keys)
+		rounds++
+		if !kr.Truncated {
+			break
+		}
+		start, inclusive = kr.Keys[len(kr.Keys)-1], false
 	}
-	if keys, err := cl.GetKeyRange(ctx, []byte("0"), []byte("9"), true, false, 10); err != nil || len(keys) != 10 {
-		t.Fatalf("after the dropped connection: %d keys, %v", len(keys), err)
+	if got != 800 || rounds < 2 {
+		t.Fatalf("drained %d keys in %d replies, want 800 in several", got, rounds)
 	}
 }

@@ -81,8 +81,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	enc := wire.NewEncoder()
 	var wmu sync.Mutex
 	for {
-		var req wire.Message
-		if err := wire.ReadFrame(r, &req); err != nil {
+		req := new(wire.Message) // the handler goroutine's own
+		if err := wire.ReadFrame(r, req); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
 				log.Printf("kinetic[%s]: read: %v", s.drive.Name(), err)
 			}
@@ -93,9 +93,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		// client correlates responses by sequence number. This mirrors
 		// the real drive's internal thread pool.
 		s.wg.Add(1)
-		go func(req wire.Message) {
+		go func() {
 			defer s.wg.Done()
-			resp := s.drive.Handle(&req)
+			resp := s.drive.Handle(req)
 			if resp == nil {
 				// Blackholed by fault injection: the drive has vanished.
 				// Kill the connection so the client sees a transport
@@ -118,7 +118,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				// pending on it.
 				conn.Close()
 			}
-		}(req)
+		}()
 	}
 }
 

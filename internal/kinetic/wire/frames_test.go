@@ -34,9 +34,12 @@ func patterned(n int) []byte {
 // batch/security/log, 0-length and 1 MiB values.
 func frameShapes() []shape {
 	keys := make([][]byte, 100)
+	values := make([][]byte, 100)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("m\x00user%04d/record", i))
+		values[i] = patterned(140 + i%7)
 	}
+	values[3] = nil // an empty record still holds its place beside its key
 	return []shape{
 		{"get", &Message{Type: TGet, Seq: 1, User: "pesos-admin", Key: []byte("m\x00k"), TraceID: 0xdeadbeefcafef00d},
 			"d8db6a3393d6a6c74817a7b041e270655d30fd36e67a065e2d814348d87ae3b0"},
@@ -94,6 +97,15 @@ func frameShapes() []shape {
 			"2df95078364a8f057d5c1ee0ce58724190b69e98db3f17f878b0618bad2caf5f"},
 		{"flush-response", &Message{Type: TFlushResponse, Seq: 15, ServiceUs: 1},
 			"327948f7a9e4038992f42e3769e57ef40f3a8de60dd532628cc3088d8d2f0951"},
+		// The range-with-values extension; the 21 shapes above predate it
+		// and keep their digests.
+		{"range-values", &Message{Type: TGetKeyRange, Seq: 16, User: "pesos-admin", StartKey: []byte("m\x00user"), EndKey: []byte("m\x00uses"),
+			MaxReturned: 101, KeyInclusive: true, WithValues: true, TraceID: 7},
+			"97f56fef1cd290c3ff2c2c28d68bd1c0204ef40c02b79666c7b340c9b680a639"},
+		{"range-values-response", &Message{Type: TGetKeyRangeResp, Seq: 16, Keys: keys, Values: values, Truncated: true, TraceID: 7, ServiceUs: 55},
+			"2d086e4e27edf222e6c85b4a8b311945ef43196bd3803a985a70be81ac482db6"},
+		{"range-response-truncated", &Message{Type: TGetKeyRangeResp, Seq: 17, Keys: keys[:8], Truncated: true, ServiceUs: 2},
+			"1244bfb384fbbc5084ebf9254fd9f35a905a0f2e49abdd38d4fd71df9b8513a2"},
 	}
 }
 
@@ -177,6 +189,7 @@ func checkFrame(t *testing.T, frame []byte) {
 	// and appending to one reallocates.
 	fields := [][]byte{got.Key, got.Value, got.DBVersion, got.NewVersion, got.StartKey, got.EndKey, got.Pin, got.HMAC}
 	fields = append(fields, got.Keys...)
+	fields = append(fields, got.Values...)
 	for _, op := range got.Batch {
 		fields = append(fields, op.Key, op.Value, op.DBVersion, op.NewVersion)
 	}
@@ -330,7 +343,7 @@ func TestCodecAllocBudget(t *testing.T) {
 				budget++
 			}
 		}
-		for _, n := range []int{len(m.Keys), len(m.Batch), len(m.GroupSizes), len(m.GroupStatus)} {
+		for _, n := range []int{len(m.Keys), len(m.Values), len(m.Batch), len(m.GroupSizes), len(m.GroupStatus)} {
 			if n > 0 {
 				budget++
 			}
@@ -349,5 +362,70 @@ func TestCodecAllocBudget(t *testing.T) {
 		if n > budget {
 			t.Errorf("%s: decode costs %.0f allocs, budget %.0f", s.name, n, budget)
 		}
+	}
+}
+
+// TestRecycledMessageReusesItsBuffers: a message handed back by Recycle
+// decodes the next frame into the frame body and the Keys/Values slices
+// it already holds — the same fields as a fresh decode, for no
+// allocation — while a message that was not recycled never reuses
+// anything a caller may still hold.
+func TestRecycledMessageReusesItsBuffers(t *testing.T) {
+	var big, small *Message
+	for _, s := range frameShapes() {
+		switch s.name {
+		case "range-values-response":
+			big = s.msg
+		case "range-response-truncated":
+			small = s.msg
+		}
+	}
+	bigFrame, smallFrame := referenceFrame(t, big), referenceFrame(t, small)
+	read := func(m *Message, frame []byte) {
+		t.Helper()
+		if err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var m, fresh Message
+	read(&m, bigFrame)
+	body := &m.frame[0]
+	m.Recycle()
+	if m.Keys != nil && len(m.Keys) != 0 || m.Truncated || m.Type != 0 {
+		t.Fatalf("Recycle left fields behind: %+v", m)
+	}
+	read(&m, smallFrame)
+	read(&fresh, smallFrame)
+	if !reflect.DeepEqual(unframed(m), unframed(fresh)) {
+		t.Fatalf("recycled decode differs from a fresh one:\n got %+v\nwant %+v", unframed(m), unframed(fresh))
+	}
+	if m.Values != nil && len(m.Values) != 0 {
+		t.Fatalf("keys-only frame decoded %d values out of the recycled slice", len(m.Values))
+	}
+	if &m.frame[0] != body {
+		t.Fatal("the smaller frame was not read into the recycled body")
+	}
+
+	rd := bytes.NewReader(bigFrame)
+	br := bufio.NewReaderSize(rd, 64<<10)
+	if n := testing.AllocsPerRun(50, func() {
+		m.Recycle()
+		rd.Reset(bigFrame)
+		br.Reset(rd)
+		if err := ReadFrame(br, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadFrame into a recycled message: %.0f allocs, want 0", n)
+	}
+
+	// Without Recycle the previous decode stays intact.
+	read(&fresh, bigFrame)
+	held := fresh.Keys
+	heldFirst := append([]byte(nil), held[0]...)
+	read(&fresh, smallFrame)
+	if len(held) != len(big.Keys) || !bytes.Equal(held[0], heldFirst) || !bytes.Equal(held[99], big.Keys[99]) {
+		t.Fatal("a second ReadFrame into an unrecycled message overwrote what the first returned")
 	}
 }

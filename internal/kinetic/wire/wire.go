@@ -255,6 +255,16 @@ type Message struct {
 	Reverse      bool
 	Keys         [][]byte // range response payload
 	KeyInclusive bool     // StartKey inclusive flag for ranges
+	// WithValues asks a range for each key's value as well; the response
+	// then carries Values parallel to Keys. This departs from stock
+	// Kinetic GETKEYRANGE (keys only) the way grouped TBatch departs
+	// from the atomic batch.
+	WithValues bool
+	Values     [][]byte
+	// Truncated marks a range response the drive cut short (its key
+	// cap or its reply byte budget): the range holds at least one more
+	// key past the last one returned.
+	Truncated bool
 
 	ACLs []ACL  // security request payload
 	Pin  []byte // erase PIN
@@ -301,6 +311,17 @@ type Message struct {
 	// as the final field, nothing after it).
 	frame  []byte
 	macOff int
+	// recycled marks a message emptied by Recycle: frame, Keys and
+	// Values are then zero-length buffers for the next ReadFrame.
+	recycled bool
+}
+
+// Recycle empties m for reuse by a later ReadFrame, which then decodes
+// into the frame body and the Keys and Values slices m held instead of
+// allocating new ones. Nothing decoded from m — no byte field, no
+// element of Keys or Values — may be used after the call.
+func (m *Message) Recycle() {
+	*m = Message{frame: m.frame[:0], Keys: m.Keys[:0], Values: m.Values[:0], recycled: true}
 }
 
 // FrameSize is the size of the frame body m was decoded from by
@@ -339,6 +360,9 @@ const (
 	fGroupStatus
 	fTraceID
 	fServiceUs
+	fWithValues
+	fValuesEntry
+	fTruncated
 )
 
 // Marshal encodes m, including its HMAC field if present.
@@ -420,6 +444,15 @@ func (m *Message) marshalTail(buf []byte) []byte {
 	for _, k := range m.Keys {
 		buf = appendField(buf, fKeysEntry, k)
 	}
+	if m.WithValues {
+		buf = appendField(buf, fWithValues, []byte{1})
+	}
+	for _, v := range m.Values {
+		buf = appendField(buf, fValuesEntry, v)
+	}
+	if m.Truncated {
+		buf = appendField(buf, fTruncated, []byte{1})
+	}
 	for _, a := range m.ACLs {
 		buf = appendField(buf, fACLEntry, marshalACL(a))
 	}
@@ -483,6 +516,10 @@ func (m *Message) Unmarshal(data []byte) error { return m.decode(data, false) }
 // one can never reach a sibling, and Verify authenticates data as
 // received.
 func (m *Message) decode(data []byte, alias bool) error {
+	var keys, values [][]byte
+	if m.recycled {
+		keys, values = m.Keys, m.Values
+	}
 	*m = Message{}
 	own := cloneBytes
 	if alias {
@@ -490,7 +527,7 @@ func (m *Message) decode(data []byte, alias bool) error {
 	}
 	// Size the repeated fields first so each costs one allocation
 	// rather than an append growth series.
-	var nKeys, nACLs, nBatch, nSizes, nStatus int
+	var nKeys, nValues, nACLs, nBatch, nSizes, nStatus int
 	for rest := data; len(rest) > 0; {
 		tag, _, r, err := readField(rest)
 		if err != nil {
@@ -500,6 +537,8 @@ func (m *Message) decode(data []byte, alias bool) error {
 		switch tag {
 		case fKeysEntry:
 			nKeys++
+		case fValuesEntry:
+			nValues++
 		case fACLEntry:
 			nACLs++
 		case fBatchEntry:
@@ -511,7 +550,14 @@ func (m *Message) decode(data []byte, alias bool) error {
 		}
 	}
 	if nKeys > 0 {
-		m.Keys = make([][]byte, 0, nKeys)
+		if m.Keys = keys; nKeys > cap(keys) {
+			m.Keys = make([][]byte, 0, nKeys)
+		}
+	}
+	if nValues > 0 {
+		if m.Values = values; nValues > cap(values) {
+			m.Values = make([][]byte, 0, nValues)
+		}
 	}
 	if nACLs > 0 {
 		m.ACLs = make([]ACL, 0, nACLs)
@@ -584,6 +630,12 @@ func (m *Message) decode(data []byte, alias bool) error {
 			m.KeyInclusive = len(val) == 1 && val[0] == 1
 		case fKeysEntry:
 			m.Keys = append(m.Keys, own(val))
+		case fWithValues:
+			m.WithValues = len(val) == 1 && val[0] == 1
+		case fValuesEntry:
+			m.Values = append(m.Values, own(val))
+		case fTruncated:
+			m.Truncated = len(val) == 1 && val[0] == 1
 		case fACLEntry:
 			acl, err := unmarshalACL(val, own)
 			if err != nil {
@@ -799,7 +851,8 @@ func WriteFrame(w io.Writer, m *Message) error {
 // ReadFrame reads one framed message from r. The frame body is the one
 // allocation the message's bytes cost: m owns it and its byte fields
 // (batch sub-operations and ACL keys included) alias it, so whoever
-// retains a field retains the frame — see FrameSize.
+// retains a field retains the frame — see FrameSize. A message emptied
+// by Recycle lends the body it held, when large enough, instead.
 func ReadFrame(r *bufio.Reader, m *Message) error {
 	hdr, err := r.Peek(frameHeaderLen)
 	if err != nil {
@@ -816,7 +869,12 @@ func ReadFrame(r *bufio.Reader, m *Message) error {
 		return fmt.Errorf("wire: frame too large: %d bytes", n)
 	}
 	r.Discard(frameHeaderLen) // cannot fail: Peek buffered these bytes
-	body := make([]byte, n)
+	var body []byte
+	if m.recycled && uint32(cap(m.frame)) >= n {
+		body = m.frame[:n]
+	} else {
+		body = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		return err
 	}

@@ -83,57 +83,73 @@ func (m *Meta) Marshal() []byte {
 
 // UnmarshalMeta decodes metadata.
 func UnmarshalMeta(data []byte) (*Meta, error) {
-	var m Meta
-	key, data, err := readLenPrefixed(data)
-	if err != nil {
+	m := new(Meta)
+	if err := m.Unmarshal(data); err != nil {
 		return nil, err
 	}
-	m.Key = string(key)
+	return m, nil
+}
+
+// Unmarshal decodes data into m, replacing every field; on error m is
+// left partly overwritten. A Key or PolicyID that already equals the
+// encoded one is kept, so decoding a run of records into one Meta — a
+// listing page — allocates a string only where it changes.
+func (m *Meta) Unmarshal(data []byte) error {
+	key, data, err := readLenPrefixed(data)
+	if err != nil {
+		return err
+	}
+	if m.Key != string(key) {
+		m.Key = string(key)
+	}
 	var n int
 	m.Version, n = binary.Varint(data)
 	if n <= 0 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	data = data[n:]
 	m.Size, n = binary.Varint(data)
 	if n <= 0 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	data = data[n:]
 	if len(data) < 32 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	copy(m.ContentHash[:], data)
 	data = data[32:]
 	pid, data, err := readLenPrefixed(data)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m.PolicyID = string(pid)
+	if m.PolicyID != string(pid) {
+		m.PolicyID = string(pid)
+	}
 	if len(data) < 32 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	copy(m.PolicyHash[:], data)
 	data = data[32:]
+	m.Chunks, m.ECK, m.ECM = 0, 0, 0
 	if len(data) > 0 {
 		m.Chunks, n = binary.Varint(data)
 		if n <= 0 || m.Chunks < 0 {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		data = data[n:]
 	}
 	if len(data) > 0 {
 		m.ECK, n = binary.Varint(data)
 		if n <= 0 || m.ECK <= 0 {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		data = data[n:]
 		m.ECM, n = binary.Varint(data)
 		if n <= 0 || m.ECM <= 0 {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 	}
-	return &m, nil
+	return nil
 }
 
 // Codec encrypts and authenticates object payloads before they leave
