@@ -24,7 +24,6 @@ func microScale() bench.Scale {
 		DiskOpCount:        250,
 		DiskRecordCount:    120,
 		DiskClientSteps:    []int{4, 16},
-		GroupCommitClients: []int{1, 8, 32},
 		PolicyCacheEntries: 150,
 		PolicySteps:        []int{1, 150, 600},
 		MALGranularities:   []int{1, 10, 100},
@@ -192,21 +191,6 @@ func BenchmarkAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkFigBatchReplication regenerates the replication-engine
-// comparison (serial-singleton vs atomic batched-parallel writes).
-func BenchmarkFigBatchReplication(b *testing.B) {
-	s := microScale()
-	for i := 0; i < b.N; i++ {
-		t, err := bench.FigBatchReplication(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportPeak(b, t, "Batched IOP/s", "batched-IOPS")
-		reportPeak(b, t, "Serial IOP/s", "serial-IOPS")
-		reportPeak(b, t, "Speedup x", "speedup")
-	}
-}
-
 // BenchmarkFigScanWorkloadE regenerates the scan figure (YCSB
 // workload E short ranges over the v2 Scan API).
 func BenchmarkFigScanWorkloadE(b *testing.B) {
@@ -233,46 +217,6 @@ func BenchmarkFigClusterScaling(b *testing.B) {
 		b.ReportMetric(t.Rows[0].Values[idx], "1ctrl-A-IOPS")
 		b.ReportMetric(t.Rows[len(t.Rows)-1].Values[idx], "4ctrl-A-IOPS")
 		reportPeak(b, t, "Redirects", "redirects")
-	}
-}
-
-// BenchmarkFigGroupCommit regenerates the write-engine comparison
-// (serial vs per-op atomic batches vs cross-client group commit on
-// YCSB-A over the HDD model) and emits BENCH_write.json, which the CI
-// bench-smoke job uploads as an artifact.
-func BenchmarkFigGroupCommit(b *testing.B) {
-	s := microScale()
-	for i := 0; i < b.N; i++ {
-		t, err := bench.FigGroupCommit(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportPeak(b, t, "Group IOP/s", "group-IOPS")
-		reportPeak(b, t, "PerOp IOP/s", "perop-IOPS")
-		reportPeak(b, t, "Group/PerOp x", "speedup")
-		if err := bench.WriteBenchWriteJSON("BENCH_write.json", t); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigPolicy regenerates the policy fast-path comparison
-// (interpreter vs rule indexing vs session-bind partial evaluation,
-// per-op evaluator cost plus policy-filtered YCSB-E scans) and emits
-// BENCH_policy.json, which the CI bench-smoke job uploads as an
-// artifact.
-func BenchmarkFigPolicy(b *testing.B) {
-	s := microScale()
-	for i := 0; i < b.N; i++ {
-		t, err := bench.FigPolicy(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportPeak(b, t, "Scan kIOP/s", "scan-kIOPS")
-		reportPeak(b, t, "Residual hits", "residual-hits")
-		if err := bench.WriteBenchPolicyJSON("BENCH_policy.json", t); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -453,22 +397,5 @@ func TestBatchWritePathAllocs(t *testing.T) {
 	// nothing on the path may allocate per sub-op.
 	if avg > 2 {
 		t.Fatalf("merged batch encode allocates %.1f/frame; pooling regressed", avg)
-	}
-}
-
-// BenchmarkFigHedgedReads regenerates the hedged-read comparison
-// (all-replica fan-out vs latency-aware primary-first hedging on a
-// cache-hostile read-only workload).
-func BenchmarkFigHedgedReads(b *testing.B) {
-	s := microScale()
-	for i := 0; i < b.N; i++ {
-		t, err := bench.FigHedgedReads(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		idx := t.Col("Hedged gets/read")
-		fidx := t.Col("Fanout gets/read")
-		b.ReportMetric(t.Rows[0].Values[idx], "hedged-gets-per-read")
-		b.ReportMetric(t.Rows[0].Values[fidx], "fanout-gets-per-read")
 	}
 }

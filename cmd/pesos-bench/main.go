@@ -10,27 +10,21 @@
 // Figures: 3 (throughput vs clients), 4 (latency vs clients),
 // 5 (disk scaling), 6 (payload size), enc (§6.2 encryption overhead),
 // 7 (replication), 8 (policy cache), 9 (versioned store), 10 (MAL),
-// ablation (security-layer cost), repl (serial vs batched-parallel
-// replication engines), scan (YCSB-E short ranges over the v2 Scan
-// API), hedge (fan-out vs hedged cache-miss reads; also emits
-// machine-readable BENCH_read.json with the wire hot-path
-// micro-benchmarks), cluster (keyspace scale-out across 1/2/4
-// controllers through the cluster router; emits BENCH_cluster.json),
-// gcommit (serial vs per-op batch vs cross-client group commit on
-// YCSB-A over the HDD model at 1/8/32/128 clients; emits
-// BENCH_write.json with the batch wire-path micro-benchmarks),
-// failover (controller kill under load with a hot standby taking
-// over; emits BENCH_ha.json with the recovery timeline), chaos
-// (phased drive-fault injection — baseline, drive kill, partition and
-// reconcile, load ramp — with failure detection and background
-// re-replication; emits BENCH_chaos.json with the phase timeline),
-// obs (healthy-path overhead of the observability layer — tracing,
-// metrics, audit sampling — vs the kill switch on identical YCSB-A
-// replays; emits BENCH_obs.json with the interleaved rounds and the
-// best-of overhead), ec (erasure-coded streaming vs replication-3:
-// capacity per logical byte, large-object PUT/GET throughput, and a
-// timed shard rebuild after a drive kill under load; emits
-// BENCH_ec.json with the run timeline).
+// ablation (security-layer cost), scan (YCSB-E short ranges over the
+// v2 Scan API), cluster (keyspace scale-out across 1/2/4 controllers
+// through the cluster router; emits BENCH_cluster.json), failover
+// (controller kill under load with a hot standby taking over; emits
+// BENCH_ha.json with the recovery timeline), chaos (phased drive-fault
+// injection — baseline, drive kill, partition and reconcile, load
+// ramp — with failure detection and background re-replication; emits
+// BENCH_chaos.json with the phase timeline), obs (healthy-path
+// overhead of the observability layer — tracing, metrics, audit
+// sampling — vs the kill switch on identical YCSB-A replays; emits
+// BENCH_obs.json with the interleaved rounds and the best-of
+// overhead), ec (erasure-coded streaming vs replication-3: capacity
+// per logical byte, large-object PUT/GET throughput, and a timed
+// shard rebuild after a drive kill under load; emits BENCH_ec.json
+// with the run timeline).
 package main
 
 import (
@@ -43,12 +37,9 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,6,enc,7,8,9,10,ablation,repl,scan,hedge,cluster,gcommit,policy,failover,chaos,obs,ec or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,6,enc,7,8,9,10,ablation,scan,cluster,failover,chaos,obs,ec or all")
 	paper := flag.Bool("paper", false, "use the paper's full experiment scale (minutes per figure)")
-	jsonOut := flag.String("json", "BENCH_read.json", "path for the hedge figure's machine-readable output (empty disables)")
 	clusterJSON := flag.String("cluster-json", "BENCH_cluster.json", "path for the cluster figure's machine-readable output (empty disables)")
-	writeJSON := flag.String("write-json", "BENCH_write.json", "path for the gcommit figure's machine-readable output (empty disables)")
-	policyJSON := flag.String("policy-json", "BENCH_policy.json", "path for the policy figure's machine-readable output (empty disables)")
 	haJSON := flag.String("ha-json", "BENCH_ha.json", "path for the failover figure's machine-readable output (empty disables)")
 	chaosJSON := flag.String("chaos-json", "BENCH_chaos.json", "path for the chaos figure's machine-readable output (empty disables)")
 	obsJSON := flag.String("obs-json", "BENCH_obs.json", "path for the obs figure's machine-readable output (empty disables)")
@@ -75,12 +66,8 @@ func main() {
 		{"9", bench.Fig9Versioned},
 		{"10", bench.Fig10MAL},
 		{"ablation", bench.Ablation},
-		{"repl", bench.FigBatchReplication},
 		{"scan", bench.FigScanWorkloadE},
-		{"hedge", bench.FigHedgedReads},
 		{"cluster", bench.FigClusterScaling},
-		{"gcommit", bench.FigGroupCommit},
-		{"policy", bench.FigPolicy},
 		{"failover", bench.FigFailover},
 		{"chaos", bench.FigChaos},
 		{"obs", bench.FigObs},
@@ -100,33 +87,12 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(t.Format())
-		if f.name == "hedge" && *jsonOut != "" {
-			if err := bench.WriteBenchReadJSON(*jsonOut, t); err != nil {
-				fmt.Fprintf(os.Stderr, "pesos-bench: write %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("(wrote %s)\n", *jsonOut)
-		}
 		if f.name == "cluster" && *clusterJSON != "" {
 			if err := bench.WriteBenchClusterJSON(*clusterJSON, t); err != nil {
 				fmt.Fprintf(os.Stderr, "pesos-bench: write %s: %v\n", *clusterJSON, err)
 				os.Exit(1)
 			}
 			fmt.Printf("(wrote %s)\n", *clusterJSON)
-		}
-		if f.name == "gcommit" && *writeJSON != "" {
-			if err := bench.WriteBenchWriteJSON(*writeJSON, t); err != nil {
-				fmt.Fprintf(os.Stderr, "pesos-bench: write %s: %v\n", *writeJSON, err)
-				os.Exit(1)
-			}
-			fmt.Printf("(wrote %s)\n", *writeJSON)
-		}
-		if f.name == "policy" && *policyJSON != "" {
-			if err := bench.WriteBenchPolicyJSON(*policyJSON, t); err != nil {
-				fmt.Fprintf(os.Stderr, "pesos-bench: write %s: %v\n", *policyJSON, err)
-				os.Exit(1)
-			}
-			fmt.Printf("(wrote %s)\n", *policyJSON)
 		}
 		if f.name == "failover" && *haJSON != "" {
 			if err := bench.WriteBenchHAJSON(*haJSON, t); err != nil {

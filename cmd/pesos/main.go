@@ -57,8 +57,6 @@ func main() {
 	ecM := flag.Int("ec-m", 0, "parity shards per EC stripe (0 = default 2)")
 	ecMinBytes := flag.Int64("ec-min-bytes", 0, "minimum streamed object size for erasure coding; smaller objects stay replicated (0 = default 4 MiB)")
 	noEncrypt := flag.Bool("no-encrypt", false, "disable payload encryption (baseline)")
-	groupCommit := flag.Bool("group-commit", true, "coalesce concurrent writes into shared per-drive batches")
-	policyPartial := flag.Bool("policy-partial-eval", true, "compile per-session residual policies (false = interpreter baseline)")
 	host := flag.String("host", "localhost", "hostname in the serving certificate")
 	shardMap := flag.String("shard-map", "", "signed cluster shard map file; runs the controller as one shard")
 	shardID := flag.Int("shard-id", 0, "this controller's shard id in the map (with -shard-map)")
@@ -92,9 +90,9 @@ func main() {
 	default:
 		opts := runOpts{
 			state: *state, listen: *listen, drives: *drives, driveTLS: *driveTLS,
-			replicas: *replicas, encrypt: !*noEncrypt, groupCommit: *groupCommit,
+			replicas: *replicas, encrypt: !*noEncrypt,
 			ec: *ecOn, ecK: *ecK, ecM: *ecM, ecMinBytes: *ecMinBytes,
-			policyPartial: *policyPartial, shardMapFile: *shardMap, shardID: *shardID,
+			shardMapFile: *shardMap, shardID: *shardID,
 			repairInterval: *repairInterval, detectInterval: *detectInterval,
 			sweepKeys: *sweepKeys, sweepBytes: *sweepBytes,
 			disableObs:       *obsMode == "off" || *obsMode == "false" || *obsMode == "0",
@@ -118,8 +116,7 @@ type runOpts struct {
 	ec                             bool
 	ecK, ecM                       int
 	ecMinBytes                     int64
-	encrypt, groupCommit           bool
-	policyPartial                  bool
+	encrypt                        bool
 	shardMapFile                   string
 	shardID                        int
 	repairInterval, detectInterval time.Duration
@@ -340,20 +337,16 @@ func run(o runOpts) error {
 
 	addrs := strings.Split(driveList, ",")
 	cfg := core.Config{
-		Replicas:          o.replicas,
-		EC:                o.ec,
-		ECDataShards:      o.ecK,
-		ECParityShards:    o.ecM,
-		ECMinBytes:        o.ecMinBytes,
-		Encrypt:           o.encrypt,
-		GroupCommit:       o.groupCommit,
-		PolicyPartialEval: o.policyPartial,
-		TakeOver:          true,
-		Secrets:           secrets,
+		Replicas:       o.replicas,
+		EC:             o.ec,
+		ECDataShards:   o.ecK,
+		ECParityShards: o.ecM,
+		ECMinBytes:     o.ecMinBytes,
+		Encrypt:        o.encrypt,
+		TakeOver:       true,
+		Secrets:        secrets,
 		// Self-healing: the controller's own maintenance loops run the
-		// failure detector and the incremental sweeper; the old
-		// full-keyspace RepairSweep goroutine is superseded by the
-		// cursor-resumable, budget-bounded ticks.
+		// failure detector and the incremental sweeper.
 		DetectorInterval:  o.detectInterval,
 		SweepInterval:     o.repairInterval,
 		SweepKeysPerTick:  o.sweepKeys,

@@ -310,11 +310,11 @@ func figChaos(s Scale, seed int64, phase time.Duration) (*Table, error) {
 // BenchChaosJSON is the machine-readable chaos result
 // (BENCH_chaos.json): the run timeline plus the per-phase table.
 type BenchChaosJSON struct {
-	Figure   string         `json:"figure"`
-	Title    string         `json:"title"`
-	Timeline ChaosTimeline  `json:"timeline"`
-	Columns  []string       `json:"columns"`
-	Phases   []BenchReadRow `json:"phases"`
+	Figure   string        `json:"figure"`
+	Title    string        `json:"title"`
+	Timeline ChaosTimeline `json:"timeline"`
+	Columns  []string      `json:"columns"`
+	Phases   []Row         `json:"phases"`
 }
 
 // WriteBenchChaosJSON renders the most recent FigChaos run as
@@ -325,9 +325,7 @@ func WriteBenchChaosJSON(path string, t *Table) error {
 		Title:    t.Title,
 		Timeline: lastChaosTimeline,
 		Columns:  t.Columns,
-	}
-	for _, r := range t.Rows {
-		out.Phases = append(out.Phases, BenchReadRow{X: r.X, Values: r.Values})
+		Phases:   t.Rows,
 	}
 	data, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {

@@ -222,11 +222,11 @@ func runClusterWorkload(controllers int, wl ycsb.Workload, s Scale) (*Metrics, u
 // BenchClusterJSON is the machine-readable trajectory of the cluster
 // scaling figure (BENCH_cluster.json).
 type BenchClusterJSON struct {
-	Figure  string         `json:"figure"`
-	Title   string         `json:"title"`
-	XLabel  string         `json:"xLabel"`
-	Columns []string       `json:"columns"`
-	Rows    []BenchReadRow `json:"rows"`
+	Figure  string   `json:"figure"`
+	Title   string   `json:"title"`
+	XLabel  string   `json:"xLabel"`
+	Columns []string `json:"columns"`
+	Rows    []Row    `json:"rows"`
 }
 
 // WriteBenchClusterJSON renders the cluster scaling table as
@@ -237,9 +237,7 @@ func WriteBenchClusterJSON(path string, t *Table) error {
 		Title:   t.Title,
 		XLabel:  t.XLabel,
 		Columns: t.Columns,
-	}
-	for _, r := range t.Rows {
-		out.Rows = append(out.Rows, BenchReadRow{X: r.X, Values: r.Values})
+		Rows:    t.Rows,
 	}
 	data, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {

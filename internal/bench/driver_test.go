@@ -117,33 +117,3 @@ func versionedSrcForTest() string {
 		"update :- objId(this, O) and currVersion(O, CV) and nextVersion(CV + 1)" +
 		" or objId(this, NULL) and nextVersion(0)\n"
 }
-
-// TestBatchedReplicationBeatsSerial is the acceptance check for the
-// replication engine rebuild: on a 2-replica HDD-model cluster the
-// batched-parallel write path must out-run the serial-singleton
-// baseline. The margin is kept modest so the test stays robust on
-// loaded CI machines; the full sweep lives in FigBatchReplication.
-func TestBatchedReplicationBeatsSerial(t *testing.T) {
-	s := Scale{DiskRecordCount: 60, DiskOpCount: 300, Clients: 8,
-		ReplicationDisks: []int{2}}
-	serial, err := runReplicationWrites(s, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := runReplicationWrites(s, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Errors != 0 || batched.Errors != 0 {
-		t.Fatalf("replay errors: serial=%d batched=%d", serial.Errors, batched.Errors)
-	}
-	t.Logf("serial %.0f IOP/s, batched %.0f IOP/s (%.2fx)",
-		serial.KIOPS*1000, batched.KIOPS*1000, batched.KIOPS/serial.KIOPS)
-	// Serial pays 2 positioning waits per replica in sequence; batched
-	// pays one amortized wait with replicas in parallel — ~4x in
-	// theory. Require a conservative 1.3x.
-	if batched.KIOPS < serial.KIOPS*1.3 {
-		t.Errorf("batched replication not faster: serial %.0f IOP/s, batched %.0f IOP/s",
-			serial.KIOPS*1000, batched.KIOPS*1000)
-	}
-}

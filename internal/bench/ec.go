@@ -356,11 +356,11 @@ func mbps(n int64, d time.Duration) float64 {
 // BenchECJSON is the machine-readable EC result (BENCH_ec.json): the
 // run timeline plus the per-phase table.
 type BenchECJSON struct {
-	Figure   string         `json:"figure"`
-	Title    string         `json:"title"`
-	Timeline ECTimeline     `json:"timeline"`
-	Columns  []string       `json:"columns"`
-	Phases   []BenchReadRow `json:"phases"`
+	Figure   string     `json:"figure"`
+	Title    string     `json:"title"`
+	Timeline ECTimeline `json:"timeline"`
+	Columns  []string   `json:"columns"`
+	Phases   []Row      `json:"phases"`
 }
 
 // WriteBenchECJSON renders the most recent FigEC run as
@@ -371,9 +371,7 @@ func WriteBenchECJSON(path string, t *Table) error {
 		Title:    t.Title,
 		Timeline: lastECTimeline,
 		Columns:  t.Columns,
-	}
-	for _, r := range t.Rows {
-		out.Phases = append(out.Phases, BenchReadRow{X: r.X, Values: r.Values})
+		Phases:   t.Rows,
 	}
 	data, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {

@@ -267,11 +267,11 @@ func figFailover(s Scale, ttl, phase time.Duration) (*Table, error) {
 // BenchHAJSON is the machine-readable failover result
 // (BENCH_ha.json): the recovery timeline plus the per-phase table.
 type BenchHAJSON struct {
-	Figure   string         `json:"figure"`
-	Title    string         `json:"title"`
-	Timeline HATimeline     `json:"timeline"`
-	Columns  []string       `json:"columns"`
-	Phases   []BenchReadRow `json:"phases"`
+	Figure   string     `json:"figure"`
+	Title    string     `json:"title"`
+	Timeline HATimeline `json:"timeline"`
+	Columns  []string   `json:"columns"`
+	Phases   []Row      `json:"phases"`
 }
 
 // WriteBenchHAJSON renders the most recent FigFailover run as
@@ -282,9 +282,7 @@ func WriteBenchHAJSON(path string, t *Table) error {
 		Title:    t.Title,
 		Timeline: lastHATimeline,
 		Columns:  t.Columns,
-	}
-	for _, r := range t.Rows {
-		out.Phases = append(out.Phases, BenchReadRow{X: r.X, Values: r.Values})
+		Phases:   t.Rows,
 	}
 	data, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {

@@ -39,9 +39,6 @@ type Scale struct {
 	PayloadSizes []int
 	// ReplicationDisks is the x axis of Figure 7.
 	ReplicationDisks []int
-	// GroupCommitClients is the client sweep of the group-commit
-	// figure (empty selects 1/8/32/128).
-	GroupCommitClients []int
 	// Clients is the fixed concurrency for Figures 6–10.
 	Clients int
 }
@@ -91,10 +88,11 @@ type Table struct {
 	Rows    []Row
 }
 
-// Row is one x point of a figure.
+// Row is one x point of a figure; the JSON tags are its shape in the
+// machine-readable BENCH_*.json outputs.
 type Row struct {
-	X      string
-	Values []float64
+	X      string    `json:"x"`
+	Values []float64 `json:"values"`
 }
 
 // Format renders the table as aligned text, the harness's equivalent

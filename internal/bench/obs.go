@@ -252,11 +252,11 @@ func dirBytes(dir string) int64 {
 // BenchObsJSON is the machine-readable obs overhead result
 // (BENCH_obs.json): the interleaved rounds plus the median summary.
 type BenchObsJSON struct {
-	Figure  string         `json:"figure"`
-	Title   string         `json:"title"`
-	Result  ObsResult      `json:"result"`
-	Columns []string       `json:"columns"`
-	Rows    []BenchReadRow `json:"rows"`
+	Figure  string    `json:"figure"`
+	Title   string    `json:"title"`
+	Result  ObsResult `json:"result"`
+	Columns []string  `json:"columns"`
+	Rows    []Row     `json:"rows"`
 }
 
 // WriteBenchObsJSON renders the most recent FigObs run as
@@ -267,9 +267,7 @@ func WriteBenchObsJSON(path string, t *Table) error {
 		Title:   t.Title,
 		Result:  lastObsResult,
 		Columns: t.Columns,
-	}
-	for _, r := range t.Rows {
-		out.Rows = append(out.Rows, BenchReadRow{X: r.X, Values: r.Values})
+		Rows:    t.Rows,
 	}
 	data, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {

@@ -79,57 +79,14 @@ type Config struct {
 	// DisablePolicies turns policy enforcement off entirely — the
 	// "without policy checking" baseline of §6.4.
 	DisablePolicies bool
-	// SerialReplication selects the legacy write path: a serial loop
-	// of independent object and meta puts per replica, instead of one
-	// atomic batch per replica fanned out concurrently. Kept as the
-	// measured baseline for the replication benchmark. It implies
-	// GroupCommit off.
-	SerialReplication bool
-	// GroupCommit enables the per-drive cross-client group committer
-	// (see gcommit.go): concurrent logical writes coalesce into shared
-	// grouped drive batches, one amortized media wait for many
-	// clients. On by default in every shipped configuration (testbed,
-	// daemons); false reproduces the per-op batch write path of the
-	// replication engine as the measured baseline.
-	GroupCommit bool
-	// GroupCommitMaxOps caps the sub-operations of one merged drive
-	// batch (0 or out of range selects wire.MaxBatchOps).
-	GroupCommitMaxOps int
-	// GroupCommitMaxBytes caps one merged batch's payload bytes
-	// (0 selects store.MaxObjectSize).
-	GroupCommitMaxBytes int
-	// GroupCommitMaxDelay bounds the scheduler's gather window under
-	// sustained concurrency; the idle path always commits immediately.
-	// 0 selects 150µs; negative disables gathering entirely.
-	GroupCommitMaxDelay time.Duration
-	// FanoutReads selects the legacy read engine: every cache-miss
-	// read asks all placement replicas concurrently (first-wins),
-	// occupying every replica's media per read. The default is the
-	// latency-aware hedged engine (see replicate.go); the fan-out
-	// path is kept as the measured baseline for the hedge benchmark.
-	FanoutReads bool
-	// HedgeDelay fixes the hedged engine's delay before a second
-	// replica is consulted. 0 selects the adaptive delay: ~1.25× the
-	// outstanding drive's observed p95 read latency.
+	// HedgeDelay fixes the read engine's delay before a second replica
+	// is consulted (see replicate.go). 0 selects the adaptive delay:
+	// ~1.25× the outstanding drive's observed p95 read latency.
 	HedgeDelay time.Duration
-	// PolicyPartialEval enables the compiled policy fast path: rule
-	// indexing plus session-bind partial evaluation, with residuals
-	// cached per (policy, session, op) and reused across scan pages
-	// and batches. On by default in every shipped configuration
-	// (testbed, daemons); false keeps the clause-list interpreter as
-	// the measured baseline for the policy benchmark.
-	PolicyPartialEval bool
-	// PolicyIndexedOnly selects rule indexing without partial
-	// evaluation or residual caching — the benchmark's middle
-	// configuration. Ignored when PolicyPartialEval is set.
-	PolicyIndexedOnly bool
 
 	// Enclave is the trusted execution environment; nil runs the
 	// controller "native" (no attestation, no overhead model).
 	Enclave *enclave.Enclave
-	// Cost is the shielded-execution overhead model; nil derives one
-	// from Enclave (native if Enclave is nil).
-	Cost *enclave.CostModel
 
 	// Attestation, when set, is used with Enclave to obtain Secrets
 	// via remote attestation. Otherwise Secrets must be set directly.
@@ -147,12 +104,6 @@ type Config struct {
 	PolicyCacheEntries int
 	ObjectCacheBytes   int64
 	KeyCacheBytes      int64
-	// DecisionCacheBytes budgets the policy-decision cache, which
-	// memoizes verdicts of policies whose outcome depends only on
-	// (client, operation) so the interpreter runs once per (policy,
-	// client, op) instead of once per request. 0 selects 1 MB; -1
-	// disables the cache.
-	DecisionCacheBytes int64
 
 	// AsyncWorkers sizes the pool executing asynchronous operations;
 	// 0 selects 32.
@@ -278,8 +229,9 @@ type Controller struct {
 	clock   func() time.Time
 
 	drives []*drivePool
-	// gcommit is the group-commit scheduler (one queue per drive, one
-	// generation clock); nil when group commit is off (see gcommit.go).
+	// gcommit is the group-commit scheduler every drive write goes
+	// through (one queue per drive, one generation clock; see
+	// gcommit.go).
 	gcommit *groupScheduler
 
 	// detector is the drive-failure detector; deadMask is its
@@ -298,12 +250,8 @@ type Controller struct {
 	policyCache *cache.Cache[string, *policy.Program]
 	objectCache *cache.Cache[string, *store.Record]
 	metaCache   *cache.Cache[string, *store.Meta]
-	// decisionCache memoizes session-static policy verdicts (nil when
-	// disabled); see checkPolicy.
-	decisionCache *cache.Cache[string, cachedDecision]
-	// residualCache memoizes session-bound partial evaluations keyed
-	// like the decision cache (nil unless PolicyPartialEval); it is
-	// invalidated on the same PutPolicy path.
+	// residualCache memoizes session-bound partial evaluations per
+	// (policy, op, session); PutPolicy clears it. See checkPolicy.
 	residualCache *cache.Cache[string, *policy.Residual]
 
 	// Singleflight layers in front of the caches: N concurrent misses
@@ -380,10 +328,10 @@ type Stats struct {
 	TxAborts            obs.Counter
 	ReadHedges          obs.Counter // hedge requests fired by the read engine
 	CoalescedReads      obs.Counter // cache misses served by another miss's flight
-	DecisionHits        obs.Counter // policy checks served from the decision cache
+	DecisionHits        obs.Counter // always 0 (no decision cache); kept because benchmark/counters.go reads it
 	PolicyEvals         obs.Counter // clause-machine runs (checks not decided statically)
 	ResidualHits        obs.Counter // checks served by a cached or page-reused residual
-	IndexSkippedClauses obs.Counter // clauses pruned by the rule index / residuals
+	IndexSkippedClauses obs.Counter // clauses pruned by session residuals (bind-time kills + object guards)
 	WrongShard          obs.Counter // operations redirected to another shard
 	GroupBatches        obs.Counter // drive batches shipped by the group scheduler (merged or not)
 	GroupedWrites       obs.Counter // write groups that shared a merged drive batch
@@ -536,10 +484,7 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 	} else {
 		c.epc = enclave.NewEPC(0)
 	}
-	c.cost = cfg.Cost
-	if c.cost == nil {
-		c.cost = enclave.DefaultCostModel(cfg.Enclave != nil, c.epc)
-	}
+	c.cost = enclave.DefaultCostModel(cfg.Enclave != nil, c.epc)
 
 	var err error
 	if c.codec, err = store.NewCodec(c.secrets.ObjectKey, cfg.Encrypt); err != nil {
@@ -559,9 +504,7 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 	if err := c.connectDrives(ctx); err != nil {
 		return nil, err
 	}
-	if cfg.GroupCommit && !cfg.SerialReplication {
-		c.startCommitters()
-	}
+	c.gcommit = newGroupScheduler(c)
 
 	// Step 4: caches, sized to the paper's defaults within the EPC.
 	pcBytes := cfg.PolicyCacheBytes
@@ -592,29 +535,13 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 		SizeOf:      func(m *store.Meta) int64 { return int64(len(m.Key)+len(m.PolicyID)) + 96 },
 		EPC:         c.epc, Label: "key-cache",
 	})
-	if cfg.DecisionCacheBytes >= 0 {
-		dcBytes := cfg.DecisionCacheBytes
-		if dcBytes == 0 {
-			dcBytes = 1 << 20
-		}
-		c.decisionCache = cache.New[string, cachedDecision](cache.Config[cachedDecision]{
-			BudgetBytes: dcBytes,
-			// Entries are dominated by their key (policy id + client
-			// fingerprint), which the sizer cannot see; charge a flat
-			// estimate plus the denial reason.
-			SizeOf: func(d cachedDecision) int64 { return int64(len(d.reason)) + 192 },
-			EPC:    c.epc, Label: "decision-cache",
-		})
-		if cfg.PolicyPartialEval {
-			c.residualCache = cache.New[string, *policy.Residual](cache.Config[*policy.Residual]{
-				BudgetBytes: dcBytes,
-				// Charge the residual's own estimate plus the key (policy
-				// id + client fingerprint), which the sizer cannot see.
-				SizeOf: func(r *policy.Residual) int64 { return r.SizeEstimate() + 160 },
-				EPC:    c.epc, Label: "residual-cache",
-			})
-		}
-	}
+	c.residualCache = cache.New[string, *policy.Residual](cache.Config[*policy.Residual]{
+		BudgetBytes: residualCacheBytes,
+		// Charge the residual's own estimate plus the key (policy
+		// id + client fingerprint), which the sizer cannot see.
+		SizeOf: func(r *policy.Residual) int64 { return r.SizeEstimate() + 160 },
+		EPC:    c.epc, Label: "residual-cache",
+	})
 	c.metaFlight = cache.NewFlight[string, *store.Meta]()
 	c.objectFlight = cache.NewFlight[string, *store.Record]()
 	c.policyFlight = cache.NewFlight[string, *policy.Program]()
@@ -641,12 +568,8 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// cachedDecision is one memoized policy verdict for a session-static
-// (policy, client, operation) triple.
-type cachedDecision struct {
-	allowed bool
-	reason  string // denial explanation, preserved for the client error
-}
+// residualCacheBytes budgets the residual cache.
+const residualCacheBytes = 1 << 20
 
 // connectDrives dials every drive and, unless disabled, performs the
 // exclusive takeover: replace all accounts with a single Pesos admin
@@ -721,7 +644,7 @@ func (c *Controller) EPC() *enclave.EPC { return c.epc }
 func (c *Controller) Cost() *enclave.CostModel { return c.cost }
 
 // CacheStats reports hit/miss/eviction counters of the controller
-// caches (including the policy-decision cache when enabled).
+// caches.
 func (c *Controller) CacheStats() map[string][3]uint64 {
 	out := make(map[string][3]uint64, 4)
 	h, m, e := c.policyCache.Stats()
@@ -730,14 +653,8 @@ func (c *Controller) CacheStats() map[string][3]uint64 {
 	out["object"] = [3]uint64{h, m, e}
 	h, m, e = c.metaCache.Stats()
 	out["meta"] = [3]uint64{h, m, e}
-	if c.decisionCache != nil {
-		h, m, e = c.decisionCache.Stats()
-		out["decision"] = [3]uint64{h, m, e}
-	}
-	if c.residualCache != nil {
-		h, m, e = c.residualCache.Stats()
-		out["residual"] = [3]uint64{h, m, e}
-	}
+	h, m, e = c.residualCache.Stats()
+	out["residual"] = [3]uint64{h, m, e}
 	return out
 }
 
@@ -760,19 +677,14 @@ func (c *Controller) DriveLatencies() []DriveLatency {
 	return out
 }
 
-// DropCaches empties the meta, object, policy and decision caches.
+// DropCaches empties the meta, object, policy and residual caches.
 // Benchmarks and tests use it to force cache-miss reads; it is safe
 // (though pointless) on a live controller — drive state is untouched.
 func (c *Controller) DropCaches() {
 	c.metaCache.Clear()
 	c.objectCache.Clear()
 	c.policyCache.Clear()
-	if c.decisionCache != nil {
-		c.decisionCache.Clear()
-	}
-	if c.residualCache != nil {
-		c.residualCache.Clear()
-	}
+	c.residualCache.Clear()
 }
 
 // Close shuts the controller down: sessions stop accepting work,
@@ -806,11 +718,11 @@ func (c *Controller) Close() error {
 	// Committer shutdown is two-phase: reject queued groups first,
 	// close the drive connections (which unblocks any in-flight merged
 	// batch), then wait for the scheduler goroutines to exit.
-	c.stopCommitters(false)
+	c.gcommit.shutdown()
 	c.mu.Lock()
 	c.closeDrives()
 	c.mu.Unlock()
-	c.stopCommitters(true)
+	c.gcommit.wait()
 	c.audit.Close()
 	return nil
 }

@@ -37,9 +37,7 @@ func newHarness(t *testing.T, nDrives int, mutate func(*Config)) *harness {
 	if _, err := rand.Read(secrets.AdminSeed[:]); err != nil {
 		t.Fatal(err)
 	}
-	// Group commit on, like every shipped configuration; baseline
-	// tests opt out via mutate (cfg.GroupCommit = false).
-	cfg := Config{Replicas: 1, Encrypt: true, GroupCommit: true, TakeOver: true, Secrets: secrets}
+	cfg := Config{Replicas: 1, Encrypt: true, TakeOver: true, Secrets: secrets}
 	for i := 0; i < nDrives; i++ {
 		name := fmt.Sprintf("d%d", i)
 		drive := kinetic.NewDrive(kinetic.Config{Name: name})

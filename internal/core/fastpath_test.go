@@ -8,57 +8,49 @@ import (
 	"testing"
 )
 
-func fastHarness(t *testing.T) *harness {
-	t.Helper()
-	return newHarness(t, 1, func(c *Config) { c.PolicyPartialEval = true })
-}
-
-// TestPartialEvalMatchesInterpreter runs the same guarded workload on
-// a partial-eval controller and an interpreter-baseline controller and
-// requires identical allow/deny outcomes end to end.
+// TestPartialEvalMatchesInterpreter pins the end-to-end verdicts of a
+// guarded workload through the controller: the expected outcomes are
+// the reference interpreter's (the differential fuzz in
+// internal/policy holds the residual evaluator to it).
 func TestPartialEvalMatchesInterpreter(t *testing.T) {
 	ctx := context.Background()
-	src := "read :- sessionKeyIs(k'a11ce') or sessionKeyIs(k'0b')\n" +
-		"update :- sessionKeyIs(k'a11ce') and currVersion(this, V) and nextVersion(V + 1)"
-	type outcome struct {
-		create, update, selfRead, otherRead, stranger error
+	h := newHarness(t, 1, nil)
+	alice := h.ctl.Session("a11ce")
+	bob := h.ctl.Session("0b")
+	eve := h.ctl.Session("e4e")
+	pid, err := h.ctl.PutPolicy(ctx,
+		"read :- sessionKeyIs(k'a11ce') or sessionKeyIs(k'0b')\n"+
+			"update :- sessionKeyIs(k'a11ce') and currVersion(this, V) and nextVersion(V + 1)")
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(partial bool) outcome {
-		h := newHarness(t, 1, func(c *Config) { c.PolicyPartialEval = partial })
-		alice := h.ctl.Session("a11ce")
-		bob := h.ctl.Session("0b")
-		eve := h.ctl.Session("e4e")
-		pid, err := h.ctl.PutPolicy(ctx, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var o outcome
-		_, o.create = alice.Put(ctx, "k", []byte("v0"), PutOptions{PolicyID: pid})
-		_, o.update = alice.Put(ctx, "k", []byte("v1"), PutOptions{})
-		_, _, o.selfRead = alice.Get(ctx, "k", GetOptions{})
-		_, _, o.otherRead = bob.Get(ctx, "k", GetOptions{})
-		_, _, o.stranger = eve.Get(ctx, "k", GetOptions{})
-		return o
+	put := func(s *Session, opts PutOptions) func() error {
+		return func() error { _, err := s.Put(ctx, "k", []byte("v"), opts); return err }
 	}
-	fast, slow := run(true), run(false)
-	pairs := []struct {
-		name       string
-		fast, slow error
+	get := func(s *Session) func() error {
+		return func() error { _, _, err := s.Get(ctx, "k", GetOptions{}); return err }
+	}
+	steps := []struct {
+		name   string
+		do     func() error
+		denied bool
 	}{
-		{"create", fast.create, slow.create},
-		{"update", fast.update, slow.update},
-		{"selfRead", fast.selfRead, slow.selfRead},
-		{"otherRead", fast.otherRead, slow.otherRead},
-		{"stranger", fast.stranger, slow.stranger},
+		{"create (no policy governs creation)", put(alice, PutOptions{PolicyID: pid}), false},
+		{"owner update to the next version", put(alice, PutOptions{}), false},
+		{"reader update", put(bob, PutOptions{}), true},
+		{"owner read", get(alice), false},
+		{"reader read", get(bob), false},
+		{"stranger read", get(eve), true},
+		{"stranger update", put(eve, PutOptions{}), true},
 	}
-	for _, p := range pairs {
-		if (p.fast == nil) != (p.slow == nil) ||
-			errors.Is(p.fast, ErrDenied) != errors.Is(p.slow, ErrDenied) {
-			t.Fatalf("%s: partial=%v interpreter=%v", p.name, p.fast, p.slow)
+	for _, st := range steps {
+		err := st.do()
+		if st.denied && !errors.Is(err, ErrDenied) {
+			t.Errorf("%s: got %v, want a policy denial", st.name, err)
 		}
-	}
-	if fast.stranger == nil || !errors.Is(fast.stranger, ErrDenied) {
-		t.Fatalf("stranger read should be denied, got %v", fast.stranger)
+		if !st.denied && err != nil {
+			t.Errorf("%s: got %v, want success", st.name, err)
+		}
 	}
 }
 
@@ -67,7 +59,7 @@ func TestPartialEvalMatchesInterpreter(t *testing.T) {
 // verdicts — a stale residual would keep enforcing the old clauses for
 // the rest of the session.
 func TestPutPolicyClearsResiduals(t *testing.T) {
-	h := fastHarness(t)
+	h := newHarness(t, 1, nil)
 	ctx := context.Background()
 	s := h.ctl.Session("a11ce")
 	pid, err := h.ctl.PutPolicy(ctx, "read :- sessionKeyIs(U) and currVersion(this, V)\nupdate :- sessionKeyIs(U)")
@@ -97,7 +89,7 @@ func TestPutPolicyClearsResiduals(t *testing.T) {
 // that decisions always follow the policy recorded in the object's
 // metadata — content-addressed ids make a stale residual unreachable.
 func TestReplacePolicyMidSessionRace(t *testing.T) {
-	h := fastHarness(t)
+	h := newHarness(t, 1, nil)
 	ctx := context.Background()
 	owner := h.ctl.Session("a11ce")
 	outsider := h.ctl.Session("0b")
@@ -163,7 +155,7 @@ func TestReplacePolicyMidSessionRace(t *testing.T) {
 // residual-reuse, and index-skip counters move under a policy-filtered
 // scan workload.
 func TestPolicyCountersExported(t *testing.T) {
-	h := fastHarness(t)
+	h := newHarness(t, 1, nil)
 	ctx := context.Background()
 	s := h.ctl.Session("a11ce")
 	// Session-guarded clauses ahead of an open versioned clause: the

@@ -21,10 +21,10 @@
 //     latency path pays only channel hand-off overhead);
 //   - drives busy → groups arriving while a generation is in flight
 //     pile up and the next generation takes them all, up to
-//     GroupCommitMaxOps / GroupCommitMaxBytes per drive; when the
+//     groupCommitMaxOps / groupCommitMaxBytes per drive; when the
 //     previous generation was merged (evidence of sustained
 //     concurrency) the scheduler holds a short quiet-period gather
-//     window, capped by GroupCommitMaxDelay, so a wake-up burst of
+//     window, capped by groupCommitMaxDelay, so a wake-up burst of
 //     writers lands in one media wait instead of fragmenting.
 //
 // Generations, not independent per-drive clocks, are what keep
@@ -69,13 +69,18 @@ import (
 	"repro/internal/store"
 )
 
-// Group-commit scheduler defaults; Config.GroupCommitMaxDelay
-// overrides the window cap.
+// Group-commit scheduler parameters.
 const (
-	// defaultGroupCommitDelay caps one gather window. It is an upper
+	// groupCommitMaxOps / groupCommitMaxBytes cap one merged drive
+	// batch. A merged batch must stay encodable under
+	// wire.MaxMessageSize, and MaxObjectSize (1 MB payload of a 2 MB
+	// frame) leaves ample headroom for keys, versions and framing.
+	groupCommitMaxOps   = wire.MaxBatchOps
+	groupCommitMaxBytes = int(store.MaxObjectSize)
+	// groupCommitMaxDelay caps one gather window. It is an upper
 	// bound, not a fixed wait: the quiet-period rule below usually
 	// ends the window earlier, and the idle path never opens one.
-	defaultGroupCommitDelay = 150 * time.Microsecond
+	groupCommitMaxDelay = 150 * time.Microsecond
 	// gatherPollInterval is the quiet-period granularity: the gather
 	// re-checks the queues at this cadence and ends after
 	// gatherQuietPolls consecutive empty polls. Sized to the stagger
@@ -136,10 +141,6 @@ func putOps(s []wire.BatchOp) {
 type groupScheduler struct {
 	c *Controller
 
-	maxOps   int
-	maxBytes int
-	maxDelay time.Duration
-
 	mu     sync.Mutex
 	queues [][]*commitGroup // per drive, index-aligned with c.drives
 	closed bool
@@ -161,10 +162,11 @@ type groupScheduler struct {
 	dirtyWB []atomic.Bool
 }
 
-func newGroupScheduler(c *Controller, maxOps, maxBytes int, maxDelay time.Duration) *groupScheduler {
+// newGroupScheduler builds and starts the scheduler. Called from New
+// once the drive pools exist.
+func newGroupScheduler(c *Controller) *groupScheduler {
 	g := &groupScheduler{
-		c:      c,
-		maxOps: maxOps, maxBytes: maxBytes, maxDelay: maxDelay,
+		c:       c,
 		queues:  make([][]*commitGroup, len(c.drives)),
 		dirtyWB: make([]atomic.Bool, len(c.drives)),
 		wake:    make(chan struct{}, 1),
@@ -279,7 +281,7 @@ func (g *groupScheduler) run() {
 			if !g.popAll(batches) {
 				break
 			}
-			if g.maxDelay > 0 && g.lastMerged {
+			if g.lastMerged {
 				// Sustained concurrency: the previous generation was
 				// merged, so the writers it woke are about to
 				// re-enqueue — gather their burst so it shares this
@@ -305,7 +307,7 @@ func (g *groupScheduler) popAll(batches [][]*commitGroup) bool {
 		batches[di] = batches[di][:0]
 		ops, bytes, n := 0, 0, 0
 		for _, grp := range g.queues[di] {
-			if n > 0 && (ops+len(grp.ops) > g.maxOps || bytes+grp.bytes > g.maxBytes) {
+			if n > 0 && (ops+len(grp.ops) > groupCommitMaxOps || bytes+grp.bytes > groupCommitMaxBytes) {
 				break
 			}
 			ops += len(grp.ops)
@@ -321,14 +323,14 @@ func (g *groupScheduler) popAll(batches [][]*commitGroup) bool {
 	return any
 }
 
-// gather extends a freshly popped generation for up to maxDelay,
-// absorbing groups that arrive while the window is open. The window
-// is quiet-period adaptive: every arrival re-arms a short poll, so a
-// burst of waking writers is absorbed whole, while dried-up queues
-// end the wait after a couple of poll intervals instead of the full
-// delay.
+// gather extends a freshly popped generation for up to
+// groupCommitMaxDelay, absorbing groups that arrive while the window
+// is open. The window is quiet-period adaptive: every arrival re-arms
+// a short poll, so a burst of waking writers is absorbed whole, while
+// dried-up queues end the wait after a couple of poll intervals
+// instead of the full delay.
 func (g *groupScheduler) gather(batches [][]*commitGroup) {
-	deadline := time.Now().Add(g.maxDelay)
+	deadline := time.Now().Add(groupCommitMaxDelay)
 	ops := make([]int, len(batches))
 	bytes := make([]int, len(batches))
 	for di, b := range batches {
@@ -357,7 +359,7 @@ func (g *groupScheduler) gather(batches [][]*commitGroup) {
 		for di := range g.queues {
 			for len(g.queues[di]) > 0 {
 				grp := g.queues[di][0]
-				if ops[di]+len(grp.ops) > g.maxOps || bytes[di]+grp.bytes > g.maxBytes {
+				if ops[di]+len(grp.ops) > groupCommitMaxOps || bytes[di]+grp.bytes > groupCommitMaxBytes {
 					break
 				}
 				ops[di] += len(grp.ops)
@@ -500,59 +502,12 @@ func (g *groupScheduler) trailingFlush() {
 }
 
 // driveBatch is the single choke point for shipping one logical
-// write's sub-operations to one drive: through the group scheduler
-// when enabled, as a direct per-op atomic batch otherwise. BatchError
-// indexes are relative to ops either way.
+// write's sub-operations to one drive: it enqueues them as one group
+// on the drive's commit queue and waits for the verdict. BatchError
+// indexes are relative to ops.
 //
-// Ownership: with pooled set, ops came from getOps and driveBatch
-// (or the scheduler) returns it to the pool; the caller must not
-// reuse the slice.
+// Ownership: with pooled set, ops came from getOps and the scheduler
+// returns it to the pool; the caller must not reuse the slice.
 func (c *Controller) driveBatch(ctx context.Context, di int, ops []wire.BatchOp, payload int, sync wire.SyncMode, pooled bool) error {
-	if g := c.gcommit; g != nil {
-		return g.enqueue(ctx, di, ops, payload, sync, pooled)
-	}
-	cl := c.drives[di].pick()
-	c.chargeDriveIO(payload)
-	err := cl.Batch(ctx, ops)
-	if pooled {
-		putOps(ops)
-	}
-	return err
-}
-
-// startCommitters builds the group scheduler. Called from New once
-// the drive pools exist; SerialReplication implies the legacy engine
-// and never starts it.
-func (c *Controller) startCommitters() {
-	maxOps := c.cfg.GroupCommitMaxOps
-	if maxOps <= 0 || maxOps > wire.MaxBatchOps {
-		maxOps = wire.MaxBatchOps
-	}
-	// The bytes cap is clamped like the op cap: a merged batch must
-	// stay encodable under wire.MaxMessageSize, and MaxObjectSize (1
-	// MB payload of a 2 MB frame) leaves ample headroom for keys,
-	// versions and framing.
-	maxBytes := c.cfg.GroupCommitMaxBytes
-	if maxBytes <= 0 || maxBytes > int(store.MaxObjectSize) {
-		maxBytes = int(store.MaxObjectSize)
-	}
-	delay := c.cfg.GroupCommitMaxDelay
-	if delay == 0 {
-		delay = defaultGroupCommitDelay
-	}
-	c.gcommit = newGroupScheduler(c, maxOps, maxBytes, delay)
-}
-
-// stopCommitters rejects queued groups and, once the drive
-// connections are down (unblocking any in-flight round trip), waits
-// for the scheduler to exit.
-func (c *Controller) stopCommitters(afterDrivesClosed bool) {
-	if c.gcommit == nil {
-		return
-	}
-	if !afterDrivesClosed {
-		c.gcommit.shutdown()
-	} else {
-		c.gcommit.wait()
-	}
+	return c.gcommit.enqueue(ctx, di, ops, payload, sync, pooled)
 }

@@ -168,32 +168,6 @@ func TestGroupCommitCASStorm(t *testing.T) {
 	}
 }
 
-// TestGroupCommitOffReproducesPerOpBatches: Config.GroupCommit=false
-// is the PR 1 write path — one atomic batch per logical write, no
-// scheduler in the loop.
-func TestGroupCommitOffReproducesPerOpBatches(t *testing.T) {
-	h := newHarness(t, 1, func(cfg *Config) { cfg.GroupCommit = false })
-	ctx := context.Background()
-	sess := h.ctl.Session("writer")
-	const puts = 10
-	for i := 0; i < puts; i++ {
-		if _, err := sess.Put(ctx, fmt.Sprintf("po/%d", i), []byte("v"), PutOptions{}); err != nil {
-			t.Fatalf("put: %v", err)
-		}
-	}
-	if got := h.drives[0].Stats().Batches.Load(); got != puts {
-		t.Errorf("drive saw %d batches for %d writes; per-op baseline must ship one each", got, puts)
-	}
-	st := h.ctl.Stats().Snapshot()
-	if st.GroupBatches != 0 || st.GroupedWrites != 0 {
-		t.Errorf("committer stats moved with GroupCommit=false: batches=%d grouped=%d",
-			st.GroupBatches, st.GroupedWrites)
-	}
-	if h.drives[0].Stats().BatchGroups.Load() != 0 {
-		t.Errorf("drive saw grouped batches with GroupCommit=false")
-	}
-}
-
 // TestGroupCommitFreezeDrain: group commit composes with shard
 // handoff. A FreezeRange during a loaded concurrent run must drain
 // the in-flight groups and return (no wedged queue), writes to the

@@ -485,13 +485,13 @@ func (c *Controller) chargeDriveIO(payload int) {
 // object policy. nextVersion, when non-nil, fills the nextVersion
 // predicate.
 //
-// Fast path: policies whose verdict for op depends only on the session
-// key (policy.StaticFor — no object state, versions, certificates or
-// time) memoize their verdict in the decision cache, so the
-// interpreter runs once per (policy, client, op) instead of once per
-// request. The policy id is content-addressed, so a changed policy
-// keys a fresh verdict by construction; object mutations cannot change
-// a static verdict (that is what static means), and PutPolicy still
+// Every check evaluates the session residual: the policy's clauses for
+// op specialized to the session key at bind time (policy.PartialEval)
+// and cached per (policy, op, session). A policy whose verdict depends
+// only on the session key — no object state, versions, certificates or
+// time — is decided outright at bind time and never runs the clause
+// machine again. The policy id is content-addressed, so a changed
+// policy keys a fresh residual by construction, and PutPolicy still
 // clears the cache as a defense-in-depth backstop.
 func (c *Controller) checkPolicy(ctx context.Context, op lang.Perm, sessionKey, key string, meta *store.Meta, nextVersion *int64, certs []*authority.Certificate) error {
 	return c.checkPolicyCtx(ctx, nil, op, sessionKey, key, meta, nextVersion, certs)
@@ -531,79 +531,29 @@ func (c *Controller) checkPolicyCtx(ctx context.Context, pe *policyEval, op lang
 		return nil
 	}
 
-	// Partial-eval fast path: resolve the session residual — from the
-	// page context, the residual cache, or freshly — and evaluate it.
-	// Decided residuals subsume the static-verdict decision cache.
-	if c.cfg.PolicyPartialEval {
-		sctx, span := obs.StartSpan(ctx, "policy_eval")
-		res, reused, err := c.residualFor(sctx, pe, op, sessionKey, meta.PolicyID)
-		if err != nil {
-			span.End()
-			return err
-		}
-		req := buildPolicyRequest(pe, op, key, sessionKey, nextVersion, certs, c.clock())
-		dec, evalErr := res.Eval(req, &objectSource{c: c, ctx: sctx})
-		_, decided := res.Decided()
-		c.stats.PolicyChecks.Inc()
-		if reused {
-			c.stats.ResidualHits.Inc()
-			span.Attr("residual", "hit")
-		}
-		if !decided {
-			c.stats.PolicyEvals.Inc()
-		}
-		c.stats.IndexSkippedClauses.Add(uint64(dec.Skipped))
-		span.End()
-		if evalErr != nil {
-			return evalErr
-		}
-		if !dec.Allowed {
-			c.stats.PolicyDenials.Inc()
-			c.auditDecision(obs.TraceID(ctx), sessionKey, op.String(), key, "deny", dec.Reason, meta.PolicyID)
-			return &DeniedError{Op: op.String(), Key: key, Reason: dec.Reason}
-		}
-		c.auditDecision(obs.TraceID(ctx), sessionKey, op.String(), key, "allow", "", meta.PolicyID)
-		return nil
-	}
-
-	prog, err := c.loadPolicy(ctx, meta.PolicyID)
-	if err != nil {
-		return err
-	}
-
-	var decKey string
-	if c.decisionCache != nil && policy.StaticFor(prog, op) {
-		decKey = decisionKey(meta.PolicyID, op, sessionKey)
-		if d, ok := c.decisionCache.Get(decKey); ok {
-			c.stats.PolicyChecks.Inc()
-			c.stats.DecisionHits.Inc()
-			if !d.allowed {
-				c.stats.PolicyDenials.Inc()
-				c.auditDecision(obs.TraceID(ctx), sessionKey, op.String(), key, "deny", d.reason, meta.PolicyID)
-				return &DeniedError{Op: op.String(), Key: key, Reason: d.reason}
-			}
-			c.auditDecision(obs.TraceID(ctx), sessionKey, op.String(), key, "allow", "", meta.PolicyID)
-			return nil
-		}
-	}
-
+	// Resolve the session residual — from the page context, the
+	// residual cache, or freshly — and evaluate it.
 	sctx, span := obs.StartSpan(ctx, "policy_eval")
-	req := buildPolicyRequest(pe, op, key, sessionKey, nextVersion, certs, c.clock())
-	var dec policy.Decision
-	if c.cfg.PolicyIndexedOnly {
-		dec, err = policy.EvalIndexed(prog, req, &objectSource{c: c, ctx: sctx})
-	} else {
-		dec, err = policy.Eval(prog, req, &objectSource{c: c, ctx: sctx})
-	}
-	span.End()
-	c.stats.PolicyChecks.Inc()
-	c.stats.PolicyEvals.Inc()
-	c.stats.IndexSkippedClauses.Add(uint64(dec.Skipped))
+	res, reused, err := c.residualFor(sctx, pe, op, sessionKey, meta.PolicyID)
 	if err != nil {
+		span.End()
 		return err
 	}
-	if decKey != "" {
-		c.decisionCache.Put(decKey, cachedDecision{allowed: dec.Allowed, reason: dec.Reason})
+	req := buildPolicyRequest(pe, op, key, sessionKey, nextVersion, certs, c.clock())
+	dec, evalErr := res.Eval(req, &objectSource{c: c, ctx: sctx})
+	_, decided := res.Decided()
+	c.stats.PolicyChecks.Inc()
+	if reused {
+		c.stats.ResidualHits.Inc()
+		span.Attr("residual", "hit")
+	}
+	if !decided {
+		c.stats.PolicyEvals.Inc()
+	}
+	c.stats.IndexSkippedClauses.Add(uint64(dec.Skipped))
+	span.End()
+	if evalErr != nil {
+		return evalErr
 	}
 	if !dec.Allowed {
 		c.stats.PolicyDenials.Inc()
@@ -627,22 +577,17 @@ func (c *Controller) residualFor(ctx context.Context, pe *policyEval, op lang.Pe
 			}
 		}
 	}
-	var rkey string
-	if c.residualCache != nil {
-		rkey = decisionKey(policyID, op, sessionKey)
-		if r, ok := c.residualCache.Get(rkey); ok {
-			pe.remember(op, policyID, r)
-			return r, true, nil
-		}
+	rkey := residualKey(policyID, op, sessionKey)
+	if r, ok := c.residualCache.Get(rkey); ok {
+		pe.remember(op, policyID, r)
+		return r, true, nil
 	}
 	prog, err := c.loadPolicy(ctx, policyID)
 	if err != nil {
 		return nil, false, err
 	}
 	r := policy.PartialEval(prog, op, sessionKey)
-	if rkey != "" {
-		c.residualCache.Put(rkey, r)
-	}
+	c.residualCache.Put(rkey, r)
 	pe.remember(op, policyID, r)
 	return r, false, nil
 }
@@ -670,10 +615,9 @@ func buildPolicyRequest(pe *policyEval, op lang.Perm, key, sessionKey string, ne
 	return req
 }
 
-// decisionKey builds the decision-cache key for a session-static
-// verdict. The policy id is its content hash, so the triple fully
-// determines the verdict.
-func decisionKey(policyID string, op lang.Perm, sessionKey string) string {
+// residualKey builds the residual-cache key. The policy id is its
+// content hash, so the triple fully determines the residual.
+func residualKey(policyID string, op lang.Perm, sessionKey string) string {
 	return policyID + "\x00" + string(rune(op)) + "\x00" + sessionKey
 }
 
@@ -767,19 +711,13 @@ func (c *Controller) PutPolicy(ctx context.Context, src string) (string, error) 
 		return "", err
 	}
 	c.policyCache.Put(id, prog)
-	// Policy-change backstop: decisions and residuals key on the
-	// content-addressed policy id, so this is redundant by
-	// construction — kept so a future non-content-addressed policy
-	// root cannot silently serve stale verdicts. Residuals MUST be
-	// cleared alongside verdicts: a session that bound a residual
-	// against the old program would otherwise keep enforcing replaced
-	// clauses for as long as the entry stays cached.
-	if c.decisionCache != nil {
-		c.decisionCache.Clear()
-	}
-	if c.residualCache != nil {
-		c.residualCache.Clear()
-	}
+	// Policy-change backstop: residuals key on the content-addressed
+	// policy id, so this is redundant by construction — kept so a
+	// future non-content-addressed policy root cannot silently serve
+	// stale verdicts: a session that bound a residual against the old
+	// program would otherwise keep enforcing replaced clauses for as
+	// long as the entry stays cached.
+	c.residualCache.Clear()
 	return id, nil
 }
 

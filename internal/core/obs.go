@@ -81,9 +81,8 @@ func (c *Controller) registerMetrics() {
 		{"pesos_policy_checks_total", "Policy checks performed.", &c.stats.PolicyChecks},
 		{"pesos_policy_denials_total", "Policy checks that denied the request.", &c.stats.PolicyDenials},
 		{"pesos_policy_evals_total", "Clause-machine runs (checks not decided statically).", &c.stats.PolicyEvals},
-		{"pesos_policy_decision_hits_total", "Policy checks served from the decision cache.", &c.stats.DecisionHits},
 		{"pesos_policy_residual_hits_total", "Checks served by a cached or page-reused residual.", &c.stats.ResidualHits},
-		{"pesos_policy_index_skipped_clauses_total", "Clauses pruned by the rule index or residuals.", &c.stats.IndexSkippedClauses},
+		{"pesos_policy_index_skipped_clauses_total", "Clauses pruned by session residuals (bind-time kills and object guards).", &c.stats.IndexSkippedClauses},
 		{"pesos_tx_commits_total", "Transactions committed.", &c.stats.TxCommits},
 		{"pesos_tx_aborts_total", "Transactions aborted.", &c.stats.TxAborts},
 		{"pesos_read_hedges_total", "Hedge requests fired by the read engine.", &c.stats.ReadHedges},

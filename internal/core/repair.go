@@ -161,50 +161,6 @@ func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int
 	return out
 }
 
-// SweepReport summarizes one anti-entropy sweep.
-type SweepReport struct {
-	// Keys is the number of objects examined.
-	Keys int
-	// Restored is the total number of records rewritten.
-	Restored int
-	// Failed counts objects whose repair errored (the sweep continues
-	// past them; the next interval retries).
-	Failed int
-}
-
-// RepairSweep is the background anti-entropy pass: it enumerates
-// every object stored under this controller's owned ranges (the whole
-// keyspace when unsharded) and re-establishes the replication
-// invariant for each — the same per-key convergence as Session.Repair
-// but as an internal maintenance path with no policy gate, since no
-// client is acting. Per-object failures are counted, not fatal: a
-// degraded drive must not stop the sweep from converging everything
-// else.
-func (c *Controller) RepairSweep(ctx context.Context) (*SweepReport, error) {
-	ranges := c.ownedRangesForLoad()
-	report := &SweepReport{}
-	for _, r := range ranges {
-		keys, err := c.keysInRange(ctx, r)
-		if err != nil {
-			return report, fmt.Errorf("core: repair sweep enumerate %v: %w", r, err)
-		}
-		for _, key := range keys {
-			if err := ctx.Err(); err != nil {
-				return report, err
-			}
-			rep, err := c.sweepKey(ctx, key)
-			report.Keys++
-			if err != nil {
-				report.Failed++
-				continue
-			}
-			report.Restored += rep.Restored
-		}
-	}
-	c.stats.RepairSweeps.Inc()
-	return report, nil
-}
-
 // sweepKey repairs one key under its write lock (internal path, no
 // policy check).
 func (c *Controller) sweepKey(ctx context.Context, key string) (*RepairReport, error) {

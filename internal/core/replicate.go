@@ -11,17 +11,13 @@
 // concurrently, so write-through latency is the maximum replica RTT
 // rather than the sum, and object/meta can never diverge on a drive.
 //
-// Reads come in two engines. The fan-out baseline is parallel
-// first-wins failover: every replica is asked concurrently and the
-// first healthy answer wins — latency-optimal, but every cache-miss
-// read occupies all replicas' media. The default engine is the
-// latency-aware hedged read: the replica with the lowest observed
-// latency is asked first and a hedge to the next replica fires only
-// after an adaptive delay (~p95 of the outstanding replica's
-// latency), so the common-case read occupies one drive's media while
-// a slow or dead replica still gets covered within the hedge delay.
-// Both engines preserve the same semantics: success first-wins,
-// absence needs unanimity, mixed not-found/error surfaces the error.
+// Reads are latency-aware hedged reads: the replica with the lowest
+// observed latency is asked first and a hedge to the next replica
+// fires only after an adaptive delay (~p95 of the outstanding
+// replica's latency), so the common-case read occupies one drive's
+// media while a slow or dead replica still gets covered within the
+// hedge delay. Semantics: success first-wins, absence needs
+// unanimity, mixed not-found/error surfaces the error.
 package core
 
 import (
@@ -62,12 +58,11 @@ func (c *Controller) fanout(placement []int, fn func(di int) error) error {
 	return errors.Join(errs...)
 }
 
-// readReplicas dispatches a replicated read through the configured
-// engine — the hedged primary-first path unless Config.FanoutReads
-// keeps the all-replica baseline — and feeds completed round trips
-// into the per-drive latency estimators either way. A drive's answer
-// counts as a latency sample whether it found the record or not; a
-// transport failure does not (it says nothing about the medium).
+// readReplicas runs a replicated read through the hedged primary-first
+// engine and feeds completed round trips into the per-drive latency
+// estimators. A drive's answer counts as a latency sample whether it
+// found the record or not; a transport failure does not (it says
+// nothing about the medium).
 //
 // The placement is resolved to pool pointers before any goroutine
 // launches: a straggler read may be scheduled after the winner
@@ -78,18 +73,12 @@ func readReplicas[T any](ctx context.Context, c *Controller, placement []int, re
 	for i, di := range placement {
 		pools[i] = c.drives[di]
 	}
-	if len(pools) <= 1 || c.cfg.FanoutReads {
-		// The fan-out engine observes through a wrapper; the hedged
-		// engine samples internally so each physical read contributes
-		// exactly one sample (outlived stragglers are charged at
-		// winner-return, not again on late completion).
-		timed := func(ctx context.Context, p *drivePool) (T, error) {
-			t0 := time.Now()
-			v, err := read(ctx, p)
-			recordOutcome(p, time.Since(t0), err)
-			return v, err
-		}
-		return readFirstWins(ctx, pools, timed)
+	if len(pools) == 1 {
+		// Nothing to hedge to: one direct timed read.
+		t0 := time.Now()
+		v, err := read(ctx, pools[0])
+		recordOutcome(pools[0], time.Since(t0), err)
+		return v, err
 	}
 	return readHedged(ctx, c, pools, read)
 }
@@ -107,58 +96,6 @@ func recordOutcome(p *drivePool, elapsed time.Duration, err error) {
 	default:
 		p.observeFailure()
 	}
-}
-
-// readFirstWins asks every placement replica concurrently and returns
-// the first successful answer, cancelling the stragglers. A replica
-// reporting not-found is only believed once every replica has answered
-// and none failed outright — a degraded replica that lost a record
-// (pre-repair) must not shadow a healthy copy, and an unreachable
-// replica means "don't know", so a mixed not-found/error outcome
-// surfaces the error rather than affirming absence.
-//
-// Trade-off: every cache-miss read occupies all replicas' media. This
-// is the measured baseline the hedged engine replaces; it remains
-// selectable for benchmarks and as the conservative fallback.
-func readFirstWins[T any](ctx context.Context, pools []*drivePool, read func(ctx context.Context, p *drivePool) (T, error)) (T, error) {
-	var zero T
-	if len(pools) == 1 {
-		return read(ctx, pools[0])
-	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		val T
-		err error
-	}
-	ch := make(chan result, len(pools))
-	for _, p := range pools {
-		go func(p *drivePool) {
-			v, err := read(rctx, p)
-			ch <- result{v, err}
-		}(p)
-	}
-	var notFound, lastErr error
-	for range pools {
-		r := <-ch
-		if r.err == nil {
-			return r.val, nil
-		}
-		switch {
-		case errors.Is(r.err, ErrNotFound):
-			notFound = r.err
-		case errors.Is(r.err, context.Canceled) && ctx.Err() == nil:
-			// A straggler cancelled after the winner returned; never
-			// the answer. (Unreachable in practice — we return on the
-			// first success — but cheap to classify correctly.)
-		default:
-			lastErr = r.err
-		}
-	}
-	if notFound != nil && lastErr == nil {
-		return zero, notFound
-	}
-	return zero, lastErr
 }
 
 // Hedge-delay bounds. Until a drive has enough samples the engine
@@ -221,12 +158,14 @@ func orderByLatency(pools []*drivePool) []*drivePool {
 // readHedged is the latency-aware primary-first read engine: the
 // fastest replica is asked first and a hedge to the next-fastest
 // fires only once the outstanding replica has been quiet for its own
-// adaptive delay. The failover semantics match readFirstWins exactly —
-// the first success wins and cancels the stragglers; a not-found is
-// only believed once every replica affirmed it (a degraded replica
-// must not shadow a healthy copy), so absence and hard errors consult
-// all remaining replicas immediately rather than waiting out hedge
-// delays.
+// adaptive delay. The first success wins and cancels the stragglers. A
+// replica reporting not-found is only believed once every replica has
+// answered and none failed outright — a degraded replica that lost a
+// record (pre-repair) must not shadow a healthy copy, and an
+// unreachable replica means "don't know", so a mixed not-found/error
+// outcome surfaces the error rather than affirming absence. Absence
+// and hard errors therefore consult all remaining replicas immediately
+// rather than waiting out hedge delays.
 func readHedged[T any](ctx context.Context, c *Controller, pools []*drivePool, read func(ctx context.Context, p *drivePool) (T, error)) (T, error) {
 	var zero T
 	order := orderByLatency(pools)
@@ -341,10 +280,9 @@ func (w *replicaWrite) appendBatchOps(dst []wire.BatchOp) []wire.BatchOp {
 
 // putReplicas commits one write to all placement replicas: one
 // sub-operation group per replica drive, all replicas concurrently.
-// Latency is the slowest replica's single round trip — 2 round trips
-// × replicas in the serial-singleton scheme collapse to 1 × max —
-// and under group commit the round trip is shared with whatever other
-// clients' writes the drive's scheduler merged alongside.
+// Latency is the slowest replica's single round trip, shared with
+// whatever other clients' writes the drive's group scheduler merged
+// alongside.
 func (c *Controller) putReplicas(ctx context.Context, w *replicaWrite, placement []int) error {
 	payload := len(w.blob) + len(w.metaRec)
 	return c.fanout(placement, func(di int) error {
@@ -354,27 +292,6 @@ func (c *Controller) putReplicas(ctx context.Context, w *replicaWrite, placement
 		}
 		return nil
 	})
-}
-
-// putReplicasSerial is the seed's write path — a serial loop of
-// independent object and meta puts per replica — kept as the measured
-// baseline for the replication benchmark and selectable with
-// Config.SerialReplication. It has the failure window the batched path
-// closes: a crash between the two puts strands an object record
-// without metadata.
-func (c *Controller) putReplicasSerial(ctx context.Context, w *replicaWrite, placement []int) error {
-	for _, di := range placement {
-		cl := c.drives[di].pick()
-		c.chargeDriveIO(len(w.blob))
-		if err := cl.Put(ctx, store.ObjectKey(w.key, w.next), w.blob, nil, encodeVer(w.next), true); err != nil {
-			return fmt.Errorf("core: write object to drive %s: %w", c.drives[di].name, err)
-		}
-		c.chargeDriveIO(len(w.metaRec))
-		if err := cl.Put(ctx, store.MetaKey(w.key), w.metaRec, w.prev, encodeVer(w.next), false); err != nil {
-			return fmt.Errorf("core: write meta to drive %s: %w", c.drives[di].name, err)
-		}
-	}
-	return nil
 }
 
 // replicationFailed maps a replication error for the client and drops
@@ -398,18 +315,12 @@ func (c *Controller) replicationFailed(err error, keys ...string) error {
 	return err
 }
 
-// writeThrough dispatches a replicated write through the configured
-// engine.
+// writeThrough commits one replicated write to its placement.
 func (c *Controller) writeThrough(ctx context.Context, w *replicaWrite) error {
 	placement := c.placement(w.key)
 	ctx, span := obs.StartSpan(ctx, "replicate")
 	span.Attr("replicas", strconv.Itoa(len(placement)))
-	var err error
-	if c.cfg.SerialReplication {
-		err = c.putReplicasSerial(ctx, w, placement)
-	} else {
-		err = c.putReplicas(ctx, w, placement)
-	}
+	err := c.putReplicas(ctx, w, placement)
 	span.End()
 	return c.replicationFailed(err, w.key)
 }
@@ -623,23 +534,12 @@ func (c *Controller) commitTxWrites(ctx context.Context, writes []txWrite) error
 // stripe locks in batchPut); the meta compare-and-swap tokens remain
 // as the cross-controller backstop.
 //
-// sync selects the durability each group is shipped with. Write-back
-// takes effect only through the group committer, which destages with
-// a trailing flush; the direct per-op path always commits
-// write-through.
+// sync selects the durability each group is shipped with; the group
+// committer destages write-back groups with a trailing flush.
 func (c *Controller) commitWrites(ctx context.Context, writes []*replicaWrite, sync wire.SyncMode) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	if c.cfg.SerialReplication {
-		for _, w := range writes {
-			if err := c.writeThrough(ctx, w); err != nil {
-				return fmt.Errorf("pesos: tx write %q: %w", w.key, err)
-			}
-		}
-		return nil
-	}
-
 	// Group the sub-operation pairs per drive.
 	type driveOps struct {
 		ops     []wire.BatchOp

@@ -39,32 +39,6 @@ func TestPutIssuesOneBatchPerReplica(t *testing.T) {
 	}
 }
 
-// TestSerialReplicationMode keeps the measured baseline functional:
-// the legacy serial-singleton path must still replicate correctly.
-func TestSerialReplicationMode(t *testing.T) {
-	h := newHarness(t, 2, func(c *Config) {
-		c.Replicas = 2
-		c.SerialReplication = true
-	})
-	s := h.ctl.Session("w")
-	ctx := context.Background()
-	if _, err := s.Put(ctx, "k", []byte("v"), PutOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	val, meta, err := s.Get(ctx, "k", GetOptions{})
-	if err != nil || !bytes.Equal(val, []byte("v")) || meta.Version != 0 {
-		t.Fatalf("get: %q %+v %v", val, meta, err)
-	}
-	for di, d := range h.drives {
-		if got := d.Stats().Batches.Load(); got != 0 {
-			t.Errorf("drive %d: serial mode issued %d batches", di, got)
-		}
-		if got := d.Stats().Puts.Load(); got != 2 {
-			t.Errorf("drive %d: %d puts, want 2 (object+meta)", di, got)
-		}
-	}
-}
-
 // TestTxCommitBatchesWrites: a committed transaction's writes go out
 // as batches (object+meta pairs grouped per drive), not singleton
 // puts, and read back correctly.

@@ -643,10 +643,9 @@ func (s *RESTServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"policyEvals":         st.PolicyEvals,
 		"residualHits":        st.ResidualHits,
 		"indexSkippedClauses": st.IndexSkippedClauses,
-		"txCommits": st.TxCommits, "txAborts": st.TxAborts,
+		"txCommits":           st.TxCommits, "txAborts": st.TxAborts,
 		"readHedges":      st.ReadHedges,
 		"coalescedReads":  st.CoalescedReads,
-		"decisionHits":    st.DecisionHits,
 		"wrongShard":      st.WrongShard,
 		"groupBatches":    st.GroupBatches,
 		"groupedWrites":   st.GroupedWrites,

@@ -507,7 +507,7 @@ func TestScanLeavesTheKeyCacheAlone(t *testing.T) {
 // per-key metadata GETs this path replaced cost ~40 allocations per
 // entry; a regression towards that fails here, not only in a benchmark.
 func TestScanPageAllocBudget(t *testing.T) {
-	h := newHarness(t, 6, func(c *Config) { c.Replicas, c.PolicyPartialEval = 3, true })
+	h := newHarness(t, 6, func(c *Config) { c.Replicas = 3 })
 	s := h.ctl.Session("aa")
 	ctx := context.Background()
 	hidden, err := h.ctl.PutPolicy(ctx, "read :- sessionKeyIs(k'ee')\nupdate :- sessionKeyIs(k'aa')")

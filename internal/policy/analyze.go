@@ -84,69 +84,6 @@ func Analyze(p *Program) *Analysis {
 	return a
 }
 
-// StaticFor reports whether prog's verdict for perm depends only on
-// the requesting session key — not on object state, versions, time,
-// certificates, or any other per-request input. Such verdicts are
-// stable for a given (policy, client, operation) triple and safe to
-// memoize in the controller's decision cache: every predicate in every
-// clause of the permission must be a pure relational or session-key
-// predicate over constants and locally bound variables. Object
-// designators (this, log, null) are excluded because they resolve to
-// the accessed key, which is not part of the memoization key. The
-// classification is computed once per program and cached.
-func StaticFor(prog *Program, perm lang.Perm) bool {
-	if perm < 0 || perm >= lang.NumPerms {
-		return false
-	}
-	prog.staticOnce.Do(func() {
-		for p := lang.Perm(0); p < lang.NumPerms; p++ {
-			if staticClauses(prog.Perms[p]) {
-				prog.staticMask |= 1 << uint(p)
-			}
-		}
-	})
-	return prog.staticMask&(1<<uint(perm)) != 0
-}
-
-// staticClauses reports whether every clause uses only session-static
-// predicates and arguments.
-func staticClauses(clauses []CClause) bool {
-	for _, cl := range clauses {
-		for _, pr := range cl.Preds {
-			switch pr.ID {
-			case PEq, PLe, PLt, PGe, PGt, PSessionKeyIs:
-			default:
-				return false
-			}
-			for _, a := range pr.Args {
-				if !staticArg(a) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// staticArg reports whether an argument resolves independently of the
-// accessed object: constants, variable slots and slot arithmetic are
-// static; this/log/null designators are not.
-func staticArg(a CArg) bool {
-	switch a.Kind {
-	case CConst, CVar, CExpr:
-		return true
-	case CTuple:
-		for _, t := range a.TupArgs {
-			if !staticArg(t) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
 // Open reports whether the permission can be satisfied by any
 // authenticated client regardless of identity: a clause whose only
 // session requirement is an unbound variable. Conservative: clauses

@@ -77,37 +77,3 @@ func TestAnalyzeMALTemplateShape(t *testing.T) {
 	}
 	_ = strings.TrimSpace(src)
 }
-
-// TestStaticFor pins the decision-cache classification: session-only
-// policies are static per permission; anything touching object state,
-// versions, certificates, or object designators is not.
-func TestStaticFor(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		perm lang.Perm
-		want bool
-	}{
-		{"acl", "read :- sessionKeyIs(k'aa')", lang.PermRead, true},
-		{"open", "read :- sessionKeyIs(U)", lang.PermRead, true},
-		{"relational-consts", "read :- sessionKeyIs(U) or eq(1, 2)", lang.PermRead, true},
-		{"per-perm", "read :- sessionKeyIs(k'aa')\nupdate :- currVersion(this, V) and sessionKeyIs(k'aa')", lang.PermRead, true},
-		{"version-dependent", "update :- nextVersion(V) and sessionKeyIs(k'aa')", lang.PermUpdate, false},
-		{"content-dependent", "read :- objSays(log, V, grant(U)) and sessionKeyIs(U)", lang.PermRead, false},
-		{"cert-dependent", "read :- certificateSays(k'cafe', 'ok'(U)) and sessionKeyIs(U)", lang.PermRead, false},
-		{"object-designator", "read :- objId(this, X) and sessionKeyIs(U)", lang.PermRead, false},
-		{"meta-dependent", "read :- objSize(this, V, S) and le(S, 100)", lang.PermRead, false},
-		{"ungranted", "read :- sessionKeyIs(k'aa')", lang.PermDelete, true},
-	}
-	for _, tc := range cases {
-		prog := mustCompile(t, tc.src)
-		if got := StaticFor(prog, tc.perm); got != tc.want {
-			t.Errorf("%s: StaticFor=%v, want %v", tc.name, got, tc.want)
-		}
-	}
-	// Memoization is per program and per permission, not global.
-	prog := mustCompile(t, "read :- sessionKeyIs(k'aa')\nupdate :- currVersion(this, V) and sessionKeyIs(k'aa')")
-	if !StaticFor(prog, lang.PermRead) || StaticFor(prog, lang.PermUpdate) {
-		t.Error("per-permission mask wrong")
-	}
-}

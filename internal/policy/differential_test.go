@@ -12,17 +12,18 @@ import (
 )
 
 // The differential property: for every program and request, the
-// indexed evaluator and the session-residual evaluator must produce
-// exactly the decision (Allowed, Clause, Reason) and error of the
-// baseline interpreter. This is a security store — the fast paths are
+// session-residual evaluator must produce exactly the decision
+// (Allowed, Clause, Reason) and error of the reference interpreter.
+// This is a security store — the residual path the controller runs is
 // only admissible because this holds. Steps and Skipped are exempt by
 // design: pruning removes predicate evaluations.
 //
 // Programs are kept far below the step budget so ErrEvalBudget cannot
-// fire on one path and not another (skipping only ever removes steps).
+// fire on one path and not the other (skipping only ever removes
+// steps).
 
 // errObjects wraps an ObjectSource and fails for one object id, so
-// error preservation through the fast paths is exercised.
+// error preservation through the residual is exercised.
 type errObjects struct {
 	inner ObjectSource
 	bad   string
@@ -213,7 +214,6 @@ func TestDifferentialFastPaths(t *testing.T) {
 func checkDifferential(t *testing.T, prog *Program, req *Request, objs ObjectSource, pi, ri int) {
 	t.Helper()
 	base, baseErr := Eval(prog, req, objs)
-	idx, idxErr := EvalIndexed(prog, req, objs)
 	res := PartialEval(prog, req.Op, req.SessionKey)
 	part, partErr := res.Eval(req, objs)
 
@@ -223,20 +223,16 @@ func checkDifferential(t *testing.T, prog *Program, req *Request, objs ObjectSou
 			pi, ri, req.Op, req.ObjectID, req.SessionKey,
 			req.HasNextVersion, req.NextVersion, len(req.Certificates), src)
 	}
-	compare := func(name string, d Decision, err error) {
-		if (baseErr == nil) != (err == nil) ||
-			(baseErr != nil && baseErr.Error() != err.Error()) {
-			t.Fatalf("%s error mismatch: base=%v got=%v\n%s", name, baseErr, err, describe())
-		}
-		if baseErr != nil {
-			return
-		}
-		if d.Allowed != base.Allowed || d.Clause != base.Clause || d.Reason != base.Reason {
-			t.Fatalf("%s decision mismatch: base=%+v got=%+v\n%s", name, base, d, describe())
-		}
+	if (baseErr == nil) != (partErr == nil) ||
+		(baseErr != nil && baseErr.Error() != partErr.Error()) {
+		t.Fatalf("residual error mismatch: base=%v got=%v\n%s", baseErr, partErr, describe())
 	}
-	compare("indexed", idx, idxErr)
-	compare("partial", part, partErr)
+	if baseErr != nil {
+		return
+	}
+	if part.Allowed != base.Allowed || part.Clause != base.Clause || part.Reason != base.Reason {
+		t.Fatalf("residual decision mismatch: base=%+v got=%+v\n%s", base, part, describe())
+	}
 }
 
 // TestDifferentialSourcePolicies runs the same property over

@@ -15,50 +15,50 @@ func TestIndexGuardBuckets(t *testing.T) {
 			"objId(this, 'obj-a') and sessionKeyIs(U) or "+
 			"eq(1, 2) or "+
 			"sessionKeyIs(U) and ge(V, 0) and currVersion(this, V)")
-	pi := &prog.Index().perms[lang.PermRead]
-	if got := len(pi.bySession["aa"]); got != 1 {
-		t.Fatalf("bySession[aa] = %d clauses, want 1", got)
-	}
-	if got := len(pi.bySession["bb"]); got != 1 {
-		t.Fatalf("bySession[bb] = %d clauses, want 1", got)
-	}
-	if got := len(pi.byObject["obj-a"]); got != 1 {
-		t.Fatalf("byObject[obj-a] = %d clauses, want 1", got)
-	}
-	if pi.dead != 1 {
-		t.Fatalf("dead = %d, want 1 (the eq(1, 2) clause)", pi.dead)
-	}
 	// Clause 4's ge(V, 0) precedes the binding of V: an ordering
 	// predicate over an unground arg is a barrier, so the clause is
-	// wild, not indexable.
-	if got := len(pi.wild); got != 1 {
-		t.Fatalf("wild = %d clauses, want 1", got)
+	// wild, not guarded.
+	want := []clauseGuard{
+		{hasSession: true, session: "aa"},
+		{hasSession: true, session: "bb"},
+		{hasObject: true, object: "obj-a"},
+		{dead: true},
+		{},
+	}
+	for i, cl := range prog.Perms[lang.PermRead] {
+		if got := scanGuard(prog, cl.Preds, make([]bool, cl.Slots)); got != want[i] {
+			t.Errorf("clause %d guard = %+v, want %+v", i, got, want[i])
+		}
 	}
 }
 
 func TestIndexSkipsClauses(t *testing.T) {
 	prog := mustCompile(t,
-		"read :- sessionKeyIs(k'aa') or sessionKeyIs(k'bb') or sessionKeyIs(k'cc') or eq(1, 2)")
-	req := &Request{Op: lang.PermRead, SessionKey: "cc", Now: time.Unix(0, 0)}
-	d, err := EvalIndexed(prog, req, nil)
+		"read :- sessionKeyIs(k'aa') and currVersion(this, V) or "+
+			"sessionKeyIs(k'bb') or "+
+			"objId(this, 'obj-a') and currVersion(this, V) or "+
+			"sessionKeyIs(U) and currVersion(this, V) and ge(V, 0)")
+	objs := newFakeObjects()
+	objs.add("obj-b", "x")
+	// Session cc on obj-b: clauses 0 and 1 are killed at bind time,
+	// clause 2's object guard prunes it per request, clause 3 grants.
+	req := &Request{Op: lang.PermRead, ObjectID: "obj-b", SessionKey: "cc", Now: time.Unix(0, 0)}
+	d, err := PartialEval(prog, lang.PermRead, "cc").Eval(req, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Allowed || d.Clause != 2 {
-		t.Fatalf("decision = %+v, want allow via clause 2", d)
+	if !d.Allowed || d.Clause != 3 || d.Skipped != 3 {
+		t.Fatalf("decision = %+v, want allow via clause 3 with 3 clauses skipped", d)
 	}
-	// Clauses 0, 1 (other sessions) are pruned; clause 3 is dead but
-	// after the granting clause so it does not count.
-	if d.Skipped != 2 {
-		t.Fatalf("Skipped = %d, want 2", d.Skipped)
-	}
-	req.SessionKey = "nobody"
-	d, err = EvalIndexed(prog, req, nil)
+	// No stored object: the granting clause's currVersion fails, and
+	// the deny reports the three clauses that were never visited.
+	req.ObjectID = "missing"
+	d, err = PartialEval(prog, lang.PermRead, "cc").Eval(req, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Allowed || d.Skipped != 4 {
-		t.Fatalf("deny decision = %+v, want deny with all 4 clauses skipped", d)
+	if d.Allowed || d.Skipped != 3 {
+		t.Fatalf("deny decision = %+v, want deny with 3 of 4 clauses skipped", d)
 	}
 	if d.Reason != "no read clause satisfied" {
 		t.Fatalf("reason = %q", d.Reason)

@@ -8,12 +8,12 @@ import (
 	"repro/internal/policy/value"
 )
 
-// Rule indexing (the first layer of the policy fast path, modeled on
-// OPA's topdown rule index): at most one static guard per clause is
-// extracted from the clause's *error-free prefix* — the run of leading
-// predicates that can never return an evaluation error. A request then
-// visits only the clauses whose guards can match it instead of
-// scanning the whole clause list.
+// Clause guards (modeled on OPA's topdown rule index): at most one
+// static guard per clause is extracted from the clause's *error-free
+// prefix* — the run of leading predicates that can never return an
+// evaluation error. Partial evaluation (partial.go) scans each
+// session-specialized clause for them, so a request visits only the
+// residual clauses whose guards can match it.
 //
 // Soundness: skipping a clause is only legal when evaluating it would
 // be guaranteed to yield (false, nil). A guard extracted from the
@@ -40,63 +40,6 @@ type clauseGuard struct {
 	// hasObject/object: clause requires the accessed object id.
 	hasObject bool
 	object    string
-}
-
-// permIndex buckets one permission's clauses by guard. Every live
-// clause is in exactly one bucket; candidate clauses for a request are
-// the ascending merge of wild, bySession[sessionKey] and
-// byObject[objectID].
-type permIndex struct {
-	guards    []clauseGuard
-	wild      []int32
-	bySession map[string][]int32
-	byObject  map[string][]int32
-	dead      int
-}
-
-// progIndex is the memoized per-program clause index.
-type progIndex struct {
-	perms [lang.NumPerms]permIndex
-}
-
-// Index returns the program's clause index, building it on first use.
-// Compiled programs are immutable once published, so the index is
-// computed at most once and is safe for concurrent readers.
-func (p *Program) Index() *progIndex {
-	p.indexOnce.Do(func() {
-		idx := &progIndex{}
-		for perm := range p.Perms {
-			idx.perms[perm] = buildPermIndex(p, p.Perms[perm])
-		}
-		p.index = idx
-	})
-	return p.index
-}
-
-func buildPermIndex(p *Program, clauses []CClause) permIndex {
-	pi := permIndex{guards: make([]clauseGuard, len(clauses))}
-	for i := range clauses {
-		cl := &clauses[i]
-		g := scanGuard(p, cl.Preds, make([]bool, cl.Slots))
-		pi.guards[i] = g
-		switch {
-		case g.dead:
-			pi.dead++
-		case g.hasSession:
-			if pi.bySession == nil {
-				pi.bySession = make(map[string][]int32)
-			}
-			pi.bySession[g.session] = append(pi.bySession[g.session], int32(i))
-		case g.hasObject:
-			if pi.byObject == nil {
-				pi.byObject = make(map[string][]int32)
-			}
-			pi.byObject[g.object] = append(pi.byObject[g.object], int32(i))
-		default:
-			pi.wild = append(pi.wild, int32(i))
-		}
-	}
-	return pi
 }
 
 // argClass classifies a compiled argument for the error-free prefix
@@ -414,74 +357,26 @@ func scanObjID(p *Program, pr CPred, bound []bool, g *clauseGuard) bool {
 	return false
 }
 
-// EvalIndexed is Eval routed through the clause index: identical
-// semantics, but only clauses whose guards can match the request are
-// evaluated. Decision.Skipped reports how many clauses the index
-// pruned. (A policy over the step budget may complete here where the
-// baseline returns ErrEvalBudget — skipping only ever removes steps.)
-func EvalIndexed(prog *Program, req *Request, objects ObjectSource) (Decision, error) {
-	clauses := prog.Perms[req.Op]
-	if len(clauses) == 0 {
-		return Decision{Allowed: false, Clause: -1,
-			Reason: fmt.Sprintf("policy grants no %s permission", req.Op)}, nil
-	}
-	pi := &prog.Index().perms[req.Op]
-	lists := [3][]int32{pi.wild, pi.bySession[req.SessionKey], pi.byObject[req.ObjectID]}
-	ev := getEvaluator(prog, req, objects)
-	defer putEvaluator(ev)
-	visited := 0
-	for {
-		i := nextCandidate(&lists)
-		if i < 0 {
-			break
-		}
-		cl := &clauses[i]
-		visited++
-		env := ev.env(cl.Slots)
-		ok, err := ev.evalPreds(cl.Preds, env)
-		if err != nil {
-			return Decision{Allowed: false, Clause: -1, Steps: ev.steps,
-				Skipped: i + 1 - visited}, err
-		}
-		if ok {
-			return Decision{Allowed: true, Clause: i, Steps: ev.steps,
-				Skipped: i + 1 - visited}, nil
-		}
-	}
-	return Decision{Allowed: false, Clause: -1, Steps: ev.steps,
-		Skipped: len(clauses) - visited,
-		Reason: fmt.Sprintf("no %s clause satisfied", req.Op)}, nil
-}
-
-// nextCandidate pops the smallest head of three ascending, disjoint
-// clause lists; -1 when exhausted.
-func nextCandidate(lists *[3][]int32) int {
-	best, bi := -1, -1
-	for j := range lists {
-		l := lists[j]
-		if len(l) > 0 && (best < 0 || int(l[0]) < best) {
-			best, bi = int(l[0]), j
-		}
-	}
-	if bi >= 0 {
-		lists[bi] = lists[bi][1:]
-	}
-	return best
-}
-
-// ExplainIndex renders the clause index as text, for policyc -explain.
+// ExplainIndex renders every clause's guard as text, for policyc
+// -explain.
 func ExplainIndex(p *Program) string {
 	var b strings.Builder
-	idx := p.Index()
 	for perm := lang.Perm(0); perm < lang.NumPerms; perm++ {
 		clauses := p.Perms[perm]
 		if len(clauses) == 0 {
 			continue
 		}
-		pi := &idx.perms[perm]
-		fmt.Fprintf(&b, "%s: %d clause(s), %d dead\n", perm, len(clauses), pi.dead)
+		guards := make([]clauseGuard, len(clauses))
+		dead := 0
 		for i := range clauses {
-			g := pi.guards[i]
+			guards[i] = scanGuard(p, clauses[i].Preds, make([]bool, clauses[i].Slots))
+			if guards[i].dead {
+				dead++
+			}
+		}
+		fmt.Fprintf(&b, "%s: %d clause(s), %d dead\n", perm, len(clauses), dead)
+		for i := range clauses {
+			g := guards[i]
 			src, err := p.clauseSource(clauses[i])
 			if err != nil {
 				src = "<unprintable>"

@@ -67,9 +67,9 @@ type Decision struct {
 	Reason string
 	// Steps counts predicate evaluations, for metering.
 	Steps int
-	// Skipped counts clauses the rule index or a session residual
-	// pruned without evaluating; always 0 for the baseline
-	// interpreter, which visits every clause.
+	// Skipped counts clauses a session residual pruned without
+	// evaluating (killed at bind time or skipped by an object guard);
+	// always 0 for Eval, which visits every clause.
 	Skipped int
 }
 

@@ -8,14 +8,13 @@ import (
 	"repro/internal/policy/value"
 )
 
-// Session-bind partial evaluation (the second layer of the policy
-// fast path, modeled on OPA's partial evaluation): once a session's
-// credentials are bound, a program's clauses for one permission are
-// specialized against the known environment — the session key and
-// every predicate decidable from constants alone. The result is a
-// Residual: either an immediate decision (generalizing the static
-// verdict cache) or a small residual clause list, typically a handful
-// of version/meta comparisons, with the decided predicates folded away
+// Session-bind partial evaluation (modeled on OPA's partial
+// evaluation): once a session's credentials are bound, a program's
+// clauses for one permission are specialized against the known
+// environment — the session key and every predicate decidable from
+// constants alone. The result is a Residual: either an immediate
+// decision or a small residual clause list, typically a handful of
+// version/meta comparisons, with the decided predicates folded away
 // and their variable bindings pre-computed.
 //
 // Soundness rules, mirroring the baseline interpreter exactly:
@@ -62,17 +61,17 @@ type residualClause struct {
 type foldResult int
 
 const (
-	foldKeep foldResult = iota // predicate survives into the residual
-	foldTrue                   // statically satisfied, no runtime error possible
-	foldFalse                  // statically refuted
+	foldKeep  foldResult = iota // predicate survives into the residual
+	foldTrue                    // statically satisfied, no runtime error possible
+	foldFalse                   // statically refuted
 )
 
 type clauseStatus int
 
 const (
 	clauseResidual clauseStatus = iota
-	clauseKilled                 // never succeeds, never errors: dropped
-	clauseTrue                   // always satisfied once reached
+	clauseKilled                // never succeeds, never errors: dropped
+	clauseTrue                  // always satisfied once reached
 )
 
 // PartialEval specializes prog's perm clauses to a session key. The
@@ -380,7 +379,7 @@ func (r *Residual) Eval(req *Request, objects ObjectSource) (Decision, error) {
 	}
 	return Decision{Allowed: false, Clause: -1, Steps: ev.steps,
 		Skipped: r.orig - visited,
-		Reason: fmt.Sprintf("no %s clause satisfied", r.perm)}, nil
+		Reason:  fmt.Sprintf("no %s clause satisfied", r.perm)}, nil
 }
 
 // Explain renders the residual as text, for policyc -explain.

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/policy/lang"
 	"repro/internal/policy/value"
@@ -149,17 +148,6 @@ type CClause struct {
 type Program struct {
 	Consts []value.V
 	Perms  [lang.NumPerms][]CClause
-
-	// staticOnce/staticMask memoize StaticFor's per-permission
-	// classification (see analyze.go); compiled programs are immutable
-	// once published, so the mask is computed at most once.
-	staticOnce sync.Once
-	staticMask uint32
-
-	// indexOnce/index memoize the per-permission clause index (see
-	// index.go), built lazily on the first indexed evaluation.
-	indexOnce sync.Once
-	index     *progIndex
 }
 
 // Hash returns the canonical policy hash: SHA-256 of the marshaled

@@ -45,10 +45,6 @@ type Options struct {
 	// Enclave runs the controller inside the simulated enclave
 	// ("Pesos" configuration); false is the native baseline.
 	Enclave bool
-	// Cost overrides the enclave cost model (nil = calibrated default).
-	Cost *enclave.CostModel
-	// EPCBudget overrides the 96 MB usable EPC (bytes).
-	EPCBudget int64
 	// Replicas is the total copies per object (default 1).
 	Replicas int
 	// Encrypt enables payload encryption (default true — set
@@ -56,30 +52,6 @@ type Options struct {
 	PlaintextPayloads bool
 	// DisablePolicies turns enforcement off (baseline of §6.4).
 	DisablePolicies bool
-	// SerialReplication selects the legacy serial-singleton write path
-	// (the replication benchmark's baseline) instead of atomic batches
-	// fanned out to all replicas concurrently.
-	SerialReplication bool
-	// NoGroupCommit disables the per-drive cross-client group
-	// committer (the group-commit benchmark's per-op batch baseline).
-	// Group commit is on by default in every testbed deployment.
-	NoGroupCommit bool
-	// GroupCommitMaxDelay overrides the committer's gather window
-	// (0 = default; negative disables gathering).
-	GroupCommitMaxDelay time.Duration
-	// NoPolicyPartialEval disables the session-bind partial-eval
-	// policy fast path (the policy benchmark's interpreter baseline).
-	// Partial evaluation is on by default in every testbed deployment.
-	NoPolicyPartialEval bool
-	// PolicyIndexedOnly runs rule indexing without partial evaluation
-	// (the middle rung of the policy benchmark). Implies no residuals.
-	PolicyIndexedOnly bool
-	// FanoutReads selects the legacy all-replica first-wins read
-	// engine (the hedged-read benchmark's baseline) instead of
-	// latency-aware hedged reads.
-	FanoutReads bool
-	// HedgeDelay fixes the hedged engine's delay (0 = adaptive ~p95).
-	HedgeDelay time.Duration
 	// ObjectCacheBytes / KeyCacheBytes override the controller cache
 	// budgets (0 = paper defaults); benchmarks shrink them to force
 	// cache-hostile read workloads.
@@ -89,8 +61,6 @@ type Options struct {
 	// set PlainDriveLinks to disable for microbenchmarks isolating
 	// controller CPU).
 	PlainDriveLinks bool
-	// ConnsPerDrive sizes each drive connection pool.
-	ConnsPerDrive int
 	// PolicyCacheEntries caps the policy cache (Fig 8: 50,000).
 	PolicyCacheEntries int
 	// PolicyCacheBytes overrides the 5 MB policy cache budget.
@@ -346,13 +316,6 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 		Replicas:             opts.Replicas,
 		Encrypt:              !opts.PlaintextPayloads,
 		DisablePolicies:      opts.DisablePolicies,
-		SerialReplication:    opts.SerialReplication,
-		GroupCommit:          !opts.NoGroupCommit,
-		GroupCommitMaxDelay:  opts.GroupCommitMaxDelay,
-		PolicyPartialEval:    !opts.NoPolicyPartialEval && !opts.PolicyIndexedOnly,
-		PolicyIndexedOnly:    opts.PolicyIndexedOnly,
-		FanoutReads:          opts.FanoutReads,
-		HedgeDelay:           opts.HedgeDelay,
 		TakeOver:             true,
 		PolicyCacheEntries:   opts.PolicyCacheEntries,
 		PolicyCacheBytes:     opts.PolicyCacheBytes,
@@ -414,9 +377,7 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 		dial := func(ctx context.Context) (net.Conn, error) {
 			return link.Dial(ctx, raw)
 		}
-		cfg.Drives = append(cfg.Drives, core.DriveEndpoint{
-			Name: dn, Dial: dial, Conns: opts.ConnsPerDrive,
-		})
+		cfg.Drives = append(cfg.Drives, core.DriveEndpoint{Name: dn, Dial: dial})
 	}
 
 	// Launch: the enclave configuration (Pesos) attests before it
@@ -426,14 +387,13 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 	if opts.Enclave {
 		image := []byte("pesos-controller-image-v1")
 		config := []byte(name)
-		c.Enclave = e.Platform.Launch(image, config, opts.EPCBudget)
+		c.Enclave = e.Platform.Launch(image, config, 0) // default EPC budget
 		e.Attest.Register(c.Enclave.Measurement(), secrets)
 		cfg.Enclave = c.Enclave
 		cfg.Attestation = e.Attest
 	} else {
 		cfg.Secrets = secrets
 	}
-	cfg.Cost = opts.Cost
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
