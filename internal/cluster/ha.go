@@ -7,18 +7,18 @@
 // warm, and race to acquire the lease the moment it expires. The
 // winner performs an epoch-bumped takeover:
 //
-//	1. adopt   switch drive pools to the map's current CredEpoch
-//	           accounts (the active may have rotated since boot)
-//	2. rotate  RotateDriveCredentials(epoch+1) — from here the old
-//	           active's per-message HMACs are rejected by the drives
-//	           themselves, so no split brain regardless of what the
-//	           lease authority believes
-//	3. activate  promote the standby (drop version-bearing caches,
-//	           serve the owned ranges)
-//	4. publish   sign the successor map (same ranges, new endpoint,
-//	           CredEpoch = new epoch) and push it to the attestation
-//	           service; routers ride through via wrong_shard redirects
-//	           and connection-failure retargets
+//  1. adopt   switch drive pools to the map's current CredEpoch
+//     accounts (the active may have rotated since boot)
+//  2. rotate  RotateDriveCredentials(epoch+1) — from here the old
+//     active's per-message HMACs are rejected by the drives
+//     themselves, so no split brain regardless of what the
+//     lease authority believes
+//  3. activate  promote the standby (drop version-bearing caches,
+//     serve the owned ranges)
+//  4. publish   sign the successor map (same ranges, new endpoint,
+//     CredEpoch = new epoch) and push it to the attestation
+//     service; routers ride through via wrong_shard redirects
+//     and connection-failure retargets
 //
 // Safety does not depend on lease timing: an acknowledged write is
 // durable on the shared drives before the ack, the takeover's cache

@@ -77,20 +77,36 @@ func (p pooledRec) release() {
 	}
 }
 
-// decodeChunkPooled decodes and authenticates one raw chunk record
-// into a pooled buffer.
-func (c *Controller) decodeChunkPooled(val []byte, wantID string) (pooledRec, error) {
-	bufp := chunkBufs.Get().(*[]byte)
-	rec, err := c.codec.DecodeRecordInto(val, (*bufp)[:0])
-	if err != nil {
-		chunkBufs.Put(bufp)
+// getChunkValue reads one raw chunk record — a data chunk or a parity
+// shard — off one drive.
+func (c *Controller) getChunkValue(ctx context.Context, p *drivePool, key string, version, idx int64) (kclient.Value, error) {
+	c.chargeDriveIO(0)
+	v, err := p.pick().GetValue(ctx, store.ChunkKey(key, version, idx))
+	if errors.Is(err, kclient.ErrNotFound) {
+		err = fmt.Errorf("%w: %q v%d chunk %d", ErrNotFound, key, version, idx)
+	}
+	return v, err
+}
+
+// openChunk decodes the raw chunk record in v — into a pooled chunk
+// buffer when pooled — and hands v's frame back: the codec has copied
+// or decrypted the payload out of it, authenticated, by the time it
+// returns.
+func (c *Controller) openChunk(v kclient.Value, key string, version, idx int64, pooled bool) (pooledRec, error) {
+	defer v.Release()
+	c.cost.MoveBytes(len(v.Value))
+	var pr pooledRec
+	var buf []byte
+	if pooled {
+		pr.bufp = chunkBufs.Get().(*[]byte)
+		buf = *pr.bufp
+	}
+	var err error
+	if pr.rec, err = c.codec.DecodeChunkInto(v.Value, buf, key, version, idx); err != nil {
+		pr.release()
 		return pooledRec{}, err
 	}
-	if rec.Meta.Key != wantID || store.HashContent(rec.Payload) != rec.Meta.ContentHash {
-		chunkBufs.Put(bufp)
-		return pooledRec{}, store.ErrCorrupt
-	}
-	return pooledRec{rec, bufp}, nil
+	return pr, nil
 }
 
 // putStreamEC persists an upload erasure-coded: each data chunk goes
@@ -113,10 +129,12 @@ func (c *Controller) putStreamEC(ctx context.Context, sessionKey, key string, op
 	for j := range parityBufs {
 		parityBufs[j] = chunkBufs.Get().(*[]byte)
 	}
+	sealp := sealBufs.Get().(*[]byte) // every shard put is synchronous: one seal buffer serves them all
 	defer func() {
 		for _, bp := range parityBufs {
 			chunkBufs.Put(bp)
 		}
+		sealBufs.Put(sealp)
 	}()
 
 	cleanup := func() {
@@ -127,11 +145,7 @@ func (c *Controller) putStreamEC(ctx context.Context, sessionKey, key string, op
 	}
 
 	putShard := func(di int, idx int64, payload []byte) error {
-		shardMeta := store.Meta{
-			Key: store.ChunkID(key, next, idx), Version: next,
-			Size: int64(len(payload)), ContentHash: store.HashContent(payload),
-		}
-		blob, err := c.codec.EncodeRecord(&store.Record{Meta: shardMeta, Payload: payload})
+		blob, err := c.sealChunk(sealp, key, next, idx, payload)
 		if err != nil {
 			return err
 		}
@@ -632,20 +646,13 @@ func containsCand(cands []ecReadCand, slot int) bool {
 // latency estimator the same way the replicated read engine does (the
 // estimates order parity hedges and future replica reads alike).
 func (c *Controller) fetchShardPooled(ctx context.Context, pool *drivePool, key string, version, idx int64) (pooledRec, error) {
-	dk := store.ChunkKey(key, version, idx)
-	cl := pool.pick()
-	c.chargeDriveIO(0)
 	t0 := time.Now()
-	val, _, err := cl.Get(ctx, dk)
-	if errors.Is(err, kclient.ErrNotFound) {
-		err = fmt.Errorf("%w: %q v%d shard %d", ErrNotFound, key, version, idx)
-	}
+	v, err := c.getChunkValue(ctx, pool, key, version, idx)
 	recordOutcome(pool, time.Since(t0), err)
 	if err != nil {
 		return pooledRec{}, err
 	}
-	c.cost.MoveBytes(len(val))
-	return c.decodeChunkPooled(val, store.ChunkID(key, version, idx))
+	return c.openChunk(v, key, version, idx, true)
 }
 
 // verifyStripesEC recomputes an EC version's whole-object hash

@@ -5,16 +5,23 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 )
 
 // ecConfig switches a harness to the erasure-coded storage class with
-// a threshold low enough that test-sized streams qualify.
+// a threshold low enough that test-sized streams qualify. The hedge and
+// patience clocks of a stripe read are wall-clock (capped at
+// maxHedgeDelay); pinned far out, a parity shard is fetched only when a
+// data shard's read has failed, never because a healthy one was slow on
+// a loaded box — so whether a stripe decodes depends on the faults a
+// test injects and on nothing else.
 func ecConfig(c *Config) {
 	c.Replicas = 2
 	c.EC = true
 	c.ECMinBytes = 2 * streamChunkSize
+	c.HedgeDelay = time.Minute
 }
 
 // ecDataHome returns the home drive of data chunk idx under group.

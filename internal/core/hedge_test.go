@@ -368,6 +368,11 @@ func TestCoalescedMissesOneDriveRead(t *testing.T) {
 	}
 	h.ctl.DropCaches()
 	before := driveGets(h.drives)
+	// An in-memory drive answers in microseconds: on a loaded box the
+	// first reader could finish, and fill the caches, before the second
+	// was scheduled, and nothing would coalesce. A slow medium holds
+	// the first flight open until every reader has joined it.
+	h.drives[0].SetFaults(kinetic.Faults{ExtraDelay: 20 * time.Millisecond})
 
 	const n = 32
 	var wg sync.WaitGroup

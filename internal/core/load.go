@@ -24,8 +24,8 @@ const loadBucketShift = 10
 
 // bucketLoad is one bucket's cumulative counters.
 type bucketLoad struct {
-	reads, writes           atomic.Uint64
-	readBytes, writeBytes   atomic.Uint64
+	reads, writes         atomic.Uint64
+	readBytes, writeBytes atomic.Uint64
 }
 
 // loadState is the controller's load histogram plus the lazily

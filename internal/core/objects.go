@@ -443,22 +443,9 @@ func (c *Controller) fetchRecord(ctx context.Context, key string, version int64)
 			return nil, err
 		}
 		c.cost.MoveBytes(len(val))
-		rec, err := c.codec.DecodeRecord(val)
-		if err != nil {
-			return nil, err
-		}
-		// Chunk stubs carry no inline payload; their content hash spans
-		// the streamed chunks and is verified by the streaming reader.
-		if rec.Meta.Chunks > 0 {
-			if len(rec.Payload) != 0 {
-				return nil, store.ErrCorrupt
-			}
-			return rec, nil
-		}
-		if store.HashContent(rec.Payload) != rec.Meta.ContentHash {
-			return nil, store.ErrCorrupt
-		}
-		return rec, nil
+		// The codec returns intact records only. A chunk stub's content
+		// hash spans its chunks; the streaming reader checks it.
+		return c.codec.DecodeRecord(val)
 	})
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {

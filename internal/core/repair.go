@@ -233,19 +233,12 @@ func (c *Controller) healthyRecord(ctx context.Context, key string, v int64, pla
 	return nil, false
 }
 
-// recordHealthy verifies a raw drive record decodes and matches its
-// content hash. Chunk stubs (streamed versions) are healthy when they
-// decode with no inline payload; their content hash spans the chunk
-// records, verified separately.
+// recordHealthy reports whether a raw drive record is intact: the codec
+// decodes and authenticates it. A chunk stub's content hash spans its
+// chunk records, which converge separately.
 func (c *Controller) recordHealthy(blob []byte) bool {
-	rec, err := c.codec.DecodeRecord(blob)
-	if err != nil {
-		return false
-	}
-	if rec.Meta.Chunks > 0 {
-		return len(rec.Payload) == 0
-	}
-	return store.HashContent(rec.Payload) == rec.Meta.ContentHash
+	_, err := c.codec.DecodeRecord(blob)
+	return err == nil
 }
 
 // repairChunks re-establishes the replication invariant for the chunk
@@ -253,13 +246,12 @@ func (c *Controller) recordHealthy(blob []byte) bool {
 func (c *Controller) repairChunks(ctx context.Context, key string, v, chunks int64, placement []int, report *RepairReport) error {
 	for idx := int64(0); idx < chunks; idx++ {
 		dk := store.ChunkKey(key, v, idx)
-		wantID := store.ChunkID(key, v, idx)
 		var blob []byte
 		for _, di := range placement {
 			cl := c.drives[di].pick()
 			c.chargeDriveIO(0)
 			cur, _, err := cl.Get(ctx, dk)
-			if err == nil && c.chunkHealthy(cur, wantID) {
+			if err == nil && c.chunkHealthy(cur, key, v, idx) {
 				blob = cur
 				break
 			}
@@ -271,7 +263,7 @@ func (c *Controller) repairChunks(ctx context.Context, key string, v, chunks int
 			cl := c.drives[di].pick()
 			c.chargeDriveIO(0)
 			cur, _, err := cl.Get(ctx, dk)
-			if err == nil && c.chunkHealthy(cur, wantID) {
+			if err == nil && c.chunkHealthy(cur, key, v, idx) {
 				continue
 			}
 			c.chargeDriveIO(len(blob))
@@ -332,7 +324,6 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 		for i := range states {
 			st := &states[i]
 			dk := store.ChunkKey(key, v, st.idx)
-			wantID := store.ChunkID(key, v, st.idx)
 			// Sources, most likely first: the current home, the base
 			// home (where the shard lived before a death or after a
 			// revival), the rest of both windows, then every remaining
@@ -352,7 +343,7 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 				cl := c.drives[di].pick()
 				c.chargeDriveIO(0)
 				cur, _, err := cl.Get(ctx, dk)
-				if err != nil || !c.chunkHealthy(cur, wantID) {
+				if err != nil || !c.chunkHealthy(cur, key, v, st.idx) {
 					continue
 				}
 				st.srcDi = di
@@ -447,11 +438,7 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 			if st.slot < kt {
 				p = p[:ecChunkLen(m, st.idx)]
 			}
-			shardMeta := store.Meta{
-				Key: store.ChunkID(key, v, st.idx), Version: v,
-				Size: int64(len(p)), ContentHash: store.HashContent(p),
-			}
-			blob, err := c.codec.EncodeRecord(&store.Record{Meta: shardMeta, Payload: p})
+			blob, err := c.codec.EncodeChunkInto(nil, key, v, st.idx, p)
 			if err != nil {
 				return err
 			}
@@ -467,14 +454,11 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 	return nil
 }
 
-// chunkHealthy verifies a raw chunk record against its authenticated
-// chunk id and hash.
-func (c *Controller) chunkHealthy(blob []byte, wantID string) bool {
-	rec, err := c.codec.DecodeRecord(blob)
-	if err != nil {
-		return false
-	}
-	return rec.Meta.Key == wantID && store.HashContent(rec.Payload) == rec.Meta.ContentHash
+// chunkHealthy reports whether a raw chunk record is intact and is the
+// chunk of (key, v, idx).
+func (c *Controller) chunkHealthy(blob []byte, key string, v, idx int64) bool {
+	_, err := c.codec.DecodeChunkInto(blob, nil, key, v, idx)
+	return err == nil
 }
 
 // Repair re-replicates an object across its placement drives. See

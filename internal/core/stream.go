@@ -7,10 +7,11 @@
 // mid-stream therefore never publishes a partial object: until the
 // final batch lands, readers still see the previous version.
 //
-// Reads stream chunk records straight to the response writer with
-// per-chunk integrity checks (each chunk record authenticates its
-// chunk id, so chunks cannot be transplanted between objects,
-// versions or positions) and a whole-object hash check at the end.
+// Reads stream chunk records straight to the response writer. The codec
+// authenticates every chunk record it returns and binds it to its chunk
+// id, so chunks cannot be damaged or transplanted between objects,
+// versions or positions; the whole-object hash check at the end is what
+// catches an authentic chunk of an earlier upload of the same version.
 package core
 
 import (
@@ -80,6 +81,30 @@ var chunkBufs = sync.Pool{
 		b := make([]byte, streamChunkSize)
 		return &b
 	},
+}
+
+// sealBufs pools the buffers chunk records are sealed into: a chunk
+// plus room for the record's header, nonce and tag under keys of up to
+// a few KiB (a longer key's record grows its buffer once and the pool
+// keeps the grown one). An upload holds one for its duration — every
+// drive put of a chunk, replica fan-out included, has returned before
+// the next chunk is sealed over it.
+var sealBufs = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, streamChunkSize+(4<<10))
+		return &b
+	},
+}
+
+// sealChunk encodes one chunk record of a streamed version into the
+// upload's seal buffer. The blob is valid until the next sealChunk on
+// the same buffer.
+func (c *Controller) sealChunk(sealp *[]byte, key string, version, idx int64, payload []byte) ([]byte, error) {
+	blob, err := c.codec.EncodeChunkInto(*sealp, key, version, idx, payload)
+	if err == nil {
+		*sealp = blob[:0]
+	}
+	return blob, err
 }
 
 // DefaultMaxStreamBytes caps a streamed object when Config leaves
@@ -216,6 +241,8 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 	// the end. On failure the written chunks are swept best-effort —
 	// they were never reachable.
 	hasher := sha256.New()
+	sealp := sealBufs.Get().(*[]byte)
+	defer sealBufs.Put(sealp)
 	var total int64
 	var chunks int64
 	cleanup := func() {
@@ -239,11 +266,7 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 		}
 		c.cost.MoveBytes(len(chunk))
 		hasher.Write(chunk)
-		chunkMeta := store.Meta{
-			Key: store.ChunkID(key, next, chunks), Version: next,
-			Size: int64(len(chunk)), ContentHash: store.HashContent(chunk),
-		}
-		blob, err := c.codec.EncodeRecord(&store.Record{Meta: chunkMeta, Payload: chunk})
+		blob, err := c.sealChunk(sealp, key, next, chunks, chunk)
 		if err != nil {
 			return err
 		}
@@ -452,8 +475,8 @@ func (c *Controller) getObjectStream(ctx context.Context, sessionKey, key string
 }
 
 // loadChunk fetches one chunk record, cache-first with replica
-// failover through the configured read engine, verifying the chunk's
-// own hash and its authenticated chunk id (position binding).
+// failover through the read engine; the codec authenticates it and its
+// chunk id (position binding).
 // Concurrent misses on one chunk coalesce into a single drive read.
 func (c *Controller) loadChunk(ctx context.Context, key string, version, idx int64) (*store.Record, error) {
 	dk := store.ChunkKey(key, version, idx)
@@ -466,7 +489,8 @@ func (c *Controller) loadChunk(ctx context.Context, key string, version, idx int
 			if r, ok := c.objectCache.Get(ck); ok {
 				return r, nil
 			}
-			return c.fetchChunk(fctx, key, version, idx, dk)
+			pr, err := c.readChunk(fctx, key, version, idx, false)
+			return pr.rec, err
 		},
 		func(r *store.Record) { c.objectCache.Put(ck, r) })
 	if shared {
@@ -475,37 +499,20 @@ func (c *Controller) loadChunk(ctx context.Context, key string, version, idx int
 	return rec, err
 }
 
-// fetchChunk reads one chunk record off the drives.
-func (c *Controller) fetchChunk(ctx context.Context, key string, version, idx int64, dk []byte) (*store.Record, error) {
-	placement := c.placement(key)
-	wantID := store.ChunkID(key, version, idx)
-	rec, err := readReplicas(ctx, c, placement, func(ctx context.Context, p *drivePool) (*store.Record, error) {
-		cl := p.pick()
-		c.chargeDriveIO(0)
-		val, _, err := cl.Get(ctx, dk)
-		if errors.Is(err, kclient.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %q v%d chunk %d", ErrNotFound, key, version, idx)
-		}
+// readChunk reads one chunk record off the replicas through the read
+// engine, decoded into a pooled chunk buffer when pooled.
+func (c *Controller) readChunk(ctx context.Context, key string, version, idx int64, pooled bool) (pooledRec, error) {
+	pr, err := readReplicas(ctx, c, c.placement(key), func(ctx context.Context, p *drivePool) (pooledRec, error) {
+		v, err := c.getChunkValue(ctx, p, key, version, idx)
 		if err != nil {
-			return nil, err
+			return pooledRec{}, err
 		}
-		c.cost.MoveBytes(len(val))
-		rec, err := c.codec.DecodeRecord(val)
-		if err != nil {
-			return nil, err
-		}
-		if rec.Meta.Key != wantID || store.HashContent(rec.Payload) != rec.Meta.ContentHash {
-			return nil, store.ErrCorrupt
-		}
-		return rec, nil
+		return c.openChunk(v, key, version, idx, pooled)
 	})
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: all replicas failed reading %q v%d chunk %d: %w", key, version, idx, err)
+	if err != nil && !errors.Is(err, ErrNotFound) {
+		err = fmt.Errorf("core: all replicas failed reading %q v%d chunk %d: %w", key, version, idx, err)
 	}
-	return rec, nil
+	return pr, err
 }
 
 // loadChunkPooled is loadChunk for the streamed GET hot path: a cache
@@ -521,26 +528,9 @@ func (c *Controller) loadChunkPooled(ctx context.Context, key string, version, i
 	if r, ok := c.objectCache.Get(string(dk)); ok {
 		return r, func() {}, nil
 	}
-	wantID := store.ChunkID(key, version, idx)
-	placement := c.placement(key)
-	pr, err := readReplicas(ctx, c, placement, func(ctx context.Context, p *drivePool) (pooledRec, error) {
-		cl := p.pick()
-		c.chargeDriveIO(0)
-		val, _, err := cl.Get(ctx, dk)
-		if errors.Is(err, kclient.ErrNotFound) {
-			return pooledRec{}, fmt.Errorf("%w: %q v%d chunk %d", ErrNotFound, key, version, idx)
-		}
-		if err != nil {
-			return pooledRec{}, err
-		}
-		c.cost.MoveBytes(len(val))
-		return c.decodeChunkPooled(val, wantID)
-	})
+	pr, err := c.readChunk(ctx, key, version, idx, true)
 	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("core: all replicas failed reading %q v%d chunk %d: %w", key, version, idx, err)
+		return nil, nil, err
 	}
 	return pr.rec, pr.release, nil
 }

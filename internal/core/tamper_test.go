@@ -1,0 +1,315 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"strings"
+	"testing"
+
+	"repro/internal/store"
+)
+
+// tamperRig is a controller plus raw access to the chunk records on its
+// drives: the untrusted storage layer's view.
+type tamperRig struct {
+	t   *testing.T
+	h   *harness
+	s   *Session
+	ctx context.Context
+}
+
+func newTamperRig(t *testing.T, drives int, sealed bool, mutate func(*Config)) *tamperRig {
+	h := newHarness(t, drives, func(c *Config) {
+		c.Encrypt = sealed
+		if mutate != nil {
+			mutate(c)
+		}
+	})
+	return &tamperRig{t: t, h: h, s: h.ctl.Session("w"), ctx: context.Background()}
+}
+
+func (r *tamperRig) put(key string, payload []byte) {
+	r.t.Helper()
+	if res := r.s.PutStream(r.ctx, key, bytes.NewReader(payload), PutOptions{}); res.Err != nil {
+		r.t.Fatalf("PutStream(%q): %v", key, res.Err)
+	}
+}
+
+// rawAt reads the record drive di holds under drive key dk.
+func (r *tamperRig) rawAt(di int, dk []byte) []byte {
+	r.t.Helper()
+	blob, _, err := r.h.ctl.drives[di].pick().Get(r.ctx, dk)
+	if err != nil {
+		r.t.Fatalf("raw record %q on drive %d: %v", dk, di, err)
+	}
+	return append([]byte(nil), blob...)
+}
+
+// plantAt overwrites the record under drive key dk on drive di and
+// drops whatever the controller cached.
+func (r *tamperRig) plantAt(di int, dk, blob []byte) {
+	r.t.Helper()
+	if err := r.h.ctl.drives[di].pick().Put(r.ctx, dk, blob, nil, []byte{9}, true); err != nil {
+		r.t.Fatal(err)
+	}
+	r.h.ctl.objectCache.Clear()
+}
+
+// raw and plant are rawAt and plantAt for the chunk record of (key,
+// version, idx).
+func (r *tamperRig) raw(di int, key string, version, idx int64) []byte {
+	r.t.Helper()
+	return r.rawAt(di, store.ChunkKey(key, version, idx))
+}
+
+func (r *tamperRig) plant(di int, key string, version, idx int64, blob []byte) {
+	r.t.Helper()
+	r.plantAt(di, store.ChunkKey(key, version, idx), blob)
+}
+
+// flip damages one payload byte of a stored chunk record.
+func (r *tamperRig) flip(di int, key string, version, idx int64) {
+	blob := r.raw(di, key, version, idx)
+	blob[len(blob)/2] ^= 0x40
+	r.plant(di, key, version, idx, blob)
+}
+
+// swap exchanges two stored chunk records, each individually authentic.
+func (r *tamperRig) swap(di int, keyA string, verA, idxA int64, keyB string, verB, idxB int64) {
+	a, b := r.raw(di, keyA, verA, idxA), r.raw(di, keyB, verB, idxB)
+	r.plant(di, keyA, verA, idxA, b)
+	r.plant(di, keyB, verB, idxB, a)
+}
+
+// read streams (key, version) and returns what reached the client and
+// how the transfer ended.
+func (r *tamperRig) read(key string, version int64) ([]byte, error) {
+	r.t.Helper()
+	_, send, err := r.s.GetStream(r.ctx, key, GetOptions{Version: version, HasVersion: true})
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = send(&buf)
+	return buf.Bytes(), err
+}
+
+// wantIntact: the read heals over the damage and serves the original.
+func (r *tamperRig) wantIntact(key string, version int64, want []byte) {
+	r.t.Helper()
+	got, err := r.read(key, version)
+	if err != nil || !bytes.Equal(got, want) {
+		r.t.Fatalf("%q v%d: %d bytes (want %d), %v", key, version, len(got), len(want), err)
+	}
+}
+
+// wantRefused: the read stops at the misplaced chunk — the transfer
+// fails as corrupt and nothing but a prefix of the true object reached
+// the client.
+func (r *tamperRig) wantRefused(key string, version int64, want []byte) {
+	r.t.Helper()
+	got, err := r.read(key, version)
+	if !errors.Is(err, store.ErrCorrupt) || strings.Contains(err.Error(), "whole-object hash") {
+		r.t.Fatalf("%q v%d: misplaced chunk not refused by its chunk id: %v", key, version, err)
+	}
+	if !bytes.HasPrefix(want, got) {
+		r.t.Fatalf("%q v%d: bytes of a misplaced chunk reached the client", key, version)
+	}
+}
+
+// TestTamperMatrix drives every way the drive layer can hand back the
+// wrong chunk through the controller, sealed and with the plaintext
+// baseline: a damaged record is healed from parity or another replica,
+// an authentic record in the wrong place is refused by its chunk id,
+// and an authentic record of an earlier upload in the right place is
+// caught by the whole-object hash. Never wrong bytes.
+func TestTamperMatrix(t *testing.T) {
+	for _, sealed := range []bool{true, false} {
+		name := "sealed"
+		if !sealed {
+			name = "plaintext"
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Run("flipped EC data shard is rebuilt from parity", func(t *testing.T) {
+				r := newTamperRig(t, 6, sealed, ecConfig)
+				payload := streamPayload(4*streamChunkSize + 77)
+				r.put("ec", payload)
+				group := r.h.ctl.ecGroup("ec", 6)
+				r.flip(ecDataHome(group, 1, 4), "ec", 0, 1)
+				r.wantIntact("ec", 0, payload)
+				if st := r.h.ctl.stats.Snapshot(); st.ECDecodes == 0 {
+					t.Error("flipped shard was served without a decode")
+				}
+				if _, err := r.s.Verify(r.ctx, "ec", 0); err != nil {
+					t.Errorf("verify over a flipped shard: %v", err)
+				}
+				// Past the parity budget nothing is left to rebuild from.
+				r.flip(ecDataHome(group, 0, 4), "ec", 0, 0)
+				r.flip(ecDataHome(group, 2, 4), "ec", 0, 2)
+				if got, err := r.read("ec", 0); err == nil {
+					t.Fatalf("m+1 flipped shards served %d bytes", len(got))
+				}
+			})
+
+			t.Run("flipped replica chunk is served from another replica", func(t *testing.T) {
+				r := newTamperRig(t, 3, sealed, func(c *Config) { c.Replicas = 2 })
+				payload := streamPayload(2*streamChunkSize + 99)
+				r.put("rep", payload)
+				placement := r.h.ctl.placement("rep")
+				r.flip(placement[0], "rep", 0, 1)
+				r.wantIntact("rep", 0, payload)
+				if _, err := r.s.Verify(r.ctx, "rep", 0); err != nil {
+					t.Errorf("verify over a flipped replica: %v", err)
+				}
+				r.flip(placement[1], "rep", 0, 1)
+				if got, err := r.read("rep", 0); err == nil {
+					t.Fatalf("chunk flipped on every replica served %d bytes", len(got))
+				}
+			})
+
+			t.Run("flipped inline record is served from another replica", func(t *testing.T) {
+				r := newTamperRig(t, 3, sealed, func(c *Config) { c.Replicas = 2 })
+				if _, err := r.s.Put(r.ctx, "inline", []byte("an inline value"), PutOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				get := func() ([]byte, error) {
+					val, _, err := r.s.Get(r.ctx, "inline", GetOptions{})
+					return val, err
+				}
+				// The record's last byte: payload when plain, tag when sealed.
+				flipLast := func(di int) {
+					blob := r.rawAt(di, store.ObjectKey("inline", 0))
+					blob[len(blob)-1] ^= 1
+					r.plantAt(di, store.ObjectKey("inline", 0), blob)
+				}
+				placement := r.h.ctl.placement("inline")
+				flipLast(placement[0])
+				if val, err := get(); err != nil || string(val) != "an inline value" {
+					t.Fatalf("flipped on one replica: %q, %v", val, err)
+				}
+				flipLast(placement[1])
+				if val, err := get(); err == nil {
+					t.Fatalf("flipped on every replica served %q", val)
+				}
+			})
+
+			t.Run("chunks swapped between positions, versions and objects", func(t *testing.T) {
+				r := newTamperRig(t, 1, sealed, nil)
+				v0, v1 := streamPayload(2*streamChunkSize), streamPayload(2*streamChunkSize+1)
+				other := streamPayload(2*streamChunkSize + 2)
+				r.put("a", v0)
+				r.put("a", v1)
+				r.put("b", other)
+
+				r.swap(0, "a", 1, 0, "a", 1, 1) // index i ↔ j
+				r.wantRefused("a", 1, v1)
+				r.swap(0, "a", 1, 0, "a", 1, 1)
+				r.wantIntact("a", 1, v1)
+
+				r.swap(0, "a", 0, 0, "a", 1, 0) // version 0 ↔ 1
+				r.wantRefused("a", 0, v0)
+				r.wantRefused("a", 1, v1)
+				r.swap(0, "a", 0, 0, "a", 1, 0)
+
+				r.swap(0, "a", 1, 1, "b", 0, 1) // object a ↔ b
+				r.wantRefused("a", 1, v1)
+				r.wantRefused("b", 0, other)
+				r.swap(0, "a", 1, 1, "b", 0, 1)
+
+				r.wantIntact("a", 0, v0)
+				r.wantIntact("a", 1, v1)
+				r.wantIntact("b", 0, other)
+			})
+
+			t.Run("swapped EC shard is rebuilt from parity", func(t *testing.T) {
+				r := newTamperRig(t, 6, sealed, ecConfig)
+				payload := streamPayload(4 * streamChunkSize)
+				r.put("ec", payload)
+				group := r.h.ctl.ecGroup("ec", 6)
+				// A data shard's record under a parity shard's key, on
+				// the parity shard's home.
+				parity := store.ParityIndex(0, 2, 0)
+				r.plant(ecShardDrive(group, 4, 0), "ec", 0, parity, r.raw(ecDataHome(group, 0, 4), "ec", 0, 0))
+				r.plant(ecDataHome(group, 0, 4), "ec", 0, 0, r.raw(ecDataHome(group, 1, 4), "ec", 0, 1))
+				r.wantIntact("ec", 0, payload)
+				if st := r.h.ctl.stats.Snapshot(); st.ECDecodes == 0 {
+					t.Error("transplanted shard was served without a decode")
+				}
+			})
+
+			t.Run("authentic chunk of an earlier upload of the same version", func(t *testing.T) {
+				r := newTamperRig(t, 3, sealed, func(c *Config) { c.Replicas = 2 })
+				first, second := streamPayload(2*streamChunkSize+5), streamPayload(2*streamChunkSize+5)
+				second[3] ^= 0xff // same size, another object
+				r.put("again", first)
+				placement := r.h.ctl.placement("again")
+				stale := r.raw(placement[0], "again", 0, 0)
+				if err := r.s.Delete(r.ctx, "again", DeleteOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				r.put("again", second)
+				r.wantIntact("again", 0, second)
+				// The stale record is sealed under the same key for the
+				// same (object, version, index): every per-chunk check
+				// passes on every replica.
+				for _, di := range placement {
+					r.plant(di, "again", 0, 0, stale)
+				}
+				if _, err := r.read("again", 0); !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "whole-object hash") {
+					t.Fatalf("stale chunk not stopped by the whole-object hash: %v", err)
+				}
+				if _, err := r.s.Verify(r.ctx, "again", 0); !errors.Is(err, store.ErrCorrupt) {
+					t.Errorf("verify over a stale chunk: %v", err)
+				}
+			})
+		})
+	}
+}
+
+// TestChunkRecordsOfTheParentFormatReadBack: chunk records written
+// before sealed chunks dropped their content hash carry a non-zero one;
+// they stream, verify and repair like the rest.
+func TestChunkRecordsOfTheParentFormatReadBack(t *testing.T) {
+	r := newTamperRig(t, 6, true, ecConfig)
+	codec := r.h.ctl.codec
+	rewrite := func(di int, key string, idx int64) {
+		rec, err := codec.DecodeChunkInto(r.raw(di, key, 0, idx), nil, key, 0, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Meta.ContentHash != ([32]byte{}) {
+			t.Fatalf("sealed chunk %d of %q carries a content hash", idx, key)
+		}
+		rec.Meta.ContentHash = store.HashContent(rec.Payload)
+		blob, err := codec.EncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.plant(di, key, 0, idx, blob)
+	}
+	ec, rep := streamPayload(4*streamChunkSize+9), streamPayload(streamChunkSize+9)
+	r.put("ec", ec)
+	r.put("rep", rep)
+	group := r.h.ctl.ecGroup("ec", 6)
+	for idx := int64(0); idx < 5; idx++ {
+		rewrite(ecDataHome(group, idx, 4), "ec", idx)
+	}
+	for _, di := range r.h.ctl.placement("rep") {
+		rewrite(di, "rep", 0)
+		rewrite(di, "rep", 1)
+	}
+	r.wantIntact("ec", 0, ec)
+	r.wantIntact("rep", 0, rep)
+	for _, key := range []string{"ec", "rep"} {
+		if _, err := r.s.Verify(r.ctx, key, 0); err != nil {
+			t.Errorf("verify %q: %v", key, err)
+		}
+		if report, err := r.s.Repair(r.ctx, key); err != nil || report.Restored != 0 {
+			t.Errorf("repair %q rewrote healthy parent-format records: %+v %v", key, report, err)
+		}
+	}
+	if st := r.h.ctl.stats.Snapshot(); st.ECDecodes != 0 {
+		t.Errorf("parent-format shards were decoded around: %d", st.ECDecodes)
+	}
+}

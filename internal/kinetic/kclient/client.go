@@ -151,14 +151,50 @@ func (c *Client) SetCredentials(creds Credentials) {
 	c.mu.Unlock()
 }
 
-// replies recycles reply messages whose consumer has released them (see
-// KeyRange.Release); every other reply is left to the collector.
-var replies = sync.Pool{New: func() any { return new(wire.Message) }}
+// replies and bulkReplies recycle reply messages whose consumer has
+// released them (see Value.Release, KeyRange.Release); every other reply
+// is left to the collector. A message keeps the frame body it was
+// decoded from, so the ones that held a chunk-sized reply are kept
+// apart: the next chunk-sized reply reads into that megabyte instead of
+// allocating and zeroing one, and no status reply — never released —
+// takes it out of circulation.
+var replies, bulkReplies = newReplyPool(), newReplyPool()
+
+func newReplyPool() *sync.Pool {
+	return &sync.Pool{New: func() any { return new(wire.Message) }}
+}
+
+// bulkFrame is the frame size from which a reply counts as chunk-sized.
+const bulkFrame = 64 << 10
+
+func replyPool(frameSize int) *sync.Pool {
+	if frameSize >= bulkFrame {
+		return bulkReplies
+	}
+	return replies
+}
+
+// release recycles a reply nothing refers into any more.
+func release(m *wire.Message) {
+	if m == nil {
+		return
+	}
+	pool := replyPool(m.FrameSize())
+	m.Recycle()
+	pool.Put(m)
+}
 
 func (c *Client) readLoop(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		resp := replies.Get().(*wire.Message)
+		// The pooled message is taken once the reply's size is known,
+		// so an idle connection pins no frame.
+		n, err := wire.PeekFrameSize(r)
+		if err != nil {
+			c.failAll(conn)
+			return
+		}
+		resp := replyPool(n).Get().(*wire.Message)
 		if err := wire.ReadFrame(r, resp); err != nil {
 			c.failAll(conn)
 			return
@@ -316,16 +352,37 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Message) (*wire.Messag
 	}
 }
 
-// Get fetches value and stored version for key.
-func (c *Client) Get(ctx context.Context, key []byte) (value, version []byte, err error) {
+// Value is a drive's reply to one get.
+type Value struct {
+	Value   []byte
+	Version []byte // the stored version
+
+	reply *wire.Message
+}
+
+// Release hands the reply's frame back for a later reply to reuse.
+// Optional — an unreleased Value is ordinary garbage — but after it
+// neither v.Value nor v.Version may be used.
+func (v Value) Release() { release(v.reply) }
+
+// GetValue fetches value and stored version for key as a releasable
+// reply: a caller that decodes the value into storage of its own hands
+// the frame back as soon as it has.
+func (c *Client) GetValue(ctx context.Context, key []byte) (Value, error) {
 	resp, err := c.roundTrip(ctx, &wire.Message{Type: wire.TGet, Key: key})
 	if err != nil {
-		return nil, nil, err
+		return Value{}, err
 	}
 	if err := statusToError(resp); err != nil {
-		return nil, nil, err
+		return Value{}, err
 	}
-	return resp.Value, resp.DBVersion, nil
+	return Value{Value: resp.Value, Version: resp.DBVersion, reply: resp}, nil
+}
+
+// Get is GetValue for callers that keep what it returns.
+func (c *Client) Get(ctx context.Context, key []byte) (value, version []byte, err error) {
+	v, err := c.GetValue(ctx, key)
+	return v.Value, v.Version, err
 }
 
 // Put stores key/value. dbVersion must match the stored version (nil
@@ -460,12 +517,7 @@ type KeyRange struct {
 // Release hands the reply's buffers back for a later reply to reuse.
 // Optional — an unreleased KeyRange is ordinary garbage — but after it
 // no key or value of kr may be used.
-func (kr KeyRange) Release() {
-	if kr.reply != nil {
-		kr.reply.Recycle()
-		replies.Put(kr.reply)
-	}
-}
+func (kr KeyRange) Release() { release(kr.reply) }
 
 // Range lists up to max entries in [start, end]; empty end means to the
 // last key. startInclusive includes start itself. withValues asks for

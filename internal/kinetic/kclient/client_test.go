@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -454,5 +456,56 @@ func TestOversizeRangeIsTruncated(t *testing.T) {
 	}
 	if got != 800 || rounds < 2 {
 		t.Fatalf("drained %d keys in %d replies, want 800 in several", got, rounds)
+	}
+}
+
+// TestReleasedValueFrameIsReused: a chunk-sized get reply handed back
+// by Release lends its frame to the next one, status replies in between
+// do not take it, and an unreleased value stays intact.
+func TestReleasedValueFrameIsReused(t *testing.T) {
+	_, cl := startDrive(t)
+	ctx := context.Background()
+	big := bytes.Repeat([]byte{0x5a}, 1<<20)
+	for _, k := range []string{"a", "b"} {
+		if err := cl.Put(ctx, []byte(k), big, nil, []byte("1"), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(k string, release bool) {
+		v, err := cl.GetValue(ctx, []byte(k))
+		if err != nil || !bytes.Equal(v.Value, big) || !bytes.Equal(v.Version, []byte("1")) {
+			t.Fatalf("get %s: %d bytes, version %q, %v", k, len(v.Value), v.Version, err)
+		}
+		if release {
+			v.Release()
+		}
+	}
+	// One P and no collection: what a sync.Pool is handed back it
+	// hands out again, so the byte count below is exact.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	get("a", true) // the frame every later released get reads into
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 4; i++ {
+		get("a", true)
+		if err := cl.Put(ctx, []byte("s"), []byte("small"), nil, []byte("1"), true); err != nil {
+			t.Fatal(err)
+		}
+		get("b", true)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 512<<10 && !raceEnabled {
+		t.Fatalf("eight released 1 MiB gets allocated %d bytes", grew)
+	}
+
+	kept, err := cl.GetValue(ctx, []byte("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	get("b", true)
+	get("b", true)
+	if !bytes.Equal(kept.Value, big) {
+		t.Fatal("a value that was never released was overwritten by a later reply")
 	}
 }

@@ -848,29 +848,41 @@ func WriteFrame(w io.Writer, m *Message) error {
 	return err
 }
 
+// PeekFrameSize waits for the next frame's header and returns the size
+// of its body, consuming nothing: a reader that recycles messages picks
+// the one to decode into by the size it must hold, and holds none while
+// the connection is idle.
+func PeekFrameSize(r *bufio.Reader) (int, error) {
+	hdr, err := r.Peek(frameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
+	}
+	if hdr[0] != Magic {
+		return 0, fmt.Errorf("wire: bad magic byte 0x%02x", hdr[0])
+	}
+	n := binary.BigEndian.Uint32(hdr[1:])
+	if n > MaxMessageSize {
+		return 0, fmt.Errorf("wire: frame too large: %d bytes", n)
+	}
+	return int(n), nil
+}
+
 // ReadFrame reads one framed message from r. The frame body is the one
 // allocation the message's bytes cost: m owns it and its byte fields
 // (batch sub-operations and ACL keys included) alias it, so whoever
 // retains a field retains the frame — see FrameSize. A message emptied
 // by Recycle lends the body it held, when large enough, instead.
 func ReadFrame(r *bufio.Reader, m *Message) error {
-	hdr, err := r.Peek(frameHeaderLen)
+	n, err := PeekFrameSize(r)
 	if err != nil {
-		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
 		return err
-	}
-	if hdr[0] != Magic {
-		return fmt.Errorf("wire: bad magic byte 0x%02x", hdr[0])
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxMessageSize {
-		return fmt.Errorf("wire: frame too large: %d bytes", n)
 	}
 	r.Discard(frameHeaderLen) // cannot fail: Peek buffered these bytes
 	var body []byte
-	if m.recycled && uint32(cap(m.frame)) >= n {
+	if m.recycled && cap(m.frame) >= n {
 		body = m.frame[:n]
 	} else {
 		body = make([]byte, n)

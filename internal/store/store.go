@@ -152,10 +152,21 @@ func (m *Meta) Unmarshal(data []byte) error {
 	return nil
 }
 
-// Codec encrypts and authenticates object payloads before they leave
-// the enclave. Disabling encryption (the paper's §6.2 encryption-
-// overhead experiment) still authenticates nothing and stores
-// plaintext, so the comparison isolates pure crypto cost.
+// Codec encodes object records for the drives and is the one place that
+// decides whether a stored record is intact: whatever DecodeRecord or
+// DecodeRecordInto returns has been authenticated, by the check its
+// record kind carries, and no caller re-hashes a payload.
+//
+//   - A sealed record (recEncrypted, the default) is intact because
+//     AES-256-GCM opened it with the marshalled Meta as additional data:
+//     the tag covers the payload and every metadata field, the chunk id
+//     of a chunk record included.
+//   - A plain record (recPlain — the paper's §6.2 encryption-overhead
+//     baseline, which has no tag) is intact because SHA-256 of its
+//     payload equals Meta.ContentHash. That detects a damaged payload;
+//     it does not authenticate the metadata, which is what the baseline
+//     gives up — so only a codec that itself stores plaintext accepts
+//     one.
 type Codec struct {
 	aead    cipher.AEAD
 	enabled bool
@@ -195,57 +206,52 @@ const (
 // authenticated data, so swapping payloads between versions or keys
 // is detected at decode time.
 func (c *Codec) EncodeRecord(rec *Record) ([]byte, error) {
+	return c.EncodeRecordInto(nil, rec)
+}
+
+// EncodeRecordInto is EncodeRecord with caller-provided storage: the
+// record is written into dst's capacity from index 0 (and into a fresh
+// slice only when it does not fit), so a streamed upload seals every
+// chunk into one pooled buffer. The result aliases dst; the caller may
+// reuse dst once nothing reads the result any more.
+func (c *Codec) EncodeRecordInto(dst []byte, rec *Record) ([]byte, error) {
 	if int64(len(rec.Payload)) > MaxObjectSize {
 		return nil, ErrTooLarge
 	}
 	metaBytes := rec.Meta.Marshal()
-	var buf []byte
 	if !c.enabled {
-		buf = append(buf, recPlain)
-		buf = appendLenPrefixed(buf, metaBytes)
+		buf := appendLenPrefixed(append(dst[:0], recPlain), metaBytes)
 		return append(buf, rec.Payload...), nil
 	}
-	buf = append(buf, recEncrypted)
-	buf = appendLenPrefixed(buf, metaBytes)
-	nonce := make([]byte, c.aead.NonceSize())
+	buf := appendLenPrefixed(append(dst[:0], recEncrypted), metaBytes)
+	ns := c.aead.NonceSize()
+	buf = append(buf, make([]byte, ns)...)
+	nonce := buf[len(buf)-ns:]
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("store: nonce: %w", err)
 	}
-	buf = append(buf, nonce...)
 	return c.aead.Seal(buf, nonce, rec.Payload, metaBytes), nil
 }
 
-// DecodeRecord parses and (if needed) decrypts a stored record.
+// EncodeChunkInto encodes one chunk record of a streamed version — a
+// data chunk or, at a ParityIndex, a parity shard — into dst as
+// EncodeRecordInto does. The chunk id binds the record to its object,
+// version and index. A sealed chunk carries a zero ContentHash in the
+// same fixed-width field: its tag already authenticates the payload,
+// so hashing every streamed byte a second time would buy nothing; a
+// plain chunk has no tag and carries the hash that stands in for one.
+func (c *Codec) EncodeChunkInto(dst []byte, key string, version, idx int64, payload []byte) ([]byte, error) {
+	m := Meta{Key: ChunkID(key, version, idx), Version: version, Size: int64(len(payload))}
+	if !c.enabled {
+		m.ContentHash = HashContent(payload)
+	}
+	return c.EncodeRecordInto(dst, &Record{Meta: m, Payload: payload})
+}
+
+// DecodeRecord parses, decrypts and authenticates a stored record (see
+// Codec for what authenticates which kind).
 func (c *Codec) DecodeRecord(data []byte) (*Record, error) {
-	if len(data) < 1 {
-		return nil, ErrCorrupt
-	}
-	kind := data[0]
-	metaBytes, rest, err := readLenPrefixed(data[1:])
-	if err != nil {
-		return nil, err
-	}
-	meta, err := UnmarshalMeta(metaBytes)
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case recPlain:
-		return &Record{Meta: *meta, Payload: append([]byte(nil), rest...)}, nil
-	case recEncrypted:
-		ns := c.aead.NonceSize()
-		if len(rest) < ns {
-			return nil, ErrCorrupt
-		}
-		nonce, ct := rest[:ns], rest[ns:]
-		pt, err := c.aead.Open(nil, nonce, ct, metaBytes)
-		if err != nil {
-			return nil, ErrCorrupt
-		}
-		return &Record{Meta: *meta, Payload: pt}, nil
-	default:
-		return nil, ErrCorrupt
-	}
+	return c.DecodeRecordInto(data, nil)
 }
 
 // DecodeRecordInto is DecodeRecord with caller-provided payload
@@ -253,7 +259,8 @@ func (c *Codec) DecodeRecord(data []byte) (*Record, error) {
 // index 0) when it fits, so steady-state streamed reads recycle one
 // pooled chunk buffer instead of allocating per chunk. The returned
 // record's Payload aliases buf — the caller owns the lifetime and
-// must not cache or share the record beyond the buffer's reuse.
+// must not cache or share the record beyond the buffer's reuse — and
+// never data, which the caller may recycle as soon as this returns.
 func (c *Codec) DecodeRecordInto(data, buf []byte) (*Record, error) {
 	if len(data) < 1 {
 		return nil, ErrCorrupt
@@ -263,32 +270,49 @@ func (c *Codec) DecodeRecordInto(data, buf []byte) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta, err := UnmarshalMeta(metaBytes)
-	if err != nil {
+	rec := new(Record)
+	if err := rec.Meta.Unmarshal(metaBytes); err != nil {
 		return nil, err
 	}
 	switch kind {
 	case recPlain:
-		if cap(buf) < len(rest) {
-			buf = make([]byte, len(rest))
+		// A sealing codec wrote no plain record: taking one would let
+		// the drive layer pass off any payload under a hash it computed
+		// itself. A chunk stub's hash spans the chunk records, not its
+		// own (empty) payload; the streaming reader checks it.
+		if c.enabled || (rec.Meta.Chunks == 0 && HashContent(rest) != rec.Meta.ContentHash) {
+			return nil, ErrCorrupt
 		}
-		buf = buf[:len(rest)]
-		copy(buf, rest)
-		return &Record{Meta: *meta, Payload: buf}, nil
+		rec.Payload = append(buf[:0], rest...)
 	case recEncrypted:
 		ns := c.aead.NonceSize()
 		if len(rest) < ns {
 			return nil, ErrCorrupt
 		}
-		nonce, ct := rest[:ns], rest[ns:]
-		pt, err := c.aead.Open(buf[:0], nonce, ct, metaBytes)
-		if err != nil {
+		if rec.Payload, err = c.aead.Open(buf[:0], rest[:ns], rest[ns:], metaBytes); err != nil {
 			return nil, ErrCorrupt
 		}
-		return &Record{Meta: *meta, Payload: pt}, nil
 	default:
 		return nil, ErrCorrupt
 	}
+	if rec.Meta.Chunks > 0 && len(rec.Payload) != 0 {
+		return nil, ErrCorrupt // a chunk stub carries no inline payload
+	}
+	return rec, nil
+}
+
+// DecodeChunkInto is DecodeRecordInto for the chunk record expected at
+// (key, version, idx): an intact record bound to any other object,
+// version or index — a transplanted chunk — is ErrCorrupt.
+func (c *Codec) DecodeChunkInto(data, buf []byte, key string, version, idx int64) (*Record, error) {
+	rec, err := c.DecodeRecordInto(data, buf)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Meta.Key != ChunkID(key, version, idx) {
+		return nil, ErrCorrupt
+	}
+	return rec, nil
 }
 
 // HashContent computes the content hash stored in metadata.

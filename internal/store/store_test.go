@@ -75,6 +75,7 @@ func TestRecordEncryptedRoundTrip(t *testing.T) {
 func TestRecordPlainRoundTrip(t *testing.T) {
 	c := testCodec(t, false)
 	rec := &Record{Meta: sampleMeta(), Payload: []byte("plain payload")}
+	rec.Meta.ContentHash = HashContent(rec.Payload)
 	blob, err := c.EncodeRecord(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -85,6 +86,129 @@ func TestRecordPlainRoundTrip(t *testing.T) {
 	got, err := c.DecodeRecord(blob)
 	if err != nil || !bytes.Equal(got.Payload, rec.Payload) {
 		t.Fatal("plain round trip")
+	}
+}
+
+// TestPlainRecordAuthenticatedByContentHash: a plain record has no tag,
+// so the codec itself holds it to its content hash — no caller has to
+// remember to.
+func TestPlainRecordAuthenticatedByContentHash(t *testing.T) {
+	c := testCodec(t, false)
+	rec := &Record{Meta: sampleMeta(), Payload: []byte("plain payload")}
+	rec.Meta.ContentHash = HashContent(rec.Payload)
+	blob, err := c.EncodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Plain records are a plaintext deployment's: under a sealing codec
+	// one is a downgrade, whatever its hash says.
+	if _, err := testCodec(t, true).DecodeRecord(blob); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("sealing codec took a plain record: %v", err)
+	}
+	mut := append([]byte(nil), blob...)
+	mut[len(mut)-1] ^= 1
+	if _, err := c.DecodeRecord(mut); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flipped payload byte of a plain record: %v", err)
+	}
+	buf := make([]byte, 0, 64)
+	if _, err := c.DecodeRecordInto(mut, buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flipped payload byte, pooled decode: %v", err)
+	}
+	// A record whose hash field never matched is as corrupt as a
+	// damaged one.
+	rec.Meta.ContentHash[0] ^= 1
+	blob, _ = c.EncodeRecord(rec)
+	if _, err := c.DecodeRecord(blob); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("plain record with a wrong hash: %v", err)
+	}
+}
+
+// TestChunkRecords: what authenticates a chunk record depends on its
+// kind, the encoded size does not, and the chunk id binds it to one
+// (object, version, index).
+func TestChunkRecords(t *testing.T) {
+	payload := bytes.Repeat([]byte("chunk"), 1000)
+	sizes := map[bool]int{}
+	for _, enc := range []bool{true, false} {
+		c := testCodec(t, enc)
+		dst := make([]byte, 0, len(payload)+256)
+		blob, err := c.EncodeChunkInto(dst, "obj", 3, 7, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &blob[0] != &dst[:1][0] {
+			t.Fatalf("enc=%v: chunk was not encoded into the provided buffer", enc)
+		}
+		sizes[enc] = len(blob)
+		rec, err := c.DecodeChunkInto(blob, nil, "obj", 3, 7)
+		if err != nil || !bytes.Equal(rec.Payload, payload) {
+			t.Fatalf("enc=%v: chunk round trip: %v", enc, err)
+		}
+		if rec.Meta.Size != int64(len(payload)) || rec.Meta.Version != 3 {
+			t.Fatalf("enc=%v: chunk meta %+v", enc, rec.Meta)
+		}
+		if zero := rec.Meta.ContentHash == [32]byte{}; zero != enc {
+			t.Fatalf("enc=%v: chunk content hash zero=%v", enc, zero)
+		}
+		for _, at := range [][3]int64{{3, 8, 0}, {4, 7, 0}, {3, ParityIndex(0, 2, 1), 0}} {
+			if _, err := c.DecodeChunkInto(blob, nil, "obj", at[0], at[1]); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("enc=%v: chunk accepted at v%d index %d: %v", enc, at[0], at[1], err)
+			}
+		}
+		if _, err := c.DecodeChunkInto(blob, nil, "other", 3, 7); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("enc=%v: chunk accepted under another object: %v", enc, err)
+		}
+		// Any flipped byte — header, metadata, nonce, payload or tag —
+		// is caught by the decode alone.
+		for i := 0; i < len(blob); i += 97 {
+			mut := append([]byte(nil), blob...)
+			mut[i] ^= 0x20
+			if rec, err := c.DecodeChunkInto(mut, nil, "obj", 3, 7); err == nil && !bytes.Equal(rec.Payload, payload) {
+				t.Fatalf("enc=%v: flip at byte %d decodes to other bytes", enc, i)
+			} else if err == nil && enc {
+				t.Fatalf("enc=%v: flip at byte %d of a sealed chunk accepted", enc, i)
+			}
+		}
+
+		// A sealed chunk written before chunk records dropped their
+		// hash (non-zero ContentHash) reads back unchanged, and so does
+		// a plain one, which still needs it.
+		old := &Record{Meta: Meta{Key: ChunkID("obj", 3, 7), Version: 3, Size: int64(len(payload)),
+			ContentHash: HashContent(payload)}, Payload: payload}
+		oldBlob, err := c.EncodeRecord(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(oldBlob) != len(blob) {
+			t.Fatalf("enc=%v: chunk record is %d bytes, was %d with its hash", enc, len(blob), len(oldBlob))
+		}
+		if rec, err := c.DecodeChunkInto(oldBlob, nil, "obj", 3, 7); err != nil || !bytes.Equal(rec.Payload, payload) || rec.Meta != old.Meta {
+			t.Fatalf("enc=%v: chunk record with a hash: %v", enc, err)
+		}
+	}
+	if sizes[true] != sizes[false]+12+16 {
+		t.Fatalf("sealed chunk %d bytes, plain %d: want nonce+tag apart", sizes[true], sizes[false])
+	}
+}
+
+// TestChunkStubCarriesNoPayload: a stub's hash spans its chunk records,
+// so the codec checks the one thing about it that is local.
+func TestChunkStubCarriesNoPayload(t *testing.T) {
+	for _, enc := range []bool{true, false} {
+		c := testCodec(t, enc)
+		m := sampleMeta()
+		m.Chunks = 3
+		blob, err := c.EncodeRecord(&Record{Meta: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := c.DecodeRecord(blob); err != nil || rec.Meta != m || len(rec.Payload) != 0 {
+			t.Fatalf("enc=%v: stub round trip: %v", enc, err)
+		}
+		blob, _ = c.EncodeRecord(&Record{Meta: m, Payload: []byte("x")})
+		if _, err := c.DecodeRecord(blob); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("enc=%v: stub with an inline payload: %v", enc, err)
+		}
 	}
 }
 
@@ -378,6 +502,113 @@ func FuzzUnmarshalMeta(f *testing.F) {
 		again, err := UnmarshalMeta(want.Marshal())
 		if err != nil || *again != want {
 			t.Fatalf("re-encoded record decodes to %+v (%v), want %+v", again, err, want)
+		}
+	})
+}
+
+// recordSeeds are the record shapes the drives hold: an inline object,
+// a data chunk, a parity shard at its reserved index, and a chunk stub
+// (replicated and erasure-coded).
+func recordSeeds() []*Record {
+	inline := &Record{Meta: sampleMeta(), Payload: []byte("an inline object's bytes")}
+	inline.Meta.Size = int64(len(inline.Payload))
+	inline.Meta.ContentHash = HashContent(inline.Payload)
+	stub := &Record{Meta: sampleMeta()}
+	stub.Meta.Size, stub.Meta.Chunks = 3<<20, 3
+	ecStub := &Record{Meta: stub.Meta}
+	ecStub.Meta.Chunks, ecStub.Meta.ECK, ecStub.Meta.ECM = 9, 4, 2
+	return []*Record{inline, stub, ecStub}
+}
+
+// FuzzDecodeRecord: record bytes come straight off an untrusted drive.
+// Whatever they are, decoding never panics and never writes outside
+// the buffer it was lent, and a record it accepts is authentic: sealed,
+// it is exactly a record the codec wrote (forging another would take
+// the key); plain, its payload is the one its content hash names.
+func FuzzDecodeRecord(f *testing.F) {
+	var key [32]byte
+	key[0] = 1
+	sealed, err := NewCodec(key, true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	plain, _ := NewCodec(key, false)
+	chunk := bytes.Repeat([]byte{0xc4}, 300)
+	var written []*Record // what the sealed codec wrote
+	for _, c := range []*Codec{sealed, plain} {
+		var blobs [][]byte
+		for _, rec := range recordSeeds() {
+			blob, err := c.EncodeRecord(rec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			blobs = append(blobs, blob)
+		}
+		for _, idx := range []int64{2, ParityIndex(1, 2, 1)} {
+			blob, err := c.EncodeChunkInto(nil, "obj", 3, idx, chunk)
+			if err != nil {
+				f.Fatal(err)
+			}
+			blobs = append(blobs, blob)
+		}
+		for _, blob := range blobs {
+			f.Add(blob)
+			if c == sealed {
+				rec, err := c.DecodeRecord(blob)
+				if err != nil {
+					f.Fatal(err)
+				}
+				written = append(written, rec)
+			}
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte{recEncrypted, 0})
+
+	const lent = 128 // shorter than the chunk seeds: both the fitting and the growing path run
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := append([]byte(nil), data...)
+		for _, c := range []*Codec{sealed, plain} {
+			arena := bytes.Repeat([]byte{0xa5}, 2*lent)
+			rec, err := c.DecodeRecordInto(data, arena[:0:lent])
+			if !bytes.Equal(data, in) {
+				t.Fatal("decode wrote to its input")
+			}
+			if !bytes.Equal(arena[lent:], bytes.Repeat([]byte{0xa5}, lent)) {
+				t.Fatal("decode wrote past the capacity it was lent")
+			}
+			fresh, ferr := c.DecodeRecord(data)
+			if (err == nil) != (ferr == nil) {
+				t.Fatalf("pooled decode: %v, fresh decode: %v", err, ferr)
+			}
+			if err != nil {
+				continue
+			}
+			if rec.Meta != fresh.Meta || !bytes.Equal(rec.Payload, fresh.Payload) {
+				t.Fatal("pooled and fresh decode disagree")
+			}
+			if rec.Meta.Chunks > 0 && len(rec.Payload) != 0 {
+				t.Fatal("accepted a chunk stub with an inline payload")
+			}
+			switch data[0] {
+			case recEncrypted:
+				known := false
+				for _, w := range written {
+					known = known || (rec.Meta == w.Meta && bytes.Equal(rec.Payload, w.Payload))
+				}
+				if !known {
+					t.Fatalf("accepted a sealed record the codec never wrote: %+v", rec.Meta)
+				}
+			case recPlain:
+				if c == sealed {
+					t.Fatal("sealing codec accepted a plain record")
+				}
+				if rec.Meta.Chunks == 0 && HashContent(rec.Payload) != rec.Meta.ContentHash {
+					t.Fatal("accepted a plain record whose payload its hash does not name")
+				}
+			default:
+				t.Fatalf("accepted record kind %d", data[0])
+			}
 		}
 	})
 }
