@@ -269,7 +269,7 @@ type Controller struct {
 	// ecCode is the Reed-Solomon code for the configured
 	// (ECDataShards, ECParityShards) pair; nil when EC is off. Reads
 	// of objects written under a different historical (k, m) build a
-	// code on the fly (see ecCodeFor).
+	// code on the fly (see layoutOf).
 	ecCode *ec.Code
 
 	// shard is the cluster sharding state; nil when unsharded.

@@ -27,7 +27,9 @@ type harness struct {
 	lns     []*netx.Listener
 }
 
-func newHarness(t *testing.T, nDrives int, mutate func(*Config)) *harness {
+// newHarness builds a controller over nDrives in-memory drives; media,
+// when given, picks drive i's media model (nil: the default simulator).
+func newHarness(t *testing.T, nDrives int, mutate func(*Config), media ...func(i int) kinetic.MediaModel) *harness {
 	t.Helper()
 	h := &harness{}
 	secrets := &attest.Secrets{}
@@ -40,7 +42,11 @@ func newHarness(t *testing.T, nDrives int, mutate func(*Config)) *harness {
 	cfg := Config{Replicas: 1, Encrypt: true, TakeOver: true, Secrets: secrets}
 	for i := 0; i < nDrives; i++ {
 		name := fmt.Sprintf("d%d", i)
-		drive := kinetic.NewDrive(kinetic.Config{Name: name})
+		var m kinetic.MediaModel
+		if len(media) > 0 {
+			m = media[0](i)
+		}
+		drive := kinetic.NewDrive(kinetic.Config{Name: name, Media: m})
 		ln := netx.NewListener(name)
 		h.drives = append(h.drives, drive)
 		h.lns = append(h.lns, ln)

@@ -242,36 +242,6 @@ func TestECShardCorruptionCaught(t *testing.T) {
 	}
 }
 
-func TestECStreamOrphanSweepCollectsParity(t *testing.T) {
-	h := newHarness(t, 6, func(c *Config) {
-		ecConfig(c)
-		c.MaxStreamBytes = 5 * streamChunkSize
-	})
-	s := h.ctl.Session("w")
-	ctx := context.Background()
-
-	// The upload crosses the cap after stripe 0 closed: its parity
-	// shards are on-drive with data siblings that will never commit.
-	// The abort sweep must collect data and parity alike.
-	res := s.PutStream(ctx, "capped", bytes.NewReader(streamPayload(6*streamChunkSize)), PutOptions{})
-	if res.Err == nil || res.Err.Code != CodeTooLarge {
-		t.Fatalf("over-cap EC stream: %+v", res)
-	}
-	cstart, cend := store.ChunkKeyRange("capped")
-	for di := range h.ctl.drives {
-		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di].pick(), cstart, cend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(keys) != 0 {
-			t.Errorf("drive %d holds %d orphan shard records", di, len(keys))
-		}
-	}
-	if _, _, err := s.Get(ctx, "capped", GetOptions{}); !errors.Is(err, ErrNotFound) {
-		t.Errorf("rejected EC stream published an object: %v", err)
-	}
-}
-
 func TestECStreamDeleteCollectsAllShards(t *testing.T) {
 	h := newHarness(t, 7, ecConfig)
 	s := h.ctl.Session("w")

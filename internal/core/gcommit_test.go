@@ -28,7 +28,7 @@ func slowHDD() kinetic.MediaModel {
 // batches than logical writes — many clients sharing media waits —
 // while every write still lands intact.
 func TestGroupCommitMergesConcurrentWrites(t *testing.T) {
-	h := newMediaHarness(t, 1, func(int) kinetic.MediaModel { return slowHDD() }, nil)
+	h := newHarness(t, 1, nil, func(int) kinetic.MediaModel { return slowHDD() })
 	ctx := context.Background()
 	sess := h.ctl.Session("writer")
 
@@ -87,7 +87,7 @@ func TestGroupCommitMergesConcurrentWrites(t *testing.T) {
 // (driveBatch), below the controller's stripe locks, which is the
 // only place same-key groups can actually race.
 func TestGroupCommitCASStorm(t *testing.T) {
-	h := newMediaHarness(t, 1, nil, nil)
+	h := newHarness(t, 1, nil)
 	ctx := context.Background()
 	ver := func(v int64) []byte {
 		if v < 0 {
@@ -176,9 +176,9 @@ func TestGroupCommitCASStorm(t *testing.T) {
 // committing throughout.
 func TestGroupCommitFreezeDrain(t *testing.T) {
 	full := HashRange{Start: 0, End: store.ShardSpace}
-	h := newMediaHarness(t, 1, func(int) kinetic.MediaModel { return slowHDD() }, func(cfg *Config) {
+	h := newHarness(t, 1, func(cfg *Config) {
 		cfg.Shard = &ShardInfo{ID: 0, Epoch: 1, Ranges: []HashRange{full}}
-	})
+	}, func(int) kinetic.MediaModel { return slowHDD() })
 	ctx := context.Background()
 	sess := h.ctl.Session("writer")
 
@@ -318,7 +318,7 @@ func TestGroupCommitTrailingFlush(t *testing.T) {
 // writers neither hangs nor panics; stragglers get ErrClosed (or a
 // connection error when their batch was in flight).
 func TestGroupCommitClose(t *testing.T) {
-	h := newMediaHarness(t, 1, func(int) kinetic.MediaModel { return slowHDD() }, nil)
+	h := newHarness(t, 1, nil, func(int) kinetic.MediaModel { return slowHDD() })
 	ctx := context.Background()
 	sess := h.ctl.Session("writer")
 	var wg sync.WaitGroup

@@ -3,9 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,62 +11,9 @@ import (
 
 	"errors"
 
-	"repro/internal/enclave/attest"
 	"repro/internal/kinetic"
-	"repro/internal/netx"
 	"repro/internal/store"
 )
-
-// newMediaHarness builds a controller over in-memory drives with a
-// per-drive media model, for hedged-read experiments that need one
-// replica slower than the others.
-func newMediaHarness(t *testing.T, nDrives int, media func(i int) kinetic.MediaModel, mutate func(*Config)) *harness {
-	t.Helper()
-	h := &harness{}
-	secrets := &attest.Secrets{}
-	if _, err := rand.Read(secrets.ObjectKey[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rand.Read(secrets.AdminSeed[:]); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Replicas: 1, Encrypt: true, TakeOver: true, Secrets: secrets}
-	for i := 0; i < nDrives; i++ {
-		name := fmt.Sprintf("d%d", i)
-		var m kinetic.MediaModel
-		if media != nil {
-			m = media(i)
-		}
-		drive := kinetic.NewDrive(kinetic.Config{Name: name, Media: m})
-		ln := netx.NewListener(name)
-		h.drives = append(h.drives, drive)
-		h.lns = append(h.lns, ln)
-		h.servers = append(h.servers, kinetic.Serve(drive, ln, nil))
-		cfg.Drives = append(cfg.Drives, DriveEndpoint{
-			Name:  name,
-			Dial:  func(ctx context.Context) (net.Conn, error) { return ln.DialContext(ctx) },
-			Conns: 2,
-		})
-		secrets.Drives = append(secrets.Drives, attest.DriveCredential{
-			Address: name, Identity: kinetic.DefaultAdminIdentity, Key: kinetic.DefaultAdminKey,
-		})
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	ctl, err := New(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("controller: %v", err)
-	}
-	h.ctl = ctl
-	t.Cleanup(func() {
-		ctl.Close()
-		for _, s := range h.servers {
-			s.Close()
-		}
-	})
-	return h
-}
 
 // driveGets sums the Gets counter across all drives.
 func driveGets(drives []*kinetic.Drive) uint64 {
@@ -92,7 +37,7 @@ func TestHedgedReadsReduceMediaOccupancy(t *testing.T) {
 		reads = 100
 	)
 	for _, replicas := range []int{3, 1} {
-		h := newMediaHarness(t, 3, nil, func(c *Config) {
+		h := newHarness(t, 3, func(c *Config) {
 			c.Replicas = replicas
 			// Far above the in-memory RTT: hedges never fire, so the
 			// measurement isolates engine occupancy, not hedge noise.
@@ -145,14 +90,14 @@ func TestHedgeFiresOnSlowReplica(t *testing.T) {
 	const key = "k"
 	slow := store.Placement(key, 2, 2)[0] // the untrained engine tries this first
 	const slowDelay = 40 * time.Millisecond
-	h := newMediaHarness(t, 2, func(i int) kinetic.MediaModel {
+	h := newHarness(t, 2, func(c *Config) {
+		c.Replicas = 2
+		c.HedgeDelay = 2 * time.Millisecond
+	}, func(i int) kinetic.MediaModel {
 		if i == slow {
 			return &kinetic.HDDMedia{Positioning: slowDelay, BytesPerSec: 150e6, TimeScale: 1}
 		}
 		return nil
-	}, func(c *Config) {
-		c.Replicas = 2
-		c.HedgeDelay = 2 * time.Millisecond
 	})
 	s := h.ctl.Session("w")
 	ctx := context.Background()

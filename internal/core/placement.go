@@ -2,28 +2,20 @@ package core
 
 import "repro/internal/store"
 
-// placement returns the drive indices holding key's replicas,
-// substituting drives the failure detector has declared dead with the
-// next live drives along the placement ring. With no dead drives this
-// is exactly store.Placement — one atomic load of the dead mask on
-// the hot path.
+// placement returns the drive indices holding key's replicas: the
+// Replicas-wide window of the placement ring.
 func (c *Controller) placement(key string) []int {
-	base := store.Placement(key, len(c.drives), c.cfg.Replicas)
-	mask := c.deadMask.Load()
-	if mask == 0 {
-		return base
-	}
-	return substituteDead(base[0], len(c.drives), c.cfg.Replicas, mask)
+	return c.ecGroup(key, c.cfg.Replicas)
 }
 
-// ecGroup returns the size drives holding a key's erasure-coded
-// shards: the base window is the primary plus the next size-1 ring
-// positions (the same walk as replica placement, so the stub records
-// on placement(key) are a prefix of the group), with dead members
-// substituted slot-stably. Shard s of stripe t lives on
-// group[(s+t) % len(group)] — the stripe rotation spreads parity
-// writes across the whole group instead of pinning them to the last
-// m drives.
+// ecGroup returns the size-wide placement window of key: the primary
+// plus the next size-1 ring positions, with drives the failure detector
+// has declared dead substituted slot-stably by the next live drives
+// along the ring. With no dead drives this is exactly store.Placement
+// — one atomic load of the dead mask on the hot path. Replica
+// placement and an erasure-coding group are the same walk at different
+// widths, so the stub records on placement(key) are a prefix of the
+// group.
 func (c *Controller) ecGroup(key string, size int) []int {
 	base := store.Placement(key, len(c.drives), size)
 	mask := c.deadMask.Load()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/kinetic/kclient"
@@ -84,14 +85,9 @@ func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.
 			report.RestoredBytes += int64(len(blob))
 		}
 		// Streamed versions: the record is a chunk stub; its chunk
-		// records need the same convergence. Erasure-coded versions
-		// converge per shard home instead of per replica.
+		// records need the same convergence, each onto its homes.
 		if rec, err := c.codec.DecodeRecord(blob); err == nil && rec.Meta.Chunks > 0 {
-			if rec.Meta.ECK > 0 {
-				if err := c.repairStripes(ctx, key, &rec.Meta, report); err != nil {
-					return report, err
-				}
-			} else if err := c.repairChunks(ctx, key, v, rec.Meta.Chunks, placement, report); err != nil {
+			if err := c.repairStripes(ctx, key, &rec.Meta, report); err != nil {
 				return report, err
 			}
 		}
@@ -241,217 +237,156 @@ func (c *Controller) recordHealthy(blob []byte) bool {
 	return err == nil
 }
 
-// repairChunks re-establishes the replication invariant for the chunk
-// records of one streamed version.
-func (c *Controller) repairChunks(ctx context.Context, key string, v, chunks int64, placement []int, report *RepairReport) error {
-	for idx := int64(0); idx < chunks; idx++ {
-		dk := store.ChunkKey(key, v, idx)
-		var blob []byte
-		for _, di := range placement {
-			cl := c.drives[di].pick()
-			c.chargeDriveIO(0)
-			cur, _, err := cl.Get(ctx, dk)
-			if err == nil && c.chunkHealthy(cur, key, v, idx) {
-				blob = cur
-				break
+// repairStripes converges one streamed version's chunk records onto
+// their current homes (the layout under today's dead mask). The policy
+// is survival-first: a record found healthy anywhere reaches the homes
+// missing it by drive-to-drive P2P copy — the controller never carries
+// or re-seals the bytes — and the decoder runs only for shards with no
+// surviving copy at all, rebuilding them from any k healthy shards of
+// the stripe. Healthy at-home records are never rewritten or moved.
+func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Meta, report *RepairReport) error {
+	l, err := c.layoutOf(key, m.ECK, m.ECM)
+	if err != nil {
+		return err
+	}
+	v := m.Version
+	restored := func(n int) {
+		report.Restored++
+		report.RestoredBytes += int64(n)
+		if l.m > 0 {
+			c.stats.ECShardRepairs.Inc()
+		}
+	}
+	for t := int64(0); t*int64(l.k) < m.Chunks; t++ {
+		shards := l.shards(t, m.Chunks)
+		kt := len(shards) - l.m
+		blobs := make([][]byte, l.k+l.m) // by slot: a healthy raw record of every surviving shard
+		var lost []stripeShard
+		for _, sh := range shards {
+			blob, err := c.repairChunk(ctx, l, key, v, sh.idx, restored)
+			if err != nil {
+				return err
+			}
+			if blobs[sh.slot] = blob; blob == nil {
+				lost = append(lost, sh)
 			}
 		}
-		if blob == nil {
-			continue // no surviving copy; reads of this version fail, as before repair
+		// Decode path: rebuild genuinely lost shards from any k
+		// survivors. Past m losses the stripe is unreconstructable —
+		// reads of it fail the same before and after repair, so skip it
+		// rather than abort the key: an aborted upload's cleanup can race
+		// a partially-successful commit and strand a
+		// committed-on-one-replica version with zero shards, and erroring
+		// out here would block the metadata convergence every later
+		// version (and every new write's CAS) depends on.
+		if len(lost) == 0 || len(lost) > l.m {
+			continue
 		}
-		for _, di := range placement {
-			cl := c.drives[di].pick()
-			c.chargeDriveIO(0)
-			cur, _, err := cl.Get(ctx, dk)
-			if err == nil && c.chunkHealthy(cur, key, v, idx) {
+		shardLen := chunkLen(m, t*int64(l.k))
+		bufs := make([][]byte, l.k+l.m)
+		zeroTail(bufs[kt:l.k], shardLen)
+		for slot, blob := range blobs {
+			if blob == nil {
 				continue
 			}
-			c.chargeDriveIO(len(blob))
-			if err := cl.Put(ctx, dk, blob, nil, encodeVer(v), true); err != nil {
-				return fmt.Errorf("core: repair %q v%d chunk %d on %s: %w", key, v, idx, c.drives[di].name, err)
+			if rec, err := c.codec.DecodeRecord(blob); err == nil {
+				bufs[slot] = padShard(rec.Payload, shardLen)
 			}
-			report.Restored++
-			report.RestoredBytes += int64(len(blob))
+		}
+		if err := l.code.Reconstruct(bufs); err != nil {
+			return fmt.Errorf("core: repair %q v%d stripe %d: %w", key, v, t, err)
+		}
+		for _, sh := range lost {
+			p := bufs[sh.slot]
+			if sh.slot < kt {
+				p = p[:chunkLen(m, sh.idx)]
+			}
+			blob, err := c.codec.EncodeChunkInto(nil, key, v, sh.idx, p)
+			if err != nil {
+				return err
+			}
+			for _, home := range l.homes(sh.idx) {
+				c.chargeDriveIO(len(blob))
+				if err := c.drives[home].pick().Put(ctx, store.ChunkKey(key, v, sh.idx), blob, nil, encodeVer(v), true); err != nil {
+					return fmt.Errorf("core: rebuild %q v%d chunk %d on %s: %w", key, v, sh.idx, c.drives[home].name, err)
+				}
+				restored(len(blob))
+			}
 		}
 	}
 	return nil
 }
 
-// repairStripes converges one erasure-coded version's shards onto
-// their current homes (the group under today's dead mask). The policy
-// is survival-first: a shard found healthy anywhere moves home by
-// drive-to-drive P2P copy — the controller never carries the bytes —
-// and the decoder runs only for shards with no surviving copy at all,
-// rebuilding them from any k healthy shards of the stripe. Healthy
-// at-home shards are never rewritten or moved.
-func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Meta, report *RepairReport) error {
-	code, err := c.ecCodeFor(int(m.ECK), int(m.ECM))
-	if err != nil {
-		return err
+// repairChunk converges chunk record idx of (key, v) onto its homes
+// and returns a healthy raw copy of it, nil when none survives
+// anywhere. Each home is probed once; the healthy case moves nothing.
+func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, idx int64, restored func(int)) ([]byte, error) {
+	dk := store.ChunkKey(key, v, idx)
+	healthyAt := func(di int) []byte {
+		c.chargeDriveIO(0)
+		cur, _, err := c.drives[di].pick().Get(ctx, dk)
+		if err != nil || !c.chunkHealthy(cur, key, v, idx) {
+			return nil
+		}
+		return cur
 	}
-	k, mm := code.DataShards(), code.ParityShards()
-	group := c.ecGroup(key, k+mm)
-	base := store.Placement(key, len(c.drives), k+mm)
-	v := m.Version
-	stripes := (m.Chunks + int64(k) - 1) / int64(k)
-	for t := int64(0); t < stripes; t++ {
-		kt := k
-		if rem := m.Chunks - t*int64(k); rem < int64(kt) {
-			kt = int(rem)
+	homes := l.homes(idx)
+	src, stray := -1, false
+	var blob []byte
+	var missing []int
+	for _, di := range homes {
+		if cur := healthyAt(di); cur == nil {
+			missing = append(missing, di)
+		} else if blob == nil {
+			src, blob = di, cur
 		}
-		type shardState struct {
-			slot  int
-			idx   int64
-			home  int
-			srcDi int    // drive holding a healthy copy; -1 = lost
-			blob  []byte // the healthy raw record
-		}
-		states := make([]shardState, 0, kt+mm)
-		for s := 0; s < kt; s++ {
-			states = append(states, shardState{
-				slot: s, idx: t*int64(k) + int64(s),
-				home: ecShardDrive(group, s, t), srcDi: -1,
-			})
-		}
-		for j := 0; j < mm; j++ {
-			states = append(states, shardState{
-				slot: k + j, idx: store.ParityIndex(t, int64(mm), int64(j)),
-				home: ecShardDrive(group, k+j, t), srcDi: -1,
-			})
-		}
-		missing := 0
+	}
+	if len(missing) == 0 {
+		return blob, nil
+	}
+	if blob == nil {
+		// No home holds it. Look where it lived before a death or after
+		// a revival (its home with no drive dead), then on every
+		// remaining drive — a record rebuilt onto a spare under a past
+		// dead mask sits outside both windows once the drive revives.
+		// Dead drives are skipped — probing them burns the repair on
+		// timeouts.
+		base := l
+		base.window = store.Placement(key, len(c.drives), len(l.window))
 		dead := c.deadMask.Load()
-		for i := range states {
-			st := &states[i]
-			dk := store.ChunkKey(key, v, st.idx)
-			// Sources, most likely first: the current home, the base
-			// home (where the shard lived before a death or after a
-			// revival), the rest of both windows, then every remaining
-			// drive — a shard rebuilt onto a spare under a past dead
-			// mask sits outside both windows once the drive revives.
-			// Dead drives are skipped — probing them burns the repair
-			// on timeouts. The healthy case exits on the first probe.
-			all := make([]int, len(c.drives))
-			for i := range all {
-				all[i] = i
+		for _, di := range unionDrives(base.homes(idx), allDrives(len(c.drives))) {
+			if dead&(1<<uint(di)) != 0 || slices.Contains(homes, di) {
+				continue
 			}
-			cands := unionDrives(unionDrives([]int{st.home, ecShardDrive(base, st.slot, t)}, unionDrives(group, base)), all)
-			for _, di := range cands {
-				if dead&(1<<uint(di)) != 0 {
-					continue
-				}
-				cl := c.drives[di].pick()
-				c.chargeDriveIO(0)
-				cur, _, err := cl.Get(ctx, dk)
-				if err != nil || !c.chunkHealthy(cur, key, v, st.idx) {
-					continue
-				}
-				st.srcDi = di
-				st.blob = cur
+			if blob = healthyAt(di); blob != nil {
+				src, stray = di, true
 				break
 			}
-			if st.srcDi < 0 {
-				missing++
-			}
 		}
-		// Off-home survivors go home drive-to-drive.
-		for i := range states {
-			st := &states[i]
-			if st.srcDi < 0 || st.srcDi == st.home {
-				continue
-			}
-			dk := store.ChunkKey(key, v, st.idx)
-			c.chargeDriveIO(0)
-			if err := c.drives[st.srcDi].pick().P2PPush(ctx, dk, c.drives[st.home].name); err != nil {
-				// P2P may be unconfigured between these drives; the
-				// healthy record is already in hand — write it directly.
-				c.chargeDriveIO(len(st.blob))
-				if perr := c.drives[st.home].pick().Put(ctx, dk, st.blob, nil, encodeVer(v), true); perr != nil {
-					return fmt.Errorf("core: ec repair %q v%d shard %d to %s: %w", key, v, st.idx, c.drives[st.home].name, perr)
-				}
-			}
-			// The home copy is confirmed; the stray would otherwise
-			// linger as dark capacity (no delete path enumerates an
-			// off-window drive).
-			c.chargeDriveIO(0)
-			_ = c.drives[st.srcDi].pick().Delete(ctx, dk, nil, true)
-			report.Restored++
-			report.RestoredBytes += int64(len(st.blob))
-			c.stats.ECShardRepairs.Inc()
-		}
-		if missing == 0 {
-			continue
-		}
-		// Decode path: rebuild genuinely lost shards from any k
-		// survivors. Past m losses the stripe is unreconstructable —
-		// like a replicated version with no surviving chunk copy,
-		// reads of it fail the same before and after repair, so skip
-		// it rather than abort the key: an aborted upload's cleanup
-		// can race a partially-successful commit and strand a
-		// committed-on-one-replica version with zero shards, and
-		// erroring out here would block the metadata convergence
-		// every later version (and every new write's CAS) depends on.
-		healthy := 0
-		for i := range states {
-			if states[i].srcDi >= 0 {
-				healthy++
-			}
-		}
-		if healthy+(k-kt) < k {
-			continue
-		}
-		shardLen := ecChunkLen(m, t*int64(k))
-		bufs := make([][]byte, k+mm)
-		var zero []byte
-		for s := kt; s < k; s++ {
-			if zero == nil {
-				zero = make([]byte, shardLen)
-			}
-			bufs[s] = zero // virtual zero shards of a short stripe
-		}
-		for i := range states {
-			st := &states[i]
-			if st.srcDi < 0 {
-				continue
-			}
-			rec, err := c.codec.DecodeRecord(st.blob)
-			if err != nil {
-				continue
-			}
-			p := rec.Payload
-			if len(p) < shardLen {
-				pp := make([]byte, shardLen)
-				copy(pp, p)
-				p = pp
-			}
-			bufs[st.slot] = p
-		}
-		if err := code.Reconstruct(bufs); err != nil {
-			return fmt.Errorf("core: ec repair %q v%d stripe %d: %w", key, v, t, err)
-		}
-		for i := range states {
-			st := &states[i]
-			if st.srcDi >= 0 {
-				continue
-			}
-			p := bufs[st.slot]
-			if st.slot < kt {
-				p = p[:ecChunkLen(m, st.idx)]
-			}
-			blob, err := c.codec.EncodeChunkInto(nil, key, v, st.idx, p)
-			if err != nil {
-				return err
-			}
-			c.chargeDriveIO(len(blob))
-			if err := c.drives[st.home].pick().Put(ctx, store.ChunkKey(key, v, st.idx), blob, nil, encodeVer(v), true); err != nil {
-				return fmt.Errorf("core: ec rebuild %q v%d shard %d on %s: %w", key, v, st.idx, c.drives[st.home].name, err)
-			}
-			report.Restored++
-			report.RestoredBytes += int64(len(blob))
-			c.stats.ECShardRepairs.Inc()
+		if blob == nil {
+			return nil, nil
 		}
 	}
-	return nil
+	for _, home := range missing {
+		c.chargeDriveIO(0)
+		if err := c.drives[src].pick().P2PPush(ctx, dk, c.drives[home].name); err != nil {
+			// P2P may be unconfigured between these drives; the healthy
+			// record is already in hand — write it directly.
+			c.chargeDriveIO(len(blob))
+			if perr := c.drives[home].pick().Put(ctx, dk, blob, nil, encodeVer(v), true); perr != nil {
+				return nil, fmt.Errorf("core: repair %q v%d chunk %d to %s: %w", key, v, idx, c.drives[home].name, perr)
+			}
+		}
+		restored(len(blob))
+	}
+	if stray {
+		// The home copies are confirmed; the stray would otherwise
+		// linger as dark capacity (no delete path enumerates an
+		// off-window drive).
+		c.chargeDriveIO(0)
+		_ = c.drives[src].pick().Delete(ctx, dk, nil, true)
+	}
+	return blob, nil
 }
 
 // chunkHealthy reports whether a raw chunk record is intact and is the

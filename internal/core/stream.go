@@ -194,8 +194,6 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 	if err != nil {
 		return 0, err
 	}
-	placement := c.placement(key)
-
 	// Storage-class selection. The body's size is unknown until EOF,
 	// so with EC enabled the upload is read ahead until it either ends
 	// (→ fully replicated, it is small) or crosses the EC threshold
@@ -203,8 +201,7 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 	// and cannot change mid-object, so no chunk record lands before
 	// the decision.
 	sniffed := [][]byte{buf}
-	eofSeen := false
-	useEC := false
+	var eck, ecm int64
 	if c.cfg.EC {
 		sniffBytes := int64(len(buf))
 		var extra []*[]byte
@@ -222,42 +219,73 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 				sniffBytes += int64(sn)
 			}
 			if serr == io.EOF || serr == io.ErrUnexpectedEOF {
-				eofSeen = true
+				rest = nil // the sniff saw the end of the body
 				break
 			}
 			if serr != nil {
 				return 0, serr
 			}
 		}
-		useEC = sniffBytes >= c.cfg.ECMinBytes
+		if sniffBytes >= c.cfg.ECMinBytes {
+			eck, ecm = int64(c.cfg.ECDataShards), int64(c.cfg.ECParityShards)
+		}
 	}
-	if useEC {
-		return c.putStreamEC(ctx, sessionKey, key, opts, next, sniffed, rest, eofSeen)
+	l, err := c.layoutOf(key, eck, ecm)
+	if err != nil {
+		return 0, err
 	}
+	return c.putChunks(ctx, sessionKey, key, opts, next, l, sniffed, rest)
+}
 
-	// Chunked path. Chunks are force-put (content-addressed by
-	// version+index, invisible until the final meta commit); the stub
-	// object record and the CAS-guarded metadata commit atomically at
-	// the end. On failure the written chunks are swept best-effort —
-	// they were never reachable.
+// putChunks persists a chunked upload under layout l. Every chunk is
+// sealed once and force-put to each of its homes as it arrives
+// (content-addressed by version+index, invisible until the final meta
+// commit); under a parity layout the m accumulators fold it in
+// incrementally and flush as parity shard records when their stripe
+// closes. The stub object record and the CAS-guarded metadata commit
+// atomically at the end; on failure the written records are swept
+// best-effort — they were never reachable. sniffed holds the chunks
+// the class sniff already consumed (the first one full, in a buffer
+// the loop reads the remainder into); rest carries the remainder, nil
+// when the sniff saw the end.
+func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts PutOptions, next int64, l layout, sniffed [][]byte, rest io.Reader) (int64, error) {
 	hasher := sha256.New()
-	sealp := sealBufs.Get().(*[]byte)
+	sealp := sealBufs.Get().(*[]byte) // every record put is synchronous: one seal buffer serves them all
 	defer sealBufs.Put(sealp)
-	var total int64
-	var chunks int64
-	cleanup := func() {
-		// The request context may already be canceled (client
-		// disconnect is a common way to get here); sweep on a detached
-		// context so the orphaned chunks don't outlive the upload.
-		sweepCtx := context.WithoutCancel(ctx)
-		_ = c.fanout(placement, func(di int) error {
-			cl := c.drives[di].pick()
-			for idx := int64(0); idx < chunks; idx++ {
-				c.chargeDriveIO(0)
-				_ = cl.Delete(sweepCtx, store.ChunkKey(key, next, idx), nil, true)
+	parity := make([][]byte, l.m)
+	for j := range parity {
+		bp := chunkBufs.Get().(*[]byte)
+		defer chunkBufs.Put(bp)
+		parity[j] = *bp
+	}
+	var total, chunks, parityBytes int64
+
+	putRecord := func(idx int64, payload []byte) error {
+		blob, err := c.sealChunk(sealp, key, next, idx, payload)
+		if err != nil {
+			return err
+		}
+		dk := store.ChunkKey(key, next, idx)
+		return c.replicationFailed(c.fanout(l.homes(idx), func(di int) error {
+			c.chargeDriveIO(len(blob))
+			if err := c.drives[di].pick().Put(ctx, dk, blob, nil, encodeVer(next), true); err != nil {
+				return fmt.Errorf("core: stream chunk %d of %q to drive %s: %w", idx, key, c.drives[di].name, err)
 			}
 			return nil
-		})
+		}), key)
+	}
+	// stripeLen is the open stripe's shard length — the length of its
+	// first chunk (only the object's final chunk can be short, so only
+	// a final single-chunk stripe shrinks its parity).
+	var stripeLen int
+	flushParity := func(stripe int64) error {
+		for j := range parity {
+			if err := putRecord(store.ParityIndex(stripe, int64(l.m), int64(j)), parity[j][:stripeLen]); err != nil {
+				return err
+			}
+			parityBytes += int64(stripeLen)
+		}
+		return nil
 	}
 	writeChunk := func(chunk []byte) error {
 		total += int64(len(chunk))
@@ -266,62 +294,100 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 		}
 		c.cost.MoveBytes(len(chunk))
 		hasher.Write(chunk)
-		blob, err := c.sealChunk(sealp, key, next, chunks, chunk)
-		if err != nil {
+		stripe, slot := chunks/int64(l.k), int(chunks%int64(l.k))
+		if slot == 0 {
+			stripeLen = len(chunk)
+			for j := range parity {
+				clear(parity[j][:stripeLen])
+			}
+		}
+		if err := putRecord(chunks, chunk); err != nil {
 			return err
 		}
-		dk := store.ChunkKey(key, next, chunks)
-		err = c.fanout(placement, func(di int) error {
-			cl := c.drives[di].pick()
-			c.chargeDriveIO(len(blob))
-			if err := cl.Put(ctx, dk, blob, nil, encodeVer(next), true); err != nil {
-				return fmt.Errorf("core: stream chunk %d of %q to drive %s: %w", chunks, key, c.drives[di].name, err)
-			}
-			return nil
-		})
-		if err != nil {
-			return c.replicationFailed(err, key)
+		if l.m > 0 {
+			l.code.EncodeAdd(parity, slot, chunk)
 		}
 		chunks++
+		if slot == l.k-1 {
+			return flushParity(stripe)
+		}
 		return nil
 	}
-	for _, chunk := range sniffed { // chunks already read by the class sniff
-		if err := writeChunk(chunk); err != nil {
-			cleanup()
-			return 0, err
-		}
-	}
-	for !eofSeen {
-		n, rerr = io.ReadFull(rest, buf)
-		if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
-			cleanup()
-			return 0, rerr
-		}
-		if rerr != nil {
-			eofSeen = true
-		}
-		if n > 0 {
-			if err := writeChunk(buf[:n]); err != nil {
-				cleanup()
-				return 0, err
+	upload := func() error {
+		for _, chunk := range sniffed {
+			if err := writeChunk(chunk); err != nil {
+				return err
 			}
 		}
+		buf := sniffed[0]
+		for rest != nil {
+			n, rerr := io.ReadFull(rest, buf)
+			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+				rest = nil
+			} else if rerr != nil {
+				return rerr
+			}
+			if n > 0 {
+				if err := writeChunk(buf[:n]); err != nil {
+					return err
+				}
+			}
+		}
+		// Close a final partial stripe: its parity covers the chunks it
+		// has (the absent tail slots are zero shards by construction, the
+		// decoder models them the same way).
+		if chunks%int64(l.k) != 0 {
+			if err := flushParity(chunks / int64(l.k)); err != nil {
+				return err
+			}
+		}
+		var hash [32]byte
+		copy(hash[:], hasher.Sum(nil))
+		return c.commitStream(ctx, sessionKey, key, opts, next, total, hash, chunks, l)
 	}
-
-	var hash [32]byte
-	copy(hash[:], hasher.Sum(nil))
-	intact := func(pctx context.Context) error {
-		return c.chunksIntact(pctx, key, next, chunks, placement)
-	}
-	if err := c.commitStream(ctx, sessionKey, key, opts, next, total, hash, chunks, 0, 0, intact); err != nil {
-		cleanup()
+	if err := upload(); err != nil {
+		// The request context may already be canceled (client disconnect
+		// is a common way to get here); sweep on a detached context so
+		// the orphaned records don't outlive the upload.
+		c.sweepChunks(context.WithoutCancel(ctx), key, next, chunks, l)
 		return 0, err
 	}
 	c.noteWrite(key, int(total))
 	c.stats.Puts.Inc()
 	c.stats.Streams.Inc()
+	if l.m > 0 {
+		c.stats.ECObjects.Inc()
+	}
+	c.stats.ECParityBytes.Add(uint64(parityBytes))
 	c.stats.WriteBytes.Add(uint64(total))
 	return next, nil
+}
+
+// sweepChunks best-effort deletes the chunk records of an aborted
+// upload: data indices up to and including the possibly in-flight one
+// (a fan-out that failed on one home has still landed on the others),
+// plus every stripe's parity indices — parity whose data siblings never
+// committed must not survive as dark capacity — on every window drive
+// (a superset of the homes actually written; deletes of absent keys are
+// no-ops).
+func (c *Controller) sweepChunks(ctx context.Context, key string, next, chunks int64, l layout) {
+	stripes := chunks/int64(l.k) + 1 // include the open stripe
+	_ = c.fanout(l.window, func(di int) error {
+		cl := c.drives[di].pick()
+		del := func(idx int64) {
+			c.chargeDriveIO(0)
+			_ = cl.Delete(ctx, store.ChunkKey(key, next, idx), nil, true)
+		}
+		for idx := int64(0); idx <= chunks; idx++ {
+			del(idx)
+		}
+		for t := int64(0); t < stripes; t++ {
+			for j := 0; j < l.m; j++ {
+				del(store.ParityIndex(t, int64(l.m), int64(j)))
+			}
+		}
+		return nil
+	})
 }
 
 // commitStream seals a chunked upload under the stripe lock. The
@@ -332,11 +398,10 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 // already swept. So the plan is re-run under the lock (re-checking the
 // now-current policy and version) and the chunk records are probed for
 // survival before the sealing batch — chunk-stub object record plus
-// CAS-guarded metadata, atomic per replica — goes out. The intact
-// probe is layout-specific (replicated chunks probe the placement
-// drives, EC shards their group homes); eck/ecm record the storage
-// class in the metadata (zero for replicated).
-func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, opts PutOptions, next, total int64, hash [32]byte, chunks, eck, ecm int64, intact func(context.Context) error) error {
+// CAS-guarded metadata, atomic on each placement replica whatever the
+// layout of the chunks — goes out. The metadata records a parity
+// layout's (k, m); the replicated class keeps both zero.
+func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, opts PutOptions, next, total int64, hash [32]byte, chunks int64, l layout) error {
 	lock := c.writeLock(key)
 	lock.Lock()
 	defer lock.Unlock()
@@ -358,14 +423,16 @@ func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, o
 	if err != nil {
 		return err
 	}
-	if err := intact(ctx); err != nil {
+	if err := c.chunksIntact(ctx, key, next, chunks, l); err != nil {
 		return err
 	}
 
 	newMeta := &store.Meta{
 		Key: key, Version: next, Size: total, ContentHash: hash,
 		PolicyID: newPolicyID, PolicyHash: policyHash, Chunks: chunks,
-		ECK: eck, ECM: ecm,
+	}
+	if l.m > 0 {
+		newMeta.ECK, newMeta.ECM = int64(l.k), int64(l.m)
 	}
 	stub := &store.Record{Meta: *newMeta}
 	stubBlob, err := c.codec.EncodeRecord(stub)
@@ -383,28 +450,31 @@ func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, o
 	return nil
 }
 
-// chunksIntact verifies the upload's chunk records still exist on
-// every replica (a concurrent delete sweeps the whole chunk range, so
-// probing the first and last chunk suffices per drive). Caller holds
-// the stripe lock, so no new delete can race the probe.
-func (c *Controller) chunksIntact(ctx context.Context, key string, next, chunks int64, placement []int) error {
+// chunksIntact is the commit-time survival probe: the upload's first
+// and last data chunk, each on every one of its homes. A concurrent
+// delete sweeps the whole chunk key range on every window drive, so a
+// surviving pair means no delete committed during the upload. Caller
+// holds the stripe lock, so no new delete can race the probe.
+func (c *Controller) chunksIntact(ctx context.Context, key string, next, chunks int64, l layout) error {
 	probes := []int64{0}
 	if chunks > 1 {
 		probes = append(probes, chunks-1)
 	}
-	return c.fanout(placement, func(di int) error {
-		cl := c.drives[di].pick()
-		for _, idx := range probes {
+	for _, idx := range probes {
+		dk := store.ChunkKey(key, next, idx)
+		err := c.fanout(l.homes(idx), func(di int) error {
 			c.chargeDriveIO(0)
-			if _, err := cl.GetVersion(ctx, store.ChunkKey(key, next, idx)); err != nil {
-				if errors.Is(err, kclient.ErrNotFound) {
-					return fmt.Errorf("%w: object deleted during streamed upload", ErrBadVersion)
-				}
-				return err
+			_, err := c.drives[di].pick().GetVersion(ctx, dk)
+			if errors.Is(err, kclient.ErrNotFound) {
+				return fmt.Errorf("%w: object deleted during streamed upload", ErrBadVersion)
 			}
+			return err
+		})
+		if err != nil {
+			return err
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // getObjectStream is the streamed read path.
@@ -439,33 +509,17 @@ func (c *Controller) getObjectStream(ctx context.Context, sessionKey, key string
 		c.stats.ReadBytes.Add(uint64(len(rec.Payload)))
 		return &m, send, nil
 	}
-	if m.ECK > 0 {
-		return c.getStreamEC(ctx, key, version, &m)
+	l, err := c.layoutOf(key, m.ECK, m.ECM)
+	if err != nil {
+		return nil, nil, err
 	}
+	sm := m // the send closure must not alias the copy the caller gets
 	send := func(w io.Writer) error {
-		hasher := sha256.New()
-		for idx := int64(0); idx < m.Chunks; idx++ {
-			crec, release, err := c.loadChunkPooled(ctx, key, version, idx)
-			if err != nil {
-				return err
-			}
-			c.cost.MoveBytes(len(crec.Payload))
-			hasher.Write(crec.Payload)
-			_, werr := w.Write(crec.Payload)
-			release()
-			if werr != nil {
-				return werr
-			}
-		}
-		var hash [32]byte
-		copy(hash[:], hasher.Sum(nil))
-		if hash != m.ContentHash {
-			// Bytes are already on the wire; the returned error must
-			// abort the connection so the client sees a truncated
-			// transfer, never a silently wrong object.
-			return fmt.Errorf("%w: streamed object %q v%d fails whole-object hash", store.ErrCorrupt, key, version)
-		}
-		return nil
+		return c.streamChunks(ctx, l, &sm, version, func(p []byte) error {
+			c.cost.MoveBytes(len(p))
+			_, err := w.Write(p)
+			return err
+		})
 	}
 	c.noteRead(key, int(m.Size))
 	c.stats.Gets.Inc()
@@ -474,88 +528,80 @@ func (c *Controller) getObjectStream(ctx context.Context, sessionKey, key string
 	return &m, send, nil
 }
 
-// loadChunk fetches one chunk record, cache-first with replica
-// failover through the read engine; the codec authenticates it and its
-// chunk id (position binding).
-// Concurrent misses on one chunk coalesce into a single drive read.
-func (c *Controller) loadChunk(ctx context.Context, key string, version, idx int64) (*store.Record, error) {
-	dk := store.ChunkKey(key, version, idx)
-	ck := string(dk)
-	if r, ok := c.objectCache.Get(ck); ok {
-		return r, nil
+// streamChunks hands the chunks of a streamed version to sink in
+// order and seals the transfer with the whole-object size and hash
+// check — the one reader behind GetStream and Verify, so verification
+// exercises exactly the read path, failover and parity fallback
+// included. Stripes are assembled by readStripe with one stripe of
+// lookahead: while stripe t goes to the sink, stripe t+1's fetches are
+// already in flight, so drive reads and the client-side transfer
+// pipeline instead of alternating fetch/write bubbles. version names
+// the chunk records to read; it is the caller's, not the stub's word.
+func (c *Controller) streamChunks(ctx context.Context, l layout, meta *store.Meta, version int64, sink func([]byte) error) error {
+	type fetched struct {
+		data    [][]byte
+		release func()
+		err     error
 	}
-	rec, shared, err := c.objectFlight.Do(ctx, ck,
-		func(fctx context.Context) (*store.Record, error) {
-			if r, ok := c.objectCache.Get(ck); ok {
-				return r, nil
+	fctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// Unbuffered: the producer holds at most the one stripe it fetched
+	// ahead while the consumer holds the one it is writing out.
+	stripes := make(chan fetched)
+	go func() {
+		defer close(stripes)
+		for t := int64(0); t*int64(l.k) < meta.Chunks; t++ {
+			data, release, err := c.readStripe(fctx, l, meta, version, t)
+			select {
+			case stripes <- fetched{data, release, err}:
+			case <-fctx.Done():
+				if err == nil {
+					release()
+				}
+				return
 			}
-			pr, err := c.readChunk(fctx, key, version, idx, false)
-			return pr.rec, err
-		},
-		func(r *store.Record) { c.objectCache.Put(ck, r) })
-	if shared {
-		c.stats.CoalescedReads.Inc()
-	}
-	return rec, err
-}
-
-// readChunk reads one chunk record off the replicas through the read
-// engine, decoded into a pooled chunk buffer when pooled.
-func (c *Controller) readChunk(ctx context.Context, key string, version, idx int64, pooled bool) (pooledRec, error) {
-	pr, err := readReplicas(ctx, c, c.placement(key), func(ctx context.Context, p *drivePool) (pooledRec, error) {
-		v, err := c.getChunkValue(ctx, p, key, version, idx)
-		if err != nil {
-			return pooledRec{}, err
+			if err != nil {
+				return
+			}
 		}
-		return c.openChunk(v, key, version, idx, pooled)
-	})
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		err = fmt.Errorf("core: all replicas failed reading %q v%d chunk %d: %w", key, version, idx, err)
+	}()
+	hasher := sha256.New()
+	var total int64
+	for f := range stripes {
+		if f.err != nil {
+			return f.err
+		}
+		for _, p := range f.data {
+			hasher.Write(p)
+			total += int64(len(p))
+			if err := sink(p); err != nil {
+				f.release()
+				return err
+			}
+		}
+		f.release()
 	}
-	return pr, err
-}
-
-// loadChunkPooled is loadChunk for the streamed GET hot path: a cache
-// hit is served as-is, a miss decodes into a pooled chunk buffer the
-// caller hands back via release, and the record is neither cached nor
-// coalesced — a pooled payload must have exactly one owner, and
-// streamed reads are large and sequential, so per-chunk caching buys
-// little against 1 MB of allocation per chunk. A hedged attempt that
-// loses the race strands its buffer for the GC (rare: hedges fire on
-// the latency tail only).
-func (c *Controller) loadChunkPooled(ctx context.Context, key string, version, idx int64) (*store.Record, func(), error) {
-	dk := store.ChunkKey(key, version, idx)
-	if r, ok := c.objectCache.Get(string(dk)); ok {
-		return r, func() {}, nil
+	if err := ctx.Err(); err != nil {
+		return err // the producer stopped on the caller's cancellation, not at the last stripe
 	}
-	pr, err := c.readChunk(ctx, key, version, idx, true)
-	if err != nil {
-		return nil, nil, err
+	var hash [32]byte
+	copy(hash[:], hasher.Sum(nil))
+	if total != meta.Size || hash != meta.ContentHash {
+		// Bytes may already be on the wire; the error must abort the
+		// connection so the client sees a truncated transfer, never a
+		// silently wrong object.
+		return fmt.Errorf("%w: streamed object %q v%d fails whole-object hash", store.ErrCorrupt, meta.Key, version)
 	}
-	return pr.rec, pr.release, nil
+	return nil
 }
 
 // verifyChunks recomputes a streamed version's whole-object hash from
 // its chunk records (the verification interface's equivalent of the
 // inline hash check).
 func (c *Controller) verifyChunks(ctx context.Context, m *store.Meta) error {
-	if m.ECK > 0 {
-		return c.verifyStripesEC(ctx, m)
+	l, err := c.layoutOf(m.Key, m.ECK, m.ECM)
+	if err != nil {
+		return err
 	}
-	hasher := sha256.New()
-	var total int64
-	for idx := int64(0); idx < m.Chunks; idx++ {
-		rec, err := c.loadChunk(ctx, m.Key, m.Version, idx)
-		if err != nil {
-			return err
-		}
-		hasher.Write(rec.Payload)
-		total += int64(len(rec.Payload))
-	}
-	var hash [32]byte
-	copy(hash[:], hasher.Sum(nil))
-	if total != m.Size || hash != m.ContentHash {
-		return store.ErrCorrupt
-	}
-	return nil
+	return c.streamChunks(ctx, l, m, m.Version, func([]byte) error { return nil })
 }

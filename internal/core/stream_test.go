@@ -145,34 +145,6 @@ func TestStreamVersionsHistoryAndDelete(t *testing.T) {
 	}
 }
 
-func TestStreamCapRejectsAndSweeps(t *testing.T) {
-	h := newHarness(t, 2, func(c *Config) {
-		c.Replicas = 2
-		c.MaxStreamBytes = 2 * streamChunkSize
-	})
-	s := h.ctl.Session("w")
-	ctx := context.Background()
-
-	res := s.PutStream(ctx, "capped", bytes.NewReader(streamPayload(3*streamChunkSize)), PutOptions{})
-	if res.Err == nil || res.Err.Code != CodeTooLarge {
-		t.Fatalf("over-cap stream: %+v", res)
-	}
-	// The rejected upload's chunks were swept; nothing was published.
-	for di := range h.ctl.drives {
-		cstart, cend := store.ChunkKeyRange("capped")
-		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di].pick(), cstart, cend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(keys) != 0 {
-			t.Errorf("drive %d holds %d orphan chunks", di, len(keys))
-		}
-	}
-	if _, _, err := s.Get(ctx, "capped", GetOptions{}); !errors.Is(err, ErrNotFound) {
-		t.Errorf("rejected stream published an object: %v", err)
-	}
-}
-
 func TestStreamRepairRestoresChunks(t *testing.T) {
 	h := newHarness(t, 3, func(c *Config) { c.Replicas = 3 })
 	s := h.ctl.Session("w")

@@ -167,3 +167,88 @@ func BenchmarkEncode4x2(b *testing.B) {
 		c.Encode(data, parity)
 	}
 }
+
+// FuzzReconstruct feeds the decoder the shard shapes its callers derive
+// from drive replies: any (k, m), any set of surviving shards, any
+// lengths. It must never panic; ragged survivors are ErrShards, fewer
+// than k survivors ErrShort, and k or more equal-length survivors give
+// back exactly what was encoded — all data from both entry points, the
+// parity too from Reconstruct.
+func FuzzReconstruct(f *testing.F) {
+	f.Add(uint8(3), uint8(1), uint32(0b101111), uint16(64), []byte{}, int64(1))      // 4+2, two lost
+	f.Add(uint8(3), uint8(1), uint32(0b000111), uint16(64), []byte{}, int64(2))      // 4+2, three lost
+	f.Add(uint8(1), uint8(0), uint32(0b111), uint16(9), []byte{0, 1}, int64(3))      // 2+1, ragged
+	f.Add(uint8(0), uint8(0), uint32(0b10), uint16(0), []byte{}, int64(4))           // 1+1, parity only, empty shards
+	f.Add(uint8(11), uint8(5), uint32(0xffff0f0f), uint16(2047), []byte{}, int64(5)) // 12+6
+	f.Fuzz(func(t *testing.T, kb, mb uint8, present uint32, size uint16, stretch []byte, seed int64) {
+		k, m := 1+int(kb%12), 1+int(mb%6)
+		c, err := New(k, m)
+		if err != nil {
+			t.Fatalf("New(%d,%d): %v", k, m, err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		full := make([][]byte, k+m)
+		for i := range full {
+			full[i] = make([]byte, size%2048)
+			if i < k {
+				rng.Read(full[i])
+			}
+		}
+		if err := c.Encode(full[:k], full[k:]); err != nil {
+			t.Fatal(err)
+		}
+		// Survivors: the shards whose bit is set, shard i stretched by
+		// stretch[i] bytes.
+		survivors := func() (shards [][]byte, n int, ragged bool) {
+			shards = make([][]byte, k+m)
+			length := -1
+			for i := range shards {
+				if present&(1<<uint(i)) == 0 {
+					continue
+				}
+				shards[i] = append([]byte{}, full[i]...)
+				if i < len(stretch) {
+					shards[i] = append(shards[i], make([]byte, stretch[i])...)
+				}
+				if n++; length < 0 {
+					length = len(shards[i])
+				}
+				ragged = ragged || len(shards[i]) != length
+			}
+			return shards, n, ragged
+		}
+		for _, withParity := range []bool{true, false} {
+			shards, n, ragged := survivors()
+			if withParity {
+				err = c.Reconstruct(shards)
+			} else {
+				err = c.ReconstructData(shards)
+			}
+			switch {
+			case ragged:
+				if !errors.Is(err, ErrShards) {
+					t.Fatalf("k=%d m=%d ragged survivors: %v, want ErrShards", k, m, err)
+				}
+				continue
+			case n < k:
+				if !errors.Is(err, ErrShort) {
+					t.Fatalf("k=%d m=%d with %d survivors: %v, want ErrShort", k, m, n, err)
+				}
+				continue
+			case err != nil:
+				t.Fatalf("k=%d m=%d with %d survivors: %v", k, m, n, err)
+			}
+			// Equal-length survivors all carry the same stretch, which
+			// the decoder treats as data: compare the encoded prefix.
+			for i := range shards {
+				lostParity := i >= k && present&(1<<uint(i)) == 0
+				if wantNil := lostParity && !withParity; (shards[i] == nil) != wantNil {
+					t.Fatalf("k=%d m=%d parity=%v: shard %d nil=%v", k, m, withParity, i, shards[i] == nil)
+				}
+				if shards[i] != nil && !bytes.HasPrefix(shards[i], full[i]) {
+					t.Fatalf("k=%d m=%d size=%d parity=%v: shard %d differs after reconstruction", k, m, len(full[i]), withParity, i)
+				}
+			}
+		}
+	})
+}
