@@ -125,7 +125,7 @@ func main() {
 		os.Stdout.Write(val)
 	case "del":
 		need(args, 2, "del <key>")
-		if _, err := cl.Delete(ctx, args[1], false); err != nil {
+		if err := cl.Delete(ctx, args[1]); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("deleted %q\n", args[1])
@@ -188,14 +188,11 @@ func main() {
 			info.Key, info.Version, info.Size, info.ContentHash, info.Policy, info.PolicyHash)
 	case "repair":
 		need(args, 2, "repair <key>")
-		resp, err := (&http.Client{Transport: &http.Transport{TLSClientConfig: tlsCfg}}).Post(
-			*server+"/v1/repair/"+args[1], "application/octet-stream", nil)
+		versions, restored, err := cl.Repair(ctx, args[1])
 		if err != nil {
 			fatal(err)
 		}
-		defer resp.Body.Close()
-		io.Copy(os.Stdout, resp.Body)
-		fmt.Println()
+		fmt.Printf("repaired %q: %d versions examined, %d records restored\n", args[1], versions, restored)
 	case "policy-put":
 		need(args, 2, "policy-put <file|->")
 		src := readInput(args, 1)

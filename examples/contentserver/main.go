@@ -101,10 +101,10 @@ func main() {
 	fmt.Printf("  bob with carol's cert:     %v\n", errOrOK(err))
 
 	// Only the admin may delete ACL'd content.
-	if _, err := bob.Delete(ctx, "site/index.html", false); err == nil {
+	if err := bob.Delete(ctx, "site/index.html"); err == nil {
 		log.Fatal("bob deleted protected content")
 	}
-	if _, err := admin.Delete(ctx, "site/index.html", false); err != nil {
+	if err := admin.Delete(ctx, "site/index.html"); err != nil {
 		log.Fatalf("admin delete: %v", err)
 	}
 	fmt.Println("admin deleted site/index.html; bob could not")

@@ -33,8 +33,8 @@ type Client struct {
 }
 
 // APIError is a non-2xx response from the controller. Code carries
-// the v2 machine-readable taxonomy ("" on v1 endpoints, which only
-// return a message).
+// the machine-readable taxonomy of the reply's error envelope ("" only
+// when the body was not one — an intermediary's, say).
 type APIError struct {
 	Status int
 	Code   string
@@ -83,34 +83,15 @@ type PutOptions struct {
 	Certs      []*authority.Certificate
 }
 
-// Put stores an object. In async mode the returned id is an operation
-// id to poll with Result; otherwise it is the new object version.
+// Put stores an object and returns its new version: PutOp with the
+// per-op failure folded into the error, as an *OpError. It is
+// synchronous; asynchronous execution is PutOp + ResultOp.
 func (c *Client) Put(ctx context.Context, key string, value []byte, opts PutOptions) (int64, error) {
-	q := url.Values{}
-	if opts.PolicyID != "" {
-		q.Set("policy", opts.PolicyID)
-	}
-	if opts.HasVersion {
-		q.Set("version", strconv.FormatInt(opts.Version, 10))
-	}
 	if opts.Async {
-		q.Set("async", "1")
+		return 0, errors.New("pesos client: Put cannot be async; use PutOp and ResultOp")
 	}
-	req, err := c.newRequest(ctx, http.MethodPut, "/v1/objects/"+escapeKey(key), q, bytes.NewReader(value), opts.Certs)
-	if err != nil {
-		return 0, err
-	}
-	var out struct {
-		Version int64  `json:"version"`
-		Op      uint64 `json:"op"`
-	}
-	if err := c.do(req, &out); err != nil {
-		return 0, err
-	}
-	if opts.Async {
-		return int64(out.Op), nil
-	}
-	return out.Version, nil
+	res, err := c.PutOp(ctx, key, value, opts)
+	return res.Version, res.failure(err)
 }
 
 // GetOptions mirror core.GetOptions.
@@ -126,49 +107,25 @@ type ObjectMeta struct {
 	PolicyID string
 }
 
-// Get fetches an object.
+// Get fetches an object whole: the buffered form of GetStream.
 func (c *Client) Get(ctx context.Context, key string, opts GetOptions) ([]byte, *ObjectMeta, error) {
-	q := url.Values{}
-	if opts.HasVersion {
-		q.Set("version", strconv.FormatInt(opts.Version, 10))
-	}
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/objects/"+escapeKey(key), q, nil, opts.Certs)
+	body, meta, err := c.GetStream(ctx, key, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, err := c.http.Do(req)
+	defer body.Close()
+	value, err := io.ReadAll(body)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, decodeError(resp)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, err
-	}
-	ver, _ := strconv.ParseInt(resp.Header.Get("X-Pesos-Version"), 10, 64)
-	return body, &ObjectMeta{Version: ver, PolicyID: resp.Header.Get("X-Pesos-Policy")}, nil
+	return value, meta, nil
 }
 
-// Delete removes an object. Async returns an operation id.
-func (c *Client) Delete(ctx context.Context, key string, async bool, certs ...*authority.Certificate) (uint64, error) {
-	q := url.Values{}
-	if async {
-		q.Set("async", "1")
-	}
-	req, err := c.newRequest(ctx, http.MethodDelete, "/v1/objects/"+escapeKey(key), q, nil, certs)
-	if err != nil {
-		return 0, err
-	}
-	var out struct {
-		Op uint64 `json:"op"`
-	}
-	if err := c.do(req, &out); err != nil {
-		return 0, err
-	}
-	return out.Op, nil
+// Delete removes an object and its history: synchronous DeleteOp with
+// the per-op failure folded into the error, as an *OpError.
+func (c *Client) Delete(ctx context.Context, key string, certs ...*authority.Certificate) error {
+	res, err := c.DeleteOp(ctx, key, false, certs...)
+	return res.failure(err)
 }
 
 // ListVersions returns an object's stored versions.
@@ -219,33 +176,6 @@ func (c *Client) GetPolicy(ctx context.Context, id string) (string, error) {
 	return string(b), err
 }
 
-// AsyncResult is the outcome of an asynchronous operation.
-type AsyncResult struct {
-	Op      uint64 `json:"op"`
-	Done    bool   `json:"done"`
-	Error   string `json:"error"`
-	Version int64  `json:"version"`
-}
-
-// Result polls an asynchronous operation. ok=false means the result
-// aged out of the window and the request must be re-issued.
-func (c *Client) Result(ctx context.Context, opID uint64) (*AsyncResult, bool, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/results/"+strconv.FormatUint(opID, 10), nil, nil, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	var out AsyncResult
-	err = c.do(req, &out)
-	var apiErr *APIError
-	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return &out, true, nil
-}
-
 // VerifyInfo is the integrity evidence for one stored version.
 type VerifyInfo struct {
 	Key         string `json:"key"`
@@ -268,6 +198,22 @@ func (c *Client) Verify(ctx context.Context, key string, version int64) (*Verify
 		return nil, err
 	}
 	return &out, nil
+}
+
+// Repair restores an object's missing or corrupt replicas (§4.5),
+// reporting how many versions were examined and how many records were
+// rewritten.
+func (c *Client) Repair(ctx context.Context, key string) (versions, restored int, err error) {
+	req, err := c.newRequest(ctx, http.MethodPost, "/v1/repair/"+escapeKey(key), nil, nil, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	var out struct {
+		Versions int `json:"versions"`
+		Restored int `json:"restored"`
+	}
+	err = c.do(req, &out)
+	return out.Versions, out.Restored, err
 }
 
 // Tx is a client-side transaction handle.
@@ -415,25 +361,13 @@ func ReadJSON(resp *http.Response, out any) error {
 }
 
 // decodeError consumes a non-200 reply into the error it stands for.
+// Every route fails in the one envelope {"error":{"code","message"}}.
 func decodeError(resp *http.Response) error {
-	// v1 bodies are {"error": "message"}; v2 bodies are
-	// {"error": {"code": ..., "message": ...}}. Sniff the shape.
 	var e struct {
-		Error json.RawMessage `json:"error"`
+		Error OpError `json:"error"`
 	}
 	ReadJSON(resp, &e) // an undecodable body leaves the status to speak
-	apiErr := &APIError{Status: resp.StatusCode}
-	if len(e.Error) > 0 {
-		var wire struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		}
-		if e.Error[0] == '{' && json.Unmarshal(e.Error, &wire) == nil {
-			apiErr.Code, apiErr.Msg = wire.Code, wire.Message
-		} else {
-			json.Unmarshal(e.Error, &apiErr.Msg)
-		}
-	}
+	apiErr := &APIError{Status: resp.StatusCode, Code: e.Error.Code, Msg: e.Error.Message}
 	if apiErr.Msg == "" {
 		apiErr.Msg = resp.Status
 	}

@@ -52,7 +52,7 @@ func fakeController(t *testing.T) (*Client, *atomic.Int64) {
 			Ops []BatchPutOp `json:"ops"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+			writeJSON(w, http.StatusBadRequest, map[string]any{"error": OpError{Code: "invalid_argument", Message: err.Error()}})
 			return
 		}
 		out := make([]OpResult, len(in.Ops))
@@ -61,18 +61,14 @@ func fakeController(t *testing.T) (*Client, *atomic.Int64) {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"results": out})
 	})
-	refuse := func(w http.ResponseWriter, r *http.Request) {
-		switch r.PathValue("key") {
-		case "denied":
-			writeJSON(w, http.StatusForbidden, map[string]any{"error": "pesos: denied by policy"})
-		case "moved": // v1 shape: a message, no taxonomy code
-			writeJSON(w, http.StatusMisdirectedRequest, map[string]any{"error": "pesos: key not owned by this shard"})
-		default:
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": map[string]string{"code": "not_found", "message": "no such object"}})
-		}
-	}
-	mux.HandleFunc("GET /v1/objects/{key...}", refuse)
-	mux.HandleFunc("GET /v2/objects/{key...}", refuse)
+	mux.HandleFunc("GET /v2/objects/{key...}", func(w http.ResponseWriter, r *http.Request) {
+		refusal := map[string]OpError{
+			"denied": {Code: "denied", Message: "pesos: denied by policy"},
+			"moved":  {Code: "wrong_shard", Message: "pesos: key not owned by this shard"},
+			"absent": {Code: "not_found", Message: "no such object"},
+		}[r.PathValue("key")]
+		writeJSON(w, core.ErrorCode(refusal.Code).HTTPStatus(), map[string]any{"error": refusal})
+	})
 	srv := httptest.NewTLSServer(mux)
 	t.Cleanup(srv.Close)
 
@@ -129,18 +125,23 @@ func TestErrorRepliesKeepTheConnection(t *testing.T) {
 			t.Fatalf("403: %v, want ErrDenied", err)
 		}
 		var apiErr *APIError
-		if _, _, err := cl.Get(ctx, "moved", GetOptions{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusMisdirectedRequest || apiErr.Code != "" {
-			t.Fatalf("421: %v, want a code-less APIError", err)
+		if _, _, err := cl.Get(ctx, "moved", GetOptions{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusMisdirectedRequest || apiErr.Code != "wrong_shard" {
+			t.Fatalf("421: %v, want a wrong_shard APIError", err)
 		}
 		if _, _, err := cl.Get(ctx, "absent", GetOptions{}); !errors.As(err, &apiErr) || apiErr.Code != "not_found" {
 			t.Fatalf("404: %v, want not_found", err)
+		}
+		// A denied read stays what the router has always seen: ErrDenied,
+		// not an *APIError (docs/perf.md, "Parked: the denied-read retry").
+		if _, _, err := cl.Get(ctx, "denied", GetOptions{}); errors.As(err, &apiErr) {
+			t.Fatalf("403 decoded to an *APIError: %v", err)
 		}
 		if _, _, err := cl.GetStream(ctx, "denied", GetOptions{}); !errors.Is(err, ErrDenied) {
 			t.Fatalf("streamed 403: %v, want ErrDenied", err)
 		}
 	}
 	if n := dials.Load(); n != 1 {
-		t.Errorf("twelve refused requests dialled %d times, want 1", n)
+		t.Errorf("fifteen refused requests dialled %d times, want 1", n)
 	}
 }
 
@@ -167,3 +168,50 @@ func TestOverlongReplyIsClosedNotDrained(t *testing.T) {
 		t.Errorf("dialled %d times after an over-long reply, want 2: it was read to its end instead of closed", n)
 	}
 }
+
+// FuzzEscapeKey: escapeKey is the only way an object key enters a URL.
+// For any key the API accepts — non-empty, no NUL — its escaped form is
+// unreserved characters and %XX only, never a dot segment the mux would
+// clean away, and a net/http mux hands the handler back the key itself.
+func FuzzEscapeKey(f *testing.F) {
+	for _, seed := range []string{
+		"plain", "a/b", "a/../b", "..", ".", "trail/", "/lead", "pct%2Fkey", "q?uery#frag",
+		"sp ace", "plus+and&amp", "\xff\xfe\x80bin", "co:lon;semi", "~tilde_-", "%", "%%%zz",
+	} {
+		f.Add(seed)
+	}
+	var got string
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /{key...}", func(_ http.ResponseWriter, r *http.Request) { got = r.PathValue("key") })
+	f.Fuzz(func(t *testing.T, key string) {
+		if key == "" || strings.ContainsRune(key, 0) {
+			t.Skip()
+		}
+		esc := escapeKey(key)
+		for i := 0; i < len(esc); i++ {
+			c := esc[i]
+			switch {
+			case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '~':
+			case c == '%' && i+2 < len(esc) && isUpperHex(esc[i+1]) && isUpperHex(esc[i+2]):
+				i += 2
+			default:
+				t.Fatalf("escapeKey(%q) = %q: byte %d is neither unreserved nor a %%XX escape", key, esc, i)
+			}
+		}
+		if esc == "." || esc == ".." {
+			t.Fatalf("escapeKey(%q) = %q is a dot segment", key, esc)
+		}
+		req, err := http.NewRequest(http.MethodGet, "https://pesos/"+esc, nil)
+		if err != nil {
+			t.Fatalf("escapeKey(%q) = %q does not parse as a URL: %v", key, esc, err)
+		}
+		got = "\x00unrouted"
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || got != key {
+			t.Fatalf("key %q as %q reached the handler as %q (HTTP %d)", key, esc, got, rec.Code)
+		}
+	})
+}
+
+func isUpperHex(c byte) bool { return c >= '0' && c <= '9' || c >= 'A' && c <= 'F' }

@@ -1,7 +1,9 @@
-// The /v2 client surface: scan/list with pagination, multi-key batch
-// operations, streaming puts and gets of arbitrarily large objects,
-// and the unified OpResult shape for every mutation (async included —
-// it is an option on the call, not a separate method family).
+// The object routes: every put, read, delete, listing and poll rides
+// /v2 — scan/list with pagination, multi-key batch operations,
+// streaming puts and gets of arbitrarily large objects, and the unified
+// OpResult shape for every mutation (async included — it is an option
+// on the call, not a separate method family). Put, Get and Delete in
+// client.go are folds over these, not a second transport.
 package client
 
 import (
@@ -30,14 +32,28 @@ func (e *OpError) Error() string {
 	return fmt.Sprintf("pesos client: [%s] %s", e.Code, e.Message)
 }
 
-// OpResult is the outcome of one v2 mutation. Version is int64 for
-// puts and deletes alike (v1 delete reported uint64 op ids; v2
-// unifies the version type). Op is set when the operation ran async.
+// Is makes errors.Is(err, ErrDenied) hold for a per-op policy denial.
+func (e *OpError) Is(target error) bool {
+	return target == ErrDenied && e.Code == string(core.CodeDenied)
+}
+
+// OpResult is the outcome of one mutation. Version is int64 for puts
+// and deletes alike (a delete reports the destroyed head version). Op
+// is set when the operation ran async.
 type OpResult struct {
 	Key     core.JSONKey `json:"key"`
 	Version int64        `json:"version"`
 	Op      uint64       `json:"op,omitempty"`
 	Err     *OpError     `json:"error,omitempty"`
+}
+
+// failure folds a mutation's two failure channels into one error: the
+// transport's, else the operation's own.
+func (r OpResult) failure(err error) error {
+	if err == nil && r.Err != nil {
+		return r.Err
+	}
+	return err
 }
 
 // PutOp stores an object through /v2, returning the unified result.

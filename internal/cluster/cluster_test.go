@@ -236,18 +236,17 @@ func TestRangeHelpers(t *testing.T) {
 	}
 }
 
-// TestIsWrongShardErr: a redirect is recognised both ways a controller
-// says it — the v2 body's taxonomy code, and a v1 route's bare 421
-// ({"error": "message"}, no code), which Router.Get receives.
+// TestIsWrongShardErr: a redirect is recognised by the taxonomy code of
+// the error envelope, which every route writes — never by status alone.
 func TestIsWrongShardErr(t *testing.T) {
 	cases := []struct {
 		name string
 		err  error
 		want bool
 	}{
-		{"v2 code", &client.APIError{Status: http.StatusMisdirectedRequest, Code: string(core.CodeWrongShard), Msg: "key not owned"}, true},
-		{"v1 bare 421", &client.APIError{Status: http.StatusMisdirectedRequest, Msg: "pesos: key not owned by this shard"}, true},
-		{"wrapped v1 421", fmt.Errorf("get: %w", &client.APIError{Status: http.StatusMisdirectedRequest}), true},
+		{"code", &client.APIError{Status: http.StatusMisdirectedRequest, Code: string(core.CodeWrongShard), Msg: "key not owned"}, true},
+		{"wrapped code", fmt.Errorf("get: %w", &client.APIError{Status: http.StatusMisdirectedRequest, Code: string(core.CodeWrongShard)}), true},
+		{"421 without the code", &client.APIError{Status: http.StatusMisdirectedRequest, Msg: "some intermediary's 421"}, false},
 		{"not found", &client.APIError{Status: http.StatusNotFound, Code: string(core.CodeNotFound)}, false},
 		{"denied", fmt.Errorf("%w: no", client.ErrDenied), false},
 		{"transport", errors.New("connection refused"), false},

@@ -19,7 +19,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -214,13 +213,11 @@ func (r *Router) clientFor(s *Shard) (*client.Client, error) {
 	return cl, nil
 }
 
-// isWrongShardErr classifies a transport-level error as a redirect: by
-// the v2 taxonomy code, or by status 421 alone, which is all a v1 route
-// (Get goes through one) says — its error body carries no code.
+// isWrongShardErr classifies a transport-level error as a redirect, by
+// its taxonomy code.
 func isWrongShardErr(err error) bool {
 	var apiErr *client.APIError
-	return errors.As(err, &apiErr) &&
-		(apiErr.Code == string(core.CodeWrongShard) || apiErr.Status == http.StatusMisdirectedRequest)
+	return errors.As(err, &apiErr) && apiErr.Code == string(core.CodeWrongShard)
 }
 
 // resultWrongShard classifies a per-op result as a redirect.

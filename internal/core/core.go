@@ -99,15 +99,10 @@ type Config struct {
 	TakeOver bool
 
 	// Cache budgets; zero selects the paper's defaults (§4.2):
-	// 5 MB policies, 600 KB key cache, objects sized to fit EPC.
+	// 5 MB policies, objects sized to fit EPC.
 	PolicyCacheBytes   int64
 	PolicyCacheEntries int
 	ObjectCacheBytes   int64
-	KeyCacheBytes      int64
-
-	// AsyncWorkers sizes the pool executing asynchronous operations;
-	// 0 selects 32.
-	AsyncWorkers int
 
 	// MaxStreamBytes caps the total size of one streamed (chunked)
 	// object; 0 selects 256 MB. Inline objects stay bounded by the
@@ -196,9 +191,6 @@ type Config struct {
 	// Registry receives the controller's metrics; nil (with obs
 	// enabled) creates a private one, exposed via Registry().
 	Registry *obs.Registry
-	// TraceBuffer sizes the completed-trace ring backing
-	// GET /v1/trace/{id}; 0 selects 1024.
-	TraceBuffer int
 	// SlowOpThreshold dumps the span tree of requests at or over this
 	// duration to the log; 0 selects 250ms, negative disables.
 	SlowOpThreshold time.Duration
@@ -215,8 +207,6 @@ type Config struct {
 	AuditKey [32]byte
 	// AuditSampleAllow seals one in N ALLOW decisions (0 = denies only).
 	AuditSampleAllow int
-	// AuditMaxSegmentBytes rotates audit segments at this size (0 = 1 MB).
-	AuditMaxSegmentBytes int64
 }
 
 // Controller is one Pesos instance.
@@ -515,10 +505,6 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 	if ocBytes == 0 {
 		ocBytes = 48 << 20
 	}
-	kcBytes := cfg.KeyCacheBytes
-	if kcBytes == 0 {
-		kcBytes = 600 << 10
-	}
 	c.policyCache = cache.New[string, *policy.Program](cache.Config[*policy.Program]{
 		BudgetBytes: pcBytes,
 		MaxEntries:  cfg.PolicyCacheEntries,
@@ -531,7 +517,7 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 		EPC:         c.epc, Label: "object-cache",
 	})
 	c.metaCache = cache.New[string, *store.Meta](cache.Config[*store.Meta]{
-		BudgetBytes: kcBytes,
+		BudgetBytes: keyCacheBytes,
 		SizeOf:      func(m *store.Meta) int64 { return int64(len(m.Key)+len(m.PolicyID)) + 96 },
 		EPC:         c.epc, Label: "key-cache",
 	})
@@ -567,6 +553,10 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 	}
 	return c, nil
 }
+
+// keyCacheBytes budgets the key (metadata) cache: the paper's 600 KB
+// (§4.2).
+const keyCacheBytes = 600 << 10
 
 // residualCacheBytes budgets the residual cache.
 const residualCacheBytes = 1 << 20

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/enclave"
 	"repro/internal/enclave/attest"
 	"repro/internal/kinetic"
@@ -265,42 +266,61 @@ func TestDisablePolicies(t *testing.T) {
 	}
 }
 
+// TestAsyncResults: an async operation's outcome is polled through
+// ResultOp — by its owner only, with errors reported under their
+// taxonomy code, and not for ids never issued or aged out of the window.
 func TestAsyncResults(t *testing.T) {
 	h := newHarness(t, 1, nil)
 	s := h.ctl.Session("4d4e")
-	op := s.PutAsync("k", []byte("async"), PutOptions{})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		res, ok := s.Result(op)
-		if ok && res.Done {
-			if res.Err != "" {
-				t.Fatalf("async failed: %s", res.Err)
+	ctx := context.Background()
+	await := func(op uint64, what string) OpResult {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			res, done, ok := s.ResultOp(op)
+			if ok && done {
+				return res
 			}
-			break
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never completed", what)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("async put never completed")
-		}
-		time.Sleep(time.Millisecond)
+	}
+	first := s.PutOp(ctx, "k", []byte("async"), PutOptions{Async: true})
+	if first.Failed() || first.OpID == 0 {
+		t.Fatalf("async put not enqueued: %+v", first)
+	}
+	if res := await(first.OpID, "async put"); res.Err != nil {
+		t.Fatalf("async failed: %v", res.Err)
+	} else if res.OpID != first.OpID || res.Key != "k" || res.Version != 0 {
+		t.Errorf("async result = %+v, want op %d on k at version 0", res, first.OpID)
 	}
 	// Another session cannot read someone else's result.
-	if _, ok := h.ctl.Session("07e4").Result(op); ok {
+	if _, _, ok := h.ctl.Session("07e4").ResultOp(first.OpID); ok {
 		t.Fatal("cross-session result leak")
 	}
+	// An id nobody was given is unknown.
+	if _, _, ok := s.ResultOp(first.OpID + 1000); ok {
+		t.Fatal("result reported for an operation id never issued")
+	}
 	// Async errors are reported, not swallowed.
-	op = s.PutAsync("k", []byte("x"), PutOptions{Version: 99, HasVersion: true})
-	for {
-		res, ok := s.Result(op)
-		if ok && res.Done {
-			if res.Err == "" {
-				t.Fatal("bad-version async put reported success")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("async error never surfaced")
-		}
-		time.Sleep(time.Millisecond)
+	bad := s.PutOp(ctx, "k", []byte("x"), PutOptions{Async: true, Version: 99, HasVersion: true})
+	if res := await(bad.OpID, "async error"); res.Err == nil {
+		t.Fatal("bad-version async put reported success")
+	} else if res.Err.Code != CodeVersionConflict {
+		t.Errorf("bad-version async put: code %q, want %q", res.Err.Code, CodeVersionConflict)
+	}
+	// A window's worth of later operations ages the first one out.
+	var last OpResult
+	for i := 0; i < cache.DefaultResultCapacity; i++ {
+		last = s.DeleteOp(ctx, "absent", DeleteOptions{Async: true})
+	}
+	if res := await(last.OpID, "async delete"); res.Err == nil || res.Err.Code != CodeNotFound {
+		t.Errorf("async delete of a missing key: %+v, want not_found", res.Err)
+	}
+	if _, _, ok := s.ResultOp(first.OpID); ok {
+		t.Error("result still served after a full window of later operations")
 	}
 }
 

@@ -671,7 +671,9 @@ func (o *objectSource) Content(id string, version int64) ([]byte, bool, error) {
 func (c *Controller) PutPolicy(ctx context.Context, src string) (string, error) {
 	prog, err := policy.CompileSource(src)
 	if err != nil {
-		return "", err
+		// A policy that does not compile is the caller's mistake, not
+		// the store's; both chains stay inspectable.
+		return "", fmt.Errorf("%w: %w", ErrInvalidArgument, err)
 	}
 	id := policyID(prog)
 	blob, err := prog.Marshal()

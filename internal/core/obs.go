@@ -20,7 +20,7 @@ func (c *Controller) initObs() error {
 	if c.registry == nil {
 		c.registry = obs.NewRegistry()
 	}
-	c.traceStore = obs.NewTraceStore(c.cfg.TraceBuffer)
+	c.traceStore = obs.NewTraceStore(0) // the ring behind GET /v1/trace/{id}, at obs's default size
 	slow := c.cfg.SlowOpThreshold
 	if slow == 0 {
 		slow = 250 * time.Millisecond
@@ -46,11 +46,10 @@ func (c *Controller) initObs() error {
 			key = obs.DeriveAuditKey(c.secrets.ObjectKey[:])
 		}
 		a, err := obs.OpenAudit(obs.AuditConfig{
-			Dir:             c.cfg.AuditDir,
-			Key:             key,
-			MaxSegmentBytes: c.cfg.AuditMaxSegmentBytes,
-			SampleAllow:     c.cfg.AuditSampleAllow,
-			Dropped:         &c.stats.AuditDropped,
+			Dir:         c.cfg.AuditDir,
+			Key:         key,
+			SampleAllow: c.cfg.AuditSampleAllow,
+			Dropped:     &c.stats.AuditDropped,
 		})
 		if err != nil {
 			return err

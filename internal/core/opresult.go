@@ -1,9 +1,7 @@
 // Unified Op/Result model of the v2 API: every mutation resolves to a
 // typed OpResult, errors carry a machine-readable code with a fixed
 // HTTP mapping, and asynchronous execution is an option on the same
-// call shape instead of a parallel code path. The v1 REST surface is a
-// thin compatibility shim translating these results back to its legacy
-// JSON shapes.
+// call shape instead of a parallel code path.
 package core
 
 import (
@@ -144,6 +142,8 @@ func CodeFor(err error) ErrorCode {
 		return CodeInvalidArgument
 	case errors.Is(err, ErrWrongShard):
 		return CodeWrongShard
+	case errors.Is(err, errUnauthenticated):
+		return CodeUnauthenticated
 	case errors.Is(err, ErrClosed):
 		return CodeUnavailable
 	default:
@@ -201,11 +201,10 @@ func wireError(err error) *WireError {
 	return &WireError{Code: CodeFor(err), Message: err.Error()}
 }
 
-// OpResult is the outcome of one v2 mutation. Version is the version
-// written (put) or destroyed (delete) — int64 everywhere, closing the
-// v1 inconsistency where delete op ids were uint64. For asynchronous
+// OpResult is the outcome of one mutation. Version is the version
+// written (put) or destroyed (delete), int64 for both. For asynchronous
 // execution OpID names the deferred operation and Version is not yet
-// meaningful; poll with Session.Result.
+// meaningful; poll with Session.ResultOp.
 type OpResult struct {
 	Key     JSONKey    `json:"key"`
 	Version int64      `json:"version"`
@@ -222,7 +221,9 @@ func (r OpResult) Failed() bool { return r.Err != nil }
 func (s *Session) PutOp(ctx context.Context, key string, value []byte, opts PutOptions) OpResult {
 	s.touch()
 	if opts.Async {
-		return OpResult{Key: JSONKey(key), OpID: s.PutAsync(key, value, opts)}
+		return s.enqueue(key, func(ctx context.Context) (int64, error) {
+			return s.ctl.putObject(ctx, s.clientKey, key, value, opts)
+		})
 	}
 	ver, err := s.ctl.putObject(ctx, s.clientKey, key, value, opts)
 	return OpResult{Key: JSONKey(key), Version: ver, Err: wireError(err)}
@@ -233,35 +234,50 @@ func (s *Session) PutOp(ctx context.Context, key string, value []byte, opts PutO
 func (s *Session) DeleteOp(ctx context.Context, key string, opts DeleteOptions) OpResult {
 	s.touch()
 	if opts.Async {
-		return OpResult{Key: JSONKey(key), OpID: s.DeleteAsync(key, opts)}
+		return s.enqueue(key, func(ctx context.Context) (int64, error) {
+			return s.ctl.deleteObject(ctx, s.clientKey, key, opts)
+		})
 	}
 	ver, err := s.ctl.deleteObject(ctx, s.clientKey, key, opts)
 	return OpResult{Key: JSONKey(key), Version: ver, Err: wireError(err)}
 }
 
-// ResultOp reports an asynchronous operation's outcome as an OpResult
-// plus a completion flag. ok=false means the id is unknown, aged out
-// of the result window, or owned by a different client — re-issue the
-// request (§4.1).
-func (s *Session) ResultOp(opID uint64) (res OpResult, done, ok bool) {
-	r, ok := s.Result(opID)
-	if !ok {
-		return OpResult{}, false, false
+// enqueue defers op to the async worker pool and immediately returns
+// the operation id the client polls with ResultOp (§4.1). The context
+// op runs under is detached: the operation outlives the initiating
+// request.
+func (s *Session) enqueue(key string, op func(context.Context) (int64, error)) OpResult {
+	a := s.ctl.ensureAsync()
+	opID := a.nextOp.Add(1)
+	res := cache.Result{OpID: opID, Owner: s.clientKey, Key: key}
+	a.results.Put(res)
+	a.queue <- func() {
+		ver, err := op(context.Background())
+		res.Done, res.Version = true, ver
+		if err != nil {
+			// The error chain does not survive the result buffer (it
+			// holds strings), so the taxonomy code is classified here.
+			res.Err, res.Code = err.Error(), string(CodeFor(err))
+		}
+		a.results.Put(res)
 	}
-	return asyncOpResult(r), r.Done, true
+	return OpResult{Key: JSONKey(key), OpID: opID}
 }
 
-// asyncOpResult converts a buffered async result.
-func asyncOpResult(r cache.Result) OpResult {
-	out := OpResult{Key: JSONKey(r.Key), OpID: r.OpID, Version: r.Version}
-	if r.Done && r.Err != "" {
-		// The original error chain is gone (results are buffered as
-		// strings); the taxonomy code was classified when the result
-		// was stored.
-		out.Err = &WireError{Code: ErrorCode(r.Code), Message: r.Err}
-		if out.Err.Code == CodeNone {
-			out.Err.Code = CodeInternal
-		}
+// ResultOp reports an asynchronous operation's outcome as an OpResult
+// plus a completion flag. ok=false means the id is unknown, aged out
+// of the 2048-entry result window, or owned by a different client — in
+// all cases the client must assume the request may not have executed
+// and re-issue it (§4.1).
+func (s *Session) ResultOp(opID uint64) (res OpResult, done, ok bool) {
+	s.touch()
+	r, ok := s.ctl.ensureAsync().results.Get(opID)
+	if !ok || r.Owner != s.clientKey {
+		return OpResult{}, false, false
 	}
-	return out
+	res = OpResult{Key: JSONKey(r.Key), OpID: r.OpID, Version: r.Version}
+	if r.Done && r.Err != "" {
+		res.Err = &WireError{Code: ErrorCode(r.Code), Message: r.Err}
+	}
+	return res, r.Done, true
 }

@@ -34,3 +34,36 @@ func TestJSONKeyDecodesLikeEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// FuzzJSONKey: a JSONKey arrives inside client request bodies. Whatever
+// the bytes, UnmarshalJSON does not panic and agrees with encoding/json
+// on what a string literal means; and any byte string — valid UTF-8 or
+// not — comes back from marshal→unmarshal unchanged.
+func FuzzJSONKey(f *testing.F) {
+	for _, seed := range []string{
+		`"user/0001"`, `"esc\"aped"`, `"unié"`, "\"bad\xffutf8\"", `{"b64":"/w=="}`, `{"b64":"!"}`,
+		`{"b64":7}`, `{`, `"`, ``, `null`, `[]`, "bin\xff\x00key", "\xf0\x28\x8c\x28",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var k JSONKey
+		err := k.UnmarshalJSON(data)
+		if len(data) > 0 && data[0] == '"' {
+			var want string
+			wantErr := json.Unmarshal(data, &want)
+			if (err == nil) != (wantErr == nil) || (err == nil && string(k) != want) {
+				t.Fatalf("%q: decoded %q (%v), encoding/json gives %q (%v)", data, k, err, want, wantErr)
+			}
+		}
+
+		raw, err := json.Marshal(JSONKey(data))
+		if err != nil {
+			t.Fatalf("key %q does not marshal: %v", data, err)
+		}
+		var back JSONKey
+		if err := json.Unmarshal(raw, &back); err != nil || string(back) != string(data) {
+			t.Fatalf("key %q round-trips through %s as %q (%v)", data, raw, back, err)
+		}
+	})
+}

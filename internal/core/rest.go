@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,7 +24,11 @@ import (
 // RESTServer exposes the controller over the paper's REST interface
 // (§4.1): plain HTTPS with mutual TLS, no special client library
 // required. Clients are identified by the public key of their TLS
-// certificate; certified facts ride along in headers.
+// certificate; certified facts ride along in headers. Objects are put,
+// read, deleted, listed and polled under /v2 (restv2.go); what has no
+// /v2 form — versions, verify, repair, policies, transactions, status,
+// the cluster map, traces — is served under /v1. Every route reports
+// failure in the one envelope of writeError.
 type RESTServer struct {
 	ctl *Controller
 	mux *http.ServeMux
@@ -37,30 +42,27 @@ type RESTServer struct {
 // CertHeader carries base64-encoded certified facts, repeatable.
 const CertHeader = "X-Pesos-Certificate"
 
-// NewREST builds the REST front end for a controller.
+// NewREST builds the REST front end for a controller. Each route names
+// its latency-histogram op class where it is mounted; "" leaves a route
+// untraced and unobserved (status, metrics, the trace API itself).
 func NewREST(ctl *Controller) *RESTServer {
 	s := &RESTServer{ctl: ctl, mux: http.NewServeMux()}
-	s.mux.HandleFunc("PUT /v1/objects/{key...}", s.handlePut)
-	s.mux.HandleFunc("POST /v1/objects/{key...}", s.handlePut)
-	s.mux.HandleFunc("GET /v1/objects/{key...}", s.handleGet)
-	s.mux.HandleFunc("DELETE /v1/objects/{key...}", s.handleDelete)
-	s.mux.HandleFunc("GET /v1/versions/{key...}", s.handleVersions)
-	s.mux.HandleFunc("GET /v1/verify/{key...}", s.handleVerify)
-	s.mux.HandleFunc("POST /v1/repair/{key...}", s.handleRepair)
-	s.mux.HandleFunc("POST /v1/policies", s.handlePutPolicy)
-	s.mux.HandleFunc("GET /v1/policies/{id}", s.handleGetPolicy)
-	s.mux.HandleFunc("GET /v1/results/{op}", s.handleResult)
-	s.mux.HandleFunc("POST /v1/tx", s.handleTxCreate)
-	s.mux.HandleFunc("POST /v1/tx/{id}/read", s.handleTxRead)
-	s.mux.HandleFunc("POST /v1/tx/{id}/write", s.handleTxWrite)
-	s.mux.HandleFunc("POST /v1/tx/{id}/commit", s.handleTxCommit)
-	s.mux.HandleFunc("POST /v1/tx/{id}/abort", s.handleTxAbort)
-	s.mux.HandleFunc("GET /v1/tx/{id}/results", s.handleTxResults)
-	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
-	s.mux.HandleFunc("GET /v1/cluster/map", s.handleClusterMap)
-	s.mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.registerV2()
+	s.object("GET /v1/versions/{key...}", "other", s.handleVersions)
+	s.object("GET /v1/verify/{key...}", "other", s.handleVerify)
+	s.object("POST /v1/repair/{key...}", "other", s.handleRepair)
+	s.route("POST /v1/policies", "other", s.handlePutPolicy)
+	s.route("GET /v1/policies/{id}", "other", s.handleGetPolicy)
+	s.route("POST /v1/tx", "tx", s.handleTxCreate)
+	s.tx("POST /v1/tx/{id}/read", s.handleTxRead)
+	s.tx("POST /v1/tx/{id}/write", s.handleTxWrite)
+	s.tx("POST /v1/tx/{id}/commit", s.handleTxCommit)
+	s.tx("POST /v1/tx/{id}/abort", s.handleTxAbort)
+	s.tx("GET /v1/tx/{id}/results", s.handleTxResults)
+	s.route("GET /v1/status", "", s.handleStatus)
+	s.route("GET /v1/cluster/map", "", s.handleClusterMap)
+	s.route("GET /v1/trace/{id}", "", s.handleTrace)
+	s.route("GET /metrics", "", s.handleMetrics)
 	return s
 }
 
@@ -107,109 +109,71 @@ func (s *RESTServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// runtime (receive + send).
 	s.ctl.cost.Syscall()
 	defer s.ctl.cost.Syscall()
-	op := opForRequest(r)
-	if op == "" || s.ctl.tracer == nil {
-		s.mux.ServeHTTP(w, r)
-		return
-	}
-	// Adopt the caller's trace id (router or client ahead of us) so
-	// their attempts and our work stitch into one trace; otherwise the
-	// controller is the trace root — head-sampled, because only an
-	// explicit id promises someone is watching this particular request.
-	id, _ := obs.ParseTraceID(r.Header.Get(obs.TraceHeader))
-	if id == 0 && !s.ctl.tracer.Sampled() {
-		started := time.Now()
-		s.mux.ServeHTTP(w, r)
-		s.ctl.observeOp(op, time.Since(started))
-		return
-	}
-	ctx, root := s.ctl.tracer.Start(r.Context(), op, id)
-	if ri, ok := obs.ParseRouteInfo(r.Header.Get(obs.RouteHeader)); ok {
-		// The routing already happened client-side; the span carries
-		// its attempt counters, not a duration.
-		obs.RecordSpan(ctx, "router", time.Now(), 0,
-			obs.Attr{Key: "attempt", Value: strconv.Itoa(ri.Attempt)},
-			obs.Attr{Key: "redirects", Value: strconv.Itoa(ri.Redirects)},
-			obs.Attr{Key: "retargets", Value: strconv.Itoa(ri.Retargets)})
-	}
-	w.Header().Set(obs.TraceHeader, obs.FormatTraceID(obs.TraceID(ctx)))
-	started := time.Now()
-	s.mux.ServeHTTP(w, r.WithContext(ctx))
-	root.End()
-	s.ctl.observeOp(op, time.Since(started))
+	s.mux.ServeHTTP(w, r)
 }
 
-// opForRequest classifies a request into the latency-histogram op
-// buckets; "" for endpoints not traced (status, metrics, the trace
-// API itself).
-func opForRequest(r *http.Request) string {
-	p := r.URL.Path
-	switch {
-	case strings.HasPrefix(p, "/v1/objects/"), strings.HasPrefix(p, "/v2/objects/"):
-		switch r.Method {
-		case http.MethodGet:
-			return "get"
-		case http.MethodDelete:
-			return "delete"
-		default:
-			return "put"
+// handler is what a route does for an authenticated caller. It writes
+// its own success reply; an error it returns — before anything was
+// written — becomes the route's failure reply.
+type handler func(w http.ResponseWriter, r *http.Request, sess *Session) error
+
+// route mounts h behind the session check every route shares, under op's
+// trace root and latency histogram.
+func (s *RESTServer) route(pattern, op string, h handler) {
+	s.mux.HandleFunc(pattern, s.traced(op, func(w http.ResponseWriter, r *http.Request) {
+		sess, err := s.session(r)
+		if err == nil {
+			err = h(w, r, sess)
 		}
-	case p == "/v2/objects":
-		return "scan"
-	case strings.HasPrefix(p, "/v2/batch/"):
-		return "batch"
-	case strings.HasPrefix(p, "/v1/tx"):
-		return "tx"
-	case strings.HasPrefix(p, "/v1/versions/"), strings.HasPrefix(p, "/v1/verify/"),
-		strings.HasPrefix(p, "/v1/repair/"), strings.HasPrefix(p, "/v1/policies"),
-		strings.HasPrefix(p, "/v1/results/"), strings.HasPrefix(p, "/v2/results/"):
-		return "other"
-	}
-	return ""
+		if err != nil {
+			writeError(w, err)
+		}
+	}))
 }
 
-// handleTrace serves a completed trace's span tree by hex id.
-func (s *RESTServer) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.session(r); err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
+// traced wraps a route in its trace root and latency observation.
+func (s *RESTServer) traced(op string, next http.HandlerFunc) http.HandlerFunc {
+	if op == "" || s.ctl.tracer == nil {
+		return next
 	}
-	id, ok := obs.ParseTraceID(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusBadRequest, errors.New("bad trace id (want 16 hex digits)"))
-		return
+	return func(w http.ResponseWriter, r *http.Request) {
+		// Adopt the caller's trace id (router or client ahead of us) so
+		// their attempts and our work stitch into one trace; otherwise the
+		// controller is the trace root — head-sampled, because only an
+		// explicit id promises someone is watching this particular request.
+		id, _ := obs.ParseTraceID(r.Header.Get(obs.TraceHeader))
+		if id == 0 && !s.ctl.tracer.Sampled() {
+			started := time.Now()
+			next(w, r)
+			s.ctl.observeOp(op, time.Since(started))
+			return
+		}
+		ctx, root := s.ctl.tracer.Start(r.Context(), op, id)
+		if ri, ok := obs.ParseRouteInfo(r.Header.Get(obs.RouteHeader)); ok {
+			// The routing already happened client-side; the span carries
+			// its attempt counters, not a duration.
+			obs.RecordSpan(ctx, "router", time.Now(), 0,
+				obs.Attr{Key: "attempt", Value: strconv.Itoa(ri.Attempt)},
+				obs.Attr{Key: "redirects", Value: strconv.Itoa(ri.Redirects)},
+				obs.Attr{Key: "retargets", Value: strconv.Itoa(ri.Retargets)})
+		}
+		w.Header().Set(obs.TraceHeader, obs.FormatTraceID(obs.TraceID(ctx)))
+		started := time.Now()
+		next(w, r.WithContext(ctx))
+		root.End()
+		s.ctl.observeOp(op, time.Since(started))
 	}
-	d := s.ctl.TraceDump(id)
-	if d == nil {
-		httpError(w, http.StatusNotFound, errors.New("trace unknown or aged out"))
-		return
-	}
-	writeJSON(w, http.StatusOK, d)
 }
 
-// handleMetrics serves the Prometheus text format on the mTLS API
-// port. Deployments that scrape without client certificates use the
-// daemons' side listener (obs.Serve) instead.
-func (s *RESTServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.session(r); err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	reg := s.ctl.Registry()
-	if reg == nil {
-		httpError(w, http.StatusNotFound, errors.New("observability disabled"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w)
-}
+// errUnauthenticated refuses a request that proved no identity.
+var errUnauthenticated = errors.New("pesos: client certificate required")
 
 // session authenticates the request and returns its session context.
 func (s *RESTServer) session(r *http.Request) (*Session, error) {
 	if r.TLS != nil && len(r.TLS.PeerCertificates) > 0 {
 		fp, err := peerFingerprint(r)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", errUnauthenticated, err)
 		}
 		return s.ctl.Session(fp), nil
 	}
@@ -218,10 +182,47 @@ func (s *RESTServer) session(r *http.Request) (*Session, error) {
 			return s.ctl.Session(id), nil
 		}
 	}
-	return nil, errors.New("client certificate required")
+	return nil, errUnauthenticated
 }
 
-// certs decodes attached certified facts.
+// objectReq is what every route addressed by an object key parses the
+// same way: the key, the certified facts attached to the request, and
+// the optional ?version selector.
+type objectReq struct {
+	key        string
+	certs      []*authority.Certificate
+	query      url.Values
+	version    int64
+	hasVersion bool
+}
+
+// object mounts a route addressed by an object key: route, plus the
+// shared parse of the request, refused as invalid_argument before the
+// handler (or the store) sees it.
+func (s *RESTServer) object(pattern, op string, h func(http.ResponseWriter, *http.Request, *Session, objectReq) error) {
+	s.route(pattern, op, func(w http.ResponseWriter, r *http.Request, sess *Session) error {
+		o := objectReq{key: r.PathValue("key"), query: r.URL.Query()}
+		if o.key == "" {
+			return fmt.Errorf("%w: empty object key", ErrInvalidArgument)
+		}
+		if strings.ContainsRune(o.key, 0) {
+			return fmt.Errorf("%w: object keys must not contain NUL", ErrInvalidArgument)
+		}
+		var err error
+		if o.certs, err = certsFrom(r); err != nil {
+			return err
+		}
+		if v := o.query.Get("version"); v != "" {
+			if o.version, err = strconv.ParseInt(v, 10, 64); err != nil {
+				return fmt.Errorf("%w: bad version: %v", ErrInvalidArgument, err)
+			}
+			o.hasVersion = true
+		}
+		return h(w, r, sess, o)
+	})
+}
+
+// certsFrom decodes attached certified facts.
 func certsFrom(r *http.Request) ([]*authority.Certificate, error) {
 	hdrs := r.Header.Values(CertHeader)
 	if len(hdrs) == 0 {
@@ -231,193 +232,31 @@ func certsFrom(r *http.Request) ([]*authority.Certificate, error) {
 	for _, h := range hdrs {
 		raw, err := base64.StdEncoding.DecodeString(h)
 		if err != nil {
-			return nil, fmt.Errorf("bad %s header: %w", CertHeader, err)
+			return nil, fmt.Errorf("%w: bad %s header: %v", ErrInvalidArgument, CertHeader, err)
 		}
 		c, err := authority.UnmarshalCertificate(raw)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrInvalidArgument, err)
 		}
 		out = append(out, c)
 	}
 	return out, nil
 }
 
-func objectKeyFrom(r *http.Request) (string, error) {
-	key := r.PathValue("key")
-	if key == "" {
-		return "", errors.New("empty object key")
+func (s *RESTServer) handleVersions(w http.ResponseWriter, r *http.Request, sess *Session, o objectReq) error {
+	vers, err := sess.ListVersions(r.Context(), o.key, o.certs)
+	if err != nil {
+		return err
 	}
-	if strings.ContainsRune(key, 0) {
-		return "", errors.New("object keys must not contain NUL")
-	}
-	return key, nil
+	return reply(w, map[string]any{"versions": vers})
 }
 
-// handlePut is the v1 shim over the unified put entry point: same
-// controller path as /v2, legacy response shapes.
-func (s *RESTServer) handlePut(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
+func (s *RESTServer) handleVerify(w http.ResponseWriter, r *http.Request, sess *Session, o objectReq) error {
+	meta, err := sess.Verify(r.Context(), o.key, o.version)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
+		return err
 	}
-	key, err := objectKeyFrom(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	certs, err := certsFrom(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	body, err := readLimit(r.Body)
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	opts := PutOptions{
-		PolicyID: r.URL.Query().Get("policy"), Certs: certs,
-		Async: r.URL.Query().Get("async") != "",
-	}
-	if v := r.URL.Query().Get("version"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad version: %w", err))
-			return
-		}
-		opts.Version, opts.HasVersion = n, true
-	}
-	res := sess.PutOp(r.Context(), key, body, opts)
-	switch {
-	case res.Err != nil:
-		httpError(w, res.Err.Code.HTTPStatus(), errors.New(res.Err.Message))
-	case opts.Async:
-		writeJSON(w, http.StatusOK, map[string]any{"op": res.OpID})
-	default:
-		writeJSON(w, http.StatusOK, map[string]any{"version": res.Version})
-	}
-}
-
-// handleGet is the v1 shim over the streaming read entry point, so v1
-// clients transparently read chunked objects too.
-func (s *RESTServer) handleGet(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	key, err := objectKeyFrom(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	certs, err := certsFrom(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	opts := GetOptions{Certs: certs}
-	if v := r.URL.Query().Get("version"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad version: %w", err))
-			return
-		}
-		opts.Version, opts.HasVersion = n, true
-	}
-	meta, send, err := sess.GetStream(r.Context(), key, opts)
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	w.Header().Set("X-Pesos-Version", strconv.FormatInt(meta.Version, 10))
-	w.Header().Set("X-Pesos-Policy", meta.PolicyID)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(meta.Size, 10))
-	w.WriteHeader(http.StatusOK)
-	if err := send(w); err != nil {
-		panic(http.ErrAbortHandler) // integrity failure mid-stream
-	}
-}
-
-// handleDelete is the v1 shim over the unified delete entry point.
-func (s *RESTServer) handleDelete(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	key, err := objectKeyFrom(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	certs, err := certsFrom(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	opts := DeleteOptions{Certs: certs, Async: r.URL.Query().Get("async") != ""}
-	res := sess.DeleteOp(r.Context(), key, opts)
-	switch {
-	case res.Err != nil:
-		httpError(w, res.Err.Code.HTTPStatus(), errors.New(res.Err.Message))
-	case opts.Async:
-		writeJSON(w, http.StatusOK, map[string]any{"op": res.OpID})
-	default:
-		writeJSON(w, http.StatusOK, map[string]any{"deleted": true})
-	}
-}
-
-func (s *RESTServer) handleVersions(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	key, err := objectKeyFrom(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	certs, err := certsFrom(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	vers, err := sess.ListVersions(r.Context(), key, certs)
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"versions": vers})
-}
-
-func (s *RESTServer) handleVerify(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	key, err := objectKeyFrom(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	ver := int64(0)
-	if v := r.URL.Query().Get("version"); v != "" {
-		if ver, err = strconv.ParseInt(v, 10, 64); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	meta, err := sess.Verify(r.Context(), key, ver)
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return reply(w, map[string]any{
 		"key":         meta.Key,
 		"version":     meta.Version,
 		"size":        meta.Size,
@@ -427,205 +266,112 @@ func (s *RESTServer) handleVerify(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *RESTServer) handleRepair(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
+func (s *RESTServer) handleRepair(w http.ResponseWriter, r *http.Request, sess *Session, o objectReq) error {
+	report, err := sess.Repair(r.Context(), o.key)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
+		return err
 	}
-	key, err := objectKeyFrom(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	report, err := sess.Repair(r.Context(), key)
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return reply(w, map[string]any{
 		"key": report.Key, "versions": report.Versions, "restored": report.Restored,
 	})
 }
 
-func (s *RESTServer) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
+func (s *RESTServer) handlePutPolicy(w http.ResponseWriter, r *http.Request, sess *Session) error {
 	src, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+		return fmt.Errorf("%w: %v", ErrInvalidArgument, err)
 	}
 	id, err := sess.PutPolicy(r.Context(), string(src))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id})
+	return reply(w, map[string]any{"id": id})
 }
 
-func (s *RESTServer) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.session(r); err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
+func (s *RESTServer) handleGetPolicy(w http.ResponseWriter, r *http.Request, _ *Session) error {
 	src, err := s.ctl.GetPolicySource(r.Context(), r.PathValue("id"))
 	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
+		return err
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, src)
+	return nil
 }
 
-func (s *RESTServer) handleResult(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	opID, err := strconv.ParseUint(r.PathValue("op"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, ok := sess.Result(opID)
-	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("result unknown or aged out; re-issue the request"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"op": res.OpID, "done": res.Done, "error": res.Err, "version": res.Version,
+func (s *RESTServer) handleTxCreate(w http.ResponseWriter, r *http.Request, sess *Session) error {
+	return reply(w, map[string]any{"tx": sess.CreateTx()})
+}
+
+// tx mounts a route addressed by a transaction id: route, plus the
+// parse of the id.
+func (s *RESTServer) tx(pattern string, h func(http.ResponseWriter, *http.Request, *Session, uint64) error) {
+	s.route(pattern, "tx", func(w http.ResponseWriter, r *http.Request, sess *Session) error {
+		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
+		if err != nil {
+			return fmt.Errorf("%w: bad transaction id: %v", ErrInvalidArgument, err)
+		}
+		return h(w, r, sess, id)
 	})
 }
 
-func (s *RESTServer) handleTxCreate(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"tx": sess.CreateTx()})
-}
-
-func (s *RESTServer) txID(r *http.Request) (uint64, error) {
-	return strconv.ParseUint(r.PathValue("id"), 10, 64)
-}
-
-func (s *RESTServer) handleTxRead(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	id, err := s.txID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
+// txKey is the object key a transaction read or write declares.
+func txKey(r *http.Request) (string, error) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		httpError(w, http.StatusBadRequest, errors.New("missing key parameter"))
-		return
+		return "", fmt.Errorf("%w: missing key parameter", ErrInvalidArgument)
+	}
+	return key, nil
+}
+
+func (s *RESTServer) handleTxRead(w http.ResponseWriter, r *http.Request, sess *Session, id uint64) error {
+	key, err := txKey(r)
+	if err != nil {
+		return err
 	}
 	if err := sess.AddRead(id, key); err != nil {
-		httpError(w, statusFor(err), err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	return reply(w, map[string]any{"ok": true})
 }
 
-func (s *RESTServer) handleTxWrite(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
+func (s *RESTServer) handleTxWrite(w http.ResponseWriter, r *http.Request, sess *Session, id uint64) error {
+	key, err := txKey(r)
 	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	id, err := s.txID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpError(w, http.StatusBadRequest, errors.New("missing key parameter"))
-		return
+		return err
 	}
 	body, err := readLimit(r.Body)
 	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
+		return err
 	}
 	if err := sess.AddWrite(id, key, body); err != nil {
-		httpError(w, statusFor(err), err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	return reply(w, map[string]any{"ok": true})
 }
 
-func (s *RESTServer) handleTxCommit(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	id, err := s.txID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *RESTServer) handleTxCommit(w http.ResponseWriter, r *http.Request, sess *Session, id uint64) error {
 	if err := sess.CommitTx(r.Context(), id); err != nil {
-		httpError(w, statusFor(err), err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"committed": true})
+	return reply(w, map[string]any{"committed": true})
 }
 
-func (s *RESTServer) handleTxAbort(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	id, err := s.txID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *RESTServer) handleTxAbort(w http.ResponseWriter, _ *http.Request, sess *Session, id uint64) error {
 	if err := sess.AbortTx(id); err != nil {
-		httpError(w, statusFor(err), err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"aborted": true})
+	return reply(w, map[string]any{"aborted": true})
 }
 
-func (s *RESTServer) handleTxResults(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
-	id, err := s.txID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *RESTServer) handleTxResults(w http.ResponseWriter, _ *http.Request, sess *Session, id uint64) error {
 	res, err := sess.CheckResults(id)
 	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": res})
+	return reply(w, map[string]any{"results": res})
 }
 
-func (s *RESTServer) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.session(r); err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
+func (s *RESTServer) handleStatus(w http.ResponseWriter, _ *http.Request, _ *Session) error {
 	st := s.ctl.stats.Snapshot()
 	lats := make(map[string]map[string]any, len(s.ctl.drives))
 	for _, dl := range s.ctl.DriveLatencies() {
@@ -673,30 +419,46 @@ func (s *RESTServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if shard := s.ctl.ShardStatus(); shard != nil {
 		body["shard"] = shard
 	}
-	writeJSON(w, http.StatusOK, body)
+	return reply(w, body)
 }
 
 // handleClusterMap serves the signed cluster shard map document this
 // controller holds, for routers bootstrapping or refreshing their map.
 // 404 on unsharded controllers.
-func (s *RESTServer) handleClusterMap(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.session(r); err != nil {
-		httpError(w, http.StatusUnauthorized, err)
-		return
-	}
+func (s *RESTServer) handleClusterMap(w http.ResponseWriter, _ *http.Request, _ *Session) error {
 	doc := s.ctl.ClusterMapDoc()
 	if len(doc) == 0 {
-		httpError(w, http.StatusNotFound, errors.New("controller holds no cluster map"))
-		return
+		return fmt.Errorf("%w: controller holds no cluster map", ErrNotFound)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(doc)
+	return nil
 }
 
-// statusFor maps controller errors to HTTP status codes through the
-// v2 error taxonomy, so v1 and v2 can never disagree on a status.
-func statusFor(err error) int {
-	return CodeFor(err).HTTPStatus()
+// handleTrace serves a completed trace's span tree by hex id.
+func (s *RESTServer) handleTrace(w http.ResponseWriter, r *http.Request, _ *Session) error {
+	id, ok := obs.ParseTraceID(r.PathValue("id"))
+	if !ok {
+		return fmt.Errorf("%w: bad trace id (want 16 hex digits)", ErrInvalidArgument)
+	}
+	d := s.ctl.TraceDump(id)
+	if d == nil {
+		return fmt.Errorf("%w: trace unknown or aged out", ErrNotFound)
+	}
+	return reply(w, d)
+}
+
+// handleMetrics serves the Prometheus text format on the mTLS API
+// port. Deployments that scrape without client certificates use the
+// daemons' side listener (obs.Serve) instead.
+func (s *RESTServer) handleMetrics(w http.ResponseWriter, _ *http.Request, _ *Session) error {
+	reg := s.ctl.Registry()
+	if reg == nil {
+		return fmt.Errorf("%w: observability disabled", ErrNotFound)
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	reg.WritePrometheus(w)
+	return nil
 }
 
 // readLimit buffers a request body up to the inline value limit.
@@ -711,8 +473,18 @@ func readLimit(body io.Reader) ([]byte, error) {
 	return b, nil
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]any{"error": err.Error()})
+// writeError is how every route reports failure: the envelope
+// {"error":{"code","message"}} under the taxonomy of opresult.go, the
+// HTTP status fixed by the code.
+func writeError(w http.ResponseWriter, err error) {
+	we := wireError(err)
+	writeJSON(w, we.Code.HTTPStatus(), map[string]any{"error": we})
+}
+
+// reply writes a route's 200 JSON answer.
+func reply(w http.ResponseWriter, v any) error {
+	writeJSON(w, http.StatusOK, v)
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

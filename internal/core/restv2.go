@@ -1,11 +1,11 @@
-// The /v2 REST surface: scan-native, batch-native, streaming, with
-// the unified Op/Result model. Every error body is machine-readable —
-// {"error":{"code","message"}} with the taxonomy of opresult.go — and
-// every mutation answers with an OpResult. /v1 remains mounted as a
-// compatibility shim over the same controller entry points (rest.go).
+// The /v2 routes: the one way an object is put, read, deleted, listed
+// or polled over the wire — scan-native, batch-native, streaming, with
+// the unified Op/Result model. Every mutation answers with an OpResult;
+// every failure is the envelope of writeError (rest.go).
 package core
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,59 +14,23 @@ import (
 
 // registerV2 mounts the v2 routes on the REST server's mux.
 func (s *RESTServer) registerV2() {
-	s.mux.HandleFunc("GET /v2/objects", s.handleList)
-	s.mux.HandleFunc("GET /v2/objects/{key...}", s.handleGetV2)
-	s.mux.HandleFunc("PUT /v2/objects/{key...}", s.handlePutV2)
-	s.mux.HandleFunc("POST /v2/objects/{key...}", s.handlePutV2)
-	s.mux.HandleFunc("DELETE /v2/objects/{key...}", s.handleDeleteV2)
-	s.mux.HandleFunc("POST /v2/batch/get", s.handleBatchGet)
-	s.mux.HandleFunc("POST /v2/batch/put", s.handleBatchPut)
-	s.mux.HandleFunc("GET /v2/results/{op}", s.handleResultV2)
-}
-
-// v2Error writes the machine-readable error envelope.
-func v2Error(w http.ResponseWriter, err error) {
-	code := CodeFor(err)
-	writeJSON(w, code.HTTPStatus(), map[string]any{
-		"error": &WireError{Code: code, Message: err.Error()},
-	})
-}
-
-// v2Unauthenticated maps session failures, which carry no sentinel.
-func v2Unauthenticated(w http.ResponseWriter, err error) {
-	writeJSON(w, CodeUnauthenticated.HTTPStatus(), map[string]any{
-		"error": &WireError{Code: CodeUnauthenticated, Message: err.Error()},
-	})
-}
-
-// sessionAndKey runs the shared v2 object-route preamble.
-func (s *RESTServer) sessionAndKey(w http.ResponseWriter, r *http.Request) (*Session, string, bool) {
-	sess, err := s.session(r)
-	if err != nil {
-		v2Unauthenticated(w, err)
-		return nil, "", false
-	}
-	key, err := objectKeyFrom(r)
-	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
-		return nil, "", false
-	}
-	return sess, key, true
+	s.route("GET /v2/objects", "scan", s.handleList)
+	s.object("GET /v2/objects/{key...}", "get", s.handleGetV2)
+	s.object("PUT /v2/objects/{key...}", "put", s.handlePutV2)
+	s.object("POST /v2/objects/{key...}", "put", s.handlePutV2)
+	s.object("DELETE /v2/objects/{key...}", "delete", s.handleDeleteV2)
+	s.route("POST /v2/batch/get", "batch", s.handleBatchGet)
+	s.route("POST /v2/batch/put", "batch", s.handleBatchPut)
+	s.route("GET /v2/results/{op}", "other", s.handleResultV2)
 }
 
 // handleList serves one page of a prefix/range listing.
 //
 //	GET /v2/objects?prefix=P&start=S&limit=N&token=T
-func (s *RESTServer) handleList(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		v2Unauthenticated(w, err)
-		return
-	}
+func (s *RESTServer) handleList(w http.ResponseWriter, r *http.Request, sess *Session) error {
 	certs, err := certsFrom(r)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
-		return
+		return err
 	}
 	q := r.URL.Query()
 	opts := ScanOptions{
@@ -78,50 +42,30 @@ func (s *RESTServer) handleList(w http.ResponseWriter, r *http.Request) {
 	if l := q.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
 		if err != nil || n < 0 {
-			v2Error(w, fmt.Errorf("%w: bad limit %q", ErrInvalidArgument, l))
-			return
+			return fmt.Errorf("%w: bad limit %q", ErrInvalidArgument, l)
 		}
 		opts.Limit = n
 	}
 	page, err := sess.Scan(r.Context(), opts)
 	if err != nil {
-		v2Error(w, err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, page)
+	return reply(w, page)
 }
 
 // handleGetV2 streams an object. Headers carry the metadata; the body
 // is the raw payload, chunked objects streamed chunk by chunk. An
 // integrity failure mid-stream aborts the connection (the client sees
 // a truncated transfer, never silently wrong bytes).
-func (s *RESTServer) handleGetV2(w http.ResponseWriter, r *http.Request) {
-	sess, key, ok := s.sessionAndKey(w, r)
-	if !ok {
-		return
-	}
-	certs, err := certsFrom(r)
+func (s *RESTServer) handleGetV2(w http.ResponseWriter, r *http.Request, sess *Session, o objectReq) error {
+	opts := GetOptions{Certs: o.certs, Version: o.version, HasVersion: o.hasVersion}
+	meta, send, err := sess.GetStream(r.Context(), o.key, opts)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
-		return
-	}
-	opts := GetOptions{Certs: certs}
-	if v := r.URL.Query().Get("version"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			v2Error(w, fmt.Errorf("%w: bad version: %v", ErrInvalidArgument, err))
-			return
-		}
-		opts.Version, opts.HasVersion = n, true
-	}
-	meta, send, err := sess.GetStream(r.Context(), key, opts)
-	if err != nil {
-		v2Error(w, err)
-		return
+		return err
 	}
 	w.Header().Set("X-Pesos-Version", strconv.FormatInt(meta.Version, 10))
 	w.Header().Set("X-Pesos-Policy", meta.PolicyID)
-	w.Header().Set("X-Pesos-Content-Hash", fmt.Sprintf("%x", meta.ContentHash))
+	w.Header().Set("X-Pesos-Content-Hash", hex.EncodeToString(meta.ContentHash[:]))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(meta.Size, 10))
 	w.WriteHeader(http.StatusOK)
@@ -130,81 +74,47 @@ func (s *RESTServer) handleGetV2(w http.ResponseWriter, r *http.Request) {
 		// connection so the truncation is observable client-side.
 		panic(http.ErrAbortHandler)
 	}
+	return nil
 }
 
 // handlePutV2 stores an object from the (streamed) request body.
 // Values above the inline limit become chunked records transparently;
 // ?async=1 defers execution (inline-sized values only) and returns an
 // operation id inside the OpResult.
-func (s *RESTServer) handlePutV2(w http.ResponseWriter, r *http.Request) {
-	sess, key, ok := s.sessionAndKey(w, r)
-	if !ok {
-		return
+func (s *RESTServer) handlePutV2(w http.ResponseWriter, r *http.Request, sess *Session, o objectReq) error {
+	opts := PutOptions{
+		PolicyID: o.query.Get("policy"), Certs: o.certs, Async: o.query.Get("async") != "",
+		Version: o.version, HasVersion: o.hasVersion,
 	}
-	certs, err := certsFrom(r)
+	if !opts.Async {
+		return replyOp(w, sess.PutStream(r.Context(), o.key, r.Body, opts))
+	}
+	// Deferred execution outlives the request, so the body must be
+	// buffered; the inline value limit applies.
+	body, err := readLimit(r.Body)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
-		return
+		return err
 	}
-	q := r.URL.Query()
-	opts := PutOptions{PolicyID: q.Get("policy"), Certs: certs, Async: q.Get("async") != ""}
-	if v := q.Get("version"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			v2Error(w, fmt.Errorf("%w: bad version: %v", ErrInvalidArgument, err))
-			return
-		}
-		opts.Version, opts.HasVersion = n, true
-	}
-	var res OpResult
-	if opts.Async {
-		// Deferred execution outlives the request, so the body must be
-		// buffered; the inline value limit applies.
-		body, err := readLimit(r.Body)
-		if err != nil {
-			v2Error(w, err)
-			return
-		}
-		res = sess.PutOp(r.Context(), key, body, opts)
-	} else {
-		res = sess.PutStream(r.Context(), key, r.Body, opts)
-	}
-	writeOpResult(w, res)
+	return replyOp(w, sess.PutOp(r.Context(), o.key, body, opts))
 }
 
 // handleDeleteV2 removes an object, reporting the destroyed version.
-func (s *RESTServer) handleDeleteV2(w http.ResponseWriter, r *http.Request) {
-	sess, key, ok := s.sessionAndKey(w, r)
-	if !ok {
-		return
-	}
-	certs, err := certsFrom(r)
-	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
-		return
-	}
-	opts := DeleteOptions{Certs: certs, Async: r.URL.Query().Get("async") != ""}
-	writeOpResult(w, sess.DeleteOp(r.Context(), key, opts))
+func (s *RESTServer) handleDeleteV2(w http.ResponseWriter, r *http.Request, sess *Session, o objectReq) error {
+	opts := DeleteOptions{Certs: o.certs, Async: o.query.Get("async") != ""}
+	return replyOp(w, sess.DeleteOp(r.Context(), o.key, opts))
 }
 
 // handleBatchGet serves POST /v2/batch/get {"keys":[...]}.
-func (s *RESTServer) handleBatchGet(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		v2Unauthenticated(w, err)
-		return
-	}
+func (s *RESTServer) handleBatchGet(w http.ResponseWriter, r *http.Request, sess *Session) error {
 	certs, err := certsFrom(r)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
-		return
+		return err
 	}
 	var req struct {
 		Keys []JSONKey `json:"keys"`
 	}
 	if err := decodeBody(r, &req); err != nil {
-		v2Error(w, err)
-		return
+		return err
 	}
 	keys := make([]string, len(req.Keys))
 	for i, k := range req.Keys {
@@ -212,69 +122,54 @@ func (s *RESTServer) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := sess.BatchGet(r.Context(), keys, certs)
 	if err != nil {
-		v2Error(w, err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	return reply(w, map[string]any{"results": results})
 }
 
 // handleBatchPut serves POST /v2/batch/put {"ops":[...]}.
-func (s *RESTServer) handleBatchPut(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		v2Unauthenticated(w, err)
-		return
-	}
+func (s *RESTServer) handleBatchPut(w http.ResponseWriter, r *http.Request, sess *Session) error {
 	certs, err := certsFrom(r)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: %v", ErrInvalidArgument, err))
-		return
+		return err
 	}
 	var req struct {
 		Ops []BatchPutOp `json:"ops"`
 	}
 	if err := decodeBody(r, &req); err != nil {
-		v2Error(w, err)
-		return
+		return err
 	}
 	results, err := sess.BatchPut(r.Context(), req.Ops, certs)
 	if err != nil {
-		v2Error(w, err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	return reply(w, map[string]any{"results": results})
 }
 
 // handleResultV2 polls an asynchronous operation through the unified
 // result shape: {"done":bool,"result":OpResult}.
-func (s *RESTServer) handleResultV2(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
-	if err != nil {
-		v2Unauthenticated(w, err)
-		return
-	}
+func (s *RESTServer) handleResultV2(w http.ResponseWriter, r *http.Request, sess *Session) error {
 	opID, err := strconv.ParseUint(r.PathValue("op"), 10, 64)
 	if err != nil {
-		v2Error(w, fmt.Errorf("%w: bad op id: %v", ErrInvalidArgument, err))
-		return
+		return fmt.Errorf("%w: bad op id: %v", ErrInvalidArgument, err)
 	}
 	res, done, ok := sess.ResultOp(opID)
 	if !ok {
-		v2Error(w, fmt.Errorf("%w: result unknown or aged out; re-issue the request", ErrNotFound))
-		return
+		return fmt.Errorf("%w: result unknown or aged out; re-issue the request", ErrNotFound)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"done": done, "result": res})
+	return reply(w, map[string]any{"done": done, "result": res})
 }
 
-// writeOpResult renders a mutation outcome: the HTTP status follows
-// the embedded error's taxonomy code (200 on success), the body is
-// always the full OpResult.
-func writeOpResult(w http.ResponseWriter, res OpResult) {
+// replyOp renders a mutation outcome: the HTTP status follows the
+// embedded error's taxonomy code (200 on success), the body is always
+// the full OpResult.
+func replyOp(w http.ResponseWriter, res OpResult) error {
 	status := http.StatusOK
 	if res.Err != nil {
 		status = res.Err.Code.HTTPStatus()
 	}
 	writeJSON(w, status, res)
+	return nil
 }
 
 // decodeBody parses a bounded JSON request body.

@@ -37,20 +37,19 @@ type asyncState struct {
 	nextOp  atomic.Uint64
 }
 
+// asyncWorkers sizes the pool executing asynchronous operations.
+const asyncWorkers = 32
+
 // ensureAsync lazily starts the async worker pool.
 func (c *Controller) ensureAsync() *asyncState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.async == nil {
-		n := c.cfg.AsyncWorkers
-		if n <= 0 {
-			n = 32
-		}
 		a := &asyncState{
 			results: cache.NewResultBuffer(0, c.epc, "result-buffer"),
 			queue:   make(chan func(), 4096),
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < asyncWorkers; i++ {
 			a.wg.Add(1)
 			go func() {
 				defer a.wg.Done()
@@ -140,8 +139,8 @@ func (s *Session) Get(ctx context.Context, key string, opts GetOptions) ([]byte,
 	return s.ctl.getObject(ctx, s.clientKey, key, opts)
 }
 
-// Delete removes an object and its history. The v1-compatible shape
-// drops the destroyed version; DeleteOp reports it.
+// Delete removes an object and its history. It drops the destroyed
+// version; DeleteOp reports it.
 func (s *Session) Delete(ctx context.Context, key string, opts DeleteOptions) error {
 	s.touch()
 	_, err := s.ctl.deleteObject(ctx, s.clientKey, key, opts)
@@ -168,58 +167,4 @@ func (s *Session) Verify(ctx context.Context, key string, version int64) (*store
 		return nil, err
 	}
 	return s.ctl.verifyStored(ctx, key, version)
-}
-
-// PutAsync enqueues a put and immediately returns an operation id the
-// client can poll with Result (§4.1). The context is detached: the
-// operation outlives the initiating request.
-func (s *Session) PutAsync(key string, value []byte, opts PutOptions) uint64 {
-	s.touch()
-	a := s.ctl.ensureAsync()
-	opID := a.nextOp.Add(1)
-	a.results.Put(cache.Result{OpID: opID, Owner: s.clientKey, Key: key, Done: false})
-	a.queue <- func() {
-		opts := opts
-		opts.Async = false
-		ver, err := s.ctl.putObject(context.Background(), s.clientKey, key, value, opts)
-		res := cache.Result{OpID: opID, Owner: s.clientKey, Key: key, Done: true, Version: ver}
-		if err != nil {
-			res.Err, res.Code = err.Error(), string(CodeFor(err))
-		}
-		a.results.Put(res)
-	}
-	return opID
-}
-
-// DeleteAsync enqueues a delete, returning an operation id.
-func (s *Session) DeleteAsync(key string, opts DeleteOptions) uint64 {
-	s.touch()
-	a := s.ctl.ensureAsync()
-	opID := a.nextOp.Add(1)
-	a.results.Put(cache.Result{OpID: opID, Owner: s.clientKey, Key: key, Done: false})
-	a.queue <- func() {
-		opts := opts
-		opts.Async = false
-		ver, err := s.ctl.deleteObject(context.Background(), s.clientKey, key, opts)
-		res := cache.Result{OpID: opID, Owner: s.clientKey, Key: key, Done: true, Version: ver}
-		if err != nil {
-			res.Err, res.Code = err.Error(), string(CodeFor(err))
-		}
-		a.results.Put(res)
-	}
-	return opID
-}
-
-// Result reports the outcome of an asynchronous operation. ok=false
-// means the id is unknown, aged out of the 2048-entry window, or
-// owned by a different client — in all cases the client must assume
-// the request may not have executed and re-issue it (§4.1).
-func (s *Session) Result(opID uint64) (cache.Result, bool) {
-	s.touch()
-	a := s.ctl.ensureAsync()
-	r, ok := a.results.Get(opID)
-	if !ok || r.Owner != s.clientKey {
-		return cache.Result{}, false
-	}
-	return r, true
 }

@@ -1,6 +1,6 @@
-// Streaming read/write paths of the v2 API. The v1 surface buffers
-// whole values in the handler and inherits the Kinetic 1 MB value
-// limit; here uploads are consumed chunk by chunk and large objects
+// Streaming read/write paths of the object API. A buffered put holds
+// the whole value and inherits the Kinetic 1 MB value limit; here
+// uploads are consumed chunk by chunk and large objects
 // are persisted as a sequence of chunk records — each at most
 // store.MaxObjectSize — sealed by a chunk-stub object record and the
 // metadata record committed in one atomic batch per replica. A crash

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/tlsutil"
 )
 
@@ -19,6 +20,16 @@ func apiStatus(err error) int {
 		return apiErr.Status
 	}
 	return 0
+}
+
+// opCode extracts the taxonomy code of a mutation's per-op failure, ""
+// if err is not one.
+func opCode(err error) core.ErrorCode {
+	var opErr *client.OpError
+	if errors.As(err, &opErr) {
+		return core.ErrorCode(opErr.Code)
+	}
+	return ""
 }
 
 func TestRESTErrorMapping(t *testing.T) {
@@ -40,7 +51,7 @@ func TestRESTErrorMapping(t *testing.T) {
 	}
 	// 404 for an unknown policy id on put.
 	_, err = cl.Put(ctx, "k", []byte("v"), client.PutOptions{PolicyID: "nope"})
-	if apiStatus(err) != http.StatusNotFound {
+	if code := opCode(err); code != core.CodeNoSuchPolicy || code.HTTPStatus() != http.StatusNotFound {
 		t.Errorf("unknown policy: %v", err)
 	}
 	// 409 for version conflicts.
@@ -48,7 +59,7 @@ func TestRESTErrorMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = cl.Put(ctx, "k", []byte("v"), client.PutOptions{Version: 9, HasVersion: true})
-	if apiStatus(err) != http.StatusConflict {
+	if code := opCode(err); code != core.CodeVersionConflict || code.HTTPStatus() != http.StatusConflict {
 		t.Errorf("version conflict: %v", err)
 	}
 	// 400 for malformed policies.
@@ -56,8 +67,8 @@ func TestRESTErrorMapping(t *testing.T) {
 	if apiStatus(err) != http.StatusBadRequest {
 		t.Errorf("bad policy: %v", err)
 	}
-	// 403 surfaces as ErrDenied (tested throughout); also check the
-	// status is preserved in the message path by a denied delete.
+	// 403 surfaces as ErrDenied (tested throughout); a denied delete
+	// is one too, under the denied code.
 	pid, err := cl.PutPolicy(ctx, "read :- sessionKeyIs(U)")
 	if err != nil {
 		t.Fatal(err)
@@ -65,13 +76,16 @@ func TestRESTErrorMapping(t *testing.T) {
 	if _, err := cl.Put(ctx, "sealed", []byte("x"), client.PutOptions{PolicyID: pid}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Delete(ctx, "sealed", false); !errors.Is(err, client.ErrDenied) {
+	if err := cl.Delete(ctx, "sealed"); !errors.Is(err, client.ErrDenied) || opCode(err) != core.CodeDenied {
 		t.Errorf("denied delete: %v", err)
 	}
 	// NUL bytes in keys are rejected before touching the store.
 	_, err = cl.Put(ctx, "bad\x00key", []byte("v"), client.PutOptions{})
-	if apiStatus(err) != http.StatusBadRequest {
+	if code := opCode(err); code != core.CodeInvalidArgument || code.HTTPStatus() != http.StatusBadRequest {
 		t.Errorf("NUL key: %v", err)
+	}
+	if _, _, err = cl.Get(ctx, "bad\x00key", client.GetOptions{}); apiStatus(err) != http.StatusBadRequest {
+		t.Errorf("NUL key read: %v", err)
 	}
 }
 

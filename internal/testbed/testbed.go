@@ -52,11 +52,10 @@ type Options struct {
 	PlaintextPayloads bool
 	// DisablePolicies turns enforcement off (baseline of §6.4).
 	DisablePolicies bool
-	// ObjectCacheBytes / KeyCacheBytes override the controller cache
-	// budgets (0 = paper defaults); benchmarks shrink them to force
-	// cache-hostile read workloads.
+	// ObjectCacheBytes overrides the controller's object cache budget
+	// (0 = paper default); benchmarks shrink it to force cache-hostile
+	// read workloads.
 	ObjectCacheBytes int64
-	KeyCacheBytes    int64
 	// DriveTLS enables TLS on controller↔drive links (default true —
 	// set PlainDriveLinks to disable for microbenchmarks isolating
 	// controller CPU).
@@ -320,7 +319,6 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 		PolicyCacheEntries:   opts.PolicyCacheEntries,
 		PolicyCacheBytes:     opts.PolicyCacheBytes,
 		ObjectCacheBytes:     opts.ObjectCacheBytes,
-		KeyCacheBytes:        opts.KeyCacheBytes,
 		Clock:                opts.Clock,
 		SessionTTL:           opts.SessionTTL,
 		Shard:                shard,

@@ -62,7 +62,7 @@ func TestEndToEndPutGet(t *testing.T) {
 		}
 	}
 
-	if _, err := cl.Delete(ctx, "greeting", false); err != nil {
+	if err := cl.Delete(ctx, "greeting"); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	if _, _, err := cl.Get(ctx, "greeting", client.GetOptions{}); err == nil {
@@ -107,7 +107,7 @@ func TestEndToEndPolicyEnforcement(t *testing.T) {
 		t.Fatalf("bob update should be denied, got %v", err)
 	}
 	// Nobody holds delete permission.
-	if _, err := alice.Delete(ctx, "doc", false); err == nil {
+	if err := alice.Delete(ctx, "doc"); err == nil {
 		t.Fatal("delete should be denied (no delete permission in policy)")
 	}
 }
@@ -123,19 +123,23 @@ func TestEndToEndAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := cl.Put(ctx, "async-key", []byte("payload"), client.PutOptions{Async: true})
-	if err != nil {
-		t.Fatalf("async put: %v", err)
+	// Async is PutOp + ResultOp; the synchronous sugar refuses it.
+	if _, err := cl.Put(ctx, "async-key", []byte("payload"), client.PutOptions{Async: true}); err == nil {
+		t.Fatal("Put accepted Async")
+	}
+	op, err := cl.PutOp(ctx, "async-key", []byte("payload"), client.PutOptions{Async: true})
+	if err != nil || op.Err != nil || op.Op == 0 {
+		t.Fatalf("async put: %+v %v", op, err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		res, ok, err := cl.Result(ctx, uint64(op))
+		res, done, ok, err := cl.ResultOp(ctx, op.Op)
 		if err != nil {
 			t.Fatalf("result: %v", err)
 		}
-		if ok && res.Done {
-			if res.Error != "" {
-				t.Fatalf("async op failed: %s", res.Error)
+		if ok && done {
+			if res.Err != nil {
+				t.Fatalf("async op failed: %v", res.Err)
 			}
 			break
 		}

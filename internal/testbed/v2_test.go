@@ -3,6 +3,8 @@ package testbed
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/rand"
@@ -67,34 +69,39 @@ func TestKeyEscapingRoundTripProperty(t *testing.T) {
 			continue
 		}
 		seen[key] = true
-		want := []byte("v1:" + key)
+		want := []byte("value of " + key)
 
-		// v1 round trip.
-		if _, err := cl.Put(ctx, key, want, client.PutOptions{}); err != nil {
-			t.Errorf("v1 put %q: %v", key, err)
-			continue
-		}
-		got, _, err := cl.Get(ctx, key, client.GetOptions{})
-		if err != nil || !bytes.Equal(got, want) {
-			t.Errorf("v1 get %q: %q %v", key, got, err)
-		}
-
-		// v2 round trip (update to version 1).
-		want2 := []byte("v2:" + key)
-		res, err := cl.PutOp(ctx, key, want2, client.PutOptions{})
+		// The object routes.
+		res, err := cl.PutOp(ctx, key, want, client.PutOptions{})
 		if err != nil || res.Err != nil {
-			t.Errorf("v2 put %q: %v %v", key, err, res.Err)
+			t.Errorf("put %q: %v %v", key, err, res.Err)
 			continue
 		}
 		body, _, err := cl.GetStream(ctx, key, client.GetOptions{})
 		if err != nil {
-			t.Errorf("v2 get %q: %v", key, err)
+			t.Errorf("get %q: %v", key, err)
 			continue
 		}
 		got, rerr := io.ReadAll(body)
 		body.Close()
-		if rerr != nil || !bytes.Equal(got, want2) {
-			t.Errorf("v2 get %q: %q %v", key, got, rerr)
+		if rerr != nil || !bytes.Equal(got, want) {
+			t.Errorf("get %q: %q %v", key, got, rerr)
+		}
+
+		// The key-addressed routes without a /v2 twin reach the same
+		// object: each value is distinct, so a request that landed on
+		// another key (or none) shows in the size and hash.
+		if vers, err := cl.ListVersions(ctx, key); err != nil || len(vers) != 1 || vers[0] != 0 {
+			t.Errorf("versions %q: %v %v", key, vers, err)
+		}
+		sum := sha256.Sum256(want)
+		if info, err := cl.Verify(ctx, key, 0); err != nil {
+			t.Errorf("verify %q: %v", key, err)
+		} else if info.Size != int64(len(want)) || info.ContentHash != hex.EncodeToString(sum[:]) {
+			t.Errorf("verify %q reached another object: %+v", key, info)
+		}
+		if versions, restored, err := cl.Repair(ctx, key); err != nil || versions != 1 || restored != 0 {
+			t.Errorf("repair %q: %d versions, %d restored, %v", key, versions, restored, err)
 		}
 	}
 
