@@ -44,90 +44,77 @@ import (
 	"repro/internal/tlsutil"
 )
 
-func main() {
-	state := flag.String("state", "./pesos-state", "state directory (CA, identities, secrets)")
-	initState := flag.Bool("init", false, "initialize the state directory and exit")
-	issueClient := flag.String("issue-client", "", "issue a client certificate with this name and exit")
-	listen := flag.String("listen", ":8443", "REST listen address")
-	drives := flag.String("drives", "", "comma-separated drive addresses (host:port)")
-	driveTLS := flag.Bool("drive-tls", false, "connect to drives over TLS")
-	replicas := flag.Int("replicas", 1, "copies per object")
-	ecOn := flag.Bool("ec", false, "erasure-code large streamed objects (Reed-Solomon k+m) instead of full replication")
-	ecK := flag.Int("ec-k", 0, "data shards per EC stripe (0 = default 4)")
-	ecM := flag.Int("ec-m", 0, "parity shards per EC stripe (0 = default 2)")
-	ecMinBytes := flag.Int64("ec-min-bytes", 0, "minimum streamed object size for erasure coding; smaller objects stay replicated (0 = default 4 MiB)")
-	noEncrypt := flag.Bool("no-encrypt", false, "disable payload encryption (baseline)")
-	host := flag.String("host", "localhost", "hostname in the serving certificate")
-	shardMap := flag.String("shard-map", "", "signed cluster shard map file; runs the controller as one shard")
-	shardID := flag.Int("shard-id", 0, "this controller's shard id in the map (with -shard-map)")
-	signMap := flag.String("sign-map", "", "sign a plain shard map JSON file with the state's map key, print the signed document, and exit")
-	repairInterval := flag.Duration("repair-interval", 0, "run the incremental anti-entropy sweeper on this tick interval; each tick examines a bounded slice of the keyspace from a resumable cursor (0 = off)")
-	detectInterval := flag.Duration("detect-interval", 0, "probe drives for failure detection this often; dead drives are routed around and re-replicated onto spares (0 = off)")
-	sweepKeys := flag.Int("sweep-keys", 0, "keys examined per sweeper tick (0 = default 256)")
-	sweepBytes := flag.Int64("sweep-bytes", 0, "record bytes rewritten per sweeper tick (0 = default 4 MiB)")
-	obsMode := flag.String("obs", "on", "observability layer (metrics, tracing, audit): on or off")
-	obsListen := flag.String("obs-listen", "", "plain-HTTP observability listener for /metrics and loopback pprof (empty = API port only)")
-	auditDir := flag.String("audit-dir", "", "directory for the sealed audit decision log (empty = disabled)")
-	auditSampleAllow := flag.Int("audit-sample-allow", 0, "record 1-in-N policy ALLOW decisions in the audit log (0 = denies only)")
-	slowOp := flag.Duration("slow-op", 0, "dump the span tree of requests at or over this duration (0 = default 250ms, negative = off)")
-	traceSample := flag.Int("trace-sample", 16, "trace 1-in-N requests that arrive without an X-Pesos-Trace id (explicit ids are always traced; 1 = trace everything)")
-	flag.Parse()
-
-	switch {
-	case *initState:
-		if err := doInit(*state, *host); err != nil {
-			log.Fatalf("pesos: init: %v", err)
-		}
-		fmt.Printf("state initialized in %s\n", *state)
-	case *issueClient != "":
-		if err := doIssueClient(*state, *issueClient); err != nil {
-			log.Fatalf("pesos: issue-client: %v", err)
-		}
-	case *signMap != "":
-		if err := doSignMap(*state, *signMap); err != nil {
-			log.Fatalf("pesos: sign-map: %v", err)
-		}
-	default:
-		opts := runOpts{
-			state: *state, listen: *listen, drives: *drives, driveTLS: *driveTLS,
-			replicas: *replicas, encrypt: !*noEncrypt,
-			ec: *ecOn, ecK: *ecK, ecM: *ecM, ecMinBytes: *ecMinBytes,
-			shardMapFile: *shardMap, shardID: *shardID,
-			repairInterval: *repairInterval, detectInterval: *detectInterval,
-			sweepKeys: *sweepKeys, sweepBytes: *sweepBytes,
-			disableObs:       *obsMode == "off" || *obsMode == "false" || *obsMode == "0",
-			obsListen:        *obsListen,
-			auditDir:         *auditDir,
-			auditSampleAllow: *auditSampleAllow,
-			slowOp:           *slowOp,
-			traceSample:      *traceSample,
-		}
-		if err := run(opts); err != nil {
-			log.Fatalf("pesos: %v", err)
-		}
-	}
+// options is what the command line says: a core.Config the controller
+// flags bind onto directly, the deployment around it, and the one-shot
+// modes that exit instead of serving.
+type options struct {
+	cfg                                              core.Config
+	state, host, listen, obsListen, drives, shardMap string
+	driveTLS                                         bool
+	shardID                                          int
+	initState                                        bool
+	issueClient, signMap                             string
 }
 
-// runOpts carries the daemon's flag set into run.
-type runOpts struct {
-	state, listen, drives          string
-	driveTLS                       bool
-	replicas                       int
-	ec                             bool
-	ecK, ecM                       int
-	ecMinBytes                     int64
-	encrypt                        bool
-	shardMapFile                   string
-	shardID                        int
-	repairInterval, detectInterval time.Duration
-	sweepKeys                      int
-	sweepBytes                     int64
-	disableObs                     bool
-	obsListen                      string
-	auditDir                       string
-	auditSampleAllow               int
-	slowOp                         time.Duration
-	traceSample                    int
+// parseFlags parses the command line (without the program name).
+func parseFlags(args []string) (*options, error) {
+	o := &options{cfg: core.Config{TakeOver: true}}
+	cfg := &o.cfg
+	fs := flag.NewFlagSet("pesos", flag.ContinueOnError)
+	fs.StringVar(&o.state, "state", "./pesos-state", "state directory (CA, identities, secrets)")
+	fs.BoolVar(&o.initState, "init", false, "initialize the state directory and exit")
+	fs.StringVar(&o.issueClient, "issue-client", "", "issue a client certificate with this name and exit")
+	fs.StringVar(&o.listen, "listen", ":8443", "REST listen address")
+	fs.StringVar(&o.drives, "drives", "", "comma-separated drive addresses (host:port)")
+	fs.BoolVar(&o.driveTLS, "drive-tls", false, "connect to drives over TLS")
+	fs.IntVar(&cfg.Replicas, "replicas", 1, "copies per object")
+	fs.BoolVar(&cfg.EC, "ec", false, "erasure-code large streamed objects (Reed-Solomon k+m) instead of full replication")
+	fs.IntVar(&cfg.ECDataShards, "ec-k", 0, "data shards per EC stripe (0 = default 4)")
+	fs.IntVar(&cfg.ECParityShards, "ec-m", 0, "parity shards per EC stripe (0 = default 2)")
+	fs.Int64Var(&cfg.ECMinBytes, "ec-min-bytes", 0, "minimum streamed object size for erasure coding; smaller objects stay replicated (0 = default 4 MiB)")
+	noEncrypt := fs.Bool("no-encrypt", false, "disable payload encryption (baseline)")
+	fs.StringVar(&o.host, "host", "localhost", "hostname in the serving certificate")
+	fs.StringVar(&o.shardMap, "shard-map", "", "signed cluster shard map file; runs the controller as one shard")
+	fs.IntVar(&o.shardID, "shard-id", 0, "this controller's shard id in the map (with -shard-map)")
+	fs.StringVar(&o.signMap, "sign-map", "", "sign a plain shard map JSON file with the state's map key, print the signed document, and exit")
+	fs.DurationVar(&cfg.SweepInterval, "repair-interval", 0, "run the incremental anti-entropy sweeper on this tick interval; each tick examines a bounded slice of the keyspace from a resumable cursor (0 = off)")
+	fs.DurationVar(&cfg.DetectorInterval, "detect-interval", 0, "probe drives for failure detection this often; dead drives are routed around and re-replicated onto spares (0 = off)")
+	fs.IntVar(&cfg.SweepKeysPerTick, "sweep-keys", 0, "keys examined per sweeper tick (0 = default 256)")
+	fs.Int64Var(&cfg.SweepBytesPerTick, "sweep-bytes", 0, "record bytes rewritten per sweeper tick (0 = default 4 MiB)")
+	obsMode := fs.String("obs", "on", "observability layer (metrics, tracing, audit): on or off")
+	fs.StringVar(&o.obsListen, "obs-listen", "", "plain-HTTP observability listener for /metrics and loopback pprof (empty = API port only)")
+	fs.StringVar(&cfg.AuditDir, "audit-dir", "", "directory for the sealed audit decision log (empty = disabled)")
+	fs.IntVar(&cfg.AuditSampleAllow, "audit-sample-allow", 0, "record 1-in-N policy ALLOW decisions in the audit log (0 = denies only)")
+	fs.DurationVar(&cfg.SlowOpThreshold, "slow-op", 0, "dump the span tree of requests at or over this duration (0 = default 250ms, negative = off)")
+	fs.IntVar(&cfg.TraceSample, "trace-sample", 16, "trace 1-in-N requests that arrive without an X-Pesos-Trace id (explicit ids are always traced; 1 = trace everything)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	cfg.Encrypt = !*noEncrypt
+	cfg.DisableObs = *obsMode == "off" || *obsMode == "false" || *obsMode == "0"
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		os.Exit(2) // the flag set has said why
+	}
+	switch {
+	case o.initState:
+		if err = doInit(o.state, o.host); err == nil {
+			fmt.Printf("state initialized in %s\n", o.state)
+		}
+	case o.issueClient != "":
+		err = doIssueClient(o.state, o.issueClient)
+	case o.signMap != "":
+		err = doSignMap(o.state, o.signMap)
+	default:
+		err = run(o)
+	}
+	if err != nil {
+		log.Fatalf("pesos: %v", err)
+	}
 }
 
 // stateFiles names the layout of the state directory.
@@ -167,14 +154,10 @@ func doInit(dir, host string) error {
 		return err
 	}
 	var secrets attest.Secrets
-	if _, err := rand.Read(secrets.ObjectKey[:]); err != nil {
-		return err
-	}
-	if _, err := rand.Read(secrets.AdminSeed[:]); err != nil {
-		return err
-	}
-	if _, err := rand.Read(secrets.MapKey[:]); err != nil {
-		return err
+	for _, key := range [][]byte{secrets.ObjectKey[:], secrets.AdminSeed[:], secrets.MapKey[:]} {
+		if _, err := rand.Read(key); err != nil {
+			return err
+		}
 	}
 	secretsJSON, err := json.MarshalIndent(&secrets, "", "  ")
 	if err != nil {
@@ -192,6 +175,15 @@ func doInit(dir, host string) error {
 		}
 	}
 	return nil
+}
+
+// loadSecrets reads the runtime secret bundle back.
+func loadSecrets(sf stateFiles) (*attest.Secrets, error) {
+	data, err := os.ReadFile(sf.secrets())
+	if err != nil {
+		return nil, fmt.Errorf("read secrets (run -init first): %w", err)
+	}
+	return attest.UnmarshalSecrets(data)
 }
 
 // loadCA reads the CA back for issuing client certs and trust pools.
@@ -252,8 +244,7 @@ func doIssueClient(dir, name string) error {
 // ensureMapKey provisions a cluster map key in an existing state
 // directory that predates sharding (its secrets.json has a zero
 // MapKey). The key is additive — nothing ever depended on the zero
-// value — so upgrading in place is safe, and it must happen before
-// run() grafts the runtime TLS material onto the struct.
+// value — so upgrading in place is safe.
 func ensureMapKey(sf stateFiles, secrets *attest.Secrets) error {
 	if secrets.MapKey != ([32]byte{}) {
 		return nil
@@ -277,11 +268,7 @@ func ensureMapKey(sf stateFiles, secrets *attest.Secrets) error {
 // stdout (operators pipe it to a file and publish it on attestd).
 func doSignMap(dir, specFile string) error {
 	sf := stateFiles{dir}
-	secretsJSON, err := os.ReadFile(sf.secrets())
-	if err != nil {
-		return fmt.Errorf("read secrets (run -init first): %w", err)
-	}
-	secrets, err := attest.UnmarshalSecrets(secretsJSON)
+	secrets, err := loadSecrets(sf)
 	if err != nil {
 		return err
 	}
@@ -305,28 +292,19 @@ func doSignMap(dir, specFile string) error {
 }
 
 // run boots the controller against TCP drives and serves REST.
-func run(o runOpts) error {
-	dir, listen, driveList := o.state, o.listen, o.drives
+func run(o *options) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	sf := stateFiles{dir}
-	if driveList == "" {
+	sf := stateFiles{o.state}
+	if o.drives == "" {
 		return fmt.Errorf("no drives configured (use -drives host:port,...)")
 	}
-	secretsJSON, err := os.ReadFile(sf.secrets())
-	if err != nil {
-		return fmt.Errorf("read secrets (run -init first): %w", err)
-	}
-	secrets, err := attest.UnmarshalSecrets(secretsJSON)
+	secrets, err := loadSecrets(sf)
 	if err != nil {
 		return err
 	}
-	secrets.TLSCertPEM, err = os.ReadFile(sf.serverCert())
-	if err != nil {
-		return err
-	}
-	secrets.TLSKeyPEM, err = os.ReadFile(sf.serverKey())
+	serverCert, err := tls.LoadX509KeyPair(sf.serverCert(), sf.serverKey())
 	if err != nil {
 		return err
 	}
@@ -335,30 +313,10 @@ func run(o runOpts) error {
 		return err
 	}
 
-	addrs := strings.Split(driveList, ",")
-	cfg := core.Config{
-		Replicas:       o.replicas,
-		EC:             o.ec,
-		ECDataShards:   o.ecK,
-		ECParityShards: o.ecM,
-		ECMinBytes:     o.ecMinBytes,
-		Encrypt:        o.encrypt,
-		TakeOver:       true,
-		Secrets:        secrets,
-		// Self-healing: the controller's own maintenance loops run the
-		// failure detector and the incremental sweeper.
-		DetectorInterval:  o.detectInterval,
-		SweepInterval:     o.repairInterval,
-		SweepKeysPerTick:  o.sweepKeys,
-		SweepBytesPerTick: o.sweepBytes,
-		DisableObs:        o.disableObs,
-		AuditDir:          o.auditDir,
-		AuditSampleAllow:  o.auditSampleAllow,
-		SlowOpThreshold:   o.slowOp,
-		TraceSample:       o.traceSample,
-	}
-	if o.shardMapFile != "" {
-		doc, err := os.ReadFile(o.shardMapFile)
+	cfg := o.cfg
+	cfg.Secrets = secrets
+	if o.shardMap != "" {
+		doc, err := os.ReadFile(o.shardMap)
 		if err != nil {
 			return fmt.Errorf("read shard map: %w", err)
 		}
@@ -379,7 +337,7 @@ func run(o runOpts) error {
 			o.shardID, len(m.Shards), m.Epoch, info.Ranges)
 	}
 	secrets.Drives = nil
-	for i, addr := range addrs {
+	for i, addr := range strings.Split(o.drives, ",") {
 		addr = strings.TrimSpace(addr)
 		var tlsCfg *tls.Config
 		if o.driveTLS {
@@ -416,17 +374,13 @@ func run(o runOpts) error {
 		log.Printf("pesos: observability endpoint on %s", o.obsListen)
 	}
 
-	serverCert, err := tls.X509KeyPair(secrets.TLSCertPEM, secrets.TLSKeyPEM)
-	if err != nil {
-		return err
-	}
 	tlsCfg := &tls.Config{
 		Certificates: []tls.Certificate{serverCert},
 		ClientAuth:   tls.RequireAndVerifyClientCert,
 		ClientCAs:    ca.Pool(),
 		MinVersion:   tls.VersionTLS12,
 	}
-	ln, err := net.Listen("tcp", listen)
+	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {
 		return err
 	}
@@ -447,7 +401,7 @@ func run(o runOpts) error {
 	}()
 	go srv.Serve(tls.NewListener(ln, tlsCfg))
 	log.Printf("pesos: controller serving on %s, %d drives, replicas=%d, encrypt=%v",
-		ln.Addr(), len(cfg.Drives), o.replicas, o.encrypt)
+		ln.Addr(), len(cfg.Drives), cfg.Replicas, cfg.Encrypt)
 
 	<-ctx.Done()
 	log.Printf("pesos: shutting down")

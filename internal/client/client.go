@@ -130,48 +130,32 @@ func (c *Client) Delete(ctx context.Context, key string, certs ...*authority.Cer
 
 // ListVersions returns an object's stored versions.
 func (c *Client) ListVersions(ctx context.Context, key string, certs ...*authority.Certificate) ([]int64, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/versions/"+escapeKey(key), nil, nil, certs)
-	if err != nil {
-		return nil, err
-	}
 	var out struct {
 		Versions []int64 `json:"versions"`
 	}
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return out.Versions, nil
+	err := c.call(ctx, http.MethodGet, "/v1/versions/"+escapeKey(key), nil, nil, certs, &out)
+	return out.Versions, err
 }
 
 // PutPolicy uploads policy source, returning the policy id.
 func (c *Client) PutPolicy(ctx context.Context, src string) (string, error) {
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/policies", nil, bytes.NewReader([]byte(src)), nil)
-	if err != nil {
-		return "", err
-	}
 	var out struct {
 		ID string `json:"id"`
 	}
-	if err := c.do(req, &out); err != nil {
-		return "", err
-	}
-	return out.ID, nil
+	err := c.call(ctx, http.MethodPost, "/v1/policies", nil, strings.NewReader(src), nil, &out)
+	return out.ID, err
 }
 
 // GetPolicy fetches the canonical source of a stored policy.
 func (c *Client) GetPolicy(ctx context.Context, id string) (string, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/policies/"+url.PathEscape(id), nil, nil, nil)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/policies/"+url.PathEscape(id), nil, nil, nil)
 	if err != nil {
 		return "", err
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return "", decodeError(resp)
 	}
+	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	return string(b), err
 }
@@ -189,12 +173,8 @@ type VerifyInfo struct {
 // Verify fetches integrity-checked metadata for a stored version.
 func (c *Client) Verify(ctx context.Context, key string, version int64) (*VerifyInfo, error) {
 	q := url.Values{"version": {strconv.FormatInt(version, 10)}}
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/verify/"+escapeKey(key), q, nil, nil)
-	if err != nil {
-		return nil, err
-	}
 	var out VerifyInfo
-	if err := c.do(req, &out); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/v1/verify/"+escapeKey(key), q, nil, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -204,15 +184,11 @@ func (c *Client) Verify(ctx context.Context, key string, version int64) (*Verify
 // reporting how many versions were examined and how many records were
 // rewritten.
 func (c *Client) Repair(ctx context.Context, key string) (versions, restored int, err error) {
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/repair/"+escapeKey(key), nil, nil, nil)
-	if err != nil {
-		return 0, 0, err
-	}
 	var out struct {
 		Versions int `json:"versions"`
 		Restored int `json:"restored"`
 	}
-	err = c.do(req, &out)
+	err = c.call(ctx, http.MethodPost, "/v1/repair/"+escapeKey(key), nil, nil, nil, &out)
 	return out.Versions, out.Restored, err
 }
 
@@ -224,14 +200,10 @@ type Tx struct {
 
 // CreateTx opens a transaction.
 func (c *Client) CreateTx(ctx context.Context) (*Tx, error) {
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/tx", nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
 	var out struct {
 		Tx uint64 `json:"tx"`
 	}
-	if err := c.do(req, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/tx", nil, nil, nil, &out); err != nil {
 		return nil, err
 	}
 	return &Tx{c: c, id: out.Tx}, nil
@@ -242,62 +214,41 @@ func (t *Tx) ID() uint64 { return t.id }
 
 // AddRead declares a read key.
 func (t *Tx) AddRead(ctx context.Context, key string) error {
-	q := url.Values{"key": {key}}
-	req, err := t.c.newRequest(ctx, http.MethodPost, t.path("read"), q, nil, nil)
-	if err != nil {
-		return err
-	}
-	return t.c.do(req, nil)
+	return t.call(ctx, http.MethodPost, "read", url.Values{"key": {key}}, nil, nil)
 }
 
 // AddWrite declares a write.
 func (t *Tx) AddWrite(ctx context.Context, key string, value []byte) error {
-	q := url.Values{"key": {key}}
-	req, err := t.c.newRequest(ctx, http.MethodPost, t.path("write"), q, bytes.NewReader(value), nil)
-	if err != nil {
-		return err
-	}
-	return t.c.do(req, nil)
+	return t.call(ctx, http.MethodPost, "write", url.Values{"key": {key}}, bytes.NewReader(value), nil)
 }
 
 // Commit executes the transaction.
 func (t *Tx) Commit(ctx context.Context) error {
-	req, err := t.c.newRequest(ctx, http.MethodPost, t.path("commit"), nil, nil, nil)
-	if err != nil {
-		return err
-	}
-	return t.c.do(req, nil)
+	return t.call(ctx, http.MethodPost, "commit", nil, nil, nil)
 }
 
 // Abort discards the transaction.
 func (t *Tx) Abort(ctx context.Context) error {
-	req, err := t.c.newRequest(ctx, http.MethodPost, t.path("abort"), nil, nil, nil)
-	if err != nil {
-		return err
-	}
-	return t.c.do(req, nil)
+	return t.call(ctx, http.MethodPost, "abort", nil, nil, nil)
 }
 
 // Results fetches per-operation outcomes after commit.
 func (t *Tx) Results(ctx context.Context) ([]core.TxOpResult, error) {
-	req, err := t.c.newRequest(ctx, http.MethodGet, t.path("results"), nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
 	var out struct {
 		Results []core.TxOpResult `json:"results"`
 	}
-	if err := t.c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return out.Results, nil
+	err := t.call(ctx, http.MethodGet, "results", nil, nil, &out)
+	return out.Results, err
 }
 
-func (t *Tx) path(op string) string {
-	return "/v1/tx/" + strconv.FormatUint(t.id, 10) + "/" + op
+// call is Client.call on one step of the transaction.
+func (t *Tx) call(ctx context.Context, method, step string, q url.Values, body io.Reader, out any) error {
+	return t.c.call(ctx, method, "/v1/tx/"+strconv.FormatUint(t.id, 10)+"/"+step, q, body, nil, out)
 }
 
-func (c *Client) newRequest(ctx context.Context, method, path string, q url.Values, body io.Reader, certs []*authority.Certificate) (*http.Request, error) {
+// send issues one request and returns the reply as it came, whatever
+// its status, body unread: the client's one way onto the wire.
+func (c *Client) send(ctx context.Context, method, path string, q url.Values, body io.Reader, certs []*authority.Certificate) (*http.Response, error) {
 	u := c.base + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
@@ -322,11 +273,14 @@ func (c *Client) newRequest(ctx context.Context, method, path string, q url.Valu
 	if ri, ok := obs.RouteInfoFromContext(ctx); ok {
 		req.Header.Set(obs.RouteHeader, ri.String())
 	}
-	return req, nil
+	return c.http.Do(req)
 }
 
-func (c *Client) do(req *http.Request, out any) error {
-	resp, err := c.http.Do(req)
+// call serves every route that answers 200 with a JSON document, which
+// out receives (nil discards it); any other status is the error it
+// decodes to.
+func (c *Client) call(ctx context.Context, method, path string, q url.Values, body io.Reader, certs []*authority.Certificate, out any) error {
+	resp, err := c.send(ctx, method, path, q, body, certs)
 	if err != nil {
 		return err
 	}

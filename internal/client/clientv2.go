@@ -86,11 +86,7 @@ func (c *Client) putV2(ctx context.Context, key string, body io.Reader, opts Put
 	if opts.Async {
 		q.Set("async", "1")
 	}
-	req, err := c.newRequest(ctx, http.MethodPut, "/v2/objects/"+escapeKey(key), q, body, opts.Certs)
-	if err != nil {
-		return OpResult{}, err
-	}
-	return c.doOpResult(req)
+	return c.doOpResult(ctx, http.MethodPut, key, q, body, opts.Certs)
 }
 
 // DeleteOp removes an object through /v2; the result's Version is the
@@ -100,18 +96,14 @@ func (c *Client) DeleteOp(ctx context.Context, key string, async bool, certs ...
 	if async {
 		q.Set("async", "1")
 	}
-	req, err := c.newRequest(ctx, http.MethodDelete, "/v2/objects/"+escapeKey(key), q, nil, certs)
-	if err != nil {
-		return OpResult{}, err
-	}
-	return c.doOpResult(req)
+	return c.doOpResult(ctx, http.MethodDelete, key, q, nil, certs)
 }
 
-// doOpResult executes a request whose body is an OpResult regardless
-// of status: per-op failures land in OpResult.Err (with the taxonomy
-// code), transport failures in the error.
-func (c *Client) doOpResult(req *http.Request) (OpResult, error) {
-	resp, err := c.http.Do(req)
+// doOpResult executes a mutation of one object, whose reply is an
+// OpResult regardless of status: per-op failures land in OpResult.Err
+// (with the taxonomy code), transport failures in the error.
+func (c *Client) doOpResult(ctx context.Context, method, key string, q url.Values, body io.Reader, certs []*authority.Certificate) (OpResult, error) {
+	resp, err := c.send(ctx, method, "/v2/objects/"+escapeKey(key), q, body, certs)
 	if err != nil {
 		return OpResult{}, err
 	}
@@ -133,11 +125,7 @@ func (c *Client) GetStream(ctx context.Context, key string, opts GetOptions) (io
 	if opts.HasVersion {
 		q.Set("version", strconv.FormatInt(opts.Version, 10))
 	}
-	req, err := c.newRequest(ctx, http.MethodGet, "/v2/objects/"+escapeKey(key), q, nil, opts.Certs)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/v2/objects/"+escapeKey(key), q, nil, opts.Certs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -152,15 +140,11 @@ func (c *Client) GetStream(ctx context.Context, key string, opts GetOptions) (io
 // ResultOp polls an async v2 operation. ok=false means the result
 // aged out of the window and the request must be re-issued.
 func (c *Client) ResultOp(ctx context.Context, opID uint64) (res OpResult, done, ok bool, err error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/v2/results/"+strconv.FormatUint(opID, 10), nil, nil, nil)
-	if err != nil {
-		return OpResult{}, false, false, err
-	}
 	var out struct {
 		Done   bool     `json:"done"`
 		Result OpResult `json:"result"`
 	}
-	err = c.do(req, &out)
+	err = c.call(ctx, http.MethodGet, "/v2/results/"+strconv.FormatUint(opID, 10), nil, nil, nil, &out)
 	var apiErr *APIError
 	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
 		return OpResult{}, false, false, nil
@@ -219,23 +203,24 @@ func (c *Client) List(ctx context.Context, opts ListOptions) (*ListPage, error) 
 	if opts.Token != "" {
 		q.Set("token", opts.Token)
 	}
-	req, err := c.newRequest(ctx, http.MethodGet, "/v2/objects", q, nil, opts.Certs)
-	if err != nil {
-		return nil, err
-	}
 	var out ListPage
-	if err := c.do(req, &out); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/v2/objects", q, nil, opts.Certs, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// ListAll drains a listing from the current position, following
-// pagination tokens until exhaustion.
+// ListAll drains a listing from the current position.
 func (c *Client) ListAll(ctx context.Context, opts ListOptions) ([]ListEntry, error) {
+	return Drain(ctx, c.List, opts)
+}
+
+// Drain follows a listing's pagination tokens from opts to exhaustion;
+// list serves one page (a Client's List, or the cluster router's).
+func Drain(ctx context.Context, list func(context.Context, ListOptions) (*ListPage, error), opts ListOptions) ([]ListEntry, error) {
 	var all []ListEntry
 	for {
-		page, err := c.List(ctx, opts)
+		page, err := list(ctx, opts)
 		if err != nil {
 			return all, err
 		}
@@ -267,17 +252,11 @@ func (c *Client) BatchGet(ctx context.Context, keys []string, certs ...*authorit
 	if err != nil {
 		return nil, err
 	}
-	req, err := c.newRequest(ctx, http.MethodPost, "/v2/batch/get", nil, bytes.NewReader(body), certs)
-	if err != nil {
-		return nil, err
-	}
 	var out struct {
 		Results []BatchGetResult `json:"results"`
 	}
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return out.Results, nil
+	err = c.call(ctx, http.MethodPost, "/v2/batch/get", nil, bytes.NewReader(body), certs, &out)
+	return out.Results, err
 }
 
 // BatchPutOp is one write of a batch put.
@@ -297,15 +276,9 @@ func (c *Client) BatchPut(ctx context.Context, ops []BatchPutOp, certs ...*autho
 	if err != nil {
 		return nil, err
 	}
-	req, err := c.newRequest(ctx, http.MethodPost, "/v2/batch/put", nil, bytes.NewReader(body), certs)
-	if err != nil {
-		return nil, err
-	}
 	var out struct {
 		Results []OpResult `json:"results"`
 	}
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return out.Results, nil
+	err = c.call(ctx, http.MethodPost, "/v2/batch/put", nil, bytes.NewReader(body), certs, &out)
+	return out.Results, err
 }

@@ -253,8 +253,61 @@ func TestIsWrongShardErr(t *testing.T) {
 		{"nil", nil, false},
 	}
 	for _, c := range cases {
-		if got := isWrongShardErr(c.err); got != c.want {
-			t.Errorf("%s: isWrongShardErr = %v, want %v", c.name, got, c.want)
+		if got := classify(c.err, nil) == moved; got != c.want {
+			t.Errorf("%s: classified as moved = %v, want %v", c.name, got, c.want)
 		}
 	}
+}
+
+// FuzzVerifyMap: the shard map document is the router's other untrusted
+// input (a map source can be any HTTP endpoint). Whatever arrives,
+// neither reader panics; and since no input can carry a seal the fuzzer
+// did not copy from a seed, a document that verifies is a seed's map —
+// valid, and the same one the unauthenticated reader shows.
+func FuzzVerifyMap(f *testing.F) {
+	key := [32]byte{1, 2, 3}
+	m, err := UniformMap([]Shard{
+		{ID: 0, Endpoint: "pesos-0", Drives: []string{"k-0-0", "k-0-1"}, Replicas: 2},
+		{ID: 1, Endpoint: "pesos-1", Drives: []string{"k-1-0"}, Replicas: 1},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	m.Epoch = 7
+	good, err := SignMap(key, m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	foreign, err := SignMap([32]byte{9}, m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(foreign)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte(`{"payload":"e30","seal":""}`))
+	f.Add([]byte(`{"payload":"eyJlcG9jaCI6MSwic2hhcmRzIjpbXX0="}`))
+	f.Add([]byte("null"))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		shown, showErr := UnverifiedMap(doc)
+		got, err := VerifyMap(key, doc)
+		if err != nil {
+			if !errors.Is(err, ErrBadMap) {
+				t.Fatalf("refused with an error that is not ErrBadMap: %v", err)
+			}
+			return
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("verified an invalid map: %v", err)
+		}
+		if got.Epoch != m.Epoch || len(got.Shards) != len(m.Shards) {
+			t.Fatalf("verified a map nobody signed: epoch %d, %d shards", got.Epoch, len(got.Shards))
+		}
+		if showErr != nil || shown.Epoch != got.Epoch {
+			t.Fatalf("the unauthenticated reader disagrees with a verified map: %v", showErr)
+		}
+		if _, err := got.OwnerOf("any key"); err != nil {
+			t.Fatalf("verified map routes nothing: %v", err)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -15,35 +16,136 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
-// fakeShard answers GET /v2/objects the way a controller does: up to
-// limit sorted entries from start or past token, a NextToken only on a
-// full page, the epoch it believes in stamped on every page.
+// fault scripts how a fakeShard answers one request instead of serving
+// it: the next request takes the head of the shard's fault queue.
+type fault struct {
+	kind faultKind
+	then func() // runs after the answer is decided, before it is sent
+}
+
+type faultKind int
+
+const (
+	healthy    faultKind = iota
+	wrongShard           // this shard no longer owns what it is asked for
+	refuse               // the connection dies without an answer
+	serverErr            // 500 in the error envelope
+	denied               // 403 in the error envelope
+)
+
+// fakeShard answers the routes the router uses the way a controller
+// does. A listing is up to limit sorted entries from start or past
+// token, a NextToken only on a full page, the epoch it believes in
+// stamped on every page; every other route answers success for whatever
+// it is asked, unless a fault is queued.
 type fakeShard struct {
 	srv *httptest.Server
 
-	mu    sync.Mutex
-	keys  []string // sorted
-	epoch uint64
-	asks  []int       // the limit of every request, in order
-	onAsk func(n int) // called with the request's ordinal, under mu
+	mu     sync.Mutex
+	keys   []string // sorted
+	epoch  uint64
+	asks   []int       // the limit of every listing request, in order
+	onAsk  func(n int) // called with the listing request's ordinal, under mu
+	faults []fault     // consumed one per request
+	routes []string    // the X-Pesos-Route header of every request, in order
+	bodies []string    // the body of every object PUT, in order
 }
 
 func newFakeShard(t *testing.T, epoch uint64, keys []string) *fakeShard {
 	t.Helper()
 	f := &fakeShard{keys: append([]string(nil), keys...), epoch: epoch}
 	sort.Strings(f.keys)
-	f.srv = httptest.NewServer(http.HandlerFunc(f.serve))
+	f.srv = httptest.NewUnstartedServer(http.HandlerFunc(f.serve))
+	// One connection per request: net/http quietly re-sends a request whose
+	// reused connection died, which would blur the dispatch counts.
+	f.srv.Config.SetKeepAlivesEnabled(false)
+	f.srv.Start()
 	t.Cleanup(f.srv.Close)
 	return f
 }
 
+func envelope(w http.ResponseWriter, status int, code core.ErrorCode) {
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]any{"error": client.OpError{Code: string(code), Message: "scripted"}})
+}
+
 func (f *fakeShard) serve(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit, _ := strconv.Atoi(q.Get("limit"))
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.routes = append(f.routes, r.Header.Get(obs.RouteHeader))
+	var ft fault
+	if len(f.faults) > 0 {
+		ft, f.faults = f.faults[0], f.faults[1:]
+	}
+	if ft.then != nil {
+		ft.then()
+	}
+	var moved *client.OpError
+	switch ft.kind {
+	case refuse:
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err == nil {
+			conn.Close()
+		}
+		return
+	case serverErr:
+		envelope(w, http.StatusInternalServerError, core.CodeInternal)
+		return
+	case denied:
+		envelope(w, http.StatusForbidden, core.CodeDenied)
+		return
+	case wrongShard:
+		moved = &client.OpError{Code: string(core.CodeWrongShard), Message: "scripted"}
+	}
+	key, isObject := strings.CutPrefix(r.URL.Path, "/v2/objects/")
+	switch {
+	case r.URL.Path == "/v2/objects":
+		f.list(w, r, ft.kind == wrongShard)
+	case isObject && r.Method == http.MethodGet:
+		if moved != nil {
+			envelope(w, http.StatusMisdirectedRequest, core.CodeWrongShard)
+			return
+		}
+		w.Header().Set("X-Pesos-Version", "1")
+		io.WriteString(w, "value of "+key)
+	case isObject: // PUT, DELETE: an OpResult whatever the status
+		body, _ := io.ReadAll(r.Body)
+		f.bodies = append(f.bodies, string(body))
+		if moved != nil {
+			w.WriteHeader(http.StatusMisdirectedRequest)
+		}
+		json.NewEncoder(w).Encode(client.OpResult{Key: core.JSONKey(key), Version: 1, Err: moved})
+	case r.URL.Path == "/v2/batch/get":
+		var req struct{ Keys []core.JSONKey }
+		json.NewDecoder(r.Body).Decode(&req)
+		res := make([]client.BatchGetResult, len(req.Keys))
+		for i, k := range req.Keys {
+			res[i] = client.BatchGetResult{Key: k, Value: []byte("value of " + string(k)), Err: moved}
+		}
+		json.NewEncoder(w).Encode(map[string]any{"results": res})
+	case r.URL.Path == "/v2/batch/put":
+		var req struct{ Ops []client.BatchPutOp }
+		json.NewDecoder(r.Body).Decode(&req)
+		res := make([]client.OpResult, len(req.Ops))
+		for i, op := range req.Ops {
+			res[i] = client.OpResult{Key: op.Key, Version: 1, Err: moved}
+		}
+		json.NewEncoder(w).Encode(map[string]any{"results": res})
+	case r.URL.Path == "/v1/policies":
+		json.NewEncoder(w).Encode(map[string]string{"id": "policy-1"})
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+// list serves one listing page; ahead stamps it with the epoch after
+// the one the shard is at, as a shard that just adopted a handoff would.
+func (f *fakeShard) list(w http.ResponseWriter, r *http.Request, ahead bool) {
+	q := r.URL.Query()
+	limit, _ := strconv.Atoi(q.Get("limit"))
 	f.asks = append(f.asks, limit)
 	if f.onAsk != nil {
 		f.onAsk(len(f.asks))
@@ -53,6 +155,9 @@ func (f *fakeShard) serve(w http.ResponseWriter, r *http.Request) {
 		from = sort.SearchStrings(f.keys, strings.TrimPrefix(tok, "after:")+"\x00")
 	}
 	page := client.ListPage{Entries: []client.ListEntry{}, ShardEpoch: f.epoch}
+	if ahead {
+		page.ShardEpoch++
+	}
 	for _, k := range f.keys[from:] {
 		if !strings.HasPrefix(k, q.Get("prefix")) {
 			continue
@@ -72,21 +177,60 @@ func (f *fakeShard) asked() []int {
 	return append([]int(nil), f.asks...)
 }
 
+// fakeMap is the shard map a fake cluster serves: equal hash ranges
+// over the given shards, mutable so a test can move a shard to another
+// endpoint the way a failover or handoff does.
+type fakeMap struct {
+	mu      sync.Mutex
+	epoch   *atomic.Uint64
+	entries []Shard
+	onFetch func(n int) // called with the fetch's ordinal
+	fetches int
+}
+
+// retarget points shard id at another fake and publishes the next epoch.
+func (fm *fakeMap) retarget(id int, to *fakeShard) uint64 {
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	fm.entries[id].Endpoint = to.srv.URL
+	return fm.epoch.Add(1)
+}
+
+// adopt moves a shard to epoch e; for use outside its own fault hooks,
+// which run under mu already.
+func (f *fakeShard) adopt(e uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.epoch = e
+}
+
 // fakeCluster is a router over fake shards with equal hash ranges; the
 // served map follows epoch.
 func fakeCluster(t *testing.T, epoch *atomic.Uint64, shards ...*fakeShard) *Router {
+	r, _ := fakeClusterMap(t, epoch, shards...)
+	return r
+}
+
+func fakeClusterMap(t *testing.T, epoch *atomic.Uint64, shards ...*fakeShard) (*Router, *fakeMap) {
 	t.Helper()
 	key := testKey(t)
-	entries := make([]Shard, len(shards))
+	fm := &fakeMap{epoch: epoch, entries: make([]Shard, len(shards))}
 	for i, f := range shards {
-		entries[i] = Shard{ID: i, Endpoint: f.srv.URL, Drives: []string{"d"}, Replicas: 1}
+		fm.entries[i] = Shard{ID: i, Endpoint: f.srv.URL, Drives: []string{"d"}, Replicas: 1}
 	}
 	r, err := NewRouter(RouterConfig{
 		Key: key,
 		Source: MapSourceFunc(func(context.Context) ([]byte, error) {
-			m, err := UniformMap(entries)
+			fm.mu.Lock()
+			fm.fetches++
+			n, hook := fm.fetches, fm.onFetch
+			m, err := UniformMap(append([]Shard(nil), fm.entries...))
+			fm.mu.Unlock()
 			if err != nil {
 				return nil, err
+			}
+			if hook != nil {
+				hook(n)
 			}
 			m.Epoch = epoch.Load()
 			return SignMap(key, m)
@@ -98,7 +242,7 @@ func fakeCluster(t *testing.T, epoch *atomic.Uint64, shards ...*fakeShard) *Rout
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return r, fm
 }
 
 func numbered(prefix string, from, to int) []string {

@@ -1,13 +1,13 @@
 // The cluster router: the client-side layer that makes N controllers
-// look like one keyspace. Single-key operations are dispatched to the
-// owning shard under the current map; a wrong_shard answer (the
-// controller is ahead of the router's map epoch) triggers a map
-// refresh and a redirect — under the handoff protocol an in-flight
-// operation sees at most one. Multi-key batches are split per shard
-// and reassembled in request order; listings scatter to every shard
-// and merge, with pagination tokens that are per-shard cursor vectors
-// and an epoch-consistency check that re-fetches any page torn by a
-// concurrent handoff.
+// look like one keyspace. Every operation — a single key, a batch split
+// per owning shard, a policy put to every shard, a scattered listing
+// page — runs through one attempt loop: dispatch under the current map,
+// classify how each shard's reply ended, pay what the worst verdict
+// costs (a map refresh, a wait, a back-off) and re-dispatch what is
+// left. Under the handoff protocol an in-flight operation sees at most
+// one redirect. Listings merge per-shard pages, with pagination tokens
+// that are per-shard cursor vectors and an epoch-consistency check that
+// re-fetches any page torn by a concurrent handoff.
 package cluster
 
 import (
@@ -19,6 +19,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -50,40 +51,43 @@ type RouterConfig struct {
 	Key [32]byte
 	// NewClient builds the REST client for one shard endpoint.
 	NewClient func(s Shard) (*client.Client, error)
-	// MaxRedirects bounds wrong_shard retries per operation (default 8;
-	// the protocol needs 1, the budget covers cascaded rebalances).
-	MaxRedirects int
-	// RedirectBackoff paces waiting for a newer map after a redirect
-	// whose refresh did not advance the epoch yet (default 10ms).
-	RedirectBackoff time.Duration
-	// RetryBackoff paces the retry-once path after a transport failure
-	// or fenced-owner 5xx (default 5ms). The actual wait is jittered
-	// over [0.5, 1.5)× so a partition that fails thousands of in-flight
-	// operations at once does not re-dispatch them as a synchronized
-	// thundering herd against the surviving owner. Negative disables
-	// the wait (tests).
-	RetryBackoff time.Duration
 	// Registry, when set, exposes the router's counters as
 	// pesos_router_* series — the same words RouterStats reports, so
 	// status output and /metrics can never disagree.
 	Registry *obs.Registry
 }
 
+const (
+	// maxRedirects bounds wrong_shard re-dispatches per operation: the
+	// protocol needs 1, the budget covers cascaded rebalances.
+	maxRedirects = 8
+	// redirectBackoff paces waiting for a newer map after a redirect
+	// whose refresh did not advance the epoch yet.
+	redirectBackoff = 10 * time.Millisecond
+	// retryBackoff paces the one retry after a transport failure or a
+	// fenced owner's 5xx, jittered over [0.5, 1.5)× so the thousands of
+	// operations a partition fails at once do not re-fire at the
+	// surviving owner as one synchronized herd.
+	retryBackoff = 5 * time.Millisecond
+)
+
 // RouterStats counts router activity. The fields are obs counters so
 // the same words back both Stats() readers and a metrics registry.
 type RouterStats struct {
-	// Redirects is the total number of wrong_shard answers seen.
+	// Redirects is the total number of wrong_shard answers seen (a shard's
+	// listing page from another epoch counts as one).
 	Redirects obs.Counter
 	// MapRefreshes counts shard map fetches.
 	MapRefreshes obs.Counter
-	// MaxRedirectsPerOp is the worst redirect count any single
-	// operation needed (the handoff protocol promises at most 1).
+	// MaxRedirectsPerOp is the worst count of redirects any single
+	// operation followed (the handoff protocol promises at most 1).
 	MaxRedirectsPerOp obs.Counter
-	// Retargets counts connection-level failures that triggered a map
-	// refresh and a retry — the failover ride-through path.
+	// Retargets counts dispatches left unanswered (or answered by a fenced
+	// stale owner) that triggered a map refresh and a retry — the
+	// failover ride-through path.
 	Retargets obs.Counter
-	// Retries counts operation re-dispatches of any kind (retargets
-	// plus redirect-driven retries) — the router's total extra load on
+	// Retries counts operations sent again for any reason (each one of a
+	// batch; a listing page is one) — the router's total extra load on
 	// the cluster beyond first-attempt traffic.
 	Retries obs.Counter
 	// ListTopUps counts second fetches from a shard within one listing
@@ -116,15 +120,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Source == nil || cfg.NewClient == nil {
 		return nil, errors.New("cluster: router needs a map source and a client factory")
 	}
-	if cfg.MaxRedirects <= 0 {
-		cfg.MaxRedirects = 8
-	}
-	if cfg.RedirectBackoff <= 0 {
-		cfg.RedirectBackoff = 10 * time.Millisecond
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 5 * time.Millisecond
-	}
 	r := &Router{cfg: cfg, clients: make(map[string]*client.Client)}
 	if cfg.Registry != nil {
 		r.stats.register(cfg.Registry)
@@ -145,15 +140,8 @@ func (r *Router) Map() *ShardMap {
 	return r.m
 }
 
-// Epoch returns the current map epoch (0 before the first load).
-func (r *Router) Epoch() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.m == nil {
-		return 0
-	}
-	return r.m.Epoch
-}
+// Epoch returns the current map epoch.
+func (r *Router) Epoch() uint64 { return r.Map().Epoch }
 
 // Refresh fetches, verifies and (if newer) adopts the shard map.
 // Epoch fencing: an older or equal map is ignored, so a lagging
@@ -174,22 +162,6 @@ func (r *Router) Refresh(ctx context.Context) error {
 		r.m = m
 	}
 	return nil
-}
-
-// target resolves key to its owning shard and a client for it.
-func (r *Router) target(key string) (*Shard, *client.Client, error) {
-	r.mu.RLock()
-	m := r.m
-	r.mu.RUnlock()
-	if m == nil {
-		return nil, nil, errors.New("cluster: no shard map loaded")
-	}
-	s, err := m.OwnerOf(key)
-	if err != nil {
-		return nil, nil, err
-	}
-	cl, err := r.clientFor(s)
-	return s, cl, err
 }
 
 // clientFor returns (creating once) the client for a shard endpoint.
@@ -213,86 +185,147 @@ func (r *Router) clientFor(s *Shard) (*client.Client, error) {
 	return cl, nil
 }
 
-// isWrongShardErr classifies a transport-level error as a redirect, by
-// its taxonomy code.
-func isWrongShardErr(err error) bool {
+// verdict is how one dispatch to one shard ended, ordered by cost: when
+// the shards of one attempt disagree, the worst verdict is paid.
+// docs/cluster.md tabulates what each costs.
+type verdict int
+
+const (
+	// answered: whatever the shard said — success, a denial, a conflict,
+	// a 4xx — is the operation's result.
+	answered verdict = iota
+	// moved: wrong_shard, for one operation or the whole request, or a
+	// listing page filtered under another epoch than the router's map.
+	moved
+	// fenced: an in-protocol 5xx. A controller that lost its shard to a
+	// takeover keeps answering, but every drive access dies against the
+	// rotated credentials — so it is retried only if a refreshed map names
+	// another owner. A 5xx from the genuine owner is an answer: retrying
+	// it could double-apply a partially committed write.
+	fenced
+	// unreachable: the controller never answered. After a failover the
+	// map points at the new active one while the old endpoint refuses
+	// connections.
+	unreachable
+)
+
+// errTornPage stands for a listing page filtered under another epoch
+// than the map it was asked under; it fails a listing that never settles.
+var errTornPage = errors.New("cluster: listing could not reach an epoch-consistent page (handoff in flight)")
+
+// classify is the one place a reply becomes a verdict: err is how the
+// request failed as a whole, op one operation's own failure in a request
+// that did not. Redirects are recognised by taxonomy code, never by
+// status alone. Anything that is neither an *APIError (the server
+// answered) nor the caller's own context is unreachable — today that
+// includes a 403, which the client decodes to ErrDenied, not an
+// *APIError, so a denied read is re-dispatched once. Parked, not
+// overlooked: docs/perf.md "Parked: the denied-read retry".
+func classify(err error, op *client.OpError) verdict {
 	var apiErr *client.APIError
-	return errors.As(err, &apiErr) && apiErr.Code == string(core.CodeWrongShard)
+	switch {
+	case err == nil:
+		if op != nil && op.Code == string(core.CodeWrongShard) {
+			return moved
+		}
+		return answered
+	case errors.Is(err, errTornPage):
+		return moved
+	case errors.As(err, &apiErr):
+		if apiErr.Code == string(core.CodeWrongShard) {
+			return moved
+		}
+		if apiErr.Status >= 500 {
+			return fenced
+		}
+		return answered
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return answered
+	}
+	return unreachable
 }
 
-// resultWrongShard classifies a per-op result as a redirect.
-func resultWrongShard(e *client.OpError) bool {
-	return e != nil && e.Code == string(core.CodeWrongShard)
+// outcome is one attempt's result, folded over the shards it asked.
+type outcome struct {
+	verdict verdict
+	// err is the failure behind the verdict, returned once it is not
+	// retried. A moved outcome without one has its wrong_shard answers in
+	// the caller's per-operation results.
+	err error
+	// redo operations go out again next attempt; moved of them were
+	// answered wrong_shard.
+	redo, moved int
+	// reowned reports, after a fenced attempt, whether m names another
+	// owner than the one that refused, for all the refused work.
+	reowned func(m *ShardMap) bool
 }
 
-// isRetriableTransport classifies an error as a connection-level
-// failure (the controller never answered): worth one map refresh and
-// retry, because after a failover the shard map points at the new
-// active controller while the old endpoint refuses connections. An
-// APIError means the server answered — not a transport failure — and
-// a canceled context belongs to the caller.
-// isServerErr reports an in-protocol 5xx answer — the shape a fenced
-// stale owner produces once its drive credentials are rotated away.
-func isServerErr(err error) bool {
-	var apiErr *client.APIError
-	return errors.As(err, &apiErr) && apiErr.Status >= 500
-}
-
-func isRetriableTransport(err error) bool {
-	if err == nil {
-		return false
+// attempts is the router's one request loop. try dispatches whatever of
+// the operation is still pending under map m and reports how that went;
+// the loop owns what each verdict costs — the redirect budget and the
+// wait for a newer map, the once-only refresh and back-off, the stats —
+// and the RouteInfo every dispatch carries in ctx for the HTTP client to
+// forward, so the controller's trace shows the client-side routing.
+func (r *Router) attempts(ctx context.Context, try func(ctx context.Context, m *ShardMap) outcome) error {
+	var ri obs.RouteInfo
+	for {
+		ri.Attempt++
+		m := r.Map()
+		out := try(obs.WithRouteInfo(ctx, ri), m)
+		if out.moved > 0 {
+			r.stats.Redirects.Add(uint64(out.moved))
+		}
+		switch out.verdict {
+		case answered:
+			return out.err
+		case moved:
+			if ri.Redirects == maxRedirects {
+				// Budget spent: the last answer stands, wherever it sits.
+				if out.err != nil {
+					return fmt.Errorf("cluster: %d redirects, shard map unstable: %w", ri.Redirects+1, out.err)
+				}
+				return nil
+			}
+			ri.Redirects++
+			r.stats.MaxRedirectsPerOp.Max(uint64(ri.Redirects))
+			if err := r.awaitNewerMap(ctx, m.Epoch); err != nil {
+				return err
+			}
+		case fenced, unreachable:
+			if ri.Retargets > 0 || r.Refresh(ctx) != nil || (out.verdict == fenced && !out.reowned(r.Map())) {
+				return out.err
+			}
+			ri.Retargets++
+			r.stats.Retargets.Add(1)
+			if err := pause(ctx, retryBackoff/2+time.Duration(rand.Int63n(int64(retryBackoff)))); err != nil {
+				return err
+			}
+		}
+		r.stats.Retries.Add(uint64(out.redo))
 	}
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return true
-}
-
-// noteRedirects folds one operation's redirect count into the stats.
-func (r *Router) noteRedirects(n int) {
-	if n == 0 {
-		return
-	}
-	r.stats.MaxRedirectsPerOp.Max(uint64(n))
 }
 
 // awaitNewerMap refreshes until the map epoch advances past prev (or
 // keeps the current map after a bounded wait — the redirect may have
 // raced a refresh that already adopted the new epoch).
 func (r *Router) awaitNewerMap(ctx context.Context, prev uint64) error {
-	if r.Epoch() > prev {
-		return nil
-	}
-	deadline := time.Now().Add(64 * r.cfg.RedirectBackoff)
-	for {
+	deadline := time.Now().Add(64 * redirectBackoff)
+	for r.Epoch() <= prev {
 		if err := r.Refresh(ctx); err != nil {
 			return err
 		}
 		if r.Epoch() > prev || time.Now().After(deadline) {
-			return nil
+			break
 		}
-		select {
-		case <-time.After(r.cfg.RedirectBackoff):
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := pause(ctx, redirectBackoff); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// retryBackoff waits a jittered RetryBackoff before a retry
-// re-dispatch, honoring cancellation. Jitter decorrelates the herd of
-// operations a partition or failover fails simultaneously: without
-// it, every one of them re-fires at the surviving owner in the same
-// instant — doubling load at the worst possible moment.
-func (r *Router) retryBackoff(ctx context.Context) error {
-	if r.cfg.RetryBackoff <= 0 {
-		return nil
-	}
-	d := r.cfg.RetryBackoff/2 + time.Duration(rand.Int63n(int64(r.cfg.RetryBackoff)))
+// pause waits d, or less if the caller gives up.
+func pause(ctx context.Context, d time.Duration) error {
 	select {
 	case <-time.After(d):
 		return nil
@@ -301,360 +334,269 @@ func (r *Router) retryBackoff(ctx context.Context) error {
 	}
 }
 
-// route runs one single-key operation with redirect handling. op
-// reports (value, wrongShard, error); on a redirect the map is
-// refreshed and the operation re-dispatched. Each dispatch attempt
-// carries its routing context (attempt number, redirects, retargets)
-// in ctx for the HTTP client to forward as the route header, so the
-// controller's trace shows the client-side routing stage.
-func route[T any](ctx context.Context, r *Router, key string, op func(ctx context.Context, cl *client.Client) (T, bool, error)) (T, error) {
-	var zero T
-	redirects := 0
-	retargeted := false
-	attempt := 0
-	for {
-		attempt++
-		epoch := r.Epoch()
-		s, cl, err := r.target(key)
-		if err != nil {
-			return zero, err
-		}
-		retargets := 0
-		if retargeted {
-			retargets = 1
-		}
-		opctx := obs.WithRouteInfo(ctx, obs.RouteInfo{
-			Attempt: attempt, Redirects: redirects, Retargets: retargets,
-		})
-		v, wrong, err := op(opctx, cl)
-		if !wrong {
-			if err != nil {
-				// Connection failure (not an answer): the owner may have
-				// just failed over. Refresh the map and retry once
-				// against the (possibly new) owner.
-				if !retargeted && isRetriableTransport(err) {
-					retargeted = true
-					r.stats.Retargets.Add(1)
-					if rerr := r.Refresh(ctx); rerr == nil {
-						if berr := r.retryBackoff(ctx); berr != nil {
-							return zero, berr
-						}
-						r.stats.Retries.Add(1)
-						continue
-					}
-				}
-				// A server-side 5xx can be a fenced-out stale owner: a
-				// controller that lost its shard to a takeover keeps
-				// answering, but every drive access dies against the
-				// rotated credentials. Refresh, and retry once ONLY if
-				// ownership really moved — a 5xx from the genuine owner
-				// is an answer, and retrying it could double-apply a
-				// partially committed write.
-				if !retargeted && isServerErr(err) {
-					if rerr := r.Refresh(ctx); rerr == nil {
-						if s2, _, terr := r.target(key); terr == nil && s2.Endpoint != s.Endpoint {
-							retargeted = true
-							r.stats.Retargets.Add(1)
-							if berr := r.retryBackoff(ctx); berr != nil {
-								return zero, berr
-							}
-							r.stats.Retries.Add(1)
-							continue
-						}
-					}
-				}
-				return zero, err
-			}
-			r.noteRedirects(redirects)
-			return v, nil
-		}
-		redirects++
-		r.stats.Redirects.Add(1)
-		if redirects > r.cfg.MaxRedirects {
-			return zero, fmt.Errorf("cluster: %d redirects routing %q, shard map unstable", redirects, key)
-		}
-		if err := r.awaitNewerMap(ctx, epoch); err != nil {
-			return zero, err
-		}
-		r.stats.Retries.Add(1)
+// each runs f(0) … f(n-1) and waits, concurrently when n > 1.
+func each(n int, f func(i int)) {
+	if n == 1 {
+		f(0)
+		return
 	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	wg.Wait()
 }
+
+// group is the part of an attempt one shard is asked for, and what came
+// back.
+type group struct {
+	shard *Shard
+	items []int
+	errs  []*client.OpError // per item; nil when no item failed
+	err   error
+}
+
+// settle folds what the groups of one attempt came back with into its
+// outcome — the worst verdict and the first failure behind it — and
+// lists the items to send again: those answered wrong_shard and those of
+// every group without a usable answer. One answer that is a failure
+// fails the attempt.
+func settle(groups []group, shardOf func(*ShardMap, int) (*Shard, error)) (out outcome, redo []int) {
+	var refused []*group
+	for i := range groups {
+		g := &groups[i]
+		v := classify(g.err, nil)
+		switch v {
+		case answered:
+			if g.err != nil {
+				return outcome{err: g.err}, nil
+			}
+			for j, e := range g.errs {
+				if classify(nil, e) == moved {
+					redo = append(redo, g.items[j])
+					out.moved++
+				}
+			}
+			continue
+		case moved:
+			out.moved += len(g.items)
+		case fenced:
+			refused = append(refused, g)
+		}
+		redo = append(redo, g.items...)
+		if v > out.verdict {
+			out.verdict, out.err = v, g.err
+		}
+	}
+	if out.moved > 0 && out.verdict == answered {
+		out.verdict = moved
+	}
+	out.redo = len(redo)
+	out.reowned = func(m *ShardMap) bool {
+		for _, g := range refused {
+			if s, err := shardOf(m, g.items[0]); err != nil || s.Endpoint == g.shard.Endpoint {
+				return false
+			}
+		}
+		return true
+	}
+	return out, redo
+}
+
+// scatter drives an operation made of n items through the attempt
+// loop: each attempt groups the items still pending by the shard they
+// resolve to under the current map and sends every group, concurrently
+// when there are several (a single-key operation is one group: no
+// goroutine). send reports per-item failures (nil for none) and the
+// request's own.
+func (r *Router) scatter(ctx context.Context, n int,
+	shardOf func(m *ShardMap, item int) (*Shard, error),
+	send func(ctx context.Context, cl *client.Client, items []int) ([]*client.OpError, error)) error {
+	pending := make([]int, n)
+	for i := range pending {
+		pending[i] = i
+	}
+	return r.attempts(ctx, func(ctx context.Context, m *ShardMap) outcome {
+		var groups []group
+	next:
+		for _, item := range pending {
+			s, err := shardOf(m, item)
+			if err != nil {
+				return outcome{err: err}
+			}
+			for i := range groups {
+				if groups[i].shard.ID == s.ID {
+					groups[i].items = append(groups[i].items, item)
+					continue next
+				}
+			}
+			groups = append(groups, group{shard: s, items: []int{item}})
+		}
+		each(len(groups), func(i int) {
+			g := &groups[i]
+			cl, err := r.clientFor(g.shard)
+			if err == nil {
+				g.errs, err = send(ctx, cl, g.items)
+			}
+			g.err = err
+		})
+		out, redo := settle(groups, shardOf)
+		slices.Sort(redo)
+		pending = redo
+		return out
+	})
+}
+
+// batch splits a request of many operations per shard and reassembles
+// the per-operation results in request order; operations answered
+// wrong_shard are re-routed, and if the redirect budget runs out their
+// wrong_shard results stay visible to the caller. errOf is where a
+// result carries its operation's own failure.
+func batch[In, Out any](ctx context.Context, r *Router, in []In,
+	shardOf func(*ShardMap, *In) (*Shard, error), errOf func(*Out) *client.OpError,
+	send func(ctx context.Context, cl *client.Client, part []In) ([]Out, error)) ([]Out, error) {
+	results := make([]Out, len(in))
+	err := r.scatter(ctx, len(in),
+		func(m *ShardMap, i int) (*Shard, error) { return shardOf(m, &in[i]) },
+		func(ctx context.Context, cl *client.Client, items []int) ([]*client.OpError, error) {
+			part := make([]In, len(items))
+			for j, i := range items {
+				part[j] = in[i]
+			}
+			res, err := send(ctx, cl, part)
+			if err != nil {
+				return nil, err
+			}
+			if len(res) != len(items) {
+				return nil, fmt.Errorf("cluster: batch returned %d results for %d operations", len(res), len(items))
+			}
+			errs := make([]*client.OpError, len(items))
+			for j, i := range items {
+				results[i] = res[j]
+				errs[j] = errOf(&res[j])
+			}
+			return errs, nil
+		})
+	return results, err
+}
+
+// one runs a single-key operation: a batch of one, whose failed
+// dispatch leaves the zero result.
+func one[T any](ctx context.Context, r *Router, key string, errOf func(*T) *client.OpError, op func(ctx context.Context, cl *client.Client) (T, error)) (T, error) {
+	res, err := batch(ctx, r, []string{key}, ownerOf, errOf,
+		func(ctx context.Context, cl *client.Client, _ []string) ([]T, error) {
+			v, err := op(ctx, cl)
+			return []T{v}, err
+		})
+	return res[0], err
+}
+
+// ownerOf routes by key; successor routes to a shard itself, by id
+// under whatever map is current — how an operation addressed to shards
+// follows a failover to the new active controller.
+func ownerOf(m *ShardMap, key *string) (*Shard, error) { return m.OwnerOf(*key) }
+
+func successor(m *ShardMap, s *Shard) (*Shard, error) {
+	if cur := m.ShardByID(s.ID); cur != nil {
+		return cur, nil
+	}
+	return nil, fmt.Errorf("cluster: shard %d left the map mid-operation", s.ID)
+}
+
+// resultErr is where a mutation carries its own failure; a read or a
+// policy put fails as a request, never inside a result.
+func resultErr(res *client.OpResult) *client.OpError { return res.Err }
+func noErr[T any](*T) *client.OpError                { return nil }
 
 // Put stores an object via the owning shard.
 func (r *Router) Put(ctx context.Context, key string, value []byte, opts client.PutOptions) (client.OpResult, error) {
-	return route(ctx, r, key, func(ctx context.Context, cl *client.Client) (client.OpResult, bool, error) {
-		res, err := cl.PutOp(ctx, key, value, opts)
-		if err != nil {
-			return res, isWrongShardErr(err), err
-		}
-		return res, resultWrongShard(res.Err), nil
+	return one(ctx, r, key, resultErr, func(ctx context.Context, cl *client.Client) (client.OpResult, error) {
+		return cl.PutOp(ctx, key, value, opts)
 	})
-}
-
-// getResult pairs a Get's value and metadata through the router.
-type getResult struct {
-	value []byte
-	meta  *client.ObjectMeta
-}
-
-// Get fetches an object via the owning shard.
-func (r *Router) Get(ctx context.Context, key string, opts client.GetOptions) ([]byte, *client.ObjectMeta, error) {
-	res, err := route(ctx, r, key, func(ctx context.Context, cl *client.Client) (getResult, bool, error) {
-		v, m, err := cl.Get(ctx, key, opts)
-		return getResult{v, m}, isWrongShardErr(err), err
-	})
-	return res.value, res.meta, err
 }
 
 // Delete removes an object via the owning shard.
 func (r *Router) Delete(ctx context.Context, key string, certs ...*authority.Certificate) (client.OpResult, error) {
-	return route(ctx, r, key, func(ctx context.Context, cl *client.Client) (client.OpResult, bool, error) {
-		res, err := cl.DeleteOp(ctx, key, false, certs...)
-		if err != nil {
-			return res, isWrongShardErr(err), err
-		}
-		return res, resultWrongShard(res.Err), nil
+	return one(ctx, r, key, resultErr, func(ctx context.Context, cl *client.Client) (client.OpResult, error) {
+		return cl.DeleteOp(ctx, key, false, certs...)
 	})
-}
-
-// streamResult pairs a streamed read's body and metadata.
-type streamResult struct {
-	body io.ReadCloser
-	meta *client.ObjectMeta
-}
-
-// GetStream opens a streamed read via the owning shard.
-func (r *Router) GetStream(ctx context.Context, key string, opts client.GetOptions) (io.ReadCloser, *client.ObjectMeta, error) {
-	res, err := route(ctx, r, key, func(ctx context.Context, cl *client.Client) (streamResult, bool, error) {
-		body, meta, err := cl.GetStream(ctx, key, opts)
-		return streamResult{body, meta}, isWrongShardErr(err), err
-	})
-	return res.body, res.meta, err
 }
 
 // PutStream stores a streamed object via the owning shard. open is
 // called once per dispatch attempt, so a redirect can replay the body.
 func (r *Router) PutStream(ctx context.Context, key string, open func() (io.Reader, error), opts client.PutOptions) (client.OpResult, error) {
-	return route(ctx, r, key, func(ctx context.Context, cl *client.Client) (client.OpResult, bool, error) {
+	return one(ctx, r, key, resultErr, func(ctx context.Context, cl *client.Client) (client.OpResult, error) {
 		body, err := open()
 		if err != nil {
-			return client.OpResult{}, false, err
+			return client.OpResult{}, err
 		}
-		res, err := cl.PutStream(ctx, key, body, opts)
-		if err != nil {
-			return res, isWrongShardErr(err), err
-		}
-		return res, resultWrongShard(res.Err), nil
+		return cl.PutStream(ctx, key, body, opts)
 	})
 }
 
-// PutPolicy stores a policy on EVERY shard (policies are content-
-// addressed and idempotent; objects on any shard may reference them).
-func (r *Router) PutPolicy(ctx context.Context, src string) (string, error) {
-	m := r.Map()
-	if m == nil {
-		return "", errors.New("cluster: no shard map loaded")
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	ids := make(map[string]bool)
-	for i := range m.Shards {
-		s := &m.Shards[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := r.clientFor(s)
-			if err == nil {
-				var id string
-				if id, err = cl.PutPolicy(ctx, src); err == nil {
-					mu.Lock()
-					ids[id] = true
-					mu.Unlock()
-					return
-				}
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: put policy on shard %d: %w", s.ID, err)
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return "", firstErr
-	}
-	if len(ids) != 1 {
-		return "", fmt.Errorf("cluster: shards disagree on policy id: %v", ids)
-	}
-	for id := range ids {
-		return id, nil
-	}
-	return "", errors.New("cluster: no policy id")
+// Get fetches an object via the owning shard.
+func (r *Router) Get(ctx context.Context, key string, opts client.GetOptions) (value []byte, meta *client.ObjectMeta, err error) {
+	meta, err = one(ctx, r, key, noErr, func(ctx context.Context, cl *client.Client) (m *client.ObjectMeta, err error) {
+		value, m, err = cl.Get(ctx, key, opts)
+		return m, err
+	})
+	return value, meta, err
+}
+
+// GetStream opens a streamed read via the owning shard.
+func (r *Router) GetStream(ctx context.Context, key string, opts client.GetOptions) (body io.ReadCloser, meta *client.ObjectMeta, err error) {
+	meta, err = one(ctx, r, key, noErr, func(ctx context.Context, cl *client.Client) (m *client.ObjectMeta, err error) {
+		body, m, err = cl.GetStream(ctx, key, opts)
+		return m, err
+	})
+	return body, meta, err
 }
 
 // BatchGet reads many keys, split per owning shard and reassembled in
-// request order; wrong_shard per-op results are re-routed after a map
-// refresh.
+// request order.
 func (r *Router) BatchGet(ctx context.Context, keys []string, certs ...*authority.Certificate) ([]client.BatchGetResult, error) {
-	results := make([]client.BatchGetResult, len(keys))
-	pending := make([]int, len(keys))
-	for i := range keys {
-		pending[i] = i
-	}
-	err := r.scatterRounds(ctx, pending, func(idx int) string { return keys[idx] },
-		func(cl *client.Client, group []int) ([]*client.OpError, error) {
-			groupKeys := make([]string, len(group))
-			for j, idx := range group {
-				groupKeys[j] = keys[idx]
-			}
-			res, err := cl.BatchGet(ctx, groupKeys, certs...)
-			if err != nil {
-				return nil, err
-			}
-			if len(res) != len(group) {
-				return nil, fmt.Errorf("cluster: batch get returned %d results for %d keys", len(res), len(group))
-			}
-			errs := make([]*client.OpError, len(group))
-			for j, idx := range group {
-				results[idx] = res[j]
-				errs[j] = res[j].Err
-			}
-			return errs, nil
+	return batch(ctx, r, keys, ownerOf,
+		func(res *client.BatchGetResult) *client.OpError { return res.Err },
+		func(ctx context.Context, cl *client.Client, part []string) ([]client.BatchGetResult, error) {
+			return cl.BatchGet(ctx, part, certs...)
 		})
-	return results, err
 }
 
 // BatchPut writes many ops, split per owning shard and reassembled in
 // request order.
 func (r *Router) BatchPut(ctx context.Context, ops []client.BatchPutOp, certs ...*authority.Certificate) ([]client.OpResult, error) {
-	results := make([]client.OpResult, len(ops))
-	pending := make([]int, len(ops))
-	for i := range ops {
-		pending[i] = i
-	}
-	err := r.scatterRounds(ctx, pending, func(idx int) string { return string(ops[idx].Key) },
-		func(cl *client.Client, group []int) ([]*client.OpError, error) {
-			groupOps := make([]client.BatchPutOp, len(group))
-			for j, idx := range group {
-				groupOps[j] = ops[idx]
-			}
-			res, err := cl.BatchPut(ctx, groupOps, certs...)
-			if err != nil {
-				return nil, err
-			}
-			if len(res) != len(group) {
-				return nil, fmt.Errorf("cluster: batch put returned %d results for %d ops", len(res), len(group))
-			}
-			errs := make([]*client.OpError, len(group))
-			for j, idx := range group {
-				results[idx] = res[j]
-				errs[j] = res[j].Err
-			}
-			return errs, nil
+	return batch(ctx, r, ops,
+		func(m *ShardMap, op *client.BatchPutOp) (*Shard, error) { return m.OwnerOf(string(op.Key)) }, resultErr,
+		func(ctx context.Context, cl *client.Client, part []client.BatchPutOp) ([]client.OpResult, error) {
+			return cl.BatchPut(ctx, part, certs...)
 		})
-	return results, err
 }
 
-// scatterRounds drives a multi-key request: group the pending indices
-// by owning shard, execute the groups concurrently, collect per-op
-// wrong_shard indices and repeat against a refreshed map until every
-// op landed (or the redirect budget runs out, leaving the redirect
-// errors in the caller's results).
-func (r *Router) scatterRounds(ctx context.Context, pending []int, keyOf func(int) string,
-	exec func(cl *client.Client, group []int) ([]*client.OpError, error)) error {
-	retargeted := false
-	for round := 0; len(pending) > 0; round++ {
-		epoch := r.Epoch()
-		groups := make(map[int][]int) // shard id -> indices
-		shards := make(map[int]*Shard)
-		for _, idx := range pending {
-			s, _, err := r.target(keyOf(idx))
+// PutPolicy stores a policy on EVERY shard of the map it starts under
+// (policies are content-addressed and idempotent; objects on any shard
+// may reference them).
+func (r *Router) PutPolicy(ctx context.Context, src string) (string, error) {
+	ids, err := batch(ctx, r, r.Map().Shards, successor, noErr,
+		func(ctx context.Context, cl *client.Client, part []Shard) ([]string, error) {
+			id, err := cl.PutPolicy(ctx, src)
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("cluster: put policy on shard %d: %w", part[0].ID, err)
 			}
-			groups[s.ID] = append(groups[s.ID], idx)
-			shards[s.ID] = s
-		}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr, transportErr error
-		var redo []int
-		for id, group := range groups {
-			wg.Add(1)
-			go func(s *Shard, group []int) {
-				defer wg.Done()
-				cl, err := r.clientFor(s)
-				var errs []*client.OpError
-				if err == nil {
-					errs, err = exec(cl, group)
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					// A group whose controller never answered retries as a
-					// whole after a map refresh (failover ride-through);
-					// any other error fails the request.
-					if isRetriableTransport(err) {
-						if transportErr == nil {
-							transportErr = err
-						}
-						redo = append(redo, group...)
-						return
-					}
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				for j, e := range errs {
-					if resultWrongShard(e) {
-						redo = append(redo, group[j])
-					}
-				}
-			}(shards[id], group)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
-		}
-		if transportErr != nil {
-			if retargeted {
-				return transportErr
-			}
-			retargeted = true
-			r.stats.Retargets.Add(1)
-			if err := r.Refresh(ctx); err != nil {
-				return transportErr
-			}
-			if err := r.retryBackoff(ctx); err != nil {
-				return err
-			}
-			r.stats.Retries.Add(uint64(len(redo)))
-			sort.Ints(redo)
-			pending = redo
-			continue
-		}
-		if len(redo) == 0 {
-			r.noteRedirects(round)
-			return nil
-		}
-		r.stats.Redirects.Add(uint64(len(redo)))
-		if round >= r.cfg.MaxRedirects {
-			// Budget exhausted: the wrong_shard results stay visible to
-			// the caller.
-			r.noteRedirects(round)
-			return nil
-		}
-		if err := r.awaitNewerMap(ctx, epoch); err != nil {
-			return err
-		}
-		r.stats.Retries.Add(uint64(len(redo)))
-		sort.Ints(redo)
-		pending = redo
+			return []string{id}, nil
+		})
+	if err != nil {
+		return "", err
 	}
-	return nil
+	for _, id := range ids {
+		if id != ids[0] {
+			return "", fmt.Errorf("cluster: shards disagree on policy id: %v", ids)
+		}
+	}
+	return ids[0], nil
 }
 
 // routerCursor is one shard's resume position inside a router
@@ -703,16 +645,13 @@ func decodeRouterToken(s string) (*routerToken, error) {
 // (object keys never contain NUL, so appending 0x01 is tight).
 func successorKey(b []byte) string { return string(b) + "\x01" }
 
-// listEpochWait bounds how long a listing waits for the cluster to
-// settle on one epoch mid-handoff.
-const listEpochWait = 5 * time.Second
-
 // List serves one page of the cluster-wide listing: every shard is
 // consulted from its cursor, the per-shard (sorted, policy-filtered)
 // pages are merged, and the first Limit entries are returned. Pages
-// are epoch-checked: if any shard answered under a different map
-// epoch than the router's (a handoff in flight), the whole page is
-// re-fetched from the boundary so no key is skipped or duplicated.
+// are epoch-checked: shards stamp their epoch on every page, so a stale
+// map (or a shard mid-handoff) is always detected, and the whole page
+// is then fetched again from the boundary under the newer map — no key
+// is skipped or duplicated.
 func (r *Router) List(ctx context.Context, opts client.ListOptions) (*client.ListPage, error) {
 	limit := opts.Limit
 	if limit <= 0 {
@@ -725,72 +664,38 @@ func (r *Router) List(ctx context.Context, opts client.ListOptions) (*client.Lis
 			return nil, err
 		}
 	}
-	deadline := time.Now().Add(listEpochWait)
-	forceBoundary := false
-	for {
-		m := r.Map()
-		if m == nil {
-			return nil, errors.New("cluster: no shard map loaded")
-		}
-		cursors := buildCursors(m, opts, tok, forceBoundary)
-		page, retry, err := r.listOnce(ctx, m, opts, limit, cursors)
-		if err != nil {
-			return nil, err
-		}
-		if !retry {
-			return page, nil
-		}
-		// A shard answered under a different epoch than the router's
-		// map (a handoff in flight, or the router lagging behind one):
-		// refresh the map and resume from the boundary. Shards report
-		// their epoch on every page, so a stale map is always detected
-		// here — no eager per-page refresh is needed.
-		forceBoundary = true
-		if time.Now().After(deadline) {
-			return nil, errors.New("cluster: listing could not reach an epoch-consistent page (handoff in flight)")
-		}
-		if err := r.Refresh(ctx); err != nil {
-			return nil, err
-		}
-		select {
-		case <-time.After(20 * time.Millisecond):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+	var page *client.ListPage
+	again := false
+	err := r.attempts(ctx, func(ctx context.Context, m *ShardMap) (out outcome) {
+		page, out = r.listOnce(ctx, m, opts, limit, buildCursors(m, opts, tok, again))
+		again = true
+		return out
+	})
+	return page, err
 }
 
-// buildCursors derives the per-shard resume positions for one page.
-func buildCursors(m *ShardMap, opts client.ListOptions, tok *routerToken, forceBoundary bool) map[int]routerCursor {
+// buildCursors derives the per-shard resume positions for one page: the
+// token's own cursors while they describe map m; else — the epoch
+// changed, the vector does not cover the current shard set, or the page
+// is being fetched again — every shard restarts just past the merge
+// boundary.
+func buildCursors(m *ShardMap, opts client.ListOptions, tok *routerToken, restart bool) map[int]routerCursor {
+	start := []byte(opts.Start)
+	if tok != nil && len(tok.Boundary) > 0 {
+		start = []byte(successorKey(tok.Boundary))
+	}
+	restart = restart || tok == nil || tok.Epoch != m.Epoch
+	for i := 0; !restart && i < len(m.Shards); i++ {
+		_, ok := tok.Cursors[strconv.Itoa(m.Shards[i].ID)]
+		restart = !ok
+	}
 	out := make(map[int]routerCursor, len(m.Shards))
-	if tok == nil {
-		for i := range m.Shards {
-			out[m.Shards[i].ID] = routerCursor{Start: []byte(opts.Start)}
-		}
-		return out
-	}
-	usable := !forceBoundary && tok.Epoch == m.Epoch
-	if usable {
-		for i := range m.Shards {
-			c, ok := tok.Cursors[strconv.Itoa(m.Shards[i].ID)]
-			if !ok {
-				usable = false
-				break
-			}
-			out[m.Shards[i].ID] = c
-		}
-		if usable {
-			return out
-		}
-	}
-	// Epoch changed (or the vector does not cover the current shard
-	// set): restart every shard just past the merge boundary.
-	start := []byte(successorKey(tok.Boundary))
-	if len(tok.Boundary) == 0 {
-		start = []byte(opts.Start)
-	}
 	for i := range m.Shards {
-		out[m.Shards[i].ID] = routerCursor{Start: start}
+		id := m.Shards[i].ID
+		out[id] = routerCursor{Start: start}
+		if !restart {
+			out[id] = tok.Cursors[strconv.Itoa(id)]
+		}
 	}
 	return out
 }
@@ -822,46 +727,37 @@ func shardShare(limit int, width, total uint64) int {
 	return min(limit, int(expected)+int(math.Ceil(math.Sqrt(float64(limit)))))
 }
 
-// fetchShardPages fetches the next want entries of every list, in
-// parallel, and appends them; retry reports an epoch-torn fetch.
-func (r *Router) fetchShardPages(ctx context.Context, m *ShardMap, opts client.ListOptions, lists []*shardList) (retry bool, err error) {
+// fetchShardPages fetches the next want entries of every list,
+// concurrently, and appends them — unless one shard's page was torn,
+// refused or never came, which spoils the attempt for all.
+func (r *Router) fetchShardPages(ctx context.Context, m *ShardMap, opts client.ListOptions, lists []*shardList) outcome {
 	pages := make([]*client.ListPage, len(lists))
-	errs := make([]error, len(lists))
-	var wg sync.WaitGroup
-	for i, l := range lists {
-		wg.Add(1)
-		go func(i int, l *shardList) {
-			defer wg.Done()
-			cl, err := r.clientFor(l.shard)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			lopts := client.ListOptions{Prefix: opts.Prefix, Limit: l.want, Certs: opts.Certs}
-			if l.cur.Token != "" {
-				lopts.Token = l.cur.Token
-			} else {
-				lopts.Start = string(l.cur.Start)
-			}
-			pages[i], errs[i] = cl.List(ctx, lopts)
-		}(i, l)
+	groups := make([]group, len(lists))
+	each(len(lists), func(i int) {
+		l, g := lists[i], &groups[i]
+		g.shard, g.items = l.shard, []int{i}
+		var cl *client.Client
+		if cl, g.err = r.clientFor(l.shard); g.err != nil {
+			return
+		}
+		lopts := client.ListOptions{Prefix: opts.Prefix, Limit: l.want, Certs: opts.Certs}
+		if l.cur.Token != "" {
+			lopts.Token = l.cur.Token
+		} else {
+			lopts.Start = string(l.cur.Start)
+		}
+		if pages[i], g.err = cl.List(ctx, lopts); g.err == nil && pages[i].ShardEpoch != 0 && pages[i].ShardEpoch != m.Epoch {
+			g.err = errTornPage
+		}
+	})
+	out, _ := settle(groups, func(cur *ShardMap, i int) (*Shard, error) { return successor(cur, lists[i].shard) })
+	if out.verdict != answered || out.err != nil {
+		// However many shards spoiled it, what is sent again is the page.
+		out.redo = 1
+		return out
 	}
-	wg.Wait()
 	for i, l := range lists {
-		if err := errs[i]; err != nil {
-			// A shard that never answered may have just failed over:
-			// surface as a retry so List refreshes the map and re-fetches
-			// from the boundary (bounded by listEpochWait).
-			if isRetriableTransport(err) {
-				r.stats.Retargets.Add(1)
-				return true, nil
-			}
-			return false, err
-		}
 		page := pages[i]
-		if page.ShardEpoch != 0 && page.ShardEpoch != m.Epoch {
-			return true, nil
-		}
 		if l.entries == nil {
 			l.entries = page.Entries
 		} else {
@@ -870,21 +766,21 @@ func (r *Router) fetchShardPages(ctx context.Context, m *ShardMap, opts client.L
 		l.more = page.NextToken != ""
 		if l.more {
 			if len(l.entries) == 0 {
-				return false, fmt.Errorf("cluster: shard %d continued a listing it returned nothing of", l.shard.ID)
+				return outcome{err: fmt.Errorf("cluster: shard %d continued a listing it returned nothing of", l.shard.ID)}
 			}
 			l.cur = routerCursor{Token: page.NextToken}
 		}
 	}
-	return false, nil
+	return out
 }
 
-// listOnce assembles one page; retry reports an epoch-torn fetch. Each
-// active shard is asked for its share of the page, not a full page. The
+// listOnce assembles one page, or reports the outcome that spoiled it.
+// Each active shard is asked for its share of the page, not a full page. The
 // merge may only emit keys up to the horizon — the smallest last-key
 // among shards that hold more — because past it a shard's unfetched
 // entries could sort first; when that leaves the page short, only the
 // shards bounding the horizon are asked again, for what is missing.
-func (r *Router) listOnce(ctx context.Context, m *ShardMap, opts client.ListOptions, limit int, cursors map[int]routerCursor) (*client.ListPage, bool, error) {
+func (r *Router) listOnce(ctx context.Context, m *ShardMap, opts client.ListOptions, limit int, cursors map[int]routerCursor) (*client.ListPage, outcome) {
 	var lists []*shardList
 	var total uint64
 	for i := range m.Shards {
@@ -900,9 +796,8 @@ func (r *Router) listOnce(ctx context.Context, m *ShardMap, opts client.ListOpti
 	var horizon string
 	bounded := false
 	for pending := lists; len(pending) > 0; {
-		retry, err := r.fetchShardPages(ctx, m, opts, pending)
-		if retry || err != nil {
-			return nil, retry, err
+		if out := r.fetchShardPages(ctx, m, opts, pending); out.verdict != answered || out.err != nil {
+			return nil, out
 		}
 		bounded = false
 		for _, l := range lists {
@@ -982,11 +877,11 @@ func (r *Router) listOnce(ctx context.Context, m *ShardMap, opts client.ListOpti
 	if !allDone {
 		token, err := encodeRouterToken(next)
 		if err != nil {
-			return nil, false, err
+			return nil, outcome{err: err}
 		}
 		out.NextToken = token
 	}
-	return out, false, nil
+	return out, outcome{}
 }
 
 // hashWidth is the number of hash points a shard owns.
@@ -1000,16 +895,5 @@ func hashWidth(s *Shard) uint64 {
 
 // ListAll drains the cluster-wide listing from the given position.
 func (r *Router) ListAll(ctx context.Context, opts client.ListOptions) ([]client.ListEntry, error) {
-	var all []client.ListEntry
-	for {
-		page, err := r.List(ctx, opts)
-		if err != nil {
-			return all, err
-		}
-		all = append(all, page.Entries...)
-		if page.NextToken == "" {
-			return all, nil
-		}
-		opts.Token = page.NextToken
-	}
+	return client.Drain(ctx, r.List, opts)
 }

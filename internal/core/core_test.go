@@ -53,9 +53,8 @@ func newHarness(t *testing.T, nDrives int, mutate func(*Config), media ...func(i
 		h.lns = append(h.lns, ln)
 		h.servers = append(h.servers, kinetic.Serve(drive, ln, nil))
 		cfg.Drives = append(cfg.Drives, DriveEndpoint{
-			Name:  name,
-			Dial:  func(ctx context.Context) (net.Conn, error) { return ln.DialContext(ctx) },
-			Conns: 2,
+			Name: name,
+			Dial: func(ctx context.Context) (net.Conn, error) { return ln.DialContext(ctx) },
 		})
 		secrets.Drives = append(secrets.Drives, attest.DriveCredential{
 			Address: name, Identity: kinetic.DefaultAdminIdentity, Key: kinetic.DefaultAdminKey,

@@ -17,11 +17,11 @@ type DriveEndpoint struct {
 	Name string
 	// Dial opens a byte stream to the drive (TCP+TLS or in-memory).
 	Dial kclient.Dialer
-	// Conns is the number of parallel connections the controller
-	// keeps to this drive (the Kinetic library's thread pool, §4.3);
-	// 0 selects a default of 4.
-	Conns int
 }
+
+// drivePoolConns is the number of parallel connections the controller
+// keeps to each drive (the Kinetic library's thread pool, §4.3).
+const drivePoolConns = 4
 
 // drivePool multiplexes requests over several connections to one
 // drive, mirroring the adapted Kinetic C library's decoupled
@@ -39,12 +39,8 @@ type drivePool struct {
 
 // dialPool connects all pool connections with creds.
 func dialPool(ctx context.Context, ep DriveEndpoint, creds kclient.Credentials) (*drivePool, error) {
-	n := ep.Conns
-	if n <= 0 {
-		n = 4
-	}
 	p := &drivePool{name: ep.Name, creds: creds}
-	for i := 0; i < n; i++ {
+	for i := 0; i < drivePoolConns; i++ {
 		c, err := kclient.Dial(ctx, ep.Dial, creds)
 		if err != nil {
 			p.close()

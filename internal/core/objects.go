@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/authority"
@@ -283,7 +284,7 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 		targets = unionDrives(placement, c.ecGroup(key, c.cfg.ECDataShards+c.cfg.ECParityShards))
 	}
 	err = c.fanout(targets, func(di int) error {
-		return c.deleteReplica(ctx, di, key, meta.Version)
+		return c.deleteReplica(ctx, di, key, encodeVer(meta.Version))
 	})
 	if err != nil {
 		// Some replicas may already have destroyed records (and the
@@ -371,35 +372,43 @@ func (c *Controller) loadMeta(ctx context.Context, key string) (*store.Meta, err
 	return m, err
 }
 
-// fetchMeta reads key's metadata off the drives. A copy that is
-// malformed, or is another object's record served under this key — whose
-// PolicyID the policy check would then trust — fails over to the next
-// replica instead of failing the read.
-func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, error) {
-	placement := c.placement(key)
-	m, err := readReplicas(ctx, c, placement, func(ctx context.Context, p *drivePool) (*store.Meta, error) {
-		cl := p.pick()
+// fetchReplicated reads the record under drive key dk off the placement
+// through the hedged replica engine. decode turns one replica's bytes
+// into the value or refuses them — malformed, damaged, or another
+// record's authentic bytes served under this key — and a refusal fails
+// over to the next replica instead of failing the read. what names the
+// record in errors; absent is what a unanimous not-found surfaces as.
+func fetchReplicated[T any](ctx context.Context, c *Controller, placement []int, dk []byte, absent error, what string, decode func(val []byte) (T, error)) (T, error) {
+	v, err := readReplicas(ctx, c, placement, func(ctx context.Context, p *drivePool) (T, error) {
 		c.chargeDriveIO(0)
-		val, _, err := cl.Get(ctx, store.MetaKey(key))
+		val, _, err := p.pick().Get(ctx, dk)
 		if errors.Is(err, kclient.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+			err = fmt.Errorf("%w: %s", absent, what)
 		}
 		if err != nil {
-			return nil, err
+			var zero T
+			return zero, err
 		}
-		m, err := store.UnmarshalMeta(val)
-		if err == nil && m.Key != key {
-			return nil, store.ErrCorrupt
-		}
-		return m, err
+		return decode(val)
 	})
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: all replicas failed reading meta %q: %w", key, err)
+	if err != nil && !isAbsent(err) {
+		err = fmt.Errorf("core: all replicas failed reading %s: %w", what, err)
 	}
-	return m, nil
+	return v, err
+}
+
+// fetchMeta reads key's metadata off the drives. A copy that is another
+// object's record served under this key is refused: the policy check
+// would trust its PolicyID.
+func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, error) {
+	return fetchReplicated(ctx, c, c.placement(key), store.MetaKey(key), ErrNotFound, "meta "+strconv.Quote(key),
+		func(val []byte) (*store.Meta, error) {
+			m, err := store.UnmarshalMeta(val)
+			if err == nil && m.Key != key {
+				return nil, store.ErrCorrupt
+			}
+			return m, err
+		})
 }
 
 // loadRecord returns the record of one object version, cache-first
@@ -427,33 +436,15 @@ func (c *Controller) loadRecord(ctx context.Context, key string, version int64) 
 	return rec, err
 }
 
-// fetchRecord reads one version record off the drives. A corrupt copy
-// on one replica fails over to a healthy one instead of failing the
-// read.
+// fetchRecord reads one version record off the drives. The codec
+// returns intact records only; a chunk stub's content hash spans its
+// chunks, and the streaming reader checks it.
 func (c *Controller) fetchRecord(ctx context.Context, key string, version int64) (*store.Record, error) {
-	placement := c.placement(key)
-	rec, err := readReplicas(ctx, c, placement, func(ctx context.Context, p *drivePool) (*store.Record, error) {
-		cl := p.pick()
-		c.chargeDriveIO(0)
-		val, _, err := cl.Get(ctx, store.ObjectKey(key, version))
-		if errors.Is(err, kclient.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %q version %d", ErrNotFound, key, version)
-		}
-		if err != nil {
-			return nil, err
-		}
-		c.cost.MoveBytes(len(val))
-		// The codec returns intact records only. A chunk stub's content
-		// hash spans its chunks; the streaming reader checks it.
-		return c.codec.DecodeRecord(val)
-	})
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: all replicas failed reading %q v%d: %w", key, version, err)
-	}
-	return rec, nil
+	return fetchReplicated(ctx, c, c.placement(key), store.ObjectKey(key, version), ErrNotFound, fmt.Sprintf("%q v%d", key, version),
+		func(val []byte) (*store.Record, error) {
+			c.cost.MoveBytes(len(val))
+			return c.codec.DecodeRecord(val)
+		})
 }
 
 // chargeDriveIO charges the enclave tax of one drive round trip: two
@@ -742,34 +733,19 @@ func (c *Controller) loadPolicy(ctx context.Context, id string) (*policy.Program
 	return prog, err
 }
 
-// fetchPolicy reads a compiled policy off the drives, verifying its
-// content address.
+// fetchPolicy reads a compiled policy off the drives. Content
+// addressing doubles as integrity: a copy that does not parse, or does
+// not hash back to its id, is refused — so one bad drive cannot deny
+// every object under the policy.
 func (c *Controller) fetchPolicy(ctx context.Context, id string) (*policy.Program, error) {
-	placement := c.placement(id)
-	var lastErr error
-	for _, di := range placement {
-		cl := c.drives[di].pick()
-		c.chargeDriveIO(0)
-		val, _, err := cl.Get(ctx, store.PolicyKey(id))
-		if errors.Is(err, kclient.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %q", ErrNoSuchPolicy, id)
-		}
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		prog, err := policy.Unmarshal(val)
-		if err != nil {
-			return nil, err
-		}
-		// Content addressing doubles as integrity: the stored program
-		// must hash back to its id.
-		if policyID(prog) != id {
-			return nil, fmt.Errorf("core: policy %q fails integrity check", id)
-		}
-		return prog, nil
-	}
-	return nil, fmt.Errorf("core: all replicas failed reading policy %q: %w", id, lastErr)
+	return fetchReplicated(ctx, c, c.placement(id), store.PolicyKey(id), ErrNoSuchPolicy, "policy "+strconv.Quote(id),
+		func(val []byte) (*policy.Program, error) {
+			prog, err := policy.Unmarshal(val)
+			if err == nil && policyID(prog) != id {
+				err = fmt.Errorf("core: policy %q fails integrity check: %w", id, store.ErrCorrupt)
+			}
+			return prog, err
+		})
 }
 
 // verifyStored recomputes an object's integrity evidence for the

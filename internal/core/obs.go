@@ -59,63 +59,71 @@ func (c *Controller) initObs() error {
 	return nil
 }
 
+// counterDecl is one Stats word with its key in the /v1/status body and
+// its /metrics series.
+type counterDecl struct {
+	status, series, help string
+	word                 *obs.Counter
+}
+
+// counters declares every Stats word once, for both places it is shown.
+// (All but DecisionHits, which counts a cache that no longer exists and
+// stays a field only because benchmark/counters.go reads it.)
+func (s *Stats) counters() []counterDecl {
+	return []counterDecl{
+		{"puts", `pesos_ops_total{op="put"}`, "Object writes.", &s.Puts},
+		{"gets", `pesos_ops_total{op="get"}`, "Object reads.", &s.Gets},
+		{"deletes", `pesos_ops_total{op="delete"}`, "Object deletes.", &s.Deletes},
+		{"scans", "pesos_scan_pages_total", "v2 scan pages served.", &s.Scans},
+		{"scanFiltered", "pesos_scan_filtered_total", "Scan entries suppressed by policy.", &s.ScanFiltered},
+		{"batchOps", "pesos_batch_ops_total", "Operations carried by v2 batch requests.", &s.BatchOps},
+		{"streams", "pesos_streams_total", "Chunked streamed reads and writes.", &s.Streams},
+		{"policyChecks", "pesos_policy_checks_total", "Policy checks performed.", &s.PolicyChecks},
+		{"policyDenials", "pesos_policy_denials_total", "Policy checks that denied the request.", &s.PolicyDenials},
+		{"policyEvals", "pesos_policy_evals_total", "Clause-machine runs (checks not decided statically).", &s.PolicyEvals},
+		{"residualHits", "pesos_policy_residual_hits_total", "Checks served by a cached or page-reused residual.", &s.ResidualHits},
+		{"indexSkippedClauses", "pesos_policy_index_skipped_clauses_total", "Clauses pruned by session residuals (bind-time kills and object guards).", &s.IndexSkippedClauses},
+		{"txCommits", "pesos_tx_commits_total", "Transactions committed.", &s.TxCommits},
+		{"txAborts", "pesos_tx_aborts_total", "Transactions aborted.", &s.TxAborts},
+		{"readHedges", "pesos_read_hedges_total", "Hedge requests fired by the read engine.", &s.ReadHedges},
+		{"coalescedReads", "pesos_coalesced_reads_total", "Cache misses served by another miss's flight.", &s.CoalescedReads},
+		{"wrongShard", "pesos_wrong_shard_total", "Operations redirected to another shard.", &s.WrongShard},
+		{"groupBatches", "pesos_group_batches_total", "Drive batches shipped by the group scheduler.", &s.GroupBatches},
+		{"groupedWrites", "pesos_grouped_writes_total", "Write groups that shared a merged drive batch.", &s.GroupedWrites},
+		{"trailingFlushes", "pesos_trailing_flushes_total", "Idle destages of write-back batches.", &s.TrailingFlushes},
+		{"readBytes", "pesos_read_bytes_total", "Payload bytes served to readers.", &s.ReadBytes},
+		{"writeBytes", "pesos_write_bytes_total", "Payload bytes accepted from writers.", &s.WriteBytes},
+		{"repairs", "pesos_repairs_total", "Objects re-replicated by repair.", &s.Repairs},
+		{"repairSweeps", "pesos_repair_sweeps_total", "Full anti-entropy keyspace passes completed.", &s.RepairSweeps},
+		{"repairBytes", "pesos_repair_bytes_total", "Record bytes rewritten by repair.", &s.RepairBytes},
+		{"sweepTicks", "pesos_sweep_ticks_total", "Incremental sweeper ticks executed.", &s.SweepTicks},
+		{"driveDeaths", "pesos_drive_deaths_total", "Detector transitions into the dead state.", &s.DriveDeaths},
+		{"driveRevives", "pesos_drive_revives_total", "Dead drives revived by the detector.", &s.DriveRevives},
+		{"auditDropped", "pesos_audit_dropped_total", "Audit records lost to a saturated queue.", &s.AuditDropped},
+		{"ecObjects", "pesos_ec_objects_total", "Streamed objects stored erasure-coded.", &s.ECObjects},
+		{"ecParityBytes", "pesos_ec_parity_bytes_total", "Parity shard bytes written (the EC capacity overhead).", &s.ECParityBytes},
+		{"ecDecodes", "pesos_ec_decodes_total", "Stripes served through a parity reconstruction.", &s.ECDecodes},
+		{"ecShardRepairs", "pesos_ec_shard_repairs_total", "Shards restored by repair (P2P copy or decode).", &s.ECShardRepairs},
+	}
+}
+
 // registerMetrics exposes the controller's counters and gauges on the
 // registry. The Stats words themselves are registered (not copies), so
 // /v1/status and /metrics report from one source.
 func (c *Controller) registerMetrics() {
 	r := c.registry
-	type cm struct {
-		name string
-		help string
-		ctr  *obs.Counter
-	}
-	for _, m := range []cm{
-		{"pesos_ops_total{op=\"put\"}", "Object writes.", &c.stats.Puts},
-		{"pesos_ops_total{op=\"get\"}", "Object reads.", &c.stats.Gets},
-		{"pesos_ops_total{op=\"delete\"}", "Object deletes.", &c.stats.Deletes},
-		{"pesos_scan_pages_total", "v2 scan pages served.", &c.stats.Scans},
-		{"pesos_scan_filtered_total", "Scan entries suppressed by policy.", &c.stats.ScanFiltered},
-		{"pesos_batch_ops_total", "Operations carried by v2 batch requests.", &c.stats.BatchOps},
-		{"pesos_streams_total", "Chunked streamed reads and writes.", &c.stats.Streams},
-		{"pesos_policy_checks_total", "Policy checks performed.", &c.stats.PolicyChecks},
-		{"pesos_policy_denials_total", "Policy checks that denied the request.", &c.stats.PolicyDenials},
-		{"pesos_policy_evals_total", "Clause-machine runs (checks not decided statically).", &c.stats.PolicyEvals},
-		{"pesos_policy_residual_hits_total", "Checks served by a cached or page-reused residual.", &c.stats.ResidualHits},
-		{"pesos_policy_index_skipped_clauses_total", "Clauses pruned by session residuals (bind-time kills and object guards).", &c.stats.IndexSkippedClauses},
-		{"pesos_tx_commits_total", "Transactions committed.", &c.stats.TxCommits},
-		{"pesos_tx_aborts_total", "Transactions aborted.", &c.stats.TxAborts},
-		{"pesos_read_hedges_total", "Hedge requests fired by the read engine.", &c.stats.ReadHedges},
-		{"pesos_coalesced_reads_total", "Cache misses served by another miss's flight.", &c.stats.CoalescedReads},
-		{"pesos_wrong_shard_total", "Operations redirected to another shard.", &c.stats.WrongShard},
-		{"pesos_group_batches_total", "Drive batches shipped by the group scheduler.", &c.stats.GroupBatches},
-		{"pesos_grouped_writes_total", "Write groups that shared a merged drive batch.", &c.stats.GroupedWrites},
-		{"pesos_trailing_flushes_total", "Idle destages of write-back batches.", &c.stats.TrailingFlushes},
-		{"pesos_read_bytes_total", "Payload bytes served to readers.", &c.stats.ReadBytes},
-		{"pesos_write_bytes_total", "Payload bytes accepted from writers.", &c.stats.WriteBytes},
-		{"pesos_repairs_total", "Objects re-replicated by repair.", &c.stats.Repairs},
-		{"pesos_repair_sweeps_total", "Full anti-entropy keyspace passes completed.", &c.stats.RepairSweeps},
-		{"pesos_repair_bytes_total", "Record bytes rewritten by repair.", &c.stats.RepairBytes},
-		{"pesos_sweep_ticks_total", "Incremental sweeper ticks executed.", &c.stats.SweepTicks},
-		{"pesos_drive_deaths_total", "Detector transitions into the dead state.", &c.stats.DriveDeaths},
-		{"pesos_drive_revives_total", "Dead drives revived by the detector.", &c.stats.DriveRevives},
-		{"pesos_audit_dropped_total", "Audit records lost to a saturated queue.", &c.stats.AuditDropped},
-	} {
-		r.RegisterCounter(m.name, m.help, m.ctr)
+	for _, d := range c.stats.counters() {
+		r.RegisterCounter(d.series, d.help, d.word)
 	}
 
-	for _, name := range []string{"policy", "object", "meta", "decision", "residual"} {
+	for _, name := range []string{"policy", "object", "meta", "residual"} {
 		name := name
 		for i, stat := range []string{"hits", "misses", "evictions"} {
 			i, stat := i, stat
 			r.CounterFunc(
 				fmt.Sprintf(`pesos_cache_events_total{cache=%q,event=%q}`, name, stat),
 				"Cache hits, misses and evictions by cache.",
-				func() uint64 {
-					if s, ok := c.CacheStats()[name]; ok {
-						return s[i]
-					}
-					return 0
-				})
+				func() uint64 { return c.CacheStats()[name][i] })
 		}
 	}
 

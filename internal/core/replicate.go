@@ -90,12 +90,18 @@ func readReplicas[T any](ctx context.Context, c *Controller, placement []int, re
 // medium.
 func recordOutcome(p *drivePool, elapsed time.Duration, err error) {
 	switch {
-	case err == nil || errors.Is(err, ErrNotFound):
+	case err == nil || isAbsent(err):
 		p.observe(elapsed)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 	default:
 		p.observeFailure()
 	}
+}
+
+// isAbsent reports a drive's authoritative "no such record": of an
+// object, or of a policy.
+func isAbsent(err error) bool {
+	return errors.Is(err, ErrNotFound) || errors.Is(err, ErrNoSuchPolicy)
 }
 
 // Hedge-delay bounds. Until a drive has enough samples the engine
@@ -226,7 +232,7 @@ func readHedged[T any](ctx context.Context, c *Controller, pools []*drivePool, r
 				return r.val, nil
 			}
 			switch {
-			case errors.Is(r.err, ErrNotFound):
+			case isAbsent(r.err):
 				notFound = r.err
 			case errors.Is(r.err, context.Canceled) && ctx.Err() == nil:
 				// A straggler cancelled after the winner returned;
@@ -330,8 +336,11 @@ func (c *Controller) writeThrough(ctx context.Context, w *replicaWrite) error {
 // batched: the metadata delete leads the first batch so its
 // compare-and-swap guard rejects the whole destruction if a
 // concurrent controller bumped the object — before any record is lost
-// (the serial scheme only noticed after the records were gone).
-func (c *Controller) deleteReplica(ctx context.Context, di int, key string, metaVer int64) error {
+// (the serial scheme only noticed after the records were gone). guard
+// is the metadata version the delete must still find; nil forces it
+// (release after a handoff: the range was frozen and ownership is gone,
+// there is no concurrent writer to respect).
+func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guard []byte) error {
 	cl := c.drives[di].pick()
 	start, end := store.ObjectKeyRange(key)
 	keys, err := c.rangeAll(ctx, cl, start, end)
@@ -345,7 +354,7 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, meta
 	}
 	keys = append(keys, chunkKeys...)
 	ops := make([]wire.BatchOp, 0, len(keys)+1)
-	ops = append(ops, wire.BatchOp{Op: wire.BatchDelete, Key: store.MetaKey(key), DBVersion: encodeVer(metaVer)})
+	ops = append(ops, wire.BatchOp{Op: wire.BatchDelete, Key: store.MetaKey(key), DBVersion: guard, Force: guard == nil})
 	for _, k := range keys {
 		ops = append(ops, wire.BatchOp{Op: wire.BatchDelete, Key: k, Force: true})
 	}
@@ -374,6 +383,8 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, meta
 		metaPending = false
 		ops = ops[n:]
 	}
+	// Purge by drive key: this covers streamed chunk records too, which
+	// are cached under ChunkKey and invisible to a version-number sweep.
 	for _, k := range keys {
 		c.objectFlight.Forget(string(k))
 		c.objectCache.Remove(string(k))

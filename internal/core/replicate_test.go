@@ -119,7 +119,6 @@ func newKillableHarness(t *testing.T, nDrives int, mutate func(*Config)) *killab
 				}
 				return ln.DialContext(ctx)
 			},
-			Conns: 2,
 		})
 		secrets.Drives = append(secrets.Drives, attest.DriveCredential{
 			Address: name, Identity: kinetic.DefaultAdminIdentity, Key: kinetic.DefaultAdminKey,

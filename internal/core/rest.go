@@ -372,7 +372,6 @@ func (s *RESTServer) handleTxResults(w http.ResponseWriter, _ *http.Request, ses
 }
 
 func (s *RESTServer) handleStatus(w http.ResponseWriter, _ *http.Request, _ *Session) error {
-	st := s.ctl.stats.Snapshot()
 	lats := make(map[string]map[string]any, len(s.ctl.drives))
 	for _, dl := range s.ctl.DriveLatencies() {
 		lats[dl.Name] = map[string]any{
@@ -382,39 +381,16 @@ func (s *RESTServer) handleStatus(w http.ResponseWriter, _ *http.Request, _ *Ses
 		}
 	}
 	body := map[string]any{
-		"puts": st.Puts, "gets": st.Gets, "deletes": st.Deletes,
-		"scans": st.Scans, "scanFiltered": st.ScanFiltered,
-		"batchOps": st.BatchOps, "streams": st.Streams,
-		"policyChecks": st.PolicyChecks, "policyDenials": st.PolicyDenials,
-		"policyEvals":         st.PolicyEvals,
-		"residualHits":        st.ResidualHits,
-		"indexSkippedClauses": st.IndexSkippedClauses,
-		"txCommits":           st.TxCommits, "txAborts": st.TxAborts,
-		"readHedges":      st.ReadHedges,
-		"coalescedReads":  st.CoalescedReads,
-		"wrongShard":      st.WrongShard,
-		"groupBatches":    st.GroupBatches,
-		"groupedWrites":   st.GroupedWrites,
-		"trailingFlushes": st.TrailingFlushes,
-		"readBytes":       st.ReadBytes,
-		"writeBytes":      st.WriteBytes,
-		"repairs":         st.Repairs,
-		"repairSweeps":    st.RepairSweeps,
-		"repairBytes":     st.RepairBytes,
-		"sweepTicks":      st.SweepTicks,
-		"driveDeaths":     st.DriveDeaths,
-		"driveRevives":    st.DriveRevives,
-		"ecObjects":       st.ECObjects,
-		"ecParityBytes":   st.ECParityBytes,
-		"ecDecodes":       st.ECDecodes,
-		"ecShardRepairs":  st.ECShardRepairs,
-		"epcResident":     s.ctl.epc.Resident(),
-		"epcFaults":       s.ctl.epc.Faults(),
-		"caches":          s.ctl.CacheStats(),
-		"driveLatency":    lats,
-		"load":            s.ctl.LoadStatus(),
-		"driveHealth":     s.ctl.DriveHealth(),
-		"sweeper":         s.ctl.SweeperStatus(),
+		"epcResident":  s.ctl.epc.Resident(),
+		"epcFaults":    s.ctl.epc.Faults(),
+		"caches":       s.ctl.CacheStats(),
+		"driveLatency": lats,
+		"load":         s.ctl.LoadStatus(),
+		"driveHealth":  s.ctl.DriveHealth(),
+		"sweeper":      s.ctl.SweeperStatus(),
+	}
+	for _, d := range s.ctl.stats.counters() {
+		body[d.status] = d.word.Load()
 	}
 	if shard := s.ctl.ShardStatus(); shard != nil {
 		body["shard"] = shard

@@ -797,7 +797,7 @@ func (c *Controller) destroyMigrated(ctx context.Context, m *Manifest) error {
 	for _, e := range m.Entries {
 		placement := c.placement(e.Key)
 		err := c.fanout(placement, func(di int) error {
-			return c.destroyKey(ctx, di, e.Key)
+			return c.deleteReplica(ctx, di, e.Key, nil)
 		})
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: destroy migrated %q: %w", e.Key, err)
@@ -811,45 +811,6 @@ func (c *Controller) destroyMigrated(ctx context.Context, m *Manifest) error {
 		}
 	}
 	return firstErr
-}
-
-// destroyKey force-deletes one key's metadata, object records and
-// chunk records on one drive (no CAS guards: the range was frozen and
-// ownership is gone, there is no concurrent writer to respect).
-func (c *Controller) destroyKey(ctx context.Context, di int, key string) error {
-	cl := c.drives[di].pick()
-	ostart, oend := store.ObjectKeyRange(key)
-	keys, err := c.rangeAll(ctx, cl, ostart, oend)
-	if err != nil {
-		return err
-	}
-	cstart, cend := store.ChunkKeyRange(key)
-	chunkKeys, err := c.rangeAll(ctx, cl, cstart, cend)
-	if err != nil {
-		return err
-	}
-	keys = append(keys, chunkKeys...)
-	ops := make([]wire.BatchOp, 0, len(keys)+1)
-	ops = append(ops, wire.BatchOp{Op: wire.BatchDelete, Key: store.MetaKey(key), Force: true})
-	for _, k := range keys {
-		ops = append(ops, wire.BatchOp{Op: wire.BatchDelete, Key: k, Force: true})
-	}
-	for len(ops) > 0 {
-		n := min(len(ops), wire.MaxBatchOps)
-		c.chargeDriveIO(0)
-		if err := cl.Batch(ctx, ops[:n]); err != nil {
-			return err
-		}
-		ops = ops[n:]
-	}
-	// Purge the destroyed records' cache entries by their drive keys —
-	// this covers streamed chunk records too, which are cached under
-	// ChunkKey and invisible to a version-number sweep.
-	for _, k := range keys {
-		c.objectFlight.Forget(string(k))
-		c.objectCache.Remove(string(k))
-	}
-	return nil
 }
 
 // adminKeyForEpoch derives the per-drive admin HMAC secret for a shard

@@ -88,9 +88,14 @@ func TestReplicatedStreamReadsAroundSlowDrive(t *testing.T) {
 	if res := s.PutStream(context.Background(), "obj", bytes.NewReader(payload), PutOptions{}); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	// Neither replica has a read sample yet, so the first chunk asks
-	// placement[0] first.
-	slow := h.ctl.placement("obj")[0]
+	// Slow down the replica the reader asks first: the one it believes
+	// faster. (The put's own metadata probe left both with a read sample,
+	// so that is not always placement[0].)
+	placement := h.ctl.placement("obj")
+	slow := placement[0]
+	if orderByLatency([]*drivePool{h.ctl.drives[placement[0]], h.ctl.drives[placement[1]]})[0] != h.ctl.drives[slow] {
+		slow = placement[1]
+	}
 	const delay = time.Second
 	h.drives[slow].SetFaults(kinetic.Faults{ExtraDelay: delay})
 	t0 := time.Now()

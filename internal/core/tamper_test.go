@@ -194,6 +194,48 @@ func TestTamperMatrix(t *testing.T) {
 				}
 			})
 
+			t.Run("corrupt policy record is read from another replica", func(t *testing.T) {
+				r := newTamperRig(t, 3, sealed, func(c *Config) { c.Replicas = 2 })
+				ctl := r.h.ctl
+				pid, err := ctl.PutPolicy(r.ctx, "read :- sessionKeyIs(k'4d4e')\nupdate :- sessionKeyIs(k'4d4e')")
+				if err != nil {
+					t.Fatal(err)
+				}
+				foreign, err := ctl.PutPolicy(r.ctx, "read :- sessionKeyIs(k'07e4')")
+				if err != nil {
+					t.Fatal(err)
+				}
+				owner, stranger := ctl.Session("4d4e"), ctl.Session("07e4")
+				if _, err := owner.Put(r.ctx, "guarded", []byte("v"), PutOptions{PolicyID: pid}); err != nil {
+					t.Fatal(err)
+				}
+				// get reads with nothing of the policy left in the enclave.
+				get := func(s *Session) error {
+					ctl.policyCache.Clear()
+					ctl.residualCache.Clear()
+					_, _, err := s.Get(r.ctx, "guarded", GetOptions{})
+					return err
+				}
+				placement := ctl.placement(pid)
+				flipped := r.rawAt(placement[0], store.PolicyKey(pid))
+				flipped[len(flipped)/2] ^= 0x40
+				authentic := r.rawAt(ctl.placement(foreign)[0], store.PolicyKey(foreign))
+				for name, blob := range map[string][]byte{"flipped": flipped, "another policy's": authentic} {
+					r.plantAt(placement[0], store.PolicyKey(pid), blob)
+					if err := get(owner); err != nil {
+						t.Fatalf("%s record on one replica: %v", name, err)
+					}
+					if err := get(stranger); !errors.Is(err, ErrDenied) {
+						t.Fatalf("%s record on one replica changed the verdict: %v", name, err)
+					}
+				}
+				// No intact copy left: the read fails, it is not waved through.
+				r.plantAt(placement[1], store.PolicyKey(pid), flipped)
+				if err := get(owner); err == nil || errors.Is(err, ErrDenied) {
+					t.Fatalf("policy corrupt on every replica: %v", err)
+				}
+			})
+
 			t.Run("chunks swapped between positions, versions and objects", func(t *testing.T) {
 				r := newTamperRig(t, 1, sealed, nil)
 				v0, v1 := streamPayload(2*streamChunkSize), streamPayload(2*streamChunkSize+1)
