@@ -20,12 +20,14 @@ type Sizer[V any] func(V) int64
 // counter halved on a fixed decay schedule (frequency aging), and
 // eviction removes the least frequent of a small sample, the same
 // approximation Redis uses. The paper's prototype "approximates a
-// least-frequently-used eviction policy" (§4.2).
+// least-frequently-used eviction policy" (§4.2). Misses filled through
+// Load are coalesced per key (see flight.go).
 type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*entry[V]
-	budget  int64 // max resident bytes; 0 = unlimited
-	maxLen  int   // max entry count; 0 = unlimited
+	flights map[K]*flight[V] // in-flight Load fetches, by missing key
+	budget  int64            // max resident bytes; 0 = unlimited
+	maxLen  int              // max entry count; 0 = unlimited
 	bytes   int64
 	sizeOf  Sizer[V]
 
@@ -73,6 +75,7 @@ func New[K comparable, V any](cfg Config[V]) *Cache[K, V] {
 	}
 	return &Cache[K, V]{
 		entries:  make(map[K]*entry[V]),
+		flights:  make(map[K]*flight[V]),
 		budget:   cfg.BudgetBytes,
 		maxLen:   cfg.MaxEntries,
 		sizeOf:   sizeOf,
@@ -86,6 +89,11 @@ func New[K comparable, V any](cfg Config[V]) *Cache[K, V] {
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.get(k)
+}
+
+// get is Get for callers holding the lock.
+func (c *Cache[K, V]) get(k K) (V, bool) {
 	c.tick()
 	e, ok := c.entries[k]
 	if !ok {
@@ -101,11 +109,18 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 }
 
 // Put inserts or replaces k, evicting low-frequency entries if the
-// budget or entry cap would be exceeded.
+// budget or entry cap would be exceeded. An in-flight Load fetch of k
+// is detached: it started before this value existed.
 func (c *Cache[K, V]) Put(k K, v V) {
 	size := c.sizeOf(v)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	delete(c.flights, k)
+	c.put(k, v, size)
+}
+
+// put is Put for callers holding the lock; it leaves k's flight alone.
+func (c *Cache[K, V]) put(k K, v V, size int64) {
 	c.tick()
 	if old, ok := c.entries[k]; ok {
 		c.account(size - old.size)
@@ -121,37 +136,12 @@ func (c *Cache[K, V]) Put(k K, v V) {
 	c.evictOver()
 }
 
-// PutIf inserts k if absent; when k is present it replaces the value
-// only if keep(current) returns true. The check and the replacement
-// are one atomic step under the cache lock, so racing readers cannot
-// clobber a newer value published by a writer (stale cache fills are
-// dropped instead of installed).
-func (c *Cache[K, V]) PutIf(k K, v V, keep func(cur V) bool) {
-	size := c.sizeOf(v)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tick()
-	if old, ok := c.entries[k]; ok {
-		if !keep(old.val) {
-			return
-		}
-		c.account(size - old.size)
-		old.val = v
-		old.size = size
-		if old.freq < 1<<30 {
-			old.freq++
-		}
-	} else {
-		c.entries[k] = &entry[V]{val: v, size: size, freq: 1}
-		c.account(size)
-	}
-	c.evictOver()
-}
-
-// Remove deletes k if present.
+// Remove deletes k if present and detaches an in-flight Load fetch of
+// k, so the fetch cannot re-install what the caller is invalidating.
 func (c *Cache[K, V]) Remove(k K) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	delete(c.flights, k)
 	if e, ok := c.entries[k]; ok {
 		delete(c.entries, k)
 		c.account(-e.size)
@@ -179,12 +169,13 @@ func (c *Cache[K, V]) Stats() (hits, misses, evictions uint64) {
 	return c.hits, c.misses, c.evictions
 }
 
-// Clear drops every entry.
+// Clear drops every entry and detaches every in-flight Load fetch.
 func (c *Cache[K, V]) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.account(-c.bytes)
 	c.entries = make(map[K]*entry[V])
+	clear(c.flights)
 }
 
 // account adjusts byte accounting, mirroring into the EPC.

@@ -177,22 +177,3 @@ func TestResultBufferDefaultCapacity(t *testing.T) {
 		t.Fatalf("len = %d, want %d", rb.Len(), DefaultResultCapacity)
 	}
 }
-
-func TestPutIf(t *testing.T) {
-	c := New[string, int](Config[int]{SizeOf: func(int) int64 { return 8 }})
-	// Absent: inserts.
-	c.PutIf("k", 5, func(cur int) bool { return cur < 5 })
-	if v, ok := c.Get("k"); !ok || v != 5 {
-		t.Fatalf("insert via PutIf: %d %v", v, ok)
-	}
-	// Present, keep says no: stale value dropped.
-	c.PutIf("k", 3, func(cur int) bool { return cur < 3 })
-	if v, _ := c.Get("k"); v != 5 {
-		t.Fatalf("stale PutIf clobbered newer value: %d", v)
-	}
-	// Present, keep says yes: replaced.
-	c.PutIf("k", 9, func(cur int) bool { return cur < 9 })
-	if v, _ := c.Get("k"); v != 9 {
-		t.Fatalf("PutIf did not replace: %d", v)
-	}
-}

@@ -4,101 +4,71 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
-	"sync"
 )
 
-// Flight coalesces concurrent misses on one key into a single fetch
-// (the controller's singleflight layer, §4.2's caches made affordable
-// under thundering-herd reads): the first caller for a key becomes the
-// leader and starts the fetch, every concurrent caller for the same
-// key waits for that fetch's result instead of issuing its own drive
-// round trip. N concurrent misses on a hot key cost one fetch.
-//
-// The fetch runs detached from any single caller's context: once it is
-// in flight its result is useful to every waiter (and to the cache),
-// so one caller hanging up — the leader included — must not poison the
-// flight for the others. Every caller honors its own context: a
-// cancelled caller returns immediately while the fetch completes for
-// the rest.
-// The group is sharded by key hash: publish callbacks run under the
-// shard lock (that is what makes the forget-suppresses-publish guard
-// atomic), so one publish's cache insert only ever blocks misses that
-// hash to the same shard, not the whole key space.
-type Flight[K comparable, V any] struct {
-	seed   maphash.Seed
-	shards [flightShards]flightShard[K, V]
-}
-
-const flightShards = 16
-
-type flightShard[K comparable, V any] struct {
-	mu      sync.Mutex
-	flights map[K]*flight[V]
-}
-
+// flight is one in-flight fetch of a missing key, shared by every
+// caller that missed on it while it ran.
 type flight[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
 }
 
-// NewFlight creates an empty flight group.
-func NewFlight[K comparable, V any]() *Flight[K, V] {
-	f := &Flight[K, V]{seed: maphash.MakeSeed()}
-	for i := range f.shards {
-		f.shards[i].flights = make(map[K]*flight[V])
-	}
-	return f
-}
-
-// shard returns the shard owning k.
-func (f *Flight[K, V]) shard(k K) *flightShard[K, V] {
-	return &f.shards[maphash.Comparable(f.seed, k)%flightShards]
-}
-
-// Do returns the result of fetch for k, coalescing concurrent calls:
-// the first caller starts fetch in a detached goroutine, every caller
-// (the starter included) waits for its result or their own context,
-// whichever comes first. Joiners report shared=true.
+// Load returns the value cached under k, fetching it on a miss.
+// Concurrent misses on one key coalesce into a single fetch (the
+// controller's singleflight layer, §4.2's caches made affordable under
+// thundering-herd reads): the first caller starts it, every other
+// caller waits for its result instead of issuing its own drive round
+// trip and reports shared=true.
 //
-// publish, when non-nil, installs a successful result in the caller's
-// cache. It runs under the flight lock and only while this flight is
-// still current — a mutation that called Forget in the meantime
-// suppresses it — so a fetch that raced a delete can never resurrect
-// the deleted entry in the cache. (Waiters already in the flight still
-// receive the fetched value: they raced the mutation anyway.)
-func (f *Flight[K, V]) Do(ctx context.Context, k K, fetch func(ctx context.Context) (V, error), publish func(V)) (v V, shared bool, err error) {
-	sh := f.shard(k)
-	sh.mu.Lock()
-	fl, ok := sh.flights[k]
-	if !ok {
-		fl = &flight[V]{done: make(chan struct{})}
-		sh.flights[k] = fl
-		go sh.lead(ctx, k, fl, fetch, publish)
+// The fetch runs detached from any single caller's context: once it is
+// in flight its result is useful to every waiter (and to the cache), so
+// one caller hanging up — the starter included — must not poison it for
+// the others. Every caller honors its own context: a cancelled caller
+// returns immediately while the fetch completes for the rest.
+//
+// A successful fetch is published into the cache only while its flight
+// is still current. Put, Remove and Clear detach the flights of the keys
+// they touch under the same lock that changes the entries, so a fetch
+// that raced a write or a delete can neither overwrite the newer value
+// nor resurrect the removed entry, and callers arriving after the
+// mutation start a fresh fetch. (Waiters already in the flight still
+// receive the fetched value: they raced the mutation anyway.) The slot a
+// current flight publishes into is therefore always empty.
+func (c *Cache[K, V]) Load(ctx context.Context, k K, fetch func(ctx context.Context) (V, error)) (v V, shared bool, err error) {
+	c.mu.Lock()
+	if hit, ok := c.get(k); ok {
+		c.mu.Unlock()
+		return hit, false, nil
 	}
-	sh.mu.Unlock()
+	fl, shared := c.flights[k]
+	if !shared {
+		fl = &flight[V]{done: make(chan struct{})}
+		c.flights[k] = fl
+		go c.lead(ctx, k, fl, fetch)
+	}
+	c.mu.Unlock()
 
 	select {
 	case <-fl.done:
-		return fl.val, ok, fl.err
+		return fl.val, shared, fl.err
 	case <-ctx.Done():
 		// Prefer a result that is already in: a caller with an expired
 		// context still gets the answer when no waiting was needed.
 		select {
 		case <-fl.done:
-			return fl.val, ok, fl.err
+			return fl.val, shared, fl.err
 		default:
 		}
 		var zero V
-		return zero, ok, ctx.Err()
+		return zero, shared, ctx.Err()
 	}
 }
 
 // lead runs one flight: execute the fetch detached from the starting
 // caller's cancellation, publish the result if the flight is still
 // current, then release the waiters.
-func (sh *flightShard[K, V]) lead(ctx context.Context, k K, fl *flight[V], fetch func(ctx context.Context) (V, error), publish func(V)) {
+func (c *Cache[K, V]) lead(ctx context.Context, k K, fl *flight[V], fetch func(ctx context.Context) (V, error)) {
 	completed := false
 	defer func() {
 		// A panicking fetch must not hand waiters a zero value with a
@@ -107,33 +77,18 @@ func (sh *flightShard[K, V]) lead(ctx context.Context, k K, fl *flight[V], fetch
 		if r := recover(); r != nil || !completed {
 			fl.err = fmt.Errorf("%w: %v", ErrFlightAbandoned, r)
 		}
-		sh.mu.Lock()
-		current := sh.flights[k] == fl
-		if fl.err == nil && current && publish != nil {
-			publish(fl.val)
+		c.mu.Lock()
+		if c.flights[k] == fl {
+			delete(c.flights, k)
+			if fl.err == nil {
+				c.put(k, fl.val, c.sizeOf(fl.val))
+			}
 		}
-		if current {
-			delete(sh.flights, k)
-		}
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		close(fl.done)
 	}()
 	fl.val, fl.err = fetch(context.WithoutCancel(ctx))
 	completed = true
-}
-
-// Forget detaches any in-flight fetch for k: callers already waiting
-// still receive its result (they raced the invalidating write anyway),
-// but its publish callback is suppressed and subsequent callers start
-// a fresh fetch. Mutation paths call this BEFORE their cache
-// invalidation, so a coalesced fetch started before a write or delete
-// can neither be handed to readers arriving after it nor re-install
-// the invalidated entry in the cache.
-func (f *Flight[K, V]) Forget(k K) {
-	sh := f.shard(k)
-	sh.mu.Lock()
-	delete(sh.flights, k)
-	sh.mu.Unlock()
 }
 
 // ErrFlightAbandoned is delivered to callers whose flight fetch

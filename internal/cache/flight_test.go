@@ -12,8 +12,8 @@ import (
 // TestFlightCoalesces: N concurrent callers for one key execute the
 // fetch exactly once and all observe its result.
 func TestFlightCoalesces(t *testing.T) {
-	f := NewFlight[string, int]()
-	var fetches, publishes atomic.Int32
+	f := New[string, int](Config[int]{})
+	var fetches atomic.Int32
 	release := make(chan struct{})
 	const n = 16
 
@@ -24,13 +24,12 @@ func TestFlightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := f.Do(context.Background(), "k",
+			v, shared, err := f.Load(context.Background(), "k",
 				func(context.Context) (int, error) {
 					fetches.Add(1)
 					<-release
 					return 42, nil
-				},
-				func(int) { publishes.Add(1) })
+				})
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 			}
@@ -48,8 +47,8 @@ func TestFlightCoalesces(t *testing.T) {
 	if got := fetches.Load(); got != 1 {
 		t.Fatalf("%d fetches for %d concurrent callers, want 1", got, n)
 	}
-	if got := publishes.Load(); got != 1 {
-		t.Fatalf("%d publishes, want 1", got)
+	if v, ok := f.Get("k"); !ok || v != 42 {
+		t.Fatalf("fetched value not published: %d %v", v, ok)
 	}
 	for i, v := range vals {
 		if v != 42 {
@@ -64,7 +63,7 @@ func TestFlightCoalesces(t *testing.T) {
 // TestFlightErrorShared: the fetch's error reaches every caller and
 // publish is suppressed.
 func TestFlightErrorShared(t *testing.T) {
-	f := NewFlight[string, int]()
+	f := New[string, int](Config[int]{})
 	boom := errors.New("boom")
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -73,12 +72,11 @@ func TestFlightErrorShared(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = f.Do(context.Background(), "k",
+			_, _, errs[i] = f.Load(context.Background(), "k",
 				func(context.Context) (int, error) {
 					<-release
 					return 0, boom
-				},
-				func(int) { t.Error("failed fetch must not publish") })
+				})
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -89,13 +87,16 @@ func TestFlightErrorShared(t *testing.T) {
 			t.Errorf("caller %d: %v, want boom", i, err)
 		}
 	}
+	if f.Len() != 0 {
+		t.Error("failed fetch must not publish")
+	}
 }
 
 // TestFlightCallersHonorOwnContext: every caller — the flight starter
 // included — returns at its own context's expiry while the fetch
 // keeps running detached and completes for the others.
 func TestFlightCallersHonorOwnContext(t *testing.T) {
-	f := NewFlight[string, int]()
+	f := New[string, int](Config[int]{})
 	started := make(chan struct{})
 	release := make(chan struct{})
 
@@ -104,11 +105,11 @@ func TestFlightCallersHonorOwnContext(t *testing.T) {
 	sctx, scancel := context.WithCancel(context.Background())
 	starterDone := make(chan error, 1)
 	go func() {
-		_, _, err := f.Do(sctx, "k", func(context.Context) (int, error) {
+		_, _, err := f.Load(sctx, "k", func(context.Context) (int, error) {
 			close(started)
 			<-release
 			return 7, nil
-		}, nil)
+		})
 		starterDone <- err
 	}()
 	<-started
@@ -125,10 +126,10 @@ func TestFlightCallersHonorOwnContext(t *testing.T) {
 	// A waiter with an already-expired context returns immediately.
 	wctx, wcancel := context.WithCancel(context.Background())
 	wcancel()
-	_, shared, err := f.Do(wctx, "k", func(context.Context) (int, error) {
+	_, shared, err := f.Load(wctx, "k", func(context.Context) (int, error) {
 		t.Error("second caller must join the flight, not fetch")
 		return 0, nil
-	}, nil)
+	})
 	if !errors.Is(err, context.Canceled) || !shared {
 		t.Fatalf("cancelled waiter: err=%v shared=%v", err, shared)
 	}
@@ -136,10 +137,10 @@ func TestFlightCallersHonorOwnContext(t *testing.T) {
 	// A patient waiter still receives the detached fetch's result.
 	patientDone := make(chan int, 1)
 	go func() {
-		v, _, _ := f.Do(context.Background(), "k", func(context.Context) (int, error) {
+		v, _, _ := f.Load(context.Background(), "k", func(context.Context) (int, error) {
 			t.Error("patient caller must join the flight, not fetch")
 			return 0, nil
-		}, nil)
+		})
 		patientDone <- v
 	}()
 	time.Sleep(20 * time.Millisecond) // let the patient join before releasing
@@ -152,14 +153,14 @@ func TestFlightCallersHonorOwnContext(t *testing.T) {
 // TestFlightFetchDetachedFromCancellation: the fetch itself runs under
 // a context detached from the starter's cancellation.
 func TestFlightFetchDetachedFromCancellation(t *testing.T) {
-	f := NewFlight[string, int]()
+	f := New[string, int](Config[int]{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	fetchCtxErr := make(chan error, 1)
-	v, _, err := f.Do(ctx, "k", func(fctx context.Context) (int, error) {
+	v, _, err := f.Load(ctx, "k", func(fctx context.Context) (int, error) {
 		fetchCtxErr <- fctx.Err()
 		return 9, nil
-	}, nil)
+	})
 	if ferr := <-fetchCtxErr; ferr != nil {
 		t.Fatalf("fetch ran under a cancelled context: %v", ferr)
 	}
@@ -172,58 +173,91 @@ func TestFlightFetchDetachedFromCancellation(t *testing.T) {
 	}
 }
 
-// TestFlightForget: after Forget, the old flight's publish is
-// suppressed and a new caller starts a fresh fetch, while existing
-// waiters still get the old flight's value.
-func TestFlightForget(t *testing.T) {
-	f := NewFlight[string, int]()
+// TestMutationDetachesFlight: Remove, Put and Clear each detach the
+// key's in-flight fetch under the lock that changes the entry. The old
+// fetch's result is never published — not over the written value, not
+// into the slot just emptied — a caller arriving after the mutation
+// starts a fresh fetch instead of joining the stale one, and the waiter
+// already in the flight still gets its value.
+func TestMutationDetachesFlight(t *testing.T) {
+	for name, tc := range map[string]struct {
+		mutate func(c *Cache[string, int])
+		left   int // what the cache holds once the old fetch has landed
+		leftOK bool
+	}{
+		"remove": {func(c *Cache[string, int]) { c.Remove("k") }, 0, false},
+		"clear":  {func(c *Cache[string, int]) { c.Clear() }, 0, false},
+		"put":    {func(c *Cache[string, int]) { c.Put("k", 5) }, 5, true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := New[string, int](Config[int]{})
+			started := make(chan struct{})
+			release := make(chan struct{})
+			oldDone := make(chan int, 1)
+			go func() {
+				v, _, _ := c.Load(context.Background(), "k", func(context.Context) (int, error) {
+					close(started)
+					<-release
+					return 1, nil
+				})
+				oldDone <- v
+			}()
+			<-started
+			tc.mutate(c)
+			close(release)
+			if v := <-oldDone; v != 1 {
+				t.Fatalf("old waiter got %d, want its flight's result 1", v)
+			}
+			// The waiter is released only after its flight settled, so
+			// the cache now shows whatever the old fetch left behind.
+			if v, ok := c.Get("k"); ok != tc.leftOK || v != tc.left {
+				t.Fatalf("after the detached fetch landed: %d %v, want %d %v", v, ok, tc.left, tc.leftOK)
+			}
+		})
+	}
+
+	// A caller arriving after the mutation runs its own fetch even
+	// though the old flight is still in the air, and publishes it.
+	c := New[string, int](Config[int]{})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	oldDone := make(chan int, 1)
+	oldDone := make(chan struct{})
 	go func() {
-		v, _, _ := f.Do(context.Background(), "k",
-			func(context.Context) (int, error) {
-				close(started)
-				<-release
-				return 1, nil
-			},
-			func(int) { t.Error("forgotten flight must not publish") })
-		oldDone <- v
+		defer close(oldDone)
+		c.Load(context.Background(), "k", func(context.Context) (int, error) {
+			close(started)
+			<-release
+			return 1, nil
+		})
 	}()
 	<-started
-	f.Forget("k")
-
-	// A post-Forget caller runs its own fetch even though the old
-	// flight is still in the air; its publish is live.
-	var published atomic.Int32
-	v, shared, err := f.Do(context.Background(), "k",
-		func(context.Context) (int, error) { return 2, nil },
-		func(int) { published.Add(1) })
+	c.Remove("k")
+	v, shared, err := c.Load(context.Background(), "k", func(context.Context) (int, error) { return 2, nil })
 	if err != nil || v != 2 || shared {
-		t.Fatalf("post-forget fetch: v=%d shared=%v err=%v", v, shared, err)
-	}
-	if published.Load() != 1 {
-		t.Fatalf("post-forget publish ran %d times, want 1", published.Load())
+		t.Fatalf("post-remove fetch: v=%d shared=%v err=%v", v, shared, err)
 	}
 	close(release)
-	if v := <-oldDone; v != 1 {
-		t.Fatalf("old waiter got %d, want its flight's result 1", v)
+	<-oldDone
+	if v, ok := c.Get("k"); !ok || v != 2 {
+		t.Fatalf("cache holds %d %v, want the fresh fetch's 2", v, ok)
 	}
 }
 
 // TestFlightPanicBecomesError: a panicking fetch delivers
 // ErrFlightAbandoned instead of a zero value with a nil error.
 func TestFlightPanicBecomesError(t *testing.T) {
-	f := NewFlight[string, int]()
-	_, _, err := f.Do(context.Background(), "k",
-		func(context.Context) (int, error) { panic("kaboom") },
-		func(int) { t.Error("panicked fetch must not publish") })
+	f := New[string, int](Config[int]{})
+	_, _, err := f.Load(context.Background(), "k",
+		func(context.Context) (int, error) { panic("kaboom") })
 	if !errors.Is(err, ErrFlightAbandoned) {
 		t.Fatalf("err=%v, want ErrFlightAbandoned", err)
 	}
+	if f.Len() != 0 {
+		t.Error("panicked fetch must not publish")
+	}
 	// The flight is gone; the key is usable again.
-	v, _, err := f.Do(context.Background(), "k",
-		func(context.Context) (int, error) { return 3, nil }, nil)
+	v, _, err := f.Load(context.Background(), "k",
+		func(context.Context) (int, error) { return 3, nil })
 	if err != nil || v != 3 {
 		t.Fatalf("after panic: v=%d err=%v", v, err)
 	}

@@ -1,7 +1,7 @@
-// Multi-key operations of the v2 API. BatchPut rides the atomic batch
-// replication engine: the whole request's surviving writes are grouped
-// into one batch stream per placement drive and fanned out to all
-// drives concurrently (commitWrites), so a request touching N keys
+// Multi-key operations of the v2 API. BatchPut rides the write path's
+// one commit: the whole request's surviving writes are grouped into one
+// batch stream per placement drive and fanned out to all drives
+// concurrently (commit, replicate.go), so a request touching N keys
 // pays max-of-replica latency instead of N sequential round trips.
 // Results are per-operation: one OpResult per submitted op, in order.
 package core
@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/authority"
 	"repro/internal/kinetic/wire"
-	"repro/internal/store"
 )
 
 // MaxBatchRequestOps caps the operations of one v2 batch request.
@@ -132,12 +131,8 @@ func (c *Controller) batchPut(ctx context.Context, sessionKey string, ops []Batc
 		owned[k] = ownedMask[i]
 	}
 
-	type stagedOp struct {
-		idx int
-		w   *replicaWrite
-		rec *store.Record
-	}
-	var staged []stagedOp
+	var staged []*replicaWrite
+	var stagedIdx []int // staged[i] answers ops[stagedIdx[i]]
 	// Batch ops run the staging loop on one goroutine, so a single
 	// policyEval carries the resolved residual across every op that
 	// shares a policy.
@@ -153,37 +148,23 @@ func (c *Controller) batchPut(ctx context.Context, sessionKey string, ops []Batc
 		opts := PutOptions{
 			PolicyID: op.PolicyID, Version: op.Version, HasVersion: op.HasVersion, Certs: certs,
 		}
-		w, rec, err := c.stageWriteCtx(ctx, pe, sessionKey, string(op.Key), op.Value, opts)
+		w, err := c.planPut(ctx, pe, sessionKey, string(op.Key), op.Value, opts)
 		if err != nil {
 			results[i].Err = wireError(err)
 			continue
 		}
-		results[i].Version = w.next
-		staged = append(staged, stagedOp{idx: i, w: w, rec: rec})
+		results[i].Version = w.rec.Meta.Version
+		staged, stagedIdx = append(staged, w), append(stagedIdx, i)
 	}
 
 	if len(staged) > 0 {
-		writes := make([]*replicaWrite, len(staged))
-		for i, sw := range staged {
-			writes[i] = sw.w
-		}
-		if err := c.commitWrites(ctx, writes, wire.SyncWriteThrough); err != nil {
+		if err := c.commit(ctx, staged, wire.SyncWriteThrough); err != nil {
 			// One fan-out failed; every surviving op shares its fate
-			// (commitWrites already dropped the affected cache entries).
-			for _, sw := range staged {
-				results[sw.idx].Version = 0
-				results[sw.idx].Err = wireError(err)
+			// (commit already dropped the affected cache entries).
+			for _, i := range stagedIdx {
+				results[i].Version = 0
+				results[i].Err = wireError(err)
 			}
-		} else {
-			var bytes uint64
-			for _, sw := range staged {
-				c.publishWrite(sw.rec)
-				c.noteWrite(sw.rec.Meta.Key, len(sw.rec.Payload))
-				bytes += uint64(len(sw.rec.Payload))
-			}
-			n := uint64(len(staged))
-			c.stats.Puts.Add(n)
-			c.stats.WriteBytes.Add(bytes)
 		}
 	}
 	c.stats.BatchOps.Add(uint64(len(ops)))

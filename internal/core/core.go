@@ -202,9 +202,6 @@ type Config struct {
 	// (empty disables). Records every policy DENY plus sampled ALLOWs,
 	// AEAD-sealed and hash-chained; see internal/obs/audit.go.
 	AuditDir string
-	// AuditKey overrides the sealing key; zero derives it from the
-	// attested object key, so the key never exists outside the enclave.
-	AuditKey [32]byte
 	// AuditSampleAllow seals one in N ALLOW decisions (0 = denies only).
 	AuditSampleAllow int
 }
@@ -243,12 +240,6 @@ type Controller struct {
 	// residualCache memoizes session-bound partial evaluations per
 	// (policy, op, session); PutPolicy clears it. See checkPolicy.
 	residualCache *cache.Cache[string, *policy.Residual]
-
-	// Singleflight layers in front of the caches: N concurrent misses
-	// on one hot key cost a single drive round trip (see cache.Flight).
-	metaFlight   *cache.Flight[string, *store.Meta]
-	objectFlight *cache.Flight[string, *store.Record]
-	policyFlight *cache.Flight[string, *policy.Program]
 
 	// scanTokens seals v2 pagination tokens (see scan.go).
 	scanTokens cipher.AEAD
@@ -528,9 +519,6 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 		SizeOf: func(r *policy.Residual) int64 { return r.SizeEstimate() + 160 },
 		EPC:    c.epc, Label: "residual-cache",
 	})
-	c.metaFlight = cache.NewFlight[string, *store.Meta]()
-	c.objectFlight = cache.NewFlight[string, *store.Record]()
-	c.policyFlight = cache.NewFlight[string, *policy.Program]()
 
 	c.locks = vll.NewManager()
 

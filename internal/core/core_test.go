@@ -475,7 +475,10 @@ func TestObjectSizeLimit(t *testing.T) {
 // TestFetchMetaBindsRecordToKey: a drive answering m/k1 with m/k2's
 // record must not hand k1's policy check k2's policy. The mis-keyed
 // copy counts as corrupt — the next replica stands in — and with no
-// honest replica the read fails rather than trusting the record.
+// honest replica the read fails rather than trusting the record. Repair
+// and the sweeper elect k1's newest metadata under the same binding:
+// however high k2's version, its record is the copy that gets replaced,
+// never the one written onto the honest replicas.
 func TestFetchMetaBindsRecordToKey(t *testing.T) {
 	h := newHarness(t, 2, func(c *Config) { c.Replicas = 2 })
 	owner, other := h.ctl.Session("aa"), h.ctl.Session("bb")
@@ -487,8 +490,10 @@ func TestFetchMetaBindsRecordToKey(t *testing.T) {
 	if _, err := owner.Put(ctx, "k1", []byte("classified"), PutOptions{PolicyID: private}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.Put(ctx, "k2", []byte("anyone's"), PutOptions{}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ { // k2 ends a version ahead of k1
+		if _, err := other.Put(ctx, "k2", []byte("anyone's"), PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	k2 := driveMetaBytes(t, h, 0, "k2")
 
@@ -503,6 +508,32 @@ func TestFetchMetaBindsRecordToKey(t *testing.T) {
 			t.Fatalf("read %d: k1 served to a reader its policy denies: %v", i, err)
 		}
 	}
+	for _, heal := range []struct {
+		name string
+		run  func() error
+	}{
+		{"repair", func() error { _, err := owner.Repair(ctx, "k1"); return err }},
+		{"sweep", func() error { _, err := h.ctl.SweepTick(ctx); return err }},
+	} {
+		plantMeta(t, h, 0, "k1", k2)
+		h.ctl.metaCache.Clear()
+		if err := heal.run(); err != nil {
+			t.Fatalf("%s: %v", heal.name, err)
+		}
+		if m, ok := h.ctl.metaCache.Get("k1"); !ok || m.Key != "k1" || m.PolicyID != private {
+			t.Fatalf("%s cached %+v for k1", heal.name, m)
+		}
+		for di := range h.drives {
+			m, err := store.UnmarshalMeta(driveMetaBytes(t, h, di, "k1"))
+			if err != nil || m.Key != "k1" || m.PolicyID != private {
+				t.Fatalf("%s left drive %d answering m/k1 with %+v, %v", heal.name, di, m, err)
+			}
+		}
+		if _, _, err := other.Get(ctx, "k1", GetOptions{}); !errors.Is(err, ErrDenied) {
+			t.Fatalf("after %s: k1 served to a reader its policy denies: %v", heal.name, err)
+		}
+	}
+	plantMeta(t, h, 0, "k1", k2)
 	plantMeta(t, h, 1, "k1", k2)
 	if m, err := h.ctl.fetchMeta(ctx, "k1"); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("every replica mis-keyed: %+v, %v; want store.ErrCorrupt", m, err)

@@ -10,7 +10,7 @@
 // fix is to let independent writers share a single drive round trip.
 //
 // Every logical write that funnels through the replication engine
-// (putObject, deleteObject, PutPolicy, commitTxWrites, v2 BatchPut)
+// (commit — every shape of put — plus deleteReplica and PutPolicy)
 // enqueues its per-drive sub-operation set as one *group* into that
 // drive's commit queue. A controller-level scheduler goroutine drains
 // the queues in *generations* — one merged TBatch per drive, all
@@ -46,10 +46,11 @@
 //     op set PR 1 shipped as one atomic batch, and a logical write
 //     still waits for every placement drive.
 //   - Conflicting same-key groups never share a queue: every write
-//     path holds the key's stripe lock (putObject, deleteObject) or
-//     the full stripe set (commitTxWrites, batchPut) across enqueue
-//     and wait, so the scheduler only ever merges independent writes.
-//     The drives' CAS checks remain as the cross-controller backstop.
+//     path holds the key's stripe lock (putObject, commitStream,
+//     deleteObject) or the full stripe set (commitTx, batchPut) across
+//     enqueue and wait, so the scheduler only ever merges independent
+//     writes. The drives' CAS checks remain as the cross-controller
+//     backstop.
 //   - The scheduler never touches shard or stripe locks, so a
 //     FreezeRange drain (which waits for in-flight writes holding the
 //     shard read lock) always makes progress: queued groups keep
@@ -106,16 +107,14 @@ const (
 // commitGroup is one logical write's per-drive op set waiting in a
 // commit queue.
 type commitGroup struct {
-	ops    []wire.BatchOp
-	bytes  int           // payload bytes (drive-IO accounting)
-	sync   wire.SyncMode // durability the submitter needs
-	pooled bool          // ops backed by opsPool; scheduler releases
-	done   chan error    // buffered(1); nil error = committed
+	ops   []wire.BatchOp
+	bytes int           // payload bytes (drive-IO accounting)
+	sync  wire.SyncMode // durability the submitter needs
+	done  chan error    // buffered(1); nil error = committed
 }
 
-// opsPool recycles the per-call []wire.BatchOp scratch of the batch
-// write path, so group commit does not regress allocations per op
-// (the marshal scratch is already pooled by wire.Encoder).
+// opsPool recycles the merged-batch []wire.BatchOp scratch of ship (the
+// marshal scratch is already pooled by wire.Encoder).
 var opsPool = sync.Pool{
 	New: func() any {
 		s := make([]wire.BatchOp, 0, 2*wire.MaxBatchOps)
@@ -180,21 +179,15 @@ func newGroupScheduler(c *Controller) *groupScheduler {
 // enqueue submits one group for drive di and blocks until the
 // scheduler commits it (nil), the drive rejects it (the group's
 // CAS/permission error, with BatchError indexes relative to the
-// group), or ctx is cancelled.
-//
-// Ownership: when pooled is set the scheduler takes the ops slice and
-// returns it to opsPool after the batch completes; the caller must
-// not touch it after this call. A cancelled waiter does not revoke an
-// already-in-flight group — like a cancelled round trip, the write
-// may still commit, and the caller's cache invalidation handles it.
-func (g *groupScheduler) enqueue(ctx context.Context, di int, ops []wire.BatchOp, bytes int, sync wire.SyncMode, pooled bool) error {
-	grp := &commitGroup{ops: ops, bytes: bytes, sync: sync, pooled: pooled, done: make(chan error, 1)}
+// group), or ctx is cancelled. ops stays the caller's and is only
+// read. A cancelled waiter does not revoke an already-in-flight group —
+// like a cancelled round trip, the write may still commit, and the
+// caller's cache invalidation handles it.
+func (g *groupScheduler) enqueue(ctx context.Context, di int, ops []wire.BatchOp, bytes int, sync wire.SyncMode) error {
+	grp := &commitGroup{ops: ops, bytes: bytes, sync: sync, done: make(chan error, 1)}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		if pooled {
-			putOps(ops)
-		}
 		return ErrClosed
 	}
 	g.queues[di] = append(g.queues[di], grp)
@@ -219,9 +212,6 @@ func (g *groupScheduler) enqueue(ctx context.Context, di int, ops []wire.BatchOp
 			if q == grp {
 				g.queues[di] = append(g.queues[di][:i], g.queues[di][i+1:]...)
 				g.mu.Unlock()
-				if pooled {
-					putOps(ops)
-				}
 				return ctx.Err()
 			}
 		}
@@ -246,22 +236,13 @@ func (g *groupScheduler) shutdown() {
 	g.mu.Unlock()
 	for _, q := range queued {
 		for _, grp := range q {
-			g.finish(grp, ErrClosed)
+			grp.done <- ErrClosed
 		}
 	}
 	close(g.stop)
 }
 
 func (g *groupScheduler) wait() { g.wg.Wait() }
-
-// finish resolves one group and releases its pooled scratch.
-func (g *groupScheduler) finish(grp *commitGroup, err error) {
-	if grp.pooled {
-		putOps(grp.ops)
-		grp.ops = nil
-	}
-	grp.done <- err
-}
 
 // run is the scheduler loop: pop a mergeable prefix of every drive
 // queue, optionally gather under the adaptive policy, ship the
@@ -458,7 +439,7 @@ func (g *groupScheduler) ship(di int, batch []*commitGroup) {
 
 	if err != nil {
 		for _, grp := range batch {
-			g.finish(grp, err)
+			grp.done <- err
 		}
 		return
 	}
@@ -466,7 +447,7 @@ func (g *groupScheduler) ship(di int, batch []*commitGroup) {
 		g.dirtyWB[di].Store(true)
 	}
 	for i, grp := range batch {
-		g.finish(grp, errs[i])
+		grp.done <- errs[i]
 	}
 }
 
@@ -505,9 +486,6 @@ func (g *groupScheduler) trailingFlush() {
 // write's sub-operations to one drive: it enqueues them as one group
 // on the drive's commit queue and waits for the verdict. BatchError
 // indexes are relative to ops.
-//
-// Ownership: with pooled set, ops came from getOps and the scheduler
-// returns it to the pool; the caller must not reuse the slice.
-func (c *Controller) driveBatch(ctx context.Context, di int, ops []wire.BatchOp, payload int, sync wire.SyncMode, pooled bool) error {
-	return c.gcommit.enqueue(ctx, di, ops, payload, sync, pooled)
+func (c *Controller) driveBatch(ctx context.Context, di int, ops []wire.BatchOp, payload int, sync wire.SyncMode) error {
+	return c.gcommit.enqueue(ctx, di, ops, payload, sync)
 }

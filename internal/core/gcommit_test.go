@@ -100,7 +100,7 @@ func TestGroupCommitCASStorm(t *testing.T) {
 	// Create the hot key at version 0.
 	err := h.ctl.driveBatch(ctx, 0, []wire.BatchOp{
 		{Op: wire.BatchPut, Key: []byte("hot"), Value: []byte("seed"), NewVersion: ver(0)},
-	}, 4, wire.SyncWriteThrough, false)
+	}, 4, wire.SyncWriteThrough)
 	if err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestGroupCommitCASStorm(t *testing.T) {
 					{Op: wire.BatchPut, Key: []byte("hot"),
 						Value:     []byte(fmt.Sprintf("r%d-s%d", r, s)),
 						DBVersion: ver(int64(r)), NewVersion: ver(int64(r + 1))},
-				}, 8, wire.SyncWriteThrough, false)
+				}, 8, wire.SyncWriteThrough)
 				switch {
 				case casErr == nil:
 					wins.Add(1)
@@ -133,7 +133,7 @@ func TestGroupCommitCASStorm(t *testing.T) {
 				bys := []byte(fmt.Sprintf("ok-r%d-s%d", r, s))
 				if err := h.ctl.driveBatch(ctx, 0, []wire.BatchOp{
 					{Op: wire.BatchPut, Key: bys, Value: bys, Force: true, NewVersion: ver(1)},
-				}, len(bys), wire.SyncWriteThrough, false); err != nil {
+				}, len(bys), wire.SyncWriteThrough); err != nil {
 					t.Errorf("round %d stormer %d: unrelated key failed: %v", r, s, err)
 				}
 			}(s)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/authority"
+	"repro/internal/cache"
 	"repro/internal/kinetic/kclient"
 	"repro/internal/kinetic/wire"
 	"repro/internal/obs"
@@ -60,16 +61,12 @@ func encodeVer(v int64) []byte {
 }
 
 // planVersion applies the write-path preamble shared by every mutation
-// shape (single put, batch put, streamed put): load current metadata,
-// determine the next version, enforce the dense-monotonic version rule
-// and the object's update policy. Callers hold the key's write lock.
-func (c *Controller) planVersion(ctx context.Context, sessionKey, key string, opts PutOptions) (meta *store.Meta, next int64, err error) {
-	return c.planVersionCtx(ctx, nil, sessionKey, key, opts)
-}
-
-// planVersionCtx is planVersion with an optional policy page context
-// (batched writes sharing one policy resolve its residual once).
-func (c *Controller) planVersionCtx(ctx context.Context, pe *policyEval, sessionKey, key string, opts PutOptions) (meta *store.Meta, next int64, err error) {
+// shape (single put, batch put, streamed put, transaction write): load
+// current metadata, determine the next version, enforce the
+// dense-monotonic version rule and the object's update policy. Callers
+// hold the key's write lock (or its VLL lock). pe may be nil; batched
+// writes sharing one policy resolve its residual once through it.
+func (c *Controller) planVersion(ctx context.Context, pe *policyEval, sessionKey, key string, opts PutOptions) (meta *store.Meta, next int64, err error) {
 	meta, err = c.loadMeta(ctx, key)
 	if err != nil && !errors.Is(err, ErrNotFound) {
 		return nil, 0, err
@@ -97,7 +94,7 @@ func (c *Controller) planVersionCtx(ctx context.Context, pe *policyEval, session
 
 	// Policy check: an existing object's policy governs updates,
 	// including policy changes (§3.1).
-	if err := c.checkPolicyCtx(ctx, pe, lang.PermUpdate, sessionKey, key, meta, &next, opts.Certs); err != nil {
+	if err := c.checkPolicy(ctx, pe, lang.PermUpdate, sessionKey, key, meta, &next, opts.Certs); err != nil {
 		return nil, 0, err
 	}
 	return meta, next, nil
@@ -121,60 +118,29 @@ func (c *Controller) resolvePolicy(ctx context.Context, meta *store.Meta, reques
 	return newPolicyID, policyHash, nil
 }
 
-// stageWrite runs the full write plan for one key — version planning,
-// policy checks, record encoding — and returns the staged replica
-// write plus the record to publish on success. Callers hold the key's
-// write lock and are responsible for committing the stage and then
-// publishing it.
-func (c *Controller) stageWrite(ctx context.Context, sessionKey, key string, value []byte, opts PutOptions) (*replicaWrite, *store.Record, error) {
-	return c.stageWriteCtx(ctx, nil, sessionKey, key, value, opts)
-}
-
-// stageWriteCtx is stageWrite with an optional policy page context.
-func (c *Controller) stageWriteCtx(ctx context.Context, pe *policyEval, sessionKey, key string, value []byte, opts PutOptions) (*replicaWrite, *store.Record, error) {
+// planPut runs the write plan for one buffered value — version
+// planning, policy checks, the policy the new head carries — and stages
+// it. Callers hold the key's write lock and commit the stage.
+func (c *Controller) planPut(ctx context.Context, pe *policyEval, sessionKey, key string, value []byte, opts PutOptions) (*replicaWrite, error) {
 	if int64(len(value)) > store.MaxObjectSize {
-		return nil, nil, store.ErrTooLarge
+		return nil, store.ErrTooLarge
 	}
-	c.cost.MoveBytes(len(value)) // request payload crosses into the enclave
-
-	meta, next, err := c.planVersionCtx(ctx, pe, sessionKey, key, opts)
+	meta, next, err := c.planVersion(ctx, pe, sessionKey, key, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	newPolicyID, policyHash, err := c.resolvePolicy(ctx, meta, opts.PolicyID)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	newMeta := &store.Meta{
+	return c.stage(meta, store.Meta{
 		Key:         key,
 		Version:     next,
 		Size:        int64(len(value)),
 		ContentHash: store.HashContent(value),
 		PolicyID:    newPolicyID,
 		PolicyHash:  policyHash,
-	}
-	rec := &store.Record{Meta: *newMeta, Payload: value}
-	blob, err := c.codec.EncodeRecord(rec)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := &replicaWrite{key: key, next: next, blob: blob, metaRec: newMeta.Marshal()}
-	if meta != nil {
-		w.prev = encodeVer(meta.Version)
-	}
-	return w, rec, nil
-}
-
-// publishWrite installs a committed write in the caches. Callers hold
-// the key's write lock. Any in-flight coalesced meta read started
-// before this write is detached so readers arriving from now on fetch
-// fresh state instead of joining a stale flight.
-func (c *Controller) publishWrite(rec *store.Record) {
-	m := rec.Meta
-	c.metaCache.Put(m.Key, &m)
-	c.objectCache.Put(string(store.ObjectKey(m.Key, m.Version)), rec)
-	c.metaFlight.Forget(m.Key)
+	}, value)
 }
 
 // putObject is the write path (§3.2 steps 4–7): policy check, record
@@ -195,23 +161,16 @@ func (c *Controller) putObject(ctx context.Context, sessionKey, key string, valu
 	}
 	defer release()
 
-	w, rec, err := c.stageWrite(ctx, sessionKey, key, value, opts)
+	w, err := c.planPut(ctx, nil, sessionKey, key, value, opts)
 	if err != nil {
 		return 0, err
 	}
-
-	// Write-through to every replica (§4.5): one atomic batch per
-	// replica drive carrying the object record and the metadata record
-	// together, all replicas concurrently. See replicate.go.
-	if err := c.writeThrough(ctx, w); err != nil {
+	// Write-through to every replica (§4.5), then the caches: a batch
+	// of one. See commit in replicate.go.
+	if err := c.commit(ctx, []*replicaWrite{w}, wire.SyncWriteThrough); err != nil {
 		return 0, err
 	}
-
-	c.publishWrite(rec)
-	c.noteWrite(key, len(value))
-	c.stats.Puts.Inc()
-	c.stats.WriteBytes.Add(uint64(len(value)))
-	return w.next, nil
+	return w.rec.Meta.Version, nil
 }
 
 // getObject is the read path (§3.2 step 5: policy first, then data,
@@ -224,7 +183,7 @@ func (c *Controller) getObject(ctx context.Context, sessionKey, key string, opts
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := c.checkPolicy(ctx, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
+	if err := c.checkPolicy(ctx, nil, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
 		return nil, nil, err
 	}
 	version := meta.Version
@@ -267,7 +226,7 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 	if err != nil {
 		return 0, err
 	}
-	if err := c.checkPolicy(ctx, lang.PermDelete, sessionKey, key, meta, nil, opts.Certs); err != nil {
+	if err := c.checkPolicy(ctx, nil, lang.PermDelete, sessionKey, key, meta, nil, opts.Certs); err != nil {
 		return 0, err
 	}
 	// One batched delete stream per replica, all replicas concurrently;
@@ -289,21 +248,14 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 	if err != nil {
 		// Some replicas may already have destroyed records (and the
 		// metadata leads each batch stream): drop every cache entry so
-		// readers observe drive state, not the deleted object. Flights
-		// are forgotten first so an in-flight fetch cannot re-install
-		// an entry after its removal.
-		for v := int64(0); v <= meta.Version; v++ {
-			ck := string(store.ObjectKey(key, v))
-			c.objectFlight.Forget(ck)
-			c.objectCache.Remove(ck)
-		}
+		// readers observe drive state, not the deleted object.
+		c.forgetVersions(key, meta.Version)
 		return 0, c.replicationFailed(err, key)
 	}
-	c.metaFlight.Forget(key)
+	// deleteReplica purged what the drives still held, by drive key; a
+	// version none of them held may still have a fetch in flight.
 	c.metaCache.Remove(key)
-	for v := int64(0); v <= meta.Version; v++ {
-		c.objectFlight.Forget(string(store.ObjectKey(key, v)))
-	}
+	c.forgetVersions(key, meta.Version)
 	c.noteWrite(key, 0)
 	c.stats.Deletes.Inc()
 	return meta.Version, nil
@@ -322,7 +274,7 @@ func (c *Controller) listVersions(ctx context.Context, sessionKey, key string, c
 	if err != nil {
 		return nil, err
 	}
-	if err := c.checkPolicy(ctx, lang.PermRead, sessionKey, key, meta, nil, certs); err != nil {
+	if err := c.checkPolicy(ctx, nil, lang.PermRead, sessionKey, key, meta, nil, certs); err != nil {
 		return nil, err
 	}
 	start, end := store.ObjectKeyRange(key)
@@ -343,33 +295,29 @@ func (c *Controller) listVersions(ctx context.Context, sessionKey, key string, c
 	})
 }
 
-// loadMeta returns the newest metadata for key, cache-first with
-// replica failover through the configured read engine. Concurrent
-// misses on the same key coalesce into one drive round trip.
-func (c *Controller) loadMeta(ctx context.Context, key string) (*store.Meta, error) {
-	if m, ok := c.metaCache.Get(key); ok {
-		return m, nil
-	}
-	m, shared, err := c.metaFlight.Do(ctx, key,
-		func(fctx context.Context) (*store.Meta, error) {
-			// Double-check under the flight: a racing miss may have
-			// published while this caller queued for leadership.
-			if m, ok := c.metaCache.Get(key); ok {
-				return m, nil
-			}
-			return c.fetchMeta(fctx, key)
-		},
-		// Published only while the flight is still current (a delete
-		// calls Forget first, suppressing it) and only if newer: a slow
-		// fetch must neither clobber a later version a concurrent
-		// writer published nor resurrect a deleted key.
-		func(m *store.Meta) {
-			c.metaCache.PutIf(key, m, func(cur *store.Meta) bool { return cur.Version < m.Version })
-		})
+// cached serves k from ca, fetching it on a miss; concurrent misses on
+// one key coalesce into a single drive round trip, and a fetch that
+// raced a write or delete of k is never published (see cache.Load).
+func cached[V any](ctx context.Context, c *Controller, ca *cache.Cache[string, V], k string, fetch func(context.Context) (V, error)) (V, error) {
+	v, shared, err := ca.Load(ctx, k, fetch)
 	if shared {
 		c.stats.CoalescedReads.Inc()
 	}
-	return m, err
+	return v, err
+}
+
+// forgetVersions drops key's version records up to head from the object
+// cache, in-flight fetches of them included.
+func (c *Controller) forgetVersions(key string, head int64) {
+	for v := int64(0); v <= head; v++ {
+		c.objectCache.Remove(string(store.ObjectKey(key, v)))
+	}
+}
+
+// loadMeta returns the newest metadata for key, cache-first with
+// replica failover through the hedged read engine.
+func (c *Controller) loadMeta(ctx context.Context, key string) (*store.Meta, error) {
+	return cached(ctx, c, c.metaCache, key, func(ctx context.Context) (*store.Meta, error) { return c.fetchMeta(ctx, key) })
 }
 
 // fetchReplicated reads the record under drive key dk off the placement
@@ -412,28 +360,11 @@ func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, er
 }
 
 // loadRecord returns the record of one object version, cache-first
-// with replica failover through the configured read engine, verifying
-// payload integrity. Concurrent misses on the same version coalesce
-// into one drive round trip.
+// with replica failover through the hedged read engine, verifying
+// payload integrity.
 func (c *Controller) loadRecord(ctx context.Context, key string, version int64) (*store.Record, error) {
-	ck := string(store.ObjectKey(key, version))
-	if r, ok := c.objectCache.Get(ck); ok {
-		return r, nil
-	}
-	rec, shared, err := c.objectFlight.Do(ctx, ck,
-		func(fctx context.Context) (*store.Record, error) {
-			if r, ok := c.objectCache.Get(ck); ok {
-				return r, nil
-			}
-			return c.fetchRecord(fctx, key, version)
-		},
-		// Suppressed by a racing delete's Forget, so a slow fetch
-		// cannot re-install a destroyed version record.
-		func(r *store.Record) { c.objectCache.Put(ck, r) })
-	if shared {
-		c.stats.CoalescedReads.Inc()
-	}
-	return rec, err
+	return cached(ctx, c, c.objectCache, string(store.ObjectKey(key, version)),
+		func(ctx context.Context) (*store.Record, error) { return c.fetchRecord(ctx, key, version) })
 }
 
 // fetchRecord reads one version record off the drives. The codec
@@ -456,23 +387,6 @@ func (c *Controller) chargeDriveIO(payload int) {
 	if payload > 0 {
 		c.cost.MoveBytes(payload)
 	}
-}
-
-// checkPolicy enforces the object's associated policy for op. meta may
-// be nil (object does not exist yet): creation is not governed by any
-// object policy. nextVersion, when non-nil, fills the nextVersion
-// predicate.
-//
-// Every check evaluates the session residual: the policy's clauses for
-// op specialized to the session key at bind time (policy.PartialEval)
-// and cached per (policy, op, session). A policy whose verdict depends
-// only on the session key — no object state, versions, certificates or
-// time — is decided outright at bind time and never runs the clause
-// machine again. The policy id is content-addressed, so a changed
-// policy keys a fresh residual by construction, and PutPolicy still
-// clears the cache as a defense-in-depth backstop.
-func (c *Controller) checkPolicy(ctx context.Context, op lang.Perm, sessionKey, key string, meta *store.Meta, nextVersion *int64, certs []*authority.Certificate) error {
-	return c.checkPolicyCtx(ctx, nil, op, sessionKey, key, meta, nextVersion, certs)
 }
 
 // policyEval carries one caller's policy-evaluation context across the
@@ -502,9 +416,21 @@ func (pe *policyEval) remember(op lang.Perm, policyID string, res *policy.Residu
 	}
 }
 
-// checkPolicyCtx is checkPolicy with an optional page context. pe may
-// be nil (single-key callers).
-func (c *Controller) checkPolicyCtx(ctx context.Context, pe *policyEval, op lang.Perm, sessionKey, key string, meta *store.Meta, nextVersion *int64, certs []*authority.Certificate) error {
+// checkPolicy enforces the object's associated policy for op. meta may
+// be nil (object does not exist yet): creation is not governed by any
+// object policy. nextVersion, when non-nil, fills the nextVersion
+// predicate. pe, when non-nil, is the caller's page context (see
+// policyEval); single-key callers pass nil.
+//
+// Every check evaluates the session residual: the policy's clauses for
+// op specialized to the session key at bind time (policy.PartialEval)
+// and cached per (policy, op, session). A policy whose verdict depends
+// only on the session key — no object state, versions, certificates or
+// time — is decided outright at bind time and never runs the clause
+// machine again. The policy id is content-addressed, so a changed
+// policy keys a fresh residual by construction, and PutPolicy still
+// clears the cache as a defense-in-depth backstop.
+func (c *Controller) checkPolicy(ctx context.Context, pe *policyEval, op lang.Perm, sessionKey, key string, meta *store.Meta, nextVersion *int64, certs []*authority.Certificate) error {
 	if c.cfg.DisablePolicies || meta == nil || meta.PolicyID == "" {
 		return nil
 	}
@@ -678,11 +604,11 @@ func (c *Controller) PutPolicy(ctx context.Context, src string) (string, error) 
 	placement := c.placement(id)
 	err = c.fanout(placement, func(di int) error {
 		// Content-addressed: rewriting the same id is idempotent.
-		ops := append(getOps(), wire.BatchOp{
+		ops := []wire.BatchOp{{
 			Op: wire.BatchPut, Key: store.PolicyKey(id), Value: blob,
 			NewVersion: []byte{1}, Force: true,
-		})
-		if err := c.driveBatch(ctx, di, ops, len(blob), wire.SyncWriteThrough, true); err != nil {
+		}}
+		if err := c.driveBatch(ctx, di, ops, len(blob), wire.SyncWriteThrough); err != nil {
 			return fmt.Errorf("core: store policy on drive %s: %w", c.drives[di].name, err)
 		}
 		return nil
@@ -711,26 +637,12 @@ func (c *Controller) GetPolicySource(ctx context.Context, id string) (string, er
 	return prog.Source()
 }
 
-// loadPolicy returns a compiled policy by id, cache-first with
-// replica failover. Concurrent misses on one policy id — the common
-// case when a hot policy serves many objects (1:M, §3) and falls out
-// of cache — coalesce into a single drive round trip.
+// loadPolicy returns a compiled policy by id, cache-first with replica
+// failover. Coalescing matters most here: a hot policy serving many
+// objects (1:M, §3) that falls out of cache is missed by all of them at
+// once.
 func (c *Controller) loadPolicy(ctx context.Context, id string) (*policy.Program, error) {
-	if p, ok := c.policyCache.Get(id); ok {
-		return p, nil
-	}
-	prog, shared, err := c.policyFlight.Do(ctx, id,
-		func(fctx context.Context) (*policy.Program, error) {
-			if p, ok := c.policyCache.Get(id); ok {
-				return p, nil
-			}
-			return c.fetchPolicy(fctx, id)
-		},
-		func(p *policy.Program) { c.policyCache.Put(id, p) })
-	if shared {
-		c.stats.CoalescedReads.Inc()
-	}
-	return prog, err
+	return cached(ctx, c, c.policyCache, id, func(ctx context.Context) (*policy.Program, error) { return c.fetchPolicy(ctx, id) })
 }
 
 // fetchPolicy reads a compiled policy off the drives. Content

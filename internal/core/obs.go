@@ -41,13 +41,11 @@ func (c *Controller) initObs() error {
 	c.registerMetrics()
 
 	if c.cfg.AuditDir != "" {
-		key := c.cfg.AuditKey
-		if key == ([32]byte{}) {
-			key = obs.DeriveAuditKey(c.secrets.ObjectKey[:])
-		}
+		// The sealing key is derived from the attested object key, so it
+		// never exists outside the enclave.
 		a, err := obs.OpenAudit(obs.AuditConfig{
 			Dir:         c.cfg.AuditDir,
-			Key:         key,
+			Key:         obs.DeriveAuditKey(c.secrets.ObjectKey[:]),
 			SampleAllow: c.cfg.AuditSampleAllow,
 			Dropped:     &c.stats.AuditDropped,
 		})

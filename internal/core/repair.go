@@ -41,7 +41,7 @@ func (c *Controller) repairObject(ctx context.Context, sessionKey, key string) (
 	if err != nil {
 		return nil, err
 	}
-	if err := c.checkPolicy(ctx, lang.PermUpdate, sessionKey, key, meta, nil, nil); err != nil {
+	if err := c.checkPolicy(ctx, nil, lang.PermUpdate, sessionKey, key, meta, nil, nil); err != nil {
 		return nil, err
 	}
 	return c.repairRecords(ctx, key, meta, placement)
@@ -98,7 +98,10 @@ func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.
 		c.chargeDriveIO(0)
 		cur, _, err := cl.Get(ctx, store.MetaKey(key))
 		if err == nil {
-			if m, merr := store.UnmarshalMeta(cur); merr == nil && m.Version == meta.Version {
+			// Current means this key's record at the elected version: a
+			// replica answering with another object's metadata is not
+			// healthy, whatever version that object is at.
+			if m, merr := store.UnmarshalMeta(cur); merr == nil && m.Key == key && m.Version == meta.Version {
 				continue
 			}
 		}
@@ -175,42 +178,39 @@ func (c *Controller) sweepKey(ctx context.Context, key string) (*RepairReport, e
 }
 
 // loadMetaNewest reads every replica's metadata record and returns the
-// highest version found, updating the cache. Repair must converge to
-// the newest surviving copy: trusting the cache or whichever replica
-// answers first could elect a degraded replica's stale metadata and
-// roll healthy replicas back.
+// newest copy that names key (newestMeta, the election a listing runs),
+// updating the cache. Repair must converge to the newest surviving copy:
+// trusting the cache or whichever replica answers first could elect a
+// degraded replica's stale metadata and roll healthy replicas back.
 func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement []int) (*store.Meta, error) {
-	var newest *store.Meta
+	var copies [][]byte
 	var sawNotFound bool
 	var lastErr error
 	for _, di := range placement {
-		cl := c.drives[di].pick()
 		c.chargeDriveIO(0)
-		val, _, err := cl.Get(ctx, store.MetaKey(key))
-		if errors.Is(err, kclient.ErrNotFound) {
+		val, _, err := c.drives[di].pick().Get(ctx, store.MetaKey(key))
+		switch {
+		case err == nil:
+			copies = append(copies, val)
+		case errors.Is(err, kclient.ErrNotFound):
 			sawNotFound = true
-			continue
-		}
-		if err != nil {
+		default:
 			lastErr = err
-			continue
-		}
-		m, err := store.UnmarshalMeta(val)
-		if err != nil {
-			continue // corrupt copy; another replica may be healthy
-		}
-		if newest == nil || m.Version > newest.Version {
-			newest = m
 		}
 	}
-	if newest == nil {
+	var slots [2]store.Meta
+	elected, err := newestMeta(key, copies, &slots)
+	if err != nil {
 		if sawNotFound {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+			err = fmt.Errorf("%w: %q", ErrNotFound, key)
+		} else if lastErr != nil {
+			err = fmt.Errorf("core: all replicas failed reading meta %q: %w", key, lastErr)
 		}
-		return nil, fmt.Errorf("core: all replicas failed reading meta %q: %w", key, lastErr)
+		return nil, err
 	}
-	c.metaCache.Put(key, newest)
-	return newest, nil
+	newest := *elected
+	c.metaCache.Put(key, &newest)
+	return &newest, nil
 }
 
 // healthyRecord fetches one verifiable copy of a version record.

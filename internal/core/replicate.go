@@ -261,43 +261,48 @@ func readHedged[T any](ctx context.Context, c *Controller, pools []*drivePool, r
 	return zero, lastErr
 }
 
-// replicaWrite is one key's worth of a replicated write: the object
-// record and the metadata record that must commit together.
+// replicaWrite is one staged write: the new head of a key and the two
+// drive records — object record and metadata record — that must commit
+// together on every replica.
 type replicaWrite struct {
-	key     string
-	next    int64
-	prev    []byte // meta CAS token; nil on creation
-	blob    []byte // encoded object record
-	metaRec []byte // marshalled metadata
+	rec     *store.Record // new head (a chunk stub has no payload); published on commit
+	prev    []byte        // meta CAS token; nil on creation
+	blob    []byte        // encoded object record
+	metaRec []byte        // marshalled metadata
+}
+
+// stage is the one place a write becomes drive records: the new head's
+// metadata and payload are encoded into the object record and the
+// metadata record, the latter guarded by compare-and-swap against the
+// version prev holds (nil: creation). Planning — the next version, the
+// policy checks, the policy the head carries — is the caller's: put and
+// batch plan under the stripe locks, a transaction under its VLL locks,
+// a streamed upload re-plans at commitStream.
+func (c *Controller) stage(prev *store.Meta, m store.Meta, payload []byte) (*replicaWrite, error) {
+	rec := &store.Record{Meta: m, Payload: payload}
+	blob, err := c.codec.EncodeRecord(rec)
+	if err != nil {
+		return nil, err
+	}
+	c.cost.MoveBytes(len(payload)) // request payload crosses into the enclave
+	w := &replicaWrite{rec: rec, blob: blob, metaRec: m.Marshal()}
+	if prev != nil {
+		w.prev = encodeVer(prev.Version)
+	}
+	return w, nil
 }
 
 // appendBatchOps appends the write's atomic sub-operation pair — the
 // group every replica receives — to dst: object record first
 // (content-addressed by version, forced), then the metadata record
-// guarded by compare-and-swap against concurrent controllers. Append
-// style so the batch write path can assemble into pooled scratch.
+// guarded by compare-and-swap against concurrent controllers.
 func (w *replicaWrite) appendBatchOps(dst []wire.BatchOp) []wire.BatchOp {
+	key, next := w.rec.Meta.Key, encodeVer(w.rec.Meta.Version)
 	return append(dst,
-		wire.BatchOp{Op: wire.BatchPut, Key: store.ObjectKey(w.key, w.next), Value: w.blob,
-			NewVersion: encodeVer(w.next), Force: true},
-		wire.BatchOp{Op: wire.BatchPut, Key: store.MetaKey(w.key), Value: w.metaRec,
-			DBVersion: w.prev, NewVersion: encodeVer(w.next)})
-}
-
-// putReplicas commits one write to all placement replicas: one
-// sub-operation group per replica drive, all replicas concurrently.
-// Latency is the slowest replica's single round trip, shared with
-// whatever other clients' writes the drive's group scheduler merged
-// alongside.
-func (c *Controller) putReplicas(ctx context.Context, w *replicaWrite, placement []int) error {
-	payload := len(w.blob) + len(w.metaRec)
-	return c.fanout(placement, func(di int) error {
-		ops := w.appendBatchOps(getOps())
-		if err := c.driveBatch(ctx, di, ops, payload, wire.SyncWriteThrough, true); err != nil {
-			return fmt.Errorf("core: batched write %q to drive %s: %w", w.key, c.drives[di].name, err)
-		}
-		return nil
-	})
+		wire.BatchOp{Op: wire.BatchPut, Key: store.ObjectKey(key, w.rec.Meta.Version), Value: w.blob,
+			NewVersion: next, Force: true},
+		wire.BatchOp{Op: wire.BatchPut, Key: store.MetaKey(key), Value: w.metaRec,
+			DBVersion: w.prev, NewVersion: next})
 }
 
 // replicationFailed maps a replication error for the client and drops
@@ -310,9 +315,6 @@ func (c *Controller) replicationFailed(err error, keys ...string) error {
 		return nil
 	}
 	for _, k := range keys {
-		// Forget before Remove: an in-flight coalesced fetch must not
-		// re-install the entry after the invalidation.
-		c.metaFlight.Forget(k)
 		c.metaCache.Remove(k)
 	}
 	if errors.Is(err, kclient.ErrVersionMismatch) {
@@ -321,14 +323,76 @@ func (c *Controller) replicationFailed(err error, keys ...string) error {
 	return err
 }
 
-// writeThrough commits one replicated write to its placement.
-func (c *Controller) writeThrough(ctx context.Context, w *replicaWrite) error {
-	placement := c.placement(w.key)
-	ctx, span := obs.StartSpan(ctx, "replicate")
-	span.Attr("replicas", strconv.Itoa(len(placement)))
-	err := c.putReplicas(ctx, w, placement)
+// commit is the write path's one way to the drives and back (§3.2 steps
+// 6–7): it persists any n ≥ 1 staged writes on every replica and then
+// publishes them. A single put is a batch of one; a transaction commit
+// is a batch that planned itself.
+//
+// The writes are grouped by placement drive so each drive receives as
+// few sub-operation groups as possible (an object+meta pair never splits
+// across groups — the drive applies both or neither, so object and
+// metadata cannot diverge on a replica), and the per-drive streams run
+// concurrently: latency is the slowest replica's round trip, shared with
+// whatever other clients' writes the drive's group scheduler merged
+// alongside. sync selects the durability each group ships with; the
+// group committer destages write-back groups with a trailing flush.
+//
+// Callers hold the keys' stripe locks and the shard gate across the
+// call. The cache publish happens under them — a concurrent writer must
+// not interleave a newer cache entry between the drive commit and the
+// publish — and a failure invalidates every touched key's metadata
+// before returning. The meta compare-and-swap tokens remain as the
+// cross-controller backstop.
+func (c *Controller) commit(ctx context.Context, writes []*replicaWrite, sync wire.SyncMode) error {
+	perDrive := make([][]wire.BatchOp, len(c.drives))
+	var drives []int
+	keys := make([]string, len(writes))
+	for i, w := range writes {
+		keys[i] = w.rec.Meta.Key
+		for _, di := range c.placement(keys[i]) {
+			if perDrive[di] == nil {
+				drives = append(drives, di)
+			}
+			perDrive[di] = w.appendBatchOps(perDrive[di])
+		}
+	}
+	sctx, span := obs.StartSpan(ctx, "replicate")
+	span.Attr("replicas", strconv.Itoa(len(drives)))
+	err := c.fanout(drives, func(di int) error {
+		// Chunk on the batch-op cap and the frame size, keeping each
+		// object+meta pair in one atomic group.
+		for ops := perDrive[di]; len(ops) > 0; {
+			n, bytes := 0, 0
+			for n < len(ops) && n+2 <= wire.MaxBatchOps {
+				sz := len(ops[n].Value) + len(ops[n+1].Value)
+				if n > 0 && bytes+sz > store.MaxObjectSize {
+					break
+				}
+				bytes += sz
+				n += 2
+			}
+			if err := c.driveBatch(sctx, di, ops[:n], bytes, sync); err != nil {
+				return fmt.Errorf("core: write batch to drive %s: %w", c.drives[di].name, err)
+			}
+			ops = ops[n:]
+		}
+		return nil
+	})
 	span.End()
-	return c.replicationFailed(err, w.key)
+	if err != nil {
+		return c.replicationFailed(err, keys...)
+	}
+	var bytes uint64
+	for _, w := range writes {
+		m := w.rec.Meta // a copy: a cached meta must not pin the record's payload
+		c.metaCache.Put(m.Key, &m)
+		c.objectCache.Put(string(store.ObjectKey(m.Key, m.Version)), w.rec)
+		c.noteWrite(m.Key, int(m.Size))
+		bytes += uint64(m.Size)
+	}
+	c.stats.Puts.Add(uint64(len(writes)))
+	c.stats.WriteBytes.Add(bytes)
+	return nil
 }
 
 // deleteReplica removes every stored version of key — object records
@@ -365,7 +429,7 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guar
 		// released range's records must be durably gone before the
 		// handoff acknowledges), and the CAS-guarded metadata delete
 		// leading the first chunk protects the whole stream.
-		err := c.driveBatch(ctx, di, ops[:n], 0, wire.SyncWriteThrough, false)
+		err := c.driveBatch(ctx, di, ops[:n], 0, wire.SyncWriteThrough)
 		if metaPending && err != nil {
 			var be *kclient.BatchError
 			if errors.As(err, &be) && be.Index == 0 && errors.Is(err, kclient.ErrNotFound) {
@@ -386,7 +450,6 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guar
 	// Purge by drive key: this covers streamed chunk records too, which
 	// are cached under ChunkKey and invisible to a version-number sweep.
 	for _, k := range keys {
-		c.objectFlight.Forget(string(k))
 		c.objectCache.Remove(string(k))
 	}
 	return nil
@@ -435,168 +498,4 @@ func (c *Controller) lockStripes(keys []string) (unlock func()) {
 			c.writeLocks[idx[j]].Unlock()
 		}
 	}
-}
-
-// txWrite is one planned transactional write: the key, its planned
-// next version, the current metadata (nil on creation) and the new
-// payload.
-type txWrite struct {
-	key   string
-	next  int64
-	meta  *store.Meta
-	value []byte
-}
-
-// commitTxWrites stages, persists and publishes a transaction's write
-// set. Policy checks and version planning already happened under the
-// VLL locks; this encodes every record, takes the per-key mutation
-// stripes (so non-transactional writers serialize against the commit),
-// pushes the batches through commitWrites and finally publishes the
-// new versions to the caches.
-func (c *Controller) commitTxWrites(ctx context.Context, writes []txWrite) error {
-	if len(writes) == 0 {
-		return nil
-	}
-	staged := make([]*replicaWrite, 0, len(writes))
-	newMetas := make([]*store.Meta, 0, len(writes))
-	keys := make([]string, 0, len(writes))
-	for _, tw := range writes {
-		if int64(len(tw.value)) > store.MaxObjectSize {
-			return fmt.Errorf("pesos: tx write %q: %w", tw.key, store.ErrTooLarge)
-		}
-		c.cost.MoveBytes(len(tw.value)) // payload crosses into the enclave
-		newMeta := &store.Meta{
-			Key:         tw.key,
-			Version:     tw.next,
-			Size:        int64(len(tw.value)),
-			ContentHash: store.HashContent(tw.value),
-		}
-		if tw.meta != nil {
-			// Transactional writes keep the object's policy; the stored
-			// hash is authoritative for the unchanged program.
-			newMeta.PolicyID = tw.meta.PolicyID
-			newMeta.PolicyHash = tw.meta.PolicyHash
-		}
-		blob, err := c.codec.EncodeRecord(&store.Record{Meta: *newMeta, Payload: tw.value})
-		if err != nil {
-			return err
-		}
-		w := &replicaWrite{key: tw.key, next: tw.next, blob: blob, metaRec: newMeta.Marshal()}
-		if tw.meta != nil {
-			w.prev = encodeVer(tw.meta.Version)
-		}
-		staged = append(staged, w)
-		newMetas = append(newMetas, newMeta)
-		keys = append(keys, tw.key)
-	}
-
-	unlock := c.lockStripes(keys)
-	// Sharding gate: a transaction commits atomically, so a single
-	// foreign key fails the whole commit with the redirect error.
-	release, err := c.beginWrite(ctx, keys...)
-	if err != nil {
-		unlock()
-		return err
-	}
-	// Transactional commit records tolerate losing a single drive's
-	// write buffer — the paper's design recovers partially-replicated
-	// commits from the surviving replicas (§4.4) — so with replication
-	// in play they ship write-back and the committer destages them
-	// with a trailing flush instead of paying the write-through
-	// penalty per batch. Unreplicated deployments have no second copy
-	// to recover from and stay write-through.
-	sync := wire.SyncWriteThrough
-	if c.cfg.Replicas > 1 {
-		sync = wire.SyncWriteBack
-	}
-	err = c.commitWrites(ctx, staged, sync)
-	if err == nil {
-		// Publish under the stripe locks, like putObject: a concurrent
-		// writer must not interleave a newer cache entry between our
-		// drive commit and our cache publish.
-		for i, w := range staged {
-			c.metaCache.Put(w.key, newMetas[i])
-			c.objectCache.Put(string(store.ObjectKey(w.key, w.next)),
-				&store.Record{Meta: *newMetas[i], Payload: writes[i].value})
-			c.metaFlight.Forget(w.key)
-		}
-	}
-	release()
-	unlock()
-	if err != nil {
-		return fmt.Errorf("pesos: tx commit: %w", err)
-	}
-	n := uint64(len(writes))
-	var bytes uint64
-	for i, w := range staged {
-		c.noteWrite(w.key, len(writes[i].value))
-		bytes += uint64(len(writes[i].value))
-	}
-	c.stats.Puts.Add(n)
-	c.stats.WriteBytes.Add(bytes)
-	return nil
-}
-
-// commitWrites persists a multi-key write set: the writes are grouped
-// by placement drive so each drive receives as few sub-operation
-// groups as possible (object+meta pairs never split across groups),
-// and the per-drive streams run concurrently. Policy checks and
-// version planning happened under the VLL locks in CommitTx (or the
-// stripe locks in batchPut); the meta compare-and-swap tokens remain
-// as the cross-controller backstop.
-//
-// sync selects the durability each group is shipped with; the group
-// committer destages write-back groups with a trailing flush.
-func (c *Controller) commitWrites(ctx context.Context, writes []*replicaWrite, sync wire.SyncMode) error {
-	if len(writes) == 0 {
-		return nil
-	}
-	// Group the sub-operation pairs per drive.
-	type driveOps struct {
-		ops     []wire.BatchOp
-		payload int
-	}
-	perDrive := make(map[int]*driveOps)
-	for _, w := range writes {
-		for _, di := range c.placement(w.key) {
-			b := perDrive[di]
-			if b == nil {
-				b = &driveOps{}
-				perDrive[di] = b
-			}
-			b.ops = w.appendBatchOps(b.ops)
-			b.payload += len(w.blob) + len(w.metaRec)
-		}
-	}
-	drives := make([]int, 0, len(perDrive))
-	for di := range perDrive {
-		drives = append(drives, di)
-	}
-	err := c.fanout(drives, func(di int) error {
-		b := perDrive[di]
-		// Chunk on the batch-op cap and the frame size, keeping each
-		// object+meta pair in one atomic group.
-		ops := b.ops
-		for len(ops) > 0 {
-			n, bytes := 0, 0
-			for n < len(ops) && n+2 <= wire.MaxBatchOps {
-				sz := len(ops[n].Value) + len(ops[n+1].Value)
-				if n > 0 && bytes+sz > store.MaxObjectSize {
-					break
-				}
-				bytes += sz
-				n += 2
-			}
-			if err := c.driveBatch(ctx, di, ops[:n], bytes, sync, false); err != nil {
-				return fmt.Errorf("core: tx batch to drive %s: %w", c.drives[di].name, err)
-			}
-			ops = ops[n:]
-		}
-		return nil
-	})
-	keys := make([]string, len(writes))
-	for i, w := range writes {
-		keys[i] = w.key
-	}
-	return c.replicationFailed(err, keys...)
 }

@@ -182,7 +182,7 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 			if err != nil {
 				return nil, err
 			}
-			if err := c.checkPolicyCtx(ctx, pe, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
+			if err := c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
 				if errors.Is(err, ErrDenied) {
 					filtered++
 					continue
@@ -218,10 +218,10 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 // returns the newest that is well-formed and names key — a drive
 // answering one key with another object's record must not hand the
 // policy check that object's policy. Byte-equal copies, the healthy
-// case, are decoded once, into slots the page reuses. With no readable
-// copy the page fails: an entry that cannot be policy-checked is never
-// listed, and dropping it silently would hide an object from a reader
-// entitled to it.
+// case, are decoded once, into slots a page reuses. With no readable
+// copy a listing fails its page: an entry that cannot be policy-checked
+// is never listed, and dropping it silently would hide an object from a
+// reader entitled to it. Repair elects through it too (loadMetaNewest).
 func newestMeta(key string, copies [][]byte, slots *[2]store.Meta) (*store.Meta, error) {
 	best, spare := &slots[0], &slots[1]
 	var bestRaw []byte
@@ -247,7 +247,7 @@ func newestMeta(key string, copies [][]byte, slots *[2]store.Meta) (*store.Meta,
 		found, bestRaw = true, raw
 	}
 	if !found {
-		return nil, fmt.Errorf("core: scan: no readable metadata copy of %q: %w", key, store.ErrCorrupt)
+		return nil, fmt.Errorf("core: no readable metadata copy of %q: %w", key, store.ErrCorrupt)
 	}
 	return best, nil
 }

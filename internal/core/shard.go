@@ -802,13 +802,8 @@ func (c *Controller) destroyMigrated(ctx context.Context, m *Manifest) error {
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: destroy migrated %q: %w", e.Key, err)
 		}
-		c.metaFlight.Forget(e.Key)
 		c.metaCache.Remove(e.Key)
-		for v := int64(0); v <= e.Version; v++ {
-			ck := string(store.ObjectKey(e.Key, v))
-			c.objectFlight.Forget(ck)
-			c.objectCache.Remove(ck)
-		}
+		c.forgetVersions(e.Key, e.Version)
 	}
 	return firstErr
 }
@@ -858,7 +853,9 @@ func (c *Controller) AdoptDriveCredentials(epoch uint64) {
 // stopped any cache-warming loop: activation drops the version-
 // bearing caches (meta and object), because entries warmed while the
 // old active was still committing may be stale — serving them would
-// lose acknowledged writes from a reader's point of view. The
+// lose acknowledged writes from a reader's point of view. Clearing
+// also detaches the fetches a warming pass still has in flight, so
+// none of them lands in the emptied cache afterwards. The
 // content-addressed policy caches survive, which is most of what
 // warming buys.
 func (c *Controller) Activate(epoch uint64) error {

@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"repro/internal/kinetic/kclient"
+	"repro/internal/kinetic/wire"
 	"repro/internal/policy/lang"
 	"repro/internal/store"
 )
@@ -186,7 +187,7 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 	// re-run under the lock at commit time (see commitStream).
 	lock := c.writeLock(key)
 	lock.Lock()
-	meta, next, err := c.planVersion(ctx, sessionKey, key, opts)
+	meta, next, err := c.planVersion(ctx, nil, sessionKey, key, opts)
 	if err == nil {
 		_, _, err = c.resolvePolicy(ctx, meta, opts.PolicyID)
 	}
@@ -352,14 +353,13 @@ func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts
 		c.sweepChunks(context.WithoutCancel(ctx), key, next, chunks, l)
 		return 0, err
 	}
-	c.noteWrite(key, int(total))
-	c.stats.Puts.Inc()
+	// commitStream counted the write (the stub's size is the object's);
+	// what is left is what only a stream has.
 	c.stats.Streams.Inc()
 	if l.m > 0 {
 		c.stats.ECObjects.Inc()
 	}
 	c.stats.ECParityBytes.Add(uint64(parityBytes))
-	c.stats.WriteBytes.Add(uint64(total))
 	return next, nil
 }
 
@@ -412,7 +412,7 @@ func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, o
 	}
 	defer release()
 
-	meta2, next2, err := c.planVersion(ctx, sessionKey, key, opts)
+	meta2, next2, err := c.planVersion(ctx, nil, sessionKey, key, opts)
 	if err != nil {
 		return err
 	}
@@ -427,27 +427,18 @@ func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, o
 		return err
 	}
 
-	newMeta := &store.Meta{
+	stub := store.Meta{
 		Key: key, Version: next, Size: total, ContentHash: hash,
 		PolicyID: newPolicyID, PolicyHash: policyHash, Chunks: chunks,
 	}
 	if l.m > 0 {
-		newMeta.ECK, newMeta.ECM = int64(l.k), int64(l.m)
+		stub.ECK, stub.ECM = int64(l.k), int64(l.m)
 	}
-	stub := &store.Record{Meta: *newMeta}
-	stubBlob, err := c.codec.EncodeRecord(stub)
+	w, err := c.stage(meta2, stub, nil)
 	if err != nil {
 		return err
 	}
-	w := &replicaWrite{key: key, next: next, blob: stubBlob, metaRec: newMeta.Marshal()}
-	if meta2 != nil {
-		w.prev = encodeVer(meta2.Version)
-	}
-	if err := c.writeThrough(ctx, w); err != nil {
-		return err
-	}
-	c.publishWrite(stub)
-	return nil
+	return c.commit(ctx, []*replicaWrite{w}, wire.SyncWriteThrough)
 }
 
 // chunksIntact is the commit-time survival probe: the upload's first
@@ -486,7 +477,7 @@ func (c *Controller) getObjectStream(ctx context.Context, sessionKey, key string
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := c.checkPolicy(ctx, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
+	if err := c.checkPolicy(ctx, nil, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
 		return nil, nil, err
 	}
 	version := meta.Version

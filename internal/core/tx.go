@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/authority"
+	"repro/internal/kinetic/wire"
 	"repro/internal/policy/lang"
 	"repro/internal/store"
 	"repro/internal/vll"
@@ -167,27 +168,15 @@ func (s *Session) CommitTx(ctx context.Context, txID uint64) error {
 			return s.txAbort(txID, err)
 		}
 		if meta != nil {
-			if err := s.ctl.checkPolicyCtx(ctx, peRead, lang.PermRead, s.clientKey, k, meta, nil, tx.certs); err != nil {
+			if err := s.ctl.checkPolicy(ctx, peRead, lang.PermRead, s.clientKey, k, meta, nil, tx.certs); err != nil {
 				return s.txAbort(txID, err)
 			}
 		}
 	}
-	type plannedWrite struct {
-		key  string
-		next int64
-		meta *store.Meta // nil on creation
-	}
 	planned := make([]plannedWrite, 0, len(writeSet))
 	for _, k := range writeSet {
-		meta, err := s.ctl.loadMeta(ctx, k)
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			return s.txAbort(txID, err)
-		}
-		var next int64
-		if meta != nil {
-			next = meta.Version + 1
-		}
-		if err := s.ctl.checkPolicyCtx(ctx, peUpdate, lang.PermUpdate, s.clientKey, k, meta, &next, tx.certs); err != nil {
+		meta, next, err := s.ctl.planVersion(ctx, peUpdate, s.clientKey, k, PutOptions{Certs: tx.certs})
+		if err != nil {
 			return s.txAbort(txID, err)
 		}
 		planned = append(planned, plannedWrite{key: k, next: next, meta: meta})
@@ -212,13 +201,7 @@ func (s *Session) CommitTx(ctx context.Context, txID uint64) error {
 	// key: the object and metadata records of every write stay paired
 	// inside atomic wire messages, and a transaction touching many
 	// keys pays max-of-replica latency, not a sum over keys.
-	staged := make([]txWrite, 0, len(planned))
-	for _, pw := range planned {
-		staged = append(staged, txWrite{
-			key: pw.key, next: pw.next, meta: pw.meta, value: tx.writes[pw.key],
-		})
-	}
-	if err := s.ctl.commitTxWrites(ctx, staged); err != nil {
+	if err := s.ctl.commitTx(ctx, planned, tx.writes); err != nil {
 		// Keys are VLL-locked, so a failure here means replica failure
 		// or an out-of-band writer; surface it and abort.
 		return s.txAbort(txID, err)
@@ -231,6 +214,64 @@ func (s *Session) CommitTx(ctx context.Context, txID uint64) error {
 	tx.results = results
 	s.mu.Unlock()
 	s.ctl.stats.TxCommits.Inc()
+	return nil
+}
+
+// plannedWrite is one transactional write planned under the VLL locks:
+// the key, its next version and the current metadata (nil on creation).
+type plannedWrite struct {
+	key  string
+	next int64
+	meta *store.Meta
+}
+
+// commitTx stages a transaction's planned writes and commits them as
+// one batch. Policy checks and version planning already happened under
+// the VLL locks; the per-key mutation stripes are taken around the
+// commit so non-transactional writers serialize against it.
+func (c *Controller) commitTx(ctx context.Context, planned []plannedWrite, values map[string][]byte) error {
+	if len(planned) == 0 {
+		return nil
+	}
+	staged := make([]*replicaWrite, len(planned))
+	keys := make([]string, len(planned))
+	for i, pw := range planned {
+		value := values[pw.key]
+		m := store.Meta{Key: pw.key, Version: pw.next, Size: int64(len(value)), ContentHash: store.HashContent(value)}
+		if pw.meta != nil {
+			// Transactional writes keep the object's policy; the stored
+			// hash is authoritative for the unchanged program.
+			m.PolicyID, m.PolicyHash = pw.meta.PolicyID, pw.meta.PolicyHash
+		}
+		w, err := c.stage(pw.meta, m, value)
+		if err != nil {
+			return fmt.Errorf("pesos: tx write %q: %w", pw.key, err)
+		}
+		staged[i], keys[i] = w, pw.key
+	}
+	unlock := c.lockStripes(keys)
+	defer unlock()
+	// Sharding gate: a transaction commits atomically, so a single
+	// foreign key fails the whole commit with the redirect error.
+	release, err := c.beginWrite(ctx, keys...)
+	if err != nil {
+		return err
+	}
+	defer release()
+	// Transactional commit records tolerate losing a single drive's
+	// write buffer — the paper's design recovers partially-replicated
+	// commits from the surviving replicas (§4.4) — so with replication
+	// in play they ship write-back and the committer destages them
+	// with a trailing flush instead of paying the write-through
+	// penalty per batch. Unreplicated deployments have no second copy
+	// to recover from and stay write-through.
+	sync := wire.SyncWriteThrough
+	if c.cfg.Replicas > 1 {
+		sync = wire.SyncWriteBack
+	}
+	if err := c.commit(ctx, staged, sync); err != nil {
+		return fmt.Errorf("pesos: tx commit: %w", err)
+	}
 	return nil
 }
 
