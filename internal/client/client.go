@@ -28,8 +28,9 @@ import (
 
 // Client talks to one Pesos controller.
 type Client struct {
-	base string
-	http *http.Client
+	base    *url.URL // Config.BaseURL, parsed once
+	baseErr error    // why it could not be
+	http    *http.Client
 }
 
 // APIError is a non-2xx response from the controller. Code carries
@@ -71,17 +72,12 @@ func New(cfg Config) *Client {
 	if cfg.DialContext != nil {
 		tr.DialContext = cfg.DialContext
 	}
-	return &Client{base: cfg.BaseURL, http: &http.Client{Transport: tr}}
+	base, err := url.Parse(cfg.BaseURL)
+	return &Client{base: base, baseErr: err, http: &http.Client{Transport: tr}}
 }
 
-// PutOptions mirror core.PutOptions over the wire.
-type PutOptions struct {
-	PolicyID   string
-	Version    int64
-	HasVersion bool
-	Async      bool
-	Certs      []*authority.Certificate
-}
+// PutOptions are core.PutOptions, carried over the wire.
+type PutOptions = core.PutOptions
 
 // Put stores an object and returns its new version: PutOp with the
 // per-op failure folded into the error, as an *OpError. It is
@@ -94,12 +90,8 @@ func (c *Client) Put(ctx context.Context, key string, value []byte, opts PutOpti
 	return res.Version, res.failure(err)
 }
 
-// GetOptions mirror core.GetOptions.
-type GetOptions struct {
-	Version    int64
-	HasVersion bool
-	Certs      []*authority.Certificate
-}
+// GetOptions are core.GetOptions, carried over the wire.
+type GetOptions = core.GetOptions
 
 // ObjectMeta is the metadata returned with a get.
 type ObjectMeta struct {
@@ -107,14 +99,20 @@ type ObjectMeta struct {
 	PolicyID string
 }
 
-// Get fetches an object whole: the buffered form of GetStream.
+// Get fetches an object whole, into a slice of its declared size.
 func (c *Client) Get(ctx context.Context, key string, opts GetOptions) ([]byte, *ObjectMeta, error) {
-	body, meta, err := c.GetStream(ctx, key, opts)
+	body, size, meta, err := c.open(ctx, key, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer body.Close()
-	value, err := io.ReadAll(body)
+	var value []byte
+	if size < 0 || size > maxBufferedReply {
+		value, err = io.ReadAll(body)
+	} else {
+		value = make([]byte, size)
+		_, err = io.ReadFull(body, value)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -133,7 +131,7 @@ func (c *Client) ListVersions(ctx context.Context, key string, certs ...*authori
 	var out struct {
 		Versions []int64 `json:"versions"`
 	}
-	err := c.call(ctx, http.MethodGet, "/v1/versions/"+escapeKey(key), nil, nil, certs, &out)
+	err := c.call(ctx, http.MethodGet, "/v1/versions/", key, nil, nil, certs, &out)
 	return out.Versions, err
 }
 
@@ -142,13 +140,13 @@ func (c *Client) PutPolicy(ctx context.Context, src string) (string, error) {
 	var out struct {
 		ID string `json:"id"`
 	}
-	err := c.call(ctx, http.MethodPost, "/v1/policies", nil, strings.NewReader(src), nil, &out)
+	err := c.call(ctx, http.MethodPost, "/v1/policies", "", nil, strings.NewReader(src), nil, &out)
 	return out.ID, err
 }
 
 // GetPolicy fetches the canonical source of a stored policy.
 func (c *Client) GetPolicy(ctx context.Context, id string) (string, error) {
-	resp, err := c.send(ctx, http.MethodGet, "/v1/policies/"+url.PathEscape(id), nil, nil, nil)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/policies/", id, nil, nil, nil)
 	if err != nil {
 		return "", err
 	}
@@ -162,19 +160,19 @@ func (c *Client) GetPolicy(ctx context.Context, id string) (string, error) {
 
 // VerifyInfo is the integrity evidence for one stored version.
 type VerifyInfo struct {
-	Key         string `json:"key"`
-	Version     int64  `json:"version"`
-	Size        int64  `json:"size"`
-	ContentHash string `json:"contentHash"`
-	Policy      string `json:"policy"`
-	PolicyHash  string `json:"policyHash"`
+	Key         core.JSONKey `json:"key"`
+	Version     int64        `json:"version"`
+	Size        int64        `json:"size"`
+	ContentHash string       `json:"contentHash"`
+	Policy      string       `json:"policy"`
+	PolicyHash  string       `json:"policyHash"`
 }
 
 // Verify fetches integrity-checked metadata for a stored version.
 func (c *Client) Verify(ctx context.Context, key string, version int64) (*VerifyInfo, error) {
 	q := url.Values{"version": {strconv.FormatInt(version, 10)}}
 	var out VerifyInfo
-	if err := c.call(ctx, http.MethodGet, "/v1/verify/"+escapeKey(key), q, nil, nil, &out); err != nil {
+	if err := c.call(ctx, http.MethodGet, "/v1/verify/", key, q, nil, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -182,13 +180,17 @@ func (c *Client) Verify(ctx context.Context, key string, version int64) (*Verify
 
 // Repair restores an object's missing or corrupt replicas (§4.5),
 // reporting how many versions were examined and how many records were
-// rewritten.
+// rewritten. A report that names another key is an error.
 func (c *Client) Repair(ctx context.Context, key string) (versions, restored int, err error) {
 	var out struct {
-		Versions int `json:"versions"`
-		Restored int `json:"restored"`
+		Key      core.JSONKey `json:"key"`
+		Versions int          `json:"versions"`
+		Restored int          `json:"restored"`
 	}
-	err = c.call(ctx, http.MethodPost, "/v1/repair/"+escapeKey(key), nil, nil, nil, &out)
+	err = c.call(ctx, http.MethodPost, "/v1/repair/", key, nil, nil, nil, &out)
+	if err == nil && string(out.Key) != key {
+		err = fmt.Errorf("pesos client: repair of %q reported on %q", key, out.Key)
+	}
 	return out.Versions, out.Restored, err
 }
 
@@ -203,7 +205,7 @@ func (c *Client) CreateTx(ctx context.Context) (*Tx, error) {
 	var out struct {
 		Tx uint64 `json:"tx"`
 	}
-	if err := c.call(ctx, http.MethodPost, "/v1/tx", nil, nil, nil, &out); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/v1/tx", "", nil, nil, nil, &out); err != nil {
 		return nil, err
 	}
 	return &Tx{c: c, id: out.Tx}, nil
@@ -243,20 +245,28 @@ func (t *Tx) Results(ctx context.Context) ([]core.TxOpResult, error) {
 
 // call is Client.call on one step of the transaction.
 func (t *Tx) call(ctx context.Context, method, step string, q url.Values, body io.Reader, out any) error {
-	return t.c.call(ctx, method, "/v1/tx/"+strconv.FormatUint(t.id, 10)+"/"+step, q, body, nil, out)
+	return t.c.call(ctx, method, "/v1/tx/"+strconv.FormatUint(t.id, 10)+"/"+step, "", q, body, nil, out)
 }
 
 // send issues one request and returns the reply as it came, whatever
-// its status, body unread: the client's one way onto the wire.
-func (c *Client) send(ctx context.Context, method, path string, q url.Values, body io.Reader, certs []*authority.Certificate) (*http.Response, error) {
-	u := c.base + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
+// its status, body unread: the client's one way onto the wire. The URL is
+// the parsed base plus route plus, where the route is addressed by one,
+// the key: itself in Path, escaped in RawPath, nothing parsed.
+func (c *Client) send(ctx context.Context, method, route, key string, q url.Values, body io.Reader, certs []*authority.Certificate) (*http.Response, error) {
+	if c.baseErr != nil {
+		return nil, c.baseErr
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, body)
+	req, err := http.NewRequestWithContext(ctx, method, "", body)
 	if err != nil {
 		return nil, err
 	}
+	u := req.URL
+	*u = *c.base
+	u.Path += route + key
+	if esc := escapeKey(key); esc != key {
+		u.RawPath = c.base.EscapedPath() + route + esc
+	}
+	u.RawQuery, req.Host = q.Encode(), u.Host
 	for _, cert := range certs {
 		raw, err := cert.Marshal()
 		if err != nil {
@@ -279,8 +289,8 @@ func (c *Client) send(ctx context.Context, method, path string, q url.Values, bo
 // call serves every route that answers 200 with a JSON document, which
 // out receives (nil discards it); any other status is the error it
 // decodes to.
-func (c *Client) call(ctx context.Context, method, path string, q url.Values, body io.Reader, certs []*authority.Certificate, out any) error {
-	resp, err := c.send(ctx, method, path, q, body, certs)
+func (c *Client) call(ctx context.Context, method, route, key string, q url.Values, body io.Reader, certs []*authority.Certificate, out any) error {
+	resp, err := c.send(ctx, method, route, key, q, body, certs)
 	if err != nil {
 		return err
 	}
@@ -290,26 +300,30 @@ func (c *Client) call(ctx context.Context, method, path string, q url.Values, bo
 	return ReadJSON(resp, out)
 }
 
-// maxDrain bounds what ReadJSON reads past the decoded value to reach
-// the end of a reply: beyond it, a new connection costs less than the
-// bytes.
-const maxDrain = 256 << 10
+// maxBufferedReply bounds what is allocated on a declared length alone;
+// maxDrain what ReadJSON reads past a streamed value to reach the end of
+// a reply: beyond it, a new connection costs less than the bytes.
+const maxBufferedReply, maxDrain = 1 << 20, 256 << 10
 
-// ReadJSON consumes a JSON reply: it decodes the body into out (nil
-// skips decoding), reads what remains to EOF and closes it. The read to
-// EOF is what keeps the connection: a json.Decoder stops at the end of
-// the value, short of a chunked reply's terminating chunk, and net/http
-// discards a connection whose body was closed unfinished — the next
-// request then pays a TLS handshake. A reply with more than maxDrain
-// left over is closed where it stands.
+// ReadJSON consumes a JSON reply into out (nil skips decoding) and closes
+// it. One of the codec's shapes (core.RESTShape) arriving with its length
+// is read once, whole. Anything else — a cold route's reply, a shape from
+// a server that chunks it — is decoded as a stream and then read on to
+// EOF, which is what keeps the connection: a json.Decoder stops short of
+// a chunked reply's terminating chunk, and net/http discards a connection
+// whose body was closed unfinished. A reply with more than maxDrain left
+// over is closed where it stands.
 func ReadJSON(resp *http.Response, out any) error {
 	defer resp.Body.Close()
+	if shape, ok := out.(core.RESTShape); ok && resp.ContentLength >= 0 && resp.ContentLength <= maxBufferedReply {
+		return core.ReadREST(resp.Body, resp.ContentLength, shape)
+	}
 	var err error
 	if out != nil {
 		err = json.NewDecoder(resp.Body).Decode(out)
 	}
 	// A drain that fails or falls short costs the connection, nothing
-	// else: Close below then discards it.
+	// else: Close then discards it.
 	io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
 	return err
 }
@@ -317,11 +331,9 @@ func ReadJSON(resp *http.Response, out any) error {
 // decodeError consumes a non-200 reply into the error it stands for.
 // Every route fails in the one envelope {"error":{"code","message"}}.
 func decodeError(resp *http.Response) error {
-	var e struct {
-		Error OpError `json:"error"`
-	}
+	var e core.ErrorReply
 	ReadJSON(resp, &e) // an undecodable body leaves the status to speak
-	apiErr := &APIError{Status: resp.StatusCode, Code: e.Error.Code, Msg: e.Error.Message}
+	apiErr := &APIError{Status: resp.StatusCode, Code: string(e.Error.Code), Msg: e.Error.Message}
 	if apiErr.Msg == "" {
 		apiErr.Msg = resp.Status
 	}

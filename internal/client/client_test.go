@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,9 +19,10 @@ import (
 	"repro/internal/core"
 )
 
-// fakeController answers the handful of routes these tests use with
-// replies shaped like the controller's: JSON written through a
-// json.Encoder, long ones chunked.
+// fakeController answers the handful of routes these tests use the way
+// a third-party server may: JSON written through a json.Encoder straight
+// to the wire, long replies chunked. Only ?prefix=sized is answered as
+// the controller itself answers, whole and with Content-Length.
 func fakeController(t *testing.T) (*Client, *atomic.Int64) {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -34,7 +36,14 @@ func fakeController(t *testing.T) (*Client, *atomic.Int64) {
 		for i := 0; i < 100; i++ {
 			page.Entries = append(page.Entries, ListEntry{Key: core.JSONKey(fmt.Sprintf("user%06d/record", i)), Version: int64(i), Size: 1024, PolicyID: strings.Repeat("p", 64)})
 		}
-		if r.URL.Query().Get("prefix") != "endless" {
+		switch r.URL.Query().Get("prefix") {
+		case "endless":
+		case "sized":
+			body := append(core.AppendREST(nil, &page), '\n')
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body)
+			return
+		default:
 			writeJSON(w, http.StatusOK, page)
 			return
 		}
@@ -110,8 +119,16 @@ func TestChunkedRepliesKeepTheConnection(t *testing.T) {
 			t.Fatalf("batch put %d: %d results, %v", i, len(res), err)
 		}
 	}
+	// A reply with Content-Length is read once, to its length, and that
+	// too leaves the connection ready for the next request.
+	for i := 0; i < 15; i++ {
+		page, err := cl.List(ctx, ListOptions{Prefix: "sized"})
+		if err != nil || len(page.Entries) != 100 || page.NextToken != "more" {
+			t.Fatalf("sized list %d: %d entries, %v", i, len(page.Entries), err)
+		}
+	}
 	if n := dials.Load(); n != 1 {
-		t.Errorf("50 lists and 10 batch puts dialled %d times, want 1", n)
+		t.Errorf("50 chunked lists, 10 batch puts and 15 sized lists dialled %d times, want 1", n)
 	}
 }
 

@@ -9,7 +9,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -45,6 +44,19 @@ type OpResult struct {
 	Version int64        `json:"version"`
 	Op      uint64       `json:"op,omitempty"`
 	Err     *OpError     `json:"error,omitempty"`
+}
+
+// opError and opResult carry the codec's decoded values (core's types)
+// into the client's.
+func opError(e *core.WireError) *OpError {
+	if e == nil {
+		return nil
+	}
+	return &OpError{Code: string(e.Code), Message: e.Message}
+}
+
+func opResult(r core.OpResult) OpResult {
+	return OpResult{Key: r.Key, Version: r.Version, Op: r.OpID, Err: opError(r.Err)}
 }
 
 // failure folds a mutation's two failure channels into one error: the
@@ -103,15 +115,15 @@ func (c *Client) DeleteOp(ctx context.Context, key string, async bool, certs ...
 // OpResult regardless of status: per-op failures land in OpResult.Err
 // (with the taxonomy code), transport failures in the error.
 func (c *Client) doOpResult(ctx context.Context, method, key string, q url.Values, body io.Reader, certs []*authority.Certificate) (OpResult, error) {
-	resp, err := c.send(ctx, method, "/v2/objects/"+escapeKey(key), q, body, certs)
+	resp, err := c.send(ctx, method, "/v2/objects/", key, q, body, certs)
 	if err != nil {
 		return OpResult{}, err
 	}
-	var out OpResult
+	var out core.OpResult
 	if err := ReadJSON(resp, &out); err != nil {
 		return OpResult{}, fmt.Errorf("pesos client: HTTP %d with undecodable body: %w", resp.StatusCode, err)
 	}
-	return out, nil
+	return opResult(out), nil
 }
 
 // GetStream opens an object for reading through /v2. The returned
@@ -121,20 +133,26 @@ func (c *Client) doOpResult(ctx context.Context, method, key string, q url.Value
 // a read error before EOF — the server aborts the connection rather
 // than completing a corrupt transfer.
 func (c *Client) GetStream(ctx context.Context, key string, opts GetOptions) (io.ReadCloser, *ObjectMeta, error) {
-	q := url.Values{}
+	body, _, meta, err := c.open(ctx, key, opts)
+	return body, meta, err
+}
+
+// open starts a read: the body, its declared size (-1 if none) and the
+// object's metadata.
+func (c *Client) open(ctx context.Context, key string, opts GetOptions) (io.ReadCloser, int64, *ObjectMeta, error) {
+	var q url.Values
 	if opts.HasVersion {
-		q.Set("version", strconv.FormatInt(opts.Version, 10))
+		q = url.Values{"version": {strconv.FormatInt(opts.Version, 10)}}
 	}
-	resp, err := c.send(ctx, http.MethodGet, "/v2/objects/"+escapeKey(key), q, nil, opts.Certs)
+	resp, err := c.send(ctx, http.MethodGet, "/v2/objects/", key, q, nil, opts.Certs)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, nil, decodeError(resp)
+		return nil, 0, nil, decodeError(resp)
 	}
 	ver, _ := strconv.ParseInt(resp.Header.Get("X-Pesos-Version"), 10, 64)
-	meta := &ObjectMeta{Version: ver, PolicyID: resp.Header.Get("X-Pesos-Policy")}
-	return resp.Body, meta, nil
+	return resp.Body, resp.ContentLength, &ObjectMeta{Version: ver, PolicyID: resp.Header.Get("X-Pesos-Policy")}, nil
 }
 
 // ResultOp polls an async v2 operation. ok=false means the result
@@ -144,7 +162,7 @@ func (c *Client) ResultOp(ctx context.Context, opID uint64) (res OpResult, done,
 		Done   bool     `json:"done"`
 		Result OpResult `json:"result"`
 	}
-	err = c.call(ctx, http.MethodGet, "/v2/results/"+strconv.FormatUint(opID, 10), nil, nil, nil, &out)
+	err = c.call(ctx, http.MethodGet, "/v2/results/"+strconv.FormatUint(opID, 10), "", nil, nil, nil, &out)
 	var apiErr *APIError
 	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
 		return OpResult{}, false, false, nil
@@ -155,38 +173,14 @@ func (c *Client) ResultOp(ctx context.Context, opID uint64) (res OpResult, done,
 	return out.Result, out.Done, true, nil
 }
 
-// ListOptions parameterizes one page of a listing.
-type ListOptions struct {
-	// Prefix restricts the listing ("" lists everything readable).
-	Prefix string
-	// Start begins the listing at the first key >= Start.
-	Start string
-	// Limit caps entries per page (0 = server default).
-	Limit int
-	// Token resumes a listing from a previous page's NextToken.
-	Token string
-	Certs []*authority.Certificate
-}
-
-// ListEntry is one listed object. Class is the storage class
-// ("ec:k+m" for erasure-coded streamed objects, empty for fully
-// replicated).
-type ListEntry struct {
-	Key      core.JSONKey `json:"key"`
-	Version  int64        `json:"version"`
-	Size     int64        `json:"size"`
-	PolicyID string       `json:"policy"`
-	Class    string       `json:"class"`
-}
-
-// ListPage is one page of a listing; NextToken is empty once the
-// listing is exhausted. ShardEpoch is set by sharded controllers (the
-// shard map epoch the page was filtered under; see core.ScanPage).
-type ListPage struct {
-	Entries    []ListEntry `json:"entries"`
-	NextToken  string      `json:"nextToken"`
-	ShardEpoch uint64      `json:"shardEpoch"`
-}
+// ListOptions parameterizes one page of a listing, ListEntry is one
+// listed object and ListPage one page: the controller's own types, so
+// the two ends of a listing cannot drift.
+type (
+	ListOptions = core.ScanOptions
+	ListEntry   = core.ScanEntry
+	ListPage    = core.ScanPage
+)
 
 // List fetches one page of the policy-filtered object listing.
 func (c *Client) List(ctx context.Context, opts ListOptions) (*ListPage, error) {
@@ -203,11 +197,11 @@ func (c *Client) List(ctx context.Context, opts ListOptions) (*ListPage, error) 
 	if opts.Token != "" {
 		q.Set("token", opts.Token)
 	}
-	var out ListPage
-	if err := c.call(ctx, http.MethodGet, "/v2/objects", q, nil, opts.Certs, &out); err != nil {
+	out := new(ListPage)
+	if err := c.call(ctx, http.MethodGet, "/v2/objects", "", q, nil, opts.Certs, out); err != nil {
 		return nil, err
 	}
-	return &out, nil
+	return out, nil
 }
 
 // ListAll drains a listing from the current position.
@@ -244,41 +238,35 @@ type BatchGetResult struct {
 // BatchGet reads many objects in one request, with per-op results in
 // request order.
 func (c *Client) BatchGet(ctx context.Context, keys []string, certs ...*authority.Certificate) ([]BatchGetResult, error) {
-	wireKeys := make([]core.JSONKey, len(keys))
+	req := core.BatchGetRequest{Keys: make([]core.JSONKey, len(keys))}
 	for i, k := range keys {
-		wireKeys[i] = core.JSONKey(k)
+		req.Keys[i] = core.JSONKey(k)
 	}
-	body, err := json.Marshal(map[string]any{"keys": wireKeys})
-	if err != nil {
+	var out core.BatchGetReply
+	if err := c.call(ctx, http.MethodPost, "/v2/batch/get", "", nil, bytes.NewReader(core.AppendREST(nil, &req)), certs, &out); err != nil {
 		return nil, err
 	}
-	var out struct {
-		Results []BatchGetResult `json:"results"`
+	results := make([]BatchGetResult, len(out.Results))
+	for i, r := range out.Results {
+		results[i] = BatchGetResult{Key: r.Key, Value: r.Value, Version: r.Version, PolicyID: r.PolicyID, Err: opError(r.Err)}
 	}
-	err = c.call(ctx, http.MethodPost, "/v2/batch/get", nil, bytes.NewReader(body), certs, &out)
-	return out.Results, err
+	return results, nil
 }
 
 // BatchPutOp is one write of a batch put.
-type BatchPutOp struct {
-	Key        core.JSONKey `json:"key"`
-	Value      []byte       `json:"value"`
-	Version    int64        `json:"version,omitempty"`
-	HasVersion bool         `json:"hasVersion,omitempty"`
-	PolicyID   string       `json:"policy,omitempty"`
-}
+type BatchPutOp = core.BatchPutOp
 
 // BatchPut writes many objects in one request. Each op succeeds or
 // fails independently (version rules, policy checks); the surviving
 // writes commit through one atomic batch stream per drive.
 func (c *Client) BatchPut(ctx context.Context, ops []BatchPutOp, certs ...*authority.Certificate) ([]OpResult, error) {
-	body, err := json.Marshal(map[string]any{"ops": ops})
-	if err != nil {
+	var out core.BatchPutReply
+	if err := c.call(ctx, http.MethodPost, "/v2/batch/put", "", nil, bytes.NewReader(core.AppendREST(nil, &core.BatchPutRequest{Ops: ops})), certs, &out); err != nil {
 		return nil, err
 	}
-	var out struct {
-		Results []OpResult `json:"results"`
+	results := make([]OpResult, len(out.Results))
+	for i, r := range out.Results {
+		results[i] = opResult(r)
 	}
-	err = c.call(ctx, http.MethodPost, "/v2/batch/put", nil, bytes.NewReader(body), certs, &out)
-	return out.Results, err
+	return results, nil
 }

@@ -48,30 +48,12 @@ func (k *JSONKey) UnmarshalJSON(data []byte) error {
 		*k = JSONKey(b)
 		return nil
 	}
-	// A string with nothing to unescape or repair — what MarshalJSON
-	// writes for nearly every key — is the bytes between the quotes;
-	// decoding it in place spares a decoder per listed key.
-	if n := len(data); n >= 2 && data[0] == '"' && data[n-1] == '"' && plainJSONString(data[1:n-1]) {
-		*k = JSONKey(data[1 : n-1])
-		return nil
-	}
 	var s string
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
 	}
 	*k = JSONKey(s)
 	return nil
-}
-
-// plainJSONString reports whether b, the inside of a JSON string
-// literal, decodes to itself: no escapes, no control bytes, valid UTF-8.
-func plainJSONString(b []byte) bool {
-	for _, c := range b {
-		if c < 0x20 || c == '\\' || c == '"' {
-			return false
-		}
-	}
-	return utf8.Valid(b)
 }
 
 // ErrorCode is the machine-readable error taxonomy of the v2 API.

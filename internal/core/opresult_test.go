@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// TestJSONKeyDecodesLikeEncodingJSON: the in-place decode of a plain
-// string literal gives what encoding/json gives, and everything that is
-// not plain — escapes, control bytes, broken UTF-8, the b64 object form
-// — still goes through encoding/json.
+// TestJSONKeyDecodesLikeEncodingJSON: a key in its string form decodes
+// to what encoding/json makes of the literal — escapes, control bytes
+// and broken UTF-8 included — and any key round-trips through marshal.
 func TestJSONKeyDecodesLikeEncodingJSON(t *testing.T) {
 	for _, lit := range []string{
 		`"user/0001"`, `""`, `"ключ/鍵"`, `"with space and / and 'quotes'"`,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -201,7 +202,10 @@ type objectReq struct {
 // handler (or the store) sees it.
 func (s *RESTServer) object(pattern, op string, h func(http.ResponseWriter, *http.Request, *Session, objectReq) error) {
 	s.route(pattern, op, func(w http.ResponseWriter, r *http.Request, sess *Session) error {
-		o := objectReq{key: r.PathValue("key"), query: r.URL.Query()}
+		o := objectReq{key: r.PathValue("key")}
+		if r.URL.RawQuery != "" {
+			o.query = r.URL.Query()
+		}
 		if o.key == "" {
 			return fmt.Errorf("%w: empty object key", ErrInvalidArgument)
 		}
@@ -257,7 +261,7 @@ func (s *RESTServer) handleVerify(w http.ResponseWriter, r *http.Request, sess *
 		return err
 	}
 	return reply(w, map[string]any{
-		"key":         meta.Key,
+		"key":         JSONKey(meta.Key),
 		"version":     meta.Version,
 		"size":        meta.Size,
 		"contentHash": fmt.Sprintf("%x", meta.ContentHash),
@@ -272,7 +276,7 @@ func (s *RESTServer) handleRepair(w http.ResponseWriter, r *http.Request, sess *
 		return err
 	}
 	return reply(w, map[string]any{
-		"key": report.Key, "versions": report.Versions, "restored": report.Restored,
+		"key": JSONKey(report.Key), "versions": report.Versions, "restored": report.Restored,
 	})
 }
 
@@ -454,17 +458,43 @@ func readLimit(body io.Reader) ([]byte, error) {
 // HTTP status fixed by the code.
 func writeError(w http.ResponseWriter, err error) {
 	we := wireError(err)
-	writeJSON(w, we.Code.HTTPStatus(), map[string]any{"error": we})
+	writeShape(w, we.Code.HTTPStatus(), &ErrorReply{Error: *we})
 }
 
-// reply writes a route's 200 JSON answer.
+// writeShape answers in one of the codec's shapes (restcodec.go).
+func writeShape(w http.ResponseWriter, code int, v RESTShape) {
+	bp := getBuf(0)
+	*bp = append(v.appendJSON(*bp), '\n')
+	writeBody(w, code, *bp)
+	putBuf(bp)
+}
+
+// reply writes a route's 200 JSON answer: through the codec when v is one
+// of its shapes, through encoding/json on the cold routes.
 func reply(w http.ResponseWriter, v any) error {
-	writeJSON(w, http.StatusOK, v)
+	if shape, ok := v.(RESTShape); ok {
+		writeShape(w, http.StatusOK, shape)
+	} else {
+		writeJSON(w, http.StatusOK, v)
+	}
 	return nil
 }
 
+// writeJSON is the cold routes' writer: encoding/json, into a buffer
+// first, so a value that does not encode is a 500 and not an empty 200.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		writeError(w, fmt.Errorf("encoding the reply: %w", err))
+		return
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody sends a JSON body whole: its length in the header, one Write.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
 }

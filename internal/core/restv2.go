@@ -6,7 +6,6 @@ package core
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -110,9 +109,7 @@ func (s *RESTServer) handleBatchGet(w http.ResponseWriter, r *http.Request, sess
 	if err != nil {
 		return err
 	}
-	var req struct {
-		Keys []JSONKey `json:"keys"`
-	}
+	var req BatchGetRequest
 	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
@@ -124,7 +121,7 @@ func (s *RESTServer) handleBatchGet(w http.ResponseWriter, r *http.Request, sess
 	if err != nil {
 		return err
 	}
-	return reply(w, map[string]any{"results": results})
+	return reply(w, &BatchGetReply{Results: results})
 }
 
 // handleBatchPut serves POST /v2/batch/put {"ops":[...]}.
@@ -133,9 +130,7 @@ func (s *RESTServer) handleBatchPut(w http.ResponseWriter, r *http.Request, sess
 	if err != nil {
 		return err
 	}
-	var req struct {
-		Ops []BatchPutOp `json:"ops"`
-	}
+	var req BatchPutRequest
 	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
@@ -143,7 +138,7 @@ func (s *RESTServer) handleBatchPut(w http.ResponseWriter, r *http.Request, sess
 	if err != nil {
 		return err
 	}
-	return reply(w, map[string]any{"results": results})
+	return reply(w, &BatchPutReply{Results: results})
 }
 
 // handleResultV2 polls an asynchronous operation through the unified
@@ -168,14 +163,13 @@ func replyOp(w http.ResponseWriter, res OpResult) error {
 	if res.Err != nil {
 		status = res.Err.Code.HTTPStatus()
 	}
-	writeJSON(w, status, res)
+	writeShape(w, status, &res)
 	return nil
 }
 
-// decodeBody parses a bounded JSON request body.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBatchBody))
-	if err := dec.Decode(v); err != nil {
+// decodeBody reads a bounded JSON request body, once, and parses it.
+func decodeBody(r *http.Request, v RESTShape) error {
+	if err := ReadREST(http.MaxBytesReader(nil, r.Body, maxBatchBody), r.ContentLength, v); err != nil {
 		return fmt.Errorf("%w: bad request body: %v", ErrInvalidArgument, err)
 	}
 	return nil

@@ -22,11 +22,11 @@ var (
 // TxOpResult is the outcome of one operation inside a committed
 // transaction, retrievable with CheckResults (§4.4).
 type TxOpResult struct {
-	Key     string
-	Op      string // "read" or "write"
-	Value   []byte // read result
-	Version int64  // version read or written
-	Err     string // per-op failure (policy denial aborts the tx instead)
+	Key     JSONKey // binary keys survive the JSON reply (the JSONKey rule)
+	Op      string  // "read" or "write"
+	Value   []byte  // read result
+	Version int64   // version read or written
+	Err     string  // per-op failure (policy denial aborts the tx instead)
 }
 
 // txState buffers a transaction until commit (§4.2's transaction
@@ -187,7 +187,7 @@ func (s *Session) CommitTx(ctx context.Context, txID uint64) error {
 	var results []TxOpResult
 	for _, k := range readOnly {
 		val, meta, err := s.ctl.getObject(ctx, s.clientKey, k, GetOptions{Certs: tx.certs})
-		r := TxOpResult{Key: k, Op: "read"}
+		r := TxOpResult{Key: JSONKey(k), Op: "read"}
 		if err != nil {
 			r.Err = err.Error()
 		} else {
@@ -207,7 +207,7 @@ func (s *Session) CommitTx(ctx context.Context, txID uint64) error {
 		return s.txAbort(txID, err)
 	}
 	for _, pw := range planned {
-		results = append(results, TxOpResult{Key: pw.key, Op: "write", Version: pw.next})
+		results = append(results, TxOpResult{Key: JSONKey(pw.key), Op: "write", Version: pw.next})
 	}
 
 	s.mu.Lock()

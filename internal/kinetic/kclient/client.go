@@ -92,9 +92,7 @@ type Client struct {
 	creds Credentials
 
 	mu      sync.Mutex
-	conn    net.Conn
-	w       *bufio.Writer
-	enc     *wire.Encoder
+	conn    *link
 	pending map[uint64]call
 	closed  bool
 	// dialing, when non-nil, gates a reconnect in flight: exactly one
@@ -112,8 +110,79 @@ type Client struct {
 // went out on: when that connection dies the call fails, and calls
 // already riding a replacement connection do not.
 type call struct {
-	conn net.Conn
+	conn *link
 	ch   chan *wire.Message
+}
+
+// link is one connection and what sending on it needs. Senders serialise
+// on wmu, never on the client's state mutex: Close and the teardown of a
+// dead connection take only the latter, so they can always close the
+// connection under a sender blocked on a peer that stopped reading —
+// which is what fails its write.
+type link struct {
+	net.Conn
+	wmu sync.Mutex
+	w   *bufio.Writer
+	enc *wire.Encoder
+
+	// sending is the context of the caller whose send is in progress, nil
+	// between sends; watch fires checkSend on one that outlasts sendGrace.
+	smu     sync.Mutex
+	sending context.Context
+	watch   *time.Timer
+}
+
+func newLink(conn net.Conn) *link {
+	l := &link{Conn: conn, w: bufio.NewWriterSize(conn, 64<<10), enc: wire.NewEncoder()}
+	l.watch = time.AfterFunc(time.Hour, l.checkSend)
+	l.watch.Stop()
+	return l
+}
+
+// sendGrace is the period of the watch on a send in progress: long for a
+// live peer to take a frame — the watch never fires on a healthy
+// connection, so a cancellation that merely coincides with a send cannot
+// fail the other calls in flight — and short for a caller that gave up.
+const sendGrace = 100 * time.Millisecond
+
+// send writes one signed request. A cancelled ctx ends a send blocked on
+// a peer that stopped reading: the watch, armed for the length of the
+// write (a timer reset and stop: no goroutine, nothing allocated), closes
+// the connection under it.
+func (l *link) send(ctx context.Context, req *wire.Message, key []byte) error {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	l.setSending(ctx)
+	l.watch.Reset(sendGrace)
+	err := l.enc.WriteFrame(l.w, req, key)
+	if err == nil {
+		err = l.w.Flush()
+	}
+	l.watch.Stop()
+	l.setSending(nil)
+	return err
+}
+
+func (l *link) setSending(ctx context.Context) {
+	l.smu.Lock()
+	l.sending = ctx
+	l.smu.Unlock()
+}
+
+// checkSend is the watch firing: a send has been in progress for a whole
+// period. If its caller is gone it will not finish by itself — close the
+// connection; otherwise look again a period on.
+func (l *link) checkSend() {
+	l.smu.Lock()
+	ctx := l.sending
+	l.smu.Unlock()
+	switch {
+	case ctx == nil: // finished as the timer fired
+	case ctx.Err() != nil:
+		l.Close()
+	default:
+		l.watch.Reset(sendGrace)
+	}
 }
 
 // dialGate is one reconnect attempt: closed when the dial resolves,
@@ -133,12 +202,10 @@ func Dial(ctx context.Context, dial Dialer, creds Credentials) (*Client, error) 
 	c := &Client{
 		dial:    dial,
 		creds:   creds,
-		conn:    conn,
-		w:       bufio.NewWriterSize(conn, 64<<10),
-		enc:     wire.NewEncoder(),
+		conn:    newLink(conn),
 		pending: make(map[uint64]call),
 	}
-	go c.readLoop(conn)
+	go c.readLoop(c.conn)
 	return c, nil
 }
 
@@ -184,7 +251,7 @@ func release(m *wire.Message) {
 	pool.Put(m)
 }
 
-func (c *Client) readLoop(conn net.Conn) {
+func (c *Client) readLoop(conn *link) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
 		// The pooled message is taken once the reply's size is known,
@@ -214,7 +281,7 @@ func (c *Client) readLoop(conn net.Conn) {
 // though the transport is up). Calls on a replacement connection a
 // racing reconnect already installed are left alone, as is the
 // client's connection unless it is still the failed one.
-func (c *Client) failAll(failed net.Conn) {
+func (c *Client) failAll(failed *link) {
 	failed.Close()
 	c.mu.Lock()
 	var lost []chan *wire.Message
@@ -247,7 +314,7 @@ func (c *Client) ensureConn(ctx context.Context) error {
 			return ErrClosed
 		}
 		if c.conn != nil {
-			return nil // mutex stays held for the send
+			return nil // mutex stays held for the caller
 		}
 		if c.dialing != nil {
 			gate := c.dialing
@@ -287,10 +354,9 @@ func (c *Client) ensureConn(ctx context.Context) error {
 			conn.Close()
 			return ErrClosed
 		}
-		c.conn = conn
-		c.w = bufio.NewWriterSize(conn, 64<<10)
-		go c.readLoop(conn)
-		return nil // mutex stays held for the send
+		c.conn = newLink(conn)
+		go c.readLoop(c.conn)
+		return nil // mutex stays held for the caller
 	}
 }
 
@@ -307,27 +373,20 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Message) (*wire.Messag
 	if err := c.ensureConn(ctx); err != nil {
 		return nil, err
 	}
+	conn, key := c.conn, c.creds.Key
 	req.User = c.creds.Identity
-	if c.enc == nil {
-		c.enc = wire.NewEncoder()
-	}
 	ch := make(chan *wire.Message, 1)
-	c.pending[req.Seq] = call{conn: c.conn, ch: ch}
-	err := c.enc.WriteFrame(c.w, req, c.creds.Key)
-	if err == nil {
-		err = c.w.Flush()
-	}
-	if err != nil {
-		delete(c.pending, req.Seq)
+	c.pending[req.Seq] = call{conn: conn, ch: ch}
+	c.mu.Unlock()
+
+	if err := conn.send(ctx, req, key); err != nil {
 		// Drop the dead connection so the next call redials.
-		if c.conn != nil {
-			c.conn.Close()
-			c.conn = nil
+		c.failAll(conn)
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		c.mu.Unlock()
 		return nil, err
 	}
-	c.mu.Unlock()
 
 	select {
 	case resp, ok := <-ch:

@@ -509,3 +509,83 @@ func TestReleasedValueFrameIsReused(t *testing.T) {
 		t.Fatal("a value that was never released was overwritten by a later reply")
 	}
 }
+
+// TestSendBlockedOnADeafPeer: a peer that accepted the connection and
+// never reads blocks the sender in its write. Neither Close nor the
+// caller's own context may wait behind that write — both must end it:
+// Close closes the connection under the sender, and so does the watch on
+// the send once its caller's context is cancelled.
+func TestSendBlockedOnADeafPeer(t *testing.T) {
+	within := func(t *testing.T, what string, done <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s still blocked after 1s", what)
+		}
+	}
+	deaf := func(t *testing.T) *Client {
+		t.Helper()
+		cl, err := Dial(context.Background(), func(context.Context) (net.Conn, error) {
+			client, server := net.Pipe() // nobody ever reads server
+			t.Cleanup(func() { server.Close() })
+			return client, nil
+		}, Credentials{Identity: kinetic.DefaultAdminIdentity, Key: kinetic.DefaultAdminKey})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	// get issues a read on its own goroutine; failed closes once it has
+	// returned an error.
+	get := func(t *testing.T, ctx context.Context, cl *Client) (failed chan struct{}) {
+		failed = make(chan struct{})
+		go func() {
+			if _, _, err := cl.Get(ctx, []byte("k")); err == nil {
+				t.Error("get through a peer that never reads succeeded")
+			}
+			close(failed)
+		}()
+		return failed
+	}
+	// sending waits until the read is inside its write.
+	sending := func(t *testing.T, cl *Client) {
+		t.Helper()
+		cl.mu.Lock()
+		conn := cl.conn
+		cl.mu.Unlock()
+		inProgress := func() bool {
+			conn.smu.Lock()
+			defer conn.smu.Unlock()
+			return conn.sending != nil
+		}
+		for deadline := time.Now().Add(time.Second); !inProgress(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the read never started sending")
+			}
+		}
+	}
+
+	t.Run("close", func(t *testing.T) {
+		cl := deaf(t)
+		failed := get(t, context.Background(), cl)
+		sending(t, cl)
+		closed := make(chan struct{})
+		go func() { cl.Close(); close(closed) }()
+		within(t, "Close", closed)
+		within(t, "the round trip under Close", failed)
+	})
+	t.Run("cancel", func(t *testing.T) {
+		cl := deaf(t)
+		defer cl.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		failed := get(t, ctx, cl)
+		sending(t, cl)
+		cancel()
+		within(t, "the cancelled round trip", failed)
+		// A second caller is not stuck behind the first's write lock.
+		ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel2()
+		within(t, "a second round trip", get(t, ctx2, cl))
+	})
+}

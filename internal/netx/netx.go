@@ -44,10 +44,26 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 }
 
-// Close unblocks Accept and future Dial calls with ErrClosed.
+// Close unblocks Accept and future Dial calls with ErrClosed, and closes
+// the connections still waiting in the backlog: nobody will accept them,
+// and a dialer left holding the other end of such a pipe would block on
+// its first write for ever (a closed TCP listener resets its backlog too).
 func (l *Listener) Close() error {
 	l.once.Do(func() { close(l.closed) })
+	l.drain()
 	return nil
+}
+
+// drain closes every connection queued for Accept.
+func (l *Listener) drain() {
+	for {
+		select {
+		case c := <-l.conns:
+			c.Close()
+		default:
+			return
+		}
+	}
 }
 
 // Addr returns the synthetic address.
@@ -70,7 +86,16 @@ func (l *Listener) DialContext(ctx context.Context) (net.Conn, error) {
 	client, server := net.Pipe()
 	select {
 	case l.conns <- server:
-		return client, nil
+		select {
+		case <-l.closed:
+			// Close ran between the check above and the enqueue, and its
+			// drain may have passed already: finish it here.
+			l.drain()
+			client.Close()
+			return nil, ErrClosed
+		default:
+			return client, nil
+		}
 	case <-l.closed:
 		client.Close()
 		server.Close()

@@ -76,3 +76,29 @@ func TestAddr(t *testing.T) {
 		t.Fatalf("addr: %v", ln.Addr())
 	}
 }
+
+// TestCloseResetsTheBacklog: a connection dialled but never accepted is
+// closed with the listener, so the dialer's first write fails instead of
+// blocking on a pipe nobody will ever read.
+func TestCloseResetsTheBacklog(t *testing.T) {
+	ln := NewListener("test")
+	conn, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ln.Close()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := conn.Write([]byte("hello"))
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		if err == nil {
+			t.Fatal("write to a connection of a closed listener's backlog succeeded")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("write to a connection of a closed listener's backlog blocked")
+	}
+}

@@ -99,9 +99,38 @@ func TestKeyEscapingRoundTripProperty(t *testing.T) {
 			t.Errorf("verify %q: %v", key, err)
 		} else if info.Size != int64(len(want)) || info.ContentHash != hex.EncodeToString(sum[:]) {
 			t.Errorf("verify %q reached another object: %+v", key, info)
+		} else if string(info.Key) != key {
+			t.Errorf("verify %q echoes the key as %q", key, info.Key)
 		}
+		// Repair checks the echoed key itself: a mangled one is its error.
 		if versions, restored, err := cl.Repair(ctx, key); err != nil || versions != 1 || restored != 0 {
 			t.Errorf("repair %q: %d versions, %d restored, %v", key, versions, restored, err)
+		}
+	}
+
+	// A transaction's results name their keys as the caller did, binary
+	// ones included, so they can be matched up.
+	txKeys := []string{"\xff\xfe\x80bin", "plain"}
+	tx, err := cl.CreateTx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddRead(ctx, txKeys[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddWrite(ctx, txKeys[1], []byte("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	results, err := tx.Results(ctx)
+	if err != nil || len(results) != len(txKeys) {
+		t.Fatalf("tx results: %+v, %v", results, err)
+	}
+	for i, r := range results {
+		if string(r.Key) != txKeys[i] || r.Err != "" {
+			t.Errorf("tx result %d is for key %q (%s), want %q", i, r.Key, r.Err, txKeys[i])
 		}
 	}
 
