@@ -330,6 +330,7 @@ type Stats struct {
 	ECParityBytes       obs.Counter // parity shard bytes written (the EC capacity overhead)
 	ECDecodes           obs.Counter // stripes served through a parity reconstruction
 	ECShardRepairs      obs.Counter // shards restored by repair (P2P copy or decode)
+	RangeRejects        obs.Counter // drive range replies refused by checkRange
 }
 
 // StatsSnapshot is a point-in-time copy of the counters, field for
@@ -370,6 +371,7 @@ type StatsSnapshot struct {
 	ECParityBytes       uint64
 	ECDecodes           uint64
 	ECShardRepairs      uint64
+	RangeRejects        uint64
 }
 
 // Snapshot returns a copy of the counters.
@@ -393,6 +395,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		AuditDropped: s.AuditDropped.Load(),
 		ECObjects:    s.ECObjects.Load(), ECParityBytes: s.ECParityBytes.Load(),
 		ECDecodes: s.ECDecodes.Load(), ECShardRepairs: s.ECShardRepairs.Load(),
+		RangeRejects: s.RangeRejects.Load(),
 	}
 }
 

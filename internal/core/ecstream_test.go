@@ -58,7 +58,7 @@ func TestECStreamRoundTrip(t *testing.T) {
 	cstart, cend := store.ChunkKeyRange("big")
 	records := 0
 	for di := range h.ctl.drives {
-		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di].pick(), cstart, cend)
+		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], cstart, cend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestECStreamBelowThresholdStaysReplicated(t *testing.T) {
 	// Both replicas hold both chunks.
 	cstart, cend := store.ChunkKeyRange("small")
 	for _, di := range h.ctl.placement("small") {
-		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di].pick(), cstart, cend)
+		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], cstart, cend)
 		if err != nil || len(keys) != 2 {
 			t.Errorf("replica %d holds %d chunks, want 2 (%v)", di, len(keys), err)
 		}
@@ -258,7 +258,7 @@ func TestECStreamDeleteCollectsAllShards(t *testing.T) {
 	// group fanout reaches beyond the replica placement.
 	cstart, cend := store.ChunkKeyRange("gone")
 	for di := range h.ctl.drives {
-		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di].pick(), cstart, cend)
+		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], cstart, cend)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -280,7 +280,7 @@ func (c *Controller) listVersions(ctx context.Context, sessionKey, key string, c
 	start, end := store.ObjectKeyRange(key)
 	placement := c.placement(key)
 	return readReplicas(ctx, c, placement, func(ctx context.Context, p *drivePool) ([]int64, error) {
-		keys, err := c.rangeAll(ctx, p.pick(), start, end)
+		keys, err := c.rangeAll(ctx, p, start, end)
 		if err != nil {
 			return nil, err
 		}

@@ -102,6 +102,7 @@ func (s *Stats) counters() []counterDecl {
 		{"ecParityBytes", "pesos_ec_parity_bytes_total", "Parity shard bytes written (the EC capacity overhead).", &s.ECParityBytes},
 		{"ecDecodes", "pesos_ec_decodes_total", "Stripes served through a parity reconstruction.", &s.ECDecodes},
 		{"ecShardRepairs", "pesos_ec_shard_repairs_total", "Shards restored by repair (P2P copy or decode).", &s.ECShardRepairs},
+		{"rangeRejects", "pesos_range_rejects_total", "Drive range replies refused: out of order, out of range, cut to nothing, or values not matching keys.", &s.RangeRejects},
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/kinetic/kclient"
 	"repro/internal/policy/lang"
@@ -62,7 +61,11 @@ func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.
 	// O(version-history × drives). Versions no replica holds are
 	// unrepairable either way — reads of them report not-found, the
 	// same before and after repair.
-	for _, v := range c.replicaVersions(ctx, key, meta.Version, placement) {
+	versions, err := c.replicaVersions(ctx, key, meta.Version, placement)
+	if err != nil {
+		return report, err
+	}
+	for _, v := range versions {
 		// Find one healthy copy of this version.
 		blob, found := c.healthyRecord(ctx, key, v, placement)
 		if !found {
@@ -119,45 +122,27 @@ func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.
 	return report, nil
 }
 
-// replicaVersions returns the sorted union of object-record versions
+// replicaVersions returns the ascending union of object-record versions
 // (≤ maxVer — records beyond the newest committed metadata are
-// uncommitted leftovers) still present on any placement replica, via
-// paginated key-range enumeration: cost scales with surviving
-// records, not version history. meta.Version is always included so
-// the newest version is checked even when only the metadata survived.
-func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int64, placement []int) []int64 {
-	seen := map[int64]bool{maxVer: true}
-	_, end := store.ObjectKeyRange(key)
-	for _, di := range placement {
-		cl := c.drives[di].pick()
-		next := int64(0)
-		for {
-			c.chargeDriveIO(0)
-			kr, err := cl.Range(ctx, store.ObjectKey(key, next), end, true, false, 0, false)
-			if err != nil || len(kr.Keys) == 0 {
-				break
-			}
-			last := int64(-1)
-			for _, dk := range kr.Keys {
-				if _, v, err := store.VersionFromObjectKey(dk); err == nil {
-					if v <= maxVer {
-						seen[v] = true
-					}
-					last = v
-				}
-			}
-			if !kr.Truncated || last < 0 || last >= maxVer {
-				break
-			}
-			next = last + 1
+// uncommitted leftovers) still present on any placement replica, by
+// walking the key's record range: cost scales with surviving records,
+// not version history. maxVer is always included so the newest version
+// is checked even when only the metadata survived. The enumeration
+// stands while one replica answers it.
+func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int64, placement []int) ([]int64, error) {
+	w := c.walk(ctx, &rangeWalk{drives: placement, cursor: store.ObjectKey(key, 0), inclusive: true,
+		end: store.ObjectKey(key, maxVer), tolerate: len(placement) - 1})
+	defer w.release()
+	var out []int64
+	for dk, _, _, ok := w.next(); ok; dk, _, _, ok = w.next() {
+		if _, v, err := store.VersionFromObjectKey(dk); err == nil {
+			out = append(out, v)
 		}
 	}
-	out := make([]int64, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	if len(out) == 0 || out[len(out)-1] != maxVer {
+		out = append(out, maxVer)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return out, w.err
 }
 
 // sweepKey repairs one key under its write lock (internal path, no

@@ -58,6 +58,36 @@ func (c *Controller) fanout(placement []int, fn func(di int) error) error {
 	return errors.Join(errs...)
 }
 
+// forEach runs fn over items on at most 8 goroutines at a time — per-key
+// work over a set too large to give fanout's goroutine each — and
+// returns the first error any call reported, after all of them ended.
+func forEach[T any](items []T, fn func(T) error) error {
+	sem := make(chan struct{}, 8)
+	errc := make(chan error, 1)
+	var wg sync.WaitGroup
+	for _, it := range items {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(it T) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if err := fn(it); err != nil {
+				select {
+				case errc <- err:
+				default:
+				}
+			}
+		}(it)
+	}
+	wg.Wait()
+	select {
+	case err := <-errc:
+		return err
+	default:
+		return nil
+	}
+}
+
 // readReplicas runs a replicated read through the hedged primary-first
 // engine and feeds completed round trips into the per-drive latency
 // estimators. A drive's answer counts as a latency sample whether it
@@ -405,14 +435,13 @@ func (c *Controller) commit(ctx context.Context, writes []*replicaWrite, sync wi
 // (release after a handoff: the range was frozen and ownership is gone,
 // there is no concurrent writer to respect).
 func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guard []byte) error {
-	cl := c.drives[di].pick()
 	start, end := store.ObjectKeyRange(key)
-	keys, err := c.rangeAll(ctx, cl, start, end)
+	keys, err := c.rangeAll(ctx, c.drives[di], start, end)
 	if err != nil {
 		return err
 	}
 	cstart, cend := store.ChunkKeyRange(key)
-	chunkKeys, err := c.rangeAll(ctx, cl, cstart, cend)
+	chunkKeys, err := c.rangeAll(ctx, c.drives[di], cstart, cend)
 	if err != nil {
 		return err
 	}
@@ -453,27 +482,6 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guar
 		c.objectCache.Remove(string(k))
 	}
 	return nil
-}
-
-// rangeAll drains a drive key range past the drive's per-response cap,
-// looping with an exclusive-start continuation while the drive marks
-// its reply truncated. Keys only: the ranges drained here hold object
-// and chunk records.
-func (c *Controller) rangeAll(ctx context.Context, cl *kclient.Client, start, end []byte) ([][]byte, error) {
-	var out [][]byte
-	inclusive := true
-	for {
-		c.chargeDriveIO(0)
-		kr, err := cl.Range(ctx, start, end, inclusive, false, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, kr.Keys...)
-		if !kr.Truncated || len(kr.Keys) == 0 {
-			return out, nil
-		}
-		start, inclusive = kr.Keys[len(kr.Keys)-1], false
-	}
 }
 
 // lockStripes acquires the per-key mutation stripes for a set of keys

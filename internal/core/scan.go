@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"repro/internal/authority"
-	"repro/internal/kinetic/kclient"
 	"repro/internal/policy/lang"
 	"repro/internal/store"
 )
@@ -121,7 +120,6 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 	shardEpoch, ownedRanges, sharded := c.shardSnapshot()
 
 	page := &ScanPage{Entries: make([]ScanEntry, 0, limit), ShardEpoch: shardEpoch}
-	cursor := store.MetaKey(lower)
 	var filtered uint64
 	defer func() {
 		// Load accounting: a scan page charges one read per listed
@@ -139,79 +137,69 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 	// the first key per policy.
 	pe := &policyEval{}
 	var metas [2]store.Meta // decode slots, reused across the page's keys
-	// The drives' replies go back for reuse once the page is built:
-	// everything the page keeps of them has been copied out by then.
-	var rounds []*scanMerge
-	defer func() {
-		for _, r := range rounds {
-			for _, l := range r.lists {
-				l.Release()
-			}
-		}
-	}()
+	// Every drive is asked: placement spreads keys across the whole set.
+	// Up to Replicas-1 of them may fail a round — every object then still
+	// has a surviving replica reporting it.
+	w := c.walk(ctx, &rangeWalk{drives: allDrives(len(c.drives)), cursor: store.MetaKey(lower), inclusive: inclusive,
+		end: rangeEnd, page: limit + 1, values: true, tolerate: c.cfg.Replicas - 1})
+	// The replies go back for reuse, each round's when the next is in
+	// and the last when the page is built: everything the page keeps of
+	// them has been copied out by then.
+	defer w.release()
 	for {
-		round, err := c.scanRound(ctx, cursor, inclusive, rangeEnd, limit+1)
+		dk, mask, copies, ok := w.next()
+		if !ok {
+			break
+		}
+		// Cheap filters first — the drive range's inclusive end can
+		// admit the first key past the prefix, and sharded controllers
+		// list only keys they own under the page's epoch snapshot
+		// (anything else is migration residue the router gets from its
+		// owner) — so residue never costs a decode.
+		key := string(dk[2:]) // strip the metadata namespace prefix
+		if !strings.HasPrefix(key, opts.Prefix) {
+			continue
+		}
+		if sharded && !RangesContain(ownedRanges, store.ShardHash(key)) {
+			continue
+		}
+		// Placement sanity: a key reported only by drives outside its
+		// placement is a stale artifact (e.g. of a drive-set change),
+		// not a live object. The filter uses drive bitmasks; past 64
+		// drives it is skipped (a drive without a bit would silently drop
+		// live keys) — the merge and the metadata binding still keep the
+		// listing correct.
+		if len(c.drives) <= 64 && mask&c.placementMask(key) == 0 {
+			continue
+		}
+		meta, err := newestMeta(key, copies, &metas)
 		if err != nil {
 			return nil, err
 		}
-		rounds = append(rounds, round)
-		for {
-			dk, mask, copies, ok := round.next()
-			if !ok {
-				break
-			}
-			// Cheap filters first — the drive range's inclusive end can
-			// admit the first key past the prefix, and sharded controllers
-			// list only keys they own under the page's epoch snapshot
-			// (anything else is migration residue the router gets from its
-			// owner) — so residue never costs a decode.
-			key := string(dk[2:]) // strip the metadata namespace prefix
-			if !strings.HasPrefix(key, opts.Prefix) {
+		if err := c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
+			if errors.Is(err, ErrDenied) {
+				filtered++
 				continue
 			}
-			if sharded && !RangesContain(ownedRanges, store.ShardHash(key)) {
-				continue
-			}
-			// Placement sanity: a key reported only by drives outside its
-			// placement is a stale artifact (e.g. of a drive-set change),
-			// not a live object.
-			if round.maskable && mask&c.placementMask(key) == 0 {
-				continue
-			}
-			meta, err := newestMeta(key, copies, &metas)
-			if err != nil {
-				return nil, err
-			}
-			if err := c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
-				if errors.Is(err, ErrDenied) {
-					filtered++
-					continue
-				}
-				return nil, err
-			}
-			page.Entries = append(page.Entries, ScanEntry{
-				Key: JSONKey(key), Version: meta.Version, Size: meta.Size, PolicyID: meta.PolicyID,
-				Class: meta.StorageClass(),
-			})
-			if len(page.Entries) == limit {
-				// More keys may remain (in this round or on the drives):
-				// hand back a resume token positioned on the last
-				// *returned* key. Denied keys past it are re-examined —
-				// and re-suppressed — next page, so no page boundary ever
-				// leaks one.
-				page.NextToken = c.sealScanToken(opts.Prefix, key)
-				return page, nil
-			}
+			return nil, err
 		}
-		if round.horizon == nil {
-			return page, nil // no drive was cut: the range is exhausted
+		page.Entries = append(page.Entries, ScanEntry{
+			Key: JSONKey(key), Version: meta.Version, Size: meta.Size, PolicyID: meta.PolicyID,
+			Class: meta.StorageClass(),
+		})
+		if len(page.Entries) == limit {
+			// More keys may remain on the drives: hand back a resume token
+			// positioned on the last *returned* key. Denied keys past it
+			// are re-examined — and re-suppressed — next page, so no page
+			// boundary ever leaks one.
+			page.NextToken = c.sealScanToken(opts.Prefix, key)
+			return page, nil
 		}
-		// Resume past the completeness horizon: every key at or below
-		// it has been merged and examined this round (even ones the
-		// placement filter dropped, which is what keeps the cursor
-		// advancing over stale artifacts).
-		cursor, inclusive = round.horizon, false
 	}
+	if w.err != nil {
+		return nil, w.err // coverage is gone: an error, not a listing with holes
+	}
+	return page, nil // the range is exhausted
 }
 
 // newestMeta decodes the replica copies of key's metadata record and
@@ -250,125 +238,6 @@ func newestMeta(key string, copies [][]byte, slots *[2]store.Meta) (*store.Meta,
 		return nil, fmt.Errorf("core: no readable metadata copy of %q: %w", key, store.ErrCorrupt)
 	}
 	return best, nil
-}
-
-// scanMerge is one fan-out of a listing: every drive's next batch of
-// metadata records in [cursor, rangeEnd], each sorted by key, consumed
-// as one merged stream by next. Because each drive cuts its reply
-// independently, the stream is only trustworthy up to the smallest
-// last-key among truncated drives (the completeness horizon, nil when
-// no reply was cut); keys beyond it are left for the next round.
-type scanMerge struct {
-	lists   []driveRange
-	horizon []byte
-	copies  [][]byte // next's result, reused across calls
-	// maskable: the placement-sanity filter uses drive bitmasks; past 64
-	// drives it is skipped (1<<65 would silently drop live keys) — the
-	// merge and the metadata binding still keep the listing correct.
-	maskable bool
-}
-
-// driveRange is one drive's reply and the merge's position in it.
-type driveRange struct {
-	di int
-	kclient.KeyRange
-	pos int
-}
-
-// scanRound asks every drive for up to want metadata records from
-// cursor on. Up to Replicas-1 drive failures are tolerated: every
-// object then still has a surviving replica reporting it. A reply that
-// is not strictly ascending inside the asked range counts as a failure
-// — the merge relies on the order, the cursor on the range.
-func (c *Controller) scanRound(ctx context.Context, cursor []byte, inclusive bool, rangeEnd []byte, want int) (*scanMerge, error) {
-	lists := make([]driveRange, len(c.drives))
-	errs := make([]error, len(c.drives))
-	err := c.fanout(allDrives(len(c.drives)), func(di int) error {
-		c.chargeDriveIO(0)
-		kr, err := c.drives[di].pick().Range(ctx, cursor, rangeEnd, inclusive, false, want, true)
-		if err == nil {
-			err = checkRange(kr, cursor, inclusive, rangeEnd)
-		}
-		moved := 0
-		for i, k := range kr.Keys {
-			moved += len(k) + len(kr.Values[i])
-		}
-		c.cost.MoveBytes(moved)
-		lists[di], errs[di] = driveRange{di: di, KeyRange: kr}, err
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	round := &scanMerge{lists: lists[:0], maskable: len(c.drives) <= 64}
-	failures := 0
-	var lastErr error
-	for di, l := range lists {
-		if errs[di] != nil {
-			failures++
-			lastErr = errs[di]
-			continue
-		}
-		if l.Truncated {
-			if last := l.Keys[len(l.Keys)-1]; round.horizon == nil || bytes.Compare(last, round.horizon) < 0 {
-				round.horizon = last
-			}
-		}
-		round.lists = append(round.lists, l)
-	}
-	if failures > 0 && failures >= c.cfg.Replicas {
-		return nil, fmt.Errorf("core: scan cannot guarantee coverage, %d drives failed: %w", failures, lastErr)
-	}
-	return round, nil
-}
-
-// checkRange verifies a range reply is strictly ascending, inside the
-// asked range (start itself only when inclusive), and not marked cut
-// without a last key to resume from.
-func checkRange(kr kclient.KeyRange, start []byte, inclusive bool, end []byte) error {
-	prev := start
-	for i, k := range kr.Keys {
-		if cmp := bytes.Compare(k, prev); cmp < 0 || (cmp == 0 && !(i == 0 && inclusive)) {
-			return fmt.Errorf("core: drive range reply out of order at key %d", i)
-		}
-		prev = k
-	}
-	if len(kr.Keys) == 0 && kr.Truncated {
-		return errors.New("core: drive range reply truncated to nothing")
-	}
-	if len(kr.Keys) > 0 && bytes.Compare(prev, end) > 0 {
-		return errors.New("core: drive range reply past the asked range")
-	}
-	return nil
-}
-
-// next pops the smallest drive key at or below the horizon that the
-// merge has not yet produced, with the bitmask of the drives reporting
-// it and each one's copy of its value (valid until the next call).
-func (r *scanMerge) next() (dk []byte, mask uint64, copies [][]byte, ok bool) {
-	for i := range r.lists {
-		l := &r.lists[i]
-		if l.pos < len(l.Keys) && (!ok || bytes.Compare(l.Keys[l.pos], dk) < 0) {
-			dk, ok = l.Keys[l.pos], true
-		}
-	}
-	if !ok || (r.horizon != nil && bytes.Compare(dk, r.horizon) > 0) {
-		return nil, 0, nil, false
-	}
-	copies = r.copies[:0]
-	for i := range r.lists {
-		l := &r.lists[i]
-		if l.pos < len(l.Keys) && bytes.Equal(l.Keys[l.pos], dk) {
-			if r.maskable {
-				mask |= 1 << uint(l.di)
-			}
-			copies = append(copies, l.Values[l.pos])
-			l.pos++
-		}
-	}
-	r.copies = copies
-	return dk, mask, copies, true
 }
 
 // placementMask is the drive bitmask of a key's placement (dead-drive

@@ -484,46 +484,37 @@ func (c *Controller) ExportRange(ctx context.Context, r HashRange, target Migrat
 	if target.Replicas <= 0 {
 		target.Replicas = 1
 	}
-	keys, err := c.keysInRange(ctx, r)
+	var keys []string
+	err := c.walkKeys(ctx, 0, func(key string) bool {
+		if r.Contains(store.ShardHash(key)) {
+			keys = append(keys, key)
+		}
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
 	m := &Manifest{Range: r}
 	policies := make(map[string]bool)
 	var mu sync.Mutex
-	sem := make(chan struct{}, 8)
-	var wg sync.WaitGroup
-	errCh := make(chan error, 1)
-	for _, key := range keys {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(key string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			entry, policyID, err := c.exportKey(ctx, key, target)
-			if err != nil {
-				select {
-				case errCh <- fmt.Errorf("core: export %q: %w", key, err):
-				default:
-				}
-				return
-			}
-			if entry == nil {
-				return // vanished between enumeration and export
-			}
-			mu.Lock()
-			m.Entries = append(m.Entries, *entry)
-			if policyID != "" {
-				policies[policyID] = true
-			}
-			mu.Unlock()
-		}(key)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	err = forEach(keys, func(key string) error {
+		entry, policyID, err := c.exportKey(ctx, key, target)
+		if err != nil {
+			return fmt.Errorf("core: export %q: %w", key, err)
+		}
+		if entry == nil {
+			return nil // vanished between enumeration and export
+		}
+		mu.Lock()
+		m.Entries = append(m.Entries, *entry)
+		if policyID != "" {
+			policies[policyID] = true
+		}
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	for id := range policies {
 		m.Policies = append(m.Policies, id)
@@ -536,40 +527,25 @@ func (c *Controller) ExportRange(ctx context.Context, r HashRange, target Migrat
 	return m, nil
 }
 
-// keysInRange enumerates the object keys stored on this controller's
-// drives whose shard hash falls in r. Every drive is consulted so up
-// to Replicas-1 degraded replicas cannot hide a key.
-func (c *Controller) keysInRange(ctx context.Context, r HashRange) ([]string, error) {
+// walkKeys visits, in ascending order and until visit returns false,
+// every object key some drive holds a metadata record of, asking each
+// drive for page keys a round (0: the drive's cap). Every drive is
+// consulted, so up to Replicas-1 degraded replicas cannot hide a key;
+// one more and the enumeration fails.
+func (c *Controller) walkKeys(ctx context.Context, page int, visit func(key string) bool) error {
 	start, end := store.MetaKeyRange("")
-	seen := make(map[string]bool)
-	var failures int
-	var lastErr error
-	for _, p := range c.drives {
-		driveKeys, err := c.rangeAll(ctx, p.pick(), start, end)
-		if err != nil {
-			failures++
-			lastErr = err
-			continue
+	w := c.walk(ctx, &rangeWalk{drives: allDrives(len(c.drives)), cursor: start, inclusive: true, end: end,
+		page: page, tolerate: c.cfg.Replicas - 1})
+	defer w.release()
+	for {
+		dk, _, _, ok := w.next()
+		if !ok {
+			return w.err
 		}
-		for _, dk := range driveKeys {
-			if len(dk) < 2 {
-				continue
-			}
-			key := string(dk[2:])
-			if r.Contains(store.ShardHash(key)) {
-				seen[key] = true
-			}
+		if !visit(string(dk[2:])) { // strip the metadata namespace prefix
+			return nil
 		}
 	}
-	if failures > 0 && failures >= c.cfg.Replicas {
-		return nil, fmt.Errorf("core: range enumeration cannot guarantee coverage, %d drives failed: %w", failures, lastErr)
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // exportKey pushes all of one object's drive records to the target's
@@ -582,51 +558,43 @@ func (c *Controller) exportKey(ctx context.Context, key string, target Migration
 	if err != nil {
 		return nil, "", err
 	}
-	// Enumerate the record set as the UNION across all placement
-	// replicas: a responsive replica in the degraded pre-repair state
-	// (missing some version or chunk records) must not silently
-	// truncate the migration — the destruction at release is the last
-	// chance to have copied every surviving record.
+	// The record set is the UNION across all placement replicas: a
+	// responsive replica in the degraded pre-repair state (missing some
+	// version or chunk records) must not silently truncate the migration
+	// — the destruction at release is the last chance to have copied
+	// every surviving record. The enumeration stands while one replica
+	// answers it.
 	placement := c.placement(key)
-	ostart, oend := store.ObjectKeyRange(key)
-	cstart, cend := store.ChunkKeyRange(key)
-	recordSet := map[string]bool{string(store.MetaKey(key)): true}
-	failures := 0
-	var enumErr error
-	for _, di := range placement {
-		cl := c.drives[di].pick()
-		objKeys, err1 := c.rangeAll(ctx, cl, ostart, oend)
-		chunkKeys, err2 := c.rangeAll(ctx, cl, cstart, cend)
-		if err1 != nil || err2 != nil {
-			failures++
-			enumErr = errors.Join(err1, err2)
-			continue
-		}
-		for _, k := range objKeys {
-			recordSet[string(k)] = true
-		}
-		for _, k := range chunkKeys {
-			recordSet[string(k)] = true
-		}
-	}
-	if failures == len(placement) {
-		return nil, "", enumErr
-	}
-	driveKeys := make([][]byte, 0, len(recordSet))
-	for k := range recordSet {
-		driveKeys = append(driveKeys, []byte(k))
-	}
-	sort.Slice(driveKeys, func(i, j int) bool { return string(driveKeys[i]) < string(driveKeys[j]) })
 	targets := make([]string, 0, target.Replicas)
 	for _, ti := range store.Placement(key, len(target.Drives), target.Replicas) {
 		targets = append(targets, target.Drives[ti])
 	}
-	for _, dk := range driveKeys {
-		if err := c.p2pCopy(ctx, placement, dk, targets); err != nil {
+	ostart, oend := store.ObjectKeyRange(key)
+	cstart, cend := store.ChunkKeyRange(key)
+	for _, r := range [][2][]byte{{ostart, oend}, {cstart, cend}} {
+		if err := c.p2pCopyRange(ctx, placement, r[0], r[1], targets); err != nil {
 			return nil, "", err
 		}
 	}
+	// The metadata record goes last: a key whose export stopped half way
+	// is not an object on the target.
+	if err := c.p2pCopy(ctx, placement, store.MetaKey(key), targets); err != nil {
+		return nil, "", err
+	}
 	return &ManifestEntry{Key: key, Version: meta.Version}, meta.PolicyID, nil
+}
+
+// p2pCopyRange pushes every record in [start, end] that any placement
+// replica holds — their sorted union — to the target drives.
+func (c *Controller) p2pCopyRange(ctx context.Context, placement []int, start, end []byte, targets []string) error {
+	w := c.walk(ctx, &rangeWalk{drives: placement, cursor: start, inclusive: true, end: end, tolerate: len(placement) - 1})
+	defer w.release()
+	for dk, _, _, ok := w.next(); ok; dk, _, _, ok = w.next() {
+		if err := c.p2pCopy(ctx, placement, dk, targets); err != nil {
+			return err
+		}
+	}
+	return w.err
 }
 
 // exportPolicy pushes one compiled policy record to the target drives
@@ -678,48 +646,28 @@ func (c *Controller) p2pCopy(ctx context.Context, placement []int, driveKey []by
 // deliberately bypasses the ownership gate (internal loaders never
 // check ownership).
 func (c *Controller) VerifyImport(ctx context.Context, m *Manifest) error {
-	sem := make(chan struct{}, 8)
-	var wg sync.WaitGroup
-	errCh := make(chan error, 1)
-	fail := func(err error) {
-		select {
-		case errCh <- err:
-		default:
+	err := forEach(m.Entries, func(e ManifestEntry) error {
+		meta, err := c.fetchMeta(ctx, e.Key)
+		if err != nil {
+			return fmt.Errorf("core: import verify %q: %w", e.Key, err)
 		}
-	}
-	for _, e := range m.Entries {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(e ManifestEntry) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			meta, err := c.fetchMeta(ctx, e.Key)
-			if err != nil {
-				fail(fmt.Errorf("core: import verify %q: %w", e.Key, err))
-				return
+		if meta.Version != e.Version {
+			return fmt.Errorf("core: import verify %q: version %d, manifest says %d",
+				e.Key, meta.Version, e.Version)
+		}
+		rec, err := c.fetchRecord(ctx, e.Key, e.Version)
+		if err != nil {
+			return fmt.Errorf("core: import verify %q v%d: %w", e.Key, e.Version, err)
+		}
+		if rec.Meta.Chunks > 0 {
+			if err := c.verifyChunks(ctx, &rec.Meta); err != nil {
+				return fmt.Errorf("core: import verify %q v%d chunks: %w", e.Key, e.Version, err)
 			}
-			if meta.Version != e.Version {
-				fail(fmt.Errorf("core: import verify %q: version %d, manifest says %d",
-					e.Key, meta.Version, e.Version))
-				return
-			}
-			rec, err := c.fetchRecord(ctx, e.Key, e.Version)
-			if err != nil {
-				fail(fmt.Errorf("core: import verify %q v%d: %w", e.Key, e.Version, err))
-				return
-			}
-			if rec.Meta.Chunks > 0 {
-				if err := c.verifyChunks(ctx, &rec.Meta); err != nil {
-					fail(fmt.Errorf("core: import verify %q v%d chunks: %w", e.Key, e.Version, err))
-				}
-			}
-		}(e)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+		}
+		return nil
+	})
+	if err != nil {
 		return err
-	default:
 	}
 	for _, id := range m.Policies {
 		if _, err := c.fetchPolicy(ctx, id); err != nil {
@@ -898,30 +846,29 @@ func (c *Controller) WarmRanges(ctx context.Context, limit int) (int, error) {
 	if limit <= 0 {
 		limit = 1024
 	}
+	// One pass serves every owned range: keys are filtered by hash as
+	// they stream by, and the walk stops at the limit — a standby tick
+	// never drains the keyspace.
+	ranges := s.view.Load().info.Ranges
 	warmed := 0
-	for _, r := range s.view.Load().info.Ranges {
-		keys, err := c.keysInRange(ctx, r)
+	err := c.walkKeys(ctx, limit, func(key string) bool {
+		if !RangesContain(ranges, store.ShardHash(key)) {
+			return true
+		}
+		meta, err := c.loadMeta(ctx, key)
 		if err != nil {
-			return warmed, err
+			return true // vanished or degraded; warming is best-effort
 		}
-		for _, key := range keys {
-			if warmed >= limit {
-				return warmed, nil
-			}
-			meta, err := c.loadMeta(ctx, key)
-			if err != nil {
-				continue // vanished or degraded; warming is best-effort
-			}
-			if meta.PolicyID != "" {
-				_, _ = c.loadPolicy(ctx, meta.PolicyID)
-			}
-			warmed++
-			if ctx.Err() != nil {
-				return warmed, ctx.Err()
-			}
+		if meta.PolicyID != "" {
+			_, _ = c.loadPolicy(ctx, meta.PolicyID)
 		}
+		warmed++
+		return warmed < limit && ctx.Err() == nil
+	})
+	if err == nil {
+		err = ctx.Err()
 	}
-	return warmed, nil
+	return warmed, err
 }
 
 // RotateDriveCredentials installs fresh epoch-derived admin accounts

@@ -132,7 +132,7 @@ func TestStreamVersionsHistoryAndDelete(t *testing.T) {
 	}
 	for di := range h.ctl.drives {
 		cstart, cend := store.ChunkKeyRange("hist")
-		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di].pick(), cstart, cend)
+		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], cstart, cend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestStreamLosesRaceToBufferedWriter(t *testing.T) {
 		t.Fatalf("winner after race: %q v%d %v", val, meta.Version, err)
 	}
 	cstart, cend := store.ChunkKeyRange("raced")
-	keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[0].pick(), cstart, cend)
+	keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[0], cstart, cend)
 	if err != nil || len(keys) != 0 {
 		t.Fatalf("orphan chunks after lost race: %d %v", len(keys), err)
 	}
@@ -331,7 +331,7 @@ func TestStreamDetectsDeleteRecreateABA(t *testing.T) {
 		t.Fatalf("recreated object after ABA: %q v%d %v", val, meta.Version, err)
 	}
 	cstart, cend := store.ChunkKeyRange("aba")
-	keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[0].pick(), cstart, cend)
+	keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[0], cstart, cend)
 	if err != nil || len(keys) != 0 {
 		t.Fatalf("orphan chunks after ABA: %d %v", len(keys), err)
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -140,61 +139,55 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 	cursor, gen := sw.cursor, sw.generation
 	sw.mu.Unlock()
 
-	report := &SweepTickReport{Deep: gen%sweepDeepEvery == 0}
-	keys, windowEnd, wrapped, err := c.sweepKeysAfter(ctx, cursor, maxKeys)
-	if err != nil {
-		return report, err
+	report := &SweepTickReport{Deep: gen%sweepDeepEvery == 0, Cursor: cursor}
+	// Every live drive is asked (dead ones cannot extend coverage), so a
+	// degraded replica cannot hide a key; the enumeration stands while
+	// any of them answers.
+	var live []int
+	for di, dead := 0, c.deadMask.Load(); di < len(c.drives); di++ {
+		if dead&(1<<uint(di)) == 0 {
+			live = append(live, di)
+		}
 	}
-	if len(keys) > maxKeys {
-		// The union across drives can exceed one drive's window when
-		// replicas hold disjoint keys. Hard-cap the tick at its key
-		// budget and resume right after the last key processed; the
-		// overflow re-enumerates next tick.
-		keys = keys[:maxKeys]
-		windowEnd = ""
-		wrapped = false
+	start, end := store.MetaKeyRange("")
+	if cursor != "" {
+		start = store.MetaKey(cursor)
 	}
-	last := cursor
-	for _, key := range keys {
-		if err := ctx.Err(); err != nil {
-			wrapped = false
+	w := c.walk(ctx, &rangeWalk{drives: live, cursor: start, inclusive: cursor == "", end: end,
+		page: maxKeys + 1, tolerate: len(live) - 1})
+	defer w.release()
+	for {
+		dk, _, _, ok := w.next()
+		if !ok {
+			if w.err == nil {
+				report.Cursor, report.Wrapped = "", true
+			}
 			break
 		}
-		report.Scanned++
-		last = key
-		if !report.Deep && c.replicasConverged(ctx, key) {
-			continue
+		key := string(dk[2:]) // strip the metadata namespace prefix
+		if c.owns(key) {
+			// The tick yields at its key budget, its byte budget or a
+			// cancellation; the cursor resumes after the last key examined.
+			if report.Scanned == maxKeys || report.RestoredBytes >= maxBytes || ctx.Err() != nil {
+				break
+			}
+			report.Scanned++
+			if report.Deep || !c.replicasConverged(ctx, key) {
+				if rep, err := c.sweepKey(ctx, key); err != nil {
+					report.Failed++
+				} else if rep.Restored > 0 {
+					report.Repaired++
+					report.RestoredRecords += rep.Restored
+					report.RestoredBytes += rep.RestoredBytes
+				}
+			}
 		}
-		rep, err := c.sweepKey(ctx, key)
-		if err != nil {
-			report.Failed++
-			continue
-		}
-		if rep.Restored > 0 {
-			report.Repaired++
-			report.RestoredRecords += rep.Restored
-			report.RestoredBytes += rep.RestoredBytes
-		}
-		if report.RestoredBytes >= maxBytes {
-			// Byte budget exhausted: yield; the cursor resumes here.
-			wrapped = false
-			break
-		}
+		report.Cursor = key
 	}
-	if wrapped {
-		report.Cursor = ""
-	} else if report.Scanned < len(keys) || windowEnd == "" {
-		// Stopped early (budget or cancellation): resume after the
-		// last key actually processed.
-		report.Cursor = last
-	} else {
-		report.Cursor = windowEnd
-	}
-	report.Wrapped = wrapped
 
 	sw.mu.Lock()
 	sw.cursor = report.Cursor
-	if wrapped {
+	if report.Wrapped {
 		sw.generation++
 	}
 	sw.ticks++
@@ -207,73 +200,13 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 	sw.mu.Unlock()
 
 	c.stats.SweepTicks.Inc()
-	if wrapped {
+	if report.Wrapped {
 		c.stats.RepairSweeps.Inc()
 	}
+	if w.err != nil {
+		return report, fmt.Errorf("core: sweep enumeration: %w", w.err)
+	}
 	return report, nil
-}
-
-// sweepKeysAfter enumerates the next window of stored client keys
-// strictly after cursor, consulting every live drive so a degraded
-// replica cannot hide a key. It returns the window's keys (sorted,
-// owned ranges only), the highest key the window is guaranteed to
-// cover (the resume cursor), and whether the enumeration reached the
-// end of the keyspace.
-func (c *Controller) sweepKeysAfter(ctx context.Context, cursor string, limit int) (keys []string, windowEnd string, wrapped bool, err error) {
-	start, end := store.MetaKeyRange("")
-	if cursor != "" {
-		// Client keys exclude NUL, so appending one yields the least
-		// drive key strictly greater than MetaKey(cursor).
-		start = append(store.MetaKey(cursor), 0)
-	}
-	mask := c.deadMask.Load()
-	seen := make(map[string]bool)
-	consulted, failures := 0, 0
-	var lastErr error
-	full := false
-	for i, p := range c.drives {
-		if mask&(1<<uint(i)) != 0 {
-			continue // dead drives cannot extend coverage
-		}
-		consulted++
-		c.chargeDriveIO(0)
-		kr, err := p.pick().Range(ctx, start, end, true, false, limit, false)
-		if err != nil {
-			failures++
-			lastErr = err
-			continue
-		}
-		dks := kr.Keys
-		for _, dk := range dks {
-			if len(dk) >= 2 {
-				seen[string(dk[2:])] = true
-			}
-		}
-		if kr.Truncated && len(dks) > 0 {
-			// This drive has more keys beyond the window; the
-			// guaranteed-covered prefix ends at the smallest such
-			// boundary across drives.
-			boundary := string(dks[len(dks)-1][2:])
-			if !full || boundary < windowEnd {
-				windowEnd = boundary
-			}
-			full = true
-		}
-	}
-	if consulted == 0 || failures == consulted {
-		return nil, "", false, fmt.Errorf("core: sweep enumeration failed on all %d live drives: %w", consulted, lastErr)
-	}
-	for k := range seen {
-		if full && k > windowEnd {
-			continue // beyond the guaranteed window; next tick re-enumerates
-		}
-		if !c.owns(k) {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, windowEnd, !full, nil
 }
 
 // replicasConverged is the sweeper's fast path: version-only reads

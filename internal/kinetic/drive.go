@@ -655,6 +655,9 @@ func (d *Drive) handleRange(acct wire.ACL, req, resp *wire.Message) {
 		size = 0
 	}
 	d.waitMedia(OpScan, size)
+	if fs := d.faults.Load(); fs != nil {
+		fs.lieAboutRange(req, resp)
+	}
 }
 
 // handleSecurity replaces the entire account table, exactly the

@@ -1,8 +1,11 @@
 package kinetic
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/kinetic/wire"
 )
 
 // Faults configures deterministic fault injection on a drive. The zero
@@ -32,12 +35,33 @@ type Faults struct {
 	// copy); the authenticated codec upstream detects the damage, so
 	// this exercises the corrupt-replica repair path end to end.
 	CorruptEveryN int64
+	// RangeLie makes every key-range reply dishonest in one way — the
+	// drive as an adversary of the enumerations built on GETKEYRANGE, not
+	// merely a broken one. Like CorruptEveryN it rewrites the reply, never
+	// the store.
+	RangeLie RangeLie
 }
+
+// RangeLie names one way a drive misanswers a key range.
+type RangeLie string
+
+const (
+	// RangeReorder swaps the reply's first and last entries.
+	RangeReorder RangeLie = "reorder"
+	// RangeOvershoot appends an entry past the asked EndKey.
+	RangeOvershoot RangeLie = "overshoot"
+	// RangeStuck repeats the first range reply made under this fault
+	// configuration to every later range request, marked Truncated: a
+	// caller that follows the marker without checking never finishes.
+	RangeStuck RangeLie = "stuck"
+	// RangeCutToNothing answers no entries, marked Truncated.
+	RangeCutToNothing RangeLie = "cut-to-nothing"
+)
 
 // active reports whether any fault is configured.
 func (f Faults) active() bool {
 	return f.Blackhole || f.SlowFactor > 1 || f.ExtraDelay > 0 ||
-		f.ErrorEveryN > 0 || f.CorruptEveryN > 0
+		f.ErrorEveryN > 0 || f.CorruptEveryN > 0 || f.RangeLie != ""
 }
 
 // FaultStats counts injected faults since the last SetFaults call.
@@ -45,6 +69,7 @@ type FaultStats struct {
 	Dropped   uint64 `json:"dropped"`
 	Errors    uint64 `json:"errors"`
 	Corrupted uint64 `json:"corrupted"`
+	RangeLies uint64 `json:"range_lies"`
 }
 
 // faultState carries a fault configuration plus the deterministic
@@ -59,6 +84,10 @@ type faultState struct {
 	dropped   atomic.Uint64
 	errors    atomic.Uint64
 	corrupted atomic.Uint64
+	rangeLies atomic.Uint64
+
+	stuckMu sync.Mutex
+	stuck   *wire.Message // RangeStuck: the reply being repeated
 }
 
 // SetFaults installs a fault configuration on the drive, replacing any
@@ -94,5 +123,41 @@ func (d *Drive) FaultStats() FaultStats {
 		Dropped:   fs.dropped.Load(),
 		Errors:    fs.errors.Load(),
 		Corrupted: fs.corrupted.Load(),
+		RangeLies: fs.rangeLies.Load(),
 	}
+}
+
+// lieAboutRange rewrites an honest range reply according to the
+// configured RangeLie. The key and value slices are the reply's own;
+// the records they point at stay the store's and are never written.
+func (fs *faultState) lieAboutRange(req, resp *wire.Message) {
+	switch fs.cfg.RangeLie {
+	case RangeReorder:
+		last := len(resp.Keys) - 1
+		if last < 1 {
+			return // nothing to put out of order
+		}
+		resp.Keys[0], resp.Keys[last] = resp.Keys[last], resp.Keys[0]
+		if req.WithValues {
+			resp.Values[0], resp.Values[last] = resp.Values[last], resp.Values[0]
+		}
+	case RangeOvershoot:
+		resp.Keys = append(resp.Keys, append(append([]byte(nil), req.EndKey...), 0xff))
+		if req.WithValues {
+			resp.Values = append(resp.Values, []byte("overshoot"))
+		}
+	case RangeStuck:
+		fs.stuckMu.Lock()
+		if fs.stuck == nil {
+			fs.stuck = &wire.Message{Keys: resp.Keys, Values: resp.Values}
+		}
+		resp.Keys, resp.Values = fs.stuck.Keys, fs.stuck.Values
+		fs.stuckMu.Unlock()
+		resp.Truncated = true
+	case RangeCutToNothing:
+		resp.Keys, resp.Values, resp.Truncated = resp.Keys[:0], resp.Values[:0], true
+	default:
+		return
+	}
+	fs.rangeLies.Add(1)
 }

@@ -116,3 +116,48 @@ func TestFaultsCorruptOnReadLeavesStoreIntact(t *testing.T) {
 		t.Fatalf("store was damaged by read corruption: %q", resp.Value)
 	}
 }
+
+// TestFaultsRangeLies pins each dishonest range reply: what it looks
+// like on the wire, that it is counted, and that the store is untouched
+// (the next honest range answers as before).
+func TestFaultsRangeLies(t *testing.T) {
+	d := NewDrive(Config{Name: "lie"})
+	for _, k := range []string{"a", "b", "c", "d"} {
+		seedRecord(t, d, k, "v-"+k)
+	}
+	ask := func(start string) *wire.Message {
+		resp := d.Handle(signedReq(&wire.Message{
+			Type: wire.TGetKeyRange, StartKey: []byte(start), EndKey: []byte("c"), KeyInclusive: true, WithValues: true,
+		}))
+		if resp.Status != wire.StatusOK || len(resp.Values) != len(resp.Keys) {
+			t.Fatalf("range: %v, %d keys %d values", resp.Status, len(resp.Keys), len(resp.Values))
+		}
+		return resp
+	}
+	keys := func(m *wire.Message) string { return string(bytes.Join(m.Keys, []byte(","))) }
+	for _, c := range []struct {
+		lie       RangeLie
+		first     string // reply to [a, c]
+		second    string // reply to [b, c]
+		truncated bool
+	}{
+		{RangeReorder, "c,b,a", "c,b", false},
+		{RangeOvershoot, "a,b,c,c\xff", "b,c,c\xff", false},
+		{RangeStuck, "a,b,c", "a,b,c", true},
+		{RangeCutToNothing, "", "", true},
+	} {
+		d.SetFaults(Faults{RangeLie: c.lie})
+		first, second := ask("a"), ask("b")
+		if keys(first) != c.first || keys(second) != c.second || first.Truncated != c.truncated || second.Truncated != c.truncated {
+			t.Errorf("%s: replies %q (cut %t) and %q (cut %t), want %q and %q (cut %t)", c.lie,
+				keys(first), first.Truncated, keys(second), second.Truncated, c.first, c.second, c.truncated)
+		}
+		if st := d.FaultStats(); st.RangeLies != 2 {
+			t.Errorf("%s: %d lies counted, want 2", c.lie, st.RangeLies)
+		}
+		d.ClearFaults()
+		if honest := ask("a"); keys(honest) != "a,b,c" || honest.Truncated || string(honest.Values[0]) != "v-a" {
+			t.Errorf("%s: the honest reply afterwards is %q (cut %t)", c.lie, keys(honest), honest.Truncated)
+		}
+	}
+}
