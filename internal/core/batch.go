@@ -63,14 +63,14 @@ func (s *Session) BatchGet(ctx context.Context, keys []string, certs []*authorit
 				results[i].Err = wireError(err)
 				return
 			}
-			val, meta, err := s.ctl.getObject(ctx, s.clientKey, key, GetOptions{Certs: certs})
+			rec, err := s.ctl.readObject(ctx, s.clientKey, key, GetOptions{Certs: certs}, true)
 			if err != nil {
 				results[i].Err = wireError(err)
 				return
 			}
-			results[i].Value = val
-			results[i].Version = meta.Version
-			results[i].PolicyID = meta.PolicyID
+			results[i].Value = rec.Payload
+			results[i].Version = rec.Meta.Version
+			results[i].PolicyID = rec.Meta.PolicyID
 		}(i, key)
 	}
 	wg.Wait()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -173,39 +172,66 @@ func (c *Controller) putObject(ctx context.Context, sessionKey, key string, valu
 	return w.rec.Meta.Version, nil
 }
 
-// getObject is the read path (§3.2 step 5: policy first, then data,
-// each cache-first).
-func (c *Controller) getObject(ctx context.Context, sessionKey, key string, opts GetOptions) ([]byte, *store.Meta, error) {
+// planRead is the read-side twin of planVersion, the preamble every
+// read of an object runs — get, stream, batch, transaction read, version
+// listing, verify — before any of its data is touched (§3.2 step 5:
+// policy first, then data): this shard owns the key, the head metadata
+// (cache-first) names the governing policy, that policy grants the
+// session the read under the request's certificates, and only then is
+// the version selected. pe may be nil (see policyEval).
+func (c *Controller) planRead(ctx context.Context, pe *policyEval, sessionKey, key string, opts GetOptions) (version int64, err error) {
 	if err := c.checkOwned(key); err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	meta, err := c.loadMeta(ctx, key)
+	head, err := c.loadMeta(ctx, key)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	if err := c.checkPolicy(ctx, nil, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
-		return nil, nil, err
+	if err := c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, head, nil, opts.Certs); err != nil {
+		return 0, err
 	}
-	version := meta.Version
 	if opts.HasVersion {
-		version = opts.Version
+		return opts.Version, nil
 	}
+	return head.Version, nil
+}
+
+// readObject is the read path behind Get, GetStream and BatchGet: the
+// plan, then the planned version's record.
+func (c *Controller) readObject(ctx context.Context, sessionKey, key string, opts GetOptions, inline bool) (*store.Record, error) {
+	version, err := c.planRead(ctx, nil, sessionKey, key, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.openPlanned(ctx, key, version, inline)
+}
+
+// openPlanned loads the record of a version planRead selected
+// (cache-first) and accounts the read. inline is the buffered shape —
+// the payload leaves in the reply, so a chunked version is refused —
+// and otherwise the caller streams what the record describes.
+func (c *Controller) openPlanned(ctx context.Context, key string, version int64, inline bool) (*store.Record, error) {
 	rec, err := c.loadRecord(ctx, key, version)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	n := len(rec.Payload)
 	if rec.Meta.Chunks > 0 {
-		// Streamed objects exceed the buffered message budget; the
-		// caller must use the v2 streaming read path.
-		return nil, nil, fmt.Errorf("%w: %q v%d is %d bytes; use the streaming read API",
-			ErrStreamedObject, key, version, rec.Meta.Size)
+		if inline {
+			// Streamed objects exceed the buffered message budget; the
+			// caller must use the v2 streaming read path.
+			return nil, fmt.Errorf("%w: %q v%d is %d bytes; use the streaming read API",
+				ErrStreamedObject, key, version, rec.Meta.Size)
+		}
+		n = int(rec.Meta.Size) // a stub's payload is its chunk records
+		c.stats.Streams.Inc()
+	} else if inline {
+		c.cost.MoveBytes(n) // response payload leaves the enclave
 	}
-	c.cost.MoveBytes(len(rec.Payload)) // response payload leaves the enclave
-	c.noteRead(key, len(rec.Payload))
+	c.noteRead(key, n)
 	c.stats.Gets.Inc()
-	c.stats.ReadBytes.Add(uint64(len(rec.Payload)))
-	m := rec.Meta
-	return rec.Payload, &m, nil
+	c.stats.ReadBytes.Add(uint64(n))
+	return rec, nil
 }
 
 // deleteObject removes an object and its whole version history
@@ -267,14 +293,7 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 // every other read: replicas race (or hedge) instead of being tried
 // one by one, and the range is drained past the drive's response cap.
 func (c *Controller) listVersions(ctx context.Context, sessionKey, key string, certs []*authority.Certificate) ([]int64, error) {
-	if err := c.checkOwned(key); err != nil {
-		return nil, err
-	}
-	meta, err := c.loadMeta(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.checkPolicy(ctx, nil, lang.PermRead, sessionKey, key, meta, nil, certs); err != nil {
+	if _, err := c.planRead(ctx, nil, sessionKey, key, GetOptions{Certs: certs}); err != nil {
 		return nil, err
 	}
 	start, end := store.ObjectKeyRange(key)
@@ -367,14 +386,15 @@ func (c *Controller) loadRecord(ctx context.Context, key string, version int64) 
 		func(ctx context.Context) (*store.Record, error) { return c.fetchRecord(ctx, key, version) })
 }
 
-// fetchRecord reads one version record off the drives. The codec
-// returns intact records only; a chunk stub's content hash spans its
-// chunks, and the streaming reader checks it.
+// fetchRecord reads one version record off the drives. The codec opens
+// it only intact and bound to (key, version): a replica serving another
+// object's or version's authentic record fails over like a damaged one.
+// A chunk stub's content hash spans its chunks; the stream reader checks it.
 func (c *Controller) fetchRecord(ctx context.Context, key string, version int64) (*store.Record, error) {
 	return fetchReplicated(ctx, c, c.placement(key), store.ObjectKey(key, version), ErrNotFound, fmt.Sprintf("%q v%d", key, version),
 		func(val []byte) (*store.Record, error) {
 			c.cost.MoveBytes(len(val))
-			return c.codec.DecodeRecord(val)
+			return c.codec.DecodeVersion(val, key, version)
 		})
 }
 
@@ -658,24 +678,4 @@ func (c *Controller) fetchPolicy(ctx context.Context, id string) (*policy.Progra
 			}
 			return prog, err
 		})
-}
-
-// verifyStored recomputes an object's integrity evidence for the
-// attestation-style verification interface (§1: clients can verify
-// storage operations): content hash and policy hash at a version.
-func (c *Controller) verifyStored(ctx context.Context, key string, version int64) (*store.Meta, error) {
-	rec, err := c.loadRecord(ctx, key, version)
-	if err != nil {
-		return nil, err
-	}
-	if rec.Meta.Chunks > 0 {
-		// Streamed version: the hash spans the chunk records.
-		if err := c.verifyChunks(ctx, &rec.Meta); err != nil {
-			return nil, err
-		}
-	} else if sha256.Sum256(rec.Payload) != rec.Meta.ContentHash {
-		return nil, store.ErrCorrupt
-	}
-	m := rec.Meta
-	return &m, nil
 }

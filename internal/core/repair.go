@@ -65,55 +65,51 @@ func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.
 	if err != nil {
 		return report, err
 	}
-	for _, v := range versions {
-		// Find one healthy copy of this version.
-		blob, found := c.healthyRecord(ctx, key, v, placement)
-		if !found {
-			continue
-		}
-		report.Versions++
-		for _, di := range placement {
-			cl := c.drives[di].pick()
-			c.chargeDriveIO(0)
-			cur, _, err := cl.Get(ctx, store.ObjectKey(key, v))
-			healthy := err == nil && c.recordHealthy(cur)
-			if healthy {
-				continue
-			}
+	// rewrite puts blob under dk on every drive the probe found without
+	// a healthy copy.
+	rewrite := func(missing []int, dk, blob []byte, v int64) error {
+		for _, di := range missing {
 			c.chargeDriveIO(len(blob))
-			if err := cl.Put(ctx, store.ObjectKey(key, v), blob, nil, encodeVer(v), true); err != nil {
-				return report, fmt.Errorf("core: repair %q v%d on %s: %w", key, v, c.drives[di].name, err)
+			if err := c.drives[di].pick().Put(ctx, dk, blob, nil, encodeVer(v), true); err != nil {
+				return fmt.Errorf("core: repair %q on %s: %w", dk, c.drives[di].name, err)
 			}
 			report.Restored++
 			report.RestoredBytes += int64(len(blob))
 		}
+		return nil
+	}
+	for _, v := range versions {
+		dk := store.ObjectKey(key, v)
+		rec, blob, _, missing := probe(ctx, c, placement, dk, func(b []byte) (*store.Record, error) {
+			return c.codec.DecodeVersion(b, key, v)
+		})
+		if rec == nil {
+			continue
+		}
+		report.Versions++
+		if err := rewrite(missing, dk, blob, v); err != nil {
+			return report, err
+		}
 		// Streamed versions: the record is a chunk stub; its chunk
 		// records need the same convergence, each onto its homes.
-		if rec, err := c.codec.DecodeRecord(blob); err == nil && rec.Meta.Chunks > 0 {
+		if rec.Meta.Chunks > 0 {
 			if err := c.repairStripes(ctx, key, &rec.Meta, report); err != nil {
 				return report, err
 			}
 		}
 	}
-	// Restore metadata replicas.
-	for _, di := range placement {
-		cl := c.drives[di].pick()
-		c.chargeDriveIO(0)
-		cur, _, err := cl.Get(ctx, store.MetaKey(key))
-		if err == nil {
-			// Current means this key's record at the elected version: a
-			// replica answering with another object's metadata is not
-			// healthy, whatever version that object is at.
-			if m, merr := store.UnmarshalMeta(cur); merr == nil && m.Key == key && m.Version == meta.Version {
-				continue
-			}
+	// Restore metadata replicas. Current means this key's record at the
+	// elected version: a replica answering with another object's
+	// metadata is not healthy, whatever version that object is at.
+	_, _, _, stale := probe(ctx, c, placement, store.MetaKey(key), func(b []byte) (*store.Meta, error) {
+		m, err := store.UnmarshalMeta(b)
+		if err == nil && (m.Key != key || m.Version != meta.Version) {
+			err = store.ErrCorrupt
 		}
-		c.chargeDriveIO(len(metaRec))
-		if err := cl.Put(ctx, store.MetaKey(key), metaRec, nil, encodeVer(meta.Version), true); err != nil {
-			return report, fmt.Errorf("core: repair meta %q on %s: %w", key, c.drives[di].name, err)
-		}
-		report.Restored++
-		report.RestoredBytes += int64(len(metaRec))
+		return m, err
+	})
+	if err := rewrite(stale, store.MetaKey(key), metaRec, meta.Version); err != nil {
+		return report, err
 	}
 	if report.Restored > 0 {
 		c.stats.Repairs.Inc()
@@ -198,28 +194,27 @@ func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement [
 	return &newest, nil
 }
 
-// healthyRecord fetches one verifiable copy of a version record.
-func (c *Controller) healthyRecord(ctx context.Context, key string, v int64, placement []int) ([]byte, bool) {
-	for _, di := range placement {
-		cl := c.drives[di].pick()
+// probe asks each of drives once for the record under dk and judges
+// every answer with open, the bound decoder of dk — the judgement a read
+// of dk makes. It returns the first healthy copy, opened and raw, with
+// the drive it came from (-1: none), and the drives holding none:
+// absent, unreadable and refused alike.
+func probe[T any](ctx context.Context, c *Controller, drives []int, dk []byte, open func([]byte) (*T, error)) (v *T, blob []byte, src int, missing []int) {
+	src = -1
+	for _, di := range drives {
 		c.chargeDriveIO(0)
-		blob, _, err := cl.Get(ctx, store.ObjectKey(key, v))
-		if err != nil {
-			continue
+		cur, _, err := c.drives[di].pick().Get(ctx, dk)
+		var got *T
+		if err == nil {
+			got, err = open(cur)
 		}
-		if c.recordHealthy(blob) {
-			return blob, true
+		if err != nil {
+			missing = append(missing, di)
+		} else if v == nil {
+			v, blob, src = got, cur, di
 		}
 	}
-	return nil, false
-}
-
-// recordHealthy reports whether a raw drive record is intact: the codec
-// decodes and authenticates it. A chunk stub's content hash spans its
-// chunk records, which converge separately.
-func (c *Controller) recordHealthy(blob []byte) bool {
-	_, err := c.codec.DecodeRecord(blob)
-	return err == nil
+	return v, blob, src, missing
 }
 
 // repairStripes converges one streamed version's chunk records onto
@@ -245,14 +240,14 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 	for t := int64(0); t*int64(l.k) < m.Chunks; t++ {
 		shards := l.shards(t, m.Chunks)
 		kt := len(shards) - l.m
-		blobs := make([][]byte, l.k+l.m) // by slot: a healthy raw record of every surviving shard
+		recs := make([]*store.Record, l.k+l.m) // by slot: every surviving shard, opened
 		var lost []stripeShard
 		for _, sh := range shards {
-			blob, err := c.repairChunk(ctx, l, key, v, sh.idx, restored)
+			rec, err := c.repairChunk(ctx, l, key, v, sh.idx, restored)
 			if err != nil {
 				return err
 			}
-			if blobs[sh.slot] = blob; blob == nil {
+			if recs[sh.slot] = rec; rec == nil {
 				lost = append(lost, sh)
 			}
 		}
@@ -270,11 +265,8 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 		shardLen := chunkLen(m, t*int64(l.k))
 		bufs := make([][]byte, l.k+l.m)
 		zeroTail(bufs[kt:l.k], shardLen)
-		for slot, blob := range blobs {
-			if blob == nil {
-				continue
-			}
-			if rec, err := c.codec.DecodeRecord(blob); err == nil {
+		for slot, rec := range recs {
+			if rec != nil {
 				bufs[slot] = padShard(rec.Payload, shardLen)
 			}
 		}
@@ -303,33 +295,18 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 }
 
 // repairChunk converges chunk record idx of (key, v) onto its homes
-// and returns a healthy raw copy of it, nil when none survives
+// and returns a healthy copy of it, opened, nil when none survives
 // anywhere. Each home is probed once; the healthy case moves nothing.
-func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, idx int64, restored func(int)) ([]byte, error) {
+func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, idx int64, restored func(int)) (*store.Record, error) {
 	dk := store.ChunkKey(key, v, idx)
-	healthyAt := func(di int) []byte {
-		c.chargeDriveIO(0)
-		cur, _, err := c.drives[di].pick().Get(ctx, dk)
-		if err != nil || !c.chunkHealthy(cur, key, v, idx) {
-			return nil
-		}
-		return cur
-	}
+	open := func(b []byte) (*store.Record, error) { return c.codec.DecodeChunkInto(b, nil, key, v, idx) }
 	homes := l.homes(idx)
-	src, stray := -1, false
-	var blob []byte
-	var missing []int
-	for _, di := range homes {
-		if cur := healthyAt(di); cur == nil {
-			missing = append(missing, di)
-		} else if blob == nil {
-			src, blob = di, cur
-		}
-	}
+	rec, blob, src, missing := probe(ctx, c, homes, dk, open)
 	if len(missing) == 0 {
-		return blob, nil
+		return rec, nil
 	}
-	if blob == nil {
+	stray := rec == nil
+	if stray {
 		// No home holds it. Look where it lived before a death or after
 		// a revival (its home with no drive dead), then on every
 		// remaining drive — a record rebuilt onto a spare under a past
@@ -343,12 +320,11 @@ func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, i
 			if dead&(1<<uint(di)) != 0 || slices.Contains(homes, di) {
 				continue
 			}
-			if blob = healthyAt(di); blob != nil {
-				src, stray = di, true
+			if rec, blob, src, _ = probe(ctx, c, []int{di}, dk, open); rec != nil {
 				break
 			}
 		}
-		if blob == nil {
+		if rec == nil {
 			return nil, nil
 		}
 	}
@@ -371,14 +347,7 @@ func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, i
 		c.chargeDriveIO(0)
 		_ = c.drives[src].pick().Delete(ctx, dk, nil, true)
 	}
-	return blob, nil
-}
-
-// chunkHealthy reports whether a raw chunk record is intact and is the
-// chunk of (key, v, idx).
-func (c *Controller) chunkHealthy(blob []byte, key string, v, idx int64) bool {
-	_, err := c.codec.DecodeChunkInto(blob, nil, key, v, idx)
-	return err == nil
+	return rec, nil
 }
 
 // Repair re-replicates an object across its placement drives. See

@@ -256,7 +256,7 @@ func (s *RESTServer) handleVersions(w http.ResponseWriter, r *http.Request, sess
 }
 
 func (s *RESTServer) handleVerify(w http.ResponseWriter, r *http.Request, sess *Session, o objectReq) error {
-	meta, err := sess.Verify(r.Context(), o.key, o.version)
+	meta, err := sess.Verify(r.Context(), o.key, o.version, o.certs...)
 	if err != nil {
 		return err
 	}

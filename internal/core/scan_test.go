@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/base64"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/enclave/attest"
 	"repro/internal/store"
 )
 
@@ -542,4 +546,71 @@ func TestScanPageAllocBudget(t *testing.T) {
 	if perEntry > 10 {
 		t.Fatalf("a 100-entry page costs %.1f allocations per entry, budget 10", perEntry)
 	}
+}
+
+// FuzzScanToken: the pagination token is client-supplied. Arbitrary
+// bytes never panic and never yield a resume key unless they are a token
+// this controller sealed for that prefix; sealing then unsealing is the
+// identity; one flipped bit, another prefix or another controller's key
+// is ErrBadToken.
+func FuzzScanToken(f *testing.F) {
+	// The sealing keys are this process's own, so no input from a corpus
+	// or another fuzz worker is a token either controller sealed.
+	controllers := make([]*Controller, 2)
+	for i := range controllers {
+		controllers[i] = &Controller{secrets: &attest.Secrets{}}
+		if _, err := rand.Read(controllers[i].secrets.ObjectKey[:]); err != nil {
+			f.Fatal(err)
+		}
+		if err := controllers[i].initScanTokens(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	c, stranger := controllers[0], controllers[1]
+	sealed := map[string][2]string{} // token → the prefix and position c sealed it for
+	for _, seed := range [][2]string{{"", "k"}, {"p/", "p/k1"}, {"p/", ""}, {"bin\xff", "bin\xff\xfe"}} {
+		tok := c.sealScanToken(seed[0], seed[1])
+		sealed[tok] = seed
+		f.Add(tok, seed[0], seed[1], uint16(0))
+	}
+	f.Add("", "", "", uint16(1))
+	f.Add("garbage!!", "p/", "k", uint16(2))
+	f.Add(stranger.sealScanToken("p/", "p/k1"), "p/", "p/k1\x00tail", uint16(77))
+	f.Add("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", "nul\x00prefix", "k", uint16(9))
+	f.Fuzz(func(t *testing.T, token, prefix, resume string, flip uint16) {
+		got, err := c.unsealScanToken(token, prefix)
+		if want, ok := sealed[token]; err == nil && (!ok || want != [2]string{prefix, got}) {
+			t.Fatalf("unsealed a resume key %q for prefix %q from bytes this controller never sealed for it", got, prefix)
+		} else if err != nil && !errors.Is(err, ErrBadToken) {
+			t.Fatalf("refused with %v, want ErrBadToken", err)
+		}
+
+		tok := c.sealScanToken(prefix, resume)
+		got, err = c.unsealScanToken(tok, prefix)
+		if strings.ContainsRune(prefix, 0) {
+			// The API boundary admits no NUL in a prefix; one that got
+			// here must not come back as a shorter prefix's token.
+			if err == nil {
+				t.Fatalf("prefix %q with a NUL round-tripped to %q", prefix, got)
+			}
+			return
+		}
+		if err != nil || got != resume {
+			t.Fatalf("seal→unseal of (%q, %q): %q, %v", prefix, resume, got, err)
+		}
+		raw, err := base64.RawURLEncoding.DecodeString(tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[int(flip)%len(raw)] ^= 1 << (flip % 8)
+		for _, bad := range [][3]string{
+			{"one flipped bit", base64.RawURLEncoding.EncodeToString(raw), prefix},
+			{"another listing's prefix", tok, prefix + "x"},
+			{"another controller's key", stranger.sealScanToken(prefix, resume), prefix},
+		} {
+			if got, err := c.unsealScanToken(bad[1], bad[2]); !errors.Is(err, ErrBadToken) {
+				t.Fatalf("%s: %q, %v", bad[0], got, err)
+			}
+		}
+	})
 }

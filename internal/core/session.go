@@ -136,7 +136,12 @@ func (s *Session) Put(ctx context.Context, key string, value []byte, opts PutOpt
 // Get fetches an object (latest version unless opts selects one).
 func (s *Session) Get(ctx context.Context, key string, opts GetOptions) ([]byte, *store.Meta, error) {
 	s.touch()
-	return s.ctl.getObject(ctx, s.clientKey, key, opts)
+	rec, err := s.ctl.readObject(ctx, s.clientKey, key, opts, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := rec.Meta
+	return rec.Payload, &m, nil
 }
 
 // Delete removes an object and its history. It drops the destroyed
@@ -160,11 +165,23 @@ func (s *Session) PutPolicy(ctx context.Context, src string) (string, error) {
 }
 
 // Verify returns the integrity-checked metadata of a stored version —
-// the client-facing attestation of stored objects and their policies.
-func (s *Session) Verify(ctx context.Context, key string, version int64) (*store.Meta, error) {
+// the client-facing attestation of stored objects and their policies
+// (§1: clients can verify storage operations): content hash and policy
+// hash, recomputed. It reads the object, so it is planned like a read:
+// the object's policy must grant the session the read under certs, the
+// certified facts attached to the request.
+func (s *Session) Verify(ctx context.Context, key string, version int64, certs ...*authority.Certificate) (*store.Meta, error) {
 	s.touch()
-	if err := s.ctl.checkOwned(key); err != nil {
+	if _, err := s.ctl.planRead(ctx, nil, s.clientKey, key, GetOptions{Certs: certs}); err != nil {
 		return nil, err
 	}
-	return s.ctl.verifyStored(ctx, key, version)
+	rec, err := s.ctl.loadRecord(ctx, key, version)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.ctl.verifyContent(ctx, rec); err != nil {
+		return nil, err
+	}
+	m := rec.Meta
+	return &m, nil
 }

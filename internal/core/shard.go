@@ -659,10 +659,8 @@ func (c *Controller) VerifyImport(ctx context.Context, m *Manifest) error {
 		if err != nil {
 			return fmt.Errorf("core: import verify %q v%d: %w", e.Key, e.Version, err)
 		}
-		if rec.Meta.Chunks > 0 {
-			if err := c.verifyChunks(ctx, &rec.Meta); err != nil {
-				return fmt.Errorf("core: import verify %q v%d chunks: %w", e.Key, e.Version, err)
-			}
+		if err := c.verifyContent(ctx, rec); err != nil {
+			return fmt.Errorf("core: import verify %q v%d content: %w", e.Key, e.Version, err)
 		}
 		return nil
 	})

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/kinetic/kclient"
 	"repro/internal/kinetic/wire"
-	"repro/internal/policy/lang"
 	"repro/internal/store"
 )
 
@@ -128,7 +127,31 @@ func (s *Session) PutStream(ctx context.Context, key string, body io.Reader, opt
 // caller can emit headers from the metadata and then stream.
 func (s *Session) GetStream(ctx context.Context, key string, opts GetOptions) (*store.Meta, func(io.Writer) error, error) {
 	s.touch()
-	return s.ctl.getObjectStream(ctx, s.clientKey, key, opts)
+	c := s.ctl
+	rec, err := c.readObject(ctx, s.clientKey, key, opts, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := rec.Meta
+	if m.Chunks == 0 {
+		return &m, func(w io.Writer) error {
+			c.cost.MoveBytes(len(rec.Payload))
+			_, err := w.Write(rec.Payload)
+			return err
+		}, nil
+	}
+	l, err := c.layoutOf(key, m.ECK, m.ECM)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &m, func(w io.Writer) error {
+		// The record's own metadata, not the copy the caller may edit.
+		return c.streamChunks(ctx, l, &rec.Meta, func(p []byte) error {
+			c.cost.MoveBytes(len(p))
+			_, err := w.Write(p)
+			return err
+		})
+	}, nil
 }
 
 func (c *Controller) maxStreamBytes() int64 {
@@ -468,57 +491,6 @@ func (c *Controller) chunksIntact(ctx context.Context, key string, next, chunks 
 	return nil
 }
 
-// getObjectStream is the streamed read path.
-func (c *Controller) getObjectStream(ctx context.Context, sessionKey, key string, opts GetOptions) (*store.Meta, func(io.Writer) error, error) {
-	if err := c.checkOwned(key); err != nil {
-		return nil, nil, err
-	}
-	meta, err := c.loadMeta(ctx, key)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := c.checkPolicy(ctx, nil, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
-		return nil, nil, err
-	}
-	version := meta.Version
-	if opts.HasVersion {
-		version = opts.Version
-	}
-	rec, err := c.loadRecord(ctx, key, version)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := rec.Meta
-	if m.Chunks == 0 {
-		send := func(w io.Writer) error {
-			c.cost.MoveBytes(len(rec.Payload))
-			_, err := w.Write(rec.Payload)
-			return err
-		}
-		c.noteRead(key, len(rec.Payload))
-		c.stats.Gets.Inc()
-		c.stats.ReadBytes.Add(uint64(len(rec.Payload)))
-		return &m, send, nil
-	}
-	l, err := c.layoutOf(key, m.ECK, m.ECM)
-	if err != nil {
-		return nil, nil, err
-	}
-	sm := m // the send closure must not alias the copy the caller gets
-	send := func(w io.Writer) error {
-		return c.streamChunks(ctx, l, &sm, version, func(p []byte) error {
-			c.cost.MoveBytes(len(p))
-			_, err := w.Write(p)
-			return err
-		})
-	}
-	c.noteRead(key, int(m.Size))
-	c.stats.Gets.Inc()
-	c.stats.Streams.Inc()
-	c.stats.ReadBytes.Add(uint64(m.Size))
-	return &m, send, nil
-}
-
 // streamChunks hands the chunks of a streamed version to sink in
 // order and seals the transfer with the whole-object size and hash
 // check — the one reader behind GetStream and Verify, so verification
@@ -526,9 +498,9 @@ func (c *Controller) getObjectStream(ctx context.Context, sessionKey, key string
 // included. Stripes are assembled by readStripe with one stripe of
 // lookahead: while stripe t goes to the sink, stripe t+1's fetches are
 // already in flight, so drive reads and the client-side transfer
-// pipeline instead of alternating fetch/write bubbles. version names
-// the chunk records to read; it is the caller's, not the stub's word.
-func (c *Controller) streamChunks(ctx context.Context, l layout, meta *store.Meta, version int64, sink func([]byte) error) error {
+// pipeline instead of alternating fetch/write bubbles. meta is a stub
+// the bound opener returned, so its version is the one that was asked for.
+func (c *Controller) streamChunks(ctx context.Context, l layout, meta *store.Meta, sink func([]byte) error) error {
 	type fetched struct {
 		data    [][]byte
 		release func()
@@ -542,7 +514,7 @@ func (c *Controller) streamChunks(ctx context.Context, l layout, meta *store.Met
 	go func() {
 		defer close(stripes)
 		for t := int64(0); t*int64(l.k) < meta.Chunks; t++ {
-			data, release, err := c.readStripe(fctx, l, meta, version, t)
+			data, release, err := c.readStripe(fctx, l, meta, t)
 			select {
 			case stripes <- fetched{data, release, err}:
 			case <-fctx.Done():
@@ -581,18 +553,24 @@ func (c *Controller) streamChunks(ctx context.Context, l layout, meta *store.Met
 		// Bytes may already be on the wire; the error must abort the
 		// connection so the client sees a truncated transfer, never a
 		// silently wrong object.
-		return fmt.Errorf("%w: streamed object %q v%d fails whole-object hash", store.ErrCorrupt, meta.Key, version)
+		return fmt.Errorf("%w: streamed object %q v%d fails whole-object hash", store.ErrCorrupt, meta.Key, meta.Version)
 	}
 	return nil
 }
 
-// verifyChunks recomputes a streamed version's whole-object hash from
-// its chunk records (the verification interface's equivalent of the
-// inline hash check).
-func (c *Controller) verifyChunks(ctx context.Context, m *store.Meta) error {
+// verifyContent recomputes a version's whole-object hash: over the
+// inline payload, or for a streamed version from its chunk records.
+func (c *Controller) verifyContent(ctx context.Context, rec *store.Record) error {
+	m := &rec.Meta
+	if m.Chunks == 0 {
+		if sha256.Sum256(rec.Payload) != m.ContentHash {
+			return store.ErrCorrupt
+		}
+		return nil
+	}
 	l, err := c.layoutOf(m.Key, m.ECK, m.ECM)
 	if err != nil {
 		return err
 	}
-	return c.streamChunks(ctx, l, m, m.Version, func([]byte) error { return nil })
+	return c.streamChunks(ctx, l, m, func([]byte) error { return nil })
 }

@@ -215,11 +215,11 @@ func (c *Controller) readOrder(l layout, shards []stripeShard) []stripeCand {
 //
 // The returned release hands the fetched shards' pooled buffers back;
 // the data slices are invalid after it runs.
-func (c *Controller) readStripe(ctx context.Context, l layout, meta *store.Meta, version, t int64) ([][]byte, func(), error) {
+func (c *Controller) readStripe(ctx context.Context, l layout, meta *store.Meta, t int64) ([][]byte, func(), error) {
 	shards := l.shards(t, meta.Chunks)
 	kt := len(shards) - l.m
 	shardLen := chunkLen(meta, t*int64(l.k)) // the stripe's first chunk sizes its shards
-	key := meta.Key
+	key, version := meta.Key, meta.Version
 
 	// The adaptive hedge delay is tuned by KB-scale record reads; a
 	// megabyte shard transfer outlasts it even on a healthy drive, and

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 )
@@ -115,6 +117,34 @@ func (r *tamperRig) wantRefused(key string, version int64, want []byte) {
 	}
 	if !bytes.HasPrefix(want, got) {
 		r.t.Fatalf("%q v%d: bytes of a misplaced chunk reached the client", key, version)
+	}
+}
+
+// askFirst primes the latency estimators so the read engine asks drive
+// liar before the rest of placement.
+func (r *tamperRig) askFirst(liar int, placement []int) {
+	for _, di := range placement {
+		d := 10 * time.Millisecond
+		if di == liar {
+			d = time.Microsecond
+		}
+		for i := 0; i < 8; i++ {
+			r.h.ctl.drives[di].observe(d)
+		}
+	}
+}
+
+// wantVersionRecords: every placement drive holds, under (key,
+// version)'s object key, that version's own record with payload want.
+func (r *tamperRig) wantVersionRecords(key string, version int64, want string) {
+	r.t.Helper()
+	for _, di := range r.h.ctl.placement(key) {
+		rec, err := r.h.ctl.codec.DecodeRecord(r.rawAt(di, store.ObjectKey(key, version)))
+		if err != nil {
+			r.t.Errorf("drive %d holds under %q v%d: %v", di, key, version, err)
+		} else if rec.Meta.Key != key || rec.Meta.Version != version || string(rec.Payload) != want {
+			r.t.Errorf("drive %d holds under %q v%d: %q v%d %q", di, key, version, rec.Meta.Key, rec.Meta.Version, rec.Payload)
+		}
 	}
 }
 
@@ -305,6 +335,114 @@ func TestTamperMatrix(t *testing.T) {
 					t.Errorf("verify over a stale chunk: %v", err)
 				}
 			})
+
+			// An authentic version record in the wrong place: the inline
+			// twin of a swapped chunk. transplantRig stores "secret" (which
+			// the reader's session is denied), the reader's own "mine", and
+			// two versions of "hist".
+			transplantRig := func(t *testing.T) (*tamperRig, *Session) {
+				// No hedge timer: the replica asked first answers before
+				// another is asked, so what follows a refusal is the refusal's.
+				r := newTamperRig(t, 3, sealed, func(c *Config) { c.Replicas = 3; c.HedgeDelay = time.Minute })
+				private, err := r.h.ctl.PutPolicy(r.ctx, "read :- sessionKeyIs(k'a11ce0')\nupdate :- sessionKeyIs(k'a11ce0')")
+				if err != nil {
+					t.Fatal(err)
+				}
+				eve := r.h.ctl.Session("e0e0")
+				for _, put := range []struct {
+					s        *Session
+					key, val string
+					opts     PutOptions
+				}{
+					{r.h.ctl.Session("a11ce0"), "secret", "TOP SECRET", PutOptions{PolicyID: private}},
+					{eve, "mine", "eve's own", PutOptions{}},
+					{eve, "hist", "old", PutOptions{}},
+					{eve, "hist", "new", PutOptions{}},
+				} {
+					if _, err := put.s.Put(r.ctx, put.key, []byte(put.val), put.opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return r, eve
+			}
+			transplants := []struct {
+				name, key   string
+				version     int64
+				fromKey     string
+				fromVersion int64
+				want        string
+			}{
+				{"another object's record under this key", "mine", 0, "secret", 0, "eve's own"},
+				{"an earlier version's record under a later version's key", "hist", 1, "hist", 0, "new"},
+			}
+			for _, tp := range transplants {
+				t.Run(tp.name+" on the replica asked first", func(t *testing.T) {
+					r, eve := transplantRig(t)
+					placement := r.h.ctl.placement(tp.key)
+					liar := placement[0]
+					r.plantAt(liar, store.ObjectKey(tp.key, tp.version), r.rawAt(liar, store.ObjectKey(tp.fromKey, tp.fromVersion)))
+					for i := 0; i < 20; i++ {
+						r.h.ctl.objectCache.Clear()
+						r.askFirst(liar, placement)
+						val, meta, err := eve.Get(r.ctx, tp.key, GetOptions{})
+						if err != nil {
+							t.Fatalf("read %d of %q: %v", i, tp.key, err)
+						}
+						if string(val) != tp.want || meta.Key != tp.key || meta.Version != tp.version {
+							t.Fatalf("read %d of %q v%d: %q v%d %q", i, tp.key, tp.version, meta.Key, meta.Version, val)
+						}
+						if !r.h.ctl.drives[liar].failing() {
+							t.Fatalf("read %d: the drive serving the transplant was not demoted", i)
+						}
+					}
+					// On every replica nothing is left to fail over to.
+					for _, di := range placement {
+						r.plantAt(di, store.ObjectKey(tp.key, tp.version), r.rawAt(di, store.ObjectKey(tp.fromKey, tp.fromVersion)))
+					}
+					if val, _, err := eve.Get(r.ctx, tp.key, GetOptions{}); !errors.Is(err, store.ErrCorrupt) {
+						t.Fatalf("transplant on every replica served %q, %v", val, err)
+					}
+					// Which is what a gaining shard sees of a source that
+					// pushed the transplant.
+					r.h.ctl.metaCache.Clear()
+					manifest := &Manifest{Entries: []ManifestEntry{{Key: tp.key, Version: tp.version}}}
+					if err := r.h.ctl.VerifyImport(r.ctx, manifest); !errors.Is(err, store.ErrCorrupt) {
+						t.Fatalf("import of a transplanted record verified: %v", err)
+					}
+				})
+			}
+			for slot := 0; slot < 3; slot++ {
+				for _, heal := range []string{"repair", "deep sweep"} {
+					t.Run(fmt.Sprintf("%s rewrites a transplant in placement slot %d from a healthy copy", heal, slot), func(t *testing.T) {
+						r, eve := transplantRig(t)
+						placement := r.h.ctl.placement("mine")
+						liar, lost := placement[slot], placement[(slot+1)%3]
+						dk := store.ObjectKey("mine", 0)
+						r.plantAt(liar, dk, r.rawAt(liar, store.ObjectKey("secret", 0)))
+						if err := r.h.ctl.drives[lost].pick().Delete(r.ctx, dk, nil, true); err != nil {
+							t.Fatal(err)
+						}
+						restored := 0
+						if heal == "repair" {
+							report, err := eve.Repair(r.ctx, "mine")
+							if err != nil {
+								t.Fatal(err)
+							}
+							restored = report.Restored
+						} else {
+							report, err := r.h.ctl.SweepTick(r.ctx)
+							if err != nil || !report.Deep {
+								t.Fatalf("sweep tick: %+v, %v", report, err)
+							}
+							restored = report.RestoredRecords
+						}
+						if restored != 2 {
+							t.Errorf("restored %d records, want 2 (the liar's and the lost one)", restored)
+						}
+						r.wantVersionRecords("mine", 0, "eve's own")
+					})
+				}
+			}
 		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/authority"
 	"repro/internal/kinetic/wire"
-	"repro/internal/policy/lang"
 	"repro/internal/store"
 	"repro/internal/vll"
 )
@@ -157,44 +156,45 @@ func (s *Session) CommitTx(ctx context.Context, txID uint64) error {
 	}
 	defer s.ctl.locks.Finish(lock)
 
-	// Phase 1: policy checks for every operation, before any effect.
-	// Separate policyEval contexts per permission: each caches one
-	// (policy, op, session) residual, and interleaving read/update
-	// checks through a shared context would thrash that slot.
-	peRead, peUpdate := &policyEval{}, &policyEval{}
+	// Phase 1: plan every operation — its policy check included — before
+	// any effect. A read key that is absent or another shard's fails
+	// alone, in its result; any other failure of a plan, a denial first
+	// of all, aborts.
+	pe := &policyEval{}
+	var results []TxOpResult
 	for _, k := range readOnly {
-		meta, err := s.ctl.loadMeta(ctx, k)
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			return s.txAbort(txID, err)
-		}
-		if meta != nil {
-			if err := s.ctl.checkPolicy(ctx, peRead, lang.PermRead, s.clientKey, k, meta, nil, tx.certs); err != nil {
+		r := TxOpResult{Key: JSONKey(k), Op: "read"}
+		var err error
+		if r.Version, err = s.ctl.planRead(ctx, pe, s.clientKey, k, GetOptions{Certs: tx.certs}); err != nil {
+			if !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrWrongShard) {
 				return s.txAbort(txID, err)
 			}
+			r.Err = err.Error()
 		}
+		results = append(results, r)
 	}
 	planned := make([]plannedWrite, 0, len(writeSet))
 	for _, k := range writeSet {
-		meta, next, err := s.ctl.planVersion(ctx, peUpdate, s.clientKey, k, PutOptions{Certs: tx.certs})
+		meta, next, err := s.ctl.planVersion(ctx, pe, s.clientKey, k, PutOptions{Certs: tx.certs})
 		if err != nil {
 			return s.txAbort(txID, err)
 		}
 		planned = append(planned, plannedWrite{key: k, next: next, meta: meta})
 	}
 
-	// Phase 2: execute. Reads first (snapshot under the locks), then
-	// writes.
-	var results []TxOpResult
-	for _, k := range readOnly {
-		val, meta, err := s.ctl.getObject(ctx, s.clientKey, k, GetOptions{Certs: tx.certs})
-		r := TxOpResult{Key: JSONKey(k), Op: "read"}
-		if err != nil {
-			r.Err = err.Error()
-		} else {
-			r.Value = val
-			r.Version = meta.Version
+	// Phase 2: execute. Reads first (snapshot under the locks: the
+	// record of the version phase 1 planned), then writes.
+	for i := range results {
+		r := &results[i]
+		if r.Err != "" {
+			continue
 		}
-		results = append(results, r)
+		rec, err := s.ctl.openPlanned(ctx, string(r.Key), r.Version, true)
+		if err != nil {
+			r.Version, r.Err = 0, err.Error()
+			continue
+		}
+		r.Value = rec.Payload
 	}
 	// Writes commit as one batch stream per placement drive (all
 	// drives concurrently) instead of sequential singleton puts per

@@ -315,6 +315,21 @@ func (c *Codec) DecodeChunkInto(data, buf []byte, key string, version, idx int64
 	return rec, nil
 }
 
+// DecodeVersion is DecodeRecord for the version record expected under
+// ObjectKey(key, version), the inline twin of DecodeChunkInto: an intact
+// record of another object or another version — a transplant — is
+// ErrCorrupt.
+func (c *Codec) DecodeVersion(data []byte, key string, version int64) (*Record, error) {
+	rec, err := c.DecodeRecord(data)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Meta.Key != key || rec.Meta.Version != version {
+		return nil, ErrCorrupt
+	}
+	return rec, nil
+}
+
 // HashContent computes the content hash stored in metadata.
 func HashContent(payload []byte) [32]byte { return sha256.Sum256(payload) }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -319,5 +320,68 @@ func TestECDriveKillAcceptance(t *testing.T) {
 	rc.Close()
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read after replacement repair: %d bytes, err=%v", len(got), err)
+	}
+}
+
+// TestHandoffOfErasureCodedObjectIsRefused pins a limit (docs/cluster.md):
+// the export walks a key's replica placement, an erasure-coded object's
+// shards live across its wider group, so the gaining shard cannot read
+// the object back and refuses the range at import verification. The
+// source keeps serving the object byte-identical, destroys nothing and
+// takes writes to the key again.
+func TestHandoffOfErasureCodedObjectIsRefused(t *testing.T) {
+	mc, err := StartMulti(2, ecOpts(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	ctx := context.Background()
+	src := mc.Nodes[0].Controller.Session("ec-handoff")
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("ec/moving-%d", i); mc.Map().ShardByID(0).Owns(store.ShardHash(k)) {
+			key = k
+		}
+	}
+	payload := make([]byte, 6<<20)
+	rand.New(rand.NewSource(23)).Read(payload)
+	if res := src.PutStream(ctx, key, bytes.NewReader(payload), core.PutOptions{}); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	shardKeys := ecShardKeys(key, 0, 6, 4, 2)
+	held := func() (n int) {
+		for _, dk := range shardKeys {
+			for di := range mc.Nodes[0].Drives {
+				if driveHasRecord(t, mc.Nodes[0], di, dk) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if got := held(); got != len(shardKeys) {
+		t.Fatalf("source holds %d of %d shard records", got, len(shardKeys))
+	}
+
+	h := store.ShardHash(key)
+	_, err = mc.Handoff(ctx, 0, 1, core.HashRange{Start: h, End: h + 1})
+	if err == nil || !strings.Contains(err.Error(), "import verification") {
+		t.Fatalf("handoff of an erasure-coded object: %v, want a refusal at import verification", err)
+	}
+	t.Logf("refused: %v", err)
+
+	if got := held(); got != len(shardKeys) {
+		t.Errorf("after the refused handoff the source holds %d of %d shard records", got, len(shardKeys))
+	}
+	_, send, err := src.GetStream(ctx, key, core.GetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back bytes.Buffer
+	if err := send(&back); err != nil || !bytes.Equal(back.Bytes(), payload) {
+		t.Fatalf("read back %d bytes of %d, %v", back.Len(), len(payload), err)
+	}
+	if v, err := src.Put(ctx, key, []byte("small again"), core.PutOptions{}); err != nil || v != 1 {
+		t.Fatalf("write after the refused handoff: v%d, %v", v, err)
 	}
 }

@@ -2,9 +2,13 @@ package testbed
 
 import (
 	"context"
+	"crypto/tls"
+	"crypto/x509"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -142,6 +146,52 @@ func TestRESTVerifyEndpoint(t *testing.T) {
 	}
 	if info.Size != int64(len("content")) || len(info.ContentHash) != 64 {
 		t.Errorf("verify info: %+v", info)
+	}
+}
+
+// TestRESTVerifyOfADeniedObject: verification reads the object, so a
+// session its policy grants no read gets the 403 envelope and none of
+// the object's size, hash or policy id.
+func TestRESTVerifyOfADeniedObject(t *testing.T) {
+	c, err := Start(Options{Drives: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	owner, ownerID, err := c.NewClient("owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eve, eveID, err := c.NewClient("eve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := Fingerprint(ownerID)
+	pid, err := owner.PutPolicy(ctx, "read :- sessionKeyIs(k'"+fp+"')\nupdate :- sessionKeyIs(k'"+fp+"')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.Put(ctx, "secret", []byte("TOP SECRET"), client.PutOptions{PolicyID: pid}); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := owner.Verify(ctx, "secret", 0); err != nil || info.Policy != pid {
+		t.Fatalf("owner verify: %+v, %v", info, err)
+	}
+	if info, err := eve.Verify(ctx, "secret", 0); !errors.Is(err, client.ErrDenied) || info != nil {
+		t.Fatalf("verify of a denied object: %+v, %v", info, err)
+	}
+	// The reply itself, as the handler writes it.
+	req := httptest.NewRequest(http.MethodGet, "/v1/verify/secret?version=0", nil)
+	req.TLS = &tls.ConnectionState{PeerCertificates: []*x509.Certificate{eveID.Cert}}
+	rec := httptest.NewRecorder()
+	c.REST.ServeHTTP(rec, req)
+	var env core.ErrorReply
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusForbidden || env.Error.Code != core.CodeDenied {
+		t.Fatalf("HTTP %d %q (%v), want the 403 denied envelope", rec.Code, rec.Body.String(), err)
+	}
+	if body := rec.Body.String(); strings.Contains(body, pid) || strings.Contains(body, "contentHash") {
+		t.Fatalf("denial discloses the object: %q", body)
 	}
 }
 
