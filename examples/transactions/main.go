@@ -1,18 +1,23 @@
 // Transactions (§4.4): atomic multi-object updates with the VLL lock
-// manager — a transfer between two accounts with concurrent
-// contention, plus read-your-locks semantics via checkResults.
+// manager. A transaction is one request — the keys it reads and the
+// writes it makes — so a transfer between two accounts reads both
+// balances with their versions, then writes both on condition that
+// neither moved, and retries when one did. Concurrent transfers
+// between the same two accounts conserve the sum.
 //
 // Run with: go run ./examples/transactions
 package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"strconv"
 	"sync"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/testbed"
 )
 
@@ -36,91 +41,105 @@ func main() {
 		}
 	}
 
-	// transfer moves amount between accounts atomically: read both,
-	// write both, all inside one VLL-locked transaction.
-	transfer := func(from, to string, amount int) error {
-		tx, err := cl.CreateTx(ctx)
-		if err != nil {
-			return err
+	// transfer moves amount between two accounts atomically. A read-only
+	// transaction snapshots both balances and their versions; the writing
+	// one names the next version of each, so it commits only if neither
+	// account changed in between — otherwise it aborts with no effect
+	// (version_conflict) and the transfer starts over from a new snapshot.
+	transfer := func(from, to string, amount int) (res *client.TxResult, attempts int, err error) {
+		for {
+			attempts++
+			snap, err := cl.Transact(ctx, []string{from, to}, nil)
+			if err != nil {
+				return nil, attempts, err
+			}
+			tx := cl.CreateTx()
+			for i, delta := range []int{-amount, amount} {
+				r := snap.Reads[i]
+				if r.Err != nil {
+					return nil, attempts, r.Err
+				}
+				balance, err := strconv.Atoi(string(r.Value))
+				if err != nil {
+					return nil, attempts, err
+				}
+				tx.AddWrite(client.BatchPutOp{
+					Key: r.Key, Value: []byte(strconv.Itoa(balance + delta)),
+					Version: r.Version + 1, HasVersion: true,
+				})
+			}
+			var apiErr *client.APIError
+			if err := tx.Commit(ctx); errors.As(err, &apiErr) && apiErr.Code == string(core.CodeVersionConflict) {
+				continue
+			} else if err != nil {
+				return nil, attempts, err
+			}
+			return tx.Results(), attempts, nil
 		}
-		balFrom, _, err := cl.Get(ctx, from, client.GetOptions{})
-		if err != nil {
-			return err
-		}
-		balTo, _, err := cl.Get(ctx, to, client.GetOptions{})
-		if err != nil {
-			return err
-		}
-		f, _ := strconv.Atoi(string(balFrom))
-		t, _ := strconv.Atoi(string(balTo))
-		if err := tx.AddWrite(ctx, from, []byte(strconv.Itoa(f-amount))); err != nil {
-			return err
-		}
-		if err := tx.AddWrite(ctx, to, []byte(strconv.Itoa(t+amount))); err != nil {
-			return err
-		}
-		if err := tx.Commit(ctx); err != nil {
-			return err
-		}
-		results, err := tx.Results(ctx)
-		if err != nil {
-			return err
-		}
-		for _, r := range results {
-			fmt.Printf("  tx %d: %s %s -> v%d\n", tx.ID(), r.Op, r.Key, r.Version)
-		}
-		return nil
 	}
 
 	fmt.Println("transfer 30 alice -> bob:")
-	if err := transfer("acct/alice", "acct/bob", 30); err != nil {
+	res, _, err := transfer("acct/alice", "acct/bob", 30)
+	if err != nil {
 		log.Fatal(err)
 	}
+	for _, w := range res.Writes {
+		fmt.Printf("  write %s -> v%d\n", w.Key, w.Version)
+	}
 
-	// Concurrent transfers on overlapping accounts serialize through
-	// the VLL queue rather than corrupting balances.
+	// Concurrent transfers in both directions between the same two
+	// accounts: each commits against the versions it read or retries, so
+	// no update is lost.
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	commits, retries := 0, 0
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tx, err := cl.CreateTx(ctx)
-			if err != nil {
-				log.Print(err)
-				return
+			from, to := "acct/alice", "acct/bob"
+			if i%2 == 1 {
+				from, to = to, from
 			}
-			if err := tx.AddWrite(ctx, "acct/counter", []byte(fmt.Sprint(i))); err != nil {
-				log.Print(err)
-				return
-			}
-			if err := tx.Commit(ctx); err != nil {
-				log.Print(err)
+			for j := 0; j < 5; j++ {
+				_, attempts, err := transfer(from, to, i+1)
+				if err != nil {
+					log.Fatal(err)
+				}
+				mu.Lock()
+				commits, retries = commits+1, retries+attempts-1
+				mu.Unlock()
 			}
 		}(i)
 	}
 	wg.Wait()
 
-	versions, err := cl.ListVersions(ctx, "acct/counter")
-	if err != nil {
-		log.Fatal(err)
+	balance := func(key string) int {
+		v, _, err := cl.Get(ctx, key, client.GetOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		n, err := strconv.Atoi(string(v))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return n
 	}
-	fmt.Printf("4 concurrent transactions serialized into versions %v\n", versions)
+	a, b := balance("acct/alice"), balance("acct/bob")
+	fmt.Printf("%d concurrent transfers committed after %d conflict retries\n", commits, retries)
+	fmt.Printf("final balances: alice=%d bob=%d sum=%d\n", a, b, a+b)
+	if a+b != 200 {
+		log.Fatalf("sum %d, want 200: an update was lost", a+b)
+	}
+	// Net flow: workers 0 and 2 moved 5×(1+3) alice→bob, workers 1 and 3
+	// moved 5×(2+4) bob→alice, after the first 30 alice→bob.
+	if want := 100 - 30 - 20 + 30; a != want {
+		log.Fatalf("alice=%d, want %d", a, want)
+	}
 
-	a, _, _ := cl.Get(ctx, "acct/alice", client.GetOptions{})
-	b, _, _ := cl.Get(ctx, "acct/bob", client.GetOptions{})
-	fmt.Printf("final balances: alice=%s bob=%s (sum preserved)\n", a, b)
-
-	// Aborted transactions leave no trace.
-	tx, err := cl.CreateTx(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := tx.AddWrite(ctx, "acct/alice", []byte("999999")); err != nil {
-		log.Fatal(err)
-	}
-	if err := tx.Abort(ctx); err != nil {
-		log.Fatal(err)
-	}
-	a2, _, _ := cl.Get(ctx, "acct/alice", client.GetOptions{})
-	fmt.Printf("after aborted tx, alice=%s (unchanged)\n", a2)
+	// An aborted transaction never reaches the controller.
+	tx := cl.CreateTx()
+	tx.AddWrite(client.BatchPutOp{Key: "acct/alice", Value: []byte("999999")})
+	tx.Abort()
+	fmt.Printf("after aborted tx, alice=%d (unchanged)\n", balance("acct/alice"))
 }

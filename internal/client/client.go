@@ -7,7 +7,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"crypto/tls"
 	"encoding/base64"
@@ -192,60 +191,6 @@ func (c *Client) Repair(ctx context.Context, key string) (versions, restored int
 		err = fmt.Errorf("pesos client: repair of %q reported on %q", key, out.Key)
 	}
 	return out.Versions, out.Restored, err
-}
-
-// Tx is a client-side transaction handle.
-type Tx struct {
-	c  *Client
-	id uint64
-}
-
-// CreateTx opens a transaction.
-func (c *Client) CreateTx(ctx context.Context) (*Tx, error) {
-	var out struct {
-		Tx uint64 `json:"tx"`
-	}
-	if err := c.call(ctx, http.MethodPost, "/v1/tx", "", nil, nil, nil, &out); err != nil {
-		return nil, err
-	}
-	return &Tx{c: c, id: out.Tx}, nil
-}
-
-// ID returns the server-side transaction id.
-func (t *Tx) ID() uint64 { return t.id }
-
-// AddRead declares a read key.
-func (t *Tx) AddRead(ctx context.Context, key string) error {
-	return t.call(ctx, http.MethodPost, "read", url.Values{"key": {key}}, nil, nil)
-}
-
-// AddWrite declares a write.
-func (t *Tx) AddWrite(ctx context.Context, key string, value []byte) error {
-	return t.call(ctx, http.MethodPost, "write", url.Values{"key": {key}}, bytes.NewReader(value), nil)
-}
-
-// Commit executes the transaction.
-func (t *Tx) Commit(ctx context.Context) error {
-	return t.call(ctx, http.MethodPost, "commit", nil, nil, nil)
-}
-
-// Abort discards the transaction.
-func (t *Tx) Abort(ctx context.Context) error {
-	return t.call(ctx, http.MethodPost, "abort", nil, nil, nil)
-}
-
-// Results fetches per-operation outcomes after commit.
-func (t *Tx) Results(ctx context.Context) ([]core.TxOpResult, error) {
-	var out struct {
-		Results []core.TxOpResult `json:"results"`
-	}
-	err := t.call(ctx, http.MethodGet, "results", nil, nil, &out)
-	return out.Results, err
-}
-
-// call is Client.call on one step of the transaction.
-func (t *Tx) call(ctx context.Context, method, step string, q url.Values, body io.Reader, out any) error {
-	return t.c.call(ctx, method, "/v1/tx/"+strconv.FormatUint(t.id, 10)+"/"+step, "", q, body, nil, out)
 }
 
 // send issues one request and returns the reply as it came, whatever

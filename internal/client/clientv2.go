@@ -1,9 +1,9 @@
 // The object routes: every put, read, delete, listing and poll rides
 // /v2 — scan/list with pagination, multi-key batch operations,
-// streaming puts and gets of arbitrarily large objects, and the unified
-// OpResult shape for every mutation (async included — it is an option
-// on the call, not a separate method family). Put, Get and Delete in
-// client.go are folds over these, not a second transport.
+// transactions, streaming puts and gets of arbitrarily large objects,
+// and the unified OpResult shape for every mutation (async included — it
+// is an option on the call, not a separate method family). Put, Get and
+// Delete in client.go are folds over these, not a second transport.
 package client
 
 import (
@@ -238,19 +238,38 @@ type BatchGetResult struct {
 // BatchGet reads many objects in one request, with per-op results in
 // request order.
 func (c *Client) BatchGet(ctx context.Context, keys []string, certs ...*authority.Certificate) ([]BatchGetResult, error) {
-	req := core.BatchGetRequest{Keys: make([]core.JSONKey, len(keys))}
-	for i, k := range keys {
-		req.Keys[i] = core.JSONKey(k)
-	}
+	req := core.BatchGetRequest{Keys: jsonKeys(keys)}
 	var out core.BatchGetReply
 	if err := c.call(ctx, http.MethodPost, "/v2/batch/get", "", nil, bytes.NewReader(core.AppendREST(nil, &req)), certs, &out); err != nil {
 		return nil, err
 	}
-	results := make([]BatchGetResult, len(out.Results))
-	for i, r := range out.Results {
-		results[i] = BatchGetResult{Key: r.Key, Value: r.Value, Version: r.Version, PolicyID: r.PolicyID, Err: opError(r.Err)}
+	return batchGetResults(out.Results), nil
+}
+
+func jsonKeys(keys []string) []core.JSONKey {
+	out := make([]core.JSONKey, len(keys))
+	for i, k := range keys {
+		out[i] = core.JSONKey(k)
 	}
-	return results, nil
+	return out
+}
+
+// batchGetResults and opResults carry the codec's decoded results into
+// the client's types.
+func batchGetResults(in []core.BatchGetResult) []BatchGetResult {
+	out := make([]BatchGetResult, len(in))
+	for i, r := range in {
+		out[i] = BatchGetResult{Key: r.Key, Value: r.Value, Version: r.Version, PolicyID: r.PolicyID, Err: opError(r.Err)}
+	}
+	return out
+}
+
+func opResults(in []core.OpResult) []OpResult {
+	out := make([]OpResult, len(in))
+	for i, r := range in {
+		out[i] = opResult(r)
+	}
+	return out
 }
 
 // BatchPutOp is one write of a batch put.
@@ -264,9 +283,68 @@ func (c *Client) BatchPut(ctx context.Context, ops []BatchPutOp, certs ...*autho
 	if err := c.call(ctx, http.MethodPost, "/v2/batch/put", "", nil, bytes.NewReader(core.AppendREST(nil, &core.BatchPutRequest{Ops: ops})), certs, &out); err != nil {
 		return nil, err
 	}
-	results := make([]OpResult, len(out.Results))
-	for i, r := range out.Results {
-		results[i] = opResult(r)
-	}
-	return results, nil
+	return opResults(out.Results), nil
 }
+
+// TxResult is what a committed transaction answered: one result per
+// read key and one per write, each in the order declared.
+type TxResult struct {
+	Reads  []BatchGetResult
+	Writes []OpResult
+}
+
+// Transact runs one transaction (§4.4) in one request: keys are read
+// and ops written atomically and in isolation, under certs. A read key
+// that does not exist fails alone, in its result; anything else that
+// fails — a denial, a version conflict, a key of another shard — aborts
+// the transaction with no effect and is the error returned.
+func (c *Client) Transact(ctx context.Context, keys []string, ops []BatchPutOp, certs ...*authority.Certificate) (*TxResult, error) {
+	req := core.TxRequest{Keys: jsonKeys(keys), Ops: ops}
+	var out core.TxReply
+	if err := c.call(ctx, http.MethodPost, "/v2/tx", "", nil, bytes.NewReader(core.AppendREST(nil, &req)), certs, &out); err != nil {
+		return nil, err
+	}
+	return &TxResult{Reads: batchGetResults(out.Reads), Writes: opResults(out.Writes)}, nil
+}
+
+// Tx builds a transaction with the paper's verbs (§4.4: createTx,
+// addRead, addWrite, commitTx, abortTx, checkResults). It is local
+// state: only Commit touches the network, as one Transact.
+type Tx struct {
+	c      *Client
+	keys   []string
+	ops    []BatchPutOp
+	certs  []*authority.Certificate
+	result *TxResult
+}
+
+// CreateTx opens a transaction.
+func (c *Client) CreateTx() *Tx { return &Tx{c: c} }
+
+// AddRead declares a read key.
+func (t *Tx) AddRead(key string) { t.keys = append(t.keys, key) }
+
+// AddWrite declares a write: unconditional, or — with Version and
+// HasVersion — of exactly the object's next version, which makes a
+// transaction built on earlier reads fail instead of losing an update.
+func (t *Tx) AddWrite(op BatchPutOp) { t.ops = append(t.ops, op) }
+
+// AddCertificates attaches certified facts to the policy checks of
+// every operation in the transaction.
+func (t *Tx) AddCertificates(certs ...*authority.Certificate) { t.certs = append(t.certs, certs...) }
+
+// Commit executes the transaction, once.
+func (t *Tx) Commit(ctx context.Context) (err error) {
+	if t.result != nil {
+		return errors.New("pesos client: transaction already committed")
+	}
+	t.result, err = t.c.Transact(ctx, t.keys, t.ops, t.certs...)
+	return err
+}
+
+// Abort discards what was declared.
+func (t *Tx) Abort() { *t = Tx{c: t.c} }
+
+// Results returns the per-operation outcomes Commit answered, nil
+// before it has.
+func (t *Tx) Results() *TxResult { return t.result }

@@ -154,6 +154,15 @@ func TestAttemptLoop(t *testing.T) {
 		}
 		return nil
 	}
+	// transact reads one key of shard 0 and writes another.
+	transact := func(g *attemptRig) error {
+		res, err := g.r.Transact(g.ctx, g.k0[:1], []client.BatchPutOp{{Key: core.JSONKey(g.k0[1]), Value: []byte("v")}})
+		if err == nil && (len(res.Reads) != 1 || string(res.Reads[0].Value) != "value of "+g.k0[0] ||
+			len(res.Writes) != 1 || string(res.Writes[0].Key) != g.k0[1] || res.Writes[0].Version != 2) {
+			return fmt.Errorf("result %+v", res)
+		}
+		return err
+	}
 	putPolicy := func(g *attemptRig) error {
 		id, err := g.r.PutPolicy(g.ctx, "read :- sessionKeyIs(k)")
 		if err == nil && id != "policy-1" {
@@ -285,6 +294,31 @@ func TestAttemptLoop(t *testing.T) {
 			dispatches: [3]int{1, 1, 1}, stats: counts{0, 1, 3, 0},
 			routes: [][]string{{first}, {first}, {retargeted}}},
 
+		// A transaction: one request to the one shard that owns its keys,
+		// aborted whole by a wrong_shard, so re-dispatched like a single put.
+		{name: "tx/moved: the envelope's wrong_shard",
+			faults: func(g *attemptRig) []fault { return []fault{{wrongShard, g.failover}} }, op: transact,
+			dispatches: [3]int{1, 0, 1}, stats: counts{1, 0, 1, 1},
+			routes: [][]string{{first}, nil, {redirected}}},
+		{name: "tx/unreachable once, then healthy",
+			faults: func(*attemptRig) []fault { return []fault{{kind: refuse}} }, op: transact,
+			dispatches: [3]int{2, 0, 0}, stats: counts{0, 1, 1, 0},
+			routes: [][]string{{first, retargeted}, nil, nil}},
+		{name: "tx/fenced: 5xx and the owner did not change",
+			faults: func(*attemptRig) []fault { return []fault{{kind: serverErr}} }, op: transact, wantErr: status(500),
+			dispatches: [3]int{1, 0, 0}, stats: counts{0, 0, 0, 0}},
+		{name: "tx/keys span shards: refused, nothing sent",
+			faults: func(*attemptRig) []fault { return nil },
+			op: func(g *attemptRig) error {
+				res, err := g.r.Transact(g.ctx, g.k0[:1], []client.BatchPutOp{{Key: core.JSONKey(g.k1[0])}})
+				if res != nil {
+					return fmt.Errorf("result %+v", res)
+				}
+				return err
+			},
+			wantErr:    func(err error) bool { return err != nil && strings.Contains(err.Error(), "spans shards") },
+			dispatches: [3]int{0, 0, 0}, stats: counts{0, 0, 0, 0}},
+
 		// A listing page: one spoiled shard sends the whole page again.
 		{name: "list/moved: a page from the next epoch, RouteInfo on the re-dispatch",
 			faults: func(g *attemptRig) []fault { return []fault{{wrongShard, g.failoverMidPage}} }, op: list,
@@ -341,5 +375,33 @@ func TestAttemptLoop(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTxCommonOwner: a transaction is routed to the one shard that owns
+// every key it names; with none — no key, or keys of two shards — there is
+// nowhere to send it.
+func TestTxCommonOwner(t *testing.T) {
+	g := newAttemptRig(t)
+	m := g.r.Map()
+	for _, tc := range []struct {
+		name string
+		keys []string
+		want int // shard id, -1 for a refusal
+	}{
+		{"one key", g.k1[:1], 1},
+		{"all of one shard", g.k0, 0},
+		{"a key repeated", []string{g.k1[0], g.k1[1], g.k1[0]}, 1},
+		{"no key", nil, -1},
+		{"two shards", g.mixed(), -1},
+		{"two shards, the odd one last", append(append([]string(nil), g.k0...), g.k1[0]), -1},
+	} {
+		s, err := commonOwner(m, tc.keys)
+		if got := (err == nil); got != (tc.want >= 0) || got && s.ID != tc.want {
+			t.Errorf("%s: shard %+v, %v; want shard %d", tc.name, s, err, tc.want)
+		}
+		if err != nil && s != nil {
+			t.Errorf("%s: refused and routed to shard %d", tc.name, s.ID)
+		}
 	}
 }

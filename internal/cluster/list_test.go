@@ -134,6 +134,21 @@ func (f *fakeShard) serve(w http.ResponseWriter, r *http.Request) {
 			res[i] = client.OpResult{Key: op.Key, Version: 1, Err: moved}
 		}
 		json.NewEncoder(w).Encode(map[string]any{"results": res})
+	case r.URL.Path == "/v2/tx": // aborts whole, in the envelope
+		if moved != nil {
+			envelope(w, http.StatusMisdirectedRequest, core.CodeWrongShard)
+			return
+		}
+		var req core.TxRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		reply := core.TxReply{Reads: []core.BatchGetResult{}, Writes: []core.OpResult{}}
+		for _, k := range req.Keys {
+			reply.Reads = append(reply.Reads, core.BatchGetResult{Key: k, Value: []byte("value of " + string(k)), Version: 1})
+		}
+		for _, op := range req.Ops {
+			reply.Writes = append(reply.Writes, core.OpResult{Key: op.Key, Version: 2})
+		}
+		json.NewEncoder(w).Encode(reply)
 	case r.URL.Path == "/v1/policies":
 		json.NewEncoder(w).Encode(map[string]string{"id": "policy-1"})
 	default:

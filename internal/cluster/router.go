@@ -576,6 +576,45 @@ func (r *Router) BatchPut(ctx context.Context, ops []client.BatchPutOp, certs ..
 		})
 }
 
+// Transact runs one transaction (client.Transact) on the shard that owns
+// every key it reads or writes. A transaction is one request to one
+// controller, so one whose keys span shards under the current map is
+// refused before anything is sent; a controller that has since lost any of
+// the keys aborts it untouched with wrong_shard, which re-routes it like
+// any single-shard operation.
+func (r *Router) Transact(ctx context.Context, keys []string, ops []client.BatchPutOp, certs ...*authority.Certificate) (*client.TxResult, error) {
+	touched := slices.Clone(keys)
+	for _, op := range ops {
+		touched = append(touched, string(op.Key))
+	}
+	res, err := batch(ctx, r, [][]string{touched},
+		func(m *ShardMap, touched *[]string) (*Shard, error) { return commonOwner(m, *touched) }, noErr,
+		func(ctx context.Context, cl *client.Client, _ [][]string) ([]*client.TxResult, error) {
+			res, err := cl.Transact(ctx, keys, ops, certs...)
+			return []*client.TxResult{res}, err
+		})
+	return res[0], err
+}
+
+// commonOwner is the one shard that owns every key, or why there is none.
+func commonOwner(m *ShardMap, keys []string) (owner *Shard, err error) {
+	for _, k := range keys {
+		s, err := m.OwnerOf(k)
+		if err != nil {
+			return nil, err
+		}
+		if owner == nil {
+			owner = s
+		} else if s.ID != owner.ID {
+			return nil, fmt.Errorf("cluster: transaction spans shards %d (%q) and %d (%q); a transaction runs on one shard", owner.ID, keys[0], s.ID, k)
+		}
+	}
+	if owner == nil {
+		return nil, errors.New("cluster: transaction names no key")
+	}
+	return owner, nil
+}
+
 // PutPolicy stores a policy on EVERY shard of the map it starts under
 // (policies are content-addressed and idempotent; objects on any shard
 // may reference them).

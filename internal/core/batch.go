@@ -59,7 +59,7 @@ func (s *Session) BatchGet(ctx context.Context, keys []string, certs []*authorit
 			defer wg.Done()
 			defer func() { <-sem }()
 			results[i].Key = JSONKey(key)
-			if err := validBatchKey(key); err != nil {
+			if err := validKey(key); err != nil {
 				results[i].Err = wireError(err)
 				return
 			}
@@ -103,7 +103,7 @@ func (c *Controller) batchPut(ctx context.Context, sessionKey string, ops []Batc
 	for i, op := range ops {
 		key := string(op.Key)
 		results[i].Key = op.Key
-		if err := validBatchKey(key); err != nil {
+		if err := validKey(key); err != nil {
 			results[i].Err = wireError(err)
 			continue
 		}
@@ -171,9 +171,11 @@ func (c *Controller) batchPut(ctx context.Context, sessionKey string, ops []Batc
 	return results, nil
 }
 
-// validBatchKey applies the REST boundary's key rules to batch bodies
-// (which bypass the URL path).
-func validBatchKey(key string) error {
+// validKey is the one rule for an object key, applied where a request
+// enters — a URL path, a batch body, a transaction body alike
+// (docs/storage.md): not empty, and no NUL, which separates the fields of
+// a drive key.
+func validKey(key string) error {
 	if key == "" {
 		return fmt.Errorf("%w: empty object key", ErrInvalidArgument)
 	}

@@ -34,13 +34,8 @@ func TestCommitShapes(t *testing.T) {
 		{"batch of one", 1, batchShape},
 		{"batch of N", 5, batchShape},
 		{"transaction", 4, func(ctx context.Context, s *Session, keys []string, val func(int) []byte) ErrorCode {
-			tx := s.CreateTx()
-			for i, k := range keys {
-				if err := s.AddWrite(tx, k, val(i)); err != nil {
-					return CodeFor(err)
-				}
-			}
-			return CodeFor(s.CommitTx(ctx, tx))
+			_, _, err := s.Tx(ctx, nil, writeOps(keys, val), nil)
+			return CodeFor(err)
 		}},
 		{"stream", 1, func(ctx context.Context, s *Session, keys []string, val func(int) []byte) ErrorCode {
 			res := s.PutStream(ctx, keys[0], bytes.NewReader(append(val(0), streamed...)), PutOptions{})
@@ -203,12 +198,17 @@ func TestCommitShapes(t *testing.T) {
 	}
 }
 
-func batchShape(ctx context.Context, s *Session, keys []string, val func(i int) []byte) ErrorCode {
+// writeOps is one unconditional write of val(i) per key.
+func writeOps(keys []string, val func(i int) []byte) []BatchPutOp {
 	ops := make([]BatchPutOp, len(keys))
 	for i, k := range keys {
 		ops[i] = BatchPutOp{Key: JSONKey(k), Value: val(i)}
 	}
-	results, err := s.BatchPut(ctx, ops, nil)
+	return ops
+}
+
+func batchShape(ctx context.Context, s *Session, keys []string, val func(i int) []byte) ErrorCode {
+	results, err := s.BatchPut(ctx, writeOps(keys, val), nil)
 	if err != nil {
 		return CodeFor(err)
 	}

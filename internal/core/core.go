@@ -668,7 +668,7 @@ func (c *Controller) DropCaches() {
 	c.residualCache.Clear()
 }
 
-// Close shuts the controller down: sessions stop accepting work,
+// Close shuts the controller down: the asynchronous workers drain,
 // drive connections close.
 func (c *Controller) Close() error {
 	c.mu.Lock()
@@ -679,15 +679,6 @@ func (c *Controller) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	c.stopMaintenance()
-	c.mu.Lock()
-	sessions := make([]*Session, 0, len(c.sessions))
-	for _, s := range c.sessions {
-		sessions = append(sessions, s)
-	}
-	c.mu.Unlock()
-	for _, s := range sessions {
-		s.stop()
-	}
 	c.mu.Lock()
 	async := c.async
 	c.async = nil

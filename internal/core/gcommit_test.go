@@ -279,13 +279,11 @@ func TestGroupCommitTrailingFlush(t *testing.T) {
 	ctx := context.Background()
 	sess := h.ctl.Session("txer")
 
-	tx := sess.CreateTx()
+	var ops []BatchPutOp
 	for i := 0; i < 3; i++ {
-		if err := sess.AddWrite(tx, fmt.Sprintf("txk/%d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+		ops = append(ops, BatchPutOp{Key: JSONKey(fmt.Sprintf("txk/%d", i)), Value: []byte("v")})
 	}
-	if err := sess.CommitTx(ctx, tx); err != nil {
+	if _, _, err := sess.Tx(ctx, nil, ops, nil); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	// The trailing flush runs once the committer goes idle.

@@ -66,9 +66,7 @@ const (
 	CodeDenied          ErrorCode = "denied"
 	CodeNotFound        ErrorCode = "not_found"
 	CodeNoSuchPolicy    ErrorCode = "no_such_policy"
-	CodeNoSuchTx        ErrorCode = "no_such_tx"
 	CodeVersionConflict ErrorCode = "version_conflict"
-	CodeTxFinished      ErrorCode = "tx_finished"
 	CodeTooLarge        ErrorCode = "too_large"
 	CodeStreamedObject  ErrorCode = "streamed_object"
 	CodeCorrupt         ErrorCode = "corrupt"
@@ -106,12 +104,8 @@ func CodeFor(err error) ErrorCode {
 		return CodeNotFound
 	case errors.Is(err, ErrNoSuchPolicy):
 		return CodeNoSuchPolicy
-	case errors.Is(err, ErrNoSuchTx):
-		return CodeNoSuchTx
 	case errors.Is(err, ErrBadVersion):
 		return CodeVersionConflict
-	case errors.Is(err, ErrTxFinished):
-		return CodeTxFinished
 	case errors.Is(err, store.ErrTooLarge), errors.Is(err, ErrStreamTooLarge):
 		return CodeTooLarge
 	case errors.Is(err, ErrStreamedObject):
@@ -140,9 +134,9 @@ func (c ErrorCode) HTTPStatus() int {
 		return http.StatusOK
 	case CodeDenied:
 		return http.StatusForbidden
-	case CodeNotFound, CodeNoSuchPolicy, CodeNoSuchTx:
+	case CodeNotFound, CodeNoSuchPolicy:
 		return http.StatusNotFound
-	case CodeVersionConflict, CodeTxFinished:
+	case CodeVersionConflict:
 		return http.StatusConflict
 	case CodeTooLarge:
 		return http.StatusRequestEntityTooLarge

@@ -72,18 +72,8 @@ func TestDeniedSessionObservesNothing(t *testing.T) {
 			return r.Err.Code, leaked(r.Value, r.Version, r.PolicyID)
 		}},
 		{"transaction read", func() (ErrorCode, string) {
-			tx := eve.CreateTx()
-			for _, k := range []string{"mine", "secret"} {
-				if err := eve.AddRead(tx, k); err != nil {
-					t.Fatal(err)
-				}
-			}
-			code := CodeFor(eve.CommitTx(ctx, tx))
-			results, err := eve.CheckResults(tx)
-			if err != nil || len(results) != 1 || results[0].Op != "abort" {
-				t.Fatalf("denied transaction left results %+v, %v", results, err)
-			}
-			return code, ""
+			reads, writes, err := eve.Tx(ctx, []string{"mine", "secret"}, nil, nil)
+			return CodeFor(err), leaked(reads, writes)
 		}},
 		{"ListVersions", func() (ErrorCode, string) {
 			vers, err := eve.ListVersions(ctx, "secret", nil)
@@ -161,14 +151,9 @@ func TestTxPlansEachReadOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tx := s.CreateTx()
-	for _, k := range append(keys, "absent") {
-		if err := s.AddRead(tx, k); err != nil {
-			t.Fatal(err)
-		}
-	}
 	before := h.ctl.stats.Snapshot()
-	if err := s.CommitTx(ctx, tx); err != nil {
+	results, _, err := s.Tx(ctx, []string{"a", "absent", "b", "c"}, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := h.ctl.stats.Snapshot()
@@ -181,20 +166,17 @@ func TestTxPlansEachReadOnce(t *testing.T) {
 	if got := after.Gets - before.Gets; got != uint64(len(keys)) {
 		t.Errorf("Gets moved by %d over %d read keys", got, len(keys))
 	}
-	results, err := s.CheckResults(tx)
-	if err != nil || len(results) != len(keys)+1 {
-		t.Fatalf("results %+v, %v", results, err)
+	if len(results) != len(keys)+1 {
+		t.Fatalf("results %+v", results)
 	}
-	// The read set is sorted: "a", "absent", "b", "c".
-	want := []TxOpResult{
-		{Key: "a", Op: "read", Value: []byte("value of a")},
-		{Key: "absent", Op: "read", Err: `pesos: object not found: meta "absent"`},
-		{Key: "b", Op: "read", Value: []byte("value of b")},
-		{Key: "c", Op: "read", Value: []byte("value of c")},
+	// Results come back in request order.
+	want := []BatchGetResult{
+		{Key: "a", Value: []byte("value of a"), PolicyID: pid},
+		{Key: "absent", Err: &WireError{Code: CodeNotFound, Message: `pesos: object not found: meta "absent"`}},
+		{Key: "b", Value: []byte("value of b"), PolicyID: pid},
+		{Key: "c", Value: []byte("value of c"), PolicyID: pid},
 	}
-	for i, r := range results {
-		if fmt.Sprintf("%+v", r) != fmt.Sprintf("%+v", want[i]) {
-			t.Errorf("result %d: %+v, want %+v", i, r, want[i])
-		}
+	if !reflect.DeepEqual(results, want) {
+		t.Errorf("results %+v, want %+v", results, want)
 	}
 }

@@ -47,13 +47,11 @@ func TestTxCommitBatchesWrites(t *testing.T) {
 	s := h.ctl.Session("w")
 	ctx := context.Background()
 
-	tx := s.CreateTx()
+	var ops []BatchPutOp
 	for i := 0; i < 4; i++ {
-		if err := s.AddWrite(tx, fmt.Sprintf("txk%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
+		ops = append(ops, BatchPutOp{Key: JSONKey(fmt.Sprintf("txk%d", i)), Value: []byte(fmt.Sprintf("v%d", i))})
 	}
-	if err := s.CommitTx(ctx, tx); err != nil {
+	if _, _, err := s.Tx(ctx, nil, ops, nil); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	for i := 0; i < 4; i++ {

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,18 +25,13 @@ import (
 // (§4.1): plain HTTPS with mutual TLS, no special client library
 // required. Clients are identified by the public key of their TLS
 // certificate; certified facts ride along in headers. Objects are put,
-// read, deleted, listed and polled under /v2 (restv2.go); what has no
-// /v2 form — versions, verify, repair, policies, transactions, status,
-// the cluster map, traces — is served under /v1. Every route reports
-// failure in the one envelope of writeError.
+// read, deleted, listed and polled, and transactions run, under /v2
+// (restv2.go); what has no /v2 form — versions, verify, repair,
+// policies, status, the cluster map, traces — is served under /v1. Every
+// route reports failure in the one envelope of writeError.
 type RESTServer struct {
 	ctl *Controller
 	mux *http.ServeMux
-
-	// InsecureIdentityHeader, when true, accepts the client identity
-	// from the X-Pesos-Identity header on connections without client
-	// certificates. Only for tests; never enable in production.
-	InsecureIdentityHeader bool
 }
 
 // CertHeader carries base64-encoded certified facts, repeatable.
@@ -54,12 +48,6 @@ func NewREST(ctl *Controller) *RESTServer {
 	s.object("POST /v1/repair/{key...}", "other", s.handleRepair)
 	s.route("POST /v1/policies", "other", s.handlePutPolicy)
 	s.route("GET /v1/policies/{id}", "other", s.handleGetPolicy)
-	s.route("POST /v1/tx", "tx", s.handleTxCreate)
-	s.tx("POST /v1/tx/{id}/read", s.handleTxRead)
-	s.tx("POST /v1/tx/{id}/write", s.handleTxWrite)
-	s.tx("POST /v1/tx/{id}/commit", s.handleTxCommit)
-	s.tx("POST /v1/tx/{id}/abort", s.handleTxAbort)
-	s.tx("GET /v1/tx/{id}/results", s.handleTxResults)
 	s.route("GET /v1/status", "", s.handleStatus)
 	s.route("GET /v1/cluster/map", "", s.handleClusterMap)
 	s.route("GET /v1/trace/{id}", "", s.handleTrace)
@@ -178,11 +166,6 @@ func (s *RESTServer) session(r *http.Request) (*Session, error) {
 		}
 		return s.ctl.Session(fp), nil
 	}
-	if s.InsecureIdentityHeader {
-		if id := r.Header.Get("X-Pesos-Identity"); id != "" {
-			return s.ctl.Session(id), nil
-		}
-	}
 	return nil, errUnauthenticated
 }
 
@@ -206,13 +189,10 @@ func (s *RESTServer) object(pattern, op string, h func(http.ResponseWriter, *htt
 		if r.URL.RawQuery != "" {
 			o.query = r.URL.Query()
 		}
-		if o.key == "" {
-			return fmt.Errorf("%w: empty object key", ErrInvalidArgument)
+		err := validKey(o.key)
+		if err != nil {
+			return err
 		}
-		if strings.ContainsRune(o.key, 0) {
-			return fmt.Errorf("%w: object keys must not contain NUL", ErrInvalidArgument)
-		}
-		var err error
 		if o.certs, err = certsFrom(r); err != nil {
 			return err
 		}
@@ -300,79 +280,6 @@ func (s *RESTServer) handleGetPolicy(w http.ResponseWriter, r *http.Request, _ *
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, src)
 	return nil
-}
-
-func (s *RESTServer) handleTxCreate(w http.ResponseWriter, r *http.Request, sess *Session) error {
-	return reply(w, map[string]any{"tx": sess.CreateTx()})
-}
-
-// tx mounts a route addressed by a transaction id: route, plus the
-// parse of the id.
-func (s *RESTServer) tx(pattern string, h func(http.ResponseWriter, *http.Request, *Session, uint64) error) {
-	s.route(pattern, "tx", func(w http.ResponseWriter, r *http.Request, sess *Session) error {
-		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-		if err != nil {
-			return fmt.Errorf("%w: bad transaction id: %v", ErrInvalidArgument, err)
-		}
-		return h(w, r, sess, id)
-	})
-}
-
-// txKey is the object key a transaction read or write declares.
-func txKey(r *http.Request) (string, error) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		return "", fmt.Errorf("%w: missing key parameter", ErrInvalidArgument)
-	}
-	return key, nil
-}
-
-func (s *RESTServer) handleTxRead(w http.ResponseWriter, r *http.Request, sess *Session, id uint64) error {
-	key, err := txKey(r)
-	if err != nil {
-		return err
-	}
-	if err := sess.AddRead(id, key); err != nil {
-		return err
-	}
-	return reply(w, map[string]any{"ok": true})
-}
-
-func (s *RESTServer) handleTxWrite(w http.ResponseWriter, r *http.Request, sess *Session, id uint64) error {
-	key, err := txKey(r)
-	if err != nil {
-		return err
-	}
-	body, err := readLimit(r.Body)
-	if err != nil {
-		return err
-	}
-	if err := sess.AddWrite(id, key, body); err != nil {
-		return err
-	}
-	return reply(w, map[string]any{"ok": true})
-}
-
-func (s *RESTServer) handleTxCommit(w http.ResponseWriter, r *http.Request, sess *Session, id uint64) error {
-	if err := sess.CommitTx(r.Context(), id); err != nil {
-		return err
-	}
-	return reply(w, map[string]any{"committed": true})
-}
-
-func (s *RESTServer) handleTxAbort(w http.ResponseWriter, _ *http.Request, sess *Session, id uint64) error {
-	if err := sess.AbortTx(id); err != nil {
-		return err
-	}
-	return reply(w, map[string]any{"aborted": true})
-}
-
-func (s *RESTServer) handleTxResults(w http.ResponseWriter, _ *http.Request, sess *Session, id uint64) error {
-	res, err := sess.CheckResults(id)
-	if err != nil {
-		return err
-	}
-	return reply(w, map[string]any{"results": res})
 }
 
 func (s *RESTServer) handleStatus(w http.ResponseWriter, _ *http.Request, _ *Session) error {

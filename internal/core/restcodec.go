@@ -1,8 +1,9 @@
 // The REST surface's one codec for its hot JSON shapes: the listing page,
 // the mutation result (alone and as a batch's array), the two batch
-// requests, the batch-get result and the error envelope. The controller
-// (rest.go, restv2.go) and internal/client both go through it, so the
-// two ends of the hop cannot drift.
+// requests, the batch-get result, the transaction's request and reply
+// (the batches' members under one roof) and the error envelope. The
+// controller (rest.go, restv2.go) and internal/client both go through
+// it, so the two ends of the hop cannot drift.
 //
 // Encoders append into the caller's buffer and produce, byte for byte,
 // what encoding/json produces for the same value; there is no fallback.
@@ -28,7 +29,7 @@ import (
 
 // RESTShape is a value of one of the codec's shapes: *ScanPage,
 // *OpResult, *BatchPutReply, *BatchGetReply, *BatchPutRequest,
-// *BatchGetRequest, *ErrorReply.
+// *BatchGetRequest, *TxRequest, *TxReply, *ErrorReply.
 type RESTShape interface {
 	appendJSON(dst []byte) []byte
 	// parseJSON decodes the parser's whole input into the receiver, or
@@ -54,6 +55,20 @@ type BatchPutReply struct {
 // BatchGetReply answers a batch get: one result per key, in order.
 type BatchGetReply struct {
 	Results []BatchGetResult `json:"results"`
+}
+
+// TxRequest is the body of POST /v2/tx: the keys a transaction reads and
+// the writes it makes — the members of the two batch requests.
+type TxRequest struct {
+	Keys []JSONKey    `json:"keys"`
+	Ops  []BatchPutOp `json:"ops"`
+}
+
+// TxReply answers a committed transaction: one result per read key and
+// one per write, each in request order.
+type TxReply struct {
+	Reads  []BatchGetResult `json:"reads"`
+	Writes []OpResult       `json:"writes"`
 }
 
 // ErrorReply is the envelope every route fails in.
@@ -338,15 +353,24 @@ func (v *BatchGetReply) appendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-func (v *BatchPutRequest) appendJSON(dst []byte) []byte {
-	// The one shape encoded into a fresh buffer (the client's request
-	// body): sized up front, it is allocated once.
-	size := len(`{"ops":[]}`)
-	for i := range v.Ops {
-		op := &v.Ops[i]
+// opsSize estimates the encoded length of a request made of ops. The two
+// requests carrying writes are what is encoded into a fresh buffer (the
+// client's request body): sized up front, it is allocated once.
+func opsSize(ops []BatchPutOp) int {
+	size := len(`{"keys":[],"ops":[]}`)
+	for i := range ops {
+		op := &ops[i]
 		size += 96 + 2*len(op.Key) + base64.StdEncoding.EncodedLen(len(op.Value)) + len(op.PolicyID)
 	}
-	dst = slices.Grow(dst, size)
+	return size
+}
+
+func appendKeys(dst []byte, keys []JSONKey) []byte {
+	return appendArray(dst, keys, func(dst []byte, k *JSONKey) []byte { return appendKey(dst, *k) })
+}
+
+func (v *BatchPutRequest) appendJSON(dst []byte) []byte {
+	dst = slices.Grow(dst, opsSize(v.Ops))
 	dst = append(dst, `{"ops":`...)
 	dst = appendArray(dst, v.Ops, appendBatchPutOp)
 	return append(dst, '}')
@@ -354,7 +378,28 @@ func (v *BatchPutRequest) appendJSON(dst []byte) []byte {
 
 func (v *BatchGetRequest) appendJSON(dst []byte) []byte {
 	dst = append(dst, `{"keys":`...)
-	dst = appendArray(dst, v.Keys, func(dst []byte, k *JSONKey) []byte { return appendKey(dst, *k) })
+	dst = appendKeys(dst, v.Keys)
+	return append(dst, '}')
+}
+
+func (v *TxRequest) appendJSON(dst []byte) []byte {
+	size := opsSize(v.Ops)
+	for _, k := range v.Keys {
+		size += 16 + 2*len(k)
+	}
+	dst = slices.Grow(dst, size)
+	dst = append(dst, `{"keys":`...)
+	dst = appendKeys(dst, v.Keys)
+	dst = append(dst, `,"ops":`...)
+	dst = appendArray(dst, v.Ops, appendBatchPutOp)
+	return append(dst, '}')
+}
+
+func (v *TxReply) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"reads":`...)
+	dst = appendArray(dst, v.Reads, appendBatchGetResult)
+	dst = append(dst, `,"writes":`...)
+	dst = appendArray(dst, v.Writes, appendOpResult)
 	return append(dst, '}')
 }
 
@@ -906,13 +951,44 @@ func (v *BatchPutRequest) parseJSON(p *jsonParser) bool {
 	return accept(ok && p.end(), v, out)
 }
 
+// keys consumes an array of object keys.
+func (p *jsonParser) keys() ([]JSONKey, bool) {
+	return parseArray(p, ',', func(p *jsonParser, k *JSONKey) (ok bool) {
+		*k, ok = p.key()
+		return ok
+	})
+}
+
 func (v *BatchGetRequest) parseJSON(p *jsonParser) bool {
 	var out BatchGetRequest
 	ok := p.object(keysName, func(int) (ok bool) {
-		out.Keys, ok = parseArray(p, ',', func(p *jsonParser, k *JSONKey) (ok bool) {
-			*k, ok = p.key()
-			return ok
-		})
+		out.Keys, ok = p.keys()
+		return ok
+	})
+	return accept(ok && p.end(), v, out)
+}
+
+func (v *TxRequest) parseJSON(p *jsonParser) bool {
+	var out TxRequest
+	ok := p.object(txRequestNames, func(i int) (ok bool) {
+		if i == 0 {
+			out.Keys, ok = p.keys()
+		} else {
+			out.Ops, ok = parseArray(p, '{', (*jsonParser).batchPutOp)
+		}
+		return ok
+	})
+	return accept(ok && p.end(), v, out)
+}
+
+func (v *TxReply) parseJSON(p *jsonParser) bool {
+	var out TxReply
+	ok := p.object(txReplyNames, func(i int) (ok bool) {
+		if i == 0 {
+			out.Reads, ok = parseArray(p, '{', (*jsonParser).batchGetResult)
+		} else {
+			out.Writes, ok = parseArray(p, '{', (*jsonParser).opResult)
+		}
 		return ok
 	})
 	return accept(ok && p.end(), v, out)
@@ -930,7 +1006,10 @@ func (v *ErrorReply) parseJSON(p *jsonParser) bool {
 	return accept(ok && p.end(), v, out)
 }
 
-var resultsName, opsName, keysName, errorName = []string{"results"}, []string{"ops"}, []string{"keys"}, []string{"error"}
+var (
+	resultsName, opsName, keysName, errorName = []string{"results"}, []string{"ops"}, []string{"keys"}, []string{"error"}
+	txRequestNames, txReplyNames              = []string{"keys", "ops"}, []string{"reads", "writes"}
+)
 
 // accept stores a fully parsed document.
 func accept[T any](ok bool, dst *T, v T) bool {

@@ -17,7 +17,7 @@ import (
 func shapes() []RESTShape {
 	return []RESTShape{
 		new(ScanPage), new(OpResult), new(BatchPutReply), new(BatchGetReply),
-		new(BatchPutRequest), new(BatchGetRequest), new(ErrorReply),
+		new(BatchPutRequest), new(BatchGetRequest), new(TxRequest), new(TxReply), new(ErrorReply),
 	}
 }
 
@@ -98,6 +98,8 @@ var codecSeeds = []string{
 	`{"ops":[{"key":"k","value":"dg=="},{"key":{"b64":"/w=="},"value":null,"version":2,"hasVersion":true,"policy":"p"}]}`,
 	`{"ops":[{"key":"k","value":"d\ng=="}]}`, `{"ops":[{"key":"k","value":[1,2]}]}`, `{"ops":[{"key":null,"value":""}]}`,
 	`{"keys":["a",{"b64":"/w=="},"c"]}`, `{"keys":[]}`, `{"keys":["a" "b"]}`, `{"keys":["\ud800"]}`,
+	`{"keys":[],"ops":[]}`, `{"keys":null,"ops":null}`, `{"ops":[{"key":"k","value":"dg==","version":4,"hasVersion":true,"policy":"p"}],"keys":[{"b64":"//4="}]}`,
+	`{"reads":[],"writes":[]}`, `{"reads":[{"key":{"b64":"/w=="},"value":"dg==","version":2,"policy":"p"},{"key":"gone","version":0,"error":{"code":"not_found","message":"m"}}],"writes":[{"key":"k","version":5}]}`,
 }
 
 // FuzzRESTCodec proves the codec against encoding/json, not against
@@ -115,7 +117,7 @@ func FuzzRESTCodec(f *testing.F) {
 		for _, zero := range shapes() {
 			checkDecode(t, data, zero)
 		}
-		for _, body := range []RESTShape{new(BatchPutRequest), new(BatchGetRequest)} {
+		for _, body := range []RESTShape{new(BatchPutRequest), new(BatchGetRequest), new(TxRequest)} {
 			ref := reflect.New(reflect.TypeOf(body).Elem()).Interface()
 			refErr := json.NewDecoder(bytes.NewReader(data)).Decode(ref)
 			err := decodeBody(httptest.NewRequest("POST", "/v2/batch", bytes.NewReader(data)), body)
@@ -160,6 +162,10 @@ func FuzzRESTCodec(f *testing.F) {
 		checkEncode(t, &BatchGetReply{Results: repeat(got, count)}, lossless && (value == nil || len(value) > 0))
 		checkEncode(t, &BatchPutRequest{Ops: repeat(put, count)}, lossless)
 		checkEncode(t, &BatchGetRequest{Keys: repeat(k, count)}, true)
+		// The transaction's shapes take their two arrays at different
+		// lengths: count and its complement.
+		checkEncode(t, &TxRequest{Keys: repeat(k, 3-count), Ops: repeat(put, count)}, lossless)
+		checkEncode(t, &TxReply{Reads: repeat(got, count), Writes: repeat(res, 3-count)}, lossless && (value == nil || len(value) > 0))
 	})
 }
 
@@ -205,6 +211,10 @@ func TestRESTCodecDeclines(t *testing.T) {
 		{`{"ops":[{"key":"k","value":"d\ng=="}]}`, new(BatchPutRequest), false}, // base64 skips the newline
 		{`{"keys":["a",{"b64":"/w=="}]}`, new(BatchGetRequest), true},
 		{`{"keys":[{"b64":"/w==","b64":"/g=="}]}`, new(BatchGetRequest), false},
+		{`{"ops":[{"key":"k","value":"dg==","version":1,"hasVersion":true}],"keys":["a",{"b64":"/w=="}]}`, new(TxRequest), true},
+		{`{"keys":["a"],"ops":[],"keys":["b"]}`, new(TxRequest), false}, // repeated member
+		{`{"reads":[{"key":"a","value":"dg==","version":1}],"writes":[{"key":"k","version":2}]}`, new(TxReply), true},
+		{`{"reads":null,"Writes":[]}`, new(TxReply), false}, // folds to a known member
 	} {
 		if got := checkDecode(t, []byte(tc.doc), tc.v); got != tc.accept {
 			t.Errorf("%T %s: hand parser accepted=%t, want %t", tc.v, tc.doc, got, tc.accept)

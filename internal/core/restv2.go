@@ -1,7 +1,8 @@
 // The /v2 routes: the one way an object is put, read, deleted, listed
-// or polled over the wire — scan-native, batch-native, streaming, with
-// the unified Op/Result model. Every mutation answers with an OpResult;
-// every failure is the envelope of writeError (rest.go).
+// or polled over the wire, and a transaction run — scan-native,
+// batch-native, streaming, with the unified Op/Result model. Every
+// mutation answers with an OpResult; every failure is the envelope of
+// writeError (rest.go).
 package core
 
 import (
@@ -20,6 +21,7 @@ func (s *RESTServer) registerV2() {
 	s.object("DELETE /v2/objects/{key...}", "delete", s.handleDeleteV2)
 	s.route("POST /v2/batch/get", "batch", s.handleBatchGet)
 	s.route("POST /v2/batch/put", "batch", s.handleBatchPut)
+	s.route("POST /v2/tx", "tx", s.handleTx)
 	s.route("GET /v2/results/{op}", "other", s.handleResultV2)
 }
 
@@ -113,15 +115,19 @@ func (s *RESTServer) handleBatchGet(w http.ResponseWriter, r *http.Request, sess
 	if err := decodeBody(r, &req); err != nil {
 		return err
 	}
-	keys := make([]string, len(req.Keys))
-	for i, k := range req.Keys {
-		keys[i] = string(k)
-	}
-	results, err := sess.BatchGet(r.Context(), keys, certs)
+	results, err := sess.BatchGet(r.Context(), keyStrings(req.Keys), certs)
 	if err != nil {
 		return err
 	}
 	return reply(w, &BatchGetReply{Results: results})
+}
+
+func keyStrings(keys []JSONKey) []string {
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = string(k)
+	}
+	return out
 }
 
 // handleBatchPut serves POST /v2/batch/put {"ops":[...]}.
@@ -139,6 +145,25 @@ func (s *RESTServer) handleBatchPut(w http.ResponseWriter, r *http.Request, sess
 		return err
 	}
 	return reply(w, &BatchPutReply{Results: results})
+}
+
+// handleTx serves POST /v2/tx {"keys":[...],"ops":[...]}: one
+// transaction, whole. It commits and answers {"reads":[...],"writes":[...]}
+// or aborts and answers the error envelope.
+func (s *RESTServer) handleTx(w http.ResponseWriter, r *http.Request, sess *Session) error {
+	certs, err := certsFrom(r)
+	if err != nil {
+		return err
+	}
+	var req TxRequest
+	if err := decodeBody(r, &req); err != nil {
+		return err
+	}
+	reads, writes, err := sess.Tx(r.Context(), keyStrings(req.Keys), req.Ops, certs)
+	if err != nil {
+		return err
+	}
+	return reply(w, &TxReply{Reads: reads, Writes: writes})
 }
 
 // handleResultV2 polls an asynchronous operation through the unified
@@ -167,15 +192,19 @@ func replyOp(w http.ResponseWriter, res OpResult) error {
 	return nil
 }
 
-// decodeBody reads a bounded JSON request body, once, and parses it.
+// decodeBody reads a bounded JSON request body, once, and parses it. A
+// body that declares itself over the bound is refused unread.
 func decodeBody(r *http.Request, v RESTShape) error {
+	if r.ContentLength > maxBatchBody {
+		return fmt.Errorf("%w: request body of %d bytes exceeds %d", ErrInvalidArgument, r.ContentLength, maxBatchBody)
+	}
 	if err := ReadREST(http.MaxBytesReader(nil, r.Body, maxBatchBody), r.ContentLength, v); err != nil {
 		return fmt.Errorf("%w: bad request body: %v", ErrInvalidArgument, err)
 	}
 	return nil
 }
 
-// maxBatchBody bounds a batch request: the op cap worth of inline
-// values at base64's 4/3 inflation, plus JSON overhead — a maximal
-// legal batch (256 ops × 1 MB) must fit.
+// maxBatchBody bounds a batch or transaction request: the op cap worth
+// of inline values at base64's 4/3 inflation, plus JSON overhead — a
+// maximal legal batch (256 ops × 1 MB) must fit.
 const maxBatchBody = (MaxBatchRequestOps*4/3 + 64) << 20

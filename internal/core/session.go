@@ -11,20 +11,16 @@ import (
 	"repro/internal/store"
 )
 
-// Session is the per-client soft state the controller keeps (§3.1):
-// it is created when a client first connects (identified by its
-// certificate), persists past disconnects, and expires only after a
-// TTL. Asynchronous results are organized under the owning session.
+// Session is the per-client soft state the controller keeps (§3.1): an
+// identity and a last-active stamp. It is created when a client first
+// connects (identified by its certificate), persists past disconnects,
+// and expires only after a TTL. Asynchronous results are organized under
+// the owning session's key; nothing of a transaction outlives its
+// request.
 type Session struct {
 	ctl        *Controller
-	clientKey  string // certificate key fingerprint
-	createdAt  time.Time
+	clientKey  string       // certificate key fingerprint
 	lastActive atomic.Int64 // unix nanos
-
-	mu      sync.Mutex
-	txs     map[uint64]*txState
-	nextTx  uint64
-	stopped bool
 }
 
 // asyncState is the controller-wide asynchronous machinery: one
@@ -73,12 +69,7 @@ func (c *Controller) Session(clientKey string) *Session {
 		s.lastActive.Store(time.Now().UnixNano())
 		return s
 	}
-	s := &Session{
-		ctl:       c,
-		clientKey: clientKey,
-		createdAt: time.Now(),
-		txs:       make(map[uint64]*txState),
-	}
+	s := &Session{ctl: c, clientKey: clientKey}
 	s.lastActive.Store(time.Now().UnixNano())
 	c.sessions[clientKey] = s
 	// Each connected client costs a session object in enclave memory
@@ -100,7 +91,6 @@ func (c *Controller) ExpireSessions() int {
 	n := 0
 	for k, s := range c.sessions {
 		if s.lastActive.Load() < cutoff {
-			s.stop()
 			delete(c.sessions, k)
 			c.epc.Free("sessions", 30<<10)
 			n++
@@ -113,18 +103,6 @@ func (c *Controller) ExpireSessions() int {
 func (s *Session) ClientKey() string { return s.clientKey }
 
 func (s *Session) touch() { s.lastActive.Store(time.Now().UnixNano()) }
-
-func (s *Session) stop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stopped = true
-	for id, tx := range s.txs {
-		if tx.lock != nil {
-			s.ctl.locks.Finish(tx.lock)
-		}
-		delete(s.txs, id)
-	}
-}
 
 // Put stores (or updates) an object synchronously, returning the new
 // version.

@@ -172,25 +172,15 @@ func TestEndToEndTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tx, err := cl.CreateTx(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.AddRead(ctx, "acct-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.AddWrite(ctx, "acct-b", []byte("150")); err != nil {
-		t.Fatal(err)
-	}
+	tx := cl.CreateTx()
+	tx.AddRead("acct-a")
+	tx.AddWrite(client.BatchPutOp{Key: "acct-b", Value: []byte("150")})
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	results, err := tx.Results(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d ops, want 2", len(results))
+	results := tx.Results()
+	if n := len(results.Reads) + len(results.Writes); n != 2 {
+		t.Fatalf("results = %d ops, want 2", n)
 	}
 	got, _, err := cl.Get(ctx, "acct-b", client.GetOptions{})
 	if err != nil || string(got) != "150" {

