@@ -293,15 +293,27 @@ func decodeError(resp *http.Response) error {
 // slashes, percent signs, non-UTF-8 bytes, and dot segments ("..",
 // "a/../b") included. url.PathEscape is not enough — it leaves '.'
 // bare, and a key like ".." would be path-cleaned away before routing
-// — so everything outside the unreserved set is percent-encoded.
+// — so everything outside the unreserved set is percent-encoded. A key
+// that is all unreserved is its own escape and costs no allocation.
 func escapeKey(key string) string {
 	const upperhex = "0123456789ABCDEF"
+	unreserved := func(c byte) bool {
+		return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+			c == '-' || c == '_' || c == '~'
+	}
+	i := 0
+	for i < len(key) && unreserved(key[i]) {
+		i++
+	}
+	if i == len(key) {
+		return key
+	}
 	var b strings.Builder
 	b.Grow(len(key))
-	for i := 0; i < len(key); i++ {
+	b.WriteString(key[:i])
+	for ; i < len(key); i++ {
 		c := key[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-			c == '-' || c == '_' || c == '~' {
+		if unreserved(c) {
 			b.WriteByte(c)
 			continue
 		}

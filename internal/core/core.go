@@ -228,6 +228,15 @@ type Controller struct {
 	deadMask atomic.Uint64
 	// sweeper is the continuous anti-entropy sweeper's resumable state.
 	sweeper *sweeperState
+	// listOrder is every drive index, a listing's cover first, and
+	// listCover the cover's size (listingCover). revivals counts drives
+	// come back from dead, by the detector or MarkDriveLive;
+	// sweptRevivals is its value when the last completed sweeper pass
+	// started. See listingDrives.
+	listOrder     []int
+	listCover     int
+	revivals      atomic.Uint64
+	sweptRevivals atomic.Uint64
 
 	// Background maintenance loop lifecycle (see startMaintenance).
 	bgMu     sync.Mutex
@@ -331,6 +340,7 @@ type Stats struct {
 	ECDecodes           obs.Counter // stripes served through a parity reconstruction
 	ECShardRepairs      obs.Counter // shards restored by repair (P2P copy or decode)
 	RangeRejects        obs.Counter // drive range replies refused by checkRange
+	ScanWidened         obs.Counter // listing rounds that asked past the cover
 }
 
 // StatsSnapshot is a point-in-time copy of the counters, field for
@@ -372,6 +382,7 @@ type StatsSnapshot struct {
 	ECDecodes           uint64
 	ECShardRepairs      uint64
 	RangeRejects        uint64
+	ScanWidened         uint64
 }
 
 // Snapshot returns a copy of the counters.
@@ -395,7 +406,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		AuditDropped: s.AuditDropped.Load(),
 		ECObjects:    s.ECObjects.Load(), ECParityBytes: s.ECParityBytes.Load(),
 		ECDecodes: s.ECDecodes.Load(), ECShardRepairs: s.ECShardRepairs.Load(),
-		RangeRejects: s.RangeRejects.Load(),
+		RangeRejects: s.RangeRejects.Load(), ScanWidened: s.ScanWidened.Load(),
 	}
 }
 
@@ -435,6 +446,7 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 	}
 
 	c := &Controller{cfg: cfg, sessions: make(map[string]*Session)}
+	c.listOrder, c.listCover = listingCover(len(cfg.Drives), cfg.Replicas)
 	if cfg.Shard != nil {
 		info := *cfg.Shard
 		info.Ranges = NormalizeRanges(info.Ranges)

@@ -172,6 +172,7 @@ func (d *driveDetector) record(results []bool) {
 		}
 	}
 	d.mu.Unlock()
+	c.revivals.Add(uint64(revives)) // before the mask that lets a listing's cover back in
 	c.deadMask.Store(mask)
 	if deaths > 0 || revives > 0 {
 		c.stats.DriveDeaths.Add(uint64(deaths))
@@ -236,6 +237,7 @@ func (c *Controller) forceDriveState(name string, state DriveState) error {
 	}
 	det.mu.Lock()
 	st := &det.states[idx]
+	revived := st.state == DriveDead && state != DriveDead
 	st.state, st.fails, st.successes, st.since = state, 0, 0, c.clock()
 	var mask uint64
 	for i := range det.states {
@@ -244,6 +246,9 @@ func (c *Controller) forceDriveState(name string, state DriveState) error {
 		}
 	}
 	det.mu.Unlock()
+	if revived {
+		c.revivals.Add(1) // before the mask, as in record
+	}
 	c.deadMask.Store(mask)
 	if state == DriveDead {
 		c.stats.DriveDeaths.Inc()

@@ -74,6 +74,7 @@ func (s *Stats) counters() []counterDecl {
 		{"deletes", `pesos_ops_total{op="delete"}`, "Object deletes.", &s.Deletes},
 		{"scans", "pesos_scan_pages_total", "v2 scan pages served.", &s.Scans},
 		{"scanFiltered", "pesos_scan_filtered_total", "Scan entries suppressed by policy.", &s.ScanFiltered},
+		{"scanWidened", "pesos_scan_widened_total", "Listing rounds that asked past the cover because a cover drive did not answer.", &s.ScanWidened},
 		{"batchOps", "pesos_batch_ops_total", "Operations carried by v2 batch requests.", &s.BatchOps},
 		{"streams", "pesos_streams_total", "Chunked streamed reads and writes.", &s.Streams},
 		{"policyChecks", "pesos_policy_checks_total", "Policy checks performed.", &s.PolicyChecks},

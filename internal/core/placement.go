@@ -64,6 +64,46 @@ func substituteDead(primary, n, size int, mask uint64) []int {
 	return out
 }
 
+// listingCover orders an n-drive ring for a listing at r replicas: its
+// first size drives are the cover — the fewest such that every r-wide
+// placement window holds min(2, r) of them — and the rest follow. The
+// cover is m = ⌈k·n/r⌉ drives spread evenly, drive ⌊i·n/m⌋ for i < m
+// (k = min(2, r)): any k consecutive gaps between them sum to at most
+// ⌈k·n/m⌉ ≤ r, so a window, which starts past some member p_i and
+// reaches p_i + r, holds p_{i+1} … p_{i+k}. No fewer can do it: each
+// drive lies in r of the n windows. At r ≤ 2 it is every drive.
+func listingCover(n, r int) (order []int, size int) {
+	r = min(r, n)
+	k := min(2, r)
+	size = (k*n + r - 1) / r
+	order = make([]int, 0, n)
+	in := make([]bool, n)
+	for i := 0; i < size; i++ {
+		order = append(order, i*n/size)
+		in[i*n/size] = true
+	}
+	for di := range in {
+		if !in[di] {
+			order = append(order, di)
+		}
+	}
+	return order, size
+}
+
+// listingDrives is the drive set a listing walks and how many of its
+// leading drives, the cover, are asked first (0: all at once). The cover
+// stands in for the whole set only while no drive is dead and every
+// revival is behind a sweeper pass that started after it and completed:
+// a revived drive is where a silent hole is expected, and a dead one
+// has moved placement off the ring the cover was computed for. The mask
+// is read first — a revival is counted before it clears its bit.
+func (c *Controller) listingDrives() (drives []int, cover int) {
+	if c.deadMask.Load() != 0 || c.revivals.Load() != c.sweptRevivals.Load() {
+		return c.listOrder, 0
+	}
+	return c.listOrder, c.listCover
+}
+
 // unionDrives merges two drive index sets, preserving a's order and
 // appending b's unseen members.
 func unionDrives(a, b []int) []int {

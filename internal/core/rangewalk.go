@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/kinetic/kclient"
 )
@@ -87,16 +88,22 @@ func (c *Controller) rangeAll(ctx context.Context, p *drivePool, start, end []by
 }
 
 // rangeWalk is one merged enumeration of [cursor, end] across a set of
-// drives. It proceeds in rounds: every drive of the set is asked for
-// its next page at once, the sorted replies are consumed as one
-// deduplicated ascending stream by next, and — because each drive cuts
-// its reply independently — a round is only trusted up to the smallest
-// last key among the truncated replies (the completeness horizon); the
-// next round resumes past it. A drive that fails, or whose reply
+// drives. It proceeds in rounds: every drive of the set (or of its
+// cover) is asked for its next page at once, the sorted replies are
+// consumed as one deduplicated ascending stream by next, and — because
+// each drive cuts its reply independently — a round is only trusted up
+// to the smallest last key among the truncated replies (the
+// completeness horizon); the next round resumes past it. A drive that
+// fails, or whose reply
 // rangePage rejects, did not answer its round; what that costs is the
 // consumer's rule, given as tolerate.
 type rangeWalk struct {
-	drives    []int  // drive indexes to ask
+	drives []int // drive indexes to ask
+	// cover, when > 0, asks only drives[:cover] in a round that all of
+	// them answer; in any other round the rest are asked too, from the
+	// same cursor, and tolerate applies to the whole set. Only the
+	// listing has one (listingDrives).
+	cover     int
 	cursor    []byte // where the next round starts
 	inclusive bool   // whether cursor itself is in the range
 	end       []byte // inclusive upper bound
@@ -172,30 +179,43 @@ func (w *rangeWalk) next() (dk []byte, mask uint64, copies [][]byte, ok bool) {
 	return dk, mask, copies, true
 }
 
-// round asks every drive of the set for its next page and installs the
-// replies. Every key at or below the previous horizon has been merged
-// by then (even ones the consumer dropped), which is what keeps the
-// cursor advancing.
+// round asks every drive of the set (or its cover) for its next page
+// and installs the replies. Every key at or below the previous horizon
+// has been merged by then (even ones the consumer dropped), which is
+// what keeps the cursor advancing.
 func (w *rangeWalk) round() {
 	if w.started {
 		w.cursor, w.inclusive = w.horizon, false
 	}
 	lists := make([]driveRange, len(w.c.drives))
-	_ = w.c.fanout(w.drives, func(di int) error { // failures are per drive, in lists
-		if kr, err := w.fetch(di, w.cursor, w.inclusive); err != nil {
-			lists[di].err = err // and no key of it is merged
-		} else {
-			lists[di].KeyRange = kr
-		}
-		return nil
-	})
+	ask := func(drives []int) (failed bool) {
+		_ = w.c.fanout(drives, func(di int) error { // failures are per drive, in lists
+			if kr, err := w.fetch(di, w.cursor, w.inclusive); err != nil {
+				lists[di].err = err // and no key of it is merged
+			} else {
+				lists[di].KeyRange = kr
+			}
+			return nil
+		})
+		return slices.ContainsFunc(drives, func(di int) bool { return lists[di].err != nil })
+	}
+	asked := w.drives
+	if w.cover > 0 {
+		asked = w.drives[:w.cover]
+	}
+	if ask(asked) && len(asked) < len(w.drives) {
+		// The cover no longer holds two copies of every window this round.
+		ask(w.drives[len(asked):])
+		asked = w.drives
+		w.c.stats.ScanWidened.Inc()
+	}
 	// Only now may the previous replies go back for reuse: the cursor
 	// just asked for was a key of one of them.
 	w.release()
 	w.lists, w.horizon, w.started = lists, nil, true
 	unanswered := 0
 	var lastErr error
-	for _, di := range w.drives {
+	for _, di := range asked {
 		l := &lists[di]
 		if l.err != nil {
 			unanswered++
@@ -207,7 +227,7 @@ func (w *rangeWalk) round() {
 		}
 	}
 	if unanswered > w.tolerate {
-		w.err = fmt.Errorf("core: range walk cannot guarantee coverage, %d of %d drives did not answer: %w", unanswered, len(w.drives), lastErr)
+		w.err = fmt.Errorf("core: range walk cannot guarantee coverage, %d of %d drives did not answer: %w", unanswered, len(asked), lastErr)
 		w.release()
 	}
 }

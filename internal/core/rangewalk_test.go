@@ -104,6 +104,86 @@ func TestWarmRangesStopsAtLimit(t *testing.T) {
 	}
 }
 
+// TestScanWidenedRounds: a walk with a cover asks only the cover while
+// all of it answers. A round that a cover drive fails asks the rest from
+// the same cursor, merges their keys, counts in ScanWidened and stands
+// while no more than tolerate drives of the whole set failed it.
+func TestScanWidenedRounds(t *testing.T) {
+	order, cover := listingCover(6, 3)
+	var held [][]byte // on every drive; a round asks 2 keys
+	for k := byte('b'); k <= 'i'; k++ {
+		held = append(held, []byte{k})
+	}
+	var mu sync.Mutex
+	var asked []string // "drive@start" per request
+	fail := make(map[int]bool)
+	c := &Controller{drives: make([]*drivePool, 6)}
+	w := &rangeWalk{drives: order, cover: cover, cursor: []byte("a"), inclusive: true, end: []byte("z"),
+		page: 2, tolerate: 2, c: c}
+	w.fetch = func(di int, start []byte, inclusive bool) (kclient.KeyRange, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		asked = append(asked, fmt.Sprintf("%d@%s", di, start))
+		if fail[di] {
+			return kclient.KeyRange{}, errors.New("drive down")
+		}
+		var kr kclient.KeyRange
+		for _, k := range held {
+			if cmp := bytes.Compare(k, start); cmp > 0 || cmp == 0 && inclusive {
+				if len(kr.Keys) == w.page {
+					kr.Truncated = true
+					break
+				}
+				kr.Keys = append(kr.Keys, k)
+			}
+		}
+		return kr, nil
+	}
+	take := func(want string) uint64 {
+		t.Helper()
+		dk, mask, _, ok := w.next()
+		if !ok || string(dk) != want {
+			t.Fatalf("walk yielded %q (%t, %v), want %q", dk, ok, w.err, want)
+		}
+		return mask
+	}
+	roundAsked := func(want ...string) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		slices.Sort(asked)
+		slices.Sort(want)
+		if !slices.Equal(asked, want) {
+			t.Fatalf("asked %v, want %v", asked, want)
+		}
+		asked = asked[:0]
+	}
+
+	take("b")
+	take("c")
+	roundAsked("0@a", "1@a", "3@a", "4@a")
+	fail[0] = true
+	if mask := take("d"); mask != 0b111110 {
+		t.Fatalf("d reported by drives %b, want every drive but 0", mask)
+	}
+	take("e")
+	roundAsked("0@c", "1@c", "3@c", "4@c", "2@c", "5@c")
+	if n := c.stats.ScanWidened.Load(); n != 1 {
+		t.Fatalf("%d rounds widened, want 1", n)
+	}
+	fail[0], fail[1], fail[3] = false, true, true
+	take("f")
+	take("g")
+	if n := c.stats.ScanWidened.Load(); n != 2 || w.err != nil {
+		t.Fatalf("two of six drives failed a round: %d widened, err %v", n, w.err)
+	}
+	fail[4] = true
+	if dk, _, _, ok := w.next(); ok || w.err == nil {
+		t.Fatalf("three of six drives failed a round at tolerate 2, and the walk yielded %q", dk)
+	}
+	w.release()
+}
+
 // FuzzRangeWalk feeds the walk arbitrary per-drive reply sequences —
 // unsorted, out of range, repeated, cut forever, cut to nothing, values
 // not matching keys, failures — through the same check rangePage runs,

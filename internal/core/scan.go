@@ -1,8 +1,8 @@
 // Scan engine of the v2 API: prefix/range listing over the object
-// namespace with opaque pagination tokens. GetKeyRange — dead weight
-// above the drive layer until now — fans out across every drive
-// concurrently; the per-drive sorted key streams are merge-
-// deduplicated under the placement map, and every page is policy-
+// namespace with opaque pagination tokens. GetKeyRange fans out
+// concurrently across a cover of the placement ring (every drive when
+// one is dead or lately revived); the per-drive sorted key streams are
+// merge-deduplicated under the placement map, and every page is policy-
 // filtered server-side so callers never observe keys they cannot
 // read (the OPA lesson: enumeration must be policy-aware at the
 // server, never client-side).
@@ -137,10 +137,14 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 	// the first key per policy.
 	pe := &policyEval{}
 	var metas [2]store.Meta // decode slots, reused across the page's keys
-	// Every drive is asked: placement spreads keys across the whole set.
-	// Up to Replicas-1 of them may fail a round — every object then still
-	// has a surviving replica reporting it.
-	w := c.walk(ctx, &rangeWalk{drives: allDrives(len(c.drives)), cursor: store.MetaKey(lower), inclusive: inclusive,
+	// The cover of the placement ring is asked: every key's window holds
+	// two of its drives, so one faulty drive per window cannot hide a key
+	// (listingDrives; docs/storage.md, "Why a listing asks a cover"). A
+	// round one of them does not answer asks the rest too, and up to
+	// Replicas-1 drives of the whole set may then fail it — every object
+	// still has a surviving replica reporting it.
+	drives, cover := c.listingDrives()
+	w := c.walk(ctx, &rangeWalk{drives: drives, cover: cover, cursor: store.MetaKey(lower), inclusive: inclusive,
 		end: rangeEnd, page: limit + 1, values: true, tolerate: c.cfg.Replicas - 1})
 	// The replies go back for reuse, each round's when the next is in
 	// and the last when the page is built: everything the page keeps of
@@ -174,7 +178,12 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 		}
 		meta, err := newestMeta(key, copies, &metas)
 		if err != nil {
-			return nil, err
+			// No reported copy decodes as this key's: more than one drive
+			// of its window is faulty, past what the cover answers for. Its
+			// replicas are read directly before the page fails closed.
+			if meta, err = c.fetchMeta(ctx, key); err != nil {
+				return nil, err
+			}
 		}
 		if err := c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, meta, nil, opts.Certs); err != nil {
 			if errors.Is(err, ErrDenied) {
@@ -207,8 +216,9 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 // answering one key with another object's record must not hand the
 // policy check that object's policy. Byte-equal copies, the healthy
 // case, are decoded once, into slots a page reuses. With no readable
-// copy a listing fails its page: an entry that cannot be policy-checked
-// is never listed, and dropping it silently would hide an object from a
+// copy a listing reads the replicas directly and, if none decodes
+// either, fails its page: an entry that cannot be policy-checked is
+// never listed, and dropping it silently would hide an object from a
 // reader entitled to it. Repair elects through it too (loadMetaNewest).
 func newestMeta(key string, copies [][]byte, slots *[2]store.Meta) (*store.Meta, error) {
 	best, spare := &slots[0], &slots[1]
@@ -250,8 +260,7 @@ func (c *Controller) placementMask(key string) uint64 {
 	return m
 }
 
-// allDrives enumerates every drive index (scans must consult all
-// drives: placement spreads keys across the whole set).
+// allDrives enumerates every drive index.
 func allDrives(n int) []int {
 	out := make([]int, n)
 	for i := range out {

@@ -69,6 +69,11 @@ type sweeperState struct {
 	failures   uint64
 	lastTick   time.Time
 
+	// passRevivals is the controller's revival count when the current
+	// pass started (under runMu); a completed pass publishes it as
+	// sweptRevivals, which is what lets a listing's cover back in.
+	passRevivals uint64
+
 	kick chan struct{}
 }
 
@@ -138,6 +143,9 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 	sw.mu.Lock()
 	cursor, gen := sw.cursor, sw.generation
 	sw.mu.Unlock()
+	if cursor == "" {
+		sw.passRevivals = c.revivals.Load()
+	}
 
 	report := &SweepTickReport{Deep: gen%sweepDeepEvery == 0, Cursor: cursor}
 	// Every live drive is asked (dead ones cannot extend coverage), so a
@@ -202,6 +210,7 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 	c.stats.SweepTicks.Inc()
 	if report.Wrapped {
 		c.stats.RepairSweeps.Inc()
+		c.sweptRevivals.Store(sw.passRevivals)
 	}
 	if w.err != nil {
 		return report, fmt.Errorf("core: sweep enumeration: %w", w.err)

@@ -56,6 +56,13 @@ func statusToError(m *wire.Message) error {
 	}
 }
 
+// statusOf maps a status-only reply to its error and hands the reply
+// back for reuse: the error holds copies, nothing that refers into it.
+func statusOf(resp *wire.Message) error {
+	defer release(resp)
+	return statusToError(resp)
+}
+
 // Dialer opens a byte stream to a drive; it abstracts TCP, TLS and the
 // in-memory transport.
 type Dialer func(ctx context.Context) (net.Conn, error)
@@ -219,12 +226,13 @@ func (c *Client) SetCredentials(creds Credentials) {
 }
 
 // replies and bulkReplies recycle reply messages whose consumer has
-// released them (see Value.Release, KeyRange.Release); every other reply
-// is left to the collector. A message keeps the frame body it was
-// decoded from, so the ones that held a chunk-sized reply are kept
+// released them (see Value.Release, KeyRange.Release) and every
+// status-only reply (statusOf); a get or version reply kept by its
+// caller is left to the collector. A message keeps the frame body it
+// was decoded from, so the ones that held a chunk-sized reply are kept
 // apart: the next chunk-sized reply reads into that megabyte instead of
-// allocating and zeroing one, and no status reply — never released —
-// takes it out of circulation.
+// allocating and zeroing one, and no status reply takes it out of
+// circulation.
 var replies, bulkReplies = newReplyPool(), newReplyPool()
 
 func newReplyPool() *sync.Pool {
@@ -454,7 +462,7 @@ func (c *Client) Put(ctx context.Context, key, value, dbVersion, newVersion []by
 	if err != nil {
 		return err
 	}
-	return statusToError(resp)
+	return statusOf(resp)
 }
 
 // BatchError identifies the sub-operation that caused an atomic batch
@@ -482,6 +490,7 @@ func (c *Client) Batch(ctx context.Context, ops []wire.BatchOp) error {
 	if err != nil {
 		return err
 	}
+	defer release(resp) // status-only, like statusOf's
 	if err := statusToError(resp); err != nil {
 		if resp.BatchFailed {
 			return &BatchError{Index: int(resp.FailedIndex), Err: err}
@@ -510,6 +519,7 @@ func (c *Client) BatchGroups(ctx context.Context, ops []wire.BatchOp, sizes []ui
 	if err != nil {
 		return nil, err
 	}
+	defer release(resp) // every verdict below is copied out of it
 	if err := statusToError(resp); err != nil {
 		// A whole-message rejection (bad HMAC, malformed groups, or a
 		// drive predating grouped batches treating it atomically).
@@ -557,7 +567,7 @@ func (c *Client) Delete(ctx context.Context, key, dbVersion []byte, force bool) 
 	if err != nil {
 		return err
 	}
-	return statusToError(resp)
+	return statusOf(resp)
 }
 
 // KeyRange is a drive's reply to one range request.
@@ -627,7 +637,7 @@ func (c *Client) SetSecurity(ctx context.Context, acls []wire.ACL, pin []byte) e
 	if err != nil {
 		return err
 	}
-	return statusToError(resp)
+	return statusOf(resp)
 }
 
 // InstantErase wipes the drive.
@@ -636,7 +646,7 @@ func (c *Client) InstantErase(ctx context.Context, pin []byte) error {
 	if err != nil {
 		return err
 	}
-	return statusToError(resp)
+	return statusOf(resp)
 }
 
 // Noop verifies connectivity and credentials.
@@ -645,7 +655,7 @@ func (c *Client) Noop(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	return statusToError(resp)
+	return statusOf(resp)
 }
 
 // Flush forces buffered writes to media.
@@ -654,7 +664,7 @@ func (c *Client) Flush(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	return statusToError(resp)
+	return statusOf(resp)
 }
 
 // P2PPush asks the drive to copy key directly to the peer drive.
@@ -663,7 +673,7 @@ func (c *Client) P2PPush(ctx context.Context, key []byte, peer string) error {
 	if err != nil {
 		return err
 	}
-	return statusToError(resp)
+	return statusOf(resp)
 }
 
 // GetLog returns drive status and statistics.

@@ -303,3 +303,224 @@ func TestRangeLies(t *testing.T) {
 		}
 	}
 }
+
+// The fixture every row of TestCoverListing starts from: one controller
+// on six drives at three copies, its keys at two versions each. The
+// listing's cover of that ring is drives 0, 1, 3 and 4 (⌊i·6/4⌋): each
+// placement window {p, p+1, p+2} holds two of them, and 2 and 5 are
+// asked only in a round that needs them.
+const coverKeys = 30
+
+var coverDrives = map[int]bool{0: true, 1: true, 3: true, 4: true}
+
+type coverFixture struct {
+	c    *Cluster
+	sess *core.Session
+	keys []string
+	want string            // the honest listing: every key at version 1
+	old  map[string][]byte // each key's version-0 metadata record
+}
+
+func newCoverFixture(t *testing.T) *coverFixture {
+	t.Helper()
+	c, err := Start(Options{Drives: 6, Replicas: 3, PlainDriveLinks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	f := &coverFixture{c: c, sess: c.Controller.Session("w"), old: make(map[string][]byte)}
+	var want []string
+	for i := 0; i < coverKeys; i++ {
+		key := fmt.Sprintf("cov/%03d", i)
+		for v := 0; v < 2; v++ {
+			if _, err := f.sess.Put(context.Background(), key, []byte(fmt.Sprintf("v%d", v)), core.PutOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if v == 0 {
+				f.old[key] = c.driveReq(store.Placement(key, 6, 3)[0], &wire.Message{Type: wire.TGet, Key: store.MetaKey(key)}).Value
+			}
+		}
+		f.keys = append(f.keys, key)
+		want = append(want, key+"@1")
+	}
+	f.want = strings.Join(want, " ")
+	return f
+}
+
+// windowCover is the two drives of the cover in key's placement window.
+func windowCover(key string) []int {
+	var out []int
+	for _, di := range store.Placement(key, 6, 3) {
+		if coverDrives[di] {
+			out = append(out, di)
+		}
+	}
+	return out
+}
+
+// list pages through the fixture's keys and reports, besides the
+// answer, the range requests each drive served and the listing rounds
+// that asked past the cover and replies refused while it ran.
+func (f *coverFixture) list(t *testing.T) (answer string, asked [6]uint64, widened, rejects uint64) {
+	t.Helper()
+	var before [6]uint64
+	for di, d := range f.c.Drives {
+		before[di] = d.Stats().Ranges.Load()
+	}
+	st := f.c.Controller.Stats().Snapshot()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var out []string
+	opts := core.ScanOptions{Prefix: "cov/", Limit: 7}
+	for {
+		page, err := f.sess.Scan(ctx, opts)
+		if err != nil {
+			t.Fatalf("listing: %v", err)
+		}
+		for _, e := range page.Entries {
+			out = append(out, fmt.Sprintf("%s@%d", e.Key, e.Version))
+		}
+		if opts.Token = page.NextToken; opts.Token == "" {
+			break
+		}
+	}
+	for di, d := range f.c.Drives {
+		asked[di] = d.Stats().Ranges.Load() - before[di]
+	}
+	now := f.c.Controller.Stats().Snapshot()
+	return strings.Join(out, " "), asked, now.ScanWidened - st.ScanWidened, now.RangeRejects - st.RangeRejects
+}
+
+// checkAsked holds a listing to the drives it may ask: every drive when
+// whole; otherwise the cover (silent, a drive that never answers, aside)
+// and each other drive exactly once per widened round.
+func checkAsked(t *testing.T, asked [6]uint64, widened uint64, whole bool, silent int) {
+	t.Helper()
+	for di, n := range asked {
+		switch {
+		case whole && n == 0:
+			t.Errorf("drive %d not asked by a listing that must ask every drive", di)
+		case !whole && coverDrives[di] && n == 0 && di != silent:
+			t.Errorf("cover drive %d not asked", di)
+		case !whole && !coverDrives[di] && n != widened:
+			t.Errorf("drive %d, off the cover, asked %d times in %d widened rounds", di, n, widened)
+		}
+	}
+}
+
+// TestCoverListing: at six drives and three copies a listing asks the
+// four drives of the cover, and the answer is the whole set's under
+// every fault one drive per window can make — each range lie and a
+// blackhole on a cover drive (those rounds ask the other two drives
+// too), and a withheld or stale metadata record on one cover drive of
+// every key's window. A dead drive, and a revived one until a sweeper
+// pass has run over it, send the listing back to every drive. The limit
+// row pins what is weaker than asking all drives: two cover drives of
+// one window both without a key hide it from listings, not from Get,
+// until the sweeper restores it.
+func TestCoverListing(t *testing.T) {
+	const faulty = 0 // a cover drive
+	lie := func(l kinetic.RangeLie) func(*testing.T, *coverFixture) {
+		return func(_ *testing.T, f *coverFixture) { f.c.SetDriveFaults(faulty, kinetic.Faults{RangeLie: l}) }
+	}
+	rows := []struct {
+		name   string
+		fault  func(*testing.T, *coverFixture)
+		whole  bool // every drive is asked
+		widens bool // some round asks past the cover
+		lies   bool // each widened round is a refused reply
+	}{
+		{name: "healthy", fault: func(*testing.T, *coverFixture) {}},
+		{name: "reorder", fault: lie(kinetic.RangeReorder), widens: true, lies: true},
+		{name: "overshoot", fault: lie(kinetic.RangeOvershoot), widens: true, lies: true},
+		{name: "stuck", fault: lie(kinetic.RangeStuck), widens: true, lies: true},
+		{name: "cut-to-nothing", fault: lie(kinetic.RangeCutToNothing), widens: true, lies: true},
+		{name: "blackhole", fault: func(_ *testing.T, f *coverFixture) {
+			f.c.SetDriveFaults(faulty, kinetic.Faults{Blackhole: true})
+		}, widens: true},
+		{name: "withheld or stale", fault: func(t *testing.T, f *coverFixture) {
+			for i, key := range f.keys {
+				di := windowCover(key)[i%2]
+				if i%2 == 0 {
+					deleteDriveRecord(t, f.c, di, store.MetaKey(key))
+				} else if resp := f.c.driveReq(di, &wire.Message{Type: wire.TPut, Key: store.MetaKey(key), Value: f.old[key], Force: true}); resp.Status != wire.StatusOK {
+					t.Fatalf("planting a stale record on drive %d: %v", di, resp.Status)
+				}
+			}
+		}},
+		{name: "dead", fault: func(t *testing.T, f *coverFixture) {
+			if err := f.c.Controller.MarkDriveDead(f.c.Drives[2].Name()); err != nil {
+				t.Fatal(err)
+			}
+		}, whole: true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			f := newCoverFixture(t)
+			row.fault(t, f)
+			answer, asked, widened, rejects := f.list(t)
+			f.c.ClearDriveFaults(faulty)
+			if answer != f.want {
+				t.Errorf("answer changed:\n got  %s\n want %s", answer, f.want)
+			}
+			checkAsked(t, asked, widened, row.whole, faulty)
+			if (widened > 0) != row.widens || row.lies && widened != rejects {
+				t.Errorf("%d rounds widened, %d replies refused", widened, rejects)
+			}
+		})
+	}
+
+	t.Run("revived", func(t *testing.T) {
+		f := newCoverFixture(t)
+		ctl := f.c.Controller
+		if err := ctl.MarkDriveDead(f.c.Drives[2].Name()); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.MarkDriveLive(f.c.Drives[2].Name()); err != nil {
+			t.Fatal(err)
+		}
+		answer, asked, widened, _ := f.list(t)
+		if answer != f.want {
+			t.Errorf("before the sweep: %s", answer)
+		}
+		checkAsked(t, asked, widened, true, -1)
+		for wrapped := false; !wrapped; {
+			rep, err := ctl.SweepTick(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrapped = rep.Wrapped
+		}
+		answer, asked, widened, _ = f.list(t)
+		if answer != f.want || widened != 0 {
+			t.Errorf("after the sweep: %d rounds widened, %s", widened, answer)
+		}
+		checkAsked(t, asked, widened, false, -1)
+	})
+
+	t.Run("limit: two cover drives of a window without the key", func(t *testing.T) {
+		f := newCoverFixture(t)
+		ctx := context.Background()
+		hidden := f.keys[7]
+		for _, di := range windowCover(hidden) {
+			deleteDriveRecord(t, f.c, di, store.MetaKey(hidden))
+		}
+		if answer, _, _, _ := f.list(t); answer != strings.Replace(f.want, hidden+"@1 ", "", 1) {
+			t.Errorf("listing with %s on one drive off the cover:\n got  %s\n want all but it", hidden, answer)
+		}
+		f.c.Controller.DropCaches()
+		if val, meta, err := f.sess.Get(ctx, hidden, core.GetOptions{}); err != nil || string(val) != "v1" || meta.Version != 1 {
+			t.Fatalf("Get %s: %q at %+v, %v", hidden, val, meta, err)
+		}
+		for wrapped := false; !wrapped; {
+			rep, err := f.c.Controller.SweepTick(ctx)
+			if err != nil || !rep.Deep {
+				t.Fatalf("sweep tick: deep %t, %v", rep != nil && rep.Deep, err)
+			}
+			wrapped = rep.Wrapped
+		}
+		if answer, _, _, _ := f.list(t); answer != f.want {
+			t.Errorf("listing after a deep sweep:\n got  %s\n want %s", answer, f.want)
+		}
+	})
+}
