@@ -79,9 +79,9 @@ type Config struct {
 	// DisablePolicies turns policy enforcement off entirely — the
 	// "without policy checking" baseline of §6.4.
 	DisablePolicies bool
-	// HedgeDelay fixes the read engine's delay before a second replica
-	// is consulted (see replicate.go). 0 selects the adaptive delay:
-	// ~1.25× the outstanding drive's observed p95 read latency.
+	// HedgeDelay fixes the read engine's delay before a further copy is
+	// consulted (see fetch.go). 0 selects the adaptive delay: ~1.25× the
+	// outstanding drive's observed p95 read latency.
 	HedgeDelay time.Duration
 
 	// Enclave is the trusted execution environment; nil runs the

@@ -26,7 +26,7 @@ const drivePoolConns = 4
 // drivePool multiplexes requests over several connections to one
 // drive, mirroring the adapted Kinetic C library's decoupled
 // request/response handling (§3.1), and tracks the drive's observed
-// read latency for the hedged read engine (see replicate.go).
+// read latency for the fetch engine (see fetch.go).
 type drivePool struct {
 	name    string
 	clients []*kclient.Client
@@ -71,7 +71,7 @@ func (p *drivePool) latency() (ewma, p95 time.Duration, n uint64) {
 }
 
 // failing reports whether the drive's most recent read round trips
-// failed. The hedged engine demotes failing drives from the primary
+// failed. The fetch engine demotes failing drives from the primary
 // slot: a dead drive never completes a read, so it would otherwise
 // never accumulate samples and keep being tried first forever.
 func (p *drivePool) failing() bool { return p.lat.failing() }

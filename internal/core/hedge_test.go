@@ -131,11 +131,7 @@ func TestHedgeFiresOnSlowReplica(t *testing.T) {
 		t.Error("slow replica accumulated no latency samples despite losing hedge races")
 	}
 	placement := store.Placement(key, 2, 2)
-	pools := make([]*drivePool, len(placement))
-	for i, di := range placement {
-		pools[i] = h.ctl.drives[di]
-	}
-	if order := orderByLatency(pools); order[0] == h.ctl.drives[slow] {
+	if order := fetchOrder(1, h.ctl.copies(placement)); order[0].pool == h.ctl.drives[slow] {
 		t.Errorf("slow replica still ordered first after losing races (latencies %+v)", lats)
 	}
 }
@@ -164,6 +160,28 @@ func TestHedgedDegradedReplicaDoesNotShadow(t *testing.T) {
 	val, _, err := s.Get(ctx, key, GetOptions{})
 	if err != nil || !bytes.Equal(val, []byte("v")) {
 		t.Fatalf("degraded replica shadowed the healthy copy: %q %v", val, err)
+	}
+}
+
+// TestListVersionsWithheldRecordDoesNotHideVersion: the replica asked
+// first has lost one version record (or withholds it); the listing is
+// the union of the replicas' records, so that version is still listed.
+func TestListVersionsWithheldRecordDoesNotHideVersion(t *testing.T) {
+	r := newTamperRig(t, 3, true, func(c *Config) { c.Replicas = 3 })
+	for i := 0; i < 3; i++ {
+		if _, err := r.s.Put(r.ctx, "hist", []byte(fmt.Sprintf("v%d", i)), PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	placement := r.h.ctl.placement("hist")
+	liar := placement[0]
+	if err := r.h.ctl.drives[liar].pick().Delete(r.ctx, store.ObjectKey("hist", 1), nil, true); err != nil {
+		t.Fatal(err)
+	}
+	r.askFirst(liar, placement)
+	vers, err := r.s.ListVersions(r.ctx, "hist", nil)
+	if err != nil || fmt.Sprint(vers) != "[0 1 2]" {
+		t.Fatalf("versions with v1 withheld by the replica asked first: %v, %v", vers, err)
 	}
 }
 
@@ -280,11 +298,7 @@ func TestDeadReplicaLosesPrimarySlot(t *testing.T) {
 		t.Fatal("dead drive not marked failing after transport errors")
 	}
 	placement := store.Placement(key, 2, 2)
-	pools := make([]*drivePool, len(placement))
-	for i, di := range placement {
-		pools[i] = h.ctl.drives[di]
-	}
-	if order := orderByLatency(pools); order[0] == h.ctl.drives[dead] {
+	if order := fetchOrder(1, h.ctl.copies(placement)); order[0].pool == h.ctl.drives[dead] {
 		t.Error("dead drive kept the primary slot; every read pays the hedge delay")
 	}
 	// Demotion is preference, not exclusion: revive the drive, fail the

@@ -287,31 +287,18 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 	return meta.Version, nil
 }
 
-// listVersions enumerates an object's stored versions (privileged
-// clients reading history, §5.3). Governed by the read permission.
-// The range read goes through the shared replica read engine like
-// every other read: replicas race (or hedge) instead of being tried
-// one by one, and the range is drained past the drive's response cap.
+// listVersions enumerates an object's stored versions up to its head
+// (privileged clients reading history, §5.3). Governed by the read
+// permission. The enumeration is repair's: the union of the placement
+// replicas' version records through the one range walk, so a drive
+// withholding a record cannot hide its version, and it stands while one
+// replica answers.
 func (c *Controller) listVersions(ctx context.Context, sessionKey, key string, certs []*authority.Certificate) ([]int64, error) {
-	if _, err := c.planRead(ctx, nil, sessionKey, key, GetOptions{Certs: certs}); err != nil {
+	head, err := c.planRead(ctx, nil, sessionKey, key, GetOptions{Certs: certs})
+	if err != nil {
 		return nil, err
 	}
-	start, end := store.ObjectKeyRange(key)
-	placement := c.placement(key)
-	return readReplicas(ctx, c, placement, func(ctx context.Context, p *drivePool) ([]int64, error) {
-		keys, err := c.rangeAll(ctx, p, start, end)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int64, 0, len(keys))
-		for _, k := range keys {
-			_, v, err := store.VersionFromObjectKey(k)
-			if err == nil {
-				out = append(out, v)
-			}
-		}
-		return out, nil
-	})
+	return c.replicaVersions(ctx, key, head, c.placement(key))
 }
 
 // cached serves k from ca, fetching it on a miss; concurrent misses on
@@ -334,34 +321,37 @@ func (c *Controller) forgetVersions(key string, head int64) {
 }
 
 // loadMeta returns the newest metadata for key, cache-first with
-// replica failover through the hedged read engine.
+// replica failover through the fetch engine.
 func (c *Controller) loadMeta(ctx context.Context, key string) (*store.Meta, error) {
 	return cached(ctx, c, c.metaCache, key, func(ctx context.Context) (*store.Meta, error) { return c.fetchMeta(ctx, key) })
 }
 
 // fetchReplicated reads the record under drive key dk off the placement
-// through the hedged replica engine. decode turns one replica's bytes
-// into the value or refuses them — malformed, damaged, or another
-// record's authentic bytes served under this key — and a refusal fails
-// over to the next replica instead of failing the read. what names the
-// record in errors; absent is what a unanimous not-found surfaces as.
+// through the fetch engine, one slot with a copy on every placement
+// drive. decode turns one replica's bytes into the value or refuses them
+// — malformed, damaged, or another record's authentic bytes served
+// under this key — and a refusal fails over to the next replica instead
+// of failing the read. what names the record in errors; absent is what
+// a unanimous not-found surfaces as.
 func fetchReplicated[T any](ctx context.Context, c *Controller, placement []int, dk []byte, absent error, what string, decode func(val []byte) (T, error)) (T, error) {
-	v, err := readReplicas(ctx, c, placement, func(ctx context.Context, p *drivePool) (T, error) {
-		c.chargeDriveIO(0)
-		val, _, err := p.pick().Get(ctx, dk)
-		if errors.Is(err, kclient.ErrNotFound) {
-			err = fmt.Errorf("%w: %s", absent, what)
+	got, err := fetch(ctx, c, 1, c.copies(placement), 0,
+		func(ctx context.Context, cd fetchCand) ([]byte, error) {
+			c.chargeDriveIO(0)
+			val, _, err := cd.pool.pick().Get(ctx, dk)
+			if errors.Is(err, kclient.ErrNotFound) {
+				err = fmt.Errorf("%w: %s", absent, what)
+			}
+			return val, err
+		},
+		func(_ fetchCand, val []byte) (T, error) { return decode(val) }, nil)
+	if err != nil {
+		var zero T
+		if !isAbsent(err) {
+			err = fmt.Errorf("core: all replicas failed reading %s: %w", what, err)
 		}
-		if err != nil {
-			var zero T
-			return zero, err
-		}
-		return decode(val)
-	})
-	if err != nil && !isAbsent(err) {
-		err = fmt.Errorf("core: all replicas failed reading %s: %w", what, err)
+		return zero, err
 	}
-	return v, err
+	return got[0], nil
 }
 
 // fetchMeta reads key's metadata off the drives. A copy that is another
@@ -379,7 +369,7 @@ func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, er
 }
 
 // loadRecord returns the record of one object version, cache-first
-// with replica failover through the hedged read engine, verifying
+// with replica failover through the fetch engine, verifying
 // payload integrity.
 func (c *Controller) loadRecord(ctx context.Context, key string, version int64) (*store.Record, error) {
 	return cached(ctx, c, c.objectCache, string(store.ObjectKey(key, version)),

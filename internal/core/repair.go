@@ -36,21 +36,22 @@ func (c *Controller) repairObject(ctx context.Context, sessionKey, key string) (
 	defer lock.Unlock()
 
 	placement := c.placement(key)
-	meta, err := c.loadMetaNewest(ctx, key, placement)
+	meta, stale, err := c.loadMetaNewest(ctx, key, placement)
 	if err != nil {
 		return nil, err
 	}
 	if err := c.checkPolicy(ctx, nil, lang.PermUpdate, sessionKey, key, meta, nil, nil); err != nil {
 		return nil, err
 	}
-	return c.repairRecords(ctx, key, meta, placement)
+	return c.repairRecords(ctx, key, meta, stale, placement)
 }
 
 // repairRecords converges one key's replicas to the newest surviving
-// state. Callers hold the key's write lock and have settled the
+// state: meta, elected by loadMetaNewest, which found the stale drives
+// without it. Callers hold the key's write lock and have settled the
 // policy question (client repairs are permission-gated; the
 // anti-entropy sweep is an internal maintenance path).
-func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.Meta, placement []int) (*RepairReport, error) {
+func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.Meta, stale, placement []int) (*RepairReport, error) {
 	report := &RepairReport{Key: key}
 	metaRec := meta.Marshal()
 
@@ -60,10 +61,14 @@ func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.
 	// deleted) versions would otherwise make each repair
 	// O(version-history × drives). Versions no replica holds are
 	// unrepairable either way — reads of them report not-found, the
-	// same before and after repair.
+	// same before and after repair. The head is checked even when only
+	// its metadata survived.
 	versions, err := c.replicaVersions(ctx, key, meta.Version, placement)
 	if err != nil {
 		return report, err
+	}
+	if len(versions) == 0 || versions[len(versions)-1] != meta.Version {
+		versions = append(versions, meta.Version)
 	}
 	// rewrite puts blob under dk on every drive the probe found without
 	// a healthy copy.
@@ -98,16 +103,6 @@ func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.
 			}
 		}
 	}
-	// Restore metadata replicas. Current means this key's record at the
-	// elected version: a replica answering with another object's
-	// metadata is not healthy, whatever version that object is at.
-	_, _, _, stale := probe(ctx, c, placement, store.MetaKey(key), func(b []byte) (*store.Meta, error) {
-		m, err := store.UnmarshalMeta(b)
-		if err == nil && (m.Key != key || m.Version != meta.Version) {
-			err = store.ErrCorrupt
-		}
-		return m, err
-	})
 	if err := rewrite(stale, store.MetaKey(key), metaRec, meta.Version); err != nil {
 		return report, err
 	}
@@ -122,9 +117,8 @@ func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.
 // (≤ maxVer — records beyond the newest committed metadata are
 // uncommitted leftovers) still present on any placement replica, by
 // walking the key's record range: cost scales with surviving records,
-// not version history. maxVer is always included so the newest version
-// is checked even when only the metadata survived. The enumeration
-// stands while one replica answers it.
+// not version history. The enumeration stands while one replica
+// answers it: repair and the version listing both walk it.
 func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int64, placement []int) ([]int64, error) {
 	w := c.walk(ctx, &rangeWalk{drives: placement, cursor: store.ObjectKey(key, 0), inclusive: true,
 		end: store.ObjectKey(key, maxVer), tolerate: len(placement) - 1})
@@ -134,9 +128,6 @@ func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int
 		if _, v, err := store.VersionFromObjectKey(dk); err == nil {
 			out = append(out, v)
 		}
-	}
-	if len(out) == 0 || out[len(out)-1] != maxVer {
-		out = append(out, maxVer)
 	}
 	return out, w.err
 }
@@ -148,31 +139,34 @@ func (c *Controller) sweepKey(ctx context.Context, key string) (*RepairReport, e
 	lock.Lock()
 	defer lock.Unlock()
 	placement := c.placement(key)
-	meta, err := c.loadMetaNewest(ctx, key, placement)
+	meta, stale, err := c.loadMetaNewest(ctx, key, placement)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
 			return &RepairReport{Key: key}, nil // deleted mid-sweep
 		}
 		return nil, err
 	}
-	return c.repairRecords(ctx, key, meta, placement)
+	return c.repairRecords(ctx, key, meta, stale, placement)
 }
 
-// loadMetaNewest reads every replica's metadata record and returns the
-// newest copy that names key (newestMeta, the election a listing runs),
-// updating the cache. Repair must converge to the newest surviving copy:
+// loadMetaNewest reads every replica's metadata record once and returns
+// the newest copy that names key (newestMeta, the election a listing
+// runs), updating the cache, and the stale drives: those whose copy is
+// not key's record at the elected version — absent, unreadable, older,
+// or another object's, whatever version that object is at — which
+// repair rewrites. Repair must converge to the newest surviving copy:
 // trusting the cache or whichever replica answers first could elect a
 // degraded replica's stale metadata and roll healthy replicas back.
-func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement []int) (*store.Meta, error) {
-	var copies [][]byte
+func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement []int) (*store.Meta, []int, error) {
+	copies := make([][]byte, len(placement)) // by placement slot; nil: no copy read
 	var sawNotFound bool
 	var lastErr error
-	for _, di := range placement {
+	for i, di := range placement {
 		c.chargeDriveIO(0)
 		val, _, err := c.drives[di].pick().Get(ctx, store.MetaKey(key))
 		switch {
 		case err == nil:
-			copies = append(copies, val)
+			copies[i] = val
 		case errors.Is(err, kclient.ErrNotFound):
 			sawNotFound = true
 		default:
@@ -187,11 +181,18 @@ func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement [
 		} else if lastErr != nil {
 			err = fmt.Errorf("core: all replicas failed reading meta %q: %w", key, lastErr)
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	newest := *elected
 	c.metaCache.Put(key, &newest)
-	return &newest, nil
+	var stale []int
+	for i, raw := range copies {
+		m := store.Meta{Key: key}
+		if raw == nil || m.Unmarshal(raw) != nil || m.Key != key || m.Version != newest.Version {
+			stale = append(stale, placement[i])
+		}
+	}
+	return &newest, stale, nil
 }
 
 // probe asks each of drives once for the record under dk and judges

@@ -60,6 +60,31 @@ func TestRepairRestoresLostReplica(t *testing.T) {
 	}
 }
 
+// TestRepairReadsEachMetadataReplicaOnce: the election that picks the
+// metadata repair converges to also tells which replicas lack it, so
+// repairing a healthy key asks each replica for its metadata once. Every
+// other drive GET of the repair is one probe of one version record on
+// one replica.
+func TestRepairReadsEachMetadataReplicaOnce(t *testing.T) {
+	const replicas, versions = 3, 2
+	h := newHarness(t, replicas, func(c *Config) { c.Replicas = replicas })
+	s := h.ctl.Session("w")
+	ctx := context.Background()
+	for i := 0; i < versions; i++ {
+		if _, err := s.Put(ctx, "k", []byte(fmt.Sprintf("v%d", i)), PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := driveGets(h.drives)
+	report, err := s.Repair(ctx, "k")
+	if err != nil || report.Versions != versions || report.Restored != 0 {
+		t.Fatalf("repair of a healthy key: %+v, %v", report, err)
+	}
+	if metaGets := driveGets(h.drives) - before - replicas*versions; metaGets != replicas {
+		t.Errorf("%d drive GETs of the metadata record, want %d: one per replica", metaGets, replicas)
+	}
+}
+
 func TestRepairGovernedByPolicy(t *testing.T) {
 	h := newHarness(t, 2, func(c *Config) { c.Replicas = 2 })
 	owner := h.ctl.Session("0123")

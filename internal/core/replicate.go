@@ -10,25 +10,16 @@
 // all sub-operations or none — and all replicas are written
 // concurrently, so write-through latency is the maximum replica RTT
 // rather than the sum, and object/meta can never diverge on a drive.
-//
-// Reads are latency-aware hedged reads: the replica with the lowest
-// observed latency is asked first and a hedge to the next replica
-// fires only after an adaptive delay (~p95 of the outstanding
-// replica's latency), so the common-case read occupies one drive's
-// media while a slow or dead replica still gets covered within the
-// hedge delay. Semantics: success first-wins, absence needs
-// unanimity, mixed not-found/error surfaces the error.
+// Reads go through the fetch engine (fetch.go).
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/kinetic/kclient"
 	"repro/internal/kinetic/wire"
@@ -86,209 +77,6 @@ func forEach[T any](items []T, fn func(T) error) error {
 	default:
 		return nil
 	}
-}
-
-// readReplicas runs a replicated read through the hedged primary-first
-// engine and feeds completed round trips into the per-drive latency
-// estimators. A drive's answer counts as a latency sample whether it
-// found the record or not; a transport failure does not (it says
-// nothing about the medium).
-//
-// The placement is resolved to pool pointers before any goroutine
-// launches: a straggler read may be scheduled after the winner
-// returned — even after the controller shut down and dropped its
-// drive table — and must never index controller state.
-func readReplicas[T any](ctx context.Context, c *Controller, placement []int, read func(ctx context.Context, p *drivePool) (T, error)) (T, error) {
-	pools := make([]*drivePool, len(placement))
-	for i, di := range placement {
-		pools[i] = c.drives[di]
-	}
-	if len(pools) == 1 {
-		// Nothing to hedge to: one direct timed read.
-		t0 := time.Now()
-		v, err := read(ctx, pools[0])
-		recordOutcome(pools[0], time.Since(t0), err)
-		return v, err
-	}
-	return readHedged(ctx, c, pools, read)
-}
-
-// recordOutcome feeds one completed round trip into a pool's latency
-// estimator: answers (found or authoritative not-found) are latency
-// samples, transport failures count toward the failing demotion, and
-// cancelled reads (by a winner or the caller) say nothing about the
-// medium.
-func recordOutcome(p *drivePool, elapsed time.Duration, err error) {
-	switch {
-	case err == nil || isAbsent(err):
-		p.observe(elapsed)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-	default:
-		p.observeFailure()
-	}
-}
-
-// isAbsent reports a drive's authoritative "no such record": of an
-// object, or of a policy.
-func isAbsent(err error) bool {
-	return errors.Is(err, ErrNotFound) || errors.Is(err, ErrNoSuchPolicy)
-}
-
-// Hedge-delay bounds. Until a drive has enough samples the engine
-// hedges after a conservative default; the adaptive delay (~1.25×
-// the outstanding drive's p95) is clamped so a noisy estimate can
-// neither busy-hedge the media nor leave a dead replica uncovered.
-const (
-	defaultHedgeDelay = 2 * time.Millisecond
-	minHedgeDelay     = 100 * time.Microsecond
-	maxHedgeDelay     = 50 * time.Millisecond
-	hedgeWarmup       = 16 // samples before the adaptive delay engages
-)
-
-// hedgeDelay returns how long to wait on a drive pool before hedging
-// to the next replica.
-func (c *Controller) hedgeDelay(p *drivePool) time.Duration {
-	if c.cfg.HedgeDelay > 0 {
-		return c.cfg.HedgeDelay
-	}
-	_, p95, n := p.latency()
-	if n < hedgeWarmup {
-		return defaultHedgeDelay
-	}
-	d := p95 + p95/4
-	return min(max(d, minHedgeDelay), maxHedgeDelay)
-}
-
-// orderByLatency returns the pools sorted fastest-first by observed
-// EWMA read latency. Drives with no samples yet sort first: they get
-// explored as primaries until an estimate exists, after which the
-// ordering self-corrects within a few reads of any latency shift.
-// Drives whose latest round trips failed sort last regardless of
-// their estimate — a dead drive never completes a read, so latency
-// samples alone could never demote it, and every read would pay the
-// hedge delay before reaching a healthy replica.
-func orderByLatency(pools []*drivePool) []*drivePool {
-	out := slices.Clone(pools)
-	type rank struct {
-		failing bool
-		ewma    time.Duration
-	}
-	ranks := make(map[*drivePool]rank, len(out))
-	for _, p := range out {
-		r := rank{failing: p.failing()}
-		if e, _, n := p.latency(); n > 0 {
-			r.ewma = e
-		}
-		ranks[p] = r
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, rj := ranks[out[i]], ranks[out[j]]
-		if ri.failing != rj.failing {
-			return !ri.failing
-		}
-		return ri.ewma < rj.ewma
-	})
-	return out
-}
-
-// readHedged is the latency-aware primary-first read engine: the
-// fastest replica is asked first and a hedge to the next-fastest
-// fires only once the outstanding replica has been quiet for its own
-// adaptive delay. The first success wins and cancels the stragglers. A
-// replica reporting not-found is only believed once every replica has
-// answered and none failed outright — a degraded replica that lost a
-// record (pre-repair) must not shadow a healthy copy, and an
-// unreachable replica means "don't know", so a mixed not-found/error
-// outcome surfaces the error rather than affirming absence. Absence
-// and hard errors therefore consult all remaining replicas immediately
-// rather than waiting out hedge delays.
-func readHedged[T any](ctx context.Context, c *Controller, pools []*drivePool, read func(ctx context.Context, p *drivePool) (T, error)) (T, error) {
-	var zero T
-	order := orderByLatency(pools)
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		val T
-		err error
-		idx int // index into order
-	}
-	ch := make(chan result, len(order))
-	starts := make([]time.Time, len(order))
-	done := make([]bool, len(order))
-	launched := 0
-	launch := func() {
-		i, p := launched, order[launched]
-		starts[i] = time.Now()
-		launched++
-		go func() {
-			v, err := read(rctx, p)
-			ch <- result{v, err, i}
-		}()
-	}
-	launch()
-	var notFound, lastErr error
-	for answered := 0; answered < len(order); {
-		var timer *time.Timer
-		var hedge <-chan time.Time
-		if launched < len(order) {
-			timer = time.NewTimer(c.hedgeDelay(order[launched-1]))
-			hedge = timer.C
-		}
-		select {
-		case r := <-ch:
-			if timer != nil {
-				timer.Stop()
-			}
-			answered++
-			done[r.idx] = true
-			// Each physical read contributes exactly one estimator
-			// sample, recorded here rather than in the read goroutine:
-			// a straggler completing after the winner returned is
-			// already charged below and must not be counted twice.
-			recordOutcome(order[r.idx], time.Since(starts[r.idx]), r.err)
-			if r.err == nil {
-				// Outlived drives launched before the winner got a head
-				// start and still lost: charge them their elapsed time
-				// as a latency sample. Without this, a degraded primary
-				// whose reads always lose the hedge race would never
-				// complete a round trip, never update its estimate, and
-				// keep its primary slot forever.
-				for i := 0; i < r.idx; i++ {
-					if !done[i] {
-						done[i] = true
-						order[i].observe(time.Since(starts[i]))
-					}
-				}
-				return r.val, nil
-			}
-			switch {
-			case isAbsent(r.err):
-				notFound = r.err
-			case errors.Is(r.err, context.Canceled) && ctx.Err() == nil:
-				// A straggler cancelled after the winner returned;
-				// never the answer.
-			default:
-				lastErr = r.err
-			}
-			// Absence needs unanimity and a failure demands immediate
-			// failover: every remaining replica is consulted now.
-			for launched < len(order) {
-				launch()
-			}
-		case <-hedge:
-			c.stats.ReadHedges.Inc()
-			launch()
-		case <-ctx.Done():
-			if timer != nil {
-				timer.Stop()
-			}
-			return zero, ctx.Err()
-		}
-	}
-	if notFound != nil && lastErr == nil {
-		return zero, notFound
-	}
-	return zero, lastErr
 }
 
 // replicaWrite is one staged write: the new head of a key and the two

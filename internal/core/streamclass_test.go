@@ -93,7 +93,7 @@ func TestReplicatedStreamReadsAroundSlowDrive(t *testing.T) {
 	// so that is not always placement[0].)
 	placement := h.ctl.placement("obj")
 	slow := placement[0]
-	if orderByLatency([]*drivePool{h.ctl.drives[placement[0]], h.ctl.drives[placement[1]]})[0] != h.ctl.drives[slow] {
+	if fetchOrder(1, h.ctl.copies(placement))[0].pool != h.ctl.drives[slow] {
 		slow = placement[1]
 	}
 	const delay = time.Second

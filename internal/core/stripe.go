@@ -32,8 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/ec"
 	"repro/internal/kinetic/kclient"
@@ -160,58 +158,11 @@ func (c *Controller) openChunk(v kclient.Value, key string, version, idx int64) 
 	return pr, nil
 }
 
-// stripeCand is one copy of a stripe shard a read may fetch.
-type stripeCand struct {
-	stripeShard
-	pool *drivePool
-}
-
-// readOrder lists every copy of a stripe's shards in launch order: the
-// fastest healthy home of each data chunk first (every one is wanted),
-// then the data chunks' other homes and then the parity shards, each
-// by latency estimate, then copies on failing drives (data before
-// parity) as a last resort.
-func (c *Controller) readOrder(l layout, shards []stripeShard) []stripeCand {
-	pools := make([]*drivePool, len(l.window))
-	for i, di := range l.window {
-		pools[i] = c.drives[di]
-	}
-	rank := make(map[*drivePool]int, len(pools))
-	for i, p := range orderByLatency(pools) {
-		rank[p] = i
-	}
-	var cands []stripeCand
-	for _, sh := range shards {
-		for _, di := range l.homes(sh.idx) {
-			cands = append(cands, stripeCand{sh, c.drives[di]})
-		}
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return rank[cands[i].pool] < rank[cands[j].pool] })
-	var first, others, parity, failing []stripeCand
-	primary := make([]bool, l.k)
-	for _, cd := range cands {
-		switch {
-		case cd.pool.failing():
-			failing = append(failing, cd)
-		case cd.slot >= l.k:
-			parity = append(parity, cd)
-		case !primary[cd.slot]:
-			primary[cd.slot] = true
-			first = append(first, cd)
-		default:
-			others = append(others, cd)
-		}
-	}
-	sort.SliceStable(failing, func(i, j int) bool { return failing[i].slot < l.k && failing[j].slot >= l.k })
-	return append(append(append(first, others...), parity...), failing...)
-}
-
-// readStripe returns the data chunks of stripe t. One copy of every
-// data chunk launches at once (all are wanted — parallelism is the
-// point of striping); the remaining copies and the parity shards are
-// hedges, launched on a fetch failure or when the hedge timer expires.
-// Reconstruction runs only when a parity shard actually displaced a
-// data chunk, so a layout without parity never decodes.
+// readStripe returns the data chunks of stripe t, fetched by the one
+// engine with the stripe's data chunks as its k slots and its parity
+// shards as the rest. Reconstruction runs only when a parity shard
+// actually displaced a data chunk, so a layout without parity never
+// decodes.
 //
 // The returned release hands the fetched shards' pooled buffers back;
 // the data slices are invalid after it runs.
@@ -220,168 +171,38 @@ func (c *Controller) readStripe(ctx context.Context, l layout, meta *store.Meta,
 	kt := len(shards) - l.m
 	shardLen := chunkLen(meta, t*int64(l.k)) // the stripe's first chunk sizes its shards
 	key, version := meta.Key, meta.Version
-
-	// The adaptive hedge delay is tuned by KB-scale record reads; a
-	// megabyte shard transfer outlasts it even on a healthy drive, and
-	// hedging then launches fetches against drives that are merely
-	// mid-transfer — wasted reads that cost more than the tail they
-	// trim. Floor the delay at a conservative wire-rate estimate of the
-	// bytes still in flight (parallel transfers share the paths, so a
-	// full-width launch legitimately takes k shard-times) and the cap
-	// keeps a genuinely hung drive hedged promptly.
-	hedgeAfter := func(pool *drivePool, dataPending int) time.Duration {
-		floor := time.Duration(shardLen) * time.Duration(max(dataPending, 1)) * 10 * time.Nanosecond // ~100 MB/s
-		floor = min(max(floor, time.Millisecond), maxHedgeDelay)
-		return max(c.hedgeDelay(pool), floor)
-	}
-
-	order := c.readOrder(l, shards)
-	type result struct {
-		i   int // index into order
-		pr  pooledRec
-		err error
-		// The drive round trip alone, for the latency estimator: a record
-		// that fails to open says nothing about the medium's speed.
-		rtt    time.Duration
-		rttErr error
-	}
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan result, len(order))
-	starts := make([]time.Time, len(order))
-	done := make([]bool, len(order))
-	inflight := make([]int, l.k+l.m) // fetches out per slot
-	launched, outstanding := 0, 0
-	launch := func() {
-		i, cd := launched, order[launched]
-		launched++
-		outstanding++
-		inflight[cd.slot]++
-		starts[i] = time.Now()
-		go func() {
-			r := result{i: i}
-			v, err := c.getChunkValue(fctx, cd.pool, key, version, cd.idx)
-			r.rtt, r.rttErr, r.err = time.Since(starts[i]), err, err
-			if err == nil {
-				r.pr, r.err = c.openChunk(v, key, version, cd.idx)
-			}
-			results <- r
-		}()
-	}
-	for launched < kt {
-		launch()
-	}
-
-	// A parity arrival must not end the read while healthy data
-	// fetches are still in flight: displacing a data chunk forces a
-	// decode, and the decoder belongs off the healthy path. Once a k
-	// quorum exists, outstanding data chunks get one more hedge-delay
-	// of grace; only then does the read settle for the parity quorum.
-	got := make([]pooledRec, l.k+l.m) // by slot
-	have, haveData, lastWin := 0, 0, -1
-	var lastErr error
-	var patienceTimer *time.Timer
-	var patience <-chan time.Time
-	patienceOver := false
-	for haveData < kt && outstanding > 0 {
-		dataPending := 0
-		for s := 0; s < kt; s++ {
-			if got[s].rec == nil && inflight[s] > 0 {
-				dataPending++
-			}
-		}
-		if have >= kt && (dataPending == 0 || patienceOver) {
-			break
-		}
-		if have >= kt && patience == nil {
-			patienceTimer = time.NewTimer(hedgeAfter(order[launched-1].pool, dataPending))
-			patience = patienceTimer.C
-		}
-		var timer *time.Timer
-		var hedge <-chan time.Time
-		if have < kt && launched < len(order) {
-			timer = time.NewTimer(hedgeAfter(order[launched-1].pool, dataPending))
-			hedge = timer.C
-		}
-		select {
-		case r := <-results:
-			outstanding--
-			done[r.i] = true
-			cd := order[r.i]
-			inflight[cd.slot]--
-			// One estimator sample per physical read, recorded here and
-			// not in the fetch: a straggler finishing after the stripe
-			// settled is charged below and must not count twice.
-			recordOutcome(cd.pool, r.rtt, r.rttErr)
-			switch {
-			case r.err != nil:
-				// Absence needs unanimity: an error outranks a not-found.
-				if lastErr == nil || !errors.Is(r.err, ErrNotFound) {
-					lastErr = r.err
-				}
-				if have < kt && launched < len(order) {
-					launch()
-				}
-			case got[cd.slot].rec != nil:
-				r.pr.release() // a slower copy of a chunk already in hand
-			default:
-				got[cd.slot] = r.pr
-				have++
-				if cd.slot < kt {
-					haveData++
-				}
-				lastWin = r.i
-			}
-		case <-hedge:
-			c.stats.ReadHedges.Inc()
-			launch()
-		case <-patience:
-			patienceOver = true
-		}
-		if timer != nil {
-			timer.Stop()
+	var cands []fetchCand
+	for _, sh := range shards {
+		for _, di := range l.homes(sh.idx) {
+			cands = append(cands, fetchCand{sh, c.drives[di]})
 		}
 	}
-	if patienceTimer != nil {
-		patienceTimer.Stop()
-	}
-	cancel()
-	// Fetches launched before the last winner and still out lost to a
-	// later launch: charge them their elapsed time as a latency sample.
-	// Without this a degraded drive whose reads always lose the hedge
-	// race would never complete a round trip, never update its estimate,
-	// and keep being asked first.
-	for i := 0; i < lastWin; i++ {
-		if !done[i] {
-			order[i].pool.observe(time.Since(starts[i]))
-		}
-	}
-	if outstanding > 0 {
-		// Stragglers drain in the background so their pooled buffers
-		// return; the buffered channel means they never block.
-		go func(n int) {
-			for i := 0; i < n; i++ {
-				r := <-results
-				r.pr.release()
-			}
-		}(outstanding)
+	got, err := fetch(ctx, c, kt, cands, shardLen,
+		func(ctx context.Context, cd fetchCand) (kclient.Value, error) {
+			return c.getChunkValue(ctx, cd.pool, key, version, cd.idx)
+		},
+		func(cd fetchCand, v kclient.Value) (pooledRec, error) { return c.openChunk(v, key, version, cd.idx) },
+		pooledRec.release)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: stripe %d of %q v%d: fewer than %d of %d chunk records readable: %w",
+			t, key, version, kt, kt+l.m, err)
 	}
 	release := func() {
 		for _, pr := range got {
 			pr.release()
 		}
 	}
-	if have < kt {
-		release()
-		return nil, nil, fmt.Errorf("core: stripe %d of %q v%d: only %d of %d chunk records readable: %w",
-			t, key, version, have, kt+l.m, lastErr)
-	}
 
 	data := make([][]byte, kt)
-	if haveData == kt {
-		for s := range data {
-			data[s] = got[s].rec.Payload
+	decode := false
+	for s := range data {
+		if got[s].rec == nil {
+			decode = true
+			break
 		}
+		data[s] = got[s].rec.Payload
+	}
+	if !decode {
 		return data, release, nil
 	}
 
