@@ -58,7 +58,7 @@ type options struct {
 
 // parseFlags parses the command line (without the program name).
 func parseFlags(args []string) (*options, error) {
-	o := &options{cfg: core.Config{TakeOver: true}}
+	o := &options{}
 	cfg := &o.cfg
 	fs := flag.NewFlagSet("pesos", flag.ContinueOnError)
 	fs.StringVar(&o.state, "state", "./pesos-state", "state directory (CA, identities, secrets)")

@@ -12,7 +12,7 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := o.cfg; c.Replicas != 1 || !c.Encrypt || !c.TakeOver || c.DisableObs || c.EC || c.TraceSample != 16 ||
+	if c := o.cfg; c.Replicas != 1 || !c.Encrypt || c.DisableObs || c.EC || c.TraceSample != 16 ||
 		c.SweepInterval != 0 || c.DetectorInterval != 0 || c.AuditDir != "" {
 		t.Errorf("default config: %+v", c)
 	}
@@ -27,7 +27,7 @@ func TestParseFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c := o.cfg; c.Encrypt || !c.DisableObs || !c.EC || c.ECDataShards != 6 || c.ECParityShards != 3 || c.Replicas != 2 ||
-		c.SweepInterval != 30*time.Second || c.SlowOpThreshold != -time.Second || !c.TakeOver {
+		c.SweepInterval != 30*time.Second || c.SlowOpThreshold != -time.Second {
 		t.Errorf("config from flags: %+v", c)
 	}
 	if o.drives != "a:1,b:2" || o.shardMap != "map.json" || o.shardID != 4 {

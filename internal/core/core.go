@@ -94,10 +94,6 @@ type Config struct {
 	// Secrets provides runtime credentials when Attestation is nil.
 	Secrets *attest.Secrets
 
-	// TakeOver erases foreign accounts on the drives at bootstrap
-	// (§3.1). Disable only for tests that pre-provision accounts.
-	TakeOver bool
-
 	// Cache budgets; zero selects the paper's defaults (§4.2):
 	// 5 MB policies, objects sized to fit EPC.
 	PolicyCacheBytes   int64
@@ -188,9 +184,6 @@ type Config struct {
 	// measures against. Instrumented code is nil-safe throughout, so
 	// the switch costs no branches at the call sites.
 	DisableObs bool
-	// Registry receives the controller's metrics; nil (with obs
-	// enabled) creates a private one, exposed via Registry().
-	Registry *obs.Registry
 	// SlowOpThreshold dumps the span tree of requests at or over this
 	// duration to the log; 0 selects 250ms, negative disables.
 	SlowOpThreshold time.Duration
@@ -564,7 +557,7 @@ const keyCacheBytes = 600 << 10
 // residualCacheBytes budgets the residual cache.
 const residualCacheBytes = 1 << 20
 
-// connectDrives dials every drive and, unless disabled, performs the
+// connectDrives dials every drive and, unless a standby, performs the
 // exclusive takeover: replace all accounts with a single Pesos admin
 // account derived from the attested admin seed (§3.1).
 func (c *Controller) connectDrives(ctx context.Context) error {
@@ -591,7 +584,7 @@ func (c *Controller) connectDrives(ctx context.Context) error {
 			c.closeDrives()
 			return err
 		}
-		if c.cfg.TakeOver && !c.cfg.Standby {
+		if !c.cfg.Standby {
 			adminKey := c.adminKeyFor(ep.Name)
 			acl := wire.ACL{Identity: AdminIdentity, Key: adminKey, Perms: wire.PermAll}
 			if err := pool.pick().SetSecurity(ctx, []wire.ACL{acl}, nil); err != nil {

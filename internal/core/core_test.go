@@ -40,7 +40,7 @@ func newHarness(t *testing.T, nDrives int, mutate func(*Config), media ...func(i
 	if _, err := rand.Read(secrets.AdminSeed[:]); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Replicas: 1, Encrypt: true, TakeOver: true, Secrets: secrets}
+	cfg := Config{Replicas: 1, Encrypt: true, Secrets: secrets}
 	for i := 0; i < nDrives; i++ {
 		name := fmt.Sprintf("d%d", i)
 		var m kinetic.MediaModel
@@ -524,8 +524,8 @@ func TestFetchMetaBindsRecordToKey(t *testing.T) {
 			t.Fatalf("%s cached %+v for k1", heal.name, m)
 		}
 		for di := range h.drives {
-			m, err := store.UnmarshalMeta(driveMetaBytes(t, h, di, "k1"))
-			if err != nil || m.Key != "k1" || m.PolicyID != private {
+			m := new(store.Meta)
+			if err := h.ctl.codec.DecodeMeta(driveMetaBytes(t, h, di, "k1"), "k1", m); err != nil || m.PolicyID != private {
 				t.Fatalf("%s left drive %d answering m/k1 with %+v, %v", heal.name, di, m, err)
 			}
 		}

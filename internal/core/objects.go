@@ -179,39 +179,53 @@ func (c *Controller) putObject(ctx context.Context, sessionKey, key string, valu
 // (cache-first) names the governing policy, that policy grants the
 // session the read under the request's certificates, and only then is
 // the version selected. pe may be nil (see policyEval).
-func (c *Controller) planRead(ctx context.Context, pe *policyEval, sessionKey, key string, opts GetOptions) (version int64, err error) {
+func (c *Controller) planRead(ctx context.Context, pe *policyEval, sessionKey, key string, opts GetOptions) (head *store.Meta, version int64, err error) {
 	if err := c.checkOwned(key); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	head, err := c.loadMeta(ctx, key)
-	if err != nil {
-		return 0, err
+	if head, err = c.loadMeta(ctx, key); err != nil {
+		return nil, 0, err
 	}
 	if err := c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, head, nil, opts.Certs); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if opts.HasVersion {
-		return opts.Version, nil
+		return head, opts.Version, nil
 	}
-	return head.Version, nil
+	return head, head.Version, nil
 }
 
 // readObject is the read path behind Get, GetStream and BatchGet: the
 // plan, then the planned version's record.
 func (c *Controller) readObject(ctx context.Context, sessionKey, key string, opts GetOptions, inline bool) (*store.Record, error) {
-	version, err := c.planRead(ctx, nil, sessionKey, key, opts)
+	head, version, err := c.planRead(ctx, nil, sessionKey, key, opts)
 	if err != nil {
 		return nil, err
 	}
-	return c.openPlanned(ctx, key, version, inline)
+	return c.openPlanned(ctx, head, version, inline)
+}
+
+// loadPlanned loads the record of a version planRead selected under
+// head (cache-first). The record of the head version was written with
+// the head from one Meta, so one whose authenticated policy is not the
+// head's is refused and the cached head dropped: that head chose the
+// policy the read was judged by, and it is not the object's.
+func (c *Controller) loadPlanned(ctx context.Context, head *store.Meta, version int64) (*store.Record, error) {
+	rec, err := c.loadRecord(ctx, head.Key, version)
+	if err == nil && version == head.Version && rec.Meta.PolicyID != head.PolicyID {
+		c.metaCache.Remove(head.Key)
+		return nil, fmt.Errorf("%w: %q v%d: the head names another policy than the version record", store.ErrCorrupt, head.Key, version)
+	}
+	return rec, err
 }
 
 // openPlanned loads the record of a version planRead selected
-// (cache-first) and accounts the read. inline is the buffered shape —
+// (loadPlanned) and accounts the read. inline is the buffered shape —
 // the payload leaves in the reply, so a chunked version is refused —
 // and otherwise the caller streams what the record describes.
-func (c *Controller) openPlanned(ctx context.Context, key string, version int64, inline bool) (*store.Record, error) {
-	rec, err := c.loadRecord(ctx, key, version)
+func (c *Controller) openPlanned(ctx context.Context, head *store.Meta, version int64, inline bool) (*store.Record, error) {
+	key := head.Key
+	rec, err := c.loadPlanned(ctx, head, version)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +308,7 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 // withholding a record cannot hide its version, and it stands while one
 // replica answers.
 func (c *Controller) listVersions(ctx context.Context, sessionKey, key string, certs []*authority.Certificate) ([]int64, error) {
-	head, err := c.planRead(ctx, nil, sessionKey, key, GetOptions{Certs: certs})
+	_, head, err := c.planRead(ctx, nil, sessionKey, key, GetOptions{Certs: certs})
 	if err != nil {
 		return nil, err
 	}
@@ -354,17 +368,14 @@ func fetchReplicated[T any](ctx context.Context, c *Controller, placement []int,
 	return got[0], nil
 }
 
-// fetchMeta reads key's metadata off the drives. A copy that is another
-// object's record served under this key is refused: the policy check
-// would trust its PolicyID.
+// fetchMeta reads key's head record off the drives. The codec refuses a
+// copy that is another object's record served under this key: the
+// policy check would trust its PolicyID.
 func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, error) {
 	return fetchReplicated(ctx, c, c.placement(key), store.MetaKey(key), ErrNotFound, "meta "+strconv.Quote(key),
 		func(val []byte) (*store.Meta, error) {
-			m, err := store.UnmarshalMeta(val)
-			if err == nil && m.Key != key {
-				return nil, store.ErrCorrupt
-			}
-			return m, err
+			m := new(store.Meta)
+			return m, c.codec.DecodeMeta(val, key, m)
 		})
 }
 

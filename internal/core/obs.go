@@ -16,10 +16,7 @@ func (c *Controller) initObs() error {
 	if c.cfg.DisableObs {
 		return nil
 	}
-	c.registry = c.cfg.Registry
-	if c.registry == nil {
-		c.registry = obs.NewRegistry()
-	}
+	c.registry = obs.NewRegistry()
 	c.traceStore = obs.NewTraceStore(0) // the ring behind GET /v1/trace/{id}, at obs's default size
 	slow := c.cfg.SlowOpThreshold
 	if slow == 0 {

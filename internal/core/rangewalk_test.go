@@ -334,3 +334,36 @@ func FuzzRangeWalk(f *testing.F) {
 		w.release()
 	})
 }
+
+// TestWarmRangesReadsNoHead: warm-up caches the head its walk already
+// carries, elected from every drive's copy, so warming keys with no
+// policy sends the drives no GET at all.
+func TestWarmRangesReadsNoHead(t *testing.T) {
+	h := newHarness(t, 3, func(cfg *Config) {
+		cfg.Replicas = 2
+		cfg.Shard = &ShardInfo{ID: 0, Epoch: 1, Ranges: []HashRange{{0, store.ShardSpace}}}
+	})
+	ctx := context.Background()
+	s := h.ctl.Session("w")
+	const keys = 20
+	for i := 0; i < keys; i++ {
+		if _, err := s.Put(ctx, fmt.Sprintf("k/%02d", i), []byte("v"), PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.ctl.metaCache.Clear()
+	before := driveGets(h.drives)
+	warmed, err := h.ctl.WarmRanges(ctx, 0)
+	if err != nil || warmed != keys || h.ctl.metaCache.Len() != keys {
+		t.Fatalf("warmed %d keys, %d cached, want %d: %v", warmed, h.ctl.metaCache.Len(), keys, err)
+	}
+	if gets := driveGets(h.drives) - before; gets != 0 {
+		t.Errorf("warm-up of %d keys sent %d drive GETs, want 0", keys, gets)
+	}
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("k/%02d", i)
+		if m, ok := h.ctl.metaCache.Get(key); !ok || m.Key != key || m.Version != 0 {
+			t.Fatalf("cached head of %q: %+v", key, m)
+		}
+	}
+}

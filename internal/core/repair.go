@@ -27,33 +27,27 @@ type RepairReport struct {
 // repairObject re-establishes the replication invariant for one key
 // (§4.5): after a drive is replaced or lost writes are detected, every
 // placement drive must hold every version record plus the metadata.
-// Healthy copies are read (with integrity verification through the
-// codec), missing or corrupt ones rewritten. Governed by the object's
-// update permission, since repair rewrites records.
-func (c *Controller) repairObject(ctx context.Context, sessionKey, key string) (*RepairReport, error) {
+// Under the key's write lock it elects the newest surviving head
+// (loadMetaNewest), lets authorize veto the repair on it — a client's
+// repair needs the update permission, since repair rewrites records;
+// the sweeper's passes none — and converges the replicas to it: healthy
+// copies are read (verified by the codec), missing or corrupt ones
+// rewritten.
+func (c *Controller) repairObject(ctx context.Context, key string, authorize func(*store.Meta) error) (*RepairReport, error) {
 	lock := c.writeLock(key)
 	lock.Lock()
 	defer lock.Unlock()
-
 	placement := c.placement(key)
 	meta, stale, err := c.loadMetaNewest(ctx, key, placement)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.checkPolicy(ctx, nil, lang.PermUpdate, sessionKey, key, meta, nil, nil); err != nil {
-		return nil, err
+	if authorize != nil {
+		if err := authorize(meta); err != nil {
+			return nil, err
+		}
 	}
-	return c.repairRecords(ctx, key, meta, stale, placement)
-}
-
-// repairRecords converges one key's replicas to the newest surviving
-// state: meta, elected by loadMetaNewest, which found the stale drives
-// without it. Callers hold the key's write lock and have settled the
-// policy question (client repairs are permission-gated; the
-// anti-entropy sweep is an internal maintenance path).
-func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.Meta, stale, placement []int) (*RepairReport, error) {
 	report := &RepairReport{Key: key}
-	metaRec := meta.Marshal()
 
 	// Enumerate the versions any replica still holds instead of
 	// probing every historical version 0..meta.Version on every drive:
@@ -103,7 +97,7 @@ func (c *Controller) repairRecords(ctx context.Context, key string, meta *store.
 			}
 		}
 	}
-	if err := rewrite(stale, store.MetaKey(key), metaRec, meta.Version); err != nil {
+	if err := rewrite(stale, store.MetaKey(key), c.codec.EncodeMeta(meta), meta.Version); err != nil {
 		return report, err
 	}
 	if report.Restored > 0 {
@@ -132,64 +126,39 @@ func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int
 	return out, w.err
 }
 
-// sweepKey repairs one key under its write lock (internal path, no
-// policy check).
-func (c *Controller) sweepKey(ctx context.Context, key string) (*RepairReport, error) {
-	lock := c.writeLock(key)
-	lock.Lock()
-	defer lock.Unlock()
-	placement := c.placement(key)
-	meta, stale, err := c.loadMetaNewest(ctx, key, placement)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return &RepairReport{Key: key}, nil // deleted mid-sweep
-		}
-		return nil, err
-	}
-	return c.repairRecords(ctx, key, meta, stale, placement)
-}
-
-// loadMetaNewest reads every replica's metadata record once and returns
-// the newest copy that names key (newestMeta, the election a listing
-// runs), updating the cache, and the stale drives: those whose copy is
-// not key's record at the elected version — absent, unreadable, older,
-// or another object's, whatever version that object is at — which
-// repair rewrites. Repair must converge to the newest surviving copy:
-// trusting the cache or whichever replica answers first could elect a
-// degraded replica's stale metadata and roll healthy replicas back.
+// loadMetaNewest reads every replica's head record at once and elects
+// the newest copy that names key (newestMeta), updating the cache. The
+// stale drives are those whose copy the election does not report at the
+// elected version — absent, unreadable, older, or another object's,
+// whatever version that object is at — which repair rewrites. Repair
+// must converge to the newest surviving copy: trusting the cache or
+// whichever replica answers first could elect a degraded replica's stale
+// metadata and roll healthy replicas back.
 func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement []int) (*store.Meta, []int, error) {
 	copies := make([][]byte, len(placement)) // by placement slot; nil: no copy read
-	var sawNotFound bool
-	var lastErr error
-	for i, di := range placement {
+	errs := make([]error, len(placement))
+	_ = c.fanout(placement, func(di int) error { // failures are per slot, in errs
+		i := slices.Index(placement, di)
 		c.chargeDriveIO(0)
-		val, _, err := c.drives[di].pick().Get(ctx, store.MetaKey(key))
-		switch {
-		case err == nil:
-			copies[i] = val
-		case errors.Is(err, kclient.ErrNotFound):
-			sawNotFound = true
-		default:
-			lastErr = err
-		}
-	}
+		copies[i], _, errs[i] = c.drives[di].pick().Get(ctx, store.MetaKey(key))
+		return nil
+	})
 	var slots [2]store.Meta
-	elected, err := newestMeta(key, copies, &slots)
+	elected, current, err := c.newestMeta(key, copies, &slots)
 	if err != nil {
-		if sawNotFound {
+		if slices.ContainsFunc(errs, func(err error) bool { return errors.Is(err, kclient.ErrNotFound) }) {
 			err = fmt.Errorf("%w: %q", ErrNotFound, key)
-		} else if lastErr != nil {
-			err = fmt.Errorf("core: all replicas failed reading meta %q: %w", key, lastErr)
+		} else if failed := errors.Join(errs...); failed != nil {
+			err = fmt.Errorf("core: all replicas failed reading meta %q: %w", key, failed)
 		}
 		return nil, nil, err
 	}
 	newest := *elected
 	c.metaCache.Put(key, &newest)
 	var stale []int
-	for i, raw := range copies {
-		m := store.Meta{Key: key}
-		if raw == nil || m.Unmarshal(raw) != nil || m.Key != key || m.Version != newest.Version {
-			stale = append(stale, placement[i])
+	for i, di := range placement {
+		if current&(1<<uint(i)) == 0 {
+			stale = append(stale, di)
 		}
 	}
 	return &newest, stale, nil
@@ -351,12 +320,14 @@ func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, i
 	return rec, nil
 }
 
-// Repair re-replicates an object across its placement drives. See
-// repairObject.
+// Repair re-replicates an object across its placement drives, if the
+// object's policy grants the session its update. See repairObject.
 func (s *Session) Repair(ctx context.Context, key string) (*RepairReport, error) {
 	s.touch()
 	if err := s.ctl.checkOwned(key); err != nil {
 		return nil, err
 	}
-	return s.ctl.repairObject(ctx, s.clientKey, key)
+	return s.ctl.repairObject(ctx, key, func(meta *store.Meta) error {
+		return s.ctl.checkPolicy(ctx, nil, lang.PermUpdate, s.clientKey, key, meta, nil, nil)
+	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -102,5 +103,72 @@ func TestRepairGovernedByPolicy(t *testing.T) {
 	}
 	if _, err := owner.Repair(ctx, "k"); err != nil {
 		t.Fatalf("owner repair: %v", err)
+	}
+}
+
+// TestHeadRecordElection: the one election among copies of a head — the
+// newest that opens as the key's wins, the first of equal versions — and
+// its report of which copies name the key at that version, the copies
+// repair leaves alone and the sweeper's fast path calls converged.
+func TestHeadRecordElection(t *testing.T) {
+	h := newHarness(t, 1, nil)
+	head := func(key string, version int64, policy string) []byte {
+		return h.ctl.codec.EncodeMeta(&store.Meta{Key: key, Version: version, PolicyID: policy})
+	}
+	v1 := head("k", 1, "p")
+	for _, c := range []struct {
+		name    string
+		copies  [][]byte
+		version int64
+		policy  string
+		current uint64
+	}{
+		{"healthy", [][]byte{v1, v1, v1}, 1, "p", 0b111},
+		{"one absent", [][]byte{v1, nil, v1}, 1, "p", 0b101},
+		{"one older", [][]byte{head("k", 0, "p"), v1, v1}, 1, "p", 0b110},
+		{"one that does not open", [][]byte{v1, []byte("junk"), v1}, 1, "p", 0b101},
+		{"another key's, newer", [][]byte{head("other", 9, "q"), v1, v1}, 1, "p", 0b110},
+		{"same version, other bytes", [][]byte{v1, head("k", 1, "q"), v1}, 1, "p", 0b111},
+		{"the newest is the one not agreeing", [][]byte{v1, head("k", 2, "q"), v1}, 2, "q", 0b010},
+	} {
+		var slots [2]store.Meta
+		m, current, err := h.ctl.newestMeta("k", c.copies, &slots)
+		if err != nil || m.Key != "k" || m.Version != c.version || m.PolicyID != c.policy || current != c.current {
+			t.Errorf("%s: elected %+v, current %03b, %v; want v%d %q, current %03b", c.name, m, current, err, c.version, c.policy, c.current)
+		}
+	}
+	var slots [2]store.Meta
+	if m, _, err := h.ctl.newestMeta("k", [][]byte{nil, []byte("junk"), head("other", 1, "")}, &slots); !errors.Is(err, store.ErrCorrupt) {
+		t.Errorf("no copy opens: elected %+v, %v", m, err)
+	}
+}
+
+// TestSweepRewritesAHeadThatDoesNotOpen: the sweeper's fast path decides
+// agreement from the heads themselves, not the drives' version stamps. A
+// replica whose head no longer opens — under the right stamp — is not
+// converged, so the next (not deep) pass rewrites it.
+func TestSweepRewritesAHeadThatDoesNotOpen(t *testing.T) {
+	h := newHarness(t, 3, func(c *Config) { c.Replicas = 3 })
+	s := h.ctl.Session("w")
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if _, err := s.Put(ctx, "k", []byte(fmt.Sprintf("v%d", i)), PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep, err := h.ctl.SweepTick(ctx); err != nil || !rep.Deep || !rep.Wrapped || rep.Repaired != 0 {
+		t.Fatalf("deep pass over a healthy key: %+v, %v", rep, err)
+	}
+	victim := h.ctl.placement("k")[1]
+	if err := h.drives[victim].P2PPut(store.MetaKey("k"), []byte("not a head record"), encodeVer(1)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h.ctl.SweepTick(ctx)
+	if err != nil || rep.Deep || rep.Repaired != 1 || rep.RestoredRecords != 1 {
+		t.Fatalf("pass after a head stopped opening: %+v, %v; want one record restored", rep, err)
+	}
+	m := new(store.Meta)
+	if err := h.ctl.codec.DecodeMeta(driveMetaBytes(t, h, victim, "k"), "k", m); err != nil || m.Version != 1 {
+		t.Fatalf("drive %d holds %+v, %v after the pass", victim, m, err)
 	}
 }

@@ -86,7 +86,7 @@ type replicaWrite struct {
 	rec     *store.Record // new head (a chunk stub has no payload); published on commit
 	prev    []byte        // meta CAS token; nil on creation
 	blob    []byte        // encoded object record
-	metaRec []byte        // marshalled metadata
+	metaRec []byte        // encoded head record
 }
 
 // stage is the one place a write becomes drive records: the new head's
@@ -103,7 +103,7 @@ func (c *Controller) stage(prev *store.Meta, m store.Meta, payload []byte) (*rep
 		return nil, err
 	}
 	c.cost.MoveBytes(len(payload)) // request payload crosses into the enclave
-	w := &replicaWrite{rec: rec, blob: blob, metaRec: m.Marshal()}
+	w := &replicaWrite{rec: rec, blob: blob, metaRec: c.codec.EncodeMeta(&m)}
 	if prev != nil {
 		w.prev = encodeVer(prev.Version)
 	}

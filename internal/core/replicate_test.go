@@ -100,7 +100,7 @@ func newKillableHarness(t *testing.T, nDrives int, mutate func(*Config)) *killab
 	if _, err := rand.Read(secrets.AdminSeed[:]); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Replicas: 1, Encrypt: true, TakeOver: true, Secrets: secrets}
+	cfg := Config{Replicas: 1, Encrypt: true, Secrets: secrets}
 	for i := 0; i < nDrives; i++ {
 		i := i
 		name := fmt.Sprintf("d%d", i)
@@ -168,8 +168,8 @@ func (h *killableHarness) driveMeta(t *testing.T, di int, key string) (*store.Me
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("drive %d meta read: %v", di, resp.Status)
 	}
-	m, err := store.UnmarshalMeta(resp.Value)
-	if err != nil {
+	m := new(store.Meta)
+	if err := h.ctl.codec.DecodeMeta(resp.Value, key, m); err != nil {
 		t.Fatalf("drive %d meta decode: %v", di, err)
 	}
 	return m, true

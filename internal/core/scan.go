@@ -176,7 +176,7 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 		if len(c.drives) <= 64 && mask&c.placementMask(key) == 0 {
 			continue
 		}
-		meta, err := newestMeta(key, copies, &metas)
+		meta, _, err := c.newestMeta(key, copies, &metas)
 		if err != nil {
 			// No reported copy decodes as this key's: more than one drive
 			// of its window is faulty, past what the cover answers for. Its
@@ -211,43 +211,48 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 	return page, nil // the range is exhausted
 }
 
-// newestMeta decodes the replica copies of key's metadata record and
-// returns the newest that is well-formed and names key — a drive
-// answering one key with another object's record must not hand the
-// policy check that object's policy. Byte-equal copies, the healthy
-// case, are decoded once, into slots a page reuses. With no readable
-// copy a listing reads the replicas directly and, if none decodes
-// either, fails its page: an entry that cannot be policy-checked is
-// never listed, and dropping it silently would hide an object from a
-// reader entitled to it. Repair elects through it too (loadMetaNewest).
-func newestMeta(key string, copies [][]byte, slots *[2]store.Meta) (*store.Meta, error) {
+// newestMeta is the one election among copies of key's head record, for
+// a listing, repair, the sweeper and warm-up. The codec opens each copy
+// and refuses another object's record: its policy must not judge key.
+// The newest copy that opens wins, the first of equal versions, and bit
+// i of current reports whether copies[i] opens at that version (past
+// the 64th, none does). Byte-equal copies, the healthy case, are opened
+// once, into slots a page reuses. With no copy that opens a listing
+// reads the replicas directly and, if none opens either, fails its page:
+// an entry that cannot be policy-checked is never listed, and dropping
+// it silently would hide an object from a reader entitled to it.
+func (c *Controller) newestMeta(key string, copies [][]byte, slots *[2]store.Meta) (best *store.Meta, current uint64, err error) {
 	best, spare := &slots[0], &slots[1]
 	var bestRaw []byte
 	found := false
-	for _, raw := range copies {
+	for i, raw := range copies {
+		bit := uint64(1) << uint(i)
 		if found && bytes.Equal(raw, bestRaw) {
+			current |= bit
 			continue
 		}
 		m := best
 		if found {
 			m = spare
 		}
-		m.Key = key // Unmarshal keeps a key it finds already there
-		if err := m.Unmarshal(raw); err != nil || m.Key != key {
+		m.Key = key // DecodeMeta keeps a key it finds already there
+		if c.codec.DecodeMeta(raw, key, m) != nil {
 			continue
 		}
-		if found && m.Version <= best.Version {
-			continue
+		switch {
+		case found && m.Version == best.Version:
+			current |= bit
+		case !found || m.Version > best.Version:
+			if found {
+				best, spare = spare, best
+			}
+			found, bestRaw, current = true, raw, bit
 		}
-		if found {
-			best, spare = spare, best
-		}
-		found, bestRaw = true, raw
 	}
 	if !found {
-		return nil, fmt.Errorf("core: no readable metadata copy of %q: %w", key, store.ErrCorrupt)
+		return nil, 0, fmt.Errorf("core: no readable metadata copy of %q: %w", key, store.ErrCorrupt)
 	}
-	return best, nil
+	return best, current, nil
 }
 
 // placementMask is the drive bitmask of a key's placement (dead-drive

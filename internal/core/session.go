@@ -150,10 +150,11 @@ func (s *Session) PutPolicy(ctx context.Context, src string) (string, error) {
 // certified facts attached to the request.
 func (s *Session) Verify(ctx context.Context, key string, version int64, certs ...*authority.Certificate) (*store.Meta, error) {
 	s.touch()
-	if _, err := s.ctl.planRead(ctx, nil, s.clientKey, key, GetOptions{Certs: certs}); err != nil {
+	head, _, err := s.ctl.planRead(ctx, nil, s.clientKey, key, GetOptions{Certs: certs})
+	if err != nil {
 		return nil, err
 	}
-	rec, err := s.ctl.loadRecord(ctx, key, version)
+	rec, err := s.ctl.loadPlanned(ctx, head, version)
 	if err != nil {
 		return nil, err
 	}

@@ -485,7 +485,7 @@ func (c *Controller) ExportRange(ctx context.Context, r HashRange, target Migrat
 		target.Replicas = 1
 	}
 	var keys []string
-	err := c.walkKeys(ctx, 0, func(key string) bool {
+	err := c.walkKeys(ctx, 0, false, func(key string, _ [][]byte) bool {
 		if r.Contains(store.ShardHash(key)) {
 			keys = append(keys, key)
 		}
@@ -528,21 +528,22 @@ func (c *Controller) ExportRange(ctx context.Context, r HashRange, target Migrat
 }
 
 // walkKeys visits, in ascending order and until visit returns false,
-// every object key some drive holds a metadata record of, asking each
-// drive for page keys a round (0: the drive's cap). Every drive is
-// consulted, so up to Replicas-1 degraded replicas cannot hide a key;
-// one more and the enumeration fails.
-func (c *Controller) walkKeys(ctx context.Context, page int, visit func(key string) bool) error {
+// every object key some drive holds a metadata record of — with, when
+// values are asked for, every drive's copy of it — asking each drive for
+// page keys a round (0: the drive's cap). Every drive is consulted, so
+// up to Replicas-1 degraded replicas cannot hide a key; one more and the
+// enumeration fails.
+func (c *Controller) walkKeys(ctx context.Context, page int, values bool, visit func(key string, copies [][]byte) bool) error {
 	start, end := store.MetaKeyRange("")
 	w := c.walk(ctx, &rangeWalk{drives: allDrives(len(c.drives)), cursor: start, inclusive: true, end: end,
-		page: page, tolerate: c.cfg.Replicas - 1})
+		page: page, values: values, tolerate: c.cfg.Replicas - 1})
 	defer w.release()
 	for {
-		dk, _, _, ok := w.next()
+		dk, _, copies, ok := w.next()
 		if !ok {
 			return w.err
 		}
-		if !visit(string(dk[2:])) { // strip the metadata namespace prefix
+		if !visit(string(dk[2:]), copies) { // strip the metadata namespace prefix
 			return nil
 		}
 	}
@@ -831,11 +832,13 @@ func (c *Controller) Activate(epoch uint64) error {
 }
 
 // WarmRanges pre-faults the standby's caches: it enumerates the keys
-// stored under the owned ranges and loads each key's metadata (and
-// transitively the referenced policies) through the normal cache-
-// filling loaders, up to limit keys per call. Ownership gates don't
-// apply — internal loaders never check them — so this works in
-// standby mode. Returns the number of keys warmed.
+// stored under the owned ranges with every drive's copy of their heads,
+// and caches the head the election picks (where no entry or write beat
+// it: cache.Load) and the policy it names, up to limit keys per call.
+// No head is read twice, and a key none of whose copies opens is
+// skipped. Ownership gates don't apply — internal loaders never check
+// them — so this works in standby mode. Returns the number of keys
+// warmed.
 func (c *Controller) WarmRanges(ctx context.Context, limit int) (int, error) {
 	s := c.shard
 	if s == nil {
@@ -849,16 +852,19 @@ func (c *Controller) WarmRanges(ctx context.Context, limit int) (int, error) {
 	// never drains the keyspace.
 	ranges := s.view.Load().info.Ranges
 	warmed := 0
-	err := c.walkKeys(ctx, limit, func(key string) bool {
+	var slots [2]store.Meta
+	err := c.walkKeys(ctx, limit, true, func(key string, copies [][]byte) bool {
 		if !RangesContain(ranges, store.ShardHash(key)) {
 			return true
 		}
-		meta, err := c.loadMeta(ctx, key)
+		elected, _, err := c.newestMeta(key, copies, &slots)
 		if err != nil {
-			return true // vanished or degraded; warming is best-effort
+			return true
 		}
-		if meta.PolicyID != "" {
-			_, _ = c.loadPolicy(ctx, meta.PolicyID)
+		head := *elected // best-effort: only a cancelled ctx fails the load
+		_, _ = cached(ctx, c, c.metaCache, key, func(context.Context) (*store.Meta, error) { return &head, nil })
+		if head.PolicyID != "" {
+			_, _ = c.loadPolicy(ctx, head.PolicyID)
 		}
 		warmed++
 		return warmed < limit && ctx.Err() == nil

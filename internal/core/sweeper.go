@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -13,9 +13,9 @@ import (
 
 // sweepDeepEvery makes every Nth full keyspace pass a deep pass:
 // every key goes through full record-level repair instead of the
-// cheap version-agreement fast path. Deep passes are what catch a
-// lost or corrupt chunk record hiding behind an intact stub and an
-// agreeing metadata version.
+// cheap agreement fast path. Deep passes are what catch a lost or
+// corrupt chunk record hiding behind an intact stub and an agreeing
+// head.
 const sweepDeepEvery = 4
 
 // SweepTickReport summarizes one incremental sweeper tick.
@@ -117,12 +117,13 @@ func (c *Controller) SweeperStatus() SweeperStatus {
 
 // SweepTick runs one bounded increment of the continuous anti-entropy
 // sweep: it enumerates at most SweepKeysPerTick keys after the
-// resumable cursor, verifies each with the cheap version-agreement
-// fast path (full record repair only where replicas diverge, or on
-// every sweepDeepEvery'th generation), and stops early once
-// SweepBytesPerTick of records have been rewritten. Neither the
-// enumeration nor the verification reads the whole keyspace — per
-// tick cost is O(keys-per-tick × replicas) version reads.
+// resumable cursor, each with every drive's copy of its head, verifies
+// each with the cheap agreement fast path (full record repair only
+// where replicas diverge, or on every sweepDeepEvery'th generation),
+// and stops early once SweepBytesPerTick of records have been
+// rewritten. Neither the enumeration nor the verification reads the
+// whole keyspace — per tick cost is the walk's pages plus
+// O(keys-per-tick × replicas) version reads.
 func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 	sw := c.sweeper
 	if sw == nil {
@@ -162,10 +163,10 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 		start = store.MetaKey(cursor)
 	}
 	w := c.walk(ctx, &rangeWalk{drives: live, cursor: start, inclusive: cursor == "", end: end,
-		page: maxKeys + 1, tolerate: len(live) - 1})
+		page: maxKeys + 1, values: true, tolerate: len(live) - 1})
 	defer w.release()
 	for {
-		dk, _, _, ok := w.next()
+		dk, mask, copies, ok := w.next()
 		if !ok {
 			if w.err == nil {
 				report.Cursor, report.Wrapped = "", true
@@ -180,10 +181,12 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 				break
 			}
 			report.Scanned++
-			if report.Deep || !c.replicasConverged(ctx, key) {
-				if rep, err := c.sweepKey(ctx, key); err != nil {
+			if report.Deep || !c.replicasConverged(ctx, key, mask, copies) {
+				switch rep, err := c.repairObject(ctx, key, nil); {
+				case errors.Is(err, ErrNotFound): // deleted mid-sweep: done
+				case err != nil:
 					report.Failed++
-				} else if rep.Restored > 0 {
+				case rep.Restored > 0:
 					report.Repaired++
 					report.RestoredRecords += rep.Restored
 					report.RestoredBytes += rep.RestoredBytes
@@ -218,46 +221,42 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 	return report, nil
 }
 
-// replicasConverged is the sweeper's fast path: version-only reads
-// establishing that every placement replica agrees on the metadata
-// version and holds the newest object record. No payload moves; a
-// healthy key costs 2×replicas version probes.
-func (c *Controller) replicasConverged(ctx context.Context, key string) bool {
+// replicasConverged is the sweeper's fast path. The walk's copies of
+// key's head (walked, from the drives in mask, in drive order) go
+// through repair's election, which establishes that every placement
+// replica holds key's head at the elected version — a drive past the
+// 64th has no bit, so its copy never does; one version probe per
+// replica then establishes that each holds that version's record. No
+// payload moves and no head is read again: a healthy key costs Replicas
+// version probes.
+func (c *Controller) replicasConverged(ctx context.Context, key string, mask uint64, walked [][]byte) bool {
+	placement := c.placement(key)
+	copies := make([][]byte, len(placement)) // by placement slot, as repair reads them
+	for i, di := range placement {
+		if bit := uint64(1) << uint(di); mask&bit != 0 {
+			copies[i] = walked[bits.OnesCount64(mask&(bit-1))]
+		}
+	}
+	var slots [2]store.Meta
+	head, current, err := c.newestMeta(key, copies, &slots)
+	if err != nil || current != 1<<len(placement)-1 {
+		return false
+	}
 	// The probes below attest the replicated records only. An
-	// erasure-coded object's shards live across the wider EC group, so
-	// while any drive of the key's group window is dead the fast path
-	// cannot vouch for the shards — fall through to the full repair,
-	// which probes every shard home. (Shard loss with no dead drive,
-	// e.g. an erased-and-revived drive, is caught by the periodic deep
-	// pass, like replicated chunk records.)
-	if c.cfg.EC {
-		if mask := c.deadMask.Load(); mask != 0 {
-			window := c.cfg.ECDataShards + c.cfg.ECParityShards
-			for _, di := range store.Placement(key, len(c.drives), window) {
-				if mask&(1<<uint(di)) != 0 {
-					return false
-				}
+	// erasure-coded head's shards live across its wider EC group, so
+	// while any drive of that window is dead the fast path cannot vouch
+	// for the shards — fall through to the full repair, which probes
+	// every shard home. (Shard loss with no dead drive, e.g. an
+	// erased-and-revived drive, is caught by the periodic deep pass, like
+	// replicated chunk records.)
+	if dead := c.deadMask.Load(); head.ECK > 0 && dead != 0 {
+		for _, di := range store.Placement(key, len(c.drives), int(head.ECK+head.ECM)) {
+			if dead&(1<<uint(di)) != 0 {
+				return false
 			}
 		}
 	}
-	placement := c.placement(key)
-	var ver []byte
-	for _, di := range placement {
-		c.chargeDriveIO(0)
-		v, err := c.drives[di].pick().GetVersion(ctx, store.MetaKey(key))
-		if err != nil {
-			return false
-		}
-		if ver == nil {
-			ver = v
-		} else if !bytes.Equal(ver, v) {
-			return false
-		}
-	}
-	if len(ver) != 8 {
-		return false
-	}
-	objKey := store.ObjectKey(key, int64(binary.BigEndian.Uint64(ver)))
+	objKey := store.ObjectKey(key, head.Version)
 	for _, di := range placement {
 		c.chargeDriveIO(0)
 		if _, err := c.drives[di].pick().GetVersion(ctx, objKey); err != nil {

@@ -411,6 +411,38 @@ func TestTamperMatrix(t *testing.T) {
 					}
 				})
 			}
+			// An invented head: the true version under another stored
+			// policy, one that grants eve the read the object's own denies.
+			// The version record it names carries the object's policy,
+			// authenticated: only the sealing codec can vouch for that.
+			if sealed {
+				t.Run("an invented head naming another policy on the replica asked first", func(t *testing.T) {
+					r, eve := transplantRig(t)
+					ctl := r.h.ctl
+					lax, err := ctl.PutPolicy(r.ctx, "read :- sessionKeyIs(k'e0e0')")
+					if err != nil {
+						t.Fatal(err)
+					}
+					placement := ctl.placement("secret")
+					liar := placement[0]
+					head := new(store.Meta)
+					if err := ctl.codec.DecodeMeta(r.rawAt(liar, store.MetaKey("secret")), "secret", head); err != nil {
+						t.Fatal(err)
+					}
+					head.PolicyID = lax
+					r.plantAt(liar, store.MetaKey("secret"), ctl.codec.EncodeMeta(head))
+					for i := 0; i < 20; i++ {
+						ctl.metaCache.Clear()
+						r.askFirst(liar, placement)
+						if val, _, err := eve.Get(r.ctx, "secret", GetOptions{}); err == nil || val != nil {
+							t.Fatalf("read %d: a denied session read %q under an invented head (%v)", i, val, err)
+						}
+						if m, ok := ctl.metaCache.Get("secret"); ok && m.PolicyID == lax {
+							t.Fatalf("read %d: the invented head stayed cached", i)
+						}
+					}
+				})
+			}
 			for slot := 0; slot < 3; slot++ {
 				for _, heal := range []string{"repair", "deep sweep"} {
 					t.Run(fmt.Sprintf("%s rewrites a transplant in placement slot %d from a healthy copy", heal, slot), func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/authority"
 	"repro/internal/kinetic/wire"
+	"repro/internal/store"
 )
 
 // Tx executes one transaction (§4.4) with full isolation: an atomic
@@ -75,9 +76,10 @@ func (c *Controller) transact(ctx context.Context, sessionKey string, reads []st
 	// policy resolve its residual once.
 	pe := &policyEval{}
 	rr := make([]BatchGetResult, len(reads))
+	heads := make([]*store.Meta, len(reads))
 	for i, key := range reads {
 		rr[i].Key = JSONKey(key)
-		if rr[i].Version, err = c.planRead(ctx, pe, sessionKey, key, GetOptions{Certs: certs}); err != nil {
+		if heads[i], rr[i].Version, err = c.planRead(ctx, pe, sessionKey, key, GetOptions{Certs: certs}); err != nil {
 			if !errors.Is(err, ErrNotFound) {
 				return nil, nil, err
 			}
@@ -113,7 +115,7 @@ func (c *Controller) transact(ctx context.Context, sessionKey string, reads []st
 		if r.Err != nil {
 			continue
 		}
-		rec, err := c.openPlanned(ctx, reads[i], r.Version, true)
+		rec, err := c.openPlanned(ctx, heads[i], r.Version, true)
 		if err != nil {
 			r.Version, r.Err = 0, wireError(err)
 			continue

@@ -63,8 +63,9 @@ func (m *Meta) StorageClass() string {
 	return ""
 }
 
-// Marshal encodes the metadata.
-func (m *Meta) Marshal() []byte {
+// marshal encodes the metadata: the head record's body and a record's
+// additional data.
+func (m *Meta) marshal() []byte {
 	buf := appendLenPrefixed(nil, []byte(m.Key))
 	buf = binary.AppendVarint(buf, m.Version)
 	buf = binary.AppendVarint(buf, m.Size)
@@ -81,20 +82,8 @@ func (m *Meta) Marshal() []byte {
 	return buf
 }
 
-// UnmarshalMeta decodes metadata.
-func UnmarshalMeta(data []byte) (*Meta, error) {
-	m := new(Meta)
-	if err := m.Unmarshal(data); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Unmarshal decodes data into m, replacing every field; on error m is
-// left partly overwritten. A Key or PolicyID that already equals the
-// encoded one is kept, so decoding a run of records into one Meta — a
-// listing page — allocates a string only where it changes.
-func (m *Meta) Unmarshal(data []byte) error {
+// unmarshal decodes data into m as DecodeMeta describes.
+func (m *Meta) unmarshal(data []byte) error {
 	key, data, err := readLenPrefixed(data)
 	if err != nil {
 		return err
@@ -218,7 +207,7 @@ func (c *Codec) EncodeRecordInto(dst []byte, rec *Record) ([]byte, error) {
 	if int64(len(rec.Payload)) > MaxObjectSize {
 		return nil, ErrTooLarge
 	}
-	metaBytes := rec.Meta.Marshal()
+	metaBytes := rec.Meta.marshal()
 	if !c.enabled {
 		buf := appendLenPrefixed(append(dst[:0], recPlain), metaBytes)
 		return append(buf, rec.Payload...), nil
@@ -271,7 +260,7 @@ func (c *Codec) DecodeRecordInto(data, buf []byte) (*Record, error) {
 		return nil, err
 	}
 	rec := new(Record)
-	if err := rec.Meta.Unmarshal(metaBytes); err != nil {
+	if err := rec.Meta.unmarshal(metaBytes); err != nil {
 		return nil, err
 	}
 	switch kind {
@@ -328,6 +317,26 @@ func (c *Codec) DecodeVersion(data []byte, key string, version int64) (*Record, 
 		return nil, ErrCorrupt
 	}
 	return rec, nil
+}
+
+// EncodeMeta encodes m as the head record stored under MetaKey(m.Key).
+// It and DecodeMeta are the only writer and opener of that record.
+func (c *Codec) EncodeMeta(m *Meta) []byte { return m.marshal() }
+
+// DecodeMeta opens the head record expected under MetaKey(key) into
+// into, replacing every field; a record that does not parse or names
+// another key is ErrCorrupt, and leaves into partly overwritten. A Key
+// or PolicyID into already holds is kept when the record repeats it, so
+// decoding a listing page into one Meta allocates a string only where
+// it changes.
+func (c *Codec) DecodeMeta(data []byte, key string, into *Meta) error {
+	if err := into.unmarshal(data); err != nil {
+		return err
+	}
+	if into.Key != key {
+		return ErrCorrupt
+	}
+	return nil
 }
 
 // HashContent computes the content hash stored in metadata.

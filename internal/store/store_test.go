@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -25,9 +27,19 @@ func sampleMeta() Meta {
 	return Meta{Key: "obj", Version: 3, Size: 5, ContentHash: h, PolicyID: "pid", PolicyHash: ph}
 }
 
+// decodeMeta opens data as the head record of key.
+func decodeMeta(c *Codec, data []byte, key string) (*Meta, error) {
+	m := new(Meta)
+	if err := c.DecodeMeta(data, key, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func TestMetaRoundTrip(t *testing.T) {
+	c := testCodec(t, true)
 	m := sampleMeta()
-	got, err := UnmarshalMeta(m.Marshal())
+	got, err := decodeMeta(c, c.EncodeMeta(&m), m.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,20 +48,65 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 	// Empty policy id works too.
 	m.PolicyID = ""
-	got, err = UnmarshalMeta(m.Marshal())
+	got, err = decodeMeta(c, c.EncodeMeta(&m), m.Key)
 	if err != nil || got.PolicyID != "" {
 		t.Fatal("empty policy id round trip")
+	}
+	// A head record names the key it is stored under.
+	if _, err := decodeMeta(c, c.EncodeMeta(&m), "other"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("head of %q opened as another key's: %v", m.Key, err)
 	}
 }
 
 func TestMetaUnmarshalGarbage(t *testing.T) {
+	c := testCodec(t, true)
 	m := sampleMeta()
-	data := m.Marshal()
+	data := c.EncodeMeta(&m)
 	for i := 0; i < len(data); i++ {
-		_, _ = UnmarshalMeta(data[:i]) // must not panic
+		_, _ = decodeMeta(c, data[:i], m.Key) // must not panic
 	}
-	if _, err := UnmarshalMeta(nil); err == nil {
+	if _, err := decodeMeta(c, nil, ""); err == nil {
 		t.Error("nil accepted")
+	}
+}
+
+// TestEncodeMetaParentBytes pins the head record's format: EncodeMeta
+// writes, byte for byte, what the bare metadata marshal wrote before the
+// codec owned the record, and DecodeMeta opens it back. A format change
+// is a deliberate edit of this table.
+func TestEncodeMetaParentBytes(t *testing.T) {
+	var h, ph [32]byte
+	h[0], h[31], ph[0], ph[31] = 1, 0x1f, 2, 0x2f
+	inline := Meta{Key: "obj", Version: 3, Size: 5, ContentHash: h, PolicyID: "pid", PolicyHash: ph}
+	chunked := inline
+	chunked.Version, chunked.Size, chunked.Chunks = 300, 3<<20, 3
+	ec := chunked
+	ec.Chunks, ec.ECK, ec.ECM = 9, 4, 2
+	noPolicy := inline
+	noPolicy.PolicyID, noPolicy.PolicyHash = "", [32]byte{}
+	binary := inline
+	binary.Key, binary.Version = "\xff\xfe\x01bin", 0
+	const hashes = "010000000000000000000000000000000000000000000000000000000000001f"
+	const policy = "03706964020000000000000000000000000000000000000000000000000000000000002f"
+	for _, c := range []struct {
+		name string
+		m    Meta
+		hex  string
+	}{
+		{"inline", inline, "036f626a060a" + hashes + policy},
+		{"chunked", chunked, "036f626ad8048080800301" + hashes[2:] + policy + "06"},
+		{"erasure-coded", ec, "036f626ad8048080800301" + hashes[2:] + policy + "120804"},
+		{"no policy", noPolicy, "036f626a060a" + hashes + "00" + strings.Repeat("00", 32)},
+		{"binary key", binary, "06fffe0162696e000a" + hashes + policy},
+	} {
+		codec := testCodec(t, true)
+		got := codec.EncodeMeta(&c.m)
+		if hex.EncodeToString(got) != c.hex {
+			t.Errorf("%s: EncodeMeta wrote\n%x\nwant\n%s", c.name, got, c.hex)
+		}
+		if back, err := decodeMeta(codec, got, c.m.Key); err != nil || *back != c.m {
+			t.Errorf("%s: DecodeMeta gave %+v, %v", c.name, back, err)
+		}
 	}
 }
 
@@ -244,7 +301,7 @@ func TestRecordMetaBinding(t *testing.T) {
 	b2, _ := c.EncodeRecord(r2)
 
 	// Graft r2's meta header onto r1's ciphertext.
-	meta2 := m2.Marshal()
+	meta2 := c.EncodeMeta(&m2)
 	_ = meta2
 	// Decode b1 and b2 normally first (sanity).
 	if _, err := c.DecodeRecord(b1); err != nil {
@@ -391,9 +448,10 @@ func TestHashContent(t *testing.T) {
 }
 
 func TestMetaECRoundTrip(t *testing.T) {
+	c := testCodec(t, true)
 	m := sampleMeta()
 	m.Chunks, m.ECK, m.ECM = 12, 4, 2
-	got, err := UnmarshalMeta(m.Marshal())
+	got, err := decodeMeta(c, c.EncodeMeta(&m), m.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +463,7 @@ func TestMetaECRoundTrip(t *testing.T) {
 	}
 	// Chunked but replicated: no EC fields on the wire, none decoded.
 	m.ECK, m.ECM = 0, 0
-	got, err = UnmarshalMeta(m.Marshal())
+	got, err = decodeMeta(c, c.EncodeMeta(&m), m.Key)
 	if err != nil || got.ECK != 0 || got.ECM != 0 {
 		t.Fatalf("replicated chunked meta round trip: %+v err %v", got, err)
 	}
@@ -414,8 +472,8 @@ func TestMetaECRoundTrip(t *testing.T) {
 	}
 	// A pre-EC decoder would reject ECK without ECM; the encoder must
 	// emit both or neither.
-	bad := append(m.Marshal(), 0x08) // stray trailing varint (ECK=4, no ECM)
-	if _, err := UnmarshalMeta(bad); err == nil {
+	bad := append(c.EncodeMeta(&m), 0x08) // stray trailing varint (ECK=4, no ECM)
+	if _, err := decodeMeta(c, bad, m.Key); err == nil {
 		t.Fatal("lone trailing ECK accepted")
 	}
 }
@@ -469,37 +527,47 @@ func TestDecodeRecordInto(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalMeta: metadata records reach the decoder straight off
-// the drives, a hundred per listing. Whatever the bytes, it never
-// panics; what it accepts re-encodes to a record that decodes to the
-// same metadata; and decoding into a Meta that held another record
-// gives exactly what a fresh decode gives.
-func FuzzUnmarshalMeta(f *testing.F) {
+// FuzzDecodeMeta: head records reach their one opener straight off the
+// drives, a hundred per listing. Whatever the bytes and the key asked
+// for, it never panics; what it accepts names that key and re-encodes to
+// a record that opens to the same metadata; and opening into a Meta that
+// held another record gives exactly what a fresh open gives.
+func FuzzDecodeMeta(f *testing.F) {
+	var key [32]byte
+	key[0] = 1
+	c, err := NewCodec(key, true)
+	if err != nil {
+		f.Fatal(err)
+	}
 	m := sampleMeta()
-	f.Add(m.Marshal())
+	f.Add(c.EncodeMeta(&m), m.Key)
+	f.Add(c.EncodeMeta(&m), "another")
 	m.Chunks, m.ECK, m.ECM = 9, 4, 2
-	f.Add(m.Marshal())
+	f.Add(c.EncodeMeta(&m), m.Key)
 	m.Key, m.PolicyID = "", ""
-	f.Add(m.Marshal())
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := UnmarshalMeta(data)
+	f.Add(c.EncodeMeta(&m), "")
+	f.Add([]byte{}, "")
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "obj")
+	f.Fuzz(func(t *testing.T, data []byte, key string) {
+		got, err := decodeMeta(c, data, key)
 		used := Meta{Key: "another", Version: 77, PolicyID: "policy", Chunks: 3, ECK: 2, ECM: 1}
-		if uerr := used.Unmarshal(data); (uerr == nil) != (err == nil) {
+		if uerr := c.DecodeMeta(data, key, &used); (uerr == nil) != (err == nil) {
 			t.Fatalf("fresh decode: %v, decode into a used Meta: %v", err, uerr)
 		}
 		if err != nil {
 			return
+		}
+		if got.Key != key {
+			t.Fatalf("opened a head of %q as %q's", got.Key, key)
 		}
 		if used != *got {
 			t.Fatalf("decode into a used Meta differs:\n got %+v\nwant %+v", used, *got)
 		}
 		want := *got
 		if want.Chunks == 0 {
-			want.ECK, want.ECM = 0, 0 // Marshal writes a stripe shape only for chunked objects
+			want.ECK, want.ECM = 0, 0 // the encoding carries a stripe shape only for chunked objects
 		}
-		again, err := UnmarshalMeta(want.Marshal())
+		again, err := decodeMeta(c, c.EncodeMeta(&want), key)
 		if err != nil || *again != want {
 			t.Fatalf("re-encoded record decodes to %+v (%v), want %+v", again, err, want)
 		}

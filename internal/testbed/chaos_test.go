@@ -64,7 +64,11 @@ func driveMetaVersion(t *testing.T, c *Cluster, di int, key string) (int64, bool
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("drive %d meta read for %q: %v", di, key, resp.Status)
 	}
-	m, err := store.UnmarshalMeta(resp.Value)
+	codec, err := store.NewCodec(c.objectKey, true)
+	m := new(store.Meta)
+	if err == nil {
+		err = codec.DecodeMeta(resp.Value, key, m)
+	}
 	if err != nil {
 		t.Fatalf("drive %d meta decode for %q: %v", di, key, err)
 	}

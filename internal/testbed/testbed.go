@@ -66,8 +66,6 @@ type Options struct {
 	PolicyCacheBytes int64
 	// Clock overrides trusted time (for time-based policy tests).
 	Clock func() time.Time
-	// SessionTTL overrides session expiry.
-	SessionTTL time.Duration
 	// StandbysPerShard boots this many hot standbys per shard in
 	// StartMulti; they attach to the shard's drives (dialing with the
 	// active's derived admin account) and serve nothing until a
@@ -236,6 +234,7 @@ type Cluster struct {
 	REST       *core.RESTServer
 
 	name      string
+	objectKey [32]byte
 	adminSeed [32]byte
 	restLn    *netx.Listener
 	httpSrv   *http.Server
@@ -281,7 +280,7 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 	c := &Cluster{
 		CA: e.CA, Platform: e.Platform, Attest: e.Attest, name: name,
 		Drives: ds.drives, driveServers: ds.servers, driveLns: ds.lns,
-		ownsDrives: ownsDrives, adminSeed: e.adminSeed,
+		ownsDrives: ownsDrives, objectKey: e.objectKey, adminSeed: e.adminSeed,
 	}
 
 	// Runtime secrets: per-node TLS identity, deployment-shared object
@@ -315,12 +314,10 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 		Replicas:             opts.Replicas,
 		Encrypt:              !opts.PlaintextPayloads,
 		DisablePolicies:      opts.DisablePolicies,
-		TakeOver:             true,
 		PolicyCacheEntries:   opts.PolicyCacheEntries,
 		PolicyCacheBytes:     opts.PolicyCacheBytes,
 		ObjectCacheBytes:     opts.ObjectCacheBytes,
 		Clock:                opts.Clock,
-		SessionTTL:           opts.SessionTTL,
 		Shard:                shard,
 		ClusterMapDoc:        mapDoc,
 		Standby:              standby,
