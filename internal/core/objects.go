@@ -273,16 +273,7 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 	// each stream's first batch leads with the CAS-guarded metadata
 	// delete so a concurrent update rejects the destruction before any
 	// version record is lost (see deleteReplica).
-	placement := c.placement(key)
-	targets := placement
-	if c.cfg.EC {
-		// Erasure-coded shards live across the EC group window, a
-		// superset of the replica placement; each drive's chunk-range
-		// enumeration collects its data and parity shards (deleteReplica
-		// already tolerates drives holding no metadata).
-		targets = unionDrives(placement, c.ecGroup(key, c.cfg.ECDataShards+c.cfg.ECParityShards))
-	}
-	err = c.fanout(targets, func(di int) error {
+	err = c.fanout(c.objectDrives(key), func(di int) error {
 		return c.deleteReplica(ctx, di, key, encodeVer(meta.Version))
 	})
 	if err != nil {
@@ -312,7 +303,8 @@ func (c *Controller) listVersions(ctx context.Context, sessionKey, key string, c
 	if err != nil {
 		return nil, err
 	}
-	return c.replicaVersions(ctx, key, head, c.placement(key))
+	placement := c.placement(key)
+	return c.replicaVersions(ctx, key, head, placement, len(placement)-1)
 }
 
 // cached serves k from ca, fetching it on a miss; concurrent misses on
@@ -671,12 +663,16 @@ func (c *Controller) loadPolicy(ctx context.Context, id string) (*policy.Program
 // not hash back to its id, is refused — so one bad drive cannot deny
 // every object under the policy.
 func (c *Controller) fetchPolicy(ctx context.Context, id string) (*policy.Program, error) {
-	return fetchReplicated(ctx, c, c.placement(id), store.PolicyKey(id), ErrNoSuchPolicy, "policy "+strconv.Quote(id),
-		func(val []byte) (*policy.Program, error) {
-			prog, err := policy.Unmarshal(val)
-			if err == nil && policyID(prog) != id {
-				err = fmt.Errorf("core: policy %q fails integrity check: %w", id, store.ErrCorrupt)
-			}
-			return prog, err
-		})
+	return fetchReplicated(ctx, c, c.placement(id), store.PolicyKey(id), ErrNoSuchPolicy, "policy "+strconv.Quote(id), c.openPolicy(id))
+}
+
+// openPolicy is the bound opener of policy id: a copy must hash back to id.
+func (c *Controller) openPolicy(id string) func([]byte) (*policy.Program, error) {
+	return func(val []byte) (*policy.Program, error) {
+		prog, err := policy.Unmarshal(val)
+		if err == nil && policyID(prog) != id {
+			err = fmt.Errorf("core: policy %q fails integrity check: %w", id, store.ErrCorrupt)
+		}
+		return prog, err
+	}
 }

@@ -1,11 +1,25 @@
 package core
 
-import "repro/internal/store"
+import (
+	"slices"
+
+	"repro/internal/store"
+)
 
 // placement returns the drive indices holding key's replicas: the
 // Replicas-wide window of the placement ring.
 func (c *Controller) placement(key string) []int {
 	return c.ecGroup(key, c.cfg.Replicas)
+}
+
+// objectDrives is the drive set a destruction of key walks: its
+// placement and, with erasure coding on, the EC group window holding the
+// shards (deleteReplica tolerates a drive holding none of key's records).
+func (c *Controller) objectDrives(key string) []int {
+	if !c.cfg.EC {
+		return c.placement(key)
+	}
+	return unionDrives(c.placement(key), c.ecGroup(key, c.cfg.ECDataShards+c.cfg.ECParityShards))
 }
 
 // ecGroup returns the size-wide placement window of key: the primary
@@ -107,16 +121,9 @@ func (c *Controller) listingDrives() (drives []int, cover int) {
 // unionDrives merges two drive index sets, preserving a's order and
 // appending b's unseen members.
 func unionDrives(a, b []int) []int {
-	out := append([]int(nil), a...)
+	out := slices.Clone(a)
 	for _, di := range b {
-		seen := false
-		for _, x := range out {
-			if x == di {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(out, di) {
 			out = append(out, di)
 		}
 	}

@@ -22,6 +22,7 @@ type RepairReport struct {
 	// RestoredBytes totals the payload bytes of rewritten records —
 	// the re-replication traffic this repair moved.
 	RestoredBytes int64
+	head          *store.Meta // the elected head the replicas converged to
 }
 
 // repairObject re-establishes the replication invariant for one key
@@ -33,12 +34,21 @@ type RepairReport struct {
 // the sweeper's passes none — and converges the replicas to it: healthy
 // copies are read (verified by the codec), missing or corrupt ones
 // rewritten.
-func (c *Controller) repairObject(ctx context.Context, key string, authorize func(*store.Meta) error) (*RepairReport, error) {
-	lock := c.writeLock(key)
-	lock.Lock()
-	defer lock.Unlock()
+//
+// A handoff export is this repair with a second destination, to: each
+// record it judges is pushed drive to drive from a copy the bound opener
+// accepted to its homes in to's layout (settle); only a shard with no
+// surviving copy is written on the source, and a copy it cannot read
+// fails it (to.unread). An export runs under its range's freeze instead
+// of the write lock, which the writers the freeze blocks hold.
+func (c *Controller) repairObject(ctx context.Context, key string, authorize func(*store.Meta) error, to *MigrationTarget) (*RepairReport, error) {
+	if to == nil {
+		lock := c.writeLock(key)
+		lock.Lock()
+		defer lock.Unlock()
+	}
 	placement := c.placement(key)
-	meta, stale, err := c.loadMetaNewest(ctx, key, placement)
+	meta, stale, err := c.loadMetaNewest(ctx, key, placement, to)
 	if err != nil {
 		return nil, err
 	}
@@ -47,57 +57,61 @@ func (c *Controller) repairObject(ctx context.Context, key string, authorize fun
 			return nil, err
 		}
 	}
-	report := &RepairReport{Key: key}
+	report := &RepairReport{Key: key, head: meta}
+	stubs, err := c.targetLayout(key, 0, 0, to) // the target's homes of the version records and the head
+	if err != nil {
+		return report, err
+	}
+	peers := to.peers(stubs.window)
 
-	// Enumerate the versions any replica still holds instead of
-	// probing every historical version 0..meta.Version on every drive:
-	// a long-lived hot key with thousands of superseded (and long
-	// deleted) versions would otherwise make each repair
-	// O(version-history × drives). Versions no replica holds are
-	// unrepairable either way — reads of them report not-found, the
-	// same before and after repair. The head is checked even when only
-	// its metadata survived.
-	versions, err := c.replicaVersions(ctx, key, meta.Version, placement)
+	// The versions some replica holds, not 0..meta.Version — a hot key's
+	// long-deleted history would make each repair O(history × drives) —
+	// and the head, even when only its metadata survived. An export must
+	// find what every replica holds, release destroying them all: when
+	// one does not answer the listing, it probes every version instead.
+	tolerate := len(placement) - 1
+	if to != nil {
+		tolerate = 0
+	}
+	versions, err := c.replicaVersions(ctx, key, meta.Version, placement, tolerate)
+	if err != nil && to != nil {
+		versions, err = nil, nil
+		for v := range meta.Version {
+			versions = append(versions, v)
+		}
+	}
 	if err != nil {
 		return report, err
 	}
 	if len(versions) == 0 || versions[len(versions)-1] != meta.Version {
 		versions = append(versions, meta.Version)
 	}
-	// rewrite puts blob under dk on every drive the probe found without
-	// a healthy copy.
-	rewrite := func(missing []int, dk, blob []byte, v int64) error {
-		for _, di := range missing {
-			c.chargeDriveIO(len(blob))
-			if err := c.drives[di].pick().Put(ctx, dk, blob, nil, encodeVer(v), true); err != nil {
-				return fmt.Errorf("core: repair %q on %s: %w", dk, c.drives[di].name, err)
-			}
-			report.Restored++
-			report.RestoredBytes += int64(len(blob))
-		}
-		return nil
-	}
 	for _, v := range versions {
 		dk := store.ObjectKey(key, v)
-		rec, blob, _, missing := probe(ctx, c, placement, dk, func(b []byte) (*store.Record, error) {
+		rec, blob, held, missing, err := probe(ctx, c, to, placement, dk, func(b []byte) (*store.Record, error) {
 			return c.codec.DecodeVersion(b, key, v)
 		})
-		if rec == nil {
+		if err != nil {
+			return report, err
+		} else if rec == nil {
 			continue
 		}
 		report.Versions++
-		if err := rewrite(missing, dk, blob, v); err != nil {
+		if err := c.settle(ctx, dk, held, missing, blob, encodeVer(v), false, peers, report); err != nil {
 			return report, err
 		}
 		// Streamed versions: the record is a chunk stub; its chunk
 		// records need the same convergence, each onto its homes.
 		if rec.Meta.Chunks > 0 {
-			if err := c.repairStripes(ctx, key, &rec.Meta, report); err != nil {
+			if err := c.repairStripes(ctx, key, &rec.Meta, report, to); err != nil {
 				return report, err
 			}
 		}
 	}
-	if err := rewrite(stale, store.MetaKey(key), c.codec.EncodeMeta(meta), meta.Version); err != nil {
+	// The head goes last (a key whose export stopped half way is not an
+	// object on the target), from current[0]: the elected copy's drive.
+	current := slices.DeleteFunc(slices.Clone(placement), func(di int) bool { return slices.Contains(stale, di) })
+	if err := c.settle(ctx, store.MetaKey(key), current, stale, c.codec.EncodeMeta(meta), encodeVer(meta.Version), false, peers, report); err != nil {
 		return report, err
 	}
 	if report.Restored > 0 {
@@ -107,15 +121,59 @@ func (c *Controller) repairObject(ctx context.Context, key string, authorize fun
 	return report, nil
 }
 
+// settle is the one place that decides which copy of a judged record
+// may be copied: held are the drives whose copy of dk the bound opener
+// accepted (blob, the first), missing the homes holding none. A repair
+// writes blob, the bytes it opened, onto missing at drive version ver;
+// a relayed record (a chunk) only where held[0] fails to push it there.
+// An export pushes it onto peers from held, writing the source's homes
+// only for a record no drive holds (a rebuilt shard, pushed from there):
+// a source copy release fails to destroy must not be one it wrote.
+func (c *Controller) settle(ctx context.Context, dk []byte, held, missing []int, blob, ver []byte, relay bool, peers []string, report *RepairReport) error {
+	if len(peers) > 0 && len(held) > 0 {
+		return c.push(ctx, dk, held, peers)
+	}
+	for _, di := range missing {
+		if !relay || c.push(ctx, dk, held[:1], []string{c.drives[di].name}) != nil {
+			c.chargeDriveIO(len(blob))
+			if err := c.drives[di].pick().Put(ctx, dk, blob, nil, ver, true); err != nil {
+				return fmt.Errorf("core: repair %q on %s: %w", dk, c.drives[di].name, err)
+			}
+		}
+		report.Restored++
+		report.RestoredBytes += int64(len(blob))
+	}
+	return c.push(ctx, dk, missing, peers)
+}
+
+// push copies record dk drive to drive onto every named peer, each from
+// the first of srcs — drives holding a copy repair opened or wrote —
+// whose push succeeds.
+func (c *Controller) push(ctx context.Context, dk []byte, srcs []int, peers []string) error {
+	for _, peer := range peers {
+		err := errors.New("no opened copy")
+		for _, di := range srcs {
+			c.chargeDriveIO(0)
+			if err = c.drives[di].pick().P2PPush(ctx, dk, peer); err == nil {
+				break
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("core: p2p copy %q to %s: %w", dk, peer, err)
+		}
+	}
+	return nil
+}
+
 // replicaVersions returns the ascending union of object-record versions
 // (≤ maxVer — records beyond the newest committed metadata are
 // uncommitted leftovers) still present on any placement replica, by
 // walking the key's record range: cost scales with surviving records,
-// not version history. The enumeration stands while one replica
-// answers it: repair and the version listing both walk it.
-func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int64, placement []int) ([]int64, error) {
+// not version history. The enumeration stands while all but tolerate
+// replicas answer it: repair and the version listing both walk it.
+func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int64, placement []int, tolerate int) ([]int64, error) {
 	w := c.walk(ctx, &rangeWalk{drives: placement, cursor: store.ObjectKey(key, 0), inclusive: true,
-		end: store.ObjectKey(key, maxVer), tolerate: len(placement) - 1})
+		end: store.ObjectKey(key, maxVer), tolerate: tolerate})
 	defer w.release()
 	var out []int64
 	for dk, _, _, ok := w.next(); ok; dk, _, _, ok = w.next() {
@@ -133,8 +191,8 @@ func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int
 // whatever version that object is at — which repair rewrites. Repair
 // must converge to the newest surviving copy: trusting the cache or
 // whichever replica answers first could elect a degraded replica's stale
-// metadata and roll healthy replicas back.
-func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement []int) (*store.Meta, []int, error) {
+// metadata and roll healthy replicas back. to: as for probe.
+func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement []int, to *MigrationTarget) (*store.Meta, []int, error) {
 	copies := make([][]byte, len(placement)) // by placement slot; nil: no copy read
 	errs := make([]error, len(placement))
 	_ = c.fanout(placement, func(di int) error { // failures are per slot, in errs
@@ -143,6 +201,11 @@ func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement [
 		copies[i], _, errs[i] = c.drives[di].pick().Get(ctx, store.MetaKey(key))
 		return nil
 	})
+	for _, err := range errs {
+		if err := to.unread(store.MetaKey(key), err); err != nil {
+			return nil, nil, err
+		}
+	}
 	var slots [2]store.Meta
 	elected, current, err := c.newestMeta(key, copies, &slots)
 	if err != nil {
@@ -166,54 +229,55 @@ func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement [
 
 // probe asks each of drives once for the record under dk and judges
 // every answer with open, the bound decoder of dk — the judgement a read
-// of dk makes. It returns the first healthy copy, opened and raw, with
-// the drive it came from (-1: none), and the drives holding none:
-// absent, unreadable and refused alike.
-func probe[T any](ctx context.Context, c *Controller, drives []int, dk []byte, open func([]byte) (*T, error)) (v *T, blob []byte, src int, missing []int) {
-	src = -1
+// of dk makes. It returns the first healthy copy, opened and raw, the
+// drives whose copy open accepted (that copy's first), and the drives
+// holding none: absent, unreadable (failing an export to) and refused.
+func probe[T any](ctx context.Context, c *Controller, to *MigrationTarget, drives []int, dk []byte, open func([]byte) (*T, error)) (v *T, blob []byte, held, missing []int, err error) {
 	for _, di := range drives {
 		c.chargeDriveIO(0)
-		cur, _, err := c.drives[di].pick().Get(ctx, dk)
+		cur, _, rerr := c.drives[di].pick().Get(ctx, dk)
 		var got *T
-		if err == nil {
-			got, err = open(cur)
+		if rerr == nil {
+			got, rerr = open(cur)
+		} else if err = to.unread(dk, rerr); err != nil {
+			return nil, nil, nil, nil, err
 		}
-		if err != nil {
+		if rerr != nil {
 			missing = append(missing, di)
-		} else if v == nil {
-			v, blob, src = got, cur, di
+			continue
 		}
+		if v == nil {
+			v, blob = got, cur
+		}
+		held = append(held, di)
 	}
-	return v, blob, src, missing
+	return v, blob, held, missing, nil
 }
 
 // repairStripes converges one streamed version's chunk records onto
-// their current homes (the layout under today's dead mask). The policy
-// is survival-first: a record found healthy anywhere reaches the homes
-// missing it by drive-to-drive P2P copy — the controller never carries
-// or re-seals the bytes — and the decoder runs only for shards with no
-// surviving copy at all, rebuilding them from any k healthy shards of
+// their homes under today's dead mask, or pushes them to to's homes
+// (repairChunk). Survival first: a record healthy anywhere reaches the
+// homes missing it by drive-to-drive P2P copy — the controller never
+// carries or re-seals the bytes — and the decoder runs only for shards
+// with no surviving copy, rebuilding them from any k healthy shards of
 // the stripe. Healthy at-home records are never rewritten or moved.
-func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Meta, report *RepairReport) error {
+func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Meta, report *RepairReport, to *MigrationTarget) error {
 	l, err := c.layoutOf(key, m.ECK, m.ECM)
 	if err != nil {
 		return err
 	}
-	v := m.Version
-	restored := func(n int) {
-		report.Restored++
-		report.RestoredBytes += int64(n)
-		if l.m > 0 {
-			c.stats.ECShardRepairs.Inc()
-		}
+	tl, err := c.targetLayout(key, m.ECK, m.ECM, to)
+	if err != nil {
+		return err
 	}
+	v := m.Version
 	for t := int64(0); t*int64(l.k) < m.Chunks; t++ {
 		shards := l.shards(t, m.Chunks)
 		kt := len(shards) - l.m
 		recs := make([]*store.Record, l.k+l.m) // by slot: every surviving shard, opened
 		var lost []stripeShard
 		for _, sh := range shards {
-			rec, err := c.repairChunk(ctx, l, key, v, sh.idx, restored)
+			rec, err := c.repairChunk(ctx, l, key, v, sh.idx, to, tl, report)
 			if err != nil {
 				return err
 			}
@@ -222,13 +286,10 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 			}
 		}
 		// Decode path: rebuild genuinely lost shards from any k
-		// survivors. Past m losses the stripe is unreconstructable —
-		// reads of it fail the same before and after repair, so skip it
-		// rather than abort the key: an aborted upload's cleanup can race
-		// a partially-successful commit and strand a
-		// committed-on-one-replica version with zero shards, and erroring
-		// out here would block the metadata convergence every later
-		// version (and every new write's CAS) depends on.
+		// survivors. Past m losses the stripe reads the same before and
+		// after, so it is skipped, not the key aborted: an aborted upload
+		// can strand a version with zero shards, and every later version's
+		// convergence (and every new write's CAS) must not wait on it.
 		if len(lost) == 0 || len(lost) > l.m {
 			continue
 		}
@@ -252,31 +313,26 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 			if err != nil {
 				return err
 			}
-			for _, home := range l.homes(sh.idx) {
-				c.chargeDriveIO(len(blob))
-				if err := c.drives[home].pick().Put(ctx, store.ChunkKey(key, v, sh.idx), blob, nil, encodeVer(v), true); err != nil {
-					return fmt.Errorf("core: rebuild %q v%d chunk %d on %s: %w", key, v, sh.idx, c.drives[home].name, err)
-				}
-				restored(len(blob))
+			c.stats.ECShardRepairs.Inc()
+			if err := c.settle(ctx, store.ChunkKey(key, v, sh.idx), nil, l.homes(sh.idx), blob, encodeVer(v), false, to.peers(tl.homes(sh.idx)), report); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// repairChunk converges chunk record idx of (key, v) onto its homes
-// and returns a healthy copy of it, opened, nil when none survives
-// anywhere. Each home is probed once; the healthy case moves nothing.
-func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, idx int64, restored func(int)) (*store.Record, error) {
+// repairChunk converges chunk record idx of (key, v) onto its homes, or
+// pushes it to its homes in an export's target layout tl, and returns a
+// healthy copy of it, opened, nil when none survives anywhere. Each home
+// is probed once; the healthy case of a plain repair moves nothing.
+func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, idx int64, to *MigrationTarget, tl layout, report *RepairReport) (*store.Record, error) {
 	dk := store.ChunkKey(key, v, idx)
 	open := func(b []byte) (*store.Record, error) { return c.codec.DecodeChunkInto(b, nil, key, v, idx) }
 	homes := l.homes(idx)
-	rec, blob, src, missing := probe(ctx, c, homes, dk, open)
-	if len(missing) == 0 {
-		return rec, nil
-	}
+	rec, blob, held, missing, err := probe(ctx, c, to, homes, dk, open)
 	stray := rec == nil
-	if stray {
+	if stray && err == nil {
 		// No home holds it. Look where it lived before a death or after
 		// a revival (its home with no drive dead), then on every
 		// remaining drive — a record rebuilt onto a spare under a past
@@ -290,32 +346,27 @@ func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, i
 			if dead&(1<<uint(di)) != 0 || slices.Contains(homes, di) {
 				continue
 			}
-			if rec, blob, src, _ = probe(ctx, c, []int{di}, dk, open); rec != nil {
+			if rec, blob, held, _, err = probe(ctx, c, to, []int{di}, dk, open); rec != nil || err != nil {
 				break
 			}
 		}
-		if rec == nil {
-			return nil, nil
-		}
 	}
-	for _, home := range missing {
-		c.chargeDriveIO(0)
-		if err := c.drives[src].pick().P2PPush(ctx, dk, c.drives[home].name); err != nil {
-			// P2P may be unconfigured between these drives; the healthy
-			// record is already in hand — write it directly.
-			c.chargeDriveIO(len(blob))
-			if perr := c.drives[home].pick().Put(ctx, dk, blob, nil, encodeVer(v), true); perr != nil {
-				return nil, fmt.Errorf("core: repair %q v%d chunk %d to %s: %w", key, v, idx, c.drives[home].name, perr)
-			}
-		}
-		restored(len(blob))
+	if rec == nil || err != nil {
+		return nil, err
 	}
-	if stray {
+	peers := to.peers(tl.homes(idx))
+	if l.m > 0 && len(peers) == 0 {
+		c.stats.ECShardRepairs.Add(uint64(len(missing)))
+	}
+	if err := c.settle(ctx, dk, held, missing, blob, encodeVer(v), true, peers, report); err != nil {
+		return nil, err
+	}
+	if stray && len(peers) == 0 {
 		// The home copies are confirmed; the stray would otherwise
 		// linger as dark capacity (no delete path enumerates an
 		// off-window drive).
 		c.chargeDriveIO(0)
-		_ = c.drives[src].pick().Delete(ctx, dk, nil, true)
+		_ = c.drives[held[0]].pick().Delete(ctx, dk, nil, true)
 	}
 	return rec, nil
 }
@@ -329,5 +380,5 @@ func (s *Session) Repair(ctx context.Context, key string) (*RepairReport, error)
 	}
 	return s.ctl.repairObject(ctx, key, func(meta *store.Meta) error {
 		return s.ctl.checkPolicy(ctx, nil, lang.PermUpdate, s.clientKey, key, meta, nil, nil)
-	})
+	}, nil)
 }

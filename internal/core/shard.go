@@ -10,8 +10,8 @@
 // cluster coordinator composes (see internal/cluster):
 //
 //	FreezeRange    losing side: writes to the moving range block
-//	ExportRange    losing side: P2P-copy every record to the gaining
-//	               shard's drives, returning a version manifest
+//	ExportRange    losing side: P2P-push every record, opened, onto the
+//	               gaining shard's layout, returning a version manifest
 //	VerifyImport   gaining side: re-read and integrity-check the
 //	               manifest off its own drives
 //	AdoptRange /   gaining side takes the range at the new epoch;
@@ -25,11 +25,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -456,6 +458,29 @@ type MigrationTarget struct {
 	Replicas int
 }
 
+// ErrTargetTooNarrow refuses a handoff whose gaining shard has fewer
+// drives than a moving object's layout spans.
+var ErrTargetTooNarrow = errors.New("core: migration target has too few drives")
+
+// peers names t's drives at homes, indices into t.Drives (a repair's nil
+// t has the zero targetLayout, which homes nothing).
+func (t *MigrationTarget) peers(homes []int) []string {
+	out := make([]string, len(homes))
+	for i, ti := range homes {
+		out[i] = t.Drives[ti]
+	}
+	return out
+}
+
+// unread fails an export on a copy of dk it could not read (err, not
+// not-found): release destroys the source's copies. A repair (nil t) skips it.
+func (t *MigrationTarget) unread(dk []byte, err error) error {
+	if t == nil || err == nil || errors.Is(err, kclient.ErrNotFound) {
+		return nil
+	}
+	return fmt.Errorf("core: export cannot read every copy of %q: %w", dk, err)
+}
+
 // ManifestEntry records one migrated object's head version.
 type ManifestEntry struct {
 	Key     string `json:"key"`
@@ -471,44 +496,49 @@ type Manifest struct {
 	Policies []string        `json:"policies"`
 }
 
-// ExportRange copies every record under the (frozen) range r — object
-// records of all versions, streamed chunks, latest metadata, plus the
-// policies those objects reference — from this controller's drives to
-// the target shard's drives using the Kinetic device-to-device P2P
-// copy: no payload is relayed through either controller. Returns the
-// manifest of migrated keys and head versions.
+// ExportRange moves every object under the (frozen) range r, and the
+// policies their heads name, to the target shard's drives by Kinetic P2P
+// copy: each key is a repair with the target as a second destination
+// (repairObject), every record pushed from a copy the bound opener
+// accepted to its homes in the target's layout. Nothing moves when some
+// head's layout is wider than the target (ErrTargetTooNarrow). Returns
+// the manifest of migrated keys and head versions.
 func (c *Controller) ExportRange(ctx context.Context, r HashRange, target MigrationTarget) (*Manifest, error) {
-	if len(target.Drives) == 0 {
-		return nil, errors.New("core: migration target has no drives")
-	}
 	if target.Replicas <= 0 {
 		target.Replicas = 1
 	}
 	var keys []string
-	err := c.walkKeys(ctx, 0, false, func(key string, _ [][]byte) bool {
+	var slots [2]store.Meta
+	var narrow error
+	err := c.walkKeys(ctx, 0, true, func(key string, copies [][]byte) bool {
+		// Each head's layout must fit the target before anything moves;
+		// a key whose walked copies elect none is left to its repair.
 		if r.Contains(store.ShardHash(key)) {
 			keys = append(keys, key)
+			if head, _, err := c.newestMeta(key, copies, &slots); err == nil {
+				_, narrow = c.targetLayout(key, head.ECK, head.ECM, &target)
+			}
 		}
-		return true
+		return narrow == nil
 	})
-	if err != nil {
-		return nil, err
+	if err = cmp.Or(err, narrow); err != nil {
+		return nil, fmt.Errorf("core: export: %w", err)
 	}
 	m := &Manifest{Range: r}
 	policies := make(map[string]bool)
 	var mu sync.Mutex
 	err = forEach(keys, func(key string) error {
-		entry, policyID, err := c.exportKey(ctx, key, target)
+		rep, err := c.repairObject(ctx, key, nil, &target)
+		if errors.Is(err, ErrNotFound) {
+			return nil // vanished between enumeration and export
+		}
 		if err != nil {
 			return fmt.Errorf("core: export %q: %w", key, err)
 		}
-		if entry == nil {
-			return nil // vanished between enumeration and export
-		}
 		mu.Lock()
-		m.Entries = append(m.Entries, *entry)
-		if policyID != "" {
-			policies[policyID] = true
+		m.Entries = append(m.Entries, ManifestEntry{Key: key, Version: rep.head.Version})
+		if rep.head.PolicyID != "" {
+			policies[rep.head.PolicyID] = true
 		}
 		mu.Unlock()
 		return nil
@@ -518,8 +548,9 @@ func (c *Controller) ExportRange(ctx context.Context, r HashRange, target Migrat
 	}
 	for id := range policies {
 		m.Policies = append(m.Policies, id)
-		if err := c.exportPolicy(ctx, id, target); err != nil {
-			return nil, err
+		_, _, held, _, _ := probe(ctx, c, nil, c.placement(id), store.PolicyKey(id), c.openPolicy(id))
+		if err := c.push(ctx, store.PolicyKey(id), held, target.peers(store.Placement(id, len(target.Drives), target.Replicas))); err != nil {
+			return nil, fmt.Errorf("core: export policy %q: %w", id, err)
 		}
 	}
 	sort.Slice(m.Entries, func(i, j int) bool { return m.Entries[i].Key < m.Entries[j].Key })
@@ -547,97 +578,6 @@ func (c *Controller) walkKeys(ctx context.Context, page int, values bool, visit 
 			return nil
 		}
 	}
-}
-
-// exportKey pushes all of one object's drive records to the target's
-// placement drives. Returns nil entry if the object no longer exists.
-func (c *Controller) exportKey(ctx context.Context, key string, target MigrationTarget) (*ManifestEntry, string, error) {
-	meta, err := c.loadMeta(ctx, key)
-	if errors.Is(err, ErrNotFound) {
-		return nil, "", nil
-	}
-	if err != nil {
-		return nil, "", err
-	}
-	// The record set is the UNION across all placement replicas: a
-	// responsive replica in the degraded pre-repair state (missing some
-	// version or chunk records) must not silently truncate the migration
-	// — the destruction at release is the last chance to have copied
-	// every surviving record. The enumeration stands while one replica
-	// answers it.
-	placement := c.placement(key)
-	targets := make([]string, 0, target.Replicas)
-	for _, ti := range store.Placement(key, len(target.Drives), target.Replicas) {
-		targets = append(targets, target.Drives[ti])
-	}
-	ostart, oend := store.ObjectKeyRange(key)
-	cstart, cend := store.ChunkKeyRange(key)
-	for _, r := range [][2][]byte{{ostart, oend}, {cstart, cend}} {
-		if err := c.p2pCopyRange(ctx, placement, r[0], r[1], targets); err != nil {
-			return nil, "", err
-		}
-	}
-	// The metadata record goes last: a key whose export stopped half way
-	// is not an object on the target.
-	if err := c.p2pCopy(ctx, placement, store.MetaKey(key), targets); err != nil {
-		return nil, "", err
-	}
-	return &ManifestEntry{Key: key, Version: meta.Version}, meta.PolicyID, nil
-}
-
-// p2pCopyRange pushes every record in [start, end] that any placement
-// replica holds — their sorted union — to the target drives.
-func (c *Controller) p2pCopyRange(ctx context.Context, placement []int, start, end []byte, targets []string) error {
-	w := c.walk(ctx, &rangeWalk{drives: placement, cursor: start, inclusive: true, end: end, tolerate: len(placement) - 1})
-	defer w.release()
-	for dk, _, _, ok := w.next(); ok; dk, _, _, ok = w.next() {
-		if err := c.p2pCopy(ctx, placement, dk, targets); err != nil {
-			return err
-		}
-	}
-	return w.err
-}
-
-// exportPolicy pushes one compiled policy record to the target drives
-// its content address places it on.
-func (c *Controller) exportPolicy(ctx context.Context, id string, target MigrationTarget) error {
-	placement := c.placement(id)
-	targets := make([]string, 0, target.Replicas)
-	for _, ti := range store.Placement(id, len(target.Drives), target.Replicas) {
-		targets = append(targets, target.Drives[ti])
-	}
-	if err := c.p2pCopy(ctx, placement, store.PolicyKey(id), targets); err != nil {
-		return fmt.Errorf("core: export policy %q: %w", id, err)
-	}
-	return nil
-}
-
-// p2pCopy pushes one drive record from any replica holding it to every
-// named target drive, failing over across source replicas.
-func (c *Controller) p2pCopy(ctx context.Context, placement []int, driveKey []byte, targets []string) error {
-	for _, peer := range targets {
-		var lastErr error
-		ok := false
-		for _, di := range placement {
-			c.chargeDriveIO(0)
-			err := c.drives[di].pick().P2PPush(ctx, driveKey, peer)
-			if err == nil {
-				ok = true
-				break
-			}
-			if errors.Is(err, kclient.ErrNotFound) {
-				// This replica never had the record (degraded pre-repair
-				// state); another may.
-				lastErr = err
-				continue
-			}
-			lastErr = err
-		}
-		if !ok {
-			return fmt.Errorf("core: p2p copy %q to %s: %w", driveKey, peer, lastErr)
-		}
-	}
-	return nil
 }
 
 // VerifyImport is the gaining side's acceptance check: every manifest
@@ -701,7 +641,7 @@ func (c *Controller) ReleaseRange(ctx context.Context, epoch uint64, r HashRange
 	case epoch == cur.info.Epoch:
 		// Retry of a partially-failed release: ownership must already
 		// be gone, only the fencing/destruction below is re-run.
-		if rangesOverlap(cur.info.Ranges, r) {
+		if slices.ContainsFunc(cur.info.Ranges, func(o HashRange) bool { return r.Start < o.End && o.Start < r.End }) {
 			s.mu.Unlock()
 			return fmt.Errorf("core: release retry at epoch %d but %v still owned", epoch, r)
 		}
@@ -725,16 +665,6 @@ func (c *Controller) ReleaseRange(ctx context.Context, epoch uint64, r HashRange
 	return c.destroyMigrated(ctx, m)
 }
 
-// rangesOverlap reports whether any of ranges intersects r.
-func rangesOverlap(ranges []HashRange, r HashRange) bool {
-	for _, cur := range ranges {
-		if r.Start < cur.End && cur.Start < r.End {
-			return true
-		}
-	}
-	return false
-}
-
 // destroyMigrated force-deletes every migrated record from this
 // controller's drives and purges the corresponding cache entries.
 // Reads of these keys already redirect (ownership is gone), so the
@@ -742,8 +672,7 @@ func rangesOverlap(ranges []HashRange, r HashRange) bool {
 func (c *Controller) destroyMigrated(ctx context.Context, m *Manifest) error {
 	var firstErr error
 	for _, e := range m.Entries {
-		placement := c.placement(e.Key)
-		err := c.fanout(placement, func(di int) error {
+		err := c.fanout(c.objectDrives(e.Key), func(di int) error {
 			return c.deleteReplica(ctx, di, e.Key, nil)
 		})
 		if err != nil && firstErr == nil {

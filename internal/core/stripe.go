@@ -29,6 +29,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -61,6 +62,22 @@ func (c *Controller) layoutOf(key string, eck, ecm int64) (layout, error) {
 		}
 	}
 	return layout{k: int(eck), m: int(ecm), window: c.ecGroup(key, int(eck+ecm)), code: code}, nil
+}
+
+// targetLayout is layoutOf aimed at a handoff's gaining shard t, its
+// window indexing t.Drives (no dead mask: the source knows none of t's).
+// A nil t, a plain repair, has the zero layout, which homes nothing.
+func (c *Controller) targetLayout(key string, eck, ecm int64, t *MigrationTarget) (layout, error) {
+	if t == nil {
+		return layout{}, nil
+	}
+	width := cmp.Or(int(eck+ecm), t.Replicas)
+	if n := len(t.Drives); n < max(t.Replicas, width) {
+		return layout{}, fmt.Errorf("%w: %q spans %d drives, the target has %d", ErrTargetTooNarrow, key, max(t.Replicas, width), n)
+	}
+	l, err := c.layoutOf(key, eck, ecm)
+	l.window = store.Placement(key, len(t.Drives), width)
+	return l, err
 }
 
 // ecShardDrive returns the group member homing shard slot s of stripe

@@ -182,7 +182,7 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 			}
 			report.Scanned++
 			if report.Deep || !c.replicasConverged(ctx, key, mask, copies) {
-				switch rep, err := c.repairObject(ctx, key, nil); {
+				switch rep, err := c.repairObject(ctx, key, nil, nil); {
 				case errors.Is(err, ErrNotFound): // deleted mid-sweep: done
 				case err != nil:
 					report.Failed++

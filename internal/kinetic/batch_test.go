@@ -8,14 +8,21 @@ import (
 	"repro/internal/kinetic/wire"
 )
 
+// oneGroup is a TBatch of ops as a single group.
+func oneGroup(ops ...wire.BatchOp) *wire.Message {
+	return &wire.Message{Type: wire.TBatch, Batch: ops, GroupSizes: []uint32{uint32(len(ops))}}
+}
+
+// TestDriveBatchAppliesAtomically also pins that a TBatch without
+// GroupSizes is one group.
 func TestDriveBatchAppliesAtomically(t *testing.T) {
 	d := NewDrive(Config{Name: "b0"})
 	resp := d.Handle(signedReq(&wire.Message{Type: wire.TBatch, Batch: []wire.BatchOp{
 		{Op: wire.BatchPut, Key: []byte("obj/1"), Value: []byte("payload"), NewVersion: []byte("1"), Force: true},
 		{Op: wire.BatchPut, Key: []byte("meta"), Value: []byte("m1"), NewVersion: []byte("1")},
 	}}))
-	if resp.Type != wire.TBatchResp || resp.Status != wire.StatusOK {
-		t.Fatalf("batch: %v %v %s", resp.Type, resp.Status, resp.StatusMsg)
+	if resp.Type != wire.TBatchResp || resp.Status != wire.StatusOK || len(resp.GroupStatus) != 1 || resp.GroupStatus[0].Status != wire.StatusOK {
+		t.Fatalf("batch: %v %v %s %+v", resp.Type, resp.Status, resp.StatusMsg, resp.GroupStatus)
 	}
 	for _, k := range []string{"obj/1", "meta"} {
 		g := d.Handle(signedReq(&wire.Message{Type: wire.TGet, Key: []byte(k)}))
@@ -44,18 +51,15 @@ func TestDriveBatchAllOrNothing(t *testing.T) {
 		t.Fatalf("seed meta: %v", resp.Status)
 	}
 
-	resp := d.Handle(signedReq(&wire.Message{Type: wire.TBatch, Batch: []wire.BatchOp{
-		{Op: wire.BatchPut, Key: []byte("obj/2"), Value: []byte("payload"), NewVersion: []byte("2"), Force: true},
-		{Op: wire.BatchPut, Key: []byte("meta"), Value: []byte("m2"), DBVersion: []byte("0"), NewVersion: []byte("2")},
-	}}))
-	if resp.Status != wire.StatusVersionMismatch {
-		t.Fatalf("batch with stale CAS: %v, want VERSION_MISMATCH", resp.Status)
+	resp := d.Handle(signedReq(oneGroup(
+		wire.BatchOp{Op: wire.BatchPut, Key: []byte("obj/2"), Value: []byte("payload"), NewVersion: []byte("2"), Force: true},
+		wire.BatchOp{Op: wire.BatchPut, Key: []byte("meta"), Value: []byte("m2"), DBVersion: []byte("0"), NewVersion: []byte("2")},
+	)))
+	if resp.Status != wire.StatusOK || len(resp.GroupStatus) != 1 {
+		t.Fatalf("batch with stale CAS: %v %+v, want one group status", resp.Status, resp.GroupStatus)
 	}
-	if !resp.BatchFailed || resp.FailedIndex != 1 {
-		t.Fatalf("failed index: failed=%v idx=%d, want 1", resp.BatchFailed, resp.FailedIndex)
-	}
-	if !bytes.Equal(resp.DBVersion, []byte("1")) {
-		t.Fatalf("mismatch response should carry stored version, got %q", resp.DBVersion)
+	if gs := resp.GroupStatus[0]; gs.Status != wire.StatusVersionMismatch || gs.FailedIndex != 1 {
+		t.Fatalf("group verdict: %v at %d, want VERSION_MISMATCH at 1", gs.Status, gs.FailedIndex)
 	}
 	// No residue: the first sub-op must not have been applied.
 	if g := d.Handle(signedReq(&wire.Message{Type: wire.TGet, Key: []byte("obj/2")})); g.Status != wire.StatusNotFound {
@@ -80,13 +84,13 @@ func TestDriveBatchMixedPutDelete(t *testing.T) {
 			t.Fatalf("seed %q: %v", k, resp.Status)
 		}
 	}
-	resp := d.Handle(signedReq(&wire.Message{Type: wire.TBatch, Batch: []wire.BatchOp{
-		{Op: wire.BatchDelete, Key: []byte("old/0"), DBVersion: []byte("1")},
-		{Op: wire.BatchDelete, Key: []byte("old/1"), Force: true},
-		{Op: wire.BatchPut, Key: []byte("new"), Value: []byte("v"), NewVersion: []byte("1"), Force: true},
-	}}))
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("mixed batch: %v %s", resp.Status, resp.StatusMsg)
+	resp := d.Handle(signedReq(oneGroup(
+		wire.BatchOp{Op: wire.BatchDelete, Key: []byte("old/0"), DBVersion: []byte("1")},
+		wire.BatchOp{Op: wire.BatchDelete, Key: []byte("old/1"), Force: true},
+		wire.BatchOp{Op: wire.BatchPut, Key: []byte("new"), Value: []byte("v"), NewVersion: []byte("1"), Force: true},
+	)))
+	if resp.Status != wire.StatusOK || len(resp.GroupStatus) != 1 || resp.GroupStatus[0].Status != wire.StatusOK {
+		t.Fatalf("mixed batch: %v %s %+v", resp.Status, resp.StatusMsg, resp.GroupStatus)
 	}
 	if d.Len() != 1 {
 		t.Fatalf("store holds %d keys, want 1", d.Len())
@@ -103,17 +107,18 @@ func TestDriveBatchPermissions(t *testing.T) {
 	if resp := d.Handle(sec); resp.Status != wire.StatusOK {
 		t.Fatalf("security: %v", resp.Status)
 	}
-	req := &wire.Message{Type: wire.TBatch, User: "writer", Batch: []wire.BatchOp{
-		{Op: wire.BatchPut, Key: []byte("a"), Value: []byte("v"), Force: true},
-		{Op: wire.BatchDelete, Key: []byte("b"), Force: true},
-	}}
+	req := oneGroup(
+		wire.BatchOp{Op: wire.BatchPut, Key: []byte("a"), Value: []byte("v"), Force: true},
+		wire.BatchOp{Op: wire.BatchDelete, Key: []byte("b"), Force: true},
+	)
+	req.User = "writer"
 	req.Sign([]byte("writerwriter"))
 	resp := d.Handle(req)
-	if resp.Status != wire.StatusNotAuthorized {
-		t.Fatalf("batch without delete perm: %v", resp.Status)
+	if resp.Status != wire.StatusOK || len(resp.GroupStatus) != 1 {
+		t.Fatalf("batch without delete perm: %v %+v, want one group status", resp.Status, resp.GroupStatus)
 	}
-	if !resp.BatchFailed || resp.FailedIndex != 1 {
-		t.Fatalf("failed index: %v %d, want 1", resp.BatchFailed, resp.FailedIndex)
+	if gs := resp.GroupStatus[0]; gs.Status != wire.StatusNotAuthorized || gs.FailedIndex != 1 {
+		t.Fatalf("group verdict: %v at %d, want NOT_AUTHORIZED at 1", gs.Status, gs.FailedIndex)
 	}
 	// Nothing applied, including the permitted first sub-op.
 	if d.Len() != 0 {
@@ -130,7 +135,7 @@ func TestDriveBatchSizeLimits(t *testing.T) {
 	for i := range big {
 		big[i] = wire.BatchOp{Op: wire.BatchPut, Key: []byte(fmt.Sprint(i)), Value: []byte("v"), Force: true}
 	}
-	if resp := d.Handle(signedReq(&wire.Message{Type: wire.TBatch, Batch: big})); resp.Status != wire.StatusInvalidRequest {
+	if resp := d.Handle(signedReq(oneGroup(big...))); resp.Status != wire.StatusInvalidRequest {
 		t.Fatalf("oversized batch: %v", resp.Status)
 	}
 	if d.Len() != 0 {

@@ -56,7 +56,7 @@ type Drive struct {
 	stats Stats
 
 	// storeMu serializes check-then-act mutations (CAS validation plus
-	// apply) so single operations and atomic batches can never
+	// apply) so single operations and batch groups can never
 	// interleave between a version check and the write it guards.
 	storeMu sync.Mutex
 
@@ -414,92 +414,17 @@ func (d *Drive) handleDelete(acct wire.ACL, req, resp *wire.Message) {
 	}
 }
 
-// handleBatch applies a sequence of sub-operations atomically: every
-// sub-operation is validated — permissions first, then compare-and-swap
-// versions under the store lock — before any is applied, and the whole
-// batch pays a single amortized media wait. A drive can therefore never
-// expose a state where some sub-operations took effect and others did
-// not; this is what keeps an object record and its metadata record from
-// diverging on replica failures (§3.2 steps 4–7).
-//
-// A batch carrying GroupSizes instead applies each sub-operation group
-// independently (handleGroupedBatch): atomicity holds per group, and a
-// group rejected by its compare-and-swap is skipped without aborting
-// its neighbours — the partial-batch semantics cross-client group
-// commit rides on.
-func (d *Drive) handleBatch(acct wire.ACL, req, resp *wire.Message) {
-	if len(req.Batch) == 0 || len(req.Batch) > wire.MaxBatchOps {
-		resp.Status = wire.StatusInvalidRequest
-		resp.StatusMsg = fmt.Sprintf("batch needs 1..%d sub-operations, got %d",
-			wire.MaxBatchOps, len(req.Batch))
-		return
-	}
-	if len(req.GroupSizes) > 0 {
-		d.handleGroupedBatch(acct, req, resp)
-		return
-	}
-	// Permissions for every sub-operation before touching the store.
-	for i, op := range req.Batch {
-		perm := wire.PermWrite
-		if op.Op == wire.BatchDelete {
-			perm = wire.PermDelete
-		} else if op.Op != wire.BatchPut {
-			resp.Status = wire.StatusInvalidRequest
-			resp.StatusMsg = fmt.Sprintf("unknown batch sub-operation %d", op.Op)
-			resp.BatchFailed = true
-			resp.FailedIndex = uint32(i)
-			return
-		}
-		if !permitted(acct, perm, resp) {
-			d.stats.Rejected.Add(1)
-			resp.BatchFailed = true
-			resp.FailedIndex = uint32(i)
-			return
-		}
-	}
-	d.stats.Batches.Add(1)
-
-	d.storeMu.Lock()
-	defer d.storeMu.Unlock()
-	// Validate all sub-operations against the pre-batch state; the
-	// first failure rejects the whole batch with no effects.
-	totalBytes := 0
-	for i, op := range req.Batch {
-		ok := false
-		switch op.Op {
-		case wire.BatchPut:
-			ok = d.checkPutCAS(op.Key, op.DBVersion, op.Force, resp)
-		case wire.BatchDelete:
-			ok = d.checkDeleteCAS(op.Key, op.DBVersion, op.Force, resp)
-		}
-		if !ok {
-			resp.BatchFailed = true
-			resp.FailedIndex = uint32(i)
-			return
-		}
-		totalBytes += len(op.Value)
-	}
-	// One amortized media wait: the sub-operations commit in a single
-	// write pass instead of one positioning delay each.
-	d.waitMedia(writeKind(req.Sync), totalBytes)
-	for _, op := range req.Batch {
-		d.stats.BatchOps.Add(1)
-		switch op.Op {
-		case wire.BatchPut:
-			d.store.put(cloneKey(op.Key), cloneKey(op.Value), cloneKey(op.NewVersion))
-		case wire.BatchDelete:
-			d.store.delete(op.Key)
-		}
-	}
-}
-
-// handleGroupedBatch applies a grouped TBatch: the request's sub-
-// operations are partitioned into consecutive groups (each one logical
-// client write), and every group commits or fails independently under
-// the store lock — a failed compare-and-swap or permission check skips
-// only its own group. All committing groups share ONE amortized media
-// wait, which is the entire point: N concurrent clients' writes cost
-// one positioning delay instead of N. The response carries one
+// handleBatch applies a TBatch: the request's sub-operations are
+// partitioned into consecutive groups (each one logical client write;
+// a batch without GroupSizes is one group), and every group commits or
+// fails independently under the store lock — permissions, then
+// compare-and-swap versions, are validated for the whole group before
+// any of it is applied, so a drive never exposes a group half applied:
+// this keeps an object record and its metadata record from diverging on
+// replica failures (§3.2 steps 4–7). A failed check skips only its own
+// group. All committing groups share ONE amortized media wait, which is
+// the point of grouping: N concurrent clients' writes cost one
+// positioning delay instead of N. The response carries one
 // BatchGroupStatus per group, in order; the message-level status stays
 // OK even when groups were rejected (partial success is the contract).
 //
@@ -507,9 +432,19 @@ func (d *Drive) handleBatch(acct wire.ACL, req, resp *wire.Message) {
 // store state left by the groups before it, so a grouped batch is
 // equivalent to issuing the groups back to back — just without paying
 // per-group positioning.
-func (d *Drive) handleGroupedBatch(acct wire.ACL, req, resp *wire.Message) {
+func (d *Drive) handleBatch(acct wire.ACL, req, resp *wire.Message) {
+	if len(req.Batch) == 0 || len(req.Batch) > wire.MaxBatchOps {
+		resp.Status = wire.StatusInvalidRequest
+		resp.StatusMsg = fmt.Sprintf("batch needs 1..%d sub-operations, got %d",
+			wire.MaxBatchOps, len(req.Batch))
+		return
+	}
+	sizes := req.GroupSizes
+	if len(sizes) == 0 {
+		sizes = []uint32{uint32(len(req.Batch))}
+	}
 	total := 0
-	for _, n := range req.GroupSizes {
+	for _, n := range sizes {
 		if n == 0 {
 			resp.Status = wire.StatusInvalidRequest
 			resp.StatusMsg = "empty sub-operation group"
@@ -524,15 +459,15 @@ func (d *Drive) handleGroupedBatch(acct wire.ACL, req, resp *wire.Message) {
 		return
 	}
 	d.stats.Batches.Add(1)
-	d.stats.BatchGroups.Add(uint64(len(req.GroupSizes)))
+	d.stats.BatchGroups.Add(uint64(len(sizes)))
 
-	resp.GroupStatus = make([]wire.BatchGroupStatus, len(req.GroupSizes))
+	resp.GroupStatus = make([]wire.BatchGroupStatus, len(sizes))
 
 	d.storeMu.Lock()
 	defer d.storeMu.Unlock()
 	appliedBytes, applied := 0, 0
 	off := 0
-	for gi, n := range req.GroupSizes {
+	for gi, n := range sizes {
 		ops := req.Batch[off : off+int(n)]
 		off += int(n)
 		gs := &resp.GroupStatus[gi]
@@ -705,7 +640,7 @@ func (d *Drive) handleErase(acct wire.ACL, req, resp *wire.Message) {
 		return
 	}
 	// The erase is a store mutation like any other: it must not land
-	// between an atomic batch's validation and its apply.
+	// between a batch group's validation and its apply.
 	d.storeMu.Lock()
 	d.store.clear()
 	d.storeMu.Unlock()
@@ -776,7 +711,7 @@ func (d *Drive) handleGetVersion(acct wire.ACL, req, resp *wire.Message) {
 // P2PPut implements P2PTarget so a Drive can be the direct destination
 // of another drive's push in in-process clusters. It takes the store
 // lock like every other mutation so a push cannot interleave inside an
-// atomic batch's validate-then-apply window.
+// batch group's validate-then-apply window.
 func (d *Drive) P2PPut(key, value, version []byte) error {
 	d.storeMu.Lock()
 	defer d.storeMu.Unlock()

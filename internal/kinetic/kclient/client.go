@@ -465,7 +465,7 @@ func (c *Client) Put(ctx context.Context, key, value, dbVersion, newVersion []by
 	return statusOf(resp)
 }
 
-// BatchError identifies the sub-operation that caused an atomic batch
+// BatchError identifies the sub-operation that caused a batch group's
 // rejection. errors.Is sees through it to the underlying sentinel
 // (e.g. ErrVersionMismatch).
 type BatchError struct {
@@ -480,25 +480,6 @@ func (e *BatchError) Error() string {
 
 // Unwrap exposes the underlying cause.
 func (e *BatchError) Unwrap() error { return e.Err }
-
-// Batch submits a sequence of sub-operations the drive applies
-// atomically: either every sub-operation takes effect or none does,
-// with all permission and version checks performed up front. One round
-// trip replaces one per operation.
-func (c *Client) Batch(ctx context.Context, ops []wire.BatchOp) error {
-	resp, err := c.roundTrip(ctx, &wire.Message{Type: wire.TBatch, Batch: ops})
-	if err != nil {
-		return err
-	}
-	defer release(resp) // status-only, like statusOf's
-	if err := statusToError(resp); err != nil {
-		if resp.BatchFailed {
-			return &BatchError{Index: int(resp.FailedIndex), Err: err}
-		}
-		return err
-	}
-	return nil
-}
 
 // BatchGroups submits a grouped batch: ops is the concatenation of
 // per-group sub-operation runs and sizes gives each group's length.
@@ -521,30 +502,9 @@ func (c *Client) BatchGroups(ctx context.Context, ops []wire.BatchOp, sizes []ui
 	}
 	defer release(resp) // every verdict below is copied out of it
 	if err := statusToError(resp); err != nil {
-		// A whole-message rejection (bad HMAC, malformed groups, or a
-		// drive predating grouped batches treating it atomically).
-		if resp.BatchFailed {
-			// Atomic fallback: map the absolute failed index onto its
-			// owning group; every other group was not attempted.
-			out := make([]error, len(sizes))
-			at := uint32(0)
-			for gi, n := range sizes {
-				if resp.FailedIndex >= at && resp.FailedIndex < at+n {
-					out[gi] = &BatchError{Index: int(resp.FailedIndex - at), Err: err}
-				} else {
-					out[gi] = &StatusError{Code: wire.StatusNotAttempted, Msg: "sibling group rejected the atomic batch"}
-				}
-				at += n
-			}
-			return out, nil
-		}
-		return nil, err
+		return nil, err // a whole-message rejection: bad HMAC, malformed groups
 	}
 	if len(resp.GroupStatus) != len(sizes) {
-		if len(resp.GroupStatus) == 0 {
-			// Atomic fallback, all applied: every group succeeded.
-			return make([]error, len(sizes)), nil
-		}
 		return nil, fmt.Errorf("kinetic: grouped batch answered %d statuses for %d groups",
 			len(resp.GroupStatus), len(sizes))
 	}

@@ -214,10 +214,19 @@ func TestClientClosedErrors(t *testing.T) {
 	}
 }
 
+// batch submits ops as a one-group batch and returns the group's verdict.
+func batch(ctx context.Context, cl *Client, ops []wire.BatchOp) error {
+	verdicts, err := cl.BatchGroups(ctx, ops, []uint32{uint32(len(ops))}, wire.SyncWriteThrough)
+	if err != nil {
+		return err
+	}
+	return verdicts[0]
+}
+
 func TestClientBatch(t *testing.T) {
 	drive, cl := startDrive(t)
 	ctx := context.Background()
-	err := cl.Batch(ctx, []wire.BatchOp{
+	err := batch(ctx, cl, []wire.BatchOp{
 		{Op: wire.BatchPut, Key: []byte("obj"), Value: []byte("payload"), NewVersion: []byte("1"), Force: true},
 		{Op: wire.BatchPut, Key: []byte("meta"), Value: []byte("m"), NewVersion: []byte("1")},
 	})
@@ -228,9 +237,9 @@ func TestClientBatch(t *testing.T) {
 		t.Fatalf("drive holds %d keys, want 2", drive.Len())
 	}
 
-	// A stale CAS on the second sub-op rejects the whole batch and
+	// A stale CAS on the second sub-op rejects the whole group and
 	// reports the failing index through BatchError.
-	err = cl.Batch(ctx, []wire.BatchOp{
+	err = batch(ctx, cl, []wire.BatchOp{
 		{Op: wire.BatchPut, Key: []byte("obj2"), Value: []byte("p2"), NewVersion: []byte("2"), Force: true},
 		{Op: wire.BatchPut, Key: []byte("meta"), Value: []byte("m2"), DBVersion: []byte("stale"), NewVersion: []byte("2")},
 	})
@@ -258,7 +267,7 @@ func TestClientBatchPipelining(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", i)
-			errCh <- cl.Batch(ctx, []wire.BatchOp{
+			errCh <- batch(ctx, cl, []wire.BatchOp{
 				{Op: wire.BatchPut, Key: []byte("o/" + key), Value: []byte(key), NewVersion: []byte("1"), Force: true},
 				{Op: wire.BatchPut, Key: []byte("m/" + key), Value: []byte(key), NewVersion: []byte("1"), Force: true},
 			})

@@ -353,6 +353,49 @@ func TestSweeperBoundedBudget(t *testing.T) {
 	}
 }
 
+// TestRepairWritesTheRecordsItOpened: a plain repair restores a
+// replica's missing version records and head from the bytes it opened,
+// never by asking another drive to push its own copy — only chunk
+// records, too large to carry, move drive to drive.
+func TestRepairWritesTheRecordsItOpened(t *testing.T) {
+	c, err := Start(Options{Drives: 3, Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	s := c.Controller.Session("w")
+	for v := 0; v < 2; v++ {
+		if _, err := s.Put(ctx, "k", []byte(fmt.Sprintf("v%d", v)), core.PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := store.Placement("k", 3, 3)[1]
+	lost := [][]byte{store.ObjectKey("k", 0), store.ObjectKey("k", 1), store.MetaKey("k")}
+	for _, dk := range lost {
+		deleteDriveRecord(t, c, victim, dk)
+	}
+	pushes := func() (n uint64) {
+		for _, d := range c.Drives {
+			n += d.Stats().P2PPushes.Load()
+		}
+		return n
+	}
+	before := pushes()
+	report, err := s.Repair(ctx, "k")
+	if err != nil || report.Restored != len(lost) {
+		t.Fatalf("repair: %+v, %v; want %d records restored", report, err, len(lost))
+	}
+	if got := pushes() - before; got != 0 {
+		t.Errorf("the repair asked drives for %d P2P pushes, want 0", got)
+	}
+	for _, dk := range lost {
+		if !driveHasRecord(t, c, victim, dk) {
+			t.Errorf("%q not back on drive %d", dk, victim)
+		}
+	}
+}
+
 // TestChaosPlanDeterministic pins the chaos engine's only use of
 // randomness: the same seed must always yield the identical action
 // schedule.

@@ -8,12 +8,15 @@ import (
 	"io"
 	mrand "math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/kinetic"
+	"repro/internal/kinetic/wire"
 	"repro/internal/store"
 )
 
@@ -401,6 +404,137 @@ func TestSplitMovesOnlyExpectedKeys(t *testing.T) {
 	}
 	if got := stale.Stats().Redirects.Load(); got != 1 {
 		t.Errorf("router redirected %d times total, want 1 (map refresh must stick)", got)
+	}
+}
+
+// TestHandoffDoesNotCopyACorruptFirstReplica: version 0 of a key on
+// three drives at three copies has one flipped byte on its first
+// placement replica, which the source reads over from the two healthy
+// copies. The handoff must move a healthy copy — release destroys the
+// source's, so a moved corrupt one would lose the version for good.
+func TestHandoffDoesNotCopyACorruptFirstReplica(t *testing.T) {
+	mc, err := StartMulti(2, Options{Drives: 3, Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	ctx := context.Background()
+	node := mc.Nodes[0]
+	src := node.Controller.Session("w")
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("flip/%d", i); mc.Map().ShardByID(0).Owns(store.ShardHash(k)) {
+			key = k
+		}
+	}
+	for v := 0; v < 2; v++ {
+		if _, err := src.Put(ctx, key, []byte(fmt.Sprintf("value %d", v)), core.PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := store.Placement(key, 3, 3)[0]
+	dk := store.ObjectKey(key, 0)
+	got := node.driveReq(first, &wire.Message{Type: wire.TGet, Key: dk})
+	if got.Status != wire.StatusOK {
+		t.Fatalf("raw read of v0 on drive %d: %v", first, got.Status)
+	}
+	got.Value[len(got.Value)/2] ^= 0x40
+	if resp := node.driveReq(first, &wire.Message{Type: wire.TPut, Key: dk, Value: got.Value, NewVersion: got.DBVersion, Force: true}); resp.Status != wire.StatusOK {
+		t.Fatalf("plant the flipped copy: %v", resp.Status)
+	}
+	v0 := core.GetOptions{Version: 0, HasVersion: true}
+	if val, _, err := src.Get(ctx, key, v0); err != nil || string(val) != "value 0" {
+		t.Fatalf("the source reads v0 as %q, %v", val, err)
+	}
+
+	h := store.ShardHash(key)
+	if _, err := mc.Handoff(ctx, 0, 1, core.HashRange{Start: h, End: h + 1}); err != nil {
+		t.Fatal(err)
+	}
+	dst := mc.Nodes[1].Controller.Session("w")
+	for v, opts := range []core.GetOptions{v0, {}} {
+		if val, _, err := dst.Get(ctx, key, opts); err != nil || string(val) != fmt.Sprintf("value %d", v) {
+			t.Fatalf("the gaining side reads v%d as %q, %v", v, val, err)
+		}
+	}
+}
+
+// onlyCopyFixture puts two versions of a key of shard 0 on three
+// drives at three copies and deletes version 0 from all but one replica,
+// the drive it returns.
+func onlyCopyFixture(t *testing.T) (mc *MultiCluster, key string, holder int) {
+	t.Helper()
+	mc, err := StartMulti(2, Options{Drives: 3, Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mc.Close)
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("lone/%d", i); mc.Map().ShardByID(0).Owns(store.ShardHash(k)) {
+			key = k
+		}
+	}
+	node := mc.Nodes[0]
+	for v := 0; v < 2; v++ {
+		if _, err := node.Controller.Session("w").Put(context.Background(), key, []byte(fmt.Sprintf("value %d", v)), core.PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	placement := store.Placement(key, 3, 3)
+	for _, di := range placement[:2] {
+		deleteDriveRecord(t, node, di, store.ObjectKey(key, 0))
+	}
+	return mc, key, placement[2]
+}
+
+// TestHandoffFailsOnAnUnreadableOnlyCopy: the source cannot reach the
+// only replica holding version 0 during the handoff. Release would
+// destroy the copy the export could not read, so the export fails, the
+// handoff rolls back, and the source still serves v0 once the drive is
+// back.
+func TestHandoffFailsOnAnUnreadableOnlyCopy(t *testing.T) {
+	mc, key, holder := onlyCopyFixture(t)
+	ctx := context.Background()
+	node := mc.Nodes[0]
+	node.CutDrive(holder)
+	h := store.ShardHash(key)
+	_, err := mc.Handoff(ctx, 0, 1, core.HashRange{Start: h, End: h + 1})
+	node.HealDrive(holder)
+	if err == nil {
+		t.Fatal("the handoff succeeded without reading the only copy of v0")
+	}
+	if owner, _ := mc.Map().OwnerOf(key); owner.ID != 0 {
+		t.Fatalf("the failed handoff moved the key to shard %d", owner.ID)
+	}
+	if !driveHasRecord(t, node, holder, store.ObjectKey(key, 0)) {
+		t.Fatal("the source's only copy of v0 was destroyed")
+	}
+	val, _, err := node.Controller.Session("w").Get(ctx, key, core.GetOptions{Version: 0, HasVersion: true})
+	if err != nil || string(val) != "value 0" {
+		t.Fatalf("the source reads v0 as %q, %v", val, err)
+	}
+}
+
+// TestHandoffMovesAnOnlyCopyHiddenFromTheListing: the only replica
+// holding version 0 answers reads but withholds every record from its
+// range replies. The export cannot list that replica's versions, asks
+// for each version up to the head instead, and moves v0. (The release,
+// which must list each replica's own records, fails closed on the liar;
+// the handoff stands.)
+func TestHandoffMovesAnOnlyCopyHiddenFromTheListing(t *testing.T) {
+	mc, key, holder := onlyCopyFixture(t)
+	ctx := context.Background()
+	mc.Nodes[0].Drives[holder].SetFaults(kinetic.Faults{RangeLie: kinetic.RangeCutToNothing})
+	h := store.ShardHash(key)
+	_, err := mc.Handoff(ctx, 0, 1, core.HashRange{Start: h, End: h + 1})
+	if err != nil && !strings.Contains(err.Error(), "cluster: release:") {
+		t.Fatalf("handoff: %v", err)
+	}
+	for v := 0; v < 2; v++ {
+		val, _, err := mc.Nodes[1].Controller.Session("w").Get(ctx, key, core.GetOptions{Version: int64(v), HasVersion: true})
+		if err != nil || string(val) != fmt.Sprintf("value %d", v) {
+			t.Fatalf("the gaining side reads v%d as %q, %v", v, val, err)
+		}
 	}
 }
 

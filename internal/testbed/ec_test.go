@@ -3,15 +3,16 @@ package testbed
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kinetic"
 	"repro/internal/kinetic/wire"
@@ -323,65 +324,248 @@ func TestECDriveKillAcceptance(t *testing.T) {
 	}
 }
 
-// TestHandoffOfErasureCodedObjectIsRefused pins a limit (docs/cluster.md):
-// the export walks a key's replica placement, an erasure-coded object's
-// shards live across its wider group, so the gaining shard cannot read
-// the object back and refuses the range at import verification. The
-// source keeps serving the object byte-identical, destroys nothing and
-// takes writes to the key again.
-func TestHandoffOfErasureCodedObjectIsRefused(t *testing.T) {
+// ecHandoff is a two-shard cluster on eight drives a shard with one
+// 6 MiB erasure-coded (4+2) object owned by shard 0, the sweeper off so
+// every repair a test sees is the export's.
+type ecHandoff struct {
+	mc      *MultiCluster
+	key     string
+	payload []byte
+	shards  [][]byte // the object's data and parity shard record keys
+}
+
+func newECHandoff(t *testing.T) *ecHandoff {
+	t.Helper()
+	opts := ecOpts(8)
+	opts.SweepInterval = 0
+	mc, err := StartMulti(2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mc.Close)
+	f := &ecHandoff{mc: mc, payload: make([]byte, 6<<20)}
+	for i := 0; f.key == ""; i++ {
+		if k := fmt.Sprintf("ec/moving-%d", i); mc.Map().ShardByID(0).Owns(store.ShardHash(k)) {
+			f.key = k
+		}
+	}
+	rand.New(rand.NewSource(23)).Read(f.payload)
+	src := mc.Nodes[0].Controller.Session("ec-handoff")
+	if res := src.PutStream(context.Background(), f.key, bytes.NewReader(f.payload), core.PutOptions{}); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	f.shards = ecShardKeys(f.key, 0, 6, 4, 2)
+	if got := f.held(t, 0); got != len(f.shards) {
+		t.Fatalf("source holds %d of %d shard records", got, len(f.shards))
+	}
+	return f
+}
+
+// held counts the object's shard records on node ni's drives.
+func (f *ecHandoff) held(t *testing.T, ni int) (n int) {
+	t.Helper()
+	node := f.mc.Nodes[ni]
+	for _, dk := range f.shards {
+		for di := range node.Drives {
+			switch resp := f.mc.driveReq(node, di, &wire.Message{Type: wire.TGet, Key: dk}); resp.Status {
+			case wire.StatusOK:
+				n++
+			case wire.StatusNotFound:
+			default:
+				t.Fatalf("node %d drive %d raw read: %v", ni, di, resp.Status)
+			}
+		}
+	}
+	return n
+}
+
+// handoff moves the object's hash to shard 1 and checks it there: byte
+// identical, every shard record at its home, none left on the source.
+func (f *ecHandoff) handoff(t *testing.T) {
+	t.Helper()
+	ctx := context.Background()
+	h := store.ShardHash(f.key)
+	if _, err := f.mc.Handoff(ctx, 0, 1, core.HashRange{Start: h, End: h + 1}); err != nil {
+		t.Fatalf("handoff of an erasure-coded object: %v", err)
+	}
+	dst := f.mc.Nodes[1].Controller.Session("ec-handoff")
+	_, send, err := dst.GetStream(ctx, f.key, core.GetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back bytes.Buffer
+	if err := send(&back); err != nil || !bytes.Equal(back.Bytes(), f.payload) {
+		t.Fatalf("gaining side read back %d bytes of %d, %v", back.Len(), len(f.payload), err)
+	}
+	if got := f.held(t, 1); got != len(f.shards) {
+		t.Errorf("gaining side holds %d of %d shard records", got, len(f.shards))
+	}
+	if got := f.held(t, 0); got != 0 {
+		t.Errorf("after release the source holds %d shard records, want 0", got)
+	}
+	if v, err := dst.Put(ctx, f.key, []byte("small again"), core.PutOptions{}); err != nil || v != 1 {
+		t.Fatalf("write on the gaining side: v%d, %v", v, err)
+	}
+}
+
+// TestHandoffOfErasureCodedObjectMoves: the export aims each data and
+// parity shard at its home in the gaining shard's layout, and release
+// destroys the shards across the source's whole EC group.
+func TestHandoffOfErasureCodedObjectMoves(t *testing.T) {
+	newECHandoff(t).handoff(t)
+}
+
+// TestHandoffRebuildsALostShard: a shard the source lost before the
+// handoff is decoded from the stripe's survivors during the export, so
+// the gaining side receives the whole stripe.
+func TestHandoffRebuildsALostShard(t *testing.T) {
+	f := newECHandoff(t)
+	node := f.mc.Nodes[0]
+	lost := f.shards[1]
+	for di := range node.Drives {
+		if driveHasRecord(t, node, di, lost) {
+			deleteDriveRecord(t, node, di, lost)
+		}
+	}
+	before := node.Controller.Stats().Snapshot().ECShardRepairs
+	f.handoff(t)
+	if node.Controller.Stats().Snapshot().ECShardRepairs == before {
+		t.Error("the export rebuilt no shard")
+	}
+}
+
+// TestHandoffRefusesANarrowTarget: a target with fewer drives than the
+// object's k+m is refused by name before any record is pushed, and the
+// source keeps the object whole.
+func TestHandoffRefusesANarrowTarget(t *testing.T) {
+	f := newECHandoff(t)
+	ctx := context.Background()
+	src := f.mc.Nodes[0]
+	pushes := func() (n uint64) {
+		for _, node := range f.mc.Nodes {
+			for _, d := range node.Drives {
+				n += d.Stats().P2PPushes.Load()
+			}
+		}
+		return n
+	}
+	before := pushes()
+	h := store.ShardHash(f.key)
+	r := core.HashRange{Start: h, End: h + 1}
+	if err := src.Controller.FreezeRange(r); err != nil {
+		t.Fatal(err)
+	}
+	_, err := src.Controller.ExportRange(ctx, r, core.MigrationTarget{
+		Drives: f.mc.Map().ShardByID(1).Drives[:5], Replicas: 2,
+	})
+	src.Controller.UnfreezeRange(r)
+	if !errors.Is(err, core.ErrTargetTooNarrow) {
+		t.Fatalf("export to 5 drives of a 4+2 object: %v, want ErrTargetTooNarrow", err)
+	}
+	if got := pushes() - before; got != 0 {
+		t.Errorf("the refused export pushed %d records", got)
+	}
+	for di, d := range f.mc.Nodes[1].Drives {
+		if d.Len() != 0 {
+			t.Errorf("target drive %d holds %d records", di, d.Len())
+		}
+	}
+	if got := f.held(t, 0); got != len(f.shards) {
+		t.Errorf("after the refusal the source holds %d of %d shard records", got, len(f.shards))
+	}
+}
+
+// TestAutobalancerLiveErasureCoded is TestAutobalancerLive over
+// erasure-coded objects: the balancer's live handoff of the hot shard's
+// skewed range moves streams striped 4+2, and every one reads back
+// byte-identical through a fresh router.
+func TestAutobalancerLiveErasureCoded(t *testing.T) {
 	mc, err := StartMulti(2, ecOpts(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mc.Close()
 	ctx := context.Background()
-	src := mc.Nodes[0].Controller.Session("ec-handoff")
-	key := ""
-	for i := 0; key == ""; i++ {
-		if k := fmt.Sprintf("ec/moving-%d", i); mc.Map().ShardByID(0).Owns(store.ShardHash(k)) {
-			key = k
-		}
-	}
-	payload := make([]byte, 6<<20)
-	rand.New(rand.NewSource(23)).Read(payload)
-	if res := src.PutStream(ctx, key, bytes.NewReader(payload), core.PutOptions{}); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	shardKeys := ecShardKeys(key, 0, 6, 4, 2)
-	held := func() (n int) {
-		for _, dk := range shardKeys {
-			for di := range mc.Nodes[0].Drives {
-				if driveHasRecord(t, mc.Nodes[0], di, dk) {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	if got := held(); got != len(shardKeys) {
-		t.Fatalf("source holds %d of %d shard records", got, len(shardKeys))
-	}
-
-	h := store.ShardHash(key)
-	_, err = mc.Handoff(ctx, 0, 1, core.HashRange{Start: h, End: h + 1})
-	if err == nil || !strings.Contains(err.Error(), "import verification") {
-		t.Fatalf("handoff of an erasure-coded object: %v, want a refusal at import verification", err)
-	}
-	t.Logf("refused: %v", err)
-
-	if got := held(); got != len(shardKeys) {
-		t.Errorf("after the refused handoff the source holds %d of %d shard records", got, len(shardKeys))
-	}
-	_, send, err := src.GetStream(ctx, key, core.GetOptions{})
+	r, _, err := mc.NewRouter("load")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back bytes.Buffer
-	if err := send(&back); err != nil || !bytes.Equal(back.Bytes(), payload) {
-		t.Fatalf("read back %d bytes of %d, %v", back.Len(), len(payload), err)
+
+	const nKeys = 12
+	keys := make([]string, nKeys)
+	payloads := make([][]byte, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bal/ec-%04d", i)
+		payloads[i] = make([]byte, 2<<20+1<<10) // three chunks: one past the replica placement
+		rand.New(rand.NewSource(int64(i))).Read(payloads[i])
+		body := func() (io.Reader, error) { return bytes.NewReader(payloads[i]), nil }
+		if res, err := r.PutStream(ctx, keys[i], body, client.PutOptions{}); err != nil || res.Err != nil {
+			t.Fatalf("load: %v / %v", err, res.Err)
+		}
 	}
-	if v, err := src.Put(ctx, key, []byte("small again"), core.PutOptions{}); err != nil || v != 1 {
-		t.Fatalf("write after the refused handoff: v%d, %v", v, err)
+	read := func(r interface {
+		GetStream(context.Context, string, client.GetOptions) (io.ReadCloser, *client.ObjectMeta, error)
+	}, i int) error {
+		body, meta, err := r.GetStream(ctx, keys[i], client.GetOptions{})
+		if err != nil {
+			return err
+		}
+		got, err := io.ReadAll(body)
+		body.Close()
+		if err != nil || !bytes.Equal(got, payloads[i]) || meta.Version != 0 {
+			return fmt.Errorf("%d bytes of %d at v%d: %v", len(got), len(payloads[i]), meta.Version, err)
+		}
+		return nil
+	}
+
+	b := mc.NewBalancer(cluster.BalancerConfig{
+		Interval: time.Second, Threshold: 1.5, MinOps: 50, MaxMoves: 1, Cooldown: 2,
+	})
+	if n, err := b.Step(ctx); err != nil || n != 0 {
+		t.Fatalf("seed step: n=%d err=%v", n, err)
+	}
+
+	// Skew: hammer only shard 0's keys.
+	before := mc.Map()
+	for hot := 0; hot < 60; {
+		for i, key := range keys {
+			if owner, _ := before.OwnerOf(key); owner.ID != 0 {
+				continue
+			}
+			if err := read(r, i); err != nil {
+				t.Fatalf("hot get %q: %v", key, err)
+			}
+			hot++
+		}
+	}
+	n, err := b.Step(ctx)
+	if err != nil {
+		t.Fatalf("balance step: %v", err)
+	}
+	if n != 1 || b.Moved() != 1 {
+		t.Fatalf("balancer executed %d moves, want 1", n)
+	}
+	after := mc.Map()
+
+	checker, _, err := mc.NewRouter("checker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrated := 0
+	for i, key := range keys {
+		prev, _ := before.OwnerOf(key)
+		now, _ := after.OwnerOf(key)
+		if prev.ID == 1 && now.ID == 0 {
+			t.Fatalf("key %q moved cold -> hot", key)
+		}
+		if prev.ID == 0 && now.ID == 1 {
+			migrated++
+		}
+		if err := read(checker, i); err != nil {
+			t.Fatalf("verify %q: %v", key, err)
+		}
+	}
+	if migrated == 0 {
+		t.Fatal("no erasure-coded object changed owner despite an executed move")
 	}
 }

@@ -75,6 +75,23 @@ func newLieFixture(t *testing.T) *lieFixture {
 	return f
 }
 
+// driveReq runs one signed admin request directly against drive di of
+// node n, on the account the drive holds: a handoff's release rotates
+// the losing shard's drives onto the new epoch's admin account.
+func (mc *MultiCluster) driveReq(n *Cluster, di int, m *wire.Message) *wire.Message {
+	d := n.Drives[di]
+	m.User = core.AdminIdentity
+	key := n.driveAdminKey(d.Name())
+	if accounts := d.Accounts(); len(accounts) == 1 && accounts[0] != m.User {
+		m.User = accounts[0]
+		mac := hmac.New(sha256.New, n.adminSeed[:])
+		fmt.Fprintf(mac, "drive-admin:%s|epoch:%d", d.Name(), mc.Map().Epoch)
+		key = mac.Sum(nil)
+	}
+	m.Sign(key)
+	return d.Handle(m)
+}
+
 // records dumps what every drive of both shards holds, asked of the
 // drives directly (faults cleared): "shard/drive key" and, for a
 // metadata record, its version.
@@ -82,21 +99,8 @@ func (f *lieFixture) records(t *testing.T) map[string]bool {
 	t.Helper()
 	out := make(map[string]bool)
 	for ni, n := range f.mc.Nodes {
-		for di, d := range n.Drives {
-			// A handoff's release rotates the losing shard's drives onto
-			// the new epoch's admin account.
-			ask := func(m *wire.Message) *wire.Message {
-				m.User = core.AdminIdentity
-				key := n.driveAdminKey(d.Name())
-				if accounts := d.Accounts(); len(accounts) == 1 && accounts[0] != m.User {
-					m.User = accounts[0]
-					mac := hmac.New(sha256.New, n.adminSeed[:])
-					fmt.Fprintf(mac, "drive-admin:%s|epoch:%d", d.Name(), f.mc.Map().Epoch)
-					key = mac.Sum(nil)
-				}
-				m.Sign(key)
-				return d.Handle(m)
-			}
+		for di := range n.Drives {
+			ask := func(m *wire.Message) *wire.Message { return f.mc.driveReq(n, di, m) }
 			resp := ask(&wire.Message{Type: wire.TGetKeyRange, EndKey: []byte{0xff}, KeyInclusive: true})
 			if resp == nil || resp.Status != wire.StatusOK || resp.Truncated {
 				t.Fatalf("dump of drive %d/%d: %+v", ni, di, resp)
