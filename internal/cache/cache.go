@@ -92,6 +92,16 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return c.get(k)
 }
 
+// Contains reports whether k is cached, without counting a lookup or
+// bumping its frequency: a caller deciding whether a Load would wait on
+// a fetch.
+func (c *Cache[K, V]) Contains(k K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[k]
+	return ok
+}
+
 // get is Get for callers holding the lock.
 func (c *Cache[K, V]) get(k K) (V, bool) {
 	c.tick()

@@ -50,30 +50,22 @@ func (s *Session) BatchGet(ctx context.Context, keys []string, certs []*authorit
 		return nil, fmt.Errorf("%w: batch of %d exceeds %d ops", ErrInvalidArgument, len(keys), MaxBatchRequestOps)
 	}
 	results := make([]BatchGetResult, len(keys))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, batchParallelism(len(keys)))
-	for i, key := range keys {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, key string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i].Key = JSONKey(key)
-			if err := validKey(key); err != nil {
-				results[i].Err = wireError(err)
-				return
-			}
-			rec, err := s.ctl.readObject(ctx, s.clientKey, key, GetOptions{Certs: certs}, true)
-			if err != nil {
-				results[i].Err = wireError(err)
-				return
-			}
-			results[i].Value = rec.Payload
-			results[i].Version = rec.Meta.Version
-			results[i].PolicyID = rec.Meta.PolicyID
-		}(i, key)
-	}
-	wg.Wait()
+	inParallel(len(keys), func(i int) {
+		key := keys[i]
+		results[i].Key = JSONKey(key)
+		if err := validKey(key); err != nil {
+			results[i].Err = wireError(err)
+			return
+		}
+		rec, err := s.ctl.readObject(ctx, s.clientKey, key, GetOptions{Certs: certs}, true)
+		if err != nil {
+			results[i].Err = wireError(err)
+			return
+		}
+		results[i].Value = rec.Payload
+		results[i].Version = rec.Meta.Version
+		results[i].PolicyID = rec.Meta.PolicyID
+	})
 	s.ctl.stats.BatchOps.Add(uint64(len(keys)))
 	return results, nil
 }
@@ -126,10 +118,16 @@ func (c *Controller) batchPut(ctx context.Context, sessionKey string, ops []Batc
 		return nil, err
 	}
 	defer release()
-	owned := make(map[string]bool, len(keys))
+	// Every owned key's head, in one wave before the plan (loadHeads):
+	// the planning loop below reads none.
+	owned := make([]string, 0, len(keys))
 	for i, k := range keys {
-		owned[k] = ownedMask[i]
+		if ownedMask[i] {
+			owned = append(owned, k)
+		}
 	}
+	heads := make(map[string]headLoad, len(owned))
+	c.loadHeads(ctx, heads, owned)
 
 	var staged []*replicaWrite
 	var stagedIdx []int // staged[i] answers ops[stagedIdx[i]]
@@ -141,14 +139,16 @@ func (c *Controller) batchPut(ctx context.Context, sessionKey string, ops []Batc
 		if results[i].Err != nil {
 			continue
 		}
-		if !owned[string(op.Key)] {
-			results[i].Err = wireError(c.wrongShard(string(op.Key)))
+		key := string(op.Key)
+		head, ok := heads[key]
+		if !ok {
+			results[i].Err = wireError(c.wrongShard(key))
 			continue
 		}
 		opts := PutOptions{
 			PolicyID: op.PolicyID, Version: op.Version, HasVersion: op.HasVersion, Certs: certs,
 		}
-		w, err := c.planPut(ctx, pe, sessionKey, string(op.Key), op.Value, opts)
+		w, err := c.planPut(ctx, pe, sessionKey, key, head, op.Value, opts)
 		if err != nil {
 			results[i].Err = wireError(err)
 			continue
@@ -185,7 +185,9 @@ func validKey(key string) error {
 	return nil
 }
 
-// batchParallelism bounds concurrent point reads of a batch get.
+// batchParallelism bounds the concurrent reads of one multi-key request:
+// a batch get's point reads, a head wave's misses, a transaction's
+// record reads.
 func batchParallelism(n int) int {
 	if n < 1 {
 		return 1
@@ -194,4 +196,26 @@ func batchParallelism(n int) int {
 		return 16
 	}
 	return n
+}
+
+// inParallel runs f(0) … f(n-1) on at most batchParallelism(n)
+// goroutines and returns when every call has; a single call runs on the
+// caller's goroutine.
+func inParallel(n int, f func(i int)) {
+	if n == 1 {
+		f(0)
+		return
+	}
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, batchParallelism(n))
+	for i := range n {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			f(i)
+		}()
+	}
+	wg.Wait()
 }

@@ -5,6 +5,10 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
+
+	"repro/internal/kinetic"
+	"repro/internal/store"
 )
 
 func TestBatchPutPerOpResults(t *testing.T) {
@@ -94,6 +98,102 @@ func TestBatchPutRidesAtomicBatches(t *testing.T) {
 			t.Errorf("drive %d received %d batch messages, want 1", i, got)
 		}
 	}
+}
+
+// waveHarness is three drives holding three replicas of every key, so a
+// new key's head is an absence read: the replica asked first, then —
+// absence takes every replica's word — the other two at once, two rounds
+// and three drive GETs. The hedge is pinned far out so those are the only
+// reads, and gets counts them.
+func waveHarness(t *testing.T) (h *harness, gets func() uint64) {
+	h = newHarness(t, 3, func(c *Config) {
+		c.Replicas = 3
+		c.HedgeDelay = time.Minute
+	})
+	return h, func() (n uint64) {
+		for _, d := range h.drives {
+			n += d.Stats().Gets.Load()
+		}
+		return n
+	}
+}
+
+// slowDrives adds delay to every media wait of h's drives.
+func slowDrives(h *harness, delay time.Duration) {
+	for _, d := range h.drives {
+		d.SetFaults(kinetic.Faults{ExtraDelay: delay})
+	}
+}
+
+// TestBatchPutReadsHeadsInOneWave: a batch reads the heads of its keys in
+// one concurrent wave before it plans them — the drive reads a plan of
+// one key at a time issues, overlapped — and a batch whose heads are all
+// cached reads none.
+func TestBatchPutReadsHeadsInOneWave(t *testing.T) {
+	const n, delay = 32, 20 * time.Millisecond
+	h, gets := waveHarness(t)
+	s, ctx := h.ctl.Session("w"), context.Background()
+	ops := make([]BatchPutOp, n)
+	for i := range ops {
+		ops[i] = BatchPutOp{Key: JSONKey(fmt.Sprintf("wave/%02d", i)), Value: []byte("v")}
+	}
+	put := func() []OpResult {
+		t.Helper()
+		results, err := s.BatchPut(ctx, ops, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	slowDrives(h, delay)
+
+	t.Run("new keys", func(t *testing.T) {
+		before, start := gets(), time.Now()
+		results := put()
+		elapsed := time.Since(start)
+		for i, r := range results {
+			if r.Err != nil || r.Version != 0 {
+				t.Fatalf("op %d: %+v", i, r)
+			}
+		}
+		if got := gets() - before; got != 3*n {
+			t.Errorf("%d drive GETs for %d new keys, want 3 each (%d)", got, n, 3*n)
+		}
+		// One key at a time, the heads alone take two rounds each.
+		if sequential := 2 * n * delay; elapsed >= sequential/4 {
+			t.Errorf("the batch took %v; one head at a time takes %v", elapsed, sequential)
+		}
+	})
+	t.Run("cached heads", func(t *testing.T) {
+		before := gets()
+		for i, r := range put() {
+			if r.Err != nil || r.Version != 1 {
+				t.Fatalf("op %d: %+v", i, r)
+			}
+		}
+		if got := gets() - before; got != 0 {
+			t.Errorf("%d drive GETs for a batch of cached heads, want 0", got)
+		}
+	})
+	t.Run("one unreadable head", func(t *testing.T) {
+		slowDrives(h, 0)
+		bad := string(ops[0].Key)
+		for _, p := range h.ctl.drives {
+			if err := p.pick().Put(ctx, store.MetaKey(bad), []byte("not a head"), nil, []byte{9}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.ctl.metaCache.Remove(bad)
+		results := put()
+		if results[0].Err == nil {
+			t.Errorf("op 0 planned over a head no replica can open: %+v", results[0])
+		}
+		for i, r := range results[1:] {
+			if r.Err != nil || r.Version != 2 {
+				t.Errorf("op %d failed with the unreadable head of op 0: %+v", i+1, r)
+			}
+		}
+	})
 }
 
 func TestBatchGetMixedResults(t *testing.T) {

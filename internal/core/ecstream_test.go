@@ -271,6 +271,36 @@ func TestECStreamDeleteCollectsAllShards(t *testing.T) {
 	}
 }
 
+// TestECDeleteRejectsNoGroup: a destruction walks the erasure-coding
+// window as well as the placement, and the window's other drives hold no
+// head for a guarded delete to find. Whatever the object's class, no
+// drive rejects a group of it.
+func TestECDeleteRejectsNoGroup(t *testing.T) {
+	h := newHarness(t, 7, ecConfig)
+	s := h.ctl.Session("w")
+	ctx := context.Background()
+	for key, size := range map[string]int{
+		"ec":         6 * streamChunkSize,
+		"replicated": streamChunkSize + 1,
+		"inline":     100,
+	} {
+		if res := s.PutStream(ctx, key, bytes.NewReader(streamPayload(size)), PutOptions{}); res.Err != nil {
+			t.Fatalf("PutStream(%q): %v", key, res.Err)
+		}
+		if err := s.Delete(ctx, key, DeleteOptions{}); err != nil {
+			t.Fatalf("Delete(%q): %v", key, err)
+		}
+		if _, _, err := s.GetStream(ctx, key, GetOptions{}); !errors.Is(err, ErrNotFound) {
+			t.Errorf("get %q after delete: %v", key, err)
+		}
+	}
+	for di, d := range h.drives {
+		if n := d.Stats().GroupRejects.Load(); n != 0 {
+			t.Errorf("drive %d rejected %d groups", di, n)
+		}
+	}
+}
+
 func TestECRepairRebuildsLostShards(t *testing.T) {
 	h := newHarness(t, 8, ecConfig)
 	s := h.ctl.Session("w")

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -60,17 +61,14 @@ func encodeVer(v int64) []byte {
 }
 
 // planVersion applies the write-path preamble shared by every mutation
-// shape (single put, batch put, streamed put, transaction write): load
-// current metadata, determine the next version, enforce the
-// dense-monotonic version rule and the object's update policy. Callers
-// hold the key's write lock (or its VLL lock). pe may be nil; batched
-// writes sharing one policy resolve its residual once through it.
-func (c *Controller) planVersion(ctx context.Context, pe *policyEval, sessionKey, key string, opts PutOptions) (meta *store.Meta, next int64, err error) {
-	meta, err = c.loadMeta(ctx, key)
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		return nil, 0, err
-	}
-
+// shape (single put, batch put, streamed put, transaction write) to the
+// key's head meta (nil: no object yet): determine the next version,
+// enforce the dense-monotonic version rule and the object's update
+// policy. Callers load the head under the key's write lock (or its VLL
+// lock): one write through loadHead, a batch or transaction in one wave
+// (loadHeads). pe may be nil; batched writes sharing one policy resolve
+// its residual once through it.
+func (c *Controller) planVersion(ctx context.Context, pe *policyEval, sessionKey, key string, meta *store.Meta, opts PutOptions) (next int64, err error) {
 	// Determine the next version: explicit from the client, else
 	// current+1 (0 for creation).
 	switch {
@@ -84,19 +82,19 @@ func (c *Controller) planVersion(ctx context.Context, pe *policyEval, sessionKey
 	// Base integrity rule, independent of policies: versions are
 	// dense and monotonic.
 	if meta != nil && next != meta.Version+1 {
-		return nil, 0, fmt.Errorf("%w: object at version %d, put requests %d",
+		return 0, fmt.Errorf("%w: object at version %d, put requests %d",
 			ErrBadVersion, meta.Version, next)
 	}
 	if meta == nil && next != 0 {
-		return nil, 0, fmt.Errorf("%w: creation must use version 0, got %d", ErrBadVersion, next)
+		return 0, fmt.Errorf("%w: creation must use version 0, got %d", ErrBadVersion, next)
 	}
 
 	// Policy check: an existing object's policy governs updates,
 	// including policy changes (§3.1).
 	if err := c.checkPolicy(ctx, pe, lang.PermUpdate, sessionKey, key, meta, &next, opts.Certs); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return meta, next, nil
+	return next, nil
 }
 
 // resolvePolicy determines the policy (id and hash) the new version
@@ -117,14 +115,19 @@ func (c *Controller) resolvePolicy(ctx context.Context, meta *store.Meta, reques
 	return newPolicyID, policyHash, nil
 }
 
-// planPut runs the write plan for one buffered value — version
-// planning, policy checks, the policy the new head carries — and stages
-// it. Callers hold the key's write lock and commit the stage.
-func (c *Controller) planPut(ctx context.Context, pe *policyEval, sessionKey, key string, value []byte, opts PutOptions) (*replicaWrite, error) {
+// planPut runs the write plan for one buffered value against the key's
+// loaded head — version planning, policy checks, the policy the new head
+// carries — and stages it. Callers hold the key's write lock and commit
+// the stage.
+func (c *Controller) planPut(ctx context.Context, pe *policyEval, sessionKey, key string, head headLoad, value []byte, opts PutOptions) (*replicaWrite, error) {
 	if int64(len(value)) > store.MaxObjectSize {
 		return nil, store.ErrTooLarge
 	}
-	meta, next, err := c.planVersion(ctx, pe, sessionKey, key, opts)
+	meta, err := head.forWrite()
+	if err != nil {
+		return nil, err
+	}
+	next, err := c.planVersion(ctx, pe, sessionKey, key, meta, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +163,7 @@ func (c *Controller) putObject(ctx context.Context, sessionKey, key string, valu
 	}
 	defer release()
 
-	w, err := c.planPut(ctx, nil, sessionKey, key, value, opts)
+	w, err := c.planPut(ctx, nil, sessionKey, key, c.loadHead(ctx, key), value, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -175,30 +178,38 @@ func (c *Controller) putObject(ctx context.Context, sessionKey, key string, valu
 // planRead is the read-side twin of planVersion, the preamble every
 // read of an object runs — get, stream, batch, transaction read, version
 // listing, verify — before any of its data is touched (§3.2 step 5:
-// policy first, then data): this shard owns the key, the head metadata
-// (cache-first) names the governing policy, that policy grants the
-// session the read under the request's certificates, and only then is
-// the version selected. pe may be nil (see policyEval).
-func (c *Controller) planRead(ctx context.Context, pe *policyEval, sessionKey, key string, opts GetOptions) (head *store.Meta, version int64, err error) {
+// policy first, then data). Its caller took the head under the ownership
+// gate (planReadKey, or a transaction's wave); the head names the governing
+// policy, that policy must grant the session the read under the
+// request's certificates, and only then is the version selected. pe may
+// be nil (see policyEval).
+func (c *Controller) planRead(ctx context.Context, pe *policyEval, sessionKey string, head *store.Meta, opts GetOptions) (version int64, err error) {
+	if err := c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, head.Key, head, nil, opts.Certs); err != nil {
+		return 0, err
+	}
+	if opts.HasVersion {
+		return opts.Version, nil
+	}
+	return head.Version, nil
+}
+
+// planReadKey plans a read of one key: this shard owns the key, its head
+// (cache-first), then planRead.
+func (c *Controller) planReadKey(ctx context.Context, sessionKey, key string, opts GetOptions) (head *store.Meta, version int64, err error) {
 	if err := c.checkOwned(key); err != nil {
 		return nil, 0, err
 	}
 	if head, err = c.loadMeta(ctx, key); err != nil {
 		return nil, 0, err
 	}
-	if err := c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, head, nil, opts.Certs); err != nil {
-		return nil, 0, err
-	}
-	if opts.HasVersion {
-		return head, opts.Version, nil
-	}
-	return head, head.Version, nil
+	version, err = c.planRead(ctx, nil, sessionKey, head, opts)
+	return head, version, err
 }
 
 // readObject is the read path behind Get, GetStream and BatchGet: the
 // plan, then the planned version's record.
 func (c *Controller) readObject(ctx context.Context, sessionKey, key string, opts GetOptions, inline bool) (*store.Record, error) {
-	head, version, err := c.planRead(ctx, nil, sessionKey, key, opts)
+	head, version, err := c.planReadKey(ctx, sessionKey, key, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -269,12 +280,18 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 	if err := c.checkPolicy(ctx, nil, lang.PermDelete, sessionKey, key, meta, nil, opts.Certs); err != nil {
 		return 0, err
 	}
-	// One batched delete stream per replica, all replicas concurrently;
-	// each stream's first batch leads with the CAS-guarded metadata
-	// delete so a concurrent update rejects the destruction before any
-	// version record is lost (see deleteReplica).
+	// One batched delete stream per drive, all drives concurrently; on a
+	// placement replica the stream's first batch leads with the
+	// CAS-guarded metadata delete so a concurrent update rejects the
+	// destruction before any version record is lost (see deleteReplica).
+	// The other drives of an erasure-coded window hold no head for the
+	// guard to find: theirs is forced.
+	placement, guard := c.placement(key), encodeVer(meta.Version)
 	err = c.fanout(c.objectDrives(key), func(di int) error {
-		return c.deleteReplica(ctx, di, key, encodeVer(meta.Version))
+		if !slices.Contains(placement, di) {
+			return c.deleteReplica(ctx, di, key, nil)
+		}
+		return c.deleteReplica(ctx, di, key, guard)
 	})
 	if err != nil {
 		// Some replicas may already have destroyed records (and the
@@ -299,12 +316,12 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 // withholding a record cannot hide its version, and it stands while one
 // replica answers.
 func (c *Controller) listVersions(ctx context.Context, sessionKey, key string, certs []*authority.Certificate) ([]int64, error) {
-	_, head, err := c.planRead(ctx, nil, sessionKey, key, GetOptions{Certs: certs})
+	_, version, err := c.planReadKey(ctx, sessionKey, key, GetOptions{Certs: certs})
 	if err != nil {
 		return nil, err
 	}
 	placement := c.placement(key)
-	return c.replicaVersions(ctx, key, head, placement, len(placement)-1)
+	return c.replicaVersions(ctx, key, version, placement, len(placement)-1)
 }
 
 // cached serves k from ca, fetching it on a miss; concurrent misses on
@@ -330,6 +347,52 @@ func (c *Controller) forgetVersions(key string, head int64) {
 // replica failover through the fetch engine.
 func (c *Controller) loadMeta(ctx context.Context, key string) (*store.Meta, error) {
 	return cached(ctx, c, c.metaCache, key, func(ctx context.Context) (*store.Meta, error) { return c.fetchMeta(ctx, key) })
+}
+
+// headLoad is one key's head as a write or transaction loaded it: the
+// head, or why it could not be had — ErrNotFound for a key with no
+// object.
+type headLoad struct {
+	meta *store.Meta
+	err  error
+}
+
+// loadHead loads key's head (loadMeta).
+func (c *Controller) loadHead(ctx context.Context, key string) headLoad {
+	meta, err := c.loadMeta(ctx, key)
+	return headLoad{meta, err}
+}
+
+// forWrite is the head a write plans against: nil for a key with no
+// object yet.
+func (h headLoad) forWrite() (*store.Meta, error) {
+	if errors.Is(h.err, ErrNotFound) {
+		return nil, nil
+	}
+	return h.meta, h.err
+}
+
+// loadHeads is the head wave of a multi-key write (batchPut, transact):
+// it fills heads with the head of every key in keys before any of them
+// is planned. Cache misses are read concurrently through loadMeta — the
+// reads a plan of one key at a time would issue, overlapped: a new key's
+// head is an absence read, two rounds under the fetch engine's unanimity
+// rule. A wave of cached heads starts no goroutine. The caller holds the
+// keys' locks, so each head stays current until it commits.
+func (c *Controller) loadHeads(ctx context.Context, heads map[string]headLoad, keys []string) {
+	var misses []string
+	for _, k := range keys {
+		if c.metaCache.Contains(k) {
+			heads[k] = c.loadHead(ctx, k)
+		} else {
+			misses = append(misses, k)
+		}
+	}
+	loaded := make([]headLoad, len(misses))
+	inParallel(len(misses), func(i int) { loaded[i] = c.loadHead(ctx, misses[i]) })
+	for i, k := range misses {
+		heads[k] = loaded[i]
+	}
 }
 
 // fetchReplicated reads the record under drive key dk off the placement

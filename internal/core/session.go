@@ -150,7 +150,7 @@ func (s *Session) PutPolicy(ctx context.Context, src string) (string, error) {
 // certified facts attached to the request.
 func (s *Session) Verify(ctx context.Context, key string, version int64, certs ...*authority.Certificate) (*store.Meta, error) {
 	s.touch()
-	head, _, err := s.ctl.planRead(ctx, nil, s.clientKey, key, GetOptions{Certs: certs})
+	head, _, err := s.ctl.planReadKey(ctx, s.clientKey, key, GetOptions{Certs: certs})
 	if err != nil {
 		return nil, err
 	}

@@ -210,7 +210,11 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 	// re-run under the lock at commit time (see commitStream).
 	lock := c.writeLock(key)
 	lock.Lock()
-	meta, next, err := c.planVersion(ctx, nil, sessionKey, key, opts)
+	var next int64
+	meta, err := c.loadHead(ctx, key).forWrite()
+	if err == nil {
+		next, err = c.planVersion(ctx, nil, sessionKey, key, meta, opts)
+	}
 	if err == nil {
 		_, _, err = c.resolvePolicy(ctx, meta, opts.PolicyID)
 	}
@@ -435,7 +439,11 @@ func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, o
 	}
 	defer release()
 
-	meta2, next2, err := c.planVersion(ctx, nil, sessionKey, key, opts)
+	meta2, err := c.loadHead(ctx, key).forWrite()
+	if err != nil {
+		return err
+	}
+	next2, err := c.planVersion(ctx, nil, sessionKey, key, meta2, opts)
 	if err != nil {
 		return err
 	}

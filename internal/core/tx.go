@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/authority"
 	"repro/internal/kinetic/wire"
-	"repro/internal/store"
 )
 
 // Tx executes one transaction (§4.4) with full isolation: an atomic
@@ -71,21 +71,6 @@ func (c *Controller) transact(ctx context.Context, sessionKey string, reads []st
 		return nil, nil, err
 	}
 
-	// Plan every operation — its policy check included — before any
-	// effect. One policyEval serves the transaction: operations sharing a
-	// policy resolve its residual once.
-	pe := &policyEval{}
-	rr := make([]BatchGetResult, len(reads))
-	heads := make([]*store.Meta, len(reads))
-	for i, key := range reads {
-		rr[i].Key = JSONKey(key)
-		if heads[i], rr[i].Version, err = c.planRead(ctx, pe, sessionKey, key, GetOptions{Certs: certs}); err != nil {
-			if !errors.Is(err, ErrNotFound) {
-				return nil, nil, err
-			}
-			rr[i].Err = wireError(err)
-		}
-	}
 	// The per-key mutation stripes serialize the writes against
 	// non-transactional writers; the sharding gate fails the whole
 	// transaction with the redirect error on a single foreign key.
@@ -96,32 +81,65 @@ func (c *Controller) transact(ctx context.Context, sessionKey string, reads []st
 		return nil, nil, err
 	}
 	defer release()
+
+	// Every head the plan needs, in one wave (loadHeads): the write keys'
+	// and the read keys' up to the first one this shard does not own,
+	// where the read plan below aborts.
+	heads := make(map[string]headLoad, len(reads)+len(writes))
+	wave := slices.Clone(writeKeys)
+	for _, key := range reads {
+		if err := c.checkOwned(key); err != nil {
+			heads[key] = headLoad{err: err}
+			break
+		}
+		wave = append(wave, key)
+	}
+	c.loadHeads(ctx, heads, wave)
+
+	// Plan every operation — its policy check included — before any
+	// effect. One policyEval serves the transaction: operations sharing a
+	// policy resolve its residual once.
+	pe := &policyEval{}
+	rr := make([]BatchGetResult, len(reads))
+	for i, key := range reads {
+		rr[i].Key = JSONKey(key)
+		h := heads[key]
+		if h.err == nil {
+			rr[i].Version, h.err = c.planRead(ctx, pe, sessionKey, h.meta, GetOptions{Certs: certs})
+		}
+		if h.err != nil {
+			if !errors.Is(h.err, ErrNotFound) {
+				return nil, nil, h.err
+			}
+			rr[i].Err = wireError(h.err)
+		}
+	}
 	staged := make([]*replicaWrite, len(writes))
 	wr := make([]OpResult, len(writes))
 	for i, op := range writes {
 		opts := PutOptions{
 			PolicyID: op.PolicyID, Version: op.Version, HasVersion: op.HasVersion, Certs: certs,
 		}
-		if staged[i], err = c.planPut(ctx, pe, sessionKey, writeKeys[i], op.Value, opts); err != nil {
+		if staged[i], err = c.planPut(ctx, pe, sessionKey, writeKeys[i], heads[writeKeys[i]], op.Value, opts); err != nil {
 			return nil, nil, fmt.Errorf("pesos: tx write %q: %w", writeKeys[i], err)
 		}
 		wr[i] = OpResult{Key: op.Key, Version: staged[i].rec.Meta.Version}
 	}
 
-	// Execute. Reads first (a snapshot under the locks: the record of
-	// the version that was planned), then the writes.
-	for i := range rr {
+	// Execute. Reads first, concurrently (a snapshot under the locks: the
+	// record of the version that was planned), then the writes.
+	inParallel(len(rr), func(i int) {
 		r := &rr[i]
 		if r.Err != nil {
-			continue
+			return
 		}
-		rec, err := c.openPlanned(ctx, heads[i], r.Version, true)
+		rec, err := c.openPlanned(ctx, heads[reads[i]].meta, r.Version, true)
 		if err != nil {
 			r.Version, r.Err = 0, wireError(err)
-			continue
+			return
 		}
 		r.Value, r.PolicyID = rec.Payload, rec.Meta.PolicyID
-	}
+	})
 	if len(staged) == 0 {
 		return rr, wr, nil
 	}

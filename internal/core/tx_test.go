@@ -235,6 +235,65 @@ func TestTxBoundary(t *testing.T) {
 	})
 }
 
+// TestTxReadsHeadsInOneWave: a transaction reads the heads of its read
+// and write keys in one concurrent wave, and the records of its reads
+// concurrently too — the drive reads a plan of one key at a time issues,
+// overlapped — and one over cached heads and records reads none.
+func TestTxReadsHeadsInOneWave(t *testing.T) {
+	const n, delay = 16, 20 * time.Millisecond
+	h, gets := waveHarness(t)
+	s, ctx := h.ctl.Session("w"), context.Background()
+	reads := make([]string, n)
+	writes := make([]BatchPutOp, n)
+	for i := range n {
+		reads[i] = fmt.Sprintf("tx/r/%02d", i)
+		if _, err := s.Put(ctx, reads[i], []byte(reads[i]), PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		writes[i] = BatchPutOp{Key: JSONKey(fmt.Sprintf("tx/w/%02d", i)), Value: []byte("v")}
+	}
+	h.ctl.metaCache.Clear()
+	h.ctl.objectCache.Clear()
+	tx := func(version int64) {
+		t.Helper()
+		rr, wr, err := s.Tx(ctx, reads, writes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rr {
+			if r.Err != nil || string(r.Value) != reads[i] || string(r.Key) != reads[i] {
+				t.Fatalf("read %d: %+v", i, r)
+			}
+		}
+		for i, w := range wr {
+			if w.Err != nil || w.Version != version || w.Key != writes[i].Key {
+				t.Fatalf("write %d: %+v", i, w)
+			}
+		}
+	}
+	slowDrives(h, delay)
+
+	before, start := gets(), time.Now()
+	tx(0)
+	elapsed := time.Since(start)
+	// A read key costs its head and its record, one GET each off the
+	// replica asked first; a new write key's head costs three.
+	if got := gets() - before; got != 2*n+3*n {
+		t.Errorf("%d drive GETs for %d reads and %d new writes, want %d", got, n, n, 2*n+3*n)
+	}
+	// One key at a time: a read's head and record take a round each, a
+	// new write's head two.
+	if sequential := (2*n + 2*n) * delay; elapsed >= sequential/4 {
+		t.Errorf("the transaction took %v; one key at a time takes %v", elapsed, sequential)
+	}
+
+	before = gets()
+	tx(1)
+	if got := gets() - before; got != 0 {
+		t.Errorf("%d drive GETs for a transaction over cached heads and records, want 0", got)
+	}
+}
+
 // unreadable is a request body nobody may read.
 type unreadable struct{ t *testing.T }
 
