@@ -210,7 +210,7 @@ type Controller struct {
 
 	drives []*drivePool
 	// gcommit is the group-commit scheduler every drive write goes
-	// through (one queue per drive, one generation clock; see
+	// through (one queue and one commit loop per drive; see
 	// gcommit.go).
 	gcommit *groupScheduler
 
@@ -694,7 +694,7 @@ func (c *Controller) Close() error {
 	}
 	// Committer shutdown is two-phase: reject queued groups first,
 	// close the drive connections (which unblocks any in-flight merged
-	// batch), then wait for the scheduler goroutines to exit.
+	// batch), then wait for the drives' commit loops to exit.
 	c.gcommit.shutdown()
 	c.mu.Lock()
 	c.closeDrives()

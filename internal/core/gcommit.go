@@ -1,10 +1,9 @@
 // Cross-client group commit: a write scheduler that coalesces
 // concurrent logical writes into shared drive batches.
 //
-// PR 1 amortized media waits *within* one logical operation (an
-// object record and its metadata ride one atomic TBatch), but under N
-// concurrent clients a drive still pays N positioning delays — every
-// put/delete/tx ships its own batch, and the Kinetic medium is a
+// One logical write already ships its object and metadata records to a
+// replica as one atomic batch, but under N concurrent clients a drive
+// would still pay N positioning delays, and the Kinetic medium is a
 // serial server capped near 1 kIOP/s. Classic WAL group commit shows
 // throughput scales with operations-per-sync, not syncs-per-op: the
 // fix is to let independent writers share a single drive round trip.
@@ -12,57 +11,56 @@
 // Every logical write that funnels through the replication engine
 // (commit — every shape of put — plus deleteReplica and PutPolicy)
 // enqueues its per-drive sub-operation set as one *group* into that
-// drive's commit queue. A controller-level scheduler goroutine drains
-// the queues in *generations* — one merged TBatch per drive, all
-// drives concurrently, exactly like the replica fan-out of a single
-// write — with a Nagle-style adaptive policy:
+// drive's commit queue. Each drive has one commit loop that drains its
+// queue with a Nagle-style adaptive policy:
 //
-//   - drives idle → the first group ships immediately (the 1-client
+//   - drive idle → the first group ships immediately (the 1-client
 //     latency path pays only channel hand-off overhead);
-//   - drives busy → groups arriving while a generation is in flight
-//     pile up and the next generation takes them all, up to
-//     groupCommitMaxOps / groupCommitMaxBytes per drive; when the
-//     previous generation was merged (evidence of sustained
-//     concurrency) the scheduler holds a short quiet-period gather
-//     window, capped by groupCommitMaxDelay, so a wake-up burst of
-//     writers lands in one media wait instead of fragmenting.
+//   - drive busy → groups arriving while its batch is in flight pile
+//     up and the next batch takes them all, up to groupCommitMaxOps /
+//     groupCommitMaxBytes; when the loop's previous batch was merged
+//     (evidence of sustained concurrency) it holds a short
+//     quiet-period gather window, capped by groupCommitMaxDelay, so a
+//     wake-up burst of writers lands in one media wait instead of
+//     fragmenting.
 //
-// Generations, not independent per-drive clocks, are what keep
-// replicated writes fast: a write completes at the max of its
-// replicas' batches, and independent per-drive schedulers drift out
-// of phase until every write waits ~1.5 batch cycles; one generation
-// clock keeps all replicas of a write in the same batch wave, so it
-// waits exactly one. (A write's latency is max-of-replicas regardless
-// — write-through replication waits for every copy.)
+// The loops are independent on purpose. A write's replica groups
+// enqueue at nearly the same moment, and each ships as soon as its own
+// drive is free, so on idle drives the write pays one media wait. One
+// clock over all drives would ship a wave as soon as the first replica
+// enqueued, leaving the others a whole media time behind, and would hold
+// every drive to the slowest one in the wave. A slow or hung drive holds
+// only its own loop: its riders wait on their own contexts while the
+// other drives keep draining. (A write's latency is max-of-replicas
+// regardless — write-through replication waits for every copy.)
 //
 // The merged TBatch carries wire sub-operation groups: the drive
 // validates and applies each group independently under its store lock
 // — one amortized media wait for all of them, groups failing their
 // compare-and-swap skipped without aborting neighbours — and answers
-// with per-group statuses the scheduler demuxes back to each waiter.
+// with per-group statuses the loop demuxes back to each waiter.
 //
 // Correctness notes:
-//   - Per-logical-op atomicity is untouched: a group is exactly the
-//     op set PR 1 shipped as one atomic batch, and a logical write
-//     still waits for every placement drive.
+//   - Per-logical-op atomicity is untouched: a group is exactly the op
+//     set one logical write ships to a replica as one atomic batch, and
+//     a logical write still waits for every placement drive.
 //   - Conflicting same-key groups never share a queue: every write
 //     path holds the key's stripe lock (putObject, commitStream,
 //     deleteObject) or the full stripe set (commitTx, batchPut) across
-//     enqueue and wait, so the scheduler only ever merges independent
+//     enqueue and wait, so the loops only ever merge independent
 //     writes. The drives' CAS checks remain as the cross-controller
 //     backstop.
-//   - The scheduler never touches shard or stripe locks, so a
-//     FreezeRange drain (which waits for in-flight writes holding the
-//     shard read lock) always makes progress: queued groups keep
-//     draining regardless of shard state, and a frozen range can
-//     never wedge the shared queue.
+//   - The loops never touch shard or stripe locks, so a FreezeRange
+//     drain (which waits for in-flight writes holding the shard read
+//     lock) always makes progress: queued groups keep draining
+//     regardless of shard state, and a frozen range can never wedge a
+//     queue.
 package core
 
 import (
 	"context"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/kinetic/wire"
@@ -83,25 +81,14 @@ const (
 	// ends the window earlier, and the idle path never opens one.
 	groupCommitMaxDelay = 150 * time.Microsecond
 	// gatherPollInterval is the quiet-period granularity: the gather
-	// re-checks the queues at this cadence and ends after
+	// re-checks the queue at this cadence and ends after
 	// gatherQuietPolls consecutive empty polls. Sized to the stagger
 	// of a wake-up burst — a writer serialized behind a rider of the
-	// previous generation (stripe hand-off, version re-plan, enqueue)
+	// previous batch (stripe hand-off, version re-plan, enqueue)
 	// re-arrives within roughly this window, and a finer window
 	// fragments the burst across several media waits.
 	gatherPollInterval = 75 * time.Microsecond
 	gatherQuietPolls   = 2
-	// generationStallTimeout bounds how long the generation clock
-	// waits for a drive's batch before moving on without it. A
-	// blackholed drive connection (no FIN, e.g. a network partition)
-	// would otherwise park shipGeneration forever and halt writes to
-	// every healthy drive; after the timeout the stalled ship is left
-	// to resolve in the background — its riders keep waiting on their
-	// own contexts, exactly as if they had written to the hung drive
-	// directly — while other drives' queues keep draining. Generous:
-	// a full 64-op batch behind a deep HDD queue is tens of
-	// milliseconds, not seconds.
-	generationStallTimeout = 5 * time.Second
 )
 
 // commitGroup is one logical write's per-drive op set waiting in a
@@ -111,6 +98,13 @@ type commitGroup struct {
 	bytes int           // payload bytes (drive-IO accounting)
 	sync  wire.SyncMode // durability the submitter needs
 	done  chan error    // buffered(1); nil error = committed
+}
+
+// commitBatch is the groups a drive's loop is about to ship, with their
+// summed sub-operations and payload bytes for the caps.
+type commitBatch struct {
+	groups     []*commitGroup
+	ops, bytes int
 }
 
 // opsPool recycles the merged-batch []wire.BatchOp scratch of ship (the
@@ -135,8 +129,8 @@ func putOps(s []wire.BatchOp) {
 	opsPool.Put(&s)
 }
 
-// groupScheduler is the controller's group-commit engine: one queue
-// per drive, one generation clock over all of them.
+// groupScheduler is the controller's group-commit engine: one queue and
+// one commit loop per drive.
 type groupScheduler struct {
 	c *Controller
 
@@ -144,40 +138,30 @@ type groupScheduler struct {
 	queues [][]*commitGroup // per drive, index-aligned with c.drives
 	closed bool
 
-	wake chan struct{} // cap 1: some queue became non-empty
-	stop chan struct{} // closed on shutdown
-	wg   sync.WaitGroup
-
-	// Scheduler-goroutine state. One generation is in flight at a
-	// time: accumulating the queues for exactly the duration of the
-	// outstanding generation is what sizes the next one — pipelining
-	// deeper was measured to fragment batches (more positioning
-	// passes for the same writes) and lose throughput.
-	lastMerged bool // previous generation had a merged batch
-	// dirtyWB flags per-drive write-back bytes awaiting a flush.
-	// Atomic because a ship goroutine abandoned by the generation
-	// stall timeout resolves in the background, unordered against the
-	// scheduler loop.
-	dirtyWB []atomic.Bool
+	wakes []chan struct{} // per drive, cap 1: its queue became non-empty
+	stop  chan struct{}   // closed on shutdown
+	wg    sync.WaitGroup  // the loops and their trailing flushes
 }
 
-// newGroupScheduler builds and starts the scheduler. Called from New
-// once the drive pools exist.
+// newGroupScheduler builds the scheduler and starts one loop per drive.
+// Called from New once the drive pools exist.
 func newGroupScheduler(c *Controller) *groupScheduler {
 	g := &groupScheduler{
-		c:       c,
-		queues:  make([][]*commitGroup, len(c.drives)),
-		dirtyWB: make([]atomic.Bool, len(c.drives)),
-		wake:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
+		c:      c,
+		queues: make([][]*commitGroup, len(c.drives)),
+		wakes:  make([]chan struct{}, len(c.drives)),
+		stop:   make(chan struct{}),
 	}
-	g.wg.Add(1)
-	go g.run()
+	for di := range c.drives {
+		g.wakes[di] = make(chan struct{}, 1)
+		g.wg.Add(1)
+		go g.run(di)
+	}
 	return g
 }
 
-// enqueue submits one group for drive di and blocks until the
-// scheduler commits it (nil), the drive rejects it (the group's
+// enqueue submits one group for drive di and blocks until the drive's
+// loop commits it (nil), the drive rejects it (the group's
 // CAS/permission error, with BatchError indexes relative to the
 // group), or ctx is cancelled. ops stays the caller's and is only
 // read. A cancelled waiter does not revoke an already-in-flight group —
@@ -193,7 +177,7 @@ func (g *groupScheduler) enqueue(ctx context.Context, di int, ops []wire.BatchOp
 	g.queues[di] = append(g.queues[di], grp)
 	g.mu.Unlock()
 	select {
-	case g.wake <- struct{}{}:
+	case g.wakes[di] <- struct{}{}:
 	default:
 	}
 	queued := time.Now()
@@ -220,10 +204,10 @@ func (g *groupScheduler) enqueue(ctx context.Context, di int, ops []wire.BatchOp
 	}
 }
 
-// shutdown rejects all queued groups and stops the scheduler once the
-// in-flight generation (if any) resolves. Callers close the drive
-// connections afterwards, which unblocks a scheduler waiting on
-// responses, then wait() for the goroutine to exit.
+// shutdown rejects all queued groups and stops the loops once their
+// in-flight batches (if any) resolve. Callers close the drive
+// connections afterwards, which unblocks a loop waiting on a response,
+// then wait() for the loops to exit.
 func (g *groupScheduler) shutdown() {
 	g.mu.Lock()
 	if g.closed {
@@ -244,114 +228,88 @@ func (g *groupScheduler) shutdown() {
 
 func (g *groupScheduler) wait() { g.wg.Wait() }
 
-// run is the scheduler loop: pop a mergeable prefix of every drive
-// queue, optionally gather under the adaptive policy, ship the
-// generation (one grouped TBatch per drive, concurrently), demux the
-// per-group verdicts, repeat; destage write-back bytes with trailing
-// flushes whenever the drives go idle.
-func (g *groupScheduler) run() {
+// run is drive di's commit loop: pop a cap-fitting prefix of the queue,
+// gather more when the previous batch was merged, ship, repeat; destage
+// write-back bytes with a trailing flush whenever the queue empties.
+// One batch per drive is in flight at a time: accumulating the queue
+// for exactly the outstanding batch's duration is what sizes the next
+// one, and a deeper pipeline was measured to fragment batches.
+func (g *groupScheduler) run(di int) {
 	defer g.wg.Done()
-	batches := make([][]*commitGroup, len(g.c.drives))
+	var b commitBatch
+	var merged, dirty bool
 	for {
 		select {
 		case <-g.stop:
 			return
-		case <-g.wake:
+		case <-g.wakes[di]:
 		}
-		for {
-			if !g.popAll(batches) {
-				break
+		for g.take(di, &b) {
+			if merged {
+				// Sustained concurrency: the previous batch was merged,
+				// so the writers it woke are about to re-enqueue — gather
+				// their burst so it shares this batch's media wait
+				// instead of fragmenting across several. A lone client
+				// never pays this: its batches carry one group, so merged
+				// stays false and the idle path ships immediately.
+				g.gather(di, &b)
 			}
-			if g.lastMerged {
-				// Sustained concurrency: the previous generation was
-				// merged, so the writers it woke are about to
-				// re-enqueue — gather their burst so it shares this
-				// generation's media waits instead of fragmenting
-				// across several. A lone client never pays this: its
-				// batches carry one group, so lastMerged stays false
-				// and the idle path ships immediately.
-				g.gather(batches)
+			merged = len(b.groups) > 1
+			if g.ship(di, b.groups) {
+				dirty = true
 			}
-			g.shipGeneration(batches)
+			clear(b.groups) // do not pin the riders' ops until the next batch
+			b = commitBatch{groups: b.groups[:0]}
 		}
-		g.trailingFlush()
+		if dirty {
+			dirty = false
+			g.trailingFlush(di)
+		}
 	}
 }
 
-// popAll moves the longest cap-fitting prefix of every drive queue
-// into batches, reporting whether any drive has work.
-func (g *groupScheduler) popAll(batches [][]*commitGroup) bool {
+// take moves the longest prefix of drive di's queue that fits the caps
+// onto b, reporting whether it moved any group. An empty batch always
+// takes the queue's head, whatever its size.
+func (g *groupScheduler) take(di int, b *commitBatch) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	any := false
-	for di := range g.queues {
-		batches[di] = batches[di][:0]
-		ops, bytes, n := 0, 0, 0
-		for _, grp := range g.queues[di] {
-			if n > 0 && (ops+len(grp.ops) > groupCommitMaxOps || bytes+grp.bytes > groupCommitMaxBytes) {
-				break
-			}
-			ops += len(grp.ops)
-			bytes += grp.bytes
-			n++
+	n := 0
+	for _, grp := range g.queues[di] {
+		if len(b.groups) > 0 && (b.ops+len(grp.ops) > groupCommitMaxOps || b.bytes+grp.bytes > groupCommitMaxBytes) {
+			break
 		}
-		if n > 0 {
-			batches[di] = append(batches[di], g.queues[di][:n]...)
-			g.queues[di] = g.queues[di][n:]
-			any = true
-		}
+		b.groups = append(b.groups, grp)
+		b.ops += len(grp.ops)
+		b.bytes += grp.bytes
+		n++
 	}
-	return any
+	g.queues[di] = g.queues[di][n:]
+	return n > 0
 }
 
-// gather extends a freshly popped generation for up to
-// groupCommitMaxDelay, absorbing groups that arrive while the window
-// is open. The window is quiet-period adaptive: every arrival re-arms
-// a short poll, so a burst of waking writers is absorbed whole, while
-// dried-up queues end the wait after a couple of poll intervals
-// instead of the full delay.
-func (g *groupScheduler) gather(batches [][]*commitGroup) {
+// gather extends a freshly popped batch for up to groupCommitMaxDelay,
+// absorbing groups that arrive while the window is open. The window is
+// quiet-period adaptive: every arrival re-arms a short poll, so a burst
+// of waking writers is absorbed whole, while a dried-up queue ends the
+// wait after a couple of poll intervals instead of the full delay.
+func (g *groupScheduler) gather(di int, b *commitBatch) {
 	deadline := time.Now().Add(groupCommitMaxDelay)
-	ops := make([]int, len(batches))
-	bytes := make([]int, len(batches))
-	for di, b := range batches {
-		for _, grp := range b {
-			ops[di] += len(grp.ops)
-			bytes[di] += grp.bytes
-		}
-	}
-	quiet := 0
-	for quiet < gatherQuietPolls {
+	for quiet := 0; quiet < gatherQuietPolls; {
 		wait := time.Until(deadline)
 		if wait <= 0 {
-			break
+			return
 		}
 		timer := time.NewTimer(min(wait, gatherPollInterval))
 		select {
 		case <-g.stop:
 			timer.Stop()
 			return
-		case <-g.wake:
+		case <-g.wakes[di]:
 			timer.Stop()
 		case <-timer.C:
 		}
-		g.mu.Lock()
-		took := false
-		for di := range g.queues {
-			for len(g.queues[di]) > 0 {
-				grp := g.queues[di][0]
-				if ops[di]+len(grp.ops) > groupCommitMaxOps || bytes[di]+grp.bytes > groupCommitMaxBytes {
-					break
-				}
-				ops[di] += len(grp.ops)
-				bytes[di] += grp.bytes
-				batches[di] = append(batches[di], grp)
-				g.queues[di] = g.queues[di][1:]
-				took = true
-			}
-		}
-		g.mu.Unlock()
-		if took {
+		if g.take(di, b) {
 			quiet = 0
 		} else {
 			quiet++
@@ -359,52 +317,9 @@ func (g *groupScheduler) gather(batches [][]*commitGroup) {
 	}
 }
 
-// shipGeneration sends every drive's merged batch concurrently — the
-// same fan-out shape as a single replicated write — and waits for all
-// of them, so the next generation's accumulation window is exactly
-// the in-flight time. A drive that stalls past generationStallTimeout
-// stops gating the clock: its ship resolves in the background and the
-// scheduler moves on, so one hung drive cannot halt writes to the
-// healthy ones.
-func (g *groupScheduler) shipGeneration(batches [][]*commitGroup) {
-	merged := false
-	for _, b := range batches {
-		if len(b) > 1 {
-			merged = true
-		}
-	}
-	g.lastMerged = merged
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for di, b := range batches {
-		if len(b) == 0 {
-			continue
-		}
-		wg.Add(1)
-		// Each ship owns a copy of its batch: the scheduler reuses the
-		// batches arrays for the next generation, and a ship abandoned
-		// by the stall timeout below may still be iterating its slice
-		// when that happens.
-		go func(di int, batch []*commitGroup) {
-			defer wg.Done()
-			g.ship(di, batch)
-		}(di, append([]*commitGroup(nil), b...))
-	}
-	go func() { wg.Wait(); close(done) }()
-	timer := time.NewTimer(generationStallTimeout)
-	defer timer.Stop()
-	select {
-	case <-done:
-	case <-timer.C:
-		// Abandon the wait, not the work: the stalled batches finish
-		// (or fail when their connections die) in the background and
-		// resolve their riders then.
-	}
-}
-
-// ship sends one drive's merged batch and demuxes the verdicts.
-func (g *groupScheduler) ship(di int, batch []*commitGroup) {
+// ship sends one drive's merged batch and demuxes the verdicts,
+// reporting whether it left write-back bytes for a trailing flush.
+func (g *groupScheduler) ship(di int, batch []*commitGroup) (wroteBack bool) {
 	ops := getOps()
 	sizes := make([]uint32, len(batch))
 	bytes := 0
@@ -431,9 +346,8 @@ func (g *groupScheduler) ship(di int, batch []*commitGroup) {
 	errs, err := cl.BatchGroups(context.Background(), ops, sizes, sync)
 	putOps(ops)
 
-	merged := len(batch) > 1
 	g.c.stats.GroupBatches.Inc()
-	if merged {
+	if len(batch) > 1 {
 		g.c.stats.GroupedWrites.Add(uint64(len(batch)))
 	}
 
@@ -441,45 +355,33 @@ func (g *groupScheduler) ship(di int, batch []*commitGroup) {
 		for _, grp := range batch {
 			grp.done <- err
 		}
-		return
-	}
-	if sync == wire.SyncWriteBack {
-		g.dirtyWB[di].Store(true)
+		return false
 	}
 	for i, grp := range batch {
 		grp.done <- errs[i]
 	}
+	return sync == wire.SyncWriteBack
 }
 
-// trailingFlush destages buffered write-back bytes once the queues
-// are idle. Riders that chose write-back tolerate losing these
+// trailingFlush destages drive di's buffered write-back bytes once its
+// queue is idle. Riders that chose write-back tolerate losing these
 // records (tx recovery re-derives state from replicas), so the flush
 // trails the acknowledgements instead of gating them — and runs
-// detached, so its media wait never delays a generation that arrives
-// just after the idle transition.
-func (g *groupScheduler) trailingFlush() {
-	for di := range g.dirtyWB {
-		if !g.dirtyWB[di].Load() {
-			continue
+// detached, so its media wait never delays a batch that arrives just
+// after the idle transition.
+func (g *groupScheduler) trailingFlush(di int) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		g.c.chargeDriveIO(0)
+		if err := g.c.drives[di].pick().Flush(context.Background()); err != nil {
+			// Advisory destage; the records' durability story is
+			// replication, and the next write-through batch or flush
+			// covers the medium.
+			return
 		}
-		g.mu.Lock()
-		busy := len(g.queues[di]) > 0
-		g.mu.Unlock()
-		if busy {
-			continue // new work arrived; it will flush on the next idle
-		}
-		g.dirtyWB[di].Store(false)
-		go func(di int) {
-			g.c.chargeDriveIO(0)
-			if err := g.c.drives[di].pick().Flush(context.Background()); err != nil {
-				// Advisory destage; the records' durability story is
-				// replication, and the next write-through batch or
-				// flush covers the medium.
-				return
-			}
-			g.c.stats.TrailingFlushes.Inc()
-		}(di)
-	}
+		g.c.stats.TrailingFlushes.Inc()
+	}()
 }
 
 // driveBatch is the single choke point for shipping one logical

@@ -24,15 +24,17 @@ func slowHDD() kinetic.MediaModel {
 }
 
 // TestGroupCommitMergesConcurrentWrites: under concurrent independent
-// writers on a slow medium, the committer must ship fewer drive
-// batches than logical writes — many clients sharing media waits —
-// while every write still lands intact.
+// writers on slow media, six drives holding three replicas of every
+// key, the committer must ship fewer drive batches than replica writes
+// — many clients sharing media waits — while every write still lands
+// intact.
 func TestGroupCommitMergesConcurrentWrites(t *testing.T) {
-	h := newHarness(t, 1, nil, func(int) kinetic.MediaModel { return slowHDD() })
+	h := newHarness(t, 6, func(cfg *Config) { cfg.Replicas = 3 },
+		func(int) kinetic.MediaModel { return slowHDD() })
 	ctx := context.Background()
 	sess := h.ctl.Session("writer")
 
-	const clients, rounds = 16, 8
+	const clients, rounds = 32, 8
 	var wg sync.WaitGroup
 	var failed atomic.Int64
 	for w := 0; w < clients; w++ {
@@ -54,16 +56,19 @@ func TestGroupCommitMergesConcurrentWrites(t *testing.T) {
 		t.Fatalf("%d writers failed", failed.Load())
 	}
 
-	total := uint64(clients * rounds)
-	batches := h.drives[0].Stats().Batches.Load()
+	total := uint64(clients * rounds * 3)
+	var batches uint64
+	for _, d := range h.drives {
+		batches += d.Stats().Batches.Load()
+	}
 	if batches >= total {
-		t.Errorf("drive saw %d batches for %d writes; group commit merged nothing", batches, total)
+		t.Errorf("drives saw %d batches for %d replica writes; group commit merged nothing", batches, total)
 	}
 	st := h.ctl.Stats().Snapshot()
 	if st.GroupedWrites == 0 {
 		t.Errorf("GroupedWrites = 0; no write shared a merged batch")
 	}
-	t.Logf("writes=%d driveBatches=%d groupBatches=%d groupedWrites=%d",
+	t.Logf("replicaWrites=%d driveBatches=%d groupBatches=%d groupedWrites=%d",
 		total, batches, st.GroupBatches, st.GroupedWrites)
 
 	// Every writer's final value must be intact (no cross-group
@@ -76,6 +81,83 @@ func TestGroupCommitMergesConcurrentWrites(t *testing.T) {
 		if string(val) != fmt.Sprintf("v%d", rounds-1) {
 			t.Errorf("merge/%d = %q, want %q", w, val, fmt.Sprintf("v%d", rounds-1))
 		}
+	}
+}
+
+// TestGroupCommitShipsReplicasTogether: one client's put to three
+// replicas on idle drives pays one media wait, not two — each replica's
+// group ships as soon as its own drive is free, whichever replica
+// enqueued first — and every drive sees one batch per put.
+func TestGroupCommitShipsReplicasTogether(t *testing.T) {
+	const d, puts = 40 * time.Millisecond, 8
+	h := newHarness(t, 3, func(cfg *Config) { cfg.Replicas = 3 })
+	ctx := context.Background()
+	sess := h.ctl.Session("writer")
+	// Create the key first: a new key's head is an absence read, and
+	// the puts below should plan against a cached head.
+	if _, err := sess.Put(ctx, "together", []byte("v"), PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	slowDrives(h, d)
+	before := make([]uint64, len(h.drives))
+	for i, drv := range h.drives {
+		before[i] = drv.Stats().Batches.Load()
+	}
+	for i := 0; i < puts; i++ {
+		start := time.Now()
+		if _, err := sess.Put(ctx, "together", []byte(fmt.Sprintf("v%d", i)), PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took >= d*3/2 {
+			t.Errorf("put %d took %v on drives whose media wait is %v; its replicas did not ship together", i, took, d)
+		}
+	}
+	for i, drv := range h.drives {
+		if got := drv.Stats().Batches.Load() - before[i]; got != puts {
+			t.Errorf("drive %d saw %d batches for %d puts, want one each", i, got, puts)
+		}
+	}
+}
+
+// TestGroupCommitSlowDriveDelaysOnlyItself: a batch a slow drive is
+// serving holds that drive's queue and nothing else — a group for
+// another drive ships at once — while a write placed on the slow drive
+// still waits for it, since replication is write-through.
+func TestGroupCommitSlowDriveDelaysOnlyItself(t *testing.T) {
+	const slow = time.Second
+	h := newHarness(t, 2, func(cfg *Config) { cfg.Replicas = 2 })
+	ctx := context.Background()
+	sess := h.ctl.Session("writer")
+	if _, err := sess.Put(ctx, "both", []byte("v0"), PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	h.drives[0].SetFaults(kinetic.Faults{ExtraDelay: slow})
+	served := h.drives[0].Stats().Batches.Load()
+
+	// A put to both drives, so drive 0 serves one slow batch.
+	putTook := make(chan time.Duration, 1)
+	go func() {
+		start := time.Now()
+		if _, err := sess.Put(ctx, "both", []byte("v1"), PutOptions{}); err != nil {
+			t.Error(err)
+		}
+		putTook <- time.Since(start)
+	}()
+	for h.drives[0].Stats().Batches.Load() == served {
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	if err := h.ctl.driveBatch(ctx, 1, []wire.BatchOp{
+		{Op: wire.BatchPut, Key: []byte("other"), Value: []byte("v"), Force: true, NewVersion: encodeVer(0)},
+	}, 1, wire.SyncWriteThrough); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 100*time.Millisecond {
+		t.Errorf("a batch to drive 1 took %v while drive 0 served a %v batch", took, slow)
+	}
+	if took := <-putTook; took < slow {
+		t.Errorf("a put placed on the slow drive returned after %v, before its %v batch", took, slow)
 	}
 }
 

@@ -384,7 +384,7 @@ func (d *Drive) handlePut(acct wire.ACL, req, resp *wire.Message) {
 		d.store.put(req.Key, req.Value, req.NewVersion)
 		return
 	}
-	d.store.put(cloneKey(req.Key), cloneKey(req.Value), cloneKey(req.NewVersion))
+	d.store.put(cloneRecord(req.Key, req.Value, req.NewVersion))
 }
 
 // writeKind maps a request's durability mode to the media operation:
@@ -519,7 +519,7 @@ func (d *Drive) handleBatch(acct wire.ACL, req, resp *wire.Message) {
 			d.stats.BatchOps.Add(1)
 			switch op.Op {
 			case wire.BatchPut:
-				d.store.put(cloneKey(op.Key), cloneKey(op.Value), cloneKey(op.NewVersion))
+				d.store.put(cloneRecord(op.Key, op.Value, op.NewVersion))
 				appliedBytes += len(op.Value)
 			case wire.BatchDelete:
 				d.store.delete(op.Key)
@@ -716,7 +716,7 @@ func (d *Drive) P2PPut(key, value, version []byte) error {
 	d.storeMu.Lock()
 	defer d.storeMu.Unlock()
 	d.waitMedia(OpWrite, len(value))
-	d.store.put(cloneKey(key), cloneKey(value), cloneKey(version))
+	d.store.put(cloneRecord(key, value, version))
 	return nil
 }
 
@@ -760,13 +760,20 @@ func permitted(acct wire.ACL, p wire.Permission, resp *wire.Message) bool {
 	return true
 }
 
-func cloneKey(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
+// cloneRecord copies a record's key, value and version out of a request
+// into one allocation. A drive retains every record it stores, so what
+// each one costs beyond its bytes is what the drive's memory grows by.
+func cloneRecord(key, value, version []byte) (k, v, ver []byte) {
+	buf := make([]byte, 0, len(key)+len(value)+len(version))
+	carve := func(b []byte) []byte {
+		if len(b) == 0 {
+			return nil
+		}
+		off := len(buf)
+		buf = append(buf, b...)
+		return buf[off:len(buf):len(buf)]
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return carve(key), carve(value), carve(version)
 }
 
 // ErrStopped is returned by the server loop after Close.

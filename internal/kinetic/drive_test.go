@@ -525,3 +525,38 @@ func TestPutAdoptsOnlyBulkValues(t *testing.T) {
 		t.Error("drive kept a slice of an in-process caller's buffer")
 	}
 }
+
+// TestStoredRecordIsOneAllocation: a copied record's key, value and
+// version share one allocation, capped so that none can grow into the
+// next, and overwriting a key leaves nothing of the old record pinned.
+func TestStoredRecordIsOneAllocation(t *testing.T) {
+	key, value, version := []byte("obj/key"), bytes.Repeat([]byte{1}, 1204), []byte{0, 0, 0, 1}
+	if n := testing.AllocsPerRun(100, func() { cloneRecord(key, value, version) }); n != 1 {
+		t.Errorf("copying a record took %v allocations, want 1", n)
+	}
+	k, v, ver := cloneRecord(key, value, nil)
+	if !bytes.Equal(k, key) || !bytes.Equal(v, value) || ver != nil {
+		t.Fatalf("cloneRecord = %q, %d bytes, %v", k, len(v), ver)
+	}
+	if _ = append(k, 'x'); !bytes.Equal(v, value) {
+		t.Error("appending to the copied key overwrote the value")
+	}
+
+	d := NewDrive(Config{Name: "t0"})
+	put := func(b byte) []byte {
+		t.Helper()
+		req := received(t, &wire.Message{Type: wire.TBatch, Batch: []wire.BatchOp{
+			{Op: wire.BatchPut, Key: key, Value: bytes.Repeat([]byte{b}, 1204), NewVersion: []byte{b}, Force: true},
+		}, GroupSizes: []uint32{1}})
+		if resp := d.Handle(req); resp.Status != wire.StatusOK {
+			t.Fatalf("put: %v %s", resp.Status, resp.StatusMsg)
+		}
+		d.store.mu.RLock()
+		defer d.store.mu.RUnlock()
+		return d.store.find(key).key
+	}
+	first := put(1)
+	if second := put(2); &second[0] == &first[0] {
+		t.Error("an overwritten key's node kept the old record's key, pinning its allocation")
+	}
+}

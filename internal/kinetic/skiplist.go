@@ -81,8 +81,9 @@ func (s *skipList) put(key, value, version []byte) {
 	if x != nil && bytes.Equal(x.key, key) {
 		s.bytes += int64(len(value)) - int64(len(x.value))
 		s.bytes += int64(len(version)) - int64(len(x.version))
-		x.value = value
-		x.version = version
+		// The key too: the caller's three slices may share one
+		// allocation, and the old key must not pin the old record.
+		x.key, x.value, x.version = key, value, version
 		return
 	}
 
