@@ -80,7 +80,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&cfg.SweepInterval, "repair-interval", 0, "run the incremental anti-entropy sweeper on this tick interval; each tick examines a bounded slice of the keyspace from a resumable cursor (0 = off)")
 	fs.DurationVar(&cfg.DetectorInterval, "detect-interval", 0, "probe drives for failure detection this often; dead drives are routed around and re-replicated onto spares (0 = off)")
 	fs.IntVar(&cfg.SweepKeysPerTick, "sweep-keys", 0, "keys examined per sweeper tick (0 = default 256)")
-	fs.Int64Var(&cfg.SweepBytesPerTick, "sweep-bytes", 0, "record bytes rewritten per sweeper tick (0 = default 4 MiB)")
 	obsMode := fs.String("obs", "on", "observability layer (metrics, tracing, audit): on or off")
 	fs.StringVar(&o.obsListen, "obs-listen", "", "plain-HTTP observability listener for /metrics and loopback pprof (empty = API port only)")
 	fs.StringVar(&cfg.AuditDir, "audit-dir", "", "directory for the sealed audit decision log (empty = disabled)")

@@ -39,8 +39,10 @@ func TestParseFlags(t *testing.T) {
 		}
 	}
 
-	if _, err := parseFlags([]string{"-no-such-flag"}); err == nil {
-		t.Error("an unknown flag parsed")
+	for _, gone := range []string{"-no-such-flag", "-sweep-bytes"} {
+		if _, err := parseFlags([]string{gone, "1"}); err == nil {
+			t.Errorf("%s parsed", gone)
+		}
 	}
 	if _, err := parseFlags([]string{"-replicas", "many"}); err == nil {
 		t.Error("a malformed value parsed")

@@ -1,0 +1,601 @@
+// Package archtest checks the architecture from the module's syntax
+// trees: the invariants each "one X" simplification left behind, and the
+// two rules the security argument rests on — a read is judged in one
+// place, and no byte a drive returns is believed before its record's
+// bound opener has checked it (docs/storage.md, "Who opens what").
+//
+// A rule is a row of the table in rules_test.go. It carries the
+// violations it must catch: each mutant is a textual edit to an
+// in-memory copy of one real file, and the rule must report that file
+// once the edit is applied. The checker imports only the standard
+// library and reads the tree once.
+package archtest
+
+import (
+	"bytes"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"maps"
+	"os"
+	pathpkg "path"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// The files besides Go source that rules read.
+const (
+	workflow   = ".github/workflows/ci.yml"
+	storageDoc = "docs/storage.md"
+)
+
+// drive is the qualifier of a selector on a drive connection.
+const drive = "drive"
+
+// A rule is one architectural invariant. check reports every place the
+// tree breaks it as "path:line: what", or "path: what" where no line
+// applies; table is the whole rule table, for rules about the table.
+type rule struct {
+	name    string
+	check   func(t *tree, table []rule) []string
+	mutants []mutant
+}
+
+// A mutant replaces the one occurrence of old in file with new.
+type mutant struct {
+	file, old, new string
+}
+
+// tree is the module as the rules see it: its non-test Go files, its
+// test files that declare fuzz targets, and the text files rules read.
+type tree struct {
+	files []*goFile // sorted by path
+	text  map[string]string
+}
+
+// goFile is what one Go file declares and references.
+type goFile struct {
+	path  string // module-relative, slash-separated
+	test  bool
+	src   string
+	decls []decl
+	refs  []ref
+	lits  []lit
+}
+
+// funcName names a function: a method carries its receiver's type.
+type funcName struct{ recv, name string }
+
+// is reports whether s names f: "name" names every function or method so
+// called, "Recv.name" only the method of that type.
+func (f funcName) is(s string) bool {
+	return s == f.name || f.recv != "" && s == f.recv+"."+f.name
+}
+
+func (f funcName) String() string {
+	switch {
+	case f.name == "":
+		return "package scope"
+	case f.recv == "":
+		return f.name
+	}
+	return f.recv + "." + f.name
+}
+
+// decl is a declared name: a function or method, a package-level type,
+// variable or constant, or a struct field (recv is then empty).
+type decl struct {
+	funcName
+	line int
+}
+
+// ref is one selector expression X.name inside function fn; a closure
+// belongs to the function that encloses it.
+type ref struct {
+	fn   funcName
+	pkg  string // X's import path, drive if X is a drive connection, else ""
+	name string
+	args []string // for a call, the callee names of the arguments that are calls
+	line int
+}
+
+// lit is one string literal, unquoted.
+type lit struct {
+	val  string
+	line int
+}
+
+// A sym picks out references X.Name.
+type sym struct {
+	// pkg is the import path X must name, or drive: X is a drive
+	// connection — a pick() call, or a variable one was assigned to in
+	// the same function. Empty matches any X.
+	pkg   string
+	names []string
+	// arg, if set, keeps only calls one of whose arguments is a call of
+	// a function so named.
+	arg string
+}
+
+func (s sym) match(r ref) bool {
+	return (s.pkg == "" || s.pkg == r.pkg) && slices.Contains(s.names, r.name) &&
+		(s.arg == "" || slices.Contains(r.args, s.arg))
+}
+
+func (s sym) String() string {
+	str := strings.Join(s.names, "|")
+	if s.pkg != "" {
+		str = pathpkg.Base(s.pkg) + "." + str
+	}
+	if s.arg != "" {
+		str += "(…" + s.arg + "(…)…)"
+	}
+	return str
+}
+
+// onlyIn: s is referenced in scope only inside fns, and inside each of
+// them, so a listed function that stops using it makes the rule stale.
+func onlyIn(s sym, scope []string, fns ...string) func(*tree, []rule) []string {
+	return func(t *tree, _ []rule) (bad []string) {
+		used := map[string]bool{}
+		for _, f := range t.goFiles(scope) {
+			for _, r := range f.refs {
+				if !s.match(r) {
+					continue
+				}
+				if i := slices.IndexFunc(fns, r.fn.is); i >= 0 {
+					used[fns[i]] = true
+				} else {
+					bad = append(bad, fmt.Sprintf("%s:%d: %s in %s", f.path, r.line, s, r.fn))
+				}
+			}
+		}
+		for _, fn := range fns {
+			if !used[fn] {
+				bad = append(bad, fmt.Sprintf("%s: the rule lists %s, which no longer references it", s, fn))
+			}
+		}
+		return bad
+	}
+}
+
+// nowhere: s is not referenced in scope at all.
+func nowhere(s sym, scope ...string) func(*tree, []rule) []string {
+	return onlyIn(s, scope)
+}
+
+// count: s is referenced exactly want[path] times in each file of scope,
+// and nowhere else in it.
+func count(s sym, scope []string, want map[string]int) func(*tree, []rule) []string {
+	return func(t *tree, _ []rule) (bad []string) {
+		seen := map[string]bool{}
+		for _, f := range t.goFiles(scope) {
+			seen[f.path] = true
+			n := 0
+			for _, r := range f.refs {
+				if s.match(r) {
+					n++
+				}
+			}
+			if n != want[f.path] {
+				bad = append(bad, fmt.Sprintf("%s: %d references to %s, want %d", f.path, n, s, want[f.path]))
+			}
+		}
+		for p := range want {
+			if !seen[p] {
+				bad = append(bad, fmt.Sprintf("%s: the rule counts in a file that does not exist", p))
+			}
+		}
+		return bad
+	}
+}
+
+// gone: nothing in scope is declared under any of names ("name", or
+// "Recv.name" for one type's method).
+func gone(scope []string, names ...string) func(*tree, []rule) []string {
+	return func(t *tree, _ []rule) (bad []string) {
+		for _, f := range t.goFiles(scope) {
+			for _, d := range f.decls {
+				if slices.ContainsFunc(names, d.is) {
+					bad = append(bad, fmt.Sprintf("%s:%d: %s is declared", f.path, d.line, d.funcName))
+				}
+			}
+		}
+		return bad
+	}
+}
+
+// noLiteral: no string literal in scope matches pattern.
+func noLiteral(scope []string, pattern string) func(*tree, []rule) []string {
+	re := regexp.MustCompile(pattern)
+	return func(t *tree, _ []rule) (bad []string) {
+		for _, f := range t.goFiles(scope) {
+			for _, l := range f.lits {
+				if re.MatchString(l.val) {
+					bad = append(bad, fmt.Sprintf("%s:%d: literal %q matches %s", f.path, l.line, l.val, pattern))
+				}
+			}
+		}
+		return bad
+	}
+}
+
+// fuzzStep is a fuzz-smoke step: its target and its package directory.
+var fuzzStep = regexp.MustCompile(`-fuzz '\^(Fuzz\w*)\$'.*\s\./(\S+)\s*$`)
+
+// fuzzSmoke: every fuzz target in the module is run by a step of the
+// workflow's fuzz-smoke job, and every such step runs a target that
+// exists.
+func fuzzSmoke(t *tree, _ []rule) (bad []string) {
+	targets := map[string]string{} // "dir.FuzzX" → where it is declared
+	for _, f := range t.files {
+		for _, d := range f.decls {
+			if f.test && d.recv == "" && strings.HasPrefix(d.name, "Fuzz") {
+				targets[pathpkg.Dir(f.path)+"."+d.name] = fmt.Sprintf("%s:%d", f.path, d.line)
+			}
+		}
+	}
+	run := map[string]string{} // "dir.FuzzX" → the step that runs it
+	in := false
+	for i, line := range strings.Split(t.text[workflow], "\n") {
+		if len(line) > 2 && line[:2] == "  " && line[2] != ' ' {
+			in = line == "  fuzz-smoke:"
+		}
+		if m := fuzzStep.FindStringSubmatch(line); in && m != nil {
+			run[m[2]+"."+m[1]] = fmt.Sprintf("%s:%d", workflow, i+1)
+		}
+	}
+	for k, at := range targets {
+		if _, ok := run[k]; !ok {
+			bad = append(bad, fmt.Sprintf("%s: %s is run by no fuzz-smoke step", at, k))
+		}
+	}
+	for k, at := range run {
+		if _, ok := targets[k]; !ok {
+			bad = append(bad, fmt.Sprintf("%s: fuzz-smoke runs %s, which is declared nowhere", at, k))
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// docTable: the "checked by" column of docs/storage.md's "Who opens
+// what" table names existing rules only, and every opener and writer
+// rule (named open-… or write-…) is named by some row.
+func docTable(t *tree, table []rule) (bad []string) {
+	named := map[string]bool{}
+	col, in := -1, false
+	for i, line := range strings.Split(t.text[storageDoc], "\n") {
+		if strings.HasPrefix(line, "#") {
+			in = strings.HasPrefix(line, "### Who opens what")
+			continue
+		}
+		if !in || !strings.HasPrefix(line, "|") || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		if col < 0 {
+			col = slices.IndexFunc(cells, func(c string) bool { return strings.TrimSpace(c) == "checked by" })
+			if col < 0 {
+				return []string{fmt.Sprintf("%s:%d: the table has no \"checked by\" column", storageDoc, i+1)}
+			}
+			continue
+		}
+		var names []string
+		if col < len(cells) {
+			names = backticked.FindAllString(cells[col], -1)
+		}
+		if len(names) == 0 {
+			bad = append(bad, fmt.Sprintf("%s:%d: the row names no rule", storageDoc, i+1))
+		}
+		for _, n := range names {
+			n = strings.Trim(n, "`")
+			named[n] = true
+			if !slices.ContainsFunc(table, func(r rule) bool { return r.name == n }) {
+				bad = append(bad, fmt.Sprintf("%s:%d: checked by %s, which is no rule", storageDoc, i+1, n))
+			}
+		}
+	}
+	if col < 0 {
+		return []string{storageDoc + `: no "Who opens what" table`}
+	}
+	for _, r := range table {
+		if (strings.HasPrefix(r.name, "open-") || strings.HasPrefix(r.name, "write-")) && !named[r.name] {
+			bad = append(bad, fmt.Sprintf("%s: no row is checked by %s", storageDoc, r.name))
+		}
+	}
+	return bad
+}
+
+var backticked = regexp.MustCompile("`[^`]+`")
+
+// under reports whether path is in scope: a pattern is a path.Match glob,
+// "dir/..." for everything below dir, or "..." for the module.
+func under(scope []string, path string) bool {
+	for _, p := range scope {
+		if dir, ok := strings.CutSuffix(p, "..."); ok && strings.HasPrefix(path, dir) {
+			return true
+		}
+		if ok, _ := pathpkg.Match(p, path); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// goFiles returns the non-test Go files in scope.
+func (t *tree) goFiles(scope []string) []*goFile {
+	var out []*goFile
+	for _, f := range t.files {
+		if !f.test && under(scope, f.path) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// load reads the module rooted at root.
+func load(root string) (*tree, error) {
+	t := &tree{text: map[string]string{}}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		test := strings.HasSuffix(p, "_test.go")
+		if test && !bytes.Contains(src, []byte("\nfunc Fuzz")) {
+			return nil
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		f, err := parse(filepath.ToSlash(rel), string(src))
+		if err != nil {
+			return err
+		}
+		t.files = append(t.files, f)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range []string{workflow, storageDoc} {
+		b, err := os.ReadFile(filepath.Join(root, p))
+		if err != nil {
+			return nil, err
+		}
+		t.text[p] = string(b)
+	}
+	return t, nil
+}
+
+// with returns a copy of t with m applied; t is unchanged.
+func (t *tree) with(m mutant) (*tree, error) {
+	src, isText := t.text[m.file]
+	i := slices.IndexFunc(t.files, func(f *goFile) bool { return f.path == m.file })
+	if i >= 0 {
+		src = t.files[i].src
+	} else if !isText {
+		return nil, fmt.Errorf("mutant: no file %s", m.file)
+	}
+	if n := strings.Count(src, m.old); n != 1 {
+		return nil, fmt.Errorf("mutant: %q occurs %d times in %s, want once", m.old, n, m.file)
+	}
+	src = strings.Replace(src, m.old, m.new, 1)
+	out := &tree{files: slices.Clone(t.files), text: t.text}
+	if isText {
+		out.text = maps.Clone(t.text)
+		out.text[m.file] = src
+		return out, nil
+	}
+	f, err := parse(m.file, src)
+	if err != nil {
+		return nil, err
+	}
+	out.files[i] = f
+	return out, nil
+}
+
+// parse indexes one Go file.
+func parse(path, src string) (*goFile, error) {
+	fset := token.NewFileSet()
+	af, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	f := &goFile{path: path, test: strings.HasSuffix(path, "_test.go"), src: src}
+	imports := map[string]string{} // local name → import path
+	for _, im := range af.Imports {
+		p, _ := strconv.Unquote(im.Path.Value)
+		name := pathpkg.Base(p)
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = p
+	}
+	line := func(n ast.Node) int { return fset.Position(n.Pos()).Line }
+	for _, d := range af.Decls {
+		fn := funcName{}
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			fn.name = fd.Name.Name
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				fn.recv = recvType(fd.Recv.List[0].Type)
+			}
+			f.decls = append(f.decls, decl{fn, line(fd)})
+		}
+		drives := map[string]bool{} // variables holding a drive connection
+		seen := map[*ast.SelectorExpr]bool{}
+		ast.Inspect(d, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				f.decls = append(f.decls, decl{funcName{name: n.Name.Name}, line(n)})
+			case *ast.ValueSpec:
+				for i, id := range n.Names {
+					if fn.name == "" {
+						f.decls = append(f.decls, decl{funcName{name: id.Name}, line(id)})
+					}
+					if i < len(n.Values) && isPick(n.Values[i]) {
+						drives[id.Name] = true
+					}
+				}
+			case *ast.StructType:
+				for _, fld := range n.Fields.List {
+					for _, id := range fld.Names {
+						f.decls = append(f.decls, decl{funcName{name: id.Name}, line(id)})
+					}
+				}
+			case *ast.AssignStmt:
+				for i, rhs := range n.Rhs {
+					if id, ok := n.Lhs[i].(*ast.Ident); ok && isPick(rhs) {
+						drives[id.Name] = true
+					}
+				}
+			case *ast.CallExpr:
+				if s, ok := n.Fun.(*ast.SelectorExpr); ok {
+					seen[s] = true
+					r := ref{fn: fn, pkg: qualifier(s.X, imports, drives), name: s.Sel.Name, line: line(s.Sel)}
+					for _, a := range n.Args {
+						if c, ok := a.(*ast.CallExpr); ok {
+							r.args = append(r.args, callee(c))
+						}
+					}
+					f.refs = append(f.refs, r)
+				}
+			case *ast.SelectorExpr:
+				if !seen[n] {
+					f.refs = append(f.refs, ref{fn: fn, pkg: qualifier(n.X, imports, drives), name: n.Sel.Name, line: line(n.Sel)})
+				}
+			case *ast.BasicLit:
+				if n.Kind == token.STRING {
+					if v, err := strconv.Unquote(n.Value); err == nil {
+						f.lits = append(f.lits, lit{v, line(n)})
+					}
+				}
+			}
+			return true
+		})
+	}
+	return f, nil
+}
+
+// recvType is the base type name of a method receiver.
+func recvType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// isPick reports whether e is a drivePool.pick() call.
+func isPick(e ast.Expr) bool {
+	c, ok := e.(*ast.CallExpr)
+	return ok && len(c.Args) == 0 && callee(c) == "pick"
+}
+
+// callee is the name a call calls: f in f(…) and x.f(…).
+func callee(c *ast.CallExpr) string {
+	switch fn := c.Fun.(type) {
+	case *ast.Ident:
+		return fn.Name
+	case *ast.SelectorExpr:
+		return fn.Sel.Name
+	}
+	return ""
+}
+
+// qualifier classifies the X of a selector X.name.
+func qualifier(x ast.Expr, imports map[string]string, drives map[string]bool) string {
+	if isPick(x) {
+		return drive
+	}
+	if id, ok := x.(*ast.Ident); ok {
+		if drives[id.Name] {
+			return drive
+		}
+		return imports[id.Name]
+	}
+	return ""
+}
+
+// base is the module as it is, read once for every test.
+var base = sync.OnceValues(func() (*tree, error) { return load(filepath.Join("..", "..")) })
+
+func baseTree(t *testing.T) *tree {
+	t.Helper()
+	tr, err := base()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestRules runs every rule on the module: each reports nothing.
+func TestRules(t *testing.T) {
+	tr := baseTree(t)
+	for _, r := range rules {
+		t.Run(r.name, func(t *testing.T) {
+			for _, v := range r.check(tr, rules) {
+				t.Error(v)
+			}
+		})
+	}
+}
+
+// TestMutants plants each rule's violations: every rule has at least
+// one, and reports each in the file it was planted in.
+func TestMutants(t *testing.T) {
+	tr := baseTree(t)
+	names := map[string]bool{}
+	for _, r := range rules {
+		if names[r.name] {
+			t.Errorf("two rules are named %s", r.name)
+		}
+		names[r.name] = true
+		t.Run(r.name, func(t *testing.T) {
+			if len(r.mutants) == 0 {
+				t.Fatal("no mutant shows the rule can fail")
+			}
+			for _, m := range r.mutants {
+				mt, err := tr.with(m)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				got := r.check(mt, rules)
+				if !slices.ContainsFunc(got, func(v string) bool { return strings.HasPrefix(v, m.file+":") }) {
+					t.Errorf("%q → %q is not reported in %s; the rule says %q", m.old, m.new, m.file, got)
+				}
+			}
+		})
+	}
+}

@@ -1,0 +1,313 @@
+package archtest
+
+// core is the trusted controller's package.
+var core = []string{"internal/core/*.go"}
+
+// module is every non-test Go file.
+var module = []string{"..."}
+
+const langPkg = "repro/internal/policy/lang"
+
+// rules is the architecture, one invariant a row. A simplification that
+// deletes a path adds the rule that keeps it deleted, with a mutant that
+// brings it back.
+var rules = []rule{
+	// The security argument, positively: every drive read happens in the
+	// read engine, the range walk, repair's and the sweeper's probes and
+	// the detector's — each hands what it reads to a bound opener or
+	// reads no record bytes at all.
+	{
+		name: "drive-reads",
+		check: onlyIn(sym{pkg: drive, names: []string{"Get", "GetValue", "GetVersion", "Range", "GetKeyRange", "GetLog", "Noop"}}, core,
+			"fetchReplicated", "getChunkValue", "rangePage", "loadMetaNewest", "probe", "chunksIntact", "replicasConverged", "DetectorTick"),
+		mutants: []mutant{{
+			// A read through a connection held under another name.
+			file: "internal/core/stream.go",
+			old:  "_ = cl.Delete(ctx, store.ChunkKey(key, next, idx), nil, true)",
+			new:  "_, _, _ = cl.Get(ctx, store.ChunkKey(key, next, idx))",
+		}},
+	},
+	// Each record kind has one opener, bound to the key that was asked
+	// for; the unbound decoder is not the controller's to call.
+	{
+		name:  "open-meta",
+		check: onlyIn(sym{names: []string{"DecodeMeta"}}, core, "fetchMeta", "newestMeta"),
+		mutants: []mutant{{
+			// A second election among a head's copies.
+			file: "internal/core/repair.go",
+			old:  "copies[i], _, errs[i] = c.drives[di].pick().Get(ctx, store.MetaKey(key))",
+			new:  "copies[i], _, errs[i] = c.drives[di].pick().Get(ctx, store.MetaKey(key))\n\t\t_ = c.codec.DecodeMeta(copies[i], key, new(store.Meta))",
+		}},
+	},
+	{
+		name:  "open-version",
+		check: onlyIn(sym{names: []string{"DecodeVersion"}}, core, "fetchRecord", "repairObject"),
+		mutants: []mutant{{
+			file: "internal/core/stripe.go",
+			old:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, version, idx))",
+			new:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, version, idx))\n\t_, _ = c.codec.DecodeVersion(v.Value, key, version)",
+		}},
+	},
+	{
+		name:  "open-chunk",
+		check: onlyIn(sym{names: []string{"DecodeChunkInto"}}, core, "openChunk", "repairChunk"),
+		mutants: []mutant{{
+			file: "internal/core/stripe.go",
+			old:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, version, idx))",
+			new:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, version, idx))\n\t_, _ = c.codec.DecodeChunkInto(v.Value, nil, key, version, idx)",
+		}},
+	},
+	{
+		name:  "open-record",
+		check: nowhere(sym{names: []string{"DecodeRecord"}}, core...),
+		mutants: []mutant{{
+			// The unbound decoder, reached through a renamed codec.
+			file: "internal/core/objects.go",
+			old:  "return c.codec.DecodeVersion(val, key, version)",
+			new:  "cd := c.codec\n\t\t\treturn cd.DecodeRecord(val)",
+		}},
+	},
+	{
+		name:  "open-policy",
+		check: onlyIn(sym{names: []string{"openPolicy"}}, core, "fetchPolicy", "ExportRange"),
+		mutants: []mutant{{
+			file: "internal/core/objects.go",
+			old:  "prog, err := c.loadPolicy(ctx, id)",
+			new:  "prog, err := c.openPolicy(id)(nil)",
+		}},
+	},
+	// The head record m\0key has one writer.
+	{
+		name:  "write-meta",
+		check: onlyIn(sym{names: []string{"EncodeMeta"}}, core, "stage", "repairObject"),
+		mutants: []mutant{{
+			file: "internal/core/stream.go",
+			old:  "if err := c.drives[di].pick().Put(ctx, dk, blob, nil, encodeVer(next), true); err != nil {",
+			new:  "if err := c.drives[di].pick().Put(ctx, store.MetaKey(key), c.codec.EncodeMeta(meta), nil, encodeVer(next), true); err != nil {",
+		}},
+	},
+	// A read is judged once: in planRead, which every read shape runs,
+	// and in the listing's per-entry filter.
+	{
+		name:  "read-permission",
+		check: onlyIn(sym{pkg: langPkg, names: []string{"PermRead"}}, core, "planRead", "scanObjects"),
+		mutants: []mutant{{
+			file: "internal/core/objects.go",
+			old:  "lang.PermDelete",
+			new:  "lang.PermRead",
+		}},
+	},
+	{
+		name:  "read-permission-sites",
+		check: count(sym{pkg: langPkg, names: []string{"PermRead"}}, core, map[string]int{"internal/core/objects.go": 1, "internal/core/scan.go": 1}),
+		mutants: []mutant{{
+			file: "internal/core/scan.go",
+			old:  "if meta, err = c.fetchMeta(ctx, key); err != nil {",
+			new:  "if meta, err = c.fetchMeta(ctx, key); err != nil || c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, meta, nil, opts.Certs) != nil {",
+		}},
+	},
+	// Objects ride /v2 alone: the /v1 object shim, its error envelope
+	// and the hand-kept op-class table stay deleted.
+	{
+		name:  "object-routes",
+		check: noLiteral(module, `^(PUT|POST|GET|DELETE)? ?/v1/(objects|results)`),
+		mutants: []mutant{{
+			file: "internal/core/restv2.go",
+			old:  `"GET /v2/objects/{key...}"`,
+			new:  `"GET /v1/objects/{key...}"`,
+		}},
+	},
+	{
+		name:  "object-shim-gone",
+		check: gone([]string{"internal/core/*.go"}, "httpError", "opForRequest"),
+		mutants: []mutant{{
+			file: "internal/core/rest.go",
+			old:  "func writeError(w http.ResponseWriter, err error) {",
+			new:  "func httpError(w http.ResponseWriter, err error) {",
+		}},
+	},
+	// Every mutation stages, commits and publishes through one path, and
+	// a cache detaches its own flights.
+	{
+		name: "pipeline-gone",
+		check: gone(module, "Controller.putReplicas", "Controller.writeThrough", "Controller.stageWriteCtx",
+			"Controller.planVersionCtx", "Controller.checkPolicyCtx", "Forget"),
+		mutants: []mutant{{
+			file: "internal/core/replicate.go",
+			old:  "func (c *Controller) stage(",
+			new:  "func (c *Controller) putReplicas(",
+		}},
+	},
+	// The REST hop does not reflect: its hot shapes go through the one
+	// hand-written codec (restcodec.go). encoding/json is the cold
+	// routes' writer, the chunked replies' reader and the codec's
+	// declared fallback.
+	{
+		name: "rest-codec",
+		check: onlyIn(sym{pkg: "encoding/json", names: []string{"NewEncoder", "NewDecoder", "Marshal", "Unmarshal"}},
+			[]string{"internal/core/rest*.go", "internal/client/*.go"}, "writeJSON", "ReadJSON", "decodeFallback"),
+		mutants: []mutant{{
+			file: "internal/core/rest.go",
+			old:  "func reply(w http.ResponseWriter, v any) error {",
+			new:  "func reply(w http.ResponseWriter, v any) error {\n\t_, _ = json.Marshal(v)",
+		}},
+	},
+	// Every enumeration of drive keys is one checked page (rangePage)
+	// in one merged walk.
+	{
+		name:  "range-page",
+		check: onlyIn(sym{pkg: drive, names: []string{"Range", "GetKeyRange"}}, core, "rangePage"),
+		mutants: []mutant{{
+			// A context not spelled ctx: the text guard this rule
+			// replaced looked for `.Range(ctx`.
+			file: "internal/core/sweeper.go",
+			old:  "if _, err := c.drives[di].pick().GetVersion(ctx, objKey); err != nil {",
+			new:  "if _, err := c.drives[di].pick().Range(sctx, objKey, objKey, true, false, 1, false); err != nil {",
+		}},
+	},
+	{
+		name:  "range-walk-gone",
+		check: gone(module, "sweepKeysAfter", "keysInRange"),
+		mutants: []mutant{{
+			file: "internal/core/rangewalk.go",
+			old:  "func checkRange(",
+			new:  "func keysInRange(",
+		}},
+	},
+	// The second read entry point and repair's private health checks
+	// stay deleted.
+	{
+		name:  "read-plan-gone",
+		check: gone(core, "Controller.getObject", "Controller.healthyRecord", "Controller.recordHealthy", "Controller.chunkHealthy"),
+		mutants: []mutant{{
+			file: "internal/core/objects.go",
+			old:  "func (c *Controller) readObject(",
+			new:  "func (c *Controller) getObject(",
+		}},
+	},
+	// A transaction is one request, POST /v2/tx: the controller holds
+	// nothing between two of them.
+	{
+		name:  "tx-route",
+		check: noLiteral(module, `/v1/tx`),
+		mutants: []mutant{{
+			file: "internal/core/restv2.go",
+			old:  `"POST /v2/tx"`,
+			new:  `"POST /v1/tx"`,
+		}},
+	},
+	{
+		name: "tx-state-gone",
+		check: gone(module, "txState", "Session.CreateTx", "Session.AddRead", "Session.AddWrite",
+			"Session.CommitTx", "Session.CheckResults"),
+		mutants: []mutant{{
+			file: "internal/core/tx.go",
+			old:  "func (s *Session) Tx(",
+			new:  "func (s *Session) CommitTx(",
+		}},
+	},
+	// Every record read off the drives is one first-k-of-n fetch with
+	// one order, one hedge timer and one demotion rule.
+	{
+		name:  "fetch-engine-gone",
+		check: gone(core, "readHedged", "readReplicas", "orderByLatency", "Controller.readOrder"),
+		mutants: []mutant{{
+			file: "internal/core/objects.go",
+			old:  "func fetchReplicated[T any](",
+			new:  "func readReplicas[T any](",
+		}},
+	},
+	// No read grows a timer of its own: time.NewTimer is the group
+	// committer's gather poll and the fetch engine's one.
+	{
+		name:  "timers",
+		check: count(sym{pkg: "time", names: []string{"NewTimer"}}, core, map[string]int{"internal/core/gcommit.go": 1, "internal/core/fetch.go": 1}),
+		mutants: []mutant{{
+			file: "internal/core/detector.go",
+			old:  "probeCtx, cancel := context.WithTimeout(ctx, det.probeTimeout)",
+			new:  "probeCtx, cancel := context.WithTimeout(ctx, det.probeTimeout)\n\t\t\tdefer time.NewTimer(det.probeTimeout).Stop()",
+		}},
+	},
+	// Each drive has its own commit loop: no clock ships every drive's
+	// batch in one wave.
+	{
+		name:  "commit-wave-gone",
+		check: gone(core, "shipGeneration", "generationStallTimeout"),
+		mutants: []mutant{{
+			file: "internal/core/gcommit.go",
+			old:  "gatherQuietPolls   = 2",
+			new:  "gatherQuietPolls   = 2\n\tgenerationStallTimeout = 5 * time.Second",
+		}},
+	},
+	// The head record is opened by the codec's bound opener only, and
+	// the sweeper decides from the copies its walk carries instead of
+	// re-reading each head's version stamp.
+	{
+		name:  "head-codec-gone",
+		check: gone([]string{"internal/..."}, "UnmarshalMeta"),
+		mutants: []mutant{{
+			file: "internal/store/store.go",
+			old:  "func (c *Codec) DecodeMeta(",
+			new:  "func (c *Codec) UnmarshalMeta(",
+		}},
+	},
+	{
+		name:  "head-stamp",
+		check: nowhere(sym{names: []string{"GetVersion"}, arg: "MetaKey"}, core...),
+		mutants: []mutant{{
+			file: "internal/core/sweeper.go",
+			old:  "if _, err := c.drives[di].pick().GetVersion(ctx, objKey); err != nil {",
+			new:  "if _, err := c.drives[di].pick().GetVersion(ctx, store.MetaKey(key)); err != nil {",
+		}},
+	},
+	// A handoff export is a repair with a second destination, and a
+	// drive applies grouped batches only.
+	{
+		name:  "record-mover-gone",
+		check: gone(module, "p2pCopy", "p2pCopyRange", "Client.Batch"),
+		mutants: []mutant{{
+			file: "internal/kinetic/kclient/client.go",
+			old:  "func (c *Client) BatchGroups(",
+			new:  "func (c *Client) Batch(",
+		}},
+	},
+	// A multi-key write reads its heads in one wave (loadHeads) before
+	// planning: batch.go and tx.go read no head of their own, and the
+	// plans are handed their head.
+	{
+		name: "head-wave",
+		check: onlyIn(sym{names: []string{"loadMeta", "loadHead"}}, core,
+			"putObject", "planReadKey", "deleteObject", "loadHead", "loadHeads", "objectSource.Info", "putObjectStream", "commitStream"),
+		mutants: []mutant{{
+			// Through a receiver not spelled c.
+			file: "internal/core/batch.go",
+			old:  "c.loadHeads(ctx, heads, owned)",
+			new:  "c.loadHeads(ctx, heads, owned)\n\tctl := c\n\t_, _ = ctl.loadMeta(ctx, owned[0])",
+		}, {
+			file: "internal/core/objects.go",
+			old:  "func (c *Controller) planPut(ctx context.Context, pe *policyEval, sessionKey, key string, head headLoad, value []byte, opts PutOptions) (*replicaWrite, error) {",
+			new:  "func (c *Controller) planPut(ctx context.Context, pe *policyEval, sessionKey, key string, head headLoad, value []byte, opts PutOptions) (*replicaWrite, error) {\n\thead = c.loadHead(ctx, key)",
+		}},
+	},
+	// Every fuzz target runs in CI's fuzz-smoke job.
+	{
+		name:  "fuzz-smoke",
+		check: fuzzSmoke,
+		mutants: []mutant{{
+			file: "internal/core/scan_test.go",
+			old:  "func FuzzScanToken(",
+			new:  "func FuzzScanTokens(",
+		}},
+	},
+	// docs/storage.md's "Who opens what" names the rule that checks each
+	// row.
+	{
+		name:  "doc-table",
+		check: docTable,
+		mutants: []mutant{{
+			file: storageDoc,
+			old:  "| `open-chunk`",
+			new:  "| `open-chunks`",
+		}},
+	},
+}

@@ -87,9 +87,7 @@ func figChaos(s Scale, seed int64, phase time.Duration) (*Table, error) {
 		// 64 keys per 15 ms tick.
 		DetectorInterval:     20 * time.Millisecond,
 		DetectorProbeTimeout: 50 * time.Millisecond,
-		DetectorSuspectAfter: 2,
 		DetectorDeadAfter:    3,
-		DetectorReviveAfter:  3,
 		SweepInterval:        15 * time.Millisecond,
 		SweepKeysPerTick:     64,
 	})

@@ -111,9 +111,7 @@ func figEC(s Scale, objects int, objBytes int64) (*Table, error) {
 	// timers; kill a drive under load and time the rebuild.
 	ecOpts.DetectorInterval = 20 * time.Millisecond
 	ecOpts.DetectorProbeTimeout = 50 * time.Millisecond
-	ecOpts.DetectorSuspectAfter = 2
 	ecOpts.DetectorDeadAfter = 3
-	ecOpts.DetectorReviveAfter = 3
 	ecOpts.SweepInterval = 10 * time.Millisecond
 	ecOpts.SweepKeysPerTick = 64
 	c, err := testbed.Start(ecOpts)

@@ -133,13 +133,10 @@ type Config struct {
 	DetectorInterval time.Duration
 	// DetectorProbeTimeout bounds one detector probe; 0 selects 1s.
 	DetectorProbeTimeout time.Duration
-	// DetectorSuspectAfter / DetectorDeadAfter are the consecutive
-	// failed-probe thresholds for the suspect and dead transitions
-	// (defaults 2 and 4); DetectorReviveAfter is the consecutive
-	// successes a dead drive needs to rejoin (default 3).
-	DetectorSuspectAfter int
-	DetectorDeadAfter    int
-	DetectorReviveAfter  int
+	// DetectorDeadAfter is the consecutive failed-probe count that
+	// declares a drive dead (default 4; at least one more than
+	// detectorSuspectAfter).
+	DetectorDeadAfter int
 
 	// SweepInterval runs the continuous anti-entropy sweeper on a
 	// ticker (see sweeper.go); each tick converges a bounded window of
@@ -148,9 +145,6 @@ type Config struct {
 	SweepInterval time.Duration
 	// SweepKeysPerTick bounds the keys examined per tick (default 256).
 	SweepKeysPerTick int
-	// SweepBytesPerTick bounds the record bytes rewritten per tick
-	// (default 4 MB); a tick stops early once exceeded.
-	SweepBytesPerTick int64
 
 	// Shard, when set, runs the controller as one shard of a multi-
 	// controller cluster: it owns only the given hash ranges of the

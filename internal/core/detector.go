@@ -49,18 +49,24 @@ type DriveHealth struct {
 	Since time.Time `json:"since"`
 }
 
+// The detector's fixed thresholds: consecutive failed probes before a
+// drive is suspect, and consecutive answered probes before a dead drive
+// rejoins.
+const (
+	detectorSuspectAfter = 2
+	detectorReviveAfter  = 3
+)
+
 // driveDetector tracks per-drive probe history and drives the
 // healthy → suspect → dead state machine. Transitions need
-// consecutive evidence in both directions (SuspectAfter/DeadAfter
-// failures down, ReviveAfter successes up), so a single dropped probe
-// never declares a drive dead and a single lucky probe never revives
-// one.
+// consecutive evidence in both directions (detectorSuspectAfter and
+// deadAfter failures down, detectorReviveAfter successes up), so a
+// single dropped probe never declares a drive dead and a single lucky
+// probe never revives one.
 type driveDetector struct {
 	c *Controller
 
-	suspectAfter int
 	deadAfter    int
-	reviveAfter  int
 	probeTimeout time.Duration
 
 	mu     sync.Mutex
@@ -77,20 +83,12 @@ type driveProbeState struct {
 func newDriveDetector(c *Controller) *driveDetector {
 	d := &driveDetector{
 		c:            c,
-		suspectAfter: c.cfg.DetectorSuspectAfter,
 		deadAfter:    c.cfg.DetectorDeadAfter,
-		reviveAfter:  c.cfg.DetectorReviveAfter,
 		probeTimeout: c.cfg.DetectorProbeTimeout,
 		states:       make([]driveProbeState, len(c.drives)),
 	}
-	if d.suspectAfter <= 0 {
-		d.suspectAfter = 2
-	}
-	if d.deadAfter <= d.suspectAfter {
-		d.deadAfter = d.suspectAfter + 2
-	}
-	if d.reviveAfter <= 0 {
-		d.reviveAfter = 3
+	if d.deadAfter <= detectorSuspectAfter {
+		d.deadAfter = detectorSuspectAfter + 2
 	}
 	if d.probeTimeout <= 0 {
 		d.probeTimeout = time.Second
@@ -144,7 +142,7 @@ func (d *driveDetector) record(results []bool) {
 			case DriveSuspect:
 				st.state, st.since = DriveHealthy, now
 			case DriveDead:
-				if st.successes >= d.reviveAfter {
+				if st.successes >= detectorReviveAfter {
 					st.state, st.since = DriveHealthy, now
 					revives++
 				}
@@ -157,7 +155,7 @@ func (d *driveDetector) record(results []bool) {
 				if st.fails >= d.deadAfter {
 					st.state, st.since = DriveDead, now
 					deaths++
-				} else if st.fails >= d.suspectAfter {
+				} else if st.fails >= detectorSuspectAfter {
 					st.state, st.since = DriveSuspect, now
 				}
 			case DriveSuspect:
@@ -210,7 +208,7 @@ func (c *Controller) DriveHealth() []DriveHealth {
 
 // MarkDriveDead forces a drive into the dead state (operator action /
 // deterministic tests). The detector's revive path still applies: a
-// drive that answers probes ReviveAfter times in a row comes back.
+// drive that answers probes detectorReviveAfter times in a row comes back.
 func (c *Controller) MarkDriveDead(name string) error {
 	return c.forceDriveState(name, DriveDead)
 }

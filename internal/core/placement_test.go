@@ -168,8 +168,8 @@ func TestListingCoverNeedsASweptRevival(t *testing.T) {
 	if got := cover(); got != 4 {
 		t.Fatalf("revived and swept: cover of %d, want 4", got)
 	}
-	// The detector's revive path: dead after DeadAfter failed probes,
-	// back after ReviveAfter answered ones.
+	// The detector's revive path: dead after deadAfter failed probes,
+	// back after detectorReviveAfter answered ones.
 	probes := []bool{true, true, false, true, true, true}
 	for i := 0; i < h.ctl.detector.deadAfter; i++ {
 		h.ctl.detector.record(probes)
@@ -178,7 +178,7 @@ func TestListingCoverNeedsASweptRevival(t *testing.T) {
 		t.Fatalf("detected dead: cover of %d, want the whole set", got)
 	}
 	probes[2] = true
-	for i := 0; i < h.ctl.detector.reviveAfter; i++ {
+	for i := 0; i < detectorReviveAfter; i++ {
 		h.ctl.detector.record(probes)
 	}
 	if got := cover(); got != 0 {

@@ -18,6 +18,10 @@ import (
 // head.
 const sweepDeepEvery = 4
 
+// sweepBytesPerTick bounds the record bytes one sweeper tick rewrites:
+// a tick stops early once it has restored this much.
+const sweepBytesPerTick = 4 << 20
+
 // SweepTickReport summarizes one incremental sweeper tick.
 type SweepTickReport struct {
 	// Scanned is the number of keys examined this tick.
@@ -120,7 +124,7 @@ func (c *Controller) SweeperStatus() SweeperStatus {
 // resumable cursor, each with every drive's copy of its head, verifies
 // each with the cheap agreement fast path (full record repair only
 // where replicas diverge, or on every sweepDeepEvery'th generation),
-// and stops early once SweepBytesPerTick of records have been
+// and stops early once sweepBytesPerTick of records have been
 // rewritten. Neither the enumeration nor the verification reads the
 // whole keyspace — per tick cost is the walk's pages plus
 // O(keys-per-tick × replicas) version reads.
@@ -135,10 +139,6 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 	maxKeys := c.cfg.SweepKeysPerTick
 	if maxKeys <= 0 {
 		maxKeys = 256
-	}
-	maxBytes := c.cfg.SweepBytesPerTick
-	if maxBytes <= 0 {
-		maxBytes = 4 << 20
 	}
 
 	sw.mu.Lock()
@@ -177,7 +177,7 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 		if c.owns(key) {
 			// The tick yields at its key budget, its byte budget or a
 			// cancellation; the cursor resumes after the last key examined.
-			if report.Scanned == maxKeys || report.RestoredBytes >= maxBytes || ctx.Err() != nil {
+			if report.Scanned == maxKeys || report.RestoredBytes >= sweepBytesPerTick || ctx.Err() != nil {
 				break
 			}
 			report.Scanned++

@@ -22,7 +22,7 @@ import (
 	"time"
 )
 
-// The sealed audit decision log (ROADMAP item 3): an append-only,
+// The sealed audit decision log: an append-only,
 // AEAD-sealed, hash-chained record of policy decisions — every DENY,
 // plus sampled ALLOWs — written outside the enclave but verifiable
 // and readable only with the sealing key.

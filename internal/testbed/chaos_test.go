@@ -29,9 +29,7 @@ func chaosOpts(drives, replicas int) Options {
 		Replicas:             replicas,
 		DetectorInterval:     20 * time.Millisecond,
 		DetectorProbeTimeout: 50 * time.Millisecond,
-		DetectorSuspectAfter: 2,
 		DetectorDeadAfter:    3,
-		DetectorReviveAfter:  3,
 		SweepInterval:        10 * time.Millisecond,
 		SweepKeysPerTick:     32,
 	}

@@ -77,16 +77,12 @@ type Options struct {
 	// themselves for determinism; daemons set them).
 	DetectorInterval time.Duration
 	SweepInterval    time.Duration
-	// DetectorProbeTimeout / DetectorSuspectAfter / DetectorDeadAfter /
-	// DetectorReviveAfter tune the failure detector (0 = core defaults).
+	// DetectorProbeTimeout / DetectorDeadAfter tune the failure
+	// detector (0 = core defaults).
 	DetectorProbeTimeout time.Duration
-	DetectorSuspectAfter int
 	DetectorDeadAfter    int
-	DetectorReviveAfter  int
-	// SweepKeysPerTick / SweepBytesPerTick bound one sweeper tick
-	// (0 = core defaults).
-	SweepKeysPerTick  int
-	SweepBytesPerTick int64
+	// SweepKeysPerTick bounds one sweeper tick (0 = core default).
+	SweepKeysPerTick int
 	// EC enables the erasure-coded storage class for streamed objects
 	// of at least ECMinBytes (0 = core default 4 MB), striped as
 	// ECDataShards+ECParityShards (0,0 = 4+2).
@@ -324,12 +320,9 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 		CredentialEpoch:      credEpoch,
 		DetectorInterval:     opts.DetectorInterval,
 		DetectorProbeTimeout: opts.DetectorProbeTimeout,
-		DetectorSuspectAfter: opts.DetectorSuspectAfter,
 		DetectorDeadAfter:    opts.DetectorDeadAfter,
-		DetectorReviveAfter:  opts.DetectorReviveAfter,
 		SweepInterval:        opts.SweepInterval,
 		SweepKeysPerTick:     opts.SweepKeysPerTick,
-		SweepBytesPerTick:    opts.SweepBytesPerTick,
 		EC:                   opts.EC,
 		ECDataShards:         opts.ECDataShards,
 		ECParityShards:       opts.ECParityShards,
@@ -402,13 +395,9 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 	c.restLn = netx.NewListener(name)
 	srvCfg := tlsutil.ServerConfig(c.serverID, e.CA.Pool())
 	c.httpSrv = c.REST.Server()
-	go c.httpSrv.Serve(tls.NewListener(restLnAdapter{c.restLn}, srvCfg))
+	go c.httpSrv.Serve(tls.NewListener(c.restLn, srvCfg))
 	return c, nil
 }
-
-// restLnAdapter satisfies net.Listener (netx.Listener already does;
-// the adapter exists to keep the field unexported-typed).
-type restLnAdapter struct{ *netx.Listener }
 
 // NewClient issues a certificate for name and returns a REST client
 // plus the identity (whose fingerprint names the principal in
