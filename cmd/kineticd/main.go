@@ -141,6 +141,7 @@ func main() {
 		obsSrv.Close()
 	}
 	srv.Close()
+	drive.Close()
 }
 
 // driveRegistry exposes the drive's operation counters as a metrics
@@ -170,6 +171,10 @@ func driveRegistry(d *kinetic.Drive) *obs.Registry {
 	}
 	r.GaugeFunc("kinetic_stored_keys", "Keys currently stored on the drive.",
 		func() float64 { return float64(d.Len()) })
+	r.GaugeFunc("kinetic_stored_bytes", "Key, value and version bytes currently stored on the drive.",
+		func() float64 { return float64(d.SizeBytes()) })
+	r.GaugeFunc("kinetic_mapped_bytes", "Memory mapped from the OS to hold the stored records; the excess over kinetic_stored_bytes is the record arena's overhead.",
+		func() float64 { return float64(d.MappedBytes()) })
 	return r
 }
 

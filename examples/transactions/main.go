@@ -68,8 +68,8 @@ func main() {
 					Version: r.Version + 1, HasVersion: true,
 				})
 			}
-			var apiErr *client.APIError
-			if err := tx.Commit(ctx); errors.As(err, &apiErr) && apiErr.Code == string(core.CodeVersionConflict) {
+			var opErr *client.OpError
+			if err := tx.Commit(ctx); errors.As(err, &opErr) && opErr.Code == string(core.CodeVersionConflict) {
 				continue
 			} else if err != nil {
 				return nil, attempts, err

@@ -171,6 +171,23 @@ func nowhere(s sym, scope ...string) func(*tree, []rule) []string {
 	return onlyIn(s, scope)
 }
 
+// inFiles: s is referenced in scope only inside the files named.
+func inFiles(s sym, scope []string, files ...string) func(*tree, []rule) []string {
+	return func(t *tree, _ []rule) (bad []string) {
+		for _, f := range t.goFiles(scope) {
+			if slices.Contains(files, f.path) {
+				continue
+			}
+			for _, r := range f.refs {
+				if s.match(r) {
+					bad = append(bad, fmt.Sprintf("%s:%d: %s outside %s", f.path, r.line, s, strings.Join(files, ", ")))
+				}
+			}
+		}
+		return bad
+	}
+}
+
 // count: s is referenced exactly want[path] times in each file of scope,
 // and nowhere else in it.
 func count(s sym, scope []string, want map[string]int) func(*tree, []rule) []string {

@@ -289,6 +289,28 @@ var rules = []rule{
 			new:  "func (c *Controller) planPut(ctx context.Context, pe *policyEval, sessionKey, key string, head headLoad, value []byte, opts PutOptions) (*replicaWrite, error) {\n\thead = c.loadHead(ctx, key)",
 		}},
 	},
+	// A drive's records live in its arena: only the arena maps memory,
+	// and a stored slice leaves the skip list only as a copy, so a freed
+	// block can be reused while a reply is still being written.
+	{
+		name:  "record-mappings",
+		check: inFiles(sym{pkg: "syscall", names: []string{"Mmap", "Munmap"}}, module, "internal/kinetic/arena.go"),
+		mutants: []mutant{{
+			file: "cmd/kineticd/main.go",
+			old:  "drive := kinetic.NewDrive(cfg)",
+			new:  "drive := kinetic.NewDrive(cfg)\n\t_, _ = syscall.Mmap(-1, 0, 4096, syscall.PROT_READ, syscall.MAP_ANON|syscall.MAP_PRIVATE)",
+		}},
+	},
+	{
+		name: "stored-bytes",
+		check: inFiles(sym{names: []string{"rec", "klen", "vlen", "recKey", "recParts"}},
+			[]string{"internal/kinetic/*.go"}, "internal/kinetic/skiplist.go"),
+		mutants: []mutant{{
+			file: "internal/kinetic/drive.go",
+			old:  "resp.Key = req.Key\n\tresp.Value = value",
+			new:  "resp.Key = req.Key\n\tresp.Value = d.store.find(req.Key).rec",
+		}},
+	},
 	// Every fuzz target runs in CI's fuzz-smoke job.
 	{
 		name:  "fuzz-smoke",

@@ -32,24 +32,8 @@ type Client struct {
 	http    *http.Client
 }
 
-// APIError is a non-2xx response from the controller. Code carries
-// the machine-readable taxonomy of the reply's error envelope ("" only
-// when the body was not one — an intermediary's, say).
-type APIError struct {
-	Status int
-	Code   string
-	Msg    string
-}
-
-// Error implements error.
-func (e *APIError) Error() string {
-	if e.Code != "" {
-		return fmt.Sprintf("pesos client: HTTP %d [%s]: %s", e.Status, e.Code, e.Msg)
-	}
-	return fmt.Sprintf("pesos client: HTTP %d: %s", e.Status, e.Msg)
-}
-
-// ErrDenied mirrors a 403 policy denial.
+// ErrDenied is what a policy denial matches: errors.Is(err, ErrDenied)
+// holds for an *OpError with the denied code or the 403 status.
 var ErrDenied = errors.New("pesos client: denied by policy")
 
 // Config configures a client.
@@ -273,19 +257,17 @@ func ReadJSON(resp *http.Response, out any) error {
 	return err
 }
 
-// decodeError consumes a non-200 reply into the error it stands for.
-// Every route fails in the one envelope {"error":{"code","message"}}.
+// decodeError consumes a non-200 reply into the *OpError it stands for,
+// a denial included. Every route fails in the one envelope
+// {"error":{"code","message"}}.
 func decodeError(resp *http.Response) error {
 	var e core.ErrorReply
 	ReadJSON(resp, &e) // an undecodable body leaves the status to speak
-	apiErr := &APIError{Status: resp.StatusCode, Code: string(e.Error.Code), Msg: e.Error.Message}
-	if apiErr.Msg == "" {
-		apiErr.Msg = resp.Status
+	opErr := &OpError{Status: resp.StatusCode, Code: string(e.Error.Code), Message: e.Error.Message}
+	if opErr.Message == "" {
+		opErr.Message = resp.Status
 	}
-	if resp.StatusCode == http.StatusForbidden {
-		return fmt.Errorf("%w: %s", ErrDenied, apiErr.Msg)
-	}
-	return apiErr
+	return opErr
 }
 
 // escapeKey renders an object key as one URL path segment that

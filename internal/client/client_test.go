@@ -141,17 +141,17 @@ func TestErrorRepliesKeepTheConnection(t *testing.T) {
 		if _, _, err := cl.Get(ctx, "denied", GetOptions{}); !errors.Is(err, ErrDenied) {
 			t.Fatalf("403: %v, want ErrDenied", err)
 		}
-		var apiErr *APIError
-		if _, _, err := cl.Get(ctx, "moved", GetOptions{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusMisdirectedRequest || apiErr.Code != "wrong_shard" {
-			t.Fatalf("421: %v, want a wrong_shard APIError", err)
+		var opErr *OpError
+		if _, _, err := cl.Get(ctx, "moved", GetOptions{}); !errors.As(err, &opErr) || opErr.Status != http.StatusMisdirectedRequest || opErr.Code != "wrong_shard" {
+			t.Fatalf("421: %v, want a wrong_shard OpError", err)
 		}
-		if _, _, err := cl.Get(ctx, "absent", GetOptions{}); !errors.As(err, &apiErr) || apiErr.Code != "not_found" {
+		if _, _, err := cl.Get(ctx, "absent", GetOptions{}); !errors.As(err, &opErr) || opErr.Code != "not_found" {
 			t.Fatalf("404: %v, want not_found", err)
 		}
-		// A denied read stays what the router has always seen: ErrDenied,
-		// not an *APIError (docs/perf.md, "Parked: the denied-read retry").
-		if _, _, err := cl.Get(ctx, "denied", GetOptions{}); errors.As(err, &apiErr) {
-			t.Fatalf("403 decoded to an *APIError: %v", err)
+		// A denied read is an answer like the others: an *OpError with
+		// its status and code (docs/perf.md, "A denial is an answer").
+		if _, _, err := cl.Get(ctx, "denied", GetOptions{}); !errors.As(err, &opErr) || opErr.Status != http.StatusForbidden || opErr.Code != "denied" {
+			t.Fatalf("403: %v, want a denied OpError", err)
 		}
 		if _, _, err := cl.GetStream(ctx, "denied", GetOptions{}); !errors.Is(err, ErrDenied) {
 			t.Fatalf("streamed 403: %v, want ErrDenied", err)

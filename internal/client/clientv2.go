@@ -20,20 +20,32 @@ import (
 	"repro/internal/core"
 )
 
-// OpError is the machine-readable error of one v2 operation.
+// OpError is an error the controller answered: a non-2xx reply to a
+// request, with its HTTP status, or one operation's failure inside a
+// reply, with Status 0. Code is the machine-readable taxonomy of the
+// error envelope ("" only when a reply's body was not one — an
+// intermediary's, say).
 type OpError struct {
+	Status  int    `json:"-"`
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }
 
 // Error implements error.
 func (e *OpError) Error() string {
-	return fmt.Sprintf("pesos client: [%s] %s", e.Code, e.Message)
+	switch {
+	case e.Status == 0:
+		return fmt.Sprintf("pesos client: [%s] %s", e.Code, e.Message)
+	case e.Code == "":
+		return fmt.Sprintf("pesos client: HTTP %d: %s", e.Status, e.Message)
+	}
+	return fmt.Sprintf("pesos client: HTTP %d [%s]: %s", e.Status, e.Code, e.Message)
 }
 
-// Is makes errors.Is(err, ErrDenied) hold for a per-op policy denial.
+// Is makes errors.Is(err, ErrDenied) hold for a policy denial: the
+// denied code, or a 403 whatever its body said.
 func (e *OpError) Is(target error) bool {
-	return target == ErrDenied && e.Code == string(core.CodeDenied)
+	return target == ErrDenied && (e.Code == string(core.CodeDenied) || e.Status == http.StatusForbidden)
 }
 
 // OpResult is the outcome of one mutation. Version is int64 for puts
@@ -163,8 +175,8 @@ func (c *Client) ResultOp(ctx context.Context, opID uint64) (res OpResult, done,
 		Result OpResult `json:"result"`
 	}
 	err = c.call(ctx, http.MethodGet, "/v2/results/"+strconv.FormatUint(opID, 10), "", nil, nil, nil, &out)
-	var apiErr *APIError
-	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
+	var opErr *OpError
+	if errors.As(err, &opErr) && opErr.Status == http.StatusNotFound {
 		return OpResult{}, false, false, nil
 	}
 	if err != nil {

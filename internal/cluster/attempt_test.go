@@ -172,13 +172,13 @@ func TestAttemptLoop(t *testing.T) {
 	}
 	status := func(code int) func(error) bool {
 		return func(err error) bool {
-			var apiErr *client.APIError
-			return errors.As(err, &apiErr) && apiErr.Status == code
+			var opErr *client.OpError
+			return errors.As(err, &opErr) && opErr.Status == code
 		}
 	}
 	unanswered := func(err error) bool {
-		var apiErr *client.APIError
-		return err != nil && !errors.As(err, &apiErr) && !errors.Is(err, context.Canceled)
+		var opErr *client.OpError
+		return err != nil && !errors.As(err, &opErr) && !errors.Is(err, context.Canceled)
 	}
 
 	type counts struct{ redirects, retargets, retries, maxPerOp uint64 }
@@ -242,14 +242,16 @@ func TestAttemptLoop(t *testing.T) {
 			faults: func(g *attemptRig) []fault { return []fault{{serverErr, g.failover}} }, op: get,
 			dispatches: [3]int{1, 0, 1}, stats: counts{0, 1, 1, 0},
 			routes: [][]string{{first}, nil, {retargeted}}},
-		// Parked: a 403 decodes to ErrDenied, not an *APIError, so it counts
-		// as unreachable and is sent again. docs/perf.md "Parked: the
-		// denied-read retry" has the measurement that keeps it so.
-		{name: "get/denied is re-dispatched once (parked)",
+		// A denial is final: one dispatch, no refresh, no back-off. The
+		// second queued 403 is never asked for.
+		{name: "get/denied is an answer",
 			faults: func(*attemptRig) []fault { return repeat(fault{kind: denied}, 2) }, op: get,
-			wantErr:    func(err error) bool { return errors.Is(err, client.ErrDenied) },
-			dispatches: [3]int{2, 0, 0}, stats: counts{0, 1, 1, 0},
-			routes: [][]string{{first, retargeted}, nil, nil}},
+			wantErr: func(err error) bool {
+				var opErr *client.OpError
+				return errors.Is(err, client.ErrDenied) && errors.As(err, &opErr) && opErr.Status == 403
+			},
+			dispatches: [3]int{1, 0, 0}, stats: counts{0, 0, 0, 0},
+			routes: [][]string{{first}, nil, nil}},
 		{name: "get/cancelled during the back-off",
 			faults: func(*attemptRig) []fault { return []fault{{kind: refuse}} },
 			arm:    func(g *attemptRig) { g.fm.onFetch = func(int) { g.cancel() } }, op: get,

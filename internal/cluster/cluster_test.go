@@ -237,24 +237,27 @@ func TestRangeHelpers(t *testing.T) {
 }
 
 // TestIsWrongShardErr: a redirect is recognised by the taxonomy code of
-// the error envelope, which every route writes — never by status alone.
+// the error envelope, which every route writes — never by status alone;
+// and everything else the controller answered, a denial included, is
+// the answer.
 func TestIsWrongShardErr(t *testing.T) {
 	cases := []struct {
 		name string
 		err  error
-		want bool
+		want verdict
 	}{
-		{"code", &client.APIError{Status: http.StatusMisdirectedRequest, Code: string(core.CodeWrongShard), Msg: "key not owned"}, true},
-		{"wrapped code", fmt.Errorf("get: %w", &client.APIError{Status: http.StatusMisdirectedRequest, Code: string(core.CodeWrongShard)}), true},
-		{"421 without the code", &client.APIError{Status: http.StatusMisdirectedRequest, Msg: "some intermediary's 421"}, false},
-		{"not found", &client.APIError{Status: http.StatusNotFound, Code: string(core.CodeNotFound)}, false},
-		{"denied", fmt.Errorf("%w: no", client.ErrDenied), false},
-		{"transport", errors.New("connection refused"), false},
-		{"nil", nil, false},
+		{"code", &client.OpError{Status: http.StatusMisdirectedRequest, Code: string(core.CodeWrongShard), Message: "key not owned"}, moved},
+		{"wrapped code", fmt.Errorf("get: %w", &client.OpError{Status: http.StatusMisdirectedRequest, Code: string(core.CodeWrongShard)}), moved},
+		{"421 without the code", &client.OpError{Status: http.StatusMisdirectedRequest, Message: "some intermediary's 421"}, answered},
+		{"not found", &client.OpError{Status: http.StatusNotFound, Code: string(core.CodeNotFound)}, answered},
+		{"denied", &client.OpError{Status: http.StatusForbidden, Code: string(core.CodeDenied), Message: "no"}, answered},
+		{"5xx", &client.OpError{Status: http.StatusInternalServerError, Code: string(core.CodeInternal)}, fenced},
+		{"transport", errors.New("connection refused"), unreachable},
+		{"nil", nil, answered},
 	}
 	for _, c := range cases {
-		if got := classify(c.err, nil) == moved; got != c.want {
-			t.Errorf("%s: classified as moved = %v, want %v", c.name, got, c.want)
+		if got := classify(c.err, nil); got != c.want {
+			t.Errorf("%s: classified as %d, want %d", c.name, got, c.want)
 		}
 	}
 }

@@ -216,13 +216,12 @@ var errTornPage = errors.New("cluster: listing could not reach an epoch-consiste
 // classify is the one place a reply becomes a verdict: err is how the
 // request failed as a whole, op one operation's own failure in a request
 // that did not. Redirects are recognised by taxonomy code, never by
-// status alone. Anything that is neither an *APIError (the server
-// answered) nor the caller's own context is unreachable — today that
-// includes a 403, which the client decodes to ErrDenied, not an
-// *APIError, so a denied read is re-dispatched once. Parked, not
-// overlooked: docs/perf.md "Parked: the denied-read retry".
+// status alone. Whatever the controller answered is an *OpError — a
+// policy denial too, which is final: it costs one dispatch (docs/perf.md,
+// "A denial is an answer"). Anything else but the caller's own context
+// is unreachable.
 func classify(err error, op *client.OpError) verdict {
-	var apiErr *client.APIError
+	var opErr *client.OpError
 	switch {
 	case err == nil:
 		if op != nil && op.Code == string(core.CodeWrongShard) {
@@ -231,11 +230,11 @@ func classify(err error, op *client.OpError) verdict {
 		return answered
 	case errors.Is(err, errTornPage):
 		return moved
-	case errors.As(err, &apiErr):
-		if apiErr.Code == string(core.CodeWrongShard) {
+	case errors.As(err, &opErr):
+		if opErr.Code == string(core.CodeWrongShard) {
 			return moved
 		}
-		if apiErr.Status >= 500 {
+		if opErr.Status >= 500 {
 			return fenced
 		}
 		return answered

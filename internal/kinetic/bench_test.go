@@ -31,7 +31,9 @@ func BenchmarkSkipListGet(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.get(keys[i%len(keys)])
+		out := reply{pooled: true}
+		s.get(keys[i%len(keys)], &out)
+		out.release()
 	}
 }
 

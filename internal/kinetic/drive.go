@@ -175,9 +175,23 @@ func (d *Drive) Media() MediaModel { return d.media }
 // Len returns the number of stored keys.
 func (d *Drive) Len() int { return d.store.len() }
 
-// SizeBytes returns the total stored value bytes (the same figure the
-// GetLog "bytes" statistic reports over the wire).
+// SizeBytes returns the total stored key, value and version bytes (the
+// same figure the GetLog "bytes" statistic reports over the wire).
 func (d *Drive) SizeBytes() int64 { return d.store.sizeBytes() }
+
+// MappedBytes returns the memory the drive has mapped from the OS to
+// hold its records: SizeBytes plus what size classes, free blocks and
+// slabs not yet filled cost on top.
+func (d *Drive) MappedBytes() int64 { return d.store.mappedBytes() }
+
+// Close returns the drive's record memory to the OS and leaves it
+// empty, as an erase does. Close the drive's Server first, so that no
+// request refills it.
+func (d *Drive) Close() {
+	d.storeMu.Lock()
+	defer d.storeMu.Unlock()
+	d.store.clear()
+}
 
 // Accounts returns the identities currently installed (for tests and
 // the bootstrap verification step).
@@ -205,12 +219,19 @@ func (d *Drive) lookupAccount(identity string) (*account, bool) {
 
 // Handle executes one request message and returns the response. This
 // is the drive's state machine; the network server and the in-process
-// transport both funnel into it.
+// transport both funnel into it. The response's byte fields are the
+// caller's to keep: stored bytes leave the store as copies.
 //
 // A nil return means the request was blackholed by fault injection:
 // the caller must drop the carrying connection without responding, as
 // a vanished drive would.
 func (d *Drive) Handle(req *wire.Message) *wire.Message {
+	return d.handle(req, new(reply))
+}
+
+// handle is Handle copying the stored bytes the response carries into
+// out.
+func (d *Drive) handle(req *wire.Message, out *reply) *wire.Message {
 	started := time.Now()
 	resp := &wire.Message{Type: req.Type.Response(), Seq: req.Seq, TraceID: req.TraceID}
 	defer func() {
@@ -266,19 +287,19 @@ func (d *Drive) Handle(req *wire.Message) *wire.Message {
 	acct := user.ACL
 	switch req.Type {
 	case wire.TGet:
-		d.handleGet(acct, req, resp)
+		d.handleGet(acct, req, resp, out)
 	case wire.TPut:
-		d.handlePut(acct, req, resp)
+		d.handlePut(acct, req, resp, out)
 	case wire.TDelete:
-		d.handleDelete(acct, req, resp)
+		d.handleDelete(acct, req, resp, out)
 	case wire.TGetKeyRange:
-		d.handleRange(acct, req, resp)
+		d.handleRange(acct, req, resp, out)
 	case wire.TSecurity:
 		d.handleSecurity(acct, req, resp)
 	case wire.TErase:
 		d.handleErase(acct, req, resp)
 	case wire.TBatch:
-		d.handleBatch(acct, req, resp)
+		d.handleBatch(acct, req, resp, out)
 	case wire.TNoop:
 	case wire.TFlush:
 		// Destage the write buffer: one amortized head pass covering
@@ -286,11 +307,11 @@ func (d *Drive) Handle(req *wire.Message) *wire.Message {
 		d.stats.Flushes.Add(1)
 		d.waitMedia(OpFlush, 0)
 	case wire.TP2PPush:
-		d.handleP2P(acct, req, resp)
+		d.handleP2P(acct, req, resp, out)
 	case wire.TGetLog:
 		d.handleGetLog(acct, req, resp)
 	case wire.TGetVersion:
-		d.handleGetVersion(acct, req, resp)
+		d.handleGetVersion(acct, req, resp, out)
 	default:
 		resp.Status = wire.StatusInvalidRequest
 		resp.StatusMsg = "unsupported operation"
@@ -298,23 +319,22 @@ func (d *Drive) Handle(req *wire.Message) *wire.Message {
 	return resp
 }
 
-func (d *Drive) handleGet(acct wire.ACL, req, resp *wire.Message) {
+func (d *Drive) handleGet(acct wire.ACL, req, resp *wire.Message, out *reply) {
 	if !permitted(acct, wire.PermRead, resp) {
 		d.stats.Rejected.Add(1)
 		return
 	}
 	d.stats.Gets.Add(1)
 	d.waitMedia(OpRead, 0)
-	value, version, ok := d.store.get(req.Key)
+	value, version, ok := d.store.get(req.Key, out)
 	if !ok {
 		resp.Status = wire.StatusNotFound
 		return
 	}
 	if fs := d.faults.Load(); fs != nil && fs.cfg.CorruptEveryN > 0 && len(value) > 0 {
 		if fs.gets.Add(1)%fs.cfg.CorruptEveryN == 0 {
-			// Corrupt a copy, never the store: the injected damage must
-			// be confined to this one response.
-			value = append([]byte(nil), value...)
+			// The value is this response's own copy: the damage stays in
+			// this one response.
 			value[len(value)/2] ^= 0xff
 			fs.corrupted.Add(1)
 		}
@@ -325,13 +345,13 @@ func (d *Drive) handleGet(acct wire.ACL, req, resp *wire.Message) {
 }
 
 // checkPutCAS validates a put's compare-and-swap precondition against
-// the current store state, filling resp on failure. Caller holds
-// storeMu.
-func (d *Drive) checkPutCAS(key, dbVersion []byte, force bool, resp *wire.Message) bool {
+// the current store state, filling resp on failure with the stored
+// version copied into out. Caller holds storeMu.
+func (d *Drive) checkPutCAS(key, dbVersion []byte, force bool, resp *wire.Message, out *reply) bool {
 	if force {
 		return true
 	}
-	_, cur, exists := d.store.get(key)
+	cur, exists := d.store.version(key, out)
 	if exists && !bytes.Equal(cur, dbVersion) {
 		resp.Status = wire.StatusVersionMismatch
 		resp.DBVersion = cur
@@ -344,13 +364,13 @@ func (d *Drive) checkPutCAS(key, dbVersion []byte, force bool, resp *wire.Messag
 	return true
 }
 
-// checkDeleteCAS validates a delete's precondition. Caller holds
-// storeMu.
-func (d *Drive) checkDeleteCAS(key, dbVersion []byte, force bool, resp *wire.Message) bool {
+// checkDeleteCAS validates a delete's precondition, as checkPutCAS
+// does. Caller holds storeMu.
+func (d *Drive) checkDeleteCAS(key, dbVersion []byte, force bool, resp *wire.Message, out *reply) bool {
 	if force {
 		return true
 	}
-	_, cur, exists := d.store.get(key)
+	cur, exists := d.store.version(key, out)
 	if !exists {
 		resp.Status = wire.StatusNotFound
 		return false
@@ -363,7 +383,7 @@ func (d *Drive) checkDeleteCAS(key, dbVersion []byte, force bool, resp *wire.Mes
 	return true
 }
 
-func (d *Drive) handlePut(acct wire.ACL, req, resp *wire.Message) {
+func (d *Drive) handlePut(acct wire.ACL, req, resp *wire.Message, out *reply) {
 	if !permitted(acct, wire.PermWrite, resp) {
 		d.stats.Rejected.Add(1)
 		return
@@ -371,20 +391,11 @@ func (d *Drive) handlePut(acct wire.ACL, req, resp *wire.Message) {
 	d.stats.Puts.Add(1)
 	d.storeMu.Lock()
 	defer d.storeMu.Unlock()
-	if !d.checkPutCAS(req.Key, req.DBVersion, req.Force, resp) {
+	if !d.checkPutCAS(req.Key, req.DBVersion, req.Force, resp, out) {
 		return
 	}
 	d.waitMedia(writeKind(req.Sync), len(req.Value))
-	if n := req.FrameSize(); n > 0 && 2*len(req.Value) >= n {
-		// The value is the bulk of the frame this request owns: keep
-		// the frame instead of copying a chunk-sized value out of it.
-		// The record pins at most twice its size; a small value (and
-		// any batch sub-operation, which shares its frame with
-		// neighbours) is copied so it never pins more.
-		d.store.put(req.Key, req.Value, req.NewVersion)
-		return
-	}
-	d.store.put(cloneRecord(req.Key, req.Value, req.NewVersion))
+	d.store.put(req.Key, req.Value, req.NewVersion)
 }
 
 // writeKind maps a request's durability mode to the media operation:
@@ -397,7 +408,7 @@ func writeKind(sync wire.SyncMode) OpKind {
 	return OpWrite
 }
 
-func (d *Drive) handleDelete(acct wire.ACL, req, resp *wire.Message) {
+func (d *Drive) handleDelete(acct wire.ACL, req, resp *wire.Message, out *reply) {
 	if !permitted(acct, wire.PermDelete, resp) {
 		d.stats.Rejected.Add(1)
 		return
@@ -405,7 +416,7 @@ func (d *Drive) handleDelete(acct wire.ACL, req, resp *wire.Message) {
 	d.stats.Deletes.Add(1)
 	d.storeMu.Lock()
 	defer d.storeMu.Unlock()
-	if !d.checkDeleteCAS(req.Key, req.DBVersion, req.Force, resp) {
+	if !d.checkDeleteCAS(req.Key, req.DBVersion, req.Force, resp, out) {
 		return
 	}
 	d.waitMedia(OpDelete, 0)
@@ -432,7 +443,7 @@ func (d *Drive) handleDelete(acct wire.ACL, req, resp *wire.Message) {
 // store state left by the groups before it, so a grouped batch is
 // equivalent to issuing the groups back to back — just without paying
 // per-group positioning.
-func (d *Drive) handleBatch(acct wire.ACL, req, resp *wire.Message) {
+func (d *Drive) handleBatch(acct wire.ACL, req, resp *wire.Message, out *reply) {
 	if len(req.Batch) == 0 || len(req.Batch) > wire.MaxBatchOps {
 		resp.Status = wire.StatusInvalidRequest
 		resp.StatusMsg = fmt.Sprintf("batch needs 1..%d sub-operations, got %d",
@@ -495,9 +506,9 @@ func (d *Drive) handleBatch(acct wire.ACL, req, resp *wire.Message) {
 			if ok {
 				switch op.Op {
 				case wire.BatchPut:
-					ok = d.checkPutCAS(op.Key, op.DBVersion, op.Force, &failed)
+					ok = d.checkPutCAS(op.Key, op.DBVersion, op.Force, &failed, out)
 				case wire.BatchDelete:
-					ok = d.checkDeleteCAS(op.Key, op.DBVersion, op.Force, &failed)
+					ok = d.checkDeleteCAS(op.Key, op.DBVersion, op.Force, &failed, out)
 				}
 				if !ok {
 					gs.FailedIndex = uint32(i)
@@ -519,7 +530,7 @@ func (d *Drive) handleBatch(acct wire.ACL, req, resp *wire.Message) {
 			d.stats.BatchOps.Add(1)
 			switch op.Op {
 			case wire.BatchPut:
-				d.store.put(cloneRecord(op.Key, op.Value, op.NewVersion))
+				d.store.put(op.Key, op.Value, op.NewVersion)
 				appliedBytes += len(op.Value)
 			case wire.BatchDelete:
 				d.store.delete(op.Key)
@@ -545,9 +556,8 @@ const (
 	rangeReplyBudget = wire.MaxMessageSize / 2
 )
 
-// handleRange serves the store's own key and value slices: both are
-// immutable once stored (put replaces the slice, never writes into it).
-func (d *Drive) handleRange(acct wire.ACL, req, resp *wire.Message) {
+// handleRange copies each key, and with values each value, into out.
+func (d *Drive) handleRange(acct wire.ACL, req, resp *wire.Message, out *reply) {
 	// Values are a bulk read: they need the permission a GET needs.
 	if !permitted(acct, wire.PermRange, resp) || (req.WithValues && !permitted(acct, wire.PermRead, resp)) {
 		d.stats.Rejected.Add(1)
@@ -558,31 +568,19 @@ func (d *Drive) handleRange(acct wire.ACL, req, resp *wire.Message) {
 	if max <= 0 || max > rangeKeyCap {
 		max = rangeKeyCap
 	}
-	// Presized for a listing's page; an uncapped drain grows by append.
-	resp.Keys = make([][]byte, 0, min(max, 128))
-	if req.WithValues {
-		resp.Values = make([][]byte, 0, cap(resp.Keys))
-	}
-	size := 0 // key bytes, plus value bytes when values go out
+	size, taken := 0, 0 // key bytes, plus value bytes when values go out
 	// One entry past max tells a reply that was cut from one that ends
 	// where the range does.
-	d.store.scan(req.StartKey, req.EndKey, req.KeyInclusive, req.Reverse, max+1,
-		func(key, value, _ []byte) bool {
-			n := len(key)
-			if req.WithValues {
-				n += len(value)
-			}
+	resp.Keys, resp.Values = d.store.scan(req.StartKey, req.EndKey, req.KeyInclusive, req.Reverse, req.WithValues, max+1, out,
+		func(n int) bool {
 			// The first entry always goes out, so a caller resuming
 			// past it makes progress; whatever was put fits a frame.
-			if len(resp.Keys) == max || (len(resp.Keys) > 0 && size+n > rangeReplyBudget) {
+			if taken == max || (taken > 0 && size+n > rangeReplyBudget) {
 				resp.Truncated = true
 				return false
 			}
 			size += n
-			resp.Keys = append(resp.Keys, key)
-			if req.WithValues {
-				resp.Values = append(resp.Values, value)
-			}
+			taken++
 			return true
 		})
 	// A keys-only range is an index walk; values are read off the media.
@@ -647,7 +645,7 @@ func (d *Drive) handleErase(acct wire.ACL, req, resp *wire.Message) {
 	d.setLocked(false)
 }
 
-func (d *Drive) handleP2P(acct wire.ACL, req, resp *wire.Message) {
+func (d *Drive) handleP2P(acct wire.ACL, req, resp *wire.Message, out *reply) {
 	if !permitted(acct, wire.PermP2P, resp) {
 		d.stats.Rejected.Add(1)
 		return
@@ -658,7 +656,7 @@ func (d *Drive) handleP2P(acct wire.ACL, req, resp *wire.Message) {
 		return
 	}
 	d.stats.P2PPushes.Add(1)
-	value, version, ok := d.store.get(req.Key)
+	value, version, ok := d.store.get(req.Key, out)
 	if !ok {
 		resp.Status = wire.StatusNotFound
 		return
@@ -694,12 +692,12 @@ func (d *Drive) handleGetLog(acct wire.ACL, req, resp *wire.Message) {
 	}
 }
 
-func (d *Drive) handleGetVersion(acct wire.ACL, req, resp *wire.Message) {
+func (d *Drive) handleGetVersion(acct wire.ACL, req, resp *wire.Message, out *reply) {
 	if !permitted(acct, wire.PermRead, resp) {
 		d.stats.Rejected.Add(1)
 		return
 	}
-	_, version, ok := d.store.get(req.Key)
+	version, ok := d.store.version(req.Key, out)
 	if !ok {
 		resp.Status = wire.StatusNotFound
 		return
@@ -716,7 +714,7 @@ func (d *Drive) P2PPut(key, value, version []byte) error {
 	d.storeMu.Lock()
 	defer d.storeMu.Unlock()
 	d.waitMedia(OpWrite, len(value))
-	d.store.put(cloneRecord(key, value, version))
+	d.store.put(key, value, version)
 	return nil
 }
 
@@ -758,22 +756,6 @@ func permitted(acct wire.ACL, p wire.Permission, resp *wire.Message) bool {
 		return false
 	}
 	return true
-}
-
-// cloneRecord copies a record's key, value and version out of a request
-// into one allocation. A drive retains every record it stores, so what
-// each one costs beyond its bytes is what the drive's memory grows by.
-func cloneRecord(key, value, version []byte) (k, v, ver []byte) {
-	buf := make([]byte, 0, len(key)+len(value)+len(version))
-	carve := func(b []byte) []byte {
-		if len(b) == 0 {
-			return nil
-		}
-		off := len(buf)
-		buf = append(buf, b...)
-		return buf[off:len(buf):len(buf)]
-	}
-	return carve(key), carve(value), carve(version)
 }
 
 // ErrStopped is returned by the server loop after Close.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/kinetic/wire"
@@ -228,11 +229,10 @@ func TestDriveRangeWithValues(t *testing.T) {
 		}
 	}
 
-	// Served from the store, not cloned.
-	stored, _, _ := d.store.get([]byte("k07"))
+	// Copied out of the store, never served from it.
 	resp := ask(wire.Message{StartKey: []byte("k07"), EndKey: []byte("k07"), KeyInclusive: true, WithValues: true})
-	if &resp.Values[0][0] != &stored[0] {
-		t.Error("range value is a copy of the stored value")
+	if inArena(d.store, resp.Keys[0]) || inArena(d.store, resp.Values[0]) {
+		t.Error("range reply points into the drive's arena")
 	}
 }
 
@@ -356,7 +356,7 @@ func TestDriveP2P(t *testing.T) {
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("p2p push: %v %s", resp.Status, resp.StatusMsg)
 	}
-	v, ver, ok := peer.store.get([]byte("k"))
+	v, ver, ok := peer.store.get([]byte("k"), new(reply))
 	if !ok || string(v) != "replicated" || string(ver) != "7" {
 		t.Fatalf("peer copy: %q/%q/%v", v, ver, ok)
 	}
@@ -474,89 +474,73 @@ func received(t *testing.T, m *wire.Message) *wire.Message {
 	return got
 }
 
-// TestPutAdoptsOnlyBulkValues: a received PUT whose value is most of
-// its frame is stored without another copy; a small value in a large
-// frame, every batch sub-operation, and any request that did not come
-// off the wire are copied, so a stored record never pins much more than
-// itself and never shares memory with a caller's buffer.
-func TestPutAdoptsOnlyBulkValues(t *testing.T) {
+// TestStoredRecordIsOffHeap: every record a drive stores — a 1 MiB value
+// filling its frame, a small value in a large frame, batch
+// sub-operations, a request built in process — is copied into the
+// drive's arena and shares no memory with the request it came in, and
+// the Go heap pays for a stored record only its index node.
+func TestStoredRecordIsOffHeap(t *testing.T) {
 	d := NewDrive(Config{Name: "t0"})
-	shares := func(key, sent []byte) bool {
-		stored, _, ok := d.store.get(key)
-		if !ok || !bytes.Equal(stored, sent) {
+	defer d.Close()
+	check := func(req *wire.Message, key, sent []byte) {
+		t.Helper()
+		d.store.mu.RLock()
+		defer d.store.mu.RUnlock()
+		n := d.store.find(key)
+		if n == nil {
+			t.Fatalf("key %q not stored", key)
+		}
+		_, stored, _ := n.recParts()
+		if !bytes.Equal(stored, sent) {
 			t.Fatalf("key %q: stored %d bytes, sent %d", key, len(stored), len(sent))
 		}
-		return &stored[0] == &sent[0]
+		if !inArena(d.store, n.rec) {
+			t.Errorf("key %q: record is not in the arena", key)
+		}
+		if overlaps(n.rec, sent) || overlaps(n.rec, req.Key) {
+			t.Errorf("key %q: record shares memory with its request", key)
+		}
 	}
-	handle := func(req *wire.Message) {
+	handle := func(req *wire.Message) *wire.Message {
 		t.Helper()
 		if resp := d.Handle(req); resp.Status != wire.StatusOK {
 			t.Fatalf("%v: %v %s", req.Type, resp.Status, resp.StatusMsg)
 		}
+		return req
 	}
 
-	chunk := received(t, &wire.Message{Type: wire.TPut, Key: []byte("chunk"), Value: bytes.Repeat([]byte{7}, 1<<20), NewVersion: []byte{1}, Force: true})
-	handle(chunk)
-	if !shares([]byte("chunk"), chunk.Value) {
-		t.Error("1 MiB value was copied out of the frame it fills")
-	}
-
+	chunk := handle(received(t, &wire.Message{Type: wire.TPut, Key: []byte("chunk"), Value: bytes.Repeat([]byte{7}, 1<<20), NewVersion: []byte{1}, Force: true}))
+	check(chunk, []byte("chunk"), chunk.Value)
 	longKey := bytes.Repeat([]byte("k"), 2000)
-	small := received(t, &wire.Message{Type: wire.TPut, Key: longKey, Value: []byte("tiny"), NewVersion: []byte{1}, Force: true})
-	handle(small)
-	if shares(longKey, small.Value) {
-		t.Error("a 4-byte value pins a 2 KB frame")
-	}
-
-	batch := received(t, &wire.Message{Type: wire.TBatch, Batch: []wire.BatchOp{
+	small := handle(received(t, &wire.Message{Type: wire.TPut, Key: longKey, Value: []byte("tiny"), NewVersion: []byte{1}, Force: true}))
+	check(small, longKey, small.Value)
+	batch := handle(received(t, &wire.Message{Type: wire.TBatch, Batch: []wire.BatchOp{
 		{Op: wire.BatchPut, Key: []byte("big"), Value: bytes.Repeat([]byte{9}, 64<<10), NewVersion: []byte{1}, Force: true},
 		{Op: wire.BatchPut, Key: []byte("meta"), Value: []byte("m"), NewVersion: []byte{1}, Force: true},
-	}, GroupSizes: []uint32{1, 1}})
-	handle(batch)
+	}, GroupSizes: []uint32{1, 1}}))
 	for _, op := range batch.Batch {
-		if shares(op.Key, op.Value) {
-			t.Errorf("batch sub-operation %q shares its batch's frame", op.Key)
-		}
+		check(batch, op.Key, op.Value)
 	}
+	local := handle(signedReq(&wire.Message{Type: wire.TPut, Key: []byte("local"), Value: bytes.Repeat([]byte{3}, 1<<20), NewVersion: []byte{1}, Force: true}))
+	check(local, []byte("local"), local.Value)
 
-	local := signedReq(&wire.Message{Type: wire.TPut, Key: []byte("local"), Value: bytes.Repeat([]byte{3}, 1<<20), NewVersion: []byte{1}, Force: true})
-	handle(local)
-	if shares([]byte("local"), local.Value) {
-		t.Error("drive kept a slice of an in-process caller's buffer")
+	// What the heap pays: nothing to overwrite a record, and one node,
+	// never the record's bytes, to add one.
+	value, version := bytes.Repeat([]byte{1}, 1204), []byte{0, 0, 0, 1}
+	if n := testing.AllocsPerRun(100, func() { d.store.put([]byte("obj/key"), value, version) }); n != 0 {
+		t.Errorf("overwriting a record allocated %v times on the heap, want 0", n)
 	}
-}
-
-// TestStoredRecordIsOneAllocation: a copied record's key, value and
-// version share one allocation, capped so that none can grow into the
-// next, and overwriting a key leaves nothing of the old record pinned.
-func TestStoredRecordIsOneAllocation(t *testing.T) {
-	key, value, version := []byte("obj/key"), bytes.Repeat([]byte{1}, 1204), []byte{0, 0, 0, 1}
-	if n := testing.AllocsPerRun(100, func() { cloneRecord(key, value, version) }); n != 1 {
-		t.Errorf("copying a record took %v allocations, want 1", n)
+	keys := make([][]byte, 2000)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("obj/%06d", i))
 	}
-	k, v, ver := cloneRecord(key, value, nil)
-	if !bytes.Equal(k, key) || !bytes.Equal(v, value) || ver != nil {
-		t.Fatalf("cloneRecord = %q, %d bytes, %v", k, len(v), ver)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range keys {
+		d.store.put(k, value, version)
 	}
-	if _ = append(k, 'x'); !bytes.Equal(v, value) {
-		t.Error("appending to the copied key overwrote the value")
-	}
-
-	d := NewDrive(Config{Name: "t0"})
-	put := func(b byte) []byte {
-		t.Helper()
-		req := received(t, &wire.Message{Type: wire.TBatch, Batch: []wire.BatchOp{
-			{Op: wire.BatchPut, Key: key, Value: bytes.Repeat([]byte{b}, 1204), NewVersion: []byte{b}, Force: true},
-		}, GroupSizes: []uint32{1}})
-		if resp := d.Handle(req); resp.Status != wire.StatusOK {
-			t.Fatalf("put: %v %s", resp.Status, resp.StatusMsg)
-		}
-		d.store.mu.RLock()
-		defer d.store.mu.RUnlock()
-		return d.store.find(key).key
-	}
-	first := put(1)
-	if second := put(2); &second[0] == &first[0] {
-		t.Error("an overwritten key's node kept the old record's key, pinning its allocation")
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(keys)); per > 256 {
+		t.Errorf("adding a %d-byte record cost the heap %d bytes, want only its node", len(value), per)
 	}
 }

@@ -1,6 +1,7 @@
 package kinetic
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,8 +129,8 @@ func (d *Drive) FaultStats() FaultStats {
 }
 
 // lieAboutRange rewrites an honest range reply according to the
-// configured RangeLie. The key and value slices are the reply's own;
-// the records they point at stay the store's and are never written.
+// configured RangeLie. The key and value slices, and the copies they
+// point at, are the reply's own.
 func (fs *faultState) lieAboutRange(req, resp *wire.Message) {
 	switch fs.cfg.RangeLie {
 	case RangeReorder:
@@ -149,7 +150,15 @@ func (fs *faultState) lieAboutRange(req, resp *wire.Message) {
 	case RangeStuck:
 		fs.stuckMu.Lock()
 		if fs.stuck == nil {
-			fs.stuck = &wire.Message{Keys: resp.Keys, Values: resp.Values}
+			// Replayed after this reply's buffers went back to their
+			// pool: the stuck page keeps copies of its own.
+			fs.stuck = &wire.Message{}
+			for _, k := range resp.Keys {
+				fs.stuck.Keys = append(fs.stuck.Keys, bytes.Clone(k))
+			}
+			for _, v := range resp.Values {
+				fs.stuck.Values = append(fs.stuck.Values, bytes.Clone(v))
+			}
 		}
 		resp.Keys, resp.Values = fs.stuck.Keys, fs.stuck.Values
 		fs.stuckMu.Unlock()

@@ -77,7 +77,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	w := bufio.NewWriterSize(conn, 64<<10)
 	// One encoder per connection, under the write lock: replies are
 	// marshalled into its reused buffer and a value goes out from the
-	// store's slice.
+	// reply's pooled copy.
 	enc := wire.NewEncoder()
 	var wmu sync.Mutex
 	for {
@@ -95,7 +95,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			resp := s.drive.Handle(req)
+			out := reply{pooled: true}
+			defer out.release()
+			resp := s.drive.handle(req, &out)
 			if resp == nil {
 				// Blackholed by fault injection: the drive has vanished.
 				// Kill the connection so the client sees a transport
@@ -106,6 +108,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			wmu.Lock()
 			defer wmu.Unlock()
 			err := enc.WriteUnsigned(w, resp)
+			// The reply's bytes are on the connection or copied into w:
+			// its buffers go back before the flush lets the caller see
+			// the reply, so the caller's next request finds them.
+			out.release()
 			if err == nil {
 				err = w.Flush()
 			}

@@ -19,9 +19,9 @@ import (
 
 // apiStatus extracts the HTTP status of a client error, 0 if none.
 func apiStatus(err error) int {
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
-		return apiErr.Status
+	var opErr *client.OpError
+	if errors.As(err, &opErr) {
+		return opErr.Status
 	}
 	return 0
 }

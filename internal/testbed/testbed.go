@@ -203,12 +203,17 @@ func newDriveSet(e *env, driveNames []string, opts Options) (*driveSet, error) {
 	return ds, nil
 }
 
+// close stops the drives' servers, then returns the drives' record
+// memory to the OS.
 func (ds *driveSet) close() {
 	for _, s := range ds.servers {
 		s.Close()
 	}
 	for _, ln := range ds.lns {
 		ln.Close()
+	}
+	for _, d := range ds.drives {
+		d.Close()
 	}
 }
 
@@ -445,12 +450,7 @@ func (c *Cluster) Kill() {
 func (c *Cluster) Close() {
 	c.Kill()
 	if c.ownsDrives {
-		for _, s := range c.driveServers {
-			s.Close()
-		}
-		for _, ln := range c.driveLns {
-			ln.Close()
-		}
+		(&driveSet{drives: c.Drives, servers: c.driveServers, lns: c.driveLns}).close()
 	}
 }
 

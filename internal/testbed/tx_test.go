@@ -147,8 +147,8 @@ func TestTxThroughRouter(t *testing.T) {
 				ops[i].Version, ops[i].HasVersion = rd.Version+1, true
 			}
 			res, err := r.Transact(ctx, nil, ops)
-			var apiErr *client.APIError
-			if errors.As(err, &apiErr) && apiErr.Code == string(core.CodeVersionConflict) {
+			var opErr *client.OpError
+			if errors.As(err, &opErr) && opErr.Code == string(core.CodeVersionConflict) {
 				select {
 				case <-stop:
 					return

@@ -197,8 +197,8 @@ func TestV2UnifiedOpResults(t *testing.T) {
 	}
 	// Machine-readable taxonomy on plain (non-op) v2 errors too.
 	_, _, err = cl.GetStream(ctx, "k", client.GetOptions{})
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Code != "not_found" || apiErr.Status != http.StatusNotFound {
+	var opErr *client.OpError
+	if !errors.As(err, &opErr) || opErr.Code != "not_found" || opErr.Status != http.StatusNotFound {
 		t.Fatalf("get after delete: %v", err)
 	}
 }
