@@ -477,8 +477,7 @@ func received(t *testing.T, m *wire.Message) *wire.Message {
 // TestStoredRecordIsOffHeap: every record a drive stores — a 1 MiB value
 // filling its frame, a small value in a large frame, batch
 // sub-operations, a request built in process — is copied into the
-// drive's arena and shares no memory with the request it came in, and
-// the Go heap pays for a stored record only its index node.
+// drive's arena and shares no memory with the request it came in.
 func TestStoredRecordIsOffHeap(t *testing.T) {
 	d := NewDrive(Config{Name: "t0"})
 	defer d.Close()
@@ -523,6 +522,43 @@ func TestStoredRecordIsOffHeap(t *testing.T) {
 	}
 	local := handle(signedReq(&wire.Message{Type: wire.TPut, Key: []byte("local"), Value: bytes.Repeat([]byte{3}, 1<<20), NewVersion: []byte{1}, Force: true}))
 	check(local, []byte("local"), local.Value)
+}
+
+// TestStoredRecordIsOneAllocation: a stored record's key, value and
+// version are one arena block, overwriting a key frees the old record's
+// block for the next record, and the Go heap pays nothing to overwrite a
+// record and only its index node to add one.
+func TestStoredRecordIsOneAllocation(t *testing.T) {
+	d := NewDrive(Config{Name: "t0"})
+	defer d.Close()
+	key := []byte("obj/key")
+	put := func(b byte) []byte {
+		t.Helper()
+		req := received(t, &wire.Message{Type: wire.TBatch, Batch: []wire.BatchOp{
+			{Op: wire.BatchPut, Key: key, Value: bytes.Repeat([]byte{b}, 1204), NewVersion: []byte{b}, Force: true},
+		}, GroupSizes: []uint32{1}})
+		if resp := d.Handle(req); resp.Status != wire.StatusOK {
+			t.Fatalf("put: %v %s", resp.Status, resp.StatusMsg)
+		}
+		d.store.mu.RLock()
+		defer d.store.mu.RUnlock()
+		n := d.store.find(key)
+		k, v, ver := n.recParts()
+		if !bytes.Equal(k, key) || !bytes.Equal(v, bytes.Repeat([]byte{b}, 1204)) || !bytes.Equal(ver, []byte{b}) {
+			t.Fatalf("stored %q, %d bytes, version %v", k, len(v), ver)
+		}
+		if len(n.rec) != len(key)+1204+1 || !inArena(d.store, n.rec) {
+			t.Fatalf("record of %d bytes is not one arena block of key, value and version", len(n.rec))
+		}
+		return n.rec
+	}
+	first := put(1)
+	if second := put(2); &second[0] == &first[0] {
+		t.Fatal("an overwrite wrote into the record it replaces")
+	}
+	if third := put(3); &third[0] != &first[0] {
+		t.Error("an overwritten record's block stayed pinned instead of going to the next record")
+	}
 
 	// What the heap pays: nothing to overwrite a record, and one node,
 	// never the record's bytes, to add one.
