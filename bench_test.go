@@ -249,7 +249,8 @@ func BenchmarkFigFailover(b *testing.B) {
 // BenchmarkFigChaos regenerates the chaos figure: phased drive-fault
 // injection (baseline, drive kill, partition+reconcile, load ramp)
 // under a closed-loop load, with the failure detector and background
-// sweeper restoring replication. Emits BENCH_chaos.json.
+// sweeper restoring replication. Emits BENCH_chaos.json, which the CI
+// bench-smoke job uploads as an artifact.
 func BenchmarkFigChaos(b *testing.B) {
 	s := microScale()
 	for i := 0; i < b.N; i++ {
@@ -276,7 +277,7 @@ func BenchmarkFigChaos(b *testing.B) {
 // large objects on replication-3 vs Reed-Solomon 4+2, reporting raw
 // capacity per logical byte and GET throughput for both classes, plus
 // a timed shard rebuild after a drive kill under a closed-loop write
-// load. Emits BENCH_ec.json, which the CI ec-smoke job uploads as an
+// load. Emits BENCH_ec.json, which the CI bench-smoke job uploads as an
 // artifact.
 func BenchmarkFigEC(b *testing.B) {
 	s := microScale()
@@ -308,7 +309,7 @@ func BenchmarkFigEC(b *testing.B) {
 // BenchmarkFigObs measures the healthy-path overhead of the full
 // observability layer (tracing + metrics + audit sampling) against
 // the kill switch on identical YCSB-A replays, and emits
-// BENCH_obs.json, which the CI obs-smoke job uploads as an artifact.
+// BENCH_obs.json, which the CI bench-smoke job uploads as an artifact.
 func BenchmarkFigObs(b *testing.B) {
 	s := microScale()
 	// Longer rounds than the other micro figures: the quantity under

@@ -363,7 +363,7 @@ func run(o *options) error {
 
 	// Observability side listener: plain-HTTP /metrics for scrapers
 	// without client certificates, pprof loopback-gated per request.
-	// The mTLS API port serves /metrics and /v1/trace/{id} regardless.
+	// The mTLS API port serves /metrics and /v2/trace/{id} regardless.
 	if o.obsListen != "" && ctl.Registry() != nil {
 		obsSrv, err := obs.Serve(o.obsListen, ctl.Registry())
 		if err != nil {

@@ -42,10 +42,10 @@ import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -209,27 +209,34 @@ func main() {
 		}
 		fmt.Print(text)
 	case "status":
-		resp, err := (&http.Client{Transport: &http.Transport{TLSClientConfig: tlsCfg}}).Get(*server + "/v1/status")
+		var doc json.RawMessage
+		if err := cl.Status(ctx, &doc); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("%s\n", doc)
+	case "metrics":
+		text, err := cl.Metrics(ctx)
 		if err != nil {
 			fatal(err)
 		}
-		defer resp.Body.Close()
-		io.Copy(os.Stdout, resp.Body)
-	case "metrics":
-		showMetrics(&http.Client{Transport: &http.Transport{TLSClientConfig: tlsCfg}}, *server)
+		fmt.Print(text)
 	case "trace":
 		need(args, 2, "trace <id>")
-		showTrace(&http.Client{Transport: &http.Transport{TLSClientConfig: tlsCfg}}, *server, args[1])
+		d, err := cl.Trace(ctx, args[1])
+		if err != nil {
+			fatal(err)
+		}
+		// The span tree as the controller's slow-op log renders it.
+		fmt.Printf("trace %s  (%s total)\n%s", d.ID, time.Duration(d.DurationUs)*time.Microsecond, obs.FormatTree(d))
 	case "cluster":
 		need(args, 2, "cluster <status|map|leases|failover|health>")
-		httpCl := &http.Client{Transport: &http.Transport{TLSClientConfig: tlsCfg}}
 		switch args[1] {
 		case "status":
-			clusterStatus(httpCl, *server)
+			clusterStatus(ctx, cl)
 		case "map":
-			clusterMap(httpCl, *server)
+			clusterMap(ctx, cl)
 		case "health":
-			clusterHealth(httpCl, *server)
+			clusterHealth(ctx, cl)
 		case "leases":
 			clusterLeases(ctx, *attestd)
 		case "failover":
@@ -247,56 +254,13 @@ func main() {
 	}
 }
 
-// showMetrics dumps the controller's Prometheus text exposition over
-// the mTLS API port (the client certificate is the scrape credential).
-func showMetrics(httpCl *http.Client, server string) {
-	resp, err := httpCl.Get(server + "/metrics")
-	if err != nil {
-		fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		fatal(fmt.Errorf("HTTP %d: %s", resp.StatusCode, body))
-	}
-	io.Copy(os.Stdout, resp.Body)
-}
-
-// showTrace fetches a completed trace by hex id and renders its span
-// tree the same way the controller's slow-op log does.
-func showTrace(httpCl *http.Client, server, id string) {
-	resp, err := httpCl.Get(server + "/v1/trace/" + id)
-	if err != nil {
-		fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		fatal(fmt.Errorf("HTTP %d: %s", resp.StatusCode, body))
-	}
-	var d obs.TraceDump
-	if err := client.ReadJSON(resp, &d); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("trace %s  (%s total)\n%s", d.ID, time.Duration(d.DurationUs)*time.Microsecond, obs.FormatTree(&d))
-}
-
-// clusterStatus prints this controller's shard section of /v1/status.
-func clusterStatus(httpCl *http.Client, server string) {
-	resp, err := httpCl.Get(server + "/v1/status")
-	if err != nil {
-		fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		fatal(fmt.Errorf("HTTP %d: %s", resp.StatusCode, body))
-	}
+// clusterStatus prints this controller's shard section of its status.
+func clusterStatus(ctx context.Context, cl *client.Client) {
 	var st struct {
 		WrongShard uint64            `json:"wrongShard"`
 		Shard      *core.ShardStatus `json:"shard"`
 	}
-	if err := client.ReadJSON(resp, &st); err != nil {
+	if err := cl.Status(ctx, &st); err != nil {
 		fatal(err)
 	}
 	if st.Shard == nil {
@@ -313,18 +277,10 @@ func clusterStatus(httpCl *http.Client, server string) {
 // clusterMap fetches and prints the cluster shard map this controller
 // distributes. Display only: pesosctl holds no map key, so the
 // signature is not verified here.
-func clusterMap(httpCl *http.Client, server string) {
-	resp, err := httpCl.Get(server + "/v1/cluster/map")
+func clusterMap(ctx context.Context, cl *client.Client) {
+	doc, err := cl.ClusterMap(ctx)
 	if err != nil {
 		fatal(err)
-	}
-	defer resp.Body.Close()
-	doc, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("HTTP %d: %s", resp.StatusCode, doc))
 	}
 	m, err := cluster.UnverifiedMap(doc)
 	if err != nil {
@@ -337,19 +293,10 @@ func clusterMap(httpCl *http.Client, server string) {
 	}
 }
 
-// clusterHealth prints the self-healing surface of /v1/status: each
+// clusterHealth prints the self-healing surface of the status: each
 // drive's failure-detector state, the incremental sweeper's cursor
 // and budget-bounded progress, and the re-replication counters.
-func clusterHealth(httpCl *http.Client, server string) {
-	resp, err := httpCl.Get(server + "/v1/status")
-	if err != nil {
-		fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		fatal(fmt.Errorf("HTTP %d: %s", resp.StatusCode, body))
-	}
+func clusterHealth(ctx context.Context, cl *client.Client) {
 	var st struct {
 		Repairs      uint64              `json:"repairs"`
 		RepairBytes  uint64              `json:"repairBytes"`
@@ -359,7 +306,7 @@ func clusterHealth(httpCl *http.Client, server string) {
 		DriveHealth  []core.DriveHealth  `json:"driveHealth"`
 		Sweeper      *core.SweeperStatus `json:"sweeper"`
 	}
-	if err := client.ReadJSON(resp, &st); err != nil {
+	if err := cl.Status(ctx, &st); err != nil {
 		fatal(err)
 	}
 	fmt.Println("drives:")

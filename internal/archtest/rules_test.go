@@ -6,6 +6,10 @@ var core = []string{"internal/core/*.go"}
 // module is every non-test Go file.
 var module = []string{"..."}
 
+// surface is the controller's wire surface, both ends: the controller,
+// its client and the two commands that serve and call it.
+var surface = []string{"internal/core/*.go", "internal/client/*.go", "cmd/pesos/*.go", "cmd/pesosctl/*.go"}
+
 const langPkg = "repro/internal/policy/lang"
 
 // rules is the architecture, one invariant a row. A simplification that
@@ -106,15 +110,61 @@ var rules = []rule{
 			new:  "if meta, err = c.fetchMeta(ctx, key); err != nil || c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, meta, nil, opts.Certs) != nil {",
 		}},
 	},
-	// Objects ride /v2 alone: the /v1 object shim, its error envelope
-	// and the hand-kept op-class table stay deleted.
+	// The controller's wire surface is one version: no route of the
+	// controller, its client or its two commands is spelled under /v1
+	// (attestd's and kineticd's own APIs are other services). The /v1
+	// object shim, its error envelope and the hand-kept op-class table
+	// stay deleted, and so do the second mount and the names that told
+	// one version from the other.
+	{
+		name:  "one-version",
+		check: noLiteral(surface, `/v1/`),
+		mutants: []mutant{{
+			file: "internal/core/rest.go",
+			old:  `"GET /v2/status"`,
+			new:  `"GET /v1/status"`,
+		}, {
+			file: "internal/client/client.go",
+			old:  `"/v2/tx"`,
+			new:  `"/v1/tx"`,
+		}, {
+			file: "cmd/pesosctl/main.go",
+			old:  `cl.Trace(ctx, args[1])`,
+			new:  `cl.Trace(ctx, "/v1/trace/"+args[1])`,
+		}},
+	},
+	// No /v1 object, listing, result or transaction route anywhere in
+	// the module, examples and tools included.
 	{
 		name:  "object-routes",
 		check: noLiteral(module, `^(PUT|POST|GET|DELETE)? ?/v1/(objects|results)`),
 		mutants: []mutant{{
-			file: "internal/core/restv2.go",
+			file: "internal/core/rest.go",
 			old:  `"GET /v2/objects/{key...}"`,
 			new:  `"GET /v1/objects/{key...}"`,
+		}},
+	},
+	{
+		name:  "tx-route",
+		check: noLiteral(module, `/v1/tx`),
+		mutants: []mutant{{
+			file: "internal/core/rest.go",
+			old:  `"POST /v2/tx"`,
+			new:  `"POST /v1/tx"`,
+		}},
+	},
+	{
+		name: "one-mount",
+		check: gone(surface, "RESTServer.object", "objectReq", "registerV2",
+			"handleGetV2", "handlePutV2", "handleDeleteV2", "handleResultV2", "putV2"),
+		mutants: []mutant{{
+			file: "internal/core/rest.go",
+			old:  "func (s *RESTServer) handleResult(",
+			new:  "func (s *RESTServer) handleResultV2(",
+		}, {
+			file: "internal/client/client.go",
+			old:  "func (c *Client) put(",
+			new:  "func (c *Client) putV2(",
 		}},
 	},
 	{
@@ -187,15 +237,6 @@ var rules = []rule{
 	},
 	// A transaction is one request, POST /v2/tx: the controller holds
 	// nothing between two of them.
-	{
-		name:  "tx-route",
-		check: noLiteral(module, `/v1/tx`),
-		mutants: []mutant{{
-			file: "internal/core/restv2.go",
-			old:  `"POST /v2/tx"`,
-			new:  `"POST /v1/tx"`,
-		}},
-	},
 	{
 		name: "tx-state-gone",
 		check: gone(module, "txState", "Session.CreateTx", "Session.AddRead", "Session.AddWrite",

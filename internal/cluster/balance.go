@@ -1,7 +1,7 @@
 // Load-driven shard autobalancing.
 //
 // Every controller keeps a per-bucket load histogram (64 buckets over
-// the hash space, exported through Stats and /v1/status). The
+// the hash space, exported through Stats and /v2/status). The
 // balancer polls those histograms, diffs consecutive polls into
 // per-bucket rates, and when one shard runs sufficiently hotter than
 // another, plans bucket-aligned range moves executed through the

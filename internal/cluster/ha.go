@@ -107,7 +107,7 @@ type HAConfig struct {
 	// negative disables warming).
 	WarmLimit int
 	// Probe, when set, is called on each standby tick with the
-	// active's endpoint from the current map — the /v1/status tail
+	// active's endpoint from the current map — the /v2/status tail
 	// that keeps a standby observing the active it may replace.
 	Probe func(ctx context.Context, endpoint string)
 	// OnTakeover, when set, observes a completed takeover (test and

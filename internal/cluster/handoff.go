@@ -44,7 +44,7 @@ type HandoffPlan struct {
 	Others []*core.Controller
 	// Publish distributes the new signed map document (attestation
 	// service, operator store, ...). The participating controllers'
-	// own /v1/cluster/map documents are updated by Handoff itself.
+	// own /v2/cluster/map documents are updated by Handoff itself.
 	Publish func(doc []byte) error
 }
 
@@ -102,7 +102,7 @@ func Handoff(ctx context.Context, p HandoffPlan) (*ShardMap, *core.Manifest, err
 	// Past the adopt there is no rollback: a publish failure must NOT
 	// leave the source frozen (writes would hang forever) — release
 	// proceeds regardless, every controller already serves the new map
-	// from /v1/cluster/map, and the error is surfaced alongside the
+	// from /v2/cluster/map, and the error is surfaced alongside the
 	// completed handoff so the coordinator re-publishes.
 	p.Dst.SetClusterMapDoc(doc)
 	p.Src.SetClusterMapDoc(doc)

@@ -149,7 +149,7 @@ func (f *fakeShard) serve(w http.ResponseWriter, r *http.Request) {
 			reply.Writes = append(reply.Writes, core.OpResult{Key: op.Key, Version: 2})
 		}
 		json.NewEncoder(w).Encode(reply)
-	case r.URL.Path == "/v1/policies":
+	case r.URL.Path == "/v2/policies":
 		json.NewEncoder(w).Encode(map[string]string{"id": "policy-1"})
 	default:
 		http.NotFound(w, r)

@@ -45,7 +45,7 @@ func (f MapSourceFunc) FetchMap(ctx context.Context) ([]byte, error) { return f(
 // RouterConfig configures a Router.
 type RouterConfig struct {
 	// Source distributes the signed shard map (attestd, a controller's
-	// /v1/cluster/map, or an in-process closure).
+	// /v2/cluster/map, or an in-process closure).
 	Source MapSource
 	// Key verifies map signatures.
 	Key [32]byte

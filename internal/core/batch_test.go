@@ -108,7 +108,7 @@ func TestBatchPutRidesAtomicBatches(t *testing.T) {
 func waveHarness(t *testing.T) (h *harness, gets func() uint64) {
 	h = newHarness(t, 3, func(c *Config) {
 		c.Replicas = 3
-		c.HedgeDelay = time.Minute
+		c.hedgeDelay = time.Minute
 	})
 	return h, func() (n uint64) {
 		for _, d := range h.drives {

@@ -79,10 +79,11 @@ type Config struct {
 	// DisablePolicies turns policy enforcement off entirely — the
 	// "without policy checking" baseline of §6.4.
 	DisablePolicies bool
-	// HedgeDelay fixes the read engine's delay before a further copy is
-	// consulted (see fetch.go). 0 selects the adaptive delay: ~1.25× the
-	// outstanding drive's observed p95 read latency.
-	HedgeDelay time.Duration
+	// hedgeDelay fixes the read engine's delay before a further copy is
+	// consulted (see fetch.go). 0, which every deployment runs, selects
+	// the adaptive delay: ~1.25× the outstanding drive's observed p95
+	// read latency. Only this package's tests pin it.
+	hedgeDelay time.Duration
 
 	// Enclave is the trusted execution environment; nil runs the
 	// controller "native" (no attestation, no overhead model).
@@ -100,10 +101,12 @@ type Config struct {
 	PolicyCacheEntries int
 	ObjectCacheBytes   int64
 
-	// MaxStreamBytes caps the total size of one streamed (chunked)
-	// object; 0 selects 256 MB. Inline objects stay bounded by the
-	// Kinetic value limit (store.MaxObjectSize).
-	MaxStreamBytes int64
+	// maxStreamBytes caps the total size of one streamed (chunked)
+	// object; 0, which every deployment runs, selects
+	// DefaultMaxStreamBytes. Only this package's tests lower it. Inline
+	// objects stay bounded by the Kinetic value limit
+	// (store.MaxObjectSize).
+	maxStreamBytes int64
 
 	// EC enables the erasure-coded storage class: streamed objects of
 	// at least ECMinBytes are striped k chunks at a time into k+m
@@ -122,9 +125,6 @@ type Config struct {
 	// small hot object across k+m drives buys little capacity and
 	// costs k drive round trips per read. 0 selects 4 MB.
 	ECMinBytes int64
-
-	// SessionTTL expires idle session contexts; 0 selects 10 minutes.
-	SessionTTL time.Duration
 
 	// DetectorInterval runs the drive-failure detector on a ticker:
 	// each tick probes every drive and advances its
@@ -152,7 +152,7 @@ type Config struct {
 	// ErrWrongShard (see shard.go). Nil runs the controller unsharded.
 	Shard *ShardInfo
 	// ClusterMapDoc is the signed cluster shard map document served at
-	// /v1/cluster/map for routers; opaque to core, verified and
+	// /v2/cluster/map for routers; opaque to core, verified and
 	// updated by the cluster coordinator (internal/cluster).
 	ClusterMapDoc []byte
 
@@ -289,7 +289,7 @@ type Controller struct {
 // Stats aggregates controller activity counters. Every field is a
 // lock-free obs.Counter — one atomic word — so the hot paths pay a
 // single uncontended atomic add instead of the former shared mutex,
-// and the same words back both /v1/status and the Prometheus scrape
+// and the same words back both /v2/status and the Prometheus scrape
 // (no dual counting).
 type Stats struct {
 	Puts                obs.Counter

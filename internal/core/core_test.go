@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,14 +325,19 @@ func TestAsyncResults(t *testing.T) {
 }
 
 func TestSessionExpiry(t *testing.T) {
-	h := newHarness(t, 1, func(c *Config) { c.SessionTTL = 10 * time.Millisecond })
+	var now atomic.Int64 // the controller's clock, in unix nanoseconds
+	now.Store(time.Now().UnixNano())
+	h := newHarness(t, 1, func(c *Config) { c.Clock = func() time.Time { return time.Unix(0, now.Load()) } })
 	s1 := h.ctl.Session("ephemeral")
-	_ = s1
 	resident := h.ctl.EPC().Usage()["sessions"]
 	if resident == 0 {
 		t.Fatal("session memory not accounted")
 	}
-	time.Sleep(20 * time.Millisecond)
+	now.Add(int64(sessionTTL))
+	if n := h.ctl.ExpireSessions(); n != 0 {
+		t.Fatalf("expired %d sessions idle for exactly the TTL, want 0", n)
+	}
+	now.Add(1)
 	if n := h.ctl.ExpireSessions(); n != 1 {
 		t.Fatalf("expired %d sessions, want 1", n)
 	}

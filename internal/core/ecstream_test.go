@@ -21,7 +21,7 @@ func ecConfig(c *Config) {
 	c.Replicas = 2
 	c.EC = true
 	c.ECMinBytes = 2 * streamChunkSize
-	c.HedgeDelay = time.Minute
+	c.hedgeDelay = time.Minute
 }
 
 // ecDataHome returns the home drive of data chunk idx under group.

@@ -65,8 +65,8 @@ const (
 // promptly.
 func (c *Controller) hedgeDelay(p *drivePool, inflight int) time.Duration {
 	floor := min(time.Duration(inflight)*10*time.Nanosecond, maxHedgeDelay)
-	if c.cfg.HedgeDelay > 0 {
-		return max(c.cfg.HedgeDelay, floor)
+	if c.cfg.hedgeDelay > 0 {
+		return max(c.cfg.hedgeDelay, floor)
 	}
 	d := defaultHedgeDelay
 	if _, p95, n := p.latency(); n >= hedgeWarmup {

@@ -40,7 +40,7 @@ type fetchRig struct {
 }
 
 func newFetchRig(shape fetchShape, hedge time.Duration) *fetchRig {
-	r := &fetchRig{c: &Controller{cfg: Config{HedgeDelay: hedge}}, k: shape.k, release: make(chan struct{})}
+	r := &fetchRig{c: &Controller{cfg: Config{hedgeDelay: hedge}}, k: shape.k, release: make(chan struct{})}
 	for i, slot := range shape.slots {
 		v := fmt.Sprintf("c%d", i)
 		r.cands = append(r.cands, fetchCand{stripeShard{slot: slot, idx: int64(i)}, &drivePool{name: v}})
@@ -220,7 +220,7 @@ func TestRefusedChunkDemotesItsDrive(t *testing.T) {
 		drives int
 		mutate func(*Config)
 	}{
-		{"k=1 over 3 replicas", 3, func(c *Config) { c.Replicas = 3; c.HedgeDelay = time.Minute }},
+		{"k=1 over 3 replicas", 3, func(c *Config) { c.Replicas = 3; c.hedgeDelay = time.Minute }},
 		{"ec:4+2", 6, ecConfig},
 	} {
 		t.Run(shape.name, func(t *testing.T) {

@@ -41,7 +41,7 @@ func TestHedgedReadsReduceMediaOccupancy(t *testing.T) {
 			c.Replicas = replicas
 			// Far above the in-memory RTT: hedges never fire, so the
 			// measurement isolates engine occupancy, not hedge noise.
-			c.HedgeDelay = 50 * time.Millisecond
+			c.hedgeDelay = 50 * time.Millisecond
 		})
 		s := h.ctl.Session("w")
 		ctx := context.Background()
@@ -92,7 +92,7 @@ func TestHedgeFiresOnSlowReplica(t *testing.T) {
 	const slowDelay = 40 * time.Millisecond
 	h := newHarness(t, 2, func(c *Config) {
 		c.Replicas = 2
-		c.HedgeDelay = 2 * time.Millisecond
+		c.hedgeDelay = 2 * time.Millisecond
 	}, func(i int) kinetic.MediaModel {
 		if i == slow {
 			return &kinetic.HDDMedia{Positioning: slowDelay, BytesPerSec: 150e6, TimeScale: 1}
@@ -144,7 +144,7 @@ func TestHedgedDegradedReplicaDoesNotShadow(t *testing.T) {
 	const key = "k"
 	h := newKillableHarness(t, 2, func(c *Config) {
 		c.Replicas = 2
-		c.HedgeDelay = 5 * time.Millisecond
+		c.hedgeDelay = 5 * time.Millisecond
 	})
 	s := h.ctl.Session("w")
 	ctx := context.Background()
@@ -192,7 +192,7 @@ func TestHedgedMixedNotFoundErrorSurfacesError(t *testing.T) {
 	const key = "k"
 	h := newKillableHarness(t, 2, func(c *Config) {
 		c.Replicas = 2
-		c.HedgeDelay = time.Millisecond
+		c.hedgeDelay = time.Millisecond
 	})
 	s := h.ctl.Session("w")
 	ctx := context.Background()
@@ -264,7 +264,7 @@ func TestDeadReplicaLosesPrimarySlot(t *testing.T) {
 	const key = "k"
 	h := newKillableHarness(t, 2, func(c *Config) {
 		c.Replicas = 2
-		c.HedgeDelay = time.Millisecond
+		c.hedgeDelay = time.Millisecond
 	})
 	s := h.ctl.Session("w")
 	ctx := context.Background()

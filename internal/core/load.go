@@ -29,7 +29,7 @@ type bucketLoad struct {
 }
 
 // loadState is the controller's load histogram plus the lazily
-// maintained rate window /v1/status reports ops/s figures from.
+// maintained rate window /v2/status reports ops/s figures from.
 type loadState struct {
 	buckets [LoadBuckets]bucketLoad
 
@@ -74,7 +74,7 @@ type RangeLoad struct {
 	BucketLoad
 }
 
-// LoadStatus is the load section of /v1/status: the raw bucket
+// LoadStatus is the load section of /v2/status: the raw bucket
 // histogram (the autobalancer's input), the same counters aggregated
 // per owned range (the operator view), and smoothed rates over the
 // recent polling window.

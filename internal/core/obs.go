@@ -17,7 +17,7 @@ func (c *Controller) initObs() error {
 		return nil
 	}
 	c.registry = obs.NewRegistry()
-	c.traceStore = obs.NewTraceStore(0) // the ring behind GET /v1/trace/{id}, at obs's default size
+	c.traceStore = obs.NewTraceStore(0) // the ring behind GET /v2/trace/{id}, at obs's default size
 	slow := c.cfg.SlowOpThreshold
 	if slow == 0 {
 		slow = 250 * time.Millisecond
@@ -54,7 +54,7 @@ func (c *Controller) initObs() error {
 	return nil
 }
 
-// counterDecl is one Stats word with its key in the /v1/status body and
+// counterDecl is one Stats word with its key in the /v2/status body and
 // its /metrics series.
 type counterDecl struct {
 	status, series, help string
@@ -106,7 +106,7 @@ func (s *Stats) counters() []counterDecl {
 
 // registerMetrics exposes the controller's counters and gauges on the
 // registry. The Stats words themselves are registered (not copies), so
-// /v1/status and /metrics report from one source.
+// /v2/status and /metrics report from one source.
 func (c *Controller) registerMetrics() {
 	r := c.registry
 	for _, d := range c.stats.counters() {

@@ -13,7 +13,7 @@ import (
 )
 
 // TestEveryCounterInBothOutputs: a word of Stats is declared once and
-// shows in /v1/status and in /metrics alike. Each counter is given a
+// shows in /v2/status and in /metrics alike. Each counter is given a
 // value of its own, which must then turn up in both renderings — so a
 // counter added to Stats and forgotten in the table fails here, as the
 // EC words and AuditDropped each used to be missing from one side.
@@ -31,7 +31,7 @@ func TestEveryCounterInBothOutputs(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	if err := (&RESTServer{ctl: h.ctl}).handleStatus(rec, nil, nil); err != nil {
+	if err := (&RESTServer{ctl: h.ctl}).handleStatus(rec, nil, nil, request{}); err != nil {
 		t.Fatal(err)
 	}
 	var status map[string]any
@@ -56,7 +56,7 @@ func TestEveryCounterInBothOutputs(t *testing.T) {
 	}
 	for name, v := range want {
 		if !inStatus[v] {
-			t.Errorf("Stats.%s is not in the /v1/status body", name)
+			t.Errorf("Stats.%s is not in the /v2/status body", name)
 		}
 		if !inMetrics[v] {
 			t.Errorf("Stats.%s has no /metrics series", name)

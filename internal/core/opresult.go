@@ -82,8 +82,8 @@ const (
 var (
 	// ErrBadToken rejects malformed or foreign pagination tokens.
 	ErrBadToken = errors.New("pesos: invalid pagination token")
-	// ErrStreamTooLarge rejects streamed uploads above the configured
-	// cap (Config.MaxStreamBytes).
+	// ErrStreamTooLarge rejects streamed uploads above the cap
+	// (DefaultMaxStreamBytes).
 	ErrStreamTooLarge = errors.New("pesos: streamed object exceeds size cap")
 	// ErrStreamedObject marks a buffered read of a chunked object:
 	// the object exists but must be read through the streaming API.

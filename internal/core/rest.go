@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -24,11 +26,10 @@ import (
 // RESTServer exposes the controller over the paper's REST interface
 // (§4.1): plain HTTPS with mutual TLS, no special client library
 // required. Clients are identified by the public key of their TLS
-// certificate; certified facts ride along in headers. Objects are put,
-// read, deleted, listed and polled, and transactions run, under /v2
-// (restv2.go); what has no /v2 form — versions, verify, repair,
-// policies, status, the cluster map, traces — is served under /v1. Every
-// route reports failure in the one envelope of writeError.
+// certificate; certified facts ride along in headers. Every route is
+// under /v2 (and /metrics beside it), is mounted by route, and reports
+// failure in the one envelope of writeError. Every mutation answers with
+// an OpResult.
 type RESTServer struct {
 	ctl *Controller
 	mux *http.ServeMux
@@ -37,20 +38,29 @@ type RESTServer struct {
 // CertHeader carries base64-encoded certified facts, repeatable.
 const CertHeader = "X-Pesos-Certificate"
 
-// NewREST builds the REST front end for a controller. Each route names
-// its latency-histogram op class where it is mounted; "" leaves a route
-// untraced and unobserved (status, metrics, the trace API itself).
+// NewREST builds the REST front end for a controller: the one route
+// table. Each route names its latency-histogram op class where it is
+// mounted; "" leaves a route untraced and unobserved (status, metrics,
+// the trace API itself).
 func NewREST(ctl *Controller) *RESTServer {
 	s := &RESTServer{ctl: ctl, mux: http.NewServeMux()}
-	s.registerV2()
-	s.object("GET /v1/versions/{key...}", "other", s.handleVersions)
-	s.object("GET /v1/verify/{key...}", "other", s.handleVerify)
-	s.object("POST /v1/repair/{key...}", "other", s.handleRepair)
-	s.route("POST /v1/policies", "other", s.handlePutPolicy)
-	s.route("GET /v1/policies/{id}", "other", s.handleGetPolicy)
-	s.route("GET /v1/status", "", s.handleStatus)
-	s.route("GET /v1/cluster/map", "", s.handleClusterMap)
-	s.route("GET /v1/trace/{id}", "", s.handleTrace)
+	s.route("GET /v2/objects", "scan", s.handleList)
+	s.route("GET /v2/objects/{key...}", "get", s.handleGet)
+	s.route("PUT /v2/objects/{key...}", "put", s.handlePut)
+	s.route("POST /v2/objects/{key...}", "put", s.handlePut)
+	s.route("DELETE /v2/objects/{key...}", "delete", s.handleDelete)
+	s.route("POST /v2/batch/get", "batch", s.handleBatchGet)
+	s.route("POST /v2/batch/put", "batch", s.handleBatchPut)
+	s.route("POST /v2/tx", "tx", s.handleTx)
+	s.route("GET /v2/results/{op}", "other", s.handleResult)
+	s.route("GET /v2/versions/{key...}", "other", s.handleVersions)
+	s.route("GET /v2/verify/{key...}", "other", s.handleVerify)
+	s.route("POST /v2/repair/{key...}", "other", s.handleRepair)
+	s.route("POST /v2/policies", "other", s.handlePutPolicy)
+	s.route("GET /v2/policies/{id}", "other", s.handleGetPolicy)
+	s.route("GET /v2/status", "", s.handleStatus)
+	s.route("GET /v2/cluster/map", "", s.handleClusterMap)
+	s.route("GET /v2/trace/{id}", "", s.handleTrace)
 	s.route("GET /metrics", "", s.handleMetrics)
 	return s
 }
@@ -101,18 +111,24 @@ func (s *RESTServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// handler is what a route does for an authenticated caller. It writes
-// its own success reply; an error it returns — before anything was
-// written — becomes the route's failure reply.
-type handler func(w http.ResponseWriter, r *http.Request, sess *Session) error
+// handler is what a route does for an authenticated caller, its request
+// parsed. It writes its own success reply; an error it returns — before
+// anything was written — becomes the route's failure reply.
+type handler func(w http.ResponseWriter, r *http.Request, sess *Session, req request) error
 
-// route mounts h behind the session check every route shares, under op's
-// trace root and latency histogram.
+// route mounts h behind what every route shares: its trace root and
+// latency histogram under op, the session check and the parse of the
+// request, whose failures no handler sees.
 func (s *RESTServer) route(pattern, op string, h handler) {
+	keyed := strings.HasSuffix(pattern, "/{key...}")
 	s.mux.HandleFunc(pattern, s.traced(op, func(w http.ResponseWriter, r *http.Request) {
 		sess, err := s.session(r)
+		var req request
 		if err == nil {
-			err = h(w, r, sess)
+			req, err = parseRequest(r, keyed)
+		}
+		if err == nil {
+			err = h(w, r, sess, req)
 		}
 		if err != nil {
 			writeError(w, err)
@@ -169,41 +185,38 @@ func (s *RESTServer) session(r *http.Request) (*Session, error) {
 	return nil, errUnauthenticated
 }
 
-// objectReq is what every route addressed by an object key parses the
-// same way: the key, the certified facts attached to the request, and
-// the optional ?version selector.
-type objectReq struct {
-	key        string
+// request is what every route parses the same way: the certified facts
+// attached to it, its query and — on a route addressed by an object key —
+// the key and the optional ?version selector.
+type request struct {
 	certs      []*authority.Certificate
 	query      url.Values
+	key        string
 	version    int64
 	hasVersion bool
 }
 
-// object mounts a route addressed by an object key: route, plus the
-// shared parse of the request, refused as invalid_argument before the
-// handler (or the store) sees it.
-func (s *RESTServer) object(pattern, op string, h func(http.ResponseWriter, *http.Request, *Session, objectReq) error) {
-	s.route(pattern, op, func(w http.ResponseWriter, r *http.Request, sess *Session) error {
-		o := objectReq{key: r.PathValue("key")}
-		if r.URL.RawQuery != "" {
-			o.query = r.URL.Query()
+// parseRequest parses r, refusing what is malformed as invalid_argument
+// before the handler (or the store) sees it. A keyed route's pattern
+// ends in {key...}.
+func parseRequest(r *http.Request, keyed bool) (req request, err error) {
+	if r.URL.RawQuery != "" {
+		req.query = r.URL.Query()
+	}
+	if req.certs, err = certsFrom(r); err != nil || !keyed {
+		return req, err
+	}
+	req.key = r.PathValue("key")
+	if err = validKey(req.key); err != nil {
+		return req, err
+	}
+	if v := req.query.Get("version"); v != "" {
+		if req.version, err = strconv.ParseInt(v, 10, 64); err != nil {
+			return req, fmt.Errorf("%w: bad version: %v", ErrInvalidArgument, err)
 		}
-		err := validKey(o.key)
-		if err != nil {
-			return err
-		}
-		if o.certs, err = certsFrom(r); err != nil {
-			return err
-		}
-		if v := o.query.Get("version"); v != "" {
-			if o.version, err = strconv.ParseInt(v, 10, 64); err != nil {
-				return fmt.Errorf("%w: bad version: %v", ErrInvalidArgument, err)
-			}
-			o.hasVersion = true
-		}
-		return h(w, r, sess, o)
-	})
+		req.hasVersion = true
+	}
+	return req, nil
 }
 
 // certsFrom decodes attached certified facts.
@@ -227,40 +240,212 @@ func certsFrom(r *http.Request) ([]*authority.Certificate, error) {
 	return out, nil
 }
 
-func (s *RESTServer) handleVersions(w http.ResponseWriter, r *http.Request, sess *Session, o objectReq) error {
-	vers, err := sess.ListVersions(r.Context(), o.key, o.certs)
+// handleList serves one page of a prefix/range listing.
+//
+//	GET /v2/objects?prefix=P&start=S&limit=N&token=T
+func (s *RESTServer) handleList(w http.ResponseWriter, r *http.Request, sess *Session, req request) error {
+	opts := ScanOptions{
+		Prefix: req.query.Get("prefix"),
+		Start:  req.query.Get("start"),
+		Token:  req.query.Get("token"),
+		Certs:  req.certs,
+	}
+	if l := req.query.Get("limit"); l != "" {
+		n, err := strconv.Atoi(l)
+		if err != nil || n < 0 {
+			return fmt.Errorf("%w: bad limit %q", ErrInvalidArgument, l)
+		}
+		opts.Limit = n
+	}
+	page, err := sess.Scan(r.Context(), opts)
 	if err != nil {
 		return err
 	}
-	return reply(w, map[string]any{"versions": vers})
+	return reply(w, page)
 }
 
-func (s *RESTServer) handleVerify(w http.ResponseWriter, r *http.Request, sess *Session, o objectReq) error {
-	meta, err := sess.Verify(r.Context(), o.key, o.version, o.certs...)
+// handleGet streams an object. Headers carry the metadata; the body
+// is the raw payload, chunked objects streamed chunk by chunk. An
+// integrity failure mid-stream aborts the connection (the client sees
+// a truncated transfer, never silently wrong bytes).
+func (s *RESTServer) handleGet(w http.ResponseWriter, r *http.Request, sess *Session, req request) error {
+	opts := GetOptions{Certs: req.certs, Version: req.version, HasVersion: req.hasVersion}
+	meta, send, err := sess.GetStream(r.Context(), req.key, opts)
 	if err != nil {
 		return err
 	}
-	return reply(w, map[string]any{
-		"key":         JSONKey(meta.Key),
-		"version":     meta.Version,
-		"size":        meta.Size,
-		"contentHash": fmt.Sprintf("%x", meta.ContentHash),
-		"policy":      meta.PolicyID,
-		"policyHash":  fmt.Sprintf("%x", meta.PolicyHash),
+	w.Header().Set("X-Pesos-Version", strconv.FormatInt(meta.Version, 10))
+	w.Header().Set("X-Pesos-Policy", meta.PolicyID)
+	w.Header().Set("X-Pesos-Content-Hash", hex.EncodeToString(meta.ContentHash[:]))
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(meta.Size, 10))
+	w.WriteHeader(http.StatusOK)
+	if err := send(w); err != nil {
+		// Headers are gone; panicking with the sentinel aborts the
+		// connection so the truncation is observable client-side.
+		panic(http.ErrAbortHandler)
+	}
+	return nil
+}
+
+// handlePut stores an object from the (streamed) request body.
+// Values above the inline limit become chunked records transparently;
+// ?async=1 defers execution (inline-sized values only) and returns an
+// operation id inside the OpResult.
+func (s *RESTServer) handlePut(w http.ResponseWriter, r *http.Request, sess *Session, req request) error {
+	opts := PutOptions{
+		PolicyID: req.query.Get("policy"), Certs: req.certs, Async: req.query.Get("async") != "",
+		Version: req.version, HasVersion: req.hasVersion,
+	}
+	if !opts.Async {
+		return replyOp(w, sess.PutStream(r.Context(), req.key, r.Body, opts))
+	}
+	// Deferred execution outlives the request, so the body must be
+	// buffered; the inline value limit applies.
+	body, err := readLimit(r.Body)
+	if err != nil {
+		return err
+	}
+	return replyOp(w, sess.PutOp(r.Context(), req.key, body, opts))
+}
+
+// handleDelete removes an object, reporting the destroyed version.
+func (s *RESTServer) handleDelete(w http.ResponseWriter, r *http.Request, sess *Session, req request) error {
+	opts := DeleteOptions{Certs: req.certs, Async: req.query.Get("async") != ""}
+	return replyOp(w, sess.DeleteOp(r.Context(), req.key, opts))
+}
+
+// handleBatchGet serves POST /v2/batch/get {"keys":[...]}.
+func (s *RESTServer) handleBatchGet(w http.ResponseWriter, r *http.Request, sess *Session, req request) error {
+	var body BatchGetRequest
+	if err := decodeBody(r, &body); err != nil {
+		return err
+	}
+	results, err := sess.BatchGet(r.Context(), keyStrings(body.Keys), req.certs)
+	if err != nil {
+		return err
+	}
+	return reply(w, &BatchGetReply{Results: results})
+}
+
+func keyStrings(keys []JSONKey) []string {
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = string(k)
+	}
+	return out
+}
+
+// handleBatchPut serves POST /v2/batch/put {"ops":[...]}.
+func (s *RESTServer) handleBatchPut(w http.ResponseWriter, r *http.Request, sess *Session, req request) error {
+	var body BatchPutRequest
+	if err := decodeBody(r, &body); err != nil {
+		return err
+	}
+	results, err := sess.BatchPut(r.Context(), body.Ops, req.certs)
+	if err != nil {
+		return err
+	}
+	return reply(w, &BatchPutReply{Results: results})
+}
+
+// handleTx serves POST /v2/tx {"keys":[...],"ops":[...]}: one
+// transaction, whole. It commits and answers {"reads":[...],"writes":[...]}
+// or aborts and answers the error envelope.
+func (s *RESTServer) handleTx(w http.ResponseWriter, r *http.Request, sess *Session, req request) error {
+	var body TxRequest
+	if err := decodeBody(r, &body); err != nil {
+		return err
+	}
+	reads, writes, err := sess.Tx(r.Context(), keyStrings(body.Keys), body.Ops, req.certs)
+	if err != nil {
+		return err
+	}
+	return reply(w, &TxReply{Reads: reads, Writes: writes})
+}
+
+// ResultReply answers GET /v2/results/{op}: whether the asynchronous
+// operation has run, and its result.
+type ResultReply struct {
+	Done   bool     `json:"done"`
+	Result OpResult `json:"result"`
+}
+
+// handleResult polls an asynchronous operation.
+func (s *RESTServer) handleResult(w http.ResponseWriter, r *http.Request, sess *Session, _ request) error {
+	opID, err := strconv.ParseUint(r.PathValue("op"), 10, 64)
+	if err != nil {
+		return fmt.Errorf("%w: bad op id: %v", ErrInvalidArgument, err)
+	}
+	res, done, ok := sess.ResultOp(opID)
+	if !ok {
+		return fmt.Errorf("%w: result unknown or aged out; re-issue the request", ErrNotFound)
+	}
+	return reply(w, &ResultReply{Done: done, Result: res})
+}
+
+// VersionsReply answers GET /v2/versions/{key...}: the object's stored
+// versions.
+type VersionsReply struct {
+	Versions []int64 `json:"versions"`
+}
+
+func (s *RESTServer) handleVersions(w http.ResponseWriter, r *http.Request, sess *Session, req request) error {
+	vers, err := sess.ListVersions(r.Context(), req.key, req.certs)
+	if err != nil {
+		return err
+	}
+	return reply(w, &VersionsReply{Versions: vers})
+}
+
+// VerifyInfo answers GET /v2/verify/{key...}?version=N: the integrity
+// evidence for one stored version, its hashes in hex.
+type VerifyInfo struct {
+	Key         JSONKey `json:"key"`
+	Version     int64   `json:"version"`
+	Size        int64   `json:"size"`
+	ContentHash string  `json:"contentHash"`
+	Policy      string  `json:"policy"`
+	PolicyHash  string  `json:"policyHash"`
+}
+
+func (s *RESTServer) handleVerify(w http.ResponseWriter, r *http.Request, sess *Session, req request) error {
+	meta, err := sess.Verify(r.Context(), req.key, req.version, req.certs...)
+	if err != nil {
+		return err
+	}
+	return reply(w, &VerifyInfo{
+		Key:         JSONKey(meta.Key),
+		Version:     meta.Version,
+		Size:        meta.Size,
+		ContentHash: hex.EncodeToString(meta.ContentHash[:]),
+		Policy:      meta.PolicyID,
+		PolicyHash:  hex.EncodeToString(meta.PolicyHash[:]),
 	})
 }
 
-func (s *RESTServer) handleRepair(w http.ResponseWriter, r *http.Request, sess *Session, o objectReq) error {
-	report, err := sess.Repair(r.Context(), o.key)
+// RepairReply answers POST /v2/repair/{key...}: how many versions were
+// examined and how many records rewritten.
+type RepairReply struct {
+	Key      JSONKey `json:"key"`
+	Versions int     `json:"versions"`
+	Restored int     `json:"restored"`
+}
+
+func (s *RESTServer) handleRepair(w http.ResponseWriter, r *http.Request, sess *Session, req request) error {
+	report, err := sess.Repair(r.Context(), req.key)
 	if err != nil {
 		return err
 	}
-	return reply(w, map[string]any{
-		"key": JSONKey(report.Key), "versions": report.Versions, "restored": report.Restored,
-	})
+	return reply(w, &RepairReply{Key: JSONKey(report.Key), Versions: report.Versions, Restored: report.Restored})
 }
 
-func (s *RESTServer) handlePutPolicy(w http.ResponseWriter, r *http.Request, sess *Session) error {
+// PolicyReply answers POST /v2/policies: the stored policy's id.
+type PolicyReply struct {
+	ID string `json:"id"`
+}
+
+func (s *RESTServer) handlePutPolicy(w http.ResponseWriter, r *http.Request, sess *Session, _ request) error {
 	src, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidArgument, err)
@@ -269,10 +454,10 @@ func (s *RESTServer) handlePutPolicy(w http.ResponseWriter, r *http.Request, ses
 	if err != nil {
 		return err
 	}
-	return reply(w, map[string]any{"id": id})
+	return reply(w, &PolicyReply{ID: id})
 }
 
-func (s *RESTServer) handleGetPolicy(w http.ResponseWriter, r *http.Request, _ *Session) error {
+func (s *RESTServer) handleGetPolicy(w http.ResponseWriter, r *http.Request, _ *Session, _ request) error {
 	src, err := s.ctl.GetPolicySource(r.Context(), r.PathValue("id"))
 	if err != nil {
 		return err
@@ -282,7 +467,9 @@ func (s *RESTServer) handleGetPolicy(w http.ResponseWriter, r *http.Request, _ *
 	return nil
 }
 
-func (s *RESTServer) handleStatus(w http.ResponseWriter, _ *http.Request, _ *Session) error {
+// handleStatus serves the controller's statistics: a map, because the
+// counters' keys come from the Stats table (obs.go).
+func (s *RESTServer) handleStatus(w http.ResponseWriter, _ *http.Request, _ *Session, _ request) error {
 	lats := make(map[string]map[string]any, len(s.ctl.drives))
 	for _, dl := range s.ctl.DriveLatencies() {
 		lats[dl.Name] = map[string]any{
@@ -312,7 +499,7 @@ func (s *RESTServer) handleStatus(w http.ResponseWriter, _ *http.Request, _ *Ses
 // handleClusterMap serves the signed cluster shard map document this
 // controller holds, for routers bootstrapping or refreshing their map.
 // 404 on unsharded controllers.
-func (s *RESTServer) handleClusterMap(w http.ResponseWriter, _ *http.Request, _ *Session) error {
+func (s *RESTServer) handleClusterMap(w http.ResponseWriter, _ *http.Request, _ *Session, _ request) error {
 	doc := s.ctl.ClusterMapDoc()
 	if len(doc) == 0 {
 		return fmt.Errorf("%w: controller holds no cluster map", ErrNotFound)
@@ -323,7 +510,7 @@ func (s *RESTServer) handleClusterMap(w http.ResponseWriter, _ *http.Request, _ 
 }
 
 // handleTrace serves a completed trace's span tree by hex id.
-func (s *RESTServer) handleTrace(w http.ResponseWriter, r *http.Request, _ *Session) error {
+func (s *RESTServer) handleTrace(w http.ResponseWriter, r *http.Request, _ *Session, _ request) error {
 	id, ok := obs.ParseTraceID(r.PathValue("id"))
 	if !ok {
 		return fmt.Errorf("%w: bad trace id (want 16 hex digits)", ErrInvalidArgument)
@@ -338,7 +525,7 @@ func (s *RESTServer) handleTrace(w http.ResponseWriter, r *http.Request, _ *Sess
 // handleMetrics serves the Prometheus text format on the mTLS API
 // port. Deployments that scrape without client certificates use the
 // daemons' side listener (obs.Serve) instead.
-func (s *RESTServer) handleMetrics(w http.ResponseWriter, _ *http.Request, _ *Session) error {
+func (s *RESTServer) handleMetrics(w http.ResponseWriter, _ *http.Request, _ *Session, _ request) error {
 	reg := s.ctl.Registry()
 	if reg == nil {
 		return fmt.Errorf("%w: observability disabled", ErrNotFound)
@@ -405,3 +592,32 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.WriteHeader(code)
 	w.Write(body)
 }
+
+// replyOp renders a mutation outcome: the HTTP status follows the
+// embedded error's taxonomy code (200 on success), the body is always
+// the full OpResult.
+func replyOp(w http.ResponseWriter, res OpResult) error {
+	status := http.StatusOK
+	if res.Err != nil {
+		status = res.Err.Code.HTTPStatus()
+	}
+	writeShape(w, status, &res)
+	return nil
+}
+
+// decodeBody reads a bounded JSON request body, once, and parses it. A
+// body that declares itself over the bound is refused unread.
+func decodeBody(r *http.Request, v RESTShape) error {
+	if r.ContentLength > maxBatchBody {
+		return fmt.Errorf("%w: request body of %d bytes exceeds %d", ErrInvalidArgument, r.ContentLength, maxBatchBody)
+	}
+	if err := ReadREST(http.MaxBytesReader(nil, r.Body, maxBatchBody), r.ContentLength, v); err != nil {
+		return fmt.Errorf("%w: bad request body: %v", ErrInvalidArgument, err)
+	}
+	return nil
+}
+
+// maxBatchBody bounds a batch or transaction request: the op cap worth
+// of inline values at base64's 4/3 inflation, plus JSON overhead — a
+// maximal legal batch (256 ops × 1 MB) must fit.
+const maxBatchBody = (MaxBatchRequestOps*4/3 + 64) << 20

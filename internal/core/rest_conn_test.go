@@ -54,7 +54,7 @@ func TestSessionBoundPerConnection(t *testing.T) {
 		defer cl.CloseIdleConnections()
 		code := 0
 		for i := 0; i < 2; i++ { // two requests, one kept-alive connection
-			resp, err := cl.Get(base + "/v1/status")
+			resp, err := cl.Get(base + "/v2/status")
 			if err != nil {
 				return 0, err
 			}
@@ -99,7 +99,7 @@ func TestSessionBoundPerConnection(t *testing.T) {
 		t.Error("request without a client certificate was served")
 	}
 	rec := httptest.NewRecorder()
-	rest.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/status", nil))
+	rest.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/status", nil))
 	if rec.Code != http.StatusUnauthorized {
 		t.Errorf("certificate-less request: HTTP %d, want 401", rec.Code)
 	}
@@ -118,7 +118,7 @@ func TestPeerFingerprintDerivedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := tlsutil.CertFingerprint(alice.Cert)
-	bare := httptest.NewRequest(http.MethodGet, "/v1/status", nil)
+	bare := httptest.NewRequest(http.MethodGet, "/v2/status", nil)
 	bare.TLS = &tls.ConnectionState{PeerCertificates: []*x509.Certificate{alice.Cert}}
 	bound := bare.WithContext(context.WithValue(bare.Context(), connIdentityKey{}, new(connIdentity)))
 

@@ -2,8 +2,8 @@
 // the mutation result (alone and as a batch's array), the two batch
 // requests, the batch-get result, the transaction's request and reply
 // (the batches' members under one roof) and the error envelope. The
-// controller (rest.go, restv2.go) and internal/client both go through
-// it, so the two ends of the hop cannot drift.
+// controller (rest.go) and internal/client both go through it, so the
+// two ends of the hop cannot drift.
 //
 // Encoders append into the caller's buffer and produce, byte for byte,
 // what encoding/json produces for the same value; there is no fallback.

@@ -66,11 +66,11 @@ func (c *Controller) Session(clientKey string) *Session {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s, ok := c.sessions[clientKey]; ok {
-		s.lastActive.Store(time.Now().UnixNano())
+		s.touch()
 		return s
 	}
 	s := &Session{ctl: c, clientKey: clientKey}
-	s.lastActive.Store(time.Now().UnixNano())
+	s.touch()
 	c.sessions[clientKey] = s
 	// Each connected client costs a session object in enclave memory
 	// (30 KB default, §4.2).
@@ -78,14 +78,14 @@ func (c *Controller) Session(clientKey string) *Session {
 	return s
 }
 
-// ExpireSessions drops sessions idle longer than the TTL, releasing
-// their enclave memory. The REST server calls this periodically.
+// sessionTTL is how long an idle session context lives.
+const sessionTTL = 10 * time.Minute
+
+// ExpireSessions drops sessions idle longer than sessionTTL by the
+// controller's clock, releasing their enclave memory. cmd/pesos calls it
+// on a ticker.
 func (c *Controller) ExpireSessions() int {
-	ttl := c.cfg.SessionTTL
-	if ttl <= 0 {
-		ttl = 10 * time.Minute
-	}
-	cutoff := time.Now().Add(-ttl).UnixNano()
+	cutoff := c.clock().Add(-sessionTTL).UnixNano()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
@@ -102,7 +102,7 @@ func (c *Controller) ExpireSessions() int {
 // ClientKey returns the session's owning key fingerprint.
 func (s *Session) ClientKey() string { return s.clientKey }
 
-func (s *Session) touch() { s.lastActive.Store(time.Now().UnixNano()) }
+func (s *Session) touch() { s.lastActive.Store(s.ctl.clock().UnixNano()) }
 
 // Put stores (or updates) an object synchronously, returning the new
 // version.

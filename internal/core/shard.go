@@ -283,7 +283,7 @@ func (c *Controller) beginWriteFiltered(ctx context.Context, keys []string) (rel
 	}
 }
 
-// ShardStatus is the sharding section of /v1/status.
+// ShardStatus is the sharding section of /v2/status.
 type ShardStatus struct {
 	ID      int         `json:"id"`
 	Epoch   uint64      `json:"epoch"`
@@ -328,7 +328,7 @@ func (c *Controller) ClusterMapDoc() []byte {
 }
 
 // SetClusterMapDoc installs a new signed cluster map document for
-// distribution via /v1/cluster/map. The caller (the cluster
+// distribution via /v2/cluster/map. The caller (the cluster
 // coordinator) has verified it.
 func (c *Controller) SetClusterMapDoc(doc []byte) {
 	s := c.shard

@@ -107,8 +107,7 @@ func (c *Controller) sealChunk(sealp *[]byte, key string, version, idx int64, pa
 	return blob, err
 }
 
-// DefaultMaxStreamBytes caps a streamed object when Config leaves
-// MaxStreamBytes zero.
+// DefaultMaxStreamBytes caps a streamed object.
 const DefaultMaxStreamBytes = 256 << 20
 
 // PutStream stores an object of unknown size read from body. Values
@@ -155,8 +154,8 @@ func (s *Session) GetStream(ctx context.Context, key string, opts GetOptions) (*
 }
 
 func (c *Controller) maxStreamBytes() int64 {
-	if c.cfg.MaxStreamBytes > 0 {
-		return c.cfg.MaxStreamBytes
+	if c.cfg.maxStreamBytes > 0 {
+		return c.cfg.maxStreamBytes
 	}
 	return DefaultMaxStreamBytes
 }

@@ -44,7 +44,7 @@ func TestStreamAbortLeavesNoOrphans(t *testing.T) {
 		parity   bool                           // needs a parity layout
 		cut      int                            // bytes of the body before the fault, in chunks (+1 byte)
 		existing bool                           // the key holds an inline v0 before the upload
-		capped   bool                           // MaxStreamBytes is one chunk short of the body
+		capped   bool                           // maxStreamBytes is one chunk short of the body
 		kill     bool                           // the fault is the victim drive dying
 		fault    func(t *testing.T, s *Session) // a racing operation, run where the kill would strike
 		bodyErr  error                          // the body reader fails with it past the cut
@@ -83,7 +83,7 @@ func TestStreamAbortLeavesNoOrphans(t *testing.T) {
 				h := newKillableHarness(t, class.drives, func(c *Config) {
 					class.cfg(c)
 					if ab.capped {
-						c.MaxStreamBytes = int64(class.chunks-1) * streamChunkSize
+						c.maxStreamBytes = int64(class.chunks-1) * streamChunkSize
 					}
 				})
 				s := h.ctl.Session("w")

@@ -114,7 +114,7 @@ func TestStreamBuffersAreNotRecycledInUse(t *testing.T) {
 		c.Replicas = 2
 		c.EC = true
 		c.ECMinBytes = 3 * streamChunkSize
-		c.HedgeDelay = 0 // the adaptive clock: hedges and parity fetches do fire
+		c.hedgeDelay = 0 // the adaptive clock: hedges and parity fetches do fire
 	})
 	// Every drive holds shards of some object and a replica of another:
 	// a slow one makes stripe reads fetch parity and replica reads hedge,

@@ -41,7 +41,7 @@ type SweepTickReport struct {
 	Deep bool
 }
 
-// SweeperStatus is the sweeper's cumulative state for /v1/status.
+// SweeperStatus is the sweeper's cumulative state for /v2/status.
 type SweeperStatus struct {
 	Enabled    bool      `json:"enabled"`
 	Cursor     string    `json:"cursor"`

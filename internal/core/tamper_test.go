@@ -343,7 +343,7 @@ func TestTamperMatrix(t *testing.T) {
 			transplantRig := func(t *testing.T) (*tamperRig, *Session) {
 				// No hedge timer: the replica asked first answers before
 				// another is asked, so what follows a refusal is the refusal's.
-				r := newTamperRig(t, 3, sealed, func(c *Config) { c.Replicas = 3; c.HedgeDelay = time.Minute })
+				r := newTamperRig(t, 3, sealed, func(c *Config) { c.Replicas = 3; c.hedgeDelay = time.Minute })
 				private, err := r.h.ctl.PutPolicy(r.ctx, "read :- sessionKeyIs(k'a11ce0')\nupdate :- sessionKeyIs(k'a11ce0')")
 				if err != nil {
 					t.Fatal(err)

@@ -401,7 +401,7 @@ func RouteInfoFromContext(ctx context.Context) (RouteInfo, bool) {
 }
 
 // TraceStore is a fixed-size ring of completed traces, the backing of
-// GET /v1/trace/{id}. Lookups scan backwards — the store is sized in
+// GET /v2/trace/{id}. Lookups scan backwards — the store is sized in
 // the hundreds and queried by humans.
 type TraceStore struct {
 	mu   sync.Mutex

@@ -182,7 +182,7 @@ func TestRESTVerifyOfADeniedObject(t *testing.T) {
 		t.Fatalf("verify of a denied object: %+v, %v", info, err)
 	}
 	// The reply itself, as the handler writes it.
-	req := httptest.NewRequest(http.MethodGet, "/v1/verify/secret?version=0", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v2/verify/secret?version=0", nil)
 	req.TLS = &tls.ConnectionState{PeerCertificates: []*x509.Certificate{eveID.Cert}}
 	rec := httptest.NewRecorder()
 	c.REST.ServeHTTP(rec, req)

@@ -50,25 +50,25 @@ var wireRoutes = []struct {
 	{"GET /v2/results/{op}", "/v2/results/1", []wireCase{
 		{"bad op id", "/v2/results/first", "", 400, core.CodeInvalidArgument},
 		{"unknown op id", "/v2/results/99999", "", 404, core.CodeNotFound}}},
-	{"GET /v1/versions/{key...}", "/v1/versions/k", []wireCase{
-		{"NUL key", "/v1/versions/a%00b", "", 400, core.CodeInvalidArgument},
-		{"missing object", "/v1/versions/absent", "", 404, core.CodeNotFound}}},
-	{"GET /v1/verify/{key...}", "/v1/verify/k", []wireCase{
-		{"bad version", "/v1/verify/k?version=head", "", 400, core.CodeInvalidArgument},
-		{"missing object", "/v1/verify/absent?version=0", "", 404, core.CodeNotFound}}},
-	{"POST /v1/repair/{key...}", "/v1/repair/k", []wireCase{
-		{"NUL key", "/v1/repair/a%00b", "", 400, core.CodeInvalidArgument},
-		{"missing object", "/v1/repair/absent", "", 404, core.CodeNotFound}}},
-	{"POST /v1/policies", "/v1/policies", []wireCase{
-		{"malformed policy", "/v1/policies", "read :- nonsense(", 400, core.CodeInvalidArgument}}},
-	{"GET /v1/policies/{id}", "/v1/policies/p", []wireCase{
-		{"unknown policy", "/v1/policies/nope", "", 404, core.CodeNoSuchPolicy}}},
-	{"GET /v1/status", "/v1/status", nil},
-	{"GET /v1/cluster/map", "/v1/cluster/map", []wireCase{
-		{"unsharded controller", "/v1/cluster/map", "", 404, core.CodeNotFound}}},
-	{"GET /v1/trace/{id}", "/v1/trace/00000000000000ff", []wireCase{
-		{"bad trace id", "/v1/trace/xyz", "", 400, core.CodeInvalidArgument},
-		{"unknown trace", "/v1/trace/00000000000000ff", "", 404, core.CodeNotFound}}},
+	{"GET /v2/versions/{key...}", "/v2/versions/k", []wireCase{
+		{"NUL key", "/v2/versions/a%00b", "", 400, core.CodeInvalidArgument},
+		{"missing object", "/v2/versions/absent", "", 404, core.CodeNotFound}}},
+	{"GET /v2/verify/{key...}", "/v2/verify/k", []wireCase{
+		{"bad version", "/v2/verify/k?version=head", "", 400, core.CodeInvalidArgument},
+		{"missing object", "/v2/verify/absent?version=0", "", 404, core.CodeNotFound}}},
+	{"POST /v2/repair/{key...}", "/v2/repair/k", []wireCase{
+		{"NUL key", "/v2/repair/a%00b", "", 400, core.CodeInvalidArgument},
+		{"missing object", "/v2/repair/absent", "", 404, core.CodeNotFound}}},
+	{"POST /v2/policies", "/v2/policies", []wireCase{
+		{"malformed policy", "/v2/policies", "read :- nonsense(", 400, core.CodeInvalidArgument}}},
+	{"GET /v2/policies/{id}", "/v2/policies/p", []wireCase{
+		{"unknown policy", "/v2/policies/nope", "", 404, core.CodeNoSuchPolicy}}},
+	{"GET /v2/status", "/v2/status", nil},
+	{"GET /v2/cluster/map", "/v2/cluster/map", []wireCase{
+		{"unsharded controller", "/v2/cluster/map", "", 404, core.CodeNotFound}}},
+	{"GET /v2/trace/{id}", "/v2/trace/00000000000000ff", []wireCase{
+		{"bad trace id", "/v2/trace/xyz", "", 400, core.CodeInvalidArgument},
+		{"unknown trace", "/v2/trace/00000000000000ff", "", 404, core.CodeNotFound}}},
 	{"GET /metrics", "/metrics", nil},
 }
 
@@ -83,7 +83,8 @@ type wireCase struct {
 // a client certificate it answers 401 — an identity claimed in a header
 // is no identity — a malformed request gets its documented status, and in
 // both cases the body is {"error":{"code","message"}} with the status the
-// code maps to. The deleted /v1 object and transaction routes are gone,
+// code maps to. The table, the routes rest.go mounts and the route table
+// of docs/api.md are one list. Every /v1 route of the controller is gone,
 // not redirected.
 func TestWireSurface(t *testing.T) {
 	c, err := Start(Options{Drives: 1})
@@ -139,36 +140,81 @@ func TestWireSurface(t *testing.T) {
 		}
 	}
 
-	// The table is the whole surface: every pattern the server mounts
-	// (read off its source, the mux keeps no list) has a row.
-	mount := regexp.MustCompile(`s\.(?:route|object)\("([A-Z]+ /[^"]*)"`)
-	mounted := 0
-	for _, file := range []string{"../core/rest.go", "../core/restv2.go"} {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range mount.FindAllStringSubmatch(string(src), -1) {
-			mounted++
-			if !tabled[m[1]] {
-				t.Errorf("route %q is mounted in %s but has no row in wireRoutes", m[1], file)
-			}
-		}
+	// The table is the whole surface: every pattern the server mounts has
+	// a row, and a row in docs/api.md's route table, and every route the
+	// document lists is mounted.
+	mounted := mountedRoutes(t)
+	documented := make(map[string]bool)
+	for _, route := range documentedRoutes(t) {
+		documented[route] = true
 	}
-	if mounted != len(wireRoutes) {
-		t.Errorf("%d routes mounted, %d tabled", mounted, len(wireRoutes))
+	for _, pattern := range mounted {
+		if !tabled[pattern] {
+			t.Errorf("route %q is mounted but has no row in wireRoutes", pattern)
+		}
+		doc := strings.ReplaceAll(pattern, "{key...}", "{key}")
+		if !documented[doc] {
+			t.Errorf("route %q is mounted but docs/api.md's route table does not list %q", pattern, doc)
+		}
+		delete(documented, doc)
+	}
+	for route := range documented {
+		t.Errorf("docs/api.md lists %q, which is not mounted", route)
+	}
+	if len(mounted) != len(wireRoutes) {
+		t.Errorf("%d routes mounted, %d tabled", len(mounted), len(wireRoutes))
 	}
 
-	// The deleted routes, spelled in two parts so that CI's greps for a
-	// reappearing /v1 object or transaction surface have nothing to find
-	// here.
+	// The deleted routes: the /v1 object and transaction routes, and the
+	// eight that moved to /v2 unchanged. Each answers 404.
 	for _, gone := range []string{
-		"PUT objects/x", "POST objects/x", "GET objects/x", "DELETE objects/x", "GET results/1",
-		"POST tx", "POST tx/1/read?key=k", "POST tx/1/write?key=k", "POST tx/1/commit", "POST tx/1/abort", "GET tx/1/results",
+		"PUT /v1/objects/x", "POST /v1/objects/x", "GET /v1/objects/x", "DELETE /v1/objects/x", "GET /v1/results/1",
+		"POST /v1/tx", "POST /v1/tx/1/read?key=k", "POST /v1/tx/1/write?key=k", "POST /v1/tx/1/commit", "POST /v1/tx/1/abort", "GET /v1/tx/1/results",
+		"GET /v1/versions/k", "GET /v1/verify/k?version=0", "POST /v1/repair/k", "POST /v1/policies", "GET /v1/policies/p",
+		"GET /v1/status", "GET /v1/cluster/map", "GET /v1/trace/00000000000000ff",
 	} {
-		method, rest, _ := strings.Cut(gone, " ")
-		if rec := do(method, "/v1/"+rest, "v", true); rec.Code != http.StatusNotFound {
-			t.Errorf("%s /v1/%s: HTTP %d, want 404 — the route is deleted", method, rest, rec.Code)
+		method, url, _ := strings.Cut(gone, " ")
+		if rec := do(method, url, "v", true); rec.Code != http.StatusNotFound {
+			t.Errorf("%s: HTTP %d, want 404 — the route is deleted", gone, rec.Code)
 		}
 	}
+}
+
+// mountedRoutes reads the patterns the controller mounts off its one
+// route table: the route calls in core's rest.go (the mux keeps no list).
+func mountedRoutes(t *testing.T) []string {
+	t.Helper()
+	src, err := os.ReadFile("../core/rest.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, m := range regexp.MustCompile(`s\.route\("([A-Z]+ /[^"]*)"`).FindAllStringSubmatch(string(src), -1) {
+		out = append(out, m[1])
+	}
+	if len(out) == 0 {
+		t.Fatal("rest.go mounts no route")
+	}
+	return out
+}
+
+// documentedRoutes reads the route table of docs/api.md's "Routes"
+// section: the first cell of each row, "METHOD /path", a key spelled
+// {key}.
+func documentedRoutes(t *testing.T) []string {
+	t.Helper()
+	src, err := os.ReadFile("../../docs/api.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(src), "\n## Routes\n")
+	if !ok {
+		t.Fatal(`docs/api.md has no "## Routes" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var out []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([A-Z]+ /[^`]*)` \\|").FindAllStringSubmatch(section, -1) {
+		out = append(out, m[1])
+	}
+	return out
 }
