@@ -21,6 +21,7 @@ import (
 	"context"
 	"crypto/tls"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -37,99 +38,106 @@ import (
 	"repro/internal/obs"
 )
 
-// rootCtx is the daemon's root context: cancelled on SIGINT/SIGTERM,
-// so every in-flight operation (P2P pushes included) unwinds promptly
-// at shutdown instead of running on a context nothing ever cancels.
-var rootCtx context.Context
-
 // P2PIdentity names the shared drive-to-drive account (-p2p-secret).
 const P2PIdentity = "kinetic-p2p"
 
-// p2pCreds authenticates outgoing P2P pushes: the shared P2P account
-// when configured, the factory account otherwise (which only works
-// until a controller takeover replaces it).
-var p2pCreds kclient.Credentials
+// deployment is what the command line says around the drive: where it
+// listens and how its outgoing P2P pushes authenticate — the shared P2P
+// account when configured, the factory account otherwise (which only
+// works until a controller takeover replaces it).
+type deployment struct {
+	listen, tlsCert, tlsKey, chaosListen, obsListen string
+	p2pCreds                                        kclient.Credentials
+}
 
-func main() {
-	listen := flag.String("listen", ":8123", "TCP listen address")
-	name := flag.String("name", "kinetic-0", "drive name")
-	media := flag.String("media", "sim", "media model: sim (in-memory) or hdd (seek-time model)")
-	hddScale := flag.Float64("hdd-scale", 1.0, "time scale for the hdd media model (0..1]")
-	tlsCert := flag.String("tls-cert", "", "PEM certificate for the drive's TLS identity")
-	tlsKey := flag.String("tls-key", "", "PEM key for the drive's TLS identity")
-	p2pSecret := flag.String("p2p-secret", "", "shared drive-to-drive HMAC secret (>= 8 bytes) enabling P2P copies that survive a controller takeover; same value on every drive of a deployment")
-	chaosListen := flag.String("chaos-listen", "", "loopback-only HTTP address for the /v1/chaos fault-injection endpoint (empty disables; must resolve to a loopback IP)")
-	obsListen := flag.String("obs-listen", "", "HTTP address for /metrics and loopback pprof (empty disables)")
-	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rootCtx = ctx
-
-	var mm kinetic.MediaModel
+// parseFlags parses the command line (without the program name) into
+// the drive's config and the deployment around it.
+func parseFlags(args []string) (kinetic.Config, *deployment, error) {
+	var cfg kinetic.Config
+	d := &deployment{}
+	fs := flag.NewFlagSet("kineticd", flag.ContinueOnError)
+	fs.StringVar(&d.listen, "listen", ":8123", "TCP listen address")
+	fs.StringVar(&cfg.Name, "name", "kinetic-0", "drive name")
+	media := fs.String("media", "sim", "media model: sim (in-memory) or hdd (seek-time model)")
+	hddScale := fs.Float64("hdd-scale", 1.0, "time scale for the hdd media model (0..1]")
+	fs.StringVar(&d.tlsCert, "tls-cert", "", "PEM certificate for the drive's TLS identity")
+	fs.StringVar(&d.tlsKey, "tls-key", "", "PEM key for the drive's TLS identity")
+	p2pSecret := fs.String("p2p-secret", "", "shared drive-to-drive HMAC secret (>= 8 bytes) enabling P2P copies that survive a controller takeover; same value on every drive of a deployment")
+	fs.StringVar(&d.chaosListen, "chaos-listen", "", "loopback-only HTTP address for the /v1/chaos fault-injection endpoint (empty disables; must resolve to a loopback IP)")
+	fs.StringVar(&d.obsListen, "obs-listen", "", "HTTP address for /metrics and loopback pprof (empty disables)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, nil, err
+	}
 	switch *media {
 	case "sim":
-		mm = kinetic.SimMedia{}
+		cfg.Media = kinetic.SimMedia{}
 	case "hdd":
-		mm = kinetic.NewHDDMedia(*hddScale)
+		cfg.Media = kinetic.NewHDDMedia(*hddScale)
 	default:
-		fmt.Fprintf(os.Stderr, "kineticd: unknown media model %q\n", *media)
-		os.Exit(2)
+		return cfg, nil, fmt.Errorf("unknown media model %q", *media)
 	}
-
-	if *p2pSecret != "" && len(*p2pSecret) < 8 {
-		fmt.Fprintln(os.Stderr, "kineticd: -p2p-secret needs at least 8 bytes")
-		os.Exit(2)
-	}
-	p2pCreds = kclient.Credentials{Identity: kinetic.DefaultAdminIdentity, Key: kinetic.DefaultAdminKey}
-	cfg := kinetic.Config{
-		Name:  *name,
-		Media: mm,
-		P2PDial: func(peer string) (kinetic.P2PTarget, error) {
-			return dialPeer(peer)
-		},
-	}
+	d.p2pCreds = kclient.Credentials{Identity: kinetic.DefaultAdminIdentity, Key: kinetic.DefaultAdminKey}
 	if *p2pSecret != "" {
+		if len(*p2pSecret) < 8 {
+			return cfg, nil, errors.New("-p2p-secret needs at least 8 bytes")
+		}
 		// Drive-to-drive trust: the shared account survives a
 		// controller's SetSecurity takeover, so shard handoffs can
 		// P2P-copy between drives owned by different controllers.
 		cfg.P2PAccount = &wire.ACL{Identity: P2PIdentity, Key: []byte(*p2pSecret), Perms: wire.PermWrite}
-		p2pCreds = kclient.Credentials{Identity: P2PIdentity, Key: []byte(*p2pSecret)}
+		d.p2pCreds = kclient.Credentials{Identity: P2PIdentity, Key: []byte(*p2pSecret)}
+	}
+	return cfg, d, nil
+}
+
+func main() {
+	cfg, d, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kineticd: %v\n", err)
+		os.Exit(2)
+	}
+	// The root context is cancelled on SIGINT/SIGTERM, so every
+	// in-flight operation (P2P pushes included) unwinds promptly at
+	// shutdown instead of running on a context nothing ever cancels.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	cfg.P2PDial = func(peer string) (kinetic.P2PTarget, error) {
+		return dialPeer(ctx, peer, d.p2pCreds)
 	}
 	drive := kinetic.NewDrive(cfg)
 
 	var tlsCfg *tls.Config
-	if *tlsCert != "" || *tlsKey != "" {
-		cert, err := tls.LoadX509KeyPair(*tlsCert, *tlsKey)
+	if d.tlsCert != "" || d.tlsKey != "" {
+		cert, err := tls.LoadX509KeyPair(d.tlsCert, d.tlsKey)
 		if err != nil {
 			log.Fatalf("kineticd: load TLS identity: %v", err)
 		}
 		tlsCfg = &tls.Config{Certificates: []tls.Certificate{cert}, MinVersion: tls.VersionTLS12}
 	}
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", d.listen)
 	if err != nil {
 		log.Fatalf("kineticd: listen: %v", err)
 	}
 	srv := kinetic.Serve(drive, ln, tlsCfg)
 	log.Printf("kineticd: drive %q serving on %s (media=%s, tls=%v)",
-		*name, ln.Addr(), mm.Name(), tlsCfg != nil)
+		cfg.Name, ln.Addr(), cfg.Media.Name(), tlsCfg != nil)
 
 	var chaosSrv *http.Server
-	if *chaosListen != "" {
-		chaosSrv, err = serveChaos(*chaosListen, drive)
+	if d.chaosListen != "" {
+		chaosSrv, err = serveChaos(d.chaosListen, drive)
 		if err != nil {
 			log.Fatalf("kineticd: chaos endpoint: %v", err)
 		}
 	}
 
 	var obsSrv *http.Server
-	if *obsListen != "" {
-		obsSrv, err = obs.Serve(*obsListen, driveRegistry(drive))
+	if d.obsListen != "" {
+		obsSrv, err = obs.Serve(d.obsListen, driveRegistry(drive))
 		if err != nil {
 			log.Fatalf("kineticd: obs endpoint: %v", err)
 		}
-		log.Printf("kineticd: observability endpoint on %s", *obsListen)
+		log.Printf("kineticd: observability endpoint on %s", d.obsListen)
 	}
 
 	<-ctx.Done()
@@ -232,21 +240,24 @@ func serveChaos(addr string, drive *kinetic.Drive) (*http.Server, error) {
 
 // dialPeer implements device-to-device copies between kineticd
 // instances: the peer address is another drive's TCP endpoint,
-// reached with the factory account (P2P trust is drive-to-drive).
-// Dials and pushes run under the signal-cancelled root context, so a
-// terminating daemon never leaves a P2P copy hanging on a dead peer.
-func dialPeer(addr string) (kinetic.P2PTarget, error) {
-	cl, err := kclient.Dial(rootCtx, kclient.TCPDialer(addr, nil), p2pCreds)
+// reached with creds (P2P trust is drive-to-drive). Dials and pushes
+// run under ctx, the signal-cancelled root context, so a terminating
+// daemon never leaves a P2P copy hanging on a dead peer.
+func dialPeer(ctx context.Context, addr string, creds kclient.Credentials) (kinetic.P2PTarget, error) {
+	cl, err := kclient.Dial(ctx, kclient.TCPDialer(addr, nil), creds)
 	if err != nil {
 		return nil, err
 	}
-	return &p2pClient{cl}, nil
+	return &p2pClient{ctx, cl}, nil
 }
 
-type p2pClient struct{ cl *kclient.Client }
+type p2pClient struct {
+	ctx context.Context
+	cl  *kclient.Client
+}
 
 // P2PPut implements kinetic.P2PTarget over the wire protocol.
 func (p *p2pClient) P2PPut(key, value, version []byte) error {
 	defer p.cl.Close()
-	return p.cl.Put(rootCtx, key, value, nil, version, true)
+	return p.cl.Put(p.ctx, key, value, nil, version, true)
 }

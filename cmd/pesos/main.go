@@ -384,20 +384,6 @@ func run(o *options) error {
 		return err
 	}
 	srv := core.NewREST(ctl).Server()
-	go func() {
-		// Session contexts expire after their TTL (§3.1); the sweeper
-		// stops with the root context.
-		t := time.NewTicker(time.Minute)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				ctl.ExpireSessions()
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 	go srv.Serve(tls.NewListener(ln, tlsCfg))
 	log.Printf("pesos: controller serving on %s, %d drives, replicas=%d, encrypt=%v",
 		ln.Addr(), len(cfg.Drives), cfg.Replicas, cfg.Encrypt)

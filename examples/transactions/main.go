@@ -1,5 +1,5 @@
-// Transactions (§4.4): atomic multi-object updates with the VLL lock
-// manager. A transaction is one request — the keys it reads and the
+// Transactions (§4.4): atomic multi-object updates under the
+// controller's per-key locks. A transaction is one request — the keys it reads and the
 // writes it makes — so a transfer between two accounts reads both
 // balances with their versions, then writes both on condition that
 // neither moved, and retries when one did. Concurrent transfers

@@ -247,6 +247,35 @@ var rules = []rule{
 			new:  "func (s *Session) CommitTx(",
 		}},
 	},
+	// A key is locked in one table: every mutation takes its keys in
+	// commits — a transaction its read set too, shared — and a streamed
+	// upload takes uploads first. The hashed stripes, the stream-lock map
+	// and the transaction lock manager stay deleted.
+	{
+		name: "one-key-lock",
+		check: onlyIn(sym{names: []string{"lock"}}, core,
+			"putObject", "deleteObject", "putObjectStream", "commitStream", "repairObject", "batchPut", "transact"),
+		mutants: []mutant{{
+			// A lock taken through the table's address under another name.
+			file: "internal/core/sweeper.go",
+			old:  "if _, err := c.drives[di].pick().GetVersion(ctx, objKey); err != nil {",
+			new:  "t := &c.commits\n\t\tdefer t.lock([]string{key}, nil)()\n\t\tif _, err := c.drives[di].pick().GetVersion(ctx, objKey); err != nil {",
+		}},
+	},
+	{
+		name: "key-lock-gone",
+		check: gone(module, "writeLock", "writeLocks", "writeStripes", "lockStripes", "stripeIndex",
+			"keyedLocks", "streamLocks"),
+		mutants: []mutant{{
+			file: "internal/core/keylock.go",
+			old:  "type keyLock struct {",
+			new:  "type keyedLocks struct {",
+		}, {
+			file: "internal/core/core.go",
+			old:  "commits, uploads keyLocks",
+			new:  "commits, uploads keyLocks\n\twriteLocks [4096]sync.Mutex",
+		}},
+	},
 	// Every record read off the drives is one first-k-of-n fetch with
 	// one order, one hedge timer and one demotion rule.
 	{

@@ -87,9 +87,9 @@ func (c *Controller) batchPut(ctx context.Context, sessionKey string, ops []Batc
 	}
 	results := make([]OpResult, len(ops))
 
-	// Take every touched stripe up front (deduplicated, ordered — see
-	// lockStripes) so the whole batch plans and commits under a
-	// consistent view, serialized against single-key writers.
+	// Lock every touched key up front so the whole batch plans and
+	// commits under a consistent view, serialized against every other
+	// writer of its keys.
 	keys := make([]string, 0, len(ops))
 	seen := make(map[string]bool, len(ops))
 	for i, op := range ops {
@@ -108,8 +108,7 @@ func (c *Controller) batchPut(ctx context.Context, sessionKey string, ops []Batc
 		seen[key] = true
 		keys = append(keys, key)
 	}
-	unlock := c.lockStripes(keys)
-	defer unlock()
+	defer c.commits.lock(keys, nil)()
 
 	// Sharding gate: unowned keys fail per-op with the redirect code
 	// (the router re-splits them), owned keys wait out any freeze.

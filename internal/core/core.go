@@ -28,7 +28,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/store"
-	"repro/internal/vll"
 )
 
 // Errors surfaced to clients.
@@ -240,9 +239,6 @@ type Controller struct {
 	// scanTokens seals v2 pagination tokens (see scan.go).
 	scanTokens cipher.AEAD
 
-	// streamLocks serialize streamed uploads per key (see stream.go).
-	streamLocks keyedLocks
-
 	// ecCode is the Reed-Solomon code for the configured
 	// (ECDataShards, ECParityShards) pair; nil when EC is off. Reads
 	// of objects written under a different historical (k, m) build a
@@ -252,25 +248,19 @@ type Controller struct {
 	// shard is the cluster sharding state; nil when unsharded.
 	shard *shardState
 
-	locks *vll.Manager
 	async *asyncState
 
-	// writeLocks serialize mutations per key stripe. The controller
-	// has exclusive control of its drives (§3.1), so in-process
-	// serialization is authoritative; the drives' compare-and-swap
-	// versions remain as a backstop against misconfigured deployments
-	// sharing drives between controllers.
-	//
-	// Sizing: a stripe is held across the whole drive commit — multiple
-	// milliseconds on spinning media — so a collision convoys an
-	// unrelated key behind it for a full commit cycle. 4096 stripes
-	// (32 KB of mutexes) make cross-key collisions rare at hundreds of
-	// concurrent writers where 256 measurably serialized hot stripes.
-	writeLocks [writeStripes]sync.Mutex
+	// commits serializes every mutation of a key, and holds a
+	// transaction's read set shared against them (see keylock.go).
+	// uploads serializes streamed uploads of a key for the whole
+	// client-paced upload; it is always taken before commits.
+	commits, uploads keyLocks
 
 	mu       sync.Mutex
 	sessions map[string]*Session
 	closed   bool
+	// sessionsSwept is when Session last dropped the idle sessions.
+	sessionsSwept time.Time
 
 	stats Stats
 	// load is the per-range load histogram (see load.go).
@@ -522,8 +512,6 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 		EPC:    c.epc, Label: "residual-cache",
 	})
 
-	c.locks = vll.NewManager()
-
 	// Step 5: failure detection and anti-entropy. The state always
 	// exists (DetectorTick / SweepTick are callable on demand); the
 	// background loops start only with intervals configured, and for a
@@ -696,23 +684,6 @@ func (c *Controller) Close() error {
 	c.gcommit.wait()
 	c.audit.Close()
 	return nil
-}
-
-// writeStripes is the mutation-lock stripe count (power of two).
-const writeStripes = 4096
-
-// stripeIndex returns the mutation lock stripe a key hashes to.
-func stripeIndex(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h & (writeStripes - 1))
-}
-
-// writeLock returns the mutation lock stripe for a key.
-func (c *Controller) writeLock(key string) *sync.Mutex {
-	return &c.writeLocks[stripeIndex(key)]
 }
 
 // programSize estimates a compiled policy's resident footprint.

@@ -324,6 +324,9 @@ func TestAsyncResults(t *testing.T) {
 	}
 }
 
+// TestSessionExpiry: creating a session drops the ones idle past the
+// TTL, at most once a minute by the controller's clock, and frees their
+// enclave memory; nothing else has to call for it.
 func TestSessionExpiry(t *testing.T) {
 	var now atomic.Int64 // the controller's clock, in unix nanoseconds
 	now.Store(time.Now().UnixNano())
@@ -333,20 +336,23 @@ func TestSessionExpiry(t *testing.T) {
 	if resident == 0 {
 		t.Fatal("session memory not accounted")
 	}
+	live := func(want int64, when string) {
+		t.Helper()
+		if got := h.ctl.EPC().Usage()["sessions"]; got != want*resident {
+			t.Fatalf("%s: %d sessions resident, want %d", when, got/resident, want)
+		}
+	}
 	now.Add(int64(sessionTTL))
-	if n := h.ctl.ExpireSessions(); n != 0 {
-		t.Fatalf("expired %d sessions idle for exactly the TTL, want 0", n)
-	}
+	h.ctl.Session("second")
+	live(2, "a session idle for exactly the TTL")
 	now.Add(1)
-	if n := h.ctl.ExpireSessions(); n != 1 {
-		t.Fatalf("expired %d sessions, want 1", n)
-	}
-	if h.ctl.EPC().Usage()["sessions"] != 0 {
-		t.Fatal("session memory leaked after expiry")
-	}
+	h.ctl.Session("third")
+	live(3, "within a minute of the last sweep")
+	now.Add(int64(time.Minute))
+	h.ctl.Session("fourth")
+	live(3, "a minute later")
 	// A returning client gets a fresh session transparently.
-	s2 := h.ctl.Session("ephemeral")
-	if s2 == s1 {
+	if h.ctl.Session("ephemeral") == s1 {
 		t.Fatal("expired session resurrected")
 	}
 }

@@ -45,12 +45,11 @@
 //     set one logical write ships to a replica as one atomic batch, and
 //     a logical write still waits for every placement drive.
 //   - Conflicting same-key groups never share a queue: every write
-//     path holds the key's stripe lock (putObject, commitStream,
-//     deleteObject) or the full stripe set (commitTx, batchPut) across
-//     enqueue and wait, so the loops only ever merge independent
-//     writes. The drives' CAS checks remain as the cross-controller
-//     backstop.
-//   - The loops never touch shard or stripe locks, so a FreezeRange
+//     path holds its keys' commits locks (putObject, commitStream,
+//     deleteObject, repairObject, batchPut, transact) across enqueue
+//     and wait, so the loops only ever merge independent writes. The
+//     drives' CAS checks remain as the cross-controller backstop.
+//   - The loops never touch shard or key locks, so a FreezeRange
 //     drain (which waits for in-flight writes holding the shard read
 //     lock) always makes progress: queued groups keep draining
 //     regardless of shard state, and a frozen range can never wedge a

@@ -166,7 +166,7 @@ func TestGroupCommitSlowDriveDelaysOnlyItself(t *testing.T) {
 // one winner per round and the losers see ErrVersionMismatch, while
 // each round's unrelated keys — merged into the very same drive
 // batches — commit untouched. This drives the committer directly
-// (driveBatch), below the controller's stripe locks, which is the
+// (driveBatch), below the controller's commits locks, which is the
 // only place same-key groups can actually race.
 func TestGroupCommitCASStorm(t *testing.T) {
 	h := newHarness(t, 1, nil)

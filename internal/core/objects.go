@@ -64,10 +64,10 @@ func encodeVer(v int64) []byte {
 // shape (single put, batch put, streamed put, transaction write) to the
 // key's head meta (nil: no object yet): determine the next version,
 // enforce the dense-monotonic version rule and the object's update
-// policy. Callers load the head under the key's write lock (or its VLL
-// lock): one write through loadHead, a batch or transaction in one wave
-// (loadHeads). pe may be nil; batched writes sharing one policy resolve
-// its residual once through it.
+// policy. Callers load the head under the key's commits lock: one write
+// through loadHead, a batch or transaction in one wave (loadHeads). pe
+// may be nil; batched writes sharing one policy resolve its residual
+// once through it.
 func (c *Controller) planVersion(ctx context.Context, pe *policyEval, sessionKey, key string, meta *store.Meta, opts PutOptions) (next int64, err error) {
 	// Determine the next version: explicit from the client, else
 	// current+1 (0 for creation).
@@ -117,8 +117,8 @@ func (c *Controller) resolvePolicy(ctx context.Context, meta *store.Meta, reques
 
 // planPut runs the write plan for one buffered value against the key's
 // loaded head — version planning, policy checks, the policy the new head
-// carries — and stages it. Callers hold the key's write lock and commit
-// the stage.
+// carries — and stages it. Callers hold the key's commits lock and
+// commit the stage.
 func (c *Controller) planPut(ctx context.Context, pe *policyEval, sessionKey, key string, head headLoad, value []byte, opts PutOptions) (*replicaWrite, error) {
 	if int64(len(value)) > store.MaxObjectSize {
 		return nil, store.ErrTooLarge
@@ -151,9 +151,7 @@ func (c *Controller) putObject(ctx context.Context, sessionKey, key string, valu
 	// Serialize mutations of this key: concurrent version-less puts
 	// become last-writer-wins instead of surfacing CAS conflicts, and
 	// record/meta writes of different versions can never interleave.
-	lock := c.writeLock(key)
-	lock.Lock()
-	defer lock.Unlock()
+	defer c.commits.lock([]string{key}, nil)()
 
 	// Sharding gate: ownership check plus the freeze barrier; the
 	// shard read lock is held across the drive commit (see shard.go).
@@ -263,9 +261,7 @@ func (c *Controller) openPlanned(ctx context.Context, head *store.Meta, version 
 // (including any streamed chunk records), returning the destroyed
 // head version.
 func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, opts DeleteOptions) (int64, error) {
-	lock := c.writeLock(key)
-	lock.Lock()
-	defer lock.Unlock()
+	defer c.commits.lock([]string{key}, nil)()
 
 	release, err := c.beginWrite(ctx, key)
 	if err != nil {

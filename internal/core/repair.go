@@ -28,7 +28,7 @@ type RepairReport struct {
 // repairObject re-establishes the replication invariant for one key
 // (§4.5): after a drive is replaced or lost writes are detected, every
 // placement drive must hold every version record plus the metadata.
-// Under the key's write lock it elects the newest surviving head
+// Under the key's commits lock it elects the newest surviving head
 // (loadMetaNewest), lets authorize veto the repair on it — a client's
 // repair needs the update permission, since repair rewrites records;
 // the sweeper's passes none — and converges the replicas to it: healthy
@@ -40,12 +40,10 @@ type RepairReport struct {
 // accepted to its homes in to's layout (settle); only a shard with no
 // surviving copy is written on the source, and a copy it cannot read
 // fails it (to.unread). An export runs under its range's freeze instead
-// of the write lock, which the writers the freeze blocks hold.
+// of the commits lock, which the writers the freeze blocks hold.
 func (c *Controller) repairObject(ctx context.Context, key string, authorize func(*store.Meta) error, to *MigrationTarget) (*RepairReport, error) {
 	if to == nil {
-		lock := c.writeLock(key)
-		lock.Lock()
-		defer lock.Unlock()
+		defer c.commits.lock([]string{key}, nil)()
 	}
 	placement := c.placement(key)
 	meta, stale, err := c.loadMetaNewest(ctx, key, placement, to)

@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -93,9 +92,9 @@ type replicaWrite struct {
 // metadata and payload are encoded into the object record and the
 // metadata record, the latter guarded by compare-and-swap against the
 // version prev holds (nil: creation). Planning — the next version, the
-// policy checks, the policy the head carries — is the caller's: put and
-// batch plan under the stripe locks, a transaction under its VLL locks,
-// a streamed upload re-plans at commitStream.
+// policy checks, the policy the head carries — is the caller's: put,
+// batch and transaction plan under their keys' commits locks, a
+// streamed upload re-plans at commitStream.
 func (c *Controller) stage(prev *store.Meta, m store.Meta, payload []byte) (*replicaWrite, error) {
 	rec := &store.Record{Meta: m, Payload: payload}
 	blob, err := c.codec.EncodeRecord(rec)
@@ -155,7 +154,7 @@ func (c *Controller) replicationFailed(err error, keys ...string) error {
 // alongside. sync selects the durability each group ships with; the
 // group committer destages write-back groups with a trailing flush.
 //
-// Callers hold the keys' stripe locks and the shard gate across the
+// Callers hold the keys' commits locks and the shard gate across the
 // call. The cache publish happens under them — a concurrent writer must
 // not interleave a newer cache entry between the drive commit and the
 // publish — and a failure invalidates every touched key's metadata
@@ -270,28 +269,4 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guar
 		c.objectCache.Remove(string(k))
 	}
 	return nil
-}
-
-// lockStripes acquires the per-key mutation stripes for a set of keys
-// in deterministic order (deduplicated, sorted) so multi-key commits
-// cannot deadlock against each other or single-key writers. The
-// returned function releases them in reverse order.
-func (c *Controller) lockStripes(keys []string) (unlock func()) {
-	seen := make(map[int]bool, len(keys))
-	idx := make([]int, 0, len(keys))
-	for _, k := range keys {
-		if i := stripeIndex(k); !seen[i] {
-			seen[i] = true
-			idx = append(idx, i)
-		}
-	}
-	sort.Ints(idx)
-	for _, i := range idx {
-		c.writeLocks[i].Lock()
-	}
-	return func() {
-		for j := len(idx) - 1; j >= 0; j-- {
-			c.writeLocks[idx[j]].Unlock()
-		}
-	}
 }

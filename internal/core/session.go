@@ -61,13 +61,25 @@ func (c *Controller) ensureAsync() *asyncState {
 
 // Session returns (creating if needed) the session context for a
 // client key fingerprint. Reconnecting clients get their existing
-// context back while it lives (§3.1).
+// context back while it lives (§3.1). Creating one first drops the
+// sessions idle longer than sessionTTL by the controller's clock — at
+// most once a minute — releasing their enclave memory.
 func (c *Controller) Session(clientKey string) *Session {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s, ok := c.sessions[clientKey]; ok {
 		s.touch()
 		return s
+	}
+	if now := c.clock(); now.Sub(c.sessionsSwept) >= time.Minute {
+		c.sessionsSwept = now
+		cutoff := now.Add(-sessionTTL).UnixNano()
+		for k, s := range c.sessions {
+			if s.lastActive.Load() < cutoff {
+				delete(c.sessions, k)
+				c.epc.Free("sessions", 30<<10)
+			}
+		}
 	}
 	s := &Session{ctl: c, clientKey: clientKey}
 	s.touch()
@@ -80,24 +92,6 @@ func (c *Controller) Session(clientKey string) *Session {
 
 // sessionTTL is how long an idle session context lives.
 const sessionTTL = 10 * time.Minute
-
-// ExpireSessions drops sessions idle longer than sessionTTL by the
-// controller's clock, releasing their enclave memory. cmd/pesos calls it
-// on a ticker.
-func (c *Controller) ExpireSessions() int {
-	cutoff := c.clock().Add(-sessionTTL).UnixNano()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for k, s := range c.sessions {
-		if s.lastActive.Load() < cutoff {
-			delete(c.sessions, k)
-			c.epc.Free("sessions", 30<<10)
-			n++
-		}
-	}
-	return n
-}
 
 // ClientKey returns the session's owning key fingerprint.
 func (s *Session) ClientKey() string { return s.clientKey }

@@ -232,7 +232,7 @@ func (c *Controller) checkOwned(key string) error {
 // On success the returned release function MUST be called after the
 // drive commit — the caller holds the shard read lock in between,
 // which is what lets FreezeRange drain in-flight writes. Lock order is
-// strict: key stripe locks first, then the shard lock.
+// strict: the keys' commits locks first, then the shard lock.
 func (c *Controller) beginWrite(ctx context.Context, keys ...string) (release func(), err error) {
 	release, owned, err := c.beginWriteFiltered(ctx, keys)
 	if err != nil {

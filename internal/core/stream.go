@@ -28,45 +28,6 @@ import (
 	"repro/internal/store"
 )
 
-// keyedLocks is a map of per-key mutexes with reference counting:
-// streamed uploads of one key serialize against each other without
-// tying up the shared write-lock stripes for the (client-paced)
-// duration of an upload.
-type keyedLocks struct {
-	mu sync.Mutex
-	m  map[string]*keyedLock
-}
-
-type keyedLock struct {
-	mu   sync.Mutex
-	refs int
-}
-
-// lock acquires the key's mutex, creating it on first use; the
-// returned function releases it and drops the entry when unused.
-func (k *keyedLocks) lock(key string) (unlock func()) {
-	k.mu.Lock()
-	if k.m == nil {
-		k.m = make(map[string]*keyedLock)
-	}
-	e := k.m[key]
-	if e == nil {
-		e = &keyedLock{}
-		k.m[key] = e
-	}
-	e.refs++
-	k.mu.Unlock()
-	e.mu.Lock()
-	return func() {
-		e.mu.Unlock()
-		k.mu.Lock()
-		if e.refs--; e.refs == 0 {
-			delete(k.m, key)
-		}
-		k.mu.Unlock()
-	}
-}
-
 // streamChunkSize is the payload carried by one chunk record: the
 // largest value one Kinetic put accepts.
 const streamChunkSize = store.MaxObjectSize
@@ -161,16 +122,16 @@ func (c *Controller) maxStreamBytes() int64 {
 }
 
 // putObjectStream is the streamed write path. The body arrives at the
-// client's pace, so the shared write-lock stripes are NOT held across
-// the upload (a stalled uploader must never block unrelated writers):
-// concurrent streamed uploads of one key serialize on a dedicated
-// per-key stream lock, version planning and the final commit each take
-// the stripe lock briefly, and the metadata compare-and-swap rejects
-// the commit if a buffered writer won the key in between (the loser
-// sweeps its chunks and reports a version conflict).
+// client's pace, so the key's commits lock is NOT held across the
+// upload (a stalled uploader must never block a delete, batch,
+// transaction or repair of the key): concurrent streamed uploads of one
+// key serialize on its uploads lock, version planning and the final
+// commit each take the commits lock briefly, and the metadata
+// compare-and-swap rejects the commit if a buffered writer won the key
+// in between (the loser sweeps its chunks and reports a version
+// conflict).
 func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string, body io.Reader, opts PutOptions) (int64, error) {
-	unlockStream := c.streamLocks.lock(key)
-	defer unlockStream()
+	defer c.uploads.lock([]string{key}, nil)()
 
 	// Sharding fast-fail before any chunk is uploaded; the
 	// authoritative gate (ownership + freeze barrier) runs again at
@@ -203,12 +164,11 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 	}
 	rest := io.MultiReader(bytes.NewReader(peek[:]), body)
 
-	// Plan the version under the stripe lock, briefly. This early pass
+	// Plan the version under the commits lock, briefly. This early pass
 	// rejects doomed uploads (bad version, policy denial, unknown
 	// policy) before any chunk is persisted; the authoritative plan is
 	// re-run under the lock at commit time (see commitStream).
-	lock := c.writeLock(key)
-	lock.Lock()
+	unlock := c.commits.lock([]string{key}, nil)
 	var next int64
 	meta, err := c.loadHead(ctx, key).forWrite()
 	if err == nil {
@@ -217,7 +177,7 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 	if err == nil {
 		_, _, err = c.resolvePolicy(ctx, meta, opts.PolicyID)
 	}
-	lock.Unlock()
+	unlock()
 	if err != nil {
 		return 0, err
 	}
@@ -416,7 +376,7 @@ func (c *Controller) sweepChunks(ctx context.Context, key string, next, chunks i
 	})
 }
 
-// commitStream seals a chunked upload under the stripe lock. The
+// commitStream seals a chunked upload under the commits lock. The
 // version CAS alone cannot distinguish the planned object from a
 // same-version impostor created by a delete+recreate during the
 // (lock-free) upload — an ABA that would both bypass the recreated
@@ -428,9 +388,7 @@ func (c *Controller) sweepChunks(ctx context.Context, key string, next, chunks i
 // layout of the chunks — goes out. The metadata records a parity
 // layout's (k, m); the replicated class keeps both zero.
 func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, opts PutOptions, next, total int64, hash [32]byte, chunks int64, l layout) error {
-	lock := c.writeLock(key)
-	lock.Lock()
-	defer lock.Unlock()
+	defer c.commits.lock([]string{key}, nil)()
 
 	release, err := c.beginWrite(ctx, key)
 	if err != nil {
@@ -475,7 +433,7 @@ func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, o
 // and last data chunk, each on every one of its homes. A concurrent
 // delete sweeps the whole chunk key range on every window drive, so a
 // surviving pair means no delete committed during the upload. Caller
-// holds the stripe lock, so no new delete can race the probe.
+// holds the commits lock, so no new delete can race the probe.
 func (c *Controller) chunksIntact(ctx context.Context, key string, next, chunks int64, l layout) error {
 	probes := []int64{0}
 	if chunks > 1 {

@@ -270,7 +270,7 @@ func TestStreamLosesRaceToBufferedWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The stream plans its version, uploads its first chunk, and then —
-	// via the hook, while the upload is in flight and no stripe lock is
+	// via the hook, while the upload is in flight and no commits lock is
 	// held — a buffered writer commits the same key. The stream's final
 	// CAS commit must lose, sweep its chunks, and report the conflict.
 	payload := streamPayload(2*streamChunkSize + 5)

@@ -12,17 +12,18 @@ import (
 
 // Tx executes one transaction (§4.4) with full isolation: an atomic
 // batch of reads and writes declared up front, so the controller holds
-// nothing between two transaction requests. VLL locks the read and write
-// sets, every operation passes its policy check before any effect, then
-// the reads are served and all writes go to the drives as one commit.
+// nothing between two transaction requests. The commits table locks the
+// read set shared and the write set exclusive against every writer,
+// every operation passes its policy check before any effect, then the
+// reads are served and all writes go to the drives as one commit.
 // Results come back in request order. A read key that does not exist
 // fails alone, in its result; every other failure — a malformed or
 // repeated key, a key both read and written, a denial, a version
 // conflict, a key of another shard — aborts the whole transaction with
 // no effect on any key.
 //
-// Atomicity note: within one controller, VLL mutual exclusion makes
-// the commit atomic with respect to other transactions; durability of
+// Atomicity note: within one controller, the key locks make the commit
+// atomic with respect to every other writer; durability of
 // partially-replicated writes after a controller crash is recovered
 // from replicas, as the paper's design relies on (§4.4: "we rely on
 // replication to recover from disk crashes").
@@ -41,41 +42,34 @@ func (c *Controller) transact(ctx context.Context, sessionKey string, reads []st
 	if n := len(reads) + len(writes); n > MaxBatchRequestOps {
 		return nil, nil, fmt.Errorf("%w: transaction of %d exceeds %d ops", ErrInvalidArgument, n, MaxBatchRequestOps)
 	}
-	for _, key := range reads {
-		if err := validKey(key); err != nil {
-			return nil, nil, err
-		}
-	}
 	writeKeys := make([]string, len(writes))
-	seen := make(map[string]bool, len(writes))
+	written := make(map[string]bool, len(writes))
 	for i, op := range writes {
 		key := string(op.Key)
 		if err := validKey(key); err != nil {
 			return nil, nil, err
 		}
-		if seen[key] {
+		if written[key] {
 			// Two writes to one key have no defined order (see batchPut).
 			return nil, nil, fmt.Errorf("%w: duplicate key %q in transaction", ErrInvalidArgument, key)
 		}
-		seen[key] = true
+		written[key] = true
 		writeKeys[i] = key
 	}
-
-	lock, err := c.locks.Begin(reads, writeKeys)
-	if err != nil {
-		// vll.ErrOverlap: a written key is readable from the write itself.
-		return nil, nil, fmt.Errorf("%w: %v", ErrInvalidArgument, err)
+	for _, key := range reads {
+		if err := validKey(key); err != nil {
+			return nil, nil, err
+		}
+		if written[key] {
+			// A written key is readable from the write itself.
+			return nil, nil, fmt.Errorf("%w: key %q both read and written in transaction", ErrInvalidArgument, key)
+		}
 	}
-	defer c.locks.Finish(lock)
-	if err := lock.Wait(ctx); err != nil {
-		return nil, nil, err
-	}
 
-	// The per-key mutation stripes serialize the writes against
-	// non-transactional writers; the sharding gate fails the whole
-	// transaction with the redirect error on a single foreign key.
-	unlock := c.lockStripes(writeKeys)
-	defer unlock()
+	// The read set is held shared and the write set exclusive against
+	// every writer; the sharding gate fails the whole transaction with
+	// the redirect error on a single foreign key.
+	defer c.commits.lock(writeKeys, reads)()
 	release, err := c.beginWrite(ctx, writeKeys...)
 	if err != nil {
 		return nil, nil, err
@@ -154,7 +148,7 @@ func (c *Controller) transact(ctx context.Context, sessionKey string, reads []st
 	if c.cfg.Replicas > 1 {
 		sync = wire.SyncWriteBack
 	}
-	// Keys are VLL-locked, so a failure here means replica failure or an
+	// The keys are locked, so a failure here means replica failure or an
 	// out-of-band writer.
 	if err := c.commit(ctx, staged, sync); err != nil {
 		return nil, nil, fmt.Errorf("pesos: tx commit: %w", err)

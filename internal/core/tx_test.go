@@ -12,10 +12,12 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/authority"
+	"repro/internal/kinetic"
 	"repro/internal/store"
 	"repro/internal/tlsutil"
 )
@@ -122,8 +124,8 @@ func TestTxBoundary(t *testing.T) {
 			if after != before {
 				t.Errorf("the abort had an effect:\nbefore %+v\nafter  %+v", before, after)
 			}
-			if ctl.locks.Live() != 0 || ctl.locks.LockedKeys() != 0 {
-				t.Errorf("the abort left %d transactions holding %d keys", ctl.locks.Live(), ctl.locks.LockedKeys())
+			if n, m := ctl.commits.held(), ctl.uploads.held(); n+m != 0 {
+				t.Errorf("the abort left %d keys locked in commits, %d in uploads", n, m)
 			}
 		})
 	}
@@ -167,8 +169,8 @@ func TestTxBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if ctl.locks.Live() != 0 || ctl.locks.LockedKeys() != 0 {
-			t.Errorf("500 commits left %d transactions holding %d keys", ctl.locks.Live(), ctl.locks.LockedKeys())
+		if n, m := ctl.commits.held(), ctl.uploads.held(); n+m != 0 {
+			t.Errorf("500 commits left %d keys locked in commits, %d in uploads", n, m)
 		}
 	})
 
@@ -233,6 +235,106 @@ func TestTxBoundary(t *testing.T) {
 			t.Fatalf("with the certificate: HTTP %d %s (%v)", code, reply, err)
 		}
 	})
+}
+
+// TestTxOverlapRejected: a transaction that reads a key it also writes
+// is refused as invalid_argument, in either order of the sets' lists,
+// before it takes any lock — it is answered at once while another writer
+// holds that key — and it leaves the key as it was.
+func TestTxOverlapRejected(t *testing.T) {
+	h := newHarness(t, 1, nil)
+	ctx := context.Background()
+	s := h.ctl.Session("0e0e")
+	if _, err := s.Put(ctx, "k", []byte("before"), PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	unlock := h.ctl.commits.lock([]string{"k"}, nil)
+	for _, reads := range [][]string{{"k"}, {"a", "k"}, {"k", "z"}} {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := s.Tx(ctx, reads, []BatchPutOp{{Key: "z0"}, {Key: "k", Value: []byte("tx")}}, nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if CodeFor(err) != CodeInvalidArgument {
+				t.Errorf("reads %q: answered %v, want invalid_argument", reads, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("reads %q: the refusal waited for the key's lock", reads)
+		}
+	}
+	unlock()
+	if v, _, err := s.Get(ctx, "k", GetOptions{}); err != nil || string(v) != "before" {
+		t.Errorf("k after the refusals: %q, %v", v, err)
+	}
+	if n := h.ctl.commits.held(); n != 0 {
+		t.Errorf("the refusals left %d keys locked in commits", n)
+	}
+}
+
+// TestTxReadSetHeldAgainstWriters: a transaction's read set is locked
+// against every writer, not only against other transactions. A batch put
+// and a delete of the read key, sent while the transaction's write waits
+// on a slow drive, return only after the transaction releases its keys,
+// and the transaction reads the value it planned.
+func TestTxReadSetHeldAgainstWriters(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	h := newHarness(t, 2, nil)
+	ctl, ctx := h.ctl, context.Background()
+	// key returns a key under prefix placed on drive d.
+	key := func(prefix string, d int) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("%s%d", prefix, i); ctl.placement(k)[0] == d {
+				return k
+			}
+		}
+	}
+	read, write := key("read", 0), key("write", 1)
+	s := ctl.Session("tx")
+	for _, k := range []string{read, write} {
+		if _, err := s.Put(ctx, k, []byte("before"), PutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.drives[1].SetFaults(kinetic.Faults{ExtraDelay: delay})
+	batches := h.drives[1].Stats().Batches.Load()
+
+	start := time.Now()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rr, _, err := s.Tx(ctx, []string{read}, []BatchPutOp{{Key: JSONKey(write), Value: []byte("tx")}}, nil)
+		if err != nil || rr[0].Err != nil || string(rr[0].Value) != "before" {
+			t.Errorf("the transaction read %+v, %v; want %q", rr, err, "before")
+		}
+	}()
+	// Once the slow drive has the transaction's write, the transaction
+	// holds its keys, and it holds them for the drive's delay.
+	if !eventually(func() bool { return h.drives[1].Stats().Batches.Load() > batches }) {
+		t.Fatal("the transaction's write never reached its drive")
+	}
+	for name, write := range map[string]func() error{
+		"batch put": func() error {
+			_, err := s.BatchPut(ctx, []BatchPutOp{{Key: JSONKey(read), Value: []byte("batch")}}, nil)
+			return err
+		},
+		"delete": func() error { return s.Delete(ctx, read, DeleteOptions{}) },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := write()
+			if took := time.Since(start); took < delay {
+				t.Errorf("the %s of the read key returned %v after the transaction began, before its write could end", name, took)
+			}
+			if err != nil {
+				t.Errorf("the %s: %v", name, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestTxReadsHeadsInOneWave: a transaction reads the heads of its read
