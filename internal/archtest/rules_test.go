@@ -276,6 +276,28 @@ var rules = []rule{
 			new:  "commits, uploads keyLocks\n\twriteLocks [4096]sync.Mutex",
 		}},
 	},
+	// The object cache holds one head record per object, keyed by the
+	// object key: a version's drive key addresses drives and nothing
+	// else, and a delete purges the object with one Remove.
+	{
+		name: "object-cache-heads",
+		check: onlyIn(sym{pkg: "repro/internal/store", names: []string{"ObjectKey"}}, core,
+			"appendBatchOps", "fetchRecord", "repairObject", "replicaVersions", "replicasConverged"),
+		mutants: []mutant{{
+			file: "internal/core/replicate.go",
+			old:  "c.objectCache.Put(m.Key, w.rec)",
+			new:  "c.objectCache.Put(string(store.ObjectKey(m.Key, m.Version)), w.rec)",
+		}},
+	},
+	{
+		name:  "forget-versions-gone",
+		check: gone(core, "forgetVersions"),
+		mutants: []mutant{{
+			file: "internal/core/objects.go",
+			old:  "func (c *Controller) loadMeta(",
+			new:  "func (c *Controller) forgetVersions(key string, head int64) {}\n\nfunc (c *Controller) loadMeta(",
+		}},
+	},
 	// Every record read off the drives is one first-k-of-n fetch with
 	// one order, one hedge timer and one demotion rule.
 	{
@@ -347,7 +369,7 @@ var rules = []rule{
 	{
 		name: "head-wave",
 		check: onlyIn(sym{names: []string{"loadMeta", "loadHead"}}, core,
-			"putObject", "planReadKey", "deleteObject", "loadHead", "loadHeads", "objectSource.Info", "putObjectStream", "commitStream"),
+			"putObject", "planReadKey", "deleteObject", "loadHead", "loadHeads", "objectSource.Info", "objectSource.record", "putObjectStream", "commitStream"),
 		mutants: []mutant{{
 			// Through a receiver not spelled c.
 			file: "internal/core/batch.go",

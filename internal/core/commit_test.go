@@ -128,9 +128,9 @@ func TestCommitShapes(t *testing.T) {
 				if err != nil || m.Version != 1 {
 					t.Fatalf("loadMeta(%q): %+v, %v", k, m, err)
 				}
-				rec, err := h.ctl.loadRecord(bg, k, 1)
+				rec, err := h.ctl.loadPlanned(bg, m, 1)
 				if err != nil {
-					t.Fatalf("loadRecord(%q, 1): %v", k, err)
+					t.Fatalf("loadPlanned(%q, 1): %v", k, err)
 				}
 				if shape.name == "stream" {
 					if rec.Meta.Chunks != 3 || rec.Meta.Size != int64(wrote) {
@@ -168,7 +168,7 @@ func TestCommitShapes(t *testing.T) {
 					if _, ok := h.ctl.metaCache.Get(k); ok {
 						t.Errorf("%s: metadata of %q still cached", what, k)
 					}
-					if _, ok := h.ctl.objectCache.Get(string(store.ObjectKey(k, 2))); ok {
+					if rec, ok := h.ctl.objectCache.Get(k); ok && rec.Meta.Version == 2 {
 						t.Errorf("%s: version 2 of %q published", what, k)
 					}
 				}

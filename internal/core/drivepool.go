@@ -76,14 +76,17 @@ func (p *drivePool) latency() (ewma, p95 time.Duration, n uint64) {
 // never accumulate samples and keep being tried first forever.
 func (p *drivePool) failing() bool { return p.lat.failing() }
 
-// setCredentials switches every connection to new credentials.
-func (p *drivePool) setCredentials(creds kclient.Credentials) {
+// setCredentials switches every connection to new credentials. Each
+// returned channel closes once its connection's calls signed under the
+// old credentials have been answered.
+func (p *drivePool) setCredentials(creds kclient.Credentials) (retired []<-chan struct{}) {
 	p.credMu.Lock()
 	p.creds = creds
 	p.credMu.Unlock()
 	for _, c := range p.clients {
-		c.SetCredentials(creds)
+		retired = append(retired, c.SetCredentials(creds))
 	}
+	return retired
 }
 
 // credentials returns the credentials the pool currently signs with

@@ -215,13 +215,31 @@ func (c *Controller) readObject(ctx context.Context, sessionKey, key string, opt
 }
 
 // loadPlanned loads the record of a version planRead selected under
-// head (cache-first). The record of the head version was written with
-// the head from one Meta, so one whose authenticated policy is not the
-// head's is refused and the cached head dropped: that head chose the
-// policy the read was judged by, and it is not the object's.
+// head. The object cache holds each object's head record: a read of
+// head's version uses the entry only when it holds that version, and the
+// entry only moves forward — one behind the plan is replaced, a plan
+// behind it reads around it. Other versions bypass the cache. The record
+// of the head version was written with the head from one Meta, so one
+// whose authenticated policy is not the head's is refused and the cached
+// head dropped: that head chose the policy the read was judged by, and
+// it is not the object's.
 func (c *Controller) loadPlanned(ctx context.Context, head *store.Meta, version int64) (*store.Record, error) {
-	rec, err := c.loadRecord(ctx, head.Key, version)
-	if err == nil && version == head.Version && rec.Meta.PolicyID != head.PolicyID {
+	fetch := func(ctx context.Context) (*store.Record, error) { return c.fetchRecord(ctx, head.Key, version) }
+	if version != head.Version {
+		return fetch(ctx)
+	}
+	rec, shared, err := c.objectCache.Load(ctx, head.Key, fetch)
+	if err == nil && rec.Meta.Version < version {
+		c.objectCache.Remove(head.Key)
+		rec, shared, err = c.objectCache.Load(ctx, head.Key, fetch)
+	}
+	if shared {
+		c.stats.CoalescedReads.Inc()
+	}
+	if shared && err != nil || err == nil && rec.Meta.Version != version {
+		rec, err = fetch(ctx) // a plan behind the entry, or a joined flight of another version
+	}
+	if err == nil && rec.Meta.PolicyID != head.PolicyID {
 		c.metaCache.Remove(head.Key)
 		return nil, fmt.Errorf("%w: %q v%d: the head names another policy than the version record", store.ErrCorrupt, head.Key, version)
 	}
@@ -289,17 +307,13 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 		}
 		return c.deleteReplica(ctx, di, key, guard)
 	})
+	// Even a failed delete may have destroyed records: the cached head
+	// goes, with any fill in flight, so readers observe drive state.
+	c.objectCache.Remove(key)
 	if err != nil {
-		// Some replicas may already have destroyed records (and the
-		// metadata leads each batch stream): drop every cache entry so
-		// readers observe drive state, not the deleted object.
-		c.forgetVersions(key, meta.Version)
 		return 0, c.replicationFailed(err, key)
 	}
-	// deleteReplica purged what the drives still held, by drive key; a
-	// version none of them held may still have a fetch in flight.
 	c.metaCache.Remove(key)
-	c.forgetVersions(key, meta.Version)
 	c.noteWrite(key, 0)
 	c.stats.Deletes.Inc()
 	return meta.Version, nil
@@ -329,14 +343,6 @@ func cached[V any](ctx context.Context, c *Controller, ca *cache.Cache[string, V
 		c.stats.CoalescedReads.Inc()
 	}
 	return v, err
-}
-
-// forgetVersions drops key's version records up to head from the object
-// cache, in-flight fetches of them included.
-func (c *Controller) forgetVersions(key string, head int64) {
-	for v := int64(0); v <= head; v++ {
-		c.objectCache.Remove(string(store.ObjectKey(key, v)))
-	}
 }
 
 // loadMeta returns the newest metadata for key, cache-first with
@@ -428,14 +434,6 @@ func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, er
 			m := new(store.Meta)
 			return m, c.codec.DecodeMeta(val, key, m)
 		})
-}
-
-// loadRecord returns the record of one object version, cache-first
-// with replica failover through the fetch engine, verifying
-// payload integrity.
-func (c *Controller) loadRecord(ctx context.Context, key string, version int64) (*store.Record, error) {
-	return cached(ctx, c, c.objectCache, string(store.ObjectKey(key, version)),
-		func(ctx context.Context) (*store.Record, error) { return c.fetchRecord(ctx, key, version) })
 }
 
 // fetchRecord reads one version record off the drives. The codec opens
@@ -606,6 +604,16 @@ type objectSource struct {
 	ctx context.Context
 }
 
+// record loads id's record at version as a read planned under id's head
+// (loadPlanned).
+func (o *objectSource) record(id string, version int64) (*store.Record, error) {
+	head, err := o.c.loadMeta(o.ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	return o.c.loadPlanned(o.ctx, head, version)
+}
+
 // Info implements policy.ObjectSource.
 func (o *objectSource) Info(id string) (policy.ObjectInfo, bool, error) {
 	meta, err := o.c.loadMeta(o.ctx, id)
@@ -626,7 +634,7 @@ func (o *objectSource) Info(id string) (policy.ObjectInfo, bool, error) {
 
 // InfoAt implements policy.ObjectSource.
 func (o *objectSource) InfoAt(id string, version int64) (policy.ObjectInfo, bool, error) {
-	rec, err := o.c.loadRecord(o.ctx, id, version)
+	rec, err := o.record(id, version)
 	if errors.Is(err, ErrNotFound) {
 		return policy.ObjectInfo{}, false, nil
 	}
@@ -644,7 +652,7 @@ func (o *objectSource) InfoAt(id string, version int64) (policy.ObjectInfo, bool
 
 // Content implements policy.ObjectSource.
 func (o *objectSource) Content(id string, version int64) ([]byte, bool, error) {
-	rec, err := o.c.loadRecord(o.ctx, id, version)
+	rec, err := o.record(id, version)
 	if errors.Is(err, ErrNotFound) {
 		return nil, false, nil
 	}

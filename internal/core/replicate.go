@@ -203,7 +203,7 @@ func (c *Controller) commit(ctx context.Context, writes []*replicaWrite, sync wi
 	for _, w := range writes {
 		m := w.rec.Meta // a copy: a cached meta must not pin the record's payload
 		c.metaCache.Put(m.Key, &m)
-		c.objectCache.Put(string(store.ObjectKey(m.Key, m.Version)), w.rec)
+		c.objectCache.Put(m.Key, w.rec)
 		c.noteWrite(m.Key, int(m.Size))
 		bytes += uint64(m.Size)
 	}
@@ -262,11 +262,6 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guar
 		}
 		metaPending = false
 		ops = ops[n:]
-	}
-	// Purge by drive key: this covers streamed chunk records too, which
-	// are cached under ChunkKey and invisible to a version-number sweep.
-	for _, k := range keys {
-		c.objectCache.Remove(string(k))
 	}
 	return nil
 }

@@ -292,7 +292,7 @@ func TestReadFailsOverToHealthyReplica(t *testing.T) {
 	h.kill(store.Placement(key, 2, 2)[0]) // kill the primary
 	// Drop the caches so the read must reach the drives.
 	h.ctl.metaCache.Remove(key)
-	h.ctl.objectCache.Remove(string(store.ObjectKey(key, 0)))
+	h.ctl.objectCache.Remove(key)
 	val, _, err := s.Get(ctx, key, GetOptions{})
 	if err != nil || !bytes.Equal(val, []byte("v")) {
 		t.Fatalf("get with dead primary: %q %v", val, err)

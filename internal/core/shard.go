@@ -679,7 +679,7 @@ func (c *Controller) destroyMigrated(ctx context.Context, m *Manifest) error {
 			firstErr = fmt.Errorf("core: destroy migrated %q: %w", e.Key, err)
 		}
 		c.metaCache.Remove(e.Key)
-		c.forgetVersions(e.Key, e.Version)
+		c.objectCache.Remove(e.Key)
 	}
 	return firstErr
 }
@@ -808,8 +808,8 @@ func (c *Controller) WarmRanges(ctx context.Context, limit int) (int, error) {
 // on every drive and switches the connection pools to them, locking
 // out any holder of the previous epoch's credentials. The rotation is
 // two-phase per drive — install both accounts, switch the pool, drop
-// the old account — so concurrent requests never race an HMAC-key
-// change.
+// the old account once every call signed under it has been answered —
+// so concurrent requests never race an HMAC-key change.
 func (c *Controller) RotateDriveCredentials(ctx context.Context, epoch uint64) error {
 	nextID := adminIdentityForEpoch(epoch)
 	for i, p := range c.drives {
@@ -825,7 +825,13 @@ func (c *Controller) RotateDriveCredentials(ctx context.Context, epoch uint64) e
 		if err := p.pick().SetSecurity(ctx, both, nil); err != nil {
 			return fmt.Errorf("core: rotate credentials on %s (install): %w", p.name, err)
 		}
-		p.setCredentials(next)
+		for _, r := range p.setCredentials(next) {
+			select {
+			case <-r:
+			case <-ctx.Done():
+				return fmt.Errorf("core: rotate credentials on %s (retire old): %w", p.name, ctx.Err())
+			}
+		}
 		drop := []wire.ACL{{Identity: next.Identity, Key: next.Key, Perms: wire.PermAll}}
 		if err := p.pick().SetSecurity(ctx, drop, nil); err != nil {
 			return fmt.Errorf("core: rotate credentials on %s (drop old): %w", p.name, err)

@@ -47,7 +47,7 @@ func TestVerifyLeavesObjectCacheAlone(t *testing.T) {
 			if want := [3]uint64{before[0] + 1, before[1], before[2]}; after != want {
 				t.Errorf("object cache hits/misses/evictions %v → %v, want %v (the stub's lookup only)", before, after, want)
 			}
-			if _, ok := h.ctl.objectCache.Get(string(store.ObjectKey("hot", 0))); !ok {
+			if rec, ok := h.ctl.objectCache.Get("hot"); !ok || rec.Meta.Version != 0 {
 				t.Error("the verification evicted a cached inline record")
 			}
 		})

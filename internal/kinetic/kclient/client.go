@@ -109,6 +109,9 @@ type Client struct {
 	// uncancellable mutex wait, and a failed dial fails every waiter at
 	// once instead of each re-paying a full connect timeout.
 	dialing *dialGate
+	// signed counts the calls signed under creds that await an answer;
+	// SetCredentials starts a new count and waits out the old one.
+	signed *sync.WaitGroup
 
 	seq atomic.Uint64
 }
@@ -211,6 +214,7 @@ func Dial(ctx context.Context, dial Dialer, creds Credentials) (*Client, error) 
 		creds:   creds,
 		conn:    newLink(conn),
 		pending: make(map[uint64]call),
+		signed:  new(sync.WaitGroup),
 	}
 	go c.readLoop(c.conn)
 	return c, nil
@@ -218,11 +222,23 @@ func Dial(ctx context.Context, dial Dialer, creds Credentials) (*Client, error) 
 
 // SetCredentials switches the identity used for subsequent requests
 // (the bootstrap switches from the factory account to the Pesos admin
-// account on the same connection).
-func (c *Client) SetCredentials(creds Credentials) {
+// account on the same connection). The returned channel closes once
+// every call signed under the replaced credentials has been answered or
+// has failed: a drive that forgets the old account before then rejects
+// those calls. Every call ends — answered, cancelled, or failed with its
+// connection — and so does the wait behind the channel.
+func (c *Client) SetCredentials(creds Credentials) <-chan struct{} {
 	c.mu.Lock()
 	c.creds = creds
+	old := c.signed
+	c.signed = new(sync.WaitGroup)
 	c.mu.Unlock()
+	retired := make(chan struct{})
+	go func() {
+		old.Wait()
+		close(retired)
+	}()
+	return retired
 }
 
 // replies and bulkReplies recycle reply messages whose consumer has
@@ -381,8 +397,10 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Message) (*wire.Messag
 	if err := c.ensureConn(ctx); err != nil {
 		return nil, err
 	}
-	conn, key := c.conn, c.creds.Key
+	conn, key, signed := c.conn, c.creds.Key, c.signed
 	req.User = c.creds.Identity
+	signed.Add(1)
+	defer signed.Done()
 	ch := make(chan *wire.Message, 1)
 	c.pending[req.Seq] = call{conn: conn, ch: ch}
 	c.mu.Unlock()
