@@ -113,15 +113,31 @@ type attestReq struct {
 	Nonce string    `json:"nonce"`
 }
 
+// options are attestd's flags.
+type options struct {
+	listen, keyFile, obsListen string
+}
+
+// parseFlags parses attestd's command line.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("attestd", flag.ContinueOnError)
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:9443", "listen address")
+	fs.StringVar(&o.keyFile, "platform-key", "", "PEM file with the platform's attestation public key")
+	fs.StringVar(&o.obsListen, "obs-listen", "", "HTTP address for /metrics and loopback pprof (empty disables)")
+	return o, fs.Parse(args)
+}
+
 func main() {
-	listen := flag.String("listen", "127.0.0.1:9443", "listen address")
-	keyFile := flag.String("platform-key", "", "PEM file with the platform's attestation public key")
-	obsListen := flag.String("obs-listen", "", "HTTP address for /metrics and loopback pprof (empty disables)")
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "attestd: %v\n", err)
+		os.Exit(2)
+	}
 
 	var pub *ecdsa.PublicKey
-	if *keyFile != "" {
-		data, err := os.ReadFile(*keyFile)
+	if o.keyFile != "" {
+		data, err := os.ReadFile(o.keyFile)
 		if err != nil {
 			log.Fatalf("attestd: %v", err)
 		}
@@ -167,16 +183,15 @@ func main() {
 	defer stop()
 
 	var obsSrv *http.Server
-	if *obsListen != "" {
-		var err error
-		obsSrv, err = obs.Serve(*obsListen, reg)
+	if o.obsListen != "" {
+		obsSrv, err = obs.Serve(o.obsListen, reg)
 		if err != nil {
 			log.Fatalf("attestd: obs endpoint: %v", err)
 		}
-		log.Printf("attestd: observability endpoint on %s", *obsListen)
+		log.Printf("attestd: observability endpoint on %s", o.obsListen)
 	}
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {
 		log.Fatalf("attestd: listen: %v", err)
 	}

@@ -103,6 +103,7 @@ type ref struct {
 	pkg  string // X's import path, drive if X is a drive connection, else ""
 	name string
 	args []string // for a call, the callee names of the arguments that are calls
+	argv []string // for a call, each argument as spelled
 	line int
 }
 
@@ -208,6 +209,21 @@ func count(s sym, scope []string, want map[string]int) func(*tree, []rule) []str
 		for p := range want {
 			if !seen[p] {
 				bad = append(bad, fmt.Sprintf("%s: the rule counts in a file that does not exist", p))
+			}
+		}
+		return bad
+	}
+}
+
+// argIs: every reference in scope to a function named in pos is a call
+// that passes want, as spelled, as its argument pos[name].
+func argIs(scope []string, want string, pos map[string]int) func(*tree, []rule) []string {
+	return func(t *tree, _ []rule) (bad []string) {
+		for _, f := range t.goFiles(scope) {
+			for _, r := range f.refs {
+				if i, ok := pos[r.name]; ok && (i >= len(r.argv) || r.argv[i] != want) {
+					bad = append(bad, fmt.Sprintf("%s:%d: %s in %s does not pass %s", f.path, r.line, r.name, r.fn, want))
+				}
 			}
 		}
 		return bad
@@ -495,6 +511,7 @@ func parse(path, src string) (*goFile, error) {
 						if c, ok := a.(*ast.CallExpr); ok {
 							r.args = append(r.args, callee(c))
 						}
+						r.argv = append(r.argv, src[fset.Position(a.Pos()).Offset:fset.Position(a.End()).Offset])
 					}
 					f.refs = append(f.refs, r)
 				}

@@ -27,8 +27,8 @@ var rules = []rule{
 		mutants: []mutant{{
 			// A read through a connection held under another name.
 			file: "internal/core/stream.go",
-			old:  "_ = cl.Delete(ctx, store.ChunkKey(key, next, idx), nil, true)",
-			new:  "_, _, _ = cl.Get(ctx, store.ChunkKey(key, next, idx))",
+			old:  "_ = cl.Delete(ctx, store.ChunkKey(key, set, idx), nil, true)",
+			new:  "_, _, _ = cl.Get(ctx, store.ChunkKey(key, set, idx))",
 		}},
 	},
 	// Each record kind has one opener, bound to the key that was asked
@@ -48,8 +48,8 @@ var rules = []rule{
 		check: onlyIn(sym{names: []string{"DecodeVersion"}}, core, "fetchRecord", "repairObject"),
 		mutants: []mutant{{
 			file: "internal/core/stripe.go",
-			old:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, version, idx))",
-			new:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, version, idx))\n\t_, _ = c.codec.DecodeVersion(v.Value, key, version)",
+			old:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, set, idx))",
+			new:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, set, idx))\n\t_, _ = c.codec.DecodeVersion(v.Value, key, set)",
 		}},
 	},
 	{
@@ -57,8 +57,8 @@ var rules = []rule{
 		check: onlyIn(sym{names: []string{"DecodeChunkInto"}}, core, "openChunk", "repairChunk"),
 		mutants: []mutant{{
 			file: "internal/core/stripe.go",
-			old:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, version, idx))",
-			new:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, version, idx))\n\t_, _ = c.codec.DecodeChunkInto(v.Value, nil, key, version, idx)",
+			old:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, set, idx))",
+			new:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, set, idx))\n\t_, _ = c.codec.DecodeChunkInto(v.Value, nil, key, set, idx)",
 		}},
 	},
 	{
@@ -86,8 +86,8 @@ var rules = []rule{
 		check: onlyIn(sym{names: []string{"EncodeMeta"}}, core, "stage", "repairObject"),
 		mutants: []mutant{{
 			file: "internal/core/stream.go",
-			old:  "if err := c.drives[di].pick().Put(ctx, dk, blob, nil, encodeVer(next), true); err != nil {",
-			new:  "if err := c.drives[di].pick().Put(ctx, store.MetaKey(key), c.codec.EncodeMeta(meta), nil, encodeVer(next), true); err != nil {",
+			old:  "if err := c.drives[di].pick().Put(ctx, dk, blob, nil, encodeVer(set), true); err != nil {",
+			new:  "if err := c.drives[di].pick().Put(ctx, store.MetaKey(key), c.codec.EncodeMeta(meta), nil, encodeVer(set), true); err != nil {",
 		}},
 	},
 	// A read is judged once: in planRead, which every read shape runs,
@@ -249,8 +249,9 @@ var rules = []rule{
 	},
 	// A key is locked in one table: every mutation takes its keys in
 	// commits — a transaction its read set too, shared — and a streamed
-	// upload takes uploads first. The hashed stripes, the stream-lock map
-	// and the transaction lock manager stay deleted.
+	// upload takes it only to plan and to commit, never across its body.
+	// The hashed stripes, the stream-lock map, the transaction lock
+	// manager and the upload lock stay deleted.
 	{
 		name: "one-key-lock",
 		check: onlyIn(sym{names: []string{"lock"}}, core,
@@ -265,15 +266,37 @@ var rules = []rule{
 	{
 		name: "key-lock-gone",
 		check: gone(module, "writeLock", "writeLocks", "writeStripes", "lockStripes", "stripeIndex",
-			"keyedLocks", "streamLocks"),
+			"keyedLocks", "streamLocks", "uploads"),
 		mutants: []mutant{{
 			file: "internal/core/keylock.go",
 			old:  "type keyLock struct {",
 			new:  "type keyedLocks struct {",
 		}, {
 			file: "internal/core/core.go",
-			old:  "commits, uploads keyLocks",
-			new:  "commits, uploads keyLocks\n\twriteLocks [4096]sync.Mutex",
+			old:  "commits keyLocks",
+			new:  "commits keyLocks\n\twriteLocks [4096]sync.Mutex",
+		}, {
+			file: "internal/core/core.go",
+			old:  "commits keyLocks",
+			new:  "commits, uploads keyLocks",
+		}},
+	},
+	// A chunk record is named by its chunk set — the id its upload drew,
+	// or the version of a stub older than upload ids — never by the
+	// version an upload plans, which two uploads of a key share: every
+	// drive key, seal, opener and sweep of a chunk passes the set.
+	{
+		name: "chunk-set-names",
+		check: argIs(core, "set", map[string]int{"ChunkKey": 1, "EncodeChunkInto": 2, "DecodeChunkInto": 3,
+			"sealChunk": 2, "getChunkValue": 3, "openChunk": 2, "repairChunk": 3, "sweepChunks": 2}),
+		mutants: []mutant{{
+			file: "internal/core/stream.go",
+			old:  "dk := store.ChunkKey(key, set, idx)",
+			new:  "dk := store.ChunkKey(key, next, idx)",
+		}, {
+			file: "internal/core/stream.go",
+			old:  "c.sweepChunks(context.WithoutCancel(ctx), key, set, chunks, l)",
+			new:  "c.sweepChunks(context.WithoutCancel(ctx), key, next, chunks, l)",
 		}},
 	},
 	// The object cache holds one head record per object, keyed by the

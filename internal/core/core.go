@@ -251,10 +251,10 @@ type Controller struct {
 	async *asyncState
 
 	// commits serializes every mutation of a key, and holds a
-	// transaction's read set shared against them (see keylock.go).
-	// uploads serializes streamed uploads of a key for the whole
-	// client-paced upload; it is always taken before commits.
-	commits, uploads keyLocks
+	// transaction's read set shared against them (see keylock.go). It is
+	// the one lock table: a streamed upload holds nothing while its body
+	// arrives and takes commits only to plan and to commit.
+	commits keyLocks
 
 	mu       sync.Mutex
 	sessions map[string]*Session

@@ -110,7 +110,7 @@ func TestECStreamSingleChunkFinalStripe(t *testing.T) {
 	// the virtual-zero-shard model on both ends.
 	group := h.ctl.ecGroup("lone", 6)
 	home := ecDataHome(group, 4, 4)
-	if err := h.ctl.drives[home].pick().Delete(ctx, store.ChunkKey("lone", 0, 4), nil, true); err != nil {
+	if err := h.ctl.drives[home].pick().Delete(ctx, h.chunkKey(t, "lone", 0, 4), nil, true); err != nil {
 		t.Fatal(err)
 	}
 	h.ctl.objectCache.Clear()
@@ -208,7 +208,7 @@ func TestECShardCorruptionCaught(t *testing.T) {
 	group := h.ctl.ecGroup("flip", 6)
 	flip := func(idx int64, home int) {
 		cl := h.ctl.drives[home].pick()
-		dk := store.ChunkKey("flip", 0, idx)
+		dk := h.chunkKey(t, "flip", 0, idx)
 		blob, _, err := cl.Get(ctx, dk)
 		if err != nil {
 			t.Fatal(err)

@@ -268,14 +268,14 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 	if err != nil {
 		return err
 	}
-	v := m.Version
+	set := m.ChunkSet()
 	for t := int64(0); t*int64(l.k) < m.Chunks; t++ {
 		shards := l.shards(t, m.Chunks)
 		kt := len(shards) - l.m
 		recs := make([]*store.Record, l.k+l.m) // by slot: every surviving shard, opened
 		var lost []stripeShard
 		for _, sh := range shards {
-			rec, err := c.repairChunk(ctx, l, key, v, sh.idx, to, tl, report)
+			rec, err := c.repairChunk(ctx, l, key, set, sh.idx, to, tl, report)
 			if err != nil {
 				return err
 			}
@@ -300,19 +300,19 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 			}
 		}
 		if err := l.code.Reconstruct(bufs); err != nil {
-			return fmt.Errorf("core: repair %q v%d stripe %d: %w", key, v, t, err)
+			return fmt.Errorf("core: repair %q v%d stripe %d: %w", key, m.Version, t, err)
 		}
 		for _, sh := range lost {
 			p := bufs[sh.slot]
 			if sh.slot < kt {
 				p = p[:chunkLen(m, sh.idx)]
 			}
-			blob, err := c.codec.EncodeChunkInto(nil, key, v, sh.idx, p)
+			blob, err := c.codec.EncodeChunkInto(nil, key, set, sh.idx, p)
 			if err != nil {
 				return err
 			}
 			c.stats.ECShardRepairs.Inc()
-			if err := c.settle(ctx, store.ChunkKey(key, v, sh.idx), nil, l.homes(sh.idx), blob, encodeVer(v), false, to.peers(tl.homes(sh.idx)), report); err != nil {
+			if err := c.settle(ctx, store.ChunkKey(key, set, sh.idx), nil, l.homes(sh.idx), blob, encodeVer(set), false, to.peers(tl.homes(sh.idx)), report); err != nil {
 				return err
 			}
 		}
@@ -320,13 +320,14 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 	return nil
 }
 
-// repairChunk converges chunk record idx of (key, v) onto its homes, or
-// pushes it to its homes in an export's target layout tl, and returns a
-// healthy copy of it, opened, nil when none survives anywhere. Each home
-// is probed once; the healthy case of a plain repair moves nothing.
-func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, idx int64, to *MigrationTarget, tl layout, report *RepairReport) (*store.Record, error) {
-	dk := store.ChunkKey(key, v, idx)
-	open := func(b []byte) (*store.Record, error) { return c.codec.DecodeChunkInto(b, nil, key, v, idx) }
+// repairChunk converges chunk record idx of key's chunk set onto its
+// homes, or pushes it to its homes in an export's target layout tl, and
+// returns a healthy copy of it, opened, nil when none survives anywhere.
+// Each home is probed once; the healthy case of a plain repair moves
+// nothing.
+func (c *Controller) repairChunk(ctx context.Context, l layout, key string, set, idx int64, to *MigrationTarget, tl layout, report *RepairReport) (*store.Record, error) {
+	dk := store.ChunkKey(key, set, idx)
+	open := func(b []byte) (*store.Record, error) { return c.codec.DecodeChunkInto(b, nil, key, set, idx) }
 	homes := l.homes(idx)
 	rec, blob, held, missing, err := probe(ctx, c, to, homes, dk, open)
 	stray := rec == nil
@@ -356,7 +357,7 @@ func (c *Controller) repairChunk(ctx context.Context, l layout, key string, v, i
 	if l.m > 0 && len(peers) == 0 {
 		c.stats.ECShardRepairs.Add(uint64(len(missing)))
 	}
-	if err := c.settle(ctx, dk, held, missing, blob, encodeVer(v), true, peers, report); err != nil {
+	if err := c.settle(ctx, dk, held, missing, blob, encodeVer(set), true, peers, report); err != nil {
 		return nil, err
 	}
 	if stray && len(peers) == 0 {

@@ -5,13 +5,15 @@
 // store.MaxObjectSize — sealed by a chunk-stub object record and the
 // metadata record committed in one atomic batch per replica. A crash
 // mid-stream therefore never publishes a partial object: until the
-// final batch lands, readers still see the previous version.
+// final batch lands, readers still see the previous version. Chunks are
+// named by an id the upload draws (store.Meta.Upload), so uploads of one
+// key stream side by side, lock-free, and the first to commit wins.
 //
 // Reads stream chunk records straight to the response writer. The codec
-// authenticates every chunk record it returns and binds it to its chunk
-// id, so chunks cannot be damaged or transplanted between objects,
-// versions or positions; the whole-object hash check at the end is what
-// catches an authentic chunk of an earlier upload of the same version.
+// authenticates every chunk record and binds it to its chunk id (object,
+// upload, index): no chunk is damaged, transplanted or replayed from an
+// earlier upload unseen. The whole-object hash at the end also covers
+// stubs written before uploads drew an id.
 package core
 
 import (
@@ -57,11 +59,10 @@ var sealBufs = sync.Pool{
 	},
 }
 
-// sealChunk encodes one chunk record of a streamed version into the
-// upload's seal buffer. The blob is valid until the next sealChunk on
-// the same buffer.
-func (c *Controller) sealChunk(sealp *[]byte, key string, version, idx int64, payload []byte) ([]byte, error) {
-	blob, err := c.codec.EncodeChunkInto(*sealp, key, version, idx, payload)
+// sealChunk encodes one chunk record of an upload into its seal buffer.
+// The blob is valid until the next sealChunk on the same buffer.
+func (c *Controller) sealChunk(sealp *[]byte, key string, set, idx int64, payload []byte) ([]byte, error) {
+	blob, err := c.codec.EncodeChunkInto(*sealp, key, set, idx, payload)
 	if err == nil {
 		*sealp = blob[:0]
 	}
@@ -122,17 +123,13 @@ func (c *Controller) maxStreamBytes() int64 {
 }
 
 // putObjectStream is the streamed write path. The body arrives at the
-// client's pace, so the key's commits lock is NOT held across the
-// upload (a stalled uploader must never block a delete, batch,
-// transaction or repair of the key): concurrent streamed uploads of one
-// key serialize on its uploads lock, version planning and the final
-// commit each take the commits lock briefly, and the metadata
-// compare-and-swap rejects the commit if a buffered writer won the key
-// in between (the loser sweeps its chunks and reports a version
-// conflict).
+// client's pace, so no lock of the key is held across the upload (a
+// stalled uploader must never block another write of the key): the
+// early plan and the final commit each take the commits lock briefly,
+// and the commit refuses the upload if another writer — a buffered one
+// or another upload — committed the key in between (the loser sweeps
+// its own chunks and reports a version conflict).
 func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string, body io.Reader, opts PutOptions) (int64, error) {
-	defer c.uploads.lock([]string{key}, nil)()
-
 	// Sharding fast-fail before any chunk is uploaded; the
 	// authoritative gate (ownership + freeze barrier) runs again at
 	// commitStream, so a handoff racing the upload still redirects.
@@ -166,8 +163,9 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 
 	// Plan the version under the commits lock, briefly. This early pass
 	// rejects doomed uploads (bad version, policy denial, unknown
-	// policy) before any chunk is persisted; the authoritative plan is
-	// re-run under the lock at commit time (see commitStream).
+	// policy) before any chunk is persisted and reserves nothing; the
+	// authoritative plan is re-run under the lock at commit time, which
+	// refuses the upload unless it still plans next (see commitStream).
 	unlock := c.commits.lock([]string{key}, nil)
 	var next int64
 	meta, err := c.loadHead(ctx, key).forWrite()
@@ -225,8 +223,8 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 }
 
 // putChunks persists a chunked upload under layout l. Every chunk is
-// sealed once and force-put to each of its homes as it arrives
-// (content-addressed by version+index, invisible until the final meta
+// sealed once and force-put to each of its homes as it arrives (named
+// by the upload's id and its index, invisible until the final meta
 // commit); under a parity layout the m accumulators fold it in
 // incrementally and flush as parity shard records when their stripe
 // closes. The stub object record and the CAS-guarded metadata commit
@@ -236,6 +234,7 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 // the loop reads the remainder into); rest carries the remainder, nil
 // when the sniff saw the end.
 func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts PutOptions, next int64, l layout, sniffed [][]byte, rest io.Reader) (int64, error) {
+	set := store.NewUploadID()
 	hasher := sha256.New()
 	sealp := sealBufs.Get().(*[]byte) // every record put is synchronous: one seal buffer serves them all
 	defer sealBufs.Put(sealp)
@@ -248,14 +247,14 @@ func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts
 	var total, chunks, parityBytes int64
 
 	putRecord := func(idx int64, payload []byte) error {
-		blob, err := c.sealChunk(sealp, key, next, idx, payload)
+		blob, err := c.sealChunk(sealp, key, set, idx, payload)
 		if err != nil {
 			return err
 		}
-		dk := store.ChunkKey(key, next, idx)
+		dk := store.ChunkKey(key, set, idx)
 		return c.replicationFailed(c.fanout(l.homes(idx), func(di int) error {
 			c.chargeDriveIO(len(blob))
-			if err := c.drives[di].pick().Put(ctx, dk, blob, nil, encodeVer(next), true); err != nil {
+			if err := c.drives[di].pick().Put(ctx, dk, blob, nil, encodeVer(set), true); err != nil {
 				return fmt.Errorf("core: stream chunk %d of %q to drive %s: %w", idx, key, c.drives[di].name, err)
 			}
 			return nil
@@ -328,15 +327,18 @@ func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts
 				return err
 			}
 		}
-		var hash [32]byte
-		copy(hash[:], hasher.Sum(nil))
-		return c.commitStream(ctx, sessionKey, key, opts, next, total, hash, chunks, l)
+		stub := store.Meta{Key: key, Version: next, Size: total, Chunks: chunks, Upload: set}
+		copy(stub.ContentHash[:], hasher.Sum(nil))
+		if l.m > 0 {
+			stub.ECK, stub.ECM = int64(l.k), int64(l.m)
+		}
+		return c.commitStream(ctx, sessionKey, opts, stub, l)
 	}
 	if err := upload(); err != nil {
 		// The request context may already be canceled (client disconnect
 		// is a common way to get here); sweep on a detached context so
 		// the orphaned records don't outlive the upload.
-		c.sweepChunks(context.WithoutCancel(ctx), key, next, chunks, l)
+		c.sweepChunks(context.WithoutCancel(ctx), key, set, chunks, l)
 		return 0, err
 	}
 	// commitStream counted the write (the stub's size is the object's);
@@ -350,19 +352,19 @@ func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts
 }
 
 // sweepChunks best-effort deletes the chunk records of an aborted
-// upload: data indices up to and including the possibly in-flight one
-// (a fan-out that failed on one home has still landed on the others),
-// plus every stripe's parity indices — parity whose data siblings never
-// committed must not survive as dark capacity — on every window drive
-// (a superset of the homes actually written; deletes of absent keys are
-// no-ops).
-func (c *Controller) sweepChunks(ctx context.Context, key string, next, chunks int64, l layout) {
+// upload, its chunk set and no other upload's: data indices up to and
+// including the possibly in-flight one (a fan-out that failed on one
+// home has still landed on the others), plus every stripe's parity
+// indices — parity whose data siblings never committed must not survive
+// as dark capacity — on every window drive (a superset of the homes
+// actually written; deletes of absent keys are no-ops).
+func (c *Controller) sweepChunks(ctx context.Context, key string, set, chunks int64, l layout) {
 	stripes := chunks/int64(l.k) + 1 // include the open stripe
 	_ = c.fanout(l.window, func(di int) error {
 		cl := c.drives[di].pick()
 		del := func(idx int64) {
 			c.chargeDriveIO(0)
-			_ = cl.Delete(ctx, store.ChunkKey(key, next, idx), nil, true)
+			_ = cl.Delete(ctx, store.ChunkKey(key, set, idx), nil, true)
 		}
 		for idx := int64(0); idx <= chunks; idx++ {
 			del(idx)
@@ -376,18 +378,17 @@ func (c *Controller) sweepChunks(ctx context.Context, key string, next, chunks i
 	})
 }
 
-// commitStream seals a chunked upload under the commits lock. The
-// version CAS alone cannot distinguish the planned object from a
-// same-version impostor created by a delete+recreate during the
-// (lock-free) upload — an ABA that would both bypass the recreated
-// object's update policy and publish metadata whose chunks the delete
-// already swept. So the plan is re-run under the lock (re-checking the
-// now-current policy and version) and the chunk records are probed for
-// survival before the sealing batch — chunk-stub object record plus
-// CAS-guarded metadata, atomic on each placement replica whatever the
-// layout of the chunks — goes out. The metadata records a parity
-// layout's (k, m); the replicated class keeps both zero.
-func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, opts PutOptions, next, total int64, hash [32]byte, chunks int64, l layout) error {
+// commitStream publishes a chunked upload's stub under the commits
+// lock, unless the plan, re-run under the lock, no longer gives the
+// stub's version: a writer that committed the key meanwhile — buffered
+// or another upload — wins. The plan re-checks the current policy and
+// the chunks are probed for survival because a delete+recreate during
+// the upload (an ABA) would otherwise pass the version CAS, bypass the
+// recreated object's update policy and publish a stub whose chunks the
+// delete swept. The sealing batch — stub object record plus CAS-guarded
+// metadata — is atomic on each placement replica whatever the layout.
+func (c *Controller) commitStream(ctx context.Context, sessionKey string, opts PutOptions, stub store.Meta, l layout) error {
+	key := stub.Key
 	defer c.commits.lock([]string{key}, nil)()
 
 	release, err := c.beginWrite(ctx, key)
@@ -404,23 +405,14 @@ func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, o
 	if err != nil {
 		return err
 	}
-	if next2 != next {
+	if next2 != stub.Version {
 		return fmt.Errorf("%w: concurrent update during streamed upload", ErrBadVersion)
 	}
-	newPolicyID, policyHash, err := c.resolvePolicy(ctx, meta2, opts.PolicyID)
-	if err != nil {
+	if stub.PolicyID, stub.PolicyHash, err = c.resolvePolicy(ctx, meta2, opts.PolicyID); err != nil {
 		return err
 	}
-	if err := c.chunksIntact(ctx, key, next, chunks, l); err != nil {
+	if err := c.chunksIntact(ctx, &stub, l); err != nil {
 		return err
-	}
-
-	stub := store.Meta{
-		Key: key, Version: next, Size: total, ContentHash: hash,
-		PolicyID: newPolicyID, PolicyHash: policyHash, Chunks: chunks,
-	}
-	if l.m > 0 {
-		stub.ECK, stub.ECM = int64(l.k), int64(l.m)
 	}
 	w, err := c.stage(meta2, stub, nil)
 	if err != nil {
@@ -429,18 +421,19 @@ func (c *Controller) commitStream(ctx context.Context, sessionKey, key string, o
 	return c.commit(ctx, []*replicaWrite{w}, wire.SyncWriteThrough)
 }
 
-// chunksIntact is the commit-time survival probe: the upload's first
-// and last data chunk, each on every one of its homes. A concurrent
-// delete sweeps the whole chunk key range on every window drive, so a
+// chunksIntact is the commit-time survival probe: the stub's first and
+// last data chunk, each on every one of its homes. A concurrent delete
+// sweeps the whole chunk key range on every window drive, so a
 // surviving pair means no delete committed during the upload. Caller
 // holds the commits lock, so no new delete can race the probe.
-func (c *Controller) chunksIntact(ctx context.Context, key string, next, chunks int64, l layout) error {
+func (c *Controller) chunksIntact(ctx context.Context, stub *store.Meta, l layout) error {
 	probes := []int64{0}
-	if chunks > 1 {
-		probes = append(probes, chunks-1)
+	if stub.Chunks > 1 {
+		probes = append(probes, stub.Chunks-1)
 	}
+	set := stub.ChunkSet()
 	for _, idx := range probes {
-		dk := store.ChunkKey(key, next, idx)
+		dk := store.ChunkKey(stub.Key, set, idx)
 		err := c.fanout(l.homes(idx), func(di int) error {
 			c.chargeDriveIO(0)
 			_, err := c.drives[di].pick().GetVersion(ctx, dk)

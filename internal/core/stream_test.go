@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/kinetic/wire"
 	"repro/internal/store"
@@ -193,7 +195,7 @@ func TestStreamChunkTransplantDetected(t *testing.T) {
 	// Swap the two chunk records on the drive: each is individually
 	// authentic, but bound to the wrong position.
 	cl := h.ctl.drives[0].pick()
-	k0, k1 := store.ChunkKey("swap", 0, 0), store.ChunkKey("swap", 0, 1)
+	k0, k1 := h.chunkKey(t, "swap", 0, 0), h.chunkKey(t, "swap", 0, 1)
 	b0, _, err := cl.Get(ctx, k0)
 	if err != nil {
 		t.Fatal(err)
@@ -334,6 +336,144 @@ func TestStreamDetectsDeleteRecreateABA(t *testing.T) {
 	keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[0], cstart, cend)
 	if err != nil || len(keys) != 0 {
 		t.Fatalf("orphan chunks after ABA: %d %v", len(keys), err)
+	}
+}
+
+// TestStreamStalledUploadHoldsNoLock: an upload whose body never
+// arrives holds no lock of its key, so another put of the key — a
+// 5-byte one or a multi-chunk one — goes through while it stays open.
+func TestStreamStalledUploadHoldsNoLock(t *testing.T) {
+	h := newHarness(t, 3, func(c *Config) { c.Replicas = 2 })
+	s := h.ctl.Session("w")
+	ctx := context.Background()
+
+	body, stall := io.Pipe()
+	defer stall.Close()
+	reading := make(chan struct{})
+	stalled := make(chan OpResult, 1)
+	go func() {
+		stalled <- s.PutStream(ctx, "k", &hookReader{r: body, hook: func() { close(reading) }}, PutOptions{})
+	}()
+	<-reading
+
+	within := func(d time.Duration, what string, put func() OpResult) OpResult {
+		t.Helper()
+		done := make(chan OpResult, 1)
+		go func() { done <- put() }()
+		select {
+		case res := <-done:
+			return res
+		case <-time.After(d):
+			t.Fatalf("%s still waits for a stalled upload of its key after %v", what, d)
+			return OpResult{}
+		}
+	}
+	small := within(time.Second, "a 5-byte PutStream", func() OpResult {
+		return s.PutStream(ctx, "k", bytes.NewReader([]byte("small")), PutOptions{})
+	})
+	if small.Err != nil || small.Version != 0 {
+		t.Fatalf("5-byte put beside a stalled upload: %+v", small)
+	}
+	big := streamPayload(3*streamChunkSize + 11)
+	res := within(10*time.Second, "a multi-chunk PutStream", func() OpResult {
+		return s.PutStream(ctx, "k", bytes.NewReader(big), PutOptions{})
+	})
+	if res.Err != nil || res.Version != 1 {
+		t.Fatalf("multi-chunk put beside a stalled upload: %+v", res)
+	}
+	if got, _ := readStream(t, s, "k", GetOptions{}); !bytes.Equal(got, big) {
+		t.Fatal("the multi-chunk put reads back wrong")
+	}
+	select {
+	case res := <-stalled:
+		t.Fatalf("the stalled upload returned before its body arrived: %+v", res)
+	default:
+	}
+	stall.CloseWithError(errors.New("client gone"))
+	if res := <-stalled; res.Err == nil {
+		t.Fatalf("an upload whose client left committed: %+v", res)
+	}
+	if n := h.ctl.commits.held(); n != 0 {
+		t.Errorf("%d keys left locked", n)
+	}
+}
+
+// TestStreamConcurrentUploadsFirstCommitWins: two multi-chunk uploads
+// of one key, planned against the same head, stream side by side. The
+// first to commit wins; the other reports a version conflict, and its
+// one sweep leaves exactly the winner's chunk records on every drive.
+func TestStreamConcurrentUploadsFirstCommitWins(t *testing.T) {
+	for _, class := range []struct {
+		name   string
+		drives int
+		mutate func(*Config)
+	}{
+		{"replicated", 3, func(c *Config) { c.Replicas = 2 }},
+		{"ec 4+2", 6, ecConfig},
+	} {
+		t.Run(class.name, func(t *testing.T) {
+			h := newHarness(t, class.drives, class.mutate)
+			s := h.ctl.Session("w")
+			ctx := context.Background()
+			if _, err := s.Put(ctx, "k", []byte("head"), PutOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			loser, winner := streamPayload(4*streamChunkSize+3), streamPayload(5*streamChunkSize+7)
+			// The first upload has planned v1 when its body pauses; the
+			// second plans v1 too, streams and commits meanwhile.
+			var won OpResult
+			body := io.MultiReader(
+				bytes.NewReader(loser[:streamChunkSize+1]),
+				&hookReader{r: bytes.NewReader(loser[streamChunkSize+1:]), hook: func() {
+					done := make(chan OpResult, 1)
+					go func() { done <- s.PutStream(ctx, "k", bytes.NewReader(winner), PutOptions{}) }()
+					select {
+					case won = <-done:
+					case <-time.After(10 * time.Second):
+						t.Error("the second upload waited for the first's body")
+					}
+				}},
+			)
+			lost := s.PutStream(ctx, "k", body, PutOptions{})
+			if won.Err != nil || won.Version != 1 {
+				t.Fatalf("the upload that committed first: %+v", won)
+			}
+			if lost.Err == nil || lost.Err.Code != CodeVersionConflict {
+				t.Fatalf("the upload that committed second: %+v", lost)
+			}
+			got, meta := readStream(t, s, "k", GetOptions{})
+			if !bytes.Equal(got, winner) || meta.Version != 1 || meta.Upload == 0 {
+				t.Fatalf("head after the race: %d bytes, %+v", len(got), meta)
+			}
+			l, err := h.ctl.layoutOf("k", meta.ECK, meta.ECM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]string, len(h.ctl.drives))
+			for st := int64(0); st*int64(l.k) < meta.Chunks; st++ {
+				for _, sh := range l.shards(st, meta.Chunks) {
+					for _, di := range l.homes(sh.idx) {
+						want[di] = append(want[di], string(store.ChunkKey("k", meta.Upload, sh.idx)))
+					}
+				}
+			}
+			start, end := store.ChunkKeyRange("k")
+			for di := range h.ctl.drives {
+				keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], start, end)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held := make([]string, len(keys))
+				for i, k := range keys {
+					held[i] = string(k)
+				}
+				slices.Sort(held)
+				slices.Sort(want[di])
+				if !slices.Equal(held, want[di]) {
+					t.Errorf("drive %d holds %d chunk records, want the winner's %d", di, len(held), len(want[di]))
+				}
+			}
+		})
 	}
 }
 

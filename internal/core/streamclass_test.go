@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/kinetic"
-	"repro/internal/store"
 )
 
 // TestVerifyLeavesObjectCacheAlone: chunk records never pass through
@@ -62,7 +61,7 @@ func TestRepairCopiesReplicaChunkVerbatim(t *testing.T) {
 	r.put("obj", streamPayload(2*streamChunkSize+7))
 	placement := r.h.ctl.placement("obj")
 	survivor := r.raw(placement[0], "obj", 0, 1)
-	if err := r.h.ctl.drives[placement[1]].pick().Delete(r.ctx, store.ChunkKey("obj", 0, 1), nil, true); err != nil {
+	if err := r.h.ctl.drives[placement[1]].pick().Delete(r.ctx, r.h.chunkKey(t, "obj", 0, 1), nil, true); err != nil {
 		t.Fatal(err)
 	}
 	report, err := r.s.Repair(r.ctx, "obj")

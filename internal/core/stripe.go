@@ -19,7 +19,7 @@
 // Parity shards are ordinary chunk records at the reserved index range
 // store.ParityIndexBase+…, so they sort inside store.ChunkKeyRange —
 // delete and orphan sweeps collect them with no extra bookkeeping —
-// and carry the same authenticated chunk id binding (object, version,
+// and carry the same authenticated chunk id binding (object, chunk set,
 // index) as data chunks. The stripe rotation in homes spreads parity
 // writes across the whole group. Only (k, m) persist in the metadata —
 // the window derives from the key and the current dead mask, and the
@@ -147,12 +147,12 @@ func (p pooledRec) release() {
 }
 
 // getChunkValue reads one raw chunk record — a data chunk or a parity
-// shard — off one drive.
-func (c *Controller) getChunkValue(ctx context.Context, p *drivePool, key string, version, idx int64) (kclient.Value, error) {
+// shard — of key's chunk set off one drive.
+func (c *Controller) getChunkValue(ctx context.Context, p *drivePool, key string, set, idx int64) (kclient.Value, error) {
 	c.chargeDriveIO(0)
-	v, err := p.pick().GetValue(ctx, store.ChunkKey(key, version, idx))
+	v, err := p.pick().GetValue(ctx, store.ChunkKey(key, set, idx))
 	if errors.Is(err, kclient.ErrNotFound) {
-		err = fmt.Errorf("%w: %q v%d chunk %d", ErrNotFound, key, version, idx)
+		err = fmt.Errorf("%w: %q chunk %d of set %d", ErrNotFound, key, idx, set)
 	}
 	return v, err
 }
@@ -163,12 +163,12 @@ func (c *Controller) getChunkValue(ctx context.Context, p *drivePool, key string
 // chunk record never enters the object cache — streamed reads are
 // large and sequential, and a pooled payload must have exactly one
 // owner.
-func (c *Controller) openChunk(v kclient.Value, key string, version, idx int64) (pooledRec, error) {
+func (c *Controller) openChunk(v kclient.Value, key string, set, idx int64) (pooledRec, error) {
 	defer v.Release()
 	c.cost.MoveBytes(len(v.Value))
 	pr := pooledRec{bufp: chunkBufs.Get().(*[]byte)}
 	var err error
-	if pr.rec, err = c.codec.DecodeChunkInto(v.Value, *pr.bufp, key, version, idx); err != nil {
+	if pr.rec, err = c.codec.DecodeChunkInto(v.Value, *pr.bufp, key, set, idx); err != nil {
 		pr.release()
 		return pooledRec{}, err
 	}
@@ -187,7 +187,7 @@ func (c *Controller) readStripe(ctx context.Context, l layout, meta *store.Meta,
 	shards := l.shards(t, meta.Chunks)
 	kt := len(shards) - l.m
 	shardLen := chunkLen(meta, t*int64(l.k)) // the stripe's first chunk sizes its shards
-	key, version := meta.Key, meta.Version
+	key, version, set := meta.Key, meta.Version, meta.ChunkSet()
 	var cands []fetchCand
 	for _, sh := range shards {
 		for _, di := range l.homes(sh.idx) {
@@ -196,9 +196,9 @@ func (c *Controller) readStripe(ctx context.Context, l layout, meta *store.Meta,
 	}
 	got, err := fetch(ctx, c, kt, cands, shardLen,
 		func(ctx context.Context, cd fetchCand) (kclient.Value, error) {
-			return c.getChunkValue(ctx, cd.pool, key, version, cd.idx)
+			return c.getChunkValue(ctx, cd.pool, key, set, cd.idx)
 		},
-		func(cd fetchCand, v kclient.Value) (pooledRec, error) { return c.openChunk(v, key, version, cd.idx) },
+		func(cd fetchCand, v kclient.Value) (pooledRec, error) { return c.openChunk(v, key, set, cd.idx) },
 		pooledRec.release)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: stripe %d of %q v%d: fewer than %d of %d chunk records readable: %w",

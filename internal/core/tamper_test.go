@@ -58,16 +58,33 @@ func (r *tamperRig) plantAt(di int, dk, blob []byte) {
 	r.h.ctl.objectCache.Clear()
 }
 
+// chunkKey is the drive key of chunk record idx of (key, version): the
+// record the version's stub names, in its chunk set.
+func (h *harness) chunkKey(t *testing.T, key string, version, idx int64) []byte {
+	t.Helper()
+	for _, di := range h.ctl.placement(key) {
+		blob, _, err := h.ctl.drives[di].pick().Get(context.Background(), store.ObjectKey(key, version))
+		if err != nil {
+			continue
+		}
+		if rec, err := h.ctl.codec.DecodeVersion(blob, key, version); err == nil {
+			return store.ChunkKey(key, rec.Meta.ChunkSet(), idx)
+		}
+	}
+	t.Fatalf("no placement drive holds the stub of %q v%d", key, version)
+	return nil
+}
+
 // raw and plant are rawAt and plantAt for the chunk record of (key,
 // version, idx).
 func (r *tamperRig) raw(di int, key string, version, idx int64) []byte {
 	r.t.Helper()
-	return r.rawAt(di, store.ChunkKey(key, version, idx))
+	return r.rawAt(di, r.h.chunkKey(r.t, key, version, idx))
 }
 
 func (r *tamperRig) plant(di int, key string, version, idx int64, blob []byte) {
 	r.t.Helper()
-	r.plantAt(di, store.ChunkKey(key, version, idx), blob)
+	r.plantAt(di, r.h.chunkKey(r.t, key, version, idx), blob)
 }
 
 // flip damages one payload byte of a stored chunk record.
@@ -151,9 +168,10 @@ func (r *tamperRig) wantVersionRecords(key string, version int64, want string) {
 // TestTamperMatrix drives every way the drive layer can hand back the
 // wrong chunk through the controller, sealed and with the plaintext
 // baseline: a damaged record is healed from parity or another replica,
-// an authentic record in the wrong place is refused by its chunk id,
-// and an authentic record of an earlier upload in the right place is
-// caught by the whole-object hash. Never wrong bytes.
+// and an authentic record in the wrong place — another position, object
+// or version, or an earlier upload of the same version replayed under
+// the current one's drive key — is refused by its chunk id and read
+// around where another copy is left. Never wrong bytes.
 func TestTamperMatrix(t *testing.T) {
 	for _, sealed := range []bool{true, false} {
 		name := "sealed"
@@ -310,29 +328,46 @@ func TestTamperMatrix(t *testing.T) {
 				}
 			})
 
-			t.Run("authentic chunk of an earlier upload of the same version", func(t *testing.T) {
-				r := newTamperRig(t, 3, sealed, func(c *Config) { c.Replicas = 2 })
-				first, second := streamPayload(2*streamChunkSize+5), streamPayload(2*streamChunkSize+5)
+			// replayRig streams "again" twice at version 0, deleting it in
+			// between, and returns the first upload's chunk 0 record: sealed
+			// for the same object, version and index as the second's, but
+			// named by the first upload.
+			replayRig := func(t *testing.T) (r *tamperRig, placement []int, stale, second []byte) {
+				// No hedge timer: the replica asked first answers before
+				// another is asked.
+				r = newTamperRig(t, 3, sealed, func(c *Config) { c.Replicas = 2; c.hedgeDelay = time.Minute })
+				first := streamPayload(2*streamChunkSize + 5)
+				second = streamPayload(2*streamChunkSize + 5)
 				second[3] ^= 0xff // same size, another object
 				r.put("again", first)
-				placement := r.h.ctl.placement("again")
-				stale := r.raw(placement[0], "again", 0, 0)
+				placement = r.h.ctl.placement("again")
+				stale = r.raw(placement[0], "again", 0, 0)
 				if err := r.s.Delete(r.ctx, "again", DeleteOptions{}); err != nil {
 					t.Fatal(err)
 				}
 				r.put("again", second)
 				r.wantIntact("again", 0, second)
-				// The stale record is sealed under the same key for the
-				// same (object, version, index): every per-chunk check
-				// passes on every replica.
+				return r, placement, stale, second
+			}
+			t.Run("authentic chunk of an earlier upload on the replica asked first", func(t *testing.T) {
+				r, placement, stale, second := replayRig(t)
+				liar := placement[0]
+				r.plant(liar, "again", 0, 0, stale)
+				r.askFirst(liar, placement)
+				r.wantIntact("again", 0, second)
+				r.askFirst(liar, placement)
+				if _, err := r.s.Verify(r.ctx, "again", 0); err != nil {
+					t.Errorf("verify over a replayed chunk on one replica: %v", err)
+				}
+			})
+			t.Run("authentic chunk of an earlier upload of the same version", func(t *testing.T) {
+				r, placement, stale, second := replayRig(t)
 				for _, di := range placement {
 					r.plant(di, "again", 0, 0, stale)
 				}
-				if _, err := r.read("again", 0); !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "whole-object hash") {
-					t.Fatalf("stale chunk not stopped by the whole-object hash: %v", err)
-				}
+				r.wantRefused("again", 0, second)
 				if _, err := r.s.Verify(r.ctx, "again", 0); !errors.Is(err, store.ErrCorrupt) {
-					t.Errorf("verify over a stale chunk: %v", err)
+					t.Errorf("verify over a replayed chunk on every replica: %v", err)
 				}
 			})
 
@@ -479,49 +514,111 @@ func TestTamperMatrix(t *testing.T) {
 	}
 }
 
-// TestChunkRecordsOfTheParentFormatReadBack: chunk records written
-// before sealed chunks dropped their content hash carry a non-zero one;
-// they stream, verify and repair like the rest.
+// parentFormat rewrites (key, 0) on every drive as an upload wrote it
+// before uploads drew an id: each chunk record named by the version,
+// under its drive key and in its chunk id, and a stub and head with no
+// upload id. hashed also gives each chunk record the content hash
+// sealed chunks carried before they dropped it.
+func (r *tamperRig) parentFormat(key string, hashed bool) {
+	r.t.Helper()
+	ctl := r.h.ctl
+	placement := ctl.placement(key)
+	stub, err := ctl.codec.DecodeVersion(r.rawAt(placement[0], store.ObjectKey(key, 0)), key, 0)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	m := stub.Meta
+	if m.Upload == 0 {
+		r.t.Fatalf("%q v0 was not named by an upload", key)
+	}
+	l, err := ctl.layoutOf(key, m.ECK, m.ECM)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	for t := int64(0); t*int64(l.k) < m.Chunks; t++ {
+		for _, sh := range l.shards(t, m.Chunks) {
+			for _, di := range l.homes(sh.idx) {
+				dk := store.ChunkKey(key, m.Upload, sh.idx)
+				rec, err := ctl.codec.DecodeChunkInto(r.rawAt(di, dk), nil, key, m.Upload, sh.idx)
+				if err != nil {
+					r.t.Fatal(err)
+				}
+				if rec.Meta.ContentHash != ([32]byte{}) && ctl.codec.Enabled() {
+					r.t.Fatalf("sealed chunk %d of %q carries a content hash", sh.idx, key)
+				}
+				rec.Meta.Key, rec.Meta.Version = store.ChunkID(key, 0, sh.idx), 0
+				if hashed {
+					rec.Meta.ContentHash = store.HashContent(rec.Payload)
+				}
+				blob, err := ctl.codec.EncodeRecord(rec)
+				if err != nil {
+					r.t.Fatal(err)
+				}
+				cl := ctl.drives[di].pick()
+				if err := cl.Put(r.ctx, store.ChunkKey(key, 0, sh.idx), blob, nil, encodeVer(0), true); err != nil {
+					r.t.Fatal(err)
+				}
+				if err := cl.Delete(r.ctx, dk, nil, true); err != nil {
+					r.t.Fatal(err)
+				}
+			}
+		}
+	}
+	m.Upload = 0
+	blob, err := ctl.codec.EncodeRecord(&store.Record{Meta: m})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	for _, di := range placement {
+		cl := ctl.drives[di].pick()
+		if err := cl.Put(r.ctx, store.ObjectKey(key, 0), blob, nil, encodeVer(0), true); err != nil {
+			r.t.Fatal(err)
+		}
+		if err := cl.Put(r.ctx, store.MetaKey(key), ctl.codec.EncodeMeta(&m), nil, encodeVer(0), true); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	ctl.objectCache.Clear()
+	ctl.metaCache.Clear()
+}
+
+// TestChunkRecordsOfTheParentFormatReadBack: objects streamed before
+// uploads drew an id — chunk records named by the version, stubs with
+// no id, and, older still, sealed chunks with a content hash — stream,
+// verify, repair with nothing to restore and delete like the rest.
 func TestChunkRecordsOfTheParentFormatReadBack(t *testing.T) {
-	r := newTamperRig(t, 6, true, ecConfig)
-	codec := r.h.ctl.codec
-	rewrite := func(di int, key string, idx int64) {
-		rec, err := codec.DecodeChunkInto(r.raw(di, key, 0, idx), nil, key, 0, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Meta.ContentHash != ([32]byte{}) {
-			t.Fatalf("sealed chunk %d of %q carries a content hash", idx, key)
-		}
-		rec.Meta.ContentHash = store.HashContent(rec.Payload)
-		blob, err := codec.EncodeRecord(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.plant(di, key, 0, idx, blob)
-	}
-	ec, rep := streamPayload(4*streamChunkSize+9), streamPayload(streamChunkSize+9)
-	r.put("ec", ec)
-	r.put("rep", rep)
-	group := r.h.ctl.ecGroup("ec", 6)
-	for idx := int64(0); idx < 5; idx++ {
-		rewrite(ecDataHome(group, idx, 4), "ec", idx)
-	}
-	for _, di := range r.h.ctl.placement("rep") {
-		rewrite(di, "rep", 0)
-		rewrite(di, "rep", 1)
-	}
-	r.wantIntact("ec", 0, ec)
-	r.wantIntact("rep", 0, rep)
-	for _, key := range []string{"ec", "rep"} {
-		if _, err := r.s.Verify(r.ctx, key, 0); err != nil {
-			t.Errorf("verify %q: %v", key, err)
-		}
-		if report, err := r.s.Repair(r.ctx, key); err != nil || report.Restored != 0 {
-			t.Errorf("repair %q rewrote healthy parent-format records: %+v %v", key, report, err)
-		}
-	}
-	if st := r.h.ctl.stats.Snapshot(); st.ECDecodes != 0 {
-		t.Errorf("parent-format shards were decoded around: %d", st.ECDecodes)
+	for _, hashed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hashed=%v", hashed), func(t *testing.T) {
+			r := newTamperRig(t, 6, true, ecConfig)
+			ec, rep := streamPayload(4*streamChunkSize+9), streamPayload(streamChunkSize+9)
+			r.put("ec", ec)
+			r.put("rep", rep)
+			r.parentFormat("ec", hashed)
+			r.parentFormat("rep", hashed)
+			r.wantIntact("ec", 0, ec)
+			r.wantIntact("rep", 0, rep)
+			for _, key := range []string{"ec", "rep"} {
+				if _, err := r.s.Verify(r.ctx, key, 0); err != nil {
+					t.Errorf("verify %q: %v", key, err)
+				}
+				if report, err := r.s.Repair(r.ctx, key); err != nil || report.Restored != 0 {
+					t.Errorf("repair %q rewrote healthy parent-format records: %+v %v", key, report, err)
+				}
+			}
+			if st := r.h.ctl.stats.Snapshot(); st.ECDecodes != 0 {
+				t.Errorf("parent-format shards were decoded around: %d", st.ECDecodes)
+			}
+			for _, key := range []string{"ec", "rep"} {
+				if err := r.s.Delete(r.ctx, key, DeleteOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				start, end := store.ChunkKeyRange(key)
+				for di := range r.h.ctl.drives {
+					if keys, err := r.h.ctl.rangeAll(r.ctx, r.h.ctl.drives[di], start, end); err != nil || len(keys) != 0 {
+						t.Errorf("drive %d holds %d chunk records of %q after delete (%v)", di, len(keys), key, err)
+					}
+				}
+			}
+		})
 	}
 }

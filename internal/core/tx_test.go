@@ -124,8 +124,8 @@ func TestTxBoundary(t *testing.T) {
 			if after != before {
 				t.Errorf("the abort had an effect:\nbefore %+v\nafter  %+v", before, after)
 			}
-			if n, m := ctl.commits.held(), ctl.uploads.held(); n+m != 0 {
-				t.Errorf("the abort left %d keys locked in commits, %d in uploads", n, m)
+			if n := ctl.commits.held(); n != 0 {
+				t.Errorf("the abort left %d keys locked", n)
 			}
 		})
 	}
@@ -169,8 +169,8 @@ func TestTxBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n, m := ctl.commits.held(), ctl.uploads.held(); n+m != 0 {
-			t.Errorf("500 commits left %d keys locked in commits, %d in uploads", n, m)
+		if n := ctl.commits.held(); n != 0 {
+			t.Errorf("500 commits left %d keys locked", n)
 		}
 	})
 

@@ -51,6 +51,21 @@ type Meta struct {
 	// pre-EC records — and pre-chunk records — decode unchanged.
 	ECK int64
 	ECM int64
+	// Upload is the id a streamed version's upload drew (NewUploadID)
+	// to name its chunk records. It rides as an optional trailing varint
+	// after ECK/ECM (both zero on a replicated stub); a stub written
+	// before it existed decodes with 0.
+	Upload int64
+}
+
+// ChunkSet is what a streamed version's chunk records are named by
+// (ChunkKey, ChunkID): its upload id, or its version for a stub
+// written before uploads drew one.
+func (m *Meta) ChunkSet() int64 {
+	if m.Upload != 0 {
+		return m.Upload
+	}
+	return m.Version
 }
 
 // StorageClass renders the version's storage class for listings and
@@ -74,9 +89,12 @@ func (m *Meta) marshal() []byte {
 	buf = append(buf, m.PolicyHash[:]...)
 	if m.Chunks > 0 {
 		buf = binary.AppendVarint(buf, m.Chunks)
-		if m.ECK > 0 {
+		if m.ECK > 0 || m.Upload != 0 {
 			buf = binary.AppendVarint(buf, m.ECK)
 			buf = binary.AppendVarint(buf, m.ECM)
+		}
+		if m.Upload != 0 {
+			buf = binary.AppendVarint(buf, m.Upload)
 		}
 	}
 	return buf
@@ -119,7 +137,7 @@ func (m *Meta) unmarshal(data []byte) error {
 	}
 	copy(m.PolicyHash[:], data)
 	data = data[32:]
-	m.Chunks, m.ECK, m.ECM = 0, 0, 0
+	m.Chunks, m.ECK, m.ECM, m.Upload = 0, 0, 0, 0
 	if len(data) > 0 {
 		m.Chunks, n = binary.Varint(data)
 		if n <= 0 || m.Chunks < 0 {
@@ -129,12 +147,19 @@ func (m *Meta) unmarshal(data []byte) error {
 	}
 	if len(data) > 0 {
 		m.ECK, n = binary.Varint(data)
-		if n <= 0 || m.ECK <= 0 {
+		if n <= 0 || m.ECK < 0 {
 			return ErrCorrupt
 		}
 		data = data[n:]
 		m.ECM, n = binary.Varint(data)
-		if n <= 0 || m.ECM <= 0 {
+		if n <= 0 || m.ECM < 0 || (m.ECM == 0) != (m.ECK == 0) {
+			return ErrCorrupt
+		}
+		data = data[n:]
+	}
+	if len(data) > 0 {
+		m.Upload, n = binary.Varint(data)
+		if n <= 0 || m.Upload < uploadBase {
 			return ErrCorrupt
 		}
 	}
@@ -225,12 +250,13 @@ func (c *Codec) EncodeRecordInto(dst []byte, rec *Record) ([]byte, error) {
 // EncodeChunkInto encodes one chunk record of a streamed version — a
 // data chunk or, at a ParityIndex, a parity shard — into dst as
 // EncodeRecordInto does. The chunk id binds the record to its object,
-// version and index. A sealed chunk carries a zero ContentHash in the
-// same fixed-width field: its tag already authenticates the payload,
-// so hashing every streamed byte a second time would buy nothing; a
-// plain chunk has no tag and carries the hash that stands in for one.
-func (c *Codec) EncodeChunkInto(dst []byte, key string, version, idx int64, payload []byte) ([]byte, error) {
-	m := Meta{Key: ChunkID(key, version, idx), Version: version, Size: int64(len(payload))}
+// chunk set (Meta.ChunkSet) and index. A sealed chunk carries a zero
+// ContentHash in the same fixed-width field: its tag already
+// authenticates the payload, so hashing every streamed byte a second
+// time would buy nothing; a plain chunk has no tag and carries the hash
+// that stands in for one.
+func (c *Codec) EncodeChunkInto(dst []byte, key string, set, idx int64, payload []byte) ([]byte, error) {
+	m := Meta{Key: ChunkID(key, set, idx), Version: set, Size: int64(len(payload))}
 	if !c.enabled {
 		m.ContentHash = HashContent(payload)
 	}
@@ -291,14 +317,14 @@ func (c *Codec) DecodeRecordInto(data, buf []byte) (*Record, error) {
 }
 
 // DecodeChunkInto is DecodeRecordInto for the chunk record expected at
-// (key, version, idx): an intact record bound to any other object,
-// version or index — a transplanted chunk — is ErrCorrupt.
-func (c *Codec) DecodeChunkInto(data, buf []byte, key string, version, idx int64) (*Record, error) {
+// (key, set, idx): an intact record bound to any other object, chunk
+// set or index — a transplanted or replayed chunk — is ErrCorrupt.
+func (c *Codec) DecodeChunkInto(data, buf []byte, key string, set, idx int64) (*Record, error) {
 	rec, err := c.DecodeRecordInto(data, buf)
 	if err != nil {
 		return nil, err
 	}
-	if rec.Meta.Key != ChunkID(key, version, idx) {
+	if rec.Meta.Key != ChunkID(key, set, idx) {
 		return nil, ErrCorrupt
 	}
 	return rec, nil
@@ -346,14 +372,14 @@ func HashContent(payload []byte) [32]byte { return sha256.Sum256(payload) }
 // clients (NUL excluded at the API boundary); the controller
 // namespaces them:
 //
-//	h\x00<key>\x00<ver be64><idx be32>   payload chunk of a streamed version
+//	h\x00<key>\x00<set be64><idx be32>   payload chunk of a streamed version's chunk set
 //	m\x00<key>                           latest metadata record
 //	o\x00<key>\x00<ver be64>             object record at a version
 //	p\x00<policyID>                      compiled policy program
 //
 // The big-endian version suffix makes GetKeyRange enumerate versions
 // in order, which the versioned-store use case relies on (§5.3); the
-// chunk index suffix does the same for a streamed version's chunks.
+// chunk index suffix does the same for a chunk set's chunks.
 const (
 	nsChunk  = 'h'
 	nsMeta   = 'm'
@@ -400,15 +426,15 @@ func VersionFromObjectKey(driveKey []byte) (string, int64, error) {
 	return key, int64(ver), nil
 }
 
-// ChunkKey returns the drive key of one payload chunk of a streamed
-// object version.
-func ChunkKey(key string, version int64, idx int64) []byte {
+// ChunkKey returns the drive key of chunk idx of an object's chunk set
+// (Meta.ChunkSet).
+func ChunkKey(key string, set int64, idx int64) []byte {
 	out := make([]byte, 0, len(key)+15)
 	out = append(out, nsChunk, sep)
 	out = append(out, key...)
 	out = append(out, sep)
 	var v [8]byte
-	binary.BigEndian.PutUint64(v[:], uint64(version))
+	binary.BigEndian.PutUint64(v[:], uint64(set))
 	out = append(out, v[:]...)
 	var i [4]byte
 	binary.BigEndian.PutUint32(i[:], uint32(idx))
@@ -422,10 +448,21 @@ func ChunkKeyRange(key string) (start, end []byte) {
 }
 
 // ChunkID is the logical name bound into a chunk record's metadata so
-// chunks cannot be transplanted between objects, versions or indexes
+// chunks cannot be transplanted between objects, chunk sets or indexes
 // without detection (the codec authenticates the metadata).
-func ChunkID(key string, version int64, idx int64) string {
-	return fmt.Sprintf("%s\x00%d.%d", key, version, idx)
+func ChunkID(key string, set int64, idx int64) string {
+	return fmt.Sprintf("%s\x00%d.%d", key, set, idx)
+}
+
+// uploadBase is the lowest upload id. Ids lie in [1<<62, 1<<63), which
+// no version reaches, so an upload never names a version's chunk set.
+const uploadBase = int64(1) << 62
+
+// NewUploadID draws a streamed upload's id (Meta.Upload).
+func NewUploadID() int64 {
+	var b [8]byte
+	_, _ = rand.Read(b[:]) // crypto/rand's Read never fails
+	return uploadBase | int64(binary.BigEndian.Uint64(b[:])>>2)
 }
 
 // ParityIndexBase offsets erasure-coding parity shards into the upper

@@ -70,10 +70,36 @@ func TestMetaUnmarshalGarbage(t *testing.T) {
 	}
 }
 
+// TestChunkSet: an upload id lies where no version reaches, names its
+// stub's chunk set, and a stub without one names its chunks by version;
+// a record claiming an id below the range does not open.
+func TestChunkSet(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		if id := NewUploadID(); id < 1<<62 {
+			t.Fatalf("upload id %d below 1<<62", id)
+		}
+	}
+	m := sampleMeta()
+	m.Chunks = 3
+	if m.ChunkSet() != m.Version {
+		t.Errorf("id-less stub names set %d, want its version %d", m.ChunkSet(), m.Version)
+	}
+	m.Upload = NewUploadID()
+	if m.ChunkSet() != m.Upload {
+		t.Errorf("upload-named stub names set %d, want %d", m.ChunkSet(), m.Upload)
+	}
+	c := testCodec(t, true)
+	m.Upload = m.Version
+	if _, err := decodeMeta(c, c.EncodeMeta(&m), m.Key); err == nil {
+		t.Error("a stub naming its chunks by an id in the version range opened")
+	}
+}
+
 // TestEncodeMetaParentBytes pins the head record's format: EncodeMeta
 // writes, byte for byte, what the bare metadata marshal wrote before the
 // codec owned the record, and DecodeMeta opens it back. A format change
-// is a deliberate edit of this table.
+// is a deliberate edit of this table: an upload-named stub appends its
+// id after ECK/ECM, zeros on a replicated stub.
 func TestEncodeMetaParentBytes(t *testing.T) {
 	var h, ph [32]byte
 	h[0], h[31], ph[0], ph[31] = 1, 0x1f, 2, 0x2f
@@ -82,6 +108,8 @@ func TestEncodeMetaParentBytes(t *testing.T) {
 	chunked.Version, chunked.Size, chunked.Chunks = 300, 3<<20, 3
 	ec := chunked
 	ec.Chunks, ec.ECK, ec.ECM = 9, 4, 2
+	uploaded, ecUploaded := chunked, ec
+	uploaded.Upload, ecUploaded.Upload = 1<<62+5, 1<<63-1
 	noPolicy := inline
 	noPolicy.PolicyID, noPolicy.PolicyHash = "", [32]byte{}
 	binary := inline
@@ -96,6 +124,8 @@ func TestEncodeMetaParentBytes(t *testing.T) {
 		{"inline", inline, "036f626a060a" + hashes + policy},
 		{"chunked", chunked, "036f626ad8048080800301" + hashes[2:] + policy + "06"},
 		{"erasure-coded", ec, "036f626ad8048080800301" + hashes[2:] + policy + "120804"},
+		{"upload-named", uploaded, "036f626ad8048080800301" + hashes[2:] + policy + "06" + "0000" + "8a808080808080808001"},
+		{"upload-named erasure-coded", ecUploaded, "036f626ad8048080800301" + hashes[2:] + policy + "120804" + "feffffffffffffffff01"},
 		{"no policy", noPolicy, "036f626a060a" + hashes + "00" + strings.Repeat("00", 32)},
 		{"binary key", binary, "06fffe0162696e000a" + hashes + policy},
 	} {
@@ -544,13 +574,17 @@ func FuzzDecodeMeta(f *testing.F) {
 	f.Add(c.EncodeMeta(&m), "another")
 	m.Chunks, m.ECK, m.ECM = 9, 4, 2
 	f.Add(c.EncodeMeta(&m), m.Key)
+	m.Upload = 1<<62 + 5
+	f.Add(c.EncodeMeta(&m), m.Key)
+	m.ECK, m.ECM = 0, 0
+	f.Add(c.EncodeMeta(&m), m.Key)
 	m.Key, m.PolicyID = "", ""
 	f.Add(c.EncodeMeta(&m), "")
 	f.Add([]byte{}, "")
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "obj")
 	f.Fuzz(func(t *testing.T, data []byte, key string) {
 		got, err := decodeMeta(c, data, key)
-		used := Meta{Key: "another", Version: 77, PolicyID: "policy", Chunks: 3, ECK: 2, ECM: 1}
+		used := Meta{Key: "another", Version: 77, PolicyID: "policy", Chunks: 3, ECK: 2, ECM: 1, Upload: 1 << 62}
 		if uerr := c.DecodeMeta(data, key, &used); (uerr == nil) != (err == nil) {
 			t.Fatalf("fresh decode: %v, decode into a used Meta: %v", err, uerr)
 		}
@@ -565,7 +599,8 @@ func FuzzDecodeMeta(f *testing.F) {
 		}
 		want := *got
 		if want.Chunks == 0 {
-			want.ECK, want.ECM = 0, 0 // the encoding carries a stripe shape only for chunked objects
+			// the encoding carries a stripe shape and an upload id only for chunked objects
+			want.ECK, want.ECM, want.Upload = 0, 0, 0
 		}
 		again, err := decodeMeta(c, c.EncodeMeta(&want), key)
 		if err != nil || *again != want {
@@ -576,7 +611,7 @@ func FuzzDecodeMeta(f *testing.F) {
 
 // recordSeeds are the record shapes the drives hold: an inline object,
 // a data chunk, a parity shard at its reserved index, and a chunk stub
-// (replicated and erasure-coded).
+// (replicated and erasure-coded, named by its version or by an upload).
 func recordSeeds() []*Record {
 	inline := &Record{Meta: sampleMeta(), Payload: []byte("an inline object's bytes")}
 	inline.Meta.Size = int64(len(inline.Payload))
@@ -585,7 +620,9 @@ func recordSeeds() []*Record {
 	stub.Meta.Size, stub.Meta.Chunks = 3<<20, 3
 	ecStub := &Record{Meta: stub.Meta}
 	ecStub.Meta.Chunks, ecStub.Meta.ECK, ecStub.Meta.ECM = 9, 4, 2
-	return []*Record{inline, stub, ecStub}
+	uploaded, ecUploaded := &Record{Meta: stub.Meta}, &Record{Meta: ecStub.Meta}
+	uploaded.Meta.Upload, ecUploaded.Meta.Upload = 1<<62+5, 1<<63-1
+	return []*Record{inline, stub, ecStub, uploaded, ecUploaded}
 }
 
 // FuzzDecodeRecord: record bytes come straight off an untrusted drive.

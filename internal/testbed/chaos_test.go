@@ -502,14 +502,14 @@ func TestStreamSurvivesDriveKillMidPut(t *testing.T) {
 	// records for this key.
 	payload := make([]byte, 3*store.MaxObjectSize-512)
 	rand.New(rand.NewSource(7)).Read(payload)
-	res, err := putStream(bytes.NewReader(payload))
-	if err != nil {
+	if _, err := putStream(bytes.NewReader(payload)); err != nil {
 		t.Fatalf("seed PutStream: %v", err)
 	}
+	set := chunkSet(t, c.Controller, key)
 	victim := -1
 	for di := 0; di < drives && victim < 0; di++ {
 		for idx := int64(0); idx < 3; idx++ {
-			if driveHasRecord(t, c, di, store.ChunkKey(key, res.Version, idx)) {
+			if driveHasRecord(t, c, di, store.ChunkKey(key, set, idx)) {
 				victim = di
 			}
 		}

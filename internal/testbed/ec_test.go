@@ -29,17 +29,27 @@ func ecOpts(drives int) Options {
 	return o
 }
 
-// ecShardKeys enumerates every shard record key of an EC object: the
-// data chunks plus each stripe's parity records.
-func ecShardKeys(key string, version, chunks int64, k, m int) [][]byte {
+// chunkSet is the chunk set key's head stub names its chunk records by.
+func chunkSet(t *testing.T, ctl *core.Controller, key string) int64 {
+	t.Helper()
+	meta, _, err := ctl.Session("chunk-set").GetStream(context.Background(), key, core.GetOptions{})
+	if err != nil {
+		t.Fatalf("stub of %q: %v", key, err)
+	}
+	return meta.ChunkSet()
+}
+
+// ecShardKeys enumerates every shard record key of an EC object's chunk
+// set: the data chunks plus each stripe's parity records.
+func ecShardKeys(key string, set, chunks int64, k, m int) [][]byte {
 	var out [][]byte
 	for idx := int64(0); idx < chunks; idx++ {
-		out = append(out, store.ChunkKey(key, version, idx))
+		out = append(out, store.ChunkKey(key, set, idx))
 	}
 	stripes := (chunks + int64(k) - 1) / int64(k)
 	for t := int64(0); t < stripes; t++ {
 		for j := 0; j < m; j++ {
-			out = append(out, store.ChunkKey(key, version, store.ParityIndex(t, int64(m), int64(j))))
+			out = append(out, store.ChunkKey(key, set, store.ParityIndex(t, int64(m), int64(j))))
 		}
 	}
 	return out
@@ -78,8 +88,8 @@ func TestECDriveKillAcceptance(t *testing.T) {
 	if err != nil || res.Err != nil {
 		t.Fatalf("PutStream: %v %v", err, res.Err)
 	}
-	version, chunks := res.Version, int64(6)
-	shardKeys := ecShardKeys(key, version, chunks, k, m)
+	chunks := int64(6)
+	shardKeys := ecShardKeys(key, chunkSet(t, c.Controller, key), chunks, k, m)
 
 	// Map every shard to its home drive.
 	shardHome := make(map[string]int, len(shardKeys))
@@ -354,7 +364,7 @@ func newECHandoff(t *testing.T) *ecHandoff {
 	if res := src.PutStream(context.Background(), f.key, bytes.NewReader(f.payload), core.PutOptions{}); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	f.shards = ecShardKeys(f.key, 0, 6, 4, 2)
+	f.shards = ecShardKeys(f.key, chunkSet(t, mc.Nodes[0].Controller, f.key), 6, 4, 2)
 	if got := f.held(t, 0); got != len(f.shards) {
 		t.Fatalf("source holds %d of %d shard records", got, len(f.shards))
 	}
