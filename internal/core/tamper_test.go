@@ -370,6 +370,34 @@ func TestTamperMatrix(t *testing.T) {
 					t.Errorf("verify over a replayed chunk on every replica: %v", err)
 				}
 			})
+			// A stub written before uploads drew an id names its chunks
+			// by version, so an earlier upload's chunk carries the same
+			// chunk id and opens: only the whole-object hash refuses it.
+			t.Run("parent-format stub over a replayed chunk of an earlier upload", func(t *testing.T) {
+				r := newTamperRig(t, 3, sealed, func(c *Config) { c.Replicas = 2 })
+				first := streamPayload(2*streamChunkSize + 5)
+				second := streamPayload(2*streamChunkSize + 5)
+				second[3] ^= 0xff
+				r.put("again", first)
+				r.parentFormat("again", false)
+				placement := r.h.ctl.placement("again")
+				stale := r.raw(placement[0], "again", 0, 0)
+				if err := r.s.Delete(r.ctx, "again", DeleteOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				r.put("again", second)
+				r.parentFormat("again", false)
+				r.wantIntact("again", 0, second)
+				for _, di := range placement {
+					r.plant(di, "again", 0, 0, stale)
+				}
+				if _, err := r.read("again", 0); !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "whole-object hash") {
+					t.Errorf("read over a replayed parent-format chunk: %v, want the whole-object hash refusal", err)
+				}
+				if _, err := r.s.Verify(r.ctx, "again", 0); !errors.Is(err, store.ErrCorrupt) {
+					t.Errorf("verify over a replayed parent-format chunk: %v", err)
+				}
+			})
 
 			// An authentic version record in the wrong place: the inline
 			// twin of a swapped chunk. transplantRig stores "secret" (which

@@ -156,6 +156,11 @@ func (m *Meta) unmarshal(data []byte) error {
 			return ErrCorrupt
 		}
 		data = data[n:]
+		// A zero pair is only ever written ahead of an upload id: alone
+		// it would be a second encoding of the stub without it.
+		if m.ECK == 0 && len(data) == 0 {
+			return ErrCorrupt
+		}
 	}
 	if len(data) > 0 {
 		m.Upload, n = binary.Varint(data)

@@ -68,6 +68,13 @@ func TestMetaUnmarshalGarbage(t *testing.T) {
 	if _, err := decodeMeta(c, nil, ""); err == nil {
 		t.Error("nil accepted")
 	}
+	// A replicated chunked stub followed by a zero ECK/ECM pair and no
+	// upload id: the pair is only written ahead of an id.
+	m.Chunks = 3
+	zeroPair := append(c.EncodeMeta(&m), 0x00, 0x00)
+	if _, err := decodeMeta(c, zeroPair, m.Key); err == nil {
+		t.Error("a zero ECK/ECM pair without an upload id accepted")
+	}
 }
 
 // TestChunkSet: an upload id lies where no version reaches, names its
