@@ -32,30 +32,50 @@ import (
 	"repro/internal/policy/lang"
 )
 
+// options are policyc's compile-mode flags and its one argument, the
+// policy file ("-" for stdin).
+type options struct {
+	out, session, op, file        string
+	print, hash, analyze, explain bool
+}
+
+// parseFlags parses policyc's compile-mode command line.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("policyc", flag.ContinueOnError)
+	fs.StringVar(&o.out, "o", "", "write the compiled binary program to this file")
+	fs.BoolVar(&o.print, "print", true, "print the canonical (decompiled) policy text")
+	fs.BoolVar(&o.hash, "hash", true, "print the policy hash / identifier")
+	fs.BoolVar(&o.analyze, "analyze", true, "print the static policy analysis")
+	fs.BoolVar(&o.explain, "explain", false, "print the clause index and, with -session, the session residual")
+	fs.StringVar(&o.session, "session", "", "session key (hex fingerprint) to partially evaluate the policy for")
+	fs.StringVar(&o.op, "op", "", "restrict -explain residuals to one permission (read, update, delete)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() != 1 {
+		return o, fmt.Errorf("usage: policyc [-o file] [-print] [-hash] <policy-file | ->")
+	}
+	o.file = fs.Arg(0)
+	return o, nil
+}
+
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "audit" {
 		auditMain(os.Args[2:])
 		return
 	}
-	out := flag.String("o", "", "write the compiled binary program to this file")
-	print := flag.Bool("print", true, "print the canonical (decompiled) policy text")
-	hash := flag.Bool("hash", true, "print the policy hash / identifier")
-	analyze := flag.Bool("analyze", true, "print the static policy analysis")
-	explain := flag.Bool("explain", false, "print the clause index and, with -session, the session residual")
-	session := flag.String("session", "", "session key (hex fingerprint) to partially evaluate the policy for")
-	op := flag.String("op", "", "restrict -explain residuals to one permission (read, update, delete)")
-	flag.Parse()
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: policyc [-o file] [-print] [-hash] <policy-file | ->")
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "policyc: %v\n", err)
 		os.Exit(2)
 	}
+
 	var src []byte
-	var err error
-	if flag.Arg(0) == "-" {
+	if o.file == "-" {
 		src, err = io.ReadAll(os.Stdin)
 	} else {
-		src, err = os.ReadFile(flag.Arg(0))
+		src, err = os.ReadFile(o.file)
 	}
 	if err != nil {
 		fatal(err)
@@ -69,19 +89,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *hash {
+	if o.hash {
 		h := prog.Hash()
 		fmt.Printf("policy id: %x\n", h)
 		fmt.Printf("compiled size: %d bytes (%d constants)\n", len(bin), len(prog.Consts))
 	}
-	if *print {
+	if o.print {
 		text, err := prog.Source()
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(text)
 	}
-	if *analyze {
+	if o.analyze {
 		a := policy.Analyze(prog)
 		fmt.Printf("grants: read=%v update=%v delete=%v\n",
 			a.Grants[lang.PermRead], a.Grants[lang.PermUpdate], a.Grants[lang.PermDelete])
@@ -115,27 +135,27 @@ func main() {
 		}
 		fmt.Printf("%d clauses, %d predicate applications\n", a.Clauses, a.PredicateCount)
 	}
-	if *explain {
+	if o.explain {
 		fmt.Println("clause index:")
 		fmt.Print(policy.ExplainIndex(prog))
-		if *session != "" {
+		if o.session != "" {
 			perms := []lang.Perm{lang.PermRead, lang.PermUpdate, lang.PermDelete}
-			if *op != "" {
-				p, err := permByName(*op)
+			if o.op != "" {
+				p, err := permByName(o.op)
 				if err != nil {
 					fatal(err)
 				}
 				perms = []lang.Perm{p}
 			}
 			for _, p := range perms {
-				r := policy.PartialEval(prog, p, *session)
-				fmt.Printf("residual for session k'%s', %s:\n", *session, p)
+				r := policy.PartialEval(prog, p, o.session)
+				fmt.Printf("residual for session k'%s', %s:\n", o.session, p)
 				fmt.Print(indent(r.Explain()))
 			}
 		}
 	}
-	if *out != "" {
-		if err := os.WriteFile(*out, bin, 0o644); err != nil {
+	if o.out != "" {
+		if err := os.WriteFile(o.out, bin, 0o644); err != nil {
 			fatal(err)
 		}
 	}

@@ -354,6 +354,33 @@ var rules = []rule{
 			new:  "gatherQuietPolls   = 2\n\tgenerationStallTimeout = 5 * time.Second",
 		}},
 	},
+	// Every commit ships write-through, a transaction's like a put's: the
+	// controller never asks a drive for write-back, so no loop is left
+	// with bytes to destage, and enqueue is the one way to a drive's
+	// commit loop.
+	{
+		name:  "one-durability",
+		check: nowhere(sym{pkg: "repro/internal/kinetic/wire", names: []string{"SyncWriteBack"}}, core...),
+		mutants: []mutant{{
+			file: "internal/core/tx.go",
+			old:  "\"repro/internal/authority\"\n)",
+			new: "\"repro/internal/authority\"\n\t\"repro/internal/kinetic/wire\"\n)\n\n" +
+				"func txSync(replicas int) wire.SyncMode {\n\tif replicas > 1 {\n\t\treturn wire.SyncWriteBack\n\t}\n\treturn wire.SyncWriteThrough\n}",
+		}},
+	},
+	{
+		name:  "trailing-flush-gone",
+		check: gone(core, "trailingFlush", "Controller.driveBatch"),
+		mutants: []mutant{{
+			file: "internal/core/gcommit.go",
+			old:  "func (g *groupScheduler) wait() { g.wg.Wait() }",
+			new:  "func (g *groupScheduler) wait() { g.wg.Wait() }\n\nfunc (g *groupScheduler) trailingFlush(di int) {\n\t_ = g.c.drives[di].pick().Flush(context.Background())\n}",
+		}, {
+			file: "internal/core/replicate.go",
+			old:  "func (c *Controller) commit(",
+			new:  "func (c *Controller) driveBatch(ctx context.Context, di int, ops []wire.BatchOp, payload int) error {\n\treturn c.gcommit.enqueue(ctx, di, ops, payload)\n}\n\nfunc (c *Controller) commit(",
+		}},
+	},
 	// The head record is opened by the codec's bound opener only, and
 	// the sweeper decides from the copies its walk carries instead of
 	// re-reading each head's version stamp.

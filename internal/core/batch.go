@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/authority"
-	"repro/internal/kinetic/wire"
 )
 
 // MaxBatchRequestOps caps the operations of one v2 batch request.
@@ -157,7 +156,7 @@ func (c *Controller) batchPut(ctx context.Context, sessionKey string, ops []Batc
 	}
 
 	if len(staged) > 0 {
-		if err := c.commit(ctx, staged, wire.SyncWriteThrough); err != nil {
+		if err := c.commit(ctx, staged); err != nil {
 			// One fan-out failed; every surviving op shares its fate
 			// (commit already dropped the affected cache entries).
 			for _, i := range stagedIdx {

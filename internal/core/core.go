@@ -302,7 +302,7 @@ type Stats struct {
 	WrongShard          obs.Counter // operations redirected to another shard
 	GroupBatches        obs.Counter // drive batches shipped by the group scheduler (merged or not)
 	GroupedWrites       obs.Counter // write groups that shared a merged drive batch
-	TrailingFlushes     obs.Counter // idle destages of write-back batches
+	TrailingFlushes     obs.Counter // always 0 (every commit ships write-through); kept because benchmark/counters.go reads it
 	ReadBytes           obs.Counter // payload bytes served to readers
 	WriteBytes          obs.Counter // payload bytes accepted from writers
 	Repairs             obs.Counter // objects re-replicated by repair (on-demand or sweep)

@@ -94,9 +94,8 @@ const (
 // commit queue.
 type commitGroup struct {
 	ops   []wire.BatchOp
-	bytes int           // payload bytes (drive-IO accounting)
-	sync  wire.SyncMode // durability the submitter needs
-	done  chan error    // buffered(1); nil error = committed
+	bytes int        // payload bytes (drive-IO accounting)
+	done  chan error // buffered(1); nil error = committed
 }
 
 // commitBatch is the groups a drive's loop is about to ship, with their
@@ -139,7 +138,7 @@ type groupScheduler struct {
 
 	wakes []chan struct{} // per drive, cap 1: its queue became non-empty
 	stop  chan struct{}   // closed on shutdown
-	wg    sync.WaitGroup  // the loops and their trailing flushes
+	wg    sync.WaitGroup  // the loops
 }
 
 // newGroupScheduler builds the scheduler and starts one loop per drive.
@@ -159,15 +158,16 @@ func newGroupScheduler(c *Controller) *groupScheduler {
 	return g
 }
 
-// enqueue submits one group for drive di and blocks until the drive's
-// loop commits it (nil), the drive rejects it (the group's
-// CAS/permission error, with BatchError indexes relative to the
-// group), or ctx is cancelled. ops stays the caller's and is only
+// enqueue is the one way a logical write's sub-operations reach a
+// drive: it submits them as one group for drive di and blocks until the
+// drive's loop commits it write-through (nil), the drive rejects it
+// (the group's CAS/permission error, with BatchError indexes relative
+// to the group), or ctx is cancelled. ops stays the caller's and is only
 // read. A cancelled waiter does not revoke an already-in-flight group —
 // like a cancelled round trip, the write may still commit, and the
 // caller's cache invalidation handles it.
-func (g *groupScheduler) enqueue(ctx context.Context, di int, ops []wire.BatchOp, bytes int, sync wire.SyncMode) error {
-	grp := &commitGroup{ops: ops, bytes: bytes, sync: sync, done: make(chan error, 1)}
+func (g *groupScheduler) enqueue(ctx context.Context, di int, ops []wire.BatchOp, bytes int) error {
+	grp := &commitGroup{ops: ops, bytes: bytes, done: make(chan error, 1)}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -228,15 +228,14 @@ func (g *groupScheduler) shutdown() {
 func (g *groupScheduler) wait() { g.wg.Wait() }
 
 // run is drive di's commit loop: pop a cap-fitting prefix of the queue,
-// gather more when the previous batch was merged, ship, repeat; destage
-// write-back bytes with a trailing flush whenever the queue empties.
+// gather more when the previous batch was merged, ship, repeat.
 // One batch per drive is in flight at a time: accumulating the queue
 // for exactly the outstanding batch's duration is what sizes the next
 // one, and a deeper pipeline was measured to fragment batches.
 func (g *groupScheduler) run(di int) {
 	defer g.wg.Done()
 	var b commitBatch
-	var merged, dirty bool
+	var merged bool
 	for {
 		select {
 		case <-g.stop:
@@ -254,15 +253,9 @@ func (g *groupScheduler) run(di int) {
 				g.gather(di, &b)
 			}
 			merged = len(b.groups) > 1
-			if g.ship(di, b.groups) {
-				dirty = true
-			}
+			g.ship(di, b.groups)
 			clear(b.groups) // do not pin the riders' ops until the next batch
 			b = commitBatch{groups: b.groups[:0]}
-		}
-		if dirty {
-			dirty = false
-			g.trailingFlush(di)
 		}
 	}
 }
@@ -316,22 +309,16 @@ func (g *groupScheduler) gather(di int, b *commitBatch) {
 	}
 }
 
-// ship sends one drive's merged batch and demuxes the verdicts,
-// reporting whether it left write-back bytes for a trailing flush.
-func (g *groupScheduler) ship(di int, batch []*commitGroup) (wroteBack bool) {
+// ship sends one drive's merged batch write-through — every rider is
+// on the medium before its verdict — and demuxes the verdicts.
+func (g *groupScheduler) ship(di int, batch []*commitGroup) {
 	ops := getOps()
 	sizes := make([]uint32, len(batch))
 	bytes := 0
-	// The batch commits write-through unless every rider tolerates
-	// write-back (then one trailing flush destages them together).
-	sync := wire.SyncWriteBack
 	for i, grp := range batch {
 		ops = append(ops, grp.ops...)
 		sizes[i] = uint32(len(grp.ops))
 		bytes += grp.bytes
-		if grp.sync != wire.SyncWriteBack {
-			sync = wire.SyncWriteThrough
-		}
 	}
 
 	cl := g.c.drives[di].pick()
@@ -342,7 +329,7 @@ func (g *groupScheduler) ship(di int, batch []*commitGroup) (wroteBack bool) {
 	// waiter's cancellation must not abort its neighbours, so the
 	// round trip runs detached (waiters honor their own contexts in
 	// enqueue).
-	errs, err := cl.BatchGroups(context.Background(), ops, sizes, sync)
+	errs, err := cl.BatchGroups(context.Background(), ops, sizes, wire.SyncWriteThrough)
 	putOps(ops)
 
 	g.c.stats.GroupBatches.Inc()
@@ -354,39 +341,9 @@ func (g *groupScheduler) ship(di int, batch []*commitGroup) (wroteBack bool) {
 		for _, grp := range batch {
 			grp.done <- err
 		}
-		return false
+		return
 	}
 	for i, grp := range batch {
 		grp.done <- errs[i]
 	}
-	return sync == wire.SyncWriteBack
-}
-
-// trailingFlush destages drive di's buffered write-back bytes once its
-// queue is idle. Riders that chose write-back tolerate losing these
-// records (tx recovery re-derives state from replicas), so the flush
-// trails the acknowledgements instead of gating them — and runs
-// detached, so its media wait never delays a batch that arrives just
-// after the idle transition.
-func (g *groupScheduler) trailingFlush(di int) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		g.c.chargeDriveIO(0)
-		if err := g.c.drives[di].pick().Flush(context.Background()); err != nil {
-			// Advisory destage; the records' durability story is
-			// replication, and the next write-through batch or flush
-			// covers the medium.
-			return
-		}
-		g.c.stats.TrailingFlushes.Inc()
-	}()
-}
-
-// driveBatch is the single choke point for shipping one logical
-// write's sub-operations to one drive: it enqueues them as one group
-// on the drive's commit queue and waits for the verdict. BatchError
-// indexes are relative to ops.
-func (c *Controller) driveBatch(ctx context.Context, di int, ops []wire.BatchOp, payload int, sync wire.SyncMode) error {
-	return c.gcommit.enqueue(ctx, di, ops, payload, sync)
 }

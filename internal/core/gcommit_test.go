@@ -148,9 +148,9 @@ func TestGroupCommitSlowDriveDelaysOnlyItself(t *testing.T) {
 	}
 
 	start := time.Now()
-	if err := h.ctl.driveBatch(ctx, 1, []wire.BatchOp{
+	if err := h.ctl.gcommit.enqueue(ctx, 1, []wire.BatchOp{
 		{Op: wire.BatchPut, Key: []byte("other"), Value: []byte("v"), Force: true, NewVersion: encodeVer(0)},
-	}, 1, wire.SyncWriteThrough); err != nil {
+	}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took >= 100*time.Millisecond {
@@ -166,7 +166,7 @@ func TestGroupCommitSlowDriveDelaysOnlyItself(t *testing.T) {
 // one winner per round and the losers see ErrVersionMismatch, while
 // each round's unrelated keys — merged into the very same drive
 // batches — commit untouched. This drives the committer directly
-// (driveBatch), below the controller's commits locks, which is the
+// (gcommit.enqueue), below the controller's commits locks, which is the
 // only place same-key groups can actually race.
 func TestGroupCommitCASStorm(t *testing.T) {
 	h := newHarness(t, 1, nil)
@@ -180,9 +180,9 @@ func TestGroupCommitCASStorm(t *testing.T) {
 
 	const stormers, rounds = 32, 6
 	// Create the hot key at version 0.
-	err := h.ctl.driveBatch(ctx, 0, []wire.BatchOp{
+	err := h.ctl.gcommit.enqueue(ctx, 0, []wire.BatchOp{
 		{Op: wire.BatchPut, Key: []byte("hot"), Value: []byte("seed"), NewVersion: ver(0)},
-	}, 4, wire.SyncWriteThrough)
+	}, 4)
 	if err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -195,11 +195,11 @@ func TestGroupCommitCASStorm(t *testing.T) {
 			go func(s int) {
 				defer wg.Done()
 				// The contended CAS group.
-				casErr := h.ctl.driveBatch(ctx, 0, []wire.BatchOp{
+				casErr := h.ctl.gcommit.enqueue(ctx, 0, []wire.BatchOp{
 					{Op: wire.BatchPut, Key: []byte("hot"),
 						Value:     []byte(fmt.Sprintf("r%d-s%d", r, s)),
 						DBVersion: ver(int64(r)), NewVersion: ver(int64(r + 1))},
-				}, 8, wire.SyncWriteThrough)
+				}, 8)
 				switch {
 				case casErr == nil:
 					wins.Add(1)
@@ -213,9 +213,9 @@ func TestGroupCommitCASStorm(t *testing.T) {
 				// likely the same merged batches) must never share the
 				// CAS group's fate.
 				bys := []byte(fmt.Sprintf("ok-r%d-s%d", r, s))
-				if err := h.ctl.driveBatch(ctx, 0, []wire.BatchOp{
+				if err := h.ctl.gcommit.enqueue(ctx, 0, []wire.BatchOp{
 					{Op: wire.BatchPut, Key: bys, Value: bys, Force: true, NewVersion: ver(1)},
-				}, len(bys), wire.SyncWriteThrough); err != nil {
+				}, len(bys)); err != nil {
 					t.Errorf("round %d stormer %d: unrelated key failed: %v", r, s, err)
 				}
 			}(s)
@@ -351,47 +351,6 @@ func TestGroupCommitFreezeDrain(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestGroupCommitTrailingFlush: replicated transactions ship their
-// commit batches write-back; once the queue idles the committer must
-// destage them with a trailing flush.
-func TestGroupCommitTrailingFlush(t *testing.T) {
-	h := newHarness(t, 2, func(cfg *Config) { cfg.Replicas = 2 })
-	ctx := context.Background()
-	sess := h.ctl.Session("txer")
-
-	var ops []BatchPutOp
-	for i := 0; i < 3; i++ {
-		ops = append(ops, BatchPutOp{Key: JSONKey(fmt.Sprintf("txk/%d", i)), Value: []byte("v")})
-	}
-	if _, _, err := sess.Tx(ctx, nil, ops, nil); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	// The trailing flush runs once the committer goes idle.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if h.ctl.Stats().Snapshot().TrailingFlushes > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := h.ctl.Stats().Snapshot(); st.TrailingFlushes == 0 {
-		t.Fatal("no trailing flush after a write-back tx commit")
-	}
-	var flushes uint64
-	for _, d := range h.drives {
-		flushes += d.Stats().Flushes.Load()
-	}
-	if flushes == 0 {
-		t.Fatal("drives saw no TFlush")
-	}
-	// And the data is durably readable.
-	for i := 0; i < 3; i++ {
-		if _, _, err := sess.Get(ctx, fmt.Sprintf("txk/%d", i), GetOptions{}); err != nil {
-			t.Fatalf("readback txk/%d: %v", i, err)
-		}
-	}
 }
 
 // TestGroupCommitClose: shutting the controller down under concurrent

@@ -167,7 +167,7 @@ func (c *Controller) putObject(ctx context.Context, sessionKey, key string, valu
 	}
 	// Write-through to every replica (§4.5), then the caches: a batch
 	// of one. See commit in replicate.go.
-	if err := c.commit(ctx, []*replicaWrite{w}, wire.SyncWriteThrough); err != nil {
+	if err := c.commit(ctx, []*replicaWrite{w}); err != nil {
 		return 0, err
 	}
 	return w.rec.Meta.Version, nil
@@ -688,7 +688,7 @@ func (c *Controller) PutPolicy(ctx context.Context, src string) (string, error) 
 			Op: wire.BatchPut, Key: store.PolicyKey(id), Value: blob,
 			NewVersion: []byte{1}, Force: true,
 		}}
-		if err := c.driveBatch(ctx, di, ops, len(blob), wire.SyncWriteThrough); err != nil {
+		if err := c.gcommit.enqueue(ctx, di, ops, len(blob)); err != nil {
 			return fmt.Errorf("core: store policy on drive %s: %w", c.drives[di].name, err)
 		}
 		return nil

@@ -62,8 +62,9 @@ type counterDecl struct {
 }
 
 // counters declares every Stats word once, for both places it is shown.
-// (All but DecisionHits, which counts a cache that no longer exists and
-// stays a field only because benchmark/counters.go reads it.)
+// (All but DecisionHits and TrailingFlushes, which count a cache and a
+// write-back mode that no longer exist and stay fields only because
+// benchmark/counters.go reads them.)
 func (s *Stats) counters() []counterDecl {
 	return []counterDecl{
 		{"puts", `pesos_ops_total{op="put"}`, "Object writes.", &s.Puts},
@@ -86,7 +87,6 @@ func (s *Stats) counters() []counterDecl {
 		{"wrongShard", "pesos_wrong_shard_total", "Operations redirected to another shard.", &s.WrongShard},
 		{"groupBatches", "pesos_group_batches_total", "Drive batches shipped by the group scheduler.", &s.GroupBatches},
 		{"groupedWrites", "pesos_grouped_writes_total", "Write groups that shared a merged drive batch.", &s.GroupedWrites},
-		{"trailingFlushes", "pesos_trailing_flushes_total", "Idle destages of write-back batches.", &s.TrailingFlushes},
 		{"readBytes", "pesos_read_bytes_total", "Payload bytes served to readers.", &s.ReadBytes},
 		{"writeBytes", "pesos_write_bytes_total", "Payload bytes accepted from writers.", &s.WriteBytes},
 		{"repairs", "pesos_repairs_total", "Objects re-replicated by repair.", &s.Repairs},

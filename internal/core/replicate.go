@@ -151,8 +151,8 @@ func (c *Controller) replicationFailed(err error, keys ...string) error {
 // metadata cannot diverge on a replica), and the per-drive streams run
 // concurrently: latency is the slowest replica's round trip, shared with
 // whatever other clients' writes the drive's group scheduler merged
-// alongside. sync selects the durability each group ships with; the
-// group committer destages write-back groups with a trailing flush.
+// alongside. Every group ships write-through, so a commit's reply means
+// every replica holds its writes on the medium, whatever the caller.
 //
 // Callers hold the keys' commits locks and the shard gate across the
 // call. The cache publish happens under them — a concurrent writer must
@@ -160,7 +160,7 @@ func (c *Controller) replicationFailed(err error, keys ...string) error {
 // publish — and a failure invalidates every touched key's metadata
 // before returning. The meta compare-and-swap tokens remain as the
 // cross-controller backstop.
-func (c *Controller) commit(ctx context.Context, writes []*replicaWrite, sync wire.SyncMode) error {
+func (c *Controller) commit(ctx context.Context, writes []*replicaWrite) error {
 	perDrive := make([][]wire.BatchOp, len(c.drives))
 	var drives []int
 	keys := make([]string, len(writes))
@@ -188,7 +188,7 @@ func (c *Controller) commit(ctx context.Context, writes []*replicaWrite, sync wi
 				bytes += sz
 				n += 2
 			}
-			if err := c.driveBatch(sctx, di, ops[:n], bytes, sync); err != nil {
+			if err := c.gcommit.enqueue(sctx, di, ops[:n], bytes); err != nil {
 				return fmt.Errorf("core: write batch to drive %s: %w", c.drives[di].name, err)
 			}
 			ops = ops[n:]
@@ -241,11 +241,11 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guar
 	metaPending := true
 	for len(ops) > 0 {
 		n := min(len(ops), wire.MaxBatchOps)
-		// Each chunk is one group: destruction stays write-through (a
-		// released range's records must be durably gone before the
-		// handoff acknowledges), and the CAS-guarded metadata delete
-		// leading the first chunk protects the whole stream.
-		err := c.driveBatch(ctx, di, ops[:n], 0, wire.SyncWriteThrough)
+		// Each chunk is one group: a released range's records are
+		// durably gone before the handoff acknowledges, and the
+		// CAS-guarded metadata delete leading the first chunk protects
+		// the whole stream.
+		err := c.gcommit.enqueue(ctx, di, ops[:n], 0)
 		if metaPending && err != nil {
 			var be *kclient.BatchError
 			if errors.As(err, &be) && be.Index == 0 && errors.Is(err, kclient.ErrNotFound) {

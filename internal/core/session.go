@@ -93,9 +93,6 @@ func (c *Controller) Session(clientKey string) *Session {
 // sessionTTL is how long an idle session context lives.
 const sessionTTL = 10 * time.Minute
 
-// ClientKey returns the session's owning key fingerprint.
-func (s *Session) ClientKey() string { return s.clientKey }
-
 func (s *Session) touch() { s.lastActive.Store(s.ctl.clock().UnixNano()) }
 
 // Put stores (or updates) an object synchronously, returning the new

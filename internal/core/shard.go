@@ -309,13 +309,6 @@ func (c *Controller) ShardStatus() *ShardStatus {
 	}
 }
 
-// IsStandby reports whether the controller is a hot standby (sharded,
-// not serving).
-func (c *Controller) IsStandby() bool {
-	s := c.shard
-	return s != nil && s.view.Load().standby
-}
-
 // ClusterMapDoc returns the signed cluster map document the controller
 // currently holds (nil when unsharded or never set). The document is
 // opaque to core; internal/cluster defines and verifies its format.

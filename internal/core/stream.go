@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"repro/internal/kinetic/kclient"
-	"repro/internal/kinetic/wire"
 	"repro/internal/store"
 )
 
@@ -418,7 +417,7 @@ func (c *Controller) commitStream(ctx context.Context, sessionKey string, opts P
 	if err != nil {
 		return err
 	}
-	return c.commit(ctx, []*replicaWrite{w}, wire.SyncWriteThrough)
+	return c.commit(ctx, []*replicaWrite{w})
 }
 
 // chunksIntact is the commit-time survival probe: the stub's first and

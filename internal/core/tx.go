@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/authority"
-	"repro/internal/kinetic/wire"
 )
 
 // Tx executes one transaction (§4.4) with full isolation: an atomic
@@ -22,11 +21,9 @@ import (
 // conflict, a key of another shard — aborts the whole transaction with
 // no effect on any key.
 //
-// Atomicity note: within one controller, the key locks make the commit
-// atomic with respect to every other writer; durability of
-// partially-replicated writes after a controller crash is recovered
-// from replicas, as the paper's design relies on (§4.4: "we rely on
-// replication to recover from disk crashes").
+// Atomicity note: the commit is write-through like a put — every
+// replica holds the writes before the reply. All-or-nothing when a
+// drive fails mid-commit is not yet promised (ROADMAP.md, item 3).
 func (s *Session) Tx(ctx context.Context, reads []string, writes []BatchPutOp, certs []*authority.Certificate) ([]BatchGetResult, []OpResult, error) {
 	s.touch()
 	rr, wr, err := s.ctl.transact(ctx, s.clientKey, reads, writes, certs)
@@ -137,20 +134,9 @@ func (c *Controller) transact(ctx context.Context, sessionKey string, reads []st
 	if len(staged) == 0 {
 		return rr, wr, nil
 	}
-	// Transactional commit records tolerate losing a single drive's
-	// write buffer — the paper's design recovers partially-replicated
-	// commits from the surviving replicas (§4.4) — so with replication
-	// in play they ship write-back and the committer destages them
-	// with a trailing flush instead of paying the write-through
-	// penalty per batch. Unreplicated deployments have no second copy
-	// to recover from and stay write-through.
-	sync := wire.SyncWriteThrough
-	if c.cfg.Replicas > 1 {
-		sync = wire.SyncWriteBack
-	}
 	// The keys are locked, so a failure here means replica failure or an
 	// out-of-band writer.
-	if err := c.commit(ctx, staged, sync); err != nil {
+	if err := c.commit(ctx, staged); err != nil {
 		return nil, nil, fmt.Errorf("pesos: tx commit: %w", err)
 	}
 	return rr, wr, nil

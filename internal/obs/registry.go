@@ -136,13 +136,8 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 // Histogram registers and returns a new latency histogram.
 func (r *Registry) Histogram(name, help string) *Histogram {
 	h := &Histogram{}
-	r.RegisterHistogram(name, help, h)
-	return h
-}
-
-// RegisterHistogram registers an existing histogram.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	r.register(&metric{name: name, help: help, kind: kindHistogram, hist: h})
+	return h
 }
 
 // WritePrometheus renders every registered series in the text

@@ -21,11 +21,6 @@ import (
 	"repro/internal/netx"
 )
 
-// DriveLink returns the directed network path from this node to drive
-// i — cut it to partition the controller from that drive without
-// affecting other nodes sharing the drive.
-func (c *Cluster) DriveLink(i int) *netx.Link { return c.driveLinks[i] }
-
 // CutDrive severs this node's path to drive i (the drive itself stays
 // healthy; other nodes still reach it).
 func (c *Cluster) CutDrive(i int) { c.driveLinks[i].Cut() }
@@ -38,13 +33,6 @@ func (c *Cluster) HealDrive(i int) { c.driveLinks[i].Heal() }
 func (c *Cluster) PartitionDrives(idx ...int) {
 	for _, i := range idx {
 		c.CutDrive(i)
-	}
-}
-
-// HealAllDrives restores every cut drive path on this node.
-func (c *Cluster) HealAllDrives() {
-	for _, l := range c.driveLinks {
-		l.Heal()
 	}
 }
 

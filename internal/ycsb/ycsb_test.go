@@ -216,3 +216,28 @@ func TestZipfianTheory(t *testing.T) {
 		t.Errorf("zeta: %v vs %v", got, want)
 	}
 }
+
+func TestWorkloadEScans(t *testing.T) {
+	_, ops := gen(t, WorkloadE, 500, 4000, 11)
+	scans, inserts := 0, 0
+	for _, op := range ops {
+		switch op.Type {
+		case OpScan:
+			scans++
+			if op.ScanLen < 1 || op.ScanLen > MaxScanLen {
+				t.Fatalf("scan length %d outside [1,%d]", op.ScanLen, MaxScanLen)
+			}
+		case OpInsert:
+			inserts++
+		default:
+			t.Fatalf("workload E produced %v", op.Type)
+		}
+	}
+	// 95/5 scan/insert mix, within generous tolerance.
+	if f := float64(scans) / float64(len(ops)); f < 0.92 || f > 0.98 {
+		t.Errorf("scan fraction %.3f, want ~0.95", f)
+	}
+	if inserts == 0 {
+		t.Error("workload E produced no inserts")
+	}
+}
