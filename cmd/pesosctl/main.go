@@ -43,6 +43,7 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,54 +58,81 @@ import (
 	"repro/internal/obs"
 )
 
+// options are pesosctl's flags and the command line after them.
+type options struct {
+	server, certFile, keyFile, caFile string
+	policyID, token, attestd          string
+	version                           int64
+	limit, pages                      int
+	long                              bool
+	args                              []string // the command and its arguments
+}
+
+// parseFlags parses pesosctl's command line.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("pesosctl", flag.ContinueOnError)
+	fs.StringVar(&o.server, "server", "https://localhost:8443", "controller base URL")
+	fs.StringVar(&o.certFile, "cert", "", "client certificate PEM")
+	fs.StringVar(&o.keyFile, "key", "", "client key PEM")
+	fs.StringVar(&o.caFile, "cacert", "", "controller CA certificate PEM")
+	fs.StringVar(&o.policyID, "policy", "", "policy id to attach on put")
+	fs.Int64Var(&o.version, "version", -1, "explicit version for put/get")
+	fs.IntVar(&o.limit, "limit", 100, "ls: page size")
+	fs.IntVar(&o.pages, "pages", 0, "ls: max pages to fetch (0 = all)")
+	fs.BoolVar(&o.long, "l", false, "ls: long listing (version, size, storage class, policy)")
+	fs.StringVar(&o.token, "token", "", "ls: resume from a pagination token")
+	fs.StringVar(&o.attestd, "attestd", "http://127.0.0.1:9443", "attestd base URL (cluster leases/failover)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() == 0 {
+		return o, fmt.Errorf("usage: pesosctl [flags] <command> [args]")
+	}
+	o.args = fs.Args()
+	return o, nil
+}
+
 func main() {
-	server := flag.String("server", "https://localhost:8443", "controller base URL")
-	certFile := flag.String("cert", "", "client certificate PEM")
-	keyFile := flag.String("key", "", "client key PEM")
-	caFile := flag.String("cacert", "", "controller CA certificate PEM")
-	policyID := flag.String("policy", "", "policy id to attach on put")
-	version := flag.Int64("version", -1, "explicit version for put/get")
-	limit := flag.Int("limit", 100, "ls: page size")
-	pages := flag.Int("pages", 0, "ls: max pages to fetch (0 = all)")
-	long := flag.Bool("l", false, "ls: long listing (version, size, storage class, policy)")
-	token := flag.String("token", "", "ls: resume from a pagination token")
-	attestd := flag.String("attestd", "http://127.0.0.1:9443", "attestd base URL (cluster leases/failover)")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		flag.Usage()
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set printed the usage
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pesosctl: %v\n", err)
 		os.Exit(2)
 	}
+	args := o.args
 
 	tlsCfg := &tls.Config{MinVersion: tls.VersionTLS12}
-	if *caFile != "" {
-		caPEM, err := os.ReadFile(*caFile)
+	if o.caFile != "" {
+		caPEM, err := os.ReadFile(o.caFile)
 		if err != nil {
 			fatal(err)
 		}
 		pool := x509.NewCertPool()
 		if !pool.AppendCertsFromPEM(caPEM) {
-			fatal(fmt.Errorf("no certificates in %s", *caFile))
+			fatal(fmt.Errorf("no certificates in %s", o.caFile))
 		}
 		tlsCfg.RootCAs = pool
 	}
-	if *certFile != "" {
-		cert, err := tls.LoadX509KeyPair(*certFile, *keyFile)
+	if o.certFile != "" {
+		cert, err := tls.LoadX509KeyPair(o.certFile, o.keyFile)
 		if err != nil {
 			fatal(err)
 		}
 		tlsCfg.Certificates = []tls.Certificate{cert}
 	}
-	cl := client.New(client.Config{BaseURL: *server, TLS: tlsCfg})
+	cl := client.New(client.Config{BaseURL: o.server, TLS: tlsCfg})
 	ctx := context.Background()
 
 	switch args[0] {
 	case "put":
 		need(args, 2, "put <key> [<file|->]")
 		value := readInput(args, 2)
-		opts := client.PutOptions{PolicyID: *policyID}
-		if *version >= 0 {
-			opts.Version, opts.HasVersion = *version, true
+		opts := client.PutOptions{PolicyID: o.policyID}
+		if o.version >= 0 {
+			opts.Version, opts.HasVersion = o.version, true
 		}
 		ver, err := cl.Put(ctx, args[1], value, opts)
 		if err != nil {
@@ -114,8 +142,8 @@ func main() {
 	case "get":
 		need(args, 2, "get <key>")
 		opts := client.GetOptions{}
-		if *version >= 0 {
-			opts.Version, opts.HasVersion = *version, true
+		if o.version >= 0 {
+			opts.Version, opts.HasVersion = o.version, true
 		}
 		val, meta, err := cl.Get(ctx, args[1], opts)
 		if err != nil {
@@ -130,13 +158,13 @@ func main() {
 		}
 		fmt.Printf("deleted %q\n", args[1])
 	case "ls":
-		// flag.Parse stops at the subcommand, so accept the
+		// Flag parsing stops at the subcommand, so accept the
 		// conventional `ls -l` spelling as well as `-l ls`.
 		if len(args) > 1 && args[1] == "-l" {
-			*long = true
+			o.long = true
 			args = append(args[:1], args[2:]...)
 		}
-		opts := client.ListOptions{Limit: *limit, Token: *token}
+		opts := client.ListOptions{Limit: o.limit, Token: o.token}
 		if len(args) > 1 {
 			opts.Prefix = args[1]
 		}
@@ -146,7 +174,7 @@ func main() {
 				fatal(err)
 			}
 			for _, e := range p.Entries {
-				if *long {
+				if o.long {
 					class := e.Class
 					if class == "" {
 						class = "rep"
@@ -159,7 +187,7 @@ func main() {
 			if p.NextToken == "" {
 				break
 			}
-			if *pages > 0 && page+1 >= *pages {
+			if o.pages > 0 && page+1 >= o.pages {
 				fmt.Fprintf(os.Stderr, "pesosctl: more results; resume with -token %s\n", p.NextToken)
 				break
 			}
@@ -238,14 +266,14 @@ func main() {
 		case "health":
 			clusterHealth(ctx, cl)
 		case "leases":
-			clusterLeases(ctx, *attestd)
+			clusterLeases(ctx, o.attestd)
 		case "failover":
 			need(args, 3, "cluster failover <shard>")
 			shard, err := strconv.Atoi(args[2])
 			if err != nil {
 				fatal(fmt.Errorf("bad shard id %q", args[2]))
 			}
-			clusterFailover(ctx, *attestd, shard)
+			clusterFailover(ctx, o.attestd, shard)
 		default:
 			fatal(fmt.Errorf("unknown cluster subcommand %q", args[1]))
 		}

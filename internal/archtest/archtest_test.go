@@ -167,6 +167,16 @@ func onlyIn(s sym, scope []string, fns ...string) func(*tree, []rule) []string {
 	}
 }
 
+// all: every one of checks holds.
+func all(checks ...func(*tree, []rule) []string) func(*tree, []rule) []string {
+	return func(t *tree, table []rule) (bad []string) {
+		for _, c := range checks {
+			bad = append(bad, c(t, table)...)
+		}
+		return bad
+	}
+}
+
 // nowhere: s is not referenced in scope at all.
 func nowhere(s sym, scope ...string) func(*tree, []rule) []string {
 	return onlyIn(s, scope)

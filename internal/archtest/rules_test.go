@@ -453,6 +453,28 @@ var rules = []rule{
 			new:  "resp.Key = req.Key\n\tresp.Value = d.store.find(req.Key).rec",
 		}},
 	},
+	// The drive-link MAC has one input, a request's body less its
+	// value's bytes: MAC.tag is the only code in the wire package that
+	// feeds an HMAC state, and NewMAC the only that keys one, so no path
+	// MACs the value again or MACs some other serialization.
+	{
+		name: "one-mac-input",
+		check: all(
+			onlyIn(sym{names: []string{"h"}}, []string{"internal/kinetic/wire/*.go"}, "MAC.tag"),
+			onlyIn(sym{pkg: "crypto/hmac", names: []string{"New"}}, []string{"internal/kinetic/wire/*.go"}, "NewMAC")),
+		mutants: []mutant{{
+			// The encoder MACs the value bytes again.
+			file: "internal/kinetic/wire/wire.go",
+			old:  "buf = appendField(buf, fHMAC, mac.tag(buf[frameHeaderLen:split], buf[split:]))",
+			new: "mac.h.Reset()\n\t\tmac.h.Write(buf[frameHeaderLen:split])\n\t\tmac.h.Write(m.Value)\n\t\tmac.h.Write(buf[split:])\n\t\t" +
+				"buf = appendField(buf, fHMAC, mac.h.Sum(nil))",
+		}, {
+			// Sign keys its own HMAC over the whole body.
+			file: "internal/kinetic/wire/wire.go",
+			old:  "m.HMAC = NewMAC(key).tag(m.macInput())",
+			new:  "mac := hmac.New(sha256.New, key)\n\tmac.Write(m.marshalBody(nil))\n\tm.HMAC = mac.Sum(nil)",
+		}},
+	},
 	// Every fuzz target runs in CI's fuzz-smoke job.
 	{
 		name:  "fuzz-smoke",

@@ -49,12 +49,12 @@ func frameShapes() []shape {
 		{"get-response-not-found", &Message{Type: TGetResponse, Seq: 2, Status: StatusNotFound, ServiceUs: 3},
 			"a48f61ebf628c8fabcf50f87e84cb49684928902977c972b0545c558673fa93d"},
 		{"put", sampleMessage(),
-			"e5d3679e834e10e64429568bd253082c2f3baf960d4216a98d2ab77ebd2efef0"},
+			"eb441305878b217a1114d49dd40e973b466ae7714e36e221fe807cdad1b48e75"},
 		{"put-empty-value", &Message{Type: TPut, Seq: 3, User: "u", Key: []byte("k"), Value: []byte{}, NewVersion: []byte{1}, Force: true},
 			"8632c319c1c92fe01210e8489f78cadbdaaa78b3e26d6e735258c6d37c320756"},
 		{"put-1MiB", &Message{Type: TPut, Seq: 4, User: "pesos-admin", Key: []byte("c\x00big\x00000001"), Value: patterned(1 << 20),
 			NewVersion: []byte{0, 0, 0, 0, 0, 0, 0, 1}, Force: true, Sync: SyncWriteBack, TraceID: 9},
-			"7f097df543e7ca67c3f6920557a7cac1e6c61e0eea3f35ddc8e1c046beab7815"},
+			"0159dd57fa0268e3628437195961283f5747653fa35e8ecb02d50a7c3be95a8d"},
 		{"put-response-conflict", &Message{Type: TPutResponse, Seq: 9, Status: StatusVersionMismatch, StatusMsg: "conflict", DBVersion: []byte{5}},
 			"0ceed3d2f095d4420ae45a024f32ba377d3c69d84bad87cb6e88821971039942"},
 		{"delete", &Message{Type: TDelete, Seq: 5, User: "u", Key: []byte("k"), DBVersion: []byte{1}},
@@ -125,7 +125,8 @@ func referenceFrame(t testing.TB, m *Message) []byte {
 
 // TestGoldenFrames pins the wire encoding of every message shape to
 // digests recorded from the codec as it was before the copy-free
-// rewrite, and holds the Encoder to the same bytes.
+// rewrite — put and put-1MiB since the MAC left the value's bytes out —
+// and holds the Encoder to the same bytes.
 func TestGoldenFrames(t *testing.T) {
 	enc := NewEncoder()
 	for _, s := range frameShapes() {
@@ -153,7 +154,7 @@ func TestGoldenFrames(t *testing.T) {
 // unframed strips what only ReadFrame sets, for comparing a received
 // message with the fields it was built from.
 func unframed(m Message) Message {
-	m.frame, m.macOff = nil, 0
+	m.frame, m.macOff, m.valOff, m.valEnd = nil, 0, 0, 0
 	return m
 }
 
@@ -184,6 +185,9 @@ func checkFrame(t *testing.T, frame []byte) {
 	}
 	if recv && got.macOff+fieldSize(len(got.HMAC)) != len(body) {
 		t.Fatal("verified a frame whose HMAC field is not final")
+	}
+	if recv {
+		checkValueOutsideMAC(t, body)
 	}
 	// (d) decoded fields do not overlap: filling one leaves the rest,
 	// and appending to one reallocates.
@@ -228,6 +232,12 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add(referenceFrame(f, s.msg))
 	}
 	f.Add([]byte{Magic, 0, 0, 0, 0})
+	put := referenceFrame(f, sampleMessage())
+	hdr, off, end, _ := valueField(put[frameHeaderLen:])
+	f.Add(reframe(twoValues(put[frameHeaderLen:], hdr, end)))
+	flipped := append([]byte(nil), put...)
+	flipped[frameHeaderLen+(off+end)/2] ^= 0x10
+	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, frame []byte) { checkFrame(t, frame) })
 }
 
@@ -239,16 +249,6 @@ func TestFrameProperties(t *testing.T) {
 		checkFrame(t, frame)
 		if !s.msg.Type.IsRequest() {
 			continue
-		}
-		read := func(frame []byte) (Message, error) {
-			var m Message
-			err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), &m)
-			return m, err
-		}
-		reframe := func(body []byte) []byte {
-			out := []byte{Magic, 0, 0, 0, 0}
-			out[1], out[2], out[3], out[4] = byte(len(body)>>24), byte(len(body)>>16), byte(len(body)>>8), byte(len(body))
-			return append(out, body...)
 		}
 		got, err := read(frame)
 		if err != nil || !got.Verify(shapeKey) {
@@ -276,15 +276,164 @@ func TestFrameProperties(t *testing.T) {
 		if m, err := read(doubled); err == nil && m.Verify(shapeKey) {
 			t.Errorf("%s: frame with two fHMAC fields verified", s.name)
 		}
-		// (c) one flipped bit anywhere in the body. Every byte for the
-		// small shapes, a stride through the 1 MiB one.
+		// (c) one flipped bit anywhere in the body but the value's bytes,
+		// which the MAC leaves out (checkValueOutsideMAC). Every byte for
+		// the small shapes, a stride through the 1 MiB one.
 		step := max(1, len(body)/512)
 		for i := 0; i < len(body); i += step {
+			if i >= got.valOff && i < got.valEnd {
+				continue
+			}
 			flipped := append([]byte(nil), frame...)
 			flipped[frameHeaderLen+i] ^= 0x10
 			if m, err := read(flipped); err == nil && m.Verify(shapeKey) {
 				t.Fatalf("%s: frame with bit flipped at body offset %d verified", s.name, i)
 			}
+		}
+	}
+}
+
+// read decodes one frame.
+func read(frame []byte) (Message, error) {
+	var m Message
+	err := ReadFrame(bufio.NewReader(bytes.NewReader(frame)), &m)
+	return m, err
+}
+
+// reframe puts a frame header in front of body.
+func reframe(body []byte) []byte {
+	out := []byte{Magic, 0, 0, 0, 0}
+	out[1], out[2], out[3], out[4] = byte(len(body)>>24), byte(len(body)>>16), byte(len(body)>>8), byte(len(body))
+	return append(out, body...)
+}
+
+// verifies reports whether body, framed, decodes and verifies under
+// shapeKey.
+func verifies(body []byte) bool {
+	m, err := read(reframe(body))
+	return err == nil && m.Verify(shapeKey)
+}
+
+// valueField finds the top-level fValue field of body: its header
+// starts at hdr, its value's bytes are body[off:end].
+func valueField(body []byte) (hdr, off, end int, ok bool) {
+	for rest := body; len(rest) > 0; {
+		tag, val, r, err := readField(rest)
+		if err != nil {
+			return 0, 0, 0, false
+		}
+		if tag == fValue {
+			end = len(body) - len(r)
+			return len(body) - len(rest), end - len(val), end, true
+		}
+		rest = r
+	}
+	return 0, 0, 0, false
+}
+
+// twoValues is body with a copy of its value field, body[hdr:end],
+// inserted right behind it.
+func twoValues(body []byte, hdr, end int) []byte {
+	out := append([]byte(nil), body[:end]...)
+	out = append(out, body[hdr:end]...)
+	return append(out, body[end:]...)
+}
+
+// withValue is body with its value field, body[hdr:end], carrying v
+// instead, its length fixed up.
+func withValue(body []byte, hdr, end int, v []byte) []byte {
+	out := appendField(append([]byte(nil), body[:hdr]...), fValue, v)
+	return append(out, body[end:]...)
+}
+
+// checkValueOutsideMAC holds a frame body that verifies under shapeKey
+// to the MAC rule: rewriting any of its value's bytes still verifies
+// (the drive-link MAC leaves them out), while flipping any other byte
+// ahead of fHMAC, resizing the value with its length fixed up, or
+// adding a second value field fails. Every byte outside the value is
+// tried, a stride of at most 64 through the value.
+func checkValueOutsideMAC(t *testing.T, body []byte) {
+	t.Helper()
+	var m Message
+	if err := m.decode(append([]byte(nil), body...), true); err != nil || m.macOff < 0 {
+		t.Fatalf("a verified frame does not decode to the framing rule: %v", err)
+	}
+	hdr, off, end, hasValue := valueField(body)
+	step := max(1, (end-off)/64)
+	for i := 0; i < m.macOff; i++ {
+		if hasValue && i >= off && i < end && (i-off)%step != 0 {
+			continue
+		}
+		flipped := append([]byte(nil), body...)
+		flipped[i] ^= 0x10
+		inValue := hasValue && i >= off && i < end
+		if got := verifies(flipped); got != inValue {
+			t.Fatalf("byte %d flipped (inside the value: %v): verified %v", i, inValue, got)
+		}
+	}
+	if !hasValue {
+		return
+	}
+	value := body[off:end]
+	if len(value) > 0 && verifies(withValue(body, hdr, end, value[:len(value)-1])) {
+		t.Fatal("a value truncated by a byte, its length fixed up, verified")
+	}
+	if verifies(withValue(body, hdr, end, append(append([]byte(nil), value...), 0))) {
+		t.Fatal("a value extended by a byte, its length fixed up, verified")
+	}
+	if verifies(twoValues(body, hdr, end)) {
+		t.Fatal("a frame with two value fields verified")
+	}
+}
+
+// TestValueOutsideMAC: a signed TPut authenticates its command and its
+// value's length, not the value's bytes, both on a frame as received
+// and on a message verified by re-marshalling.
+func TestValueOutsideMAC(t *testing.T) {
+	for _, m := range []*Message{sampleMessage(), {Type: TPut, Seq: 4, User: "pesos-admin",
+		Key: []byte("c\x00big\x00000001"), Value: patterned(1 << 20), NewVersion: []byte{1}, TraceID: 9}} {
+		frame := referenceFrame(t, m)
+		checkValueOutsideMAC(t, frame[frameHeaderLen:])
+		got, err := read(frame)
+		if err != nil || !got.Verify(shapeKey) {
+			t.Fatalf("signed frame does not verify: %v", err)
+		}
+		rewritten := unframed(got)
+		rewritten.Value = bytes.Repeat([]byte{0xa5}, len(m.Value))
+		if !rewritten.Verify(shapeKey) {
+			t.Error("a value rewritten at its length fails re-marshalling verification")
+		}
+		rewritten.Value = rewritten.Value[1:]
+		if rewritten.Verify(shapeKey) {
+			t.Error("a value one byte short verifies by re-marshalling")
+		}
+	}
+}
+
+// TestFrameWithTwoValuesRefused: a request frame carrying two
+// top-level value fields breaks the framing rule and fails
+// verification, as a second fHMAC does — even signed by a sender that
+// MACed it around either one of its values, so no verifier has to guess
+// which value the MAC left out.
+func TestFrameWithTwoValuesRefused(t *testing.T) {
+	body := referenceFrame(t, sampleMessage())[frameHeaderLen:]
+	if !verifies(body) {
+		t.Fatal("signed put does not verify")
+	}
+	hdr, off, end, ok := valueField(body)
+	if !ok {
+		t.Fatal("signed put carries no value field")
+	}
+	if verifies(twoValues(body, hdr, end)) {
+		t.Fatal("frame with two value fields verified")
+	}
+	unsigned := body[:len(body)-fieldSize(sha256.Size)]
+	two := twoValues(unsigned, hdr, end)
+	second := end + off - hdr // the copy's value bytes: two[second:second+end-off]
+	for _, cut := range [][2]int{{off, end}, {second, second + end - off}} {
+		tag := NewMAC(shapeKey).tag(two[:cut[0]], two[cut[1]:])
+		if verifies(appendField(append([]byte(nil), two...), fHMAC, tag)) {
+			t.Fatalf("two value fields, MACed around bytes %d..%d, verified", cut[0], cut[1])
 		}
 	}
 }

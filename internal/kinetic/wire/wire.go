@@ -10,10 +10,16 @@
 //	magic byte 'K' | uint32 big-endian length | message bytes
 //
 // and each message is a sequence of tag-length-value fields. Every
-// request carries the issuing user identity and an HMAC-SHA256 over
-// the canonical field serialization keyed with that user's secret;
-// drives reject messages whose HMAC does not verify (§2.2 of the
-// paper: mutually authenticated channel terminating in the drive).
+// request carries the issuing user identity and an HMAC-SHA256 keyed
+// with that user's secret over the canonical field serialization with
+// the value's bytes left out: the command, including the value field's
+// tag and length, is authenticated, the value itself is not — as in
+// Kinetic, where the value travels outside the HMACed command. Drives
+// reject messages whose HMAC does not verify (§2.2 of the paper:
+// mutually authenticated channel terminating in the drive). A value
+// rewritten on the link is no more than what an untrusted drive can
+// store anyway, and is caught where the controller opens the record it
+// carries (docs/storage.md, "Why the value needs no MAC").
 package wire
 
 import (
@@ -308,9 +314,12 @@ type Message struct {
 	// as received. nil for messages built in memory or decoded by
 	// Unmarshal. macOff is the offset of the fHMAC field inside frame,
 	// or -1 when the frame breaks the framing rule (exactly one fHMAC,
-	// as the final field, nothing after it).
-	frame  []byte
-	macOff int
+	// as the final field, nothing after it; at most one top-level
+	// fValue). frame[valOff:valEnd] are the value's bytes, which the
+	// MAC leaves out; both are 0 when the frame carries no value.
+	frame          []byte
+	macOff         int
+	valOff, valEnd int
 	// recycled marks a message emptied by Recycle: frame, Keys and
 	// Values are then zero-length buffers for the next ReadFrame.
 	recycled bool
@@ -374,8 +383,7 @@ func (m *Message) Marshal() []byte {
 	return buf
 }
 
-// marshalBody encodes every field except the HMAC; this is the exact
-// byte string the HMAC is computed over.
+// marshalBody encodes every field except the HMAC.
 func (m *Message) marshalBody(buf []byte) []byte {
 	buf = m.marshalHead(buf)
 	buf = append(buf, m.Value...)
@@ -572,7 +580,8 @@ func (m *Message) decode(data []byte, alias bool) error {
 		m.GroupStatus = make([]BatchGroupStatus, 0, nStatus)
 	}
 
-	macs, macOff := 0, 0 // fHMAC fields seen, offset of the latest
+	macs, macOff := 0, 0            // fHMAC fields seen, offset of the latest
+	vals, valOff, valEnd := 0, 0, 0 // fValue fields seen, the latest's value bytes
 	for rest := data; len(rest) > 0; {
 		off := len(data) - len(rest)
 		tag, val, r, err := readField(rest)
@@ -604,6 +613,9 @@ func (m *Message) decode(data []byte, alias bool) error {
 			m.Key = own(val)
 		case fValue:
 			m.Value = own(val)
+			vals++
+			valEnd = len(data) - len(rest)
+			valOff = valEnd - len(val)
 		case fDBVersion:
 			m.DBVersion = own(val)
 		case fNewVersion:
@@ -699,21 +711,30 @@ func (m *Message) decode(data []byte, alias bool) error {
 	if alias {
 		m.frame = data
 		m.macOff = -1
-		if macs == 1 && macOff+fieldSize(len(m.HMAC)) == len(data) {
-			m.macOff = macOff
+		if macs == 1 && vals <= 1 && macOff+fieldSize(len(m.HMAC)) == len(data) {
+			m.macOff, m.valOff, m.valEnd = macOff, valOff, valEnd
 		}
 	}
 	return nil
 }
 
-// Sign computes and installs the HMAC over the message body using key.
-// A message that was received stops standing for its frame: from here
-// on it verifies as the fields it now carries.
+// Sign computes and installs the HMAC over the message body, value
+// bytes left out, using key. A message that was received stops
+// standing for its frame: from here on it verifies as the fields it now
+// carries.
 func (m *Message) Sign(key []byte) {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(m.marshalBody(nil))
-	m.HMAC = mac.Sum(nil)
+	m.HMAC = NewMAC(key).tag(m.macInput())
 	m.frame = nil
+}
+
+// macInput is m's body around its value: head ends with the value
+// field's tag and length (when there is a value), tail is every field
+// after it.
+func (m *Message) macInput() (head, tail []byte) {
+	body := m.marshalHead(nil)
+	split := len(body)
+	body = m.marshalTail(body)
+	return body[:split], body[split:]
 }
 
 // Verify reports whether the message HMAC is valid under key.
@@ -732,24 +753,37 @@ func NewMAC(key []byte) *MAC {
 	return &MAC{h: hmac.New(sha256.New, key), sum: make([]byte, 0, sha256.Size)}
 }
 
+// tag is the one place the drive-link MAC is computed: HMAC-SHA256 over
+// head then tail, a message body with its value's bytes cut out (see
+// macInput). The value field's tag and length stay in head, so a value
+// added, dropped, truncated or extended changes what is MACed; only
+// rewriting a value byte for byte does not. The result is a's buffer,
+// valid until the next call.
+func (a *MAC) tag(head, tail []byte) []byte {
+	a.h.Reset()
+	a.h.Write(head)
+	a.h.Write(tail)
+	a.sum = a.h.Sum(a.sum[:0])
+	return a.sum
+}
+
 // Verify reports whether m's HMAC is valid under the MAC's key. A
 // message decoded by ReadFrame is authenticated as the bytes that
-// arrived — everything ahead of the fHMAC field, unknown fields
-// included — and fails unless that field is the last thing in the
-// frame; any other message is authenticated by re-marshalling its
-// fields.
+// arrived — everything ahead of the fHMAC field but the value's bytes,
+// unknown fields included — and fails unless that field is the last
+// thing in the frame and the frame carries at most one value; any other
+// message is authenticated by re-marshalling its fields.
 func (a *MAC) Verify(m *Message) bool {
-	a.h.Reset()
+	var head, tail []byte
 	switch {
 	case m.frame == nil:
-		a.h.Write(m.marshalBody(nil))
+		head, tail = m.macInput()
 	case m.macOff < 0:
 		return false
 	default:
-		a.h.Write(m.frame[:m.macOff])
+		head, tail = m.frame[:m.valOff], m.frame[m.valEnd:m.macOff]
 	}
-	a.sum = a.h.Sum(a.sum[:0])
-	return hmac.Equal(a.sum, m.HMAC)
+	return hmac.Equal(a.tag(head, tail), m.HMAC)
 }
 
 // Encoder signs and frames messages for one connection, reusing the
@@ -757,8 +791,8 @@ func (a *MAC) Verify(m *Message) bool {
 // Sign+WriteFrame pair marshals the body twice and allocates a fresh
 // HMAC state (two SHA-256 key schedules) per message; on the
 // controller's hot path that allocation dominates the per-request CPU
-// outside crypto itself. An Encoder marshals once, never copies the
-// message value — it goes from the caller's slice to the MAC and to the
+// outside crypto itself. An Encoder marshals once, never copies or
+// MACs the message value — it goes from the caller's slice to the
 // writer — re-keys only when the credential key actually changes, and
 // emits byte-identical frames to Sign+WriteFrame.
 //
@@ -797,20 +831,15 @@ func (e *Encoder) WriteUnsigned(w io.Writer, m *Message) error {
 }
 
 // write frames m as header+head | value | tail+HMAC: the marshalled
-// pieces share the reused buffer and the value is MACed and written
-// from where it lies.
+// pieces share the reused buffer, the MAC covers them, and the value is
+// written from where it lies.
 func (e *Encoder) write(w io.Writer, m *Message, mac *MAC) error {
 	buf := append(e.buf[:0], Magic, 0, 0, 0, 0)
 	buf = m.marshalHead(buf)
 	split := len(buf)
 	buf = m.marshalTail(buf)
 	if mac != nil {
-		mac.h.Reset()
-		mac.h.Write(buf[frameHeaderLen:split])
-		mac.h.Write(m.Value)
-		mac.h.Write(buf[split:])
-		mac.sum = mac.h.Sum(mac.sum[:0])
-		buf = appendField(buf, fHMAC, mac.sum)
+		buf = appendField(buf, fHMAC, mac.tag(buf[frameHeaderLen:split], buf[split:]))
 	}
 	e.buf = buf[:0] // keep the grown capacity for the next message
 	n := len(buf) - frameHeaderLen + len(m.Value)
