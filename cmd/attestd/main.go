@@ -130,6 +130,9 @@ func parseFlags(args []string) (options, error) {
 
 func main() {
 	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set printed the usage
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "attestd: %v\n", err)
 		os.Exit(2)

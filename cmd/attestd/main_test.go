@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"flag"
+	"testing"
+)
 
 func TestParseFlags(t *testing.T) {
 	o, err := parseFlags(nil)
@@ -21,5 +25,9 @@ func TestParseFlags(t *testing.T) {
 
 	if _, err := parseFlags([]string{"-no-such-flag", "1"}); err == nil {
 		t.Error("an unknown flag parsed")
+	}
+	// main returns, exit status 0, on a request for help.
+	if _, err := parseFlags([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h: %v, want flag.ErrHelp", err)
 	}
 }

@@ -92,6 +92,9 @@ func parseFlags(args []string) (kinetic.Config, *deployment, error) {
 
 func main() {
 	cfg, d, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set printed the usage
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kineticd: %v\n", err)
 		os.Exit(2)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"testing"
 
 	"repro/internal/kinetic"
@@ -43,5 +45,9 @@ func TestParseFlags(t *testing.T) {
 		if _, _, err := parseFlags(args); err == nil {
 			t.Errorf("%q parsed", args)
 		}
+	}
+	// main returns, exit status 0, on a request for help.
+	if _, _, err := parseFlags([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h: %v, want flag.ErrHelp", err)
 	}
 }

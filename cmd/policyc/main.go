@@ -21,6 +21,7 @@ package main
 
 import (
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,6 +67,9 @@ func main() {
 		return
 	}
 	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set printed the usage
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "policyc: %v\n", err)
 		os.Exit(2)

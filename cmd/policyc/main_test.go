@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"flag"
+	"testing"
+)
 
 func TestParseFlags(t *testing.T) {
 	o, err := parseFlags([]string{"policy.pol"})
@@ -25,5 +29,9 @@ func TestParseFlags(t *testing.T) {
 	}
 	if _, err := parseFlags(nil); err == nil {
 		t.Error("no policy file parsed")
+	}
+	// main returns, exit status 0, on a request for help.
+	if _, err := parseFlags([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h: %v, want flag.ErrHelp", err)
 	}
 }

@@ -12,6 +12,8 @@ var surface = []string{"internal/core/*.go", "internal/client/*.go", "cmd/pesos/
 
 const langPkg = "repro/internal/policy/lang"
 
+const wirePkg = "repro/internal/kinetic/wire"
+
 // rules is the architecture, one invariant a row. A simplification that
 // deletes a path adds the rule that keeps it deleted, with a mutant that
 // brings it back.
@@ -473,6 +475,28 @@ var rules = []rule{
 			file: "internal/kinetic/wire/wire.go",
 			old:  "m.HMAC = NewMAC(key).tag(m.macInput())",
 			new:  "mac := hmac.New(sha256.New, key)\n\tmac.Write(m.marshalBody(nil))\n\tm.HMAC = mac.Sum(nil)",
+		}},
+	},
+	// Both ends of a drive connection read frames into messages from
+	// wire's one pool — the drive its requests, the client its replies
+	// — and the client's own reply pools stay deleted.
+	{
+		name: "one-frame-pool",
+		check: all(
+			onlyIn(sym{pkg: wirePkg, names: []string{"ReadFrame"}}, []string{"internal/...", "cmd/..."}, "serveConn", "readLoop"),
+			count(sym{pkg: wirePkg, names: []string{"TakeMessage"}}, []string{"internal/...", "cmd/..."},
+				map[string]int{"internal/kinetic/server.go": 1, "internal/kinetic/kclient/client.go": 1}),
+			gone([]string{"internal/kinetic/..."}, "replies", "bulkReplies", "replyPool", "newReplyPool")),
+		mutants: []mutant{{
+			// The drive reads each request into a fresh frame again.
+			file: "internal/kinetic/server.go",
+			old:  "req = wire.TakeMessage(n)",
+			new:  "req = new(wire.Message)",
+		}, {
+			// The client keeps a pool of its own.
+			file: "internal/kinetic/kclient/client.go",
+			old:  "resp := wire.TakeMessage(n)",
+			new:  "resp := replies.Get().(*wire.Message)",
 		}},
 	},
 	// Every fuzz target runs in CI's fuzz-smoke job.

@@ -285,16 +285,23 @@ func refMulSliceXor(coef byte, in, out []byte) {
 	}
 }
 
-// TestMulSliceXorMatchesTable holds the word-wide kernel to the
-// byte-at-a-time product for every coefficient, across the lengths
-// that exercise an empty input, a tail alone, whole words plus every
-// tail, and large buffers; the input starts off word alignment and out
-// runs past it, and no byte past len(in) may change.
+// TestMulSliceXorMatchesTable holds the kernel to the byte-at-a-time
+// product for every coefficient, through the dispatcher (the vector
+// kernel where the CPU has one) and through the word loop called
+// directly, so that both stay covered on every machine. The lengths
+// exercise an empty input, a tail alone, whole words plus every tail,
+// one 32-byte block either side and large buffers; in and out both
+// start off word alignment, out runs past in, and no byte past len(in)
+// may change.
 func TestMulSliceXorMatchesTable(t *testing.T) {
-	lengths := []int{4095, 1<<20 + 3}
+	lengths := []int{31, 32, 33, 63, 64, 65, 4095, 1<<20 + 3}
 	for n := 0; n <= 17; n++ {
 		lengths = append(lengths, n)
 	}
+	kernels := []struct {
+		name string
+		fold func(coef byte, in, out []byte)
+	}{{"dispatch", mulSliceXor}, {"word", mulSliceXorWord}}
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range lengths {
 		src := make([]byte, n+1)
@@ -302,18 +309,21 @@ func TestMulSliceXorMatchesTable(t *testing.T) {
 		in := src[1:] // off word alignment
 		base := make([]byte, n+5)
 		rng.Read(base)
-		got, want := make([]byte, len(base)), make([]byte, len(base))
+		got := make([]byte, len(base)+3)[3:] // off word alignment
+		want := make([]byte, len(base))
 		for coef := 0; coef < fieldSize; coef++ {
-			copy(got, base)
 			copy(want, base)
-			mulSliceXor(byte(coef), in, got)
 			refMulSliceXor(byte(coef), in, want)
-			if !bytes.Equal(got, want) {
-				i := 0
-				for got[i] == want[i] {
-					i++
+			for _, k := range kernels {
+				copy(got, base)
+				k.fold(byte(coef), in, got)
+				if !bytes.Equal(got, want) {
+					i := 0
+					for got[i] == want[i] {
+						i++
+					}
+					t.Fatalf("%s: coef %d, length %d: byte %d is %#02x, want %#02x", k.name, coef, n, i, got[i], want[i])
 				}
-				t.Fatalf("coef %d, length %d: byte %d is %#02x, want %#02x", coef, n, i, got[i], want[i])
 			}
 		}
 	}

@@ -59,7 +59,7 @@ func statusToError(m *wire.Message) error {
 // statusOf maps a status-only reply to its error and hands the reply
 // back for reuse: the error holds copies, nothing that refers into it.
 func statusOf(resp *wire.Message) error {
-	defer release(resp)
+	defer wire.ReleaseMessage(resp)
 	return statusToError(resp)
 }
 
@@ -241,51 +241,20 @@ func (c *Client) SetCredentials(creds Credentials) <-chan struct{} {
 	return retired
 }
 
-// replies and bulkReplies recycle reply messages whose consumer has
-// released them (see Value.Release, KeyRange.Release) and every
-// status-only reply (statusOf); a get or version reply kept by its
-// caller is left to the collector. A message keeps the frame body it
-// was decoded from, so the ones that held a chunk-sized reply are kept
-// apart: the next chunk-sized reply reads into that megabyte instead of
-// allocating and zeroing one, and no status reply takes it out of
-// circulation.
-var replies, bulkReplies = newReplyPool(), newReplyPool()
-
-func newReplyPool() *sync.Pool {
-	return &sync.Pool{New: func() any { return new(wire.Message) }}
-}
-
-// bulkFrame is the frame size from which a reply counts as chunk-sized.
-const bulkFrame = 64 << 10
-
-func replyPool(frameSize int) *sync.Pool {
-	if frameSize >= bulkFrame {
-		return bulkReplies
-	}
-	return replies
-}
-
-// release recycles a reply nothing refers into any more.
-func release(m *wire.Message) {
-	if m == nil {
-		return
-	}
-	pool := replyPool(m.FrameSize())
-	m.Recycle()
-	pool.Put(m)
-}
-
 func (c *Client) readLoop(conn *link) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
 		// The pooled message is taken once the reply's size is known,
-		// so an idle connection pins no frame.
+		// so an idle connection pins no frame. It goes back when its
+		// consumer releases it (Value.Release, KeyRange.Release and every
+		// status-only reply); a get or version reply its caller keeps is
+		// left to the collector.
 		n, err := wire.PeekFrameSize(r)
 		if err != nil {
 			c.failAll(conn)
 			return
 		}
-		resp := replyPool(n).Get().(*wire.Message)
+		resp := wire.TakeMessage(n)
 		if err := wire.ReadFrame(r, resp); err != nil {
 			c.failAll(conn)
 			return
@@ -448,7 +417,7 @@ type Value struct {
 // Release hands the reply's frame back for a later reply to reuse.
 // Optional — an unreleased Value is ordinary garbage — but after it
 // neither v.Value nor v.Version may be used.
-func (v Value) Release() { release(v.reply) }
+func (v Value) Release() { wire.ReleaseMessage(v.reply) }
 
 // GetValue fetches value and stored version for key as a releasable
 // reply: a caller that decodes the value into storage of its own hands
@@ -518,7 +487,7 @@ func (c *Client) BatchGroups(ctx context.Context, ops []wire.BatchOp, sizes []ui
 	if err != nil {
 		return nil, err
 	}
-	defer release(resp) // every verdict below is copied out of it
+	defer wire.ReleaseMessage(resp) // every verdict below is copied out of it
 	if err := statusToError(resp); err != nil {
 		return nil, err // a whole-message rejection: bad HMAC, malformed groups
 	}
@@ -564,7 +533,7 @@ type KeyRange struct {
 // Release hands the reply's buffers back for a later reply to reuse.
 // Optional — an unreleased KeyRange is ordinary garbage — but after it
 // no key or value of kr may be used.
-func (kr KeyRange) Release() { release(kr.reply) }
+func (kr KeyRange) Release() { wire.ReleaseMessage(kr.reply) }
 
 // Range lists up to max entries in [start, end]; empty end means to the
 // last key. startInclusive includes start itself. withValues asks for

@@ -81,8 +81,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	enc := wire.NewEncoder()
 	var wmu sync.Mutex
 	for {
-		req := new(wire.Message) // the handler goroutine's own
-		if err := wire.ReadFrame(r, req); err != nil {
+		// The request is read into a pooled message, taken once its size
+		// is known so that an idle connection pins no frame.
+		var req *wire.Message // the handler goroutine's own
+		n, err := wire.PeekFrameSize(r)
+		if err == nil {
+			req = wire.TakeMessage(n)
+			err = wire.ReadFrame(r, req)
+		}
+		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
 				log.Printf("kinetic[%s]: read: %v", s.drive.Name(), err)
 			}
@@ -96,12 +103,20 @@ func (s *Server) serveConn(conn net.Conn) {
 		go func() {
 			defer s.wg.Done()
 			out := reply{pooled: true}
-			defer out.release()
+			// The request goes back to the pool once its reply is out of
+			// it: every handler copies what it keeps (the store copies
+			// records into its arena, the account table its keys and
+			// PIN), but the reply may alias the request's key.
+			done := func() {
+				out.release()
+				wire.ReleaseMessage(req)
+			}
 			resp := s.drive.handle(req, &out)
 			if resp == nil {
 				// Blackholed by fault injection: the drive has vanished.
 				// Kill the connection so the client sees a transport
 				// error rather than a hung request.
+				done()
 				conn.Close()
 				return
 			}
@@ -109,9 +124,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			defer wmu.Unlock()
 			err := enc.WriteUnsigned(w, resp)
 			// The reply's bytes are on the connection or copied into w:
-			// its buffers go back before the flush lets the caller see
-			// the reply, so the caller's next request finds them.
-			out.release()
+			// its buffers and the request go back before the flush lets
+			// the caller see the reply, so the caller's next request
+			// finds them.
+			done()
 			if err == nil {
 				err = w.Flush()
 			}

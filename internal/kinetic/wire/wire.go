@@ -35,6 +35,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sync"
 )
 
 // MaxMessageSize bounds a single frame (1 MB object + headroom),
@@ -337,6 +338,48 @@ func (m *Message) Recycle() {
 // ReadFrame, 0 for any other message. A holder that retains one of
 // m's byte fields retains that many bytes with it.
 func (m *Message) FrameSize() int { return len(m.frame) }
+
+// messages and bulkMessages hold the messages both ends of a drive
+// connection read frames into — the drive its requests, the client its
+// replies — once their holders have released them. A message keeps the
+// frame body it was decoded from, so the ones that held a chunk-sized
+// frame are kept apart: the next chunk-sized frame reads into that
+// megabyte instead of allocating and zeroing one, and no small frame
+// takes it out of circulation.
+var messages, bulkMessages = newMessagePool(), newMessagePool()
+
+func newMessagePool() *sync.Pool {
+	return &sync.Pool{New: func() any { return new(Message) }}
+}
+
+// bulkFrame is the frame size from which a frame counts as chunk-sized.
+const bulkFrame = 64 << 10
+
+func messagePool(frameSize int) *sync.Pool {
+	if frameSize >= bulkFrame {
+		return bulkMessages
+	}
+	return messages
+}
+
+// TakeMessage returns a message to ReadFrame a frame of frameSize bytes
+// into (see PeekFrameSize): one that ReleaseMessage gave back, whose
+// frame body the read reuses when large enough, or a new one.
+func TakeMessage(frameSize int) *Message {
+	return messagePool(frameSize).Get().(*Message)
+}
+
+// ReleaseMessage recycles m (see Recycle) and gives it back for a later
+// TakeMessage; nil is ignored. Nothing decoded from m may be used after
+// the call.
+func ReleaseMessage(m *Message) {
+	if m == nil {
+		return
+	}
+	pool := messagePool(m.FrameSize())
+	m.Recycle()
+	pool.Put(m)
+}
 
 // Field tags for the TLV encoding.
 const (
