@@ -62,12 +62,13 @@ type tree struct {
 
 // goFile is what one Go file declares and references.
 type goFile struct {
-	path  string // module-relative, slash-separated
-	test  bool
-	src   string
-	decls []decl
-	refs  []ref
-	lits  []lit
+	path    string // module-relative, slash-separated
+	test    bool
+	src     string
+	imports []lit // import paths
+	decls   []decl
+	refs    []ref
+	lits    []lit
 }
 
 // funcName names a function: a method carries its receiver's type.
@@ -248,6 +249,24 @@ func gone(scope []string, names ...string) func(*tree, []rule) []string {
 			for _, d := range f.decls {
 				if slices.ContainsFunc(names, d.is) {
 					bad = append(bad, fmt.Sprintf("%s:%d: %s is declared", f.path, d.line, d.funcName))
+				}
+			}
+		}
+		return bad
+	}
+}
+
+// importedOnlyIn: of the files in scope, only those under within
+// import pkg.
+func importedOnlyIn(pkg string, scope []string, within ...string) func(*tree, []rule) []string {
+	return func(t *tree, _ []rule) (bad []string) {
+		for _, f := range t.goFiles(scope) {
+			if under(within, f.path) {
+				continue
+			}
+			for _, im := range f.imports {
+				if im.val == pkg {
+					bad = append(bad, fmt.Sprintf("%s:%d: imports %s outside %s", f.path, im.line, pkg, strings.Join(within, ", ")))
 				}
 			}
 		}
@@ -467,6 +486,7 @@ func parse(path, src string) (*goFile, error) {
 		return nil, err
 	}
 	f := &goFile{path: path, test: strings.HasSuffix(path, "_test.go"), src: src}
+	line := func(n ast.Node) int { return fset.Position(n.Pos()).Line }
 	imports := map[string]string{} // local name → import path
 	for _, im := range af.Imports {
 		p, _ := strconv.Unquote(im.Path.Value)
@@ -475,8 +495,8 @@ func parse(path, src string) (*goFile, error) {
 			name = im.Name.Name
 		}
 		imports[name] = p
+		f.imports = append(f.imports, lit{p, line(im)})
 	}
-	line := func(n ast.Node) int { return fset.Position(n.Pos()).Line }
 	for _, d := range af.Decls {
 		fn := funcName{}
 		if fd, ok := d.(*ast.FuncDecl); ok {

@@ -499,6 +499,19 @@ var rules = []rule{
 			new:  "resp := replies.Get().(*wire.Message)",
 		}},
 	},
+	// One benchmark: the YCSB trace generator feeds the harness in
+	// benchmark/ and no other package, so a second harness beside it
+	// does not come back unseen.
+	{
+		name:  "one-benchmark",
+		check: importedOnlyIn("repro/internal/ycsb", module, "benchmark/..."),
+		mutants: []mutant{{
+			// A command that replays traces of its own.
+			file: "cmd/kineticd/main.go",
+			old:  "import (",
+			new:  "import (\n\t\"repro/internal/ycsb\"",
+		}},
+	},
 	// Every fuzz target runs in CI's fuzz-smoke job.
 	{
 		name:  "fuzz-smoke",

@@ -27,7 +27,6 @@ type Cache[K comparable, V any] struct {
 	entries map[K]*entry[V]
 	flights map[K]*flight[V] // in-flight Load fetches, by missing key
 	budget  int64            // max resident bytes; 0 = unlimited
-	maxLen  int              // max entry count; 0 = unlimited
 	bytes   int64
 	sizeOf  Sizer[V]
 
@@ -51,8 +50,6 @@ type entry[V any] struct {
 type Config[V any] struct {
 	// BudgetBytes caps resident bytes (0 = unlimited).
 	BudgetBytes int64
-	// MaxEntries caps the entry count (0 = unlimited).
-	MaxEntries int
 	// SizeOf measures values; nil means every value counts 1 byte.
 	SizeOf Sizer[V]
 	// EPC, when set, is charged for resident bytes under Label.
@@ -77,7 +74,6 @@ func New[K comparable, V any](cfg Config[V]) *Cache[K, V] {
 		entries:  make(map[K]*entry[V]),
 		flights:  make(map[K]*flight[V]),
 		budget:   cfg.BudgetBytes,
-		maxLen:   cfg.MaxEntries,
 		sizeOf:   sizeOf,
 		epc:      cfg.EPC,
 		label:    cfg.Label,
@@ -202,10 +198,10 @@ func (c *Cache[K, V]) account(delta int64) {
 }
 
 // evictOver removes sampled least-frequently-used entries until the
-// cache fits its budget and entry cap. Caller holds the lock.
+// cache fits its budget. Caller holds the lock.
 func (c *Cache[K, V]) evictOver() {
 	const sample = 5
-	for (c.budget > 0 && c.bytes > c.budget) || (c.maxLen > 0 && len(c.entries) > c.maxLen) {
+	for c.budget > 0 && c.bytes > c.budget {
 		var victim K
 		var victimE *entry[V]
 		n := 0

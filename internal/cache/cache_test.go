@@ -54,7 +54,7 @@ func TestCacheByteBudget(t *testing.T) {
 }
 
 func TestCacheEntryCap(t *testing.T) {
-	c := New[int, int](Config[int]{MaxEntries: 5})
+	c := New[int, int](Config[int]{BudgetBytes: 5})
 	for i := 0; i < 50; i++ {
 		c.Put(i, i)
 	}
@@ -64,7 +64,7 @@ func TestCacheEntryCap(t *testing.T) {
 }
 
 func TestCacheLFUKeepsHotEntries(t *testing.T) {
-	c := New[string, int](Config[int]{MaxEntries: 10})
+	c := New[string, int](Config[int]{BudgetBytes: 10})
 	c.Put("hot", 1)
 	for i := 0; i < 100; i++ {
 		c.Get("hot")
@@ -117,7 +117,7 @@ func TestCacheEPCAccounting(t *testing.T) {
 }
 
 func TestCacheFrequencyDecay(t *testing.T) {
-	c := New[string, int](Config[int]{MaxEntries: 4, DecayEvery: 10})
+	c := New[string, int](Config[int]{BudgetBytes: 4, DecayEvery: 10})
 	c.Put("old-hot", 1)
 	for i := 0; i < 30; i++ {
 		c.Get("old-hot") // builds frequency, but decay halves it over time

@@ -75,9 +75,6 @@ type Config struct {
 	// Encrypt enables payload encryption (on by default in the paper;
 	// the §6.2 encryption experiment turns it off).
 	Encrypt bool
-	// DisablePolicies turns policy enforcement off entirely — the
-	// "without policy checking" baseline of §6.4.
-	DisablePolicies bool
 	// hedgeDelay fixes the read engine's delay before a further copy is
 	// consulted (see fetch.go). 0, which every deployment runs, selects
 	// the adaptive delay: ~1.25× the outstanding drive's observed p95
@@ -94,11 +91,9 @@ type Config struct {
 	// Secrets provides runtime credentials when Attestation is nil.
 	Secrets *attest.Secrets
 
-	// Cache budgets; zero selects the paper's defaults (§4.2):
-	// 5 MB policies, objects sized to fit EPC.
-	PolicyCacheBytes   int64
-	PolicyCacheEntries int
-	ObjectCacheBytes   int64
+	// ObjectCacheBytes budgets the object cache; zero selects the
+	// default, sized to fit EPC (§4.2).
+	ObjectCacheBytes int64
 
 	// maxStreamBytes caps the total size of one streamed (chunked)
 	// object; 0, which every deployment runs, selects
@@ -480,17 +475,12 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 	c.gcommit = newGroupScheduler(c)
 
 	// Step 4: caches, sized to the paper's defaults within the EPC.
-	pcBytes := cfg.PolicyCacheBytes
-	if pcBytes == 0 {
-		pcBytes = 5 << 20
-	}
 	ocBytes := cfg.ObjectCacheBytes
 	if ocBytes == 0 {
 		ocBytes = 48 << 20
 	}
 	c.policyCache = cache.New[string, *policy.Program](cache.Config[*policy.Program]{
-		BudgetBytes: pcBytes,
-		MaxEntries:  cfg.PolicyCacheEntries,
+		BudgetBytes: policyCacheBytes,
 		SizeOf:      func(p *policy.Program) int64 { return programSize(p) },
 		EPC:         c.epc, Label: "policy-cache",
 	})
@@ -531,6 +521,10 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 	}
 	return c, nil
 }
+
+// policyCacheBytes budgets the policy cache: the paper's 5 MB (§4.2),
+// with no cap on the entry count.
+const policyCacheBytes = 5 << 20
 
 // keyCacheBytes budgets the key (metadata) cache: the paper's 600 KB
 // (§4.2).

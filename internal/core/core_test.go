@@ -247,25 +247,6 @@ func TestReplicationAndFailover(t *testing.T) {
 	}
 }
 
-func TestDisablePolicies(t *testing.T) {
-	h := newHarness(t, 1, func(c *Config) { c.DisablePolicies = true })
-	s := h.ctl.Session("anyone")
-	ctx := context.Background()
-	pid, err := h.ctl.PutPolicy(ctx, "read :- sessionKeyIs(k'deadbeef')")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put(ctx, "k", []byte("v"), PutOptions{PolicyID: pid}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Get(ctx, "k", GetOptions{}); err != nil {
-		t.Fatalf("policy enforced despite DisablePolicies: %v", err)
-	}
-	if h.ctl.Stats().Snapshot().PolicyChecks != 0 {
-		t.Error("policy checks counted while disabled")
-	}
-}
-
 // TestAsyncResults: an async operation's outcome is polled through
 // ResultOp — by its owner only, with errors reported under their
 // taxonomy code, and not for ids never issued or aged out of the window.

@@ -108,7 +108,10 @@ func TestGroupCommitShipsReplicasTogether(t *testing.T) {
 		if _, err := sess.Put(ctx, "together", []byte(fmt.Sprintf("v%d", i)), PutOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if took := time.Since(start); took >= d*3/2 {
+		// A put whose replicas ship in two or more steps pays at least
+		// two media waits; one that ships together pays one plus the
+		// scheduler's noise, which a loaded race run stretches past d/2.
+		if took := time.Since(start); took >= 2*d {
 			t.Errorf("put %d took %v on drives whose media wait is %v; its replicas did not ship together", i, took, d)
 		}
 	}

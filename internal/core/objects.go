@@ -501,7 +501,7 @@ func (pe *policyEval) remember(op lang.Perm, policyID string, res *policy.Residu
 // policy keys a fresh residual by construction, and PutPolicy still
 // clears the cache as a defense-in-depth backstop.
 func (c *Controller) checkPolicy(ctx context.Context, pe *policyEval, op lang.Perm, sessionKey, key string, meta *store.Meta, nextVersion *int64, certs []*authority.Certificate) error {
-	if c.cfg.DisablePolicies || meta == nil || meta.PolicyID == "" {
+	if meta == nil || meta.PolicyID == "" {
 		return nil
 	}
 

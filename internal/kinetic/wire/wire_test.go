@@ -364,3 +364,72 @@ func BenchmarkSignWriteFramePooled(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBatchWireGrouped measures the per-logical-write cost of
+// assembling and encoding merged grouped TBatch frames with the
+// pooled sub-operation scratch — run with -benchmem; the allocs/op
+// floor is asserted by TestBatchWritePathAllocs so a pooling
+// regression fails the suite, not just the bench report.
+func BenchmarkBatchWireGrouped(b *testing.B) {
+	key := []byte("bench-secret-key")
+	enc := NewEncoder()
+	value := make([]byte, 1024)
+	okey, mkey, ver := []byte("o/k/1"), []byte("m/k"), []byte{1}
+	ops := make([]BatchOp, 0, 32)
+	sizes := make([]uint32, 16)
+	for i := range sizes {
+		sizes[i] = 2
+	}
+	m := &Message{Type: TBatch, User: "pesos-admin"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ops = ops[:0]
+		for g := 0; g < 16; g++ {
+			ops = append(ops,
+				BatchOp{Op: BatchPut, Key: okey, Value: value, NewVersion: ver, Force: true},
+				BatchOp{Op: BatchPut, Key: mkey, Value: value[:96], NewVersion: ver})
+		}
+		m.Seq, m.Batch, m.GroupSizes = uint64(i), ops, sizes
+		if err := enc.WriteFrame(io.Discard, m, key); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestBatchWritePathAllocs asserts the batch write path's wire
+// assembly stays allocation-flat: encoding a merged 16-group batch
+// into a reused encoder and sub-operation scratch must not allocate
+// per sub-operation (the op-slice and marshal-buffer pooling the
+// group committer relies on).
+func TestBatchWritePathAllocs(t *testing.T) {
+	key := []byte("bench-secret-key")
+	enc := NewEncoder()
+	value := make([]byte, 1024)
+	okey, mkey, ver := []byte("o/k/1"), []byte("m/k"), []byte{1}
+	ops := make([]BatchOp, 0, 32)
+	sizes := make([]uint32, 16)
+	for i := range sizes {
+		sizes[i] = 2
+	}
+	m := &Message{Type: TBatch, User: "pesos-admin"}
+	seq := uint64(0)
+	avg := testing.AllocsPerRun(200, func() {
+		ops = ops[:0]
+		for g := 0; g < 16; g++ {
+			ops = append(ops,
+				BatchOp{Op: BatchPut, Key: okey, Value: value, NewVersion: ver, Force: true},
+				BatchOp{Op: BatchPut, Key: mkey, Value: value[:96], NewVersion: ver})
+		}
+		seq++
+		m.Seq, m.Batch, m.GroupSizes = seq, ops, sizes
+		if err := enc.WriteFrame(io.Discard, m, key); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// A 32-sub-op frame reuses the encoder's buffer and HMAC state;
+	// nothing on the path may allocate per sub-op.
+	if avg > 2 {
+		t.Fatalf("merged batch encode allocates %.1f/frame; pooling regressed", avg)
+	}
+}

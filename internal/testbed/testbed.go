@@ -47,11 +47,6 @@ type Options struct {
 	Enclave bool
 	// Replicas is the total copies per object (default 1).
 	Replicas int
-	// Encrypt enables payload encryption (default true — set
-	// PlaintextPayloads to disable).
-	PlaintextPayloads bool
-	// DisablePolicies turns enforcement off (baseline of §6.4).
-	DisablePolicies bool
 	// ObjectCacheBytes overrides the controller's object cache budget
 	// (0 = paper default); benchmarks shrink it to force cache-hostile
 	// read workloads.
@@ -60,10 +55,6 @@ type Options struct {
 	// set PlainDriveLinks to disable for microbenchmarks isolating
 	// controller CPU).
 	PlainDriveLinks bool
-	// PolicyCacheEntries caps the policy cache (Fig 8: 50,000).
-	PolicyCacheEntries int
-	// PolicyCacheBytes overrides the 5 MB policy cache budget.
-	PolicyCacheBytes int64
 	// Clock overrides trusted time (for time-based policy tests).
 	Clock func() time.Time
 	// StandbysPerShard boots this many hot standbys per shard in
@@ -91,13 +82,11 @@ type Options struct {
 	ECParityShards int
 	ECMinBytes     int64
 	// DisableObs turns the observability layer off (no registry,
-	// tracer or audit log) — the kill switch the overhead figure
-	// measures against.
+	// tracer or audit log), as `pesos -obs=off` does; an overhead
+	// measurement compares against it.
 	DisableObs bool
 	// AuditDir enables the sealed audit decision log in this directory.
 	AuditDir string
-	// AuditSampleAllow records 1-in-N ALLOW decisions (0 = denies only).
-	AuditSampleAllow int
 	// SlowOpThreshold overrides the slow-op trace dump threshold
 	// (0 = core default, negative disables).
 	SlowOpThreshold time.Duration
@@ -313,10 +302,7 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 	// optionally through TLS terminating inside the drive.
 	cfg := core.Config{
 		Replicas:             opts.Replicas,
-		Encrypt:              !opts.PlaintextPayloads,
-		DisablePolicies:      opts.DisablePolicies,
-		PolicyCacheEntries:   opts.PolicyCacheEntries,
-		PolicyCacheBytes:     opts.PolicyCacheBytes,
+		Encrypt:              true,
 		ObjectCacheBytes:     opts.ObjectCacheBytes,
 		Clock:                opts.Clock,
 		Shard:                shard,
@@ -334,7 +320,6 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 		ECMinBytes:           opts.ECMinBytes,
 		DisableObs:           opts.DisableObs,
 		AuditDir:             opts.AuditDir,
-		AuditSampleAllow:     opts.AuditSampleAllow,
 		SlowOpThreshold:      opts.SlowOpThreshold,
 		TraceSample:          opts.TraceSample,
 	}

@@ -1,9 +1,9 @@
 // Package ycsb reimplements the YCSB core workload generator (Cooper
 // et al., SoCC 2010) used throughout the paper's evaluation (§6.1):
-// stock workloads A–D with their key-popularity distributions and
-// read/write mixes, generated as replayable traces. The paper
-// generates traces ahead of time and replays them against Pesos; the
-// benchmark harness does the same.
+// the stock workloads the benchmark runs (A, B and E) with their
+// zipfian key popularity and read/write mixes, generated as replayable
+// traces. The paper generates traces ahead of time and replays them
+// against Pesos; the benchmark harness does the same.
 package ycsb
 
 import (
@@ -58,10 +58,6 @@ const (
 	WorkloadA Workload = iota
 	// WorkloadB: read mostly, 95/5 read/update, zipfian.
 	WorkloadB
-	// WorkloadC: read only, zipfian.
-	WorkloadC
-	// WorkloadD: read latest, 95/5 read/insert, latest distribution.
-	WorkloadD
 	// WorkloadE: short ranges, 95/5 scan/insert, zipfian start keys,
 	// uniform scan lengths in [1, MaxScanLen].
 	WorkloadE
@@ -78,10 +74,6 @@ func (w Workload) String() string {
 		return "A"
 	case WorkloadB:
 		return "B"
-	case WorkloadC:
-		return "C"
-	case WorkloadD:
-		return "D"
 	case WorkloadE:
 		return "E"
 	default:
@@ -98,9 +90,10 @@ type Config struct {
 	OperationCount int
 	// Seed makes traces reproducible.
 	Seed int64
-	// ZipfianConstant is the skew (YCSB default 0.99).
-	ZipfianConstant float64
 }
+
+// zipfianConstant is the key-popularity skew (the YCSB default).
+const zipfianConstant = 0.99
 
 // Key renders record index i as a YCSB-style key.
 func Key(i int) string { return fmt.Sprintf("user%012d", i) }
@@ -109,10 +102,6 @@ func Key(i int) string { return fmt.Sprintf("user%012d", i) }
 func Generate(cfg Config) (loadKeys []string, ops []Op, err error) {
 	if cfg.RecordCount <= 0 || cfg.OperationCount < 0 {
 		return nil, nil, fmt.Errorf("ycsb: bad config %+v", cfg)
-	}
-	zc := cfg.ZipfianConstant
-	if zc == 0 {
-		zc = 0.99
 	}
 	rnd := rand.New(rand.NewSource(cfg.Seed))
 
@@ -128,11 +117,6 @@ func Generate(cfg Config) (loadKeys []string, ops []Op, err error) {
 		readP = 0.5
 	case WorkloadB:
 		readP = 0.95
-	case WorkloadC:
-		readP = 1.0
-	case WorkloadD:
-		readP = 0.95
-		insert = true
 	case WorkloadE:
 		readP = 0.95 // scan proportion
 		insert = true
@@ -141,12 +125,7 @@ func Generate(cfg Config) (loadKeys []string, ops []Op, err error) {
 		return nil, nil, fmt.Errorf("ycsb: unknown workload %v", cfg.Workload)
 	}
 
-	var chooser keyChooser
-	if cfg.Workload == WorkloadD {
-		chooser = newLatestChooser(cfg.RecordCount, zc, rnd)
-	} else {
-		chooser = newScrambledZipfian(cfg.RecordCount, zc, rnd)
-	}
+	chooser := newScrambledZipfian(cfg.RecordCount, zipfianConstant, rnd)
 
 	ops = make([]Op, 0, cfg.OperationCount)
 	nextInsert := cfg.RecordCount
@@ -171,12 +150,6 @@ func Generate(cfg Config) (loadKeys []string, ops []Op, err error) {
 		}
 	}
 	return loadKeys, ops, nil
-}
-
-// keyChooser selects record indexes under a popularity distribution.
-type keyChooser interface {
-	next() int
-	grow() // a record was inserted
 }
 
 // zipfian implements Gray et al.'s incremental zipfian generator, the
@@ -256,30 +229,6 @@ func (s *scrambledZipfian) grow() {
 	s.z.grow()
 }
 
-// latestChooser skews towards recently inserted records (workload D).
-type latestChooser struct {
-	z     *zipfian
-	items int
-}
-
-func newLatestChooser(items int, constant float64, rnd *rand.Rand) *latestChooser {
-	return &latestChooser{z: newZipfian(items, constant, rnd), items: items}
-}
-
-func (l *latestChooser) next() int {
-	off := l.z.next()
-	idx := l.items - 1 - off
-	if idx < 0 {
-		idx = 0
-	}
-	return idx
-}
-
-func (l *latestChooser) grow() {
-	l.items++
-	l.z.grow()
-}
-
 // fnvHash64 is YCSB's FNV-1a 64-bit hash used for scrambling.
 func fnvHash64(v uint64) uint64 {
 	const (
@@ -294,18 +243,4 @@ func fnvHash64(v uint64) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// Payload generates a deterministic pseudo-random value of n bytes
-// for record key material; deterministic so replays and verification
-// agree.
-func Payload(key string, n int) []byte {
-	out := make([]byte, n)
-	seed := int64(fnvHash64(uint64(len(key))))
-	for _, c := range []byte(key) {
-		seed = seed*31 + int64(c)
-	}
-	r := rand.New(rand.NewSource(seed))
-	r.Read(out)
-	return out
 }
