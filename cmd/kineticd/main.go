@@ -176,7 +176,6 @@ func driveRegistry(d *kinetic.Drive) *obs.Registry {
 		{"kinetic_batch_ops_total", "Sub-operations carried by TBatch requests.", &st.BatchOps},
 		{"kinetic_batch_groups_total", "Sub-operation groups in grouped batches.", &st.BatchGroups},
 		{"kinetic_group_rejects_total", "Groups skipped by CAS or permission failures.", &st.GroupRejects},
-		{"kinetic_flushes_total", "TFlush requests that destaged the write buffer.", &st.Flushes},
 	} {
 		r.CounterFunc(m.name, m.help, m.v.Load)
 	}

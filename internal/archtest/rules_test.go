@@ -356,14 +356,28 @@ var rules = []rule{
 			new:  "gatherQuietPolls   = 2\n\tgenerationStallTimeout = 5 * time.Second",
 		}},
 	},
-	// Every commit ships write-through, a transaction's like a put's: the
-	// controller never asks a drive for write-back, so no loop is left
-	// with bytes to destage, and enqueue is the one way to a drive's
-	// commit loop.
+	// Every write is write-through, on every layer of the drive link: the
+	// controller never asks a drive for write-back, no drive has a write
+	// buffer to destage, and no client can ask it to. Field 11 and types
+	// 16/17, write-back and FLUSH in Kinetic, stay unassigned.
 	{
-		name:  "one-durability",
-		check: nowhere(sym{pkg: "repro/internal/kinetic/wire", names: []string{"SyncWriteBack"}}, core...),
+		name: "one-durability",
+		check: all(
+			nowhere(sym{pkg: wirePkg, names: []string{"SyncWriteBack", "SyncFlush", "TFlush", "TFlushResponse"}}, module...),
+			nowhere(sym{pkg: "repro/internal/kinetic", names: []string{"OpWriteBack", "OpFlush"}}, module...),
+			gone(module, "SyncWriteBack", "SyncFlush", "TFlush", "TFlushResponse", "OpWriteBack", "OpFlush",
+				"Client.Flush", "writeKind", "NewChaosPlan")),
 		mutants: []mutant{{
+			// The drive answering FLUSH again.
+			file: "internal/kinetic/drive.go",
+			old:  "\tcase wire.TNoop:\n",
+			new:  "\tcase wire.TNoop:\n\tcase wire.TFlush:\n\t\td.waitMedia(OpWrite, 0)\n",
+		}, {
+			// The client asking for one.
+			file: "internal/kinetic/kclient/client.go",
+			old:  "// Noop verifies connectivity and credentials.",
+			new:  "// Flush forces buffered writes to media.\nfunc (c *Client) Flush(ctx context.Context) error { return c.Noop(ctx) }\n\n// Noop verifies connectivity and credentials.",
+		}, {
 			file: "internal/core/tx.go",
 			old:  "\"repro/internal/authority\"\n)",
 			new: "\"repro/internal/authority\"\n\t\"repro/internal/kinetic/wire\"\n)\n\n" +

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -15,9 +14,8 @@ import (
 // contract on a 3-replica harness: one atomic object+meta group per
 // placement drive under one replicate span, the new head served from
 // the caches with no drive read, the counters moved once per logical
-// write, no TFlush ever asked of a drive (every group ships
-// write-through), a foreign CAS bump surfaced as a version conflict with
-// the metadata invalidated, and a dead replica failing the write with
+// write, a foreign CAS bump surfaced as a version conflict with the
+// metadata invalidated, and a dead replica failing the write with
 // nothing published.
 func TestCommitShapes(t *testing.T) {
 	bg := context.Background()
@@ -71,14 +69,12 @@ func TestCommitShapes(t *testing.T) {
 				batches, groups, ops, gets [3]uint64
 				puts, writeBytes           uint64
 				bucketWrites, bucketBytes  uint64
-				flushes                    uint64 // TFlush requests, all drives
 			}
 			snap := func() (c counts) {
 				for di, d := range h.drives {
 					st := d.Stats()
 					c.batches[di], c.groups[di] = st.Batches.Load(), st.BatchGroups.Load()
 					c.ops[di], c.gets[di] = st.BatchOps.Load(), st.Gets.Load()
-					c.flushes += st.Flushes.Load()
 				}
 				st := h.ctl.Stats().Snapshot()
 				c.puts, c.writeBytes = st.Puts, st.WriteBytes
@@ -115,18 +111,6 @@ func TestCommitShapes(t *testing.T) {
 				if got := after.ops[di] - before.ops[di]; got != uint64(2*len(keys)) {
 					t.Errorf("drive %d: %d batch sub-ops, want %d (object+meta per key)", di, got, 2*len(keys))
 				}
-			}
-			// Nothing is left for a flush to destage. A write-back group's
-			// trailing flush would reach its drive within milliseconds of
-			// the reply, once the drive's commit loop idles; 100 ms of
-			// settle is ample to catch it.
-			for idle := time.Now().Add(100 * time.Millisecond); time.Now().Before(idle); time.Sleep(time.Millisecond) {
-				if snap().flushes != 0 {
-					break
-				}
-			}
-			if got := snap().flushes; got != 0 {
-				t.Errorf("drives received %d TFlush requests, want 0 (every commit is write-through)", got)
 			}
 			if got := after.puts - before.puts; got != uint64(len(keys)) {
 				t.Errorf("Puts moved by %d, want %d", got, len(keys))

@@ -44,7 +44,9 @@ type Stats struct {
 	// groups skipped by a failed compare-and-swap or permission check.
 	BatchGroups  atomic.Uint64
 	GroupRejects atomic.Uint64
-	// Flushes counts TFlush requests that destaged the write buffer.
+	// Flushes always reads 0: every write is write-through, so the
+	// drive has no write buffer to destage. It stays because
+	// benchmark/counters.go reads it.
 	Flushes atomic.Uint64
 }
 
@@ -301,11 +303,6 @@ func (d *Drive) handle(req *wire.Message, out *reply) *wire.Message {
 	case wire.TBatch:
 		d.handleBatch(acct, req, resp, out)
 	case wire.TNoop:
-	case wire.TFlush:
-		// Destage the write buffer: one amortized head pass covering
-		// every SyncWriteBack operation since the previous flush.
-		d.stats.Flushes.Add(1)
-		d.waitMedia(OpFlush, 0)
 	case wire.TP2PPush:
 		d.handleP2P(acct, req, resp, out)
 	case wire.TGetLog:
@@ -394,18 +391,8 @@ func (d *Drive) handlePut(acct wire.ACL, req, resp *wire.Message, out *reply) {
 	if !d.checkPutCAS(req.Key, req.DBVersion, req.Force, resp, out) {
 		return
 	}
-	d.waitMedia(writeKind(req.Sync), len(req.Value))
+	d.waitMedia(OpWrite, len(req.Value))
 	d.store.put(req.Key, req.Value, req.NewVersion)
-}
-
-// writeKind maps a request's durability mode to the media operation:
-// SyncWriteBack writes may buffer, skipping the write-through commit
-// penalty until a TFlush destages them.
-func writeKind(sync wire.SyncMode) OpKind {
-	if sync == wire.SyncWriteBack {
-		return OpWriteBack
-	}
-	return OpWrite
 }
 
 func (d *Drive) handleDelete(acct wire.ACL, req, resp *wire.Message, out *reply) {
@@ -541,7 +528,7 @@ func (d *Drive) handleBatch(acct wire.ACL, req, resp *wire.Message, out *reply) 
 	if applied > 0 {
 		// The single amortized media wait shared by every committed
 		// group in this batch.
-		d.waitMedia(writeKind(req.Sync), appliedBytes)
+		d.waitMedia(OpWrite, appliedBytes)
 	}
 }
 

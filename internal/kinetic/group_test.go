@@ -1,7 +1,11 @@
 package kinetic
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -143,33 +147,48 @@ func TestGroupedBatchSingleMediaWait(t *testing.T) {
 	}
 }
 
-// TestDriveSyncModes: SyncWriteBack writes skip the write-through
-// commit penalty and TFlush pays one destage pass.
-func TestDriveSyncModes(t *testing.T) {
+// TestDriveOneDurability: the drive has one durability, write-through.
+// A FLUSH request (Kinetic message type 16) is an unsupported
+// operation, and a put carrying the retired sync-mode field set to
+// write-back decodes, verifies and pays the write-through commit
+// penalty like any other put.
+func TestDriveOneDurability(t *testing.T) {
 	media := &HDDMedia{Positioning: time.Millisecond, BytesPerSec: 1e12, WritePenalty: 40 * time.Millisecond, TimeScale: 1}
 	d := NewDrive(Config{Name: "g4", Media: media})
 
-	t0 := time.Now()
-	resp := d.Handle(signedReq(&wire.Message{
-		Type: wire.TPut, Key: []byte("wb"), Value: []byte("v"), NewVersion: []byte("1"),
-		Force: true, Sync: wire.SyncWriteBack,
-	}))
-	wbElapsed := time.Since(t0)
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("write-back put: %v", resp.Status)
-	}
-	if wbElapsed > media.WritePenalty {
-		t.Fatalf("write-back put took %v; must skip the %v write penalty", wbElapsed, media.WritePenalty)
+	if resp := d.Handle(signedReq(&wire.Message{Type: 16})); resp.Status != wire.StatusInvalidRequest {
+		t.Fatalf("FLUSH request: %v, want %v", resp.Status, wire.StatusInvalidRequest)
 	}
 
-	t0 = time.Now()
-	if resp := d.Handle(signedReq(&wire.Message{Type: wire.TFlush})); resp.Status != wire.StatusOK {
-		t.Fatalf("flush: %v", resp.Status)
+	var req wire.Message
+	if err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(retiredSyncPut("wb", "written through"))), &req); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
-	if elapsed := time.Since(t0); elapsed < media.WritePenalty {
-		t.Fatalf("flush took %v; must pay the %v destage penalty", elapsed, media.WritePenalty)
+	t0 := time.Now()
+	resp := d.Handle(&req)
+	if elapsed := time.Since(t0); resp.Status != wire.StatusOK || elapsed < media.WritePenalty {
+		t.Fatalf("put with the retired sync field: %v %s after %v; want OK after the %v write penalty",
+			resp.Status, resp.StatusMsg, elapsed, media.WritePenalty)
 	}
-	if d.Stats().Flushes.Load() != 1 {
-		t.Fatalf("flushes: %d, want 1", d.Stats().Flushes.Load())
+	if g := d.Handle(signedReq(&wire.Message{Type: wire.TGet, Key: []byte("wb")})); g.Status != wire.StatusOK || string(g.Value) != "written through" {
+		t.Fatalf("get wb: %v %q", g.Status, g.Value)
 	}
+}
+
+// retiredSyncPut is a put of key and value signed by the factory
+// account in the frame format of a drive link that carried a sync mode:
+// field 11 set to 1 (write-back) behind the put's other fields, covered
+// by the MAC as every field but the value's bytes is. value must occur
+// in the frame nowhere but as the value.
+func retiredSyncPut(key, value string) []byte {
+	m := &wire.Message{Type: wire.TPut, Seq: 1, User: DefaultAdminIdentity,
+		Key: []byte(key), Value: []byte(value), NewVersion: []byte("1"), Force: true}
+	body := append(m.Marshal(), 11, 1, 1) // field 11, length 1, write-back
+	v := bytes.Index(body, m.Value)
+	mac := hmac.New(sha256.New, DefaultAdminKey)
+	mac.Write(body[:v])
+	mac.Write(body[v+len(value):])
+	body = mac.Sum(append(body, 22, sha256.Size)) // the HMAC field, tag 22, ends the frame
+	frame := binary.BigEndian.AppendUint32([]byte{wire.Magic}, uint32(len(body)))
+	return append(frame, body...)
 }

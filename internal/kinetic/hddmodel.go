@@ -27,14 +27,6 @@ const (
 	OpWrite
 	OpDelete
 	OpScan
-	// OpWriteBack is a write under SyncWriteBack durability: the drive
-	// may buffer it, so the HDD model charges positioning and transfer
-	// but not the write-through commit penalty.
-	OpWriteBack
-	// OpFlush destages the drive's write buffer (TFlush): one head
-	// pass paying positioning plus the commit penalty, amortized over
-	// however many write-back operations preceded it.
-	OpFlush
 )
 
 // SimMedia is the in-memory simulator backend: zero modelled service
@@ -87,7 +79,7 @@ func NewHDDMedia(timeScale float64) *HDDMedia {
 // occupies the medium; the drive sleeps for the scaled duration.
 func (h *HDDMedia) ServiceTime(op OpKind, n int) time.Duration {
 	d := h.Positioning + time.Duration(float64(n)/h.BytesPerSec*float64(time.Second))
-	if op == OpWrite || op == OpDelete || op == OpFlush {
+	if op == OpWrite || op == OpDelete {
 		d += h.WritePenalty
 	}
 	return time.Duration(float64(d) * h.TimeScale)

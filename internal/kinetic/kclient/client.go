@@ -477,12 +477,11 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // Index is the failing sub-operation's offset within that group. The
 // error return covers transport and whole-message failures only.
 //
-// sync selects the durability mode for the whole batch (the caller
-// merges only groups sharing a mode): SyncWriteBack batches skip the
-// write-through commit penalty and rely on a later Flush.
-func (c *Client) BatchGroups(ctx context.Context, ops []wire.BatchOp, sizes []uint32, sync wire.SyncMode) ([]error, error) {
+// Every batch is write-through. The unnamed SyncMode parameter stays
+// because benchmark/pure.go passes wire.SyncWriteThrough.
+func (c *Client) BatchGroups(ctx context.Context, ops []wire.BatchOp, sizes []uint32, _ wire.SyncMode) ([]error, error) {
 	resp, err := c.roundTrip(ctx, &wire.Message{
-		Type: wire.TBatch, Batch: ops, GroupSizes: sizes, Sync: sync,
+		Type: wire.TBatch, Batch: ops, GroupSizes: sizes,
 	})
 	if err != nil {
 		return nil, err
@@ -599,15 +598,6 @@ func (c *Client) InstantErase(ctx context.Context, pin []byte) error {
 // Noop verifies connectivity and credentials.
 func (c *Client) Noop(ctx context.Context) error {
 	resp, err := c.roundTrip(ctx, &wire.Message{Type: wire.TNoop})
-	if err != nil {
-		return err
-	}
-	return statusOf(resp)
-}
-
-// Flush forces buffered writes to media.
-func (c *Client) Flush(ctx context.Context) error {
-	resp, err := c.roundTrip(ctx, &wire.Message{Type: wire.TFlush})
 	if err != nil {
 		return err
 	}

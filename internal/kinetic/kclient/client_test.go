@@ -126,9 +126,6 @@ func TestClientEraseAndLog(t *testing.T) {
 	if drive.Len() != 0 {
 		t.Fatalf("%d keys after erase", drive.Len())
 	}
-	if err := cl.Flush(ctx); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
 }
 
 // TestClientConcurrentPipelining exercises many in-flight requests on

@@ -65,16 +65,16 @@ const (
 	TEraseResponse    MessageType = 13
 	TNoop             MessageType = 14
 	TNoopResponse     MessageType = 15
-	TFlush            MessageType = 16
-	TFlushResponse    MessageType = 17
-	TP2PPush          MessageType = 18
-	TP2PPushResponse  MessageType = 19
-	TGetLog           MessageType = 20
-	TGetLogResponse   MessageType = 21
-	TGetVersion       MessageType = 22
-	TGetVersionResp   MessageType = 23
-	TBatch            MessageType = 24
-	TBatchResp        MessageType = 25
+	// 16 and 17 are Kinetic's FLUSH pair, left unassigned: every write
+	// is write-through, so there is nothing to destage.
+	TP2PPush         MessageType = 18
+	TP2PPushResponse MessageType = 19
+	TGetLog          MessageType = 20
+	TGetLogResponse  MessageType = 21
+	TGetVersion      MessageType = 22
+	TGetVersionResp  MessageType = 23
+	TBatch           MessageType = 24
+	TBatchResp       MessageType = 25
 )
 
 // Response reports the response type paired with a request type, or
@@ -98,7 +98,6 @@ var typeNames = [...]string{
 	TSecurity: "SECURITY", TSecurityResponse: "SECURITY_RESPONSE",
 	TErase: "ERASE", TEraseResponse: "ERASE_RESPONSE",
 	TNoop: "NOOP", TNoopResponse: "NOOP_RESPONSE",
-	TFlush: "FLUSH", TFlushResponse: "FLUSH_RESPONSE",
 	TP2PPush: "P2PPUSH", TP2PPushResponse: "P2PPUSH_RESPONSE",
 	TGetLog: "GETLOG", TGetLogResponse: "GETLOG_RESPONSE",
 	TGetVersion: "GETVERSION", TGetVersionResp: "GETVERSION_RESPONSE",
@@ -228,17 +227,14 @@ type BatchOp struct {
 	Force      bool   // ignore version check
 }
 
-// SyncMode selects Kinetic write durability semantics.
+// SyncMode names a write's durability. There is one: a write is on
+// the medium before its response (the paper's write-through semantic,
+// §3.2). The type stays because benchmark/pure.go passes
+// SyncWriteThrough to kclient.Client.BatchGroups.
 type SyncMode uint8
 
-// Sync modes: WriteThrough persists before the response (the paper's
-// write-through semantic, §3.2); WriteBack may buffer; Flush forces
-// all buffered writes out.
-const (
-	SyncWriteThrough SyncMode = iota
-	SyncWriteBack
-	SyncFlush
-)
+// SyncWriteThrough persists before the response.
+const SyncWriteThrough SyncMode = 0
 
 // Message is a single Kinetic protocol message: a request or response.
 // Zero-valued fields are omitted from the encoding.
@@ -254,7 +250,6 @@ type Message struct {
 	DBVersion  []byte // stored version for compare-and-swap
 	NewVersion []byte // version to install on put
 	Force      bool   // ignore version check
-	Sync       SyncMode
 
 	StartKey     []byte
 	EndKey       []byte
@@ -393,7 +388,7 @@ const (
 	fDBVersion
 	fNewVersion
 	fForce
-	fSync
+	_ // 11, Kinetic's sync mode: retired, skipped like any unknown field
 	fStartKey
 	fEndKey
 	fMaxReturned
@@ -471,9 +466,6 @@ func (m *Message) marshalTail(buf []byte) []byte {
 	}
 	if m.Force {
 		buf = appendField(buf, fForce, []byte{1})
-	}
-	if m.Sync != SyncWriteThrough {
-		buf = appendField(buf, fSync, []byte{byte(m.Sync)})
 	}
 	if len(m.StartKey) > 0 {
 		buf = appendField(buf, fStartKey, m.StartKey)
@@ -665,11 +657,6 @@ func (m *Message) decode(data []byte, alias bool) error {
 			m.NewVersion = own(val)
 		case fForce:
 			m.Force = len(val) == 1 && val[0] == 1
-		case fSync:
-			if len(val) != 1 {
-				return errors.New("wire: bad sync field")
-			}
-			m.Sync = SyncMode(val[0])
 		case fStartKey:
 			m.StartKey = own(val)
 		case fEndKey:

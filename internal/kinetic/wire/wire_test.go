@@ -20,7 +20,6 @@ func sampleMessage() *Message {
 		DBVersion:  []byte{0, 0, 0, 1},
 		NewVersion: []byte{0, 0, 0, 2},
 		Force:      true,
-		Sync:       SyncWriteBack,
 	}
 }
 
@@ -40,7 +39,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		{Type: TPutResponse, Seq: 9, Status: StatusVersionMismatch, StatusMsg: "conflict"},
 		{Type: TP2PPush, Key: []byte("k"), Peer: "kinetic-1"},
 		{Type: TNoop},
-		{Type: TBatch, Sync: SyncWriteBack, Batch: []BatchOp{
+		{Type: TBatch, Batch: []BatchOp{
 			{Op: BatchPut, Key: []byte("a"), Value: []byte("v"), NewVersion: []byte{1}, Force: true},
 			{Op: BatchPut, Key: []byte("b"), Value: []byte("w"), DBVersion: []byte{1}, NewVersion: []byte{2}},
 			{Op: BatchDelete, Key: []byte("c"), Force: true},
@@ -177,7 +176,7 @@ func TestQuickRoundTrip(t *testing.T) {
 
 func TestResponsePairing(t *testing.T) {
 	reqs := []MessageType{TGet, TPut, TDelete, TGetKeyRange, TSecurity, TErase,
-		TNoop, TFlush, TP2PPush, TGetLog, TGetVersion}
+		TNoop, TP2PPush, TGetLog, TGetVersion}
 	for _, r := range reqs {
 		if !r.IsRequest() {
 			t.Errorf("%v should be a request", r)

@@ -1,17 +1,13 @@
 // Chaos engine controls: every testbed deployment carries per-drive
-// network links and per-drive fault hooks that tests and the chaos
-// bench drive deterministically. Faults are counter-driven (never
-// random at injection time) so a schedule replays identically; the
-// only randomness is the seeded plan generator, which is pure — the
-// same seed always yields the same schedule.
+// network links and per-drive fault hooks that each test scripts step
+// by step. Faults are counter-driven (never random at injection time),
+// so a test that scripts the same steps observes the same failures.
 
 package testbed
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -27,14 +23,6 @@ func (c *Cluster) CutDrive(i int) { c.driveLinks[i].Cut() }
 
 // HealDrive restores a cut path to drive i.
 func (c *Cluster) HealDrive(i int) { c.driveLinks[i].Heal() }
-
-// PartitionDrives cuts this node's paths to every listed drive in one
-// step — "the controller lost a rack".
-func (c *Cluster) PartitionDrives(idx ...int) {
-	for _, i := range idx {
-		c.CutDrive(i)
-	}
-}
 
 // SetDriveFaults installs a fault configuration on drive i itself
 // (blackhole, slow-by-factor, error-rate, corrupt-on-read). Unlike
@@ -123,116 +111,4 @@ func (g gatedSource) FetchMap(ctx context.Context) ([]byte, error) {
 		return nil, err
 	}
 	return g.inner.FetchMap(ctx)
-}
-
-// Chaos action kinds understood by ChaosPlan.Apply.
-const (
-	// ChaosBlackhole makes the drive drop every request (crash-stop).
-	ChaosBlackhole = "blackhole"
-	// ChaosClearFaults removes the drive's fault configuration.
-	ChaosClearFaults = "clear-faults"
-	// ChaosCutLink partitions this node from the drive.
-	ChaosCutLink = "cut-link"
-	// ChaosHealLink restores the partitioned path.
-	ChaosHealLink = "heal-link"
-	// ChaosSlow multiplies the drive's media latency by Factor.
-	ChaosSlow = "slow"
-)
-
-// ChaosAction is one scheduled fault transition.
-type ChaosAction struct {
-	// At is the offset from the start of the plan's run.
-	At time.Duration
-	// Kind is one of the Chaos* constants.
-	Kind string
-	// Drive indexes the target drive.
-	Drive int
-	// Factor parameterizes ChaosSlow (media latency multiplier).
-	Factor int
-}
-
-// ChaosPlan is a deterministic fault schedule: the same seed, drive
-// count, span and event count always produce the identical action
-// list, and every action it emits is itself deterministic (blackholes
-// and cuts, never probabilistic drops), so two runs of the same plan
-// against the same workload observe the same failure sequence.
-type ChaosPlan struct {
-	Seed    int64
-	Actions []ChaosAction
-}
-
-// NewChaosPlan generates events fault/heal pairs across drives within
-// span. Faults start in the first half of the span and heal in the
-// second, so every injected fault also exercises recovery.
-func NewChaosPlan(seed int64, drives int, span time.Duration, events int) *ChaosPlan {
-	if drives <= 0 || events <= 0 || span <= 0 {
-		return &ChaosPlan{Seed: seed}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	p := &ChaosPlan{Seed: seed}
-	half := int64(span) / 2
-	for e := 0; e < events; e++ {
-		d := rng.Intn(drives)
-		at := time.Duration(rng.Int63n(half))
-		heal := time.Duration(half + rng.Int63n(half))
-		switch rng.Intn(3) {
-		case 0:
-			p.Actions = append(p.Actions,
-				ChaosAction{At: at, Kind: ChaosBlackhole, Drive: d},
-				ChaosAction{At: heal, Kind: ChaosClearFaults, Drive: d})
-		case 1:
-			p.Actions = append(p.Actions,
-				ChaosAction{At: at, Kind: ChaosCutLink, Drive: d},
-				ChaosAction{At: heal, Kind: ChaosHealLink, Drive: d})
-		default:
-			p.Actions = append(p.Actions,
-				ChaosAction{At: at, Kind: ChaosSlow, Drive: d, Factor: 2 + rng.Intn(3)},
-				ChaosAction{At: heal, Kind: ChaosClearFaults, Drive: d})
-		}
-	}
-	sort.SliceStable(p.Actions, func(i, j int) bool { return p.Actions[i].At < p.Actions[j].At })
-	return p
-}
-
-// Apply executes one action against the cluster.
-func (p *ChaosPlan) Apply(c *Cluster, a ChaosAction) error {
-	if a.Drive < 0 || a.Drive >= len(c.Drives) {
-		return fmt.Errorf("testbed: chaos action targets unknown drive %d", a.Drive)
-	}
-	switch a.Kind {
-	case ChaosBlackhole:
-		c.SetDriveFaults(a.Drive, kinetic.Faults{Blackhole: true})
-	case ChaosClearFaults:
-		c.ClearDriveFaults(a.Drive)
-	case ChaosCutLink:
-		c.CutDrive(a.Drive)
-	case ChaosHealLink:
-		c.HealDrive(a.Drive)
-	case ChaosSlow:
-		c.SetDriveFaults(a.Drive, kinetic.Faults{SlowFactor: a.Factor})
-	default:
-		return fmt.Errorf("testbed: unknown chaos action %q", a.Kind)
-	}
-	return nil
-}
-
-// Run plays the plan against the cluster in real time, returning when
-// every action has fired or the context ends. Actions keep their
-// scheduled order even when the clock has already passed their
-// offset.
-func (p *ChaosPlan) Run(ctx context.Context, c *Cluster) error {
-	start := time.Now()
-	for _, a := range p.Actions {
-		if wait := a.At - time.Since(start); wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		if err := p.Apply(c, a); err != nil {
-			return err
-		}
-	}
-	return nil
 }
