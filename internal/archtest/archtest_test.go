@@ -8,11 +8,11 @@
 // violations it must catch: each mutant is a textual edit to an
 // in-memory copy of one real file, and the rule must report that file
 // once the edit is applied. The checker imports only the standard
-// library and reads the tree once.
+// library and reads the tree once: every Go file, the docs and the CI
+// workflow.
 package archtest
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -30,10 +30,13 @@ import (
 	"testing"
 )
 
-// The files besides Go source that rules read.
+// The files besides Go source that rules read: these, and every
+// docs/*.md.
 const (
 	workflow   = ".github/workflows/ci.yml"
+	readme     = "README.md"
 	storageDoc = "docs/storage.md"
+	perfDoc    = "docs/perf.md"
 )
 
 // drive is the qualifier of a selector on a drive connection.
@@ -53,8 +56,8 @@ type mutant struct {
 	file, old, new string
 }
 
-// tree is the module as the rules see it: its non-test Go files, its
-// test files that declare fuzz targets, and the text files rules read.
+// tree is the module as the rules see it: its Go files, test files
+// included, and the text files rules read.
 type tree struct {
 	files []*goFile // sorted by path
 	text  map[string]string
@@ -69,6 +72,7 @@ type goFile struct {
 	decls   []decl
 	refs    []ref
 	lits    []lit
+	notes   []lit // comment groups, comment markers stripped
 }
 
 // funcName names a function: a method carries its receiver's type.
@@ -378,6 +382,91 @@ func docTable(t *tree, table []rule) (bad []string) {
 
 var backticked = regexp.MustCompile("`[^`]+`")
 
+// perfNotesMax is the length docs/perf.md stays under: one design note
+// per mechanism; run logs go in CHANGES.md.
+const perfNotesMax = 600
+
+// citation is a reference to a section of a doc: docs/x.md, maybe
+// closed by a backtick or a parenthesis or followed by 's, maybe a
+// comma, then a quoted heading, then maybe more quoted headings of the
+// same doc joined by "and" or commas.
+var (
+	citation = regexp.MustCompile("docs/(\\w+\\.md)(?:`|\\)|'s)?,?\\s*\"([^\"]+)\"((?:\\s*(?:,|and)\\s*\"[^\"]+\")*)")
+	quoted   = regexp.MustCompile(`"([^"]+)"`)
+)
+
+// docCitations: every citation of a doc section in a Go comment, a doc
+// or the README names a heading of that doc, and docs/perf.md stays
+// under perfNotesMax lines.
+func docCitations(t *tree, _ []rule) (bad []string) {
+	headings := map[string][]string{} // doc → its headings
+	for p, text := range t.text {
+		if strings.HasPrefix(p, "docs/") {
+			headings[p] = mdHeadings(text)
+		}
+	}
+	check := func(path string, line int, text string) {
+		for _, m := range citation.FindAllStringSubmatchIndex(text, -1) {
+			doc := "docs/" + text[m[2]:m[3]]
+			at := line + strings.Count(text[:m[0]], "\n")
+			names := []string{text[m[4]:m[5]]}
+			for _, q := range quoted.FindAllStringSubmatch(text[m[6]:m[7]], -1) {
+				names = append(names, q[1])
+			}
+			hs, ok := headings[doc]
+			for _, n := range names {
+				n = strings.Join(strings.Fields(n), " ")
+				switch {
+				case !ok:
+					bad = append(bad, fmt.Sprintf("%s:%d: cites %s, which does not exist", path, at, doc))
+				case !slices.ContainsFunc(hs, func(h string) bool { return cites(n, h) }):
+					bad = append(bad, fmt.Sprintf("%s:%d: cites %s %q, which is no heading of it", path, at, doc, n))
+				}
+			}
+		}
+	}
+	for _, f := range t.files {
+		for _, c := range f.notes {
+			check(f.path, c.line, c.val)
+		}
+	}
+	for p, text := range t.text {
+		if strings.HasSuffix(p, ".md") {
+			check(p, 1, text)
+		}
+	}
+	if n := strings.Count(t.text[perfDoc], "\n"); n >= perfNotesMax {
+		bad = append(bad, fmt.Sprintf("%s:%d: design notes stay under %d lines", perfDoc, n, perfNotesMax))
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// mdHeadings lists a markdown text's headings, whitespace collapsed,
+// outside fenced code blocks.
+func mdHeadings(text string) (hs []string) {
+	fenced := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		} else if h, ok := strings.CutPrefix(line, "#"); ok && !fenced {
+			hs = append(hs, strings.Join(strings.Fields(strings.TrimLeft(h, "#")), " "))
+		}
+	}
+	return hs
+}
+
+// cites reports whether the cited name c names heading h: h whole, h's
+// title (its text before the first colon), or, when c ends in "…", a
+// prefix of h.
+func cites(c, h string) bool {
+	if p, ok := strings.CutSuffix(c, "…"); ok {
+		return strings.HasPrefix(h, strings.TrimSpace(p))
+	}
+	title, _, _ := strings.Cut(h, ":")
+	return c == h || c == title
+}
+
 // under reports whether path is in scope: a pattern is a path.Match glob,
 // "dir/..." for everything below dir, or "..." for the module.
 func under(scope []string, path string) bool {
@@ -423,10 +512,6 @@ func load(root string) (*tree, error) {
 		if err != nil {
 			return err
 		}
-		test := strings.HasSuffix(p, "_test.go")
-		if test && !bytes.Contains(src, []byte("\nfunc Fuzz")) {
-			return nil
-		}
 		rel, err := filepath.Rel(root, p)
 		if err != nil {
 			return err
@@ -441,7 +526,15 @@ func load(root string) (*tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range []string{workflow, storageDoc} {
+	texts := []string{workflow, readme}
+	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range docs {
+		texts = append(texts, "docs/"+filepath.Base(d))
+	}
+	for _, p := range texts {
 		b, err := os.ReadFile(filepath.Join(root, p))
 		if err != nil {
 			return nil, err
@@ -481,12 +574,15 @@ func (t *tree) with(m mutant) (*tree, error) {
 // parse indexes one Go file.
 func parse(path, src string) (*goFile, error) {
 	fset := token.NewFileSet()
-	af, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+	af, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution|parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
 	f := &goFile{path: path, test: strings.HasSuffix(path, "_test.go"), src: src}
 	line := func(n ast.Node) int { return fset.Position(n.Pos()).Line }
+	for _, cg := range af.Comments {
+		f.notes = append(f.notes, lit{cg.Text(), line(cg)})
+	}
 	imports := map[string]string{} // local name → import path
 	for _, im := range af.Imports {
 		p, _ := strconv.Unquote(im.Path.Value)

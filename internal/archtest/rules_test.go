@@ -1,5 +1,7 @@
 package archtest
 
+import "strings"
+
 // core is the trusted controller's package.
 var core = []string{"internal/core/*.go"}
 
@@ -545,6 +547,28 @@ var rules = []rule{
 			file: storageDoc,
 			old:  "| `open-chunk`",
 			new:  "| `open-chunks`",
+		}},
+	},
+	// A doc section cited by a Go comment, a doc or the README exists,
+	// and docs/perf.md is design notes, not run logs.
+	{
+		name:  "doc-citations",
+		check: docCitations,
+		mutants: []mutant{{
+			// A comment citing a heading perf.md does not have.
+			file: "internal/cluster/router.go",
+			old:  `"A denial is an answer"`,
+			new:  `"A denial is a retry"`,
+		}, {
+			// A doc citing a heading another doc does not have.
+			file: storageDoc,
+			old:  `"A listing pays one round trip per drive"`,
+			new:  `"A listing pays one round trip per shard"`,
+		}, {
+			// Run logs back in perf.md.
+			file: perfDoc,
+			old:  "# Performance design notes\n",
+			new:  "# Performance design notes\n" + strings.Repeat("\n", perfNotesMax),
 		}},
 	},
 }

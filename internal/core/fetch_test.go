@@ -78,6 +78,21 @@ func (r *fetchRig) late(v string) func(context.Context) (string, error) {
 	}
 }
 
+// afterHedges answers v once the fetch has fired n hedges, or the
+// cancellation first.
+func (r *fetchRig) afterHedges(n uint64, v string) func(context.Context) (string, error) {
+	return func(ctx context.Context) (string, error) {
+		for r.c.stats.ReadHedges.Load() < n {
+			select {
+			case <-time.After(100 * time.Microsecond):
+			case <-ctx.Done():
+				return "", ctx.Err()
+			}
+		}
+		return v, nil
+	}
+}
+
 // settle lets every late reply arrive.
 func (r *fetchRig) settle() { r.once.Do(func() { close(r.release) }) }
 
@@ -170,14 +185,21 @@ func TestFetchTable(t *testing.T) {
 				t.Errorf("%d hedges fired with no candidate left", n)
 			}
 		}},
-		{"a slow first drive is hedged around, counted, and charged its time", time.Millisecond, func(r *fetchRig) {
+		// c1–c3 answer only once two hedges fired, so every candidate
+		// is out before a slot is in hand. In ec:4+2 both parity slots
+		// then land, and whatever arrives in the patience window is
+		// kept: the engine returns at least k slots, here five.
+		{"a slow first drive is hedged around, counted, and charged its time", 20 * time.Millisecond, func(r *fetchRig) {
 			r.reply[0] = slow(time.Minute, "c0")
+			for i := 1; i <= 3 && i < len(r.reply); i++ {
+				r.reply[i] = r.afterHedges(2, fmt.Sprintf("c%d", i))
+			}
 		}, func(t *testing.T, r *fetchRig, got []string, err error) {
-			if err != nil || got[0] == "c0" || countFilled(got) != r.k {
+			if err != nil || got[0] == "c0" || countFilled(got) < r.k {
 				t.Fatalf("slots %q, %v", got, err)
 			}
-			if n := r.c.stats.ReadHedges.Load(); n == 0 {
-				t.Error("no hedge counted")
+			if n := r.c.stats.ReadHedges.Load(); n != 2 {
+				t.Errorf("%d hedges counted, want 2", n)
 			}
 			if _, _, n := r.cands[0].pool.latency(); n == 0 {
 				t.Error("the outlived drive was not charged a latency sample")

@@ -134,6 +134,7 @@ type link struct {
 	wmu sync.Mutex
 	w   *bufio.Writer
 	enc *wire.Encoder
+	out int64 // bytes the connection accepted, under wmu
 
 	// sending is the context of the caller whose send is in progress, nil
 	// between sends; watch fires checkSend on one that outlasts sendGrace.
@@ -143,7 +144,8 @@ type link struct {
 }
 
 func newLink(conn net.Conn) *link {
-	l := &link{Conn: conn, w: bufio.NewWriterSize(conn, 64<<10), enc: wire.NewEncoder()}
+	l := &link{Conn: conn, enc: wire.NewEncoder()}
+	l.w = bufio.NewWriterSize(l, 64<<10)
 	l.watch = time.AfterFunc(time.Hour, l.checkSend)
 	l.watch.Stop()
 	return l
@@ -155,22 +157,33 @@ func newLink(conn net.Conn) *link {
 // fail the other calls in flight — and short for a caller that gave up.
 const sendGrace = 100 * time.Millisecond
 
-// send writes one signed request. A cancelled ctx ends a send blocked on
-// a peer that stopped reading: the watch, armed for the length of the
-// write (a timer reset and stop: no goroutine, nothing allocated), closes
-// the connection under it.
-func (l *link) send(ctx context.Context, req *wire.Message, key []byte) error {
+// Write is the connection's Write, counting what it accepts.
+func (l *link) Write(b []byte) (int, error) {
+	n, err := l.Conn.Write(b)
+	l.out += int64(n)
+	return n, err
+}
+
+// send writes one signed request; on failure, unsent reports that not a
+// byte of it reached the connection (a send starts with an empty
+// buffer: one that fails leaves its link dead), so the drive cannot
+// have seen it. A cancelled ctx ends a send blocked on a peer that
+// stopped reading: the watch, armed for the length of the write (a
+// timer reset and stop: no goroutine, nothing allocated), closes the
+// connection under it.
+func (l *link) send(ctx context.Context, req *wire.Message, key []byte) (unsent bool, err error) {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.setSending(ctx)
 	l.watch.Reset(sendGrace)
-	err := l.enc.WriteFrame(l.w, req, key)
+	before := l.out
+	err = l.enc.WriteFrame(l.w, req, key)
 	if err == nil {
 		err = l.w.Flush()
 	}
 	l.watch.Stop()
 	l.setSending(nil)
-	return err
+	return l.out == before, err
 }
 
 func (l *link) setSending(ctx context.Context) {
@@ -361,7 +374,29 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Message) (*wire.Messag
 	req.Seq = c.seq.Add(1)
 	req.TraceID = obs.TraceID(ctx)
 	started := time.Now()
+	resp, err := c.exchange(ctx, req, true)
+	if err != nil {
+		return nil, err
+	}
+	if resp.ServiceUs != 0 && obs.Recording(ctx) {
+		// Attribute the drive's own service time (media wait included)
+		// under the current span; the remainder of the round trip is
+		// network and queueing.
+		obs.RecordSpan(ctx, "drive", started,
+			time.Since(started),
+			obs.Attr{Key: "media_us", Value: strconv.FormatUint(uint64(resp.ServiceUs), 10)},
+			obs.Attr{Key: "op", Value: req.Type.String()})
+	}
+	return resp, nil
+}
 
+// exchange sends req on the live connection and waits for its answer.
+// A connection closed under the client — by a cut its reader has not
+// yet seen — fails the send before a byte of req reaches it; with redial
+// set, req then goes once more on a fresh connection, since the drive
+// cannot have seen it. A request whose bytes the drive may have seen is
+// never sent again.
+func (c *Client) exchange(ctx context.Context, req *wire.Message, redial bool) (*wire.Message, error) {
 	// ensureConn returns holding c.mu with a live connection.
 	if err := c.ensureConn(ctx); err != nil {
 		return nil, err
@@ -374,11 +409,14 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Message) (*wire.Messag
 	c.pending[req.Seq] = call{conn: conn, ch: ch}
 	c.mu.Unlock()
 
-	if err := conn.send(ctx, req, key); err != nil {
+	if unsent, err := conn.send(ctx, req, key); err != nil {
 		// Drop the dead connection so the next call redials.
 		c.failAll(conn)
-		if ctx.Err() != nil {
+		switch {
+		case ctx.Err() != nil:
 			return nil, ctx.Err()
+		case unsent && redial:
+			return c.exchange(ctx, req, false)
 		}
 		return nil, err
 	}
@@ -387,15 +425,6 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Message) (*wire.Messag
 	case resp, ok := <-ch:
 		if !ok {
 			return nil, errors.New("kinetic: connection lost")
-		}
-		if resp.ServiceUs != 0 && obs.Recording(ctx) {
-			// Attribute the drive's own service time (media wait
-			// included) under the current span; the remainder of the
-			// round trip is network and queueing.
-			obs.RecordSpan(ctx, "drive", started,
-				time.Since(started),
-				obs.Attr{Key: "media_us", Value: strconv.FormatUint(uint64(resp.ServiceUs), 10)},
-				obs.Attr{Key: "op", Value: req.Type.String()})
 		}
 		return resp, nil
 	case <-ctx.Done():

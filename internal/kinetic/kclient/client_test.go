@@ -203,6 +203,87 @@ func TestClientReconnectAfterConnLoss(t *testing.T) {
 	}
 }
 
+// severableConn is a connection that can be closed under its client
+// without the client's reader noticing: once severed, Write fails as on
+// a closed connection — after passing one byte on, when partial — while
+// Read stays blocked.
+type severableConn struct {
+	net.Conn
+	severed, partial atomic.Bool
+}
+
+func (c *severableConn) Write(b []byte) (int, error) {
+	if !c.severed.Load() {
+		return c.Conn.Write(b)
+	}
+	if c.partial.Load() {
+		n, _ := c.Conn.Write(b[:1])
+		return n, net.ErrClosed
+	}
+	return 0, net.ErrClosed
+}
+
+// TestRequestOnAConnectionClosedUnderItIsRedialedOnce: a request whose
+// send fails before a byte of it reached the connection is sent once
+// more on a fresh one; a request the drive may have seen part of is not.
+func TestRequestOnAConnectionClosedUnderItIsRedialedOnce(t *testing.T) {
+	drive := kinetic.NewDrive(kinetic.Config{Name: "t"})
+	ln := netx.NewListener("drive")
+	srv := kinetic.Serve(drive, ln, nil)
+	t.Cleanup(func() { srv.Close(); ln.Close() })
+	var mu sync.Mutex
+	var conns []*severableConn
+	dial := func(ctx context.Context) (net.Conn, error) {
+		c, err := ln.DialContext(ctx)
+		if err != nil {
+			return nil, err
+		}
+		sc := &severableConn{Conn: c}
+		mu.Lock()
+		conns = append(conns, sc)
+		mu.Unlock()
+		return sc, nil
+	}
+	dials := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(conns)
+	}
+	sever := func(partial bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		c := conns[len(conns)-1]
+		c.partial.Store(partial)
+		c.severed.Store(true)
+	}
+	cl, err := Dial(context.Background(), dial,
+		Credentials{Identity: kinetic.DefaultAdminIdentity, Key: kinetic.DefaultAdminKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	if err := cl.Put(ctx, []byte("k"), []byte("v"), nil, nil, true); err != nil {
+		t.Fatal(err)
+	}
+
+	sever(false)
+	if got, _, err := cl.Get(ctx, []byte("k")); err != nil || string(got) != "v" {
+		t.Fatalf("get on a connection closed under the client: %q, %v", got, err)
+	}
+	if n := dials(); n != 2 {
+		t.Fatalf("%d dials, want 2: one redial", n)
+	}
+
+	sever(true)
+	if err := cl.Put(ctx, []byte("k"), []byte("w"), nil, nil, true); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("put with a byte sent: %v, want the closed connection's error", err)
+	}
+	if n := dials(); n != 2 {
+		t.Fatalf("%d dials, want 2: a request the drive may have seen was sent again", n)
+	}
+}
+
 func TestClientClosedErrors(t *testing.T) {
 	_, cl := startDrive(t)
 	cl.Close()

@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrLinkCut is returned by dials through a cut link and by I/O on
@@ -14,23 +13,11 @@ import (
 var ErrLinkCut = errors.New("netx: link cut")
 
 // Link models one directed network path (say, a controller to one
-// drive) with injectable faults: a hard cut (partition), a fixed
-// per-write delay, and a deterministic drop-every-Nth-frame error.
-// The zero-value Link passes traffic through untouched; the fault
-// checks are atomic loads, so a healthy link costs nothing material.
-//
-// Drops are counter-driven rather than random so a given frame
-// sequence reproduces the same failure on every run. A dropped write
-// closes the connection: on a stream transport losing a frame and
-// keeping the connection would desynchronize the framing anyway, and
-// a broken connection is the deterministic observable the failure
-// detector feeds on.
+// drive) with one injectable fault: a hard cut (partition). The
+// zero-value Link passes traffic through untouched; the cut check is
+// one atomic load, so a healthy link costs nothing material.
 type Link struct {
-	cut        atomic.Bool
-	delayNs    atomic.Int64
-	dropEveryN atomic.Int64
-	writes     atomic.Int64 // frames seen (drop counter)
-	dropped    atomic.Uint64
+	cut atomic.Bool
 
 	mu    sync.Mutex
 	conns map[*linkConn]struct{}
@@ -55,27 +42,9 @@ func (l *Link) Cut() {
 // new dials succeed again.
 func (l *Link) Heal() { l.cut.Store(false) }
 
-// IsCut reports whether the link is currently severed.
-func (l *Link) IsCut() bool { return l.cut.Load() }
-
-// SetDelay adds a fixed delay to every write through the link
-// (0 disables).
-func (l *Link) SetDelay(d time.Duration) { l.delayNs.Store(int64(d)) }
-
-// SetDropEveryN makes every Nth write through the link fail and close
-// its connection (0 disables). The counter is shared across the
-// link's connections and resets when the setting changes.
-func (l *Link) SetDropEveryN(n int64) {
-	l.writes.Store(0)
-	l.dropEveryN.Store(n)
-}
-
-// Dropped returns the number of writes dropped so far.
-func (l *Link) Dropped() uint64 { return l.dropped.Load() }
-
 // Dial runs the supplied dial through the link: it fails fast when the
-// link is cut and wraps the resulting connection so the link's faults
-// apply to its traffic and a later Cut can sever it.
+// link is cut and wraps the resulting connection so the link's cut
+// applies to its traffic and a later Cut can sever it.
 func (l *Link) Dial(ctx context.Context, dial func(context.Context) (net.Conn, error)) (net.Conn, error) {
 	if l.cut.Load() {
 		return nil, ErrLinkCut
@@ -105,18 +74,9 @@ type linkConn struct {
 }
 
 func (c *linkConn) Write(b []byte) (int, error) {
-	l := c.link
-	if l.cut.Load() {
+	if c.link.cut.Load() {
 		c.Conn.Close()
 		return 0, ErrLinkCut
-	}
-	if n := l.dropEveryN.Load(); n > 0 && l.writes.Add(1)%n == 0 {
-		l.dropped.Add(1)
-		c.Conn.Close()
-		return 0, ErrLinkCut
-	}
-	if d := l.delayNs.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
 	}
 	return c.Conn.Write(b)
 }

@@ -327,7 +327,7 @@ type coverFixture struct {
 
 func newCoverFixture(t *testing.T) *coverFixture {
 	t.Helper()
-	c, err := Start(Options{Drives: 6, Replicas: 3, PlainDriveLinks: true})
+	c, err := Start(Options{Drives: 6, Replicas: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ import (
 	"repro/internal/enclave"
 	"repro/internal/enclave/attest"
 	"repro/internal/kinetic"
-	"repro/internal/kinetic/kclient"
 	"repro/internal/netx"
 	"repro/internal/tlsutil"
 )
@@ -51,10 +50,6 @@ type Options struct {
 	// (0 = paper default); benchmarks shrink it to force cache-hostile
 	// read workloads.
 	ObjectCacheBytes int64
-	// DriveTLS enables TLS on controller↔drive links (default true —
-	// set PlainDriveLinks to disable for microbenchmarks isolating
-	// controller CPU).
-	PlainDriveLinks bool
 	// Clock overrides trusted time (for time-based policy tests).
 	Clock func() time.Time
 	// StandbysPerShard boots this many hot standbys per shard in
@@ -75,12 +70,9 @@ type Options struct {
 	// SweepKeysPerTick bounds one sweeper tick (0 = core default).
 	SweepKeysPerTick int
 	// EC enables the erasure-coded storage class for streamed objects
-	// of at least ECMinBytes (0 = core default 4 MB), striped as
-	// ECDataShards+ECParityShards (0,0 = 4+2).
-	EC             bool
-	ECDataShards   int
-	ECParityShards int
-	ECMinBytes     int64
+	// of at least ECMinBytes (0 = core default 4 MB), striped 4+2.
+	EC         bool
+	ECMinBytes int64
 	// DisableObs turns the observability layer off (no registry,
 	// tracer or audit log), as `pesos -obs=off` does; an overhead
 	// measurement compares against it.
@@ -176,18 +168,14 @@ func newDriveSet(e *env, driveNames []string, opts Options) (*driveSet, error) {
 		})
 		e.registerDrive(drive)
 		ln := netx.NewListener(dn)
-		var srvTLS *tls.Config
-		if !opts.PlainDriveLinks {
-			id, err := e.CA.IssueServer(dn, dn)
-			if err != nil {
-				ds.close()
-				return nil, err
-			}
-			srvTLS = tlsutil.ServerOnlyConfig(id)
+		id, err := e.CA.IssueServer(dn, dn)
+		if err != nil {
+			ds.close()
+			return nil, err
 		}
 		ds.drives = append(ds.drives, drive)
 		ds.lns = append(ds.lns, ln)
-		ds.servers = append(ds.servers, kinetic.Serve(drive, ln, srvTLS))
+		ds.servers = append(ds.servers, kinetic.Serve(drive, ln, tlsutil.ServerOnlyConfig(id)))
 	}
 	return ds, nil
 }
@@ -315,8 +303,6 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 		SweepInterval:        opts.SweepInterval,
 		SweepKeysPerTick:     opts.SweepKeysPerTick,
 		EC:                   opts.EC,
-		ECDataShards:         opts.ECDataShards,
-		ECParityShards:       opts.ECParityShards,
 		ECMinBytes:           opts.ECMinBytes,
 		DisableObs:           opts.DisableObs,
 		AuditDir:             opts.AuditDir,
@@ -326,30 +312,23 @@ func bootNode(e *env, name string, ds *driveSet, ownsDrives bool, opts Options, 
 	for i := range c.Drives {
 		ln := c.driveLns[i]
 		dn := c.Drives[i].Name()
-		var raw kclient.Dialer
-		if opts.PlainDriveLinks {
-			raw = func(ctx context.Context) (net.Conn, error) {
-				return ln.DialContext(ctx)
+		tlsCfg := tlsutil.ClientConfig(nil, e.CA.Pool(), dn)
+		raw := func(ctx context.Context) (net.Conn, error) {
+			conn, err := ln.DialContext(ctx)
+			if err != nil {
+				return nil, err
 			}
-		} else {
-			tlsCfg := tlsutil.ClientConfig(nil, e.CA.Pool(), dn)
-			raw = func(ctx context.Context) (net.Conn, error) {
-				conn, err := ln.DialContext(ctx)
-				if err != nil {
-					return nil, err
-				}
-				tc := tls.Client(conn, tlsCfg)
-				if err := tc.HandshakeContext(ctx); err != nil {
-					conn.Close()
-					return nil, err
-				}
-				return tc, nil
+			tc := tls.Client(conn, tlsCfg)
+			if err := tc.HandshakeContext(ctx); err != nil {
+				conn.Close()
+				return nil, err
 			}
+			return tc, nil
 		}
-		// Every controller→drive path runs through a netx.Link so the
-		// chaos engine can cut, delay or lossy the directed path for
-		// this node without touching the drive (other nodes keep their
-		// own links to the same drive).
+		// Every controller→drive path runs through a netx.Link so a
+		// test can cut the directed path for this node without
+		// touching the drive (other nodes keep their own links to the
+		// same drive).
 		link := &netx.Link{}
 		c.driveLinks = append(c.driveLinks, link)
 		dial := func(ctx context.Context) (net.Conn, error) {
