@@ -260,6 +260,29 @@ func gone(scope []string, names ...string) func(*tree, []rule) []string {
 	}
 }
 
+// declaredOnlyIn: of the files in scope, only those under within
+// declare name ("name", or "Recv.name"), and one of them does.
+func declaredOnlyIn(name string, scope []string, within ...string) func(*tree, []rule) []string {
+	return func(t *tree, _ []rule) (bad []string) {
+		declared := false
+		for _, f := range t.goFiles(scope) {
+			for _, d := range f.decls {
+				switch {
+				case !d.is(name):
+				case under(within, f.path):
+					declared = true
+				default:
+					bad = append(bad, fmt.Sprintf("%s:%d: %s is declared outside %s", f.path, d.line, d.funcName, strings.Join(within, ", ")))
+				}
+			}
+		}
+		if !declared {
+			bad = append(bad, fmt.Sprintf("%s: the rule pins %s, which %s no longer declares", strings.Join(within, ", "), name, strings.Join(within, ", ")))
+		}
+		return bad
+	}
+}
+
 // importedOnlyIn: of the files in scope, only those under within
 // import pkg.
 func importedOnlyIn(pkg string, scope []string, within ...string) func(*tree, []rule) []string {

@@ -21,9 +21,9 @@ const wirePkg = "repro/internal/kinetic/wire"
 // brings it back.
 var rules = []rule{
 	// The security argument, positively: every drive read happens in the
-	// read engine, the range walk, repair's and the sweeper's probes and
-	// the detector's — each hands what it reads to a bound opener or
-	// reads no record bytes at all.
+	// read engine, the range walk, repair's and the sweeper's probes, the
+	// detector's and the head wave's (many-reads, below) — each hands what
+	// it reads to a bound opener or reads no record bytes at all.
 	{
 		name: "drive-reads",
 		check: onlyIn(sym{pkg: drive, names: []string{"Get", "GetValue", "GetVersion", "Range", "GetKeyRange", "GetLog", "Noop"}}, core,
@@ -437,7 +437,7 @@ var rules = []rule{
 	{
 		name: "head-wave",
 		check: onlyIn(sym{names: []string{"loadMeta", "loadHead"}}, core,
-			"putObject", "planReadKey", "deleteObject", "loadHead", "loadHeads", "objectSource.Info", "objectSource.record", "putObjectStream", "commitStream"),
+			"putObject", "planReadKey", "deleteObject", "loadHead", "loadHeads", "headWave", "objectSource.Info", "objectSource.record", "putObjectStream", "commitStream"),
 		mutants: []mutant{{
 			// Through a receiver not spelled c.
 			file: "internal/core/batch.go",
@@ -447,6 +447,27 @@ var rules = []rule{
 			file: "internal/core/objects.go",
 			old:  "func (c *Controller) planPut(ctx context.Context, pe *policyEval, sessionKey, key string, head headLoad, value []byte, opts PutOptions) (*replicaWrite, error) {",
 			new:  "func (c *Controller) planPut(ctx context.Context, pe *policyEval, sessionKey, key string, head headLoad, value []byte, opts PutOptions) (*replicaWrite, error) {\n\thead = c.loadHead(ctx, key)",
+		}},
+	},
+	// The drive's multi-key read serves the head wave only: kclient
+	// declares it and the wave's askHeads, which checks every reply
+	// (checkHeads), is its one caller — a single-key read stays the fetch
+	// engine's, hedged and failed over per key.
+	{
+		name: "many-reads",
+		check: all(
+			onlyIn(sym{names: []string{"GetMany"}}, module, "askHeads"),
+			declaredOnlyIn("GetMany", module, "internal/kinetic/kclient/*.go"),
+		),
+		mutants: []mutant{{
+			file: "internal/core/objects.go",
+			old:  "func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, error) {",
+			new:  "func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, error) {\n\t_, _ = c.drives[0].pick().GetMany(ctx, [][]byte{store.MetaKey(key)})",
+		}, {
+			// A second multi-key read beside the client's.
+			file: "internal/core/headwave.go",
+			old:  "func (c *Controller) askHeads(",
+			new:  "func (c *Controller) GetMany(ctx context.Context, dks [][]byte) {}\n\nfunc (c *Controller) askHeads(",
 		}},
 	},
 	// A drive's records live in its arena: only the arena maps memory,

@@ -88,6 +88,19 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return c.get(k)
 }
 
+// Hit is Get for a caller that falls back to Load on a miss: a hit
+// counts and bumps k as Get's does, and a miss is left for Load to
+// count.
+func (c *Cache[K, V]) Hit(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[k]; !ok {
+		var zero V
+		return zero, false
+	}
+	return c.get(k)
+}
+
 // Contains reports whether k is cached, without counting a lookup or
 // bumping its frequency: a caller deciding whether a Load would wait on
 // a fetch.

@@ -2,10 +2,16 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/policy"
+	"repro/internal/store"
+	"repro/internal/usecases"
 )
 
 // TestPartialEvalMatchesInterpreter pins the end-to-end verdicts of a
@@ -185,5 +191,52 @@ func TestPolicyCountersExported(t *testing.T) {
 	}
 	if st.IndexSkippedClauses == 0 {
 		t.Fatal("IndexSkippedClauses did not move: partial eval kills the distractor clauses")
+	}
+}
+
+// TestResolvePolicyHashIsItsID: the policy hash a put's new head carries
+// is read off the policy id, not recomputed from the program, so for
+// every use-case policy the id must spell sha256 of the marshalled
+// program; and a put naming a cached policy — by request or by its head
+// — resolves it without allocating.
+func TestResolvePolicyHashIsItsID(t *testing.T) {
+	ctx := context.Background()
+	h := newHarness(t, 1, nil)
+	fp := strings.Repeat("ab", 32)
+	srcs := map[string]string{
+		"content-server": usecases.ContentServer([]string{fp, fp}, []string{fp}, []string{fp}),
+		"time-capsule":   usecases.TimeCapsule(fp, 1750000000, 300, fp),
+		"storage-lease":  usecases.StorageLease(fp, 1750000000, 300),
+		"versioned":      usecases.Versioned(),
+		"versioned-own":  usecases.VersionedOwned(fp),
+		"mal":            usecases.MAL(),
+	}
+	for name, src := range srcs {
+		prog, err := policy.CompileSource(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		blob, err := prog.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := h.ctl.PutPolicy(ctx, src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		head := &store.Meta{Key: "k", PolicyID: id}
+		for _, c := range []struct {
+			how       string
+			head      *store.Meta
+			requested string
+		}{{"requested", nil, id}, {"kept", head, ""}} {
+			gotID, hash, err := h.ctl.resolvePolicy(ctx, c.head, c.requested)
+			if err != nil || gotID != id || hash != sha256.Sum256(blob) {
+				t.Errorf("%s, %s: id %q, hash %x, %v; want %q and sha256 of the program", name, c.how, gotID, hash, err, id)
+			}
+			if n := testing.AllocsPerRun(50, func() { _, _, _ = h.ctl.resolvePolicy(ctx, c.head, c.requested) }); n != 0 {
+				t.Errorf("%s, %s: %v allocations to resolve a cached policy, want 0", name, c.how, n)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
@@ -106,11 +107,15 @@ func (c *Controller) resolvePolicy(ctx context.Context, meta *store.Meta, reques
 	}
 	var policyHash [32]byte
 	if newPolicyID != "" {
-		prog, err := c.loadPolicy(ctx, newPolicyID)
-		if err != nil {
+		// The id is the program's hash in hex (policyID), and a program
+		// is loaded only when it hashes back to its id (openPolicy): the
+		// load is the existence check, and the id is the hash.
+		if _, err := c.loadPolicy(ctx, newPolicyID); err != nil {
 			return "", policyHash, err
 		}
-		policyHash = prog.Hash()
+		if _, err := hex.Decode(policyHash[:], []byte(newPolicyID)); err != nil {
+			return "", policyHash, fmt.Errorf("core: policy id %q: %w", newPolicyID, err)
+		}
 	}
 	return newPolicyID, policyHash, nil
 }
@@ -376,11 +381,12 @@ func (h headLoad) forWrite() (*store.Meta, error) {
 
 // loadHeads is the head wave of a multi-key write (batchPut, transact):
 // it fills heads with the head of every key in keys before any of them
-// is planned. Cache misses are read concurrently through loadMeta — the
-// reads a plan of one key at a time would issue, overlapped: a new key's
-// head is an absence read, two rounds under the fetch engine's unanimity
-// rule. A wave of cached heads starts no goroutine. The caller holds the
-// keys' locks, so each head stays current until it commits.
+// is planned. Cached heads come from the meta cache; two or more misses
+// are one headWave, each drive asked at most twice — a new key's
+// absence, three GETs under the fetch engine's unanimity rule, costs
+// two rounds for the whole wave rather than two per key. A lone miss
+// has nothing to share a request with and is loadHead's. The caller
+// holds the keys' locks, so each head stays current until it commits.
 func (c *Controller) loadHeads(ctx context.Context, heads map[string]headLoad, keys []string) {
 	var misses []string
 	for _, k := range keys {
@@ -390,10 +396,14 @@ func (c *Controller) loadHeads(ctx context.Context, heads map[string]headLoad, k
 			misses = append(misses, k)
 		}
 	}
-	loaded := make([]headLoad, len(misses))
-	inParallel(len(misses), func(i int) { loaded[i] = c.loadHead(ctx, misses[i]) })
-	for i, k := range misses {
-		heads[k] = loaded[i]
+	switch len(misses) {
+	case 0:
+	case 1:
+		heads[misses[0]] = c.loadHead(ctx, misses[0])
+	default:
+		for i, h := range c.headWave(ctx, misses, c.askers()) {
+			heads[misses[i]] = h
+		}
 	}
 }
 
@@ -722,6 +732,9 @@ func (c *Controller) GetPolicySource(ctx context.Context, id string) (string, er
 // objects (1:M, §3) that falls out of cache is missed by all of them at
 // once.
 func (c *Controller) loadPolicy(ctx context.Context, id string) (*policy.Program, error) {
+	if prog, ok := c.policyCache.Hit(id); ok {
+		return prog, nil // without building the miss path's fetch
+	}
 	return cached(ctx, c, c.policyCache, id, func(ctx context.Context) (*policy.Program, error) { return c.fetchPolicy(ctx, id) })
 }
 

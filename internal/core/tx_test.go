@@ -375,13 +375,22 @@ func TestTxReadsHeadsInOneWave(t *testing.T) {
 	}
 	slowDrives(h, delay)
 
-	before, start := gets(), time.Now()
+	before, requests, start := gets(), readRequests(h), time.Now()
 	tx(0)
 	elapsed := time.Since(start)
 	// A read key costs its head and its record, one GET each off the
 	// replica asked first; a new write key's head costs three.
 	if got := gets() - before; got != 2*n+3*n {
 		t.Errorf("%d drive GETs for %d reads and %d new writes, want %d", got, n, n, 2*n+3*n)
+	}
+	// Every head, read or written, rides the wave's two rounds, at most
+	// two requests a drive; the records of the reads are a GET each.
+	total := uint64(0)
+	for i, r := range readRequests(h) {
+		total += r - requests[i]
+	}
+	if want := uint64(2*len(h.drives) + n); total > want {
+		t.Errorf("%d read requests for %d reads and %d new writes, want at most %d: two a drive for the heads, one a record", total, n, n, want)
 	}
 	// One key at a time: a read's head and record take a round each, a
 	// new write's head two.

@@ -44,6 +44,10 @@ type Stats struct {
 	// groups skipped by a failed compare-and-swap or permission check.
 	BatchGroups  atomic.Uint64
 	GroupRejects atomic.Uint64
+	// GetManys counts TGetMany requests and GetManyKeys the keys they
+	// answered, each of which is also one of Gets.
+	GetManys    atomic.Uint64
+	GetManyKeys atomic.Uint64
 	// Flushes always reads 0: every write is write-through, so the
 	// drive has no write buffer to destage. It stays because
 	// benchmark/counters.go reads it.
@@ -309,6 +313,8 @@ func (d *Drive) handle(req *wire.Message, out *reply) *wire.Message {
 		d.handleGetLog(acct, req, resp)
 	case wire.TGetVersion:
 		d.handleGetVersion(acct, req, resp, out)
+	case wire.TGetMany:
+		d.handleGetMany(acct, req, resp, out)
 	default:
 		resp.Status = wire.StatusInvalidRequest
 		resp.StatusMsg = "unsupported operation"
@@ -328,17 +334,54 @@ func (d *Drive) handleGet(acct wire.ACL, req, resp *wire.Message, out *reply) {
 		resp.Status = wire.StatusNotFound
 		return
 	}
-	if fs := d.faults.Load(); fs != nil && fs.cfg.CorruptEveryN > 0 && len(value) > 0 {
-		if fs.gets.Add(1)%fs.cfg.CorruptEveryN == 0 {
-			// The value is this response's own copy: the damage stays in
-			// this one response.
-			value[len(value)/2] ^= 0xff
-			fs.corrupted.Add(1)
-		}
+	if fs := d.faults.Load(); fs != nil {
+		fs.corruptGet(value)
 	}
 	resp.Key = req.Key
 	resp.Value = value
 	resp.DBVersion = version
+}
+
+// handleGetMany answers a TGetMany: each asked key in the order asked,
+// found with its value or absent, while the reply stays within the
+// range reply's byte budget; the keys past the cut go unanswered and the
+// reply is marked Truncated. The first key is always answered. Each key
+// looked up is a GET to the stats and to the media model — one read
+// apiece, with no discount — but the reads reserve the medium once and
+// the request sleeps once.
+func (d *Drive) handleGetMany(acct wire.ACL, req, resp *wire.Message, out *reply) {
+	if !permitted(acct, wire.PermRead, resp) {
+		d.stats.Rejected.Add(1)
+		return
+	}
+	n := len(req.Keys)
+	if n == 0 || n > wire.MaxBatchOps {
+		resp.Status = wire.StatusInvalidRequest
+		resp.StatusMsg = fmt.Sprintf("multi-key read needs 1..%d keys, got %d", wire.MaxBatchOps, n)
+		return
+	}
+	d.stats.GetManys.Add(1)
+	fs := d.faults.Load()
+	resp.Keys, resp.Values, resp.Found = make([][]byte, 0, n), make([][]byte, 0, n), make([]bool, 0, n)
+	size := 0
+	for _, k := range req.Keys {
+		value, _, ok := d.store.get(k, out)
+		if len(resp.Keys) > 0 && size+len(k)+len(value) > rangeReplyBudget {
+			resp.Truncated = true
+			break
+		}
+		size += len(k) + len(value)
+		if ok && fs != nil {
+			fs.corruptGet(value)
+		}
+		resp.Keys, resp.Values, resp.Found = append(resp.Keys, k), append(resp.Values, value), append(resp.Found, ok)
+	}
+	d.stats.Gets.Add(uint64(len(resp.Keys)))
+	d.stats.GetManyKeys.Add(uint64(len(resp.Keys)))
+	d.waitMediaOps(OpRead, len(resp.Keys), 0)
+	if fs != nil {
+		fs.lieAboutRange(req, resp)
+	}
 }
 
 // checkPutCAS validates a put's compare-and-swap precondition against
@@ -705,7 +748,11 @@ func (d *Drive) P2PPut(key, value, version []byte) error {
 	return nil
 }
 
-func (d *Drive) waitMedia(op OpKind, n int) {
+func (d *Drive) waitMedia(op OpKind, n int) { d.waitMediaOps(op, 1, n) }
+
+// waitMediaOps is waitMedia for ops operations one request serves (see
+// HDDMedia.WaitOps).
+func (d *Drive) waitMediaOps(op OpKind, ops, n int) {
 	reps, extra := 1, time.Duration(0)
 	if fs := d.faults.Load(); fs != nil {
 		if fs.cfg.SlowFactor > 1 {
@@ -715,7 +762,7 @@ func (d *Drive) waitMedia(op OpKind, n int) {
 	}
 	if h, ok := d.media.(*HDDMedia); ok {
 		for i := 0; i < reps; i++ {
-			h.Wait(op, n)
+			h.WaitOps(op, ops, n)
 		}
 	}
 	if extra > 0 {

@@ -2,6 +2,7 @@ package kinetic
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,29 +32,34 @@ type Faults struct {
 	// ErrorEveryN > 0 answers every Nth request with an internal-error
 	// status instead of executing it.
 	ErrorEveryN int64
-	// CorruptEveryN > 0 flips a byte in every Nth GET response value.
-	// The store itself is untouched (the response is corrupted on a
-	// copy); the authenticated codec upstream detects the damage, so
-	// this exercises the corrupt-replica repair path end to end.
+	// CorruptEveryN > 0 flips a byte in every Nth value a GET or a
+	// multi-key read returns. The store itself is untouched (the response
+	// is corrupted on a copy); the authenticated codec upstream detects
+	// the damage, so this exercises the corrupt-replica repair path end
+	// to end.
 	CorruptEveryN int64
-	// RangeLie makes every key-range reply dishonest in one way — the
-	// drive as an adversary of the enumerations built on GETKEYRANGE, not
-	// merely a broken one. Like CorruptEveryN it rewrites the reply, never
-	// the store.
+	// RangeLie makes every key-range reply, and every multi-key read
+	// reply, dishonest in one way — the drive as an adversary of the
+	// enumerations built on GETKEYRANGE and of the head wave built on
+	// GETMANY, not merely a broken one. Like CorruptEveryN it rewrites the
+	// reply, never the store.
 	RangeLie RangeLie
 }
 
-// RangeLie names one way a drive misanswers a key range.
+// RangeLie names one way a drive misanswers a key range or a multi-key
+// read.
 type RangeLie string
 
 const (
 	// RangeReorder swaps the reply's first and last entries.
 	RangeReorder RangeLie = "reorder"
-	// RangeOvershoot appends an entry past the asked EndKey.
+	// RangeOvershoot appends an entry past the asked EndKey, or past the
+	// last asked key: one that was not asked for.
 	RangeOvershoot RangeLie = "overshoot"
-	// RangeStuck repeats the first range reply made under this fault
-	// configuration to every later range request, marked Truncated: a
-	// caller that follows the marker without checking never finishes.
+	// RangeStuck repeats the first reply of its kind made under this
+	// fault configuration to every later request of that kind, marked
+	// Truncated: a caller that follows the marker without checking never
+	// finishes.
 	RangeStuck RangeLie = "stuck"
 	// RangeCutToNothing answers no entries, marked Truncated.
 	RangeCutToNothing RangeLie = "cut-to-nothing"
@@ -88,7 +94,7 @@ type faultState struct {
 	rangeLies atomic.Uint64
 
 	stuckMu sync.Mutex
-	stuck   *wire.Message // RangeStuck: the reply being repeated
+	stuck   map[wire.MessageType]*wire.Message // RangeStuck: the reply being repeated, by kind
 }
 
 // SetFaults installs a fault configuration on the drive, replacing any
@@ -128,10 +134,23 @@ func (d *Drive) FaultStats() FaultStats {
 	}
 }
 
-// lieAboutRange rewrites an honest range reply according to the
-// configured RangeLie. The key and value slices, and the copies they
-// point at, are the reply's own.
+// corruptGet flips a byte of value, a found value of a GET or multi-key
+// read reply, when CorruptEveryN says this is the one. The value is the
+// response's own copy: the damage stays in this one response.
+func (fs *faultState) corruptGet(value []byte) {
+	if fs.cfg.CorruptEveryN > 0 && len(value) > 0 && fs.gets.Add(1)%fs.cfg.CorruptEveryN == 0 {
+		value[len(value)/2] ^= 0xff
+		fs.corrupted.Add(1)
+	}
+}
+
+// lieAboutRange rewrites an honest range or multi-key read reply
+// according to the configured RangeLie. The key and value slices, and
+// the copies they point at, are the reply's own; Values and Found are
+// rewritten with Keys where the reply carries them.
 func (fs *faultState) lieAboutRange(req, resp *wire.Message) {
+	many := req.Type == wire.TGetMany
+	values := many || req.WithValues
 	switch fs.cfg.RangeLie {
 	case RangeReorder:
 		last := len(resp.Keys) - 1
@@ -139,32 +158,47 @@ func (fs *faultState) lieAboutRange(req, resp *wire.Message) {
 			return // nothing to put out of order
 		}
 		resp.Keys[0], resp.Keys[last] = resp.Keys[last], resp.Keys[0]
-		if req.WithValues {
+		if values {
 			resp.Values[0], resp.Values[last] = resp.Values[last], resp.Values[0]
 		}
+		if many {
+			resp.Found[0], resp.Found[last] = resp.Found[last], resp.Found[0]
+		}
 	case RangeOvershoot:
-		resp.Keys = append(resp.Keys, append(append([]byte(nil), req.EndKey...), 0xff))
-		if req.WithValues {
+		past := req.EndKey
+		if many {
+			past = req.Keys[len(req.Keys)-1]
+		}
+		resp.Keys = append(resp.Keys, append(bytes.Clone(past), 0xff))
+		if values {
 			resp.Values = append(resp.Values, []byte("overshoot"))
+		}
+		if many {
+			resp.Found = append(resp.Found, true)
 		}
 	case RangeStuck:
 		fs.stuckMu.Lock()
-		if fs.stuck == nil {
+		stuck := fs.stuck[req.Type]
+		if stuck == nil {
 			// Replayed after this reply's buffers went back to their
-			// pool: the stuck page keeps copies of its own.
-			fs.stuck = &wire.Message{}
+			// pool: the stuck reply keeps copies of its own.
+			stuck = &wire.Message{Found: slices.Clone(resp.Found)}
 			for _, k := range resp.Keys {
-				fs.stuck.Keys = append(fs.stuck.Keys, bytes.Clone(k))
+				stuck.Keys = append(stuck.Keys, bytes.Clone(k))
 			}
 			for _, v := range resp.Values {
-				fs.stuck.Values = append(fs.stuck.Values, bytes.Clone(v))
+				stuck.Values = append(stuck.Values, bytes.Clone(v))
 			}
+			if fs.stuck == nil {
+				fs.stuck = make(map[wire.MessageType]*wire.Message)
+			}
+			fs.stuck[req.Type] = stuck
 		}
-		resp.Keys, resp.Values = fs.stuck.Keys, fs.stuck.Values
+		resp.Keys, resp.Values, resp.Found = stuck.Keys, stuck.Values, stuck.Found
 		fs.stuckMu.Unlock()
 		resp.Truncated = true
 	case RangeCutToNothing:
-		resp.Keys, resp.Values, resp.Truncated = resp.Keys[:0], resp.Values[:0], true
+		resp.Keys, resp.Values, resp.Found, resp.Truncated = resp.Keys[:0], resp.Values[:0], resp.Found[:0], true
 	default:
 		return
 	}

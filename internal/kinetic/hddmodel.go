@@ -106,8 +106,14 @@ func (h *HDDMedia) occupy(service time.Duration) time.Duration {
 
 // Wait blocks the calling request for the modelled queueing plus
 // service time of one operation.
-func (h *HDDMedia) Wait(op OpKind, n int) {
-	service := h.ServiceTime(op, n)
+func (h *HDDMedia) Wait(op OpKind, n int) { h.WaitOps(op, 1, n) }
+
+// WaitOps is Wait for ops operations of one kind that one request
+// serves back to back, n payload bytes in all: each pays its full
+// positioning, with no discount, but the medium is reserved for all of
+// them at once and the request sleeps once.
+func (h *HDDMedia) WaitOps(op OpKind, ops, n int) {
+	service := h.ServiceTime(op, n) + time.Duration(ops-1)*h.ServiceTime(op, 0)
 	if service <= 0 {
 		return
 	}

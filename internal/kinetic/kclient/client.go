@@ -593,6 +593,47 @@ func (c *Client) GetKeyRange(ctx context.Context, start, end []byte, startInclus
 	return r.Keys, err
 }
 
+// Many is a drive's reply to one multi-key read: Keys, Values and Found
+// are parallel, and answer the asked keys the drive got to. Nothing
+// here is checked against what was asked — that is the caller's to do.
+type Many struct {
+	Keys   [][]byte
+	Values [][]byte
+	Found  []bool
+	// Truncated reports that the drive cut the reply at its byte budget:
+	// it answers fewer keys than were asked.
+	Truncated bool
+
+	reply *wire.Message
+}
+
+// Release hands the reply's buffers back for a later reply to reuse.
+// Optional, as for KeyRange.Release; after it no key or value of m may
+// be used.
+func (m Many) Release() { wire.ReleaseMessage(m.reply) }
+
+// GetMany reads up to wire.MaxBatchOps keys in one round trip. It costs
+// the account PermRead, and the drive a media read per key answered.
+func (c *Client) GetMany(ctx context.Context, keys [][]byte) (Many, error) {
+	if len(keys) == 0 || len(keys) > wire.MaxBatchOps {
+		return Many{}, fmt.Errorf("kinetic: a multi-key read asks 1..%d keys, not %d", wire.MaxBatchOps, len(keys))
+	}
+	resp, err := c.roundTrip(ctx, &wire.Message{Type: wire.TGetMany, Keys: keys})
+	if err != nil {
+		return Many{}, err
+	}
+	err = statusToError(resp)
+	if err == nil && (len(resp.Values) != len(resp.Keys) || len(resp.Found) != len(resp.Keys)) {
+		err = fmt.Errorf("kinetic: multi-key read answered %d keys with %d values and %d found marks",
+			len(resp.Keys), len(resp.Values), len(resp.Found))
+	}
+	if err != nil {
+		wire.ReleaseMessage(resp)
+		return Many{}, err
+	}
+	return Many{Keys: resp.Keys, Values: resp.Values, Found: resp.Found, Truncated: resp.Truncated, reply: resp}, nil
+}
+
 // GetVersion fetches only the stored version of key.
 func (c *Client) GetVersion(ctx context.Context, key []byte) ([]byte, error) {
 	resp, err := c.roundTrip(ctx, &wire.Message{Type: wire.TGetVersion, Key: key})

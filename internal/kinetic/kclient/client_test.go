@@ -719,3 +719,35 @@ func TestSendBlockedOnADeafPeer(t *testing.T) {
 		within(t, "a second round trip", get(t, ctx2, cl))
 	})
 }
+
+// TestClientGetMany: one round trip answers every key, found or absent;
+// the client refuses before sending a request the drive would refuse,
+// and hands on a well-formed reply as the drive gave it, lies included,
+// for its caller to judge.
+func TestClientGetMany(t *testing.T) {
+	drive, cl := startDrive(t)
+	ctx := context.Background()
+	if err := cl.Put(ctx, []byte("a"), []byte("va"), nil, []byte("1"), false); err != nil {
+		t.Fatal(err)
+	}
+	m, err := cl.GetMany(ctx, [][]byte{[]byte("a"), []byte("b")})
+	if err != nil || len(m.Keys) != 2 || !m.Found[0] || m.Found[1] || string(m.Values[0]) != "va" || len(m.Values[1]) != 0 || m.Truncated {
+		t.Fatalf("reply %+v, %v", m, err)
+	}
+	m.Release()
+	if got := drive.Stats().GetManys.Load(); got != 1 {
+		t.Errorf("%d multi-key reads reached the drive, want 1", got)
+	}
+	for _, n := range []int{0, wire.MaxBatchOps + 1} {
+		if _, err := cl.GetMany(ctx, make([][]byte, n)); err == nil {
+			t.Errorf("%d keys: no error", n)
+		}
+	}
+	if got := drive.Stats().GetManys.Load(); got != 1 {
+		t.Errorf("requests the client refused reached the drive: %d multi-key reads", got)
+	}
+	drive.SetFaults(kinetic.Faults{RangeLie: kinetic.RangeCutToNothing})
+	if m, err := cl.GetMany(ctx, [][]byte{[]byte("a")}); err != nil || len(m.Keys) != 0 || !m.Truncated {
+		t.Errorf("a reply cut to nothing: %+v, %v; the client passes it on for its caller to judge", m, err)
+	}
+}

@@ -104,6 +104,13 @@ func frameShapes() []shape {
 			"2d086e4e27edf222e6c85b4a8b311945ef43196bd3803a985a70be81ac482db6"},
 		{"range-response-truncated", &Message{Type: TGetKeyRangeResp, Seq: 17, Keys: keys[:8], Truncated: true, ServiceUs: 2},
 			"1244bfb384fbbc5084ebf9254fd9f35a905a0f2e49abdd38d4fd71df9b8513a2"},
+		// The multi-key read; the shapes above predate it, and it moved
+		// none of their digests.
+		{"get-many", &Message{Type: TGetMany, Seq: 18, User: "pesos-admin", Keys: keys[:MaxBatchOps], TraceID: 11},
+			"ced89bff7e9ba771f88ba197a0c813c6a5d83985839aa6aef677d6e04f25506e"},
+		{"get-many-response", &Message{Type: TGetManyResp, Seq: 18, Keys: keys[:5], Values: [][]byte{values[0], nil, values[2], nil, nil},
+			Found: []bool{true, false, true, false, true}, Truncated: true, TraceID: 11, ServiceUs: 4500},
+			"5f68befc67690f869352f79817c39b34695b8dfd0da4474c6142080c5351140f"},
 	}
 }
 
@@ -241,6 +248,16 @@ func FuzzReadFrame(f *testing.F) {
 	flipped := append([]byte(nil), put...)
 	flipped[frameHeaderLen+(off+end)/2] ^= 0x10
 	f.Add(flipped)
+	// Multi-key reads the drive and the head wave must refuse, which the
+	// frame itself carries: one key over the cap, and more values (and
+	// found marks) than keys.
+	over := make([][]byte, MaxBatchOps+1)
+	for i := range over {
+		over[i] = []byte(fmt.Sprintf("m\x00k%02d", i))
+	}
+	f.Add(referenceFrame(f, &Message{Type: TGetMany, Seq: 19, User: "pesos-admin", Keys: over}))
+	f.Add(referenceFrame(f, &Message{Type: TGetManyResp, Seq: 19, Keys: over[:1],
+		Values: [][]byte{[]byte("head"), []byte("more")}, Found: []bool{true, true, false}}))
 	f.Fuzz(func(t *testing.T, frame []byte) { checkFrame(t, frame) })
 }
 
@@ -506,7 +523,7 @@ func TestCodecAllocBudget(t *testing.T) {
 				budget++
 			}
 		}
-		for _, n := range []int{len(m.Keys), len(m.Values), len(m.Batch), len(m.GroupSizes), len(m.GroupStatus)} {
+		for _, n := range []int{len(m.Keys), len(m.Values), len(m.Found), len(m.Batch), len(m.GroupSizes), len(m.GroupStatus)} {
 			if n > 0 {
 				budget++
 			}
@@ -534,13 +551,15 @@ func TestCodecAllocBudget(t *testing.T) {
 // allocation — while a message that was not recycled never reuses
 // anything a caller may still hold.
 func TestRecycledMessageReusesItsBuffers(t *testing.T) {
-	var big, small *Message
+	var big, small, many *Message
 	for _, s := range frameShapes() {
 		switch s.name {
 		case "range-values-response":
 			big = s.msg
 		case "range-response-truncated":
 			small = s.msg
+		case "get-many-response":
+			many = s.msg
 		}
 	}
 	bigFrame, smallFrame := referenceFrame(t, big), referenceFrame(t, small)
@@ -581,6 +600,19 @@ func TestRecycledMessageReusesItsBuffers(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("ReadFrame into a recycled message: %.0f allocs, want 0", n)
+	}
+	// A multi-key read's found marks go into the recycled slice as well.
+	manyFrame := referenceFrame(t, many)
+	read(&m, manyFrame)
+	if n := testing.AllocsPerRun(50, func() {
+		m.Recycle()
+		rd.Reset(manyFrame)
+		br.Reset(rd)
+		if err := ReadFrame(br, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 || !reflect.DeepEqual(m.Found, many.Found) {
+		t.Errorf("a multi-key reply into a recycled message: %.0f allocs, found %v, want 0 and %v", n, m.Found, many.Found)
 	}
 
 	// Without Recycle the previous decode stays intact.

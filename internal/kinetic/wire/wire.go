@@ -75,6 +75,11 @@ const (
 	TGetVersionResp  MessageType = 23
 	TBatch           MessageType = 24
 	TBatchResp       MessageType = 25
+	// TGetMany reads up to MaxBatchOps keys in one round trip (Keys);
+	// its response answers a prefix of them, in order, each found with
+	// its value or absent (Keys, Values, Found).
+	TGetMany     MessageType = 26
+	TGetManyResp MessageType = 27
 )
 
 // Response reports the response type paired with a request type, or
@@ -102,6 +107,7 @@ var typeNames = [...]string{
 	TGetLog: "GETLOG", TGetLogResponse: "GETLOG_RESPONSE",
 	TGetVersion: "GETVERSION", TGetVersionResp: "GETVERSION_RESPONSE",
 	TBatch: "BATCH", TBatchResp: "BATCH_RESPONSE",
+	TGetMany: "GETMANY", TGetManyResp: "GETMANY_RESPONSE",
 }
 
 // String implements fmt.Stringer for diagnostics.
@@ -201,7 +207,8 @@ func (k BatchOpKind) String() string {
 }
 
 // MaxBatchOps caps the sub-operations of one TBatch message, mirroring
-// the real Kinetic protocol's START_BATCH/END_BATCH operation limit.
+// the real Kinetic protocol's START_BATCH/END_BATCH operation limit, and
+// the keys of one TGetMany request.
 const MaxBatchOps = 64
 
 // BatchGroupStatus is the drive's verdict on one sub-operation group
@@ -265,8 +272,13 @@ type Message struct {
 	Values     [][]byte
 	// Truncated marks a range response the drive cut short (its key
 	// cap or its reply byte budget): the range holds at least one more
-	// key past the last one returned.
+	// key past the last one returned. On a TGetManyResp it marks a reply
+	// that answers fewer keys than were asked.
 	Truncated bool
+	// Found is parallel to Keys in a TGetManyResp: whether the drive
+	// holds the key. An absent key's value is empty; a found key's value
+	// may be empty too, so only Found tells the two apart.
+	Found []bool
 
 	ACLs []ACL  // security request payload
 	Pin  []byte // erase PIN
@@ -322,11 +334,12 @@ type Message struct {
 }
 
 // Recycle empties m for reuse by a later ReadFrame, which then decodes
-// into the frame body and the Keys and Values slices m held instead of
-// allocating new ones. Nothing decoded from m — no byte field, no
-// element of Keys or Values — may be used after the call.
+// into the frame body and the Keys, Values and Found slices m held
+// instead of allocating new ones. Nothing decoded from m — no byte
+// field, no element of Keys, Values or Found — may be used after the
+// call.
 func (m *Message) Recycle() {
-	*m = Message{frame: m.frame[:0], Keys: m.Keys[:0], Values: m.Values[:0], recycled: true}
+	*m = Message{frame: m.frame[:0], Keys: m.Keys[:0], Values: m.Values[:0], Found: m.Found[:0], recycled: true}
 }
 
 // FrameSize is the size of the frame body m was decoded from by
@@ -410,6 +423,7 @@ const (
 	fWithValues
 	fValuesEntry
 	fTruncated
+	fFound
 )
 
 // Marshal encodes m, including its HMAC field if present.
@@ -496,6 +510,18 @@ func (m *Message) marshalTail(buf []byte) []byte {
 	if m.Truncated {
 		buf = appendField(buf, fTruncated, []byte{1})
 	}
+	if len(m.Found) > 0 {
+		// One byte per key, 0 or 1, in a single field.
+		buf = append(buf, fFound)
+		buf = binary.AppendUvarint(buf, uint64(len(m.Found)))
+		for _, f := range m.Found {
+			var b byte
+			if f {
+				b = 1
+			}
+			buf = append(buf, b)
+		}
+	}
 	for _, a := range m.ACLs {
 		buf = appendField(buf, fACLEntry, marshalACL(a))
 	}
@@ -560,8 +586,9 @@ func (m *Message) Unmarshal(data []byte) error { return m.decode(data, false) }
 // received.
 func (m *Message) decode(data []byte, alias bool) error {
 	var keys, values [][]byte
+	var found []bool
 	if m.recycled {
-		keys, values = m.Keys, m.Values
+		keys, values, found = m.Keys, m.Values, m.Found
 	}
 	*m = Message{}
 	own := cloneBytes
@@ -678,6 +705,19 @@ func (m *Message) decode(data []byte, alias bool) error {
 			m.Values = append(m.Values, own(val))
 		case fTruncated:
 			m.Truncated = len(val) == 1 && val[0] == 1
+		case fFound:
+			if m.Found != nil || len(val) == 0 {
+				return errors.New("wire: bad found field")
+			}
+			if m.Found = found[:0]; len(val) > cap(found) {
+				m.Found = make([]bool, 0, len(val))
+			}
+			for _, b := range val {
+				if b > 1 {
+					return errors.New("wire: bad found field")
+				}
+				m.Found = append(m.Found, b == 1)
+			}
 		case fACLEntry:
 			acl, err := unmarshalACL(val, own)
 			if err != nil {
