@@ -35,6 +35,26 @@ var rules = []rule{
 			new:  "_, _, _ = cl.Get(ctx, store.ChunkKey(key, set, idx))",
 		}},
 	},
+	// Its write side: a record reaches a drive only through the commit
+	// loops (ship), repair's and the handoff's copies (settle, push,
+	// repairChunk) and a streamed upload's chunks and their sweep
+	// (putChunks, sweepChunks) — never from a read path.
+	{
+		name: "drive-writes",
+		check: onlyIn(sym{pkg: drive, names: []string{"Put", "Delete", "BatchGroups", "P2PPush"}}, core,
+			"ship", "settle", "push", "repairChunk", "putChunks", "sweepChunks"),
+		mutants: []mutant{{
+			// A streamed upload's head written around the commit loops.
+			file: "internal/core/stream.go",
+			old:  "w, err := c.stage(meta2, stub, nil)",
+			new:  "w, err := c.stage(meta2, stub, nil)\n\t_ = c.drives[0].pick().Put(ctx, store.MetaKey(key), nil, nil, nil, true)",
+		}, {
+			// A read that deletes what it fetched, through a held connection.
+			file: "internal/core/objects.go",
+			old:  "val, _, err := cd.pool.pick().Get(ctx, dk)",
+			new:  "cl := cd.pool.pick()\n\t\t\tval, _, err := cl.Get(ctx, dk)\n\t\t\t_ = cl.Delete(ctx, dk, nil, true)",
+		}},
+	},
 	// Each record kind has one opener, bound to the key that was asked
 	// for; the unbound decoder is not the controller's to call.
 	{
@@ -356,6 +376,18 @@ var rules = []rule{
 			file: "internal/core/gcommit.go",
 			old:  "gatherQuietPolls   = 2",
 			new:  "gatherQuietPolls   = 2\n\tgenerationStallTimeout = 5 * time.Second",
+		}},
+	},
+	// A lone group ships its own ops, and a merged batch copies its
+	// riders' ops into a slice of its own: the pooled merge scratch stays
+	// deleted.
+	{
+		name:  "ops-pool-gone",
+		check: gone(core, "opsPool", "getOps", "putOps"),
+		mutants: []mutant{{
+			file: "internal/core/gcommit.go",
+			old:  "func (g *groupScheduler) ship(",
+			new:  "var opsPool = sync.Pool{New: func() any { return new([]wire.BatchOp) }}\n\nfunc (g *groupScheduler) ship(",
 		}},
 	},
 	// Every write is write-through, on every layer of the drive link: the

@@ -58,6 +58,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -103,28 +104,6 @@ type commitGroup struct {
 type commitBatch struct {
 	groups     []*commitGroup
 	ops, bytes int
-}
-
-// opsPool recycles the merged-batch []wire.BatchOp scratch of ship (the
-// marshal scratch is already pooled by wire.Encoder).
-var opsPool = sync.Pool{
-	New: func() any {
-		s := make([]wire.BatchOp, 0, 2*wire.MaxBatchOps)
-		return &s
-	},
-}
-
-func getOps() []wire.BatchOp {
-	return (*opsPool.Get().(*[]wire.BatchOp))[:0]
-}
-
-func putOps(s []wire.BatchOp) {
-	// Drop value references so pooled scratch never pins payloads.
-	for i := range s {
-		s[i] = wire.BatchOp{}
-	}
-	s = s[:0]
-	opsPool.Put(&s)
 }
 
 // groupScheduler is the controller's group-commit engine: one queue and
@@ -312,11 +291,16 @@ func (g *groupScheduler) gather(di int, b *commitBatch) {
 // ship sends one drive's merged batch write-through — every rider is
 // on the medium before its verdict — and demuxes the verdicts.
 func (g *groupScheduler) ship(di int, batch []*commitGroup) {
-	ops := getOps()
+	// A lone group's ops ship as they are. Clipped, they make the first
+	// append of a merged batch copy into a slice of its own, so no
+	// rider's ops are written.
+	ops := slices.Clip(batch[0].ops)
 	sizes := make([]uint32, len(batch))
 	bytes := 0
 	for i, grp := range batch {
-		ops = append(ops, grp.ops...)
+		if i > 0 {
+			ops = append(ops, grp.ops...)
+		}
 		sizes[i] = uint32(len(grp.ops))
 		bytes += grp.bytes
 	}
@@ -330,7 +314,6 @@ func (g *groupScheduler) ship(di int, batch []*commitGroup) {
 	// round trip runs detached (waiters honor their own contexts in
 	// enqueue).
 	errs, err := cl.BatchGroups(context.Background(), ops, sizes, wire.SyncWriteThrough)
-	putOps(ops)
 
 	g.c.stats.GroupBatches.Inc()
 	if len(batch) > 1 {

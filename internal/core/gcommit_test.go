@@ -25,9 +25,9 @@ func slowHDD() kinetic.MediaModel {
 
 // TestGroupCommitMergesConcurrentWrites: under concurrent independent
 // writers on slow media, six drives holding three replicas of every
-// key, the committer must ship fewer drive batches than replica writes
-// — many clients sharing media waits — while every write still lands
-// intact.
+// key, the groups that queue while a drive's batch is in flight share
+// its next one — on average at least four groups a batch — while every
+// write still lands intact.
 func TestGroupCommitMergesConcurrentWrites(t *testing.T) {
 	h := newHarness(t, 6, func(cfg *Config) { cfg.Replicas = 3 },
 		func(int) kinetic.MediaModel { return slowHDD() })
@@ -61,8 +61,12 @@ func TestGroupCommitMergesConcurrentWrites(t *testing.T) {
 	for _, d := range h.drives {
 		batches += d.Stats().Batches.Load()
 	}
-	if batches >= total {
-		t.Errorf("drives saw %d batches for %d replica writes; group commit merged nothing", batches, total)
+	// Under go test -race -count=5 on 2 cores the drives saw 107–113
+	// batches, and up to 122 beside another package's race tests
+	// (102–110 without -race); merging nothing would be 768. A quarter
+	// of the replica writes leaves 57 % over the worst of those.
+	if limit := total / 4; batches > limit {
+		t.Errorf("drives saw %d batches for %d replica writes, want at most %d; the queues merged too little", batches, total, limit)
 	}
 	st := h.ctl.Stats().Snapshot()
 	if st.GroupedWrites == 0 {

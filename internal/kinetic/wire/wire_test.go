@@ -365,8 +365,8 @@ func BenchmarkSignWriteFramePooled(b *testing.B) {
 }
 
 // BenchmarkBatchWireGrouped measures the per-logical-write cost of
-// assembling and encoding merged grouped TBatch frames with the
-// pooled sub-operation scratch — run with -benchmem; the allocs/op
+// assembling and encoding merged grouped TBatch frames with reused
+// sub-operation scratch — run with -benchmem; the allocs/op
 // floor is asserted by TestBatchWritePathAllocs so a pooling
 // regression fails the suite, not just the bench report.
 func BenchmarkBatchWireGrouped(b *testing.B) {
@@ -398,9 +398,8 @@ func BenchmarkBatchWireGrouped(b *testing.B) {
 
 // TestBatchWritePathAllocs asserts the batch write path's wire
 // assembly stays allocation-flat: encoding a merged 16-group batch
-// into a reused encoder and sub-operation scratch must not allocate
-// per sub-operation (the op-slice and marshal-buffer pooling the
-// group committer relies on).
+// into a reused encoder must not allocate per sub-operation (the
+// marshal-buffer pooling every group-commit batch relies on).
 func TestBatchWritePathAllocs(t *testing.T) {
 	key := []byte("bench-secret-key")
 	enc := NewEncoder()
