@@ -5,6 +5,10 @@ import "strings"
 // core is the trusted controller's package.
 var core = []string{"internal/core/*.go"}
 
+// streamGo is the stream engine's file: its upload loop, its stripe
+// reader and the object-level GET.
+var streamGo = []string{"internal/core/stream.go"}
+
 // module is every non-test Go file.
 var module = []string{"..."}
 
@@ -321,6 +325,26 @@ var rules = []rule{
 			file: "internal/core/stream.go",
 			old:  "c.sweepChunks(context.WithoutCancel(ctx), key, set, chunks, l)",
 			new:  "c.sweepChunks(context.WithoutCancel(ctx), key, next, chunks, l)",
+		}},
+	},
+	// A streamed GET trusts its chunk tags (docs/storage.md "Why a
+	// streamed GET needs no whole-object hash"): in stream.go the
+	// whole-object hash is computed only where a PUT commits it
+	// (putChunks), where Verify or a GET of a stub written before upload
+	// ids re-checks it (streamHashed) and over an inline record
+	// (verifyContent) — never in the stripe reader every GET runs, which
+	// writes into nothing but its sink. The HMACs elsewhere in core are
+	// no whole-object hash.
+	{
+		name: "whole-object-hash",
+		check: all(
+			onlyIn(sym{pkg: "crypto/sha256", names: []string{"New", "Sum256"}}, streamGo, "putChunks", "streamHashed", "verifyContent"),
+			onlyIn(sym{names: []string{"Write"}}, streamGo, "putChunks", "streamHashed", "GetStream")),
+		mutants: []mutant{{
+			// The stripe reader hashing every GET's bytes again.
+			file: "internal/core/stream.go",
+			old:  "total += int64(len(p))",
+			new:  "hasher.Write(p)\n\t\t\ttotal += int64(len(p))",
 		}},
 	},
 	// The object cache holds one head record per object, keyed by the

@@ -32,12 +32,11 @@ import (
 
 // Errors surfaced to clients.
 var (
-	ErrDenied        = errors.New("pesos: request denied by policy")
-	ErrNotFound      = errors.New("pesos: object not found")
-	ErrNoSuchPolicy  = errors.New("pesos: unknown policy id")
-	ErrBadVersion    = errors.New("pesos: version conflict")
-	ErrClosed        = errors.New("pesos: controller closed")
-	ErrInTransaction = errors.New("pesos: operation not allowed inside a transaction")
+	ErrDenied       = errors.New("pesos: request denied by policy")
+	ErrNotFound     = errors.New("pesos: object not found")
+	ErrNoSuchPolicy = errors.New("pesos: unknown policy id")
+	ErrBadVersion   = errors.New("pesos: version conflict")
+	ErrClosed       = errors.New("pesos: controller closed")
 )
 
 // DeniedError wraps ErrDenied with the interpreter's explanation.

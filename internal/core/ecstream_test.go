@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -382,5 +384,92 @@ func TestECRepairRebuildsLostShards(t *testing.T) {
 	got, _ = readStream(t, s, "heal", GetOptions{})
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload diverges after shards moved home")
+	}
+}
+
+// TestECStreamSurvivesEveryLossPattern is the check behind a streamed
+// GET that hashes nothing but chunk tags: the stripe reader's own
+// assembly — which shards it decodes from, how it trims a short final
+// stripe — must return the object. For every stripe of every shape, a
+// GET with any set of at most m of the stripe's shard records gone (for
+// the replicated class, at most 2 of a chunk's 3 copies) serves bytes
+// that hash to the stub's ContentHash, and one with any m+1 gone fails.
+func TestECStreamSurvivesEveryLossPattern(t *testing.T) {
+	r := newTamperRig(t, 6, true, func(c *Config) {
+		ecConfig(c)
+		c.Replicas = 3
+	})
+	ctl := r.h.ctl
+	for _, tc := range []struct {
+		name  string
+		size  int
+		class string
+	}{
+		{"exactly one stripe", 4 * streamChunkSize, "ec:4+2"},
+		{"a stripe and a half", 6 * streamChunkSize, "ec:4+2"},
+		{"short final chunk in a stripe of three", 2*streamChunkSize + 12345, "ec:4+2"},
+		{"single-chunk final stripe", 4*streamChunkSize + 100, "ec:4+2"},
+		{"replicated, short final chunk", 2*streamChunkSize - 1, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := tc.name
+			payload := streamPayload(tc.size)
+			r.put(key, payload)
+			_, meta := readStream(t, r.s, key, GetOptions{})
+			if meta.StorageClass() != tc.class || meta.ContentHash != sha256.Sum256(payload) {
+				t.Fatalf("stub: class %q, hash %x", meta.StorageClass(), meta.ContentHash)
+			}
+			l, err := ctl.layoutOf(key, meta.ECK, meta.ECM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// lose is how many of a stripe's records a read survives.
+			lose := l.m
+			if l.m == 0 {
+				lose = len(l.window) - 1
+			}
+			decodes := ctl.stats.Snapshot().ECDecodes
+			type record struct {
+				di       int
+				dk, blob []byte
+			}
+			for st := int64(0); st*int64(l.k) < meta.Chunks; st++ {
+				var recs []record
+				for _, sh := range l.shards(st, meta.Chunks) {
+					for _, di := range l.homes(sh.idx) {
+						dk := store.ChunkKey(key, meta.ChunkSet(), sh.idx)
+						recs = append(recs, record{di, dk, r.rawAt(di, dk)})
+					}
+				}
+				for mask := 0; mask < 1<<len(recs); mask++ {
+					gone := bits.OnesCount(uint(mask))
+					if gone > lose+1 {
+						continue
+					}
+					for i, rec := range recs {
+						if mask&(1<<i) != 0 {
+							if err := ctl.drives[rec.di].pick().Delete(r.ctx, rec.dk, nil, true); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					got, err := r.read(key, 0)
+					if gone <= lose && (err != nil || sha256.Sum256(got) != meta.ContentHash) {
+						t.Errorf("stripe %d, records %06b gone: %d bytes off the stub's hash, %v", st, mask, len(got), err)
+					}
+					if gone > lose && err == nil {
+						t.Errorf("stripe %d, records %06b gone: %d of its %d records served the object", st, mask, len(recs)-gone, len(recs))
+					}
+					for i, rec := range recs {
+						if mask&(1<<i) != 0 {
+							r.plantAt(rec.di, rec.dk, rec.blob)
+						}
+					}
+				}
+			}
+			if l.m > 0 && ctl.stats.Snapshot().ECDecodes == decodes {
+				t.Error("no loss pattern was decoded around")
+			}
+		})
 	}
 }

@@ -12,8 +12,11 @@
 // Reads stream chunk records straight to the response writer. The codec
 // authenticates every chunk record and binds it to its chunk id (object,
 // upload, index): no chunk is damaged, transplanted or replayed from an
-// earlier upload unseen. The whole-object hash at the end also covers
-// stubs written before uploads drew an id.
+// earlier upload unseen, so a GET checks the object's size and hashes
+// nothing more. The whole-object hash is computed on every PUT,
+// re-checked by Verify, and on GET only for a stub written before
+// uploads drew an id (docs/storage.md "Why a streamed GET needs no
+// whole-object hash").
 package core
 
 import (
@@ -106,11 +109,19 @@ func (s *Session) GetStream(ctx context.Context, key string, opts GetOptions) (*
 	}
 	return &m, func(w io.Writer) error {
 		// The record's own metadata, not the copy the caller may edit.
-		return c.streamChunks(ctx, l, &rec.Meta, func(p []byte) error {
+		meta := &rec.Meta
+		sink := func(p []byte) error {
 			c.cost.MoveBytes(len(p))
 			_, err := w.Write(p)
 			return err
-		})
+		}
+		if meta.Upload != 0 {
+			return c.streamChunks(ctx, l, meta, sink)
+		}
+		// A stub written before uploads drew an id names its chunks by
+		// version, so an earlier upload's chunk of the same version opens
+		// under it: only the whole-object hash refuses it.
+		return c.streamHashed(ctx, l, meta, sink)
 	}, nil
 }
 
@@ -449,10 +460,12 @@ func (c *Controller) chunksIntact(ctx context.Context, stub *store.Meta, l layou
 }
 
 // streamChunks hands the chunks of a streamed version to sink in
-// order and seals the transfer with the whole-object size and hash
-// check — the one reader behind GetStream and Verify, so verification
-// exercises exactly the read path, failover and parity fallback
-// included. Stripes are assembled by readStripe with one stripe of
+// order and seals the transfer with the whole-object size check — the
+// one reader behind GetStream and Verify, so verification exercises
+// exactly the read path, failover and parity fallback included. It
+// hashes nothing: every chunk it hands on was opened bound to its chunk
+// id, and a caller that wants the whole-object hash computes it in its
+// sink. Stripes are assembled by readStripe with one stripe of
 // lookahead: while stripe t goes to the sink, stripe t+1's fetches are
 // already in flight, so drive reads and the client-side transfer
 // pipeline instead of alternating fetch/write bubbles. meta is a stub
@@ -485,14 +498,12 @@ func (c *Controller) streamChunks(ctx context.Context, l layout, meta *store.Met
 			}
 		}
 	}()
-	hasher := sha256.New()
 	var total int64
 	for f := range stripes {
 		if f.err != nil {
 			return f.err
 		}
 		for _, p := range f.data {
-			hasher.Write(p)
 			total += int64(len(p))
 			if err := sink(p); err != nil {
 				f.release()
@@ -504,12 +515,27 @@ func (c *Controller) streamChunks(ctx context.Context, l layout, meta *store.Met
 	if err := ctx.Err(); err != nil {
 		return err // the producer stopped on the caller's cancellation, not at the last stripe
 	}
-	var hash [32]byte
-	copy(hash[:], hasher.Sum(nil))
-	if total != meta.Size || hash != meta.ContentHash {
+	if total != meta.Size {
 		// Bytes may already be on the wire; the error must abort the
 		// connection so the client sees a truncated transfer, never a
 		// silently wrong object.
+		return fmt.Errorf("%w: streamed object %q v%d is %d bytes, its stub says %d", store.ErrCorrupt, meta.Key, meta.Version, total, meta.Size)
+	}
+	return nil
+}
+
+// streamHashed is streamChunks that also recomputes the whole-object
+// hash over what it hands to sink: a digest other than the stub's fails
+// the transfer like a size mismatch.
+func (c *Controller) streamHashed(ctx context.Context, l layout, meta *store.Meta, sink func([]byte) error) error {
+	hasher := sha256.New()
+	if err := c.streamChunks(ctx, l, meta, func(p []byte) error {
+		hasher.Write(p)
+		return sink(p)
+	}); err != nil {
+		return err
+	}
+	if [32]byte(hasher.Sum(nil)) != meta.ContentHash {
 		return fmt.Errorf("%w: streamed object %q v%d fails whole-object hash", store.ErrCorrupt, meta.Key, meta.Version)
 	}
 	return nil
@@ -529,5 +555,5 @@ func (c *Controller) verifyContent(ctx context.Context, rec *store.Record) error
 	if err != nil {
 		return err
 	}
-	return c.streamChunks(ctx, l, m, func([]byte) error { return nil })
+	return c.streamHashed(ctx, l, m, func([]byte) error { return nil })
 }

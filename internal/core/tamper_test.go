@@ -650,3 +650,49 @@ func TestChunkRecordsOfTheParentFormatReadBack(t *testing.T) {
 		})
 	}
 }
+
+// TestVerifyRehashesWhatGetTrusts: a streamed GET of an upload-named
+// stub checks the object's size, not its hash, so a stub re-sealed
+// with a wrong ContentHash by the codec's own key serves its bytes —
+// and Verify and a handoff's VerifyImport, which recompute the hash
+// over the chunks, refuse it.
+func TestVerifyRehashesWhatGetTrusts(t *testing.T) {
+	for _, ec := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ec=%v", ec), func(t *testing.T) {
+			r := newTamperRig(t, 6, true, func(c *Config) {
+				ecConfig(c)
+				c.EC = ec
+			})
+			ctl := r.h.ctl
+			payload := streamPayload(4*streamChunkSize + 9)
+			r.put("obj", payload)
+			placement := ctl.placement("obj")
+			stub, err := ctl.codec.DecodeVersion(r.rawAt(placement[0], store.ObjectKey("obj", 0)), "obj", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := stub.Meta
+			if m.Upload == 0 || (m.ECK != 0) != ec {
+				t.Fatalf("stub: upload %d, class %q", m.Upload, m.StorageClass())
+			}
+			m.ContentHash[0] ^= 1
+			blob, err := ctl.codec.EncodeRecord(&store.Record{Meta: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, di := range placement {
+				r.plantAt(di, store.ObjectKey("obj", 0), blob)
+				r.plantAt(di, store.MetaKey("obj"), ctl.codec.EncodeMeta(&m))
+			}
+			ctl.metaCache.Clear()
+			r.wantIntact("obj", 0, payload)
+			if _, err := r.s.Verify(r.ctx, "obj", 0); !errors.Is(err, store.ErrCorrupt) {
+				t.Errorf("Verify of a stub with a wrong hash: %v", err)
+			}
+			manifest := &Manifest{Entries: []ManifestEntry{{Key: "obj", Version: 0}}}
+			if err := ctl.VerifyImport(r.ctx, manifest); !errors.Is(err, store.ErrCorrupt) {
+				t.Errorf("VerifyImport of a stub with a wrong hash: %v", err)
+			}
+		})
+	}
+}

@@ -299,7 +299,7 @@ func (c *Codec) DecodeRecordInto(data, buf []byte) (*Record, error) {
 		// A sealing codec wrote no plain record: taking one would let
 		// the drive layer pass off any payload under a hash it computed
 		// itself. A chunk stub's hash spans the chunk records, not its
-		// own (empty) payload; the streaming reader checks it.
+		// own (empty) payload; the controller's Verify checks it.
 		if c.enabled || (rec.Meta.Chunks == 0 && HashContent(rest) != rec.Meta.ContentHash) {
 			return nil, ErrCorrupt
 		}
