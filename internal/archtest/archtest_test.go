@@ -39,7 +39,8 @@ const (
 	perfDoc    = "docs/perf.md"
 )
 
-// drive is the qualifier of a selector on a drive connection.
+// drive is the qualifier of a selector on a drive connection or on the
+// records layer's drive table.
 const drive = "drive"
 
 // A rule is one architectural invariant. check reports every place the
@@ -121,8 +122,9 @@ type lit struct {
 // A sym picks out references X.Name.
 type sym struct {
 	// pkg is the import path X must name, or drive: X is a drive
-	// connection — a pick() call, or a variable one was assigned to in
-	// the same function. Empty matches any X.
+	// connection or table — a pick() call or a field named drives, or a
+	// variable one was assigned to in the same function. Empty matches
+	// any X.
 	pkg   string
 	names []string
 	// arg, if set, keeps only calls one of whose arguments is a call of
@@ -636,7 +638,7 @@ func parse(path, src string) (*goFile, error) {
 					if fn.name == "" {
 						f.decls = append(f.decls, decl{funcName{name: id.Name}, line(id)})
 					}
-					if i < len(n.Values) && isPick(n.Values[i]) {
+					if i < len(n.Values) && isDrive(n.Values[i]) {
 						drives[id.Name] = true
 					}
 				}
@@ -648,7 +650,7 @@ func parse(path, src string) (*goFile, error) {
 				}
 			case *ast.AssignStmt:
 				for i, rhs := range n.Rhs {
-					if id, ok := n.Lhs[i].(*ast.Ident); ok && isPick(rhs) {
+					if id, ok := n.Lhs[i].(*ast.Ident); ok && isDrive(rhs) {
 						drives[id.Name] = true
 					}
 				}
@@ -699,8 +701,12 @@ func recvType(e ast.Expr) string {
 	}
 }
 
-// isPick reports whether e is a drivePool.pick() call.
-func isPick(e ast.Expr) bool {
+// isDrive reports whether e is a drive connection, a pool.pick() call, or
+// the records layer's drive table, a field named drives.
+func isDrive(e ast.Expr) bool {
+	if s, ok := e.(*ast.SelectorExpr); ok {
+		return s.Sel.Name == "drives"
+	}
 	c, ok := e.(*ast.CallExpr)
 	return ok && len(c.Args) == 0 && callee(c) == "pick"
 }
@@ -718,7 +724,7 @@ func callee(c *ast.CallExpr) string {
 
 // qualifier classifies the X of a selector X.name.
 func qualifier(x ast.Expr, imports map[string]string, drives map[string]bool) string {
-	if isPick(x) {
+	if isDrive(x) {
 		return drive
 	}
 	if id, ok := x.(*ast.Ident); ok {

@@ -2,8 +2,11 @@ package archtest
 
 import "strings"
 
-// core is the trusted controller's package.
+// core is the trusted controller's package, records layer aside.
 var core = []string{"internal/core/*.go"}
+
+// controller is the controller with its records layer.
+var controller = []string{"internal/core/..."}
 
 // streamGo is the stream engine's file: its upload loop, its stripe
 // reader and the object-level GET.
@@ -24,88 +27,100 @@ const wirePkg = "repro/internal/kinetic/wire"
 // deletes a path adds the rule that keeps it deleted, with a mutant that
 // brings it back.
 var rules = []rule{
-	// The security argument, positively: every drive read happens in the
-	// read engine, the range walk, repair's and the sweeper's probes, the
-	// detector's and the head wave's (many-reads, below) — each hands what
-	// it reads to a bound opener or reads no record bytes at all.
+	// The security argument, positively: the records layer holds every
+	// drive connection and opens every record (docs/storage.md "Who opens
+	// what"). Outside it the controller imports no drive client, so no
+	// byte a drive returns reaches it unopened.
 	{
-		name: "drive-reads",
-		check: onlyIn(sym{pkg: drive, names: []string{"Get", "GetValue", "GetVersion", "Range", "GetKeyRange", "GetLog", "Noop"}}, core,
-			"fetchReplicated", "getChunkValue", "rangePage", "loadMetaNewest", "probe", "chunksIntact", "replicasConverged", "DetectorTick"),
+		name:  "records-layer",
+		check: importedOnlyIn("repro/internal/kinetic/kclient", controller, "internal/core/records/..."),
 		mutants: []mutant{{
-			// A read through a connection held under another name.
+			// A drive read with a connection of the controller's own.
 			file: "internal/core/stream.go",
-			old:  "_ = cl.Delete(ctx, store.ChunkKey(key, set, idx), nil, true)",
-			new:  "_, _, _ = cl.Get(ctx, store.ChunkKey(key, set, idx))",
+			old:  "\t\"repro/internal/core/records\"\n",
+			new:  "\t\"repro/internal/core/records\"\n\t\"repro/internal/kinetic/kclient\"\n",
+		}},
+	},
+	// Each record kind has one opener in the records layer, bound to the
+	// key that was asked for; the unbound decoder is nobody's to call.
+	{
+		name:  "open-meta",
+		check: onlyIn(sym{names: []string{"DecodeMeta"}}, controller, "ReadHead", "elect"),
+		mutants: []mutant{{
+			// A second election among a head's copies.
+			file: "internal/core/repair.go",
+			old:  "newest, current, err := c.drives.ReadHeads(ctx, key, placement, to != nil)",
+			new:  "newest, current, err := c.drives.ReadHeads(ctx, key, placement, to != nil)\n\t_ = c.codec.DecodeMeta(nil, key, new(store.Meta))",
+		}, {
+			// A version read that opens its bytes as a head too.
+			file: "internal/core/records/fetch.go",
+			old:  "return d.cfg.Codec.DecodeVersion(val, key, version)",
+			new:  "_ = d.cfg.Codec.DecodeMeta(val, key, new(store.Meta))\n\t\t\treturn d.cfg.Codec.DecodeVersion(val, key, version)",
+		}},
+	},
+	{
+		name:  "open-version",
+		check: onlyIn(sym{names: []string{"DecodeVersion"}}, controller, "ReadVersion", "ProbeVersion"),
+		mutants: []mutant{{
+			file: "internal/core/stripe.go",
+			old:  "got, err := c.drives.ReadStripe(ctx, key, set, kt, shards, l.homes, shardLen)",
+			new:  "got, err := c.drives.ReadStripe(ctx, key, set, kt, shards, l.homes, shardLen)\n\t_, _ = c.codec.DecodeVersion(nil, key, set)",
+		}},
+	},
+	{
+		name:  "open-chunk",
+		check: onlyIn(sym{names: []string{"DecodeChunkInto"}}, controller, "openChunk", "ProbeChunk"),
+		mutants: []mutant{{
+			// A chunk opened beside the stripe reader.
+			file: "internal/core/stripe.go",
+			old:  "got, err := c.drives.ReadStripe(ctx, key, set, kt, shards, l.homes, shardLen)",
+			new:  "got, err := c.drives.ReadStripe(ctx, key, set, kt, shards, l.homes, shardLen)\n\t_, _ = c.codec.DecodeChunkInto(nil, nil, key, set, 0)",
+		}},
+	},
+	{
+		name:  "open-record",
+		check: nowhere(sym{names: []string{"DecodeRecord", "DecodeRecordInto"}}, controller...),
+		mutants: []mutant{{
+			// The unbound decoder, reached through a renamed codec.
+			file: "internal/core/records/fetch.go",
+			old:  "return d.cfg.Codec.DecodeVersion(val, key, version)",
+			new:  "cd := d.cfg.Codec\n\t\t\treturn cd.DecodeRecord(val)",
+		}},
+	},
+	{
+		name:  "open-policy",
+		check: onlyIn(sym{pkg: "repro/internal/policy", names: []string{"Unmarshal"}}, controller, "openPolicy"),
+		mutants: []mutant{{
+			// A policy loaded without hashing back to its id.
+			file: "internal/core/objects.go",
+			old:  "prog, err := c.loadPolicy(ctx, policyID)",
+			new:  "prog, err := policy.Unmarshal(nil)",
+		}, {
+			file: "internal/core/records/fetch.go",
+			old:  "m := new(store.Meta)",
+			new:  "m := new(store.Meta)\n\t\t\t_, _ = policy.Unmarshal(val)",
 		}},
 	},
 	// Its write side: a record reaches a drive only through the commit
 	// loops (ship), repair's and the handoff's copies (settle, push,
 	// repairChunk) and a streamed upload's chunks and their sweep
-	// (putChunks, sweepChunks) — never from a read path.
+	// (putChunks, sweepChunks) — never from a read path. The records
+	// layer's write verbs are the controller's only way to write.
 	{
 		name: "drive-writes",
-		check: onlyIn(sym{pkg: drive, names: []string{"Put", "Delete", "BatchGroups", "P2PPush"}}, core,
+		check: onlyIn(sym{pkg: drive, names: []string{"Put", "Delete", "Batch", "Push"}}, core,
 			"ship", "settle", "push", "repairChunk", "putChunks", "sweepChunks"),
 		mutants: []mutant{{
 			// A streamed upload's head written around the commit loops.
 			file: "internal/core/stream.go",
 			old:  "w, err := c.stage(meta2, stub, nil)",
-			new:  "w, err := c.stage(meta2, stub, nil)\n\t_ = c.drives[0].pick().Put(ctx, store.MetaKey(key), nil, nil, nil, true)",
+			new:  "w, err := c.stage(meta2, stub, nil)\n\t_ = c.drives.Put(ctx, 0, store.MetaKey(key), nil, nil)",
 		}, {
-			// A read that deletes what it fetched, through a held connection.
-			file: "internal/core/objects.go",
-			old:  "val, _, err := cd.pool.pick().Get(ctx, dk)",
-			new:  "cl := cd.pool.pick()\n\t\t\tval, _, err := cl.Get(ctx, dk)\n\t\t\t_ = cl.Delete(ctx, dk, nil, true)",
-		}},
-	},
-	// Each record kind has one opener, bound to the key that was asked
-	// for; the unbound decoder is not the controller's to call.
-	{
-		name:  "open-meta",
-		check: onlyIn(sym{names: []string{"DecodeMeta"}}, core, "fetchMeta", "newestMeta"),
-		mutants: []mutant{{
-			// A second election among a head's copies.
-			file: "internal/core/repair.go",
-			old:  "copies[i], _, errs[i] = c.drives[di].pick().Get(ctx, store.MetaKey(key))",
-			new:  "copies[i], _, errs[i] = c.drives[di].pick().Get(ctx, store.MetaKey(key))\n\t\t_ = c.codec.DecodeMeta(copies[i], key, new(store.Meta))",
-		}},
-	},
-	{
-		name:  "open-version",
-		check: onlyIn(sym{names: []string{"DecodeVersion"}}, core, "fetchRecord", "repairObject"),
-		mutants: []mutant{{
-			file: "internal/core/stripe.go",
-			old:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, set, idx))",
-			new:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, set, idx))\n\t_, _ = c.codec.DecodeVersion(v.Value, key, set)",
-		}},
-	},
-	{
-		name:  "open-chunk",
-		check: onlyIn(sym{names: []string{"DecodeChunkInto"}}, core, "openChunk", "repairChunk"),
-		mutants: []mutant{{
-			file: "internal/core/stripe.go",
-			old:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, set, idx))",
-			new:  "v, err := p.pick().GetValue(ctx, store.ChunkKey(key, set, idx))\n\t_, _ = c.codec.DecodeChunkInto(v.Value, nil, key, set, idx)",
-		}},
-	},
-	{
-		name:  "open-record",
-		check: nowhere(sym{names: []string{"DecodeRecord"}}, core...),
-		mutants: []mutant{{
-			// The unbound decoder, reached through a renamed codec.
-			file: "internal/core/objects.go",
-			old:  "return c.codec.DecodeVersion(val, key, version)",
-			new:  "cd := c.codec\n\t\t\treturn cd.DecodeRecord(val)",
-		}},
-	},
-	{
-		name:  "open-policy",
-		check: onlyIn(sym{names: []string{"openPolicy"}}, core, "fetchPolicy", "ExportRange"),
-		mutants: []mutant{{
-			file: "internal/core/objects.go",
-			old:  "prog, err := c.loadPolicy(ctx, id)",
-			new:  "prog, err := c.openPolicy(id)(nil)",
+			// A read that deletes what it fetched, through the drive table
+			// held under another name.
+			file: "internal/core/scan.go",
+			old:  "if meta, err = c.drives.ReadHead(ctx, key, c.placement(key)); err != nil {",
+			new:  "ds := c.drives\n\t\t\t_ = ds.Delete(ctx, 0, store.MetaKey(key))\n\t\t\tif meta, err = c.drives.ReadHead(ctx, key, c.placement(key)); err != nil {",
 		}},
 	},
 	// The head record m\0key has one writer.
@@ -114,8 +129,8 @@ var rules = []rule{
 		check: onlyIn(sym{names: []string{"EncodeMeta"}}, core, "stage", "repairObject"),
 		mutants: []mutant{{
 			file: "internal/core/stream.go",
-			old:  "if err := c.drives[di].pick().Put(ctx, dk, blob, nil, encodeVer(set), true); err != nil {",
-			new:  "if err := c.drives[di].pick().Put(ctx, store.MetaKey(key), c.codec.EncodeMeta(meta), nil, encodeVer(set), true); err != nil {",
+			old:  "if err := c.drives.Put(ctx, di, dk, blob, encodeVer(set)); err != nil {",
+			new:  "if err := c.drives.Put(ctx, di, store.MetaKey(key), c.codec.EncodeMeta(meta), encodeVer(set)); err != nil {",
 		}},
 	},
 	// A read is judged once: in planRead, which every read shape runs,
@@ -134,8 +149,8 @@ var rules = []rule{
 		check: count(sym{pkg: langPkg, names: []string{"PermRead"}}, core, map[string]int{"internal/core/objects.go": 1, "internal/core/scan.go": 1}),
 		mutants: []mutant{{
 			file: "internal/core/scan.go",
-			old:  "if meta, err = c.fetchMeta(ctx, key); err != nil {",
-			new:  "if meta, err = c.fetchMeta(ctx, key); err != nil || c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, meta, nil, opts.Certs) != nil {",
+			old:  "if meta, err = c.drives.ReadHead(ctx, key, c.placement(key)); err != nil {",
+			new:  "if meta, err = c.drives.ReadHead(ctx, key, c.placement(key)); err != nil || c.checkPolicy(ctx, pe, lang.PermRead, sessionKey, key, meta, nil, opts.Certs) != nil {",
 		}},
 	},
 	// The controller's wire surface is one version: no route of the
@@ -233,21 +248,10 @@ var rules = []rule{
 	// Every enumeration of drive keys is one checked page (rangePage)
 	// in one merged walk.
 	{
-		name:  "range-page",
-		check: onlyIn(sym{pkg: drive, names: []string{"Range", "GetKeyRange"}}, core, "rangePage"),
-		mutants: []mutant{{
-			// A context not spelled ctx: the text guard this rule
-			// replaced looked for `.Range(ctx`.
-			file: "internal/core/sweeper.go",
-			old:  "if _, err := c.drives[di].pick().GetVersion(ctx, objKey); err != nil {",
-			new:  "if _, err := c.drives[di].pick().Range(sctx, objKey, objKey, true, false, 1, false); err != nil {",
-		}},
-	},
-	{
 		name:  "range-walk-gone",
 		check: gone(module, "sweepKeysAfter", "keysInRange"),
 		mutants: []mutant{{
-			file: "internal/core/rangewalk.go",
+			file: "internal/core/records/rangewalk.go",
 			old:  "func checkRange(",
 			new:  "func keysInRange(",
 		}},
@@ -287,8 +291,8 @@ var rules = []rule{
 		mutants: []mutant{{
 			// A lock taken through the table's address under another name.
 			file: "internal/core/sweeper.go",
-			old:  "if _, err := c.drives[di].pick().GetVersion(ctx, objKey); err != nil {",
-			new:  "t := &c.commits\n\t\tdefer t.lock([]string{key}, nil)()\n\t\tif _, err := c.drives[di].pick().GetVersion(ctx, objKey); err != nil {",
+			old:  "if c.drives.HasVersion(ctx, di, key, head.Version) != nil {",
+			new:  "t := &c.commits\n\t\tdefer t.lock([]string{key}, nil)()\n\t\tif c.drives.HasVersion(ctx, di, key, head.Version) != nil {",
 		}},
 	},
 	{
@@ -315,8 +319,8 @@ var rules = []rule{
 	// drive key, seal, opener and sweep of a chunk passes the set.
 	{
 		name: "chunk-set-names",
-		check: argIs(core, "set", map[string]int{"ChunkKey": 1, "EncodeChunkInto": 2, "DecodeChunkInto": 3,
-			"sealChunk": 2, "getChunkValue": 3, "openChunk": 2, "repairChunk": 3, "sweepChunks": 2}),
+		check: argIs(controller, "set", map[string]int{"ChunkKey": 1, "EncodeChunkInto": 2, "DecodeChunkInto": 3,
+			"sealChunk": 2, "ReadStripe": 2, "openChunk": 2, "ProbeChunk": 4, "HasChunk": 3, "repairChunk": 3, "sweepChunks": 2}),
 		mutants: []mutant{{
 			file: "internal/core/stream.go",
 			old:  "dk := store.ChunkKey(key, set, idx)",
@@ -351,9 +355,8 @@ var rules = []rule{
 	// object key: a version's drive key addresses drives and nothing
 	// else, and a delete purges the object with one Remove.
 	{
-		name: "object-cache-heads",
-		check: onlyIn(sym{pkg: "repro/internal/store", names: []string{"ObjectKey"}}, core,
-			"appendBatchOps", "fetchRecord", "repairObject", "replicaVersions", "replicasConverged"),
+		name:  "object-cache-heads",
+		check: onlyIn(sym{pkg: "repro/internal/store", names: []string{"ObjectKey"}}, core, "appendBatchOps", "repairObject"),
 		mutants: []mutant{{
 			file: "internal/core/replicate.go",
 			old:  "c.objectCache.Put(m.Key, w.rec)",
@@ -371,24 +374,17 @@ var rules = []rule{
 	},
 	// Every record read off the drives is one first-k-of-n fetch with
 	// one order, one hedge timer and one demotion rule.
-	{
-		name:  "fetch-engine-gone",
-		check: gone(core, "readHedged", "readReplicas", "orderByLatency", "Controller.readOrder"),
-		mutants: []mutant{{
-			file: "internal/core/objects.go",
-			old:  "func fetchReplicated[T any](",
-			new:  "func readReplicas[T any](",
-		}},
-	},
+
 	// No read grows a timer of its own: time.NewTimer is the group
 	// committer's gather poll and the fetch engine's one.
 	{
-		name:  "timers",
-		check: count(sym{pkg: "time", names: []string{"NewTimer"}}, core, map[string]int{"internal/core/gcommit.go": 1, "internal/core/fetch.go": 1}),
+		name: "timers",
+		check: count(sym{pkg: "time", names: []string{"NewTimer"}}, controller,
+			map[string]int{"internal/core/gcommit.go": 1, "internal/core/records/fetch.go": 1}),
 		mutants: []mutant{{
-			file: "internal/core/detector.go",
-			old:  "probeCtx, cancel := context.WithTimeout(ctx, det.probeTimeout)",
-			new:  "probeCtx, cancel := context.WithTimeout(ctx, det.probeTimeout)\n\t\t\tdefer time.NewTimer(det.probeTimeout).Stop()",
+			file: "internal/core/records/records.go",
+			old:  "pctx, cancel := context.WithTimeout(ctx, timeout)",
+			new:  "pctx, cancel := context.WithTimeout(ctx, timeout)\n\t\t\tdefer time.NewTimer(timeout).Stop()",
 		}},
 	},
 	// Each drive has its own commit loop: no clock ships every drive's
@@ -437,8 +433,8 @@ var rules = []rule{
 			new:  "// Flush forces buffered writes to media.\nfunc (c *Client) Flush(ctx context.Context) error { return c.Noop(ctx) }\n\n// Noop verifies connectivity and credentials.",
 		}, {
 			file: "internal/core/tx.go",
-			old:  "\"repro/internal/authority\"\n)",
-			new: "\"repro/internal/authority\"\n\t\"repro/internal/kinetic/wire\"\n)\n\n" +
+			old:  "\"repro/internal/core/records\"\n)",
+			new: "\"repro/internal/core/records\"\n\t\"repro/internal/kinetic/wire\"\n)\n\n" +
 				"func txSync(replicas int) wire.SyncMode {\n\tif replicas > 1 {\n\t\treturn wire.SyncWriteBack\n\t}\n\treturn wire.SyncWriteThrough\n}",
 		}},
 	},
@@ -467,15 +463,7 @@ var rules = []rule{
 			new:  "func (c *Codec) UnmarshalMeta(",
 		}},
 	},
-	{
-		name:  "head-stamp",
-		check: nowhere(sym{names: []string{"GetVersion"}, arg: "MetaKey"}, core...),
-		mutants: []mutant{{
-			file: "internal/core/sweeper.go",
-			old:  "if _, err := c.drives[di].pick().GetVersion(ctx, objKey); err != nil {",
-			new:  "if _, err := c.drives[di].pick().GetVersion(ctx, store.MetaKey(key)); err != nil {",
-		}},
-	},
+
 	// A handoff export is a repair with a second destination, and a
 	// drive applies grouped batches only.
 	{
@@ -516,14 +504,14 @@ var rules = []rule{
 			declaredOnlyIn("GetMany", module, "internal/kinetic/kclient/*.go"),
 		),
 		mutants: []mutant{{
-			file: "internal/core/objects.go",
-			old:  "func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, error) {",
-			new:  "func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, error) {\n\t_, _ = c.drives[0].pick().GetMany(ctx, [][]byte{store.MetaKey(key)})",
+			file: "internal/core/records/fetch.go",
+			old:  "func (d *Drives) ReadHead(ctx context.Context, key string, placement []int) (*store.Meta, error) {",
+			new:  "func (d *Drives) ReadHead(ctx context.Context, key string, placement []int) (*store.Meta, error) {\n\t_, _ = d.pools[0].pick().GetMany(ctx, [][]byte{store.MetaKey(key)})",
 		}, {
 			// A second multi-key read beside the client's.
-			file: "internal/core/headwave.go",
-			old:  "func (c *Controller) askHeads(",
-			new:  "func (c *Controller) GetMany(ctx context.Context, dks [][]byte) {}\n\nfunc (c *Controller) askHeads(",
+			file: "internal/core/records/headwave.go",
+			old:  "func (d *Drives) askHeads(",
+			new:  "func (d *Drives) GetMany(ctx context.Context, dks [][]byte) {}\n\nfunc (d *Drives) askHeads(",
 		}},
 	},
 	// A drive's records live in its arena: only the arena maps memory,

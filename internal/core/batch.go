@@ -10,9 +10,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/authority"
+	"repro/internal/core/records"
 )
 
 // MaxBatchRequestOps caps the operations of one v2 batch request.
@@ -49,7 +49,7 @@ func (s *Session) BatchGet(ctx context.Context, keys []string, certs []*authorit
 		return nil, fmt.Errorf("%w: batch of %d exceeds %d ops", ErrInvalidArgument, len(keys), MaxBatchRequestOps)
 	}
 	results := make([]BatchGetResult, len(keys))
-	inParallel(len(keys), func(i int) {
+	records.InParallel(len(keys), func(i int) {
 		key := keys[i]
 		results[i].Key = JSONKey(key)
 		if err := validKey(key); err != nil {
@@ -181,39 +181,4 @@ func validKey(key string) error {
 		return fmt.Errorf("%w: object keys must not contain NUL", ErrInvalidArgument)
 	}
 	return nil
-}
-
-// batchParallelism bounds the concurrent reads of one multi-key request:
-// a batch get's point reads, a head wave's misses, a transaction's
-// record reads.
-func batchParallelism(n int) int {
-	if n < 1 {
-		return 1
-	}
-	if n > 16 {
-		return 16
-	}
-	return n
-}
-
-// inParallel runs f(0) … f(n-1) on at most batchParallelism(n)
-// goroutines and returns when every call has; a single call runs on the
-// caller's goroutine.
-func inParallel(n int, f func(i int)) {
-	if n == 1 {
-		f(0)
-		return
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, batchParallelism(n))
-	for i := range n {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f(i)
-		}()
-	}
-	wg.Wait()
 }

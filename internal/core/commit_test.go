@@ -148,12 +148,12 @@ func TestCommitShapes(t *testing.T) {
 			// the commit's CAS fails everywhere, nothing is counted, and
 			// every touched key's cached metadata is dropped.
 			foreign := func(token int64) {
-				rec, _, err := h.ctl.drives[0].pick().Get(bg, store.MetaKey(keys[0]))
+				rec, _, err := driveConn(t, h.ctl, 0).Get(bg, store.MetaKey(keys[0]))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for di := range h.drives {
-					if err := h.ctl.drives[di].pick().Put(bg, store.MetaKey(keys[0]), rec, nil, encodeVer(token), true); err != nil {
+					if err := driveConn(t, h.ctl, di).Put(bg, store.MetaKey(keys[0]), rec, nil, encodeVer(token), true); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -12,7 +12,6 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -20,10 +19,10 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/core/records"
 	"repro/internal/ec"
 	"repro/internal/enclave"
 	"repro/internal/enclave/attest"
-	"repro/internal/kinetic/kclient"
 	"repro/internal/kinetic/wire"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -33,8 +32,8 @@ import (
 // Errors surfaced to clients.
 var (
 	ErrDenied       = errors.New("pesos: request denied by policy")
-	ErrNotFound     = errors.New("pesos: object not found")
-	ErrNoSuchPolicy = errors.New("pesos: unknown policy id")
+	ErrNotFound     = records.ErrNotFound
+	ErrNoSuchPolicy = records.ErrNoSuchPolicy
 	ErrBadVersion   = errors.New("pesos: version conflict")
 	ErrClosed       = errors.New("pesos: controller closed")
 )
@@ -64,6 +63,9 @@ const AdminIdentity = "pesos-admin"
 // object — so the derived name stays inside the client key space.
 func LogKeyFor(key string) string { return key + ".log" }
 
+// DriveEndpoint names one Kinetic drive and how to reach it.
+type DriveEndpoint = records.Endpoint
+
 // Config configures a controller.
 type Config struct {
 	// Drives lists the Kinetic drives this controller owns.
@@ -75,7 +77,7 @@ type Config struct {
 	// the §6.2 encryption experiment turns it off).
 	Encrypt bool
 	// hedgeDelay fixes the read engine's delay before a further copy is
-	// consulted (see fetch.go). 0, which every deployment runs, selects
+	// consulted (see records/fetch.go). 0, which every deployment runs, selects
 	// the adaptive delay: ~1.25× the outstanding drive's observed p95
 	// read latency. Only this package's tests pin it.
 	hedgeDelay time.Duration
@@ -195,7 +197,7 @@ type Controller struct {
 	secrets *attest.Secrets
 	clock   func() time.Time
 
-	drives []*drivePool
+	drives *records.Drives
 	// gcommit is the group-commit scheduler every drive write goes
 	// through (one queue and one commit loop per drive; see
 	// gcommit.go).
@@ -535,41 +537,39 @@ const residualCacheBytes = 1 << 20
 // connectDrives dials every drive and, unless a standby, performs the
 // exclusive takeover: replace all accounts with a single Pesos admin
 // account derived from the attested admin seed (§3.1).
-func (c *Controller) connectDrives(ctx context.Context) error {
+func (c *Controller) connectDrives(ctx context.Context) (err error) {
 	if len(c.secrets.Drives) != len(c.cfg.Drives) {
 		return fmt.Errorf("core: secrets cover %d drives, config has %d",
 			len(c.secrets.Drives), len(c.cfg.Drives))
 	}
+	creds := make([]records.Credentials, len(c.cfg.Drives))
 	for i, ep := range c.cfg.Drives {
-		cred := c.secrets.Drives[i]
-		dialCred := kclient.Credentials{Identity: cred.Identity, Key: cred.Key}
+		creds[i] = records.Credentials{Identity: c.secrets.Drives[i].Identity, Key: c.secrets.Drives[i].Key}
 		if c.cfg.Standby {
 			// A standby never holds factory credentials and never takes
 			// over: it authenticates with the epoch-derived admin account
 			// the active owner installed. Dialing does not authenticate
 			// (HMACs are per-message), so bootstrap succeeds even if the
 			// epoch advances before the first request.
-			dialCred = kclient.Credentials{
+			creds[i] = records.Credentials{
 				Identity: adminIdentityForEpoch(c.cfg.CredentialEpoch),
 				Key:      c.adminKeyForEpoch(ep.Name, c.cfg.CredentialEpoch),
 			}
 		}
-		pool, err := dialPool(ctx, ep, dialCred)
-		if err != nil {
-			c.closeDrives()
-			return err
+	}
+	cfg := records.Config{Codec: c.codec, Cost: c.cost, HedgeDelay: c.cfg.hedgeDelay,
+		Hedges: &c.stats.ReadHedges, RangeRejects: &c.stats.RangeRejects, Widened: &c.stats.ScanWidened}
+	if c.drives, err = records.Dial(ctx, cfg, c.cfg.Drives, creds); err != nil || c.cfg.Standby {
+		return err
+	}
+	for i, ep := range c.cfg.Drives {
+		adminKey := c.adminKeyFor(ep.Name)
+		acl := wire.ACL{Identity: AdminIdentity, Key: adminKey, Perms: wire.PermAll}
+		if err := c.drives.SetSecurity(ctx, i, []wire.ACL{acl}); err != nil {
+			c.drives.Close()
+			return fmt.Errorf("core: takeover of drive %s: %w", ep.Name, err)
 		}
-		if !c.cfg.Standby {
-			adminKey := c.adminKeyFor(ep.Name)
-			acl := wire.ACL{Identity: AdminIdentity, Key: adminKey, Perms: wire.PermAll}
-			if err := pool.pick().SetSecurity(ctx, []wire.ACL{acl}, nil); err != nil {
-				pool.close()
-				c.closeDrives()
-				return fmt.Errorf("core: takeover of drive %s: %w", ep.Name, err)
-			}
-			pool.setCredentials(kclient.Credentials{Identity: AdminIdentity, Key: adminKey})
-		}
-		c.drives = append(c.drives, pool)
+		c.drives.SetCredentials(i, records.Credentials{Identity: AdminIdentity, Key: adminKey})
 	}
 	return nil
 }
@@ -582,16 +582,6 @@ func (c *Controller) adminKeyFor(driveName string) []byte {
 	mac.Write([]byte("drive-admin:"))
 	mac.Write([]byte(driveName))
 	return mac.Sum(nil)
-}
-
-// closeDrives closes every pool connection. The drive table itself
-// stays in place: writers that raced past the closed check still
-// resolve their pools and fail with the connection's ErrClosed
-// instead of tearing a nil slice out from under a fan-out.
-func (c *Controller) closeDrives() {
-	for _, p := range c.drives {
-		p.close()
-	}
 }
 
 // Stats returns the controller's counters.
@@ -630,10 +620,10 @@ type DriveLatency struct {
 
 // DriveLatencies reports the per-drive read-latency estimates.
 func (c *Controller) DriveLatencies() []DriveLatency {
-	out := make([]DriveLatency, len(c.drives))
-	for i, p := range c.drives {
-		e, p95, n := p.latency()
-		out[i] = DriveLatency{Name: p.name, EWMA: e, P95: p95, Samples: n}
+	out := make([]DriveLatency, c.drives.Len())
+	for i := range out {
+		e, p95, n := c.drives.Latency(i)
+		out[i] = DriveLatency{Name: c.drives.Name(i), EWMA: e, P95: p95, Samples: n}
 	}
 	return out
 }
@@ -672,7 +662,7 @@ func (c *Controller) Close() error {
 	// batch), then wait for the drives' commit loops to exit.
 	c.gcommit.shutdown()
 	c.mu.Lock()
-	c.closeDrives()
+	c.drives.Close()
 	c.mu.Unlock()
 	c.gcommit.wait()
 	c.audit.Close()
@@ -686,12 +676,4 @@ func programSize(p *policy.Program) int64 {
 		return 256
 	}
 	return int64(len(data)) + 64
-}
-
-// policyID derives the content-addressed identifier of a compiled
-// policy: the hex policy hash. Identical policies share an id, which
-// is what lets one policy serve many objects (1:M, §3).
-func policyID(p *policy.Program) string {
-	h := p.Hash()
-	return hex.EncodeToString(h[:])
 }

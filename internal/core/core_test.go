@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/kinetic"
 	"repro/internal/kinetic/kclient"
 	"repro/internal/netx"
+	"repro/internal/policy/value"
 	"repro/internal/store"
 )
 
@@ -210,6 +212,30 @@ func TestPolicyPersistsAcrossCacheDrop(t *testing.T) {
 	src, err := h.ctl.GetPolicySource(ctx, pid)
 	if err != nil || src == "" {
 		t.Fatalf("policy source: %q %v", src, err)
+	}
+}
+
+// TestPutPolicyTupleDepth: a policy whose tuple pattern nests deeper
+// than the drive record's decoder reads is refused at PutPolicy, not
+// stored to become unreadable after its cache entry goes; one nested as
+// deep as the decoder reads comes back off the drives.
+func TestPutPolicyTupleDepth(t *testing.T) {
+	h := newHarness(t, 1, nil)
+	ctx := context.Background()
+	nested := func(depth int) string {
+		return "read :- sessionKeyIs(U) and certificateSays(k'aa', 60, " +
+			strings.Repeat("'t'(", depth) + "U" + strings.Repeat(")", depth) + ")"
+	}
+	if _, err := h.ctl.PutPolicy(ctx, nested(value.MaxDepth+1)); !errors.Is(err, ErrInvalidArgument) {
+		t.Errorf("a pattern nested %d deep: %v", value.MaxDepth+1, err)
+	}
+	pid, err := h.ctl.PutPolicy(ctx, nested(value.MaxDepth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ctl.DropCaches()
+	if _, err := h.ctl.GetPolicySource(ctx, pid); err != nil {
+		t.Errorf("a pattern nested %d deep, read back off the drives: %v", value.MaxDepth, err)
 	}
 }
 
@@ -492,7 +518,7 @@ func TestFetchMetaBindsRecordToKey(t *testing.T) {
 
 	plantMeta(t, h, 0, "k1", k2)
 	for i := 0; i < 20; i++ { // whichever replica the read engine asks first
-		m, err := h.ctl.fetchMeta(ctx, "k1")
+		m, err := h.ctl.drives.ReadHead(ctx, "k1", h.ctl.placement("k1"))
 		if err != nil || m.Key != "k1" || m.PolicyID != private {
 			t.Fatalf("read %d with one mis-keyed replica: %+v, %v", i, m, err)
 		}
@@ -528,7 +554,7 @@ func TestFetchMetaBindsRecordToKey(t *testing.T) {
 	}
 	plantMeta(t, h, 0, "k1", k2)
 	plantMeta(t, h, 1, "k1", k2)
-	if m, err := h.ctl.fetchMeta(ctx, "k1"); !errors.Is(err, store.ErrCorrupt) {
+	if m, err := h.ctl.drives.ReadHead(ctx, "k1", h.ctl.placement("k1")); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("every replica mis-keyed: %+v, %v; want store.ErrCorrupt", m, err)
 	}
 }

@@ -85,7 +85,7 @@ func newDriveDetector(c *Controller) *driveDetector {
 		c:            c,
 		deadAfter:    c.cfg.DetectorDeadAfter,
 		probeTimeout: c.cfg.DetectorProbeTimeout,
-		states:       make([]driveProbeState, len(c.drives)),
+		states:       make([]driveProbeState, c.drives.Len()),
 	}
 	if d.deadAfter <= detectorSuspectAfter {
 		d.deadAfter = detectorSuspectAfter + 2
@@ -109,19 +109,7 @@ func (c *Controller) DetectorTick(ctx context.Context) []DriveHealth {
 	if det == nil {
 		return nil
 	}
-	results := make([]bool, len(c.drives))
-	var wg sync.WaitGroup
-	for i, p := range c.drives {
-		wg.Add(1)
-		go func(i int, p *drivePool) {
-			defer wg.Done()
-			probeCtx, cancel := context.WithTimeout(ctx, det.probeTimeout)
-			defer cancel()
-			results[i] = p.pick().Noop(probeCtx) == nil
-		}(i, p)
-	}
-	wg.Wait()
-	det.record(results)
+	det.record(c.drives.Noop(ctx, det.probeTimeout))
 	return c.DriveHealth()
 }
 
@@ -186,13 +174,13 @@ func (d *driveDetector) record(results []bool) {
 // DriveHealth reports the detector's per-drive states. Without a
 // configured detector every drive reports healthy.
 func (c *Controller) DriveHealth() []DriveHealth {
-	out := make([]DriveHealth, len(c.drives))
+	out := make([]DriveHealth, c.drives.Len())
 	det := c.detector
 	if det != nil {
 		det.mu.Lock()
 	}
-	for i, p := range c.drives {
-		h := DriveHealth{Name: p.name, State: DriveHealthy}
+	for i := range out {
+		h := DriveHealth{Name: c.drives.Name(i), State: DriveHealthy}
 		if det != nil {
 			st := det.states[i]
 			h.State, h.ProbeFails, h.Since = st.state, st.fails, st.since
@@ -224,8 +212,8 @@ func (c *Controller) forceDriveState(name string, state DriveState) error {
 		return fmt.Errorf("core: no failure detector configured")
 	}
 	idx := -1
-	for i, p := range c.drives {
-		if p.name == name {
+	for i := range c.drives.Len() {
+		if c.drives.Name(i) == name {
 			idx = i
 			break
 		}

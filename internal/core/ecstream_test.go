@@ -59,8 +59,8 @@ func TestECStreamRoundTrip(t *testing.T) {
 	// against 20 for the 2-way replicated class.
 	cstart, cend := store.ChunkKeyRange("big")
 	records := 0
-	for di := range h.ctl.drives {
-		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], cstart, cend)
+	for di := range h.ctl.drives.Len() {
+		keys, err := driveKeys(t, h.ctl, di, cstart, cend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestECStreamSingleChunkFinalStripe(t *testing.T) {
 	// the virtual-zero-shard model on both ends.
 	group := h.ctl.ecGroup("lone", 6)
 	home := ecDataHome(group, 4, 4)
-	if err := h.ctl.drives[home].pick().Delete(ctx, h.chunkKey(t, "lone", 0, 4), nil, true); err != nil {
+	if err := driveConn(t, h.ctl, home).Delete(ctx, h.chunkKey(t, "lone", 0, 4), nil, true); err != nil {
 		t.Fatal(err)
 	}
 	h.ctl.objectCache.Clear()
@@ -145,7 +145,7 @@ func TestECStreamBelowThresholdStaysReplicated(t *testing.T) {
 	// Both replicas hold both chunks.
 	cstart, cend := store.ChunkKeyRange("small")
 	for _, di := range h.ctl.placement("small") {
-		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], cstart, cend)
+		keys, err := driveKeys(t, h.ctl, di, cstart, cend)
 		if err != nil || len(keys) != 2 {
 			t.Errorf("replica %d holds %d chunks, want 2 (%v)", di, len(keys), err)
 		}
@@ -209,7 +209,7 @@ func TestECShardCorruptionCaught(t *testing.T) {
 	// — correct bytes, never the corrupt ones.
 	group := h.ctl.ecGroup("flip", 6)
 	flip := func(idx int64, home int) {
-		cl := h.ctl.drives[home].pick()
+		cl := driveConn(t, h.ctl, home)
 		dk := h.chunkKey(t, "flip", 0, idx)
 		blob, _, err := cl.Get(ctx, dk)
 		if err != nil {
@@ -259,8 +259,8 @@ func TestECStreamDeleteCollectsAllShards(t *testing.T) {
 	// No shard record — data or parity — survives on any drive; the
 	// group fanout reaches beyond the replica placement.
 	cstart, cend := store.ChunkKeyRange("gone")
-	for di := range h.ctl.drives {
-		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], cstart, cend)
+	for di := range h.ctl.drives.Len() {
+		keys, err := driveKeys(t, h.ctl, di, cstart, cend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,8 +436,8 @@ func TestECStreamSurvivesEveryLossPattern(t *testing.T) {
 			for st := int64(0); st*int64(l.k) < meta.Chunks; st++ {
 				var recs []record
 				for _, sh := range l.shards(st, meta.Chunks) {
-					for _, di := range l.homes(sh.idx) {
-						dk := store.ChunkKey(key, meta.ChunkSet(), sh.idx)
+					for _, di := range l.homes(sh.Idx) {
+						dk := store.ChunkKey(key, meta.ChunkSet(), sh.Idx)
 						recs = append(recs, record{di, dk, r.rawAt(di, dk)})
 					}
 				}
@@ -448,7 +448,7 @@ func TestECStreamSurvivesEveryLossPattern(t *testing.T) {
 					}
 					for i, rec := range recs {
 						if mask&(1<<i) != 0 {
-							if err := ctl.drives[rec.di].pick().Delete(r.ctx, rec.dk, nil, true); err != nil {
+							if err := driveConn(t, ctl, rec.di).Delete(r.ctx, rec.dk, nil, true); err != nil {
 								t.Fatal(err)
 							}
 						}

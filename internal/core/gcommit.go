@@ -125,11 +125,11 @@ type groupScheduler struct {
 func newGroupScheduler(c *Controller) *groupScheduler {
 	g := &groupScheduler{
 		c:      c,
-		queues: make([][]*commitGroup, len(c.drives)),
-		wakes:  make([]chan struct{}, len(c.drives)),
+		queues: make([][]*commitGroup, c.drives.Len()),
+		wakes:  make([]chan struct{}, c.drives.Len()),
 		stop:   make(chan struct{}),
 	}
-	for di := range c.drives {
+	for di := range c.drives.Len() {
 		g.wakes[di] = make(chan struct{}, 1)
 		g.wg.Add(1)
 		go g.run(di)
@@ -305,15 +305,12 @@ func (g *groupScheduler) ship(di int, batch []*commitGroup) {
 		bytes += grp.bytes
 	}
 
-	cl := g.c.drives[di].pick()
 	// One drive round trip for the whole batch: the enclave syscall
-	// tax amortizes across riders exactly like the media wait.
-	g.c.chargeDriveIO(bytes)
-	// The batch commits on behalf of every rider; an individual
-	// waiter's cancellation must not abort its neighbours, so the
-	// round trip runs detached (waiters honor their own contexts in
-	// enqueue).
-	errs, err := cl.BatchGroups(context.Background(), ops, sizes, wire.SyncWriteThrough)
+	// tax amortizes across riders exactly like the media wait. The
+	// batch commits on behalf of every rider; an individual waiter's
+	// cancellation must not abort its neighbours, so the round trip runs
+	// detached (waiters honor their own contexts in enqueue).
+	errs, err := g.c.drives.Batch(di, ops, sizes, bytes)
 
 	g.c.stats.GroupBatches.Inc()
 	if len(batch) > 1 {

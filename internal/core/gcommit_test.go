@@ -235,7 +235,7 @@ func TestGroupCommitCASStorm(t *testing.T) {
 	}
 
 	// The hot key advanced exactly once per round.
-	cl := h.ctl.drives[0].pick()
+	cl := driveConn(t, h.ctl, 0)
 	_, gotVer, err := cl.Get(ctx, []byte("hot"))
 	if err != nil {
 		t.Fatalf("read hot: %v", err)

@@ -131,7 +131,7 @@ func TestHedgeFiresOnSlowReplica(t *testing.T) {
 		t.Error("slow replica accumulated no latency samples despite losing hedge races")
 	}
 	placement := store.Placement(key, 2, 2)
-	if order := fetchOrder(1, h.ctl.copies(placement)); order[0].pool == h.ctl.drives[slow] {
+	if h.ctl.drives.FirstChoices()(placement) == slow {
 		t.Errorf("slow replica still ordered first after losing races (latencies %+v)", lats)
 	}
 }
@@ -175,7 +175,7 @@ func TestListVersionsWithheldRecordDoesNotHideVersion(t *testing.T) {
 	}
 	placement := r.h.ctl.placement("hist")
 	liar := placement[0]
-	if err := r.h.ctl.drives[liar].pick().Delete(r.ctx, store.ObjectKey("hist", 1), nil, true); err != nil {
+	if err := driveConn(t, r.h.ctl, liar).Delete(r.ctx, store.ObjectKey("hist", 1), nil, true); err != nil {
 		t.Fatal(err)
 	}
 	r.askFirst(liar, placement)
@@ -281,7 +281,7 @@ func TestDeadReplicaLosesPrimarySlot(t *testing.T) {
 	// one six times slower than the healthy replica's was not, and the
 	// dead drive was then never tried at all.
 	for i := 0; i < 64; i++ {
-		h.ctl.drives[dead].observe(time.Nanosecond)
+		h.ctl.drives.Observe(dead, time.Nanosecond)
 	}
 
 	// Cold reads against the dead primary: each must still succeed off
@@ -294,11 +294,11 @@ func TestDeadReplicaLosesPrimarySlot(t *testing.T) {
 			t.Fatalf("read %d with dead primary: %q %v", i, val, err)
 		}
 	}
-	if !h.ctl.drives[dead].failing() {
+	if !h.ctl.drives.Failing(dead) {
 		t.Fatal("dead drive not marked failing after transport errors")
 	}
 	placement := store.Placement(key, 2, 2)
-	if order := fetchOrder(1, h.ctl.copies(placement)); order[0].pool == h.ctl.drives[dead] {
+	if h.ctl.drives.FirstChoices()(placement) == dead {
 		t.Error("dead drive kept the primary slot; every read pays the hedge delay")
 	}
 	// Demotion is preference, not exclusion: revive the drive, fail the
@@ -311,7 +311,7 @@ func TestDeadReplicaLosesPrimarySlot(t *testing.T) {
 	if err != nil || !bytes.Equal(val, []byte("v")) {
 		t.Fatalf("read off the revived replica: %q %v", val, err)
 	}
-	if h.ctl.drives[dead].failing() {
+	if h.ctl.drives.Failing(dead) {
 		t.Error("revived drive still marked failing after a successful read")
 	}
 }
@@ -491,32 +491,5 @@ func TestDrivePoolConcurrentChurn(t *testing.T) {
 		if dl.Samples > 0 && (dl.EWMA <= 0 || dl.P95 < dl.EWMA) {
 			t.Errorf("estimator incoherent after churn: %+v", dl)
 		}
-	}
-}
-
-// TestLatencyEstimator pins the estimator's convergence and drift
-// tracking on a deterministic sample stream.
-func TestLatencyEstimator(t *testing.T) {
-	var e latencyEstimator
-	for i := 0; i < 200; i++ {
-		e.observe(time.Millisecond)
-	}
-	ewma, p95, n := e.snapshot()
-	if n != 200 {
-		t.Fatalf("samples %d", n)
-	}
-	if ewma < 900*time.Microsecond || ewma > 1100*time.Microsecond {
-		t.Errorf("ewma %v, want ~1ms", ewma)
-	}
-	if p95 < ewma || p95 > 2*time.Millisecond {
-		t.Errorf("p95 %v out of range for constant 1ms stream", p95)
-	}
-	// Drift: the estimate follows a 10x degradation.
-	for i := 0; i < 200; i++ {
-		e.observe(10 * time.Millisecond)
-	}
-	ewma, _, _ = e.snapshot()
-	if ewma < 8*time.Millisecond {
-		t.Errorf("ewma %v did not track the degradation to 10ms", ewma)
 	}
 }

@@ -44,7 +44,7 @@ func TestObjectCacheHoldsHeads(t *testing.T) {
 		t.Errorf("a plan behind the entry moved it to v%d", rec.Meta.Version)
 	}
 
-	lagging, err := h.ctl.fetchRecord(ctx, "k", n-1)
+	lagging, err := h.ctl.drives.ReadVersion(ctx, "k", n-1, h.ctl.placement("k"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/authority"
 	"repro/internal/cache"
-	"repro/internal/kinetic/kclient"
+	"repro/internal/core/records"
 	"repro/internal/kinetic/wire"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -229,7 +228,9 @@ func (c *Controller) readObject(ctx context.Context, sessionKey, key string, opt
 // head dropped: that head chose the policy the read was judged by, and
 // it is not the object's.
 func (c *Controller) loadPlanned(ctx context.Context, head *store.Meta, version int64) (*store.Record, error) {
-	fetch := func(ctx context.Context) (*store.Record, error) { return c.fetchRecord(ctx, head.Key, version) }
+	fetch := func(ctx context.Context) (*store.Record, error) {
+		return c.drives.ReadVersion(ctx, head.Key, version, c.placement(head.Key))
+	}
 	if version != head.Version {
 		return fetch(ctx)
 	}
@@ -306,7 +307,7 @@ func (c *Controller) deleteObject(ctx context.Context, sessionKey, key string, o
 	// The other drives of an erasure-coded window hold no head for the
 	// guard to find: theirs is forced.
 	placement, guard := c.placement(key), encodeVer(meta.Version)
-	err = c.fanout(c.objectDrives(key), func(di int) error {
+	err = records.Fanout(c.objectDrives(key), func(di int) error {
 		if !slices.Contains(placement, di) {
 			return c.deleteReplica(ctx, di, key, nil)
 		}
@@ -336,7 +337,7 @@ func (c *Controller) listVersions(ctx context.Context, sessionKey, key string, c
 		return nil, err
 	}
 	placement := c.placement(key)
-	return c.replicaVersions(ctx, key, version, placement, len(placement)-1)
+	return c.drives.Versions(ctx, key, version, placement, len(placement)-1)
 }
 
 // cached serves k from ca, fetching it on a miss; concurrent misses on
@@ -353,7 +354,9 @@ func cached[V any](ctx context.Context, c *Controller, ca *cache.Cache[string, V
 // loadMeta returns the newest metadata for key, cache-first with
 // replica failover through the fetch engine.
 func (c *Controller) loadMeta(ctx context.Context, key string) (*store.Meta, error) {
-	return cached(ctx, c, c.metaCache, key, func(ctx context.Context) (*store.Meta, error) { return c.fetchMeta(ctx, key) })
+	return cached(ctx, c, c.metaCache, key, func(ctx context.Context) (*store.Meta, error) {
+		return c.drives.ReadHead(ctx, key, c.placement(key))
+	})
 }
 
 // headLoad is one key's head as a write or transaction loaded it: the
@@ -401,72 +404,32 @@ func (c *Controller) loadHeads(ctx context.Context, heads map[string]headLoad, k
 	case 1:
 		heads[misses[0]] = c.loadHead(ctx, misses[0])
 	default:
-		for i, h := range c.headWave(ctx, misses, c.askers()) {
+		for i, h := range c.headWave(ctx, misses, nil) {
 			heads[misses[i]] = h
 		}
 	}
 }
 
-// fetchReplicated reads the record under drive key dk off the placement
-// through the fetch engine, one slot with a copy on every placement
-// drive. decode turns one replica's bytes into the value or refuses them
-// — malformed, damaged, or another record's authentic bytes served
-// under this key — and a refusal fails over to the next replica instead
-// of failing the read. what names the record in errors; absent is what
-// a unanimous not-found surfaces as.
-func fetchReplicated[T any](ctx context.Context, c *Controller, placement []int, dk []byte, absent error, what string, decode func(val []byte) (T, error)) (T, error) {
-	got, err := fetch(ctx, c, 1, c.copies(placement), 0,
-		func(ctx context.Context, cd fetchCand) ([]byte, error) {
-			c.chargeDriveIO(0)
-			val, _, err := cd.pool.pick().Get(ctx, dk)
-			if errors.Is(err, kclient.ErrNotFound) {
-				err = fmt.Errorf("%w: %s", absent, what)
-			}
-			return val, err
-		},
-		func(_ fetchCand, val []byte) (T, error) { return decode(val) }, nil)
-	if err != nil {
-		var zero T
-		if !isAbsent(err) {
-			err = fmt.Errorf("core: all replicas failed reading %s: %w", what, err)
+// headWave loads the heads of keys, none of them cached, in one wave of
+// multi-key reads (records.Drives.HeadWave; wrap is its) and publishes
+// the heads found to the meta cache, as loadHead would. Every key the
+// wave leaves unsettled is loaded through loadHead.
+func (c *Controller) headWave(ctx context.Context, keys []string, wrap func(di int, read func() error) error) []headLoad {
+	out := make([]headLoad, len(keys))
+	var rest []int
+	for i, h := range c.drives.HeadWave(ctx, keys, c.placement, wrap) {
+		switch {
+		case h.Meta != nil:
+			c.metaCache.Put(keys[i], h.Meta)
+			out[i] = headLoad{meta: h.Meta}
+		case h.Absent: // worded as ReadHead's
+			out[i] = headLoad{err: fmt.Errorf("%w: meta %q", ErrNotFound, keys[i])}
+		default:
+			rest = append(rest, i)
 		}
-		return zero, err
 	}
-	return got[0], nil
-}
-
-// fetchMeta reads key's head record off the drives. The codec refuses a
-// copy that is another object's record served under this key: the
-// policy check would trust its PolicyID.
-func (c *Controller) fetchMeta(ctx context.Context, key string) (*store.Meta, error) {
-	return fetchReplicated(ctx, c, c.placement(key), store.MetaKey(key), ErrNotFound, "meta "+strconv.Quote(key),
-		func(val []byte) (*store.Meta, error) {
-			m := new(store.Meta)
-			return m, c.codec.DecodeMeta(val, key, m)
-		})
-}
-
-// fetchRecord reads one version record off the drives. The codec opens
-// it only intact and bound to (key, version): a replica serving another
-// object's or version's authentic record fails over like a damaged one.
-// A chunk stub's content hash spans its chunks; the stream reader checks it.
-func (c *Controller) fetchRecord(ctx context.Context, key string, version int64) (*store.Record, error) {
-	return fetchReplicated(ctx, c, c.placement(key), store.ObjectKey(key, version), ErrNotFound, fmt.Sprintf("%q v%d", key, version),
-		func(val []byte) (*store.Record, error) {
-			c.cost.MoveBytes(len(val))
-			return c.codec.DecodeVersion(val, key, version)
-		})
-}
-
-// chargeDriveIO charges the enclave tax of one drive round trip: two
-// asynchronous syscall hand-offs (send, receive) plus the payload
-// crossing the boundary.
-func (c *Controller) chargeDriveIO(payload int) {
-	c.cost.Syscall()
-	c.cost.Syscall()
-	if payload > 0 {
-		c.cost.MoveBytes(payload)
-	}
+	records.InParallel(len(rest), func(j int) { out[rest[j]] = c.loadHead(ctx, keys[rest[j]]) })
+	return out
 }
 
 // policyEval carries one caller's policy-evaluation context across the
@@ -682,7 +645,7 @@ func (c *Controller) PutPolicy(ctx context.Context, src string) (string, error) 
 		// the store's; both chains stay inspectable.
 		return "", fmt.Errorf("%w: %w", ErrInvalidArgument, err)
 	}
-	id := policyID(prog)
+	id := records.PolicyID(prog)
 	blob, err := prog.Marshal()
 	if err != nil {
 		return "", err
@@ -692,14 +655,14 @@ func (c *Controller) PutPolicy(ctx context.Context, src string) (string, error) 
 	// group, so a policy store rides the same shared drive batches as
 	// concurrent data writes.
 	placement := c.placement(id)
-	err = c.fanout(placement, func(di int) error {
+	err = records.Fanout(placement, func(di int) error {
 		// Content-addressed: rewriting the same id is idempotent.
 		ops := []wire.BatchOp{{
 			Op: wire.BatchPut, Key: store.PolicyKey(id), Value: blob,
 			NewVersion: []byte{1}, Force: true,
 		}}
 		if err := c.gcommit.enqueue(ctx, di, ops, len(blob)); err != nil {
-			return fmt.Errorf("core: store policy on drive %s: %w", c.drives[di].name, err)
+			return fmt.Errorf("core: store policy on drive %s: %w", c.drives.Name(di), err)
 		}
 		return nil
 	})
@@ -735,24 +698,7 @@ func (c *Controller) loadPolicy(ctx context.Context, id string) (*policy.Program
 	if prog, ok := c.policyCache.Hit(id); ok {
 		return prog, nil // without building the miss path's fetch
 	}
-	return cached(ctx, c, c.policyCache, id, func(ctx context.Context) (*policy.Program, error) { return c.fetchPolicy(ctx, id) })
-}
-
-// fetchPolicy reads a compiled policy off the drives. Content
-// addressing doubles as integrity: a copy that does not parse, or does
-// not hash back to its id, is refused — so one bad drive cannot deny
-// every object under the policy.
-func (c *Controller) fetchPolicy(ctx context.Context, id string) (*policy.Program, error) {
-	return fetchReplicated(ctx, c, c.placement(id), store.PolicyKey(id), ErrNoSuchPolicy, "policy "+strconv.Quote(id), c.openPolicy(id))
-}
-
-// openPolicy is the bound opener of policy id: a copy must hash back to id.
-func (c *Controller) openPolicy(id string) func([]byte) (*policy.Program, error) {
-	return func(val []byte) (*policy.Program, error) {
-		prog, err := policy.Unmarshal(val)
-		if err == nil && policyID(prog) != id {
-			err = fmt.Errorf("core: policy %q fails integrity check: %w", id, store.ErrCorrupt)
-		}
-		return prog, err
-	}
+	return cached(ctx, c, c.policyCache, id, func(ctx context.Context) (*policy.Program, error) {
+		return c.drives.ReadPolicy(ctx, id, c.placement(id))
+	})
 }

@@ -124,14 +124,13 @@ func (c *Controller) registerMetrics() {
 		}
 	}
 
-	for i := range c.drives {
-		p := c.drives[i]
-		r.GaugeFunc(fmt.Sprintf(`pesos_drive_read_latency_seconds{drive=%q,stat="ewma"}`, p.name),
+	for i := range c.drives.Len() {
+		r.GaugeFunc(fmt.Sprintf(`pesos_drive_read_latency_seconds{drive=%q,stat="ewma"}`, c.drives.Name(i)),
 			"Observed per-drive read latency estimates.",
-			func() float64 { e, _, _ := p.latency(); return e.Seconds() })
-		r.GaugeFunc(fmt.Sprintf(`pesos_drive_read_latency_seconds{drive=%q,stat="p95"}`, p.name),
+			func() float64 { e, _, _ := c.drives.Latency(i); return e.Seconds() })
+		r.GaugeFunc(fmt.Sprintf(`pesos_drive_read_latency_seconds{drive=%q,stat="p95"}`, c.drives.Name(i)),
 			"Observed per-drive read latency estimates.",
-			func() float64 { _, p95, _ := p.latency(); return p95.Seconds() })
+			func() float64 { _, p95, _ := c.drives.Latency(i); return p95.Seconds() })
 	}
 	r.GaugeFunc("pesos_drives_dead", "Drives currently marked dead by the detector.",
 		func() float64 {

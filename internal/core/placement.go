@@ -31,12 +31,12 @@ func (c *Controller) objectDrives(key string) []int {
 // widths, so the stub records on placement(key) are a prefix of the
 // group.
 func (c *Controller) ecGroup(key string, size int) []int {
-	base := store.Placement(key, len(c.drives), size)
+	base := store.Placement(key, c.drives.Len(), size)
 	mask := c.deadMask.Load()
 	if mask == 0 {
 		return base
 	}
-	return substituteDead(base[0], len(c.drives), size, mask)
+	return substituteDead(base[0], c.drives.Len(), size, mask)
 }
 
 // substituteDead substitutes the dead members of the size-wide

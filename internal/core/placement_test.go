@@ -141,7 +141,7 @@ func TestListingCoverNeedsASweptRevival(t *testing.T) {
 		for !sweepTick() {
 		}
 	}
-	name := h.ctl.drives[2].name
+	name := h.ctl.drives.Name(2)
 	if got := cover(); got != 4 {
 		t.Fatalf("healthy: cover of %d drives, want 4", got)
 	}

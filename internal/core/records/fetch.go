@@ -14,13 +14,21 @@
 // failed read of that drive. Semantics: the first authentic copy of a
 // slot wins, absence needs unanimity, and an error outranks a
 // not-found.
-package core
+
+package records
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
+	"strconv"
+	"sync"
 	"time"
+
+	"repro/internal/kinetic/kclient"
+	"repro/internal/policy"
+	"repro/internal/store"
 )
 
 // recordOutcome feeds one completed round trip into a pool's latency
@@ -28,13 +36,13 @@ import (
 // samples, transport failures and refused replies count toward the
 // failing demotion, and cancelled reads (by a winner or the caller) say
 // nothing about the medium.
-func recordOutcome(p *drivePool, elapsed time.Duration, err error) {
+func recordOutcome(p *pool, elapsed time.Duration, err error) {
 	switch {
 	case err == nil || isAbsent(err):
-		p.observe(elapsed)
+		p.lat.observe(elapsed)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 	default:
-		p.observeFailure()
+		p.lat.observeFailure()
 	}
 }
 
@@ -63,35 +71,23 @@ const (
 // by a conservative wire-rate estimate (~100 MB/s) of the bytes in
 // flight, and the floor is capped so a hung drive is still hedged
 // promptly.
-func (c *Controller) hedgeDelay(p *drivePool, inflight int) time.Duration {
+func (d *Drives) hedgeDelay(p *pool, inflight int) time.Duration {
 	floor := min(time.Duration(inflight)*10*time.Nanosecond, maxHedgeDelay)
-	if c.cfg.hedgeDelay > 0 {
-		return max(c.cfg.hedgeDelay, floor)
+	if d.cfg.HedgeDelay > 0 {
+		return max(d.cfg.HedgeDelay, floor)
 	}
-	d := defaultHedgeDelay
-	if _, p95, n := p.latency(); n >= hedgeWarmup {
-		d = min(max(p95+p95/4, minHedgeDelay), maxHedgeDelay)
+	delay := defaultHedgeDelay
+	if _, p95, n := p.lat.snapshot(); n >= hedgeWarmup {
+		delay = min(max(p95+p95/4, minHedgeDelay), maxHedgeDelay)
 	}
-	return max(d, floor)
+	return max(delay, floor)
 }
 
 // fetchCand is one copy a fetch may read: a stripe shard — for a
 // replicated record, slot 0 — on one drive.
 type fetchCand struct {
-	stripeShard
-	pool *drivePool
-}
-
-// copies lists drives as a replicated record's candidates: one slot, a
-// copy on each. The pools are resolved here, before any fetch goroutine
-// starts: a straggler may run after the controller shut down and dropped
-// its drive table, and must never index controller state.
-func (c *Controller) copies(drives []int) []fetchCand {
-	cands := make([]fetchCand, len(drives))
-	for i, di := range drives {
-		cands[i].pool = c.drives[di]
-	}
-	return cands
+	Shard
+	pool *pool
 }
 
 // fetchOrder orders cands, in place, the way a fetch launches them for
@@ -106,29 +102,29 @@ func (c *Controller) copies(drives []int) []fetchCand {
 func fetchOrder(k int, cands []fetchCand) []fetchCand {
 	type ranked struct {
 		fetchCand
-		ewma  time.Duration
+		est   estimate
 		class int
 	}
 	rs := make([]ranked, len(cands))
 	for i, cd := range cands {
 		rs[i].fetchCand = cd
-		rs[i].ewma, _, _ = cd.pool.latency()
+		rs[i].est = cd.pool.lat.estimate()
 	}
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].ewma < rs[j].ewma })
+	sort.SliceStable(rs, func(i, j int) bool { return rs[i].est.before(rs[j].est) })
 	first := make([]bool, k)
 	for i := range rs {
 		r := &rs[i]
-		switch failing := r.pool.failing(); {
-		case failing && r.slot < k:
+		switch {
+		case r.est.failing && r.Slot < k:
 			r.class = 3
-		case failing:
+		case r.est.failing:
 			r.class = 4
-		case r.slot >= k:
+		case r.Slot >= k:
 			r.class = 2
-		case first[r.slot]:
+		case first[r.Slot]:
 			r.class = 1
 		default:
-			first[r.slot] = true
+			first[r.Slot] = true
 		}
 	}
 	sort.SliceStable(rs, func(i, j int) bool { return rs[i].class < rs[j].class })
@@ -170,12 +166,12 @@ func fetchOrder(k int, cands []fetchCand) []fetchCand {
 // complete a round trip, never update its estimate, and keep being asked
 // first. Stragglers drain in the background, so drop gets every value
 // the fetch does not return.
-func fetch[R, T any](ctx context.Context, c *Controller, k int, cands []fetchCand, slotBytes int,
+func fetch[R, T any](ctx context.Context, d *Drives, k int, cands []fetchCand, slotBytes int,
 	get func(context.Context, fetchCand) (R, error), open func(fetchCand, R) (T, error), drop func(T)) ([]T, error) {
 	order := fetchOrder(k, cands)
 	nslots := k
 	for _, cd := range order {
-		nslots = max(nslots, cd.slot+1)
+		nslots = max(nslots, cd.Slot+1)
 	}
 	type result struct {
 		i   int // into order
@@ -197,7 +193,7 @@ func fetch[R, T any](ctx context.Context, c *Controller, k int, cands []fetchCan
 		launched++
 		seq[i], starts[i], last = launched, time.Now(), i
 		outstanding++
-		inflight[order[i].slot]++
+		inflight[order[i].Slot]++
 		go func(cd fetchCand, start time.Time) {
 			r := result{i: i}
 			raw, err := get(fctx, cd)
@@ -210,7 +206,7 @@ func fetch[R, T any](ctx context.Context, c *Controller, k int, cands []fetchCan
 	}
 	untried := func(slot int) int { // the first untried candidate (of slot, when ≥ 0); -1: none
 		for i, cd := range order {
-			if seq[i] == 0 && (slot < 0 || cd.slot == slot) {
+			if seq[i] == 0 && (slot < 0 || cd.Slot == slot) {
 				return i
 			}
 		}
@@ -251,7 +247,7 @@ loop:
 			// Parallel transfers share the paths, so the bytes in flight
 			// are a slot per data slot still out.
 			patience = have >= k
-			arm(c.hedgeDelay(order[last].pool, slotBytes*max(pending, 1)))
+			arm(d.hedgeDelay(order[last].pool, slotBytes*max(pending, 1)))
 		case have < k && timer != nil:
 			timer.Stop() // every candidate is out: nothing left to hedge to
 		}
@@ -264,7 +260,7 @@ loop:
 			outstanding--
 			answered[r.i] = true
 			cd := order[r.i]
-			inflight[cd.slot]--
+			inflight[cd.Slot]--
 			recordOutcome(cd.pool, r.rtt, r.err)
 			switch {
 			case r.err != nil:
@@ -272,20 +268,20 @@ loop:
 					lastErr = r.err
 				}
 				if have < k {
-					i := untried(cd.slot)
+					i := untried(cd.Slot)
 					if i < 0 {
 						i = next // no copy of the slot left: the next candidate
 					}
-					for ; i >= 0; i = untried(cd.slot) {
+					for ; i >= 0; i = untried(cd.Slot) {
 						launch(i)
 					}
 				}
-			case filled[cd.slot]:
+			case filled[cd.Slot]:
 				if drop != nil {
 					drop(r.val) // a slower copy of a slot already in hand
 				}
 			default:
-				got[cd.slot], filled[cd.slot] = r.val, true
+				got[cd.Slot], filled[cd.Slot] = r.val, true
 				have++
 				lastWin = r.i
 			}
@@ -293,7 +289,7 @@ loop:
 			if have >= k {
 				patienceOver = true
 			} else {
-				c.stats.ReadHedges.Inc()
+				d.cfg.Hedges.Inc()
 				launch(next)
 			}
 		case <-ctx.Done():
@@ -312,7 +308,7 @@ loop:
 	}
 	for i := range order {
 		if seq[i] > 0 && seq[i] < winSeq && !answered[i] {
-			order[i].pool.observe(time.Since(starts[i]))
+			order[i].pool.lat.observe(time.Since(starts[i]))
 		}
 	}
 	if outstanding > 0 {
@@ -339,4 +335,154 @@ loop:
 		return nil, lastErr
 	}
 	return got, nil
+}
+
+// readReplicated reads the record under drive key dk off placement
+// through the fetch engine, one slot with a copy on every placement
+// drive. open turns one replica's bytes into the value or refuses them —
+// malformed, damaged, or another record's authentic bytes served under
+// this key — and a refusal fails over to the next replica instead of
+// failing the read. what names the record in errors; none is what a
+// unanimous not-found surfaces as.
+func readReplicated[T any](ctx context.Context, d *Drives, placement []int, dk []byte, none error, what string, open func(val []byte) (T, error)) (T, error) {
+	cands := make([]fetchCand, len(placement)) // one slot, a copy on each drive
+	for i, di := range placement {
+		cands[i].pool = d.pools[di] // resolved before any fetch goroutine starts
+	}
+	got, err := fetch(ctx, d, 1, cands, 0,
+		func(ctx context.Context, cd fetchCand) ([]byte, error) {
+			d.chargeIO(0)
+			val, _, err := cd.pool.pick().Get(ctx, dk)
+			if errors.Is(err, kclient.ErrNotFound) {
+				err = fmt.Errorf("%w: %s", none, what)
+			}
+			return val, err
+		},
+		func(_ fetchCand, val []byte) (T, error) { return open(val) }, nil)
+	if err != nil {
+		var zero T
+		if !isAbsent(err) {
+			err = fmt.Errorf("core: all replicas failed reading %s: %w", what, err)
+		}
+		return zero, err
+	}
+	return got[0], nil
+}
+
+// ReadHead reads key's head record off placement. The codec refuses a
+// copy that is another object's record served under this key: the policy
+// check would trust its PolicyID.
+func (d *Drives) ReadHead(ctx context.Context, key string, placement []int) (*store.Meta, error) {
+	return readReplicated(ctx, d, placement, store.MetaKey(key), ErrNotFound, "meta "+strconv.Quote(key),
+		func(val []byte) (*store.Meta, error) {
+			m := new(store.Meta)
+			return m, d.cfg.Codec.DecodeMeta(val, key, m)
+		})
+}
+
+// ReadVersion reads one version record off placement. The codec opens it
+// only intact and bound to (key, version): a replica serving another
+// object's or version's authentic record fails over like a damaged one.
+// A chunk stub's content hash spans its chunks; the stream reader checks
+// it.
+func (d *Drives) ReadVersion(ctx context.Context, key string, version int64, placement []int) (*store.Record, error) {
+	return readReplicated(ctx, d, placement, store.ObjectKey(key, version), ErrNotFound, fmt.Sprintf("%q v%d", key, version),
+		func(val []byte) (*store.Record, error) {
+			d.cfg.Cost.MoveBytes(len(val))
+			return d.cfg.Codec.DecodeVersion(val, key, version)
+		})
+}
+
+// ReadPolicy reads compiled policy id off placement. Content addressing
+// doubles as integrity: a copy that does not parse, or does not hash back
+// to its id, is refused — so one bad drive cannot deny every object under
+// the policy.
+func (d *Drives) ReadPolicy(ctx context.Context, id string, placement []int) (*policy.Program, error) {
+	return readReplicated(ctx, d, placement, store.PolicyKey(id), ErrNoSuchPolicy, "policy "+strconv.Quote(id), openPolicy(id))
+}
+
+// openPolicy is the bound opener of policy id: a copy must hash back to id.
+func openPolicy(id string) func([]byte) (*policy.Program, error) {
+	return func(val []byte) (*policy.Program, error) {
+		prog, err := policy.Unmarshal(val)
+		if err == nil && PolicyID(prog) != id {
+			err = fmt.Errorf("core: policy %q fails integrity check: %w", id, store.ErrCorrupt)
+		}
+		return prog, err
+	}
+}
+
+// Shard is one chunk record of a stripe: its slot (0..k-1 data, k and up
+// parity) and its chunk index.
+type Shard struct {
+	Slot int
+	Idx  int64
+}
+
+// ChunkBufs pools chunk-sized buffers: an upload's chunks and parity, and
+// the payloads of the chunk records a read opens. Every v2 put flows
+// through the streaming entry point, so allocating the full chunk size
+// per request (1 MB for a 1 KB value) becomes pure GC pressure under
+// write-heavy load; the pool bounds it to one buffer per concurrent
+// upload or chunk in flight.
+var ChunkBufs = sync.Pool{
+	New: func() any {
+		b := make([]byte, store.MaxObjectSize)
+		return &b
+	},
+}
+
+// Chunk is an opened chunk record whose payload lives in a pooled chunk
+// buffer; Release hands the buffer back. A zero Chunk releases nothing.
+type Chunk struct {
+	Rec  *store.Record
+	bufp *[]byte
+}
+
+// Release hands the chunk's buffer back; its payload is invalid after.
+func (c Chunk) Release() {
+	if c.bufp != nil {
+		ChunkBufs.Put(c.bufp)
+	}
+}
+
+// ReadStripe reads k of the chunk records shards name, of key's chunk
+// set, by slot, through the one engine: the stripe's data chunks are its
+// k slots and its parity shards the rest, each shard a copy on every
+// drive homes names for its index. slotBytes is one shard's payload.
+func (d *Drives) ReadStripe(ctx context.Context, key string, set int64, k int, shards []Shard, homes func(idx int64) []int, slotBytes int) ([]Chunk, error) {
+	var cands []fetchCand
+	for _, sh := range shards {
+		for _, di := range homes(sh.Idx) {
+			cands = append(cands, fetchCand{sh, d.pools[di]})
+		}
+	}
+	return fetch(ctx, d, k, cands, slotBytes,
+		func(ctx context.Context, cd fetchCand) (kclient.Value, error) {
+			d.chargeIO(0)
+			v, err := cd.pool.pick().GetValue(ctx, store.ChunkKey(key, set, cd.Idx))
+			if errors.Is(err, kclient.ErrNotFound) {
+				err = fmt.Errorf("%w: %q chunk %d of set %d", ErrNotFound, key, cd.Idx, set)
+			}
+			return v, err
+		},
+		func(cd fetchCand, v kclient.Value) (Chunk, error) { return d.openChunk(v, key, set, cd.Idx) },
+		Chunk.Release)
+}
+
+// openChunk opens the raw chunk record in v into a pooled chunk buffer
+// and hands v's frame back: the codec has copied or decrypted the
+// payload out of it, authenticated, by the time it returns. A chunk
+// record never enters the object cache — streamed reads are large and
+// sequential, and a pooled payload must have exactly one owner.
+func (d *Drives) openChunk(v kclient.Value, key string, set, idx int64) (Chunk, error) {
+	defer v.Release()
+	d.cfg.Cost.MoveBytes(len(v.Value))
+	c := Chunk{bufp: ChunkBufs.Get().(*[]byte)}
+	var err error
+	if c.Rec, err = d.cfg.Codec.DecodeChunkInto(v.Value, *c.bufp, key, set, idx); err != nil {
+		c.Release()
+		return Chunk{}, err
+	}
+	return c, nil
 }

@@ -1,4 +1,4 @@
-package core
+package records
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -29,7 +30,7 @@ var fetchShapes = []fetchShape{
 // drive behind candidate i answers. A reply of "forged" is refused by
 // the opener.
 type fetchRig struct {
-	c       *Controller
+	d       *Drives
 	k       int
 	cands   []fetchCand
 	reply   []func(ctx context.Context) (string, error)
@@ -40,10 +41,10 @@ type fetchRig struct {
 }
 
 func newFetchRig(shape fetchShape, hedge time.Duration) *fetchRig {
-	r := &fetchRig{c: &Controller{cfg: Config{hedgeDelay: hedge}}, k: shape.k, release: make(chan struct{})}
+	r := &fetchRig{d: testDrives(0, hedge), k: shape.k, release: make(chan struct{})}
 	for i, slot := range shape.slots {
 		v := fmt.Sprintf("c%d", i)
-		r.cands = append(r.cands, fetchCand{stripeShard{slot: slot, idx: int64(i)}, &drivePool{name: v}})
+		r.cands = append(r.cands, fetchCand{Shard{Slot: slot, Idx: int64(i)}, &pool{name: v}})
 		r.reply = append(r.reply, answer(v))
 	}
 	return r
@@ -82,7 +83,7 @@ func (r *fetchRig) late(v string) func(context.Context) (string, error) {
 // cancellation first.
 func (r *fetchRig) afterHedges(n uint64, v string) func(context.Context) (string, error) {
 	return func(ctx context.Context) (string, error) {
-		for r.c.stats.ReadHedges.Load() < n {
+		for r.d.cfg.Hedges.Load() < n {
 			select {
 			case <-time.After(100 * time.Microsecond):
 			case <-ctx.Done():
@@ -97,8 +98,8 @@ func (r *fetchRig) afterHedges(n uint64, v string) func(context.Context) (string
 func (r *fetchRig) settle() { r.once.Do(func() { close(r.release) }) }
 
 func (r *fetchRig) run() ([]string, error) {
-	return fetch(context.Background(), r.c, r.k, r.cands, 0,
-		func(ctx context.Context, cd fetchCand) (string, error) { return r.reply[cd.idx](ctx) },
+	return fetch(context.Background(), r.d, r.k, r.cands, 0,
+		func(ctx context.Context, cd fetchCand) (string, error) { return r.reply[cd.Idx](ctx) },
 		func(_ fetchCand, raw string) (string, error) {
 			if raw == "forged" {
 				return "", store.ErrCorrupt
@@ -107,6 +108,13 @@ func (r *fetchRig) run() ([]string, error) {
 			return raw, nil
 		},
 		func(string) { r.drops.Add(1) })
+}
+
+// testDrives is a drive table of n drives with no connections, counting
+// to counters of its own, its hedge delay fixed at hedge (0: adaptive).
+func testDrives(n int, hedge time.Duration) *Drives {
+	return &Drives{cfg: Config{HedgeDelay: hedge, Hedges: new(obs.Counter), RangeRejects: new(obs.Counter), Widened: new(obs.Counter)},
+		pools: make([]*pool, n)}
 }
 
 // eventually polls cond until it holds or a few seconds passed.
@@ -159,7 +167,7 @@ func TestFetchTable(t *testing.T) {
 			if got[0] == "forged" || countFilled(got) != r.k {
 				t.Fatalf("slots %q", got)
 			}
-			if !r.cands[0].pool.failing() {
+			if !r.cands[0].pool.lat.estimate().failing {
 				t.Error("the drive that served a refused copy is not failing")
 			}
 		}},
@@ -170,7 +178,7 @@ func TestFetchTable(t *testing.T) {
 				t.Fatalf("slots %q, %v", got, err)
 			}
 			r.settle()
-			if !eventually(r.cands[0].pool.failing) {
+			if !eventually(func() bool { return r.cands[0].pool.lat.estimate().failing }) {
 				t.Error("the late refusal did not demote its drive")
 			}
 		}},
@@ -181,7 +189,7 @@ func TestFetchTable(t *testing.T) {
 			if err != nil || got[0] != "c0" {
 				t.Fatalf("slots %q, %v", got, err)
 			}
-			if n := r.c.stats.ReadHedges.Load(); n != 0 {
+			if n := r.d.cfg.Hedges.Load(); n != 0 {
 				t.Errorf("%d hedges fired with no candidate left", n)
 			}
 		}},
@@ -198,10 +206,10 @@ func TestFetchTable(t *testing.T) {
 			if err != nil || got[0] == "c0" || countFilled(got) < r.k {
 				t.Fatalf("slots %q, %v", got, err)
 			}
-			if n := r.c.stats.ReadHedges.Load(); n != 2 {
+			if n := r.d.cfg.Hedges.Load(); n != 2 {
 				t.Errorf("%d hedges counted, want 2", n)
 			}
-			if _, _, n := r.cands[0].pool.latency(); n == 0 {
+			if _, _, n := r.cands[0].pool.lat.snapshot(); n == 0 {
 				t.Error("the outlived drive was not charged a latency sample")
 			}
 		}},
@@ -230,36 +238,4 @@ func countFilled(slots []string) int {
 		}
 	}
 	return n
-}
-
-// TestRefusedChunkDemotesItsDrive: a chunk record the drive asked first
-// serves damaged is refused, the stream is served from another copy — a
-// replica, or parity — and the drive is failing afterwards. A refusal is
-// a failed read whichever record it was, never a latency sample.
-func TestRefusedChunkDemotesItsDrive(t *testing.T) {
-	for _, shape := range []struct {
-		name   string
-		drives int
-		mutate func(*Config)
-	}{
-		{"k=1 over 3 replicas", 3, func(c *Config) { c.Replicas = 3; c.hedgeDelay = time.Minute }},
-		{"ec:4+2", 6, ecConfig},
-	} {
-		t.Run(shape.name, func(t *testing.T) {
-			r := newTamperRig(t, shape.drives, true, shape.mutate)
-			payload := streamPayload(2*streamChunkSize + 99)
-			r.put("obj", payload)
-			placement := r.h.ctl.placement("obj")
-			liar := placement[0]
-			if shape.drives == 6 {
-				liar = ecDataHome(r.h.ctl.ecGroup("obj", 6), 0, 4)
-			}
-			r.flip(liar, "obj", 0, 0)
-			r.askFirst(liar, placement)
-			r.wantIntact("obj", 0, payload)
-			if !r.h.ctl.drives[liar].failing() {
-				t.Error("the drive that served a refused chunk is not failing")
-			}
-		})
-	}
 }

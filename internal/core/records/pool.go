@@ -1,4 +1,4 @@
-package core
+package records
 
 import (
 	"context"
@@ -10,24 +10,15 @@ import (
 	"repro/internal/kinetic/kclient"
 )
 
-// DriveEndpoint names one Kinetic drive and how to reach it.
-type DriveEndpoint struct {
-	// Name identifies the drive in logs and placement-independent
-	// diagnostics.
-	Name string
-	// Dial opens a byte stream to the drive (TCP+TLS or in-memory).
-	Dial kclient.Dialer
-}
-
 // drivePoolConns is the number of parallel connections the controller
 // keeps to each drive (the Kinetic library's thread pool, §4.3).
 const drivePoolConns = 4
 
-// drivePool multiplexes requests over several connections to one
+// pool multiplexes requests over several connections to one
 // drive, mirroring the adapted Kinetic C library's decoupled
 // request/response handling (§3.1), and tracks the drive's observed
-// read latency for the fetch engine (see fetch.go).
-type drivePool struct {
+// read latency for the fetch engine (fetch.go).
+type pool struct {
 	name    string
 	clients []*kclient.Client
 	next    atomic.Uint64
@@ -38,8 +29,8 @@ type drivePool struct {
 }
 
 // dialPool connects all pool connections with creds.
-func dialPool(ctx context.Context, ep DriveEndpoint, creds kclient.Credentials) (*drivePool, error) {
-	p := &drivePool{name: ep.Name, creds: creds}
+func dialPool(ctx context.Context, ep Endpoint, creds kclient.Credentials) (*pool, error) {
+	p := &pool{name: ep.Name, creds: creds}
 	for i := 0; i < drivePoolConns; i++ {
 		c, err := kclient.Dial(ctx, ep.Dial, creds)
 		if err != nil {
@@ -52,34 +43,15 @@ func dialPool(ctx context.Context, ep DriveEndpoint, creds kclient.Credentials) 
 }
 
 // pick returns the next connection round-robin.
-func (p *drivePool) pick() *kclient.Client {
+func (p *pool) pick() *kclient.Client {
 	i := p.next.Add(1)
 	return p.clients[i%uint64(len(p.clients))]
 }
 
-// observe records one completed read round trip against the drive.
-func (p *drivePool) observe(d time.Duration) { p.lat.observe(d) }
-
-// observeFailure records a failed (non-cancelled) read round trip.
-func (p *drivePool) observeFailure() { p.lat.observeFailure() }
-
-// latency returns the pool's current read-latency estimate: the EWMA
-// mean, the running p95 estimate, and the sample count (0 = no reads
-// observed yet).
-func (p *drivePool) latency() (ewma, p95 time.Duration, n uint64) {
-	return p.lat.snapshot()
-}
-
-// failing reports whether the drive's most recent read round trips
-// failed. The fetch engine demotes failing drives from the primary
-// slot: a dead drive never completes a read, so it would otherwise
-// never accumulate samples and keep being tried first forever.
-func (p *drivePool) failing() bool { return p.lat.failing() }
-
 // setCredentials switches every connection to new credentials. Each
 // returned channel closes once its connection's calls signed under the
 // old credentials have been answered.
-func (p *drivePool) setCredentials(creds kclient.Credentials) (retired []<-chan struct{}) {
+func (p *pool) setCredentials(creds kclient.Credentials) (retired []<-chan struct{}) {
 	p.credMu.Lock()
 	p.creds = creds
 	p.credMu.Unlock()
@@ -92,13 +64,13 @@ func (p *drivePool) setCredentials(creds kclient.Credentials) (retired []<-chan 
 // credentials returns the credentials the pool currently signs with
 // (the credential-rotation handoff step needs them to stage the
 // two-phase account switch).
-func (p *drivePool) credentials() kclient.Credentials {
+func (p *pool) credentials() kclient.Credentials {
 	p.credMu.Lock()
 	defer p.credMu.Unlock()
 	return p.creds
 }
 
-func (p *drivePool) close() {
+func (p *pool) close() {
 	for _, c := range p.clients {
 		c.Close()
 	}
@@ -161,11 +133,26 @@ func (e *latencyEstimator) observeFailure() {
 	e.mu.Unlock()
 }
 
-// failing reports whether the latest round trips failed.
-func (e *latencyEstimator) failing() bool {
+// estimate is a drive's standing in the replica ranking: its EWMA, and
+// whether its latest round trips failed. The fetch engine demotes a
+// failing drive from the primary slot: a dead drive never completes a
+// read, so it would otherwise never accumulate samples and keep being
+// tried first forever.
+type estimate struct {
+	ewma    time.Duration
+	failing bool
+}
+
+// before is the one replica ranking: a healthy drive before a failing
+// one, then the lower EWMA.
+func (e estimate) before(o estimate) bool {
+	return !e.failing && o.failing || e.failing == o.failing && e.ewma < o.ewma
+}
+
+func (e *latencyEstimator) estimate() estimate {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.fails > 0
+	return estimate{time.Duration(e.ewma), e.fails > 0}
 }
 
 // snapshot returns the current estimate.

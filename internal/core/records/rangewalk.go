@@ -2,18 +2,21 @@
 // drives are outside the trusted base, so every range reply is checked
 // before anything is built on it (rangePage), and every enumeration —
 // a listing page, a sweeper tick, a handoff export, standby warm-up, a
-// key's version and chunk records — is either one drive drained
-// (rangeAll) or the merged, deduplicated stream of several (rangeWalk).
-package core
+// key's version and chunk records — is the merged, deduplicated stream
+// of one or several drives (rangeWalk).
+
+package records
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/kinetic/kclient"
+	"repro/internal/store"
 )
 
 // rangePage asks one drive for up to want keys (0: the drive's cap) of
@@ -22,8 +25,8 @@ import (
 // pool's failure demotion, and never seen by the caller — so a reply
 // marked Truncated always ends on a key past start, and every loop over
 // pages makes strict progress whatever the drive answers.
-func (c *Controller) rangePage(ctx context.Context, p *drivePool, start []byte, inclusive bool, end []byte, want int, withValues bool) (kclient.KeyRange, error) {
-	c.chargeDriveIO(0)
+func (d *Drives) rangePage(ctx context.Context, p *pool, start []byte, inclusive bool, end []byte, want int, withValues bool) (kclient.KeyRange, error) {
+	d.chargeIO(0)
 	kr, err := p.pick().Range(ctx, start, end, inclusive, false, want, withValues)
 	if err != nil {
 		return kclient.KeyRange{}, err
@@ -35,9 +38,9 @@ func (c *Controller) rangePage(ctx context.Context, p *drivePool, start []byte, 
 	for _, v := range kr.Values {
 		moved += len(v)
 	}
-	c.cost.MoveBytes(moved)
+	d.cfg.Cost.MoveBytes(moved)
 	if err := checkRange(kr, start, inclusive, end, withValues); err != nil {
-		c.stats.RangeRejects.Inc()
+		d.cfg.RangeRejects.Inc()
 		recordOutcome(p, 0, err)
 		kr.Release()
 		return kclient.KeyRange{}, fmt.Errorf("core: drive %s: %w", p.name, err)
@@ -69,24 +72,6 @@ func checkRange(kr kclient.KeyRange, start []byte, inclusive bool, end []byte, w
 	return nil
 }
 
-// rangeAll drains one drive's keys in [start, end] past the drive's
-// per-response cap. Keys only: the ranges drained here hold object and
-// chunk records.
-func (c *Controller) rangeAll(ctx context.Context, p *drivePool, start, end []byte) ([][]byte, error) {
-	var out [][]byte
-	for inclusive := true; ; inclusive = false {
-		kr, err := c.rangePage(ctx, p, start, inclusive, end, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, kr.Keys...)
-		if !kr.Truncated {
-			return out, nil
-		}
-		start = kr.Keys[len(kr.Keys)-1]
-	}
-}
-
 // rangeWalk is one merged enumeration of [cursor, end] across a set of
 // drives. It proceeds in rounds: every drive of the set (or of its
 // cover) is asked for its next page at once, the sorted replies are
@@ -114,7 +99,7 @@ type rangeWalk struct {
 	// fails rather than yield a stream with holes.
 	tolerate int
 
-	c *Controller
+	d *Drives
 	// fetch is one drive's checked page from (start, inclusive) on.
 	fetch func(di int, start []byte, inclusive bool) (kclient.KeyRange, error)
 
@@ -132,11 +117,11 @@ type driveRange struct {
 	err error
 }
 
-// walk starts w over this controller's drives.
-func (c *Controller) walk(ctx context.Context, w *rangeWalk) *rangeWalk {
-	w.c = c
+// walk starts w over d's drives.
+func (d *Drives) walk(ctx context.Context, w *rangeWalk) *rangeWalk {
+	w.d = d
 	w.fetch = func(di int, start []byte, inclusive bool) (kclient.KeyRange, error) {
-		return c.rangePage(ctx, c.drives[di], start, inclusive, w.end, w.page, w.values)
+		return d.rangePage(ctx, d.pools[di], start, inclusive, w.end, w.page, w.values)
 	}
 	return w
 }
@@ -187,9 +172,9 @@ func (w *rangeWalk) round() {
 	if w.started {
 		w.cursor, w.inclusive = w.horizon, false
 	}
-	lists := make([]driveRange, len(w.c.drives))
+	lists := make([]driveRange, len(w.d.pools))
 	ask := func(drives []int) (failed bool) {
-		_ = w.c.fanout(drives, func(di int) error { // failures are per drive, in lists
+		_ = Fanout(drives, func(di int) error { // failures are per drive, in lists
 			if kr, err := w.fetch(di, w.cursor, w.inclusive); err != nil {
 				lists[di].err = err // and no key of it is merged
 			} else {
@@ -207,7 +192,7 @@ func (w *rangeWalk) round() {
 		// The cover no longer holds two copies of every window this round.
 		ask(w.drives[len(asked):])
 		asked = w.drives
-		w.c.stats.ScanWidened.Inc()
+		w.d.cfg.Widened.Inc()
 	}
 	// Only now may the previous replies go back for reuse: the cursor
 	// just asked for was a key of one of them.
@@ -240,3 +225,106 @@ func (w *rangeWalk) release() {
 	}
 	w.lists = nil
 }
+
+// Keys lists the drive keys of key's version records and of its chunk
+// records on drive di: what a delete of key destroys there.
+func (d *Drives) Keys(ctx context.Context, di int, key string) (versions, chunks [][]byte, err error) {
+	start, end := store.ObjectKeyRange(key)
+	if versions, err = d.keys(ctx, di, start, end); err == nil {
+		start, end = store.ChunkKeyRange(key)
+		chunks, err = d.keys(ctx, di, start, end)
+	}
+	return versions, chunks, err
+}
+
+// keys drains drive di's keys in [start, end] past its per-reply cap.
+func (d *Drives) keys(ctx context.Context, di int, start, end []byte) ([][]byte, error) {
+	w := d.walk(ctx, &rangeWalk{drives: []int{di}, cursor: start, inclusive: true, end: end})
+	defer w.release()
+	var out [][]byte
+	for dk, _, _, ok := w.next(); ok; dk, _, _, ok = w.next() {
+		out = append(out, bytes.Clone(dk))
+	}
+	return out, w.err
+}
+
+// Versions returns the ascending union of key's version records (≤
+// maxVer — records beyond the newest committed head are uncommitted
+// leftovers) still present on any drive of placement, by walking the
+// key's record range: cost scales with surviving records, not version
+// history. The enumeration stands while all but tolerate drives answer
+// it.
+func (d *Drives) Versions(ctx context.Context, key string, maxVer int64, placement []int, tolerate int) ([]int64, error) {
+	w := d.walk(ctx, &rangeWalk{drives: placement, cursor: store.ObjectKey(key, 0), inclusive: true,
+		end: store.ObjectKey(key, maxVer), tolerate: tolerate})
+	defer w.release()
+	var out []int64
+	for dk, _, _, ok := w.next(); ok; dk, _, _, ok = w.next() {
+		if _, v, err := store.VersionFromObjectKey(dk); err == nil {
+			out = append(out, v)
+		}
+	}
+	return out, w.err
+}
+
+// HeadScan is a walk of head records: every object key with prefix Prefix
+// from From on (From itself only when Inclusive), some drive of Drives
+// holds a head of, Page keys asked of each drive a round (0: the drive's
+// cap). Cover and Tolerate are the walk's (rangeWalk).
+type HeadScan struct {
+	Drives    []int
+	Cover     int
+	From      string
+	Inclusive bool
+	Prefix    string
+	Page      int
+	Tolerate  int
+}
+
+// Heads is a running HeadScan. Next steps it to the next key; Elect opens
+// that key's walked copies. Close hands the last replies back.
+type Heads struct {
+	w      *rangeWalk
+	copies [][]byte // the current key's copies, in drive order
+	mask   uint64
+	Err    error // why the walk stopped short; set once Next returns false
+}
+
+// Heads starts a walk of heads.
+func (d *Drives) Heads(ctx context.Context, s HeadScan) *Heads {
+	_, end := store.MetaKeyRange(s.Prefix)
+	return &Heads{w: d.walk(ctx, &rangeWalk{drives: s.Drives, cover: s.Cover, cursor: store.MetaKey(s.From),
+		inclusive: s.Inclusive, end: end, page: s.Page, values: true, tolerate: s.Tolerate})}
+}
+
+// Next steps to the next object key, with the bitmask of the drives
+// holding a head under it (drive di is bit di; a drive past the 64th has
+// none). ok is false at the end of the walk and when it failed (Err).
+func (h *Heads) Next() (key string, mask uint64, ok bool) {
+	var dk []byte
+	if dk, h.mask, h.copies, ok = h.w.next(); !ok {
+		h.Err = h.w.err
+		return "", 0, false
+	}
+	return string(dk[2:]), h.mask, true // strip the metadata namespace prefix
+}
+
+// Elect is the head election (elect) over the current key's walked
+// copies: in drive order, or with placement, by placement slot — a
+// drive of it that holds none is an empty slot.
+func (h *Heads) Elect(key string, placement []int, slots *[2]store.Meta) (*store.Meta, uint64, error) {
+	copies := h.copies
+	if placement != nil {
+		copies = make([][]byte, len(placement))
+		for i, di := range placement {
+			if bit := uint64(1) << uint(di); h.mask&bit != 0 {
+				copies[i] = h.copies[bits.OnesCount64(h.mask&(bit-1))]
+			}
+		}
+	}
+	return elect(h.w.d.cfg.Codec, key, copies, slots)
+}
+
+// Close hands the walk's last replies back: no copy it read may be used
+// after it.
+func (h *Heads) Close() { h.w.release() }

@@ -1,8 +1,7 @@
-package core
+package records
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/kinetic/kclient"
-	"repro/internal/store"
 )
 
 // TestCheckRange: what a range reply must look like before anything is
@@ -55,71 +53,22 @@ func TestCheckRange(t *testing.T) {
 	}
 }
 
-// TestWarmRangesStopsAtLimit: warming up to limit keys of three owned
-// ranges costs each drive a page or two of limit keys — not a drain of
-// its whole keyspace for every owned range it takes to reach the limit.
-func TestWarmRangesStopsAtLimit(t *testing.T) {
-	third := uint32(store.ShardSpace / 4)
-	owned := []HashRange{{0, third}, {third, 2 * third}, {3 * third, store.ShardSpace}}
-	h := newHarness(t, 2, func(cfg *Config) {
-		cfg.Replicas = 2
-		cfg.Shard = &ShardInfo{ID: 0, Epoch: 1, Ranges: owned}
-	})
-	ctx := context.Background()
-	s := h.ctl.Session("w")
-	stored := 0
-	for i := 0; stored < 30; i++ {
-		_, err := s.Put(ctx, fmt.Sprintf("a/%03d", i), []byte("v"), PutOptions{})
-		if err == nil {
-			stored++
-		} else if !errors.Is(err, ErrWrongShard) {
-			t.Fatal(err)
-		}
-	}
-	// A keyspace three drive pages deep behind them: unreadable records,
-	// which a warm-up that got this far would skip one by one.
-	for i := 0; i < 2000; i++ {
-		for di := range h.drives {
-			plantMeta(t, h, di, fmt.Sprintf("z/%04d", i), []byte("junk"))
-		}
-	}
-	h.ctl.metaCache.Clear()
-	var before [2]uint64
-	for di, d := range h.drives {
-		before[di] = d.Stats().Ranges.Load()
-	}
-	const limit = 10
-	warmed, err := h.ctl.WarmRanges(ctx, limit)
-	if err != nil || warmed != limit || h.ctl.metaCache.Len() != limit {
-		t.Fatalf("warmed %d keys, %d cached, want %d: %v", warmed, h.ctl.metaCache.Len(), limit, err)
-	}
-	for di, d := range h.drives {
-		// The objects stored are all owned, so the first page of limit
-		// keys fills the limit; the second request allowed here is the
-		// one a key of another shard among them would cost. Draining the
-		// drive once takes three.
-		if asked := d.Stats().Ranges.Load() - before[di]; asked > 2 {
-			t.Errorf("drive %d served %d range requests for a warm-up of %d keys", di, asked, limit)
-		}
-	}
-}
-
 // TestScanWidenedRounds: a walk with a cover asks only the cover while
 // all of it answers. A round that a cover drive fails asks the rest from
 // the same cursor, merges their keys, counts in ScanWidened and stands
 // while no more than tolerate drives of the whole set failed it.
 func TestScanWidenedRounds(t *testing.T) {
-	order, cover := listingCover(6, 3)
-	var held [][]byte // on every drive; a round asks 2 keys
+	order, cover := []int{0, 1, 3, 4, 2, 5}, 4 // the controller's listing cover of 6 drives at 3 replicas
+	var held [][]byte                          // on every drive; a round asks 2 keys
 	for k := byte('b'); k <= 'i'; k++ {
 		held = append(held, []byte{k})
 	}
 	var mu sync.Mutex
 	var asked []string // "drive@start" per request
 	fail := make(map[int]bool)
-	c := &Controller{drives: make([]*drivePool, 6)}
+	d := testDrives(6, 0)
 	w := &rangeWalk{drives: order, cover: cover, cursor: []byte("a"), inclusive: true, end: []byte("z"),
-		page: 2, tolerate: 2, c: c}
+		page: 2, tolerate: 2, d: d}
 	w.fetch = func(di int, start []byte, inclusive bool) (kclient.KeyRange, error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -168,13 +117,13 @@ func TestScanWidenedRounds(t *testing.T) {
 	}
 	take("e")
 	roundAsked("0@c", "1@c", "3@c", "4@c", "2@c", "5@c")
-	if n := c.stats.ScanWidened.Load(); n != 1 {
+	if n := d.cfg.Widened.Load(); n != 1 {
 		t.Fatalf("%d rounds widened, want 1", n)
 	}
 	fail[0], fail[1], fail[3] = false, true, true
 	take("f")
 	take("g")
-	if n := c.stats.ScanWidened.Load(); n != 2 || w.err != nil {
+	if n := d.cfg.Widened.Load(); n != 2 || w.err != nil {
 		t.Fatalf("two of six drives failed a round: %d widened, err %v", n, w.err)
 	}
 	fail[4] = true
@@ -248,8 +197,8 @@ func FuzzRangeWalk(f *testing.F) {
 		var rounds []round
 		asked := make([]int, nDrives)
 		var accepted [][]driveRange // by round, the replies that passed
-		w := &rangeWalk{drives: allDrives(nDrives), cursor: start, inclusive: true, end: end,
-			values: withValues, tolerate: tolerate, c: &Controller{drives: make([]*drivePool, nDrives)}}
+		w := &rangeWalk{drives: []int{0, 1, 2, 3}[:nDrives], cursor: start, inclusive: true, end: end,
+			values: withValues, tolerate: tolerate, d: testDrives(nDrives, 0)}
 		w.fetch = func(di int, from []byte, inclusive bool) (kclient.KeyRange, error) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -333,37 +282,4 @@ func FuzzRangeWalk(f *testing.F) {
 		}
 		w.release()
 	})
-}
-
-// TestWarmRangesReadsNoHead: warm-up caches the head its walk already
-// carries, elected from every drive's copy, so warming keys with no
-// policy sends the drives no GET at all.
-func TestWarmRangesReadsNoHead(t *testing.T) {
-	h := newHarness(t, 3, func(cfg *Config) {
-		cfg.Replicas = 2
-		cfg.Shard = &ShardInfo{ID: 0, Epoch: 1, Ranges: []HashRange{{0, store.ShardSpace}}}
-	})
-	ctx := context.Background()
-	s := h.ctl.Session("w")
-	const keys = 20
-	for i := 0; i < keys; i++ {
-		if _, err := s.Put(ctx, fmt.Sprintf("k/%02d", i), []byte("v"), PutOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.ctl.metaCache.Clear()
-	before := driveGets(h.drives)
-	warmed, err := h.ctl.WarmRanges(ctx, 0)
-	if err != nil || warmed != keys || h.ctl.metaCache.Len() != keys {
-		t.Fatalf("warmed %d keys, %d cached, want %d: %v", warmed, h.ctl.metaCache.Len(), keys, err)
-	}
-	if gets := driveGets(h.drives) - before; gets != 0 {
-		t.Errorf("warm-up of %d keys sent %d drive GETs, want 0", keys, gets)
-	}
-	for i := 0; i < keys; i++ {
-		key := fmt.Sprintf("k/%02d", i)
-		if m, ok := h.ctl.metaCache.Get(key); !ok || m.Key != key || m.Version != 0 {
-			t.Fatalf("cached head of %q: %+v", key, m)
-		}
-	}
 }

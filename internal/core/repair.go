@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/kinetic/kclient"
+	"repro/internal/core/records"
 	"repro/internal/policy/lang"
 	"repro/internal/store"
 )
@@ -39,8 +39,9 @@ type RepairReport struct {
 // record it judges is pushed drive to drive from a copy the bound opener
 // accepted to its homes in to's layout (settle); only a shard with no
 // surviving copy is written on the source, and a copy it cannot read
-// fails it (to.unread). An export runs under its range's freeze instead
-// of the commits lock, which the writers the freeze blocks hold.
+// fails it (the records probes' strict mode). An export runs under its
+// range's freeze instead of the commits lock, which the writers the
+// freeze blocks hold.
 func (c *Controller) repairObject(ctx context.Context, key string, authorize func(*store.Meta) error, to *MigrationTarget) (*RepairReport, error) {
 	if to == nil {
 		defer c.commits.lock([]string{key}, nil)()
@@ -71,7 +72,7 @@ func (c *Controller) repairObject(ctx context.Context, key string, authorize fun
 	if to != nil {
 		tolerate = 0
 	}
-	versions, err := c.replicaVersions(ctx, key, meta.Version, placement, tolerate)
+	versions, err := c.drives.Versions(ctx, key, meta.Version, placement, tolerate)
 	if err != nil && to != nil {
 		versions, err = nil, nil
 		for v := range meta.Version {
@@ -86,9 +87,7 @@ func (c *Controller) repairObject(ctx context.Context, key string, authorize fun
 	}
 	for _, v := range versions {
 		dk := store.ObjectKey(key, v)
-		rec, blob, held, missing, err := probe(ctx, c, to, placement, dk, func(b []byte) (*store.Record, error) {
-			return c.codec.DecodeVersion(b, key, v)
-		})
+		rec, blob, held, missing, err := c.drives.ProbeVersion(ctx, to != nil, placement, key, v)
 		if err != nil {
 			return report, err
 		} else if rec == nil {
@@ -132,10 +131,9 @@ func (c *Controller) settle(ctx context.Context, dk []byte, held, missing []int,
 		return c.push(ctx, dk, held, peers)
 	}
 	for _, di := range missing {
-		if !relay || c.push(ctx, dk, held[:1], []string{c.drives[di].name}) != nil {
-			c.chargeDriveIO(len(blob))
-			if err := c.drives[di].pick().Put(ctx, dk, blob, nil, ver, true); err != nil {
-				return fmt.Errorf("core: repair %q on %s: %w", dk, c.drives[di].name, err)
+		if !relay || c.push(ctx, dk, held[:1], []string{c.drives.Name(di)}) != nil {
+			if err := c.drives.Put(ctx, di, dk, blob, ver); err != nil {
+				return fmt.Errorf("core: repair %q on %s: %w", dk, c.drives.Name(di), err)
 			}
 		}
 		report.Restored++
@@ -151,8 +149,7 @@ func (c *Controller) push(ctx context.Context, dk []byte, srcs []int, peers []st
 	for _, peer := range peers {
 		err := errors.New("no opened copy")
 		for _, di := range srcs {
-			c.chargeDriveIO(0)
-			if err = c.drives[di].pick().P2PPush(ctx, dk, peer); err == nil {
+			if err = c.drives.Push(ctx, di, dk, peer); err == nil {
 				break
 			}
 		}
@@ -163,93 +160,29 @@ func (c *Controller) push(ctx context.Context, dk []byte, srcs []int, peers []st
 	return nil
 }
 
-// replicaVersions returns the ascending union of object-record versions
-// (≤ maxVer — records beyond the newest committed metadata are
-// uncommitted leftovers) still present on any placement replica, by
-// walking the key's record range: cost scales with surviving records,
-// not version history. The enumeration stands while all but tolerate
-// replicas answer it: repair and the version listing both walk it.
-func (c *Controller) replicaVersions(ctx context.Context, key string, maxVer int64, placement []int, tolerate int) ([]int64, error) {
-	w := c.walk(ctx, &rangeWalk{drives: placement, cursor: store.ObjectKey(key, 0), inclusive: true,
-		end: store.ObjectKey(key, maxVer), tolerate: tolerate})
-	defer w.release()
-	var out []int64
-	for dk, _, _, ok := w.next(); ok; dk, _, _, ok = w.next() {
-		if _, v, err := store.VersionFromObjectKey(dk); err == nil {
-			out = append(out, v)
-		}
-	}
-	return out, w.err
-}
-
 // loadMetaNewest reads every replica's head record at once and elects
-// the newest copy that names key (newestMeta), updating the cache. The
+// the newest copy that names key (records.Drives.ReadHeads), updating
+// the cache. The
 // stale drives are those whose copy the election does not report at the
 // elected version — absent, unreadable, older, or another object's,
 // whatever version that object is at — which repair rewrites. Repair
 // must converge to the newest surviving copy: trusting the cache or
 // whichever replica answers first could elect a degraded replica's stale
-// metadata and roll healthy replicas back. to: as for probe.
+// metadata and roll healthy replicas back. An export (to) fails on a copy
+// a drive could not read: release destroys the source's copies.
 func (c *Controller) loadMetaNewest(ctx context.Context, key string, placement []int, to *MigrationTarget) (*store.Meta, []int, error) {
-	copies := make([][]byte, len(placement)) // by placement slot; nil: no copy read
-	errs := make([]error, len(placement))
-	_ = c.fanout(placement, func(di int) error { // failures are per slot, in errs
-		i := slices.Index(placement, di)
-		c.chargeDriveIO(0)
-		copies[i], _, errs[i] = c.drives[di].pick().Get(ctx, store.MetaKey(key))
-		return nil
-	})
-	for _, err := range errs {
-		if err := to.unread(store.MetaKey(key), err); err != nil {
-			return nil, nil, err
-		}
-	}
-	var slots [2]store.Meta
-	elected, current, err := c.newestMeta(key, copies, &slots)
+	newest, current, err := c.drives.ReadHeads(ctx, key, placement, to != nil)
 	if err != nil {
-		if slices.ContainsFunc(errs, func(err error) bool { return errors.Is(err, kclient.ErrNotFound) }) {
-			err = fmt.Errorf("%w: %q", ErrNotFound, key)
-		} else if failed := errors.Join(errs...); failed != nil {
-			err = fmt.Errorf("core: all replicas failed reading meta %q: %w", key, failed)
-		}
 		return nil, nil, err
 	}
-	newest := *elected
-	c.metaCache.Put(key, &newest)
+	c.metaCache.Put(key, newest)
 	var stale []int
 	for i, di := range placement {
 		if current&(1<<uint(i)) == 0 {
 			stale = append(stale, di)
 		}
 	}
-	return &newest, stale, nil
-}
-
-// probe asks each of drives once for the record under dk and judges
-// every answer with open, the bound decoder of dk — the judgement a read
-// of dk makes. It returns the first healthy copy, opened and raw, the
-// drives whose copy open accepted (that copy's first), and the drives
-// holding none: absent, unreadable (failing an export to) and refused.
-func probe[T any](ctx context.Context, c *Controller, to *MigrationTarget, drives []int, dk []byte, open func([]byte) (*T, error)) (v *T, blob []byte, held, missing []int, err error) {
-	for _, di := range drives {
-		c.chargeDriveIO(0)
-		cur, _, rerr := c.drives[di].pick().Get(ctx, dk)
-		var got *T
-		if rerr == nil {
-			got, rerr = open(cur)
-		} else if err = to.unread(dk, rerr); err != nil {
-			return nil, nil, nil, nil, err
-		}
-		if rerr != nil {
-			missing = append(missing, di)
-			continue
-		}
-		if v == nil {
-			v, blob = got, cur
-		}
-		held = append(held, di)
-	}
-	return v, blob, held, missing, nil
+	return newest, stale, nil
 }
 
 // repairStripes converges one streamed version's chunk records onto
@@ -273,13 +206,13 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 		shards := l.shards(t, m.Chunks)
 		kt := len(shards) - l.m
 		recs := make([]*store.Record, l.k+l.m) // by slot: every surviving shard, opened
-		var lost []stripeShard
+		var lost []records.Shard
 		for _, sh := range shards {
-			rec, err := c.repairChunk(ctx, l, key, set, sh.idx, to, tl, report)
+			rec, err := c.repairChunk(ctx, l, key, set, sh.Idx, to, tl, report)
 			if err != nil {
 				return err
 			}
-			if recs[sh.slot] = rec; rec == nil {
+			if recs[sh.Slot] = rec; rec == nil {
 				lost = append(lost, sh)
 			}
 		}
@@ -303,16 +236,16 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 			return fmt.Errorf("core: repair %q v%d stripe %d: %w", key, m.Version, t, err)
 		}
 		for _, sh := range lost {
-			p := bufs[sh.slot]
-			if sh.slot < kt {
-				p = p[:chunkLen(m, sh.idx)]
+			p := bufs[sh.Slot]
+			if sh.Slot < kt {
+				p = p[:chunkLen(m, sh.Idx)]
 			}
-			blob, err := c.codec.EncodeChunkInto(nil, key, set, sh.idx, p)
+			blob, err := c.codec.EncodeChunkInto(nil, key, set, sh.Idx, p)
 			if err != nil {
 				return err
 			}
 			c.stats.ECShardRepairs.Inc()
-			if err := c.settle(ctx, store.ChunkKey(key, set, sh.idx), nil, l.homes(sh.idx), blob, encodeVer(set), false, to.peers(tl.homes(sh.idx)), report); err != nil {
+			if err := c.settle(ctx, store.ChunkKey(key, set, sh.Idx), nil, l.homes(sh.Idx), blob, encodeVer(set), false, to.peers(tl.homes(sh.Idx)), report); err != nil {
 				return err
 			}
 		}
@@ -327,9 +260,8 @@ func (c *Controller) repairStripes(ctx context.Context, key string, m *store.Met
 // nothing.
 func (c *Controller) repairChunk(ctx context.Context, l layout, key string, set, idx int64, to *MigrationTarget, tl layout, report *RepairReport) (*store.Record, error) {
 	dk := store.ChunkKey(key, set, idx)
-	open := func(b []byte) (*store.Record, error) { return c.codec.DecodeChunkInto(b, nil, key, set, idx) }
 	homes := l.homes(idx)
-	rec, blob, held, missing, err := probe(ctx, c, to, homes, dk, open)
+	rec, blob, held, missing, err := c.drives.ProbeChunk(ctx, to != nil, homes, key, set, idx)
 	stray := rec == nil
 	if stray && err == nil {
 		// No home holds it. Look where it lived before a death or after
@@ -339,13 +271,13 @@ func (c *Controller) repairChunk(ctx context.Context, l layout, key string, set,
 		// Dead drives are skipped — probing them burns the repair on
 		// timeouts.
 		base := l
-		base.window = store.Placement(key, len(c.drives), len(l.window))
+		base.window = store.Placement(key, c.drives.Len(), len(l.window))
 		dead := c.deadMask.Load()
-		for _, di := range unionDrives(base.homes(idx), allDrives(len(c.drives))) {
+		for _, di := range unionDrives(base.homes(idx), allDrives(c.drives.Len())) {
 			if dead&(1<<uint(di)) != 0 || slices.Contains(homes, di) {
 				continue
 			}
-			if rec, blob, held, _, err = probe(ctx, c, to, []int{di}, dk, open); rec != nil || err != nil {
+			if rec, blob, held, _, err = c.drives.ProbeChunk(ctx, to != nil, []int{di}, key, set, idx); rec != nil || err != nil {
 				break
 			}
 		}
@@ -364,8 +296,7 @@ func (c *Controller) repairChunk(ctx context.Context, l layout, key string, set,
 		// The home copies are confirmed; the stray would otherwise
 		// linger as dark capacity (no delete path enumerates an
 		// off-window drive).
-		c.chargeDriveIO(0)
-		_ = c.drives[held[0]].pick().Delete(ctx, dk, nil, true)
+		_ = c.drives.Delete(ctx, held[0], dk)
 	}
 	return rec, nil
 }

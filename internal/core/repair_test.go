@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -103,43 +102,6 @@ func TestRepairGovernedByPolicy(t *testing.T) {
 	}
 	if _, err := owner.Repair(ctx, "k"); err != nil {
 		t.Fatalf("owner repair: %v", err)
-	}
-}
-
-// TestHeadRecordElection: the one election among copies of a head — the
-// newest that opens as the key's wins, the first of equal versions — and
-// its report of which copies name the key at that version, the copies
-// repair leaves alone and the sweeper's fast path calls converged.
-func TestHeadRecordElection(t *testing.T) {
-	h := newHarness(t, 1, nil)
-	head := func(key string, version int64, policy string) []byte {
-		return h.ctl.codec.EncodeMeta(&store.Meta{Key: key, Version: version, PolicyID: policy})
-	}
-	v1 := head("k", 1, "p")
-	for _, c := range []struct {
-		name    string
-		copies  [][]byte
-		version int64
-		policy  string
-		current uint64
-	}{
-		{"healthy", [][]byte{v1, v1, v1}, 1, "p", 0b111},
-		{"one absent", [][]byte{v1, nil, v1}, 1, "p", 0b101},
-		{"one older", [][]byte{head("k", 0, "p"), v1, v1}, 1, "p", 0b110},
-		{"one that does not open", [][]byte{v1, []byte("junk"), v1}, 1, "p", 0b101},
-		{"another key's, newer", [][]byte{head("other", 9, "q"), v1, v1}, 1, "p", 0b110},
-		{"same version, other bytes", [][]byte{v1, head("k", 1, "q"), v1}, 1, "p", 0b111},
-		{"the newest is the one not agreeing", [][]byte{v1, head("k", 2, "q"), v1}, 2, "q", 0b010},
-	} {
-		var slots [2]store.Meta
-		m, current, err := h.ctl.newestMeta("k", c.copies, &slots)
-		if err != nil || m.Key != "k" || m.Version != c.version || m.PolicyID != c.policy || current != c.current {
-			t.Errorf("%s: elected %+v, current %03b, %v; want v%d %q, current %03b", c.name, m, current, err, c.version, c.policy, c.current)
-		}
-	}
-	var slots [2]store.Meta
-	if m, _, err := h.ctl.newestMeta("k", [][]byte{nil, []byte("junk"), head("other", 1, "")}, &slots); !errors.Is(err, store.ErrCorrupt) {
-		t.Errorf("no copy opens: elected %+v, %v", m, err)
 	}
 }
 

@@ -10,7 +10,7 @@
 // all sub-operations or none — and all replicas are written
 // concurrently, so write-through latency is the maximum replica RTT
 // rather than the sum, and object/meta can never diverge on a drive.
-// Reads go through the fetch engine (fetch.go).
+// Reads go through the fetch engine (records/fetch.go).
 package core
 
 import (
@@ -20,36 +20,14 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/kinetic/kclient"
+	"repro/internal/core/records"
 	"repro/internal/kinetic/wire"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
 
-// fanout runs fn against every placement drive concurrently and waits
-// for all of them. The operation succeeds only if every replica
-// succeeds (the paper's write-through replication, §4.5); individual
-// failures are aggregated so errors.Is still matches sentinels like
-// kclient.ErrVersionMismatch.
-func (c *Controller) fanout(placement []int, fn func(di int) error) error {
-	if len(placement) == 1 {
-		return fn(placement[0])
-	}
-	errs := make([]error, len(placement))
-	var wg sync.WaitGroup
-	for i, di := range placement {
-		wg.Add(1)
-		go func(i, di int) {
-			defer wg.Done()
-			errs[i] = fn(di)
-		}(i, di)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // forEach runs fn over items on at most 8 goroutines at a time — per-key
-// work over a set too large to give fanout's goroutine each — and
+// work over a set too large to give Fanout's goroutine each — and
 // returns the first error any call reported, after all of them ended.
 func forEach[T any](items []T, fn func(T) error) error {
 	sem := make(chan struct{}, 8)
@@ -134,7 +112,7 @@ func (c *Controller) replicationFailed(err error, keys ...string) error {
 	for _, k := range keys {
 		c.metaCache.Remove(k)
 	}
-	if errors.Is(err, kclient.ErrVersionMismatch) {
+	if errors.Is(err, records.ErrVersionMismatch) {
 		return fmt.Errorf("%w: concurrent update detected", ErrBadVersion)
 	}
 	return err
@@ -161,7 +139,7 @@ func (c *Controller) replicationFailed(err error, keys ...string) error {
 // before returning. The meta compare-and-swap tokens remain as the
 // cross-controller backstop.
 func (c *Controller) commit(ctx context.Context, writes []*replicaWrite) error {
-	perDrive := make([][]wire.BatchOp, len(c.drives))
+	perDrive := make([][]wire.BatchOp, c.drives.Len())
 	var drives []int
 	keys := make([]string, len(writes))
 	for i, w := range writes {
@@ -175,7 +153,7 @@ func (c *Controller) commit(ctx context.Context, writes []*replicaWrite) error {
 	}
 	sctx, span := obs.StartSpan(ctx, "replicate")
 	span.Attr("replicas", strconv.Itoa(len(drives)))
-	err := c.fanout(drives, func(di int) error {
+	err := records.Fanout(drives, func(di int) error {
 		// Chunk on the batch-op cap and the frame size, keeping each
 		// object+meta pair in one atomic group.
 		for ops := perDrive[di]; len(ops) > 0; {
@@ -189,7 +167,7 @@ func (c *Controller) commit(ctx context.Context, writes []*replicaWrite) error {
 				n += 2
 			}
 			if err := c.gcommit.enqueue(sctx, di, ops[:n], bytes); err != nil {
-				return fmt.Errorf("core: write batch to drive %s: %w", c.drives[di].name, err)
+				return fmt.Errorf("core: write batch to drive %s: %w", c.drives.Name(di), err)
 			}
 			ops = ops[n:]
 		}
@@ -222,13 +200,7 @@ func (c *Controller) commit(ctx context.Context, writes []*replicaWrite) error {
 // (release after a handoff: the range was frozen and ownership is gone,
 // there is no concurrent writer to respect).
 func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guard []byte) error {
-	start, end := store.ObjectKeyRange(key)
-	keys, err := c.rangeAll(ctx, c.drives[di], start, end)
-	if err != nil {
-		return err
-	}
-	cstart, cend := store.ChunkKeyRange(key)
-	chunkKeys, err := c.rangeAll(ctx, c.drives[di], cstart, cend)
+	keys, chunkKeys, err := c.drives.Keys(ctx, di, key)
 	if err != nil {
 		return err
 	}
@@ -247,8 +219,7 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guar
 		// the whole stream.
 		err := c.gcommit.enqueue(ctx, di, ops[:n], 0)
 		if metaPending && err != nil {
-			var be *kclient.BatchError
-			if errors.As(err, &be) && be.Index == 0 && errors.Is(err, kclient.ErrNotFound) {
+			if records.FirstOpAbsent(err) {
 				// This replica already lost its metadata (degraded
 				// pre-repair state): drop the guard and still collect
 				// the version records.

@@ -470,7 +470,7 @@ func (s *RESTServer) handleGetPolicy(w http.ResponseWriter, r *http.Request, _ *
 // handleStatus serves the controller's statistics: a map, because the
 // counters' keys come from the Stats table (obs.go).
 func (s *RESTServer) handleStatus(w http.ResponseWriter, _ *http.Request, _ *Session, _ request) error {
-	lats := make(map[string]map[string]any, len(s.ctl.drives))
+	lats := make(map[string]map[string]any, s.ctl.drives.Len())
 	for _, dl := range s.ctl.DriveLatencies() {
 		lats[dl.Name] = map[string]any{
 			"ewmaUs":  dl.EWMA.Microseconds(),

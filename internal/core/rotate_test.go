@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/kinetic/kclient"
 	"repro/internal/store"
 )
 
@@ -52,20 +51,19 @@ func TestRotationWaitsForCallsSignedUnderOldCredentials(t *testing.T) {
 		}
 	})
 	ctx := context.Background()
-	pool := h.ctl.drives[0]
-	old := pool.credentials().Identity
+	old := h.ctl.drives.Credentials(0).Identity
 
 	armed.Store(true)
 	answered := make(chan error, 1)
 	go func() {
-		_, _, err := pool.pick().Get(ctx, marker)
+		_, err := h.ctl.drives.ReadHead(ctx, "held-across-rotation", []int{0})
 		answered <- err
 	}()
 	<-held
 	rotated := make(chan error, 1)
 	go func() { rotated <- h.ctl.RotateDriveCredentials(ctx, 1) }()
 	next := adminIdentityForEpoch(1)
-	if !eventually(func() bool { return pool.credentials().Identity == next }) {
+	if !eventually(func() bool { return h.ctl.drives.Credentials(0).Identity == next }) {
 		t.Fatal("the pool never switched to the new credentials")
 	}
 	select {
@@ -78,7 +76,7 @@ func TestRotationWaitsForCallsSignedUnderOldCredentials(t *testing.T) {
 		t.Error("the old account was dropped while a call signed under it was in flight")
 	}
 	close(release)
-	if err := <-answered; err != nil && !errors.Is(err, kclient.ErrNotFound) {
+	if err := <-answered; err != nil && !errors.Is(err, ErrNotFound) {
 		t.Errorf("the call signed before the switch: %v", err)
 	}
 	if err := <-rotated; err != nil {

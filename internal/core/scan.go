@@ -9,7 +9,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/aes"
 	"crypto/cipher"
@@ -22,6 +21,7 @@ import (
 	"strings"
 
 	"repro/internal/authority"
+	"repro/internal/core/records"
 	"repro/internal/policy/lang"
 	"repro/internal/store"
 )
@@ -112,7 +112,6 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 			lower, inclusive = resume, false
 		}
 	}
-	_, rangeEnd := store.MetaKeyRange(opts.Prefix)
 
 	// Epoch-consistent ownership view: the whole page filters against
 	// one snapshot, so it is exactly the listing of this shard at that
@@ -144,14 +143,14 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 	// Replicas-1 drives of the whole set may then fail it — every object
 	// still has a surviving replica reporting it.
 	drives, cover := c.listingDrives()
-	w := c.walk(ctx, &rangeWalk{drives: drives, cover: cover, cursor: store.MetaKey(lower), inclusive: inclusive,
-		end: rangeEnd, page: limit + 1, values: true, tolerate: c.cfg.Replicas - 1})
+	w := c.drives.Heads(ctx, records.HeadScan{Drives: drives, Cover: cover, From: lower, Inclusive: inclusive,
+		Prefix: opts.Prefix, Page: limit + 1, Tolerate: c.cfg.Replicas - 1})
 	// The replies go back for reuse, each round's when the next is in
 	// and the last when the page is built: everything the page keeps of
 	// them has been copied out by then.
-	defer w.release()
+	defer w.Close()
 	for {
-		dk, mask, copies, ok := w.next()
+		key, mask, ok := w.Next()
 		if !ok {
 			break
 		}
@@ -160,7 +159,6 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 		// list only keys they own under the page's epoch snapshot
 		// (anything else is migration residue the router gets from its
 		// owner) — so residue never costs a decode.
-		key := string(dk[2:]) // strip the metadata namespace prefix
 		if !strings.HasPrefix(key, opts.Prefix) {
 			continue
 		}
@@ -173,15 +171,15 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 		// drives it is skipped (a drive without a bit would silently drop
 		// live keys) — the merge and the metadata binding still keep the
 		// listing correct.
-		if len(c.drives) <= 64 && mask&c.placementMask(key) == 0 {
+		if c.drives.Len() <= 64 && mask&c.placementMask(key) == 0 {
 			continue
 		}
-		meta, _, err := c.newestMeta(key, copies, &metas)
+		meta, _, err := w.Elect(key, nil, &metas)
 		if err != nil {
 			// No reported copy decodes as this key's: more than one drive
 			// of its window is faulty, past what the cover answers for. Its
 			// replicas are read directly before the page fails closed.
-			if meta, err = c.fetchMeta(ctx, key); err != nil {
+			if meta, err = c.drives.ReadHead(ctx, key, c.placement(key)); err != nil {
 				return nil, err
 			}
 		}
@@ -205,54 +203,10 @@ func (c *Controller) scanObjects(ctx context.Context, sessionKey string, opts Sc
 			return page, nil
 		}
 	}
-	if w.err != nil {
-		return nil, w.err // coverage is gone: an error, not a listing with holes
+	if w.Err != nil {
+		return nil, w.Err // coverage is gone: an error, not a listing with holes
 	}
 	return page, nil // the range is exhausted
-}
-
-// newestMeta is the one election among copies of key's head record, for
-// a listing, repair, the sweeper and warm-up. The codec opens each copy
-// and refuses another object's record: its policy must not judge key.
-// The newest copy that opens wins, the first of equal versions, and bit
-// i of current reports whether copies[i] opens at that version (past
-// the 64th, none does). Byte-equal copies, the healthy case, are opened
-// once, into slots a page reuses. With no copy that opens a listing
-// reads the replicas directly and, if none opens either, fails its page:
-// an entry that cannot be policy-checked is never listed, and dropping
-// it silently would hide an object from a reader entitled to it.
-func (c *Controller) newestMeta(key string, copies [][]byte, slots *[2]store.Meta) (best *store.Meta, current uint64, err error) {
-	best, spare := &slots[0], &slots[1]
-	var bestRaw []byte
-	found := false
-	for i, raw := range copies {
-		bit := uint64(1) << uint(i)
-		if found && bytes.Equal(raw, bestRaw) {
-			current |= bit
-			continue
-		}
-		m := best
-		if found {
-			m = spare
-		}
-		m.Key = key // DecodeMeta keeps a key it finds already there
-		if c.codec.DecodeMeta(raw, key, m) != nil {
-			continue
-		}
-		switch {
-		case found && m.Version == best.Version:
-			current |= bit
-		case !found || m.Version > best.Version:
-			if found {
-				best, spare = spare, best
-			}
-			found, bestRaw, current = true, raw, bit
-		}
-	}
-	if !found {
-		return nil, 0, fmt.Errorf("core: no readable metadata copy of %q: %w", key, store.ErrCorrupt)
-	}
-	return best, current, nil
 }
 
 // placementMask is the drive bitmask of a key's placement (dead-drive

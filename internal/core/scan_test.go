@@ -27,7 +27,7 @@ func plantMeta(t *testing.T, h *harness, di int, key string, raw []byte) {
 // driveMetaBytes reads one drive's copy of key's metadata record.
 func driveMetaBytes(t *testing.T, h *harness, di int, key string) []byte {
 	t.Helper()
-	raw, err := h.ctl.drives[di].pick().Range(context.Background(), store.MetaKey(key), store.MetaKey(key), true, false, 1, true)
+	raw, err := driveConn(t, h.ctl, di).Range(context.Background(), store.MetaKey(key), store.MetaKey(key), true, false, 1, true)
 	if err != nil || len(raw.Values) != 1 {
 		t.Fatalf("drive %d copy of %q: %d records, %v", di, key, len(raw.Values), err)
 	}

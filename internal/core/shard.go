@@ -36,7 +36,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/kinetic/kclient"
+	"repro/internal/core/records"
 	"repro/internal/kinetic/wire"
 	"repro/internal/store"
 )
@@ -465,15 +465,6 @@ func (t *MigrationTarget) peers(homes []int) []string {
 	return out
 }
 
-// unread fails an export on a copy of dk it could not read (err, not
-// not-found): release destroys the source's copies. A repair (nil t) skips it.
-func (t *MigrationTarget) unread(dk []byte, err error) error {
-	if t == nil || err == nil || errors.Is(err, kclient.ErrNotFound) {
-		return nil
-	}
-	return fmt.Errorf("core: export cannot read every copy of %q: %w", dk, err)
-}
-
 // ManifestEntry records one migrated object's head version.
 type ManifestEntry struct {
 	Key     string `json:"key"`
@@ -503,12 +494,12 @@ func (c *Controller) ExportRange(ctx context.Context, r HashRange, target Migrat
 	var keys []string
 	var slots [2]store.Meta
 	var narrow error
-	err := c.walkKeys(ctx, 0, true, func(key string, copies [][]byte) bool {
+	err := c.walkKeys(ctx, 0, func(key string, w *records.Heads) bool {
 		// Each head's layout must fit the target before anything moves;
 		// a key whose walked copies elect none is left to its repair.
 		if r.Contains(store.ShardHash(key)) {
 			keys = append(keys, key)
-			if head, _, err := c.newestMeta(key, copies, &slots); err == nil {
+			if head, _, err := w.Elect(key, nil, &slots); err == nil {
 				_, narrow = c.targetLayout(key, head.ECK, head.ECM, &target)
 			}
 		}
@@ -541,7 +532,7 @@ func (c *Controller) ExportRange(ctx context.Context, r HashRange, target Migrat
 	}
 	for id := range policies {
 		m.Policies = append(m.Policies, id)
-		_, _, held, _, _ := probe(ctx, c, nil, c.placement(id), store.PolicyKey(id), c.openPolicy(id))
+		held := c.drives.ProbePolicy(ctx, c.placement(id), id)
 		if err := c.push(ctx, store.PolicyKey(id), held, target.peers(store.Placement(id, len(target.Drives), target.Replicas))); err != nil {
 			return nil, fmt.Errorf("core: export policy %q: %w", id, err)
 		}
@@ -552,22 +543,21 @@ func (c *Controller) ExportRange(ctx context.Context, r HashRange, target Migrat
 }
 
 // walkKeys visits, in ascending order and until visit returns false,
-// every object key some drive holds a metadata record of — with, when
-// values are asked for, every drive's copy of it — asking each drive for
-// page keys a round (0: the drive's cap). Every drive is consulted, so
-// up to Replicas-1 degraded replicas cannot hide a key; one more and the
+// every object key some drive holds a metadata record of — with the walk,
+// whose Elect opens every drive's copy of it — asking each drive for page
+// keys a round (0: the drive's cap). Every drive is consulted, so up to
+// Replicas-1 degraded replicas cannot hide a key; one more and the
 // enumeration fails.
-func (c *Controller) walkKeys(ctx context.Context, page int, values bool, visit func(key string, copies [][]byte) bool) error {
-	start, end := store.MetaKeyRange("")
-	w := c.walk(ctx, &rangeWalk{drives: allDrives(len(c.drives)), cursor: start, inclusive: true, end: end,
-		page: page, values: values, tolerate: c.cfg.Replicas - 1})
-	defer w.release()
+func (c *Controller) walkKeys(ctx context.Context, page int, visit func(key string, w *records.Heads) bool) error {
+	w := c.drives.Heads(ctx, records.HeadScan{Drives: allDrives(c.drives.Len()), Inclusive: true, Page: page,
+		Tolerate: c.cfg.Replicas - 1})
+	defer w.Close()
 	for {
-		dk, _, copies, ok := w.next()
+		key, _, ok := w.Next()
 		if !ok {
-			return w.err
+			return w.Err
 		}
-		if !visit(string(dk[2:]), copies) { // strip the metadata namespace prefix
+		if !visit(key, w) {
 			return nil
 		}
 	}
@@ -581,7 +571,7 @@ func (c *Controller) walkKeys(ctx context.Context, page int, values bool, visit 
 // check ownership).
 func (c *Controller) VerifyImport(ctx context.Context, m *Manifest) error {
 	err := forEach(m.Entries, func(e ManifestEntry) error {
-		meta, err := c.fetchMeta(ctx, e.Key)
+		meta, err := c.drives.ReadHead(ctx, e.Key, c.placement(e.Key))
 		if err != nil {
 			return fmt.Errorf("core: import verify %q: %w", e.Key, err)
 		}
@@ -589,7 +579,7 @@ func (c *Controller) VerifyImport(ctx context.Context, m *Manifest) error {
 			return fmt.Errorf("core: import verify %q: version %d, manifest says %d",
 				e.Key, meta.Version, e.Version)
 		}
-		rec, err := c.fetchRecord(ctx, e.Key, e.Version)
+		rec, err := c.drives.ReadVersion(ctx, e.Key, e.Version, c.placement(e.Key))
 		if err != nil {
 			return fmt.Errorf("core: import verify %q v%d: %w", e.Key, e.Version, err)
 		}
@@ -602,7 +592,7 @@ func (c *Controller) VerifyImport(ctx context.Context, m *Manifest) error {
 		return err
 	}
 	for _, id := range m.Policies {
-		if _, err := c.fetchPolicy(ctx, id); err != nil {
+		if _, err := c.drives.ReadPolicy(ctx, id, c.placement(id)); err != nil {
 			return fmt.Errorf("core: import verify policy %q: %w", id, err)
 		}
 	}
@@ -665,7 +655,7 @@ func (c *Controller) ReleaseRange(ctx context.Context, epoch uint64, r HashRange
 func (c *Controller) destroyMigrated(ctx context.Context, m *Manifest) error {
 	var firstErr error
 	for _, e := range m.Entries {
-		err := c.fanout(c.objectDrives(e.Key), func(di int) error {
+		err := records.Fanout(c.objectDrives(e.Key), func(di int) error {
 			return c.deleteReplica(ctx, di, e.Key, nil)
 		})
 		if err != nil && firstErr == nil {
@@ -705,11 +695,11 @@ func adminIdentityForEpoch(epoch uint64) string {
 // the accounts were already installed by the rotating controller.
 func (c *Controller) AdoptDriveCredentials(epoch uint64) {
 	id := adminIdentityForEpoch(epoch)
-	for i, p := range c.drives {
-		if p.credentials().Identity == id {
+	for i := range c.drives.Len() {
+		if c.drives.Credentials(i).Identity == id {
 			continue
 		}
-		p.setCredentials(kclient.Credentials{
+		c.drives.SetCredentials(i, records.Credentials{
 			Identity: id,
 			Key:      c.adminKeyForEpoch(c.cfg.Drives[i].Name, epoch),
 		})
@@ -775,11 +765,11 @@ func (c *Controller) WarmRanges(ctx context.Context, limit int) (int, error) {
 	ranges := s.view.Load().info.Ranges
 	warmed := 0
 	var slots [2]store.Meta
-	err := c.walkKeys(ctx, limit, true, func(key string, copies [][]byte) bool {
+	err := c.walkKeys(ctx, limit, func(key string, w *records.Heads) bool {
 		if !RangesContain(ranges, store.ShardHash(key)) {
 			return true
 		}
-		elected, _, err := c.newestMeta(key, copies, &slots)
+		elected, _, err := w.Elect(key, nil, &slots)
 		if err != nil {
 			return true
 		}
@@ -805,29 +795,29 @@ func (c *Controller) WarmRanges(ctx context.Context, limit int) (int, error) {
 // so concurrent requests never race an HMAC-key change.
 func (c *Controller) RotateDriveCredentials(ctx context.Context, epoch uint64) error {
 	nextID := adminIdentityForEpoch(epoch)
-	for i, p := range c.drives {
-		cur := p.credentials()
+	for i := range c.drives.Len() {
+		cur, name := c.drives.Credentials(i), c.drives.Name(i)
 		if cur.Identity == nextID {
 			continue
 		}
-		next := kclient.Credentials{Identity: nextID, Key: c.adminKeyForEpoch(c.cfg.Drives[i].Name, epoch)}
+		next := records.Credentials{Identity: nextID, Key: c.adminKeyForEpoch(c.cfg.Drives[i].Name, epoch)}
 		both := []wire.ACL{
 			{Identity: cur.Identity, Key: cur.Key, Perms: wire.PermAll},
 			{Identity: next.Identity, Key: next.Key, Perms: wire.PermAll},
 		}
-		if err := p.pick().SetSecurity(ctx, both, nil); err != nil {
-			return fmt.Errorf("core: rotate credentials on %s (install): %w", p.name, err)
+		if err := c.drives.SetSecurity(ctx, i, both); err != nil {
+			return fmt.Errorf("core: rotate credentials on %s (install): %w", name, err)
 		}
-		for _, r := range p.setCredentials(next) {
+		for _, r := range c.drives.SetCredentials(i, next) {
 			select {
 			case <-r:
 			case <-ctx.Done():
-				return fmt.Errorf("core: rotate credentials on %s (retire old): %w", p.name, ctx.Err())
+				return fmt.Errorf("core: rotate credentials on %s (retire old): %w", name, ctx.Err())
 			}
 		}
 		drop := []wire.ACL{{Identity: next.Identity, Key: next.Key, Perms: wire.PermAll}}
-		if err := p.pick().SetSecurity(ctx, drop, nil); err != nil {
-			return fmt.Errorf("core: rotate credentials on %s (drop old): %w", p.name, err)
+		if err := c.drives.SetSecurity(ctx, i, drop); err != nil {
+			return fmt.Errorf("core: rotate credentials on %s (drop old): %w", name, err)
 		}
 	}
 	return nil

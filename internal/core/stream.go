@@ -28,25 +28,13 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/kinetic/kclient"
+	"repro/internal/core/records"
 	"repro/internal/store"
 )
 
 // streamChunkSize is the payload carried by one chunk record: the
 // largest value one Kinetic put accepts.
 const streamChunkSize = store.MaxObjectSize
-
-// chunkBufs pools the per-upload chunk buffers. Every v2 put flows
-// through the streaming entry point, so allocating the full chunk
-// size per request (1 MB for a 1 KB value) becomes pure GC pressure
-// under write-heavy load; the pool bounds it to one buffer per
-// concurrent upload.
-var chunkBufs = sync.Pool{
-	New: func() any {
-		b := make([]byte, streamChunkSize)
-		return &b
-	},
-}
 
 // sealBufs pools the buffers chunk records are sealed into: a chunk
 // plus room for the record's header, nonce and tag under keys of up to
@@ -147,8 +135,8 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 		return 0, err
 	}
 
-	bufp := chunkBufs.Get().(*[]byte)
-	defer chunkBufs.Put(bufp)
+	bufp := records.ChunkBufs.Get().(*[]byte)
+	defer records.ChunkBufs.Put(bufp)
 	buf := *bufp
 	n, rerr := io.ReadFull(body, buf)
 	if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
@@ -202,11 +190,11 @@ func (c *Controller) putObjectStream(ctx context.Context, sessionKey, key string
 		var extra []*[]byte
 		defer func() {
 			for _, bp := range extra {
-				chunkBufs.Put(bp)
+				records.ChunkBufs.Put(bp)
 			}
 		}()
 		for sniffBytes < c.cfg.ECMinBytes {
-			bp := chunkBufs.Get().(*[]byte)
+			bp := records.ChunkBufs.Get().(*[]byte)
 			extra = append(extra, bp)
 			sn, serr := io.ReadFull(rest, *bp)
 			if sn > 0 {
@@ -250,8 +238,8 @@ func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts
 	defer sealBufs.Put(sealp)
 	parity := make([][]byte, l.m)
 	for j := range parity {
-		bp := chunkBufs.Get().(*[]byte)
-		defer chunkBufs.Put(bp)
+		bp := records.ChunkBufs.Get().(*[]byte)
+		defer records.ChunkBufs.Put(bp)
 		parity[j] = *bp
 	}
 	var total, chunks, parityBytes int64
@@ -262,10 +250,9 @@ func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts
 			return err
 		}
 		dk := store.ChunkKey(key, set, idx)
-		return c.replicationFailed(c.fanout(l.homes(idx), func(di int) error {
-			c.chargeDriveIO(len(blob))
-			if err := c.drives[di].pick().Put(ctx, dk, blob, nil, encodeVer(set), true); err != nil {
-				return fmt.Errorf("core: stream chunk %d of %q to drive %s: %w", idx, key, c.drives[di].name, err)
+		return c.replicationFailed(records.Fanout(l.homes(idx), func(di int) error {
+			if err := c.drives.Put(ctx, di, dk, blob, encodeVer(set)); err != nil {
+				return fmt.Errorf("core: stream chunk %d of %q to drive %s: %w", idx, key, c.drives.Name(di), err)
 			}
 			return nil
 		}), key)
@@ -370,12 +357,8 @@ func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts
 // actually written; deletes of absent keys are no-ops).
 func (c *Controller) sweepChunks(ctx context.Context, key string, set, chunks int64, l layout) {
 	stripes := chunks/int64(l.k) + 1 // include the open stripe
-	_ = c.fanout(l.window, func(di int) error {
-		cl := c.drives[di].pick()
-		del := func(idx int64) {
-			c.chargeDriveIO(0)
-			_ = cl.Delete(ctx, store.ChunkKey(key, set, idx), nil, true)
-		}
+	_ = records.Fanout(l.window, func(di int) error {
+		del := func(idx int64) { _ = c.drives.Delete(ctx, di, store.ChunkKey(key, set, idx)) }
 		for idx := int64(0); idx <= chunks; idx++ {
 			del(idx)
 		}
@@ -443,11 +426,9 @@ func (c *Controller) chunksIntact(ctx context.Context, stub *store.Meta, l layou
 	}
 	set := stub.ChunkSet()
 	for _, idx := range probes {
-		dk := store.ChunkKey(stub.Key, set, idx)
-		err := c.fanout(l.homes(idx), func(di int) error {
-			c.chargeDriveIO(0)
-			_, err := c.drives[di].pick().GetVersion(ctx, dk)
-			if errors.Is(err, kclient.ErrNotFound) {
+		err := records.Fanout(l.homes(idx), func(di int) error {
+			err := c.drives.HasChunk(ctx, di, stub.Key, set, idx)
+			if errors.Is(err, ErrNotFound) {
 				return fmt.Errorf("%w: object deleted during streamed upload", ErrBadVersion)
 			}
 			return err

@@ -132,9 +132,9 @@ func TestStreamVersionsHistoryAndDelete(t *testing.T) {
 	if err != nil || ver != 1 {
 		t.Fatalf("delete: v=%d err=%v", ver, err)
 	}
-	for di := range h.ctl.drives {
+	for di := range h.ctl.drives.Len() {
 		cstart, cend := store.ChunkKeyRange("hist")
-		keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], cstart, cend)
+		keys, err := driveKeys(t, h.ctl, di, cstart, cend)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestStreamChunkTransplantDetected(t *testing.T) {
 	}
 	// Swap the two chunk records on the drive: each is individually
 	// authentic, but bound to the wrong position.
-	cl := h.ctl.drives[0].pick()
+	cl := driveConn(t, h.ctl, 0)
 	k0, k1 := h.chunkKey(t, "swap", 0, 0), h.chunkKey(t, "swap", 0, 1)
 	b0, _, err := cl.Get(ctx, k0)
 	if err != nil {
@@ -294,7 +294,7 @@ func TestStreamLosesRaceToBufferedWriter(t *testing.T) {
 		t.Fatalf("winner after race: %q v%d %v", val, meta.Version, err)
 	}
 	cstart, cend := store.ChunkKeyRange("raced")
-	keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[0], cstart, cend)
+	keys, err := driveKeys(t, h.ctl, 0, cstart, cend)
 	if err != nil || len(keys) != 0 {
 		t.Fatalf("orphan chunks after lost race: %d %v", len(keys), err)
 	}
@@ -333,7 +333,7 @@ func TestStreamDetectsDeleteRecreateABA(t *testing.T) {
 		t.Fatalf("recreated object after ABA: %q v%d %v", val, meta.Version, err)
 	}
 	cstart, cend := store.ChunkKeyRange("aba")
-	keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[0], cstart, cend)
+	keys, err := driveKeys(t, h.ctl, 0, cstart, cend)
 	if err != nil || len(keys) != 0 {
 		t.Fatalf("orphan chunks after ABA: %d %v", len(keys), err)
 	}
@@ -449,17 +449,17 @@ func TestStreamConcurrentUploadsFirstCommitWins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([][]string, len(h.ctl.drives))
+			want := make([][]string, h.ctl.drives.Len())
 			for st := int64(0); st*int64(l.k) < meta.Chunks; st++ {
 				for _, sh := range l.shards(st, meta.Chunks) {
-					for _, di := range l.homes(sh.idx) {
-						want[di] = append(want[di], string(store.ChunkKey("k", meta.Upload, sh.idx)))
+					for _, di := range l.homes(sh.Idx) {
+						want[di] = append(want[di], string(store.ChunkKey("k", meta.Upload, sh.Idx)))
 					}
 				}
 			}
 			start, end := store.ChunkKeyRange("k")
-			for di := range h.ctl.drives {
-				keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], start, end)
+			for di := range h.ctl.drives.Len() {
+				keys, err := driveKeys(t, h.ctl, di, start, end)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -126,7 +126,7 @@ func TestStreamAbortLeavesNoOrphans(t *testing.T) {
 					if di == dead {
 						continue
 					}
-					keys, err := h.ctl.rangeAll(ctx, h.ctl.drives[di], cstart, cend)
+					keys, err := driveKeys(t, h.ctl, di, cstart, cend)
 					if err != nil {
 						t.Fatal(err)
 					}

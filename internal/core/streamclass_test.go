@@ -61,7 +61,7 @@ func TestRepairCopiesReplicaChunkVerbatim(t *testing.T) {
 	r.put("obj", streamPayload(2*streamChunkSize+7))
 	placement := r.h.ctl.placement("obj")
 	survivor := r.raw(placement[0], "obj", 0, 1)
-	if err := r.h.ctl.drives[placement[1]].pick().Delete(r.ctx, r.h.chunkKey(t, "obj", 0, 1), nil, true); err != nil {
+	if err := driveConn(t, r.h.ctl, placement[1]).Delete(r.ctx, r.h.chunkKey(t, "obj", 0, 1), nil, true); err != nil {
 		t.Fatal(err)
 	}
 	report, err := r.s.Repair(r.ctx, "obj")
@@ -92,7 +92,7 @@ func TestReplicatedStreamReadsAroundSlowDrive(t *testing.T) {
 	// so that is not always placement[0].)
 	placement := h.ctl.placement("obj")
 	slow := placement[0]
-	if fetchOrder(1, h.ctl.copies(placement))[0].pool != h.ctl.drives[slow] {
+	if h.ctl.drives.FirstChoices()(placement) != slow {
 		slow = placement[1]
 	}
 	const delay = time.Second

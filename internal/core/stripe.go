@@ -31,11 +31,10 @@ package core
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 
+	"repro/internal/core/records"
 	"repro/internal/ec"
-	"repro/internal/kinetic/kclient"
 	"repro/internal/store"
 )
 
@@ -100,24 +99,17 @@ func (l layout) homes(idx int64) []int {
 	return []int{ecShardDrive(l.window, int(slot), stripe)}
 }
 
-// stripeShard is one chunk record of a stripe: its slot (0..k-1 data,
-// k..k+m-1 parity) and its chunk index.
-type stripeShard struct {
-	slot int
-	idx  int64
-}
-
 // shards lists the records of stripe t of an object of chunks data
 // chunks: the data chunks the stripe actually has (the final stripe
 // may hold fewer than k), then its m parity shards.
-func (l layout) shards(t, chunks int64) []stripeShard {
+func (l layout) shards(t, chunks int64) []records.Shard {
 	kt := int(min(int64(l.k), chunks-t*int64(l.k)))
-	out := make([]stripeShard, 0, kt+l.m)
+	out := make([]records.Shard, 0, kt+l.m)
 	for s := 0; s < kt; s++ {
-		out = append(out, stripeShard{s, t*int64(l.k) + int64(s)})
+		out = append(out, records.Shard{Slot: s, Idx: t*int64(l.k) + int64(s)})
 	}
 	for j := 0; j < l.m; j++ {
-		out = append(out, stripeShard{l.k + j, store.ParityIndex(t, int64(l.m), int64(j))})
+		out = append(out, records.Shard{Slot: l.k + j, Idx: store.ParityIndex(t, int64(l.m), int64(j))})
 	}
 	return out
 }
@@ -133,48 +125,6 @@ func chunkLen(m *store.Meta, gi int64) int {
 	return streamChunkSize
 }
 
-// pooledRec is a record whose payload lives in a pooled chunk buffer;
-// release hands the buffer back. A zero pooledRec releases nothing.
-type pooledRec struct {
-	rec  *store.Record
-	bufp *[]byte
-}
-
-func (p pooledRec) release() {
-	if p.bufp != nil {
-		chunkBufs.Put(p.bufp)
-	}
-}
-
-// getChunkValue reads one raw chunk record — a data chunk or a parity
-// shard — of key's chunk set off one drive.
-func (c *Controller) getChunkValue(ctx context.Context, p *drivePool, key string, set, idx int64) (kclient.Value, error) {
-	c.chargeDriveIO(0)
-	v, err := p.pick().GetValue(ctx, store.ChunkKey(key, set, idx))
-	if errors.Is(err, kclient.ErrNotFound) {
-		err = fmt.Errorf("%w: %q chunk %d of set %d", ErrNotFound, key, idx, set)
-	}
-	return v, err
-}
-
-// openChunk decodes the raw chunk record in v into a pooled chunk
-// buffer and hands v's frame back: the codec has copied or decrypted
-// the payload out of it, authenticated, by the time it returns. A
-// chunk record never enters the object cache — streamed reads are
-// large and sequential, and a pooled payload must have exactly one
-// owner.
-func (c *Controller) openChunk(v kclient.Value, key string, set, idx int64) (pooledRec, error) {
-	defer v.Release()
-	c.cost.MoveBytes(len(v.Value))
-	pr := pooledRec{bufp: chunkBufs.Get().(*[]byte)}
-	var err error
-	if pr.rec, err = c.codec.DecodeChunkInto(v.Value, *pr.bufp, key, set, idx); err != nil {
-		pr.release()
-		return pooledRec{}, err
-	}
-	return pr, nil
-}
-
 // readStripe returns the data chunks of stripe t, fetched by the one
 // engine with the stripe's data chunks as its k slots and its parity
 // shards as the rest. Reconstruction runs only when a parity shard
@@ -188,36 +138,25 @@ func (c *Controller) readStripe(ctx context.Context, l layout, meta *store.Meta,
 	kt := len(shards) - l.m
 	shardLen := chunkLen(meta, t*int64(l.k)) // the stripe's first chunk sizes its shards
 	key, version, set := meta.Key, meta.Version, meta.ChunkSet()
-	var cands []fetchCand
-	for _, sh := range shards {
-		for _, di := range l.homes(sh.idx) {
-			cands = append(cands, fetchCand{sh, c.drives[di]})
-		}
-	}
-	got, err := fetch(ctx, c, kt, cands, shardLen,
-		func(ctx context.Context, cd fetchCand) (kclient.Value, error) {
-			return c.getChunkValue(ctx, cd.pool, key, set, cd.idx)
-		},
-		func(cd fetchCand, v kclient.Value) (pooledRec, error) { return c.openChunk(v, key, set, cd.idx) },
-		pooledRec.release)
+	got, err := c.drives.ReadStripe(ctx, key, set, kt, shards, l.homes, shardLen)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: stripe %d of %q v%d: fewer than %d of %d chunk records readable: %w",
 			t, key, version, kt, kt+l.m, err)
 	}
 	release := func() {
-		for _, pr := range got {
-			pr.release()
+		for _, ch := range got {
+			ch.Release()
 		}
 	}
 
 	data := make([][]byte, kt)
 	decode := false
 	for s := range data {
-		if got[s].rec == nil {
+		if got[s].Rec == nil {
 			decode = true
 			break
 		}
-		data[s] = got[s].rec.Payload
+		data[s] = got[s].Rec.Payload
 	}
 	if !decode {
 		return data, release, nil
@@ -225,8 +164,8 @@ func (c *Controller) readStripe(ctx context.Context, l layout, meta *store.Meta,
 
 	buf := make([][]byte, l.k+l.m)
 	for s := range got {
-		if got[s].rec != nil {
-			buf[s] = padShard(got[s].rec.Payload, shardLen)
+		if got[s].Rec != nil {
+			buf[s] = padShard(got[s].Rec.Payload, shardLen)
 		}
 	}
 	zeroTail(buf[kt:l.k], shardLen)

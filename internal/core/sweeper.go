@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
+
 	"sync"
 	"time"
 
+	"repro/internal/core/records"
 	"repro/internal/store"
 )
 
@@ -153,27 +154,22 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 	// degraded replica cannot hide a key; the enumeration stands while
 	// any of them answers.
 	var live []int
-	for di, dead := 0, c.deadMask.Load(); di < len(c.drives); di++ {
+	for di, dead := 0, c.deadMask.Load(); di < c.drives.Len(); di++ {
 		if dead&(1<<uint(di)) == 0 {
 			live = append(live, di)
 		}
 	}
-	start, end := store.MetaKeyRange("")
-	if cursor != "" {
-		start = store.MetaKey(cursor)
-	}
-	w := c.walk(ctx, &rangeWalk{drives: live, cursor: start, inclusive: cursor == "", end: end,
-		page: maxKeys + 1, values: true, tolerate: len(live) - 1})
-	defer w.release()
+	w := c.drives.Heads(ctx, records.HeadScan{Drives: live, From: cursor, Inclusive: cursor == "",
+		Page: maxKeys + 1, Tolerate: len(live) - 1})
+	defer w.Close()
 	for {
-		dk, mask, copies, ok := w.next()
+		key, _, ok := w.Next()
 		if !ok {
-			if w.err == nil {
+			if w.Err == nil {
 				report.Cursor, report.Wrapped = "", true
 			}
 			break
 		}
-		key := string(dk[2:]) // strip the metadata namespace prefix
 		if c.owns(key) {
 			// The tick yields at its key budget, its byte budget or a
 			// cancellation; the cursor resumes after the last key examined.
@@ -181,7 +177,7 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 				break
 			}
 			report.Scanned++
-			if report.Deep || !c.replicasConverged(ctx, key, mask, copies) {
+			if report.Deep || !c.replicasConverged(ctx, key, w) {
 				switch rep, err := c.repairObject(ctx, key, nil, nil); {
 				case errors.Is(err, ErrNotFound): // deleted mid-sweep: done
 				case err != nil:
@@ -215,30 +211,24 @@ func (c *Controller) SweepTick(ctx context.Context) (*SweepTickReport, error) {
 		c.stats.RepairSweeps.Inc()
 		c.sweptRevivals.Store(sw.passRevivals)
 	}
-	if w.err != nil {
-		return report, fmt.Errorf("core: sweep enumeration: %w", w.err)
+	if w.Err != nil {
+		return report, fmt.Errorf("core: sweep enumeration: %w", w.Err)
 	}
 	return report, nil
 }
 
 // replicasConverged is the sweeper's fast path. The walk's copies of
-// key's head (walked, from the drives in mask, in drive order) go
-// through repair's election, which establishes that every placement
+// key's head, by placement slot, go through repair's election
+// (records.Heads.Elect), which establishes that every placement
 // replica holds key's head at the elected version — a drive past the
 // 64th has no bit, so its copy never does; one version probe per
 // replica then establishes that each holds that version's record. No
 // payload moves and no head is read again: a healthy key costs Replicas
 // version probes.
-func (c *Controller) replicasConverged(ctx context.Context, key string, mask uint64, walked [][]byte) bool {
+func (c *Controller) replicasConverged(ctx context.Context, key string, w *records.Heads) bool {
 	placement := c.placement(key)
-	copies := make([][]byte, len(placement)) // by placement slot, as repair reads them
-	for i, di := range placement {
-		if bit := uint64(1) << uint(di); mask&bit != 0 {
-			copies[i] = walked[bits.OnesCount64(mask&(bit-1))]
-		}
-	}
 	var slots [2]store.Meta
-	head, current, err := c.newestMeta(key, copies, &slots)
+	head, current, err := w.Elect(key, placement, &slots)
 	if err != nil || current != 1<<len(placement)-1 {
 		return false
 	}
@@ -250,16 +240,14 @@ func (c *Controller) replicasConverged(ctx context.Context, key string, mask uin
 	// erased-and-revived drive, is caught by the periodic deep pass, like
 	// replicated chunk records.)
 	if dead := c.deadMask.Load(); head.ECK > 0 && dead != 0 {
-		for _, di := range store.Placement(key, len(c.drives), int(head.ECK+head.ECM)) {
+		for _, di := range store.Placement(key, c.drives.Len(), int(head.ECK+head.ECM)) {
 			if dead&(1<<uint(di)) != 0 {
 				return false
 			}
 		}
 	}
-	objKey := store.ObjectKey(key, head.Version)
 	for _, di := range placement {
-		c.chargeDriveIO(0)
-		if _, err := c.drives[di].pick().GetVersion(ctx, objKey); err != nil {
+		if c.drives.HasVersion(ctx, di, key, head.Version) != nil {
 			return false
 		}
 	}

@@ -41,7 +41,7 @@ func (r *tamperRig) put(key string, payload []byte) {
 // rawAt reads the record drive di holds under drive key dk.
 func (r *tamperRig) rawAt(di int, dk []byte) []byte {
 	r.t.Helper()
-	blob, _, err := r.h.ctl.drives[di].pick().Get(r.ctx, dk)
+	blob, _, err := driveConn(r.t, r.h.ctl, di).Get(r.ctx, dk)
 	if err != nil {
 		r.t.Fatalf("raw record %q on drive %d: %v", dk, di, err)
 	}
@@ -52,7 +52,7 @@ func (r *tamperRig) rawAt(di int, dk []byte) []byte {
 // drops whatever the controller cached.
 func (r *tamperRig) plantAt(di int, dk, blob []byte) {
 	r.t.Helper()
-	if err := r.h.ctl.drives[di].pick().Put(r.ctx, dk, blob, nil, []byte{9}, true); err != nil {
+	if err := driveConn(r.t, r.h.ctl, di).Put(r.ctx, dk, blob, nil, []byte{9}, true); err != nil {
 		r.t.Fatal(err)
 	}
 	r.h.ctl.objectCache.Clear()
@@ -63,7 +63,7 @@ func (r *tamperRig) plantAt(di int, dk, blob []byte) {
 func (h *harness) chunkKey(t *testing.T, key string, version, idx int64) []byte {
 	t.Helper()
 	for _, di := range h.ctl.placement(key) {
-		blob, _, err := h.ctl.drives[di].pick().Get(context.Background(), store.ObjectKey(key, version))
+		blob, _, err := driveConn(t, h.ctl, di).Get(context.Background(), store.ObjectKey(key, version))
 		if err != nil {
 			continue
 		}
@@ -146,7 +146,7 @@ func (r *tamperRig) askFirst(liar int, placement []int) {
 			d = time.Microsecond
 		}
 		for i := 0; i < 8; i++ {
-			r.h.ctl.drives[di].observe(d)
+			r.h.ctl.drives.Observe(di, d)
 		}
 	}
 }
@@ -454,7 +454,7 @@ func TestTamperMatrix(t *testing.T) {
 						if string(val) != tp.want || meta.Key != tp.key || meta.Version != tp.version {
 							t.Fatalf("read %d of %q v%d: %q v%d %q", i, tp.key, tp.version, meta.Key, meta.Version, val)
 						}
-						if !r.h.ctl.drives[liar].failing() {
+						if !r.h.ctl.drives.Failing(liar) {
 							t.Fatalf("read %d: the drive serving the transplant was not demoted", i)
 						}
 					}
@@ -514,7 +514,7 @@ func TestTamperMatrix(t *testing.T) {
 						liar, lost := placement[slot], placement[(slot+1)%3]
 						dk := store.ObjectKey("mine", 0)
 						r.plantAt(liar, dk, r.rawAt(liar, store.ObjectKey("secret", 0)))
-						if err := r.h.ctl.drives[lost].pick().Delete(r.ctx, dk, nil, true); err != nil {
+						if err := driveConn(t, r.h.ctl, lost).Delete(r.ctx, dk, nil, true); err != nil {
 							t.Fatal(err)
 						}
 						restored := 0
@@ -565,16 +565,16 @@ func (r *tamperRig) parentFormat(key string, hashed bool) {
 	}
 	for t := int64(0); t*int64(l.k) < m.Chunks; t++ {
 		for _, sh := range l.shards(t, m.Chunks) {
-			for _, di := range l.homes(sh.idx) {
-				dk := store.ChunkKey(key, m.Upload, sh.idx)
-				rec, err := ctl.codec.DecodeChunkInto(r.rawAt(di, dk), nil, key, m.Upload, sh.idx)
+			for _, di := range l.homes(sh.Idx) {
+				dk := store.ChunkKey(key, m.Upload, sh.Idx)
+				rec, err := ctl.codec.DecodeChunkInto(r.rawAt(di, dk), nil, key, m.Upload, sh.Idx)
 				if err != nil {
 					r.t.Fatal(err)
 				}
 				if rec.Meta.ContentHash != ([32]byte{}) && ctl.codec.Enabled() {
-					r.t.Fatalf("sealed chunk %d of %q carries a content hash", sh.idx, key)
+					r.t.Fatalf("sealed chunk %d of %q carries a content hash", sh.Idx, key)
 				}
-				rec.Meta.Key, rec.Meta.Version = store.ChunkID(key, 0, sh.idx), 0
+				rec.Meta.Key, rec.Meta.Version = store.ChunkID(key, 0, sh.Idx), 0
 				if hashed {
 					rec.Meta.ContentHash = store.HashContent(rec.Payload)
 				}
@@ -582,8 +582,8 @@ func (r *tamperRig) parentFormat(key string, hashed bool) {
 				if err != nil {
 					r.t.Fatal(err)
 				}
-				cl := ctl.drives[di].pick()
-				if err := cl.Put(r.ctx, store.ChunkKey(key, 0, sh.idx), blob, nil, encodeVer(0), true); err != nil {
+				cl := driveConn(r.t, ctl, di)
+				if err := cl.Put(r.ctx, store.ChunkKey(key, 0, sh.Idx), blob, nil, encodeVer(0), true); err != nil {
 					r.t.Fatal(err)
 				}
 				if err := cl.Delete(r.ctx, dk, nil, true); err != nil {
@@ -598,7 +598,7 @@ func (r *tamperRig) parentFormat(key string, hashed bool) {
 		r.t.Fatal(err)
 	}
 	for _, di := range placement {
-		cl := ctl.drives[di].pick()
+		cl := driveConn(r.t, ctl, di)
 		if err := cl.Put(r.ctx, store.ObjectKey(key, 0), blob, nil, encodeVer(0), true); err != nil {
 			r.t.Fatal(err)
 		}
@@ -641,8 +641,8 @@ func TestChunkRecordsOfTheParentFormatReadBack(t *testing.T) {
 					t.Fatal(err)
 				}
 				start, end := store.ChunkKeyRange(key)
-				for di := range r.h.ctl.drives {
-					if keys, err := r.h.ctl.rangeAll(r.ctx, r.h.ctl.drives[di], start, end); err != nil || len(keys) != 0 {
+				for di := range r.h.ctl.drives.Len() {
+					if keys, err := driveKeys(t, r.h.ctl, di, start, end); err != nil || len(keys) != 0 {
 						t.Errorf("drive %d holds %d chunk records of %q after delete (%v)", di, len(keys), key, err)
 					}
 				}
@@ -692,6 +692,38 @@ func TestVerifyRehashesWhatGetTrusts(t *testing.T) {
 			manifest := &Manifest{Entries: []ManifestEntry{{Key: "obj", Version: 0}}}
 			if err := ctl.VerifyImport(r.ctx, manifest); !errors.Is(err, store.ErrCorrupt) {
 				t.Errorf("VerifyImport of a stub with a wrong hash: %v", err)
+			}
+		})
+	}
+}
+
+// TestRefusedChunkDemotesItsDrive: a chunk record the drive asked first
+// serves damaged is refused, the stream is served from another copy — a
+// replica, or parity — and the drive is failing afterwards. A refusal is
+// a failed read whichever record it was, never a latency sample.
+func TestRefusedChunkDemotesItsDrive(t *testing.T) {
+	for _, shape := range []struct {
+		name   string
+		drives int
+		mutate func(*Config)
+	}{
+		{"k=1 over 3 replicas", 3, func(c *Config) { c.Replicas = 3; c.hedgeDelay = time.Minute }},
+		{"ec:4+2", 6, ecConfig},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			r := newTamperRig(t, shape.drives, true, shape.mutate)
+			payload := streamPayload(2*streamChunkSize + 99)
+			r.put("obj", payload)
+			placement := r.h.ctl.placement("obj")
+			liar := placement[0]
+			if shape.drives == 6 {
+				liar = ecDataHome(r.h.ctl.ecGroup("obj", 6), 0, 4)
+			}
+			r.flip(liar, "obj", 0, 0)
+			r.askFirst(liar, placement)
+			r.wantIntact("obj", 0, payload)
+			if !r.h.ctl.drives.Failing(liar) {
+				t.Error("the drive that served a refused chunk is not failing")
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/authority"
+	"repro/internal/core/records"
 )
 
 // Tx executes one transaction (§4.4) with full isolation: an atomic
@@ -119,7 +120,7 @@ func (c *Controller) transact(ctx context.Context, sessionKey string, reads []st
 
 	// Execute. Reads first, concurrently (a snapshot under the locks: the
 	// record of the version that was planned), then the writes.
-	inParallel(len(rr), func(i int) {
+	records.InParallel(len(rr), func(i int) {
 		r := &rr[i]
 		if r.Err != nil {
 			return

@@ -72,7 +72,7 @@ func TestTxBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := ctl.fetchRecord(ctx, k, vers[len(vers)-1])
+			rec, err := ctl.drives.ReadVersion(ctx, k, vers[len(vers)-1], ctl.placement(k))
 			if err != nil {
 				t.Fatal(err)
 			}

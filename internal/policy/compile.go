@@ -88,7 +88,7 @@ func (c *compiler) compilePred(pred *lang.Pred, slots map[string]uint32) (CPred,
 	}
 	cp := CPred{ID: spec.id}
 	for _, arg := range pred.Args {
-		ca, err := c.compileArg(arg, slots)
+		ca, err := c.compileArg(arg, slots, 0)
 		if err != nil {
 			return CPred{}, err
 		}
@@ -97,7 +97,12 @@ func (c *compiler) compilePred(pred *lang.Pred, slots map[string]uint32) (CPred,
 	return cp, nil
 }
 
-func (c *compiler) compileArg(arg *lang.Arg, slots map[string]uint32) (CArg, error) {
+// compileArg lowers an argument depth tuples deep, refusing one deeper
+// than a program's decoder reads (value.MaxDepth).
+func (c *compiler) compileArg(arg *lang.Arg, slots map[string]uint32, depth int) (CArg, error) {
+	if depth > value.MaxDepth {
+		return CArg{}, &CompileError{Pos: arg.Pos, Msg: fmt.Sprintf("tuple pattern nested deeper than %d", value.MaxDepth)}
+	}
 	switch arg.Kind {
 	case lang.AVal:
 		return CArg{Kind: CConst, Const: c.intern(arg.Val)}, nil
@@ -108,7 +113,7 @@ func (c *compiler) compileArg(arg *lang.Arg, slots map[string]uint32) (CArg, err
 	case lang.ATuple:
 		ca := CArg{Kind: CTuple, TupName: arg.TupleName}
 		for _, t := range arg.TupleArgs {
-			sub, err := c.compileArg(t, slots)
+			sub, err := c.compileArg(t, slots, depth+1)
 			if err != nil {
 				return CArg{}, err
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/policy/lang"
+	"repro/internal/policy/value"
 )
 
 // Source reconstructs canonical policy text from a compiled program —
@@ -70,7 +71,7 @@ func (p *Program) argSource(a CArg) (string, error) {
 			}
 			args = append(args, s)
 		}
-		return a.TupName + "(" + strings.Join(args, ", ") + ")", nil
+		return value.Str(a.TupName).String() + "(" + strings.Join(args, ", ") + ")", nil // quoted: any name reads back
 	case CThis:
 		return "this", nil
 	case CLog:

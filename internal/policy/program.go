@@ -185,7 +185,7 @@ func (p *Program) Marshal() ([]byte, error) {
 				buf = append(buf, byte(pr.ID))
 				buf = binary.AppendUvarint(buf, uint64(len(pr.Args)))
 				for _, a := range pr.Args {
-					if buf, err = appendCArg(buf, a); err != nil {
+					if buf, err = appendCArg(buf, a, 0); err != nil {
 						return nil, err
 					}
 				}
@@ -195,7 +195,10 @@ func (p *Program) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
-func appendCArg(buf []byte, a CArg) ([]byte, error) {
+func appendCArg(buf []byte, a CArg, depth int) ([]byte, error) {
+	if depth > value.MaxDepth {
+		return nil, errors.New("policy: tuple pattern too deep")
+	}
 	buf = append(buf, byte(a.Kind))
 	switch a.Kind {
 	case CConst:
@@ -211,7 +214,7 @@ func appendCArg(buf []byte, a CArg) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(a.TupArgs)))
 		var err error
 		for _, t := range a.TupArgs {
-			if buf, err = appendCArg(buf, t); err != nil {
+			if buf, err = appendCArg(buf, t, depth+1); err != nil {
 				return nil, err
 			}
 		}
@@ -234,7 +237,7 @@ func Unmarshal(data []byte) (*Program, error) {
 	if nConsts > 1<<20 {
 		return nil, errors.New("policy: implausible constant count")
 	}
-	p.Consts = make([]value.V, 0, nConsts)
+	p.Consts = make([]value.V, 0, min(nConsts, uint64(len(r.data))/2)) // two or more bytes a constant
 	for i := uint64(0); i < nConsts; i++ {
 		v, rest, err := value.DecodeBinary(r.data)
 		if err != nil {
@@ -248,8 +251,9 @@ func Unmarshal(data []byte) (*Program, error) {
 		if nClauses > 1<<16 {
 			return nil, errors.New("policy: implausible clause count")
 		}
-		clauses := make([]CClause, 0, nClauses)
-		for i := uint64(0); i < nClauses; i++ {
+		// Two or more bytes a clause, and a read past the end ends the claim.
+		clauses := make([]CClause, 0, min(nClauses, uint64(len(r.data))/2))
+		for i := uint64(0); i < nClauses && r.err == nil; i++ {
 			var cl CClause
 			cl.Slots = uint32(r.uvarint())
 			nPreds := r.uvarint()
@@ -362,7 +366,7 @@ func (r *reader) byte() byte {
 }
 
 func (r *reader) carg(depth int) (CArg, error) {
-	if depth > 16 {
+	if depth > value.MaxDepth {
 		return CArg{}, errors.New("policy: tuple pattern too deep")
 	}
 	var a CArg

@@ -163,7 +163,12 @@ const (
 )
 
 // AppendBinary appends the compact binary encoding of v to buf.
-func (v V) AppendBinary(buf []byte) ([]byte, error) {
+func (v V) AppendBinary(buf []byte) ([]byte, error) { return v.appendBinary(buf, 0) }
+
+func (v V) appendBinary(buf []byte, depth int) ([]byte, error) {
+	if depth > MaxDepth {
+		return nil, errors.New("value: tuple nested too deep")
+	}
 	switch v.Kind {
 	case KInt:
 		buf = append(buf, tagInt)
@@ -186,7 +191,7 @@ func (v V) AppendBinary(buf []byte) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(v.Tuple.Args)))
 		var err error
 		for _, a := range v.Tuple.Args {
-			if buf, err = a.AppendBinary(buf); err != nil {
+			if buf, err = a.appendBinary(buf, depth+1); err != nil {
 				return nil, err
 			}
 		}
@@ -196,9 +201,20 @@ func (v V) AppendBinary(buf []byte) ([]byte, error) {
 	}
 }
 
+// MaxDepth is how deep tuples nest in a value or a policy's tuple
+// pattern: a tuple's arguments sit one deeper than it, and nothing sits
+// deeper than MaxDepth. The decoders refuse what nests deeper, so the
+// encoders and the policy compiler refuse to produce it.
+const MaxDepth = 16
+
 // DecodeBinary decodes one value from data, returning it and the
-// remaining bytes.
-func DecodeBinary(data []byte) (V, []byte, error) {
+// remaining bytes. It allocates in proportion to the bytes it reads.
+func DecodeBinary(data []byte) (V, []byte, error) { return decode(data, 0) }
+
+func decode(data []byte, depth int) (V, []byte, error) {
+	if depth > MaxDepth {
+		return V{}, nil, errors.New("value: tuple nested too deep")
+	}
 	if len(data) == 0 {
 		return V{}, nil, errors.New("value: empty input")
 	}
@@ -239,12 +255,17 @@ func DecodeBinary(data []byte) (V, []byte, error) {
 			return V{}, nil, errors.New("value: bad tuple arity")
 		}
 		rest = rest[n:]
-		args := make([]V, 0, nArgs)
+		var args []V
 		for i := uint64(0); i < nArgs; i++ {
 			var a V
-			a, rest, err = DecodeBinary(rest)
-			if err != nil {
+			if a, rest, err = decode(rest, depth+1); err != nil {
 				return V{}, nil, err
+			}
+			if args == nil {
+				// Sized once an argument has decoded, by the bytes left
+				// (each argument takes two or more): nested input that
+				// fails deeper down allocates nothing on its way.
+				args = make([]V, 0, min(nArgs, 1+uint64(len(rest))/2))
 			}
 			args = append(args, a)
 		}

@@ -1,6 +1,8 @@
 package value
 
 import (
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -148,4 +150,82 @@ func TestParseHash(t *testing.T) {
 	if err != nil || h.Kind != KHash {
 		t.Errorf("valid hash rejected: %v", err)
 	}
+}
+
+// allocated is the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// nested is n tuples each inside the one before, each claiming arity:
+// four bytes a level, an argument for none.
+func nested(n int, arity uint64) []byte {
+	var b []byte
+	for range n {
+		b = binary.AppendUvarint(append(b, tagTuple, 0), arity)
+	}
+	return b
+}
+
+// TestDecodeBoundsNesting: a tuple nested past MaxDepth is refused, and
+// input that claims wide tuples it does not hold allocates in
+// proportion to its bytes, not to its claims.
+func TestDecodeBoundsNesting(t *testing.T) {
+	in := nested(1000, 1024)
+	if len(in) != 4000 {
+		t.Fatalf("%d bytes", len(in))
+	}
+	var err error
+	if n := allocated(func() { _, err = Unmarshal(in) }); err == nil || n >= 1<<20 {
+		t.Errorf("1000 nested tuples of arity 1024: %v, %d bytes allocated", err, n)
+	}
+	deep := Int(7)
+	for range MaxDepth {
+		deep = Tup("t", deep)
+	}
+	data, err := deep.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Unmarshal(data); err != nil || !got.Equal(deep) {
+		t.Errorf("nested %d deep: %v, %v", MaxDepth, got, err)
+	}
+	if _, err := Tup("t", deep).Marshal(); err == nil {
+		t.Errorf("nested %d deep: encoded", MaxDepth+1)
+	}
+	if _, err := Unmarshal(append(nested(1, 1), data...)); err == nil {
+		t.Errorf("nested %d deep: decoded", MaxDepth+1)
+	}
+}
+
+// FuzzDecodeValue: any bytes decode or are refused without a panic, in
+// allocation proportional to their length, and what decodes encodes to
+// bytes that decode to the same value.
+func FuzzDecodeValue(f *testing.F) {
+	for _, v := range []V{Int(-3), Str("s"), PubKey("ab"), Tup("member", Str("staff"), PubKey("aa")), Tup("t", Tup("u"))} {
+		b, _ := v.Marshal()
+		f.Add(b)
+	}
+	f.Add(nested(20, 1024))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v V
+		var err error
+		if n := allocated(func() { v, err = Unmarshal(data) }); n > 64*uint64(len(data))+64<<10 {
+			t.Fatalf("%d bytes allocated decoding %d", n, len(data))
+		}
+		if err != nil {
+			return
+		}
+		again, err := v.Marshal()
+		if err != nil {
+			t.Fatalf("decoded %v does not encode: %v", v, err)
+		}
+		if w, err := Unmarshal(again); err != nil || !w.Equal(v) {
+			t.Fatalf("%v re-decodes as %v, %v", v, w, err)
+		}
+	})
 }
