@@ -101,26 +101,28 @@ var rules = []rule{
 			new:  "m := new(store.Meta)\n\t\t\t_, _ = policy.Unmarshal(val)",
 		}},
 	},
-	// Its write side: a record reaches a drive only through the commit
-	// loops (ship), repair's and the handoff's copies (settle, push,
-	// repairChunk) and a streamed upload's chunks and their sweep
-	// (putChunks, sweepChunks) — never from a read path. The records
-	// layer's write verbs are the controller's only way to write.
+	// Its write side: the records layer's write verbs — Commit, a streamed
+	// upload's PutChunk, repair's and the handoff's Push — are the
+	// controller's only way to write, called from the write paths only.
 	{
 		name: "drive-writes",
-		check: onlyIn(sym{pkg: drive, names: []string{"Put", "Delete", "Batch", "Push"}}, core,
-			"ship", "settle", "push", "repairChunk", "putChunks", "sweepChunks"),
+		check: onlyIn(sym{pkg: drive, names: []string{"Commit", "PutChunk", "Push"}}, core,
+			"commit", "deleteReplica", "PutPolicy", "settle", "repairChunk", "sweepChunks", "putChunks", "push"),
 		mutants: []mutant{{
-			// A streamed upload's head written around the commit loops.
+			// A streamed upload's head written beside commit.
 			file: "internal/core/stream.go",
 			old:  "w, err := c.stage(meta2, stub, nil)",
-			new:  "w, err := c.stage(meta2, stub, nil)\n\t_ = c.drives.Put(ctx, 0, store.MetaKey(key), nil, nil)",
+			new:  "w, err := c.stage(meta2, stub, nil)\n\t_ = c.drives.Commit(ctx, 0, []wire.BatchOp{{Op: wire.BatchPut, Key: store.MetaKey(key)}}, 1)",
 		}, {
-			// A read that deletes what it fetched, through the drive table
-			// held under another name.
+			// A listing that deletes a head it read.
 			file: "internal/core/scan.go",
 			old:  "if meta, err = c.drives.ReadHead(ctx, key, c.placement(key)); err != nil {",
-			new:  "ds := c.drives\n\t\t\t_ = ds.Delete(ctx, 0, store.MetaKey(key))\n\t\t\tif meta, err = c.drives.ReadHead(ctx, key, c.placement(key)); err != nil {",
+			new:  "_ = c.drives.Commit(ctx, 0, []wire.BatchOp{{Op: wire.BatchDelete, Key: store.MetaKey(key), Force: true}}, 1)\n\t\t\tif meta, err = c.drives.ReadHead(ctx, key, c.placement(key)); err != nil {",
+		}, {
+			// The same, through the drive table held under another name.
+			file: "internal/core/scan.go",
+			old:  "if meta, err = c.drives.ReadHead(ctx, key, c.placement(key)); err != nil {",
+			new:  "ds := c.drives\n\t\t\t_ = ds.Commit(ctx, 0, nil, 1)\n\t\t\tif meta, err = c.drives.ReadHead(ctx, key, c.placement(key)); err != nil {",
 		}},
 	},
 	// The head record m\0key has one writer.
@@ -129,8 +131,8 @@ var rules = []rule{
 		check: onlyIn(sym{names: []string{"EncodeMeta"}}, core, "stage", "repairObject"),
 		mutants: []mutant{{
 			file: "internal/core/stream.go",
-			old:  "if err := c.drives.Put(ctx, di, dk, blob, encodeVer(set)); err != nil {",
-			new:  "if err := c.drives.Put(ctx, di, store.MetaKey(key), c.codec.EncodeMeta(meta), encodeVer(set)); err != nil {",
+			old:  "if err := c.drives.PutChunk(ctx, di, key, set, idx, blob); err != nil {",
+			new:  "if err := c.drives.PutChunk(ctx, di, key, set, idx, c.codec.EncodeMeta(&store.Meta{Key: key})); err != nil {",
 		}},
 	},
 	// A read is judged once: in planRead, which every read shape runs,
@@ -320,11 +322,11 @@ var rules = []rule{
 	{
 		name: "chunk-set-names",
 		check: argIs(controller, "set", map[string]int{"ChunkKey": 1, "EncodeChunkInto": 2, "DecodeChunkInto": 3,
-			"sealChunk": 2, "ReadStripe": 2, "openChunk": 2, "ProbeChunk": 4, "HasChunk": 3, "repairChunk": 3, "sweepChunks": 2}),
+			"sealChunk": 2, "PutChunk": 3, "ReadStripe": 2, "openChunk": 2, "ProbeChunk": 4, "HasChunk": 3, "repairChunk": 3, "sweepChunks": 2}),
 		mutants: []mutant{{
 			file: "internal/core/stream.go",
-			old:  "dk := store.ChunkKey(key, set, idx)",
-			new:  "dk := store.ChunkKey(key, next, idx)",
+			old:  "c.drives.PutChunk(ctx, di, key, set, idx, blob)",
+			new:  "c.drives.PutChunk(ctx, di, key, next, idx, blob)",
 		}, {
 			file: "internal/core/stream.go",
 			old:  "c.sweepChunks(context.WithoutCancel(ctx), key, set, chunks, l)",
@@ -375,12 +377,12 @@ var rules = []rule{
 	// Every record read off the drives is one first-k-of-n fetch with
 	// one order, one hedge timer and one demotion rule.
 
-	// No read grows a timer of its own: time.NewTimer is the group
-	// committer's gather poll and the fetch engine's one.
+	// No read grows a timer of its own: time.NewTimer is the commit
+	// loops' gather poll and the fetch engine's one.
 	{
 		name: "timers",
 		check: count(sym{pkg: "time", names: []string{"NewTimer"}}, controller,
-			map[string]int{"internal/core/gcommit.go": 1, "internal/core/records/fetch.go": 1}),
+			map[string]int{"internal/core/records/commit.go": 1, "internal/core/records/fetch.go": 1}),
 		mutants: []mutant{{
 			file: "internal/core/records/records.go",
 			old:  "pctx, cancel := context.WithTimeout(ctx, timeout)",
@@ -388,26 +390,27 @@ var rules = []rule{
 		}},
 	},
 	// Each drive has its own commit loop: no clock ships every drive's
-	// batch in one wave.
+	// batch in one wave. Only this row sees the wave's names come back,
+	// for its stall timeout compiles unused beside the loops.
 	{
 		name:  "commit-wave-gone",
-		check: gone(core, "shipGeneration", "generationStallTimeout"),
+		check: gone(controller, "shipGeneration", "generationStallTimeout"),
 		mutants: []mutant{{
-			file: "internal/core/gcommit.go",
+			file: "internal/core/records/commit.go",
 			old:  "gatherQuietPolls   = 2",
 			new:  "gatherQuietPolls   = 2\n\tgenerationStallTimeout = 5 * time.Second",
 		}},
 	},
-	// A lone group ships its own ops, and a merged batch copies its
-	// riders' ops into a slice of its own: the pooled merge scratch stays
-	// deleted.
+	// A merged batch copies its riders' ops into a slice of its own: the
+	// pooled merge scratch stays deleted. Only this row sees a pool come
+	// back; it compiles unused beside ship.
 	{
 		name:  "ops-pool-gone",
-		check: gone(core, "opsPool", "getOps", "putOps"),
+		check: gone(controller, "opsPool", "getOps", "putOps"),
 		mutants: []mutant{{
-			file: "internal/core/gcommit.go",
-			old:  "func (g *groupScheduler) ship(",
-			new:  "var opsPool = sync.Pool{New: func() any { return new([]wire.BatchOp) }}\n\nfunc (g *groupScheduler) ship(",
+			file: "internal/core/records/commit.go",
+			old:  "func (d *Drives) ship(",
+			new:  "var opsPool = sync.Pool{New: func() any { return new([]wire.BatchOp) }}\n\nfunc (d *Drives) ship(",
 		}},
 	},
 	// Every write is write-through, on every layer of the drive link: the
@@ -438,17 +441,19 @@ var rules = []rule{
 				"func txSync(replicas int) wire.SyncMode {\n\tif replicas > 1 {\n\t\treturn wire.SyncWriteBack\n\t}\n\treturn wire.SyncWriteThrough\n}",
 		}},
 	},
+	// Only this row sees a second round trip after a loop's batch inside
+	// the records layer, where drive-writes does not look.
 	{
 		name:  "trailing-flush-gone",
-		check: gone(core, "trailingFlush", "Controller.driveBatch"),
+		check: gone(controller, "trailingFlush", "Controller.driveBatch"),
 		mutants: []mutant{{
-			file: "internal/core/gcommit.go",
-			old:  "func (g *groupScheduler) wait() { g.wg.Wait() }",
-			new:  "func (g *groupScheduler) wait() { g.wg.Wait() }\n\nfunc (g *groupScheduler) trailingFlush(di int) {\n\t_ = g.c.drives[di].pick().Flush(context.Background())\n}",
+			file: "internal/core/records/commit.go",
+			old:  "func (d *Drives) ship(",
+			new:  "func (d *Drives) trailingFlush(di int) error {\n\treturn d.pools[di].pick().Noop(context.Background())\n}\n\nfunc (d *Drives) ship(",
 		}, {
 			file: "internal/core/replicate.go",
 			old:  "func (c *Controller) commit(",
-			new:  "func (c *Controller) driveBatch(ctx context.Context, di int, ops []wire.BatchOp, payload int) error {\n\treturn c.gcommit.enqueue(ctx, di, ops, payload)\n}\n\nfunc (c *Controller) commit(",
+			new:  "func (c *Controller) driveBatch(ctx context.Context, di int, ops []wire.BatchOp, payload int) error {\n\treturn c.drives.Commit(ctx, di, ops, 1)\n}\n\nfunc (c *Controller) commit(",
 		}},
 	},
 	// The head record is opened by the codec's bound opener only, and

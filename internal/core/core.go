@@ -35,7 +35,7 @@ var (
 	ErrNotFound     = records.ErrNotFound
 	ErrNoSuchPolicy = records.ErrNoSuchPolicy
 	ErrBadVersion   = errors.New("pesos: version conflict")
-	ErrClosed       = errors.New("pesos: controller closed")
+	ErrClosed       = records.ErrClosed
 )
 
 // DeniedError wraps ErrDenied with the interpreter's explanation.
@@ -198,10 +198,6 @@ type Controller struct {
 	clock   func() time.Time
 
 	drives *records.Drives
-	// gcommit is the group-commit scheduler every drive write goes
-	// through (one queue and one commit loop per drive; see
-	// gcommit.go).
-	gcommit *groupScheduler
 
 	// detector is the drive-failure detector; deadMask is its
 	// published verdict (bit i set = drive i dead), the single atomic
@@ -296,7 +292,7 @@ type Stats struct {
 	ResidualHits        obs.Counter // checks served by a cached or page-reused residual
 	IndexSkippedClauses obs.Counter // clauses pruned by session residuals (bind-time kills + object guards)
 	WrongShard          obs.Counter // operations redirected to another shard
-	GroupBatches        obs.Counter // drive batches shipped by the group scheduler (merged or not)
+	GroupBatches        obs.Counter // drive batches shipped by the commit loops (merged or not)
 	GroupedWrites       obs.Counter // write groups that shared a merged drive batch
 	TrailingFlushes     obs.Counter // always 0 (every commit ships write-through); kept because benchmark/counters.go reads it
 	ReadBytes           obs.Counter // payload bytes served to readers
@@ -473,7 +469,6 @@ func New(ctx context.Context, cfg Config) (*Controller, error) {
 	if err := c.connectDrives(ctx); err != nil {
 		return nil, err
 	}
-	c.gcommit = newGroupScheduler(c)
 
 	// Step 4: caches, sized to the paper's defaults within the EPC.
 	ocBytes := cfg.ObjectCacheBytes
@@ -558,7 +553,8 @@ func (c *Controller) connectDrives(ctx context.Context) (err error) {
 		}
 	}
 	cfg := records.Config{Codec: c.codec, Cost: c.cost, HedgeDelay: c.cfg.hedgeDelay,
-		Hedges: &c.stats.ReadHedges, RangeRejects: &c.stats.RangeRejects, Widened: &c.stats.ScanWidened}
+		Hedges: &c.stats.ReadHedges, RangeRejects: &c.stats.RangeRejects, Widened: &c.stats.ScanWidened,
+		GroupBatches: &c.stats.GroupBatches, GroupedWrites: &c.stats.GroupedWrites}
 	if c.drives, err = records.Dial(ctx, cfg, c.cfg.Drives, creds); err != nil || c.cfg.Standby {
 		return err
 	}
@@ -657,14 +653,7 @@ func (c *Controller) Close() error {
 		close(async.queue)
 		async.wg.Wait()
 	}
-	// Committer shutdown is two-phase: reject queued groups first,
-	// close the drive connections (which unblocks any in-flight merged
-	// batch), then wait for the drives' commit loops to exit.
-	c.gcommit.shutdown()
-	c.mu.Lock()
 	c.drives.Close()
-	c.mu.Unlock()
-	c.gcommit.wait()
 	c.audit.Close()
 	return nil
 }

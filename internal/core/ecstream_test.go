@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kinetic"
 	"repro/internal/store"
 )
 
@@ -322,11 +323,13 @@ func TestECRepairRebuildsLostShards(t *testing.T) {
 	h.ctl.deadMask.Store(1 << uint(victim))
 	defer h.ctl.deadMask.Store(0)
 
-	// Snapshot per-drive put counters: repair must write only to the
+	// Snapshot per-drive write counters — lone puts and the records a
+	// commit loop's batches applied: repair must write only to the
 	// substituted home, never rewrite healthy at-home shards.
-	putsBefore := make([]uint64, len(h.drives))
+	writes := func(d *kinetic.Drive) uint64 { return d.Stats().Puts.Load() + d.Stats().BatchOps.Load() }
+	writesBefore := make([]uint64, len(h.drives))
 	for di, d := range h.drives {
-		putsBefore[di] = d.Stats().Puts.Load()
+		writesBefore[di] = writes(d)
 	}
 
 	report, err := s.Repair(ctx, "heal")
@@ -342,7 +345,7 @@ func TestECRepairRebuildsLostShards(t *testing.T) {
 		t.Fatal("dead mask did not substitute the victim")
 	}
 	for di, d := range h.drives {
-		wrote := d.Stats().Puts.Load() - putsBefore[di]
+		wrote := writes(d) - writesBefore[di]
 		if di == substitute {
 			if wrote == 0 {
 				t.Errorf("substitute drive %d received no rebuilt shards", di)

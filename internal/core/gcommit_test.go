@@ -155,7 +155,7 @@ func TestGroupCommitSlowDriveDelaysOnlyItself(t *testing.T) {
 	}
 
 	start := time.Now()
-	if err := h.ctl.gcommit.enqueue(ctx, 1, []wire.BatchOp{
+	if err := h.ctl.drives.Commit(ctx, 1, []wire.BatchOp{
 		{Op: wire.BatchPut, Key: []byte("other"), Value: []byte("v"), Force: true, NewVersion: encodeVer(0)},
 	}, 1); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestGroupCommitSlowDriveDelaysOnlyItself(t *testing.T) {
 // one winner per round and the losers see ErrVersionMismatch, while
 // each round's unrelated keys — merged into the very same drive
 // batches — commit untouched. This drives the committer directly
-// (gcommit.enqueue), below the controller's commits locks, which is the
+// (drives.Commit), below the controller's commits locks, which is the
 // only place same-key groups can actually race.
 func TestGroupCommitCASStorm(t *testing.T) {
 	h := newHarness(t, 1, nil)
@@ -187,9 +187,9 @@ func TestGroupCommitCASStorm(t *testing.T) {
 
 	const stormers, rounds = 32, 6
 	// Create the hot key at version 0.
-	err := h.ctl.gcommit.enqueue(ctx, 0, []wire.BatchOp{
+	err := h.ctl.drives.Commit(ctx, 0, []wire.BatchOp{
 		{Op: wire.BatchPut, Key: []byte("hot"), Value: []byte("seed"), NewVersion: ver(0)},
-	}, 4)
+	}, 1)
 	if err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -202,11 +202,11 @@ func TestGroupCommitCASStorm(t *testing.T) {
 			go func(s int) {
 				defer wg.Done()
 				// The contended CAS group.
-				casErr := h.ctl.gcommit.enqueue(ctx, 0, []wire.BatchOp{
+				casErr := h.ctl.drives.Commit(ctx, 0, []wire.BatchOp{
 					{Op: wire.BatchPut, Key: []byte("hot"),
 						Value:     []byte(fmt.Sprintf("r%d-s%d", r, s)),
 						DBVersion: ver(int64(r)), NewVersion: ver(int64(r + 1))},
-				}, 8)
+				}, 1)
 				switch {
 				case casErr == nil:
 					wins.Add(1)
@@ -220,9 +220,9 @@ func TestGroupCommitCASStorm(t *testing.T) {
 				// likely the same merged batches) must never share the
 				// CAS group's fate.
 				bys := []byte(fmt.Sprintf("ok-r%d-s%d", r, s))
-				if err := h.ctl.gcommit.enqueue(ctx, 0, []wire.BatchOp{
+				if err := h.ctl.drives.Commit(ctx, 0, []wire.BatchOp{
 					{Op: wire.BatchPut, Key: bys, Value: bys, Force: true, NewVersion: ver(1)},
-				}, len(bys)); err != nil {
+				}, 1); err != nil {
 					t.Errorf("round %d stormer %d: unrelated key failed: %v", r, s, err)
 				}
 			}(s)

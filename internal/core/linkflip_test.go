@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/kinetic/kclient"
 	"repro/internal/kinetic/wire"
 	"repro/internal/store"
 )
@@ -207,5 +209,72 @@ func TestLinkRewrittenValueIsReadAroundAndRepaired(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestLinkRewrittenHeadIsNotRepairedOnto: repair's rewrite of a lost
+// head travels under the drive-link MAC like a commit's. One replica of
+// three is erased and a value byte of whatever frame carries the key's
+// head to it is flipped on its link: the drive refuses the rewrite, or
+// holds exactly the head the healthy replicas hold — never a head the
+// controller did not seal.
+func TestLinkRewrittenHeadIsNotRepairedOnto(t *testing.T) {
+	lt := &linkTamper{}
+	h := newHarness(t, 3, func(c *Config) {
+		c.Replicas = 3
+		lt.wrap(c)
+	})
+	s := h.ctl.Session("w")
+	ctx := context.Background()
+	const key = "head"
+	if _, err := s.Put(ctx, key, []byte("v"), PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	placement := h.ctl.placement(key)
+	victim := placement[0]
+	if err := eraseDrive(h, victim); err != nil {
+		t.Fatal(err)
+	}
+
+	mk := store.MetaKey(key)
+	flipped := false
+	lt.arm(func(di int, m *wire.Message, body []byte) bool {
+		if di != victim || flipped {
+			return false
+		}
+		val := m.Value
+		if !bytes.Equal(m.Key, mk) {
+			val = nil
+			for _, op := range m.Batch {
+				if bytes.Equal(op.Key, mk) {
+					val = op.Value
+				}
+			}
+		}
+		if len(val) == 0 {
+			return false
+		}
+		flipped = true
+		body[bytes.Index(body, val)+len(val)/2] ^= 0x40
+		return true
+	})
+	report, err := s.Repair(ctx, key)
+	lt.arm(nil)
+	if !flipped {
+		t.Fatal("the link saw no write of the head")
+	}
+	t.Logf("repair over a rewritten head: %+v, %v", report, err)
+
+	healthy, _, err := driveConn(t, h.ctl, placement[1]).Get(ctx, mk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := driveConn(t, h.ctl, victim).Get(ctx, mk)
+	switch {
+	case errors.Is(err, kclient.ErrNotFound):
+	case err != nil:
+		t.Fatal(err)
+	case !bytes.Equal(got, healthy):
+		t.Fatal("the drive holds a head the controller did not seal")
 	}
 }

@@ -661,7 +661,7 @@ func (c *Controller) PutPolicy(ctx context.Context, src string) (string, error) 
 			Op: wire.BatchPut, Key: store.PolicyKey(id), Value: blob,
 			NewVersion: []byte{1}, Force: true,
 		}}
-		if err := c.gcommit.enqueue(ctx, di, ops, len(blob)); err != nil {
+		if err := c.drives.Commit(ctx, di, ops, 1); err != nil {
 			return fmt.Errorf("core: store policy on drive %s: %w", c.drives.Name(di), err)
 		}
 		return nil

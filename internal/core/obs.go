@@ -85,7 +85,7 @@ func (s *Stats) counters() []counterDecl {
 		{"readHedges", "pesos_read_hedges_total", "Hedge requests fired by the read engine.", &s.ReadHedges},
 		{"coalescedReads", "pesos_coalesced_reads_total", "Cache misses served by another miss's flight.", &s.CoalescedReads},
 		{"wrongShard", "pesos_wrong_shard_total", "Operations redirected to another shard.", &s.WrongShard},
-		{"groupBatches", "pesos_group_batches_total", "Drive batches shipped by the group scheduler.", &s.GroupBatches},
+		{"groupBatches", "pesos_group_batches_total", "Drive batches shipped by the commit loops.", &s.GroupBatches},
 		{"groupedWrites", "pesos_grouped_writes_total", "Write groups that shared a merged drive batch.", &s.GroupedWrites},
 		{"readBytes", "pesos_read_bytes_total", "Payload bytes served to readers.", &s.ReadBytes},
 		{"writeBytes", "pesos_write_bytes_total", "Payload bytes accepted from writers.", &s.WriteBytes},

@@ -8,11 +8,10 @@
 // throughput scales with operations-per-sync, not syncs-per-op: the
 // fix is to let independent writers share a single drive round trip.
 //
-// Every logical write that funnels through the replication engine
-// (commit — every shape of put — plus deleteReplica and PutPolicy)
-// enqueues its per-drive sub-operation set as one *group* into that
-// drive's commit queue. Each drive has one commit loop that drains its
-// queue with a Nagle-style adaptive policy:
+// Every record write but a streamed chunk's is a Commit, which enqueues
+// its per-drive sub-operation set as one *group* (or several, under the
+// caps) into that drive's commit queue. Each drive has one commit loop
+// that drains its queue with a Nagle-style adaptive policy:
 //
 //   - drive idle → the first group ships immediately (the 1-client
 //     latency path pays only channel hand-off overhead);
@@ -54,10 +53,12 @@
 //     lock) always makes progress: queued groups keep draining
 //     regardless of shard state, and a frozen range can never wedge a
 //     queue.
-package core
+
+package records
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strconv"
 	"sync"
@@ -71,9 +72,10 @@ import (
 // Group-commit scheduler parameters.
 const (
 	// groupCommitMaxOps / groupCommitMaxBytes cap one merged drive
-	// batch. A merged batch must stay encodable under
-	// wire.MaxMessageSize, and MaxObjectSize (1 MB payload of a 2 MB
-	// frame) leaves ample headroom for keys, versions and framing.
+	// batch, and Commit's groups with it. A merged batch must stay
+	// encodable under wire.MaxMessageSize, and MaxObjectSize (1 MB
+	// payload of a 2 MB frame) leaves ample headroom for keys, versions
+	// and framing.
 	groupCommitMaxOps   = wire.MaxBatchOps
 	groupCommitMaxBytes = int(store.MaxObjectSize)
 	// groupCommitMaxDelay caps one gather window. It is an upper
@@ -91,6 +93,9 @@ const (
 	gatherQuietPolls   = 2
 )
 
+// ErrClosed is every write's answer once Close began.
+var ErrClosed = errors.New("pesos: controller closed")
+
 // commitGroup is one logical write's per-drive op set waiting in a
 // commit queue.
 type commitGroup struct {
@@ -106,46 +111,53 @@ type commitBatch struct {
 	ops, bytes int
 }
 
-// groupScheduler is the controller's group-commit engine: one queue and
-// one commit loop per drive.
-type groupScheduler struct {
-	c *Controller
-
+// commitQueues is the group-commit engine: one queue and one commit
+// loop per drive, index-aligned with the pools.
+type commitQueues struct {
 	mu     sync.Mutex
-	queues [][]*commitGroup // per drive, index-aligned with c.drives
+	queues [][]*commitGroup
 	closed bool
 
 	wakes []chan struct{} // per drive, cap 1: its queue became non-empty
 	stop  chan struct{}   // closed on shutdown
-	wg    sync.WaitGroup  // the loops
+	loops sync.WaitGroup
 }
 
-// newGroupScheduler builds the scheduler and starts one loop per drive.
-// Called from New once the drive pools exist.
-func newGroupScheduler(c *Controller) *groupScheduler {
-	g := &groupScheduler{
-		c:      c,
-		queues: make([][]*commitGroup, c.drives.Len()),
-		wakes:  make([]chan struct{}, c.drives.Len()),
-		stop:   make(chan struct{}),
+// Commit is the one way a record write but a streamed chunk reaches a
+// drive: it ships ops to drive di write-through through the drive's
+// commit loop, in groups each applied whole or not at all, and returns
+// once every group committed (nil), one was rejected (the group's
+// CAS/permission error, with BatchError indexes relative to the group),
+// or ctx is cancelled. The groups keep to the batch caps and ship one
+// after another; unit ops — a write's object and head pair, or a
+// single op — are never split between two. ops stays the caller's and
+// is only read. A cancelled waiter does not revoke an already-in-flight
+// group — like a cancelled round trip, the write may still commit, and
+// the caller's cache invalidation handles it.
+func (d *Drives) Commit(ctx context.Context, di int, ops []wire.BatchOp, unit int) error {
+	for len(ops) > 0 {
+		n, bytes := 0, 0
+		for n < len(ops) {
+			u, sz := min(unit, len(ops)-n), 0
+			for _, op := range ops[n : n+u] {
+				sz += len(op.Value)
+			}
+			if n > 0 && (n+u > groupCommitMaxOps || bytes+sz > groupCommitMaxBytes) {
+				break
+			}
+			n, bytes = n+u, bytes+sz
+		}
+		if err := d.commits.enqueue(ctx, di, ops[:n], bytes); err != nil {
+			return err
+		}
+		ops = ops[n:]
 	}
-	for di := range c.drives.Len() {
-		g.wakes[di] = make(chan struct{}, 1)
-		g.wg.Add(1)
-		go g.run(di)
-	}
-	return g
+	return nil
 }
 
-// enqueue is the one way a logical write's sub-operations reach a
-// drive: it submits them as one group for drive di and blocks until the
-// drive's loop commits it write-through (nil), the drive rejects it
-// (the group's CAS/permission error, with BatchError indexes relative
-// to the group), or ctx is cancelled. ops stays the caller's and is only
-// read. A cancelled waiter does not revoke an already-in-flight group —
-// like a cancelled round trip, the write may still commit, and the
-// caller's cache invalidation handles it.
-func (g *groupScheduler) enqueue(ctx context.Context, di int, ops []wire.BatchOp, bytes int) error {
+// enqueue submits ops as one group for drive di and waits for its
+// verdict.
+func (g *commitQueues) enqueue(ctx context.Context, di int, ops []wire.BatchOp, bytes int) error {
 	grp := &commitGroup{ops: ops, bytes: bytes, done: make(chan error, 1)}
 	g.mu.Lock()
 	if g.closed {
@@ -183,14 +195,15 @@ func (g *groupScheduler) enqueue(ctx context.Context, di int, ops []wire.BatchOp
 }
 
 // shutdown rejects all queued groups and stops the loops once their
-// in-flight batches (if any) resolve. Callers close the drive
+// in-flight batches (if any) resolve. Close closes the drive
 // connections afterwards, which unblocks a loop waiting on a response,
-// then wait() for the loops to exit.
-func (g *groupScheduler) shutdown() {
+// then waits for the loops to exit. It reports whether it was the first
+// call.
+func (g *commitQueues) shutdown() bool {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		return
+		return false
 	}
 	g.closed = true
 	queued := g.queues
@@ -202,17 +215,17 @@ func (g *groupScheduler) shutdown() {
 		}
 	}
 	close(g.stop)
+	return true
 }
-
-func (g *groupScheduler) wait() { g.wg.Wait() }
 
 // run is drive di's commit loop: pop a cap-fitting prefix of the queue,
 // gather more when the previous batch was merged, ship, repeat.
 // One batch per drive is in flight at a time: accumulating the queue
 // for exactly the outstanding batch's duration is what sizes the next
 // one, and a deeper pipeline was measured to fragment batches.
-func (g *groupScheduler) run(di int) {
-	defer g.wg.Done()
+func (d *Drives) run(di int) {
+	g := &d.commits
+	defer g.loops.Done()
 	var b commitBatch
 	var merged bool
 	for {
@@ -232,7 +245,7 @@ func (g *groupScheduler) run(di int) {
 				g.gather(di, &b)
 			}
 			merged = len(b.groups) > 1
-			g.ship(di, b.groups)
+			d.ship(di, b.groups)
 			clear(b.groups) // do not pin the riders' ops until the next batch
 			b = commitBatch{groups: b.groups[:0]}
 		}
@@ -242,7 +255,7 @@ func (g *groupScheduler) run(di int) {
 // take moves the longest prefix of drive di's queue that fits the caps
 // onto b, reporting whether it moved any group. An empty batch always
 // takes the queue's head, whatever its size.
-func (g *groupScheduler) take(di int, b *commitBatch) bool {
+func (g *commitQueues) take(di int, b *commitBatch) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	n := 0
@@ -264,7 +277,7 @@ func (g *groupScheduler) take(di int, b *commitBatch) bool {
 // quiet-period adaptive: every arrival re-arms a short poll, so a burst
 // of waking writers is absorbed whole, while a dried-up queue ends the
 // wait after a couple of poll intervals instead of the full delay.
-func (g *groupScheduler) gather(di int, b *commitBatch) {
+func (g *commitQueues) gather(di int, b *commitBatch) {
 	deadline := time.Now().Add(groupCommitMaxDelay)
 	for quiet := 0; quiet < gatherQuietPolls; {
 		wait := time.Until(deadline)
@@ -290,7 +303,7 @@ func (g *groupScheduler) gather(di int, b *commitBatch) {
 
 // ship sends one drive's merged batch write-through — every rider is
 // on the medium before its verdict — and demuxes the verdicts.
-func (g *groupScheduler) ship(di int, batch []*commitGroup) {
+func (d *Drives) ship(di int, batch []*commitGroup) {
 	// A lone group's ops ship as they are. Clipped, they make the first
 	// append of a merged batch copy into a slice of its own, so no
 	// rider's ops are written.
@@ -310,11 +323,11 @@ func (g *groupScheduler) ship(di int, batch []*commitGroup) {
 	// batch commits on behalf of every rider; an individual waiter's
 	// cancellation must not abort its neighbours, so the round trip runs
 	// detached (waiters honor their own contexts in enqueue).
-	errs, err := g.c.drives.Batch(di, ops, sizes, bytes)
+	errs, err := d.conn(di, bytes).BatchGroups(context.Background(), ops, sizes, wire.SyncWriteThrough)
 
-	g.c.stats.GroupBatches.Inc()
+	d.cfg.GroupBatches.Inc()
 	if len(batch) > 1 {
-		g.c.stats.GroupedWrites.Add(uint64(len(batch)))
+		d.cfg.GroupedWrites.Add(uint64(len(batch)))
 	}
 
 	if err != nil {

@@ -4,8 +4,13 @@
 // drive's bytes into records — each through the bound opener of its
 // record kind, after the reply that carried them has been checked. A
 // read verb takes object keys, versions and placements and returns
-// opened records or elected heads; the write verbs carry what the
-// controller sealed, and the account calls serve takeover and rotation.
+// opened records or elected heads; the account calls serve takeover and
+// rotation, and the write verbs carry what the controller sealed:
+// Commit (commit.go) every record but a streamed chunk — heads,
+// versions, policies, rebuilt shards, every delete — through the drive's
+// commit loop, values under the drive-link MAC; PutChunk a streamed
+// upload's chunk and parity records, each a lone put its own tag covers;
+// Push a drive's copy of a record to a peer.
 //
 //	record kind  read verb                       opener
 //	head         ReadHead, HeadWave, ReadHeads,  store.Codec.DecodeMeta (elect)
@@ -17,6 +22,7 @@ package records
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"sync"
@@ -51,25 +57,29 @@ type Credentials = kclient.Credentials
 
 // Config is what the layer opens and seals with (Codec), charges each
 // drive round trip's enclave tax to (Cost) and counts hedges, refused
-// range replies and walk rounds widened past their cover to. HedgeDelay
-// fixes the fetch engine's hedge delay; 0 selects the adaptive one.
+// range replies, walk rounds widened past their cover, the commit
+// loops' batches and the groups that shared one to. HedgeDelay fixes
+// the fetch engine's hedge delay; 0 selects the adaptive one.
 type Config struct {
 	Codec                         *store.Codec
 	Cost                          *enclave.CostModel
 	HedgeDelay                    time.Duration
 	Hedges, RangeRejects, Widened *obs.Counter
+	GroupBatches, GroupedWrites   *obs.Counter
 }
 
-// Drives is the controller's drive table: one connection pool per drive,
-// indexed as placements index drives.
+// Drives is the controller's drive table: one connection pool and one
+// commit loop (commit.go) per drive, indexed as placements index drives.
 type Drives struct {
-	cfg   Config
-	pools []*pool
+	cfg     Config
+	pools   []*pool
+	commits commitQueues
 }
 
-// Dial connects a pool to every endpoint with its credentials.
+// Dial connects a pool to every endpoint with its credentials and
+// starts the drives' commit loops.
 func Dial(ctx context.Context, cfg Config, eps []Endpoint, creds []Credentials) (*Drives, error) {
-	d := &Drives{cfg: cfg}
+	d := &Drives{cfg: cfg, commits: commitQueues{stop: make(chan struct{})}}
 	for i, ep := range eps {
 		p, err := dialPool(ctx, ep, creds[i])
 		if err != nil {
@@ -78,6 +88,12 @@ func Dial(ctx context.Context, cfg Config, eps []Endpoint, creds []Credentials) 
 		}
 		d.pools = append(d.pools, p)
 	}
+	d.commits.queues, d.commits.wakes = make([][]*commitGroup, len(d.pools)), make([]chan struct{}, len(d.pools))
+	for di := range d.pools {
+		d.commits.wakes[di] = make(chan struct{}, 1)
+		d.commits.loops.Add(1)
+		go d.run(di)
+	}
 	return d, nil
 }
 
@@ -85,12 +101,18 @@ func Dial(ctx context.Context, cfg Config, eps []Endpoint, creds []Credentials) 
 func (d *Drives) Len() int           { return len(d.pools) }
 func (d *Drives) Name(di int) string { return d.pools[di].name }
 
-// Close closes every connection. The table stays in place: a writer that
-// raced past a closed check fails with the connection's ErrClosed.
+// Close rejects the queued groups with ErrClosed, closes every
+// connection — which unblocks a loop waiting on an in-flight batch — and
+// waits for the commit loops to exit. The table stays in place: a reader
+// that raced past the close fails with the connection's ErrClosed.
 func (d *Drives) Close() {
+	if !d.commits.shutdown() {
+		return
+	}
 	for _, p := range d.pools {
 		p.close()
 	}
+	d.commits.loops.Wait()
 }
 
 // Latency is drive di's read-latency estimate: the EWMA mean, the
@@ -119,20 +141,13 @@ func (d *Drives) conn(di, payload int) *kclient.Client {
 	return d.pools[di].pick()
 }
 
-// The write verbs. Batch ships ops to drive di write-through as one
-// request of groups, sizes[i] ops each, each applied whole or not at all,
-// and returns each group's verdict; it runs detached from any caller's
-// context, on behalf of every group. Put writes blob under drive key dk
-// at drive version ver, Delete removes dk (absent is no error), and Push
-// has drive di copy its record dk to the drive named peer.
-func (d *Drives) Batch(di int, ops []wire.BatchOp, sizes []uint32, payload int) ([]error, error) {
-	return d.conn(di, payload).BatchGroups(context.Background(), ops, sizes, wire.SyncWriteThrough)
-}
-func (d *Drives) Put(ctx context.Context, di int, dk, blob, ver []byte) error {
-	return d.conn(di, len(blob)).Put(ctx, dk, blob, nil, ver, true)
-}
-func (d *Drives) Delete(ctx context.Context, di int, dk []byte) error {
-	return d.conn(di, 0).Delete(ctx, dk, nil, true)
+// PutChunk writes a streamed upload's chunk record idx of key's chunk
+// set, sealed as blob, to drive di as a lone put, which the drive adopts
+// without a copy. Push has drive di copy its record dk to the drive
+// named peer.
+func (d *Drives) PutChunk(ctx context.Context, di int, key string, set, idx int64, blob []byte) error {
+	ver := binary.BigEndian.AppendUint64(nil, uint64(set))
+	return d.conn(di, len(blob)).Put(ctx, store.ChunkKey(key, set, idx), blob, nil, ver, true)
 }
 func (d *Drives) Push(ctx context.Context, di int, dk []byte, peer string) error {
 	return d.conn(di, 0).P2PPush(ctx, dk, peer)

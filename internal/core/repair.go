@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/core/records"
+	"repro/internal/kinetic/wire"
 	"repro/internal/policy/lang"
 	"repro/internal/store"
 )
@@ -132,7 +133,7 @@ func (c *Controller) settle(ctx context.Context, dk []byte, held, missing []int,
 	}
 	for _, di := range missing {
 		if !relay || c.push(ctx, dk, held[:1], []string{c.drives.Name(di)}) != nil {
-			if err := c.drives.Put(ctx, di, dk, blob, ver); err != nil {
+			if err := c.drives.Commit(ctx, di, []wire.BatchOp{{Op: wire.BatchPut, Key: dk, Value: blob, NewVersion: ver, Force: true}}, 1); err != nil {
 				return fmt.Errorf("core: repair %q on %s: %w", dk, c.drives.Name(di), err)
 			}
 		}
@@ -296,7 +297,7 @@ func (c *Controller) repairChunk(ctx context.Context, l layout, key string, set,
 		// The home copies are confirmed; the stray would otherwise
 		// linger as dark capacity (no delete path enumerates an
 		// off-window drive).
-		_ = c.drives.Delete(ctx, held[0], dk)
+		_ = c.drives.Commit(ctx, held[0], []wire.BatchOp{{Op: wire.BatchDelete, Key: dk, Force: true}}, 1)
 	}
 	return rec, nil
 }

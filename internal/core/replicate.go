@@ -128,7 +128,7 @@ func (c *Controller) replicationFailed(err error, keys ...string) error {
 // across groups — the drive applies both or neither, so object and
 // metadata cannot diverge on a replica), and the per-drive streams run
 // concurrently: latency is the slowest replica's round trip, shared with
-// whatever other clients' writes the drive's group scheduler merged
+// whatever other clients' writes the drive's commit loop merged
 // alongside. Every group ships write-through, so a commit's reply means
 // every replica holds its writes on the medium, whatever the caller.
 //
@@ -154,22 +154,9 @@ func (c *Controller) commit(ctx context.Context, writes []*replicaWrite) error {
 	sctx, span := obs.StartSpan(ctx, "replicate")
 	span.Attr("replicas", strconv.Itoa(len(drives)))
 	err := records.Fanout(drives, func(di int) error {
-		// Chunk on the batch-op cap and the frame size, keeping each
-		// object+meta pair in one atomic group.
-		for ops := perDrive[di]; len(ops) > 0; {
-			n, bytes := 0, 0
-			for n < len(ops) && n+2 <= wire.MaxBatchOps {
-				sz := len(ops[n].Value) + len(ops[n+1].Value)
-				if n > 0 && bytes+sz > store.MaxObjectSize {
-					break
-				}
-				bytes += sz
-				n += 2
-			}
-			if err := c.gcommit.enqueue(sctx, di, ops[:n], bytes); err != nil {
-				return fmt.Errorf("core: write batch to drive %s: %w", c.drives.Name(di), err)
-			}
-			ops = ops[n:]
+		// Each object+meta pair is one unit: one atomic group holds both.
+		if err := c.drives.Commit(sctx, di, perDrive[di], 2); err != nil {
+			return fmt.Errorf("core: write batch to drive %s: %w", c.drives.Name(di), err)
 		}
 		return nil
 	})
@@ -210,29 +197,16 @@ func (c *Controller) deleteReplica(ctx context.Context, di int, key string, guar
 	for _, k := range keys {
 		ops = append(ops, wire.BatchOp{Op: wire.BatchDelete, Key: k, Force: true})
 	}
-	metaPending := true
-	for len(ops) > 0 {
-		n := min(len(ops), wire.MaxBatchOps)
-		// Each chunk is one group: a released range's records are
-		// durably gone before the handoff acknowledges, and the
-		// CAS-guarded metadata delete leading the first chunk protects
-		// the whole stream.
-		err := c.gcommit.enqueue(ctx, di, ops[:n], 0)
-		if metaPending && err != nil {
-			if records.FirstOpAbsent(err) {
-				// This replica already lost its metadata (degraded
-				// pre-repair state): drop the guard and still collect
-				// the version records.
-				ops = ops[1:]
-				metaPending = false
-				continue
-			}
-		}
-		if err != nil {
-			return err
-		}
-		metaPending = false
-		ops = ops[n:]
+	// The groups ship in order: a released range's records are durably
+	// gone before the handoff acknowledges, and the CAS-guarded metadata
+	// delete leading the first group protects the whole stream. Forced
+	// deletes never fail on an absent record, so an absent first op is
+	// the metadata's.
+	err = c.drives.Commit(ctx, di, ops, 1)
+	if records.FirstOpAbsent(err) {
+		// This replica already lost its metadata (degraded pre-repair
+		// state): drop the guard and still collect the version records.
+		err = c.drives.Commit(ctx, di, ops[1:], 1)
 	}
-	return nil
+	return err
 }

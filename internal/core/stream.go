@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"repro/internal/core/records"
+	"repro/internal/kinetic/wire"
 	"repro/internal/store"
 )
 
@@ -249,9 +250,8 @@ func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts
 		if err != nil {
 			return err
 		}
-		dk := store.ChunkKey(key, set, idx)
 		return c.replicationFailed(records.Fanout(l.homes(idx), func(di int) error {
-			if err := c.drives.Put(ctx, di, dk, blob, encodeVer(set)); err != nil {
+			if err := c.drives.PutChunk(ctx, di, key, set, idx, blob); err != nil {
 				return fmt.Errorf("core: stream chunk %d of %q to drive %s: %w", idx, key, c.drives.Name(di), err)
 			}
 			return nil
@@ -354,21 +354,22 @@ func (c *Controller) putChunks(ctx context.Context, sessionKey, key string, opts
 // home has still landed on the others), plus every stripe's parity
 // indices — parity whose data siblings never committed must not survive
 // as dark capacity — on every window drive (a superset of the homes
-// actually written; deletes of absent keys are no-ops).
+// actually written; forced deletes of absent keys are no-ops), as one
+// commit of forced deletes a drive.
 func (c *Controller) sweepChunks(ctx context.Context, key string, set, chunks int64, l layout) {
-	stripes := chunks/int64(l.k) + 1 // include the open stripe
-	_ = records.Fanout(l.window, func(di int) error {
-		del := func(idx int64) { _ = c.drives.Delete(ctx, di, store.ChunkKey(key, set, idx)) }
-		for idx := int64(0); idx <= chunks; idx++ {
-			del(idx)
+	var ops []wire.BatchOp
+	del := func(idx int64) {
+		ops = append(ops, wire.BatchOp{Op: wire.BatchDelete, Key: store.ChunkKey(key, set, idx), Force: true})
+	}
+	for idx := int64(0); idx <= chunks; idx++ {
+		del(idx)
+	}
+	for t := range chunks/int64(l.k) + 1 { // include the open stripe
+		for j := range int64(l.m) {
+			del(store.ParityIndex(t, int64(l.m), j))
 		}
-		for t := int64(0); t < stripes; t++ {
-			for j := 0; j < l.m; j++ {
-				del(store.ParityIndex(t, int64(l.m), int64(j)))
-			}
-		}
-		return nil
-	})
+	}
+	_ = records.Fanout(l.window, func(di int) error { return c.drives.Commit(ctx, di, ops, 1) })
 }
 
 // commitStream publishes a chunked upload's stub under the commits

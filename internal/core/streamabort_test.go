@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"repro/internal/kinetic/wire"
 	"repro/internal/store"
 )
 
@@ -16,21 +17,24 @@ import (
 // landed, and requires the one abort sweep to leave nothing behind: no
 // record in the key's chunk range on any live drive — the chunk that
 // was in flight when the upload failed included — and no streamed
-// version published.
+// version published. Where nothing but the upload writes, the sweep is
+// one commit of forced deletes a window drive: no lone delete, and at
+// most one batch per wire.MaxBatchOps records it deletes.
 func TestStreamAbortLeavesNoOrphans(t *testing.T) {
 	const key = "doomed"
 	classes := []struct {
 		name   string
 		drives int
 		chunks int // body size; the cap row allows one chunk less
+		k, m   int // the class's stripe: data and parity chunks
 		cfg    func(*Config)
 		// victim names the drive a kill row takes down: a home of the
 		// chunk record whose put must fail.
 		victim func(c *Controller, parity bool) int
 	}{
-		{"replicated", 3, 4, func(c *Config) { c.Replicas = 3 },
+		{"replicated", 3, 4, 1, 0, func(c *Config) { c.Replicas = 3 },
 			func(c *Controller, _ bool) int { return c.placement(key)[2] }},
-		{"ec", 6, 6, ecConfig,
+		{"ec", 6, 6, 4, 2, ecConfig,
 			func(c *Controller, parity bool) int {
 				group := c.ecGroup(key, 6)
 				if parity {
@@ -116,15 +120,31 @@ func TestStreamAbortLeavesNoOrphans(t *testing.T) {
 					}})
 				}
 
+				before := make([][2]uint64, len(h.drives)) // lone deletes, batches
+				for di, d := range h.drives {
+					before[di] = [2]uint64{d.Stats().Deletes.Load(), d.Stats().Batches.Load()}
+				}
 				res := s.PutStream(ctx, key, body, PutOptions{})
 				if res.Err == nil || (ab.code != "" && res.Err.Code != ab.code) {
 					t.Fatalf("upload: %+v, want code %q", res, ab.code)
 				}
 				t.Logf("upload failed with: %v", res.Err)
 				cstart, cend := store.ChunkKeyRange(key)
+				// The records the sweep deletes a drive: the data indices up
+				// to the one in flight and every begun stripe's parity.
+				records := class.chunks + 1 + (class.chunks/class.k+1)*class.m
+				maxBatches := uint64((records + wire.MaxBatchOps - 1) / wire.MaxBatchOps)
 				for di := range h.drives {
 					if di == dead {
 						continue
+					}
+					if st := h.drives[di].Stats(); ab.fault == nil {
+						if del := st.Deletes.Load() - before[di][0]; del != 0 {
+							t.Errorf("drive %d: the sweep sent %d lone deletes", di, del)
+						}
+						if bat := st.Batches.Load() - before[di][1]; bat > maxBatches {
+							t.Errorf("drive %d: the sweep sent %d batches for at most %d records", di, bat, records)
+						}
 					}
 					keys, err := driveKeys(t, h.ctl, di, cstart, cend)
 					if err != nil {

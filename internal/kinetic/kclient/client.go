@@ -656,15 +656,6 @@ func (c *Client) SetSecurity(ctx context.Context, acls []wire.ACL, pin []byte) e
 	return statusOf(resp)
 }
 
-// InstantErase wipes the drive.
-func (c *Client) InstantErase(ctx context.Context, pin []byte) error {
-	resp, err := c.roundTrip(ctx, &wire.Message{Type: wire.TErase, Pin: pin})
-	if err != nil {
-		return err
-	}
-	return statusOf(resp)
-}
-
 // Noop verifies connectivity and credentials.
 func (c *Client) Noop(ctx context.Context) error {
 	resp, err := c.roundTrip(ctx, &wire.Message{Type: wire.TNoop})
@@ -681,18 +672,6 @@ func (c *Client) P2PPush(ctx context.Context, key []byte, peer string) error {
 		return err
 	}
 	return statusOf(resp)
-}
-
-// GetLog returns drive status and statistics.
-func (c *Client) GetLog(ctx context.Context) (map[string]string, error) {
-	resp, err := c.roundTrip(ctx, &wire.Message{Type: wire.TGetLog})
-	if err != nil {
-		return nil, err
-	}
-	if err := statusToError(resp); err != nil {
-		return nil, err
-	}
-	return resp.Log, nil
 }
 
 // Close tears down the connection; pending calls fail.

@@ -108,26 +108,6 @@ func TestClientSecurityAndCredentialSwitch(t *testing.T) {
 	}
 }
 
-func TestClientEraseAndLog(t *testing.T) {
-	drive, cl := startDrive(t)
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if err := cl.Put(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v"), nil, nil, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	log, err := cl.GetLog(ctx)
-	if err != nil || log["keys"] != "5" {
-		t.Fatalf("getlog: %v %v", log, err)
-	}
-	if err := cl.InstantErase(ctx, nil); err != nil {
-		t.Fatalf("erase: %v", err)
-	}
-	if drive.Len() != 0 {
-		t.Fatalf("%d keys after erase", drive.Len())
-	}
-}
-
 // TestClientConcurrentPipelining exercises many in-flight requests on
 // one connection — the decoupled request/response design of §4.3.
 func TestClientConcurrentPipelining(t *testing.T) {

@@ -218,3 +218,27 @@ func TestParseValue(t *testing.T) {
 		t.Error("trailing input accepted")
 	}
 }
+
+// TestValueStringReadsBack: a value's String parses back as the same
+// value, whatever its tuple names and strings hold; an identifier-named
+// tuple prints unquoted.
+func TestValueStringReadsBack(t *testing.T) {
+	for _, v := range []value.V{
+		value.Tup("", value.Int(1)),
+		value.Tup("a b", value.Int(1)),
+		value.Tup("Upper", value.Int(1)),
+		value.Tup("and", value.Int(1)),
+		value.Tup("f", value.Str("a\\"), value.Tup("g_2")),
+		value.Str("a\\"),
+		value.Str("a\n"),
+		value.Str(`it's \n`),
+	} {
+		got, err := ParseValue(v.String())
+		if err != nil || !got.Equal(v) {
+			t.Errorf("ParseValue(%q) = %v, %v", v.String(), got, err)
+		}
+	}
+	if s := value.Tup("f_1", value.Int(1)).String(); s != "f_1(1)" {
+		t.Errorf("an identifier-named tuple prints as %s", s)
+	}
+}

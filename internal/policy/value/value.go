@@ -10,7 +10,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"unicode"
 )
 
 // Kind discriminates value types.
@@ -131,13 +133,17 @@ func (v V) Compare(o V) (int, error) {
 	}
 }
 
-// String renders the value in policy-language syntax.
+// strEscaper escapes what the lexer reads in a string: quote, \, newline.
+var strEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`, "\n", `\n`)
+
+// String renders the value in policy-language syntax; the policy
+// parser reads it back as the same value (lang.ParseValue).
 func (v V) String() string {
 	switch v.Kind {
 	case KInt:
 		return fmt.Sprint(v.Int)
 	case KString:
-		return "'" + strings.ReplaceAll(v.Str, "'", "\\'") + "'"
+		return "'" + strEscaper.Replace(v.Str) + "'"
 	case KHash:
 		return "h'" + hex.EncodeToString(v.Hash[:]) + "'"
 	case KPubKey:
@@ -147,10 +153,25 @@ func (v V) String() string {
 		for i, a := range v.Tuple.Args {
 			parts[i] = a.String()
 		}
-		return v.Tuple.Name + "(" + strings.Join(parts, ", ") + ")"
+		name := v.Tuple.Name
+		if !isTupleIdent(name) {
+			name = Str(name).String() // quoted: any name reads back
+		}
+		return name + "(" + strings.Join(parts, ", ") + ")"
 	default:
 		return "<invalid>"
 	}
+}
+
+// isTupleIdent: name reads back unquoted as a tuple's name, a lowercase
+// identifier that is not an operator word.
+func isTupleIdent(name string) bool {
+	for i, r := range name {
+		if !(r == '_' || unicode.IsLetter(r) || i > 0 && unicode.IsDigit(r)) || i == 0 && unicode.IsUpper(r) {
+			return false
+		}
+	}
+	return !slices.Contains([]string{"", "and", "or", "AND", "OR"}, name)
 }
 
 // Binary encoding tags.
